@@ -38,9 +38,9 @@
 //!   identical, and cached and fresh round plans
 //!   assignment-for-assignment identical, on every sized instance.
 //!
-//! Emits a machine-readable `BENCH_sim.json` (one JSON object per line)
-//! next to `BENCH_solver.json` for the perf trajectory; override the
-//! location with `GAVEL_BENCH_JSON`.
+//! Overwrites the machine-readable `BENCH_sim.json` (a header object,
+//! then one JSON object per line) next to `BENCH_solver.json` for the
+//! perf trajectory; override the location with `GAVEL_BENCH_JSON`.
 
 use criterion::{BenchmarkId, Criterion};
 use gavel_core::{Allocation, ComboSet, JobId, PolicyJob};

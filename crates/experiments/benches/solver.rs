@@ -8,11 +8,11 @@
 //!   reoptimization path),
 //! - `milp/*` — Appendix A.1-style bottleneck MILPs, branch-and-bound with
 //!   warm-started nodes vs cold nodes.
-//! - `parallel/*` — the hierarchical policy's sharded probe pass, serial
-//!   (one thread) vs the worker pool at four threads, on the same
-//!   instance. Gated on bitwise verdict/stats identity (the `gavel_par`
-//!   determinism contract), zero dense fallbacks, and — on hosts with at
-//!   least four cores — a minimum parallel-over-serial speedup.
+//! - `probe_pass/*` — the hierarchical policy's bottleneck pass (prepass
+//!   plus the warm chain of per-job probes on one prepared LP). Gated on
+//!   verdict identity against an exhaustive oracle (a cold per-job LP for
+//!   every job), every probe resuming warm — no phase 1, no cold
+//!   fallback — and zero dense fallbacks.
 //!
 //! After each timed group the warm path's counters (`dual_pivots`,
 //! `bound_flips`, `warm_hits`, `warm_falls_back`) are printed so warm-path
@@ -21,13 +21,13 @@
 //! rising-floor round cold-started — CI runs this at smoke scale as a
 //! regression gate.
 //!
-//! Emits a machine-readable `BENCH_solver.json` (one JSON object per
-//! line: `group`, `id`, `median_ns`, `mad_ns`, `samples`) for the perf
-//! trajectory; override the location with `GAVEL_BENCH_JSON`.
+//! Overwrites the machine-readable `BENCH_solver.json` (a header object —
+//! git revision, core count, `GAVEL_THREADS`, sampling — then one JSON
+//! object per line: `group`, `id`, `median_ns`, `mad_ns`, `samples`) for
+//! the perf trajectory; override the location with `GAVEL_BENCH_JSON`.
 
 use criterion::{BenchmarkId, Criterion};
 use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
-use gavel_par::with_threads;
 use gavel_policies::Hierarchical;
 use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
 use rand::rngs::StdRng;
@@ -401,28 +401,65 @@ fn probe_setup(n: usize, seed: u64) -> ProbeSetup {
     }
 }
 
-/// Median wall-clock of `reps` runs of `f`.
-fn median_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
+/// The exhaustive bottleneck test the probe pass must agree with: for
+/// every `stride`-th job, a cold LP maximizing its normalized throughput
+/// while all jobs keep their floors, built here from the raw instance
+/// rather than through the policy. Returns those of the tested jobs that
+/// cannot rise above their floor, under the policy's tolerance.
+fn oracle_bottlenecked(setup: &ProbeSetup, floors: &[f64], stride: usize) -> Vec<usize> {
+    let n = setup.jobs.len();
+    // Normalized throughput: raw throughput over the equal-share one (a
+    // third of the time on each of the three equally sized types).
+    let norm: Vec<Vec<f64>> = (0..n)
+        .map(|m| {
+            let raw: Vec<f64> = (0..3)
+                .map(|j| setup.tensor.entry(m, gavel_core::AccelIdx(j)).total())
+                .collect();
+            let equal_share: f64 = raw.iter().sum::<f64>() / 3.0;
+            raw.iter().map(|t| t / equal_share).collect()
         })
         .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let mut lp = LpProblem::new(Sense::Maximize);
+    let x: Vec<Vec<VarId>> = (0..n)
+        .map(|m| {
+            (0..3)
+                .map(|j| lp.add_var_indexed2("x", (m, j), 0.0, f64::INFINITY, 0.0))
+                .collect()
+        })
+        .collect();
+    for (m, row) in x.iter().enumerate() {
+        let budget: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
+        lp.add_constraint(&budget, Cmp::Le, 1.0);
+        let tput: Vec<(VarId, f64)> = row.iter().zip(&norm[m]).map(|(&v, &t)| (v, t)).collect();
+        lp.add_constraint(&tput, Cmp::Ge, floors[m]);
+    }
+    for j in 0..3 {
+        let cap: Vec<(VarId, f64)> = x.iter().map(|row| (row[j], 1.0)).collect();
+        let workers = setup.cluster.num_workers(gavel_core::AccelIdx(j)) as f64;
+        lp.add_constraint(&cap, Cmp::Le, workers);
+    }
+    let mut bottlenecked = Vec::new();
+    for m in (0..n).step_by(stride) {
+        for j in 0..3 {
+            lp.set_objective_coeff(x[m][j], norm[m][j]);
+        }
+        let best = lp.solve().expect("floors are feasible").objective;
+        if best <= floors[m] + 1e-5 * (1.0 + floors[m].abs()) {
+            bottlenecked.push(m);
+        }
+        for j in 0..3 {
+            lp.set_objective_coeff(x[m][j], 0.0);
+        }
+    }
+    bottlenecked
 }
 
-/// The hierarchical probe pass, serial vs the sharded worker pool. The
-/// identity gates always run (verdicts and merged stats must be
-/// bit-identical under any thread count — that's the `gavel_par`
-/// contract); the speedup gate runs at the 1024-job size on hosts where
-/// four workers can actually land on four cores.
-fn bench_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel");
-    // A 1024-job probe pass runs whole seconds; five samples keep the
-    // group's wall-clock sane (GAVEL_BENCH_SAMPLES still wins).
+/// The hierarchical bottleneck pass on one prepared LP. The gates run
+/// outside the timed loop: the verdict set must equal the exhaustive
+/// oracle's, and every probe must have resumed warm from the basis
+/// before it.
+fn bench_probe_pass(c: &mut Criterion) {
+    let mut group = c.benchmark_group("probe_pass");
     group.sample_size(5);
     for &n in &[256usize, 1024] {
         let setup = probe_setup(n, 31);
@@ -432,67 +469,43 @@ fn bench_parallel(c: &mut Criterion) {
             .first_round_floors(&input)
             .expect("probe bench instance is feasible");
 
-        // Identity + structure gates, outside the timed loops.
-        let (serial_set, serial_stats) =
-            with_threads(1, || policy.probe_pass(&input, &floors)).unwrap();
-        let (par_set, par_stats) = with_threads(4, || policy.probe_pass(&input, &floors)).unwrap();
+        let (bottlenecked, stats) = policy.probe_pass(&input, &floors).unwrap();
+        // A cold 1024-job LP takes a tenth of a second: test every job at
+        // 256, every eighth at 1024.
+        let stride = if n <= 256 { 1 } else { 8 };
+        let t0 = Instant::now();
+        let oracle = oracle_bottlenecked(&setup, &floors, stride);
+        let oracle_secs = t0.elapsed().as_secs_f64();
+        let tested: Vec<usize> = bottlenecked
+            .iter()
+            .copied()
+            .filter(|m| m % stride == 0)
+            .collect();
         assert_eq!(
-            serial_set, par_set,
-            "probe verdicts diverge serial vs parallel at {n} jobs"
+            tested, oracle,
+            "probe verdicts diverge from the exhaustive oracle at {n} jobs"
         );
-        assert_eq!(
-            serial_stats, par_stats,
-            "probe stats diverge serial vs parallel at {n} jobs"
-        );
-        assert_no_dense_fallback(&par_stats, "parallel/probes");
+        assert_no_dense_fallback(&stats, "probe_pass");
+        // The prepass of a fresh pass has no hint, so every warm hit is a
+        // probe: all of them resumed warm (a warm hit runs no phase 1) and
+        // none fell back to a cold start.
         assert!(
-            par_stats.parallel_probes > 0 && par_stats.shards > 1,
-            "no probes took the sharded path at {n} jobs: {par_stats:?}"
+            stats.parallel_probes > 0
+                && stats.warm_hits == stats.parallel_probes
+                && stats.warm_falls_back == 0,
+            "a probe ran a phase 1 at {n} jobs: {stats:?}"
         );
         println!(
-            "parallel/{n}: {} candidate probes across {} shards, {} bottlenecked",
-            par_stats.parallel_probes,
-            par_stats.shards,
-            par_set.len()
+            "probe_pass/{n}: {} probes, {} bottlenecked, {} pivots \
+             (cold oracle over {} jobs: {oracle_secs:.2}s)",
+            stats.parallel_probes,
+            bottlenecked.len(),
+            stats.total_pivots(),
+            n.div_ceil(stride),
         );
 
-        // Speedup gate: only meaningful where the host can physically run
-        // the shards concurrently — on fewer than four cores the pool
-        // degrades to time-slicing and the ratio measures scheduler
-        // overhead, not the sharding.
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        if n >= 1024 && cores >= 4 {
-            let serial = median_secs(3, || {
-                with_threads(1, || {
-                    criterion::black_box(policy.probe_pass(&input, &floors).unwrap());
-                })
-            });
-            let par = median_secs(3, || {
-                with_threads(4, || {
-                    criterion::black_box(policy.probe_pass(&input, &floors).unwrap());
-                })
-            });
-            println!(
-                "parallel/{n}: serial {serial:.4}s vs 4-thread {par:.4}s \
-                 ({:.2}x on {cores} cores)",
-                serial / par
-            );
-            assert!(
-                serial >= par * 2.0,
-                "sharded probes must beat serial by >=2x at {n} jobs on \
-                 {cores} cores: serial {serial:.4}s vs parallel {par:.4}s"
-            );
-        } else if n >= 1024 {
-            println!("parallel/{n}: speedup gate skipped ({cores} core(s) available)");
-        }
-
-        group.bench_with_input(BenchmarkId::new("probes_serial", n), &n, |b, _| {
-            b.iter(|| with_threads(1, || policy.probe_pass(&input, &floors).unwrap()))
-        });
-        group.bench_with_input(BenchmarkId::new("probes_4threads", n), &n, |b, _| {
-            b.iter(|| with_threads(4, || policy.probe_pass(&input, &floors).unwrap()))
+        group.bench_with_input(BenchmarkId::new("chain", n), &n, |b, _| {
+            b.iter(|| policy.probe_pass(&input, &floors).unwrap())
         });
     }
     group.finish();
@@ -508,5 +521,5 @@ fn main() {
     bench_engines(&mut criterion);
     bench_rising_floors(&mut criterion);
     bench_milp(&mut criterion);
-    bench_parallel(&mut criterion);
+    bench_probe_pass(&mut criterion);
 }

@@ -68,8 +68,8 @@ impl Scale {
     }
 }
 
-/// The scoped worker pool now lives in `gavel-par` (shared with the
-/// solver's batched MILP nodes and the policies' sharded probe LPs);
+/// The scoped worker pool lives in `gavel-par` (shared with the solver's
+/// batched MILP nodes);
 /// re-exported here so the experiment binaries and older call sites keep
 /// their import path. A panicking sweep worker re-raises its original
 /// panic payload instead of a generic "worker panicked" message.

@@ -4,9 +4,9 @@
 //! The build image has no rayon; this crate is the one place the
 //! workspace spawns worker threads. It grew out of
 //! `gavel-experiments::parallel_map` (which now re-exports it) so that
-//! `gavel-solver`'s batched MILP node solves and `gavel-policies`'
-//! sharded probe LPs can share the pool without a dependency cycle —
-//! this crate depends on nothing and everything may depend on it.
+//! `gavel-solver`'s batched MILP node solves and the experiment sweeps
+//! can share the pool without a dependency cycle — this crate depends on
+//! nothing and everything may depend on it.
 //!
 //! # Determinism contract
 //!
@@ -19,10 +19,10 @@
 //! leaks into the output, or of [`gavel_threads`]. Output *order* is
 //! always the input order, so an in-order reduction over the returned
 //! `Vec` is deterministic regardless of thread count. The solver's
-//! batched MILP waves and the hierarchical policy's probe shards are
-//! built on exactly this contract: their work units are fixed by the
-//! problem (never by the pool width), each unit is pure, and every
-//! floats-or-counters merge walks the results in input order.
+//! batched MILP waves are built on exactly this contract: a wave's work
+//! units are fixed by the problem (never by the pool width), each unit
+//! is pure, and every floats-or-counters merge walks the results in
+//! input order.
 //!
 //! # Panics
 //!

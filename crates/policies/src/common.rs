@@ -5,8 +5,81 @@
 //! constraints of §3.1. [`AllocLp`] builds that block once; policies then
 //! add their objective and any extra constraints.
 
-use gavel_core::{AccelIdx, Allocation, ClusterSpec, JobId, Policy, PolicyError, PolicyInput};
+use gavel_core::{
+    AccelIdx, Allocation, ClusterSpec, Combo, JobId, Policy, PolicyError, PolicyInput,
+};
 use gavel_solver::{Cmp, LpProblem, LpSolution, Sense, VarId, WarmStart};
+
+/// The job ids of a [`PolicyInput`] sorted for lookup, so a pass over the
+/// combos can place each one without rescanning the job list.
+struct JobIds(Vec<(JobId, usize)>);
+
+impl JobIds {
+    fn new(input: &PolicyInput<'_>) -> Self {
+        let mut ids: Vec<(JobId, usize)> = input.jobs.iter().map(|j| j.id).zip(0..).collect();
+        ids.sort_unstable();
+        JobIds(ids)
+    }
+
+    /// Position of `job` in the input's job list.
+    fn position(&self, job: JobId) -> Option<usize> {
+        let at = self.0.binary_search_by_key(&job, |&(id, _)| id).ok()?;
+        Some(self.0[at].1)
+    }
+}
+
+/// Reverse index from the jobs of a [`PolicyInput`] to the combo rows that
+/// mention them, built in one pass over the combos so per-job lookups do
+/// not each rescan the whole combo set.
+pub(crate) struct JobRows {
+    ids: JobIds,
+    /// Per job: rows of the combos containing it (the paper's `C_m`),
+    /// ascending.
+    rows: Vec<Vec<usize>>,
+    /// Per job: its singleton row, when the combo set has one.
+    singleton: Vec<Option<usize>>,
+    /// Per combo row: the largest scale factor among its members (pairs
+    /// are formed between equal-scale jobs by the tensor builders).
+    scale: Vec<u32>,
+}
+
+impl JobRows {
+    pub fn new(input: &PolicyInput<'_>) -> Self {
+        let n = input.jobs.len();
+        let mut index = JobRows {
+            ids: JobIds::new(input),
+            rows: vec![Vec::new(); n],
+            singleton: vec![None; n],
+            scale: Vec::with_capacity(input.combos.len()),
+        };
+        for (k, combo) in input.combos.combos().iter().enumerate() {
+            let mut scale = None;
+            for id in combo.jobs() {
+                let Some(m) = index.ids.position(id) else {
+                    continue;
+                };
+                index.rows[m].push(k);
+                if !combo.is_pair() {
+                    index.singleton[m].get_or_insert(k);
+                }
+                scale = scale.max(Some(input.jobs[m].scale_factor));
+            }
+            index.scale.push(scale.unwrap_or(1));
+        }
+        index
+    }
+
+    /// Singleton combo row of the job at position `m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the combo set lacks one — the input contract, checked by
+    /// [`check_input`], requires singleton coverage of every job.
+    pub fn singleton_row(&self, input: &PolicyInput<'_>, m: usize) -> usize {
+        self.singleton[m]
+            .unwrap_or_else(|| panic!("no singleton combo row for {}", input.jobs[m].id))
+    }
+}
 
 /// The common allocation-variable block of a policy LP.
 pub(crate) struct AllocLp {
@@ -15,6 +88,8 @@ pub(crate) struct AllocLp {
     /// `x[k][j]`: allocation variable for combo row `k` on type `j`.
     /// Non-runnable cells map to `None` (fixed to zero by omission).
     pub x: Vec<Vec<Option<VarId>>>,
+    /// Which combo rows each job appears in.
+    pub jobs: JobRows,
 }
 
 impl AllocLp {
@@ -29,29 +104,25 @@ impl AllocLp {
     pub fn new(input: &PolicyInput<'_>, sense: Sense) -> Self {
         let mut lp = LpProblem::new(sense);
         let num_types = input.cluster.num_types();
+        let jobs = JobRows::new(input);
         let mut x: Vec<Vec<Option<VarId>>> = Vec::with_capacity(input.combos.len());
-        for (k, _combo) in input.combos.combos().iter().enumerate() {
+        for k in 0..input.combos.len() {
             let mut row = Vec::with_capacity(num_types);
             for j in 0..num_types {
                 let entry = input.tensor.entry(k, AccelIdx(j));
-                if entry.runnable() {
-                    row.push(Some(lp.add_var(
-                        &format!("x_{k}_{j}"),
-                        0.0,
-                        f64::INFINITY,
-                        0.0,
-                    )));
-                } else {
-                    row.push(None);
-                }
+                row.push(
+                    entry
+                        .runnable()
+                        .then(|| lp.add_var_indexed2("x", (k, j), 0.0, f64::INFINITY, 0.0)),
+                );
             }
             x.push(row);
         }
 
         // Per-job time budget.
-        for job in input.jobs {
+        for rows in &jobs.rows {
             let mut terms = Vec::new();
-            for k in input.combos.rows_containing(job.id) {
+            for &k in rows {
                 for v in x[k].iter().flatten() {
                     terms.push((*v, 1.0));
                 }
@@ -64,9 +135,9 @@ impl AllocLp {
         // Per-type worker capacity, weighted by combo scale factor.
         for j in 0..num_types {
             let mut terms = Vec::new();
-            for (k, combo) in input.combos.combos().iter().enumerate() {
-                if let Some(v) = x[k][j] {
-                    terms.push((v, combo_scale_factor(input, combo) as f64));
+            for (k, row) in x.iter().enumerate() {
+                if let Some(v) = row[j] {
+                    terms.push((v, jobs.scale[k] as f64));
                 }
             }
             if !terms.is_empty() {
@@ -78,17 +149,21 @@ impl AllocLp {
             }
         }
 
-        AllocLp { lp, x }
+        AllocLp { lp, x, jobs }
     }
 
     /// Linear terms of `throughput(job, X)` — the effective-throughput
-    /// expression of §3.1 over this LP's variables.
+    /// expression of §3.1 over this LP's variables, in ascending row
+    /// order.
     pub fn throughput_terms(&self, input: &PolicyInput<'_>, job: JobId) -> Vec<(VarId, f64)> {
         let mut terms = Vec::new();
-        for (k, combo) in input.combos.combos().iter().enumerate() {
-            if !combo.contains(job) {
-                continue;
-            }
+        let rows = self
+            .jobs
+            .ids
+            .position(job)
+            .map_or(&[][..], |m| &self.jobs.rows[m]);
+        for &k in rows {
+            let combo = &input.combos.combos()[k];
             for (j, v) in self.x[k].iter().enumerate() {
                 if let Some(v) = v {
                     let t = input.tensor.entry(k, AccelIdx(j)).for_job(combo, job);
@@ -99,6 +174,19 @@ impl AllocLp {
             }
         }
         terms
+    }
+
+    /// `throughput(m, X_equal)` per job — the normalizer of §4.1: each
+    /// job's singleton throughput under an equal time share on every
+    /// worker.
+    pub fn equal_share_throughputs(&self, input: &PolicyInput<'_>) -> Vec<f64> {
+        let x_eq = gavel_core::x_equal(input.cluster);
+        (0..input.jobs.len())
+            .map(|m| {
+                let row = self.jobs.singleton_row(input, m);
+                gavel_core::refs::throughput_under(input.tensor, row, &x_eq)
+            })
+            .collect()
     }
 
     /// Reads the solved variables back into an [`Allocation`].
@@ -120,14 +208,15 @@ impl AllocLp {
 /// (if any) seeds the solve, and the cache is refreshed with the basis that
 /// comes back.
 ///
-/// Policies that re-solve near-identical LPs — same variable block, same
-/// constraint shapes, drifting coefficients or right-hand sides, like the
-/// water-filling rounds and per-job bottleneck probes of
-/// [`crate::Hierarchical`] — keep one `Option<WarmStart>` per LP family and
-/// route every solve through this helper. A stale or mismatched cache entry
-/// is silently ignored by the solver (cold start), so correctness never
-/// depends on the cache; see [`WarmStart`] for the contract. Any policy
-/// holding an [`AllocLp`] can opt in the same way.
+/// For policies that rebuild a near-identical LP per solve — same variable
+/// block, same constraint shapes, drifting coefficients or right-hand
+/// sides, like the makespan bisection probes: keep one `Option<WarmStart>`
+/// per LP family and route every solve through this helper. A stale or
+/// mismatched cache entry is silently ignored by the solver (cold start),
+/// so correctness never depends on the cache; see [`WarmStart`] for the
+/// contract. (A family whose *shape* never changes can go one step
+/// further and keep a [`gavel_solver::PreparedLp`], as
+/// [`crate::Hierarchical`] does.)
 pub(crate) fn solve_with_cache(
     lp: &LpProblem,
     cache: &mut Option<WarmStart>,
@@ -137,28 +226,9 @@ pub(crate) fn solve_with_cache(
     Ok(sol)
 }
 
-/// Scale factor of a combo: the maximum of its members' (pairs are formed
-/// between equal-scale jobs by the tensor builders).
-pub(crate) fn combo_scale_factor(input: &PolicyInput<'_>, combo: &gavel_core::Combo) -> u32 {
-    combo
-        .jobs()
-        .filter_map(|id| input.job(id).map(|j| j.scale_factor))
-        .max()
-        .unwrap_or(1)
-}
-
-/// `throughput(m, X_equal)` — the normalizer of §4.1: the job's singleton
-/// throughput under an equal time share on every worker.
-pub(crate) fn equal_share_throughput(input: &PolicyInput<'_>, job_idx: usize) -> f64 {
-    let x_eq = gavel_core::x_equal(input.cluster);
-    // Singleton rows are constructed parallel to jobs by the tensor
-    // builders; find the singleton row for this job defensively.
-    let id = input.jobs[job_idx].id;
-    let row = singleton_row(input, id);
-    gavel_core::refs::throughput_under(input.tensor, row, &x_eq)
-}
-
-/// Index of the singleton combo row for `job`.
+/// Index of the singleton combo row for `job`: a one-off scan of the
+/// combo set, for policies that do not hold an [`AllocLp`] (whose
+/// [`JobRows`] answers the same question for every job at once).
 ///
 /// # Panics
 ///
@@ -181,15 +251,27 @@ pub(crate) fn solver_err(e: gavel_solver::SolverError) -> PolicyError {
 /// Validates common input requirements shared by all policies: every job
 /// has a singleton row and can run somewhere.
 pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<(), PolicyError> {
-    for job in input.jobs {
-        let row = input
-            .combos
-            .combos()
-            .iter()
-            .position(|c| !c.is_pair() && c.a == job.id)
-            .ok_or_else(|| {
-                PolicyError::InvalidInput(format!("no singleton combo for {}", job.id))
-            })?;
+    let combos = input.combos.combos();
+    // The tensor builders lay singleton rows out parallel to the jobs;
+    // only a job whose row is elsewhere needs a lookup.
+    let mut singletons: Vec<Option<usize>> = (input.jobs.iter().enumerate())
+        .map(|(m, job)| (combos.get(m) == Some(&Combo::single(job.id))).then_some(m))
+        .collect();
+    if singletons.contains(&None) {
+        let ids = JobIds::new(input);
+        for (k, combo) in combos.iter().enumerate() {
+            if combo.is_pair() {
+                continue;
+            }
+            if let Some(m) = ids.position(combo.a) {
+                singletons[m].get_or_insert(k);
+            }
+        }
+    }
+    for (job, singleton) in input.jobs.iter().zip(singletons) {
+        let row = singleton.ok_or_else(|| {
+            PolicyError::InvalidInput(format!("no singleton combo for {}", job.id))
+        })?;
         if !input.tensor.runnable_anywhere(row) {
             return Err(PolicyError::NoFeasibleAllocation(format!(
                 "{} cannot run on any accelerator type",
@@ -273,6 +355,63 @@ pub fn boxed<P: Policy + 'static>(p: P) -> Box<dyn Policy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gavel_core::{Combo, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+
+    #[test]
+    fn job_rows_match_per_job_scans() {
+        // Jobs out of id order, pair rows before and between singletons,
+        // and a combo mentioning a job the input does not list.
+        let ids = [JobId(9), JobId(2), JobId(5)];
+        let mut jobs: Vec<PolicyJob> = ids.iter().map(|&id| PolicyJob::simple(id, 1.0)).collect();
+        jobs[1].scale_factor = 4;
+        let combos = ComboSet::new(vec![
+            Combo::pair(JobId(2), JobId(9)),
+            Combo::single(JobId(9)),
+            Combo::single(JobId(2)),
+            Combo::pair(JobId(5), JobId(77)),
+            Combo::single(JobId(5)),
+        ]);
+        let row = |a: f64, b: f64| vec![PairThroughput { a, b }];
+        let tensor = ThroughputTensor::new(
+            1,
+            vec![
+                row(0.5, 0.25),
+                row(1.0, 0.0),
+                row(2.0, 0.0),
+                row(0.75, 0.5),
+                row(3.0, 0.0),
+            ],
+        );
+        let cluster = ClusterSpec::new(&[("v100", 4, 4, 0.0)]);
+        let input = PolicyInput {
+            jobs: &jobs,
+            combos: &combos,
+            tensor: &tensor,
+            cluster: &cluster,
+        };
+        let alp = AllocLp::new(&input, Sense::Maximize);
+        for (m, job) in jobs.iter().enumerate() {
+            assert_eq!(alp.jobs.rows[m], combos.rows_containing(job.id));
+            assert_eq!(
+                alp.jobs.singleton_row(&input, m),
+                singleton_row(&input, job.id)
+            );
+        }
+        assert_eq!(alp.jobs.scale, vec![4, 1, 4, 1, 1]);
+        // Terms come in ascending row order, each with the job's own side
+        // of the pair throughput.
+        let x = |k: usize| alp.x[k][0].unwrap();
+        assert_eq!(
+            alp.throughput_terms(&input, JobId(9)),
+            vec![(x(0), 0.25), (x(1), 1.0)]
+        );
+        assert_eq!(
+            alp.throughput_terms(&input, JobId(2)),
+            vec![(x(0), 0.5), (x(2), 2.0)]
+        );
+        assert!(alp.throughput_terms(&input, JobId(77)).is_empty());
+        check_input(&input).unwrap();
+    }
 
     #[test]
     fn waterfill_even_split() {

@@ -19,38 +19,47 @@
 //! With a single entity and fairness inside, this is exactly the paper's
 //! water-filled single-level max-min fairness.
 //!
-//! Every LP family here (round LPs, prepass, per-job probes) keeps a
-//! warm-start basis cache. The round LP is the dual-simplex showcase:
-//! floors only ever rise, which preserves dual feasibility of the previous
-//! round's basis, so step 1 re-solves by dual reoptimization rather than
-//! from scratch. The probe prepass also benefits from the bounded-variable
-//! lowering — its per-job slack variables live in `[0, 1]` as column
-//! bounds, not extra rows. The Appendix A.1 bottleneck MILP uses the
-//! branch-stable `u = Y (1 - z)` auxiliary formulation so both branch
-//! directions keep the lowering's shape and branch-and-bound nodes
-//! warm-start from the parent basis.
+//! # One prepared LP per family
 //!
-//! # Sharded probe LPs
+//! A solve builds its LPs once. The allocation variables and validity
+//! rows are shared; on top of them sit two [`PreparedLp`]s whose shape
+//! never changes across rounds, only their data:
 //!
-//! The per-job probes of a round are independent of one another, so they
-//! run on the [`gavel_par`] worker pool, split into [`PROBE_SHARDS`]
-//! static shards. The shard count and membership are pure functions of the
-//! candidate list — never of `GAVEL_THREADS` — and each shard chains its
-//! own warm-start cache, seeded from a snapshot of the probe basis taken
-//! at the start of the pass. Verdicts and solver stats merge in shard
-//! order and the shared probe basis is refreshed from the *last* shard's
-//! final basis, so the whole pass is bit-identical under any thread count
-//! (see the determinism contract in `gavel_par`).
+//! - the **round LP** (step 1): one floor row per job and the level
+//!   variable `t`. Each round patches the floors (right-hand sides) and
+//!   rewrites `t`'s column to the active jobs and their weights, then
+//!   re-solves from the previous round's basis. Floors only ever rise,
+//!   which keeps that basis *dual* feasible, so the solver repairs it with
+//!   a few dual pivots. Only this LP's vertices reach the returned
+//!   allocation, and every patch writes exactly what a fresh build of the
+//!   round's LP would contain, so the allocation is bit-identical to
+//!   building and solving each round from scratch.
+//! - the **probe LP** (step 3): one floor row and one slack `s_m` in
+//!   `[0, 1]` per job, `tput_m - s_m >= floor_m`; a bottlenecked job's
+//!   slack is fixed at zero instead of being removed. Maximizing the sum of
+//!   slacks is the *prepass*: by convexity a job improvable at all can show
+//!   positive slack in some feasible point, and every job that does so at
+//!   the max-sum point is cleared at once. Each remaining candidate `m` is
+//!   *probed* by maximizing `s_m` alone — the same constraints under the
+//!   cost vector `e_m` — and is bottlenecked iff the optimum stays at zero.
+//!   The probes run as one chain, each warm-started from the one before and
+//!   the first from the prepass optimum: every basis in the chain is primal
+//!   feasible for every probe (the constraints never move within a pass),
+//!   so no probe ever runs a phase 1, and the factorization one probe ends
+//!   with is the one the next starts from.
+//!
+//! The Appendix A.1 bottleneck MILP uses the branch-stable
+//! `u = Y (1 - z)` auxiliary formulation so both branch directions keep
+//! the lowering's shape and branch-and-bound nodes warm-start from the
+//! parent basis; its node waves are the one place a hierarchical solve
+//! fans out over the [`gavel_par`] pool.
 
-use crate::common::{check_input, equal_share_throughput, solve_with_cache, solver_err, AllocLp};
+use crate::common::{check_input, solver_err, AllocLp};
 use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
-use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
-
-/// Number of static shards the per-job probe LPs are split across. A fixed
-/// constant — never derived from `GAVEL_THREADS` — so shard membership,
-/// each shard's warm-start chain, and therefore every probe verdict are
-/// pure functions of the problem, bit-identical under any thread count.
-const PROBE_SHARDS: usize = 16;
+use gavel_solver::{
+    solve_milp, Cmp, ConstraintId, LpSolution, MilpOptions, PreparedLp, Sense, SolveStats, VarId,
+    WarmStart,
+};
 
 /// Inner (per-entity) policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,17 +161,15 @@ impl Hierarchical {
 
     /// Like [`Policy::compute_allocation`], but also returns the
     /// aggregate [`SolveStats`] over every LP and MILP solved: round LPs,
-    /// prepass, sharded probes (whose per-shard stats merge in shard
-    /// order), and branch-and-bound nodes. The counters are identical
-    /// under any `GAVEL_THREADS` — parallelism changes wall-clock, never
-    /// the work.
+    /// prepass, probes (counted in [`SolveStats::parallel_probes`]), and
+    /// branch-and-bound nodes. The counters are identical under any
+    /// `GAVEL_THREADS` — parallelism changes wall-clock, never the work.
     pub fn compute_allocation_with_stats(
         &self,
         input: &PolicyInput<'_>,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
         check_input(input)?;
-        let n = input.jobs.len();
-        if n == 0 {
+        if input.jobs.is_empty() {
             return Ok((
                 Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
                 SolveStats::default(),
@@ -172,42 +179,16 @@ impl Hierarchical {
 
         let mut best_alloc = None;
         for _iter in 0..self.max_iterations {
-            let active: Vec<usize> = (0..n).filter(|&m| wf.weights[m] > 0.0).collect();
+            let active = wf.active_jobs();
             if active.is_empty() {
                 break;
             }
-            let (t_star, alloc) = wf.solve_round()?;
-            for &m in &active {
-                wf.floors[m] += wf.weights[m] * t_star;
-            }
-            best_alloc = Some(alloc);
-
+            best_alloc = Some(wf.raise_floors(&active)?);
             let bottlenecked = match self.bottleneck {
                 BottleneckMethod::Probe => wf.bottlenecked_probe(&active)?,
                 BottleneckMethod::Milp => wf.bottlenecked_milp(&active)?,
             };
-            if bottlenecked.is_empty() {
-                // Numerical stall: treat the tightest job as bottlenecked
-                // to guarantee progress. A NaN floor would poison this
-                // ordering (and every bottleneck comparison upstream), so
-                // reject it loudly in debug builds; `total_cmp` keeps the
-                // ordering total — never panicking — in release.
-                debug_assert!(
-                    active.iter().all(|&m| !wf.floors[m].is_nan()),
-                    "NaN floor in water filling"
-                );
-                let Some(&tightest) = active
-                    .iter()
-                    .min_by(|&&a, &&b| wf.floors[a].total_cmp(&wf.floors[b]))
-                else {
-                    break;
-                };
-                wf.redistribute(tightest);
-            } else {
-                for m in bottlenecked {
-                    wf.redistribute(m);
-                }
-            }
+            wf.retire(&active, bottlenecked);
         }
 
         let alloc = best_alloc.ok_or_else(|| {
@@ -222,19 +203,14 @@ impl Hierarchical {
     pub fn first_round_floors(&self, input: &PolicyInput<'_>) -> Result<Vec<f64>, PolicyError> {
         check_input(input)?;
         let mut wf = self.build_waterfill(input)?;
-        let (t_star, _alloc) = wf.solve_round()?;
-        for m in 0..input.jobs.len() {
-            if wf.weights[m] > 0.0 {
-                wf.floors[m] += wf.weights[m] * t_star;
-            }
-        }
+        wf.raise_floors(&wf.active_jobs())?;
         Ok(wf.floors)
     }
 
-    /// Runs one sharded probe pass (prepass + per-job probe LPs) against
+    /// Runs one probe pass (prepass + the chain of per-job probes) against
     /// the given floors with every positive-weight job active, returning
     /// the bottlenecked set and the pass's solver stats. This is the unit
-    /// the `parallel` bench group times: the probe LPs dominate a
+    /// the `probe_pass` bench group times: the probes dominate a
     /// hierarchical solve at scale, and this entry point exposes them
     /// without the surrounding rounds.
     pub fn probe_pass(
@@ -252,10 +228,7 @@ impl Hierarchical {
         }
         let mut wf = self.build_waterfill(input)?;
         wf.floors.copy_from_slice(floors);
-        let active: Vec<usize> = (0..input.jobs.len())
-            .filter(|&m| wf.weights[m] > 0.0)
-            .collect();
-        let bottlenecked = wf.bottlenecked_probe(&active)?;
+        let bottlenecked = wf.bottlenecked_probe(&wf.active_jobs())?;
         Ok((bottlenecked, wf.stats))
     }
 
@@ -317,10 +290,23 @@ impl Hierarchical {
             }
         }
 
-        let factors: Vec<f64> = (0..n)
-            .map(|m| {
-                let norm = equal_share_throughput(input, m);
-                input.jobs[m].scale_factor.max(1) as f64 / norm.max(1e-12)
+        let alp = AllocLp::new(input, Sense::Maximize);
+        let factors: Vec<f64> = alp
+            .equal_share_throughputs(input)
+            .iter()
+            .zip(input.jobs)
+            .map(|(norm, job)| job.scale_factor.max(1) as f64 / norm.max(1e-12))
+            .collect();
+        let tput = input
+            .jobs
+            .iter()
+            .zip(&factors)
+            .map(|(job, factor)| {
+                let mut terms = alp.throughput_terms(input, job.id);
+                for (_, c) in &mut terms {
+                    *c *= factor;
+                }
+                terms
             })
             .collect();
 
@@ -334,12 +320,44 @@ impl Hierarchical {
             base_weights,
             inner_of,
             warm: self.warm_start,
-            round_basis: None,
-            prepass_basis: None,
-            probe_basis: None,
+            alp,
+            tput,
+            round: None,
+            probe: None,
             stats: SolveStats::default(),
         })
     }
+}
+
+/// One of the two LP families of a solve: built once, patched and
+/// re-solved every round.
+struct Family {
+    lp: PreparedLp,
+    /// The job-specific variable: `t` for the round LP (one entry), the
+    /// per-job slacks for the probe LP.
+    vars: Vec<VarId>,
+    /// Floor row per job.
+    floor_rows: Vec<ConstraintId>,
+    /// Optimal basis of the family's last solve at the *family's own*
+    /// objective (round LP, prepass) — the warm start of the next round's.
+    basis: Option<WarmStart>,
+}
+
+/// Solves `lp` at its current patches, warm-started from (and refreshing)
+/// `basis` when `warm`, and adds the solve's counters to `stats`.
+fn solve_from(
+    lp: &mut PreparedLp,
+    basis: &mut Option<WarmStart>,
+    warm: bool,
+    stats: &mut SolveStats,
+) -> Result<LpSolution, PolicyError> {
+    let hint = if warm { basis.as_ref() } else { None };
+    let (sol, optimal) = lp.solve(hint).map_err(|(e, _)| solver_err(e))?;
+    if warm {
+        *basis = Some(optimal);
+    }
+    stats.absorb(&sol.stats);
+    Ok(sol)
 }
 
 /// Internal per-solve state.
@@ -362,185 +380,200 @@ struct WaterFill<'i, 'a> {
     inner_of: Vec<EntityPolicy>,
     /// Whether to reuse optimal bases across solves.
     warm: bool,
-    /// Basis cache for the per-round joint water-filling LP.
-    round_basis: Option<WarmStart>,
-    /// Basis cache for the max-sum prepass LP of the probe method.
-    prepass_basis: Option<WarmStart>,
-    /// Basis cache shared by the per-job probe LPs (identical constraint
-    /// matrix across probes; only the objective and floors move). Each
-    /// probe pass snapshots this to seed its shards and writes back the
-    /// last shard's final basis.
-    probe_basis: Option<WarmStart>,
-    /// Aggregate solver stats across every LP and MILP solved, merged in
-    /// deterministic (round, then shard, then in-shard) order.
+    /// The allocation variables and validity rows every LP here starts
+    /// from.
+    alp: AllocLp,
+    /// Per job: the terms of its normalized throughput over `alp`'s
+    /// variables.
+    tput: Vec<Vec<(VarId, f64)>>,
+    /// The round LP, built by the first round.
+    round: Option<Family>,
+    /// The probe LP, built by the first probe pass.
+    probe: Option<Family>,
+    /// Aggregate solver stats across every LP and MILP solved, in solve
+    /// order.
     stats: SolveStats,
 }
 
 impl<'i, 'a> WaterFill<'i, 'a> {
-    /// Solves one of the water-filling LPs, warm-started from (and
-    /// refreshing) the given basis-cache slot when enabled.
-    fn solve_lp(
-        &self,
-        lp: &LpProblem,
-        cache: &mut Option<WarmStart>,
-    ) -> Result<gavel_solver::LpSolution, PolicyError> {
-        if self.warm {
-            solve_with_cache(lp, cache).map_err(solver_err)
+    /// Whether job `m` currently takes part in the water filling.
+    fn active(&self, m: usize) -> bool {
+        self.weights[m] > 0.0
+    }
+
+    /// The jobs currently taking part, ascending.
+    fn active_jobs(&self) -> Vec<usize> {
+        (0..self.weights.len())
+            .filter(|&m| self.active(m))
+            .collect()
+    }
+
+    /// Steps 1 and 2: solves the round LP and raises every active job's
+    /// floor by its weighted share of `t*`. Returns the round's allocation.
+    fn raise_floors(&mut self, active: &[usize]) -> Result<Allocation, PolicyError> {
+        let (t_star, alloc) = self.solve_round()?;
+        for &m in active {
+            self.floors[m] += self.weights[m] * t_star;
+        }
+        Ok(alloc)
+    }
+
+    /// End of step 3: retires the bottlenecked jobs, handing their weights
+    /// on within their entities.
+    fn retire(&mut self, active: &[usize], bottlenecked: Vec<usize>) {
+        if bottlenecked.is_empty() {
+            // Numerical stall: treat the tightest job as bottlenecked
+            // to guarantee progress. A NaN floor would poison this
+            // ordering (and every bottleneck comparison upstream), so
+            // reject it loudly in debug builds; `total_cmp` keeps the
+            // ordering total — never panicking — in release.
+            debug_assert!(
+                active.iter().all(|&m| !self.floors[m].is_nan()),
+                "NaN floor in water filling"
+            );
+            if let Some(&tightest) = active
+                .iter()
+                .min_by(|&&a, &&b| self.floors[a].total_cmp(&self.floors[b]))
+            {
+                self.redistribute(tightest);
+            }
         } else {
-            lp.solve().map_err(solver_err)
+            for m in bottlenecked {
+                self.redistribute(m);
+            }
         }
     }
 
-    /// Builds the iteration LP: max t subject to floors and weighted rises.
+    /// Solves the iteration LP: max t subject to floors and weighted rises.
     /// Returns `(t*, allocation)`.
     fn solve_round(&mut self) -> Result<(f64, Allocation), PolicyError> {
-        let input = self.input;
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let mut terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m]))
-                .collect();
-            if self.weights[m] > 0.0 {
-                terms.push((t, -self.weights[m]));
+        let n = self.input.jobs.len();
+        if self.round.is_none() {
+            let mut lp = self.alp.lp.clone();
+            let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+            let mut floor_rows = Vec::with_capacity(n);
+            for m in 0..n {
+                let mut terms = self.tput[m].clone();
+                if self.active(m) {
+                    terms.push((t, -self.weights[m]));
+                }
+                // floor (+ w t if active) <= normalized throughput.
+                floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, self.floors[m]));
             }
-            // floor (+ w t if active) <= normalized throughput.
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m]);
+            self.round = Some(Family {
+                lp: PreparedLp::new(lp).map_err(solver_err)?,
+                vars: vec![t],
+                floor_rows,
+                basis: None,
+            });
         }
-        let mut cache = self.round_basis.take();
-        let sol = self.solve_lp(&alp.lp, &mut cache)?;
-        self.round_basis = cache;
-        self.stats.absorb(&sol.stats);
-        Ok((sol.value(t), alp.extract(input, &sol)))
-    }
-
-    /// Exact bottleneck detection by per-job probes with a max-sum prepass.
-    fn bottlenecked_probe(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let input = self.input;
-        // Prepass: jointly maximize total slack above the floors. Convexity
-        // guarantees any job improvable at all *can* show positive slack in
-        // some feasible point; the max-sum point may still zero out an
-        // improvable job, so zero-slack jobs get an individual probe.
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let mut slack_vars = Vec::with_capacity(active.len());
-        for &m in active {
-            let job = &input.jobs[m];
-            let s = alp.lp.add_var(&format!("slack_{m}"), 0.0, 1.0, 1.0);
-            let mut terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m]))
-                .collect();
-            terms.push((s, -1.0));
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m]);
-            slack_vars.push(s);
-        }
-        // Floors for inactive jobs.
-        for (m, job) in input.jobs.iter().enumerate() {
-            if active.contains(&m) {
-                continue;
-            }
-            let terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m]))
-                .collect();
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m]);
-        }
-        // The slack variables' [0, 1] ranges ride on columns: the prepass
-        // must lower to exactly one standard-form row per constraint.
-        debug_assert_eq!(
-            alp.lp.num_standard_rows().ok(),
-            Some(alp.lp.num_constraints()),
-            "prepass LP grew hidden bound rows"
-        );
-        let mut cache = self.prepass_basis.take();
-        let sol = self.solve_lp(&alp.lp, &mut cache)?;
-        self.prepass_basis = cache;
-        self.stats.absorb(&sol.stats);
-
-        let candidates: Vec<usize> = active
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| sol.value(slack_vars[i]) <= 1e-6)
-            .map(|(_, &m)| m)
+        let weights = &self.weights;
+        let round = self.round.as_mut().expect("built above");
+        let t = round.vars[0];
+        // Exactly what a fresh build would hold (a no-op right after one):
+        // `t` appears in the active jobs' rows only, so its stored column
+        // shrinks with the active set.
+        let t_column: Vec<(ConstraintId, f64)> = (0..n)
+            .filter(|&m| weights[m] > 0.0)
+            .map(|m| (round.floor_rows[m], -weights[m]))
             .collect();
-        self.probe_candidates(&candidates)
+        round.lp.set_column(t, &t_column);
+        for m in 0..n {
+            round.lp.set_rhs(round.floor_rows[m], self.floors[m]);
+        }
+        let sol = solve_from(&mut round.lp, &mut round.basis, self.warm, &mut self.stats)?;
+        Ok((sol.value(t), self.alp.extract(self.input, &sol)))
     }
 
-    /// Probes each candidate job individually, sharded across the worker
-    /// pool, and returns the subset found bottlenecked (candidate order).
-    ///
-    /// Sharding is static (see [`PROBE_SHARDS`]): contiguous candidate
-    /// chunks, each chaining warm starts from a snapshot of the shared
-    /// probe basis. Workers pick shards dynamically, but every shard's
-    /// verdicts, stats, and final basis depend only on its candidates and
-    /// the seed — the merge below walks shards in order, so the result is
-    /// bit-identical under any `GAVEL_THREADS`.
-    fn probe_candidates(&mut self, candidates: &[usize]) -> Result<Vec<usize>, PolicyError> {
+    /// Exact bottleneck detection: a max-sum prepass clears every job that
+    /// shows slack, then each remaining candidate is probed on its own.
+    /// Returns the bottlenecked subset of `active`, in order.
+    fn bottlenecked_probe(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
+        let candidates = self.prepass(active)?;
+        self.probe_chain(&candidates)
+    }
+
+    /// Brings the probe LP to the current floors and active set and
+    /// jointly maximizes total slack above the floors. Returns the active
+    /// jobs left without slack: the max-sum point may zero out an
+    /// improvable job, so these still need a probe of their own.
+    fn prepass(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
+        let n = self.input.jobs.len();
+        if self.probe.is_none() {
+            let mut lp = self.alp.lp.clone();
+            let mut slacks = Vec::with_capacity(n);
+            let mut floor_rows = Vec::with_capacity(n);
+            for m in 0..n {
+                let s = lp.add_var_indexed("slack", m, 0.0, 1.0, 1.0);
+                let mut terms = self.tput[m].clone();
+                terms.push((s, -1.0));
+                floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, self.floors[m]));
+                slacks.push(s);
+            }
+            // The slack variables' [0, 1] ranges ride on columns: the LP
+            // must lower to exactly one standard-form row per constraint.
+            debug_assert_eq!(
+                lp.num_standard_rows().ok(),
+                Some(lp.num_constraints()),
+                "probe LP grew hidden bound rows"
+            );
+            self.probe = Some(Family {
+                lp: PreparedLp::new(lp).map_err(solver_err)?,
+                vars: slacks,
+                floor_rows,
+                basis: None,
+            });
+        }
+        let probe = self.probe.as_mut().expect("built above");
+        for m in 0..n {
+            probe.lp.set_rhs(probe.floor_rows[m], self.floors[m]);
+            // A job is active exactly while it carries weight.
+            let ub = if self.weights[m] > 0.0 { 1.0 } else { 0.0 };
+            if probe.lp.problem().bounds(probe.vars[m]).1 != ub {
+                probe.lp.set_bounds(probe.vars[m], 0.0, ub);
+            }
+        }
+        let sol = solve_from(&mut probe.lp, &mut probe.basis, self.warm, &mut self.stats)?;
+        Ok(active
+            .iter()
+            .copied()
+            .filter(|&m| sol.value(probe.vars[m]) <= 1e-6)
+            .collect())
+    }
+
+    /// Probes each candidate on the LP [`WaterFill::prepass`] just solved:
+    /// the same constraints under the cost vector `e_m`, chained from the
+    /// prepass optimum (which stays `probe.basis` for the next round).
+    /// Returns the candidates found bottlenecked, in order.
+    fn probe_chain(&mut self, candidates: &[usize]) -> Result<Vec<usize>, PolicyError> {
         if candidates.is_empty() {
             return Ok(Vec::new());
         }
-        let shard_size = candidates.len().div_ceil(PROBE_SHARDS);
-        let shards: Vec<&[usize]> = candidates.chunks(shard_size).collect();
-        let seed = self.probe_basis.take();
-        let outcomes = gavel_par::parallel_map(&shards, |shard| {
-            let mut cache = seed.clone();
-            let mut stats = SolveStats::default();
-            let mut verdicts = Vec::with_capacity(shard.len());
-            for &m in *shard {
-                let (improvable, probe_stats) = self.probe_single(m, &mut cache)?;
-                stats.absorb(&probe_stats);
-                verdicts.push((m, improvable));
-            }
-            Ok::<_, PolicyError>((verdicts, cache, stats))
-        });
+        let probe = self.probe.as_mut().expect("the prepass built it");
+        // The counter is for LPs that were one of several: a lone
+        // candidate is not counted.
         if candidates.len() > 1 {
             self.stats.parallel_probes += candidates.len();
-            self.stats.shards += shards.len();
         }
+        for &s in &probe.vars {
+            probe.lp.set_objective_coeff(s, 0.0);
+        }
+        let mut chain = probe.basis.clone();
         let mut bottlenecked = Vec::new();
-        let mut last_cache = seed;
-        for outcome in outcomes {
-            let (verdicts, cache, stats) = outcome?;
-            self.stats.absorb(&stats);
-            bottlenecked.extend(verdicts.iter().filter(|(_, imp)| !imp).map(|&(m, _)| m));
-            last_cache = cache;
-        }
-        self.probe_basis = last_cache;
-        Ok(bottlenecked)
-    }
-
-    /// Probes whether job `m` alone can exceed its floor while all other
-    /// jobs keep theirs, chaining warm starts through `cache`. A pure
-    /// function of `(self, m, *cache)` — shard workers call it
-    /// concurrently, each with its own cache. Returns `(improvable,
-    /// stats)`.
-    fn probe_single(
-        &self,
-        m: usize,
-        cache: &mut Option<WarmStart>,
-    ) -> Result<(bool, SolveStats), PolicyError> {
-        let input = self.input;
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        for (m2, job) in input.jobs.iter().enumerate() {
-            let terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m2]))
-                .collect();
-            if m2 == m {
-                for &(v, c) in &terms {
-                    alp.lp.add_objective_coeff(v, c);
-                }
+        for &m in candidates {
+            probe.lp.set_objective_coeff(probe.vars[m], 1.0);
+            let sol = solve_from(&mut probe.lp, &mut chain, self.warm, &mut self.stats)?;
+            probe.lp.set_objective_coeff(probe.vars[m], 0.0);
+            // The objective is `s_m*`: how far job `m` alone can rise
+            // above its floor while every other job keeps theirs.
+            if sol.objective <= 1e-5 * (1.0 + self.floors[m].abs()) {
+                bottlenecked.push(m);
             }
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m2]);
         }
-        let sol = self.solve_lp(&alp.lp, cache)?;
-        let improvable = sol.objective > self.floors[m] + 1e-5 * (1.0 + self.floors[m].abs());
-        Ok((improvable, sol.stats))
+        for &s in &probe.vars {
+            probe.lp.set_objective_coeff(s, 1.0);
+        }
+        Ok(bottlenecked)
     }
 
     /// Appendix A.1 MILP: maximize the number of jobs whose normalized
@@ -554,62 +587,48 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// the parent's shape, and the parent basis stays dual feasible at
     /// every node — so branch-and-bound warm starts actually fire.
     fn bottlenecked_milp(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let input = self.input;
-        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let n = self.input.jobs.len();
+        let mut lp = self.alp.lp.clone();
         let delta = 1e-4;
+        let mut is_active = vec![false; n];
         let mut z_vars = Vec::with_capacity(active.len());
         for &m in active {
-            let job = &input.jobs[m];
-            let z = alp.lp.add_var(&format!("z_{m}"), 0.0, 1.0, 1.0);
+            is_active[m] = true;
+            let z = lp.add_var_indexed("z", m, 0.0, 1.0, 1.0);
             // A valid big constant: normalized throughput is bounded by
             // running the whole cluster's workers at the fastest rate.
-            let y = big_y(self.input, m, self.factors[m]);
-            let u = alp.lp.add_var(&format!("u_{m}"), 0.0, y, 0.0);
-            let terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m]))
-                .collect();
+            let y = self.big_y(m);
+            let u = lp.add_var_indexed("u", m, 0.0, y, 0.0);
+            let terms = &self.tput[m];
             // tput >= floor (always).
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m]);
+            lp.add_constraint(terms, Cmp::Ge, self.floors[m]);
             // tput + u <= floor + Y  <=>  tput <= floor + Y z
             // (z = 0 forces no improvement).
-            let mut upper = terms.clone();
-            upper.push((u, 1.0));
-            alp.lp.add_constraint(&upper, Cmp::Le, self.floors[m] + y);
+            let mut with_u = terms.clone();
+            with_u.push((u, 1.0));
+            lp.add_constraint(&with_u, Cmp::Le, self.floors[m] + y);
             // tput + u >= floor + delta  <=>  tput >= floor + delta - Y (1 - z)
             // (z = 1 forces an improvement of at least delta).
-            let mut lower = terms;
-            lower.push((u, 1.0));
-            alp.lp
-                .add_constraint(&lower, Cmp::Ge, self.floors[m] + delta);
+            lp.add_constraint(&with_u, Cmp::Ge, self.floors[m] + delta);
             // u = Y (1 - z).
-            alp.lp.add_constraint(&[(u, 1.0), (z, y)], Cmp::Eq, y);
+            lp.add_constraint(&[(u, 1.0), (z, y)], Cmp::Eq, y);
             z_vars.push(z);
         }
-        for (m, job) in input.jobs.iter().enumerate() {
-            if active.contains(&m) {
-                continue;
-            }
-            let terms: Vec<(VarId, f64)> = alp
-                .throughput_terms(input, job.id)
-                .into_iter()
-                .map(|(v, c)| (v, c * self.factors[m]))
-                .collect();
-            alp.lp.add_constraint(&terms, Cmp::Ge, self.floors[m]);
+        for m in (0..n).filter(|&m| !is_active[m]) {
+            lp.add_constraint(&self.tput[m], Cmp::Ge, self.floors[m]);
         }
         // Binary indicator bounds ride on columns, so every node
         // relaxation keeps exactly one standard-form row per constraint.
         debug_assert_eq!(
-            alp.lp.num_standard_rows().ok(),
-            Some(alp.lp.num_constraints()),
+            lp.num_standard_rows().ok(),
+            Some(lp.num_constraints()),
             "bottleneck MILP grew hidden bound rows"
         );
         let opts = MilpOptions {
             warm_start: self.warm,
             ..MilpOptions::default()
         };
-        let sol = solve_milp(&alp.lp, &z_vars, &opts).map_err(solver_err)?;
+        let sol = solve_milp(&lp, &z_vars, &opts).map_err(solver_err)?;
         self.stats.absorb(&sol.stats);
         Ok(active
             .iter()
@@ -617,6 +636,15 @@ impl<'i, 'a> WaterFill<'i, 'a> {
             .filter(|(_, &z)| sol.value(z) < 0.5)
             .map(|(&m, _)| m)
             .collect())
+    }
+
+    /// Upper bound on job `m`'s normalized throughput (for MILP big-M
+    /// rows).
+    fn big_y(&self, m: usize) -> f64 {
+        let row = self.alp.jobs.singleton_row(self.input, m);
+        let fastest = gavel_core::refs::x_fastest(self.input.tensor, row);
+        let workers = self.input.cluster.total_workers() as f64;
+        (self.factors[m] * fastest * workers).max(1.0) * 2.0
     }
 
     /// Redistributes a bottlenecked job's weight within its entity.
@@ -659,15 +687,6 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     }
 }
 
-/// Upper bound on job `m`'s normalized throughput (for MILP big-M rows).
-fn big_y(input: &PolicyInput<'_>, m: usize, factor: f64) -> f64 {
-    let job = &input.jobs[m];
-    let row = crate::common::singleton_row(input, job.id);
-    let fastest = gavel_core::refs::x_fastest(input.tensor, row);
-    let workers = input.cluster.total_workers() as f64;
-    (factor * fastest * workers).max(1.0) * 2.0
-}
-
 impl Policy for Hierarchical {
     fn name(&self) -> &str {
         let all_fair = self
@@ -693,4 +712,182 @@ impl Policy for Hierarchical {
 /// Identifier re-export used in experiment labels.
 pub fn job_label(id: JobId) -> String {
     id.to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gavel_core::{ClusterSpec, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+    use proptest::prelude::*;
+
+    /// Owned bundle behind a `PolicyInput`: singleton rows over three
+    /// accelerator types, job `m` in entity `m mod entities`.
+    struct Setup {
+        jobs: Vec<PolicyJob>,
+        combos: ComboSet,
+        tensor: ThroughputTensor,
+        cluster: ClusterSpec,
+    }
+
+    impl Setup {
+        fn new(tputs: &[[f64; 3]], entities: usize, workers: usize) -> Setup {
+            let jobs: Vec<PolicyJob> = (0..tputs.len())
+                .map(|m| {
+                    let mut job = PolicyJob::simple(JobId(m as u64), 1000.0);
+                    job.entity = Some(m % entities);
+                    job
+                })
+                .collect();
+            let combos = ComboSet::singletons(&jobs.iter().map(|j| j.id).collect::<Vec<_>>());
+            let rows = tputs
+                .iter()
+                .map(|row| row.iter().map(|&t| PairThroughput::single(t)).collect())
+                .collect();
+            let w = workers;
+            Setup {
+                jobs,
+                combos,
+                tensor: ThroughputTensor::new(3, rows),
+                cluster: ClusterSpec::new(&[
+                    ("v100", w, w, 0.0),
+                    ("p100", w, w, 0.0),
+                    ("k80", w, w, 0.0),
+                ]),
+            }
+        }
+
+        fn input(&self) -> PolicyInput<'_> {
+            PolicyInput {
+                jobs: &self.jobs,
+                combos: &self.combos,
+                tensor: &self.tensor,
+                cluster: &self.cluster,
+            }
+        }
+    }
+
+    /// The exhaustive bottleneck test the probe chain must agree with: for
+    /// every active job, a cold `max tput_m` LP built from scratch over
+    /// the current floors.
+    fn oracle_bottlenecked(wf: &WaterFill<'_, '_>, active: &[usize]) -> Vec<usize> {
+        let input = wf.input;
+        let mut bottlenecked = Vec::new();
+        for &m in active {
+            let mut alp = AllocLp::new(input, Sense::Maximize);
+            for (m2, job) in input.jobs.iter().enumerate() {
+                let terms: Vec<(VarId, f64)> = alp
+                    .throughput_terms(input, job.id)
+                    .into_iter()
+                    .map(|(v, c)| (v, c * wf.factors[m2]))
+                    .collect();
+                if m2 == m {
+                    for &(v, c) in &terms {
+                        alp.lp.add_objective_coeff(v, c);
+                    }
+                }
+                alp.lp.add_constraint(&terms, Cmp::Ge, wf.floors[m2]);
+            }
+            let best = alp.lp.solve().expect("floors are feasible").objective;
+            if best <= wf.floors[m] + 1e-5 * (1.0 + wf.floors[m].abs()) {
+                bottlenecked.push(m);
+            }
+        }
+        bottlenecked
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every round of a water filling, the prepass plus probe chain
+        /// names exactly the jobs the exhaustive oracle names — across
+        /// several entities, fairness and FIFO inners, and job sets drawn
+        /// from a few shared throughput profiles so ties are the norm.
+        #[test]
+        fn probe_verdicts_match_exhaustive_oracle(
+            n in 3usize..13,
+            entities in 1usize..4,
+            fifo_mask in 0usize..8,
+            profiles in proptest::collection::vec(0.5f64..4.0, 12),
+            picks in proptest::collection::vec(0usize..4, 12),
+            workers in 1usize..3,
+        ) {
+            let tputs: Vec<[f64; 3]> = picks[..n]
+                .iter()
+                .map(|&p| [profiles[3 * p], profiles[3 * p + 1], profiles[3 * p + 2]])
+                .collect();
+            let setup = Setup::new(&tputs, entities, workers);
+            let policy = Hierarchical::per_entity(
+                (0..entities)
+                    .map(|e| {
+                        let fifo = fifo_mask >> e & 1 == 1;
+                        (1.0 + e as f64, if fifo { EntityPolicy::Fifo } else { EntityPolicy::Fairness })
+                    })
+                    .collect(),
+            );
+            let input = setup.input();
+            let mut wf = policy.build_waterfill(&input).unwrap();
+            let mut rounds = 0;
+            loop {
+                let active = wf.active_jobs();
+                if active.is_empty() {
+                    break;
+                }
+                wf.raise_floors(&active).unwrap();
+                let bottlenecked = wf.bottlenecked_probe(&active).unwrap();
+                prop_assert_eq!(
+                    &bottlenecked,
+                    &oracle_bottlenecked(&wf, &active),
+                    "round {} over active {:?}", rounds, active
+                );
+                wf.retire(&active, bottlenecked);
+                rounds += 1;
+                prop_assert!(rounds <= policy.max_iterations);
+            }
+            prop_assert!(rounds > 0);
+        }
+    }
+
+    /// The chain's whole point: on a contested 64-job, 4-entity instance
+    /// every probe resumes from a primal feasible basis, so across all
+    /// rounds the probes run no phase 1 and never fall back cold.
+    #[test]
+    fn probes_never_run_phase_one() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let tputs: Vec<[f64; 3]> = (0..64)
+            .map(|_| [(); 3].map(|()| rng.gen_range(0.5..4.0)))
+            .collect();
+        let setup = Setup::new(&tputs, 4, 18);
+        let policy = Hierarchical::new(vec![1.0, 2.0, 3.0, 4.0], EntityPolicy::Fairness);
+        let input = setup.input();
+        let mut wf = policy.build_waterfill(&input).unwrap();
+        // Counters the probe chains alone add to the running totals.
+        let (mut phase1, mut cold, mut warm_hits, mut dense) = (0, 0, 0, 0);
+        let mut probed = 0;
+        let mut rounds = 0;
+        loop {
+            let active = wf.active_jobs();
+            if active.is_empty() {
+                break;
+            }
+            wf.raise_floors(&active).unwrap();
+            let candidates = wf.prepass(&active).unwrap();
+            let before = wf.stats;
+            let bottlenecked = wf.probe_chain(&candidates).unwrap();
+            phase1 += wf.stats.pivots_phase1 - before.pivots_phase1;
+            cold += wf.stats.warm_falls_back - before.warm_falls_back;
+            warm_hits += wf.stats.warm_hits - before.warm_hits;
+            dense += wf.stats.dense_fallbacks - before.dense_fallbacks;
+            probed += candidates.len();
+            rounds += 1;
+            wf.retire(&active, bottlenecked);
+        }
+        assert!(
+            rounds > 1 && probed >= 64,
+            "{probed} probes in {rounds} rounds"
+        );
+        assert_eq!(warm_hits, probed);
+        assert_eq!((phase1, cold, dense), (0, 0, 0));
+    }
 }

@@ -15,9 +15,7 @@
 //! (see `gavel_workloads::build_tensor_with_pairs`) and the same LP
 //! optimizes over them.
 
-use crate::common::{
-    check_input, equal_share_throughput, solver_err, uniform_spread, waterfill_shares, AllocLp,
-};
+use crate::common::{check_input, solver_err, uniform_spread, waterfill_shares, AllocLp};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{Cmp, Sense};
 
@@ -55,12 +53,16 @@ impl MaxMinFairness {
         }
     }
 
-    /// The per-job coefficient `c_m` such that the objective term is
+    /// The per-job coefficients `c_m` such that the objective term is
     /// `throughput(m, X) / c_m`.
-    fn normalizer(&self, input: &PolicyInput<'_>, m: usize) -> f64 {
-        let job = &input.jobs[m];
-        let norm = equal_share_throughput(input, m);
-        job.weight * norm / job.scale_factor.max(1) as f64
+    fn normalizers(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<f64> {
+        let norms = alp.equal_share_throughputs(input);
+        input
+            .jobs
+            .iter()
+            .zip(norms)
+            .map(|(job, norm)| job.weight * norm / job.scale_factor.max(1) as f64)
+            .collect()
     }
 }
 
@@ -87,8 +89,8 @@ impl Policy for MaxMinFairness {
         }
         let mut alp = AllocLp::new(input, Sense::Maximize);
         let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let c = self.normalizer(input, m);
+        let normalizers = Self::normalizers(input, &alp);
+        for (job, &c) in input.jobs.iter().zip(&normalizers) {
             if c <= 0.0 {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} has zero normalized throughput",
@@ -110,8 +112,7 @@ impl Policy for MaxMinFairness {
         // maximize the sum of normalized throughputs so non-bottlenecked
         // jobs use leftover capacity (single water-filling step).
         let mut alp2 = AllocLp::new(input, Sense::Maximize);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let c = self.normalizer(input, m);
+        for (job, &c) in input.jobs.iter().zip(&normalizers) {
             let terms = alp2.throughput_terms(input, job.id);
             // Floor: throughput >= t_star * c (slightly relaxed for
             // numerical robustness).

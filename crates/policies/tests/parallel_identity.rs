@@ -1,12 +1,12 @@
-//! Parallel == serial identity for the sharded probe pass, plus
-//! regression tests for the panic paths the sharding work exposed
+//! Parallel == serial identity for the hierarchical policy, plus
+//! regression tests for the panic paths the parallel work exposed
 //! (NaN-unsafe float ordering, empty FIFO peer/member sets).
 //!
-//! The determinism contract (see `gavel_par` and the hierarchical module
-//! docs) promises that `GAVEL_THREADS` changes wall-clock only: shard
-//! membership and warm-start chains are pure functions of the problem, so
-//! every allocation cell and every solver stat must be bit-for-bit
-//! identical under any thread count.
+//! The determinism contract (see `gavel_par` and the MILP module docs)
+//! promises that `GAVEL_THREADS` changes wall-clock only: the bottleneck
+//! MILP's node waves are pure functions of the problem, and the probe
+//! method is one serial chain, so every allocation cell and every solver
+//! stat must be bit-for-bit identical under any thread count.
 
 use gavel_core::{
     AccelIdx, Allocation, ClusterSpec, ComboSet, JobId, PairThroughput, Policy, PolicyJob,
@@ -69,10 +69,12 @@ fn assert_bit_identical(a: &Allocation, b: &Allocation, num_types: usize, label:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded probe passes produce bit-identical allocations and equal
-    /// merged `SolveStats` under every thread count, on random job sets.
+    /// Both bottleneck methods — the MILP, whose branch-and-bound waves
+    /// fan out over the pool, and the serial probe chain — produce
+    /// bit-identical allocations and equal merged `SolveStats` under
+    /// every thread count, on random job sets.
     #[test]
-    fn sharded_probes_parallel_matches_serial(
+    fn hierarchical_parallel_matches_serial(
         n in 2usize..9,
         tputs in proptest::collection::vec(0.25f64..4.0, 18),
         v100s in 1usize..3,
@@ -86,51 +88,26 @@ proptest! {
             .map(|m| vec![tputs[2 * m].max(tputs[2 * m + 1]), tputs[2 * m + 1]])
             .collect();
         let setup = Setup::from_matrix(&matrix, cluster);
-        let policy = Hierarchical::single_level();
-
-        let (base_alloc, base_stats) =
-            with_threads(1, || policy.compute_allocation_with_stats(&setup.input()))
-                .unwrap();
-        for threads in [2usize, 4, 7] {
-            let (alloc, stats) =
-                with_threads(threads, || policy.compute_allocation_with_stats(&setup.input()))
+        for method in [BottleneckMethod::Milp, BottleneckMethod::Probe] {
+            let policy = Hierarchical::single_level().with_bottleneck(method);
+            let (base_alloc, base_stats) =
+                with_threads(1, || policy.compute_allocation_with_stats(&setup.input()))
                     .unwrap();
-            assert_bit_identical(
-                &base_alloc,
-                &alloc,
-                setup.cluster.num_types(),
-                &format!("threads={threads}"),
-            );
-            prop_assert_eq!(
-                base_stats, stats,
-                "stats diverged at threads={}", threads
-            );
-        }
-    }
-
-    /// The standalone probe pass (the unit the `parallel` bench times)
-    /// returns the same bottlenecked set and stats under every thread
-    /// count, starting from the first round's floors.
-    #[test]
-    fn probe_pass_verdicts_thread_invariant(
-        n in 2usize..9,
-        tputs in proptest::collection::vec(0.5f64..4.0, 18),
-    ) {
-        let cluster = ClusterSpec::new(&[("v100", 2, 2, 2.48), ("k80", 2, 2, 0.45)]);
-        let matrix: Vec<Vec<f64>> = (0..n)
-            .map(|m| vec![tputs[2 * m].max(tputs[2 * m + 1]), tputs[2 * m + 1]])
-            .collect();
-        let setup = Setup::from_matrix(&matrix, cluster);
-        let policy = Hierarchical::single_level();
-        let floors = policy.first_round_floors(&setup.input()).unwrap();
-
-        let (base_set, base_stats) =
-            with_threads(1, || policy.probe_pass(&setup.input(), &floors)).unwrap();
-        for threads in [2usize, 4, 7] {
-            let (set, stats) =
-                with_threads(threads, || policy.probe_pass(&setup.input(), &floors)).unwrap();
-            prop_assert_eq!(&base_set, &set, "verdicts diverged at threads={}", threads);
-            prop_assert_eq!(base_stats, stats, "stats diverged at threads={}", threads);
+            for threads in [2usize, 4, 7] {
+                let (alloc, stats) =
+                    with_threads(threads, || policy.compute_allocation_with_stats(&setup.input()))
+                        .unwrap();
+                assert_bit_identical(
+                    &base_alloc,
+                    &alloc,
+                    setup.cluster.num_types(),
+                    &format!("{method:?}, threads={threads}"),
+                );
+                prop_assert_eq!(
+                    base_stats, stats,
+                    "{:?} stats diverged at threads={}", method, threads
+                );
+            }
         }
     }
 }

@@ -70,8 +70,8 @@ pub fn solve_fractional(
     let mut t_lp = LpProblem::new(sense);
     // y variables mirror the originals (upper bounds homogenized below).
     let mut y_ids = Vec::with_capacity(n);
-    for v in &lp.vars {
-        y_ids.push(t_lp.add_var(&format!("y_{}", v.name), 0.0, f64::INFINITY, 0.0));
+    for i in 0..n {
+        y_ids.push(t_lp.add_var_indexed("y", i, 0.0, f64::INFINITY, 0.0));
     }
     let t_id = t_lp.add_var("t", 0.0, f64::INFINITY, obj.num_const);
     for &(v, c) in &obj.num {

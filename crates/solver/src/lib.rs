@@ -18,6 +18,8 @@
 //! - [`fractional`] — the Charnes–Cooper transform for maximizing a ratio of
 //!   affine functions over a polyhedron.
 //! - [`milp`] — branch-and-bound over binary variables.
+//! - [`prepared`] — [`PreparedLp`], a problem lowered once and re-solved
+//!   by patching costs, right-hand sides, bounds or one column.
 //! - [`bisect`] — a bisection driver for sequence-of-LP policies (makespan).
 //!
 //! # Solver architecture: bounded variables, dense vs revised
@@ -88,41 +90,54 @@
 //! sorted basis, so values are a pure function of the final state, not of
 //! the pivot path.
 //!
-//! Consumers of the dual path: `gavel-policies`' hierarchical water
-//! filling routes its rising-floor round LPs and prepass/probe LPs
-//! through per-family [`WarmStart`] caches, the makespan policy chains
-//! one cache across its bisection probes (an all-zero objective makes
-//! every basis dual feasible), and [`milp`]'s branch-and-bound re-solves
-//! each node from its parent's basis — patching the node's bounds into
-//! the root's sparse instance without re-lowering.
+//! # Prepared LPs: lower once, re-solve by patching
 //!
-//! # Threading: batched solves on the `gavel-par` pool
+//! A warm start saves pivots, but [`LpProblem::solve_warm`] still
+//! validates, lowers, builds the sparse matrix and factorizes the hinted
+//! basis on every call. Callers that re-solve one LP *family* keep a
+//! [`PreparedLp`] instead: it owns the problem and its lowered instance,
+//! takes patches to objective coefficients, right-hand sides, variable
+//! bounds and the coefficients of one column, writes each into the
+//! instance exactly as a fresh lowering would, and keeps the final
+//! factorization of one solve for the next. A prepared solve returns bit
+//! for bit what `solve_warm` on the patched problem would; patches that
+//! cannot be written in place (a right-hand side changing sign, a bound
+//! changing which ends are finite) make it re-lower first.
 //!
-//! Two solve families fan out over the scoped worker pool in `gavel-par`
+//! Consumers: `gavel-policies`' hierarchical water filling keeps two —
+//! the round LP (floors and the level variable's column move each round;
+//! the dual path repairs the previous basis) and the probe LP (the
+//! prepass and every per-job probe are one LP under different cost
+//! vectors, solved as a warm chain that never leaves primal
+//! feasibility) — and [`milp`]'s branch-and-bound solves every node as
+//! the root LP with patched bounds, from its parent's basis. The
+//! makespan policy still chains a [`WarmStart`] across freshly built
+//! bisection probes (an all-zero objective makes every basis dual
+//! feasible).
+//!
+//! # Threading: MILP node waves on the `gavel-par` pool
+//!
+//! One solve family fans out over the scoped worker pool in `gavel-par`
 //! (`GAVEL_THREADS` sets the worker count; `gavel_par::with_threads`
-//! overrides it for a scope):
+//! overrides it for a scope): [`milp`]'s branch-and-bound explores the
+//! tree in *waves*. The whole frontier is solved as one batch, then
+//! pruning, incumbent updates, and branching happen sequentially in
+//! frontier order. Each node solve is a pure function of (root problem,
+//! node bounds, parent basis): every worker patches its own copy of the
+//! root's [`PreparedLp`] and puts the root's bounds back afterwards, and
+//! per-node stats merge in node order.
 //!
-//! - **MILP node waves.** [`milp`]'s branch-and-bound explores the tree
-//!   in *waves*: the whole frontier is solved as one batch, then pruning,
-//!   incumbent updates, and branching happen sequentially in frontier
-//!   order. Each node solve is a pure function of (root context, node
-//!   bounds, parent basis), workers share the root's lowering read-only
-//!   and keep per-worker scratch instances, and per-node stats merge in
-//!   node order.
-//! - **Sharded probe LPs.** `gavel-policies`' hierarchical water filling
-//!   splits each round's per-job probe LPs into a fixed number of shards,
-//!   each chaining its own [`WarmStart`] cache from a shared snapshot.
-//!
-//! The determinism contract in both cases: work decomposition is a pure
-//! function of the *problem* (wave = frontier; shard count is a
-//! constant), never of the thread count, and every floats-accumulating
-//! merge walks results in input order. Parallelism therefore changes
-//! wall-clock only — solutions, objectives, and every [`SolveStats`]
-//! counter are bit-identical under any `GAVEL_THREADS`, including the
-//! two counters that record the batching itself:
-//! [`SolveStats::parallel_probes`] (LP solves routed through a batched
-//! path) and [`SolveStats::shards`] (parallel shards / multi-node
-//! waves), which count work *structure*, not scheduling.
+//! The determinism contract: work decomposition is a pure function of the
+//! *problem* (a wave is the frontier), never of the thread count, and
+//! every floats-accumulating merge walks results in input order.
+//! Parallelism therefore changes wall-clock only — solutions, objectives,
+//! and every [`SolveStats`] counter are bit-identical under any
+//! `GAVEL_THREADS`, including [`SolveStats::shards`] (multi-node waves)
+//! and [`SolveStats::parallel_probes`] (their nodes, plus the hierarchical
+//! policy's probe LPs), which count work *structure*, not scheduling.
+//! Everything else runs on the calling thread — including the
+//! hierarchical probes, a chain in which each solve starts from the basis
+//! the one before it ended on.
 //!
 //! # Examples
 //!
@@ -146,6 +161,7 @@ pub mod bisect;
 pub mod error;
 pub mod fractional;
 pub mod milp;
+pub mod prepared;
 pub mod problem;
 pub mod revised;
 pub mod simplex;
@@ -155,5 +171,6 @@ pub use bisect::{bisect_max, bisect_min};
 pub use error::SolverError;
 pub use fractional::{solve_fractional, FractionalObjective};
 pub use milp::{solve_milp, MilpOptions};
+pub use prepared::PreparedLp;
 pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId, WarmStart};
 pub use simplex::{LpSolution, SimplexOptions, SolveStats};

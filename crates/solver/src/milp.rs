@@ -13,15 +13,14 @@
 //! Each child node differs from its parent by a single variable-bound
 //! change, which leaves the parent's optimal basis *dual* feasible. With
 //! bounds carried implicitly on columns (never as rows), a node is the
-//! root LP with patched `b`/`upper` vectors: the driver lowers the root
-//! *once* ([`NodeCtx`]), patches the sparse instance per node in a
-//! per-worker [`NodeScratch`], and re-solves from the parent's
-//! [`WarmStart`] via the dual simplex — a few pivots instead of a full
-//! two-phase solve, with no re-lowering and no matrix rebuild. Nodes
-//! whose bound change flips a row's slack/artificial structure (a
-//! shifted lower bound crossing a right-hand side through zero)
-//! transparently take the general [`LpProblem::solve_warm`] path
-//! instead; hints are validated, never trusted, so correctness is
+//! root LP with a few [`PreparedLp::set_bounds`] patches: the driver
+//! prepares the root *once*, each worker patches its own copy per node
+//! and re-solves from the parent's [`WarmStart`] via the dual simplex — a
+//! few pivots instead of a full two-phase solve, with no re-lowering and
+//! no matrix rebuild. Nodes whose bound change flips a row's
+//! slack/artificial structure (a shifted lower bound crossing a
+//! right-hand side through zero) are re-lowered by the prepared LP
+//! itself; hints are validated, never trusted, so correctness is
 //! independent of all of this. The aggregated [`SolveStats`] on the
 //! returned solution expose `dual_pivots`, `warm_hits`, and
 //! `warm_falls_back` across all nodes.
@@ -30,10 +29,10 @@
 //!
 //! The search runs breadth-first in deterministic *waves*: the frontier
 //! of open nodes is solved as one batch on the shared worker pool
-//! ([`gavel_par::parallel_map_init`], one [`NodeScratch`] per worker),
+//! ([`gavel_par::parallel_map_init`], one [`PreparedLp`] copy per worker),
 //! then processed strictly in frontier order — bound pruning, incumbent
 //! updates, and child generation are sequential. Every node relaxation
-//! is a pure function of the root context, the node's bound overrides,
+//! is a pure function of the root problem, the node's bound overrides,
 //! and its parent's basis, and every merge (stats counters, incumbent
 //! comparisons) walks the wave in frontier order, so the explored tree,
 //! the returned solution, and the aggregated counters are **bit-exactly
@@ -45,9 +44,9 @@
 //! [`SolveStats::parallel_probes`] / [`SolveStats::shards`].
 
 use crate::error::SolverError;
-use crate::problem::{recover_values, Lowering, LpProblem, Sense, VarId, VarMap, WarmStart};
-use crate::revised::{self, Instance};
-use crate::simplex::{LpSolution, SimplexOptions, SolveStats};
+use crate::prepared::PreparedLp;
+use crate::problem::{LpProblem, Sense, VarId, WarmStart};
+use crate::simplex::{LpSolution, SolveStats};
 
 /// Options for [`solve_milp`].
 #[derive(Debug, Clone)]
@@ -85,18 +84,16 @@ pub fn solve_milp(
     integer_vars: &[VarId],
     opts: &MilpOptions,
 ) -> Result<LpSolution, SolverError> {
-    lp.validate()?;
     let maximize = lp.sense() == Sense::Maximize;
     let mut nodes_explored = 0usize;
     let mut incumbent: Option<LpSolution> = None;
     let mut total_stats = SolveStats::default();
 
-    // Root lowering and sparse instance, shared (read-only) by every
-    // node: a branch only tightens one variable's bounds, which patches
-    // the instance's `b`/`upper` vectors in a per-worker scratch (see
-    // `solve_node`) — re-lowering and rebuilding the constraint matrix
-    // per node would cost more than the warm dual re-solve itself.
-    let ctx = NodeCtx::build(lp)?;
+    // The root, lowered once: a branch only tightens one variable's
+    // bounds, which each worker patches into its own copy —
+    // re-lowering and rebuilding the constraint matrix per node would
+    // cost more than the warm dual re-solve itself.
+    let root = PreparedLp::new(lp.clone())?;
 
     // Strictly-better-than-incumbent test shared by both prune points.
     let improvable = |bound: f64, incumbent: &Option<LpSolution>| match incumbent {
@@ -149,45 +146,46 @@ pub fn solve_milp(
         }
 
         // Solve the whole wave on the worker pool. Each node relaxation
-        // is a pure function of (root ctx, overrides, parent basis), so
-        // the results — collected back in frontier order — do not depend
+        // is a pure function of (root, overrides, parent basis) — the
+        // worker's copy is back at the root's bounds after every node —
+        // so the results, collected back in frontier order, do not depend
         // on the pool width or on item-to-worker assignment.
-        type NodeOutcome = (Result<(LpSolution, WarmStart), SolverError>, SolveStats);
-        let solved: Vec<NodeOutcome> = gavel_par::parallel_map_init(
+        let solved = gavel_par::parallel_map_init(
             &wave,
-            || ctx.scratch(),
-            |scratch, node| {
-                // Final bounds per overridden variable (later
-                // overrides win).
-                let mut node_bounds: Vec<(VarId, f64, f64)> =
-                    Vec::with_capacity(node.overrides.len());
+            || root.clone(),
+            |prepared, node| {
+                // Later overrides of one variable win.
                 for &(v, lo, hi) in &node.overrides {
-                    match node_bounds.iter_mut().find(|(bv, _, _)| *bv == v) {
-                        Some(entry) => *entry = (v, lo, hi),
-                        None => node_bounds.push((v, lo, hi)),
-                    }
+                    prepared.set_bounds(v, lo, hi);
                 }
                 let hint = if opts.warm_start {
                     node.parent_basis.as_ref()
                 } else {
                     None
                 };
-                ctx.solve_node(scratch, lp, &node_bounds, hint)
+                let result = prepared.solve(hint);
+                for &(v, _, _) in &node.overrides {
+                    let (lo, hi) = lp.bounds(v);
+                    prepared.set_bounds(v, lo, hi);
+                }
+                result
             },
         );
 
         // Process results strictly in frontier order: pruning decisions,
         // incumbent updates, and child generation are sequential and
         // deterministic.
-        for (node, (result, err_stats)) in wave.iter().zip(solved) {
-            // Pivot counters spent on *failed* node solves (pruned
-            // infeasible nodes, whose verdict the dual phase proves) are
-            // absorbed so the aggregate accounting stays honest.
-            total_stats.absorb(&err_stats);
+        for (node, result) in wave.iter().zip(solved) {
             let (relaxed, basis) = match result {
                 Ok(out) => out,
-                Err(SolverError::Infeasible) => continue,
-                Err(e) => return Err(e),
+                // Pivot counters spent on *failed* node solves (pruned
+                // infeasible nodes, whose verdict the dual phase proves)
+                // are absorbed so the aggregate accounting stays honest.
+                Err((SolverError::Infeasible, spent)) => {
+                    total_stats.absorb(&spent);
+                    continue;
+                }
+                Err((e, _)) => return Err(e),
             };
             total_stats.absorb(&relaxed.stats);
             let bounds_of = |v: VarId| {
@@ -275,205 +273,6 @@ pub fn solve_milp(
             Ok(sol)
         }
         None => Err(SolverError::Infeasible),
-    }
-}
-
-/// The shared node-solving context: the root problem's lowering and sparse
-/// instance, built once per [`solve_milp`] call and shared *read-only* by
-/// every worker of a node wave.
-///
-/// A branch-and-bound node is the root LP with a handful of variable-bound
-/// overrides. As long as every overridden variable lowers as a shifted
-/// column and no row's raw right-hand side crosses zero under the new
-/// shifts (which would change the slack/artificial structure), the node's
-/// instance is the root instance with a patched `b`/`upper` — no
-/// re-lowering, no matrix rebuild. Nodes that do change shape (or hit
-/// numerical trouble) transparently re-solve through the general
-/// [`LpProblem::solve_warm`] path instead.
-struct NodeCtx {
-    lowering: Lowering,
-    inst: Instance,
-    /// Raw (pre-normalization) right-hand sides of the root lowering, for
-    /// the sign-stability check.
-    raw_rhs: Vec<f64>,
-    /// Objective sign: `-1` for maximization (the lowering minimizes).
-    sign: f64,
-}
-
-/// Per-worker node buffers: the node instance (constraint matrix identical
-/// to the root's, only `b`/`upper` rewritten per node), the node's
-/// variable mapping, raw right-hand sides, and touched rows. Fully
-/// rewritten from the root context at the start of every node solve, so a
-/// node's result never depends on which worker's scratch it reused —
-/// reuse only saves the allocations.
-struct NodeScratch {
-    inst: Instance,
-    mapping: Vec<VarMap>,
-    raw: Vec<f64>,
-    touched: Vec<usize>,
-}
-
-impl NodeCtx {
-    fn build(lp: &LpProblem) -> Result<NodeCtx, SolverError> {
-        let lowering = lp.lower()?;
-        let inst = Instance::build(&lowering.std);
-        let raw_rhs: Vec<f64> = lowering.std.rows.iter().map(|r| r.2).collect();
-        let sign = match lp.sense() {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        Ok(NodeCtx {
-            lowering,
-            inst,
-            raw_rhs,
-            sign,
-        })
-    }
-
-    /// Fresh per-worker scratch buffers sized for this context.
-    fn scratch(&self) -> NodeScratch {
-        NodeScratch {
-            inst: self.inst.clone(),
-            mapping: self.lowering.mapping.clone(),
-            raw: self.raw_rhs.clone(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Solves one node: the root problem under `node_bounds` overrides,
-    /// warm-started from `hint` when given. A pure function of its
-    /// arguments (the scratch is fully rewritten), so wave-batched solves
-    /// are bit-identical to sequential ones. Pivot counters spent on
-    /// *failed* node solves (pruned infeasible nodes, whose verdict the
-    /// dual phase proves) come back in the second tuple slot so the
-    /// aggregate accounting stays honest; successful solves report their
-    /// stats on the returned solution.
-    fn solve_node(
-        &self,
-        scratch: &mut NodeScratch,
-        lp: &LpProblem,
-        node_bounds: &[(VarId, f64, f64)],
-        hint: Option<&WarmStart>,
-    ) -> (Result<(LpSolution, WarmStart), SolverError>, SolveStats) {
-        let mut err_stats = SolveStats::default();
-        let result = match self.try_patched(scratch, lp, node_bounds, hint, &mut err_stats) {
-            Some(result) => result,
-            None => Self::solve_classic(lp, node_bounds, hint),
-        };
-        (result, err_stats)
-    }
-
-    /// The fast path: rewrite `b`/`upper` of the worker's node instance
-    /// (same constraint matrix as the root) and solve directly. Returns
-    /// `None` when the node cannot be expressed as a patch (shape change)
-    /// — or `Some(Err(..))` for real verdicts.
-    #[allow(clippy::type_complexity)]
-    fn try_patched(
-        &self,
-        scratch: &mut NodeScratch,
-        lp: &LpProblem,
-        node_bounds: &[(VarId, f64, f64)],
-        hint: Option<&WarmStart>,
-        err_stats: &mut SolveStats,
-    ) -> Option<Result<(LpSolution, WarmStart), SolverError>> {
-        // Every overridden variable must stay a shifted column with a
-        // finite lower bound and a valid range.
-        for &(v, lo, hi) in node_bounds {
-            if !lo.is_finite() || lo > hi {
-                return None;
-            }
-            match self.lowering.mapping[v.index()] {
-                VarMap::Shifted { .. } => {}
-                _ => return None,
-            }
-        }
-        scratch.inst.b.copy_from_slice(&self.inst.b);
-        scratch.inst.upper.copy_from_slice(&self.inst.upper);
-        scratch.mapping.copy_from_slice(&self.lowering.mapping);
-        scratch.raw.copy_from_slice(&self.raw_rhs);
-        scratch.touched.clear();
-        let mut obj_const = self.lowering.obj_const;
-        for &(v, lo, hi) in node_bounds {
-            let VarMap::Shifted { col, shift } = scratch.mapping[v.index()] else {
-                unreachable!("checked above");
-            };
-            let dshift = lo - shift;
-            if dshift != 0.0 {
-                for (i, stored) in self.inst.col(col) {
-                    // Stored coefficients carry the row's normalization
-                    // sign; undo it to update the raw right-hand side.
-                    let sgn = if self.raw_rhs[i] < 0.0 { -1.0 } else { 1.0 };
-                    scratch.raw[i] -= stored * sgn * dshift;
-                    scratch.touched.push(i);
-                }
-                obj_const += self.sign * lp.objective_coeff(v) * dshift;
-                scratch.mapping[v.index()] = VarMap::Shifted { col, shift: lo };
-            }
-            scratch.inst.upper[col] = if hi.is_finite() {
-                hi - lo
-            } else {
-                f64::INFINITY
-            };
-        }
-        for &i in &scratch.touched {
-            // A raw rhs crossing zero flips the row's slack/artificial
-            // structure: not expressible as a patch.
-            if (self.raw_rhs[i] < 0.0) != (scratch.raw[i] < 0.0) {
-                return None;
-            }
-            let sgn = if self.raw_rhs[i] < 0.0 { -1.0 } else { 1.0 };
-            scratch.inst.b[i] = sgn * scratch.raw[i];
-        }
-        let hint_slices = hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice()));
-        let out =
-            match revised::solve_instance(&scratch.inst, &SimplexOptions::default(), hint_slices) {
-                Ok(out) => out,
-                Err((SolverError::Numerical { .. }, _)) => return None, // dense-oracle path
-                Err((e, stats)) => {
-                    err_stats.absorb(&stats);
-                    return Some(Err(e));
-                }
-            };
-        let values = recover_values(&scratch.mapping, &out.x);
-        let mut objective = out.objective + obj_const;
-        if self.sign < 0.0 {
-            objective = -objective;
-        }
-        let sol = LpSolution {
-            values,
-            objective,
-            stats: out.stats,
-        };
-        #[cfg(debug_assertions)]
-        {
-            let mut node_lp = lp.clone();
-            for &(v, lo, hi) in node_bounds {
-                node_lp.set_bounds(v, lo, hi);
-            }
-            node_lp.cross_check(&sol);
-        }
-        Some(Ok((
-            sol,
-            WarmStart {
-                basis: out.basis,
-                at_upper: out.at_upper,
-            },
-        )))
-    }
-
-    /// The general path: materialize the node problem and go through
-    /// [`LpProblem::solve_warm`] (which includes the dense-oracle fallback
-    /// on numerical collapse).
-    fn solve_classic(
-        lp: &LpProblem,
-        node_bounds: &[(VarId, f64, f64)],
-        hint: Option<&WarmStart>,
-    ) -> Result<(LpSolution, WarmStart), SolverError> {
-        let mut node_lp = lp.clone();
-        for &(v, lo, hi) in node_bounds {
-            node_lp.set_bounds(v, lo, hi);
-        }
-        node_lp.solve_warm(hint)
     }
 }
 

@@ -1,0 +1,306 @@
+//! A lowered LP kept ready for re-solving under small changes.
+//!
+//! Gavel's expensive policies solve one LP *family* many times: the
+//! water-filling round LP with rising floors and a shrinking active set,
+//! the bottleneck probes that differ only in their objective, and
+//! branch-and-bound nodes that differ only in a few variable bounds.
+//! [`LpProblem::solve_warm`] pays validation, lowering, the sparse matrix
+//! build and a first factorization on every call, although none of those
+//! depend on what moved. [`PreparedLp`] pays them once.
+//!
+//! A prepared LP owns its [`LpProblem`] and the standard-form instance
+//! lowered from it, and keeps the two in step: every patch
+//! ([`PreparedLp::set_objective_coeff`], [`PreparedLp::set_rhs`],
+//! [`PreparedLp::set_bounds`], [`PreparedLp::set_column`]) edits the
+//! problem and writes exactly the bits a fresh lowering of the edited
+//! problem would produce into the instance. The contract is therefore
+//! simple: **[`PreparedLp::solve`] returns what
+//! `self.problem().solve_warm(hint)` would, bit for bit** — same values,
+//! same objective, same counters, same [`WarmStart`].
+//!
+//! Patches that cannot be written in place — a right-hand side whose sign
+//! flips (which changes the row's slack/artificial structure), a bound
+//! that changes which of its ends are finite, a column that outgrows the
+//! room it was built with, invalid input — mark the instance stale, and
+//! the next solve re-lowers from the problem first (reporting invalid
+//! input the way [`LpProblem::solve`] does). Correctness never depends on
+//! a patch being expressible; only the saving does.
+//!
+//! The final factorization of each solve is kept as well: a solve hinted
+//! with the basis the previous one returned, over an unchanged matrix,
+//! starts from that factorization instead of recomputing it (a chain of
+//! probes seeded from one another, a child node solved right after its
+//! parent). Factorizing is a pure function of matrix and basis, so this
+//! too changes the work, never the result.
+
+use crate::error::SolverError;
+use crate::problem::{recover_values, ConstraintId, LpProblem, Sense, VarId, VarMap, WarmStart};
+use crate::revised::{self, Instance, KeptLu};
+use crate::simplex::{LpSolution, SimplexOptions, SolveStats};
+
+/// An [`LpProblem`] lowered once and re-solved by patching; see the module
+/// docs for the equivalence contract.
+#[derive(Debug, Clone)]
+pub struct PreparedLp {
+    lp: LpProblem,
+    mapping: Vec<VarMap>,
+    inst: Instance,
+    /// Per row: whether its lowered right-hand side was negative when the
+    /// instance was built, i.e. the row is stored negated.
+    negated: Vec<bool>,
+    /// Stored rows differ from the problem's term lists (see
+    /// `Lowering::irregular`), so bound and column patches re-lower.
+    irregular: bool,
+    /// Some patch since the last build could not be written in place.
+    stale: bool,
+    kept: Option<KeptLu>,
+}
+
+impl PreparedLp {
+    /// Validates and lowers `lp`. Errors as [`LpProblem::solve`] would on
+    /// invalid input.
+    pub fn new(lp: LpProblem) -> Result<PreparedLp, SolverError> {
+        lp.validate()?;
+        let lowering = lp.lower()?;
+        Ok(PreparedLp {
+            inst: Instance::build(&lowering.std),
+            negated: lowering.std.rows.iter().map(|row| row.2 < 0.0).collect(),
+            mapping: lowering.mapping,
+            irregular: lowering.irregular,
+            lp,
+            stale: false,
+            kept: None,
+        })
+    }
+
+    /// The problem this prepared LP currently stands for, with every patch
+    /// applied.
+    pub fn problem(&self) -> &LpProblem {
+        &self.lp
+    }
+
+    /// Overwrites the objective coefficient of `var`.
+    pub fn set_objective_coeff(&mut self, var: VarId, obj: f64) {
+        self.lp.set_objective_coeff(var, obj);
+        self.stale |= !obj.is_finite();
+        if !self.stale {
+            let cost = self.lp.cost_sign() * obj;
+            self.mapping[var.index()].write_cost(cost, &mut self.inst.costs);
+        }
+    }
+
+    /// Overwrites the right-hand side of `constraint`.
+    pub fn set_rhs(&mut self, constraint: ConstraintId, rhs: f64) {
+        self.lp.set_rhs(constraint, rhs);
+        self.stale |= !rhs.is_finite();
+        self.refresh_row(constraint.0);
+    }
+
+    /// Overwrites the bounds of `var`.
+    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
+        self.lp.set_bounds(var, lower, upper);
+        let old = self.mapping[var.index()];
+        let new = VarMap::of(lower, upper, old.col());
+        self.stale |= self.irregular
+            || lower.is_nan()
+            || upper.is_nan()
+            || lower > upper
+            || std::mem::discriminant(&old) != std::mem::discriminant(&new);
+        if self.stale {
+            return;
+        }
+        self.mapping[var.index()] = new;
+        if let VarMap::Shifted { col, shift } = new {
+            self.inst.upper[col] = upper - shift;
+        }
+        // The shift moved: every row the variable appears in absorbs it.
+        let rows: Vec<usize> = self.inst.col(old.col()).map(|(row, _)| row).collect();
+        for row in rows {
+            self.refresh_row(row);
+        }
+    }
+
+    /// Replaces the coefficients of `var` across all constraints: it ends
+    /// up with exactly the given `(constraint, coefficient)` entries
+    /// (zeros meaning absent) and appears nowhere else. In-place when the
+    /// entries come in ascending constraint order and fit the room the
+    /// column had when the LP was prepared.
+    pub fn set_column(&mut self, var: VarId, entries: &[(ConstraintId, f64)]) {
+        let v = var.index();
+        let map = self.mapping[v];
+        let in_step = !self.stale && !self.irregular;
+        // Rows that currently mention the variable: the stored column when
+        // it mirrors the problem, else every row.
+        let old_rows: Vec<usize> = if in_step {
+            self.inst.col(map.col()).map(|(row, _)| row).collect()
+        } else {
+            (0..self.lp.cons.len()).collect()
+        };
+        for &row in &old_rows {
+            self.lp.cons[row].terms.retain(|&(vi, _)| vi != v);
+        }
+        for &(c, coeff) in entries {
+            if coeff != 0.0 {
+                self.lp.cons[c.0].terms.push((v, coeff));
+            }
+        }
+        self.stale |= !in_step
+            || matches!(map, VarMap::Free { .. })
+            || entries.iter().any(|e| !e.1.is_finite())
+            || !entries.windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
+        if self.stale {
+            return;
+        }
+        let stored: Vec<(usize, f64)> = entries
+            .iter()
+            .map(|&(c, coeff)| {
+                let mirrored = matches!(map, VarMap::Mirrored { .. });
+                let flip = mirrored != self.negated[c.0];
+                (c.0, if flip { -coeff } else { coeff })
+            })
+            .collect();
+        if !self.inst.set_col(map.col(), &stored) {
+            self.stale = true;
+            return;
+        }
+        self.kept = None;
+        for row in old_rows.into_iter().chain(entries.iter().map(|e| e.0 .0)) {
+            self.refresh_row(row);
+        }
+    }
+
+    /// Recomputes the stored right-hand side of row `i` the way the
+    /// lowering does; a sign flip changes the row's structure, which only
+    /// a rebuild can express.
+    fn refresh_row(&mut self, i: usize) {
+        if self.stale {
+            return;
+        }
+        let rhs = self.lp.lowered_rhs(i, &self.mapping);
+        if (rhs < 0.0) != self.negated[i] {
+            self.stale = true;
+        } else {
+            self.inst.b[i] = if self.negated[i] { -rhs } else { rhs };
+        }
+    }
+
+    /// Solves the current problem, warm-started from `hint` when given —
+    /// the same classification of hints, verdicts, counters and returned
+    /// basis as [`LpProblem::solve_warm`] on [`PreparedLp::problem`].
+    /// Errors carry the pivot counters spent reaching the verdict.
+    pub fn solve(
+        &mut self,
+        hint: Option<&WarmStart>,
+    ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
+        let uncounted = |e| (e, SolveStats::default());
+        if self.stale {
+            *self = PreparedLp::new(self.lp.clone()).map_err(uncounted)?;
+        }
+        let out = match revised::solve_instance(
+            &self.inst,
+            &SimplexOptions::default(),
+            hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice())),
+            &mut self.kept,
+        ) {
+            Ok(out) => out,
+            // Rare numerical collapse: the general path retries on the
+            // dense tableau.
+            Err((SolverError::Numerical { .. }, _)) => {
+                return self.lp.solve_warm(hint).map_err(uncounted)
+            }
+            Err(e) => return Err(e),
+        };
+        let mut objective = out.objective + self.lp.objective_constant(&self.mapping);
+        if self.lp.sense() == Sense::Maximize {
+            objective = -objective;
+        }
+        let sol = LpSolution {
+            values: recover_values(&self.mapping, &out.x),
+            objective,
+            stats: out.stats,
+        };
+        #[cfg(debug_assertions)]
+        self.lp.cross_check(&sol);
+        Ok((
+            sol,
+            WarmStart {
+                basis: out.basis,
+                at_upper: out.at_upper,
+            },
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::Cmp;
+
+    /// max 3x + 2y s.t. x + y <= 4, x - y >= -1, x in [0, 3], y in [0, 5].
+    fn small() -> (LpProblem, [VarId; 2], [ConstraintId; 2]) {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 3.0, 3.0);
+        let y = lp.add_var("y", 0.0, 5.0, 2.0);
+        let c0 = lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        let c1 = lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, -1.0);
+        (lp, [x, y], [c0, c1])
+    }
+
+    fn assert_same(prep: &mut PreparedLp, hint: Option<&WarmStart>) -> WarmStart {
+        let (fresh, fresh_basis) = prep.problem().solve_warm(hint).unwrap();
+        let (sol, basis) = prep.solve(hint).unwrap();
+        assert_eq!(sol.values, fresh.values);
+        assert_eq!(sol.objective.to_bits(), fresh.objective.to_bits());
+        assert_eq!(sol.stats, fresh.stats);
+        assert_eq!(basis.basic_columns(), fresh_basis.basic_columns());
+        assert_eq!(basis.at_upper_flags(), fresh_basis.at_upper_flags());
+        basis
+    }
+
+    #[test]
+    fn patches_match_fresh_solves() {
+        let (lp, [x, y], [c0, c1]) = small();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let mut basis = assert_same(&mut prep, None);
+        prep.set_objective_coeff(y, 4.0);
+        basis = assert_same(&mut prep, Some(&basis));
+        prep.set_rhs(c0, 3.5);
+        basis = assert_same(&mut prep, Some(&basis));
+        prep.set_bounds(x, 0.5, 2.0);
+        basis = assert_same(&mut prep, Some(&basis));
+        prep.set_column(y, &[(c0, 2.0)]);
+        basis = assert_same(&mut prep, Some(&basis));
+        assert!(!prep.stale, "every patch above is expressible in place");
+        // A sign flip is not: the row's structure changes.
+        prep.set_rhs(c1, 0.5);
+        assert!(prep.stale);
+        assert_same(&mut prep, Some(&basis));
+        assert!(!prep.stale);
+    }
+
+    #[test]
+    fn invalid_patches_surface_at_solve() {
+        let (lp, [x, _], _) = small();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        prep.set_bounds(x, 2.0, 1.0);
+        let (err, _) = prep.solve(None).unwrap_err();
+        assert_eq!(err, SolverError::InvalidBounds { var: "x".into() });
+        // Repairing the input repairs the prepared LP.
+        prep.set_bounds(x, 1.0, 2.0);
+        assert_same(&mut prep, None);
+    }
+
+    #[test]
+    fn chained_solves_reuse_the_factorization() {
+        let (lp, [x, y], _) = small();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let (_, basis) = prep.solve(None).unwrap();
+        assert!(prep.kept.is_some());
+        prep.set_objective_coeff(x, 1.0);
+        assert_same(&mut prep, Some(&basis));
+        // A matrix patch drops it.
+        prep.set_column(y, &[]);
+        assert!(prep.kept.is_none());
+        assert_same(&mut prep, Some(&basis));
+    }
+}

@@ -111,9 +111,29 @@ impl VarId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub(crate) usize);
 
+/// A variable's name, formatted only when an error or a debug assertion
+/// needs it: the policy LPs add thousands of `x_k_j` variables per solve
+/// and never look at their names on the success path.
+#[derive(Debug, Clone)]
+pub(crate) enum VarName {
+    Text(String),
+    /// `prefix_i`, or `prefix_i_j` with a second index.
+    Indexed(&'static str, usize, Option<usize>),
+}
+
+impl std::fmt::Display for VarName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            VarName::Text(ref name) => f.write_str(name),
+            VarName::Indexed(prefix, i, None) => write!(f, "{prefix}_{i}"),
+            VarName::Indexed(prefix, i, Some(j)) => write!(f, "{prefix}_{i}_{j}"),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct Var {
-    pub(crate) name: String,
+    pub(crate) name: VarName,
     pub(crate) lower: f64,
     pub(crate) upper: f64,
     pub(crate) obj: f64,
@@ -155,8 +175,38 @@ impl LpProblem {
     /// `f64::INFINITY`. Invalid bound pairs are reported by
     /// [`LpProblem::solve`], not here, so building can stay infallible.
     pub fn add_var(&mut self, name: &str, lower: f64, upper: f64, obj: f64) -> VarId {
+        self.push_var(VarName::Text(name.to_string()), lower, upper, obj)
+    }
+
+    /// [`LpProblem::add_var`] for one of a family of variables: the name
+    /// `prefix_i` is formatted only if an error message needs it, so
+    /// building allocates nothing per variable.
+    pub fn add_var_indexed(
+        &mut self,
+        prefix: &'static str,
+        i: usize,
+        lower: f64,
+        upper: f64,
+        obj: f64,
+    ) -> VarId {
+        self.push_var(VarName::Indexed(prefix, i, None), lower, upper, obj)
+    }
+
+    /// [`LpProblem::add_var_indexed`] with two indices: `prefix_i_j`.
+    pub fn add_var_indexed2(
+        &mut self,
+        prefix: &'static str,
+        (i, j): (usize, usize),
+        lower: f64,
+        upper: f64,
+        obj: f64,
+    ) -> VarId {
+        self.push_var(VarName::Indexed(prefix, i, Some(j)), lower, upper, obj)
+    }
+
+    fn push_var(&mut self, name: VarName, lower: f64, upper: f64, obj: f64) -> VarId {
         self.vars.push(Var {
-            name: name.to_string(),
+            name,
             lower,
             upper,
             obj,
@@ -201,6 +251,16 @@ impl LpProblem {
             rhs,
         });
         ConstraintId(self.cons.len() - 1)
+    }
+
+    /// Overwrites the right-hand side of `constraint`.
+    pub fn set_rhs(&mut self, constraint: ConstraintId, rhs: f64) {
+        self.cons[constraint.0].rhs = rhs;
+    }
+
+    /// Returns the current right-hand side of `constraint`.
+    pub fn rhs(&self, constraint: ConstraintId) -> f64 {
+        self.cons[constraint.0].rhs
     }
 
     /// Number of variables added so far.
@@ -367,7 +427,7 @@ impl LpProblem {
         for v in &self.vars {
             if v.lower.is_nan() || v.upper.is_nan() || v.lower > v.upper {
                 return Err(SolverError::InvalidBounds {
-                    var: v.name.clone(),
+                    var: v.name.to_string(),
                 });
             }
             if !v.obj.is_finite() {
@@ -399,89 +459,74 @@ impl LpProblem {
         Ok(())
     }
 
-    pub(crate) fn lower(&self) -> Result<Lowering, SolverError> {
-        let n = self.vars.len();
-        // Per original variable: how it maps into standard columns.
-        let mut mapping = Vec::with_capacity(n);
-        let mut ncols = 0usize;
-        // Finite upper bounds of shifted variables, carried on the column
-        // (`usize::MAX` sentinel never occurs; indexed parallel to columns
-        // after the mapping pass).
-        let mut col_upper: Vec<f64> = Vec::new();
-        let mut obj_const = 0.0;
-        for v in &self.vars {
-            let lo_finite = v.lower.is_finite();
-            let up_finite = v.upper.is_finite();
-            let m = if lo_finite {
-                // x = lower + x', x' in [0, upper - lower] (upper may be
-                // +inf): the bound rides on the column, never as a row.
-                let col = ncols;
-                ncols += 1;
-                col_upper.push(if up_finite {
-                    v.upper - v.lower
-                } else {
-                    f64::INFINITY
-                });
-                obj_const += v.obj * v.lower;
-                VarMap::Shifted {
-                    col,
-                    shift: v.lower,
-                }
-            } else if up_finite {
-                // x = upper - x'', x'' >= 0.
-                let col = ncols;
-                ncols += 1;
-                col_upper.push(f64::INFINITY);
-                obj_const += v.obj * v.upper;
-                VarMap::Mirrored {
-                    col,
-                    upper: v.upper,
-                }
-            } else {
-                // Free: x = x+ - x-.
-                let pos = ncols;
-                let neg = ncols + 1;
-                ncols += 2;
-                col_upper.push(f64::INFINITY);
-                col_upper.push(f64::INFINITY);
-                VarMap::Free { pos, neg }
-            };
-            mapping.push(m);
-        }
-
-        // Objective in standard columns (minimization).
-        let sign = match self.sense {
+    /// Sign that turns this problem's objective into the standard form's
+    /// minimization.
+    pub(crate) fn cost_sign(&self) -> f64 {
+        match self.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
-        };
-        let mut costs = vec![0.0; ncols];
-        for (v, m) in self.vars.iter().zip(&mapping) {
+        }
+    }
+
+    /// Constant the variable shifts add to the standard-form objective
+    /// (already sign-adjusted for maximization).
+    pub(crate) fn objective_constant(&self, mapping: &[VarMap]) -> f64 {
+        let mut obj_const = 0.0;
+        for (v, m) in self.vars.iter().zip(mapping) {
             match *m {
-                VarMap::Shifted { col, .. } => costs[col] += sign * v.obj,
-                VarMap::Mirrored { col, .. } => costs[col] -= sign * v.obj,
-                VarMap::Free { pos, neg } => {
-                    costs[pos] += sign * v.obj;
-                    costs[neg] -= sign * v.obj;
-                }
+                VarMap::Shifted { shift, .. } => obj_const += v.obj * shift,
+                VarMap::Mirrored { upper, .. } => obj_const += v.obj * upper,
+                VarMap::Free { .. } => {}
             }
         }
-        let obj_const_signed = sign * obj_const;
+        self.cost_sign() * obj_const
+    }
+
+    /// Right-hand side of constraint `i` in standard columns: the user's
+    /// value minus what the variable shifts already contribute, subtracted
+    /// in term order.
+    pub(crate) fn lowered_rhs(&self, i: usize, mapping: &[VarMap]) -> f64 {
+        let c = &self.cons[i];
+        let mut rhs = c.rhs;
+        for &(vi, coeff) in &c.terms {
+            match mapping[vi] {
+                VarMap::Shifted { shift, .. } => rhs -= coeff * shift,
+                VarMap::Mirrored { upper, .. } => rhs -= coeff * upper,
+                VarMap::Free { .. } => {}
+            }
+        }
+        rhs
+    }
+
+    pub(crate) fn lower(&self) -> Result<Lowering, SolverError> {
+        let n = self.vars.len();
+        // Per original variable: how it maps into standard columns, with
+        // finite ranges carried on the column.
+        let mut mapping = Vec::with_capacity(n);
+        let mut col_upper: Vec<f64> = Vec::new();
+        for v in &self.vars {
+            let m = VarMap::of(v.lower, v.upper, col_upper.len());
+            m.push_uppers(v.upper, &mut col_upper);
+            mapping.push(m);
+        }
+        let ncols = col_upper.len();
+
+        // Objective in standard columns (minimization).
+        let sign = self.cost_sign();
+        let mut costs = vec![0.0; ncols];
+        for (v, m) in self.vars.iter().zip(&mapping) {
+            m.write_cost(sign * v.obj, &mut costs);
+        }
 
         let mut rows = Vec::with_capacity(self.cons.len());
         let mut terms: Vec<(usize, f64)> = Vec::new();
-        for c in &self.cons {
+        let mut irregular = false;
+        for (i, c) in self.cons.iter().enumerate() {
             terms.clear();
-            let mut rhs = c.rhs;
             for &(vi, coeff) in &c.terms {
                 match mapping[vi] {
-                    VarMap::Shifted { col, shift } => {
-                        terms.push((col, coeff));
-                        rhs -= coeff * shift;
-                    }
-                    VarMap::Mirrored { col, upper } => {
-                        terms.push((col, -coeff));
-                        rhs -= coeff * upper;
-                    }
+                    VarMap::Shifted { col, .. } => terms.push((col, coeff)),
+                    VarMap::Mirrored { col, .. } => terms.push((col, -coeff)),
                     VarMap::Free { pos, neg } => {
                         terms.push((pos, coeff));
                         terms.push((neg, -coeff));
@@ -499,9 +544,11 @@ impl LpProblem {
                 }
             }
             merged.retain(|&(_, coeff)| coeff != 0.0);
-            rows.push((merged, c.cmp, rhs));
+            irregular |= merged.len() != terms.len();
+            rows.push((merged, c.cmp, self.lowered_rhs(i, &mapping)));
         }
 
+        let obj_const = self.objective_constant(&mapping);
         Ok(Lowering {
             std: StandardForm {
                 ncols,
@@ -510,8 +557,8 @@ impl LpProblem {
                 upper: col_upper,
             },
             mapping,
-            num_original: n,
-            obj_const: obj_const_signed,
+            obj_const,
+            irregular,
         })
     }
 
@@ -541,16 +588,70 @@ pub(crate) enum VarMap {
     Free { pos: usize, neg: usize },
 }
 
+impl VarMap {
+    /// How a variable with bounds `[lower, upper]` maps into standard
+    /// columns starting at `col`. The kind depends only on which bounds
+    /// are finite.
+    pub(crate) fn of(lower: f64, upper: f64, col: usize) -> VarMap {
+        if lower.is_finite() {
+            // x = lower + x', x' in [0, upper - lower] (upper may be
+            // +inf): the bound rides on the column, never as a row.
+            VarMap::Shifted { col, shift: lower }
+        } else if upper.is_finite() {
+            // x = upper - x'', x'' >= 0.
+            VarMap::Mirrored { col, upper }
+        } else {
+            // Free: x = x+ - x-.
+            VarMap::Free {
+                pos: col,
+                neg: col + 1,
+            }
+        }
+    }
+
+    /// Appends the upper bounds of this variable's standard columns; for
+    /// a shifted variable that is the width `upper - shift` of its range.
+    pub(crate) fn push_uppers(&self, upper: f64, col_upper: &mut Vec<f64>) {
+        match *self {
+            VarMap::Shifted { shift, .. } => col_upper.push(upper - shift),
+            VarMap::Mirrored { .. } => col_upper.push(f64::INFINITY),
+            VarMap::Free { .. } => col_upper.extend([f64::INFINITY; 2]),
+        }
+    }
+
+    /// Writes the (sign-adjusted) objective coefficient `cost` of this
+    /// variable into its standard columns.
+    pub(crate) fn write_cost(&self, cost: f64, costs: &mut [f64]) {
+        match *self {
+            VarMap::Shifted { col, .. } => costs[col] = 0.0 + cost,
+            VarMap::Mirrored { col, .. } => costs[col] = 0.0 - cost,
+            VarMap::Free { pos, neg } => {
+                costs[pos] = 0.0 + cost;
+                costs[neg] = 0.0 - cost;
+            }
+        }
+    }
+
+    /// First standard column of this variable.
+    pub(crate) fn col(&self) -> usize {
+        match *self {
+            VarMap::Shifted { col, .. } | VarMap::Mirrored { col, .. } => col,
+            VarMap::Free { pos, .. } => pos,
+        }
+    }
+}
+
 /// The lowered problem: standard form plus enough bookkeeping to recover
-/// user-facing values and objectives. Crate-internal so the MILP driver
-/// can patch bounds per branch-and-bound node without re-lowering.
+/// user-facing values and objectives.
 pub(crate) struct Lowering {
     pub(crate) std: StandardForm,
     pub(crate) mapping: Vec<VarMap>,
-    pub(crate) num_original: usize,
     /// Constant added to the standard-form objective (already sign-adjusted
     /// for maximization).
     pub(crate) obj_const: f64,
+    /// Some constraint repeats a variable or carries an exact-zero
+    /// coefficient, so its stored row differs from its term list.
+    pub(crate) irregular: bool,
 }
 
 /// Maps standard-column values back to user-facing variable values.
@@ -569,7 +670,6 @@ pub(crate) fn recover_values(mapping: &[VarMap], raw: &[f64]) -> Vec<f64> {
 
 impl Lowering {
     fn recover(&self, raw: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(self.mapping.len(), self.num_original);
         recover_values(&self.mapping, raw)
     }
 }
@@ -651,6 +751,34 @@ mod tests {
             lp.solve().unwrap_err(),
             SolverError::InvalidBounds { .. }
         ));
+    }
+
+    #[test]
+    fn indexed_names_are_formatted_on_demand() {
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let s = lp.add_var_indexed("slack", 7, 1.0, 0.0, 0.0);
+        let x = lp.add_var_indexed2("x", (3, 1), 2.0, 1.0, 0.0);
+        assert_eq!(
+            lp.solve().unwrap_err(),
+            SolverError::InvalidBounds {
+                var: "slack_7".into()
+            }
+        );
+        lp.set_bounds(s, 0.0, 1.0);
+        assert_eq!(
+            lp.solve().unwrap_err(),
+            SolverError::InvalidBounds {
+                var: "x_3_1".into()
+            }
+        );
+        lp.set_bounds(x, 0.0, 1.0);
+        lp.set_objective_coeff(x, f64::NAN);
+        assert_eq!(
+            lp.solve().unwrap_err(),
+            SolverError::NonFiniteInput {
+                context: "objective coefficient of `x_3_1`".into()
+            }
+        );
     }
 
     #[test]

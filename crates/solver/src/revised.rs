@@ -80,9 +80,9 @@ pub(crate) struct RevisedOutcome {
 }
 
 /// The standard form with slack and artificial columns made explicit.
-/// Crate-internal (with cloneable, patchable `b`/`upper`) so the MILP
-/// driver can re-solve branch-and-bound nodes without rebuilding the
-/// constraint matrix.
+/// Crate-internal, cloneable and patchable (`b`, `costs`, `upper`, one
+/// structural column at a time) so [`crate::PreparedLp`] can re-solve a
+/// drifting LP without rebuilding the constraint matrix.
 #[derive(Debug, Clone)]
 pub(crate) struct Instance {
     /// `m x ntot` constraint matrix (structural, slack, artificial).
@@ -90,7 +90,7 @@ pub(crate) struct Instance {
     /// Nonnegative right-hand side.
     pub(crate) b: Vec<f64>,
     /// Phase-2 costs over all `ntot` columns.
-    costs: Vec<f64>,
+    pub(crate) costs: Vec<f64>,
     /// Upper bounds over all `ntot` columns (slack/artificial: `+inf`;
     /// artificial columns are additionally clamped to zero in phase 2 via
     /// [`Solver::ub`]).
@@ -110,6 +110,12 @@ impl Instance {
     /// stored (i.e. after negative-RHS row normalization).
     pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.a.col(j)
+    }
+
+    /// Rewrites structural column `j`; see [`CscMatrix::set_col`].
+    pub(crate) fn set_col(&mut self, j: usize, entries: &[(usize, f64)]) -> bool {
+        debug_assert!(j < self.n, "only structural columns are patchable");
+        self.a.set_col(j, entries)
     }
 
     pub(crate) fn build(lp: &StandardForm) -> Instance {
@@ -203,19 +209,32 @@ pub(crate) fn solve_revised(
     hint: Option<(&[usize], &[bool])>,
 ) -> Result<RevisedOutcome, SolverError> {
     let inst = Instance::build(lp);
-    solve_instance(&inst, opts, hint).map_err(|(e, _)| e)
+    solve_instance(&inst, opts, hint, &mut None).map_err(|(e, _)| e)
 }
 
-/// [`solve_revised`] over a prebuilt (possibly bound-patched) instance —
-/// the branch-and-bound node path, which skips re-lowering and matrix
-/// construction entirely. Errors carry the pivot counters spent reaching
-/// the verdict so drivers that aggregate over many solves (the MILP's
-/// pruned nodes, whose infeasibility the dual phase proves) can still
-/// account for the work.
+/// The factorization a solve finished with, kept so the next solve of the
+/// same matrix can start from it: hinted with exactly `basis`, it skips
+/// its first factorization. Factorizing is a pure function of the matrix
+/// and the (canonically sorted) basis, so reuse never changes a result.
+#[derive(Debug, Clone)]
+pub(crate) struct KeptLu {
+    basis: Vec<usize>,
+    fac: Basis,
+}
+
+/// [`solve_revised`] over a prebuilt (possibly patched) instance — the
+/// [`crate::PreparedLp`] path, which skips re-lowering and matrix
+/// construction entirely. `kept` carries the final factorization from one
+/// solve to the next; the caller clears it whenever it changes the
+/// matrix. Errors carry the pivot counters spent reaching the verdict so
+/// drivers that aggregate over many solves (the MILP's pruned nodes,
+/// whose infeasibility the dual phase proves) can still account for the
+/// work.
 pub(crate) fn solve_instance(
     inst: &Instance,
     opts: &SimplexOptions,
     hint: Option<(&[usize], &[bool])>,
+    kept: &mut Option<KeptLu>,
 ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
     let mut opts = opts.clone();
     if opts.iter_limit == 0 {
@@ -227,12 +246,14 @@ pub(crate) fn solve_instance(
         // carry `warm_hits = 1` instead) are returned and `spent` is
         // dropped.
         spent.warm_falls_back = 1;
-        if let Some(mut solver) = Solver::from_hint(inst, &opts, hint_basis, hint_at_upper) {
+        if let Some(mut solver) =
+            Solver::from_hint(inst, &opts, hint_basis, hint_at_upper, kept.take())
+        {
             if solver.primal_feasible() {
                 match solver.phase2() {
                     Ok(()) => {
                         solver.stats.warm_hits = 1;
-                        return solver.extract().map_err(|e| (e, solver.stats));
+                        return solver.extract(kept);
                     }
                     // A failure along the warm phase-2 path (including an
                     // unbounded verdict, which is not authoritative from a
@@ -246,7 +267,7 @@ pub(crate) fn solve_instance(
                 match solver.dual_phase().and_then(|()| solver.phase2()) {
                     Ok(()) => {
                         solver.stats.warm_hits = 1;
-                        return solver.extract().map_err(|e| (e, solver.stats));
+                        return solver.extract(kept);
                     }
                     // Dual unboundedness from a basis that was *validated*
                     // dual feasible is a sound infeasibility proof for the
@@ -275,7 +296,7 @@ pub(crate) fn solve_instance(
     if let Err(e) = solver.phase1().and_then(|()| solver.phase2()) {
         return Err((e, solver.stats));
     }
-    solver.extract().map_err(|e| (e, solver.stats))
+    solver.extract(kept)
 }
 
 /// Outcome of the bounded ratio test for one entering column.
@@ -340,6 +361,7 @@ impl<'a> Solver<'a> {
         opts: &'a SimplexOptions,
         hint_basis: &[usize],
         hint_at_upper: &[bool],
+        kept: Option<KeptLu>,
     ) -> Option<Solver<'a>> {
         if hint_basis.len() != inst.m || hint_at_upper.len() != inst.ntot {
             return None;
@@ -358,7 +380,10 @@ impl<'a> Solver<'a> {
             *flag =
                 hint_at_upper[j] && !in_basis[j] && j < inst.art_start && inst.upper[j].is_finite();
         }
-        let fac = Basis::factorize(&inst.a, hint_basis, opts.refactor_every, opts.pivot_tol)?;
+        let fac = match kept {
+            Some(kept) if kept.basis == hint_basis => kept.fac,
+            _ => Basis::factorize(&inst.a, hint_basis, opts.refactor_every, opts.pivot_tol)?,
+        };
         let mut solver = Solver {
             inst,
             opts,
@@ -872,12 +897,15 @@ impl<'a> Solver<'a> {
     /// warm and a cold solve finishing at the same basis could disagree in
     /// the last floating-point bits. After canonicalization the returned
     /// values are a pure function of the final `(basis set, at_upper)`
-    /// state.
-    fn extract(&mut self) -> Result<RevisedOutcome, SolverError> {
+    /// state. That canonical factorization is handed back through `kept`.
+    fn extract(
+        mut self,
+        kept: &mut Option<KeptLu>,
+    ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
         let sorted = self.basis.windows(2).all(|w| w[0] < w[1]);
         if !sorted || self.fac.has_updates() {
             self.basis.sort_unstable();
-            self.refactorize()?;
+            self.refactorize().map_err(|e| (e, self.stats))?;
         }
         let mut x = vec![0.0; self.inst.n];
         for (j, xv) in x.iter_mut().enumerate() {
@@ -911,12 +939,16 @@ impl<'a> Solver<'a> {
                 objective += self.inst.costs[j] * self.inst.upper[j];
             }
         }
+        *kept = Some(KeptLu {
+            basis: self.basis.clone(),
+            fac: self.fac,
+        });
         Ok(RevisedOutcome {
             x,
             objective,
             stats: self.stats,
-            basis: self.basis.clone(),
-            at_upper: self.at_upper.clone(),
+            basis: self.basis,
+            at_upper: self.at_upper,
         })
     }
 }

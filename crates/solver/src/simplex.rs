@@ -100,15 +100,15 @@ pub struct SolveStats {
     /// 1 when the revised engine lost numerical control and the solve was
     /// retried on the dense tableau oracle, else 0.
     pub dense_fallbacks: usize,
-    /// LP solves routed through a batched/sharded parallel path — the
-    /// hierarchical policy's sharded probe LPs and multi-node MILP
-    /// branch-and-bound waves. Counts work *structure*, not thread usage:
-    /// the value is identical under any `GAVEL_THREADS`, because the
-    /// shard/wave decomposition is a pure function of the problem.
+    /// LP solves that were one of several in a batch: the hierarchical
+    /// policy's per-job probe LPs (a pass probing a single job is not
+    /// counted) and the nodes of multi-node MILP branch-and-bound waves.
+    /// Counts work *structure*, not thread usage — the probes run as one
+    /// serial chain — so the value is identical under any
+    /// `GAVEL_THREADS`.
     pub parallel_probes: usize,
-    /// Parallel shards (probe pass) or multi-node waves (MILP) those
-    /// solves were split across. Thread-count-invariant, like
-    /// [`SolveStats::parallel_probes`].
+    /// Multi-node MILP waves solved as one batch on the worker pool.
+    /// Thread-count-invariant, like [`SolveStats::parallel_probes`].
     pub shards: usize,
 }
 

@@ -8,14 +8,18 @@
 //! price columns and assemble basis matrices in time proportional to the
 //! nonzero count instead of the dense `rows x cols` product.
 
-/// A read-only sparse matrix in compressed-sparse-column form.
+/// A sparse matrix in compressed-sparse-column form. The shape is fixed at
+/// construction; [`CscMatrix::set_col`] may rewrite one column's nonzeros
+/// within the room the column was built with.
 #[derive(Debug, Clone)]
 pub struct CscMatrix {
     nrows: usize,
     ncols: usize,
-    /// `col_ptr[j]..col_ptr[j + 1]` indexes column `j`'s slice of
-    /// `row_idx` / `values`.
+    /// `col_ptr[j]..col_ptr[j + 1]` is the room column `j` was built with
+    /// in `row_idx` / `values`; its stored nonzeros are the first
+    /// `col_len[j]` of those.
     col_ptr: Vec<usize>,
+    col_len: Vec<usize>,
     row_idx: Vec<usize>,
     values: Vec<f64>,
 }
@@ -66,13 +70,39 @@ impl CscMatrix {
             }
             col_ptr.push(row_idx.len());
         }
+        let col_len = col_ptr.windows(2).map(|w| w[1] - w[0]).collect();
         CscMatrix {
             nrows,
             ncols,
             col_ptr,
+            col_len,
             row_idx,
             values,
         }
+    }
+
+    /// Replaces the nonzeros of column `j` by `entries` (strictly
+    /// ascending rows; exact zeros are dropped, as in
+    /// [`CscMatrix::from_columns`]). Returns `false`, leaving the column
+    /// untouched, when they do not fit the room the column was built with.
+    pub fn set_col(&mut self, j: usize, entries: &[(usize, f64)]) -> bool {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let start = self.col_ptr[j];
+        let room = self.col_ptr[j + 1] - start;
+        if entries.iter().filter(|e| e.1 != 0.0).count() > room {
+            return false;
+        }
+        let mut len = 0;
+        for &(r, v) in entries {
+            debug_assert!(r < self.nrows, "row index out of range");
+            if v != 0.0 {
+                self.row_idx[start + len] = r;
+                self.values[start + len] = v;
+                len += 1;
+            }
+        }
+        self.col_len[j] = len;
+        true
     }
 
     /// Number of rows.
@@ -87,12 +117,12 @@ impl CscMatrix {
 
     /// Total stored nonzeros.
     pub fn nnz(&self) -> usize {
-        self.row_idx.len()
+        self.col_len.iter().sum()
     }
 
     /// Iterates the `(row, value)` nonzeros of column `j`.
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let range = self.col_ptr[j]..self.col_ptr[j + 1];
+        let range = self.col_ptr[j]..self.col_ptr[j] + self.col_len[j];
         self.row_idx[range.clone()]
             .iter()
             .zip(&self.values[range])
@@ -101,7 +131,7 @@ impl CscMatrix {
 
     /// Number of nonzeros in column `j`.
     pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+        self.col_len[j]
     }
 
     /// Sparse dot product `y . column_j` against a dense vector.
@@ -161,6 +191,24 @@ mod tests {
         assert_eq!(m.col(2).count(), 0);
         // Column 3 is sorted by row on construction.
         assert_eq!(m.col(3).collect::<Vec<_>>(), vec![(0, 3.0), (2, 0.5)]);
+    }
+
+    #[test]
+    fn set_col_rewrites_within_room() {
+        let mut m =
+            CscMatrix::from_columns(3, &[vec![(0, 1.0), (1, 2.0), (2, 3.0)], vec![(1, 5.0)]]);
+        assert!(m.set_col(0, &[(2, -4.0)]));
+        assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(2, -4.0)]);
+        assert_eq!(m.col_nnz(0), 1);
+        assert_eq!(m.nnz(), 2);
+        // Zeros are dropped and the neighbouring column is untouched.
+        assert!(m.set_col(0, &[(0, 0.0), (1, 7.0)]));
+        assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(1, 7.0)]);
+        assert_eq!(m.col(1).collect::<Vec<_>>(), vec![(1, 5.0)]);
+        // Growing back to the built size fits; beyond it does not.
+        assert!(m.set_col(0, &[(0, 1.0), (1, 1.0), (2, 1.0)]));
+        assert!(!m.set_col(1, &[(0, 1.0), (2, 1.0)]));
+        assert_eq!(m.col(1).collect::<Vec<_>>(), vec![(1, 5.0)]);
     }
 
     #[test]
