@@ -7,9 +7,10 @@
 //! - `churn/*` — the reset-event pattern the simulator actually runs: one
 //!   completion + one arrival + one recompute per iteration, cached vs
 //!   rebuilt;
-//! - `plan/*` — the round planner with the generation-keyed candidate
-//!   buffer (same allocation replanned round after round) vs the
-//!   full-extraction path;
+//! - `plan/*` — the round planner replanning one allocation from its
+//!   resolved candidates (`cached`) vs resolving it on every call
+//!   (`fresh`), and `steady`: 50 plan + record rounds of one generation
+//!   over an allocation with pair rows, the loop a service runs;
 //! - `bridged/*` — the estimator-bridged (Figure 14) recompute: the
 //!   bridged `SnapshotCache` re-deriving only drift-dirtied pair rows vs
 //!   a full estimator-driven rebuild, under a steady refinement trickle;
@@ -43,9 +44,9 @@
 //! perf trajectory; override the location with `GAVEL_BENCH_JSON`.
 
 use criterion::{BenchmarkId, Criterion};
-use gavel_core::{Allocation, ComboSet, JobId, PolicyJob};
+use gavel_core::{Allocation, Combo, ComboSet, JobId, PolicyJob};
 use gavel_estimator::EstimatorConfig;
-use gavel_sched::RoundScheduler;
+use gavel_sched::{RoundPlan, RoundScheduler};
 use gavel_sim::{EstimatorBridge, SnapshotCache, BRIDGED_DIRTY_FRACTION};
 use gavel_workloads::{
     build_tensor_with_pairs, cluster_scaled, JobConfig, JobSpec, Oracle, PairOptions,
@@ -441,51 +442,83 @@ fn bench_bucketed(c: &mut Criterion) {
     group.finish();
 }
 
-/// Round planning with the generation-keyed candidate buffer vs full
-/// candidate extraction, replanning one unchanged allocation.
+/// Rounds one `plan/steady` iteration plans and records.
+const STEADY_ROUNDS: usize = 50;
+
+fn assert_same_plan(a: &RoundPlan, b: &RoundPlan) {
+    assert_eq!(a.assignments.len(), b.assignments.len());
+    for (a, b) in a.assignments.iter().zip(&b.assignments) {
+        assert_eq!((a.row, a.accel, &a.workers), (b.row, b.accel, &b.workers));
+    }
+}
+
+/// Round planning from the candidates resolved once per generation vs
+/// resolving the allocation on every call, replanning one unchanged
+/// allocation.
 fn bench_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan");
     group.sample_size(10);
     for &n in &[512usize, 2048] {
         let cluster = cluster_scaled((n / 2).max(2));
         let jobs: Vec<JobId> = (0..n as u64).map(JobId).collect();
-        let combos = ComboSet::singletons(&jobs);
         let mut rng = StdRng::seed_from_u64(11);
-        let values: Vec<Vec<f64>> = (0..n)
-            .map(|_| {
-                let mut row: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..0.5)).collect();
-                let total: f64 = row.iter().sum();
-                if total > 1.0 {
-                    for v in &mut row {
-                        *v /= total;
+        let mut random_rows = |rows: usize| -> Vec<Vec<f64>> {
+            (0..rows)
+                .map(|_| {
+                    let mut row: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..0.5)).collect();
+                    let total: f64 = row.iter().sum();
+                    if total > 1.0 {
+                        for v in &mut row {
+                            *v /= total;
+                        }
                     }
-                }
-                row
-            })
-            .collect();
-        let alloc = Allocation::new(combos, values);
+                    row
+                })
+                .collect()
+        };
+        let alloc = Allocation::new(ComboSet::singletons(&jobs), random_rows(n));
         let sf: HashMap<JobId, u32> = jobs.iter().map(|&j| (j, 1)).collect();
-        let mut sched = RoundScheduler::new(cluster);
+        let mut sched = RoundScheduler::new(cluster.clone());
         // Warm the received-time state so priorities are non-trivial, and
-        // prime the candidate buffer.
+        // resolve the allocation.
         for _ in 0..5 {
             let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
             sched.record(&plan, 360.0);
         }
         // Correctness gate: cached and fresh plans are identical.
-        {
-            let pc = sched.plan_round_cached(&alloc, 1, &sf, None);
-            let pf = sched.plan_round_with_capacity(&alloc, &sf, None);
-            assert_eq!(pc.assignments.len(), pf.assignments.len());
-            for (a, b) in pc.assignments.iter().zip(&pf.assignments) {
-                assert_eq!((a.row, a.accel, &a.workers), (b.row, b.accel, &b.workers));
-            }
-        }
+        assert_same_plan(
+            &sched.plan_round_cached(&alloc, 1, &sf, None),
+            &sched.plan_round_with_capacity(&alloc, &sf, None),
+        );
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
             b.iter(|| sched.plan_round_cached(&alloc, 1, &sf, None))
         });
         group.bench_with_input(BenchmarkId::new("fresh", n), &n, |b, _| {
             b.iter(|| sched.plan_round_with_capacity(&alloc, &sf, None))
+        });
+
+        // The steady loop with space sharing: every singleton plus a pair
+        // row per two jobs. Gate: a second scheduler that resolves the
+        // allocation afresh every round plans the same 50 rounds.
+        let combos = (jobs.iter().map(|&j| Combo::single(j)))
+            .chain(jobs.chunks_exact(2).map(|p| Combo::pair(p[0], p[1])))
+            .collect();
+        let alloc = Allocation::new(ComboSet::new(combos), random_rows(n + n / 2));
+        let mut sched = RoundScheduler::new(cluster.clone());
+        let mut fresh = RoundScheduler::new(cluster);
+        for _ in 0..STEADY_ROUNDS {
+            let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
+            assert_same_plan(&plan, &fresh.plan_round_with_capacity(&alloc, &sf, None));
+            sched.record(&plan, 360.0);
+            fresh.record(&plan, 360.0);
+        }
+        group.bench_with_input(BenchmarkId::new("steady", n), &n, |b, _| {
+            b.iter(|| {
+                for _ in 0..STEADY_ROUNDS {
+                    let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
+                    sched.record(&plan, 360.0);
+                }
+            })
         });
     }
     group.finish();

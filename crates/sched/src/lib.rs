@@ -16,9 +16,41 @@
 //!
 //! The mechanism is policy-agnostic: the same code realizes fairness,
 //! makespan, FIFO, or cost allocations.
+//!
+//! # Design: resolve per generation, plan per round
+//!
+//! A round is planned every six simulated minutes; an allocation changes
+//! only at reset events. So [`RoundScheduler`] keeps two things.
+//!
+//! *The received-time slab.* Seconds received per (combo, type) live in
+//! one dense `slots × types` array. A combo gets a slot the first time an
+//! allocation containing it is resolved (or a plan containing it is
+//! recorded), [`RoundScheduler::forget_job`] returns a departed job's
+//! slots to a free list through a job → slots reverse index, and the
+//! `Combo → slot` map is consulted nowhere else.
+//!
+//! *The resolution.* [`RoundScheduler::plan_round_cached`] turns the
+//! allocation tagged with a generation into candidates — one per cell
+//! with a finite target above `1e-4` — that already hold the combo's
+//! slot, its members' scheduler-local indices and its worker count, in
+//! tie-break order (target descending, row, type). It is rebuilt when the
+//! generation changes and after a `forget_job`; [`ScaleFactors`] is read
+//! only then. Under lenient planning a departed job's rows stay
+//! candidates until the generation changes (its scale factor counts as
+//! 1 and its combo accrues time from zero again); resolving the next
+//! generation releases those slots.
+//!
+//! Each round then scores the candidates from the slab, sorts one `u128`
+//! key per candidate (inverted priority bits, then tie-break rank), and
+//! walks them greedily over one reused [`PlacementState`], marking busy
+//! jobs with a per-plan stamp and stopping when no worker is free or no
+//! candidate job is idle. Nothing is hashed and only the returned
+//! [`RoundPlan`] is allocated. [`RoundScheduler::plan_round`] runs the
+//! same planner on a throwaway resolution, and [`MechanismStats`] counts
+//! the work.
 
 pub mod mechanism;
 pub mod placement;
 
-pub use mechanism::{Assignment, RoundPlan, RoundScheduler, ScaleFactors};
+pub use mechanism::{Assignment, MechanismStats, RoundPlan, RoundScheduler, ScaleFactors};
 pub use placement::{PlacementState, WorkerSlot};

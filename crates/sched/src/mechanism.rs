@@ -1,4 +1,10 @@
 //! The round-based mechanism: priorities and the Algorithm 1 greedy.
+//!
+//! Work is split by how often it changes (see the crate docs): a
+//! `Resolution` turns an allocation into integer-only candidates once
+//! per generation, against the received-time `Slab`; a round scores,
+//! orders and greedily places those candidates without hashing, and
+//! allocates only the plan it returns.
 
 use crate::placement::{PlacementState, WorkerSlot};
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, JobId};
@@ -12,6 +18,10 @@ use std::collections::{HashMap, HashSet};
 /// maps keep working for tests and standalone callers. Unknown jobs
 /// (members of stale combos whose allocation has not been recomputed yet)
 /// default to 1, matching the historical `unwrap_or(&1)` behavior.
+///
+/// The generation-keyed planners read this only when they resolve an
+/// allocation: a job's scale factor and liveness may change only together
+/// with the allocation generation or a [`RoundScheduler::forget_job`].
 pub trait ScaleFactors {
     /// Worker count of `job` (1 when unknown).
     fn scale_factor_of(&self, job: JobId) -> u32;
@@ -74,6 +84,269 @@ impl RoundPlan {
     }
 }
 
+/// Work counters of the generation-keyed planners
+/// ([`RoundScheduler::plan_round_cached`] and its strict twin).
+/// Deterministic in the call sequence; no fingerprint includes them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MechanismStats {
+    /// Rounds planned.
+    pub plans: u64,
+    /// Times an allocation was resolved into candidates: once per
+    /// generation, plus once after each `forget_job` that a plan followed.
+    pub resolutions: u64,
+    /// Candidates scored and ordered, summed over plans.
+    pub candidates_scored: u64,
+    /// Candidates the greedy looked at before it could stop, summed over
+    /// plans; `visited / scored` is the early-exit ratio.
+    pub candidates_visited: u64,
+    /// Received-time slots in use now.
+    pub slots_live: usize,
+    /// Most slots ever in use at once.
+    pub slots_peak: usize,
+}
+
+/// Slot of a combo the slab has no accounting for: reads as zero seconds.
+const NO_SLOT: usize = usize::MAX;
+
+/// Cumulative seconds each combo has received per type, `types` values per
+/// slot.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    types: usize,
+    received: Vec<f64>,
+    /// The combo in each slot; `None` while the slot is on the free list.
+    combos: Vec<Option<Combo>>,
+    free: Vec<usize>,
+    index: HashMap<Combo, usize>,
+    /// Reverse index: the slots of every combo containing a job, in
+    /// registration order.
+    job_slots: HashMap<JobId, Vec<usize>>,
+    peak: usize,
+}
+
+impl Slab {
+    fn row(&self, slot: usize) -> &[f64] {
+        &self.received[slot * self.types..][..self.types]
+    }
+
+    fn row_mut(&mut self, slot: usize) -> &mut [f64] {
+        &mut self.received[slot * self.types..][..self.types]
+    }
+
+    /// The slot of `combo`, registering it with zero seconds if new.
+    fn slot_or_insert(&mut self, combo: Combo) -> usize {
+        let vacant = match self.index.entry(combo) {
+            Entry::Occupied(o) => return *o.get(),
+            Entry::Vacant(v) => v,
+        };
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.combos.push(None);
+            self.received.resize(self.received.len() + self.types, 0.0);
+            self.combos.len() - 1
+        });
+        vacant.insert(slot);
+        self.combos[slot] = Some(combo);
+        for job in combo.jobs() {
+            self.job_slots.entry(job).or_default().push(slot);
+        }
+        self.peak = self.peak.max(self.index.len());
+        slot
+    }
+
+    /// Zeroes `slot` and puts it on the free list (no-op on a free slot).
+    fn release(&mut self, slot: usize) {
+        let Some(combo) = self.combos.get_mut(slot).and_then(Option::take) else {
+            return;
+        };
+        self.index.remove(&combo);
+        for job in combo.jobs() {
+            if let Entry::Occupied(mut slots) = self.job_slots.entry(job) {
+                slots.get_mut().retain(|&s| s != slot);
+                if slots.get().is_empty() {
+                    slots.remove();
+                }
+            }
+        }
+        self.row_mut(slot).fill(0.0);
+        self.free.push(slot);
+    }
+}
+
+/// A (combo row, accelerator type) cell with a positive target, resolved
+/// for planning.
+#[derive(Debug, Clone)]
+struct Candidate {
+    combo: Combo,
+    row: usize,
+    accel: usize,
+    target: f64,
+    /// Slab slot of the combo ([`NO_SLOT`] in a read-only resolution of a
+    /// combo without accounting).
+    slot: usize,
+    /// Scheduler-local indices of the members (a singleton repeats its
+    /// one index).
+    jobs: [usize; 2],
+    /// Workers the combo occupies: its largest member scale factor.
+    workers: usize,
+}
+
+/// A resolved allocation and the scratch a round reuses.
+#[derive(Debug, Clone, Default)]
+struct Resolution {
+    /// Generation and strictness `cands` belongs to (`None`: nothing yet).
+    key: Option<(u64, bool)>,
+    /// A `forget_job` since `cands` was resolved.
+    dirty: bool,
+    /// Candidates in tie-break order: target descending, row, type.
+    cands: Vec<Candidate>,
+    /// Slot per allocation row, so `record` finds it without hashing.
+    row_slot: Vec<usize>,
+    /// `JobId` → scheduler-local index; used while resolving only.
+    local: HashMap<JobId, usize>,
+    /// One sort key per candidate: inverted priority bits, then rank.
+    keys: Vec<u128>,
+    /// Per local job, the epoch of the plan it last ran in.
+    busy: Vec<u64>,
+    epoch: u64,
+    placement: PlacementState,
+    /// Assignments in the previous plan, to size the next one.
+    planned: usize,
+    stats: MechanismStats,
+}
+
+impl Resolution {
+    fn new(cluster: &ClusterSpec) -> Self {
+        Resolution {
+            placement: PlacementState::new(cluster),
+            ..Resolution::default()
+        }
+    }
+
+    /// Extracts the cells with a finite target above `1e-4` (a NaN,
+    /// infinite or negative cell is never planned), each with its combo's
+    /// slot from `slot_of`, member indices and worker count. `strict`
+    /// drops combos with a non-live member.
+    fn resolve(
+        &mut self,
+        alloc: &Allocation,
+        types: usize,
+        scale_factor: &impl ScaleFactors,
+        strict: bool,
+        mut slot_of: impl FnMut(Combo) -> usize,
+    ) {
+        self.cands.clear();
+        self.local.clear();
+        self.row_slot.clear();
+        self.row_slot.resize(alloc.combos().len(), NO_SLOT);
+        let rows = alloc.combos().combos().iter().zip(alloc.values());
+        for (row, (&combo, targets)) in rows.enumerate() {
+            let mut wanted = (targets.iter().take(types).enumerate())
+                .filter(|(_, target)| target.is_finite() && **target > 1e-4)
+                .peekable();
+            if wanted.peek().is_none()
+                || (strict && combo.jobs().any(|job| !scale_factor.is_live(job)))
+            {
+                continue;
+            }
+            let slot = slot_of(combo);
+            self.row_slot[row] = slot;
+            let mut jobs = [0; 2];
+            let mut workers = 0;
+            for (member, job) in combo.jobs().enumerate() {
+                let next = self.local.len();
+                jobs[member] = *self.local.entry(job).or_insert(next);
+                workers = workers.max(scale_factor.scale_factor_of(job));
+            }
+            if !combo.is_pair() {
+                jobs[1] = jobs[0];
+            }
+            self.cands.extend(wanted.map(|(accel, &target)| Candidate {
+                combo,
+                row,
+                accel,
+                target,
+                slot,
+                jobs,
+                workers: workers as usize,
+            }));
+        }
+        self.cands.sort_unstable_by(|a, b| {
+            b.target
+                .total_cmp(&a.target)
+                .then(a.row.cmp(&b.row))
+                .then(a.accel.cmp(&b.accel))
+        });
+        self.busy.clear();
+        self.busy.resize(self.local.len(), 0);
+        self.stats.resolutions += 1;
+    }
+
+    /// One round over the resolved candidates. Priorities follow Figure 4:
+    /// the target allocation divided by the raw time already received on
+    /// that type (element-wise `X / f`), infinite for a combo that has
+    /// received nothing there yet; highest priority first, ties in
+    /// candidate order. Then Algorithm 1: greedy admission with conflict
+    /// removal.
+    fn plan(&mut self, slab: &Slab, available: Option<&[usize]>) -> RoundPlan {
+        self.keys.clear();
+        self.keys
+            .extend(self.cands.iter().enumerate().map(|(rank, c)| {
+                let received = match c.slot {
+                    NO_SLOT => 0.0,
+                    slot => slab.row(slot)[c.accel],
+                };
+                let priority = if received > 0.0 {
+                    c.target / received
+                } else {
+                    f64::INFINITY
+                };
+                // Non-negative floats order like their bit patterns.
+                (u128::from(!priority.to_bits()) << 64) | rank as u128
+            }));
+        self.keys.sort_unstable();
+
+        self.placement.reset(available);
+        self.epoch += 1;
+        let mut idle_jobs = self.busy.len();
+        let mut plan = RoundPlan {
+            assignments: Vec::with_capacity(self.planned),
+        };
+        let mut visited = 0;
+        for &key in &self.keys {
+            if idle_jobs == 0 || self.placement.free_total() == 0 {
+                break;
+            }
+            visited += 1;
+            // The low half of a key is the candidate's rank.
+            let c = &self.cands[key as u64 as usize];
+            if c.jobs.iter().any(|&job| self.busy[job] == self.epoch) {
+                continue;
+            }
+            let Some((workers, consolidated)) =
+                self.placement.allocate(AccelIdx(c.accel), c.workers)
+            else {
+                continue;
+            };
+            for &job in &c.jobs {
+                idle_jobs -= usize::from(self.busy[job] != self.epoch);
+                self.busy[job] = self.epoch;
+            }
+            plan.assignments.push(Assignment {
+                combo: c.combo,
+                row: c.row,
+                accel: AccelIdx(c.accel),
+                workers,
+                consolidated,
+            });
+        }
+        self.planned = plan.assignments.len();
+        self.stats.plans += 1;
+        self.stats.candidates_scored += self.keys.len() as u64;
+        self.stats.candidates_visited += visited;
+        plan
+    }
+}
+
 /// Realizes target allocations round by round (§5).
 ///
 /// The scheduler tracks cumulative time each combo has spent per
@@ -83,84 +356,66 @@ impl RoundPlan {
 #[derive(Debug, Clone)]
 pub struct RoundScheduler {
     cluster: ClusterSpec,
-    /// Cumulative seconds each combo has received per type.
-    time_received: HashMap<Combo, Vec<f64>>,
-    /// Reverse index: every combo with accounting that contains a job.
-    /// Keeps [`RoundScheduler::forget_job`] and
-    /// [`RoundScheduler::job_time_received`] proportional to the job's own
-    /// combo count instead of a scan over every combo ever recorded.
-    job_combos: HashMap<JobId, Vec<Combo>>,
-    /// Reusable candidate buffer for [`RoundScheduler::plan_round_cached`]:
-    /// the (row, type, target) triples of the allocation it was extracted
-    /// from, tagged with that allocation's generation.
-    candidates: Vec<Candidate>,
-    candidates_gen: Option<u64>,
-}
-
-/// A (combo row, accelerator type) pair with a positive target allocation.
-#[derive(Debug, Clone)]
-struct Candidate {
-    row: usize,
-    accel: usize,
-    target: f64,
-    priority: f64,
+    slab: Slab,
+    /// The allocation the generation-keyed planners last resolved.
+    resolved: Resolution,
 }
 
 impl RoundScheduler {
     /// Creates a scheduler for `cluster`.
     pub fn new(cluster: ClusterSpec) -> Self {
         RoundScheduler {
+            slab: Slab {
+                types: cluster.num_types(),
+                ..Slab::default()
+            },
+            resolved: Resolution::new(&cluster),
             cluster,
-            time_received: HashMap::new(),
-            job_combos: HashMap::new(),
-            candidates: Vec::new(),
-            candidates_gen: None,
         }
     }
 
     /// Cumulative time combo `c` has received on type `j`.
     pub fn time_received(&self, c: &Combo, j: AccelIdx) -> f64 {
-        self.time_received.get(c).map_or(0.0, |v| v[j.0])
+        self.slab
+            .index
+            .get(c)
+            .map_or(0.0, |&slot| self.slab.row(slot)[j.0])
     }
 
     /// Total time received by `job` across all combos and types.
     pub fn job_time_received(&self, job: JobId) -> f64 {
-        self.job_combos.get(&job).map_or(0.0, |combos| {
-            combos
+        self.slab.job_slots.get(&job).map_or(0.0, |slots| {
+            slots
                 .iter()
-                .filter_map(|c| self.time_received.get(c))
-                .map(|v| v.iter().sum::<f64>())
+                .map(|&slot| self.slab.row(slot).iter().sum::<f64>())
                 .sum()
         })
+    }
+
+    /// Work counters of the generation-keyed planners.
+    pub fn stats(&self) -> MechanismStats {
+        MechanismStats {
+            slots_live: self.slab.index.len(),
+            slots_peak: self.slab.peak,
+            ..self.resolved.stats
+        }
     }
 
     /// Drops a completed job's accounting (its combos can never run again).
     ///
     /// Under throttled recomputation a *stale* combo of a forgotten job
-    /// can still appear in the next round's plan (the allocation has not
-    /// been recomputed yet); [`RoundScheduler::record`] then re-registers
-    /// it, exactly as the pre-index scheduler did — the resurrected entry
-    /// keeps planning priorities (and simulator replays) bit-identical.
-    /// It lingers until the job's other member completes or
-    /// [`RoundScheduler::reset`]; callers wanting strict semantics should
-    /// avoid recording plans built from stale allocations.
+    /// still appears in the plans of its allocation (which has not been
+    /// recomputed yet) and accrues time from zero again, as it always did
+    /// — planning priorities and simulator replays stay bit-identical.
+    /// That resurrected accounting is released when the next generation
+    /// is resolved and the job reports not live; callers wanting strict
+    /// semantics plan with
+    /// [`RoundScheduler::plan_round_cached_strict`].
     pub fn forget_job(&mut self, job: JobId) {
-        for combo in self.job_combos.remove(&job).unwrap_or_default() {
-            self.time_received.remove(&combo);
-            for other in combo.jobs().filter(|&j| j != job) {
-                if let Some(list) = self.job_combos.get_mut(&other) {
-                    list.retain(|c| *c != combo);
-                }
-            }
+        for slot in self.slab.job_slots.remove(&job).unwrap_or_default() {
+            self.slab.release(slot);
         }
-    }
-
-    /// Clears all accounting (used at allocation-recomputation resets when
-    /// strict §3.2 semantics are wanted; the simulator keeps cumulative
-    /// history by default, which converges identically).
-    pub fn reset(&mut self) {
-        self.time_received.clear();
-        self.job_combos.clear();
+        self.resolved.dirty = true;
     }
 
     /// Plans one round for the target allocation.
@@ -174,27 +429,32 @@ impl RoundScheduler {
 
     /// Like [`RoundScheduler::plan_round`] but with reduced per-type worker
     /// availability (failed workers removed) when `available` is given.
+    ///
+    /// Resolves `alloc` into a throwaway candidate list on every call;
+    /// rounds that replan one allocation should use
+    /// [`RoundScheduler::plan_round_cached`].
     pub fn plan_round_with_capacity(
         &self,
         alloc: &Allocation,
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        let mut candidates = Vec::new();
-        collect_candidates(alloc, &mut candidates);
-        self.score_candidates(alloc, &mut candidates);
-        self.plan_from_candidates(alloc, &candidates, scale_factor, available)
+        let mut once = Resolution::new(&self.cluster);
+        let slot_of = |combo| self.slab.index.get(&combo).copied().unwrap_or(NO_SLOT);
+        once.resolve(alloc, self.slab.types, scale_factor, false, slot_of);
+        once.plan(&self.slab, available)
     }
 
-    /// Like [`RoundScheduler::plan_round_with_capacity`], but reuses the
-    /// candidate buffer extracted from the allocation tagged `alloc_gen`.
+    /// Like [`RoundScheduler::plan_round_with_capacity`], but keeps the
+    /// candidates resolved from the allocation tagged `alloc_gen`.
     ///
     /// The simulation engine recomputes allocations only at reset events or
     /// cadence hits, so most rounds replan the *same* allocation; those
-    /// rounds skip the full matrix scan and only re-score priorities
-    /// (`X / f` changes every round as time is recorded) before the greedy
-    /// pass. Callers must bump `alloc_gen` whenever `alloc` changes; plans
-    /// are identical to the uncached path for any generation discipline.
+    /// rounds only re-score priorities (`X / f` changes every round as time
+    /// is recorded) before the greedy pass, and consult neither `alloc` nor
+    /// `scale_factor`. Callers must bump `alloc_gen` whenever `alloc` or a
+    /// scale factor changes; a [`RoundScheduler::forget_job`] re-resolves
+    /// the same generation. Plans are identical to the uncached path.
     pub fn plan_round_cached(
         &mut self,
         alloc: &Allocation,
@@ -202,24 +462,16 @@ impl RoundScheduler {
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        if self.candidates_gen != Some(alloc_gen) {
-            collect_candidates(alloc, &mut self.candidates);
-            self.candidates_gen = Some(alloc_gen);
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.score_candidates(alloc, &mut candidates);
-        let plan = self.plan_from_candidates(alloc, &candidates, scale_factor, available);
-        self.candidates = candidates;
-        plan
+        self.plan_cached(alloc, (alloc_gen, false), scale_factor, available)
     }
 
     /// Like [`RoundScheduler::plan_round_cached`], but with strict stale
     /// handling: combos whose members are not all live (per
     /// [`ScaleFactors::is_live`]) are skipped outright instead of being
     /// planned from the stale allocation — their workers go to the next
-    /// candidate, and [`RoundScheduler::record`] never re-registers a
-    /// forgotten combo (see [`RoundScheduler::forget_job`] for the
-    /// historical resurrection behavior this avoids).
+    /// candidate, and they accrue no time (see
+    /// [`RoundScheduler::forget_job`] for the historical resurrection
+    /// behavior this avoids).
     pub fn plan_round_cached_strict(
         &mut self,
         alloc: &Allocation,
@@ -227,138 +479,49 @@ impl RoundScheduler {
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        if self.candidates_gen != Some(alloc_gen) {
-            collect_candidates(alloc, &mut self.candidates);
-            self.candidates_gen = Some(alloc_gen);
-        }
-        let mut candidates = std::mem::take(&mut self.candidates);
-        self.score_candidates(alloc, &mut candidates);
-        let plan =
-            self.plan_from_candidates_impl(alloc, &candidates, scale_factor, available, true);
-        self.candidates = candidates;
-        plan
+        self.plan_cached(alloc, (alloc_gen, true), scale_factor, available)
     }
 
-    /// Priorities follow Figure 4: the target allocation divided by the
-    /// raw time already received on that type (element-wise `X / f`), with
-    /// infinite priority for combos that have a positive target but have
-    /// received nothing there yet. Sorts highest priority first; infinite
-    /// priorities ranked by target, then deterministic row/type order (a
-    /// total order, so the reused buffer sorts identically to a fresh one).
-    fn score_candidates(&self, alloc: &Allocation, candidates: &mut [Candidate]) {
-        let combos = alloc.combos().combos();
-        for c in candidates.iter_mut() {
-            let received = self.time_received(&combos[c.row], AccelIdx(c.accel));
-            c.priority = if received > 0.0 {
-                c.target / received
-            } else {
-                f64::INFINITY
-            };
-        }
-        candidates.sort_by(|a, b| {
-            b.priority
-                .partial_cmp(&a.priority)
-                .unwrap()
-                .then(b.target.partial_cmp(&a.target).unwrap())
-                .then(a.row.cmp(&b.row))
-                .then(a.accel.cmp(&b.accel))
-        });
-    }
-
-    /// Algorithm 1: greedy admission with conflict removal over the sorted
-    /// candidate list.
-    fn plan_from_candidates(
-        &self,
+    fn plan_cached(
+        &mut self,
         alloc: &Allocation,
-        candidates: &[Candidate],
+        key: (u64, bool),
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        self.plan_from_candidates_impl(alloc, candidates, scale_factor, available, false)
-    }
-
-    fn plan_from_candidates_impl(
-        &self,
-        alloc: &Allocation,
-        candidates: &[Candidate],
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-        drop_stale: bool,
-    ) -> RoundPlan {
-        let combos = alloc.combos().combos();
-        let mut placement = match available {
-            Some(av) => PlacementState::with_available(&self.cluster, av),
-            None => PlacementState::new(&self.cluster),
-        };
-        let mut busy_jobs: HashSet<JobId> = HashSet::new();
-        let mut plan = RoundPlan::default();
-        for c in candidates {
-            let combo = combos[c.row];
-            if combo.jobs().any(|job| busy_jobs.contains(&job)) {
-                continue;
+        let RoundScheduler { slab, resolved, .. } = self;
+        if resolved.key != Some(key) || resolved.dirty {
+            if resolved.key.map(|(gen, _)| gen) != Some(key.0) {
+                // A combo with a departed member is in no later
+                // allocation: what the lenient planner re-registered for
+                // it after `forget_job` is garbage from here on.
+                let departed = |c: &Combo| c.jobs().any(|job| !scale_factor.is_live(job));
+                for &slot in &resolved.row_slot {
+                    if matches!(slab.combos.get(slot), Some(Some(combo)) if departed(combo)) {
+                        slab.release(slot);
+                    }
+                }
             }
-            if drop_stale && combo.jobs().any(|job| !scale_factor.is_live(job)) {
-                continue;
-            }
-            let sf = combo
-                .jobs()
-                .map(|job| scale_factor.scale_factor_of(job))
-                .max()
-                .unwrap_or(1) as usize;
-            let Some((workers, consolidated)) = placement.allocate(AccelIdx(c.accel), sf) else {
-                continue;
-            };
-            for job in combo.jobs() {
-                busy_jobs.insert(job);
-            }
-            plan.assignments.push(Assignment {
-                combo,
-                row: c.row,
-                accel: AccelIdx(c.accel),
-                workers,
-                consolidated,
+            let types = slab.types;
+            resolved.resolve(alloc, types, scale_factor, key.1, |combo| {
+                slab.slot_or_insert(combo)
             });
+            resolved.key = Some(key);
+            resolved.dirty = false;
         }
-        plan
+        resolved.plan(slab, available)
     }
 
     /// Records that `plan` ran for `duration` seconds.
     pub fn record(&mut self, plan: &RoundPlan, duration: f64) {
-        let num_types = self.cluster.num_types();
         for a in &plan.assignments {
-            match self.time_received.entry(a.combo) {
-                Entry::Occupied(mut o) => o.get_mut()[a.accel.0] += duration,
-                Entry::Vacant(v) => {
-                    let mut row = vec![0.0; num_types];
-                    row[a.accel.0] += duration;
-                    v.insert(row);
-                    for job in a.combo.jobs() {
-                        self.job_combos.entry(job).or_default().push(a.combo);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Extracts the (row, type) pairs with positive target allocation into
-/// `out` (cleared first). Priorities are filled in by
-/// [`RoundScheduler::score_candidates`] just before planning.
-fn collect_candidates(alloc: &Allocation, out: &mut Vec<Candidate>) {
-    out.clear();
-    let num_types = alloc.values().first().map_or(0, |r| r.len());
-    for k in 0..alloc.combos().len() {
-        for j in 0..num_types {
-            let target = alloc.get(k, AccelIdx(j));
-            if target <= 1e-4 {
-                continue;
-            }
-            out.push(Candidate {
-                row: k,
-                accel: j,
-                target,
-                priority: 0.0,
-            });
+            // The row's slot from the last resolution, if the plan came
+            // from it; any other plan pays one map lookup.
+            let slot = match self.resolved.row_slot.get(a.row) {
+                Some(&slot) if self.slab.combos.get(slot) == Some(&Some(a.combo)) => slot,
+                _ => self.slab.slot_or_insert(a.combo),
+            };
+            self.slab.row_mut(slot)[a.accel.0] += duration;
         }
     }
 }
@@ -579,6 +742,102 @@ mod tests {
                 fresh.forget_job(JobId(1));
             }
         }
+    }
+
+    #[test]
+    fn non_finite_and_negative_cells_are_never_planned() {
+        // A NaN cell used to pass the `<= 1e-4` filter and abort the
+        // process in the comparator; an infinite one outranked everything.
+        let jobs = [JobId(0), JobId(1), JobId(2), JobId(3)];
+        let alloc = Allocation::new(
+            ComboSet::singletons(&jobs),
+            vec![
+                vec![f64::NAN, 0.5, 0.0],
+                vec![f64::INFINITY, f64::NEG_INFINITY, 0.3],
+                vec![-0.7, f64::NAN, f64::NAN],
+                vec![0.2, 0.0, -0.0],
+            ],
+        );
+        let mut sched = RoundScheduler::new(cluster());
+        let sf = sf1(&jobs);
+        for round in 0..6 {
+            let plan = if round % 2 == 0 {
+                sched.plan_round_cached(&alloc, 1, &sf, None)
+            } else {
+                sched.plan_round(&alloc, &sf)
+            };
+            assert!(!plan.assignments.is_empty());
+            for a in &plan.assignments {
+                let target = alloc.get(a.row, a.accel);
+                assert!(target.is_finite() && target > 0.0, "assigned cell {target}");
+                assert_ne!(a.combo.a, JobId(2), "a row of bad cells is never assigned");
+            }
+            sched.record(&plan, 360.0);
+        }
+    }
+
+    /// Counts what the planner asks of its caller.
+    struct Counting<'a> {
+        inner: &'a HashMap<JobId, u32>,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl ScaleFactors for Counting<'_> {
+        fn scale_factor_of(&self, job: JobId) -> u32 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.scale_factor_of(job)
+        }
+
+        fn is_live(&self, job: JobId) -> bool {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.is_live(job)
+        }
+    }
+
+    #[test]
+    fn steady_rounds_consult_nothing() {
+        let mut inner = sf1(&[JobId(0), JobId(1), JobId(2)]);
+        let alloc = example_allocation();
+        let mut sched = RoundScheduler::new(cluster());
+        let round = |sched: &mut RoundScheduler, inner: &HashMap<JobId, u32>| {
+            let sf = Counting {
+                inner,
+                calls: std::cell::Cell::new(0),
+            };
+            let plan = sched.plan_round_cached(&alloc, 7, &sf, None);
+            sched.record(&plan, 360.0);
+            sf.calls.get()
+        };
+        assert!(round(&mut sched, &inner) > 0, "the first round resolves");
+        for _ in 0..10 {
+            assert_eq!(round(&mut sched, &inner), 0, "steady round");
+        }
+        assert_eq!(sched.stats().resolutions, 1);
+
+        // A departure re-resolves the generation once, then it is steady
+        // again; the stale combo keeps its slot until the next generation.
+        inner.remove(&JobId(1));
+        sched.forget_job(JobId(1));
+        assert!(round(&mut sched, &inner) > 0);
+        for _ in 0..10 {
+            assert_eq!(round(&mut sched, &inner), 0, "steady round after forget");
+        }
+        let stats = sched.stats();
+        assert_eq!((stats.resolutions, stats.plans), (2, 22));
+        assert_eq!(stats.slots_live, 3, "lenient planning re-registers job 1");
+        assert!(stats.candidates_visited <= stats.candidates_scored);
+
+        // The next generation releases what the departed job left behind.
+        let sf = Counting {
+            inner: &inner,
+            calls: std::cell::Cell::new(0),
+        };
+        let live = [JobId(0), JobId(2)];
+        let alloc = Allocation::new(ComboSet::singletons(&live), vec![vec![0.5; 3]; 2]);
+        sched.plan_round_cached(&alloc, 8, &sf, None);
+        assert_eq!(sched.stats().slots_live, 2);
+        assert_eq!(sched.stats().slots_peak, 3);
+        assert_eq!(sched.job_time_received(JobId(1)), 0.0);
     }
 
     #[test]

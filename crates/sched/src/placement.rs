@@ -6,6 +6,7 @@
 //! best-fit onto single servers and falling back to a spread placement.
 
 use gavel_core::{AccelIdx, ClusterSpec};
+use std::cmp::Reverse;
 
 /// A concrete accelerator slot: (type, server, index-within-server).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,29 +19,48 @@ pub struct WorkerSlot {
     pub slot: usize,
 }
 
-/// Free-slot tracking for one scheduling round.
-#[derive(Debug, Clone)]
+/// Free-slot tracking for scheduling rounds: [`PlacementState::reset`]
+/// starts a round, [`PlacementState::allocate`] hands slots out.
+#[derive(Debug, Clone, Default)]
 pub struct PlacementState {
-    /// `free[j][s]` = free slots on server `s` of type `j`.
-    free: Vec<Vec<usize>>,
+    /// Free slots per server, the types' servers one after another: type
+    /// `j` owns `free[start[j]..start[j + 1]]`.
+    free: Vec<usize>,
+    start: Vec<usize>,
+    /// Free slots per type and overall (a planner stops at zero).
+    free_of: Vec<usize>,
+    free_total: usize,
+    /// What a round starts from, laid out like `free`: the healthy
+    /// cluster's `nominal` slots with the downed workers taken out.
+    usable: Vec<usize>,
+    nominal: Vec<usize>,
 }
 
 impl PlacementState {
     /// Builds the all-free state for a cluster.
     pub fn new(cluster: &ClusterSpec) -> Self {
-        let mut free = Vec::with_capacity(cluster.num_types());
+        let servers = cluster.types().map(|j| cluster.num_servers(j)).sum();
+        let mut nominal = Vec::with_capacity(servers);
+        let mut start = vec![0];
         for j in cluster.types() {
             let per = cluster.workers_per_server(j);
             let total = cluster.num_workers(j);
-            let full_servers = total / per;
-            let mut servers = vec![per; full_servers];
-            let rem = total - full_servers * per;
-            if rem > 0 {
-                servers.push(rem);
+            nominal.resize(nominal.len() + total / per, per);
+            if total % per > 0 {
+                nominal.push(total % per);
             }
-            free.push(servers);
+            start.push(nominal.len());
         }
-        PlacementState { free }
+        let mut st = PlacementState {
+            free: nominal.clone(),
+            free_of: vec![0; start.len() - 1],
+            start,
+            usable: nominal.clone(),
+            nominal,
+            free_total: 0,
+        };
+        st.reset(None);
+        st
     }
 
     /// Builds the state with reduced per-type availability (failed workers
@@ -48,27 +68,50 @@ impl PlacementState {
     /// the healthy servers keep their consolidation potential.
     pub fn with_available(cluster: &ClusterSpec, available: &[usize]) -> Self {
         let mut st = PlacementState::new(cluster);
-        for (j, servers) in st.free.iter_mut().enumerate() {
-            let total: usize = servers.iter().sum();
-            let target = available.get(j).copied().unwrap_or(total).min(total);
-            let mut to_remove = total - target;
-            while to_remove > 0 {
-                // Remove from the smallest non-empty server.
-                let s = (0..servers.len())
-                    .filter(|&s| servers[s] > 0)
-                    .min_by_key(|&s| servers[s])
-                    .expect("removal count bounded by total");
-                let take = servers[s].min(to_remove);
-                servers[s] -= take;
-                to_remove -= take;
-            }
-        }
+        st.reset(Some(available));
         st
+    }
+
+    /// Frees every usable slot for a new round. `available` gives the
+    /// workers up per type (`None`, a missing entry, or more than the type
+    /// has: all of them); the downed slots are recomputed only for a type
+    /// whose count changed since the last reset.
+    pub fn reset(&mut self, available: Option<&[usize]>) {
+        for j in 0..self.free_of.len() {
+            let servers = self.start[j]..self.start[j + 1];
+            let nominal = &self.nominal[servers.clone()];
+            let total: usize = nominal.iter().sum();
+            let want = available
+                .and_then(|av| av.get(j))
+                .map_or(total, |&av| av.min(total));
+            let usable = &mut self.usable[servers];
+            if want != usable.iter().sum() {
+                usable.copy_from_slice(nominal);
+                let mut to_remove = total - want;
+                // Remove from the smallest non-empty server.
+                while let Some(s) = (0..usable.len())
+                    .filter(|&s| usable[s] > 0 && to_remove > 0)
+                    .min_by_key(|&s| usable[s])
+                {
+                    let take = usable[s].min(to_remove);
+                    usable[s] -= take;
+                    to_remove -= take;
+                }
+            }
+            self.free_of[j] = want;
+        }
+        self.free.copy_from_slice(&self.usable);
+        self.free_total = self.free_of.iter().sum();
     }
 
     /// Total free slots of type `j`.
     pub fn free_of_type(&self, j: AccelIdx) -> usize {
-        self.free[j.0].iter().sum()
+        self.free_of[j.0]
+    }
+
+    /// Total free slots over all types.
+    pub fn free_total(&self) -> usize {
+        self.free_total
     }
 
     /// Attempts to allocate `count` slots of type `j`.
@@ -79,10 +122,12 @@ impl PlacementState {
     /// servers only when no single server fits. Returns `None` when fewer
     /// than `count` slots remain in total.
     pub fn allocate(&mut self, j: AccelIdx, count: usize) -> Option<(Vec<WorkerSlot>, bool)> {
-        if count == 0 || self.free_of_type(j) < count {
+        if count == 0 || self.free_of[j.0] < count {
             return None;
         }
-        let servers = &mut self.free[j.0];
+        self.free_of[j.0] -= count;
+        self.free_total -= count;
+        let servers = &mut self.free[self.start[j.0]..self.start[j.0 + 1]];
         // Best fit: the server with the smallest sufficient free count.
         let fit = servers
             .iter()
@@ -91,41 +136,35 @@ impl PlacementState {
             .min_by_key(|(_, &f)| f)
             .map(|(s, _)| s);
         let mut out = Vec::with_capacity(count);
-        match fit {
-            Some(s) => {
-                for i in 0..count {
-                    out.push(WorkerSlot {
-                        accel: j,
-                        server: s,
-                        slot: servers[s] - 1 - i,
-                    });
-                }
-                servers[s] -= count;
-                Some((out, true))
+        let mut take = |servers: &mut [usize], s: usize, n: usize| {
+            for _ in 0..n {
+                servers[s] -= 1;
+                out.push(WorkerSlot {
+                    accel: j,
+                    server: s,
+                    slot: servers[s],
+                });
             }
+        };
+        match fit {
+            Some(s) => take(servers, s, count),
             None => {
-                // Spread across servers, fullest first to pack tightly.
-                let mut order: Vec<usize> = (0..servers.len()).collect();
-                order.sort_by_key(|&s| std::cmp::Reverse(servers[s]));
+                // Spread across servers, fullest first to pack tightly
+                // (the lowest index among equally full ones).
                 let mut need = count;
-                for s in order {
-                    while servers[s] > 0 && need > 0 {
-                        out.push(WorkerSlot {
-                            accel: j,
-                            server: s,
-                            slot: servers[s] - 1,
-                        });
-                        servers[s] -= 1;
-                        need -= 1;
-                    }
-                    if need == 0 {
+                while need > 0 {
+                    let fullest = (0..servers.len()).min_by_key(|&s| Reverse(servers[s]));
+                    let Some(s) = fullest.filter(|&s| servers[s] > 0) else {
                         break;
-                    }
+                    };
+                    let n = servers[s].min(need);
+                    take(servers, s, n);
+                    need -= n;
                 }
                 debug_assert_eq!(need, 0);
-                Some((out, count == 1))
             }
         }
+        Some((out, fit.is_some() || count == 1))
     }
 }
 
@@ -188,7 +227,36 @@ mod tests {
         let c = ClusterSpec::new(&[("x", 10, 4, 0.0)]);
         let st = PlacementState::new(&c);
         assert_eq!(st.free_of_type(AccelIdx(0)), 10);
-        assert_eq!(st.free[0], vec![4, 4, 2]);
+        assert_eq!(st.free, [4, 4, 2]);
+    }
+
+    #[test]
+    fn reset_tracks_availability() {
+        // One reused state against a fresh one, as workers go down and
+        // come back; availability beyond the cluster saturates.
+        let c = cluster();
+        let mut reused = PlacementState::new(&c);
+        for available in [
+            Some(vec![8, 5]),
+            Some(vec![8, 5]),
+            Some(vec![3, 8]),
+            None,
+            Some(vec![0, 99]),
+            Some(vec![2]),
+        ] {
+            reused.allocate(AccelIdx(1), 3);
+            reused.reset(available.as_deref());
+            let fresh = match &available {
+                Some(av) => PlacementState::with_available(&c, av),
+                None => PlacementState::new(&c),
+            };
+            assert_eq!(reused.free, fresh.free, "{available:?}");
+            assert_eq!(reused.free_of, fresh.free_of);
+            assert_eq!(reused.free_total(), fresh.free_total());
+        }
+        // Downed slots come off the emptiest server first.
+        let c = ClusterSpec::new(&[("x", 10, 4, 0.0)]);
+        assert_eq!(PlacementState::with_available(&c, &[7]).free, [3, 4, 0]);
     }
 
     #[test]

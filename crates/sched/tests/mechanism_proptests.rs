@@ -1,11 +1,136 @@
 //! Property tests for the round-based mechanism: for *any* valid
 //! allocation, the mechanism must respect capacity and conflicts every
-//! round, and realized time fractions must converge to the target.
+//! round, and realized time fractions must converge to the target; and
+//! for any history of generations, departures and outages it must plan
+//! exactly what the reference planner kept in this file plans.
 
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, ComboSet, JobId};
-use gavel_sched::RoundScheduler;
+use gavel_sched::{PlacementState, RoundScheduler, WorkerSlot};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+
+/// One assignment as the differential test compares it.
+type Planned = (Combo, usize, usize, Vec<WorkerSlot>, bool);
+
+/// The planner as it was before slots and resolutions: a received-time
+/// hash map probed once per candidate, a full stable sort by the
+/// four-key float comparator, a hashed busy set and a fresh placement
+/// state, every round. Kept here only, as the oracle for
+/// `planner_matches_reference`.
+#[derive(Default)]
+struct Reference {
+    received: HashMap<Combo, Vec<f64>>,
+}
+
+impl Reference {
+    fn plan(
+        &self,
+        cluster: &ClusterSpec,
+        alloc: &Allocation,
+        sf: &HashMap<JobId, u32>,
+        available: Option<&[usize]>,
+        strict: bool,
+    ) -> Vec<Planned> {
+        let combos = alloc.combos().combos();
+        let mut cands = Vec::new();
+        for (k, combo) in combos.iter().enumerate() {
+            for j in 0..cluster.num_types() {
+                let target = alloc.get(k, AccelIdx(j));
+                if target > 1e-4 {
+                    let got = self.received.get(combo).map_or(0.0, |v| v[j]);
+                    let priority = if got > 0.0 {
+                        target / got
+                    } else {
+                        f64::INFINITY
+                    };
+                    cands.push((priority, target, k, j));
+                }
+            }
+        }
+        cands.sort_by(|a, b| {
+            (b.0.partial_cmp(&a.0).unwrap())
+                .then(b.1.partial_cmp(&a.1).unwrap())
+                .then(a.2.cmp(&b.2))
+                .then(a.3.cmp(&b.3))
+        });
+        let mut placement = match available {
+            Some(av) => PlacementState::with_available(cluster, av),
+            None => PlacementState::new(cluster),
+        };
+        let mut busy = HashSet::new();
+        let mut out = Vec::new();
+        for (_, _, k, j) in cands {
+            let stale = strict && combos[k].jobs().any(|job| !sf.contains_key(&job));
+            if stale || combos[k].jobs().any(|job| busy.contains(&job)) {
+                continue;
+            }
+            let workers = combos[k]
+                .jobs()
+                .map(|job| *sf.get(&job).unwrap_or(&1))
+                .max();
+            let count = workers.unwrap_or(1) as usize;
+            if let Some((slots, consolidated)) = placement.allocate(AccelIdx(j), count) {
+                busy.extend(combos[k].jobs());
+                out.push((combos[k], k, j, slots, consolidated));
+            }
+        }
+        out
+    }
+
+    fn record(&mut self, plan: &[Planned], types: usize, duration: f64) {
+        for (combo, _, j, _, _) in plan {
+            self.received
+                .entry(*combo)
+                .or_insert_with(|| vec![0.0; types])[*j] += duration;
+        }
+    }
+}
+
+/// SplitMix64, so one generated seed drives a whole scenario.
+struct Draws(u64);
+
+impl Draws {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// A random allocation over `live`: every singleton, some pairs, about a
+/// third of the cells zero and a few repeated values so the tie-break
+/// keys decide.
+fn scenario_allocation(live: &[JobId], types: usize, draws: &mut Draws) -> Allocation {
+    let mut combos: Vec<Combo> = live.iter().map(|&j| Combo::single(j)).collect();
+    for _ in 0..draws.below(live.len() + 1) {
+        let (a, b) = (live[draws.below(live.len())], live[draws.below(live.len())]);
+        if a != b && !combos.contains(&Combo::pair(a, b)) {
+            combos.push(Combo::pair(a, b));
+        }
+    }
+    let values = combos
+        .iter()
+        .map(|_| {
+            (0..types)
+                .map(|_| match draws.below(6) {
+                    0 | 1 => 0.0,
+                    2 => 0.25,
+                    _ => draws.unit(),
+                })
+                .collect()
+        })
+        .collect();
+    Allocation::new(ComboSet::new(combos), values)
+}
 
 /// Builds a random valid allocation over `n` single-worker jobs and a
 /// 3-type cluster, normalizing rows and columns into the §3.1 constraints.
@@ -43,6 +168,85 @@ fn random_allocation(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The slot/resolution planner against [`Reference`]: the same
+    /// assignments on the same workers and the same received-time bits,
+    /// round for round, through generation bumps, mid-generation
+    /// `forget_job`s (lenient: the stale combo keeps planning with scale
+    /// factor 1 and accrues time from zero; strict: it is dropped), and
+    /// workers going down and coming back.
+    #[test]
+    fn planner_matches_reference(seed in any::<u64>(), strict in any::<bool>()) {
+        let mut draws = Draws(seed);
+        let cluster = ClusterSpec::new(&[
+            ("v100", 12, 4, 0.0),
+            ("p100", 10, 4, 0.0),
+            ("k80", 16, 8, 0.0),
+        ]);
+        let types = cluster.num_types();
+        let mut next_id = 0u64;
+        let mut sf: HashMap<JobId, u32> = HashMap::new();
+        let mut live: Vec<JobId> = Vec::new();
+        let mut sched = RoundScheduler::new(cluster.clone());
+        let mut reference = Reference::default();
+        let mut gen = 0u64;
+        let mut alloc = Allocation::new(ComboSet::new(Vec::new()), Vec::new());
+        let mut available: Option<Vec<usize>> = None;
+        for round in 0..60 {
+            // A new generation: jobs arrive, the allocation is recomputed
+            // over the live ones only (departed ids never return).
+            if round == 0 || draws.below(8) == 0 {
+                for _ in 0..1 + draws.below(4) {
+                    let id = JobId(next_id);
+                    next_id += 1;
+                    sf.insert(id, 1 + draws.below(8) as u32);
+                    live.push(id);
+                }
+                alloc = scenario_allocation(&live, types, &mut draws);
+                gen += 1;
+            } else if live.len() > 1 && draws.below(6) == 0 {
+                // A departure the allocation has not caught up with.
+                let gone = live.swap_remove(draws.below(live.len()));
+                sf.remove(&gone);
+                sched.forget_job(gone);
+                reference.received.retain(|combo, _| !combo.contains(gone));
+            }
+            if draws.below(10) == 0 {
+                available = (draws.below(3) > 0).then(|| {
+                    (cluster.types())
+                        .map(|j| cluster.num_workers(j).saturating_sub(draws.below(6)))
+                        .collect()
+                });
+            }
+            let want = reference.plan(&cluster, &alloc, &sf, available.as_deref(), strict);
+            let plan = if strict {
+                sched.plan_round_cached_strict(&alloc, gen, &sf, available.as_deref())
+            } else {
+                sched.plan_round_cached(&alloc, gen, &sf, available.as_deref())
+            };
+            let got: Vec<Planned> = (plan.assignments.iter())
+                .map(|a| (a.combo, a.row, a.accel.0, a.workers.clone(), a.consolidated))
+                .collect();
+            prop_assert_eq!(&got, &want, "round {}", round);
+            if !strict {
+                let fresh = sched.plan_round_with_capacity(&alloc, &sf, available.as_deref());
+                prop_assert_eq!(fresh.assignments.len(), got.len());
+                for (a, b) in fresh.assignments.iter().zip(&plan.assignments) {
+                    prop_assert_eq!((a.row, a.accel, &a.workers), (b.row, b.accel, &b.workers));
+                }
+            }
+            let duration = 360.0 + draws.below(3) as f64;
+            sched.record(&plan, duration);
+            reference.record(&want, types, duration);
+            for combo in alloc.combos().combos() {
+                for j in 0..types {
+                    let expect = reference.received.get(combo).map_or(0.0, |v| v[j]);
+                    let got = sched.time_received(combo, AccelIdx(j));
+                    prop_assert_eq!(got.to_bits(), expect.to_bits(), "{} type {}", combo, j);
+                }
+            }
+        }
+    }
 
     /// Per-round invariants: no job twice, no type over capacity.
     #[test]

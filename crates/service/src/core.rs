@@ -34,13 +34,12 @@ use gavel_core::{
     ThroughputTensor,
 };
 use gavel_policies::IsolatedSplit;
-use gavel_sched::{RoundPlan, RoundScheduler, ScaleFactors};
+use gavel_sched::{RoundPlan, RoundScheduler, ScaleFactors, WorkerSlot};
 use gavel_workloads::{GpuKind, JobSpec, Oracle, TraceJob};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Service-level knobs, on top of the simulation [`SimConfig`].
@@ -53,12 +52,6 @@ pub struct ServiceConfig {
     pub max_active_per_entity: Option<usize>,
 }
 
-/// A worker's placement signature for one round: the accelerator type and
-/// the concrete (server, slot) set. Shared by every member of an
-/// assignment via `Rc` so preemption detection compares and stores one
-/// signature per assignment instead of cloning per member.
-type PlacementSig = (usize, Vec<(usize, usize)>);
-
 /// An admitted, unfinished job.
 struct ActiveJob {
     trace: TraceJob,
@@ -66,8 +59,21 @@ struct ActiveJob {
     contention_at_arrival: usize,
     isolated_duration: f64,
     cost: f64,
-    /// Previous round's placement, for preemption overhead.
-    prev_placement: Option<Rc<PlacementSig>>,
+    /// The workers of the last round this job ran in and that round's
+    /// number plus one (0: never ran), for preemption overhead. Tracked
+    /// in physical mode only.
+    prev_workers: Vec<WorkerSlot>,
+    last_ran: usize,
+}
+
+/// Where an allocation row's members sit in the active table, looked up
+/// once per `positions_epoch` instead of once per member per round.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowPositions {
+    epoch: u64,
+    /// `None`: a member has departed (a stale row under throttled
+    /// recomputation). A singleton uses the first position only.
+    members: Option<[usize; 2]>,
 }
 
 /// Asynchronous cluster events (reset events in §3's sense).
@@ -210,9 +216,15 @@ pub struct SchedulerService<'p> {
     total_cost: f64,
     need_recompute: bool,
     last_recompute_round: u32,
-    /// Bumped per recompute; keys the scheduler's candidate buffer.
+    /// Bumped per recompute; keys the scheduler's resolved candidates.
     alloc_gen: u64,
     current: Option<(ComboSet, ThroughputTensor, Allocation)>,
+    /// Per row of the current allocation; cleared by a recompute.
+    row_positions: Vec<RowPositions>,
+    /// Bumped whenever a removal moves jobs within `active`.
+    positions_epoch: u64,
+    /// Workers up per type, refreshed each round a worker is down.
+    available: Vec<usize>,
     log: SubmissionLog,
     books: BTreeMap<Option<u32>, EntityBook>,
     commands_accepted: usize,
@@ -292,6 +304,9 @@ impl<'p> SchedulerService<'p> {
             last_recompute_round: 0,
             alloc_gen: 0,
             current: None,
+            row_positions: Vec::new(),
+            positions_epoch: 1,
+            available: Vec::new(),
             log: SubmissionLog::default(),
             books: BTreeMap::new(),
             commands_accepted: 0,
@@ -617,7 +632,8 @@ impl<'p> SchedulerService<'p> {
             isolated_duration,
             steps_done: 0.0,
             cost: 0.0,
-            prev_placement: None,
+            prev_workers: Vec::new(),
+            last_ran: 0,
             trace,
         });
     }
@@ -631,6 +647,7 @@ impl<'p> SchedulerService<'p> {
     fn remove_active(&mut self, id: JobId, completion: Option<f64>) {
         let idx = self.index[&id];
         let job = self.active.swap_remove(idx);
+        self.positions_epoch += 1;
         self.cache.remove(idx);
         self.index.remove(&id);
         if idx < self.active.len() {
@@ -691,6 +708,9 @@ impl<'p> SchedulerService<'p> {
         self.policy_seconds += t0.elapsed().as_secs_f64();
         self.recomputations += 1;
         self.policy_failures += failed as usize;
+        self.row_positions.clear();
+        self.row_positions
+            .resize(combos.len(), RowPositions::default());
         self.current = Some((combos, tensor, alloc));
         self.need_recompute = false;
         self.alloc_gen += 1;
@@ -763,17 +783,6 @@ impl<'p> SchedulerService<'p> {
             self.drain_due_events(fc, self.now, false);
         }
         let cfg = &self.config;
-        let available: Option<Vec<usize>> = if self.down_total == 0 {
-            None
-        } else {
-            Some(
-                cfg.cluster
-                    .types()
-                    .map(|j| cfg.cluster.num_workers(j).saturating_sub(self.down[j.0]))
-                    .collect(),
-            )
-        };
-
         let cadence_hit = match cfg.recompute {
             RecomputeCadence::EveryNRounds(n) => (self.rounds as u32).is_multiple_of(n.max(1)),
             _ => false,
@@ -796,18 +805,28 @@ impl<'p> SchedulerService<'p> {
             // allocation when `current` is empty.
             return;
         };
+        let cluster = &self.config.cluster;
+        let available = (self.down_total != 0).then(|| {
+            self.available.clear();
+            self.available.extend(
+                cluster
+                    .types()
+                    .map(|j| cluster.num_workers(j).saturating_sub(self.down[j.0])),
+            );
+            &self.available[..]
+        });
         let sf = ActiveScaleFactors {
             active: &self.active,
             index: &self.index,
         };
         let plan = if self.config.strict_recompute {
             self.sched
-                .plan_round_cached_strict(alloc, self.alloc_gen, &sf, available.as_deref())
+                .plan_round_cached_strict(alloc, self.alloc_gen, &sf, available)
         } else {
             self.sched
-                .plan_round_cached(alloc, self.alloc_gen, &sf, available.as_deref())
+                .plan_round_cached(alloc, self.alloc_gen, &sf, available)
         };
-        if let Some(av) = &available {
+        if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
                 "round plan exceeds reduced capacity {av:?}"
@@ -833,27 +852,43 @@ impl<'p> SchedulerService<'p> {
         for assignment in &plan.assignments {
             let gpu = GpuKind::from_index(assignment.accel);
 
-            // Per-member true throughputs. Stale assignments (a member
-            // completed but the allocation has not been recomputed yet —
-            // possible under throttled recomputation) idle their workers
-            // for the round.
-            let members: Vec<JobId> = assignment.combo.jobs().collect();
-            if members.iter().any(|id| !self.index.contains_key(id)) {
-                continue;
+            // Stale assignments (a member completed but the allocation
+            // has not been recomputed yet — possible under throttled
+            // recomputation) idle their workers for the round.
+            let row = &mut self.row_positions[assignment.row];
+            if row.epoch != self.positions_epoch {
+                let mut members = Some([0; 2]);
+                for (m, id) in assignment.combo.jobs().enumerate() {
+                    match (self.index.get(&id), &mut members) {
+                        (Some(&i), Some(pos)) => pos[m] = i,
+                        _ => members = None,
+                    }
+                }
+                *row = RowPositions {
+                    epoch: self.positions_epoch,
+                    members,
+                };
             }
-            let mut tputs: Vec<f64> = Vec::with_capacity(members.len());
-            if members.len() == 2 {
-                let a = &self.active[self.index[&members[0]]];
-                let b = &self.active[self.index[&members[1]]];
-                match self.oracle.colocated(a.trace.config, b.trace.config, gpu) {
-                    Some((ta, tb)) => {
-                        tputs.push(ta);
-                        tputs.push(tb);
+            let Some(positions) = row.members else {
+                // The departed member's live partner sits the round out
+                // on its workers: a placement it held stays held.
+                for id in assignment.combo.jobs() {
+                    if let Some(&i) = self.index.get(&id) {
+                        let job = &mut self.active[i];
+                        job.last_ran += usize::from(job.last_ran == self.rounds);
                     }
-                    None => {
-                        tputs.push(0.0);
-                        tputs.push(0.0);
-                    }
+                }
+                continue;
+            };
+            let positions = &positions[..1 + usize::from(assignment.combo.is_pair())];
+
+            // Per-member true throughputs.
+            let mut tputs = [0.0; 2];
+            if let [pa, pb] = *positions {
+                let a = &self.active[pa];
+                let b = &self.active[pb];
+                if let Some(pair) = self.oracle.colocated(a.trace.config, b.trace.config, gpu) {
+                    tputs = pair.into();
                 }
                 let (aid, acfg) = (a.trace.id, a.trace.config);
                 let (bid, bcfg) = (b.trace.id, b.trace.config);
@@ -861,53 +896,46 @@ impl<'p> SchedulerService<'p> {
                     b2.observe(&self.oracle, (aid, acfg), (bid, bcfg), gpu);
                 }
             } else {
-                let a = &self.active[self.index[&members[0]]];
-                tputs.push(self.oracle.throughput(
+                let a = &self.active[positions[0]];
+                tputs[0] = self.oracle.throughput(
                     a.trace.config,
                     gpu,
                     a.trace.scale_factor,
                     assignment.consolidated,
-                ));
+                );
             }
 
-            // One placement signature per assignment, shared by members.
-            let placement: Rc<PlacementSig> = Rc::new((
-                assignment.accel.0,
-                assignment
-                    .workers
-                    .iter()
-                    .map(|w| (w.server, w.slot))
-                    .collect(),
-            ));
-
             let mut latest_offset = 0.0f64;
-            for (&id, &tput_raw) in members.iter().zip(&tputs) {
-                let i = self.index[&id];
+            for (&i, &tput_raw) in positions.iter().zip(&tputs) {
                 let job = &mut self.active[i];
                 let mut tput = tput_raw;
-                if cfg.physical && tput > 0.0 {
-                    let noise = 1.0 + cfg.jitter * (self.jitter_rng.gen::<f64>() * 2.0 - 1.0);
-                    tput *= noise.max(0.1);
+                let mut overhead = 0.0;
+                if cfg.physical {
+                    if tput > 0.0 {
+                        let noise = 1.0 + cfg.jitter * (self.jitter_rng.gen::<f64>() * 2.0 - 1.0);
+                        tput *= noise.max(0.1);
+                    }
+                    // Preemption overhead unless the job ran last round
+                    // on these same workers.
+                    let kept =
+                        job.last_ran == self.rounds && job.prev_workers == assignment.workers;
+                    if !kept {
+                        job.prev_workers.clone_from(&assignment.workers);
+                        overhead = cfg.checkpoint_seconds.min(round);
+                    }
+                    job.last_ran = self.rounds + 1;
                 }
-                // Preemption overhead when the placement changed.
-                let changed = job.prev_placement.as_deref() != Some(&*placement);
-                let overhead = if cfg.physical && changed {
-                    cfg.checkpoint_seconds.min(round)
-                } else {
-                    0.0
-                };
                 let effective = round - overhead;
                 let remaining = (job.trace.total_steps - job.steps_done).max(0.0);
                 if tput > 1e-12 && remaining / tput <= effective {
                     job.steps_done = job.trace.total_steps;
                     let offset = overhead + remaining / tput;
-                    completions.push((id, self.now + offset));
+                    completions.push((job.trace.id, self.now + offset));
                     latest_offset = latest_offset.max(offset);
                 } else {
                     job.steps_done += tput * effective.max(0.0);
                     latest_offset = round;
                 }
-                job.prev_placement = Some(Rc::clone(&placement));
             }
 
             // Cost and utilization at assignment granularity; pairs are
@@ -921,19 +949,9 @@ impl<'p> SchedulerService<'p> {
             let cost = assignment.workers.len() as f64 * price * busy / 3600.0;
             self.total_cost += cost;
             self.busy_worker_seconds += assignment.workers.len() as f64 * busy;
-            let share = cost / members.len() as f64;
-            for &id in &members {
-                let i = self.index[&id];
+            let share = cost / positions.len() as f64;
+            for &i in positions {
                 self.active[i].cost += share;
-            }
-        }
-
-        // Jobs not scheduled this round lose their placement (they will pay
-        // a restore cost when rescheduled).
-        let running = plan.running_jobs();
-        for job in self.active.iter_mut() {
-            if !running.contains(&job.trace.id) {
-                job.prev_placement = None;
             }
         }
         completions
@@ -1055,6 +1073,7 @@ impl<'p> SchedulerService<'p> {
         let denom = self.config.cluster.total_workers() as f64 * self.now.max(1e-9);
         SimResult {
             snapshot_stats: self.cache.stats(),
+            mechanism_stats: self.sched.stats(),
             service_stats,
             jobs: self.outcomes,
             makespan,
@@ -1180,5 +1199,126 @@ fn make_outcome(job: &ActiveJob, completion: Option<f64>) -> JobOutcome {
         weight: job.trace.weight,
         slo_deadline: job.trace.slo_deadline(),
         cost: job.cost,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gavel_core::{ClusterSpec, Combo};
+    use gavel_policies::GandivaPolicy;
+    use gavel_sched::Assignment;
+    use gavel_workloads::{JobConfig, ModelFamily};
+
+    fn job(id: u64, arrival: f64, v100_seconds: f64) -> TraceJob {
+        let config = JobConfig::new(ModelFamily::ResNet50, 32);
+        let tput = Oracle::new().throughput(config, GpuKind::V100, 1, true);
+        TraceJob {
+            id: JobId(id),
+            config,
+            arrival_time: arrival,
+            scale_factor: 1,
+            total_steps: tput * v100_seconds,
+            duration_seconds: v100_seconds,
+            weight: 1.0,
+            slo_factor: None,
+            entity: None,
+        }
+    }
+
+    /// Physical mode charges `checkpoint_seconds` exactly when a job's
+    /// workers differ from those of the round before: on first placement,
+    /// on a move, and on regaining a placement after a round off — not
+    /// while it stays put.
+    #[test]
+    fn preemption_overhead_follows_placement_changes() {
+        let mut cfg = SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]));
+        cfg.physical = true;
+        cfg.jitter = 0.0;
+        cfg.checkpoint_seconds = 30.0;
+        let policy = IsolatedSplit::new();
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        svc.submit(job(0, 0.0, 1.0e6)).unwrap();
+        svc.submit(job(1, 0.0, 1.0e6)).unwrap();
+        svc.recompute();
+        let tput = Oracle::new().throughput(svc.active[0].trace.config, GpuKind::V100, 1, true);
+        let plan_of = |combo, row, slot| RoundPlan {
+            assignments: vec![Assignment {
+                combo,
+                row,
+                accel: AccelIdx(0),
+                workers: vec![WorkerSlot {
+                    accel: AccelIdx(0),
+                    server: 0,
+                    slot,
+                }],
+                consolidated: true,
+            }],
+        };
+        let on_slot = |slot| plan_of(Combo::single(JobId(0)), 0, slot);
+        let off = RoundPlan::default();
+        // A stale pair row: job 0's partner has departed.
+        let idled = plan_of(Combo::pair(JobId(0), JobId(9)), 1, 0);
+        // (plan, seconds of the 360 s round the job trains for)
+        let script = [
+            (on_slot(0), 330.0), // first placement
+            (on_slot(0), 360.0), // keeps it
+            (on_slot(1), 330.0), // moves
+            (on_slot(1), 360.0),
+            (off, 0.0),          // loses it
+            (on_slot(1), 330.0), // regains the same slot: still a restore
+            (on_slot(1), 360.0),
+            (idled, 0.0),        // idles on held workers under a stale pair row
+            (on_slot(1), 360.0), // nothing to restore
+        ];
+        let mut steps = 0.0;
+        for (round, (plan, trained)) in script.iter().enumerate() {
+            assert!(svc.execute_round(plan).is_empty());
+            steps += tput * trained;
+            assert_eq!(svc.active[0].steps_done, steps, "round {round}");
+            svc.rounds += 1;
+        }
+    }
+
+    /// `ThrottledResets` keeps planning a completed job's rows until the
+    /// next recompute, which re-registers its received-time accounting;
+    /// that accounting must go when the allocation moves on. 500 jobs
+    /// through 16 workers.
+    #[test]
+    fn throttled_soak_leaks_no_slots() {
+        let cluster =
+            || ClusterSpec::new(&[("v100", 6, 2, 1.0), ("p100", 6, 2, 1.0), ("k80", 4, 2, 1.0)]);
+        let gandiva = GandivaPolicy::new(3);
+        let isolated = IsolatedSplit::new();
+        for pairs in [false, true] {
+            let mut cfg = SimConfig::new(cluster());
+            cfg.recompute = RecomputeCadence::ThrottledResets(40);
+            let policy: &dyn Policy = if pairs {
+                cfg = cfg.with_space_sharing();
+                &gandiva
+            } else {
+                &isolated
+            };
+            let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), policy);
+            let rows = |svc: &SchedulerService| svc.current.as_ref().map_or(0, |c| c.0.len());
+            for id in 0..500u64 {
+                let arrival = id as f64 * 1500.0;
+                svc.advance_to(arrival);
+                svc.submit(job(id, arrival, 3600.0 + (id * 7919 % 7200) as f64))
+                    .unwrap();
+                // Without pairs every slot is a singleton of the current
+                // allocation; with them, pairs of live jobs from earlier
+                // allocations legitimately keep their history.
+                if !pairs {
+                    assert!(svc.sched.stats().slots_live <= rows(&svc), "after job {id}");
+                }
+            }
+            svc.advance_to(f64::MAX);
+            assert_eq!(svc.num_active(), 0);
+            let stats = svc.sched.stats();
+            assert!(stats.slots_live <= rows(&svc), "pairs {pairs}: {stats:?}");
+            assert!(stats.slots_peak < 200, "pairs {pairs}: {stats:?}");
+            assert!(stats.resolutions > svc.recomputations as u64, "{stats:?}");
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::snapshot::SnapshotStats;
 use gavel_core::{EntityId, JobId};
+use gavel_sched::MechanismStats;
 use gavel_workloads::JobConfig;
 
 /// Per-entity command and admission counters kept by the service's job
@@ -130,6 +131,9 @@ pub struct SimResult {
     /// snapshots, bridged partial/full re-derivations, and row/pair-eval
     /// volumes — the observability hooks the perf gates assert on.
     pub snapshot_stats: SnapshotStats,
+    /// Round-mechanism work counters: plans, resolutions, candidates
+    /// scored and visited, received-time slots live and at peak.
+    pub mechanism_stats: MechanismStats,
     /// Service-command counters: per-entity books, admission-cap
     /// rejections, and query staleness.
     pub service_stats: ServiceStats,
@@ -294,6 +298,7 @@ mod tests {
             policy_failures: 0,
             never_placeable: 0,
             snapshot_stats: SnapshotStats::default(),
+            mechanism_stats: MechanismStats::default(),
             service_stats: ServiceStats::default(),
         };
         // All 10 jobs: mean of 1..=10 hours = 5.5.

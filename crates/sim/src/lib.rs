@@ -56,8 +56,9 @@
 //!   bridge evaluations — falling back to a full re-derivation only when
 //!   the dirty set crosses a threshold fraction of the resident jobs.
 //! - **Round planning.** The incremental `gavel_sched::RoundScheduler`
-//!   (generation-keyed candidate buffer: an unchanged allocation only
-//!   re-scores priorities instead of re-extracting and re-allocating).
+//!   (candidates resolved once per allocation generation: an unchanged
+//!   allocation only re-scores priorities from a dense received-time
+//!   slab, with no hashing and no allocation beyond the returned plan).
 //!
 //! The `sim` bench (`BENCH_sim.json`) tracks the cached-vs-rebuild
 //! recompute cost and gates CI on the oracle-backed path never falling

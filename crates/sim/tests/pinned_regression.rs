@@ -81,6 +81,7 @@ fn run_replayed(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> Sim
         "replay diverges from live run"
     );
     assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
+    assert_eq!(live.mechanism_stats, replayed.mechanism_stats);
     assert_eq!(live.service_stats, replayed.service_stats);
     live
 }
