@@ -13,6 +13,10 @@
 //!   verdict identity against an exhaustive oracle (a cold per-job LP for
 //!   every job), every probe resuming warm — no phase 1, no cold
 //!   fallback — and zero dense fallbacks.
+//! - `las/*` — one whole `MaxMinFairness` recompute (build, lower once,
+//!   max-`t` solve, refine solve) on weighted jobs of scale factor 1–8.
+//!   Gated on both solves starting from their structural bases: no
+//!   phase-1 pivot, no warm fallback, no dense fallback.
 //!
 //! After each timed group the warm path's counters (`dual_pivots`,
 //! `bound_flips`, `warm_hits`, `warm_falls_back`) are printed so warm-path
@@ -28,7 +32,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
-use gavel_policies::Hierarchical;
+use gavel_policies::{Hierarchical, MaxMinFairness};
 use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -511,6 +515,46 @@ fn bench_probe_pass(c: &mut Criterion) {
     group.finish();
 }
 
+/// [`probe_setup`] with the spread `las_online` has: weights in 0.5–4 and
+/// scale factors 1–8, which over-subscribe the `n / 2` workers several
+/// times over.
+fn las_setup(n: usize, seed: u64) -> ProbeSetup {
+    let mut setup = probe_setup(n, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1a5);
+    for job in &mut setup.jobs {
+        job.weight = rng.gen_range(0.5..4.0);
+        job.scale_factor = 1 << rng.gen_range(0..4u32);
+    }
+    setup
+}
+
+/// One max-min fairness recompute per iteration. The gate runs outside
+/// the timed loop: both LP solves must have been warm hits from the
+/// policy's structural bases.
+fn bench_las(c: &mut Criterion) {
+    let mut group = c.benchmark_group("las");
+    group.sample_size(10);
+    for &n in &[32usize, 64, 256] {
+        let setup = las_setup(n, 47);
+        let input = setup.input();
+        let policy = MaxMinFairness::new();
+        let (_, stats) = policy.compute_allocation_with_stats(&input).unwrap();
+        assert_no_dense_fallback(&stats, "las");
+        assert!(
+            stats.warm_hits == 2 && stats.warm_falls_back == 0 && stats.pivots_phase1 == 0,
+            "a max-min solve left its structural basis at {n} jobs: {stats:?}"
+        );
+        println!(
+            "las/{n}: phase-2 pivots={} dual_pivots={} bound_flips={}",
+            stats.pivots_phase2, stats.dual_pivots, stats.bound_flips,
+        );
+        group.bench_with_input(BenchmarkId::new("recompute", n), &n, |b, _| {
+            b.iter(|| policy.compute_allocation_with_stats(&input).unwrap())
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     // Default JSON sink for the perf trajectory; GAVEL_BENCH_JSON wins.
     // Cargo runs benches with the package directory as cwd, so anchor the
@@ -522,4 +566,5 @@ fn main() {
     bench_rising_floors(&mut criterion);
     bench_milp(&mut criterion);
     bench_probe_pass(&mut criterion);
+    bench_las(&mut criterion);
 }

@@ -8,7 +8,7 @@
 use gavel_core::{
     AccelIdx, Allocation, ClusterSpec, Combo, JobId, Policy, PolicyError, PolicyInput,
 };
-use gavel_solver::{Cmp, LpProblem, LpSolution, Sense, VarId, WarmStart};
+use gavel_solver::{Cmp, ConstraintId, LpProblem, LpSolution, Sense, VarId, WarmStart};
 
 /// The job ids of a [`PolicyInput`] sorted for lookup, so a pass over the
 /// combos can place each one without rescanning the job list.
@@ -90,6 +90,12 @@ pub(crate) struct AllocLp {
     pub x: Vec<Vec<Option<VarId>>>,
     /// Which combo rows each job appears in.
     pub jobs: JobRows,
+    /// Per job: its time-budget row (`None` for a job with no runnable
+    /// cell, which [`check_input`] rejects).
+    pub budget: Vec<Option<ConstraintId>>,
+    /// Per accelerator type: its capacity row (`None` when no combo can
+    /// run there).
+    pub capacity: Vec<Option<ConstraintId>>,
 }
 
 impl AllocLp {
@@ -119,7 +125,12 @@ impl AllocLp {
             x.push(row);
         }
 
+        let mut row_le = |terms: &[(VarId, f64)], rhs: f64| {
+            (!terms.is_empty()).then(|| lp.add_constraint(terms, Cmp::Le, rhs))
+        };
+
         // Per-job time budget.
+        let mut budget = Vec::with_capacity(jobs.rows.len());
         for rows in &jobs.rows {
             let mut terms = Vec::new();
             for &k in rows {
@@ -127,12 +138,11 @@ impl AllocLp {
                     terms.push((*v, 1.0));
                 }
             }
-            if !terms.is_empty() {
-                lp.add_constraint(&terms, Cmp::Le, 1.0);
-            }
+            budget.push(row_le(&terms, 1.0));
         }
 
         // Per-type worker capacity, weighted by combo scale factor.
+        let mut capacity = Vec::with_capacity(num_types);
         for j in 0..num_types {
             let mut terms = Vec::new();
             for (k, row) in x.iter().enumerate() {
@@ -140,16 +150,17 @@ impl AllocLp {
                     terms.push((v, jobs.scale[k] as f64));
                 }
             }
-            if !terms.is_empty() {
-                lp.add_constraint(
-                    &terms,
-                    Cmp::Le,
-                    input.cluster.num_workers(AccelIdx(j)) as f64,
-                );
-            }
+            let workers = input.cluster.num_workers(AccelIdx(j)) as f64;
+            capacity.push(row_le(&terms, workers));
         }
 
-        AllocLp { lp, x, jobs }
+        AllocLp {
+            lp,
+            x,
+            jobs,
+            budget,
+            capacity,
+        }
     }
 
     /// Linear terms of `throughput(job, X)` — the effective-throughput

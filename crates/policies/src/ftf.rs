@@ -13,7 +13,7 @@
 //! linear, so the optimum is found by bisection over LP feasibility
 //! problems (the same sequence-of-LPs technique as makespan).
 
-use crate::common::{check_input, singleton_row, uniform_spread, AllocLp};
+use crate::common::{check_input, singleton_row, solver_err, uniform_spread, AllocLp};
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{bisect_min, Cmp, Sense, SolverError};
 
@@ -55,21 +55,29 @@ impl FinishTimeFairness {
         Self::default()
     }
 
-    fn probe(&self, input: &PolicyInput<'_>, denoms: &[f64], rho: f64) -> Option<Allocation> {
+    /// An allocation under which every job meets `rho`, or `None` when the
+    /// LP proves there is none. Any other solver failure is an error, not
+    /// a verdict.
+    fn probe(
+        &self,
+        input: &PolicyInput<'_>,
+        denoms: &[f64],
+        rho: f64,
+    ) -> Result<Option<Allocation>, PolicyError> {
         let mut alp = AllocLp::new(input, Sense::Maximize);
         for (m, job) in input.jobs.iter().enumerate() {
             let budget = rho * denoms[m] - job.time_elapsed;
             if budget <= 0.0 {
-                return None; // This job cannot meet rho at any speed.
+                return Ok(None); // This job cannot meet rho at any speed.
             }
             let required = job.steps_remaining / budget;
             let terms = alp.throughput_terms(input, job.id);
             alp.lp.add_constraint(&terms, Cmp::Ge, required);
         }
         match alp.lp.solve() {
-            Ok(sol) => Some(alp.extract(input, &sol)),
-            Err(SolverError::Infeasible) => None,
-            Err(_) => None,
+            Ok(sol) => Ok(Some(alp.extract(input, &sol))),
+            Err(SolverError::Infeasible) => Ok(None),
+            Err(e) => Err(solver_err(e)),
         }
     }
 }
@@ -112,13 +120,37 @@ impl Policy for FinishTimeFairness {
         let lo = (lo * 0.99).max(1e-9);
 
         let tol = self.tolerance * hi.max(1.0);
-        let best = bisect_min(lo, hi, tol, 80, |rho| {
-            self.probe(input, &denoms, rho).is_some()
-        })
-        .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
-        self.probe(input, &denoms, best)
-            .ok_or_else(|| PolicyError::Solver(Box::new(SolverError::Infeasible)))
+        bisect_rho(lo, hi, tol, |rho| self.probe(input, &denoms, rho))
     }
+}
+
+/// Bisects for the smallest `rho` in `[lo, hi]` that `probe` can meet and
+/// returns the allocation meeting it. The first probe that fails for a
+/// reason other than infeasibility ends the search: its answers stop
+/// steering the bisection and the error is returned.
+fn bisect_rho(
+    lo: f64,
+    hi: f64,
+    tol: f64,
+    mut probe: impl FnMut(f64) -> Result<Option<Allocation>, PolicyError>,
+) -> Result<Allocation, PolicyError> {
+    let mut failure = None;
+    let best = bisect_min(lo, hi, tol, 80, |rho| {
+        failure.is_none()
+            && match probe(rho) {
+                Ok(alloc) => alloc.is_some(),
+                Err(e) => {
+                    failure = Some(e);
+                    false
+                }
+            }
+    });
+    if let Some(e) = failure {
+        return Err(e);
+    }
+    let best =
+        best.ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
+    probe(best)?.ok_or_else(|| solver_err(SolverError::Infeasible))
 }
 
 /// Heterogeneity-agnostic finish-time fairness baseline: jobs receive time
@@ -230,5 +262,52 @@ impl Policy for FtfAgnostic {
             }
         }
         uniform_spread(input, &shares)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
+
+    #[test]
+    fn a_failed_probe_is_an_error_not_an_infeasible_rho() {
+        let jobs = [PolicyJob::simple(JobId(0), 1000.0)];
+        let combos = ComboSet::singletons(&[JobId(0)]);
+        let tensor = ThroughputTensor::new(1, vec![vec![PairThroughput::single(2.0)]]);
+        let cluster = ClusterSpec::new(&[("gpu", 1, 1, 1.0)]);
+        let input = PolicyInput {
+            jobs: &jobs,
+            combos: &combos,
+            tensor: &tensor,
+            cluster: &cluster,
+        };
+        // A budget this small makes the required throughput overflow: the
+        // LP is rejected as non-finite input, which says nothing about
+        // whether rho is feasible.
+        let probed = FinishTimeFairness::new().probe(&input, &[1e-320], 1.0);
+        assert!(matches!(probed, Err(PolicyError::Solver(_))), "{probed:?}");
+
+        // Feasible from 0.4 up, but the probe at the first midpoint hits
+        // the iteration limit. Read as "infeasible" that would push the
+        // answer up to 0.75 and beyond; instead the search stops there.
+        let alloc = Allocation::zeros(combos.clone(), 1);
+        let mut probes = Vec::new();
+        let result = bisect_rho(0.0, 1.0, 1e-3, |rho| {
+            probes.push(rho);
+            if rho == 0.5 {
+                Err(solver_err(SolverError::IterationLimit { pivots: 7 }))
+            } else {
+                Ok((rho >= 0.4).then(|| alloc.clone()))
+            }
+        });
+        assert_eq!(probes, [1.0, 0.0, 0.5]);
+        match result {
+            Err(PolicyError::Solver(e)) => assert_eq!(
+                e.downcast_ref(),
+                Some(&SolverError::IterationLimit { pivots: 7 })
+            ),
+            other => panic!("the probe failure was swallowed: {other:?}"),
+        }
     }
 }

@@ -14,10 +14,44 @@
 //! Space sharing comes for free: feed the policy a combo set with pair rows
 //! (see `gavel_workloads::build_tensor_with_pairs`) and the same LP
 //! optimizes over them.
+//!
+//! # One prepared LP, two structural bases
+//!
+//! Both passes run on one [`PreparedLp`]: the allocation block, the level
+//! variable `t` and one floor row `throughput_m - c_m t >= 0` per job,
+//! lowered once. The second pass is the first patched in place: `t` is
+//! bounded below by `t* (1 - 1e-7)` and loses its objective, the cells
+//! take `T / c`. Neither solve starts cold, and neither start is carried
+//! over from anywhere: each basis is written down from the shape of the
+//! LP, so the allocation stays a pure function of the [`PolicyInput`].
+//! Both put job `m` on its *best cell*, the fastest cell of its singleton
+//! row (pair rows never supply a basic column, so no column is named
+//! twice):
+//!
+//! - **Max `t`, from the origin.** Budget and capacity rows keep their
+//!   slacks, floor row `m` holds `m`'s best cell at zero. Every variable
+//!   is zero and every slack equals its right-hand side: primal feasible
+//!   by construction, so phase 2 starts at once instead of phase 1 first
+//!   pushing one zero-level artificial per job out of the floor rows.
+//! - **Refine, from "everyone full-time on their best cell".** Budget row
+//!   `m` holds `m`'s best cell (at one), capacity and floor rows keep
+//!   their slack and surplus. The only nonzero duals are the budget rows',
+//!   `T_best / c_m`, so any other singleton cell of `m` prices out at
+//!   `(T_best - T) / c_m >= 0` and a pair cell at the sum of that over
+//!   its two members: dual feasible unless a pair row gives its members
+//!   more normalized throughput than their best cells combined. What it
+//!   is not is primal feasible — the capacity rows are over-subscribed —
+//!   and the dual simplex repairs exactly those rows.
+//!
+//! The solver classifies both hints like any other (see
+//! [`PreparedLp::basis_hint`]); an unusable one costs a cold start, never
+//! a wrong answer.
 
 use crate::common::{check_input, solver_err, uniform_spread, waterfill_shares, AllocLp};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{Cmp, Sense};
+use gavel_solver::{
+    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
+};
 
 /// Heterogeneity-aware max-min fairness (LAS), optionally space-sharing
 /// aware.
@@ -64,6 +98,93 @@ impl MaxMinFairness {
             .map(|(job, norm)| job.weight * norm / job.scale_factor.max(1) as f64)
             .collect()
     }
+
+    /// The cell of job `m`'s singleton row with the largest throughput
+    /// (the first one on ties): the column both structural bases put the
+    /// job on.
+    fn best_cell(input: &PolicyInput<'_>, alp: &AllocLp, m: usize) -> Option<VarId> {
+        let k = alp.jobs.singleton_row(input, m);
+        (alp.x[k].iter().zip(input.tensor.row(k)))
+            .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
+            .reduce(|best, cell| if cell.1 > best.1 { cell } else { best })
+            .map(|(v, _)| v)
+    }
+
+    /// Like [`Policy::compute_allocation`], but also returns the summed
+    /// [`SolveStats`] of the one or two LP solves behind it.
+    pub fn compute_allocation_with_stats(
+        &self,
+        input: &PolicyInput<'_>,
+    ) -> Result<(Allocation, SolveStats), PolicyError> {
+        check_input(input)?;
+        if input.jobs.is_empty() {
+            return Ok((
+                Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
+                SolveStats::default(),
+            ));
+        }
+        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let normalizers = Self::normalizers(input, &alp);
+        let n = input.jobs.len();
+        let mut tputs = Vec::with_capacity(n);
+        let mut floors = Vec::with_capacity(n);
+        let mut on_cell = Vec::with_capacity(n);
+        for (m, (job, &c)) in input.jobs.iter().zip(&normalizers).enumerate() {
+            let (Some(cell), true) = (Self::best_cell(input, &alp, m), c > 0.0) else {
+                return Err(PolicyError::NoFeasibleAllocation(format!(
+                    "{} has zero normalized throughput",
+                    job.id
+                )));
+            };
+            on_cell.push(BasisEntry::Var(cell));
+            let mut terms = alp.throughput_terms(input, job.id);
+            terms.push((t, -c));
+            floors.push(alp.lp.add_constraint(&terms, Cmp::Ge, 0.0));
+            terms.pop();
+            tputs.push(terms);
+        }
+        // The prepared LP owns the problem from here on; `alp` keeps the
+        // variable block for `extract`.
+        let lp = std::mem::replace(&mut alp.lp, LpProblem::new(Sense::Maximize));
+        let mut lp = PreparedLp::new(lp).map_err(solver_err)?;
+        let solve_hinted = |lp: &mut PreparedLp, basis: &[BasisEntry]| {
+            let hint = lp.basis_hint(basis);
+            lp.solve(hint.as_ref()).map_err(|(e, _)| solver_err(e))
+        };
+        let slack = |row: &ConstraintId| BasisEntry::Slack(*row);
+
+        // Max t from the origin: validity rows on their slacks, floor rows
+        // on their jobs' best cells.
+        let validity = alp.budget.iter().chain(&alp.capacity).flatten();
+        let mut origin: Vec<BasisEntry> = validity.map(slack).collect();
+        origin.extend_from_slice(&on_cell);
+        let (sol, _) = solve_hinted(&mut lp, &origin)?;
+        let mut stats = sol.stats;
+        if !self.refine {
+            return Ok((alp.extract(input, &sol), stats));
+        }
+
+        // Second pass: keep everyone at least at the max-min level
+        // (slightly relaxed for numerical robustness), then maximize the
+        // sum of normalized throughputs so non-bottlenecked jobs use
+        // leftover capacity (single water-filling step). From "everyone
+        // full-time on their best cell": budget rows on the cells, the
+        // others on their slacks.
+        lp.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
+        lp.set_objective_coeff(t, 0.0);
+        for (terms, &c) in tputs.iter().zip(&normalizers) {
+            for &(v, coeff) in terms {
+                let sum = lp.problem().objective_coeff(v) + coeff / c;
+                lp.set_objective_coeff(v, sum);
+            }
+        }
+        let mut full_time = on_cell;
+        full_time.extend(alp.capacity.iter().flatten().chain(&floors).map(slack));
+        let (sol, _) = solve_hinted(&mut lp, &full_time)?;
+        stats.absorb(&sol.stats);
+        Ok((alp.extract(input, &sol), stats))
+    }
 }
 
 impl Policy for MaxMinFairness {
@@ -80,51 +201,7 @@ impl Policy for MaxMinFairness {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let normalizers = Self::normalizers(input, &alp);
-        for (job, &c) in input.jobs.iter().zip(&normalizers) {
-            if c <= 0.0 {
-                return Err(PolicyError::NoFeasibleAllocation(format!(
-                    "{} has zero normalized throughput",
-                    job.id
-                )));
-            }
-            let mut terms = alp.throughput_terms(input, job.id);
-            terms.push((t, -c));
-            alp.lp.add_constraint(&terms, Cmp::Ge, 0.0);
-        }
-        let sol = alp.lp.solve().map_err(solver_err)?;
-        let t_star = sol.value(t);
-
-        if !self.refine {
-            return Ok(alp.extract(input, &sol));
-        }
-
-        // Second pass: keep everyone at least at the max-min level, then
-        // maximize the sum of normalized throughputs so non-bottlenecked
-        // jobs use leftover capacity (single water-filling step).
-        let mut alp2 = AllocLp::new(input, Sense::Maximize);
-        for (job, &c) in input.jobs.iter().zip(&normalizers) {
-            let terms = alp2.throughput_terms(input, job.id);
-            // Floor: throughput >= t_star * c (slightly relaxed for
-            // numerical robustness).
-            alp2.lp
-                .add_constraint(&terms, Cmp::Ge, t_star * c * (1.0 - 1e-7));
-            // Objective: sum of normalized throughputs.
-            for (v, coeff) in terms {
-                alp2.lp.add_objective_coeff(v, coeff / c);
-            }
-        }
-        let sol2 = alp2.lp.solve().map_err(solver_err)?;
-        Ok(alp2.extract(input, &sol2))
+        Ok(self.compute_allocation_with_stats(input)?.0)
     }
 }
 
@@ -151,5 +228,244 @@ impl Policy for AgnosticLas {
         let sfs: Vec<u32> = input.jobs.iter().map(|j| j.scale_factor).collect();
         let shares = waterfill_shares(&weights, &sfs, input.cluster.total_workers() as f64);
         uniform_spread(input, &shares)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gavel_core::{
+        ClusterSpec, Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
+    };
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// Owned bundle behind a [`PolicyInput`].
+    struct Setup {
+        jobs: Vec<PolicyJob>,
+        combos: ComboSet,
+        tensor: ThroughputTensor,
+        cluster: ClusterSpec,
+    }
+
+    impl Setup {
+        fn input(&self) -> PolicyInput<'_> {
+            PolicyInput {
+                jobs: &self.jobs,
+                combos: &self.combos,
+                tensor: &self.tensor,
+                cluster: &self.cluster,
+            }
+        }
+
+        /// `n` weighted jobs with scale factors 1–8 over `types`
+        /// accelerator types of `workers` workers each. With `quirks`, the
+        /// last type runs nothing (no capacity row) and every fifth job
+        /// runs on one type only. With `pairs`, equal-scale neighbours also
+        /// get a pair row in which each runs at 30–70% of its own speed.
+        fn random(
+            rng: &mut StdRng,
+            n: usize,
+            types: usize,
+            workers: usize,
+            quirks: bool,
+            pairs: bool,
+        ) -> Setup {
+            let mut jobs: Vec<PolicyJob> = (0..n)
+                .map(|m| PolicyJob::simple(JobId(m as u64), 1000.0))
+                .collect();
+            let mut combos = Vec::new();
+            let mut rows = Vec::new();
+            for (m, job) in jobs.iter_mut().enumerate() {
+                job.weight = rng.gen_range(0.5..4.0);
+                job.scale_factor = 1 << rng.gen_range(0..4u32);
+                let only = (quirks && m % 5 == 0).then(|| rng.gen_range(0..types - 1));
+                let row: Vec<PairThroughput> = (0..types)
+                    .map(|j| {
+                        let idle = quirks && j == types - 1;
+                        if idle || only.is_some_and(|o| o != j) {
+                            PairThroughput::zero()
+                        } else {
+                            PairThroughput::single(rng.gen_range(0.2..5.0))
+                        }
+                    })
+                    .collect();
+                combos.push(Combo::single(job.id));
+                rows.push(row);
+            }
+            if pairs {
+                for m in 1..n {
+                    if jobs[m - 1].scale_factor != jobs[m].scale_factor {
+                        continue;
+                    }
+                    let (fa, fb) = (rng.gen_range(0.3..0.7), rng.gen_range(0.3..0.7));
+                    let row = (0..types)
+                        .map(|j| PairThroughput::pair(fa * rows[m - 1][j].a, fb * rows[m][j].a))
+                        .collect();
+                    combos.push(Combo::pair(jobs[m - 1].id, jobs[m].id));
+                    rows.push(row);
+                }
+            }
+            let spec: Vec<(&str, usize, usize, f64)> =
+                (0..types).map(|_| ("gpu", workers, workers, 1.0)).collect();
+            Setup {
+                jobs,
+                combos: ComboSet::new(combos),
+                tensor: ThroughputTensor::new(types, rows),
+                cluster: ClusterSpec::new(&spec),
+            }
+        }
+
+        /// Per job `throughput(m, alloc) / c_m`.
+        fn normalized(&self, alloc: &Allocation) -> Vec<f64> {
+            let input = self.input();
+            let alp = AllocLp::new(&input, Sense::Maximize);
+            let normalizers = MaxMinFairness::normalizers(&input, &alp);
+            (self.jobs.iter().zip(normalizers))
+                .map(|(job, c)| alloc.effective_throughput(&self.tensor, job.id) / c)
+                .collect()
+        }
+    }
+
+    /// The body this policy had before the structural bases — two LPs,
+    /// each built, lowered and solved cold — kept as the reference.
+    /// Returns `(t*, refine objective)`.
+    fn cold_reference(input: &PolicyInput<'_>) -> (f64, f64) {
+        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let normalizers = MaxMinFairness::normalizers(input, &alp);
+        for (job, &c) in input.jobs.iter().zip(&normalizers) {
+            let mut terms = alp.throughput_terms(input, job.id);
+            terms.push((t, -c));
+            alp.lp.add_constraint(&terms, Cmp::Ge, 0.0);
+        }
+        let t_star = alp.lp.solve().unwrap().value(t);
+        let mut alp2 = AllocLp::new(input, Sense::Maximize);
+        for (job, &c) in input.jobs.iter().zip(&normalizers) {
+            let terms = alp2.throughput_terms(input, job.id);
+            alp2.lp
+                .add_constraint(&terms, Cmp::Ge, t_star * c * (1.0 - 1e-7));
+            for (v, coeff) in terms {
+                alp2.lp.add_objective_coeff(v, coeff / c);
+            }
+        }
+        (t_star, alp2.lp.solve().unwrap().objective)
+    }
+
+    /// Asserts the policy's answer on `setup` is an optimum of both
+    /// reference LPs and a valid allocation; returns the refined solve's
+    /// summed stats.
+    fn assert_matches_reference(setup: &Setup, what: &str) -> SolveStats {
+        let input = setup.input();
+        let policy = |refine| MaxMinFairness {
+            refine,
+            space_sharing: false,
+        };
+        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+        let scale_factors: HashMap<JobId, u32> =
+            setup.jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
+
+        let (t_ref, objective_ref) = cold_reference(&input);
+        let (alloc, _) = policy(false).compute_allocation_with_stats(&input).unwrap();
+        alloc.validate(&setup.cluster, &scale_factors).unwrap();
+        let t_star = min(&setup.normalized(&alloc));
+        assert!(
+            (t_star - t_ref).abs() <= 1e-9 * (1.0 + t_ref),
+            "{what}: t* {t_star} vs reference {t_ref}"
+        );
+
+        let (alloc, stats) = policy(true).compute_allocation_with_stats(&input).unwrap();
+        alloc.validate(&setup.cluster, &scale_factors).unwrap();
+        let normalized = setup.normalized(&alloc);
+        let objective: f64 = normalized.iter().sum();
+        assert!(
+            (objective - objective_ref).abs() <= 1e-7 * objective_ref.abs(),
+            "{what}: refine objective {objective} vs reference {objective_ref}"
+        );
+        assert!(
+            min(&normalized) >= t_ref * (1.0 - 1e-6),
+            "{what}: a job fell below the max-min level {t_ref}: {normalized:?}"
+        );
+        assert_eq!(stats.dense_fallbacks, 0, "{what}");
+        stats
+    }
+
+    #[test]
+    fn matches_cold_reference_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(0x1a5);
+        for case in 0..96 {
+            let n: usize = rng.gen_range(1..28);
+            let types: usize = rng.gen_range(2..5);
+            let workers = rng.gen_range(1..(n / 2).max(2) + 1);
+            let (quirks, pairs) = (case % 2 == 1, case % 4 >= 2);
+            let setup = Setup::random(&mut rng, n, types, workers, quirks, pairs);
+            let stats = assert_matches_reference(&setup, &format!("case {case}"));
+            assert_eq!(stats.warm_falls_back, 0, "case {case}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn structural_bases_never_run_phase_one() {
+        let mut rng = StdRng::seed_from_u64(64);
+        for pairs in [false, true] {
+            let setup = Setup::random(&mut rng, 64, 3, 12, false, pairs);
+            let input = setup.input();
+            let solve = |refine| {
+                let policy = MaxMinFairness {
+                    refine,
+                    space_sharing: pairs,
+                };
+                policy.compute_allocation_with_stats(&input).unwrap().1
+            };
+            let (first, both) = (solve(false), solve(true));
+            assert_eq!((first.warm_hits, both.warm_hits), (1, 2), "{both:?}");
+            for stats in [&first, &both] {
+                assert_eq!(stats.pivots_phase1, 0, "{stats:?}");
+                assert_eq!(stats.warm_falls_back, 0, "{stats:?}");
+                assert_eq!(stats.dense_fallbacks, 0, "{stats:?}");
+            }
+            // The origin is primal feasible: solve 1 never needs the dual
+            // phase. 64 jobs of scale 1–8 over-subscribe 36 workers, so
+            // "everyone full-time" is not, and solve 2 is repaired by dual
+            // pivots with next to nothing left for phase 2.
+            assert_eq!(first.dual_pivots, 0, "{first:?}");
+            assert!(both.dual_pivots > 0, "{both:?}");
+            let polish = both.pivots_phase2 - first.pivots_phase2;
+            assert!(polish <= both.dual_pivots / 8, "{first:?} then {both:?}");
+        }
+    }
+
+    #[test]
+    fn unusable_hint_falls_back_to_the_reference_optimum() {
+        // In the pair row both jobs run faster than alone, so "everyone
+        // full-time on their singleton cell" is not dual feasible: the
+        // pair cell prices out positive. The hint is dropped, not trusted.
+        let jobs: Vec<PolicyJob> = (0..2)
+            .map(|m| PolicyJob::simple(JobId(m), 1000.0))
+            .collect();
+        let setup = Setup {
+            combos: ComboSet::new(vec![
+                Combo::single(jobs[0].id),
+                Combo::single(jobs[1].id),
+                Combo::pair(jobs[0].id, jobs[1].id),
+            ]),
+            tensor: ThroughputTensor::new(
+                1,
+                vec![
+                    vec![PairThroughput::single(1.0)],
+                    vec![PairThroughput::single(2.0)],
+                    vec![PairThroughput::pair(1.5, 2.5)],
+                ],
+            ),
+            cluster: ClusterSpec::new(&[("gpu", 1, 1, 1.0)]),
+            jobs,
+        };
+        let stats = assert_matches_reference(&setup, "super-additive pair");
+        assert_eq!(
+            (stats.warm_hits, stats.warm_falls_back),
+            (1, 1),
+            "{stats:?}"
+        );
     }
 }

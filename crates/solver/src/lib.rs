@@ -90,6 +90,17 @@
 //! sorted basis, so values are a pure function of the final state, not of
 //! the pivot path.
 //!
+//! A hint need not be harvested from a previous solve. A caller that can
+//! read a good vertex off the *shape* of its LP writes the basis down in
+//! problem terms — one [`BasisEntry`] per constraint, a variable or a
+//! row's slack — and [`PreparedLp::basis_hint`] turns it into the same
+//! [`WarmStart`] token, with every unnamed column at its lower bound.
+//! `gavel-policies`' max-min fairness starts both of its solves this way
+//! (the origin for `max t`, "every job full-time on its fastest cell" for
+//! the refine pass) and so never runs a phase 1. Such a hint goes through
+//! the same three-way classification: a repeated column, a singular
+//! basis or one that is neither primal nor dual feasible cold-starts.
+//!
 //! # Prepared LPs: lower once, re-solve by patching
 //!
 //! A warm start saves pivots, but [`LpProblem::solve_warm`] still
@@ -109,7 +120,9 @@
 //! the dual path repairs the previous basis) and the probe LP (the
 //! prepass and every per-job probe are one LP under different cost
 //! vectors, solved as a warm chain that never leaves primal
-//! feasibility) — and [`milp`]'s branch-and-bound solves every node as
+//! feasibility); its max-min fairness keeps one per recompute (the
+//! refine pass is the `max t` LP with one bound and the costs patched) —
+//! and [`milp`]'s branch-and-bound solves every node as
 //! the root LP with patched bounds, from its parent's basis. The
 //! makespan policy still chains a [`WarmStart`] across freshly built
 //! bisection probes (an all-zero objective makes every basis dual
@@ -171,6 +184,6 @@ pub use bisect::{bisect_max, bisect_min};
 pub use error::SolverError;
 pub use fractional::{solve_fractional, FractionalObjective};
 pub use milp::{solve_milp, MilpOptions};
-pub use prepared::PreparedLp;
+pub use prepared::{BasisEntry, PreparedLp};
 pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId, WarmStart};
 pub use simplex::{LpSolution, SimplexOptions, SolveStats};

@@ -38,6 +38,15 @@ use crate::problem::{recover_values, ConstraintId, LpProblem, Sense, VarId, VarM
 use crate::revised::{self, Instance, KeptLu};
 use crate::simplex::{LpSolution, SimplexOptions, SolveStats};
 
+/// One basic column of a caller-written basis, named in problem terms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BasisEntry {
+    /// The column of a variable with at least one finite bound.
+    Var(VarId),
+    /// The slack (`<=`) or surplus (`>=`) column of a constraint.
+    Slack(ConstraintId),
+}
+
 /// An [`LpProblem`] lowered once and re-solved by patching; see the module
 /// docs for the equivalence contract.
 #[derive(Debug, Clone)]
@@ -184,6 +193,32 @@ impl PreparedLp {
         }
     }
 
+    /// The basis made of exactly `entries` (one per constraint, any order),
+    /// every other column resting at its lower standard bound, as a hint
+    /// for [`PreparedLp::solve`]. `None` when an entry has no single
+    /// standard column (a free variable, the slack of an equality row) or
+    /// a pending patch still waits for a re-lowering. The hint is
+    /// classified like a harvested one: singular, repeated-column and
+    /// neither-primal-nor-dual-feasible bases cold-start.
+    pub fn basis_hint(&self, entries: &[BasisEntry]) -> Option<WarmStart> {
+        if self.stale {
+            return None;
+        }
+        let column = |entry: &BasisEntry| match *entry {
+            BasisEntry::Var(v) => match self.mapping[v.index()] {
+                VarMap::Free { .. } => None,
+                map => Some(map.col()),
+            },
+            BasisEntry::Slack(c) => self.inst.slack_col(c.0),
+        };
+        let mut basis = entries.iter().map(column).collect::<Option<Vec<_>>>()?;
+        basis.sort_unstable();
+        Some(WarmStart {
+            basis,
+            at_upper: vec![false; self.inst.ntot()],
+        })
+    }
+
     /// Solves the current problem, warm-started from `hint` when given —
     /// the same classification of hints, verdicts, counters and returned
     /// basis as [`LpProblem::solve_warm`] on [`PreparedLp::problem`].
@@ -302,5 +337,49 @@ mod tests {
         prep.set_column(y, &[]);
         assert!(prep.kept.is_none());
         assert_same(&mut prep, Some(&basis));
+    }
+
+    #[test]
+    fn caller_written_bases_are_classified_not_trusted() {
+        // max t s.t. x + y <= 1, 2x + y - t >= 0: the floor row starts a
+        // cold solve on a zero-level artificial.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 0.0);
+        let y = lp.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let budget = lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0);
+        let floor = lp.add_constraint(&[(x, 2.0), (y, 1.0), (t, -1.0)], Cmp::Ge, 0.0);
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let (cold, _) = prep.solve(None).unwrap();
+        assert!(cold.stats.pivots_phase1 > 0, "{:?}", cold.stats);
+
+        // The origin, written down from the LP's shape: primal feasible.
+        let origin = prep.basis_hint(&[BasisEntry::Var(x), BasisEntry::Slack(budget)]);
+        let (warm, _) = prep.solve(origin.as_ref()).unwrap();
+        assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!((warm.stats.warm_hits, warm.stats.pivots_phase1), (1, 0));
+
+        // A repeated column and a singular basis (`t` and the floor's
+        // surplus both live in the floor row only) cold-start.
+        for entries in [
+            [BasisEntry::Var(x), BasisEntry::Var(x)],
+            [BasisEntry::Var(t), BasisEntry::Slack(floor)],
+        ] {
+            let hint = prep.basis_hint(&entries);
+            let (sol, _) = prep.solve(hint.as_ref()).unwrap();
+            assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+            assert_eq!((sol.stats.warm_hits, sol.stats.warm_falls_back), (0, 1));
+        }
+
+        // Entries without a single standard column, and a stale instance.
+        let mut lp = LpProblem::new(Sense::Minimize);
+        let z = lp.add_var("z", f64::NEG_INFINITY, f64::INFINITY, 1.0);
+        let tie = lp.add_constraint(&[(z, 1.0)], Cmp::Eq, 1.0);
+        let pinned = PreparedLp::new(lp).unwrap();
+        assert!(pinned.basis_hint(&[BasisEntry::Var(z)]).is_none());
+        assert!(pinned.basis_hint(&[BasisEntry::Slack(tie)]).is_none());
+        prep.set_rhs(floor, -1.0);
+        assert!(prep.stale);
+        assert!(prep.basis_hint(&[BasisEntry::Slack(budget)]).is_none());
     }
 }

@@ -103,6 +103,9 @@ pub(crate) struct Instance {
     m: usize,
     /// Initial (identity) basis: slack for `<=` rows, artificial otherwise.
     init_basis: Vec<usize>,
+    /// Per row: its slack (`<=`) or surplus (`>=`) column; equality rows
+    /// have none.
+    slack_of: Vec<Option<usize>>,
 }
 
 impl Instance {
@@ -110,6 +113,16 @@ impl Instance {
     /// stored (i.e. after negative-RHS row normalization).
     pub(crate) fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.a.col(j)
+    }
+
+    /// Total column count (structural, slack, artificial).
+    pub(crate) fn ntot(&self) -> usize {
+        self.ntot
+    }
+
+    /// The slack or surplus column of row `i`, if the row has one.
+    pub(crate) fn slack_col(&self, i: usize) -> Option<usize> {
+        self.slack_of[i]
     }
 
     /// Rewrites structural column `j`; see [`CscMatrix::set_col`].
@@ -140,6 +153,7 @@ impl Instance {
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ntot];
         let mut b = Vec::with_capacity(m);
         let mut init_basis = Vec::with_capacity(m);
+        let mut slack_of = vec![None; m];
         let mut slack_cursor = n;
         let mut art_cursor = art_start;
         for (i, (terms, cmp, rhs)) in lp.rows.iter().enumerate() {
@@ -152,10 +166,12 @@ impl Instance {
                 Cmp::Le => {
                     cols[slack_cursor].push((i, 1.0));
                     init_basis.push(slack_cursor);
+                    slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
                 }
                 Cmp::Ge => {
                     cols[slack_cursor].push((i, -1.0));
+                    slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
                     cols[art_cursor].push((i, 1.0));
                     init_basis.push(art_cursor);
@@ -182,6 +198,7 @@ impl Instance {
             ntot,
             m,
             init_basis,
+            slack_of,
         }
     }
 }
