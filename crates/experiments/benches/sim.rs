@@ -15,9 +15,7 @@
 //!   bridged `SnapshotCache` re-deriving only drift-dirtied pair rows vs
 //!   a full estimator-driven rebuild, under a steady refinement trickle;
 //! - `bucketed/*` — the score-bucketed candidate store's selection pass
-//!   under churn at 1024 and 4096 jobs vs the flat `rank_and_cap`
-//!   re-rank (the pre-bucketed implementation, kept as the differential
-//!   oracle behind `set_flat_rerank`).
+//!   under churn at 1024 and 4096 jobs.
 //!
 //! Gates (panics, run by CI at smoke scale):
 //!
@@ -29,12 +27,9 @@
 //! - the bridged path must see exactly one full re-derivation (initial
 //!   population) and zero unexpected ones, and beat the estimator-driven
 //!   full rebuild by ≥ 2x at 1024+ jobs while estimates keep drifting;
-//! - the bucketed selection must beat the flat re-rank by ≥ 5x at 4096
-//!   jobs under churn, its snapshots must stay row-for-row identical to
-//!   the flat path's, and the bucketed cache must record **zero**
-//!   flat re-ranks (`SnapshotStats::flat_reranks`) — a nonzero count
-//!   means the production path silently fell back to the O(n² log n²)
-//!   sort;
+//! - the bucketed selection must equal the flat `rank_and_cap` oracle's
+//!   (crosschecked on a copy of the cache), and the timed cache must
+//!   record **zero** flat re-ranks (`SnapshotStats::flat_reranks`);
 //! - cached and fresh snapshots (oracle and bridged) must be row-for-row
 //!   identical, and cached and fresh round plans
 //!   assignment-for-assignment identical, on every sized instance.
@@ -341,103 +336,45 @@ fn bench_bridged(c: &mut Criterion) {
     group.finish();
 }
 
-/// The score-bucketed store vs the flat `rank_and_cap` re-rank, under
-/// the same completion + arrival churn as `churn/*`. Both caches run the
-/// identical workload; the flat one is routed through the differential
-/// oracle via `set_flat_rerank(true)`.
+/// The score-bucketed store's selection pass under the same completion +
+/// arrival churn as `churn/*`, up to 4096 jobs.
 fn bench_bucketed(c: &mut Criterion) {
     let mut group = c.benchmark_group("bucketed");
     group.sample_size(10);
     for &n in &[1024usize, 4096] {
         let (mut cache, _specs, oracle) = populated(n, opts());
-        let mut flat_cache = cache.clone();
-        flat_cache.set_flat_rerank(true);
         let mut next_id = n as u64;
         let mut victim = 0usize;
+        let mut churn = |cache: &mut SnapshotCache| {
+            victim = (victim + 17) % cache.len();
+            cache.remove(victim);
+            let s = spec(next_id);
+            next_id += 1;
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
+            cache.snapshot(&oracle)
+        };
 
-        // Identity gate: after identical churn, the bucketed and flat
-        // selections assemble row-for-row identical snapshots.
+        // Identity gate, on a copy: with crosschecking on, every selection
+        // is re-run through the flat `rank_and_cap` oracle and asserted
+        // identical inside `snapshot`.
+        let mut checked = cache.clone();
+        checked.set_crosscheck(true);
         for _ in 0..3 {
-            victim = (victim + 17) % cache.len();
-            cache.remove(victim);
-            flat_cache.remove(victim);
-            let s = spec(next_id);
-            next_id += 1;
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            let (bc, bt) = cache.snapshot(&oracle);
-            let (fc, ft) = flat_cache.snapshot(&oracle);
-            assert_eq!(
-                bc.combos(),
-                fc.combos(),
-                "bucketed selection diverges from flat at {n}"
-            );
-            for k in 0..bt.num_rows() {
-                assert_eq!(bt.row(k), ft.row(k), "bucketed row {k} diverges at {n}");
-            }
+            churn(&mut checked);
         }
-
-        // Speedup gate at 4096 jobs: the tentpole claim. One completion +
-        // one arrival between recomputes, bucketed walk vs global sort.
-        let bucketed = median_secs(3, || {
-            victim = (victim + 17) % cache.len();
-            cache.remove(victim);
-            let s = spec(next_id);
-            next_id += 1;
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            criterion::black_box(cache.snapshot(&oracle));
-        });
-        let flat = median_secs(3, || {
-            victim = (victim + 17) % flat_cache.len();
-            flat_cache.remove(victim);
-            let s = spec(next_id);
-            next_id += 1;
-            flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-            criterion::black_box(flat_cache.snapshot(&oracle));
-        });
-        if n >= 4096 {
-            assert!(
-                flat >= bucketed * 5.0,
-                "bucketed selection must beat the flat re-rank by >=5x at {n} jobs: \
-                 bucketed {bucketed:.4}s vs flat {flat:.4}s ({:.1}x)",
-                flat / bucketed
-            );
-        }
-        println!(
-            "bucketed/{n}: bucketed {bucketed:.4}s vs flat {flat:.4}s ({:.1}x)",
-            flat / bucketed
-        );
+        assert!(checked.stats().flat_reranks > 0);
 
         group.bench_with_input(BenchmarkId::new("bucketed", n), &n, |b, _| {
-            b.iter(|| {
-                victim = (victim + 17) % cache.len();
-                cache.remove(victim);
-                let s = spec(next_id);
-                next_id += 1;
-                cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-                cache.snapshot(&oracle)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("flat", n), &n, |b, _| {
-            b.iter(|| {
-                victim = (victim + 17) % flat_cache.len();
-                flat_cache.remove(victim);
-                let s = spec(next_id);
-                next_id += 1;
-                flat_cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
-                flat_cache.snapshot(&oracle)
-            })
+            b.iter(|| churn(&mut cache))
         });
 
-        // Zero unexpected full re-ranks: the production bucketed path
-        // never touches the flat sort.
+        // The timed cache never touches the flat sort.
         assert_eq!(
             cache.stats().flat_reranks,
             0,
-            "bucketed cache fell back to the flat re-rank at {n} jobs"
+            "bucketed cache ran the flat re-rank at {n} jobs"
         );
         assert!(cache.stats().bucketed_selections > 0);
-        assert!(flat_cache.stats().flat_reranks > 0);
     }
     group.finish();
 }

@@ -1,0 +1,54 @@
+//! `gavel-exp <name> [--smoke|--quick|--full] [--extended]` regenerates
+//! one figure or table of the paper, or runs one service demo. Every name
+//! is a module of [`gavel_experiments::figs`], documented there;
+//! `--extended` selects `fig12_scalability`'s sweep past 2048 jobs.
+//!
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi --quick`
+
+use gavel_experiments::{figs, Scale};
+
+fn fig12_scalability(scale: Scale) {
+    if std::env::args().any(|a| a == "--extended") {
+        figs::fig12_scalability::run_extended(scale);
+    } else {
+        figs::fig12_scalability::run(scale);
+    }
+}
+
+/// An experiment's name and entry point.
+type Experiment = (&'static str, fn(Scale));
+
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig01_throughputs", figs::fig01_throughputs::run),
+    ("fig08_las_single", figs::fig08_las_single::run),
+    ("fig09_las_multi", figs::fig09_las_multi::run),
+    ("fig10_ftf_multi", figs::fig10_ftf_multi::run),
+    ("fig11_hierarchical", figs::fig11_hierarchical::run),
+    ("fig12_scalability", fig12_scalability),
+    ("fig13_mechanism", figs::fig13_mechanism::run),
+    ("fig14_estimator", figs::fig14_estimator::run),
+    ("fig15_colocation", figs::fig15_colocation::run),
+    ("fig16_fifo_single", figs::fig16_fifo_single::run),
+    ("fig17_ftf_single", figs::fig17_ftf_single::run),
+    ("fig18_fifo_multi", figs::fig18_fifo_multi::run),
+    ("fig19_makespan", figs::fig19_makespan::run),
+    ("fig20_las_priorities", figs::fig20_las_priorities::run),
+    ("fig21_hier_fifo", figs::fig21_hier_fifo::run),
+    ("sec7_cost_policies", figs::sec7_cost_policies::run),
+    ("svc_recovery", figs::svc_recovery::run),
+    ("svc_replay", figs::svc_replay::run),
+    ("table3_endtoend", figs::table3_endtoend::run),
+];
+
+fn main() {
+    let name = std::env::args().nth(1).unwrap_or_default();
+    let Some((_, run)) = EXPERIMENTS.iter().find(|(known, _)| *known == name) else {
+        eprintln!("usage: gavel-exp <name> [--smoke|--quick|--full] [--extended]");
+        eprintln!("unknown experiment {name:?}; the names are:");
+        for (known, _) in EXPERIMENTS {
+            eprintln!("  {known}");
+        }
+        std::process::exit(2);
+    };
+    run(Scale::from_args());
+}

@@ -1,5 +1,6 @@
-//! One module per figure/table binary; each exposes `run(Scale)` so the
-//! smoke tests can drive every experiment on a tiny trace.
+//! One module per figure, table or service demo; each exposes
+//! `run(Scale)`, which `gavel-exp <module name>` calls and the smoke tests
+//! drive on a tiny trace.
 
 pub mod hier_timeline;
 pub mod svc_recovery;

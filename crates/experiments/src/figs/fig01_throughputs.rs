@@ -1,7 +1,7 @@
 //! Figure 1: per-model throughputs and dollar-normalized throughputs on
 //! V100/P100/K80 (the motivation figure).
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig01_throughputs`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig01_throughputs`
 
 use crate::print_table;
 use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle};

@@ -6,7 +6,7 @@
 //! (heterogeneity-aware LAS), Gavel w/ SS, LAS w/ Gandiva-style ad-hoc
 //! space sharing, and AlloX.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig08_las_single`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig08_las_single`
 
 use crate::{jct_cdfs_at, jct_sweep, NamedFactory, Scale};
 use gavel_core::Policy;

@@ -1,7 +1,7 @@
 //! Figure 9: LAS-family policies, continuous-multiple trace (the Microsoft
 //! scale-factor mix: 70% one worker, 25% two-to-four, 5% eight).
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig09_las_multi`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi`
 
 use crate::{jct_cdfs_at, jct_sweep, NamedFactory, Scale};
 use gavel_core::Policy;

@@ -2,7 +2,7 @@
 //! vs heterogeneity-aware, on the continuous-multiple trace. Reports the
 //! average-JCT sweep and the per-job FTF (rho) CDF summaries.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig10_ftf_multi`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig10_ftf_multi`
 
 use crate::{cdf_summary, jct_sweep, run_full, NamedFactory, Scale};
 use gavel_core::Policy;

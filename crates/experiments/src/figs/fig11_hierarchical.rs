@@ -9,7 +9,7 @@
 //! (b) Total effective throughput: heterogeneity-aware hierarchical policy
 //!     vs a heterogeneity-agnostic static partition.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig11_hierarchical`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig11_hierarchical`
 
 use crate::figs::hier_timeline::{self, TimelineStep, ENTITY_WEIGHTS};
 use crate::print_table;

@@ -9,7 +9,12 @@
 //! `--full` extends it to the paper's 2048-job hierarchical-with-space-
 //! sharing point. See EXPERIMENTS.md.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig12_scalability`
+//! `--extended` switches to [`run_extended`], the snapshot-cache sweep
+//! past the paper's ceiling: 4k–16k active jobs through the
+//! score-bucketed candidate store, timing populate, churn recomputes,
+//! and a hierarchical solve at 8192 jobs (`--full`).
+//!
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig12_scalability`
 
 use crate::{print_table, Scale};
 use gavel_core::{JobId, Policy, PolicyInput, PolicyJob};
@@ -116,12 +121,9 @@ pub fn run(scale: Scale) {
 ///
 /// - **populate**: admitting all `n` jobs plus the first full snapshot
 ///   (selection + lazy pair-row materialization);
-/// - **recompute (bucketed)**: the steady-state churn step the simulator
-///   actually runs — one completion, one arrival, one snapshot — through
-///   the score-bucketed candidate store;
-/// - **recompute (flat)**: the same churn step with selection routed
-///   through the flat `rank_and_cap` differential oracle
-///   (`set_flat_rerank`), i.e. the pre-bucketed O(n² log n²) cost;
+/// - **recompute**: the steady-state churn step the simulator actually
+///   runs — one completion, one arrival, one snapshot — through the
+///   score-bucketed candidate store;
 /// - **hierarchical solve**: one hierarchical (4-entity fairness)
 ///   water-filling solve over the same job set (singleton rows — the
 ///   base sweep covers space sharing's growth separately), at the
@@ -130,13 +132,7 @@ pub fn run(scale: Scale) {
 ///   snapshot, is the wall there — see the parallel-solver roadmap
 ///   item), 2048 by default.
 ///
-/// The flat column is what makes the headline point legible: past 4096
-/// jobs the flat re-rank's full-sort cost per recompute dwarfs the
-/// bucketed store's contested-tail walk — thousands of reset-event
-/// recomputes at that gap are what made 8k–16k-job simulations
-/// unreachable on the flat store.
-///
-/// Run: `cargo run --release -p gavel-experiments --bin fig12_scalability -- --extended`
+/// Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig12_scalability --extended`
 pub fn run_extended(scale: Scale) {
     let sizes: Vec<usize> = match scale {
         Scale::Smoke => vec![8, 16],
@@ -182,44 +178,28 @@ pub fn run_extended(scale: Scale) {
         let all_configs = JobConfig::all();
         let mut next_id = n as u64 + 1_000_000;
         let mut victim = 0usize;
-        let mut churn =
-            |cache: &mut SnapshotCache, jobs: &mut Vec<PolicyJob>, specs: &mut Vec<JobSpec>| {
-                victim = (victim + 17) % cache.len();
-                cache.remove(victim);
-                jobs.swap_remove(victim);
-                specs.swap_remove(victim);
-                let id = JobId(next_id);
-                next_id += 1;
-                let spec = JobSpec {
-                    id,
-                    config: all_configs[(id.0 as usize * 7 + 3) % all_configs.len()],
-                    scale_factor: 1,
-                };
-                let mut job = PolicyJob::simple(id, 5_000.0);
-                job.entity = Some((id.0 % 4) as usize);
-                jobs.push(job.clone());
-                specs.push(spec);
-                cache.admit(&oracle, spec, job);
-            };
-
-        eprintln!("[fig12-extended] n={n}: populate {populate:.1}s; churn recompute (bucketed)…");
+        eprintln!("[fig12-extended] n={n}: populate {populate:.1}s; churn recompute…");
         let reps = if n >= 8192 { 1 } else { 3 };
-        let bucketed = median_secs(reps, || {
-            churn(&mut cache, &mut jobs, &mut specs);
+        let recompute = median_secs(reps, || {
+            victim = (victim + 17) % cache.len();
+            cache.remove(victim);
+            jobs.swap_remove(victim);
+            specs.swap_remove(victim);
+            let id = JobId(next_id);
+            next_id += 1;
+            let spec = JobSpec {
+                id,
+                config: all_configs[(id.0 as usize * 7 + 3) % all_configs.len()],
+                scale_factor: 1,
+            };
+            let mut job = PolicyJob::simple(id, 5_000.0);
+            job.entity = Some((id.0 % 4) as usize);
+            jobs.push(job.clone());
+            specs.push(spec);
+            cache.admit(&oracle, spec, job);
             std::hint::black_box(cache.snapshot(&oracle));
         });
-        eprintln!("[fig12-extended] n={n}: bucketed {bucketed:.4}s; churn recompute (flat)…");
-        let flat = {
-            let mut flat_cache = cache.clone();
-            let mut flat_jobs = jobs.clone();
-            let mut flat_specs = specs.clone();
-            flat_cache.set_flat_rerank(true);
-            median_secs(reps, || {
-                churn(&mut flat_cache, &mut flat_jobs, &mut flat_specs);
-                std::hint::black_box(flat_cache.snapshot(&oracle));
-            })
-        };
-        eprintln!("[fig12-extended] n={n}: flat {flat:.4}s");
+        eprintln!("[fig12-extended] n={n}: recompute {recompute:.4}s");
 
         let hier_t = if n == hier_at {
             eprintln!("[fig12-extended] n={n}: hierarchical solve…");
@@ -246,28 +226,20 @@ pub fn run_extended(scale: Scale) {
         rows.push(vec![
             n.to_string(),
             format!("{populate:.3}"),
-            format!("{bucketed:.4}"),
-            format!("{flat:.4}"),
+            format!("{recompute:.4}"),
             hier_t.map_or("-".into(), |t| format!("{t:.3}")),
         ]);
     }
     print_table(
         "Figure 12 (extended): snapshot-cache scaling past the paper's 2048-job ceiling",
-        &[
-            "jobs",
-            "populate (s)",
-            "recompute bucketed (s)",
-            "recompute flat (s)",
-            "Hierarchical (s)",
-        ],
+        &["jobs", "populate (s)", "recompute (s)", "Hierarchical (s)"],
         &rows,
     );
     println!(
-        "\nShape check: the bucketed churn recompute stays near-flat as jobs grow \
-         (dirty-row migration + contested-tail selection), while the flat re-rank's \
-         full sort grows superlinearly — across the thousands of reset-event \
-         recomputes of a simulated run, that gap is what makes 8k–16k-job rows \
-         (and the 8192-job hierarchical point) reachable at all."
+        "\nShape check: the churn recompute stays near-flat as jobs grow (dirty-row \
+         migration + contested-tail selection), which is what makes 8k–16k-job rows \
+         (and the 8192-job hierarchical point) reachable across the thousands of \
+         reset-event recomputes of a simulated run."
     );
 }
 

@@ -5,7 +5,7 @@
 //! (b) The mechanism at 360 s rounds versus an ideal baseline that grants
 //!     each job exactly its computed allocation as a fluid rate.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig13_mechanism`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig13_mechanism`
 
 use crate::{mean, print_table, run_avg_jct, Scale};
 use gavel_policies::MaxMinFairness;

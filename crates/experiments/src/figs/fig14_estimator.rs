@@ -2,7 +2,7 @@
 //! pair throughputs vs estimated pair throughputs (matrix completion +
 //! fingerprinting) vs LAS without space sharing, on the 12-GPU cluster.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig14_estimator`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig14_estimator`
 
 use crate::{mean, print_table, run_avg_jct, Scale};
 use gavel_policies::MaxMinFairness;

@@ -4,7 +4,7 @@
 //! space-sharing one P100 GPU. `----` marks memory-infeasible pairs (the
 //! black squares of the paper's heatmap).
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig15_colocation`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig15_colocation`
 
 use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle};
 

@@ -1,6 +1,6 @@
 //! Figure 16 (Appendix): FIFO policies on the continuous-single trace.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig16_fifo_single`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig16_fifo_single`
 
 use crate::{jct_cdfs_at, jct_sweep, NamedFactory, Scale};
 use gavel_core::Policy;

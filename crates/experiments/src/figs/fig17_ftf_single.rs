@@ -1,6 +1,6 @@
 //! Figure 17 (Appendix): finish-time fairness + AlloX, continuous-single.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig17_ftf_single`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig17_ftf_single`
 
 use crate::{cdf_summary, jct_sweep, run_full, NamedFactory, Scale};
 use gavel_core::Policy;

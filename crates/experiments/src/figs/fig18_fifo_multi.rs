@@ -1,6 +1,6 @@
 //! Figure 18 (Appendix): FIFO policies on the continuous-multiple trace.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig18_fifo_multi`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig18_fifo_multi`
 
 use crate::{jct_cdfs_at, jct_sweep, NamedFactory, Scale};
 use gavel_core::Policy;

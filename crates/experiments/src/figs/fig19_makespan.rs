@@ -2,7 +2,7 @@
 //! trace: agnostic FIFO, Gandiva, Gavel's makespan policy, and Gavel's
 //! makespan policy with space sharing.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig19_makespan`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig19_makespan`
 
 use crate::{print_table, run_full, Scale};
 use gavel_core::Policy;

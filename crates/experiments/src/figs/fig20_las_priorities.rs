@@ -2,7 +2,7 @@
 //! heterogeneity-agnostic vs heterogeneity-aware, continuous-multiple.
 //! Reports average JCT of the high- and low-priority classes separately.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig20_las_priorities`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig20_las_priorities`
 
 use crate::{mean, print_table, run_full, Scale};
 use gavel_core::Policy;

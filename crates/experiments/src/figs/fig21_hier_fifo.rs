@@ -3,7 +3,7 @@
 //! entity, earlier jobs receive the entity's full share before later ones
 //! see any resources; under high load, low-weight entities' jobs starve.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin fig21_hier_fifo`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig21_hier_fifo`
 
 use crate::figs::hier_timeline;
 use crate::print_table;

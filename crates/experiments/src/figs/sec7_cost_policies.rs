@@ -5,7 +5,7 @@
 //! throughput (cost-unaware baseline), minimize cost (throughput/$), and
 //! minimize cost subject to SLOs.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin sec7_cost_policies`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- sec7_cost_policies`
 
 use crate::{print_table, run_full, Scale};
 use gavel_policies::{MaxTotalThroughput, MinCost, MinCostSlo};

@@ -16,7 +16,7 @@
 //!    truncation on top of kills) that must always recover to a clean
 //!    prefix of the run, never panic, never invent state.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin svc_recovery`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- svc_recovery`
 
 use crate::{print_table, Scale};
 use gavel_policies::MaxMinFairness;

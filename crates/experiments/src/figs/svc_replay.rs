@@ -3,7 +3,7 @@
 //! and a cancellation — then a bit-exact replay of the recorded
 //! submission log.
 //!
-//! Unlike the `fig*` binaries (which feed the service pre-compiled
+//! Unlike the `fig*` experiments (which feed the service pre-compiled
 //! traces), this drives [`gavel_service::SchedulerService`] through its
 //! command interface the way an external client would: jobs stream in
 //! from three entities, each capped at two active jobs, and everything
@@ -12,7 +12,7 @@
 //! and replaying it against a fresh service — panicking unless the
 //! replayed [`SimResult`] is bit-identical, counters included.
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin svc_replay`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- svc_replay`
 
 use crate::{print_table, Scale};
 use gavel_policies::MaxMinFairness;

@@ -7,7 +7,7 @@
 //! 20-minute rounds as in §7.2), versus the idealized simulator at
 //! 6-minute rounds (see DESIGN.md §3, substitution 1).
 //!
-//! Run: `cargo run --release -p gavel-experiments --bin table3_endtoend`
+//! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- table3_endtoend`
 
 use crate::{print_table, run_full, Scale};
 use gavel_policies::{AgnosticLas, GandivaPolicy, MaxMinFairness, MinMakespan};

@@ -1,7 +1,8 @@
-//! Shared helpers for the experiment binaries.
+//! The paper's experiments and the helpers they share.
 //!
-//! Every table and figure of the paper has a binary under `src/bin/`
-//! (see `DESIGN.md` §5 for the index). Binaries accept `--quick` (smaller
+//! Every table and figure of the paper is a module under [`figs`] with a
+//! `run(Scale)` entry point, and the one binary `gavel-exp <name>`
+//! dispatches to them by module name. It accepts `--quick` (smaller
 //! traces, single seed) and `--full` (paper-scale sweeps); the default sits
 //! in between so each figure regenerates in minutes on a laptop while
 //! preserving the paper's qualitative shape.
@@ -70,7 +71,7 @@ impl Scale {
 
 /// The scoped worker pool lives in `gavel-par` (shared with the solver's
 /// batched MILP nodes);
-/// re-exported here so the experiment binaries and older call sites keep
+/// re-exported here so the experiments and older call sites keep
 /// their import path. A panicking sweep worker re-raises its original
 /// panic payload instead of a generic "worker panicked" message.
 pub use gavel_par::{gavel_threads, parallel_map, parallel_map_init, with_threads};

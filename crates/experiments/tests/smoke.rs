@@ -1,11 +1,11 @@
-//! Smoke tests: every experiment binary's core routine must run to
-//! completion at `Scale::Smoke`. Trace-driven figures shrink to tiny
-//! 4-job traces with a single seed; figures with fixed small inputs
-//! (fig01/fig15 tables, the fig11/fig21 18-job timelines) ignore the
-//! scale and run as-is. This keeps the `fig*`/`table*`/`sec7*`/`svc_*`
-//! binaries from silently rotting — they share the exact `run()` entry
-//! points exercised here. The `svc_replay` smoke run doubles as a CI
-//! check that submission-log replay stays bit-exact.
+//! Smoke tests: every experiment must run to completion at
+//! `Scale::Smoke`. Trace-driven figures shrink to tiny 4-job traces with
+//! a single seed; figures with fixed small inputs (fig01/fig15 tables,
+//! the fig11/fig21 18-job timelines) ignore the scale and run as-is. This
+//! keeps the `fig*`/`table*`/`sec7*`/`svc_*` experiments from silently
+//! rotting — `gavel-exp` calls the exact `run()` entry points exercised
+//! here. The `svc_replay` smoke run doubles as a CI check that
+//! submission-log replay stays bit-exact.
 
 use gavel_experiments::{figs, Scale};
 
@@ -40,9 +40,9 @@ smoke!(
     table3_endtoend,
 );
 
-/// The fig12 extended sweep (snapshot-cache scaling, bucketed vs flat
-/// selection, hierarchical solve over the cached snapshot) shares its
-/// `run_extended` entry point with the `--extended` binary flag.
+/// The fig12 extended sweep (snapshot-cache scaling, hierarchical solve
+/// over the cached snapshot) shares its `run_extended` entry point with
+/// `gavel-exp fig12_scalability --extended`.
 #[test]
 fn fig12_scalability_extended() {
     figs::fig12_scalability::run_extended(Scale::Smoke);

@@ -35,10 +35,9 @@
 //! slot, its members' scheduler-local indices and its worker count, in
 //! tie-break order (target descending, row, type). It is rebuilt when the
 //! generation changes and after a `forget_job`; [`ScaleFactors`] is read
-//! only then. Under lenient planning a departed job's rows stay
-//! candidates until the generation changes (its scale factor counts as
-//! 1 and its combo accrues time from zero again); resolving the next
-//! generation releases those slots.
+//! only then. A row naming a departed job (the allocation has not been
+//! recomputed since it left) is dropped at resolution, so a plan names
+//! live jobs only and `forget_job` is the one place a slot is released.
 //!
 //! Each round then scores the candidates from the slab, sorts one `u128`
 //! key per candidate (inverted priority bits, then tie-break rank), and

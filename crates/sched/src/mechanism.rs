@@ -11,38 +11,30 @@ use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, JobId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-/// Per-job worker counts as seen by the round planner.
+/// The live jobs and their worker counts, as seen by the round planner.
 ///
-/// The simulator's event engine looks scale factors up in its live job
-/// table instead of materializing a fresh `HashMap` every round; plain
-/// maps keep working for tests and standalone callers. Unknown jobs
-/// (members of stale combos whose allocation has not been recomputed yet)
-/// default to 1, matching the historical `unwrap_or(&1)` behavior.
+/// The service looks scale factors up in its live job table instead of
+/// materializing a `HashMap` every round; a plain map works for tests and
+/// standalone callers.
 ///
-/// The generation-keyed planners read this only when they resolve an
-/// allocation: a job's scale factor and liveness may change only together
-/// with the allocation generation or a [`RoundScheduler::forget_job`].
+/// An allocation can outlive a job it names: under throttled
+/// recomputation a completed job's rows stay in the matrix until the next
+/// recompute. The planner drops every row with a departed member when it
+/// resolves the allocation, so a plan only ever names live jobs and the
+/// workers go to the next candidate.
+///
+/// [`RoundScheduler::plan_round_cached`] reads this only when it resolves
+/// an allocation: a job's scale factor may change only together with the
+/// allocation generation, its liveness only through a
+/// [`RoundScheduler::forget_job`].
 pub trait ScaleFactors {
-    /// Worker count of `job` (1 when unknown).
-    fn scale_factor_of(&self, job: JobId) -> u32;
-
-    /// Whether `job` is still live. Defaults to `true`: stale combos
-    /// (members already completed, allocation not yet recomputed) keep
-    /// planning as they historically did. Strict planners
-    /// ([`RoundScheduler::plan_round_cached_strict`]) skip combos with any
-    /// non-live member instead.
-    fn is_live(&self, _job: JobId) -> bool {
-        true
-    }
+    /// Worker count of `job`, or `None` once it has departed.
+    fn scale_factor_of(&self, job: JobId) -> Option<u32>;
 }
 
 impl ScaleFactors for HashMap<JobId, u32> {
-    fn scale_factor_of(&self, job: JobId) -> u32 {
-        *self.get(&job).unwrap_or(&1)
-    }
-
-    fn is_live(&self, job: JobId) -> bool {
-        self.contains_key(&job)
+    fn scale_factor_of(&self, job: JobId) -> Option<u32> {
+        self.get(&job).copied()
     }
 }
 
@@ -84,8 +76,7 @@ impl RoundPlan {
     }
 }
 
-/// Work counters of the generation-keyed planners
-/// ([`RoundScheduler::plan_round_cached`] and its strict twin).
+/// Work counters of [`RoundScheduler::plan_round_cached`].
 /// Deterministic in the call sequence; no fingerprint includes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MechanismStats {
@@ -193,10 +184,9 @@ struct Candidate {
 /// A resolved allocation and the scratch a round reuses.
 #[derive(Debug, Clone, Default)]
 struct Resolution {
-    /// Generation and strictness `cands` belongs to (`None`: nothing yet).
-    key: Option<(u64, bool)>,
-    /// A `forget_job` since `cands` was resolved.
-    dirty: bool,
+    /// Generation `cands` was resolved from; `None` before the first
+    /// resolution and after a `forget_job`.
+    key: Option<u64>,
     /// Candidates in tie-break order: target descending, row, type.
     cands: Vec<Candidate>,
     /// Slot per allocation row, so `record` finds it without hashing.
@@ -224,14 +214,13 @@ impl Resolution {
 
     /// Extracts the cells with a finite target above `1e-4` (a NaN,
     /// infinite or negative cell is never planned), each with its combo's
-    /// slot from `slot_of`, member indices and worker count. `strict`
-    /// drops combos with a non-live member.
+    /// slot from `slot_of`, member indices and worker count. A row with a
+    /// departed member yields nothing.
     fn resolve(
         &mut self,
         alloc: &Allocation,
         types: usize,
         scale_factor: &impl ScaleFactors,
-        strict: bool,
         mut slot_of: impl FnMut(Combo) -> usize,
     ) {
         self.cands.clear();
@@ -243,19 +232,21 @@ impl Resolution {
             let mut wanted = (targets.iter().take(types).enumerate())
                 .filter(|(_, target)| target.is_finite() && **target > 1e-4)
                 .peekable();
-            if wanted.peek().is_none()
-                || (strict && combo.jobs().any(|job| !scale_factor.is_live(job)))
-            {
+            if wanted.peek().is_none() {
                 continue;
             }
+            // The combo occupies its largest member's worker count.
+            let Some(workers) = (combo.jobs()).try_fold(0, |most, job| {
+                Some(most.max(scale_factor.scale_factor_of(job)?))
+            }) else {
+                continue;
+            };
             let slot = slot_of(combo);
             self.row_slot[row] = slot;
             let mut jobs = [0; 2];
-            let mut workers = 0;
             for (member, job) in combo.jobs().enumerate() {
                 let next = self.local.len();
                 jobs[member] = *self.local.entry(job).or_insert(next);
-                workers = workers.max(scale_factor.scale_factor_of(job));
             }
             if !combo.is_pair() {
                 jobs[1] = jobs[0];
@@ -357,7 +348,7 @@ impl Resolution {
 pub struct RoundScheduler {
     cluster: ClusterSpec,
     slab: Slab,
-    /// The allocation the generation-keyed planners last resolved.
+    /// The allocation [`RoundScheduler::plan_round_cached`] last resolved.
     resolved: Resolution,
 }
 
@@ -392,7 +383,7 @@ impl RoundScheduler {
         })
     }
 
-    /// Work counters of the generation-keyed planners.
+    /// Work counters of [`RoundScheduler::plan_round_cached`].
     pub fn stats(&self) -> MechanismStats {
         MechanismStats {
             slots_live: self.slab.index.len(),
@@ -401,28 +392,23 @@ impl RoundScheduler {
         }
     }
 
-    /// Drops a completed job's accounting (its combos can never run again).
-    ///
-    /// Under throttled recomputation a *stale* combo of a forgotten job
-    /// still appears in the plans of its allocation (which has not been
-    /// recomputed yet) and accrues time from zero again, as it always did
-    /// — planning priorities and simulator replays stay bit-identical.
-    /// That resurrected accounting is released when the next generation
-    /// is resolved and the job reports not live; callers wanting strict
-    /// semantics plan with
-    /// [`RoundScheduler::plan_round_cached_strict`].
+    /// Drops a departed job's accounting: the slots of every combo it is
+    /// a member of go back to the free list, and the next plan re-resolves
+    /// its allocation. The caller's [`ScaleFactors`] must report the job
+    /// departed from here on, so no later plan names it and nothing
+    /// registers its combos again.
     pub fn forget_job(&mut self, job: JobId) {
         for slot in self.slab.job_slots.remove(&job).unwrap_or_default() {
             self.slab.release(slot);
         }
-        self.resolved.dirty = true;
+        self.resolved.key = None;
     }
 
     /// Plans one round for the target allocation.
     ///
-    /// `scale_factor` maps jobs to their worker counts. Returns the
-    /// assignments; call [`RoundScheduler::record`] once the round has
-    /// actually run.
+    /// `scale_factor` maps live jobs to their worker counts; rows naming
+    /// any other job are not planned. Returns the assignments; call
+    /// [`RoundScheduler::record`] once the round has actually run.
     pub fn plan_round(&self, alloc: &Allocation, scale_factor: &impl ScaleFactors) -> RoundPlan {
         self.plan_round_with_capacity(alloc, scale_factor, None)
     }
@@ -441,17 +427,17 @@ impl RoundScheduler {
     ) -> RoundPlan {
         let mut once = Resolution::new(&self.cluster);
         let slot_of = |combo| self.slab.index.get(&combo).copied().unwrap_or(NO_SLOT);
-        once.resolve(alloc, self.slab.types, scale_factor, false, slot_of);
+        once.resolve(alloc, self.slab.types, scale_factor, slot_of);
         once.plan(&self.slab, available)
     }
 
     /// Like [`RoundScheduler::plan_round_with_capacity`], but keeps the
     /// candidates resolved from the allocation tagged `alloc_gen`.
     ///
-    /// The simulation engine recomputes allocations only at reset events or
-    /// cadence hits, so most rounds replan the *same* allocation; those
-    /// rounds only re-score priorities (`X / f` changes every round as time
-    /// is recorded) before the greedy pass, and consult neither `alloc` nor
+    /// The service recomputes allocations only at reset events or cadence
+    /// hits, so most rounds replan the *same* allocation; those rounds
+    /// only re-score priorities (`X / f` changes every round as time is
+    /// recorded) before the greedy pass, and consult neither `alloc` nor
     /// `scale_factor`. Callers must bump `alloc_gen` whenever `alloc` or a
     /// scale factor changes; a [`RoundScheduler::forget_job`] re-resolves
     /// the same generation. Plans are identical to the uncached path.
@@ -462,52 +448,13 @@ impl RoundScheduler {
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        self.plan_cached(alloc, (alloc_gen, false), scale_factor, available)
-    }
-
-    /// Like [`RoundScheduler::plan_round_cached`], but with strict stale
-    /// handling: combos whose members are not all live (per
-    /// [`ScaleFactors::is_live`]) are skipped outright instead of being
-    /// planned from the stale allocation — their workers go to the next
-    /// candidate, and they accrue no time (see
-    /// [`RoundScheduler::forget_job`] for the historical resurrection
-    /// behavior this avoids).
-    pub fn plan_round_cached_strict(
-        &mut self,
-        alloc: &Allocation,
-        alloc_gen: u64,
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-    ) -> RoundPlan {
-        self.plan_cached(alloc, (alloc_gen, true), scale_factor, available)
-    }
-
-    fn plan_cached(
-        &mut self,
-        alloc: &Allocation,
-        key: (u64, bool),
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-    ) -> RoundPlan {
         let RoundScheduler { slab, resolved, .. } = self;
-        if resolved.key != Some(key) || resolved.dirty {
-            if resolved.key.map(|(gen, _)| gen) != Some(key.0) {
-                // A combo with a departed member is in no later
-                // allocation: what the lenient planner re-registered for
-                // it after `forget_job` is garbage from here on.
-                let departed = |c: &Combo| c.jobs().any(|job| !scale_factor.is_live(job));
-                for &slot in &resolved.row_slot {
-                    if matches!(slab.combos.get(slot), Some(Some(combo)) if departed(combo)) {
-                        slab.release(slot);
-                    }
-                }
-            }
+        if resolved.key != Some(alloc_gen) {
             let types = slab.types;
-            resolved.resolve(alloc, types, scale_factor, key.1, |combo| {
+            resolved.resolve(alloc, types, scale_factor, |combo| {
                 slab.slot_or_insert(combo)
             });
-            resolved.key = Some(key);
-            resolved.dirty = false;
+            resolved.key = Some(alloc_gen);
         }
         resolved.plan(slab, available)
     }
@@ -646,35 +593,30 @@ mod tests {
     }
 
     #[test]
-    fn strict_plan_skips_stale_combos() {
-        // Job 1 has departed (absent from the scale-factor map → not
-        // live). The lenient planner still schedules its combo from the
-        // stale allocation; the strict planner skips it and leaves the
-        // worker to a live candidate.
-        let alloc = example_allocation();
-        let mut lenient = RoundScheduler::new(cluster());
-        let mut strict = RoundScheduler::new(cluster());
+    fn rows_with_a_departed_member_are_not_planned() {
+        // Job 1 has departed (absent from the scale-factor map) but the
+        // allocation still names it, alone and as a pair partner: both
+        // rows drop out, on the cached and the uncached path, and the
+        // live jobs take the workers.
+        let combos = ComboSet::new(vec![
+            Combo::single(JobId(0)),
+            Combo::single(JobId(1)),
+            Combo::single(JobId(2)),
+            Combo::pair(JobId(1), JobId(2)),
+        ]);
+        let alloc = Allocation::new(
+            combos,
+            vec![vec![0.3; 3], vec![0.9; 3], vec![0.3; 3], vec![0.9; 3]],
+        );
+        let mut sched = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(2)]);
-        let lenient_plan = lenient.plan_round_cached(&alloc, 1, &sf, None);
-        assert!(
-            lenient_plan
-                .assignments
-                .iter()
-                .any(|a| a.combo.jobs().any(|j| j == JobId(1))),
-            "lenient plan keeps the stale combo"
-        );
-        let strict_plan = strict.plan_round_cached_strict(&alloc, 1, &sf, None);
-        assert!(
-            strict_plan
-                .assignments
-                .iter()
-                .all(|a| a.combo.jobs().all(|j| j != JobId(1))),
-            "strict plan drops the stale combo"
-        );
-        assert!(
-            !strict_plan.assignments.is_empty(),
-            "live jobs still planned"
-        );
+        for plan in [
+            sched.plan_round_cached(&alloc, 1, &sf, None),
+            sched.plan_round(&alloc, &sf),
+        ] {
+            assert_eq!(plan.running_jobs(), HashSet::from([JobId(0), JobId(2)]));
+        }
+        assert_eq!(sched.stats().slots_live, 2, "departed rows get no slot");
     }
 
     #[test]
@@ -711,7 +653,7 @@ mod tests {
         let alloc = example_allocation();
         let mut cached = RoundScheduler::new(cluster());
         let mut fresh = RoundScheduler::new(cluster());
-        let sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
+        let mut sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
         for round in 0..30 {
             let gen = u64::from(round >= 15); // swap allocations mid-run
             let alloc2 = if round >= 15 {
@@ -738,6 +680,7 @@ mod tests {
             cached.record(&pc, 360.0);
             fresh.record(&pf, 360.0);
             if round == 20 {
+                sf.remove(&JobId(1));
                 cached.forget_job(JobId(1));
                 fresh.forget_job(JobId(1));
             }
@@ -783,14 +726,9 @@ mod tests {
     }
 
     impl ScaleFactors for Counting<'_> {
-        fn scale_factor_of(&self, job: JobId) -> u32 {
+        fn scale_factor_of(&self, job: JobId) -> Option<u32> {
             self.calls.set(self.calls.get() + 1);
             self.inner.scale_factor_of(job)
-        }
-
-        fn is_live(&self, job: JobId) -> bool {
-            self.calls.set(self.calls.get() + 1);
-            self.inner.is_live(job)
         }
     }
 
@@ -815,7 +753,7 @@ mod tests {
         assert_eq!(sched.stats().resolutions, 1);
 
         // A departure re-resolves the generation once, then it is steady
-        // again; the stale combo keeps its slot until the next generation.
+        // again; the departed job's row is gone and so is its slot.
         inner.remove(&JobId(1));
         sched.forget_job(JobId(1));
         assert!(round(&mut sched, &inner) > 0);
@@ -824,10 +762,10 @@ mod tests {
         }
         let stats = sched.stats();
         assert_eq!((stats.resolutions, stats.plans), (2, 22));
-        assert_eq!(stats.slots_live, 3, "lenient planning re-registers job 1");
+        assert_eq!(stats.slots_live, 2);
         assert!(stats.candidates_visited <= stats.candidates_scored);
 
-        // The next generation releases what the departed job left behind.
+        // The next generation has nothing left to release.
         let sf = Counting {
             inner: &inner,
             calls: std::cell::Cell::new(0),

@@ -71,23 +71,6 @@ pub struct SimConfig {
     pub assume_consolidated: bool,
     /// Worker-failure injection (`None` = no failures).
     pub failures: Option<FailureConfig>,
-    /// Strict recompute semantics: round plans skip combos that reference
-    /// jobs no longer live, instead of letting a stale allocation
-    /// resurrect them from the scheduler's timeshare history. The
-    /// historical (default-off) behavior only matters under throttled
-    /// recomputation, where a completed job's combo can linger in the
-    /// allocation for several rounds; see
-    /// `gavel_sched::RoundScheduler::forget_job`. Changing this flag
-    /// changes pinned results for throttled configs, hence the opt-in.
-    pub strict_recompute: bool,
-    /// Strict failure-clock semantics: cluster events (worker failures and
-    /// repairs) due during an idle fast-forward are processed *at their
-    /// scheduled times* while the clock skips ahead. Historically the
-    /// engine only drains events at round boundaries it actually executes,
-    /// so an idle gap batches every due event at the next busy round —
-    /// repairs land late and failure bursts pile up. Default off to keep
-    /// pinned results; opt in for service-style continuous operation.
-    pub strict_failure_clock: bool,
 }
 
 impl SimConfig {
@@ -109,8 +92,6 @@ impl SimConfig {
             max_seconds: 3.0e8, // ~9.5 simulated years; effectively "until done".
             assume_consolidated: true,
             failures: None,
-            strict_recompute: false,
-            strict_failure_clock: false,
         }
     }
 

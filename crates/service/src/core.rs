@@ -71,9 +71,8 @@ struct ActiveJob {
 #[derive(Debug, Clone, Copy, Default)]
 struct RowPositions {
     epoch: u64,
-    /// `None`: a member has departed (a stale row under throttled
-    /// recomputation). A singleton uses the first position only.
-    members: Option<[usize; 2]>,
+    /// A singleton uses the first position only.
+    members: [usize; 2],
 }
 
 /// Asynchronous cluster events (reset events in §3's sense).
@@ -143,22 +142,16 @@ impl EventQueue {
 }
 
 /// Scale-factor lookup over the service's live job table (no per-round
-/// `HashMap` materialization). Liveness doubles as the strict planner's
-/// stale-combo filter.
+/// `HashMap` materialization).
 struct ActiveScaleFactors<'e> {
     active: &'e [ActiveJob],
     index: &'e HashMap<JobId, usize>,
 }
 
 impl ScaleFactors for ActiveScaleFactors<'_> {
-    fn scale_factor_of(&self, job: JobId) -> u32 {
-        self.index
-            .get(&job)
-            .map_or(1, |&i| self.active[i].trace.scale_factor)
-    }
-
-    fn is_live(&self, job: JobId) -> bool {
-        self.index.contains_key(&job)
+    fn scale_factor_of(&self, job: JobId) -> Option<u32> {
+        let &i = self.index.get(&job)?;
+        Some(self.active[i].trace.scale_factor)
     }
 }
 
@@ -476,8 +469,7 @@ impl<'p> SchedulerService<'p> {
         self.seen_ids.insert(job.id);
         let book = self.books.entry(entity).or_default();
         book.counters.submitted += 1;
-        // Replicates the trace loop's semantics around an arrival: if the
-        // cluster is idle, the clock fast-forwards to the arrival
+        // An arrival at an idle cluster fast-forwards the clock to it
         // (round-quantized under round stepping) before admission; a job
         // arriving past the time cap never starts.
         if self.now >= self.config.max_seconds {
@@ -492,9 +484,9 @@ impl<'p> SchedulerService<'p> {
                 let k = (job.arrival_time / round).ceil().max(0.0);
                 (k * round).max(self.now + round)
             };
-            if self.config.strict_failure_clock {
-                self.drain_events_at_times(target);
-            }
+            // Failures and repairs due inside the gap take effect at their
+            // own times, not at the next busy round.
+            self.drain_due_events(target, true);
             self.now = target;
             if self.now >= self.config.max_seconds {
                 self.outcomes.push(unstarted_outcome(job));
@@ -741,11 +733,16 @@ impl<'p> SchedulerService<'p> {
             .push(at + fc.downtime_seconds, ClusterEvent::Repair(failed_type));
     }
 
-    /// Drains every cluster event due at or before `now`, processing each
-    /// at `process_at(event_time)` — `now` for the historical
-    /// batch-at-round-boundary semantics, the event's own time under the
-    /// strict failure clock.
-    fn drain_due_events(&mut self, fc: FailureConfig, horizon: f64, at_event_times: bool) {
+    /// Drains every cluster event due at or before `horizon`. A busy
+    /// round processes what came due during it at the round boundary
+    /// (`horizon`); an idle fast-forward processes each event at its own
+    /// time (`at_event_times`), so a repair lands `downtime_seconds` after
+    /// its failure however long the gap.
+    fn drain_due_events(&mut self, horizon: f64, at_event_times: bool) {
+        // Events are only ever queued under a failure model.
+        let Some(fc) = self.config.failures else {
+            return;
+        };
         while let Some(ev) = self.events.pop_due(horizon) {
             let at = if at_event_times { ev.time } else { horizon };
             match ev.event {
@@ -764,24 +761,13 @@ impl<'p> SchedulerService<'p> {
         }
     }
 
-    /// Strict-failure-clock idle fast-forward: process events due before
-    /// `target` at their scheduled times (repairs land on time even while
-    /// the cluster is idle).
-    fn drain_events_at_times(&mut self, target: f64) {
-        if let Some(fc) = self.config.failures {
-            self.drain_due_events(fc, target, true);
-        }
-    }
-
     /// One round of the §5 mechanism.
     fn step_round(&mut self) {
         let round = self.config.round_seconds;
 
         // Drain due cluster events — failures and repairs are reset
         // events (§3).
-        if let Some(fc) = self.config.failures {
-            self.drain_due_events(fc, self.now, false);
-        }
+        self.drain_due_events(self.now, false);
         let cfg = &self.config;
         let cadence_hit = match cfg.recompute {
             RecomputeCadence::EveryNRounds(n) => (self.rounds as u32).is_multiple_of(n.max(1)),
@@ -819,13 +805,9 @@ impl<'p> SchedulerService<'p> {
             active: &self.active,
             index: &self.index,
         };
-        let plan = if self.config.strict_recompute {
-            self.sched
-                .plan_round_cached_strict(alloc, self.alloc_gen, &sf, available)
-        } else {
-            self.sched
-                .plan_round_cached(alloc, self.alloc_gen, &sf, available)
-        };
+        let plan = self
+            .sched
+            .plan_round_cached(alloc, self.alloc_gen, &sf, available);
         if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -852,35 +834,19 @@ impl<'p> SchedulerService<'p> {
         for assignment in &plan.assignments {
             let gpu = GpuKind::from_index(assignment.accel);
 
-            // Stale assignments (a member completed but the allocation
-            // has not been recomputed yet — possible under throttled
-            // recomputation) idle their workers for the round.
+            debug_assert!(
+                (assignment.combo.jobs()).all(|id| self.index.contains_key(&id)),
+                "the planner drops rows with a departed member: {}",
+                assignment.combo
+            );
             let row = &mut self.row_positions[assignment.row];
             if row.epoch != self.positions_epoch {
-                let mut members = Some([0; 2]);
+                row.epoch = self.positions_epoch;
                 for (m, id) in assignment.combo.jobs().enumerate() {
-                    match (self.index.get(&id), &mut members) {
-                        (Some(&i), Some(pos)) => pos[m] = i,
-                        _ => members = None,
-                    }
+                    row.members[m] = self.index[&id];
                 }
-                *row = RowPositions {
-                    epoch: self.positions_epoch,
-                    members,
-                };
             }
-            let Some(positions) = row.members else {
-                // The departed member's live partner sits the round out
-                // on its workers: a placement it held stays held.
-                for id in assignment.combo.jobs() {
-                    if let Some(&i) = self.index.get(&id) {
-                        let job = &mut self.active[i];
-                        job.last_ran += usize::from(job.last_ran == self.rounds);
-                    }
-                }
-                continue;
-            };
-            let positions = &positions[..1 + usize::from(assignment.combo.is_pair())];
+            let positions = &row.members[..1 + usize::from(assignment.combo.is_pair())];
 
             // Per-member true throughputs.
             let mut tputs = [0.0; 2];
@@ -1242,10 +1208,10 @@ mod tests {
         svc.submit(job(1, 0.0, 1.0e6)).unwrap();
         svc.recompute();
         let tput = Oracle::new().throughput(svc.active[0].trace.config, GpuKind::V100, 1, true);
-        let plan_of = |combo, row, slot| RoundPlan {
+        let on_slot = |slot| RoundPlan {
             assignments: vec![Assignment {
-                combo,
-                row,
+                combo: Combo::single(JobId(0)),
+                row: 0,
                 accel: AccelIdx(0),
                 workers: vec![WorkerSlot {
                     accel: AccelIdx(0),
@@ -1255,10 +1221,7 @@ mod tests {
                 consolidated: true,
             }],
         };
-        let on_slot = |slot| plan_of(Combo::single(JobId(0)), 0, slot);
         let off = RoundPlan::default();
-        // A stale pair row: job 0's partner has departed.
-        let idled = plan_of(Combo::pair(JobId(0), JobId(9)), 1, 0);
         // (plan, seconds of the 360 s round the job trains for)
         let script = [
             (on_slot(0), 330.0), // first placement
@@ -1268,8 +1231,6 @@ mod tests {
             (off, 0.0),          // loses it
             (on_slot(1), 330.0), // regains the same slot: still a restore
             (on_slot(1), 360.0),
-            (idled, 0.0),        // idles on held workers under a stale pair row
-            (on_slot(1), 360.0), // nothing to restore
         ];
         let mut steps = 0.0;
         for (round, (plan, trained)) in script.iter().enumerate() {
@@ -1280,10 +1241,84 @@ mod tests {
         }
     }
 
-    /// `ThrottledResets` keeps planning a completed job's rows until the
-    /// next recompute, which re-registers its received-time accounting;
-    /// that accounting must go when the allocation moves on. 500 jobs
-    /// through 16 workers.
+    /// Under `ThrottledResets` a completed job's rows stay in the
+    /// allocation until the next recompute; no round may run them. A plan
+    /// naming a departed job would be recorded, so the job would hold
+    /// received time again (and trip `execute_round`'s debug assertion).
+    #[test]
+    fn throttled_resets_never_run_a_departed_job() {
+        let cluster =
+            ClusterSpec::new(&[("v100", 2, 2, 1.0), ("p100", 2, 2, 1.0), ("k80", 2, 2, 1.0)]);
+        let mut cfg = SimConfig::new(cluster);
+        cfg.recompute = RecomputeCadence::ThrottledResets(3);
+        let policy = IsolatedSplit::new();
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        for id in 0..25u64 {
+            svc.submit(job(id, 0.0, 600.0 + (id * 431 % 5000) as f64))
+                .unwrap();
+        }
+        let mut stale_rounds = 0;
+        while svc.num_active() > 0 {
+            svc.step_round();
+            for gone in &svc.outcomes {
+                assert_eq!(svc.sched.job_time_received(gone.id), 0.0, "{}", gone.id);
+            }
+            let rows = svc.current.as_ref().map_or(&[][..], |c| c.0.combos());
+            let departed = |c: &Combo| c.jobs().any(|id| !svc.index.contains_key(&id));
+            stale_rounds += usize::from(svc.num_active() > 0 && rows.iter().any(departed));
+        }
+        assert!(stale_rounds > 0, "no round planned an outdated allocation");
+        assert!(svc.outcomes.iter().all(|o| o.completion.is_some()));
+        assert_eq!(svc.sched.stats().slots_live, 0);
+    }
+
+    /// Failures and repairs due inside an idle gap take effect at their
+    /// own times, not at the next busy round: right after a 10-hour gap
+    /// under a 30-minute MTBF nothing due is still queued, and the only
+    /// workers down are the ones that failed within the last
+    /// `downtime_seconds`, each with its repair on the way.
+    #[test]
+    fn idle_gap_processes_cluster_events_on_time() {
+        let cluster =
+            ClusterSpec::new(&[("v100", 4, 4, 1.0), ("p100", 4, 4, 1.0), ("k80", 4, 4, 1.0)]);
+        let cfg = SimConfig::new(cluster).with_failures(1800.0, 3600.0);
+        let policy = IsolatedSplit::new();
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        svc.submit(job(0, 0.0, 100.0)).unwrap();
+        svc.advance_to(36_000.0);
+        assert_eq!(
+            (svc.num_active(), svc.now()),
+            (0, 360.0),
+            "idle after one round"
+        );
+        svc.submit(job(1, 36_000.0, 1.0e6)).unwrap();
+        let now = svc.now();
+        assert_eq!(now, 36_000.0);
+
+        let pending: Vec<QueuedEvent> = svc.events.heap.iter().map(|e| e.0).collect();
+        assert!(pending.iter().all(|e| e.time > now), "{pending:?}");
+        let repairs: Vec<f64> = (pending.iter())
+            .filter(|e| matches!(e.event, ClusterEvent::Repair(_)))
+            .map(|e| e.time)
+            .collect();
+        assert_eq!(svc.down_total, repairs.len());
+        assert!(
+            repairs.iter().all(|&due| due <= now + 3600.0),
+            "{repairs:?}"
+        );
+        // Every failure queues its repair and the next failure.
+        let failures = (svc.events.seq as usize - 1) / 2;
+        assert!(failures >= 10, "{failures} failures in the gap");
+        assert!(
+            svc.down_total <= failures / 3,
+            "repairs piled up: {repairs:?}"
+        );
+    }
+
+    /// `ThrottledResets` leaves a completed job's rows in the allocation
+    /// until the next recompute; its received-time accounting goes when
+    /// it completes and nothing registers it again. 500 jobs through 16
+    /// workers.
     #[test]
     fn throttled_soak_leaks_no_slots() {
         let cluster =
@@ -1306,17 +1341,15 @@ mod tests {
                 svc.advance_to(arrival);
                 svc.submit(job(id, arrival, 3600.0 + (id * 7919 % 7200) as f64))
                     .unwrap();
-                // Without pairs every slot is a singleton of the current
-                // allocation; with them, pairs of live jobs from earlier
-                // allocations legitimately keep their history.
-                if !pairs {
-                    assert!(svc.sched.stats().slots_live <= rows(&svc), "after job {id}");
-                }
+                // Every slot belongs to live jobs only. (A pair of live
+                // jobs that a later allocation dropped keeps its history,
+                // so with pairs the bound is this workload's, not a law.)
+                assert!(svc.sched.stats().slots_live <= rows(&svc), "after job {id}");
             }
             svc.advance_to(f64::MAX);
             assert_eq!(svc.num_active(), 0);
             let stats = svc.sched.stats();
-            assert!(stats.slots_live <= rows(&svc), "pairs {pairs}: {stats:?}");
+            assert_eq!(stats.slots_live, 0, "pairs {pairs}: {stats:?}");
             assert!(stats.slots_peak < 200, "pairs {pairs}: {stats:?}");
             assert!(stats.resolutions > svc.recomputations as u64, "{stats:?}");
         }

@@ -68,24 +68,21 @@
 //!   fraction of the last write, corrupt a byte, truncate), derived
 //!   deterministically from a seed, drives [`run_until_crash`] — the
 //!   crash-matrix tests assert that for *every* crash index across
-//!   round-based/fluid/failure/estimated/strict configs, recovery lands
+//!   round-based/fluid/failure/estimated/throttled configs, recovery lands
 //!   on the exact durable prefix and resuming the lost suffix converges
 //!   bit-for-bit with the uninterrupted run.
 //!
 //! # Relation to `gavel-sim`
 //!
-//! The trace simulator is now a thin client of this crate: it compiles a
+//! The trace simulator is a thin client of this crate: it compiles a
 //! trace into `[AdvanceTo(arrival), Submit(job)]*` plus a final drain,
 //! and feeds the stream to a `SchedulerService`. Trace-driven semantics
 //! (idle fast-forward between arrivals, round quantization, the
-//! simulation cap) live in the service's submit/advance handling, so a
-//! compiled trace is bit-identical to the historical monolithic engine —
-//! the pinned fixed-seed regressions in `gavel-sim` prove it. Two
-//! replay-only legacy behaviors are preserved under default flags and
-//! can be tightened via [`SimConfig::strict_recompute`] (no stale-combo
-//! resurrection under throttled recomputes) and
-//! [`SimConfig::strict_failure_clock`] (failure/repair events process at
-//! their scheduled times during idle fast-forwards).
+//! simulation cap) live in the service's submit/advance handling; the
+//! pinned fixed-seed regressions in `gavel-sim` hold them in place. A
+//! round runs live jobs only, whatever the recompute cadence, and
+//! failures and repairs due during an idle fast-forward take effect at
+//! their scheduled times.
 
 pub mod checkpoint;
 pub mod command;

@@ -501,9 +501,8 @@ pub struct SnapshotStats {
     /// Candidates whose exact tie-break order was lazily materialized
     /// (filtered into a contested bucket's sort) across all passes.
     pub candidates_sorted: usize,
-    /// Flat [`rank_and_cap`] runs — the differential-oracle crosscheck
-    /// or the explicit flat fallback. Zero on the production bucketed
-    /// path; benches and CI gate on that.
+    /// Flat [`rank_and_cap`] runs, i.e. differential-oracle crosschecks.
+    /// Zero unless crosschecking is on; benches and CI gate on that.
     pub flat_reranks: usize,
     /// Pair rows materialized for selected candidates (plain mode).
     pub pair_rows_materialized: usize,
@@ -545,9 +544,6 @@ pub struct SnapshotCache {
     row_memo: HashMap<(JobId, JobId), Vec<PairThroughput>>,
     /// Assert every bucketed selection against [`rank_and_cap`].
     crosscheck: bool,
-    /// Route selection through the flat [`rank_and_cap`] instead of the
-    /// bucketed walk — the bench comparator.
-    flat_rerank: bool,
     stats: SnapshotStats,
 }
 
@@ -571,7 +567,6 @@ impl SnapshotCache {
             selection_dirty: true,
             row_memo: HashMap::new(),
             crosscheck: std::env::var(CROSSCHECK_ENV).is_ok_and(|v| v != "0"),
-            flat_rerank: false,
             stats: SnapshotStats::default(),
         }
     }
@@ -631,17 +626,6 @@ impl SnapshotCache {
     /// enabled by setting the [`CROSSCHECK_ENV`] environment variable.
     pub fn set_crosscheck(&mut self, on: bool) {
         self.crosscheck = on;
-    }
-
-    /// Routes every selection through the flat [`rank_and_cap`] instead
-    /// of the bucketed walk. This is the differential-oracle fallback the
-    /// `bucketed` bench group measures the store against; production
-    /// paths leave it off (gated via [`SnapshotStats::flat_reranks`]).
-    pub fn set_flat_rerank(&mut self, on: bool) {
-        if self.flat_rerank != on {
-            self.selection_dirty = true;
-        }
-        self.flat_rerank = on;
     }
 
     /// Number of live pair candidates in the bucketed store.
@@ -753,13 +737,9 @@ impl SnapshotCache {
         self.stats.rows_dropped += 1;
     }
 
-    /// Runs the selection pass: the bucketed walk by default, the flat
-    /// [`rank_and_cap`] when [`Self::set_flat_rerank`] is on, and both
-    /// (asserted identical) when crosschecking.
+    /// Runs the selection pass: the bucketed walk, re-run through the
+    /// flat [`rank_and_cap`] and asserted identical when crosschecking.
     fn run_selection(&mut self, cap: usize) -> Vec<u32> {
-        if self.flat_rerank {
-            return self.rank_flat(cap);
-        }
         self.stats.bucketed_selections += 1;
         let slots = self.store.select(&self.handle_pos, cap, &mut self.stats);
         if self.crosscheck {
@@ -773,7 +753,7 @@ impl SnapshotCache {
     }
 
     /// The flat differential oracle: ranks every live slot through
-    /// [`rank_and_cap`] exactly like the pre-bucketed implementation.
+    /// [`rank_and_cap`].
     fn rank_flat(&mut self, cap: usize) -> Vec<u32> {
         self.stats.flat_reranks += 1;
         let pos: HashMap<JobId, u32> = self
@@ -826,10 +806,14 @@ impl SnapshotCache {
     /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
     /// consolidated, opts)` (or `build_singleton_tensor` without pairs)
     /// over the current job vector; the oracle is consulted only to
-    /// materialize rows for newly selected pairs. Bridged caches must
-    /// use [`Self::snapshot_bridged`] instead.
+    /// materialize rows for newly selected pairs.
+    ///
+    /// A bridged cache assembles through [`Self::snapshot_bridged`];
+    /// calling this on one is a construction mistake (debug-asserted). A
+    /// release build serves the rows the cache can vouch for without a
+    /// bridge: the singleton rows, no pairs.
     pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
-        assert!(
+        debug_assert!(
             self.bridged.is_none(),
             "bridged caches assemble through snapshot_bridged"
         );
@@ -861,18 +845,20 @@ impl SnapshotCache {
     /// Row-for-row identical to `build_tensor_with_pairs_by(oracle,
     /// specs, consolidated, opts, |a, b, g| bridge.pair_throughput(...))`
     /// at the bridge's current state.
+    ///
+    /// Only a cache built by [`Self::new_bridged`] holds estimated rows;
+    /// calling this on a plain one is a construction mistake
+    /// (debug-asserted). A release build serves the rows the cache can
+    /// vouch for: the oracle-backed [`Self::snapshot`].
     pub fn snapshot_bridged(
         &mut self,
         oracle: &Oracle,
         bridge: &EstimatorBridge,
     ) -> (ComboSet, ThroughputTensor) {
-        if self.bridged.is_none() {
-            // Not a bridged cache: serve the oracle-backed snapshot
-            // instead of dying — callers constructed via `new` simply
-            // never see estimated rows.
+        let Some(opts) = self.bridged.as_ref().map(|br| br.opts) else {
+            debug_assert!(false, "plain caches assemble through snapshot");
             return self.snapshot(oracle);
-        }
-        let opts = self.bridged.as_ref().unwrap().opts;
+        };
 
         // Dirty set: estimator drift since the last sync, plus admissions
         // whose entries do not exist yet — restricted to resident
@@ -1040,7 +1026,7 @@ fn canonical(a: JobId, b: JobId) -> (JobId, JobId) {
 /// module docs): every candidate is packed into a single `u128` key —
 /// descending score bits, then the two positions — and globally sorted.
 /// It costs O(n² log n²) per pass and survives as the differential
-/// oracle the bucketed store is crosschecked and benchmarked against.
+/// oracle the bucketed store is crosschecked against.
 ///
 /// Scores must be nonnegative and finite: `!score.to_bits()` orders the
 /// IEEE bit patterns inverse to the values only on that domain, and
@@ -1168,23 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_rerank_fallback_matches_fresh() {
-        let oracle = Oracle::new();
-        let opts = PairOptions::default();
-        let mut cache = SnapshotCache::new(true, Some(opts));
-        cache.set_flat_rerank(true);
-        for i in 0..8u64 {
-            let s = spec_nth(i, i as usize * 3 + 1);
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-        }
-        cache.remove(2);
-        assert_matches_fresh(&mut cache, &oracle, Some(opts));
-        let stats = cache.stats();
-        assert!(stats.flat_reranks > 0);
-        assert_eq!(stats.bucketed_selections, 0);
-    }
-
-    #[test]
     fn completions_unlink_through_reverse_index() {
         let oracle = Oracle::new();
         let opts = PairOptions {
@@ -1221,6 +1190,42 @@ mod tests {
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
         let (combos, _) = cache.snapshot(&oracle);
         assert!(combos.combos().iter().all(|c| !c.is_pair()));
+    }
+
+    /// Plain and bridged caches each have one assembly method. Using the
+    /// other one is caught in debug builds; a release build serves the
+    /// rows the cache can vouch for.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "snapshot_bridged"))]
+    fn snapshot_on_a_bridged_cache_serves_singletons_only() {
+        let oracle = Oracle::new();
+        let mut cache =
+            SnapshotCache::new_bridged(true, PairOptions::default(), BRIDGED_DIRTY_FRACTION);
+        for i in 0..6u64 {
+            let s = spec(i, ModelFamily::A3C, 4);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, None);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "through snapshot"))]
+    fn snapshot_bridged_on_a_plain_cache_serves_oracle_rows() {
+        let oracle = Oracle::new();
+        let opts = PairOptions::default();
+        let bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 3);
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        for i in 0..6u64 {
+            let s = spec_nth(i, i as usize * 3 + 1);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        let specs = cache.specs().to_vec();
+        let (combos, tensor) = cache.snapshot_bridged(&oracle, &bridge);
+        let (fresh_combos, fresh_tensor) = build_tensor_with_pairs(&oracle, &specs, true, &opts);
+        assert_eq!(combos.combos(), fresh_combos.combos());
+        for k in 0..fresh_tensor.num_rows() {
+            assert_eq!(tensor.row(k), fresh_tensor.row(k));
+        }
     }
 
     #[test]

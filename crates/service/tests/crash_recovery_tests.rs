@@ -5,9 +5,10 @@
 //! the final state is bit-identical to the run that never crashed.
 //!
 //! The matrix spans round stepping, fluid stepping, Poisson failures,
-//! estimated pair throughputs, and the strict recompute/failure-clock
-//! flags (the stream includes a large idle gap so a crash can land
-//! mid-gap), plus an admission cap so rejection records ride the WAL.
+//! estimated pair throughputs, and failures under a throttled recompute
+//! cadence (the stream includes a large idle gap so a crash can land
+//! mid-gap, among the cluster events processed inside it), plus an
+//! admission cap so rejection records ride the WAL.
 
 use gavel_core::JobId;
 use gavel_policies::MaxMinFairness;
@@ -63,8 +64,8 @@ fn job(id: u64, arrival: f64, entity: Option<usize>) -> TraceJob {
 
 /// A fixed command stream exercising every command kind, duplicate and
 /// unknown-id rejections, an entity-cap rejection, and a long idle gap
-/// (submit far in the future + advance across it) for the strict
-/// failure-clock path.
+/// (submit far in the future + advance across it) whose failures and
+/// repairs are processed during the fast-forward.
 fn stream() -> Vec<Command> {
     vec![
         Command::Submit {
@@ -100,16 +101,14 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     fluid.ideal_execution = true;
     let failures = base.clone().with_failures(20_000.0, 3_600.0);
     let estimated = base.clone().with_estimated_pairs();
-    let mut strict = base.clone().with_failures(20_000.0, 3_600.0);
-    strict.strict_recompute = true;
-    strict.strict_failure_clock = true;
-    strict.recompute = RecomputeCadence::ThrottledResets(2);
+    let mut throttled_failures = base.clone().with_failures(20_000.0, 3_600.0);
+    throttled_failures.recompute = RecomputeCadence::ThrottledResets(2);
     vec![
         ("round", base),
         ("fluid", fluid),
         ("failures", failures),
         ("estimated", estimated),
-        ("strict", strict),
+        ("throttled_failures", throttled_failures),
     ]
 }
 
@@ -267,9 +266,9 @@ fn crash_matrix_estimated_pairs() {
 }
 
 #[test]
-fn crash_matrix_strict_flags() {
+fn crash_matrix_throttled_failures() {
     let cfgs = configs();
-    crash_matrix("strict", &cfgs[4].1, 3);
+    crash_matrix("throttled_failures", &cfgs[4].1, 3);
 }
 
 /// Post-hoc damage corpus: every truncation point and every single-byte

@@ -1,18 +1,15 @@
 //! Service-level tests: admission caps and per-entity books, command
 //! rejection paths, query counters, failure/repair injection, the
-//! submission-log text round trip, replay of an interactive session, and
-//! divergence demonstrations for the two strict-semantics flags.
+//! submission-log text round trip, and replay of an interactive session.
 
 use gavel_core::{JobId, Policy};
 use gavel_policies::MaxMinFairness;
+use gavel_service::EntityCounters;
 use gavel_service::{
     replay, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
     SubmissionLog,
 };
-use gavel_service::{EntityCounters, RecomputeCadence};
-use gavel_workloads::{
-    cluster_twelve, generate, JobConfig, ModelFamily, Oracle, TraceConfig, TraceJob,
-};
+use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 
 fn small_cluster() -> gavel_core::ClusterSpec {
     gavel_core::ClusterSpec::new(&[
@@ -55,25 +52,6 @@ fn result_fingerprint(r: &SimResult) -> u64 {
         h = mix(h, j.cost.to_bits());
     }
     h
-}
-
-/// Drives a trace through the service exactly like the `gavel-sim` client:
-/// jobs in arrival order as advance+submit pairs, then a drain advance.
-fn run_trace(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
-    let mut jobs = trace.to_vec();
-    jobs.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
-    let mut svc = SchedulerService::new(cfg.clone(), ServiceConfig::default(), policy);
-    for job in jobs {
-        svc.advance_to(job.arrival_time);
-        svc.submit(job).unwrap();
-    }
-    svc.advance_to(cfg.max_seconds);
-    svc.into_result()
 }
 
 fn counters_for(r: &SimResult, entity: Option<u32>) -> EntityCounters {
@@ -315,53 +293,4 @@ fn parse_rejects_malformed_logs() {
          duration=0x0 weight=0x0 slo=- entity=-\n"
     ))
     .is_err());
-}
-
-/// `strict_recompute` changes results under throttled recomputation: the
-/// default planner lets a stale allocation resurrect completed jobs'
-/// combos from timeshare history; the strict planner skips them.
-#[test]
-fn strict_recompute_diverges_under_throttled_resets() {
-    let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_single(2.0, 25, 37), &oracle);
-    let mut cfg = SimConfig::new(small_cluster());
-    cfg.recompute = RecomputeCadence::ThrottledResets(3);
-    let legacy = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.strict_recompute = true;
-    let strict = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    assert_ne!(
-        result_fingerprint(&legacy),
-        result_fingerprint(&strict),
-        "strict recompute should change a throttled-cadence run"
-    );
-    // Sanity: with an unthrottled reset cadence there is no stale window,
-    // so the flag is a no-op.
-    let mut cfg = SimConfig::new(small_cluster());
-    let legacy = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.strict_recompute = true;
-    let strict = run_trace(&MaxMinFairness::new(), &trace, &cfg);
-    assert_eq!(result_fingerprint(&legacy), result_fingerprint(&strict));
-}
-
-/// `strict_failure_clock` changes results when failure events fall into an
-/// idle gap: by default every event due in the gap batches at the next
-/// busy round (repairs land late, failures pile up); strictly, events
-/// process at their scheduled times while the clock skips ahead.
-#[test]
-fn strict_failure_clock_diverges_across_idle_gap() {
-    let policy = MaxMinFairness::new();
-    // Job 0 finishes quickly; job 1 arrives ten idle hours later. With a
-    // 30-minute MTBF the gap holds ~20 failures whose repairs (1 h
-    // downtime) mostly both fire inside the gap.
-    let trace = vec![mk_job(0, 0.0, 100.0, None), mk_job(1, 36_000.0, 1e8, None)];
-    let mut cfg = SimConfig::new(cluster_twelve()).with_failures(1800.0, 3600.0);
-    cfg.max_seconds = 72_000.0;
-    let legacy = run_trace(&policy, &trace, &cfg);
-    cfg.strict_failure_clock = true;
-    let strict = run_trace(&policy, &trace, &cfg);
-    assert_ne!(
-        result_fingerprint(&legacy),
-        result_fingerprint(&strict),
-        "strict failure clock should change a run with an idle gap"
-    );
 }

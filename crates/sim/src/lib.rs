@@ -24,8 +24,7 @@
 //!
 //! Trace-only semantics (idle fast-forward between arrivals, round
 //! quantization of the wake-up, the simulation cap) are part of the
-//! service's submit/advance handling, so compiled traces behave
-//! bit-identically to the historical monolithic engine —
+//! service's submit/advance handling;
 //! `tests/pinned_regression.rs` pins fixed-seed results for 11 configs
 //! (estimated pairs, failures, physical jitter, throttled recomputes
 //! included) and additionally asserts log replay reproduces each pinned
@@ -66,8 +65,8 @@
 //! on the bridged path staying partial (one expected full
 //! re-derivation at population) with a ≥2x edge over the
 //! estimator-driven rebuild under drift, and on the bucketed selection
-//! beating the flat re-rank by ≥5x at 4096 jobs under churn with zero
-//! production flat re-ranks.
+//! equalling the flat `rank_and_cap` oracle's at 4096 jobs under churn
+//! with zero flat re-ranks on the timed path.
 //!
 //! Fidelity knobs reproduce the paper's setups:
 //!
@@ -80,12 +79,8 @@
 //! - **allocation recomputation cadence** (reset events and/or every N
 //!   rounds),
 //! - **worker failures** (Poisson failures with fixed repair times, both
-//!   treated as reset events),
-//! - **strict semantics** ([`SimConfig::strict_recompute`] /
-//!   [`SimConfig::strict_failure_clock`]: opt-in fixes for two
-//!   replay-era behaviors — stale-combo resurrection under throttled
-//!   recomputes, and failure events batching at the next busy round
-//!   after an idle gap — kept off by default so pinned results hold).
+//!   treated as reset events that take effect when they are due, also
+//!   while the cluster is idle).
 
 pub mod client;
 
