@@ -87,11 +87,6 @@ impl ThroughputEstimator {
         }
     }
 
-    /// Number of reference jobs.
-    pub fn num_references(&self) -> usize {
-        self.reference.len()
-    }
-
     /// Registers a new job from sparse profiling measurements:
     /// `profiled[j] = Some(v)` gives the job's normalized colocated
     /// throughput against reference `j`.

@@ -1,7 +1,9 @@
 //! `gavel-exp <name> [--smoke|--quick|--full] [--extended]` regenerates
 //! one figure or table of the paper, or runs one service demo. Every name
 //! is a module of [`gavel_experiments::figs`], documented there;
-//! `--extended` selects `fig12_scalability`'s sweep past 2048 jobs.
+//! `--extended` selects `fig12_scalability`'s sweep past 2048 jobs. An
+//! unknown name, or any other argument after it, prints the usage and
+//! exits 2.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi --quick`
 
@@ -40,15 +42,31 @@ const EXPERIMENTS: &[Experiment] = &[
     ("table3_endtoend", figs::table3_endtoend::run),
 ];
 
+/// Prints the usage with what was wrong and exits 2.
+fn refuse(problem: String) -> ! {
+    eprintln!("usage: gavel-exp <name> [--smoke|--quick|--full] [--extended]");
+    eprintln!("{problem}; the names are:");
+    for (known, _) in EXPERIMENTS {
+        eprintln!("  {known}");
+    }
+    std::process::exit(2);
+}
+
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_default();
+    let mut args = std::env::args().skip(1);
+    let name = args.next().unwrap_or_default();
     let Some((_, run)) = EXPERIMENTS.iter().find(|(known, _)| *known == name) else {
-        eprintln!("usage: gavel-exp <name> [--smoke|--quick|--full] [--extended]");
-        eprintln!("unknown experiment {name:?}; the names are:");
-        for (known, _) in EXPERIMENTS {
-            eprintln!("  {known}");
-        }
-        std::process::exit(2);
+        refuse(format!("unknown experiment {name:?}"));
     };
-    run(Scale::from_args());
+    // At most one scale flag; `--extended` is read by the
+    // `fig12_scalability` entry above and means nothing elsewhere.
+    let mut scale = None;
+    for arg in args {
+        match Scale::from_flag(&arg) {
+            Some(s) if scale.is_none() => scale = Some(s),
+            None if arg == "--extended" && name == "fig12_scalability" => {}
+            _ => refuse(format!("unexpected argument {arg:?} after {name}")),
+        }
+    }
+    run(scale.unwrap_or(Scale::Standard));
 }

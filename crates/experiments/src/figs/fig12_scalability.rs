@@ -236,8 +236,8 @@ pub fn run_extended(scale: Scale) {
         &rows,
     );
     println!(
-        "\nShape check: the churn recompute stays near-flat as jobs grow (dirty-row \
-         migration + contested-tail selection), which is what makes 8k–16k-job rows \
+        "\nShape check: the churn recompute stays near-flat as jobs grow (O(degree) \
+         unlinks + contested-tail selection), which is what makes 8k–16k-job rows \
          (and the 8192-job hierarchical point) reachable across the thousands of \
          reset-event recomputes of a simulated run."
     );

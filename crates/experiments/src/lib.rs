@@ -28,17 +28,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--smoke` / `--quick` / `--full` from `std::env::args`.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--smoke") {
-            Scale::Smoke
-        } else if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Standard
+    /// The scale a command-line flag names, if it names one.
+    pub fn from_flag(flag: &str) -> Option<Scale> {
+        match flag {
+            "--smoke" => Some(Scale::Smoke),
+            "--quick" => Some(Scale::Quick),
+            "--full" => Some(Scale::Full),
+            _ => None,
         }
     }
 

@@ -47,3 +47,33 @@ smoke!(
 fn fig12_scalability_extended() {
     figs::fig12_scalability::run_extended(Scale::Smoke);
 }
+
+/// `gavel-exp` runs what it was asked or nothing: a misspelt flag, a
+/// second scale flag, or `--extended` on an experiment that has no
+/// extended sweep prints the usage and exits 2, like an unknown name.
+#[test]
+fn gavel_exp_refuses_arguments_it_does_not_recognise() {
+    let gavel_exp = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_gavel-exp"))
+            .args(args)
+            .output()
+            .expect("gavel-exp runs")
+    };
+    let ok = gavel_exp(&["fig01_throughputs", "--smoke"]);
+    assert!(ok.status.success(), "{ok:?}");
+    assert!(!ok.stdout.is_empty());
+    for refused in [
+        &["fig01_throughputs", "--smok"][..],
+        &["fig01_throughputs", "--smoke", "--quick"],
+        &["fig01_throughputs", "--smoke", "--extended"],
+    ] {
+        let out = gavel_exp(refused);
+        assert_eq!(out.status.code(), Some(2), "{refused:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{refused:?} ran the experiment");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("usage: gavel-exp"),
+            "{refused:?}: {stderr}"
+        );
+    }
+}

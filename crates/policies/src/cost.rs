@@ -103,11 +103,6 @@ impl MinCost {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The unmodified paper objective (no progress floor).
-    pub fn without_progress_floor() -> Self {
-        MinCost { min_progress: 0.0 }
-    }
 }
 
 impl Policy for MinCost {

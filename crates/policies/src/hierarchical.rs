@@ -55,7 +55,7 @@
 //! fans out over the [`gavel_par`] pool.
 
 use crate::common::{check_input, solver_err, AllocLp};
-use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
+use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
     solve_milp, Cmp, ConstraintId, LpSolution, MilpOptions, PreparedLp, Sense, SolveStats, VarId,
     WarmStart,
@@ -709,15 +709,10 @@ impl Policy for Hierarchical {
     }
 }
 
-/// Identifier re-export used in experiment labels.
-pub fn job_label(id: JobId) -> String {
-    id.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_core::{ClusterSpec, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+    use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
     use proptest::prelude::*;
 
     /// Owned bundle behind a `PolicyInput`: singleton rows over three

@@ -213,12 +213,6 @@ impl MemoryCheckpointStore {
         MemoryCheckpointStore::default()
     }
 
-    /// A store pre-loaded with checkpoint bytes (e.g. captured from a
-    /// crashed run).
-    pub fn with_bytes(bytes: Option<Vec<u8>>) -> Self {
-        MemoryCheckpointStore { bytes }
-    }
-
     /// The stored checkpoint bytes, if any.
     pub fn bytes(&self) -> Option<&[u8]> {
         self.bytes.as_deref()

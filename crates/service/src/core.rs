@@ -28,7 +28,7 @@ use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
 use crate::metrics::{EntityCounters, JobOutcome, ServiceStats, SimResult};
-use crate::snapshot::{SnapshotCache, BRIDGED_DIRTY_FRACTION};
+use crate::snapshot::SnapshotCache;
 use gavel_core::{
     refs, AccelIdx, Allocation, ComboSet, EntityId, JobId, Policy, PolicyInput, PolicyJob,
     ThroughputTensor,
@@ -247,15 +247,10 @@ impl<'p> SchedulerService<'p> {
             None
         };
         let want_pairs = policy.wants_space_sharing() && config.pairs.is_some();
-        // Bridged runs cache per-pair estimated rows keyed by estimator
-        // revisions; the oracle-backed path keeps its admission-time
-        // candidates. Either way, no recompute pays the O(n²) sweep.
+        // The cache's pair source follows the bridge; either way, no
+        // recompute pays the O(n²) sweep.
         let cache = match (&bridge, config.pairs) {
-            (Some(_), Some(pairs)) => SnapshotCache::new_bridged(
-                config.assume_consolidated,
-                pairs,
-                BRIDGED_DIRTY_FRACTION,
-            ),
+            (Some(_), Some(pairs)) => SnapshotCache::new_bridged(config.assume_consolidated, pairs),
             _ => SnapshotCache::new(
                 config.assume_consolidated,
                 if want_pairs { config.pairs } else { None },
@@ -670,8 +665,8 @@ impl<'p> SchedulerService<'p> {
         let t0 = Instant::now();
         let cfg = &self.config;
         let (combos, tensor) = match &self.bridge {
-            // Bridged runs re-derive only the pair rows whose members'
-            // estimates drifted since the last recompute.
+            // Estimated runs re-score only the jobs whose estimates
+            // drifted since the last recompute.
             Some(b) => self.cache.snapshot_bridged(&self.oracle, b),
             None => self.cache.snapshot(&self.oracle),
         };

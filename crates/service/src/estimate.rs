@@ -147,12 +147,6 @@ impl EstimatorBridge {
         self.estimator.clock()
     }
 
-    /// The clock value at `id`'s last estimator-state change, or `None`
-    /// for unregistered jobs (whose class estimates are static).
-    pub fn revision(&self, id: JobId) -> Option<u64> {
-        self.estimator.revision(id.0)
-    }
-
     /// Jobs whose estimator state (fingerprint row or matched class)
     /// changed after `epoch`, in ascending id order. Forgotten jobs are
     /// not reported — callers drop their cached rows on removal anyway.

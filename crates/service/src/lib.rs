@@ -111,7 +111,7 @@ pub use recovery::{
     recover, run_until_crash, CrashOutcome, DurableService, MemoryDurableService, RecoveryError,
     RecoveryReport,
 };
-pub use snapshot::{SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION, CROSSCHECK_ENV};
+pub use snapshot::{SnapshotCache, SnapshotStats, CROSSCHECK_ENV};
 pub use wal::{
     scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, RecordKind,
     RejectionRecord, TornReason, TornTail, Wal, WalError, WalRecord, WalScan,

@@ -127,9 +127,9 @@ pub struct SimResult {
     /// Nonzero values usually mean the trace was generated for a larger
     /// cluster (see `TraceConfig::capped_for` for trace-level capping).
     pub never_placeable: usize,
-    /// Snapshot-cache counters for the run: oracle-backed incremental
-    /// snapshots, bridged partial/full re-derivations, and row/pair-eval
-    /// volumes — the observability hooks the perf gates assert on.
+    /// Snapshot-cache counters for the run: oracle- and estimator-backed
+    /// snapshots, and row/pair-eval volumes — the observability hooks
+    /// the perf gates assert on.
     pub snapshot_stats: SnapshotStats,
     /// Round-mechanism work counters: plans, resolutions, candidates
     /// scored and visited, received-time slots live and at peak.

@@ -3,20 +3,58 @@
 //! Every allocation recomputation needs three parallel structures: the
 //! [`ComboSet`] of schedulable rows, the [`ThroughputTensor`] with one row
 //! per combo, and the [`PolicyJob`] vector. Rebuilding them from scratch
-//! costs O(n²) oracle lookups per recompute once pair rows are enabled
-//! (`build_tensor_with_pairs` scores every job pair); with reset-event
-//! recomputation that cost is paid on *every* arrival and completion.
+//! costs O(n²) pair evaluations per recompute once pair rows are enabled
+//! (`build_tensor_with_pairs[_by]` scores every job pair); with
+//! reset-event recomputation that cost is paid on *every* arrival and
+//! completion.
 //!
 //! [`SnapshotCache`] keeps all three alive across recomputes and applies
-//! deltas instead:
+//! deltas instead: `admit` appends the arriving job's singleton row,
+//! `remove` drops the completed job's rows and candidates, and a snapshot
+//! assembles the combo set and tensor from the cached rows, selecting
+//! pair rows through the score-bucketed store below. Pair throughputs
+//! come from one of two *pair sources* — the [`Oracle`]
+//! ([`SnapshotCache::new`], [`SnapshotCache::snapshot`]) or, for the
+//! Figure 14 experiment, an [`EstimatorBridge`]
+//! ([`SnapshotCache::new_bridged`], [`SnapshotCache::snapshot_bridged`]);
+//! everything else is the same for both.
 //!
-//! - **admit** computes the arriving job's singleton row once, plus one
-//!   pair-candidate *score* against each resident single-worker job —
-//!   O(n) oracle work instead of O(n²);
-//! - **remove** drops the completed job's rows and candidates in
-//!   O(degree) through a per-job reverse index;
-//! - **snapshot** assembles the combo set and tensor from the cached
-//!   rows, selecting pair rows through the score-bucketed store below.
+//! # Invalidation protocol
+//!
+//! The store holds one *score* per pair of resident single-worker jobs
+//! that clears `min_aggregate`, valid until the pair source's answer for
+//! either member changes. A **dirty set** of jobs brings it up to date:
+//!
+//! 1. *Dirty set.* Oracle throughputs never change, so only an arriving
+//!    job is dirty and `admit` processes it on the spot. Estimates drift
+//!    as the estimator refines, and an arriving job is profiled only
+//!    after it is admitted, so an estimator-backed cache waits for
+//!    `snapshot_bridged`: it remembers the estimator's change clock at
+//!    its last sync and takes the jobs the bridge reports changed since
+//!    ([`EstimatorBridge::dirty_since`]) plus the jobs admitted since.
+//! 2. *Unlink.* Every candidate touching a dirty job leaves the store
+//!    through the reverse index (O(degree)), and its memoized row goes.
+//! 3. *Re-score.* Each dirty job is scored once against every resident
+//!    single-worker job — O(|dirty| · n) evaluations, n²/2 when every
+//!    job is dirty, so a large dirty set needs no rebuild path of its own
+//!    ([`SnapshotStats::pair_evals`] tells them apart) — and the pairs
+//!    that clear `min_aggregate` are inserted.
+//! 4. *Reselect.* If anything was admitted, removed or re-scored since
+//!    the last pass, the bucketed selection runs again; otherwise the
+//!    memoized selection stands and the snapshot is a pure assembly.
+//! 5. *Lazy rows.* The store keeps only scores (a row per candidate at 8k
+//!    jobs would put it in the tens of GBs); rows are derived from the
+//!    pair source just for the ~n selected pairs and memoized while a
+//!    pair stays selected and clean.
+//!
+//! The assembled snapshot is **row-for-row bitwise identical** to a fresh
+//! `build_tensor_with_pairs` (oracle), `build_tensor_with_pairs_by` at
+//! the bridge's current state (estimator) or `build_singleton_tensor`
+//! (no pairs) over the same jobs — proptested across random
+//! admit/complete/refine interleavings. Debug builds also re-derive every
+//! score and row an estimator-backed snapshot serves and assert they
+//! equal the cached ones, so drift the dirty set failed to report cannot
+//! go unnoticed.
 //!
 //! # The score-bucketed candidate store
 //!
@@ -27,10 +65,9 @@
 //! bucket named by the top [`BUCKET_SHIFT`]-truncated bits of its score's
 //! IEEE-754 pattern (an exponent-plus-leading-mantissa bin), so bucket
 //! order *is* score order and a candidate's bucket never depends on any
-//! other candidate. Churn is local: admissions insert into buckets in
-//! O(1) per candidate, completions unlink a job's candidates in
-//! O(degree), and a bridged re-derivation migrates one slot between
-//! buckets in O(log #buckets) instead of invalidating a global order.
+//! other candidate. Churn is local: a scored pair is inserted into its
+//! bucket in O(1), and a completed or drifted job's candidates are
+//! unlinked in O(degree), without invalidating a global order.
 //!
 //! **Lazy materialization rule.** Selection walks buckets in descending
 //! score order. Inside each bucket it first *filters* candidates down to
@@ -41,9 +78,7 @@
 //! materialized only inside the buckets the cap still contests, and the
 //! walk stops entirely once fewer than two jobs remain both uncapped and
 //! unexhausted. Cost per pass is O(live candidates) array reads plus
-//! O(contested · log contested) sorting, instead of O(n² log n²); under
-//! churn the dirty work is O(|dirty| · n) score evaluations plus that
-//! contested tail.
+//! O(contested · log contested) sorting, instead of O(n² log n²).
 //!
 //! **Tie-break contract.** The fresh builder
 //! (`build_tensor_with_pairs[_by]`) stable-sorts candidates by score
@@ -59,84 +94,36 @@
 //! sorted ascending. Scores are nonnegative and finite (debug-asserted),
 //! so complemented IEEE bits order exactly inverse to the values; the
 //! (i, k) suffix reproduces the stable sort's enumeration order for
-//! ties. The greedy per-job cap is then applied in that order. This
+//! ties. The greedy per-job cap is then applied in that order. The key
+//! depends on scores and positions only — never on slot ids or insertion
+//! order — which is why unlinking and re-inserting a drifted job's
+//! candidates selects exactly what a fresh enumeration would. The
 //! contract is preserved bit-exactly by the bucketed store (bucket ids
 //! are a prefix of the score bits, so the descending bucket walk refines
-//! into the same global order), is crosschecked against the flat
+//! into the same global order) and is crosschecked against the flat
 //! [`rank_and_cap`] differential oracle when
 //! [`SnapshotCache::set_crosscheck`] or the `GAVEL_SNAPSHOT_CROSSCHECK`
-//! environment variable enables it, and is proptested against fresh
-//! builds across random admit/complete/refine interleavings.
-//!
-//! Selected pair *rows* are materialized lazily too: the plain-mode
-//! store keeps only scores (a candidate row at 8k jobs would put the
-//! full store in the tens of GBs), and [`SnapshotCache::snapshot`]
-//! re-derives rows just for the ~n selected pairs, memoized while a pair
-//! stays selected. The assembled snapshot remains **row-for-row bitwise
-//! identical** to a fresh `build_tensor_with_pairs` /
-//! `build_singleton_tensor` run over the same jobs.
-//!
-//! # Bridged (estimated) invalidation protocol
-//!
-//! Estimated pair throughputs (Figure 14) drift as the estimator refines,
-//! so a pair row derived from the bridge is only valid as long as neither
-//! member's estimator state has changed. A cache in *bridged* mode
-//! ([`SnapshotCache::new_bridged`]) makes that validity explicit instead
-//! of assumed-global:
-//!
-//! - every cached pair entry is keyed by the two jobs' **estimator
-//!   revisions** (monotone per-job stamps from the estimator's global
-//!   change clock) at derivation time;
-//! - the cache remembers the estimator **clock epoch** of its last sync;
-//!   at each [`SnapshotCache::snapshot_bridged`] it asks the bridge for
-//!   the set of jobs whose state changed since that epoch (the *dirty
-//!   set*), unions in jobs admitted since the last snapshot (whose pair
-//!   entries do not exist yet), and re-derives **only the pair rows
-//!   touching those jobs** — O(|dirty| · n) bridge evaluations instead of
-//!   O(n²). Each re-derived entry *migrates* between score buckets
-//!   (insert / score-update / unlink, depending on how the new score
-//!   sits against the pruning threshold) rather than triggering a global
-//!   re-rank;
-//! - when the dirty set exceeds a configurable fraction of the resident
-//!   single-worker jobs (`dirty_fraction`, [`BRIDGED_DIRTY_FRACTION`] by
-//!   default), partial re-derivation would cost as much as starting over,
-//!   so the cache falls back to a full re-derivation of every pair (the
-//!   bucket store is rebuilt from scratch) — counted separately in
-//!   [`SnapshotStats::bridged_full_rebuilds`] so benches and CI can gate
-//!   on the steady state staying partial.
-//!
-//! Below-threshold pairs keep a scoreless entry (row and bucket slot are
-//! re-derived if the pair ever drifts back above the threshold), and the
-//! assembled bridged snapshot reuses the same
-//! bucketed selection as the oracle path, so it is row-for-row bitwise
-//! identical to a fresh estimator-driven `build_tensor_with_pairs_by`
-//! rebuild at the same estimator state (proptested under random
-//! admit/complete/refine interleavings, including past the fallback
-//! threshold).
+//! environment variable enables it.
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
-use gavel_workloads::{
-    pair_candidate, pair_candidate_by, pair_score, singleton_row, GpuKind, JobSpec, Oracle,
-    PairOptions,
-};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use gavel_workloads::{pair_row, pair_score, singleton_row, GpuKind, JobSpec, Oracle, PairOptions};
+use std::collections::{BTreeMap, HashMap};
 
-/// Default dirty-set fallback threshold for bridged caches: when more
-/// than this fraction of the resident single-worker jobs drifted since
-/// the last snapshot, re-derive every pair instead of patching.
-pub const BRIDGED_DIRTY_FRACTION: f64 = 0.5;
-
-/// Environment variable that, when set (to anything but `0`), makes
-/// every bucketed selection re-run the flat [`rank_and_cap`]
-/// differential oracle and assert the two orders are identical.
+/// Environment variable that makes every bucketed selection re-run the
+/// flat [`rank_and_cap`] differential oracle and assert the two orders
+/// are identical. Unset, empty or `0` is off; anything else is on.
 pub const CROSSCHECK_ENV: &str = "GAVEL_SNAPSHOT_CROSSCHECK";
+
+/// The rule every `GAVEL_*` switch follows (see the README table).
+fn flag_on(value: Option<std::ffi::OsString>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
 
 /// Right-shift applied to a score's IEEE-754 bits to name its bucket.
 /// Keeping the top 24 bits (sign, exponent, 12 mantissa bits) yields a
-/// few hundred buckets over the realistic score range — coarse enough
-/// that bucket membership almost never changes under estimate drift,
-/// fine enough that contested buckets stay small.
+/// few hundred buckets over the realistic score range — few enough to
+/// walk cheaply, fine enough that contested buckets stay small.
 const BUCKET_SHIFT: u32 = 40;
 
 /// Sentinel for "no position / dead handle".
@@ -168,7 +155,7 @@ struct BucketEntry {
     slot: u32,
     ha: u32,
     hb: u32,
-    /// Mirrors `Slot::score`; `update_score` keeps both in sync.
+    /// Mirrors `Slot::score`.
     score: f64,
 }
 
@@ -301,47 +288,6 @@ impl PairStore {
         }
     }
 
-    /// Re-scores `s`, migrating it between buckets when the new score
-    /// lands in a different bin — the bridged drift path.
-    fn update_score(&mut self, s: u32, score: f64) {
-        debug_assert!(
-            score >= 0.0 && score.is_finite(),
-            "bucketed candidate scores must be nonnegative finite, got {score}"
-        );
-        let sl = self.slots[s as usize];
-        if Self::bucket_of(sl.score) != Self::bucket_of(score) {
-            self.unlink_bucket(s);
-            let bvec = self.buckets.entry(Self::bucket_of(score)).or_default();
-            self.slots[s as usize].bucket_pos = bvec.len() as u32;
-            bvec.push(BucketEntry {
-                slot: s,
-                ha: sl.ha,
-                hb: sl.hb,
-                score,
-            });
-        } else {
-            // Same bin: refresh the bucket-resident score copy in place.
-            let bvec = self
-                .buckets
-                .get_mut(&Self::bucket_of(sl.score))
-                .expect("slot bucket missing");
-            bvec[sl.bucket_pos as usize].score = score;
-        }
-        self.slots[s as usize].score = score;
-    }
-
-    /// Drops every candidate but keeps the handle lists allocated — the
-    /// bridged full-rebuild path.
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.buckets.clear();
-        for l in &mut self.job_slots {
-            l.clear();
-        }
-        self.live = 0;
-    }
-
     fn live_slots(&self) -> impl Iterator<Item = (u32, &Slot)> + '_ {
         self.slots
             .iter()
@@ -436,65 +382,23 @@ impl PairStore {
     }
 }
 
-/// A cached estimator-derived pair, keyed by the estimator revisions of
-/// its two members at derivation time (`None` = unregistered, whose class
-/// estimate is static). The dirty-set protocol alone guarantees entries
-/// are never stale, so the revision key is materialized only in debug
-/// builds, where assembly re-checks it against the live bridge — at
-/// 2048 jobs the cache holds ~2M entries and release builds should not
-/// pay ~32 bytes each for an assert-only field.
-#[derive(Debug, Clone)]
-struct BridgedEntry {
-    #[cfg(debug_assertions)]
-    revs: (Option<u64>, Option<u64>),
-    /// Pair row in canonical (low `JobId`, high `JobId`) order; kept only
-    /// while the score clears the pruning threshold.
-    row: Option<Vec<PairThroughput>>,
-    /// This entry's slot in the bucketed store — present exactly while
-    /// the score clears the pruning threshold.
-    slot: Option<u32>,
-}
-
-/// Bridged-mode state: the per-pair estimate cache and its sync epoch.
-#[derive(Debug, Clone)]
-struct BridgedPairs {
-    opts: PairOptions,
-    dirty_fraction: f64,
-    /// Canonical (low `JobId`, high `JobId`) → cached entry.
-    entries: HashMap<(JobId, JobId), BridgedEntry>,
-    /// Per-job partner index so `remove` drops a job's entries without
-    /// scanning the whole map.
-    partners: HashMap<JobId, HashSet<JobId>>,
-    /// Estimator clock at the last snapshot sync.
-    epoch: u64,
-    /// Single-worker jobs admitted since the last snapshot — their pair
-    /// entries do not exist yet.
-    fresh: Vec<JobId>,
-    /// Memoized assembled pair selection (entry keys in emission order),
-    /// valid while `selection_dirty` is false.
-    selected: Vec<(JobId, JobId)>,
-}
-
 /// Counters making the incremental path observable (and gateable).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Oracle-backed snapshots served from cached rows.
+    /// Oracle-backed snapshots served ([`SnapshotCache::snapshot`]).
     pub incremental_snapshots: usize,
-    /// Bridged snapshots that re-derived only dirty/fresh pair rows (or
-    /// none at all) — the steady-state estimated path.
-    pub bridged_partial_rebuilds: usize,
-    /// Bridged snapshots that re-derived every pair because the dirty set
-    /// exceeded the fallback threshold (expected only at initial
-    /// population or after estimate-drift bursts).
-    pub bridged_full_rebuilds: usize,
-    /// Pair-score evaluations performed (oracle at admission, or bridge
-    /// at bridged re-derivation).
+    /// Estimator-backed snapshots served
+    /// ([`SnapshotCache::snapshot_bridged`]).
+    pub bridged_snapshots: usize,
+    /// Pair-score evaluations performed: one per (dirty job, resident
+    /// single-worker job) pair, against the oracle at admission or the
+    /// bridge at snapshot time.
     pub pair_evals: usize,
     /// Singleton rows appended (admissions).
     pub rows_appended: usize,
     /// Singleton rows dropped (completions).
     pub rows_dropped: usize,
-    /// Bucketed selection passes (plain and bridged).
+    /// Bucketed selection passes.
     pub bucketed_selections: usize,
     /// Buckets visited across all bucketed selection passes.
     pub buckets_walked: usize,
@@ -504,7 +408,7 @@ pub struct SnapshotStats {
     /// Flat [`rank_and_cap`] runs, i.e. differential-oracle crosschecks.
     /// Zero unless crosschecking is on; benches and CI gate on that.
     pub flat_reranks: usize,
-    /// Pair rows materialized for selected candidates (plain mode).
+    /// Pair rows materialized for newly selected candidates.
     pub pair_rows_materialized: usize,
 }
 
@@ -519,8 +423,15 @@ pub struct SnapshotCache {
     consolidated: bool,
     /// Pair generation options; `None` = singleton-only snapshots.
     pairs: Option<PairOptions>,
-    /// Bridged (estimated) pair state; mutually exclusive with `pairs`.
-    bridged: Option<BridgedPairs>,
+    /// Whether pair throughputs come from an [`EstimatorBridge`] (at
+    /// [`Self::snapshot_bridged`] time) instead of the oracle.
+    estimated: bool,
+    /// Estimator clock at the last estimator-backed snapshot.
+    epoch: u64,
+    /// Single-worker jobs admitted since the last estimator-backed
+    /// snapshot, not yet scored. Stays empty on an oracle-backed cache,
+    /// which scores an arriving job inside `admit`.
+    fresh: Vec<JobId>,
     specs: Vec<JobSpec>,
     singleton_rows: Vec<Vec<PairThroughput>>,
     policy_jobs: Vec<PolicyJob>,
@@ -528,10 +439,7 @@ pub struct SnapshotCache {
     handles: Vec<u32>,
     /// Position of each handle in `specs` ([`NONE32`] once freed).
     handle_pos: Vec<u32>,
-    /// `JobId` of each handle (stale once freed).
-    handle_ids: Vec<JobId>,
     free_handles: Vec<u32>,
-    /// The score-bucketed candidate store (plain and bridged modes).
     store: PairStore,
     /// Memoized selection (slot ids in emission order), valid while no
     /// admit/remove/drift has happened since it was computed — so
@@ -539,55 +447,49 @@ pub struct SnapshotCache {
     /// selection pass entirely.
     selected: Vec<u32>,
     selection_dirty: bool,
-    /// Lazily materialized rows for the currently selected plain-mode
-    /// pairs, canonically keyed; pruned as selections and jobs churn.
-    row_memo: HashMap<(JobId, JobId), Vec<PairThroughput>>,
+    /// Lazily materialized rows of the currently selected pairs; pruned
+    /// as selections, jobs and estimates churn.
+    row_memo: HashMap<Combo, Vec<PairThroughput>>,
     /// Assert every bucketed selection against [`rank_and_cap`].
     crosscheck: bool,
     stats: SnapshotStats,
 }
 
 impl SnapshotCache {
-    /// Creates an empty cache. `pairs` enables space-sharing pair rows
-    /// (pass the same [`PairOptions`] the fresh builder would use).
+    /// Creates an empty oracle-backed cache. `pairs` enables
+    /// space-sharing pair rows (pass the same [`PairOptions`] the fresh
+    /// builder would use).
     pub fn new(consolidated: bool, pairs: Option<PairOptions>) -> Self {
         SnapshotCache {
             consolidated,
             pairs,
-            bridged: None,
+            estimated: false,
+            epoch: 0,
+            fresh: Vec::new(),
             specs: Vec::new(),
             singleton_rows: Vec::new(),
             policy_jobs: Vec::new(),
             handles: Vec::new(),
             handle_pos: Vec::new(),
-            handle_ids: Vec::new(),
             free_handles: Vec::new(),
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
             row_memo: HashMap::new(),
-            crosscheck: std::env::var(CROSSCHECK_ENV).is_ok_and(|v| v != "0"),
+            crosscheck: flag_on(std::env::var_os(CROSSCHECK_ENV)),
             stats: SnapshotStats::default(),
         }
     }
 
-    /// Creates an empty cache in bridged (estimated) mode: pair rows come
+    /// Creates an empty estimator-backed cache: pair throughputs come
     /// from an [`EstimatorBridge`] at [`Self::snapshot_bridged`] time and
-    /// are invalidated per job via estimator revisions (see the module
-    /// docs). `dirty_fraction` sets the fallback threshold
-    /// ([`BRIDGED_DIRTY_FRACTION`] is the engine's default).
-    pub fn new_bridged(consolidated: bool, opts: PairOptions, dirty_fraction: f64) -> Self {
-        let mut cache = SnapshotCache::new(consolidated, None);
-        cache.bridged = Some(BridgedPairs {
-            opts,
-            dirty_fraction,
-            entries: HashMap::new(),
-            partners: HashMap::new(),
-            epoch: 0,
-            fresh: Vec::new(),
-            selected: Vec::new(),
-        });
-        cache
+    /// are invalidated per job through the bridge's change clock (see the
+    /// module docs).
+    pub fn new_bridged(consolidated: bool, opts: PairOptions) -> Self {
+        SnapshotCache {
+            estimated: true,
+            ..SnapshotCache::new(consolidated, Some(opts))
+        }
     }
 
     /// Number of resident jobs.
@@ -639,67 +541,71 @@ impl SnapshotCache {
         self.store.degree(self.handles[i])
     }
 
-    fn alloc_handle(&mut self, id: JobId) -> u32 {
-        match self.free_handles.pop() {
-            Some(h) => {
-                self.handle_ids[h as usize] = id;
-                h
-            }
-            None => {
-                let h = self.handle_pos.len() as u32;
-                self.handle_pos.push(NONE32);
-                self.handle_ids.push(id);
-                self.store.ensure_handles(self.handle_pos.len());
-                h
-            }
-        }
+    fn alloc_handle(&mut self) -> u32 {
+        self.free_handles.pop().unwrap_or_else(|| {
+            self.handle_pos.push(NONE32);
+            self.store.ensure_handles(self.handle_pos.len());
+            (self.handle_pos.len() - 1) as u32
+        })
     }
 
-    fn slot_ids(&self, s: u32) -> (JobId, JobId) {
+    /// The specs of slot `s`'s two jobs.
+    fn slot_specs(&self, s: u32) -> (JobSpec, JobSpec) {
         let sl = &self.store.slots[s as usize];
         (
-            self.handle_ids[sl.ha as usize],
-            self.handle_ids[sl.hb as usize],
+            self.specs[self.handle_pos[sl.ha as usize] as usize],
+            self.specs[self.handle_pos[sl.hb as usize] as usize],
         )
     }
 
-    /// Admits a job: computes its singleton row and, when pairs are
-    /// enabled and the job is single-worker, one candidate *score*
-    /// against every resident single-worker job (rows are materialized
-    /// lazily at selection time). In bridged mode pair derivation is
-    /// deferred to [`Self::snapshot_bridged`] (the job is recorded as
-    /// fresh).
+    /// Admits a job: computes its singleton row and, when it can pair
+    /// (pairs enabled, single worker), marks it dirty — scored against
+    /// the oracle right here, or left for the next
+    /// [`Self::snapshot_bridged`] on an estimator-backed cache.
     pub fn admit(&mut self, oracle: &Oracle, spec: JobSpec, job: PolicyJob) {
         debug_assert_eq!(spec.id, job.id, "spec/job identity mismatch");
         self.singleton_rows
             .push(singleton_row(oracle, &spec, self.consolidated));
         self.stats.rows_appended += 1;
-        let h = self.alloc_handle(spec.id);
-        if let Some(opts) = self.pairs {
-            if spec.scale_factor == 1 {
-                for j in 0..self.specs.len() {
-                    let other = self.specs[j];
-                    if other.scale_factor != 1 {
-                        continue;
-                    }
-                    let score = pair_score(oracle, &other, &spec);
-                    self.stats.pair_evals += 1;
-                    if score >= opts.min_aggregate {
-                        self.store.insert(self.handles[j], h, score);
-                    }
-                }
-            }
-        }
-        if let Some(br) = self.bridged.as_mut() {
-            if spec.scale_factor == 1 {
-                br.fresh.push(spec.id);
-            }
-        }
+        let h = self.alloc_handle();
         self.handle_pos[h as usize] = self.specs.len() as u32;
         self.handles.push(h);
         self.specs.push(spec);
         self.policy_jobs.push(job);
         self.selection_dirty = true;
+        if self.pairs.is_some() && spec.scale_factor == 1 {
+            if self.estimated {
+                self.fresh.push(spec.id);
+            } else {
+                let i = self.specs.len() - 1;
+                self.score_job(oracle, i, &oracle_pairs(oracle), |_| false);
+            }
+        }
+    }
+
+    /// Scores the single-worker job at position `i` against every other
+    /// resident single-worker job `skip` does not exclude, inserting the
+    /// pairs that clear `min_aggregate` — the one place candidates are
+    /// born, for an arriving job and a drifted one alike.
+    fn score_job(
+        &mut self,
+        oracle: &Oracle,
+        i: usize,
+        pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
+        skip: impl Fn(usize) -> bool,
+    ) {
+        let Some(opts) = self.pairs else { return };
+        let (spec, h) = (self.specs[i], self.handles[i]);
+        for (j, other) in self.specs.iter().enumerate() {
+            if j == i || other.scale_factor != 1 || skip(j) {
+                continue;
+            }
+            let score = pair_score(oracle, other, &spec, pair_fn);
+            self.stats.pair_evals += 1;
+            if score >= opts.min_aggregate {
+                self.store.insert(self.handles[j], h, score);
+            }
+        }
     }
 
     /// Removes the job at position `i` (swap-remove, mirroring the
@@ -721,17 +627,7 @@ impl SnapshotCache {
         if self.pairs.is_some() {
             // Memoized rows are keyed by JobId; drop the dead job's so a
             // later id reuse can never resurrect a stale row.
-            self.row_memo.retain(|&(a, b), _| a != id && b != id);
-        }
-        if let Some(br) = self.bridged.as_mut() {
-            if let Some(partners) = br.partners.remove(&id) {
-                for p in partners {
-                    br.entries.remove(&canonical(id, p));
-                    if let Some(set) = br.partners.get_mut(&p) {
-                        set.remove(&id);
-                    }
-                }
-            }
+            self.row_memo.retain(|pair, _| !pair.contains(id));
         }
         self.selection_dirty = true;
         self.stats.rows_dropped += 1;
@@ -764,12 +660,8 @@ impl SnapshotCache {
             .collect();
         rank_and_cap(
             self.store.live_slots().map(|(s, sl)| {
-                (
-                    self.handle_ids[sl.ha as usize],
-                    self.handle_ids[sl.hb as usize],
-                    sl.score,
-                    s,
-                )
+                let (a, b) = self.slot_specs(s);
+                (a.id, b.id, sl.score, s)
             }),
             &pos,
             self.specs.len(),
@@ -777,245 +669,133 @@ impl SnapshotCache {
         )
     }
 
-    /// Re-selects plain-mode pairs and materializes rows for the
-    /// winners, reusing rows that stayed selected across the pass.
-    fn reselect_plain(&mut self, oracle: &Oracle) {
-        let Some(opts) = self.pairs else { return };
-        let slots = self.run_selection(opts.max_pairs_per_job);
-        let mut old = std::mem::take(&mut self.row_memo);
-        for &s in &slots {
-            let (a, b) = self.slot_ids(s);
-            let key = canonical(a, b);
-            let row = match old.remove(&key) {
-                Some(row) => row,
-                None => {
-                    let sl = &self.store.slots[s as usize];
-                    let sa = self.specs[self.handle_pos[sl.ha as usize] as usize];
-                    let sb = self.specs[self.handle_pos[sl.hb as usize] as usize];
-                    self.stats.pair_rows_materialized += 1;
-                    pair_candidate(oracle, &sa, &sb).1
+    /// Assembles the snapshot from cached rows: singletons, then — when
+    /// `pair_fn` names the cache's pair source — the selected pairs,
+    /// reselecting first if anything changed since the last pass and
+    /// materializing rows only for pairs that were not already selected.
+    fn assemble(
+        &mut self,
+        oracle: &Oracle,
+        pair_fn: Option<&impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>>,
+    ) -> (ComboSet, ThroughputTensor) {
+        let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
+        let mut rows = self.singleton_rows.clone();
+        if let (Some(opts), Some(pair_fn)) = (self.pairs, pair_fn) {
+            if self.selection_dirty {
+                self.selected = self.run_selection(opts.max_pairs_per_job);
+                self.selection_dirty = false;
+                let mut old = std::mem::take(&mut self.row_memo);
+                for &s in &self.selected {
+                    let (a, b) = self.slot_specs(s);
+                    let pair = Combo::pair(a.id, b.id);
+                    let row = old.remove(&pair).unwrap_or_else(|| {
+                        self.stats.pair_rows_materialized += 1;
+                        pair_row(oracle, &a, &b, pair_fn).1
+                    });
+                    self.row_memo.insert(pair, row);
                 }
-            };
-            self.row_memo.insert(key, row);
+            }
+            combos.reserve(self.selected.len());
+            rows.reserve(self.selected.len());
+            for &s in &self.selected {
+                let (a, b) = self.slot_specs(s);
+                let pair = Combo::pair(a.id, b.id);
+                let row = &self.row_memo[&pair];
+                // Estimates move; a score or row the dirty set failed to
+                // invalidate must not be served silently.
+                debug_assert!(
+                    !self.estimated
+                        || (self.store.slots[s as usize].score, row.clone())
+                            == pair_row(oracle, &a, &b, pair_fn),
+                    "stale estimated pair {pair} survived invalidation"
+                );
+                combos.push(pair);
+                rows.push(row.clone());
+            }
         }
-        self.selected = slots;
+        (
+            ComboSet::new(combos),
+            ThroughputTensor::new(GpuKind::all().len(), rows),
+        )
     }
 
-    /// Assembles the current snapshot from cached rows.
+    /// Assembles the current snapshot of an oracle-backed cache.
     ///
     /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
     /// consolidated, opts)` (or `build_singleton_tensor` without pairs)
     /// over the current job vector; the oracle is consulted only to
     /// materialize rows for newly selected pairs.
     ///
-    /// A bridged cache assembles through [`Self::snapshot_bridged`];
-    /// calling this on one is a construction mistake (debug-asserted). A
-    /// release build serves the rows the cache can vouch for without a
-    /// bridge: the singleton rows, no pairs.
+    /// An estimator-backed cache assembles through
+    /// [`Self::snapshot_bridged`]; calling this on one is a construction
+    /// mistake (debug-asserted). A release build serves the rows the
+    /// cache can vouch for without a bridge: the singleton rows, no
+    /// pairs.
     pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
         debug_assert!(
-            self.bridged.is_none(),
-            "bridged caches assemble through snapshot_bridged"
+            !self.estimated,
+            "estimator-backed caches assemble through snapshot_bridged"
         );
         self.stats.incremental_snapshots += 1;
-        let num_types = GpuKind::all().len();
-        let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
-        let mut rows = self.singleton_rows.clone();
-        if self.pairs.is_some() {
-            if self.selection_dirty {
-                self.reselect_plain(oracle);
-                self.selection_dirty = false;
-            }
-            for &s in &self.selected {
-                let (a, b) = self.slot_ids(s);
-                combos.push(Combo::pair(a, b));
-                rows.push(self.row_memo[&canonical(a, b)].clone());
-            }
-        }
-        (
-            ComboSet::new(combos),
-            ThroughputTensor::new(num_types, rows),
-        )
+        let pair_fn = oracle_pairs(oracle);
+        self.assemble(oracle, (!self.estimated).then_some(&pair_fn))
     }
 
-    /// Assembles the current snapshot with pair rows from `bridge`,
-    /// re-deriving only the rows whose members' estimates drifted since
-    /// the last call (see the module docs for the invalidation protocol).
+    /// Assembles the current snapshot of an estimator-backed cache with
+    /// pair throughputs from `bridge`, first re-scoring the jobs whose
+    /// estimates drifted — or that were admitted — since the last call
+    /// (see the module docs for the invalidation protocol).
     ///
     /// Row-for-row identical to `build_tensor_with_pairs_by(oracle,
     /// specs, consolidated, opts, |a, b, g| bridge.pair_throughput(...))`
     /// at the bridge's current state.
     ///
-    /// Only a cache built by [`Self::new_bridged`] holds estimated rows;
-    /// calling this on a plain one is a construction mistake
-    /// (debug-asserted). A release build serves the rows the cache can
-    /// vouch for: the oracle-backed [`Self::snapshot`].
+    /// Only a cache built by [`Self::new_bridged`] holds estimated
+    /// scores; calling this on an oracle-backed one is a construction
+    /// mistake (debug-asserted). A release build serves the rows the
+    /// cache can vouch for: the oracle-backed [`Self::snapshot`].
     pub fn snapshot_bridged(
         &mut self,
         oracle: &Oracle,
         bridge: &EstimatorBridge,
     ) -> (ComboSet, ThroughputTensor) {
-        let Some(opts) = self.bridged.as_ref().map(|br| br.opts) else {
-            debug_assert!(false, "plain caches assemble through snapshot");
+        if !self.estimated {
+            debug_assert!(false, "oracle-backed caches assemble through snapshot");
             return self.snapshot(oracle);
+        }
+        self.stats.bridged_snapshots += 1;
+        let pair_fn = |x: &JobSpec, y: &JobSpec, g| {
+            bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
         };
 
-        // Dirty set: estimator drift since the last sync, plus admissions
-        // whose entries do not exist yet — restricted to resident
-        // single-worker jobs (only those form pairs).
-        let single_pos: HashMap<JobId, u32> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.scale_factor == 1)
-            .map(|(i, s)| (s.id, i as u32))
-            .collect();
-        let br = self.bridged.as_mut().unwrap();
-        let mut work: Vec<JobId> = bridge
-            .dirty_since(br.epoch)
-            .into_iter()
-            .chain(br.fresh.drain(..))
-            .filter(|id| single_pos.contains_key(id))
-            .collect();
+        let mut work = bridge.dirty_since(self.epoch);
+        work.append(&mut self.fresh);
         work.sort_unstable();
-        work.dedup();
-        br.epoch = bridge.clock();
-
-        let n_single = single_pos.len();
-        let full = !work.is_empty() && work.len() as f64 > br.dirty_fraction * n_single as f64;
-        if full {
-            // Past the threshold patching costs as much as starting over:
-            // re-derive every pair and rebuild the bucket store.
-            br.entries.clear();
-            br.partners.clear();
-            self.store.clear();
-            self.stats.bridged_full_rebuilds += 1;
-        } else {
-            self.stats.bridged_partial_rebuilds += 1;
-        }
-
-        // Re-derive the affected rows. `work` is empty on a clean cache
-        // (cadence recompute with no drift), making this a pure assembly.
-        // Each re-derived entry migrates between score buckets instead of
-        // invalidating a global order.
-        let singles: Vec<(u32, JobSpec)> = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.scale_factor == 1)
-            .map(|(i, s)| (self.handles[i], *s))
+        self.epoch = bridge.clock();
+        // Only resident single-worker jobs form pairs; ids that are not
+        // (or that left before this sync) drop out here.
+        let dirty: Vec<bool> = (self.specs.iter())
+            .map(|s| s.scale_factor == 1 && work.binary_search(&s.id).is_ok())
             .collect();
-        let work_set: HashSet<JobId> = work.iter().copied().collect();
-        let store = &mut self.store;
-        let stats = &mut self.stats;
-        let mut derive = |ha: u32, a: &JobSpec, hb: u32, b: &JobSpec, br: &mut BridgedPairs| {
-            let (score, row) = pair_candidate_by(oracle, a, b, |x, y, g| {
-                bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
-            });
-            stats.pair_evals += 1;
-            let key = canonical(a.id, b.id);
-            let above = score >= opts.min_aggregate;
-            let prev_slot = br.entries.get(&key).and_then(|e| e.slot);
-            let slot = match (prev_slot, above) {
-                (Some(s), true) => {
-                    store.update_score(s, score);
-                    Some(s)
-                }
-                (Some(s), false) => {
-                    store.remove_slot(s);
-                    None
-                }
-                (None, true) => Some(store.insert(ha, hb, score)),
-                (None, false) => None,
-            };
-            br.entries.insert(
-                key,
-                BridgedEntry {
-                    #[cfg(debug_assertions)]
-                    revs: (bridge.revision(key.0), bridge.revision(key.1)),
-                    row: above.then_some(row),
-                    slot,
-                },
-            );
-            br.partners.entry(a.id).or_default().insert(b.id);
-            br.partners.entry(b.id).or_default().insert(a.id);
-        };
-        let br = self.bridged.as_mut().unwrap();
-        if full {
-            for (i, (ha, a)) in singles.iter().enumerate() {
-                for (hb, b) in &singles[i + 1..] {
-                    derive(*ha, a, *hb, b, br);
-                }
-            }
-        } else {
-            for &w in &work {
-                let wi = single_pos[&w] as usize;
-                let (wh, ws) = (self.handles[wi], self.specs[wi]);
-                for (oh, other) in &singles {
-                    if other.id == w || (work_set.contains(&other.id) && other.id < w) {
-                        continue;
-                    }
-                    derive(wh, &ws, *oh, other, br);
-                }
-            }
-        }
-        if !work.is_empty() {
+        for i in (0..dirty.len()).filter(|&i| dirty[i]) {
+            // Unlink, then score against the clean jobs and the dirty
+            // ones already re-scored; the dirty ones still to come score
+            // against this one in their turn.
+            self.store.remove_job(self.handles[i]);
+            self.score_job(oracle, i, &pair_fn, |j| dirty[j] && j > i);
             self.selection_dirty = true;
         }
-
-        // Bucketed selection, memoized while nothing changed.
-        if self.selection_dirty {
-            let slots = self.run_selection(opts.max_pairs_per_job);
-            let sel: Vec<(JobId, JobId)> = slots
-                .iter()
-                .map(|&s| {
-                    let (a, b) = self.slot_ids(s);
-                    canonical(a, b)
-                })
-                .collect();
-            self.bridged.as_mut().unwrap().selected = sel;
-            self.selection_dirty = false;
-        }
-
-        let br = self.bridged.as_ref().unwrap();
-        let num_types = GpuKind::all().len();
-        let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
-        let mut rows = self.singleton_rows.clone();
-        for &(a, b) in &br.selected {
-            // Selection only ever ranks entries with above-threshold
-            // scores, so the entry and its row exist; a missing one is a
-            // selection bug we skip (debug-asserted) rather than die on.
-            let Some(entry) = br.entries.get(&(a, b)) else {
-                debug_assert!(false, "selected pair ({a}, {b}) missing from entries");
-                continue;
-            };
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                entry.revs,
-                (bridge.revision(a), bridge.revision(b)),
-                "stale bridged entry ({a}, {b}) survived invalidation"
-            );
-            let Some(row) = entry.row.clone() else {
-                debug_assert!(false, "selected entry ({a}, {b}) has no row");
-                continue;
-            };
-            combos.push(Combo::pair(a, b));
-            rows.push(row);
-        }
-        (
-            ComboSet::new(combos),
-            ThroughputTensor::new(num_types, rows),
-        )
+        self.row_memo
+            .retain(|pair, _| !pair.jobs().any(|j| work.binary_search(&j).is_ok()));
+        self.assemble(oracle, Some(&pair_fn))
     }
 }
 
-/// Canonical (low, high) pair key.
-fn canonical(a: JobId, b: JobId) -> (JobId, JobId) {
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// The oracle as a pair source.
+fn oracle_pairs(
+    oracle: &Oracle,
+) -> impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)> + '_ {
+    move |a, b, g| oracle.colocated(a.config, b.config, g)
 }
 
 /// Ranks scored pair candidates exactly like the fresh builder and
@@ -1095,18 +875,23 @@ mod tests {
         }
     }
 
-    fn assert_matches_fresh(cache: &mut SnapshotCache, oracle: &Oracle, opts: Option<PairOptions>) {
-        let specs = cache.specs().to_vec();
-        let (combos, tensor) = cache.snapshot(oracle);
-        let (fresh_combos, fresh_tensor) = match opts {
-            Some(o) => build_tensor_with_pairs(oracle, &specs, true, &o),
-            None => build_singleton_tensor(oracle, &specs, true),
-        };
+    type Snapshot = (ComboSet, ThroughputTensor);
+
+    fn assert_same((combos, tensor): &Snapshot, (fresh_combos, fresh_tensor): &Snapshot) {
         assert_eq!(combos.combos(), fresh_combos.combos(), "combo rows differ");
         assert_eq!(tensor.num_rows(), fresh_tensor.num_rows());
         for k in 0..tensor.num_rows() {
             assert_eq!(tensor.row(k), fresh_tensor.row(k), "tensor row {k} differs");
         }
+    }
+
+    fn assert_matches_fresh(cache: &mut SnapshotCache, oracle: &Oracle, opts: Option<PairOptions>) {
+        let specs = cache.specs().to_vec();
+        let fresh = match opts {
+            Some(o) => build_tensor_with_pairs(oracle, &specs, true, &o),
+            None => build_singleton_tensor(oracle, &specs, true),
+        };
+        assert_same(&cache.snapshot(oracle), &fresh);
     }
 
     fn assert_bridged_matches_fresh(
@@ -1116,16 +901,10 @@ mod tests {
         opts: PairOptions,
     ) {
         let specs = cache.specs().to_vec();
-        let (combos, tensor) = cache.snapshot_bridged(oracle, bridge);
-        let (fresh_combos, fresh_tensor) =
-            build_tensor_with_pairs_by(oracle, &specs, true, &opts, |x, y, g| {
-                bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
-            });
-        assert_eq!(combos.combos(), fresh_combos.combos(), "combo rows differ");
-        assert_eq!(tensor.num_rows(), fresh_tensor.num_rows());
-        for k in 0..tensor.num_rows() {
-            assert_eq!(tensor.row(k), fresh_tensor.row(k), "tensor row {k} differs");
-        }
+        let fresh = build_tensor_with_pairs_by(oracle, &specs, true, &opts, |x, y, g| {
+            bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
+        });
+        assert_same(&cache.snapshot_bridged(oracle, bridge), &fresh);
     }
 
     #[test]
@@ -1192,15 +971,14 @@ mod tests {
         assert!(combos.combos().iter().all(|c| !c.is_pair()));
     }
 
-    /// Plain and bridged caches each have one assembly method. Using the
-    /// other one is caught in debug builds; a release build serves the
-    /// rows the cache can vouch for.
+    /// Oracle- and estimator-backed caches each have one assembly method.
+    /// Using the other one is caught in debug builds; a release build
+    /// serves the rows the cache can vouch for.
     #[test]
     #[cfg_attr(debug_assertions, should_panic(expected = "snapshot_bridged"))]
     fn snapshot_on_a_bridged_cache_serves_singletons_only() {
         let oracle = Oracle::new();
-        let mut cache =
-            SnapshotCache::new_bridged(true, PairOptions::default(), BRIDGED_DIRTY_FRACTION);
+        let mut cache = SnapshotCache::new_bridged(true, PairOptions::default());
         for i in 0..6u64 {
             let s = spec(i, ModelFamily::A3C, 4);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
@@ -1219,13 +997,8 @@ mod tests {
             let s = spec_nth(i, i as usize * 3 + 1);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        let specs = cache.specs().to_vec();
-        let (combos, tensor) = cache.snapshot_bridged(&oracle, &bridge);
-        let (fresh_combos, fresh_tensor) = build_tensor_with_pairs(&oracle, &specs, true, &opts);
-        assert_eq!(combos.combos(), fresh_combos.combos());
-        for k in 0..fresh_tensor.num_rows() {
-            assert_eq!(tensor.row(k), fresh_tensor.row(k));
-        }
+        let fresh = build_tensor_with_pairs(&oracle, cache.specs(), true, &opts);
+        assert_same(&cache.snapshot_bridged(&oracle, &bridge), &fresh);
     }
 
     #[test]
@@ -1296,32 +1069,11 @@ mod tests {
     }
 
     #[test]
-    fn bucket_migration_on_drift() {
-        // Drive a slot across a bucket boundary via update_score and
-        // check the store's bucket bookkeeping stays consistent.
-        let mut store = PairStore::default();
-        store.ensure_handles(4);
-        let a = store.insert(0, 1, 1.25);
-        let b = store.insert(2, 3, 2.5);
-        assert_ne!(
-            PairStore::bucket_of(1.25),
-            PairStore::bucket_of(2.5),
-            "test scores must land in different buckets"
-        );
-        assert_eq!(store.buckets.len(), 2);
-        // Same-bucket rescore: no migration.
-        store.update_score(a, 1.25000001);
-        assert_eq!(store.buckets.len(), 2);
-        // Cross-bucket rescore: slot a joins slot b's bucket.
-        store.update_score(a, 2.5000001);
-        assert_eq!(store.buckets.len(), 1);
-        assert_eq!(store.buckets.values().next().unwrap().len(), 2);
-        // Unlink via the reverse index still works after migration.
-        store.remove_job(0);
-        assert_eq!(store.live, 1);
-        store.remove_slot(b);
-        assert_eq!(store.live, 0);
-        assert!(store.buckets.is_empty());
+    fn crosscheck_flag_is_off_when_unset_empty_or_zero() {
+        assert!(!flag_on(None));
+        for (value, on) in [("", false), ("0", false), ("1", true), ("off", true)] {
+            assert_eq!(flag_on(Some(value.into())), on, "{value:?}");
+        }
     }
 
     #[test]
@@ -1332,7 +1084,7 @@ mod tests {
             max_pairs_per_job: 4,
         };
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 9);
-        let mut cache = SnapshotCache::new_bridged(true, opts, BRIDGED_DIRTY_FRACTION);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         cache.set_crosscheck(true);
         for i in 0..8u64 {
             let s = spec_nth(i, i as usize * 5 + 2);
@@ -1350,51 +1102,87 @@ mod tests {
             bridge.forget(id);
             assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
         }
-        // A clean recompute (no drift, no churn) is a pure assembly and
-        // must also match.
+        // A clean recompute (no drift, no churn) is a pure assembly — no
+        // evaluation, selection or row derivation — and must also match.
+        let before = cache.stats();
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        let stats = cache.stats();
-        assert!(
-            stats.bridged_partial_rebuilds > 0,
-            "steady state must stay partial: {stats:?}"
+        assert_eq!(
+            cache.stats(),
+            SnapshotStats {
+                bridged_snapshots: before.bridged_snapshots + 1,
+                ..before
+            }
         );
     }
 
     #[test]
-    fn bridged_falls_back_past_dirty_threshold_and_recovers() {
+    fn bridged_pair_evals_track_the_dirty_set() {
         let oracle = Oracle::new();
         let opts = PairOptions {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 11);
-        let mut cache = SnapshotCache::new_bridged(true, opts, 0.5);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         cache.set_crosscheck(true);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
             bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        // Initial population: every resident job is fresh → full rebuild.
+        // Initial population: every resident job is fresh, so every pair
+        // is scored exactly once.
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 1);
+        assert_eq!(cache.stats().pair_evals, 6 * 5 / 2);
 
-        // Dirty well past half the residents: falls back to full again,
-        // and the result still matches the fresh build bit-for-bit.
+        // Dirty most of the residents at once: each pair with a dirty
+        // member is scored exactly once more, and the result still
+        // matches the fresh build bit-for-bit.
+        let epoch = bridge.clock();
         for i in 0..4usize {
             let (a, b) = (cache.specs()[i], cache.specs()[(i + 1) % 6]);
             bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
         }
+        let d = bridge.dirty_since(epoch).len();
+        assert!(d > 3, "the burst must dirty more than half the residents");
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 2);
+        assert_eq!(cache.stats().pair_evals, 15 + d * (d - 1) / 2 + d * (6 - d));
 
-        // One refined pair afterwards stays on the partial path.
-        let partial_before = cache.stats().bridged_partial_rebuilds;
+        // One refined pair afterwards re-scores its two jobs against the
+        // other four, plus the pair itself.
+        let before = cache.stats().pair_evals;
         let (a, b) = (cache.specs()[0], cache.specs()[1]);
         bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
         assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        assert_eq!(cache.stats().bridged_full_rebuilds, 2);
-        assert_eq!(cache.stats().bridged_partial_rebuilds, partial_before + 1);
+        assert_eq!(cache.stats().pair_evals, before + 2 * 4 + 1);
+    }
+
+    /// The dirty set is the only thing that invalidates estimated scores
+    /// and rows, so debug builds re-derive what a snapshot serves: drift
+    /// the bridge's clock does not report (here, a second bridge with
+    /// different estimates and the same clock) must not pass silently.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "survived invalidation")]
+    fn unreported_drift_trips_the_staleness_check() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 8,
+        };
+        let mut bridges =
+            [3, 4].map(|seed| EstimatorBridge::new(&oracle, EstimatorConfig::default(), seed));
+        let mut cache = SnapshotCache::new_bridged(true, opts);
+        for i in 0..6u64 {
+            let s = spec_nth(i, i as usize * 3 + 1);
+            for b in &mut bridges {
+                b.register(&oracle, s.id, s.config);
+            }
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_eq!(bridges[0].clock(), bridges[1].clock());
+        cache.snapshot_bridged(&oracle, &bridges[0]);
+        cache.snapshot_bridged(&oracle, &bridges[1]);
     }
 
     #[test]
@@ -1407,7 +1195,7 @@ mod tests {
             max_pairs_per_job: 8,
         };
         let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 13);
-        let mut cache = SnapshotCache::new_bridged(true, opts, BRIDGED_DIRTY_FRACTION);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 7 + 3);
             if i % 2 == 0 {

@@ -36,8 +36,8 @@
 //! - **Snapshot cache.** [`SnapshotCache`] keeps the
 //!   [`gavel_core::ComboSet`], [`gavel_core::ThroughputTensor`], and
 //!   [`gavel_core::PolicyJob`] vector alive across recomputes: admission
-//!   appends the arriving job's singleton row and O(n) scored pair
-//!   candidates, completion drops the job's rows, and each recompute
+//!   appends the arriving job's singleton row and O(n) pair-candidate
+//!   scores, completion drops the job's rows, and each recompute
 //!   assembles a snapshot that is row-for-row bitwise identical to a
 //!   fresh `build_tensor_with_pairs` run (proptested) — without the
 //!   O(n²) oracle pair sweep. Candidates live in a score-bucketed pair
@@ -47,26 +47,25 @@
 //!   the still-contested slots, preserving the flat sort's tie-break
 //!   order bit-exactly. The old flat ranking survives as a
 //!   differential oracle behind [`CROSSCHECK_ENV`].
-//! - **Bridged invalidation.** Estimator-bridged runs (Figure 14) ride
-//!   the same cache in *bridged* mode: every cached pair row is keyed by
-//!   its two members' estimator revisions, each recompute asks the
-//!   [`EstimatorBridge`] which jobs drifted since the last sync and
-//!   re-derives only the rows touching that dirty set — O(|dirty| · n)
-//!   bridge evaluations — falling back to a full re-derivation only when
-//!   the dirty set crosses a threshold fraction of the resident jobs.
+//! - **Estimated pairs.** Estimator-backed runs (Figure 14) ride the same
+//!   cache with the [`EstimatorBridge`] as the pair source: each
+//!   recompute asks the bridge which jobs drifted since the last sync,
+//!   unlinks those jobs' candidates and re-scores each of them once
+//!   against the resident jobs — O(|dirty| · n) bridge evaluations — and
+//!   the snapshot stays bitwise identical to a fresh
+//!   `build_tensor_with_pairs_by` run at the bridge's state.
 //! - **Round planning.** The incremental `gavel_sched::RoundScheduler`
 //!   (candidates resolved once per allocation generation: an unchanged
 //!   allocation only re-scores priorities from a dense received-time
 //!   slab, with no hashing and no allocation beyond the returned plan).
 //!
 //! The `sim` bench (`BENCH_sim.json`) tracks the cached-vs-rebuild
-//! recompute cost and gates CI on the oracle-backed path never falling
-//! back to full rebuilds, on the ≥3x incremental speedup at 1024+ jobs,
-//! on the bridged path staying partial (one expected full
-//! re-derivation at population) with a ≥2x edge over the
-//! estimator-driven rebuild under drift, and on the bucketed selection
-//! equalling the flat `rank_and_cap` oracle's at 4096 jobs under churn
-//! with zero flat re-ranks on the timed path.
+//! recompute cost and gates CI on the ≥3x incremental speedup at 1024+
+//! jobs, on the estimator-backed cache spending n(n−1)/2 evaluations at
+//! population and at most 4·n per drifting snapshot with a ≥2x edge over
+//! the estimator-driven rebuild, and on the bucketed selection equalling
+//! the flat `rank_and_cap` oracle's at 4096 jobs under churn with zero
+//! flat re-ranks on the timed path.
 //!
 //! Fidelity knobs reproduce the paper's setups:
 //!
@@ -87,7 +86,7 @@ pub mod client;
 pub use client::{compile_trace, Simulator};
 pub use gavel_service::{
     EstimatorBridge, FailureConfig, JobOutcome, RecomputeCadence, ServiceStats, SimConfig,
-    SimResult, SnapshotCache, SnapshotStats, BRIDGED_DIRTY_FRACTION, CROSSCHECK_ENV,
+    SimResult, SnapshotCache, SnapshotStats, CROSSCHECK_ENV,
 };
 
 /// Runs `policy` over `trace` under `config` and returns the metrics.

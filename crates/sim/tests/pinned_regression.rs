@@ -260,25 +260,15 @@ fn makespan_policy_static_trace() {
     );
 }
 
-/// Bridged runs must route every recompute through the bridged cache and
-/// exercise the partial path. On these deliberately tiny traces the
-/// 12-GPU cluster colocates most of the ~10-job active set every round,
-/// so under live refinement a large share of recomputes legitimately
-/// cross the dirty-set threshold — partial *dominance* is a property of
-/// scale and is gated by the `bridged` bench group at 1024 jobs instead.
-fn assert_bridged_path_taken(r: &SimResult, min_partial_share: f64) {
+/// Estimated runs must assemble every recompute through the
+/// estimator-backed entry and none through `snapshot()`.
+fn assert_bridged_path_taken(r: &SimResult) {
     let s = r.snapshot_stats;
     assert_eq!(
-        s.bridged_partial_rebuilds + s.bridged_full_rebuilds,
-        r.recomputations,
-        "bridged runs classify every recompute: {s:?}"
+        (s.bridged_snapshots, s.incremental_snapshots),
+        (r.recomputations, 0),
+        "estimated runs assemble through snapshot_bridged only: {s:?}"
     );
-    assert!(
-        s.bridged_partial_rebuilds as f64
-            >= min_partial_share * (s.bridged_partial_rebuilds + s.bridged_full_rebuilds) as f64,
-        "partial share below {min_partial_share}: {s:?}"
-    );
-    assert_eq!(s.incremental_snapshots, 0, "bridged runs bypass snapshot()");
 }
 
 #[test]
@@ -305,8 +295,7 @@ fn estimated_with_worker_failures() {
             job_costs: 0xa235d09934705ccf,
         }
     );
-    // Reset-driven recomputes consume small dirty sets: partial wins.
-    assert_bridged_path_taken(&r, 0.4);
+    assert_bridged_path_taken(&r);
 }
 
 #[test]
@@ -332,10 +321,7 @@ fn estimated_with_throttled_recomputes() {
             job_costs: 0x00a96a72b82b1b23,
         }
     );
-    // Throttling batches several rounds of refinement into each
-    // recompute, so most dirty sets legitimately cross the threshold —
-    // but the partial path must still fire.
-    assert_bridged_path_taken(&r, 0.2);
+    assert_bridged_path_taken(&r);
 }
 
 #[test]
@@ -357,7 +343,5 @@ fn estimated_pair_throughputs() {
             job_costs: 0xf5a12a70c2fb3c54,
         }
     );
-    // Without per-job profiling estimates never drift, so outside the
-    // small-population warm-up every recompute stays partial.
-    assert_bridged_path_taken(&r, 0.8);
+    assert_bridged_path_taken(&r);
 }

@@ -158,13 +158,11 @@ fn estimated_throughputs_close_to_oracle() {
 }
 
 #[test]
-fn profiled_estimation_stays_close_and_rebuilds_partially() {
+fn profiled_estimation_stays_close_and_uses_the_estimator_entry() {
     // Full §6 loop: arrivals are profiled/fingerprinted and estimates
     // refine online as colocated pairs run. The run must stay close to
-    // the oracle-backed result, and the bridged snapshot cache must serve
-    // those drifting estimates with per-pair invalidation — every
-    // recompute classified, the partial path exercised, and the
-    // oracle-mode counter untouched.
+    // the oracle-backed result, and every recompute must assemble through
+    // the estimator-backed entry, none through `snapshot()`.
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 40, 19), &oracle);
     let base = SimConfig::new(cluster_twelve()).with_space_sharing();
@@ -178,19 +176,12 @@ fn profiled_estimation_stays_close_and_rebuilds_partially() {
         "profiled estimates {e} vs oracle {o} diverge too much"
     );
     let s = est_run.snapshot_stats;
-    assert_eq!(
-        s.bridged_partial_rebuilds + s.bridged_full_rebuilds,
-        est_run.recomputations
-    );
-    assert!(
-        s.bridged_partial_rebuilds > 0,
-        "partial path never fired: {s:?}"
-    );
+    assert_eq!(s.bridged_snapshots, est_run.recomputations);
     assert_eq!(s.incremental_snapshots, 0);
-    // The oracle-backed run, in turn, never touches the bridged path.
+    // The oracle-backed run, in turn, never touches the estimator entry.
     let so = oracle_run.snapshot_stats;
-    assert_eq!(so.bridged_partial_rebuilds + so.bridged_full_rebuilds, 0);
-    assert!(so.incremental_snapshots > 0);
+    assert_eq!(so.bridged_snapshots, 0);
+    assert_eq!(so.incremental_snapshots, oracle_run.recomputations);
 }
 
 #[test]

@@ -1,163 +1,170 @@
 //! Property tests: the incremental snapshot is row-for-row identical to a
-//! fresh tensor build under arbitrary admit/complete interleavings — and,
-//! in bridged mode, under arbitrary admit/complete/refine interleavings
-//! against a live estimator, including past the dirty-set fallback
-//! threshold.
+//! fresh tensor build under arbitrary admit/complete/refine
+//! interleavings, whichever pair source backs the cache — the oracle, or
+//! a live estimator whose refinements dirty anywhere from one pair up to
+//! every resident job — and spends work proportional to the dirty set.
 //!
-//! Both harnesses run with the crosscheck enabled, so every bucketed
+//! The harness runs with the crosscheck enabled, so every bucketed
 //! selection pass is additionally asserted bit-identical (same pair set,
 //! same emission order) to the flat `rank_and_cap` differential oracle
 //! inside the cache itself.
 
 use gavel_core::{JobId, PolicyJob};
 use gavel_estimator::EstimatorConfig;
-use gavel_sim::{EstimatorBridge, SnapshotCache};
+use gavel_sim::{EstimatorBridge, SnapshotCache, SnapshotStats};
 use gavel_workloads::{
-    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, GpuKind,
-    JobConfig, JobSpec, Oracle, PairOptions,
+    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_score,
+    GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Applies one op sequence to the cache while mirroring it on a plain
 /// spec vector, checking snapshot == fresh build after every step.
 ///
-/// `ops` drives the interleaving: an op admits a new job when `admit` is
-/// true (or the pool is empty), otherwise completes the resident job at
-/// `pick % len` — exercising `swap_remove` reordering, which is what the
-/// pair-candidate re-ranking has to survive.
-fn run_sequence(ops: &[(bool, usize, usize, usize)], opts: Option<PairOptions>) {
+/// `bridge` is the pair source: `None` for the oracle, or an estimator
+/// bridge (which needs `opts`). `ops` drives the interleaving — `(kind,
+/// pick, cfg_idx, extra)`:
+///
+/// - kinds 0 and 3 admit a new job, registering most with the estimator
+///   (unregistered jobs ride the static class path);
+/// - kind 1 completes the resident job at `pick % len` (with estimator
+///   forget) — exercising `swap_remove` reordering, which is what the
+///   pair-candidate ranking has to survive;
+/// - kind 2 is an `observe` burst refining 1..=len colocated pairs,
+///   dirtying up to every resident job; the oracle never drifts, so
+///   there it is a no-op.
+fn run_sequence(
+    ops: &[(usize, usize, usize, usize)],
+    opts: Option<PairOptions>,
+    mut bridge: Option<EstimatorBridge>,
+) {
     let oracle = Oracle::new();
     let all = JobConfig::all();
-    let mut cache = SnapshotCache::new(true, opts);
+    let mut cache = match (&bridge, opts) {
+        (Some(_), Some(o)) => SnapshotCache::new_bridged(true, o),
+        _ => SnapshotCache::new(true, opts),
+    };
     cache.set_crosscheck(true);
+    let snapshot = |cache: &mut SnapshotCache, bridge: &Option<EstimatorBridge>| match bridge {
+        Some(b) => cache.snapshot_bridged(&oracle, b),
+        None => cache.snapshot(&oracle),
+    };
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut next_id = 0u64;
-    for &(admit, pick, cfg_idx, sf_sel) in ops {
-        if admit || specs.is_empty() {
-            let spec = JobSpec {
-                id: JobId(next_id),
-                config: all[cfg_idx % all.len()],
-                // Mostly single-worker jobs (pairable), some distributed.
-                scale_factor: if sf_sel % 4 == 0 { 2 } else { 1 },
-            };
-            next_id += 1;
-            cache.admit(&oracle, spec, PolicyJob::simple(spec.id, 1000.0));
-            specs.push(spec);
-        } else {
-            let i = pick % specs.len();
-            cache.remove(i);
-            specs.swap_remove(i);
+    let mut snapshots = 0usize;
+    for &(kind, pick, cfg_idx, extra) in ops {
+        let before = cache.stats();
+        // Jobs this op admits or drifts: what the snapshot may re-score.
+        let mut dirty: BTreeSet<JobId> = BTreeSet::new();
+        match kind % 4 {
+            0 | 3 => {
+                let spec = JobSpec {
+                    id: JobId(next_id),
+                    config: all[cfg_idx % all.len()],
+                    // Mostly single-worker jobs (pairable), some distributed.
+                    scale_factor: if extra % 5 == 0 { 2 } else { 1 },
+                };
+                next_id += 1;
+                if let Some(b) = bridge.as_mut().filter(|_| extra % 4 != 1) {
+                    b.register(&oracle, spec.id, spec.config);
+                }
+                cache.admit(&oracle, spec, PolicyJob::simple(spec.id, 1000.0));
+                specs.push(spec);
+                dirty.insert(spec.id);
+            }
+            1 if !specs.is_empty() => {
+                let i = pick % specs.len();
+                let id = specs[i].id;
+                cache.remove(i);
+                specs.swap_remove(i);
+                if let Some(b) = bridge.as_mut() {
+                    b.forget(id);
+                }
+            }
+            2 if specs.len() >= 2 => {
+                let Some(b) = bridge.as_mut() else { continue };
+                let epoch = b.clock();
+                let burst = extra % specs.len() + 1;
+                for k in 0..burst {
+                    let i = (pick + k) % specs.len();
+                    let j = (i + 1) % specs.len();
+                    let (x, y) = (specs[i], specs[j]);
+                    b.observe(&oracle, (x.id, x.config), (y.id, y.config), GpuKind::V100);
+                }
+                dirty.extend(b.dirty_since(epoch));
+            }
+            _ => continue,
         }
-        let (combos, tensor) = cache.snapshot(&oracle);
-        let (fresh_combos, fresh_tensor) = match opts {
-            Some(o) => build_tensor_with_pairs(&oracle, &specs, true, &o),
-            None => build_singleton_tensor(&oracle, &specs, true),
+        let (combos, tensor) = snapshot(&mut cache, &bridge);
+        let pair_fn = |x: &JobSpec, y: &JobSpec, g| match &bridge {
+            Some(b) => b.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g),
+            None => oracle.colocated(x.config, y.config, g),
+        };
+        let (fresh_combos, fresh_tensor) = match (opts, &bridge) {
+            (None, _) => build_singleton_tensor(&oracle, &specs, true),
+            (Some(o), None) => build_tensor_with_pairs(&oracle, &specs, true, &o),
+            (Some(o), Some(_)) => build_tensor_with_pairs_by(&oracle, &specs, true, &o, pair_fn),
         };
         assert_eq!(
             combos.combos(),
             fresh_combos.combos(),
-            "combo rows diverge after {} ops",
+            "combo rows diverge at {} jobs",
             specs.len()
         );
         assert_eq!(tensor.num_rows(), fresh_tensor.num_rows());
         for k in 0..tensor.num_rows() {
             assert_eq!(tensor.row(k), fresh_tensor.row(k), "row {k} diverges");
         }
+
+        // Work follows the dirty set: each admitted or drifted job is
+        // scored at most once against each resident single-worker job,
+        // and the store holds exactly the pairs a fresh enumeration keeps.
+        let singles: Vec<&JobSpec> = specs.iter().filter(|s| s.scale_factor == 1).collect();
+        let settled = cache.stats();
+        assert!(
+            settled.pair_evals - before.pair_evals <= dirty.len() * singles.len(),
+            "{} evaluations for {} dirty of {} single-worker jobs",
+            settled.pair_evals - before.pair_evals,
+            dirty.len(),
+            singles.len()
+        );
+        let kept = opts.map_or(0, |o| {
+            (singles.iter().enumerate())
+                .flat_map(|(i, a)| singles[i + 1..].iter().map(move |b| (a, b)))
+                .filter(|(a, b)| pair_score(&oracle, a, b, &pair_fn) >= o.min_aggregate)
+                .count()
+        });
+        assert_eq!(cache.candidate_count(), kept);
+
+        // With no drift and no churn a snapshot is a pure assembly: no
+        // evaluation, no selection pass, no row derivation.
+        snapshot(&mut cache, &bridge);
+        snapshots += 2;
+        let counted = match bridge {
+            Some(_) => SnapshotStats {
+                bridged_snapshots: settled.bridged_snapshots + 1,
+                ..settled
+            },
+            None => SnapshotStats {
+                incremental_snapshots: settled.incremental_snapshots + 1,
+                ..settled
+            },
+        };
+        assert_eq!(cache.stats(), counted);
     }
     let stats = cache.stats();
-    assert_eq!(stats.bridged_partial_rebuilds, 0);
-    assert_eq!(stats.bridged_full_rebuilds, 0);
+    let by_source = (stats.incremental_snapshots, stats.bridged_snapshots);
+    match bridge {
+        Some(_) => assert_eq!(by_source, (0, snapshots)),
+        None => assert_eq!(by_source, (snapshots, 0)),
+    }
     // Crosschecking runs the flat oracle once per bucketed pass.
     assert_eq!(stats.flat_reranks, stats.bucketed_selections);
 }
 
-/// Bridged-mode interleavings: admits (registered with the estimator or
-/// not), completions (with estimator forget), and `observe` bursts that
-/// refine anywhere from one pair up to every resident job — the latter
-/// pushing the dirty set past the fallback threshold. After every op the
-/// bridged snapshot must be row-for-row bitwise identical to a fresh
-/// estimator-driven rebuild at the same estimator state.
-fn run_bridged_sequence(
-    ops: &[(usize, usize, usize, usize)],
-    opts: PairOptions,
-    dirty_fraction: f64,
-    seed: u64,
-) {
-    let oracle = Oracle::new();
-    let all = JobConfig::all();
-    let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), seed);
-    let mut cache = SnapshotCache::new_bridged(true, opts, dirty_fraction);
-    cache.set_crosscheck(true);
-    let mut specs: Vec<JobSpec> = Vec::new();
-    let mut next_id = 0u64;
-    let mut snapshots = 0usize;
-    for &(kind, pick, cfg_idx, extra) in ops {
-        match kind % 4 {
-            // Admit (half the op space), registering most jobs with the
-            // estimator; unregistered jobs ride the static class path.
-            0 | 3 => {
-                let spec = JobSpec {
-                    id: JobId(next_id),
-                    config: all[cfg_idx % all.len()],
-                    scale_factor: if extra % 5 == 0 { 2 } else { 1 },
-                };
-                next_id += 1;
-                if extra % 4 != 1 {
-                    bridge.register(&oracle, spec.id, spec.config);
-                }
-                cache.admit(&oracle, spec, PolicyJob::simple(spec.id, 1000.0));
-                specs.push(spec);
-            }
-            // Complete: swap-remove churn plus estimator forget.
-            1 if !specs.is_empty() => {
-                let i = pick % specs.len();
-                let id = specs[i].id;
-                cache.remove(i);
-                specs.swap_remove(i);
-                bridge.forget(id);
-            }
-            // Observe burst: refine 1..=len colocated pairs, dirtying up
-            // to every resident job (past any dirty_fraction threshold).
-            2 if specs.len() >= 2 => {
-                let burst = extra % specs.len() + 1;
-                for k in 0..burst {
-                    let i = (pick + k) % specs.len();
-                    let j = (i + 1) % specs.len();
-                    let (a, b) = (specs[i], specs[j]);
-                    bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
-                }
-            }
-            _ => continue,
-        }
-        let (combos, tensor) = cache.snapshot_bridged(&oracle, &bridge);
-        snapshots += 1;
-        let (fresh_combos, fresh_tensor) =
-            build_tensor_with_pairs_by(&oracle, &specs, true, &opts, |x, y, g| {
-                bridge.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g)
-            });
-        assert_eq!(
-            combos.combos(),
-            fresh_combos.combos(),
-            "bridged combo rows diverge at {} jobs",
-            specs.len()
-        );
-        assert_eq!(tensor.num_rows(), fresh_tensor.num_rows());
-        for k in 0..tensor.num_rows() {
-            assert_eq!(
-                tensor.row(k),
-                fresh_tensor.row(k),
-                "bridged row {k} diverges"
-            );
-        }
-    }
-    let stats = cache.stats();
-    assert_eq!(
-        stats.bridged_partial_rebuilds + stats.bridged_full_rebuilds,
-        snapshots,
-        "every bridged snapshot is classified partial or full"
-    );
-    assert_eq!(stats.incremental_snapshots, 0);
-    assert_eq!(stats.flat_reranks, stats.bucketed_selections);
+fn ops(max_len: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, usize)>> {
+    prop::collection::vec((0usize..4, 0usize..64, 0usize..64, 0usize..16), 1..max_len)
 }
 
 proptest! {
@@ -165,33 +172,30 @@ proptest! {
 
     #[test]
     fn incremental_equals_fresh_with_pairs(
-        ops in prop::collection::vec((any::<bool>(), 0usize..64, 0usize..64, 0usize..16), 1..40),
+        ops in ops(40),
         min_aggregate in 1.0f64..1.6,
         max_pairs in 1usize..6,
     ) {
-        run_sequence(&ops, Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }));
+        run_sequence(&ops, Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }), None);
     }
 
     #[test]
-    fn incremental_equals_fresh_singletons(
-        ops in prop::collection::vec((any::<bool>(), 0usize..64, 0usize..64, 0usize..16), 1..40),
-    ) {
-        run_sequence(&ops, None);
+    fn incremental_equals_fresh_singletons(ops in ops(40)) {
+        run_sequence(&ops, None, None);
     }
 
     #[test]
     fn bridged_equals_fresh_under_drift(
-        ops in prop::collection::vec((0usize..4, 0usize..64, 0usize..64, 0usize..16), 1..30),
+        ops in ops(30),
         min_aggregate in 1.0f64..1.5,
         max_pairs in 1usize..6,
-        dirty_fraction in 0.2f64..0.8,
         seed in 0u64..1024,
     ) {
-        run_bridged_sequence(
+        let bridge = EstimatorBridge::new(&Oracle::new(), EstimatorConfig::default(), seed);
+        run_sequence(
             &ops,
-            PairOptions { min_aggregate, max_pairs_per_job: max_pairs },
-            dirty_fraction,
-            seed,
+            Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),
+            Some(bridge),
         );
     }
 }

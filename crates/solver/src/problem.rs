@@ -375,17 +375,18 @@ impl LpProblem {
         })
     }
 
-    /// Debug-mode oracle: when `GAVEL_LP_CROSSCHECK` is set, re-solve with
-    /// the dense tableau (which expands column bounds into explicit rows,
-    /// independently of the bounded-variable path) and assert the engines
-    /// agree on the objective. Runs on *every* revised-engine solve —
+    /// Debug-mode oracle: when `GAVEL_LP_CROSSCHECK` is on (set to anything
+    /// but the empty string or `0`), re-solve with the dense tableau (which
+    /// expands column bounds into explicit rows, independently of the
+    /// bounded-variable path) and assert the engines agree on the
+    /// objective. Runs on *every* revised-engine solve —
     /// cold, warm-continued, and dual-reoptimized alike, since
     /// [`LpProblem::solve`] and [`LpProblem::solve_warm`] share this exit
     /// path — and additionally asserts the returned point respects every
     /// variable bound and constraint of the original problem.
     #[cfg(debug_assertions)]
     pub(crate) fn cross_check(&self, sol: &LpSolution) {
-        if std::env::var_os("GAVEL_LP_CROSSCHECK").is_none() {
+        if !flag_on(std::env::var_os("GAVEL_LP_CROSSCHECK")) {
             return;
         }
         let dense = self
@@ -674,9 +675,24 @@ impl Lowering {
     }
 }
 
+/// The rule every `GAVEL_*` switch follows (see the README table).
+#[cfg(debug_assertions)]
+fn flag_on(value: Option<std::ffi::OsString>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn crosscheck_flag_is_off_when_unset_empty_or_zero() {
+        assert!(!flag_on(None));
+        for (value, on) in [("", false), ("0", false), ("1", true), ("off", true)] {
+            assert_eq!(flag_on(Some(value.into())), on, "{value:?}");
+        }
+    }
 
     #[test]
     fn maximization_with_upper_bounds() {

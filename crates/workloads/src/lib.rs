@@ -29,8 +29,8 @@ pub use models::{JobConfig, ModelFamily};
 pub use oracle::Oracle;
 pub use placement::{build_placement_tensor, PlacementCluster};
 pub use tensors::{
-    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_candidate,
-    pair_candidate_by, pair_score, singleton_row, JobSpec, PairOptions,
+    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_row,
+    pair_score, singleton_row, JobSpec, PairOptions,
 };
 pub use trace::{
     assign_entities, assign_priorities, cost_workload, generate, ArrivalProcess, DurationModel,

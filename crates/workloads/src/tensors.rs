@@ -145,44 +145,25 @@ pub fn singleton_row(oracle: &Oracle, j: &JobSpec, consolidated: bool) -> Vec<Pa
         .collect()
 }
 
-/// Builds the oracle-backed pair row and pruning score for two jobs —
+/// The pruning score of a pair — the best-type sum of
+/// colocation-normalized throughputs — without materializing its row:
 /// the unit the simulator's incremental `SnapshotCache` evaluates once
-/// per (arriving job, resident job) pair instead of re-running the full
-/// O(n²) enumeration per recompute. Bitwise identical to what
-/// [`build_tensor_with_pairs`] computes for the same pair.
-pub fn pair_candidate(oracle: &Oracle, a: &JobSpec, b: &JobSpec) -> (f64, Vec<PairThroughput>) {
-    pair_row(oracle, a, b, &|x: &JobSpec, y: &JobSpec, g| {
-        oracle.colocated(x.config, y.config, g)
-    })
-}
-
-/// Like [`pair_candidate`] but with pair throughputs supplied by
-/// `pair_fn` (see [`build_tensor_with_pairs_by`]) — the unit the
-/// simulator's *bridged* snapshot cache re-derives for each dirty pair
-/// instead of re-running the full O(n²) estimated enumeration. Bitwise
-/// identical to what [`build_tensor_with_pairs_by`] computes for the same
-/// pair and the same `pair_fn` state.
-pub fn pair_candidate_by(
+/// per (arriving or drifted job, resident job) pair instead of re-running
+/// the full O(n²) enumeration per recompute. `pair_fn` supplies the
+/// colocated throughputs as in [`build_tensor_with_pairs_by`]. Performs
+/// the same floating-point operations in the same accelerator order as
+/// [`pair_row`], so the result is bitwise identical to
+/// `pair_row(oracle, a, b, pair_fn).0`.
+pub fn pair_score(
     oracle: &Oracle,
     a: &JobSpec,
     b: &JobSpec,
-    pair_fn: impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
-) -> (f64, Vec<PairThroughput>) {
-    pair_row(oracle, a, b, &pair_fn)
-}
-
-/// The pruning score of [`pair_candidate`] without materializing the
-/// throughput row — the unit the simulator's score-bucketed candidate
-/// store evaluates once per (arriving job, resident job) pair at
-/// admission, deferring row construction until a pair is actually
-/// selected. Performs the same floating-point operations in the same
-/// accelerator order as [`pair_candidate`], so the result is bitwise
-/// identical to `pair_candidate(oracle, a, b).0`.
-pub fn pair_score(oracle: &Oracle, a: &JobSpec, b: &JobSpec) -> f64 {
+    pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
+) -> f64 {
     let mut best = 0.0f64;
     let (first, second) = if a.id < b.id { (a, b) } else { (b, a) };
     for &g in GpuKind::all() {
-        if let Some((ta, tb)) = oracle.colocated(first.config, second.config, g) {
+        if let Some((ta, tb)) = pair_fn(first, second, g) {
             let ia = oracle.isolated(first.config, g);
             let ib = oracle.isolated(second.config, g);
             if ia > 0.0 && ib > 0.0 {
@@ -193,9 +174,11 @@ pub fn pair_score(oracle: &Oracle, a: &JobSpec, b: &JobSpec) -> f64 {
     best
 }
 
-/// Builds the pair row and its pruning score: the best-type sum of
-/// colocation-normalized throughputs.
-fn pair_row(
+/// The pruning score of a pair and its throughput row, exactly as
+/// [`build_tensor_with_pairs_by`] computes them for the same pair and the
+/// same `pair_fn` state — `SnapshotCache` calls this only for the pairs a
+/// selection just picked.
+pub fn pair_row(
     oracle: &Oracle,
     a: &JobSpec,
     b: &JobSpec,
