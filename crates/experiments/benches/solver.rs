@@ -16,7 +16,10 @@
 //! - `las/*` — one whole `MaxMinFairness` recompute (build, lower once,
 //!   max-`t` solve, refine solve) on weighted jobs of scale factor 1–8.
 //!   Gated on both solves starting from their structural bases: no
-//!   phase-1 pivot, no warm fallback, no dense fallback.
+//!   phase-1 pivot, no warm fallback, no dense fallback. `las/makespan/*`
+//!   is `MinMakespan` on the same inputs — that LP with `c_m = steps_m`
+//!   and no refine solve — gated on its makespan matching a cold
+//!   reference LP's optimum.
 //!
 //! After each timed group the warm path's counters (`dual_pivots`,
 //! `bound_flips`, `warm_hits`, `warm_falls_back`) are printed so warm-path
@@ -31,8 +34,10 @@
 //! the perf trajectory; override the location with `GAVEL_BENCH_JSON`.
 
 use criterion::{BenchmarkId, Criterion};
-use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
-use gavel_policies::{Hierarchical, MaxMinFairness};
+use gavel_core::{
+    ClusterSpec, ComboSet, JobId, PairThroughput, Policy, PolicyJob, ThroughputTensor,
+};
+use gavel_policies::{Hierarchical, MaxMinFairness, MinMakespan};
 use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -528,9 +533,10 @@ fn las_setup(n: usize, seed: u64) -> ProbeSetup {
     setup
 }
 
-/// One max-min fairness recompute per iteration. The gate runs outside
-/// the timed loop: both LP solves must have been warm hits from the
-/// policy's structural bases.
+/// One max-min fairness recompute per iteration, then one makespan
+/// recompute on the same input. The gates run outside the timed loops:
+/// both max-min LP solves must have been warm hits from the policy's
+/// structural bases, and the makespan must equal a cold reference's.
 fn bench_las(c: &mut Criterion) {
     let mut group = c.benchmark_group("las");
     group.sample_size(10);
@@ -551,8 +557,54 @@ fn bench_las(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("recompute", n), &n, |b, _| {
             b.iter(|| policy.compute_allocation_with_stats(&input).unwrap())
         });
+
+        let policy = MinMakespan::new();
+        let alloc = policy.compute_allocation(&input).unwrap();
+        let finish = |job: &PolicyJob| {
+            job.steps_remaining / alloc.effective_throughput(&setup.tensor, job.id)
+        };
+        let makespan = setup.jobs.iter().map(finish).fold(0.0, f64::max);
+        let reference = makespan_reference(&setup);
+        assert!(
+            (makespan - reference).abs() <= 1e-9 * reference,
+            "makespan {makespan} vs the cold reference's {reference} at {n} jobs"
+        );
+        group.bench_with_input(BenchmarkId::new("makespan", n), &n, |b, _| {
+            b.iter(|| policy.compute_allocation(&input).unwrap())
+        });
     }
     group.finish();
+}
+
+/// The optimal makespan of a singleton-row instance from a cold LP built
+/// from the raw instance: maximize `t = 1/M` under `throughput_m -
+/// steps_m t >= 0` (steps scaled by their maximum) and the validity rows.
+fn makespan_reference(setup: &ProbeSetup) -> f64 {
+    let most = (setup.jobs.iter().map(|j| j.steps_remaining)).fold(0.0, f64::max);
+    let types = setup.cluster.num_types();
+    let mut lp = LpProblem::new(Sense::Maximize);
+    let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+    let mut capacity = vec![Vec::new(); types];
+    for (m, job) in setup.jobs.iter().enumerate() {
+        let x: Vec<VarId> = (0..types)
+            .map(|j| lp.add_var_indexed2("x", (m, j), 0.0, f64::INFINITY, 0.0))
+            .collect();
+        let budget: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
+        lp.add_constraint(&budget, Cmp::Le, 1.0);
+        let mut floor: Vec<(VarId, f64)> = (x.iter().zip(setup.tensor.row(m)))
+            .map(|(&v, tput)| (v, tput.a))
+            .collect();
+        floor.push((t, -job.steps_remaining / most));
+        lp.add_constraint(&floor, Cmp::Ge, 0.0);
+        for (row, &v) in capacity.iter_mut().zip(&x) {
+            row.push((v, job.scale_factor as f64));
+        }
+    }
+    for (j, row) in capacity.iter().enumerate() {
+        let workers = setup.cluster.num_workers(gavel_core::AccelIdx(j)) as f64;
+        lp.add_constraint(row, Cmp::Le, workers);
+    }
+    most / lp.solve().unwrap().value(t)
 }
 
 fn main() {

@@ -38,10 +38,11 @@ pub fn run(scale: Scale) {
             if *ss {
                 cfg = cfg.with_space_sharing();
             }
-            // Batch completion bursts: re-solving the makespan bisection on
-            // every single completion is wasteful on static traces.
+            // Batch the completion bursts of a static trace.
             cfg.recompute = RecomputeCadence::ThrottledResets(10);
             let result = run_full(policy.as_ref(), &trace, &cfg);
+            // A round planned from the fallback split is not this policy's.
+            assert_eq!(result.policy_failures, 0, "{} at {n} jobs", policy.name());
             row.push(format!("{:.0}", result.makespan / 3600.0));
         }
         rows.push(row);

@@ -55,6 +55,11 @@ pub fn run(scale: Scale) {
     // Static trace: makespan, Gavel makespan policy vs Gandiva.
     let gavel_mk_phys = run_full(&MinMakespan::new(), &static_trace, &phys_cfg());
     let gavel_mk_sim = run_full(&MinMakespan::new(), &static_trace, &sim_cfg());
+    // A round planned from the fallback split is not the makespan policy's.
+    assert_eq!(
+        gavel_mk_phys.policy_failures + gavel_mk_sim.policy_failures,
+        0
+    );
     rows.push(vec![
         "Static".into(),
         "Gavel".into(),

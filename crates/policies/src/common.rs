@@ -8,7 +8,7 @@
 use gavel_core::{
     AccelIdx, Allocation, ClusterSpec, Combo, JobId, Policy, PolicyError, PolicyInput,
 };
-use gavel_solver::{Cmp, ConstraintId, LpProblem, LpSolution, Sense, VarId, WarmStart};
+use gavel_solver::{Cmp, ConstraintId, LpProblem, Sense, VarId};
 
 /// The job ids of a [`PolicyInput`] sorted for lookup, so a pass over the
 /// combos can place each one without rescanning the job list.
@@ -215,28 +215,6 @@ impl AllocLp {
     }
 }
 
-/// Solves `lp` through a warm-start cache slot: the previous optimal basis
-/// (if any) seeds the solve, and the cache is refreshed with the basis that
-/// comes back.
-///
-/// For policies that rebuild a near-identical LP per solve — same variable
-/// block, same constraint shapes, drifting coefficients or right-hand
-/// sides, like the makespan bisection probes: keep one `Option<WarmStart>`
-/// per LP family and route every solve through this helper. A stale or
-/// mismatched cache entry is silently ignored by the solver (cold start),
-/// so correctness never depends on the cache; see [`WarmStart`] for the
-/// contract. (A family whose *shape* never changes can go one step
-/// further and keep a [`gavel_solver::PreparedLp`], as
-/// [`crate::Hierarchical`] does.)
-pub(crate) fn solve_with_cache(
-    lp: &LpProblem,
-    cache: &mut Option<WarmStart>,
-) -> Result<LpSolution, gavel_solver::SolverError> {
-    let (sol, basis) = lp.solve_warm(cache.as_ref())?;
-    *cache = Some(basis);
-    Ok(sol)
-}
-
 /// Index of the singleton combo row for `job`: a one-off scan of the
 /// combo set, for policies that do not hold an [`AllocLp`] (whose
 /// [`JobRows`] answers the same question for every job at once).
@@ -422,6 +400,63 @@ mod tests {
         );
         assert!(alp.throughput_terms(&input, JobId(77)).is_empty());
         check_input(&input).unwrap();
+    }
+
+    #[test]
+    fn a_stalled_hint_does_not_change_a_feasibility_verdict() {
+        use gavel_solver::{bisect_min, WarmStart};
+        use gavel_workloads::{
+            build_tensor_with_pairs, cluster_scaled, generate, JobSpec, Oracle, PairOptions,
+            TraceConfig,
+        };
+        // A makespan bisection the way the policy ran it before it became
+        // one LP: feasibility at `M`, each probe hinted with the basis of
+        // the last feasible one. The objective is zero, so every basis is
+        // dual feasible and the dual phase can stall on a hint.
+        let oracle = Oracle::new();
+        let trace = generate(&TraceConfig::static_single(64, 7), &oracle);
+        let specs: Vec<JobSpec> = (trace.iter())
+            .map(|t| JobSpec {
+                id: t.id,
+                config: t.config,
+                scale_factor: t.scale_factor,
+            })
+            .collect();
+        let (combos, tensor) =
+            build_tensor_with_pairs(&oracle, &specs, true, &PairOptions::default());
+        let setup = crate::las::tests::Setup {
+            jobs: (trace.iter())
+                .map(|t| PolicyJob::simple(t.id, t.total_steps))
+                .collect(),
+            combos,
+            tensor,
+            cluster: cluster_scaled(2),
+        };
+        let input = setup.input();
+        let alone: Vec<f64> = (setup.jobs.iter())
+            .map(|job| {
+                let row = singleton_row(&input, job.id);
+                job.steps_remaining / gavel_core::refs::x_fastest(&setup.tensor, row)
+            })
+            .collect();
+        let lo = alone.iter().copied().fold(0.0, f64::max);
+        let hi = alone.iter().sum::<f64>() * 1.01 + 1.0;
+        let mut cache: Option<WarmStart> = None;
+        let mut probes = 0;
+        bisect_min(lo, hi, 1e-3 * hi, 80, |makespan| {
+            let mut alp = AllocLp::new(&input, Sense::Maximize);
+            for job in &setup.jobs {
+                let terms = alp.throughput_terms(&input, job.id);
+                let floor = job.steps_remaining / makespan;
+                alp.lp.add_constraint(&terms, Cmp::Ge, floor);
+            }
+            let unhinted = alp.lp.solve().map(drop);
+            let hinted = (alp.lp.solve_warm(cache.as_ref())).map(|(_, basis)| cache = Some(basis));
+            assert_eq!(hinted, unhinted, "probe {probes} at M = {makespan}");
+            probes += 1;
+            unhinted.is_ok()
+        });
+        assert!(probes > 4, "the bisection ended after {probes} probes");
     }
 
     #[test]

@@ -50,8 +50,7 @@ impl Policy for MaxTotalThroughput {
 /// price_j * X[k][j]` (counted once per combo row).
 fn cost_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
     let mut terms = Vec::new();
-    for (k, row) in alp.x.iter().enumerate() {
-        let _ = k;
+    for row in &alp.x {
         for (j, v) in row.iter().enumerate() {
             if let Some(v) = v {
                 let price = input.cluster.price_per_hour(AccelIdx(j));
@@ -65,17 +64,18 @@ fn cost_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
 }
 
 /// Builds the normalized-throughput numerator terms shared by the two cost
-/// policies.
+/// policies, in ascending variable order.
 fn normalized_throughput_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
-    let mut acc: std::collections::HashMap<VarId, f64> = std::collections::HashMap::new();
+    // Dense over `VarId::index()`; a pair cell collects one term per member.
+    let mut acc: Vec<Option<(VarId, f64)>> = vec![None; alp.lp.num_vars()];
     for job in input.jobs {
         let row = singleton_row(input, job.id);
         let fastest = refs::x_fastest(input.tensor, row).max(1e-12);
         for (v, coeff) in alp.throughput_terms(input, job.id) {
-            *acc.entry(v).or_insert(0.0) += coeff / fastest;
+            acc[v.index()].get_or_insert((v, 0.0)).1 += coeff / fastest;
         }
     }
-    acc.into_iter().collect()
+    acc.into_iter().flatten().collect()
 }
 
 /// Maximize throughput per dollar (the "minimize cost" policy of §7.3).
@@ -238,5 +238,23 @@ fn solve_cost_once(
             "SLO constraints are jointly infeasible".into(),
         )),
         Err(e) => Err(solver_err(e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::las::tests::Setup;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    #[test]
+    fn numerator_terms_come_in_variable_order_on_every_call() {
+        let setup = Setup::random(&mut StdRng::seed_from_u64(7), 12, 3, 4, true, true);
+        let input = setup.input();
+        let alp = AllocLp::new(&input, Sense::Maximize);
+        let terms = normalized_throughput_terms(&input, &alp);
+        assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{terms:?}");
+        assert!(terms.len() > 12, "{terms:?}");
+        assert_eq!(terms, normalized_throughput_terms(&input, &alp));
     }
 }

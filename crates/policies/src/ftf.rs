@@ -11,7 +11,7 @@
 //! share. `minimize max_m rho` is quasi-convex in `X`: for a fixed `rho`
 //! the constraint `throughput(m, X) >= steps_m / (rho * D_m - t_m)` is
 //! linear, so the optimum is found by bisection over LP feasibility
-//! problems (the same sequence-of-LPs technique as makespan).
+//! problems (the paper's sequence-of-LPs technique).
 
 use crate::common::{check_input, singleton_row, solver_err, uniform_spread, AllocLp};
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
@@ -37,22 +37,13 @@ fn isolated_denominators(input: &PolicyInput<'_>) -> Result<Vec<f64>, PolicyErro
 }
 
 /// Heterogeneity-aware finish-time fairness.
-#[derive(Debug, Clone)]
-pub struct FinishTimeFairness {
-    /// Relative bisection tolerance on rho.
-    pub tolerance: f64,
-}
-
-impl Default for FinishTimeFairness {
-    fn default() -> Self {
-        FinishTimeFairness { tolerance: 1e-3 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct FinishTimeFairness;
 
 impl FinishTimeFairness {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
+        FinishTimeFairness
     }
 
     /// An allocation under which every job meets `rho`, or `None` when the
@@ -119,10 +110,13 @@ impl Policy for FinishTimeFairness {
         hi = hi * 1.01 + 1e-6;
         let lo = (lo * 0.99).max(1e-9);
 
-        let tol = self.tolerance * hi.max(1.0);
-        bisect_rho(lo, hi, tol, |rho| self.probe(input, &denoms, rho))
+        bisect_rho(lo, hi, |rho| self.probe(input, &denoms, rho))
     }
 }
+
+/// Tolerance of both rho bisections, relative to the feasible `hi` they
+/// start from (or to 1, when `hi` is smaller).
+const RHO_TOLERANCE: f64 = 1e-3;
 
 /// Bisects for the smallest `rho` in `[lo, hi]` that `probe` can meet and
 /// returns the allocation meeting it. The first probe that fails for a
@@ -131,10 +125,10 @@ impl Policy for FinishTimeFairness {
 fn bisect_rho(
     lo: f64,
     hi: f64,
-    tol: f64,
     mut probe: impl FnMut(f64) -> Result<Option<Allocation>, PolicyError>,
 ) -> Result<Allocation, PolicyError> {
     let mut failure = None;
+    let tol = RHO_TOLERANCE * hi.max(1.0);
     let best = bisect_min(lo, hi, tol, 80, |rho| {
         failure.is_none()
             && match probe(rho) {
@@ -156,22 +150,13 @@ fn bisect_rho(
 /// Heterogeneity-agnostic finish-time fairness baseline: jobs receive time
 /// *shares* spread uniformly over types; the policy bisects the same rho
 /// objective but cannot bias the type mix per job.
-#[derive(Debug, Clone)]
-pub struct FtfAgnostic {
-    /// Relative bisection tolerance on rho.
-    pub tolerance: f64,
-}
-
-impl Default for FtfAgnostic {
-    fn default() -> Self {
-        FtfAgnostic { tolerance: 1e-3 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct FtfAgnostic;
 
 impl FtfAgnostic {
     /// Creates the baseline policy.
     pub fn new() -> Self {
-        Self::default()
+        FtfAgnostic
     }
 }
 
@@ -243,7 +228,7 @@ impl Policy for FtfAgnostic {
             }
             hi * 1.01 + 1e-6
         };
-        let tol = self.tolerance * hi.max(1.0);
+        let tol = RHO_TOLERANCE * hi.max(1.0);
         let best = bisect_min(1e-9, hi, tol, 80, |rho| required(rho).is_some())
             .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
         let mut shares =
@@ -293,7 +278,7 @@ mod tests {
         // answer up to 0.75 and beyond; instead the search stops there.
         let alloc = Allocation::zeros(combos.clone(), 1);
         let mut probes = Vec::new();
-        let result = bisect_rho(0.0, 1.0, 1e-3, |rho| {
+        let result = bisect_rho(0.0, 1.0, |rho| {
             probes.push(rho);
             if rho == 0.5 {
                 Err(solver_err(SolverError::IterationLimit { pivots: 7 }))

@@ -116,6 +116,20 @@ impl MaxMinFairness {
         &self,
         input: &PolicyInput<'_>,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
+        Self::max_level(input, |alp| Self::normalizers(input, alp), self.refine)
+    }
+
+    /// Maximizes the level `t` every job can reach, `throughput(m, X) >=
+    /// c_m t`, over the valid allocations — the module docs' one prepared
+    /// LP — and, with `refine`, lifts the jobs that can rise above it.
+    /// `c` reads one positive coefficient per job off the allocation
+    /// block: max-min fairness passes its normalizers, minimum makespan
+    /// (`t = 1/M`) the steps each job has left.
+    pub(crate) fn max_level(
+        input: &PolicyInput<'_>,
+        c: impl FnOnce(&AllocLp) -> Vec<f64>,
+        refine: bool,
+    ) -> Result<(Allocation, SolveStats), PolicyError> {
         check_input(input)?;
         if input.jobs.is_empty() {
             return Ok((
@@ -125,7 +139,7 @@ impl MaxMinFairness {
         }
         let mut alp = AllocLp::new(input, Sense::Maximize);
         let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let normalizers = Self::normalizers(input, &alp);
+        let normalizers = c(&alp);
         let n = input.jobs.len();
         let mut tputs = Vec::with_capacity(n);
         let mut floors = Vec::with_capacity(n);
@@ -161,7 +175,7 @@ impl MaxMinFairness {
         origin.extend_from_slice(&on_cell);
         let (sol, _) = solve_hinted(&mut lp, &origin)?;
         let mut stats = sol.stats;
-        if !self.refine {
+        if !refine {
             return Ok((alp.extract(input, &sol), stats));
         }
 
@@ -232,7 +246,7 @@ impl Policy for AgnosticLas {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gavel_core::{
         ClusterSpec, Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
@@ -242,15 +256,15 @@ mod tests {
     use std::collections::HashMap;
 
     /// Owned bundle behind a [`PolicyInput`].
-    struct Setup {
-        jobs: Vec<PolicyJob>,
-        combos: ComboSet,
-        tensor: ThroughputTensor,
-        cluster: ClusterSpec,
+    pub(crate) struct Setup {
+        pub jobs: Vec<PolicyJob>,
+        pub combos: ComboSet,
+        pub tensor: ThroughputTensor,
+        pub cluster: ClusterSpec,
     }
 
     impl Setup {
-        fn input(&self) -> PolicyInput<'_> {
+        pub fn input(&self) -> PolicyInput<'_> {
             PolicyInput {
                 jobs: &self.jobs,
                 combos: &self.combos,
@@ -264,7 +278,7 @@ mod tests {
         /// last type runs nothing (no capacity row) and every fifth job
         /// runs on one type only. With `pairs`, equal-scale neighbours also
         /// get a pair row in which each runs at 30–70% of its own speed.
-        fn random(
+        pub fn random(
             rng: &mut StdRng,
             n: usize,
             types: usize,

@@ -9,7 +9,7 @@
 //! | [`MaxMinFairness`] | LAS / LAS w/ weights | single LP (+ refinement pass) |
 //! | [`FifoHet`] | FIFO | single LP |
 //! | [`ShortestJobFirst`] | Shortest Job First | single LP |
-//! | [`MinMakespan`] | Makespan | bisection over LP feasibility |
+//! | [`MinMakespan`] | Makespan | single LP (the max-min LP with `t = 1/M`) |
 //! | [`FinishTimeFairness`] | Finish Time Fairness | bisection over LP feasibility |
 //! | [`MaxTotalThroughput`] | (cost baseline) | single LP |
 //! | [`MinCost`] | Minimize cost | linear-fractional program |

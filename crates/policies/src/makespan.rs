@@ -1,44 +1,27 @@
 //! Minimum-makespan policy — §4.2 and Appendix A.1.
 //!
-//! Binary-searches for the smallest makespan `M` such that the feasibility
-//! program
+//! The paper poses it as the smallest `M` for which
 //!
 //! ```text
 //! num_steps_m <= throughput(m, X) * M   for all m
 //! X valid (§3.1)
 //! ```
 //!
-//! admits a solution. Each probe is one LP feasibility solve; the paper
-//! formulates the policy identically ("a sequence of linear programs").
-//!
-//! Consecutive probes share one constraint structure and differ only in
-//! the right-hand sides `steps_m / M`, and the objective is identically
-//! zero — so *every* basis is dual feasible and the optimal basis of one
-//! probe reoptimizes the next through the solver's dual-simplex warm path
-//! (see [`gavel_solver::WarmStart`]) instead of a cold two-phase solve.
-//! Feasibility verdicts never depend on the cache; an unusable basis
-//! silently cold-starts.
+//! admits a solution, found by bisecting `M` over feasibility LPs. With
+//! `t = 1/M` the test reads `throughput(m, X) - num_steps_m * t >= 0`,
+//! maximize `t`: the max-min fairness LP with `c_m = num_steps_m`. So the
+//! policy is one solve of the LP [`MaxMinFairness`] builds — exact, no
+//! search.
 
-use crate::common::{check_input, singleton_row, solve_with_cache, solver_err, AllocLp};
+use crate::common::AllocLp;
+use crate::las::MaxMinFairness;
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{bisect_min, Cmp, Sense, SolverError, WarmStart};
 
 /// Heterogeneity-aware minimum makespan, optionally space-sharing aware.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MinMakespan {
     /// Whether to use space-sharing pair rows.
     pub space_sharing: bool,
-    /// Relative tolerance of the binary search.
-    pub tolerance: f64,
-}
-
-impl Default for MinMakespan {
-    fn default() -> Self {
-        MinMakespan {
-            space_sharing: false,
-            tolerance: 1e-3,
-        }
-    }
 }
 
 impl MinMakespan {
@@ -51,34 +34,19 @@ impl MinMakespan {
     pub fn with_space_sharing() -> Self {
         MinMakespan {
             space_sharing: true,
-            ..Self::default()
         }
     }
 
-    /// Builds and solves the feasibility LP for a fixed makespan; returns
-    /// `Ok(Some(..))` when feasible, `Ok(None)` when the makespan is
-    /// provably too small, and a hard error for anything else (a numerical
-    /// failure must not masquerade as infeasibility and inflate the
-    /// bisection result). `cache` carries the optimal basis between
-    /// bisection probes (refreshed on every feasible solve).
-    fn probe(
-        &self,
-        input: &PolicyInput<'_>,
-        makespan: f64,
-        cache: &mut Option<WarmStart>,
-    ) -> Result<Option<Allocation>, PolicyError> {
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        for job in input.jobs {
-            let terms = alp.throughput_terms(input, job.id);
-            // steps <= throughput * M  <=>  sum T x >= steps / M.
-            alp.lp
-                .add_constraint(&terms, Cmp::Ge, job.steps_remaining / makespan);
-        }
-        match solve_with_cache(&alp.lp, cache) {
-            Ok(sol) => Ok(Some(alp.extract(input, &sol))),
-            Err(SolverError::Infeasible) => Ok(None),
-            Err(e) => Err(solver_err(e)),
-        }
+    /// `c_m = steps_m / lo`, where `lo` — the longest job run alone at
+    /// its fastest rate — bounds the makespan from below, so the optimal
+    /// level `t* = lo / M*` lies in `(0, 1]` whatever the step counts.
+    fn normalizers(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<f64> {
+        let alone = |(m, job): (usize, &gavel_core::PolicyJob)| {
+            let row = alp.jobs.singleton_row(input, m);
+            job.steps_remaining / refs::x_fastest(input.tensor, row)
+        };
+        let lo = (input.jobs.iter().enumerate().map(alone)).fold(0.0, f64::max);
+        (input.jobs.iter().map(|job| job.steps_remaining / lo)).collect()
     }
 }
 
@@ -96,56 +64,70 @@ impl Policy for MinMakespan {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        // Lower bound: the longest job run alone at its fastest rate.
-        // Upper bound: run every job serially at its fastest rate.
-        let mut lo = 0.0f64;
-        let mut hi = 0.0f64;
-        for job in input.jobs {
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row);
-            if fastest <= 0.0 {
-                return Err(PolicyError::NoFeasibleAllocation(format!(
-                    "{} cannot run anywhere",
-                    job.id
-                )));
-            }
-            let ideal = job.steps_remaining / fastest;
-            lo = lo.max(ideal);
-            hi += ideal;
-        }
-        hi = hi.max(lo) * 1.01 + 1.0;
+        // No refine pass: the paper's policy is feasibility at `M*`.
+        let c = |alp: &AllocLp| Self::normalizers(input, alp);
+        Ok(MaxMinFairness::max_level(input, c, false)?.0)
+    }
+}
 
-        let tol = self.tolerance * hi.max(1.0);
-        // One basis cache across the whole bisection: every probe shares
-        // the constraint structure, only the floor right-hand sides move.
-        let mut cache: Option<WarmStart> = None;
-        // `bisect_min`'s predicate cannot carry an error, so a hard solver
-        // failure parks here and surfaces after the search.
-        let mut hard_err: Option<PolicyError> = None;
-        let best = bisect_min(lo.max(1e-9), hi, tol, 80, |m| {
-            if hard_err.is_some() {
-                return false;
-            }
-            match self.probe(input, m, &mut cache) {
-                Ok(alloc) => alloc.is_some(),
-                Err(e) => {
-                    hard_err = Some(e);
-                    false
-                }
-            }
-        })
-        .ok_or_else(|| PolicyError::NoFeasibleAllocation("no makespan satisfies all jobs".into()));
-        if let Some(e) = hard_err {
-            return Err(e);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::las::tests::Setup;
+    use gavel_core::JobId;
+    use gavel_solver::{Cmp, Sense};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+
+    /// `M*` from a cold one-shot LP: maximize `t = 1/M` under `throughput_m
+    /// - steps_m t >= 0`, scaled by the largest step count rather than the
+    /// policy's `lo`. No hint, no prepared LP.
+    fn cold_reference(input: &PolicyInput<'_>) -> f64 {
+        let most = (input.jobs.iter().map(|j| j.steps_remaining)).fold(0.0, f64::max);
+        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        for job in input.jobs {
+            let mut terms = alp.throughput_terms(input, job.id);
+            terms.push((t, -job.steps_remaining / most));
+            alp.lp.add_constraint(&terms, Cmp::Ge, 0.0);
         }
-        self.probe(input, best?, &mut cache)?
-            .ok_or_else(|| PolicyError::Solver(Box::new(SolverError::Infeasible)))
+        most / alp.lp.solve().unwrap().value(t)
+    }
+
+    #[test]
+    fn matches_cold_reference_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(0x3a5);
+        for case in 0..96 {
+            let n: usize = rng.gen_range(1..28);
+            let types: usize = rng.gen_range(2..5);
+            let workers = rng.gen_range(1..(n / 2).max(2) + 1);
+            let (quirks, pairs) = (case % 2 == 1, case % 4 >= 2);
+            let mut setup = Setup::random(&mut rng, n, types, workers, quirks, pairs);
+            for job in &mut setup.jobs {
+                job.steps_remaining = 10f64.powf(rng.gen_range(0.0..6.0));
+            }
+            let input = setup.input();
+            let policy = MinMakespan {
+                space_sharing: pairs,
+            };
+            let alloc = policy.compute_allocation(&input).unwrap();
+            let scale_factors: HashMap<JobId, u32> =
+                setup.jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
+            alloc.validate(&setup.cluster, &scale_factors).unwrap();
+
+            // `lo / t*` is the time the slowest job needs under the
+            // policy's allocation, so matching the reference from above
+            // also holds every job to it.
+            let finish = |job: &gavel_core::PolicyJob| {
+                job.steps_remaining / alloc.effective_throughput(&setup.tensor, job.id)
+            };
+            let makespan = setup.jobs.iter().map(finish).fold(0.0, f64::max);
+            let reference = cold_reference(&input);
+            assert!(
+                (makespan - reference).abs() <= 1e-9 * reference,
+                "case {case}: makespan {makespan} vs reference {reference}"
+            );
+        }
     }
 }

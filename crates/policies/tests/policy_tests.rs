@@ -49,6 +49,38 @@ impl Setup {
     }
 }
 
+/// The jobs of a generated trace at arrival, with the oracle's singleton
+/// rows and default-pruned space-sharing pair rows.
+fn trace_setup(config: &gavel_workloads::TraceConfig, cluster: gavel_core::ClusterSpec) -> Setup {
+    use gavel_workloads::{build_tensor_with_pairs, generate, JobSpec, Oracle, PairOptions};
+    let oracle = Oracle::new();
+    let trace = generate(config, &oracle);
+    let specs: Vec<JobSpec> = trace
+        .iter()
+        .map(|t| JobSpec {
+            id: t.id,
+            config: t.config,
+            scale_factor: t.scale_factor,
+        })
+        .collect();
+    let (combos, tensor) = build_tensor_with_pairs(&oracle, &specs, true, &PairOptions::default());
+    let jobs: Vec<PolicyJob> = trace
+        .iter()
+        .map(|t| {
+            let mut j = PolicyJob::simple(t.id, t.total_steps);
+            j.scale_factor = t.scale_factor;
+            j.arrival_seq = t.id.0;
+            j
+        })
+        .collect();
+    Setup {
+        jobs,
+        combos,
+        tensor,
+        cluster,
+    }
+}
+
 fn one_v100_one_k80() -> gavel_core::ClusterSpec {
     gavel_core::ClusterSpec::new(&[("v100", 1, 1, 2.48), ("k80", 1, 1, 0.45)])
 }
@@ -299,9 +331,25 @@ fn makespan_matches_hand_computation() {
     let t1 = alloc.effective_throughput(&setup.tensor, JobId(1));
     let makespan = (1000.0 / t0).max(1000.0 / t1);
     assert!(
-        (makespan - 300.0).abs() < 5.0,
-        "makespan {makespan} expected ~300"
+        (makespan - 300.0).abs() < 1e-6 * 300.0,
+        "makespan {makespan} expected 300"
     );
+}
+
+#[test]
+fn makespan_with_space_sharing_solves_the_stalling_instances() {
+    // Static traces with pair rows whose feasibility LPs stall the dual
+    // warm path (`common.rs` replays one); the policy's one LP must not.
+    use gavel_workloads::{cluster_scaled, TraceConfig};
+    for (n, seed, scale) in [(64, 7, 2), (128, 6, 5), (128, 7, 5)] {
+        let setup = trace_setup(&TraceConfig::static_single(n, seed), cluster_scaled(scale));
+        let alloc = MinMakespan::with_space_sharing()
+            .compute_allocation(&setup.input())
+            .unwrap_or_else(|e| panic!("{n} jobs, seed {seed}: {e}"));
+        alloc
+            .validate(&setup.cluster, &setup.scale_factors())
+            .unwrap_or_else(|e| panic!("{n} jobs, seed {seed}: {e}"));
+    }
 }
 
 #[test]
@@ -603,37 +651,11 @@ fn gandiva_is_valid_and_deterministic() {
 
 #[test]
 fn all_policies_return_valid_allocations_on_realistic_input() {
-    use gavel_workloads::{
-        build_tensor_with_pairs, cluster_simulated, generate, JobSpec, Oracle, PairOptions,
-        TraceConfig,
-    };
-    let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_multiple(3.0, 24, 13), &oracle);
-    let specs: Vec<JobSpec> = trace
-        .iter()
-        .map(|t| JobSpec {
-            id: t.id,
-            config: t.config,
-            scale_factor: t.scale_factor,
-        })
-        .collect();
-    let (combos, tensor) = build_tensor_with_pairs(&oracle, &specs, true, &PairOptions::default());
-    let cluster = cluster_simulated();
-    let jobs: Vec<PolicyJob> = trace
-        .iter()
-        .map(|t| {
-            let mut j = PolicyJob::simple(t.id, t.total_steps);
-            j.scale_factor = t.scale_factor;
-            j.arrival_seq = t.id.0;
-            j
-        })
-        .collect();
-    let setup = Setup {
-        jobs,
-        combos,
-        tensor,
-        cluster,
-    };
+    use gavel_workloads::{cluster_simulated, TraceConfig};
+    let setup = trace_setup(
+        &TraceConfig::continuous_multiple(3.0, 24, 13),
+        cluster_simulated(),
+    );
     let policies: Vec<Box<dyn Policy>> = vec![
         Box::new(MaxMinFairness::new()),
         Box::new(MaxMinFairness::with_space_sharing()),
@@ -764,40 +786,14 @@ fn hierarchical_warm_start_is_bit_identical_to_cold() {
 
 #[test]
 fn hierarchical_warm_start_is_bit_identical_on_realistic_trace() {
-    use gavel_workloads::{
-        build_tensor_with_pairs, cluster_simulated, generate, JobSpec, Oracle, PairOptions,
-        TraceConfig,
-    };
-    let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_multiple(3.0, 20, 17), &oracle);
-    let specs: Vec<JobSpec> = trace
-        .iter()
-        .map(|t| JobSpec {
-            id: t.id,
-            config: t.config,
-            scale_factor: t.scale_factor,
-        })
-        .collect();
-    let (combos, tensor) = build_tensor_with_pairs(&oracle, &specs, true, &PairOptions::default());
-    let cluster = cluster_simulated();
-    let mut jobs: Vec<PolicyJob> = trace
-        .iter()
-        .map(|t| {
-            let mut j = PolicyJob::simple(t.id, t.total_steps);
-            j.scale_factor = t.scale_factor;
-            j.arrival_seq = t.id.0;
-            j
-        })
-        .collect();
-    for (i, j) in jobs.iter_mut().enumerate() {
+    use gavel_workloads::{cluster_simulated, TraceConfig};
+    let mut setup = trace_setup(
+        &TraceConfig::continuous_multiple(3.0, 20, 17),
+        cluster_simulated(),
+    );
+    for (i, j) in setup.jobs.iter_mut().enumerate() {
         j.entity = Some(i % 3);
     }
-    let setup = Setup {
-        jobs,
-        combos,
-        tensor,
-        cluster,
-    };
     let policy = Hierarchical::new(vec![1.0, 2.0, 1.0], EntityPolicy::Fairness);
     let warm = policy
         .clone()

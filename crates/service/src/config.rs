@@ -12,9 +12,8 @@ pub enum RecomputeCadence {
     /// Every `n` rounds, plus reset events.
     EveryNRounds(u32),
     /// On reset events, but at most once every `n` rounds — batches the
-    /// completion bursts of static traces so expensive policies (makespan's
-    /// bisection, hierarchical water filling) are not re-solved per
-    /// completion.
+    /// completion bursts of static traces so expensive policies
+    /// (hierarchical water filling) are not re-solved per completion.
     ThrottledResets(u32),
 }
 

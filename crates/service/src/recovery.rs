@@ -258,7 +258,6 @@ pub struct DurableService<'p, S: LogSink, C: CheckpointStore> {
     svc: SchedulerService<'p>,
     wal: Wal<S>,
     store: C,
-    config: SimConfig,
     service: ServiceConfig,
     config_fp: u64,
     checkpoint_every: usize,
@@ -277,14 +276,13 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         store: C,
         checkpoint_every: usize,
     ) -> Result<Self, WalError> {
-        let svc = SchedulerService::new(config.clone(), service.clone(), policy);
-        let wal = Wal::create(sink)?;
         let config_fp = config_fingerprint(policy.name(), &config, &service);
+        let svc = SchedulerService::new(config, service.clone(), policy);
+        let wal = Wal::create(sink)?;
         Ok(DurableService {
             svc,
             wal,
             store,
-            config,
             service,
             config_fp,
             checkpoint_every,
@@ -315,7 +313,6 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
             svc,
             wal,
             store,
-            config,
             service,
             config_fp,
             checkpoint_every,
@@ -378,13 +375,6 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         &self.svc
     }
 
-    /// Mutable access to the wrapped service, for non-command reads
-    /// (e.g. [`SchedulerService::query_allocation`] is a command — go
-    /// through [`DurableService::apply`] for those).
-    pub fn service_mut(&mut self) -> &mut SchedulerService<'p> {
-        &mut self.svc
-    }
-
     /// The WAL writer (sink access for harnesses).
     pub fn wal(&self) -> &Wal<S> {
         &self.wal
@@ -393,11 +383,6 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// The checkpoint store.
     pub fn store(&self) -> &C {
         &self.store
-    }
-
-    /// The simulation config this service runs under.
-    pub fn sim_config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// The service config this service runs under.

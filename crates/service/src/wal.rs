@@ -618,11 +618,6 @@ impl<S: LogSink> Wal<S> {
     pub fn sink(&self) -> &S {
         &self.sink
     }
-
-    /// Consumes the writer, returning the sink.
-    pub fn into_sink(self) -> S {
-        self.sink
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -3,12 +3,12 @@
 //! Bit-exact fingerprints of whole simulations: outcomes, makespan, total
 //! cost, and utilization must stay **bit-identical** across round mode,
 //! space sharing, physical fidelity, failures, throttled cadences,
-//! hierarchical water filling, makespan bisection, and estimator-bridged
+//! hierarchical water filling, the makespan policy, and estimator-bridged
 //! runs.
 //!
-//! The `Hierarchical::single_level` and `MinMakespan` configs still carry
-//! the bits captured from the pre-engine (`run_rounds`/`run_ideal`
-//! twin-loop) simulator. The nine `MaxMinFairness` configs were
+//! The `Hierarchical::single_level` config still carries the bits
+//! captured from the pre-engine (`run_rounds`/`run_ideal` twin-loop)
+//! simulator. The nine `MaxMinFairness` configs were
 //! re-captured once, when the policy began starting both of its LPs from
 //! structural bases instead of cold: each LP still returns an optimum
 //! (same `t*`, same refine objective — `las.rs`'s differential test
@@ -24,6 +24,13 @@
 //! (throttled) recompute, and failures and repairs due while the cluster
 //! is idle take effect at their own times instead of piling up at the
 //! next busy round. The other eight pins passed unchanged.
+//!
+//! `makespan_policy_static_trace` was re-captured once, when the policy
+//! stopped bisecting `M` over feasibility LPs and became one solve of the
+//! max-min LP with `t = 1/M`: it now returns the exact optimum `M*` (the
+//! bisection stopped up to 1.2% above it) and a different feasible vertex
+//! at it, so schedules moved (rounds 1674 -> 1709, recomputations 23 ->
+//! 27). The other ten pins passed unchanged.
 //!
 //! If a change intentionally alters simulation semantics, recapture the
 //! fingerprints (see the `fingerprint` helper) and say so in the PR.
@@ -249,13 +256,13 @@ fn makespan_policy_static_trace() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4122633b77a50c77,
-            total_cost: 0x40a00b4578e9ffc8,
-            utilization: 0x3fde38b2f36622ad,
-            rounds: 1674,
-            recomputations: 23,
-            jobs: 0xd7fdbebc1da51b1a,
-            job_costs: 0x1399b49d18e748ab,
+            makespan: 0x4122c5ab77a50c77,
+            total_cost: 0x40a0106eca99d62c,
+            utilization: 0x3fdd4cc9dff2832e,
+            rounds: 1709,
+            recomputations: 27,
+            jobs: 0x237c48068e190c1a,
+            job_costs: 0x54af75d3a5bc638c,
         }
     );
 }

@@ -17,6 +17,10 @@
 
 use crate::sparse::CscMatrix;
 
+/// Eta-file length at which the factorization is rebuilt: pivots between
+/// refactorizations.
+const REFACTOR_EVERY: usize = 64;
+
 /// Product-form update: basis slot `slot` was replaced by a column whose
 /// FTRAN image was `w` (`diag = w[slot]`, `off` the other nonzeros).
 #[derive(Debug, Clone)]
@@ -52,8 +56,6 @@ pub struct Basis {
     m: usize,
     lu: LuFactors,
     etas: Vec<Eta>,
-    /// Rebuild the factorization once the eta file reaches this length.
-    refactor_every: usize,
     /// Pivots below this magnitude make the factorization refuse a column.
     pivot_tol: f64,
 }
@@ -62,12 +64,7 @@ impl Basis {
     /// Factorizes `B`, the submatrix of `a` selected by `basis_cols` (one
     /// column per row of `a`, in slot order). Returns `None` when the
     /// selection is (numerically) singular.
-    pub fn factorize(
-        a: &CscMatrix,
-        basis_cols: &[usize],
-        refactor_every: usize,
-        pivot_tol: f64,
-    ) -> Option<Basis> {
+    pub fn factorize(a: &CscMatrix, basis_cols: &[usize], pivot_tol: f64) -> Option<Basis> {
         let m = a.nrows();
         debug_assert_eq!(basis_cols.len(), m);
         // Factor sparsest columns first: unit slack/artificial columns
@@ -143,14 +140,13 @@ impl Basis {
             m,
             lu,
             etas: Vec::new(),
-            refactor_every: refactor_every.max(1),
             pivot_tol,
         })
     }
 
     /// Whether the eta file is due for a refactorization.
     pub fn needs_refactor(&self) -> bool {
-        self.etas.len() >= self.refactor_every
+        self.etas.len() >= REFACTOR_EVERY
     }
 
     /// Whether any eta updates have accumulated since the last
@@ -282,7 +278,7 @@ mod tests {
             vec![0.0, 1.0, 0.0],
             vec![0.0, 0.0, 1.0],
         ]);
-        let b = Basis::factorize(&a, &[0, 1, 2], 64, 1e-11).unwrap();
+        let b = Basis::factorize(&a, &[0, 1, 2], 1e-11).unwrap();
         let mut x = vec![3.0, -1.0, 2.0];
         b.ftran(&mut x);
         assert_eq!(x, vec![3.0, -1.0, 2.0]);
@@ -294,7 +290,7 @@ mod tests {
     fn ftran_solves_permuted_system() {
         // B = [[0, 2], [3, 1]] needs row pivoting.
         let a = dense_cols(&[vec![0.0, 3.0], vec![2.0, 1.0]]);
-        let b = Basis::factorize(&a, &[0, 1], 64, 1e-11).unwrap();
+        let b = Basis::factorize(&a, &[0, 1], 1e-11).unwrap();
         // Solve B x = [4, 7] => x = [ (7 - 4/2) / 3? ] check: 2*x1 = 4 ->
         // x1 = 2; 3*x0 + x1 = 7 -> x0 = 5/3.
         let mut x = vec![4.0, 7.0];
@@ -306,7 +302,7 @@ mod tests {
     #[test]
     fn btran_solves_transpose() {
         let a = dense_cols(&[vec![2.0, 1.0], vec![0.0, 4.0]]);
-        let b = Basis::factorize(&a, &[0, 1], 64, 1e-11).unwrap();
+        let b = Basis::factorize(&a, &[0, 1], 1e-11).unwrap();
         // Solve Bᵀ y = [6, 8]: 2 y0 + 1 y1 = 6, 4 y1 = 8 => y1 = 2, y0 = 2.
         let mut y = vec![6.0, 8.0];
         b.btran(&mut y);
@@ -317,7 +313,7 @@ mod tests {
     #[test]
     fn singular_basis_rejected() {
         let a = dense_cols(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(Basis::factorize(&a, &[0, 1], 64, 1e-11).is_none());
+        assert!(Basis::factorize(&a, &[0, 1], 1e-11).is_none());
     }
 
     #[test]
@@ -328,7 +324,7 @@ mod tests {
             vec![0.0, 1.0],
             vec![3.0, 1.0], // the entering column
         ]);
-        let mut basis = Basis::factorize(&a, &[0, 1], 64, 1e-11).unwrap();
+        let mut basis = Basis::factorize(&a, &[0, 1], 1e-11).unwrap();
         let mut w = vec![0.0; 2];
         let mut touched = Vec::new();
         a.scatter_col(2, &mut w, &mut touched);
@@ -345,7 +341,7 @@ mod tests {
         assert!((y[0] - 4.0 / 3.0).abs() < 1e-12);
         assert!((y[1] - 1.0).abs() < 1e-12);
         // Against the from-scratch factorization of the same basis.
-        let fresh = Basis::factorize(&a, &[2, 1], 64, 1e-11).unwrap();
+        let fresh = Basis::factorize(&a, &[2, 1], 1e-11).unwrap();
         let mut x2 = vec![6.0, 4.0];
         fresh.ftran(&mut x2);
         assert!((x2[0] - 2.0).abs() < 1e-12);

@@ -1,8 +1,9 @@
-//! Bisection drivers for sequence-of-LP policies.
+//! Bisection driver for sequence-of-LP policies.
 //!
-//! Gavel's makespan policy binary-searches for the smallest makespan `M`
-//! such that a feasibility LP admits a solution (Appendix A.1 of the paper).
-//! These helpers implement the monotone search; the caller supplies the
+//! Gavel's finish-time-fairness policies binary-search for the smallest
+//! `rho` every job can meet (§4.2 of the paper): for a fixed `rho` the
+//! requirement is linear, so each probe is a feasibility check.
+//! [`bisect_min`] implements the monotone search; the caller supplies the
 //! feasibility oracle.
 
 /// Finds (approximately) the smallest `v` in `[lo, hi]` for which
@@ -39,37 +40,6 @@ pub fn bisect_min<F: FnMut(f64) -> bool>(
     Some(hi)
 }
 
-/// Finds (approximately) the largest `v` in `[lo, hi]` for which
-/// `feasible(v)` holds, assuming feasibility is monotone decreasing in `v`.
-///
-/// Returns `None` when `feasible(lo)` is false.
-pub fn bisect_max<F: FnMut(f64) -> bool>(
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-    max_iters: usize,
-    mut feasible: F,
-) -> Option<f64> {
-    if !feasible(lo) {
-        return None;
-    }
-    if feasible(hi) {
-        return Some(hi);
-    }
-    for _ in 0..max_iters {
-        if hi - lo <= tol {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        if feasible(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Some(lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,19 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn finds_threshold_max() {
-        let got = bisect_max(0.0, 100.0, 1e-9, 200, |v| v <= 12.5).unwrap();
-        assert!((got - 12.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn min_infeasible_everywhere() {
         assert!(bisect_min(0.0, 10.0, 1e-9, 100, |_| false).is_none());
-    }
-
-    #[test]
-    fn max_infeasible_everywhere() {
-        assert!(bisect_max(0.0, 10.0, 1e-9, 100, |_| false).is_none());
     }
 
     #[test]

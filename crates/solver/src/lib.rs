@@ -1,11 +1,12 @@
 //! From-scratch linear-programming toolkit powering Gavel's scheduling policies.
 //!
 //! The Gavel paper expresses every scheduling policy as an optimization
-//! problem: most are single linear programs, makespan is a binary search over
-//! LP feasibility problems, the cost policies are linear-fractional programs,
-//! and the water-filling procedure for hierarchical fairness needs a small
-//! mixed-integer program to identify bottlenecked jobs. This crate provides
-//! all four building blocks without any external solver dependency:
+//! problem: most are single linear programs (makespan among them: with
+//! `t = 1/M` it is the max-min LP), finish-time fairness is a binary search
+//! over LP feasibility problems, the cost policies are linear-fractional
+//! programs, and the water-filling procedure for hierarchical fairness needs
+//! a small mixed-integer program to identify bottlenecked jobs. This crate
+//! provides all four building blocks without any external solver dependency:
 //!
 //! - [`LpProblem`] — a builder for linear programs with bounded variables.
 //! - [`revised`] — a sparse revised simplex (CSC matrix, LU-factorized
@@ -20,7 +21,8 @@
 //! - [`milp`] — branch-and-bound over binary variables.
 //! - [`prepared`] — [`PreparedLp`], a problem lowered once and re-solved
 //!   by patching costs, right-hand sides, bounds or one column.
-//! - [`bisect`] — a bisection driver for sequence-of-LP policies (makespan).
+//! - [`bisect`] — a bisection driver for sequence-of-LP policies
+//!   (finish-time fairness).
 //!
 //! # Solver architecture: bounded variables, dense vs revised
 //!
@@ -36,13 +38,13 @@
 //! - **Revised (default).** [`revised`] is a *bounded-variable* two-phase
 //!   primal simplex over a column-major sparse matrix with a factorized
 //!   basis (sparse LU with partial pivoting plus a product-form eta file,
-//!   refactorized every [`simplex::SimplexOptions::refactor_every`]
-//!   pivots). Nonbasic variables rest at either bound, the ratio test is
-//!   two-sided, and an entering variable whose own bound binds first
-//!   simply *bound-flips* — no basis change at all. Per-iteration cost is
-//!   `O(nnz)` — one BTRAN for dual prices, sparse dots for reduced costs,
-//!   one FTRAN for the ratio test. This is what every policy LP, MILP
-//!   relaxation, and fractional transform runs on.
+//!   refactorized at a fixed file length). Nonbasic variables rest at
+//!   either bound, the ratio test is two-sided, and an entering variable
+//!   whose own bound binds first simply *bound-flips* — no basis change at
+//!   all. Per-iteration cost is `O(nnz)` — one BTRAN for dual prices,
+//!   sparse dots for reduced costs, one FTRAN for the ratio test. This is
+//!   what every policy LP, MILP relaxation, and fractional transform runs
+//!   on.
 //! - **Dense (oracle).** [`simplex`] expands finite column bounds into
 //!   explicit `<=` rows and runs the original full-tableau two-phase
 //!   method, paying `O(m * width)` per pivot. It exists for differential
@@ -68,18 +70,20 @@
 //!    often zero pivots.
 //! 2. **Dual reoptimization.** The old basis is primal *infeasible* but
 //!    still *dual* feasible — the signature of a pure right-hand-side or
-//!    bound change: a risen water-filling floor, a tightened makespan
-//!    probe, a flipped MILP branching bound. A dual simplex phase drives
-//!    the violated basic variables back to their bounds in a handful of
-//!    pivots ([`SolveStats::dual_pivots`]), then phase 2 polishes
-//!    (usually a no-op).
+//!    bound change: a risen water-filling floor, a flipped MILP
+//!    branching bound. A dual simplex phase drives the violated basic
+//!    variables back to their bounds in a handful of pivots
+//!    ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
+//!    no-op).
 //! 3. **Cold fallback.** Anything else — shape mismatch, singular basis,
 //!    neither feasibility, or a failure part-way along a warm path —
-//!    silently cold-starts on the shared pivot budget
-//!    ([`SolveStats::warm_falls_back`]). The one warm verdict accepted
-//!    directly is an infeasibility *proof* from the dual phase (dual
-//!    unboundedness from a validated dual-feasible basis); unbounded,
-//!    iteration-limit, and numerical outcomes are never trusted warm.
+//!    silently cold-starts on a full pivot budget of its own (the hinted
+//!    attempt runs on a fraction of the limit, so a stalled hint cannot
+//!    starve the cold solve; [`SolveStats::warm_falls_back`]). The one
+//!    warm verdict accepted directly is an infeasibility *proof* from the
+//!    dual phase (dual unboundedness from a validated dual-feasible
+//!    basis); unbounded, iteration-limit, and numerical outcomes are
+//!    never trusted warm.
 //!
 //! Hints are validated, never trusted, so a hint never affects the
 //! feasibility/boundedness verdict or the optimal objective; the one
@@ -121,12 +125,10 @@
 //! prepass and every per-job probe are one LP under different cost
 //! vectors, solved as a warm chain that never leaves primal
 //! feasibility); its max-min fairness keeps one per recompute (the
-//! refine pass is the `max t` LP with one bound and the costs patched) —
-//! and [`milp`]'s branch-and-bound solves every node as
-//! the root LP with patched bounds, from its parent's basis. The
-//! makespan policy still chains a [`WarmStart`] across freshly built
-//! bisection probes (an all-zero objective makes every basis dual
-//! feasible).
+//! refine pass is the `max t` LP with one bound and the costs patched;
+//! the makespan policy is the same `max t` LP with `c_m = steps_m` and no
+//! refine pass) — and [`milp`]'s branch-and-bound solves every node as
+//! the root LP with patched bounds, from its parent's basis.
 //!
 //! # Threading: MILP node waves on the `gavel-par` pool
 //!
@@ -180,10 +182,10 @@ pub mod revised;
 pub mod simplex;
 pub mod sparse;
 
-pub use bisect::{bisect_max, bisect_min};
+pub use bisect::bisect_min;
 pub use error::SolverError;
 pub use fractional::{solve_fractional, FractionalObjective};
 pub use milp::{solve_milp, MilpOptions};
 pub use prepared::{BasisEntry, PreparedLp};
 pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId, WarmStart};
-pub use simplex::{LpSolution, SimplexOptions, SolveStats};
+pub use simplex::{LpSolution, SolveStats};

@@ -36,7 +36,7 @@
 use crate::error::SolverError;
 use crate::problem::{recover_values, ConstraintId, LpProblem, Sense, VarId, VarMap, WarmStart};
 use crate::revised::{self, Instance, KeptLu};
-use crate::simplex::{LpSolution, SimplexOptions, SolveStats};
+use crate::simplex::{LpSolution, SolveStats};
 
 /// One basic column of a caller-written basis, named in problem terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +233,6 @@ impl PreparedLp {
         }
         let out = match revised::solve_instance(
             &self.inst,
-            &SimplexOptions::default(),
             hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice())),
             &mut self.kept,
         ) {

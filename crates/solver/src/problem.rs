@@ -22,7 +22,7 @@
 
 use crate::error::SolverError;
 use crate::revised;
-use crate::simplex::{self, LpSolution, SimplexOptions, StandardForm};
+use crate::simplex::{self, LpSolution, StandardForm};
 
 /// An optimal simplex basis state returned by [`LpProblem::solve_warm`],
 /// reusable as a hint for the next solve of a structurally similar
@@ -35,7 +35,7 @@ use crate::simplex::{self, LpSolution, SimplexOptions, StandardForm};
 /// singular, or it is neither primal feasible (warm phase-2 continuation)
 /// nor dual feasible (dual-simplex reoptimization) under the new data, or
 /// the warm solve fails part-way, the solver silently falls back to a cold
-/// start on the shared pivot budget (the one exception: an infeasibility
+/// start on a full pivot budget of its own (the one exception: an infeasibility
 /// *proved* by the dual phase from a validated dual-feasible basis is
 /// returned directly — see [`crate::revised`]). A hint thus never changes
 /// the feasibility verdict or the optimal objective; on problems with
@@ -278,23 +278,18 @@ impl LpProblem {
         self.sense
     }
 
-    /// Solves the problem with default simplex options.
+    /// Solves the problem.
     ///
     /// Runs the sparse revised simplex ([`crate::revised`]). Returns the
     /// optimal solution, or a [`SolverError`] describing infeasibility,
     /// unboundedness, or numerical failure.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        self.solve_with(&SimplexOptions::default())
-    }
-
-    /// Solves the problem with explicit simplex options.
-    pub fn solve_with(&self, opts: &SimplexOptions) -> Result<LpSolution, SolverError> {
-        let (sol, _) = self.solve_warm_with(None, opts)?;
+        let (sol, _) = self.solve_warm(None)?;
         Ok(sol)
     }
 
-    /// Solves with an optional warm-start hint (default options), returning
-    /// the optimal basis alongside the solution for the next solve.
+    /// Solves with an optional warm-start hint, returning the optimal
+    /// basis alongside the solution for the next solve.
     ///
     /// Pass the [`WarmStart`] from a previous solve of a structurally
     /// identical problem (same variables in the same order, same
@@ -305,20 +300,10 @@ impl LpProblem {
         &self,
         hint: Option<&WarmStart>,
     ) -> Result<(LpSolution, WarmStart), SolverError> {
-        self.solve_warm_with(hint, &SimplexOptions::default())
-    }
-
-    /// [`LpProblem::solve_warm`] with explicit simplex options.
-    pub fn solve_warm_with(
-        &self,
-        hint: Option<&WarmStart>,
-        opts: &SimplexOptions,
-    ) -> Result<(LpSolution, WarmStart), SolverError> {
         self.validate()?;
         let lowering = self.lower()?;
         let (raw, objective_std, stats, basis, at_upper) = match revised::solve_revised(
             &lowering.std,
-            opts,
             hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice())),
         ) {
             Ok(out) => (out.x, out.objective, out.stats, out.basis, out.at_upper),
@@ -326,7 +311,7 @@ impl LpProblem {
             // tableau needs no factorization, so retry there. The empty
             // basis token makes the *next* warm solve cold-start.
             Err(SolverError::Numerical { .. }) => {
-                let (raw, obj, mut stats) = simplex::solve_standard(&lowering.std, opts)?;
+                let (raw, obj, mut stats) = simplex::solve_standard(&lowering.std)?;
                 stats.dense_fallbacks = 1;
                 (raw, obj, stats, Vec::new(), Vec::new())
             }
@@ -355,14 +340,9 @@ impl LpProblem {
     /// simplex. Not for production use: it scales as `O(m * width)` per
     /// pivot where the revised engine pays `O(nnz)`.
     pub fn solve_dense(&self) -> Result<LpSolution, SolverError> {
-        self.solve_dense_with(&SimplexOptions::default())
-    }
-
-    /// [`LpProblem::solve_dense`] with explicit simplex options.
-    pub fn solve_dense_with(&self, opts: &SimplexOptions) -> Result<LpSolution, SolverError> {
         self.validate()?;
         let lowering = self.lower()?;
-        let (raw, objective_std, stats) = simplex::solve_standard(&lowering.std, opts)?;
+        let (raw, objective_std, stats) = simplex::solve_standard(&lowering.std)?;
         let values = lowering.recover(&raw);
         let mut objective = objective_std + lowering.obj_const;
         if self.sense == Sense::Maximize {

@@ -7,8 +7,7 @@
 //! - the constraint matrix (structural + slack + artificial columns) in
 //!   CSC form ([`crate::sparse::CscMatrix`]),
 //! - a factorized basis ([`crate::basis::Basis`]: sparse LU plus an eta
-//!   file of product-form updates, refactorized every
-//!   [`SimplexOptions::refactor_every`] pivots),
+//!   file of product-form updates, refactorized at a fixed file length),
 //! - the basic solution `x_B`, updated incrementally per pivot.
 //!
 //! Each iteration prices with reduced costs from one BTRAN (`Bᵀ y = c_B`)
@@ -44,18 +43,20 @@
 //!   ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!   no-op);
 //! - anything else (shape mismatch, singular basis, neither feasibility) →
-//!   silent cold start on the shared pivot budget
+//!   silent cold start on a full pivot budget of its own
 //!   ([`SolveStats::warm_falls_back`]).
 //!
 //! One verdict *is* accepted from the warm path: dual unboundedness
 //! reached from a validated dual-feasible basis is a sound proof that the
 //! LP is primal infeasible (phase 2 fixes artificials at zero, so the
 //! extended system is exactly the real one), and is returned without a
-//! cold re-derivation — infeasible-by-design probes (makespan bisection,
-//! pruned MILP nodes) would otherwise pay the dual phase *and* a full
-//! phase 1. Every other warm-path failure (unbounded, iteration limit,
-//! numerical) still falls back cold. A hint therefore never changes the
-//! feasibility verdict or the optimal objective, only the work done. Before extraction the basis is
+//! cold re-derivation — infeasible-by-design solves (pruned MILP nodes)
+//! would otherwise pay the dual phase *and* a full phase 1. Every other
+//! warm-path failure (unbounded, iteration limit, numerical) still falls
+//! back cold, and the hinted attempt runs on a fraction of the pivot limit
+//! so that a stalled one leaves the cold solve its whole budget. A hint
+//! therefore never changes the feasibility verdict or the optimal
+//! objective, only the work done. Before extraction the basis is
 //! refactorized and `x_B` recomputed from scratch, so the returned values
 //! are a pure function of the final `(basis, at_upper)` state — warm and
 //! cold solves that finish at the same basis return bit-identical
@@ -64,7 +65,7 @@
 use crate::basis::Basis;
 use crate::error::SolverError;
 use crate::problem::Cmp;
-use crate::simplex::{SimplexOptions, SolveStats, StandardForm};
+use crate::simplex::{SolveStats, StandardForm, DEGENERACY_THRESHOLD, FEAS_TOL, PIVOT_TOL, RC_TOL};
 use crate::sparse::CscMatrix;
 
 /// Result of a revised-simplex solve: structural values, objective, pivot
@@ -222,11 +223,10 @@ fn effective_cmp(cmp: Cmp, rhs: f64) -> Cmp {
 /// hints fall back to a cold start.
 pub(crate) fn solve_revised(
     lp: &StandardForm,
-    opts: &SimplexOptions,
     hint: Option<(&[usize], &[bool])>,
 ) -> Result<RevisedOutcome, SolverError> {
     let inst = Instance::build(lp);
-    solve_instance(&inst, opts, hint, &mut None).map_err(|(e, _)| e)
+    solve_instance(&inst, hint, &mut None).map_err(|(e, _)| e)
 }
 
 /// The factorization a solve finished with, kept so the next solve of the
@@ -249,23 +249,16 @@ pub(crate) struct KeptLu {
 /// work.
 pub(crate) fn solve_instance(
     inst: &Instance,
-    opts: &SimplexOptions,
     hint: Option<(&[usize], &[bool])>,
     kept: &mut Option<KeptLu>,
 ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
-    let mut opts = opts.clone();
-    if opts.iter_limit == 0 {
-        opts.iter_limit = 200 * (inst.m + inst.ntot + 1) + 20_000;
-    }
     let mut spent = SolveStats::default();
     if let Some((hint_basis, hint_at_upper)) = hint {
         // Assume fallback; on success the warm solver's own stats (which
         // carry `warm_hits = 1` instead) are returned and `spent` is
         // dropped.
         spent.warm_falls_back = 1;
-        if let Some(mut solver) =
-            Solver::from_hint(inst, &opts, hint_basis, hint_at_upper, kept.take())
-        {
+        if let Some(mut solver) = Solver::from_hint(inst, hint_basis, hint_at_upper, kept.take()) {
             if solver.primal_feasible() {
                 match solver.phase2() {
                     Ok(()) => {
@@ -275,9 +268,7 @@ pub(crate) fn solve_instance(
                     // A failure along the warm phase-2 path (including an
                     // unbounded verdict, which is not authoritative from a
                     // hinted basis) invalidates only the hint, not the
-                    // problem: retry cold. The warm attempt's pivots stay
-                    // on the shared budget so a failed hint cannot double
-                    // the configured iteration cap.
+                    // problem: retry cold.
                     Err(_) => spent.absorb(&solver.stats),
                 }
             } else if solver.dual_feasible() {
@@ -292,9 +283,9 @@ pub(crate) fn solve_instance(
                     // zero, so the extended system is exactly the real
                     // one): no violated row can be repaired by any column.
                     // Re-deriving the verdict cold would double the work on
-                    // exactly the probes that are infeasible by design
-                    // (makespan bisection's lower half, pruned MILP nodes).
-                    // The proof is a warm hit: the hint did its job.
+                    // exactly the solves that are infeasible by design
+                    // (pruned MILP nodes). The proof is a warm hit: the
+                    // hint did its job.
                     Err(SolverError::Infeasible) => {
                         solver.stats.warm_hits = 1;
                         return Err((SolverError::Infeasible, solver.stats));
@@ -308,12 +299,32 @@ pub(crate) fn solve_instance(
             // information, reoptimize from scratch (no pivots were spent).
         }
     }
-    let mut solver = Solver::cold(inst, &opts);
+    // The cold solve reports the failed warm attempt's pivots with its own
+    // but runs on a full budget of its own: a hint that stalled must not
+    // turn a solvable LP into an iteration-limit error.
+    let mut solver = Solver::cold(inst);
+    solver.iter_limit += work(&spent);
     solver.stats = spent;
     if let Err(e) = solver.phase1().and_then(|()| solver.phase2()) {
         return Err((e, solver.stats));
     }
     solver.extract(kept)
+}
+
+/// The pivot limit of one solve attempt, in [`work`] units.
+fn auto_limit(inst: &Instance) -> usize {
+    200 * (inst.m + inst.ntot + 1) + 20_000
+}
+
+/// A hinted attempt gets this fraction of [`auto_limit`]: a warm start
+/// that needs more has stopped being one, and what it spends before the
+/// cold solve takes over is pure loss.
+const WARM_SHARE: usize = 16;
+
+/// Work an attempt has spent against its limit: bound flips move no
+/// basis column but cost a ratio test like any pivot.
+fn work(stats: &SolveStats) -> usize {
+    stats.total_pivots() + stats.bound_flips
 }
 
 /// Outcome of the bounded ratio test for one entering column.
@@ -332,7 +343,9 @@ enum Step {
 
 struct Solver<'a> {
     inst: &'a Instance,
-    opts: &'a SimplexOptions,
+    /// Cap on [`work`]; past it the attempt ends in
+    /// [`SolverError::IterationLimit`].
+    iter_limit: usize,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
     /// Nonbasic bound side per column (`true` = resting at its upper
@@ -347,9 +360,9 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    fn cold(inst: &'a Instance, opts: &'a SimplexOptions) -> Solver<'a> {
+    fn cold(inst: &'a Instance) -> Solver<'a> {
         let basis = inst.init_basis.clone();
-        let fac = Basis::factorize(&inst.a, &basis, opts.refactor_every, opts.pivot_tol)
+        let fac = Basis::factorize(&inst.a, &basis, PIVOT_TOL)
             .expect("identity start basis is nonsingular");
         let mut in_basis = vec![false; inst.ntot];
         for &c in &basis {
@@ -357,7 +370,7 @@ impl<'a> Solver<'a> {
         }
         Solver {
             inst,
-            opts,
+            iter_limit: auto_limit(inst),
             x_b: inst.b.clone(),
             basis,
             in_basis,
@@ -375,7 +388,6 @@ impl<'a> Solver<'a> {
     /// feasible, or unusable.
     fn from_hint(
         inst: &'a Instance,
-        opts: &'a SimplexOptions,
         hint_basis: &[usize],
         hint_at_upper: &[bool],
         kept: Option<KeptLu>,
@@ -399,11 +411,11 @@ impl<'a> Solver<'a> {
         }
         let fac = match kept {
             Some(kept) if kept.basis == hint_basis => kept.fac,
-            _ => Basis::factorize(&inst.a, hint_basis, opts.refactor_every, opts.pivot_tol)?,
+            _ => Basis::factorize(&inst.a, hint_basis, PIVOT_TOL)?,
         };
         let mut solver = Solver {
             inst,
-            opts,
+            iter_limit: auto_limit(inst) / WARM_SHARE,
             basis: hint_basis.to_vec(),
             in_basis,
             at_upper,
@@ -433,7 +445,7 @@ impl<'a> Solver<'a> {
         self.basis
             .iter()
             .zip(&self.x_b)
-            .all(|(&c, &v)| v >= -self.opts.feas_tol && v <= self.ub(c, 2) + self.opts.feas_tol)
+            .all(|(&c, &v)| v >= -FEAS_TOL && v <= self.ub(c, 2) + FEAS_TOL)
     }
 
     /// Whether every movable nonbasic column's reduced cost has the
@@ -483,7 +495,7 @@ impl<'a> Solver<'a> {
             .filter(|&(&c, _)| c >= self.inst.art_start)
             .map(|(_, &v)| v)
             .sum();
-        if infeas > self.opts.feas_tol {
+        if infeas > FEAS_TOL {
             return Err(SolverError::Infeasible);
         }
         self.expel_artificials()
@@ -511,12 +523,11 @@ impl<'a> Solver<'a> {
                 self.fac.btran(&mut e);
                 e
             };
-            let entering = (0..self.inst.art_start).find(|&j| {
-                !self.in_basis[j] && self.inst.a.col_dot(j, &rho).abs() > self.opts.pivot_tol
-            });
+            let entering = (0..self.inst.art_start)
+                .find(|&j| !self.in_basis[j] && self.inst.a.col_dot(j, &rho).abs() > PIVOT_TOL);
             if let Some(j) = entering {
                 let w = self.ftran_col(j);
-                if w[slot].abs() > self.opts.pivot_tol {
+                if w[slot].abs() > PIVOT_TOL {
                     // Zero-movement swap: the leaving artificial sits at
                     // (numerically) zero, so the entering column keeps its
                     // current value regardless of bound side.
@@ -533,15 +544,10 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
-    /// Total work spent, for the shared iteration budget.
-    fn work(&self) -> usize {
-        self.stats.total_pivots() + self.stats.bound_flips
-    }
-
     /// Runs primal pivots until no entering column remains.
     fn pivot_loop(&mut self, costs: &[f64], phase: u8) -> Result<(), SolverError> {
         loop {
-            if self.work() > self.opts.iter_limit {
+            if work(&self.stats) > self.iter_limit {
                 return Err(SolverError::IterationLimit {
                     pivots: self.stats.total_pivots(),
                 });
@@ -587,9 +593,9 @@ impl<'a> Solver<'a> {
                     t
                 }
             };
-            if t <= self.opts.pivot_tol {
+            if t <= PIVOT_TOL {
                 self.degenerate_run += 1;
-                if self.degenerate_run >= self.opts.degeneracy_threshold {
+                if self.degenerate_run >= DEGENERACY_THRESHOLD {
                     self.bland = true;
                 }
             } else {
@@ -606,7 +612,7 @@ impl<'a> Solver<'a> {
         let y = self.prices(costs);
         let limit = self.inst.art_start;
         let mut best: Option<(usize, f64)> = None;
-        let mut best_viol = self.opts.rc_tol;
+        let mut best_viol = RC_TOL;
         for j in 0..limit {
             if self.in_basis[j] || self.ub(j, phase) <= 0.0 {
                 continue;
@@ -638,10 +644,10 @@ impl<'a> Solver<'a> {
         for i in 0..self.inst.m {
             // Rate of change of x_B[i] per unit of entering movement.
             let delta = -dir * w[i];
-            let (ratio, leave_at_upper) = if delta < -self.opts.pivot_tol {
+            let (ratio, leave_at_upper) = if delta < -PIVOT_TOL {
                 // Decreasing toward its lower bound (zero).
                 ((self.x_b[i] / -delta).max(0.0), false)
-            } else if delta > self.opts.pivot_tol {
+            } else if delta > PIVOT_TOL {
                 let ubi = self.ub(self.basis[i], phase);
                 if !ubi.is_finite() {
                     continue;
@@ -698,7 +704,7 @@ impl<'a> Solver<'a> {
     fn dual_phase(&mut self) -> Result<(), SolverError> {
         let costs = &self.inst.costs;
         loop {
-            if self.work() > self.opts.iter_limit {
+            if work(&self.stats) > self.iter_limit {
                 return Err(SolverError::IterationLimit {
                     pivots: self.stats.total_pivots(),
                 });
@@ -709,9 +715,9 @@ impl<'a> Solver<'a> {
             for i in 0..self.inst.m {
                 let v = self.x_b[i];
                 let ubi = self.ub(self.basis[i], 2);
-                let (viol, above) = if v < -self.opts.feas_tol {
+                let (viol, above) = if v < -FEAS_TOL {
                     (-v, false)
-                } else if v > ubi + self.opts.feas_tol {
+                } else if v > ubi + FEAS_TOL {
                     (v - ubi, true)
                 } else {
                     continue;
@@ -743,7 +749,7 @@ impl<'a> Solver<'a> {
                 }
                 // One pass over the column prices it against both vectors.
                 let (alpha, ay) = self.inst.a.col_dot2(j, &rho, &y);
-                if alpha.abs() <= self.opts.pivot_tol {
+                if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
                 let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
@@ -791,7 +797,7 @@ impl<'a> Solver<'a> {
                 self.refactorize()?;
                 continue;
             }
-            if w[r].abs() <= self.opts.pivot_tol {
+            if w[r].abs() <= PIVOT_TOL {
                 return Err(SolverError::Numerical {
                     context: "dual pivot element vanished after refactorization".into(),
                 });
@@ -805,9 +811,9 @@ impl<'a> Solver<'a> {
             let t = ((self.x_b[r] - target) / (dir * w[r])).max(0.0);
             self.apply_pivot(r, q, dir, t, above, &w)?;
             self.stats.dual_pivots += 1;
-            if ratio <= self.opts.rc_tol {
+            if ratio <= RC_TOL {
                 self.degenerate_run += 1;
-                if self.degenerate_run >= self.opts.degeneracy_threshold {
+                if self.degenerate_run >= DEGENERACY_THRESHOLD {
                     self.bland = true;
                 }
             } else {
@@ -888,20 +894,13 @@ impl<'a> Solver<'a> {
     /// [`SolverError::Numerical`] and the [`crate::LpProblem`] entry points
     /// retry on the dense oracle.
     fn refactorize(&mut self) -> Result<(), SolverError> {
-        let fac = Basis::factorize(
-            &self.inst.a,
-            &self.basis,
-            self.opts.refactor_every,
-            self.opts.pivot_tol,
-        )
-        .or_else(|| {
+        let fac = Basis::factorize(&self.inst.a, &self.basis, PIVOT_TOL)
             // Ill-conditioned but maybe still usable: retry accepting any
             // nonzero pivot before giving up.
-            Basis::factorize(&self.inst.a, &self.basis, self.opts.refactor_every, 0.0)
-        })
-        .ok_or_else(|| SolverError::Numerical {
-            context: "basis became singular on refactorization".into(),
-        })?;
+            .or_else(|| Basis::factorize(&self.inst.a, &self.basis, 0.0))
+            .ok_or_else(|| SolverError::Numerical {
+                context: "basis became singular on refactorization".into(),
+            })?;
         self.fac = fac;
         self.recompute_xb();
         Ok(())
@@ -995,18 +994,14 @@ mod tests {
     }
 
     fn solve(lp: &StandardForm) -> Result<RevisedOutcome, SolverError> {
-        solve_revised(lp, &SimplexOptions::default(), None)
+        solve_revised(lp, None)
     }
 
     fn solve_hinted(
         lp: &StandardForm,
         hint: &RevisedOutcome,
     ) -> Result<RevisedOutcome, SolverError> {
-        solve_revised(
-            lp,
-            &SimplexOptions::default(),
-            Some((&hint.basis, &hint.at_upper)),
-        )
+        solve_revised(lp, Some((&hint.basis, &hint.at_upper)))
     }
 
     #[test]
@@ -1233,8 +1228,7 @@ mod tests {
             (vec![7, 7, 7], vec![false; 3]),
         ];
         for (basis, at_upper) in &bogus {
-            let warm =
-                solve_revised(&lp, &SimplexOptions::default(), Some((basis, at_upper))).unwrap();
+            let warm = solve_revised(&lp, Some((basis, at_upper))).unwrap();
             assert!((warm.objective - cold.objective).abs() < 1e-12);
             assert_eq!(warm.stats.warm_falls_back, 1);
             assert_eq!(warm.stats.warm_hits, 0);

@@ -46,36 +46,14 @@ pub struct StandardForm {
 /// comparison operator, and the right-hand side.
 pub type StdRow = (Vec<(usize, f64)>, Cmp, f64);
 
-/// Tuning knobs for the simplex.
-#[derive(Debug, Clone)]
-pub struct SimplexOptions {
-    /// Reduced costs above `-rc_tol` are treated as nonnegative (optimal).
-    pub rc_tol: f64,
-    /// Pivot elements smaller than this are rejected in the ratio test.
-    pub pivot_tol: f64,
-    /// Phase-1 objective values below this are treated as feasible.
-    pub feas_tol: f64,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub degeneracy_threshold: usize,
-    /// Hard cap on total pivots across both phases (0 = automatic).
-    pub iter_limit: usize,
-    /// Pivots between basis refactorizations in the revised simplex (the
-    /// eta-file length cap); ignored by the dense tableau.
-    pub refactor_every: usize,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            rc_tol: 1e-9,
-            pivot_tol: 1e-9,
-            feas_tol: 1e-7,
-            degeneracy_threshold: 64,
-            iter_limit: 0,
-            refactor_every: 64,
-        }
-    }
-}
+/// Reduced costs above `-RC_TOL` are treated as nonnegative (optimal).
+pub(crate) const RC_TOL: f64 = 1e-9;
+/// Pivot elements smaller than this are rejected in the ratio test.
+pub(crate) const PIVOT_TOL: f64 = 1e-9;
+/// Phase-1 objective values below this are treated as feasible.
+pub(crate) const FEAS_TOL: f64 = 1e-7;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+pub(crate) const DEGENERACY_THRESHOLD: usize = 64;
 
 /// Pivot and warm-path counters reported with every solution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,10 +136,7 @@ impl LpSolution {
 /// Finite column upper bounds are expanded into explicit `x_j <= u_j` rows
 /// first (see the module docs), so the tableau itself only ever sees
 /// nonnegative variables.
-pub fn solve_standard(
-    lp: &StandardForm,
-    opts: &SimplexOptions,
-) -> Result<(Vec<f64>, f64, SolveStats), SolverError> {
+pub fn solve_standard(lp: &StandardForm) -> Result<(Vec<f64>, f64, SolveStats), SolverError> {
     let expanded;
     let lp = if lp.upper.iter().any(|u| u.is_finite()) {
         let mut rows = lp.rows.clone();
@@ -180,7 +155,7 @@ pub fn solve_standard(
     } else {
         lp
     };
-    let mut t = Tableau::build(lp, opts);
+    let mut t = Tableau::build(lp);
     t.phase1()?;
     t.phase2()?;
     Ok(t.extract())
@@ -200,14 +175,15 @@ struct Tableau {
     basis: Vec<usize>,
     /// Phase-2 costs per column (structural costs then zeros).
     costs2: Vec<f64>,
-    opts: SimplexOptions,
+    /// Hard cap on total pivots across both phases.
+    iter_limit: usize,
     stats: SolveStats,
     bland: bool,
     degenerate_run: usize,
 }
 
 impl Tableau {
-    fn build(lp: &StandardForm, opts: &SimplexOptions) -> Tableau {
+    fn build(lp: &StandardForm) -> Tableau {
         let m = lp.rows.len();
         let n = lp.ncols;
         // Count auxiliary columns.
@@ -265,11 +241,6 @@ impl Tableau {
         let mut costs2 = vec![0.0; width - 1];
         costs2[..n].copy_from_slice(&lp.costs);
 
-        let mut opts = opts.clone();
-        if opts.iter_limit == 0 {
-            opts.iter_limit = 200 * (m + width) + 20_000;
-        }
-
         Tableau {
             data,
             width,
@@ -278,7 +249,7 @@ impl Tableau {
             art_start,
             basis,
             costs2,
-            opts,
+            iter_limit: 200 * (m + width) + 20_000,
             stats: SolveStats::default(),
             bland: false,
             degenerate_run: 0,
@@ -313,7 +284,7 @@ impl Tableau {
         }
         self.pivot_loop(true, 1)?;
         let phase1_obj = -self.data[obj * width + width - 1];
-        if phase1_obj > self.opts.feas_tol {
+        if phase1_obj > FEAS_TOL {
             return Err(SolverError::Infeasible);
         }
         self.expel_artificials();
@@ -332,7 +303,7 @@ impl Tableau {
             let row_off = i * self.width;
             let mut pivot_col = None;
             for j in 0..self.art_start {
-                if self.data[row_off + j].abs() > self.opts.pivot_tol {
+                if self.data[row_off + j].abs() > PIVOT_TOL {
                     pivot_col = Some(j);
                     break;
                 }
@@ -372,7 +343,7 @@ impl Tableau {
         let _ = phase1;
         loop {
             let total = self.stats.total_pivots();
-            if total > self.opts.iter_limit {
+            if total > self.iter_limit {
                 return Err(SolverError::IterationLimit { pivots: total });
             }
             let Some(col) = self.choose_entering() else {
@@ -393,9 +364,9 @@ impl Tableau {
                 self.stats.pivots_phase2 += 1;
             }
             // Track degeneracy to decide when to fall back to Bland's rule.
-            if old_rhs.abs() <= self.opts.pivot_tol {
+            if old_rhs.abs() <= PIVOT_TOL {
                 self.degenerate_run += 1;
-                if self.degenerate_run >= self.opts.degeneracy_threshold {
+                if self.degenerate_run >= DEGENERACY_THRESHOLD {
                     self.bland = true;
                 }
             } else {
@@ -409,10 +380,10 @@ impl Tableau {
         let obj_off = self.obj_row_index() * self.width;
         let limit = self.art_start; // Artificials never (re-)enter.
         if self.bland {
-            (0..limit).find(|&j| self.data[obj_off + j] < -self.opts.rc_tol)
+            (0..limit).find(|&j| self.data[obj_off + j] < -RC_TOL)
         } else {
             let mut best = None;
-            let mut best_rc = -self.opts.rc_tol;
+            let mut best_rc = -RC_TOL;
             for j in 0..limit {
                 let rc = self.data[obj_off + j];
                 if rc < best_rc {
@@ -430,7 +401,7 @@ impl Tableau {
         let mut best: Option<(usize, f64)> = None;
         for i in 0..self.m {
             let a = self.data[i * width + col];
-            if a > self.opts.pivot_tol {
+            if a > PIVOT_TOL {
                 let ratio = self.data[i * width + width - 1] / a;
                 match best {
                     None => best = Some((i, ratio)),
@@ -559,7 +530,7 @@ mod tests {
     fn basic_min() {
         // min -x - y s.t. x + y <= 1 => obj -1 at any point on the segment.
         let lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 1.0], Cmp::Le, 1.0)]);
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj + 1.0).abs() < 1e-9);
         assert!((x[0] + x[1] - 1.0).abs() < 1e-9);
     }
@@ -575,7 +546,7 @@ mod tests {
                 (vec![1.0, 0.0], Cmp::Le, 2.0),
             ],
         );
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-8);
         assert!((x[1] - 1.0).abs() < 1e-8);
         assert!((obj - 4.0).abs() < 1e-8);
@@ -585,7 +556,7 @@ mod tests {
     fn negative_rhs_normalization() {
         // x >= 2 written as -x <= -2.
         let lp = std_lp(1, vec![1.0], vec![(vec![-1.0], Cmp::Le, -2.0)]);
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);
         assert!((obj - 2.0).abs() < 1e-9);
     }
@@ -597,19 +568,13 @@ mod tests {
             vec![0.0],
             vec![(vec![1.0], Cmp::Ge, 2.0), (vec![1.0], Cmp::Le, 1.0)],
         );
-        assert_eq!(
-            solve_standard(&lp, &SimplexOptions::default()).unwrap_err(),
-            SolverError::Infeasible
-        );
+        assert_eq!(solve_standard(&lp).unwrap_err(), SolverError::Infeasible);
     }
 
     #[test]
     fn unbounded() {
         let lp = std_lp(1, vec![-1.0], vec![(vec![-1.0], Cmp::Le, 0.0)]);
-        assert_eq!(
-            solve_standard(&lp, &SimplexOptions::default()).unwrap_err(),
-            SolverError::Unbounded
-        );
+        assert_eq!(solve_standard(&lp).unwrap_err(), SolverError::Unbounded);
     }
 
     #[test]
@@ -625,7 +590,7 @@ mod tests {
                 (vec![0.0, 0.0, 1.0, 0.0], Cmp::Le, 1.0),
             ],
         );
-        let (_, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (_, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj + 0.05).abs() < 1e-9, "obj={obj}");
     }
 
@@ -642,7 +607,7 @@ mod tests {
                 (vec![1.0, 1.0], Cmp::Le, 2.0),
             ],
         );
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj + 2.0).abs() < 1e-9);
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert!((x[1] - 1.0).abs() < 1e-9);
@@ -660,7 +625,7 @@ mod tests {
                 (vec![1.0, 1.0], Cmp::Eq, 2.0),
             ],
         );
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj - 2.0).abs() < 1e-8);
         assert!((x[0] + x[1] - 2.0).abs() < 1e-8);
     }
@@ -670,7 +635,7 @@ mod tests {
         // min -x - y s.t. x + y <= 3, x <= 1, y <= 1.5 (as column bounds).
         let mut lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 1.0], Cmp::Le, 3.0)]);
         lp.upper = vec![1.0, 1.5];
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj + 2.5).abs() < 1e-9, "obj={obj}");
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert!((x[1] - 1.5).abs() < 1e-9);
@@ -688,7 +653,7 @@ mod tests {
                 (vec![1.0, 0.0], Cmp::Ge, 3.0),
             ],
         );
-        let (x, obj, _) = solve_standard(&lp, &SimplexOptions::default()).unwrap();
+        let (x, obj, _) = solve_standard(&lp).unwrap();
         assert!((obj - 3.0).abs() < 1e-8);
         assert!((x[0] - x[1]).abs() < 1e-8);
     }

@@ -42,7 +42,7 @@ fn round_lp(n: usize, tputs: &[f64], floors: &[f64], active: &[bool]) -> LpProbl
 
 /// `GAVEL_LP_CROSSCHECK` runs the dense oracle against every revised
 /// solve, including warm-started and dual-reoptimized ones (they share the
-/// `solve_warm_with` exit path). This exercises that hook over a rising
+/// `solve_warm` exit path). This exercises that hook over a rising
 /// floor sequence so the dual path is differentially tested in debug runs.
 #[test]
 fn crosscheck_covers_warm_and_dual_solves() {
@@ -58,7 +58,7 @@ fn crosscheck_covers_warm_and_dual_solves() {
     let mut dual_pivots = 0;
     for r in 0..6 {
         let lp = round_lp(5, &tputs, &floors, &active);
-        // cross_check fires inside solve_warm_with (debug builds).
+        // cross_check fires inside solve_warm (debug builds).
         let (sol, basis) = lp.solve_warm(cache.as_ref()).unwrap();
         dual_pivots += sol.stats.dual_pivots;
         cache = Some(basis);
