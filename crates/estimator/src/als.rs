@@ -9,17 +9,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Number of alternating sweeps.
+const ITERATIONS: usize = 60;
+/// Ridge regularization strength.
+const REGULARIZATION: f64 = 1e-3;
+/// RNG seed for factor initialization.
+const SEED: u64 = 0;
+
 /// Alternating-least-squares matrix completion.
 #[derive(Debug, Clone)]
 pub struct MatrixCompletion {
     /// Factorization rank.
     pub rank: usize,
-    /// Number of alternating sweeps.
-    pub iterations: usize,
-    /// Ridge regularization strength.
-    pub regularization: f64,
-    /// RNG seed for factor initialization.
-    pub seed: u64,
 }
 
 impl Default for MatrixCompletion {
@@ -27,22 +28,14 @@ impl Default for MatrixCompletion {
         // Low rank on purpose: colocation matrices are near rank-2 in
         // practice (contention is dominated by one "demand" factor per
         // job), and overshooting the rank overfits the missing entries.
-        MatrixCompletion {
-            rank: 2,
-            iterations: 60,
-            regularization: 1e-3,
-            seed: 0,
-        }
+        MatrixCompletion { rank: 2 }
     }
 }
 
 impl MatrixCompletion {
     /// Creates a completion solver with the given rank.
     pub fn with_rank(rank: usize) -> Self {
-        MatrixCompletion {
-            rank,
-            ..Default::default()
-        }
+        MatrixCompletion { rank }
     }
 
     /// Completes `observed`, where `None` marks missing entries.
@@ -64,7 +57,7 @@ impl MatrixCompletion {
         );
         let k = self.rank.min(nrows).min(ncols).max(1);
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let scale = {
             // Initialize around the mean observed magnitude for stability.
             let (mut sum, mut count) = (0.0, 0usize);
@@ -86,7 +79,7 @@ impl MatrixCompletion {
             .map(|_| (0..k).map(|_| rng.gen_range(0.5..1.5) * scale).collect())
             .collect();
 
-        for _ in 0..self.iterations {
+        for _ in 0..ITERATIONS {
             // Fix V, solve each row of U by ridge regression over its
             // observed columns.
             for (i, urow) in u.iter_mut().enumerate() {
@@ -94,7 +87,7 @@ impl MatrixCompletion {
                     .filter_map(|j| observed[i][j].map(|val| (j, val)))
                     .collect();
                 if !obs.is_empty() {
-                    *urow = ridge_solve(&obs, &v, k, self.regularization);
+                    *urow = ridge_solve(&obs, &v, k, REGULARIZATION);
                 }
             }
             // Fix U, solve each row of V.
@@ -103,7 +96,7 @@ impl MatrixCompletion {
                     .filter_map(|i| observed[i][j].map(|val| (i, val)))
                     .collect();
                 if !obs.is_empty() {
-                    *vrow = ridge_solve(&obs, &u, k, self.regularization);
+                    *vrow = ridge_solve(&obs, &u, k, REGULARIZATION);
                 }
             }
         }

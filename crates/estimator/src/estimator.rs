@@ -3,26 +3,15 @@
 use crate::als::MatrixCompletion;
 use std::collections::HashMap;
 
+/// Exponential-moving-average weight given to a fresh online measurement
+/// when refining an estimate.
+const REFINE_ALPHA: f64 = 0.5;
+
 /// Configuration of the [`ThroughputEstimator`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EstimatorConfig {
     /// Matrix-completion solver.
     pub completion: MatrixCompletion,
-    /// How many reference jobs a new job is profiled against.
-    pub profile_samples: usize,
-    /// Exponential-moving-average weight given to a fresh online
-    /// measurement when refining an estimate.
-    pub refine_alpha: f64,
-}
-
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        EstimatorConfig {
-            completion: MatrixCompletion::default(),
-            profile_samples: 5,
-            refine_alpha: 0.5,
-        }
-    }
 }
 
 /// Quasar-style estimator: maps new jobs onto pre-profiled reference jobs
@@ -158,8 +147,7 @@ impl ThroughputEstimator {
     /// the job's revision, so cached derivations stay valid.
     pub fn refine(&mut self, key: u64, j: usize, measured: f64) {
         if let Some(row) = self.estimates.get_mut(&key) {
-            let a = self.config.refine_alpha;
-            row[j] = (1.0 - a) * row[j] + a * measured;
+            row[j] = (1.0 - REFINE_ALPHA) * row[j] + REFINE_ALPHA * measured;
             self.clock += 1;
             self.revisions.insert(key, self.clock);
         }
@@ -319,8 +307,8 @@ mod tests {
         let refm = reference();
         let mut est = ThroughputEstimator::new(refm.clone(), EstimatorConfig::default());
         for (class, true_row) in refm.iter().enumerate() {
-            // Profile two of three entries with 3% noise (the default
-            // config profiles five references; one observation alone
+            // Profile two of three entries with 3% noise (the service
+            // profiles five references; one observation alone
             // underdetermines a rank-2 fingerprint).
             let noisy: Vec<Option<f64>> = true_row
                 .iter()

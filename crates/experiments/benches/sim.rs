@@ -39,7 +39,6 @@
 
 use criterion::{BenchmarkId, Criterion};
 use gavel_core::{Allocation, Combo, ComboSet, JobId, PolicyJob};
-use gavel_estimator::EstimatorConfig;
 use gavel_sched::{RoundPlan, RoundScheduler};
 use gavel_sim::{EstimatorBridge, SnapshotCache};
 use gavel_workloads::{
@@ -213,7 +212,7 @@ fn bench_bridged(c: &mut Criterion) {
     for &n in &[512usize, 1024] {
         let oracle = Oracle::new();
         let opts = opts();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 17);
+        let mut bridge = EstimatorBridge::new(&oracle, 17);
         let mut cache = SnapshotCache::new_bridged(true, opts);
         let mut specs = Vec::with_capacity(n);
         for i in 0..n as u64 {

@@ -1,6 +1,7 @@
 //! `gavel-exp <name> [--smoke|--quick|--full] [--extended]` regenerates
 //! one figure or table of the paper, or runs one service demo. Every name
-//! is a module of [`gavel_experiments::figs`], documented there;
+//! is a module of [`gavel_experiments::figs`] or a function of its
+//! `sweeps` module, documented there;
 //! `--extended` selects `fig12_scalability`'s sweep past 2048 jobs. An
 //! unknown name, or any other argument after it, prints the usage and
 //! exits 2.
@@ -22,17 +23,17 @@ type Experiment = (&'static str, fn(Scale));
 
 const EXPERIMENTS: &[Experiment] = &[
     ("fig01_throughputs", figs::fig01_throughputs::run),
-    ("fig08_las_single", figs::fig08_las_single::run),
-    ("fig09_las_multi", figs::fig09_las_multi::run),
-    ("fig10_ftf_multi", figs::fig10_ftf_multi::run),
+    ("fig08_las_single", figs::sweeps::fig08_las_single),
+    ("fig09_las_multi", figs::sweeps::fig09_las_multi),
+    ("fig10_ftf_multi", figs::sweeps::fig10_ftf_multi),
     ("fig11_hierarchical", figs::fig11_hierarchical::run),
     ("fig12_scalability", fig12_scalability),
     ("fig13_mechanism", figs::fig13_mechanism::run),
     ("fig14_estimator", figs::fig14_estimator::run),
     ("fig15_colocation", figs::fig15_colocation::run),
-    ("fig16_fifo_single", figs::fig16_fifo_single::run),
-    ("fig17_ftf_single", figs::fig17_ftf_single::run),
-    ("fig18_fifo_multi", figs::fig18_fifo_multi::run),
+    ("fig16_fifo_single", figs::sweeps::fig16_fifo_single),
+    ("fig17_ftf_single", figs::sweeps::fig17_ftf_single),
+    ("fig18_fifo_multi", figs::sweeps::fig18_fifo_multi),
     ("fig19_makespan", figs::fig19_makespan::run),
     ("fig20_las_priorities", figs::fig20_las_priorities::run),
     ("fig21_hier_fifo", figs::fig21_hier_fifo::run),

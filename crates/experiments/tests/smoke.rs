@@ -16,21 +16,21 @@ macro_rules! smoke {
             figs::$name::run(Scale::Smoke);
         }
     )*};
+    (sweeps: $($name:ident),* $(,)?) => {$(
+        #[test]
+        fn $name() {
+            figs::sweeps::$name(Scale::Smoke);
+        }
+    )*};
 }
 
 smoke!(
     fig01_throughputs,
-    fig08_las_single,
-    fig09_las_multi,
-    fig10_ftf_multi,
     fig11_hierarchical,
     fig12_scalability,
     fig13_mechanism,
     fig14_estimator,
     fig15_colocation,
-    fig16_fifo_single,
-    fig17_ftf_single,
-    fig18_fifo_multi,
     fig19_makespan,
     fig20_las_priorities,
     fig21_hier_fifo,
@@ -38,6 +38,15 @@ smoke!(
     svc_recovery,
     svc_replay,
     table3_endtoend,
+);
+
+smoke!(
+    sweeps: fig08_las_single,
+    fig09_las_multi,
+    fig10_ftf_multi,
+    fig16_fifo_single,
+    fig17_ftf_single,
+    fig18_fifo_multi,
 );
 
 /// The fig12 extended sweep (snapshot-cache scaling, hierarchical solve

@@ -13,7 +13,7 @@
 //! single-worker jobs (as noted in §7.3 of the Gavel paper); multi-worker
 //! jobs in the input are rejected.
 
-use crate::common::{check_input, singleton_row, solver_err};
+use crate::common::{check_input, solver_err};
 use gavel_core::{AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{Cmp, LpProblem, Sense, VarId};
 
@@ -34,7 +34,7 @@ impl Policy for Allox {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let n = input.jobs.len();
         if n == 0 {
             return Ok(Allocation::zeros(
@@ -58,7 +58,7 @@ impl Policy for Allox {
         // y[m][j][k]: job m at position k (0-based) on a type-j machine.
         let mut y: Vec<Vec<Vec<Option<VarId>>>> = Vec::with_capacity(n);
         for (m, job) in input.jobs.iter().enumerate() {
-            let row = singleton_row(input, job.id);
+            let row = singles.row(m);
             let mut per_type = Vec::with_capacity(num_types);
             for j in 0..num_types {
                 let tput = input.tensor.entry(row, AccelIdx(j)).a;
@@ -109,8 +109,8 @@ impl Policy for Allox {
 
         // Jobs matched to position 0 run now at full time on their type.
         let mut alloc = Allocation::zeros(input.combos.clone(), num_types);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let row = singleton_row(input, job.id);
+        for m in 0..n {
+            let row = singles.row(m);
             for j in 0..num_types {
                 if let Some(v) = y[m][j].first().copied().flatten() {
                     if sol.value(v) > 0.5 {

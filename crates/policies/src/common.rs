@@ -36,8 +36,6 @@ pub(crate) struct JobRows {
     /// Per job: rows of the combos containing it (the paper's `C_m`),
     /// ascending.
     rows: Vec<Vec<usize>>,
-    /// Per job: its singleton row, when the combo set has one.
-    singleton: Vec<Option<usize>>,
     /// Per combo row: the largest scale factor among its members (pairs
     /// are formed between equal-scale jobs by the tensor builders).
     scale: Vec<u32>,
@@ -49,7 +47,6 @@ impl JobRows {
         let mut index = JobRows {
             ids: JobIds::new(input),
             rows: vec![Vec::new(); n],
-            singleton: vec![None; n],
             scale: Vec::with_capacity(input.combos.len()),
         };
         for (k, combo) in input.combos.combos().iter().enumerate() {
@@ -59,25 +56,11 @@ impl JobRows {
                     continue;
                 };
                 index.rows[m].push(k);
-                if !combo.is_pair() {
-                    index.singleton[m].get_or_insert(k);
-                }
                 scale = scale.max(Some(input.jobs[m].scale_factor));
             }
             index.scale.push(scale.unwrap_or(1));
         }
         index
-    }
-
-    /// Singleton combo row of the job at position `m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the combo set lacks one — the input contract, checked by
-    /// [`check_input`], requires singleton coverage of every job.
-    pub fn singleton_row(&self, input: &PolicyInput<'_>, m: usize) -> usize {
-        self.singleton[m]
-            .unwrap_or_else(|| panic!("no singleton combo row for {}", input.jobs[m].id))
     }
 }
 
@@ -187,19 +170,6 @@ impl AllocLp {
         terms
     }
 
-    /// `throughput(m, X_equal)` per job — the normalizer of §4.1: each
-    /// job's singleton throughput under an equal time share on every
-    /// worker.
-    pub fn equal_share_throughputs(&self, input: &PolicyInput<'_>) -> Vec<f64> {
-        let x_eq = gavel_core::x_equal(input.cluster);
-        (0..input.jobs.len())
-            .map(|m| {
-                let row = self.jobs.singleton_row(input, m);
-                gavel_core::refs::throughput_under(input.tensor, row, &x_eq)
-            })
-            .collect()
-    }
-
     /// Reads the solved variables back into an [`Allocation`].
     pub fn extract(&self, input: &PolicyInput<'_>, sol: &gavel_solver::LpSolution) -> Allocation {
         let mut alloc = Allocation::zeros(input.combos.clone(), input.cluster.num_types());
@@ -215,21 +185,34 @@ impl AllocLp {
     }
 }
 
-/// Index of the singleton combo row for `job`: a one-off scan of the
-/// combo set, for policies that do not hold an [`AllocLp`] (whose
-/// [`JobRows`] answers the same question for every job at once).
-///
-/// # Panics
-///
-/// Panics if the combo set lacks a singleton row for the job — the input
-/// contract requires singleton coverage of every job.
-pub(crate) fn singleton_row(input: &PolicyInput<'_>, job: JobId) -> usize {
-    input
-        .combos
-        .combos()
-        .iter()
-        .position(|c| !c.is_pair() && c.a == job)
-        .unwrap_or_else(|| panic!("no singleton combo row for {job}"))
+/// The first singleton combo row of every job of a [`PolicyInput`], by the
+/// job's position in `input.jobs`. Total by construction: [`check_input`]
+/// is the only source and rejects an input that leaves a job without one.
+pub(crate) struct SingletonRows(Vec<usize>);
+
+impl SingletonRows {
+    /// Singleton row of the job at position `m` of the input's job list.
+    pub fn row(&self, m: usize) -> usize {
+        self.0[m]
+    }
+
+    /// Singleton row of job `id`, for callers that start from a combo's
+    /// members rather than from the job list; `None` when the input does
+    /// not list the job.
+    pub fn row_of(&self, input: &PolicyInput<'_>, id: JobId) -> Option<usize> {
+        let m = input.jobs.iter().position(|job| job.id == id)?;
+        Some(self.0[m])
+    }
+
+    /// `throughput(m, X_equal)` per job — the normalizer of §4.1: each
+    /// job's singleton throughput under an equal time share on every
+    /// worker.
+    pub fn equal_share_throughputs(&self, input: &PolicyInput<'_>) -> Vec<f64> {
+        let x_eq = gavel_core::x_equal(input.cluster);
+        (self.0.iter())
+            .map(|&row| gavel_core::refs::throughput_under(input.tensor, row, &x_eq))
+            .collect()
+    }
 }
 
 /// Converts a solver error into a policy error.
@@ -237,9 +220,10 @@ pub(crate) fn solver_err(e: gavel_solver::SolverError) -> PolicyError {
     PolicyError::Solver(Box::new(e))
 }
 
-/// Validates common input requirements shared by all policies: every job
-/// has a singleton row and can run somewhere.
-pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<(), PolicyError> {
+/// Validates common input requirements shared by all policies — every job
+/// has a singleton row and can run somewhere — and returns the singleton
+/// rows it found, the one index every policy reads them from.
+pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<SingletonRows, PolicyError> {
     let combos = input.combos.combos();
     // The tensor builders lay singleton rows out parallel to the jobs;
     // only a job whose row is elsewhere needs a lookup.
@@ -257,6 +241,7 @@ pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<(), PolicyError> {
             }
         }
     }
+    let mut rows = Vec::with_capacity(singletons.len());
     for (job, singleton) in input.jobs.iter().zip(singletons) {
         let row = singleton.ok_or_else(|| {
             PolicyError::InvalidInput(format!("no singleton combo for {}", job.id))
@@ -267,8 +252,9 @@ pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<(), PolicyError> {
                 job.id
             )));
         }
+        rows.push(row);
     }
-    Ok(())
+    Ok(SingletonRows(rows))
 }
 
 /// Scalar max-min water-filling over per-job time shares, used by the
@@ -312,12 +298,13 @@ pub(crate) fn waterfill_shares(weights: &[f64], scale_factors: &[u32], capacity:
 /// are excluded: even agnostic schedulers know memory feasibility.
 pub(crate) fn uniform_spread(
     input: &PolicyInput<'_>,
+    singles: &SingletonRows,
     shares: &[f64],
 ) -> Result<Allocation, PolicyError> {
     let cluster: &ClusterSpec = input.cluster;
     let mut alloc = Allocation::zeros(input.combos.clone(), cluster.num_types());
-    for (m, job) in input.jobs.iter().enumerate() {
-        let row = singleton_row(input, job.id);
+    for m in 0..input.jobs.len() {
+        let row = singles.row(m);
         let runnable: Vec<_> = cluster
             .types()
             .filter(|&j| input.tensor.entry(row, j).runnable())
@@ -346,11 +333,16 @@ mod tests {
     use super::*;
     use gavel_core::{Combo, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
 
+    /// First singleton row of `job`, by scanning the combo set.
+    fn scanned_singleton(input: &PolicyInput<'_>, job: JobId) -> Option<usize> {
+        (input.combos.combos().iter()).position(|c| !c.is_pair() && c.a == job)
+    }
+
     #[test]
     fn job_rows_match_per_job_scans() {
         // Jobs out of id order, pair rows before and between singletons,
         // and a combo mentioning a job the input does not list.
-        let ids = [JobId(9), JobId(2), JobId(5)];
+        let ids = [JobId(9), JobId(2), JobId(5), JobId(77)];
         let mut jobs: Vec<PolicyJob> = ids.iter().map(|&id| PolicyJob::simple(id, 1.0)).collect();
         jobs[1].scale_factor = 4;
         let combos = ComboSet::new(vec![
@@ -373,19 +365,19 @@ mod tests {
         );
         let cluster = ClusterSpec::new(&[("v100", 4, 4, 0.0)]);
         let input = PolicyInput {
-            jobs: &jobs,
+            jobs: &jobs[..3],
             combos: &combos,
             tensor: &tensor,
             cluster: &cluster,
         };
+        let singles = check_input(&input).unwrap();
         let alp = AllocLp::new(&input, Sense::Maximize);
-        for (m, job) in jobs.iter().enumerate() {
+        for (m, job) in input.jobs.iter().enumerate() {
             assert_eq!(alp.jobs.rows[m], combos.rows_containing(job.id));
-            assert_eq!(
-                alp.jobs.singleton_row(&input, m),
-                singleton_row(&input, job.id)
-            );
+            assert_eq!(Some(singles.row(m)), scanned_singleton(&input, job.id));
+            assert_eq!(singles.row_of(&input, job.id), Some(singles.row(m)));
         }
+        assert_eq!(singles.row_of(&input, JobId(77)), None);
         assert_eq!(alp.jobs.scale, vec![4, 1, 4, 1, 1]);
         // Terms come in ascending row order, each with the job's own side
         // of the pair throughput.
@@ -399,7 +391,17 @@ mod tests {
             vec![(x(0), 0.5), (x(2), 2.0)]
         );
         assert!(alp.throughput_terms(&input, JobId(77)).is_empty());
-        check_input(&input).unwrap();
+
+        // A job without a singleton row is invalid input, not a panic:
+        // from the index, and from a policy that used to scan for the row.
+        let input = PolicyInput {
+            jobs: &jobs,
+            ..input
+        };
+        let invalid = |e: PolicyError| matches!(e, PolicyError::InvalidInput(_));
+        assert!(check_input(&input).is_err_and(invalid));
+        let gandiva = crate::GandivaPolicy::new(0).compute_allocation(&input);
+        assert!(gandiva.is_err_and(invalid));
     }
 
     #[test]
@@ -435,7 +437,7 @@ mod tests {
         let input = setup.input();
         let alone: Vec<f64> = (setup.jobs.iter())
             .map(|job| {
-                let row = singleton_row(&input, job.id);
+                let row = scanned_singleton(&input, job.id).unwrap();
                 job.steps_remaining / gavel_core::refs::x_fastest(&setup.tensor, row)
             })
             .collect();

@@ -11,7 +11,7 @@
 //! With space sharing the instance cost is counted once per combo row, not
 //! once per job, matching the paper's double-counting caveat.
 
-use crate::common::{check_input, singleton_row, solver_err, AllocLp};
+use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
 use gavel_core::{refs, AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{solve_fractional, Cmp, FractionalObjective, Sense, SolverError, VarId};
 
@@ -32,11 +32,10 @@ impl Policy for MaxTotalThroughput {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let mut alp = AllocLp::new(input, Sense::Maximize);
-        for job in input.jobs {
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row).max(1e-12);
+        for (m, job) in input.jobs.iter().enumerate() {
+            let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
             for (v, coeff) in alp.throughput_terms(input, job.id) {
                 alp.lp.add_objective_coeff(v, coeff / fastest);
             }
@@ -65,12 +64,15 @@ fn cost_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
 
 /// Builds the normalized-throughput numerator terms shared by the two cost
 /// policies, in ascending variable order.
-fn normalized_throughput_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
+fn normalized_throughput_terms(
+    input: &PolicyInput<'_>,
+    singles: &SingletonRows,
+    alp: &AllocLp,
+) -> Vec<(VarId, f64)> {
     // Dense over `VarId::index()`; a pair cell collects one term per member.
     let mut acc: Vec<Option<(VarId, f64)>> = vec![None; alp.lp.num_vars()];
-    for job in input.jobs {
-        let row = singleton_row(input, job.id);
-        let fastest = refs::x_fastest(input.tensor, row).max(1e-12);
+    for (m, job) in input.jobs.iter().enumerate() {
+        let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
         for (v, coeff) in alp.throughput_terms(input, job.id) {
             acc[v.index()].get_or_insert((v, 0.0)).1 += coeff / fastest;
         }
@@ -78,30 +80,24 @@ fn normalized_throughput_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(V
     acc.into_iter().flatten().collect()
 }
 
+/// Per-job throughput floor of the two cost policies, as a fraction of
+/// the job's fastest rate (SLO jobs get their SLO floor instead).
+const MIN_PROGRESS: f64 = 0.05;
+
 /// Maximize throughput per dollar (the "minimize cost" policy of §7.3).
 ///
 /// Pure ratio maximization degenerates to running *only* the single most
 /// cost-efficient job (any lower-ratio job dilutes the average), which
-/// starves the rest of the workload indefinitely. `min_progress` adds a
-/// floor — every job must receive at least that fraction of its fastest
-/// throughput — trading a little cost for liveness.
-#[derive(Debug, Clone)]
-pub struct MinCost {
-    /// Per-job throughput floor as a fraction of the job's fastest rate
-    /// (0.0 disables the floor).
-    pub min_progress: f64,
-}
-
-impl Default for MinCost {
-    fn default() -> Self {
-        MinCost { min_progress: 0.05 }
-    }
-}
+/// starves the rest of the workload indefinitely. A progress floor —
+/// every job must receive at least 5% of its fastest throughput — trades
+/// a little cost for liveness.
+#[derive(Debug, Clone, Default)]
+pub struct MinCost;
 
 impl MinCost {
-    /// Creates the policy with the default progress floor.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
+        MinCost
     }
 }
 
@@ -111,29 +107,18 @@ impl Policy for MinCost {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
-        solve_cost(input, false, self.min_progress)
+        solve_cost(input, false)
     }
 }
 
 /// Maximize throughput per dollar subject to SLO throughput floors.
-#[derive(Debug, Clone)]
-pub struct MinCostSlo {
-    /// Per-job throughput floor as a fraction of the job's fastest rate
-    /// (applies to jobs without SLOs; SLO jobs get their SLO floor).
-    pub min_progress: f64,
-}
-
-impl Default for MinCostSlo {
-    fn default() -> Self {
-        MinCostSlo { min_progress: 0.05 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct MinCostSlo;
 
 impl MinCostSlo {
-    /// Creates the policy with the default progress floor.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
+        MinCostSlo
     }
 }
 
@@ -143,16 +128,12 @@ impl Policy for MinCostSlo {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
-        solve_cost(input, true, self.min_progress)
+        solve_cost(input, true)
     }
 }
 
-fn solve_cost(
-    input: &PolicyInput<'_>,
-    with_slos: bool,
-    min_progress: f64,
-) -> Result<Allocation, PolicyError> {
+fn solve_cost(input: &PolicyInput<'_>, with_slos: bool) -> Result<Allocation, PolicyError> {
+    let singles = check_input(input)?;
     if input.jobs.is_empty() {
         return Ok(Allocation::zeros(
             input.combos.clone(),
@@ -161,30 +142,30 @@ fn solve_cost(
     }
     // Retry with successively halved progress floors if the combination of
     // floors is infeasible (more jobs than the cluster can float at once).
-    let mut floor = min_progress.clamp(0.0, 1.0);
+    let mut floor = MIN_PROGRESS;
     for _ in 0..6 {
-        match solve_cost_once(input, with_slos, floor) {
+        match solve_cost_once(input, &singles, with_slos, floor) {
             Err(PolicyError::NoFeasibleAllocation(_)) if floor > 1e-4 => floor *= 0.5,
             other => return other,
         }
     }
-    solve_cost_once(input, with_slos, 0.0)
+    solve_cost_once(input, &singles, with_slos, 0.0)
 }
 
 fn solve_cost_once(
     input: &PolicyInput<'_>,
+    singles: &SingletonRows,
     with_slos: bool,
     min_progress: f64,
 ) -> Result<Allocation, PolicyError> {
     let mut alp = AllocLp::new(input, Sense::Maximize);
 
     if min_progress > 0.0 {
-        for job in input.jobs {
+        for (m, job) in input.jobs.iter().enumerate() {
             if with_slos && job.slo_seconds_remaining.is_some() {
                 continue; // The SLO constraint below is a stronger floor.
             }
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row);
+            let fastest = refs::x_fastest(input.tensor, singles.row(m));
             let terms = alp.throughput_terms(input, job.id);
             alp.lp
                 .add_constraint(&terms, Cmp::Ge, min_progress * fastest);
@@ -192,12 +173,11 @@ fn solve_cost_once(
     }
 
     if with_slos {
-        for job in input.jobs {
+        for (m, job) in input.jobs.iter().enumerate() {
             let Some(slo) = job.slo_seconds_remaining else {
                 continue;
             };
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row);
+            let fastest = refs::x_fastest(input.tensor, singles.row(m));
             // Required throughput to meet the SLO; if even a dedicated
             // fastest accelerator cannot meet it, relax to best effort
             // (full-speed floor) instead of making the program infeasible.
@@ -213,7 +193,7 @@ fn solve_cost_once(
         }
     }
 
-    let num = normalized_throughput_terms(input, &alp);
+    let num = normalized_throughput_terms(input, singles, &alp);
     let den = cost_terms(input, &alp);
     if den.is_empty() {
         // Free cluster: degenerate to max throughput.
@@ -251,10 +231,11 @@ mod tests {
     fn numerator_terms_come_in_variable_order_on_every_call() {
         let setup = Setup::random(&mut StdRng::seed_from_u64(7), 12, 3, 4, true, true);
         let input = setup.input();
+        let singles = check_input(&input).unwrap();
         let alp = AllocLp::new(&input, Sense::Maximize);
-        let terms = normalized_throughput_terms(&input, &alp);
+        let terms = normalized_throughput_terms(&input, &singles, &alp);
         assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{terms:?}");
         assert!(terms.len() > 12, "{terms:?}");
-        assert_eq!(terms, normalized_throughput_terms(&input, &alp));
+        assert_eq!(terms, normalized_throughput_terms(&input, &singles, &alp));
     }
 }

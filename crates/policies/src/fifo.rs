@@ -10,7 +10,7 @@
 //! where jobs are enumerated in arrival order. The agnostic baseline packs
 //! jobs onto workers in arrival order without regard to type.
 
-use crate::common::{check_input, singleton_row, solver_err, AllocLp};
+use crate::common::{check_input, solver_err, AllocLp};
 use gavel_core::{refs, AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::Sense;
 
@@ -51,7 +51,7 @@ impl Policy for FifoHet {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         if input.jobs.is_empty() {
             return Ok(Allocation::zeros(
                 input.combos.clone(),
@@ -66,8 +66,7 @@ impl Policy for FifoHet {
         let mut alp = AllocLp::new(input, Sense::Maximize);
         for (rank, &m) in order.iter().enumerate() {
             let job = &input.jobs[m];
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row);
+            let fastest = refs::x_fastest(input.tensor, singles.row(m));
             if fastest <= 0.0 {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} cannot run anywhere",
@@ -103,7 +102,7 @@ impl Policy for FifoAgnostic {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let num_types = input.cluster.num_types();
         let mut remaining: Vec<f64> = input
             .cluster
@@ -118,7 +117,7 @@ impl Policy for FifoAgnostic {
         let mut cursor = 0usize;
         for &m in &order {
             let job = &input.jobs[m];
-            let row = singleton_row(input, job.id);
+            let row = singles.row(m);
             let sf = job.scale_factor.max(1) as f64;
             // Find a type (starting at the cursor) with enough capacity
             // where the job can actually run.
@@ -155,7 +154,7 @@ impl Policy for ShortestJobFirst {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         if input.jobs.is_empty() {
             return Ok(Allocation::zeros(
                 input.combos.clone(),
@@ -168,8 +167,7 @@ impl Policy for ShortestJobFirst {
             .iter()
             .enumerate()
             .min_by(|(ma, a), (mb, b)| {
-                let ra = singleton_row(input, a.id);
-                let rb = singleton_row(input, b.id);
+                let (ra, rb) = (singles.row(*ma), singles.row(*mb));
                 let da = a.steps_remaining / refs::x_fastest(input.tensor, ra).max(1e-12);
                 let db = b.steps_remaining / refs::x_fastest(input.tensor, rb).max(1e-12);
                 // `total_cmp` so a NaN duration (zero-throughput job with
@@ -187,12 +185,11 @@ impl Policy for ShortestJobFirst {
         }
         // Tiny secondary term packs the remaining jobs without disturbing
         // the primary objective.
-        for job in input.jobs {
+        for (m, job) in input.jobs.iter().enumerate() {
             if job.id == short_id {
                 continue;
             }
-            let row = singleton_row(input, job.id);
-            let fastest = refs::x_fastest(input.tensor, row).max(1e-12);
+            let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
             for (v, coeff) in alp.throughput_terms(input, job.id) {
                 alp.lp.add_objective_coeff(v, 1e-6 * coeff / fastest);
             }

@@ -13,18 +13,20 @@
 //! linear, so the optimum is found by bisection over LP feasibility
 //! problems (the paper's sequence-of-LPs technique).
 
-use crate::common::{check_input, singleton_row, solver_err, uniform_spread, AllocLp};
+use crate::common::{check_input, solver_err, uniform_spread, AllocLp, SingletonRows};
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{bisect_min, Cmp, Sense, SolverError};
 
 /// Computes each job's isolated-share denominator `D_m`.
-fn isolated_denominators(input: &PolicyInput<'_>) -> Result<Vec<f64>, PolicyError> {
+fn isolated_denominators(
+    input: &PolicyInput<'_>,
+    singles: &SingletonRows,
+) -> Result<Vec<f64>, PolicyError> {
     let n = input.jobs.len();
     let mut out = Vec::with_capacity(n);
-    for job in input.jobs {
-        let row = singleton_row(input, job.id);
+    for (m, job) in input.jobs.iter().enumerate() {
         let x_iso = refs::x_isolated(input.cluster, n, job.scale_factor);
-        let tput_iso = refs::throughput_under(input.tensor, row, &x_iso);
+        let tput_iso = refs::throughput_under(input.tensor, singles.row(m), &x_iso);
         if tput_iso <= 0.0 {
             return Err(PolicyError::NoFeasibleAllocation(format!(
                 "{} has zero isolated throughput",
@@ -79,24 +81,22 @@ impl Policy for FinishTimeFairness {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         if input.jobs.is_empty() {
             return Ok(Allocation::zeros(
                 input.combos.clone(),
                 input.cluster.num_types(),
             ));
         }
-        let denoms = isolated_denominators(input)?;
+        let denoms = isolated_denominators(input, &singles)?;
         let n = input.jobs.len();
 
         // A guaranteed-feasible rho: the equal-split allocation.
         let mut hi = 0.0f64;
         let mut lo = f64::INFINITY;
-        let x_eq = gavel_core::x_equal(input.cluster);
+        let norms = singles.equal_share_throughputs(input);
         for (m, job) in input.jobs.iter().enumerate() {
-            let row = singleton_row(input, job.id);
-            let norm = refs::throughput_under(input.tensor, row, &x_eq);
-            let tput_eq = norm / n as f64;
+            let tput_eq = norms[m] / n as f64;
             if tput_eq <= 0.0 {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} has zero equal-share throughput",
@@ -166,26 +166,18 @@ impl Policy for FtfAgnostic {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         if input.jobs.is_empty() {
             return Ok(Allocation::zeros(
                 input.combos.clone(),
                 input.cluster.num_types(),
             ));
         }
-        let denoms = isolated_denominators(input)?;
+        let denoms = isolated_denominators(input, &singles)?;
         let capacity = input.cluster.total_workers() as f64;
-        let x_eq = gavel_core::x_equal(input.cluster);
         // Under the uniform-spread restriction a share s gives throughput
         // s * norm_m.
-        let norms: Vec<f64> = input
-            .jobs
-            .iter()
-            .map(|job| {
-                let row = singleton_row(input, job.id);
-                refs::throughput_under(input.tensor, row, &x_eq)
-            })
-            .collect();
+        let norms = singles.equal_share_throughputs(input);
         if norms.iter().any(|&x| x <= 0.0) {
             return Err(PolicyError::NoFeasibleAllocation(
                 "a job has zero equal-share throughput".into(),
@@ -246,7 +238,7 @@ impl Policy for FtfAgnostic {
                 *s = (*s * kappa).min(1.0);
             }
         }
-        uniform_spread(input, &shares)
+        uniform_spread(input, &singles, &shares)
     }
 }
 

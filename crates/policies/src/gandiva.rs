@@ -10,22 +10,23 @@
 //! measured aggregate normalized throughput exceeds 1, and drops pairs that
 //! turned out bad.
 
-use crate::common::{check_input, singleton_row, waterfill_shares};
+use crate::common::{check_input, waterfill_shares, SingletonRows};
 use gavel_core::{AccelIdx, Allocation, Combo, JobId, Policy, PolicyError, PolicyInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::Mutex;
 
+/// Random pair trials per invocation.
+const TRIALS_PER_ROUND: usize = 2;
+/// A trial pair is kept when its aggregate normalized throughput reaches
+/// this (1.0 = break-even with time slicing).
+const KEEP_THRESHOLD: f64 = 1.05;
+
 /// Gandiva-style ad-hoc space sharing baseline.
 #[derive(Debug)]
 pub struct GandivaPolicy {
     state: Mutex<GandivaState>,
-    /// Random pair trials per invocation.
-    pub trials_per_round: usize,
-    /// Keep a trial pair when its aggregate normalized throughput exceeds
-    /// this (1.0 = break-even with time slicing).
-    pub keep_threshold: f64,
 }
 
 #[derive(Debug)]
@@ -44,17 +45,17 @@ impl GandivaPolicy {
                 good_pairs: HashSet::new(),
                 rejected_pairs: HashSet::new(),
             }),
-            trials_per_round: 2,
-            keep_threshold: 1.05,
         }
     }
 
-    /// Aggregate normalized throughput of pair row `k` on its best type.
-    fn pair_score(input: &PolicyInput<'_>, k: usize) -> f64 {
+    /// Aggregate normalized throughput of pair row `k` on its best type;
+    /// zero when a member is not among the input's jobs.
+    fn pair_score(input: &PolicyInput<'_>, singles: &SingletonRows, k: usize) -> f64 {
         let combo = input.combos.combos()[k];
-        let (a, b) = (combo.a, combo.b.expect("pair row"));
-        let row_a = singleton_row(input, a);
-        let row_b = singleton_row(input, b);
+        let row = |id| singles.row_of(input, id);
+        let (Some(row_a), Some(row_b)) = (row(combo.a), combo.b.and_then(row)) else {
+            return 0.0;
+        };
         let mut best: f64 = 0.0;
         for j in 0..input.tensor.num_types() {
             let e = input.tensor.entry(k, AccelIdx(j));
@@ -78,7 +79,7 @@ impl Policy for GandivaPolicy {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let mut st = self.state.lock().expect("gandiva state poisoned");
         let n = input.jobs.len();
         if n == 0 {
@@ -128,7 +129,7 @@ impl Policy for GandivaPolicy {
                 }
             }
         }
-        for _ in 0..self.trials_per_round {
+        for _ in 0..TRIALS_PER_ROUND {
             if pair_rows.is_empty() || !contended {
                 break;
             }
@@ -147,7 +148,7 @@ impl Policy for GandivaPolicy {
             active_pairs.push(k);
             packed.insert(key.0);
             packed.insert(key.1);
-            if Self::pair_score(input, k) >= self.keep_threshold {
+            if Self::pair_score(input, &singles, k) >= KEEP_THRESHOLD {
                 st.good_pairs.insert(key);
             } else {
                 st.rejected_pairs.insert(key);
@@ -175,12 +176,12 @@ impl Policy for GandivaPolicy {
                 scale: 1,
             });
         }
-        for job in input.jobs {
+        for (m, job) in input.jobs.iter().enumerate() {
             if packed.contains(&job.id) {
                 continue;
             }
             units.push(Unit {
-                row: singleton_row(input, job.id),
+                row: singles.row(m),
                 combo: Combo::single(job.id),
                 weight: job.weight,
                 scale: job.scale_factor.max(1),

@@ -54,7 +54,7 @@
 //! parent basis; its node waves are the one place a hierarchical solve
 //! fans out over the [`gavel_par`] pool.
 
-use crate::common::{check_input, solver_err, AllocLp};
+use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
     solve_milp, Cmp, ConstraintId, LpSolution, MilpOptions, PreparedLp, Sense, SolveStats, VarId,
@@ -82,6 +82,9 @@ pub enum BottleneckMethod {
     Milp,
 }
 
+/// Safety cap on water-filling iterations.
+const MAX_ITERATIONS: usize = 64;
+
 /// Hierarchical water-filling policy.
 #[derive(Debug, Clone)]
 pub struct Hierarchical {
@@ -91,8 +94,6 @@ pub struct Hierarchical {
     pub entities: Vec<(f64, EntityPolicy)>,
     /// Bottleneck identification method.
     pub bottleneck: BottleneckMethod,
-    /// Safety cap on water-filling iterations.
-    pub max_iterations: usize,
     /// Reuse each LP family's optimal basis across the water-filling
     /// rounds and per-job probes (on by default). Rising floors make the
     /// previous round's basis primal infeasible but leave it *dual*
@@ -118,7 +119,6 @@ impl Hierarchical {
         Hierarchical {
             entities: entity_weights.into_iter().map(|w| (w, inner)).collect(),
             bottleneck: BottleneckMethod::Probe,
-            max_iterations: 64,
             warm_start: true,
             default_inner: inner,
         }
@@ -129,7 +129,6 @@ impl Hierarchical {
         Hierarchical {
             entities,
             bottleneck: BottleneckMethod::Probe,
-            max_iterations: 64,
             warm_start: true,
             default_inner: EntityPolicy::Fairness,
         }
@@ -141,7 +140,6 @@ impl Hierarchical {
         Hierarchical {
             entities: Vec::new(),
             bottleneck: BottleneckMethod::Probe,
-            max_iterations: 64,
             warm_start: true,
             default_inner: EntityPolicy::Fairness,
         }
@@ -168,7 +166,6 @@ impl Hierarchical {
         &self,
         input: &PolicyInput<'_>,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
-        check_input(input)?;
         if input.jobs.is_empty() {
             return Ok((
                 Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
@@ -178,7 +175,7 @@ impl Hierarchical {
         let mut wf = self.build_waterfill(input)?;
 
         let mut best_alloc = None;
-        for _iter in 0..self.max_iterations {
+        for _iter in 0..MAX_ITERATIONS {
             let active = wf.active_jobs();
             if active.is_empty() {
                 break;
@@ -201,7 +198,6 @@ impl Hierarchical {
     /// Companion of [`Hierarchical::probe_pass`] for benchmarks and tests
     /// that want to time or inspect a single probe pass in isolation.
     pub fn first_round_floors(&self, input: &PolicyInput<'_>) -> Result<Vec<f64>, PolicyError> {
-        check_input(input)?;
         let mut wf = self.build_waterfill(input)?;
         wf.raise_floors(&wf.active_jobs())?;
         Ok(wf.floors)
@@ -218,7 +214,6 @@ impl Hierarchical {
         input: &PolicyInput<'_>,
         floors: &[f64],
     ) -> Result<(Vec<usize>, SolveStats), PolicyError> {
-        check_input(input)?;
         if floors.len() != input.jobs.len() {
             return Err(PolicyError::InvalidInput(format!(
                 "probe_pass got {} floors for {} jobs",
@@ -232,12 +227,13 @@ impl Hierarchical {
         Ok((bottlenecked, wf.stats))
     }
 
-    /// Resolves entities and initial weights and builds the per-solve
-    /// water-filling state (floors at zero).
+    /// Validates the input, resolves entities and initial weights and
+    /// builds the per-solve water-filling state (floors at zero).
     fn build_waterfill<'i, 'a>(
         &self,
         input: &'i PolicyInput<'a>,
     ) -> Result<WaterFill<'i, 'a>, PolicyError> {
+        let singles = check_input(input)?;
         let n = input.jobs.len();
         // Resolve entities: jobs without one become singleton entities
         // weighted by their own job weight (single-level mode).
@@ -291,7 +287,7 @@ impl Hierarchical {
         }
 
         let alp = AllocLp::new(input, Sense::Maximize);
-        let factors: Vec<f64> = alp
+        let factors: Vec<f64> = singles
             .equal_share_throughputs(input)
             .iter()
             .zip(input.jobs)
@@ -320,6 +316,7 @@ impl Hierarchical {
             base_weights,
             inner_of,
             warm: self.warm_start,
+            singles,
             alp,
             tput,
             round: None,
@@ -380,6 +377,8 @@ struct WaterFill<'i, 'a> {
     inner_of: Vec<EntityPolicy>,
     /// Whether to reuse optimal bases across solves.
     warm: bool,
+    /// Each job's singleton row.
+    singles: SingletonRows,
     /// The allocation variables and validity rows every LP here starts
     /// from.
     alp: AllocLp,
@@ -641,8 +640,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// Upper bound on job `m`'s normalized throughput (for MILP big-M
     /// rows).
     fn big_y(&self, m: usize) -> f64 {
-        let row = self.alp.jobs.singleton_row(self.input, m);
-        let fastest = gavel_core::refs::x_fastest(self.input.tensor, row);
+        let fastest = gavel_core::refs::x_fastest(self.input.tensor, self.singles.row(m));
         let workers = self.input.cluster.total_workers() as f64;
         (self.factors[m] * fastest * workers).max(1.0) * 2.0
     }
@@ -836,7 +834,7 @@ mod tests {
                 );
                 wf.retire(&active, bottlenecked);
                 rounds += 1;
-                prop_assert!(rounds <= policy.max_iterations);
+                prop_assert!(rounds <= MAX_ITERATIONS);
             }
             prop_assert!(rounds > 0);
         }
@@ -858,7 +856,7 @@ mod tests {
         let input = setup.input();
         let mut wf = policy.build_waterfill(&input).unwrap();
         // Counters the probe chains alone add to the running totals.
-        let (mut phase1, mut cold, mut warm_hits, mut dense) = (0, 0, 0, 0);
+        let (mut phase1, mut cold, mut warm_hits) = (0, 0, 0);
         let mut probed = 0;
         let mut rounds = 0;
         loop {
@@ -873,7 +871,6 @@ mod tests {
             phase1 += wf.stats.pivots_phase1 - before.pivots_phase1;
             cold += wf.stats.warm_falls_back - before.warm_falls_back;
             warm_hits += wf.stats.warm_hits - before.warm_hits;
-            dense += wf.stats.dense_fallbacks - before.dense_fallbacks;
             probed += candidates.len();
             rounds += 1;
             wf.retire(&active, bottlenecked);
@@ -883,6 +880,6 @@ mod tests {
             "{probed} probes in {rounds} rounds"
         );
         assert_eq!(warm_hits, probed);
-        assert_eq!((phase1, cold, dense), (0, 0, 0));
+        assert_eq!((phase1, cold), (0, 0));
     }
 }

@@ -25,7 +25,7 @@ impl Policy for IsolatedSplit {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let n = input.jobs.len();
         if n == 0 {
             return Ok(Allocation::zeros(
@@ -36,6 +36,6 @@ impl Policy for IsolatedSplit {
         let weights = vec![1.0; n];
         let sfs: Vec<u32> = input.jobs.iter().map(|j| j.scale_factor).collect();
         let shares = waterfill_shares(&weights, &sfs, input.cluster.total_workers() as f64);
-        uniform_spread(input, &shares)
+        uniform_spread(input, &singles, &shares)
     }
 }

@@ -3,9 +3,9 @@
 //! - [`MaxMinFairness`]: the heterogeneity-aware LAS policy. Maximizes the
 //!   minimum weighted normalized effective throughput
 //!   `(1/w_m) * throughput(m, X) / throughput(m, X_equal) * scale_factor_m`
-//!   as a single LP, optionally followed by a throughput-maximizing second
-//!   pass that lifts non-bottlenecked jobs (the paper's water-filling
-//!   refinement applied once).
+//!   as a single LP, followed by a throughput-maximizing second pass that
+//!   lifts non-bottlenecked jobs (the paper's water-filling refinement
+//!   applied once).
 //! - [`AgnosticLas`]: the heterogeneity-agnostic baseline (Tiresias-style):
 //!   max-min over *time shares* with the shares spread uniformly across
 //!   accelerator types; it cannot see that a V100 helps some jobs more than
@@ -47,7 +47,9 @@
 //! [`PreparedLp::basis_hint`]); an unusable one costs a cold start, never
 //! a wrong answer.
 
-use crate::common::{check_input, solver_err, uniform_spread, waterfill_shares, AllocLp};
+use crate::common::{
+    check_input, solver_err, uniform_spread, waterfill_shares, AllocLp, SingletonRows,
+};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
     BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
@@ -55,22 +57,10 @@ use gavel_solver::{
 
 /// Heterogeneity-aware max-min fairness (LAS), optionally space-sharing
 /// aware.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MaxMinFairness {
-    /// Whether to run the throughput-lifting second pass after the max-min
-    /// LP (on by default; Gavel's water-filling note in §4.3).
-    pub refine: bool,
     /// Whether the policy should be offered space-sharing pair rows.
     pub space_sharing: bool,
-}
-
-impl Default for MaxMinFairness {
-    fn default() -> Self {
-        MaxMinFairness {
-            refine: true,
-            space_sharing: false,
-        }
-    }
 }
 
 impl MaxMinFairness {
@@ -82,15 +72,14 @@ impl MaxMinFairness {
     /// Heterogeneity-aware LAS with space sharing.
     pub fn with_space_sharing() -> Self {
         MaxMinFairness {
-            refine: true,
             space_sharing: true,
         }
     }
 
     /// The per-job coefficients `c_m` such that the objective term is
     /// `throughput(m, X) / c_m`.
-    fn normalizers(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<f64> {
-        let norms = alp.equal_share_throughputs(input);
+    fn normalizers(input: &PolicyInput<'_>, singles: &SingletonRows) -> Vec<f64> {
+        let norms = singles.equal_share_throughputs(input);
         input
             .jobs
             .iter()
@@ -99,11 +88,10 @@ impl MaxMinFairness {
             .collect()
     }
 
-    /// The cell of job `m`'s singleton row with the largest throughput
-    /// (the first one on ties): the column both structural bases put the
+    /// The cell of singleton row `k` with the largest throughput (the
+    /// first one on ties): the column both structural bases put the row's
     /// job on.
-    fn best_cell(input: &PolicyInput<'_>, alp: &AllocLp, m: usize) -> Option<VarId> {
-        let k = alp.jobs.singleton_row(input, m);
+    fn best_cell(input: &PolicyInput<'_>, alp: &AllocLp, k: usize) -> Option<VarId> {
         (alp.x[k].iter().zip(input.tensor.row(k)))
             .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
             .reduce(|best, cell| if cell.1 > best.1 { cell } else { best })
@@ -111,26 +99,28 @@ impl MaxMinFairness {
     }
 
     /// Like [`Policy::compute_allocation`], but also returns the summed
-    /// [`SolveStats`] of the one or two LP solves behind it.
+    /// [`SolveStats`] of the two LP solves behind it.
     pub fn compute_allocation_with_stats(
         &self,
         input: &PolicyInput<'_>,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
-        Self::max_level(input, |alp| Self::normalizers(input, alp), self.refine)
+        // The throughput-lifting second pass is Gavel's water-filling note
+        // in §4.3.
+        Self::max_level(input, |singles| Self::normalizers(input, singles), true)
     }
 
     /// Maximizes the level `t` every job can reach, `throughput(m, X) >=
     /// c_m t`, over the valid allocations — the module docs' one prepared
     /// LP — and, with `refine`, lifts the jobs that can rise above it.
-    /// `c` reads one positive coefficient per job off the allocation
-    /// block: max-min fairness passes its normalizers, minimum makespan
+    /// `c` reads one positive coefficient per job off the jobs' singleton
+    /// rows: max-min fairness passes its normalizers, minimum makespan
     /// (`t = 1/M`) the steps each job has left.
     pub(crate) fn max_level(
         input: &PolicyInput<'_>,
-        c: impl FnOnce(&AllocLp) -> Vec<f64>,
+        c: impl FnOnce(&SingletonRows) -> Vec<f64>,
         refine: bool,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         if input.jobs.is_empty() {
             return Ok((
                 Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
@@ -139,13 +129,13 @@ impl MaxMinFairness {
         }
         let mut alp = AllocLp::new(input, Sense::Maximize);
         let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let normalizers = c(&alp);
+        let normalizers = c(&singles);
         let n = input.jobs.len();
         let mut tputs = Vec::with_capacity(n);
         let mut floors = Vec::with_capacity(n);
         let mut on_cell = Vec::with_capacity(n);
         for (m, (job, &c)) in input.jobs.iter().zip(&normalizers).enumerate() {
-            let (Some(cell), true) = (Self::best_cell(input, &alp, m), c > 0.0) else {
+            let (Some(cell), true) = (Self::best_cell(input, &alp, singles.row(m)), c > 0.0) else {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} has zero normalized throughput",
                     job.id
@@ -237,11 +227,11 @@ impl Policy for AgnosticLas {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        check_input(input)?;
+        let singles = check_input(input)?;
         let weights: Vec<f64> = input.jobs.iter().map(|j| j.weight).collect();
         let sfs: Vec<u32> = input.jobs.iter().map(|j| j.scale_factor).collect();
         let shares = waterfill_shares(&weights, &sfs, input.cluster.total_workers() as f64);
-        uniform_spread(input, &shares)
+        uniform_spread(input, &singles, &shares)
     }
 }
 
@@ -334,8 +324,7 @@ pub(crate) mod tests {
         /// Per job `throughput(m, alloc) / c_m`.
         fn normalized(&self, alloc: &Allocation) -> Vec<f64> {
             let input = self.input();
-            let alp = AllocLp::new(&input, Sense::Maximize);
-            let normalizers = MaxMinFairness::normalizers(&input, &alp);
+            let normalizers = MaxMinFairness::normalizers(&input, &check_input(&input).unwrap());
             (self.jobs.iter().zip(normalizers))
                 .map(|(job, c)| alloc.effective_throughput(&self.tensor, job.id) / c)
                 .collect()
@@ -348,7 +337,7 @@ pub(crate) mod tests {
     fn cold_reference(input: &PolicyInput<'_>) -> (f64, f64) {
         let mut alp = AllocLp::new(input, Sense::Maximize);
         let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let normalizers = MaxMinFairness::normalizers(input, &alp);
+        let normalizers = MaxMinFairness::normalizers(input, &check_input(input).unwrap());
         for (job, &c) in input.jobs.iter().zip(&normalizers) {
             let mut terms = alp.throughput_terms(input, job.id);
             terms.push((t, -c));
@@ -367,21 +356,24 @@ pub(crate) mod tests {
         (t_star, alp2.lp.solve().unwrap().objective)
     }
 
+    /// The policy's body without the refine pass, or (`refine`) as the
+    /// policy runs it.
+    fn max_level(input: &PolicyInput<'_>, refine: bool) -> (Allocation, SolveStats) {
+        let c = |singles: &SingletonRows| MaxMinFairness::normalizers(input, singles);
+        MaxMinFairness::max_level(input, c, refine).unwrap()
+    }
+
     /// Asserts the policy's answer on `setup` is an optimum of both
     /// reference LPs and a valid allocation; returns the refined solve's
     /// summed stats.
     fn assert_matches_reference(setup: &Setup, what: &str) -> SolveStats {
         let input = setup.input();
-        let policy = |refine| MaxMinFairness {
-            refine,
-            space_sharing: false,
-        };
         let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
         let scale_factors: HashMap<JobId, u32> =
             setup.jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
 
         let (t_ref, objective_ref) = cold_reference(&input);
-        let (alloc, _) = policy(false).compute_allocation_with_stats(&input).unwrap();
+        let (alloc, _) = max_level(&input, false);
         alloc.validate(&setup.cluster, &scale_factors).unwrap();
         let t_star = min(&setup.normalized(&alloc));
         assert!(
@@ -389,7 +381,7 @@ pub(crate) mod tests {
             "{what}: t* {t_star} vs reference {t_ref}"
         );
 
-        let (alloc, stats) = policy(true).compute_allocation_with_stats(&input).unwrap();
+        let (alloc, stats) = max_level(&input, true);
         alloc.validate(&setup.cluster, &scale_factors).unwrap();
         let normalized = setup.normalized(&alloc);
         let objective: f64 = normalized.iter().sum();
@@ -401,7 +393,6 @@ pub(crate) mod tests {
             min(&normalized) >= t_ref * (1.0 - 1e-6),
             "{what}: a job fell below the max-min level {t_ref}: {normalized:?}"
         );
-        assert_eq!(stats.dense_fallbacks, 0, "{what}");
         stats
     }
 
@@ -425,19 +416,11 @@ pub(crate) mod tests {
         for pairs in [false, true] {
             let setup = Setup::random(&mut rng, 64, 3, 12, false, pairs);
             let input = setup.input();
-            let solve = |refine| {
-                let policy = MaxMinFairness {
-                    refine,
-                    space_sharing: pairs,
-                };
-                policy.compute_allocation_with_stats(&input).unwrap().1
-            };
-            let (first, both) = (solve(false), solve(true));
+            let (first, both) = (max_level(&input, false).1, max_level(&input, true).1);
             assert_eq!((first.warm_hits, both.warm_hits), (1, 2), "{both:?}");
             for stats in [&first, &both] {
                 assert_eq!(stats.pivots_phase1, 0, "{stats:?}");
                 assert_eq!(stats.warm_falls_back, 0, "{stats:?}");
-                assert_eq!(stats.dense_fallbacks, 0, "{stats:?}");
             }
             // The origin is primal feasible: solve 1 never needs the dual
             // phase. 64 jobs of scale 1–8 over-subscribe 36 workers, so

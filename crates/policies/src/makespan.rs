@@ -13,7 +13,7 @@
 //! policy is one solve of the LP [`MaxMinFairness`] builds — exact, no
 //! search.
 
-use crate::common::AllocLp;
+use crate::common::SingletonRows;
 use crate::las::MaxMinFairness;
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 
@@ -40,10 +40,9 @@ impl MinMakespan {
     /// `c_m = steps_m / lo`, where `lo` — the longest job run alone at
     /// its fastest rate — bounds the makespan from below, so the optimal
     /// level `t* = lo / M*` lies in `(0, 1]` whatever the step counts.
-    fn normalizers(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<f64> {
+    fn normalizers(input: &PolicyInput<'_>, singles: &SingletonRows) -> Vec<f64> {
         let alone = |(m, job): (usize, &gavel_core::PolicyJob)| {
-            let row = alp.jobs.singleton_row(input, m);
-            job.steps_remaining / refs::x_fastest(input.tensor, row)
+            job.steps_remaining / refs::x_fastest(input.tensor, singles.row(m))
         };
         let lo = (input.jobs.iter().enumerate().map(alone)).fold(0.0, f64::max);
         (input.jobs.iter().map(|job| job.steps_remaining / lo)).collect()
@@ -65,7 +64,7 @@ impl Policy for MinMakespan {
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         // No refine pass: the paper's policy is feasibility at `M*`.
-        let c = |alp: &AllocLp| Self::normalizers(input, alp);
+        let c = |singles: &SingletonRows| Self::normalizers(input, singles);
         Ok(MaxMinFairness::max_level(input, c, false)?.0)
     }
 }
@@ -73,6 +72,7 @@ impl Policy for MinMakespan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::AllocLp;
     use crate::las::tests::Setup;
     use gavel_core::JobId;
     use gavel_solver::{Cmp, Sense};

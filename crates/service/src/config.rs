@@ -51,15 +51,12 @@ pub struct SimConfig {
     /// disables pair rows even for policies that want them.
     pub pairs: Option<PairOptions>,
     /// Use the throughput estimator for pair throughputs instead of the
-    /// oracle (Figure 14). Ignored when `pairs` is `None`.
-    pub estimate_pair_throughputs: bool,
-    /// Profile each arriving job against a few random reference jobs and
-    /// register it with the estimator (§6's dedicated profiling workers).
-    /// Registered jobs get fingerprint-matched estimates that *refine
-    /// online* as colocated pairs actually run; unregistered jobs fall
-    /// back to static per-configuration class estimates. Ignored unless
-    /// `estimate_pair_throughputs` is set.
-    pub profile_arriving_jobs: bool,
+    /// oracle (Figure 14): each arriving job is profiled against a few
+    /// random reference jobs and registered with the estimator (§6's
+    /// dedicated profiling workers), and its fingerprint-matched estimates
+    /// *refine online* as colocated pairs actually run. Set by
+    /// [`SimConfig::with_estimated_pairs`], together with `pairs`.
+    pub(crate) estimate_pair_throughputs: bool,
     /// Fluid ideal execution instead of the round mechanism (Figure 13b).
     pub ideal_execution: bool,
     /// Hard cap on simulated seconds (guards non-terminating scenarios).
@@ -86,7 +83,6 @@ impl SimConfig {
             recompute: RecomputeCadence::OnReset,
             pairs: None,
             estimate_pair_throughputs: false,
-            profile_arriving_jobs: false,
             ideal_execution: false,
             max_seconds: 3.0e8, // ~9.5 simulated years; effectively "until done".
             assume_consolidated: true,
@@ -114,7 +110,6 @@ impl SimConfig {
     pub fn with_estimated_pairs(mut self) -> Self {
         self.pairs = Some(PairOptions::default());
         self.estimate_pair_throughputs = true;
-        self.profile_arriving_jobs = true;
         self
     }
 

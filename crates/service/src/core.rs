@@ -238,11 +238,7 @@ impl<'p> SchedulerService<'p> {
             && config.pairs.is_some()
             && policy.wants_space_sharing()
         {
-            Some(EstimatorBridge::new(
-                &oracle,
-                gavel_estimator::EstimatorConfig::default(),
-                config.seed,
-            ))
+            Some(EstimatorBridge::new(&oracle, config.seed))
         } else {
             None
         };
@@ -609,9 +605,7 @@ impl<'p> SchedulerService<'p> {
         };
         self.cache.admit(&self.oracle, spec, pjob);
         if let Some(b) = self.bridge.as_mut() {
-            if self.config.profile_arriving_jobs {
-                b.register(&self.oracle, trace.id, trace.config);
-            }
+            b.register(&self.oracle, trace.id, trace.config);
         }
         self.index.insert(trace.id, self.active.len());
         self.active.push(ActiveJob {

@@ -6,7 +6,9 @@
 //! by matrix completion, and matched to its closest reference; pair
 //! throughputs are then *estimated* as `isolated * estimated_normalized`
 //! instead of taken from the oracle. Online refinement feeds back true
-//! measurements whenever a pair actually runs.
+//! measurements whenever a pair actually runs. The service registers
+//! every job on arrival; a pair with an unregistered member has no
+//! estimate rather than a guessed one.
 //!
 //! Estimate drift is *observable*: the bridge re-exports the estimator's
 //! monotone change clock ([`EstimatorBridge::clock`]) and the set of jobs
@@ -20,23 +22,22 @@ use gavel_estimator::{EstimatorConfig, ThroughputEstimator};
 use gavel_workloads::{GpuKind, JobConfig, Oracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+
+/// How many reference jobs an arriving job is profiled against.
+const PROFILE_SAMPLES: usize = 5;
 
 /// Estimator wiring for the simulator.
 #[derive(Debug, Clone)]
 pub struct EstimatorBridge {
     estimator: ThroughputEstimator,
     references: Vec<JobConfig>,
-    config_class: HashMap<JobConfig, usize>,
-    job_config: HashMap<JobId, JobConfig>,
     rng: StdRng,
     profile_noise: f64,
-    profile_samples: usize,
 }
 
 impl EstimatorBridge {
     /// Builds the reference matrix from the oracle and creates the bridge.
-    pub fn new(oracle: &Oracle, config: EstimatorConfig, seed: u64) -> Self {
+    pub fn new(oracle: &Oracle, seed: u64) -> Self {
         let references = JobConfig::all();
         let r = references.len();
         let mut matrix = vec![vec![0.0; r]; r];
@@ -45,20 +46,11 @@ impl EstimatorBridge {
                 matrix[i][j] = normalized_colocated(oracle, a, b);
             }
         }
-        let config_class = references
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i))
-            .collect();
-        let profile_samples = config.profile_samples;
         EstimatorBridge {
-            estimator: ThroughputEstimator::new(matrix, config),
+            estimator: ThroughputEstimator::new(matrix, EstimatorConfig::default()),
             references,
-            config_class,
-            job_config: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             profile_noise: 0.03,
-            profile_samples,
         }
     }
 
@@ -66,25 +58,24 @@ impl EstimatorBridge {
     pub fn register(&mut self, oracle: &Oracle, id: JobId, cfg: JobConfig) {
         let r = self.references.len();
         let mut profiled = vec![None; r];
-        for _ in 0..self.profile_samples {
+        for _ in 0..PROFILE_SAMPLES {
             let j = self.rng.gen_range(0..r);
             let truth = normalized_colocated(oracle, cfg, self.references[j]);
             let noise = 1.0 + self.profile_noise * (self.rng.gen::<f64>() * 2.0 - 1.0);
             profiled[j] = Some(truth * noise);
         }
         self.estimator.register_job(id.0, &profiled);
-        self.job_config.insert(id, cfg);
     }
 
     /// Drops a completed job.
     pub fn forget(&mut self, id: JobId) {
         self.estimator.forget(id.0);
-        self.job_config.remove(&id);
     }
 
     /// Estimated colocated throughputs of jobs `a` and `b` on `gpu`, or
     /// `None` when the pair does not fit in device memory (memory
-    /// footprints are known a priori, so feasibility is not estimated).
+    /// footprints are known a priori, so feasibility is not estimated) or
+    /// a member was never registered.
     pub fn pair_throughput(
         &self,
         oracle: &Oracle,
@@ -95,18 +86,10 @@ impl EstimatorBridge {
         if oracle.memory_gb(a.1) + oracle.memory_gb(b.1) > gpu.memory_gb() {
             return None;
         }
-        let class_a = self.class_of(a.0, a.1);
-        let class_b = self.class_of(b.0, b.1);
-        let norm_a = self
-            .estimator
-            .estimate(a.0 .0)
-            .map(|row| row[class_b])
-            .unwrap_or(0.8);
-        let norm_b = self
-            .estimator
-            .estimate(b.0 .0)
-            .map(|row| row[class_a])
-            .unwrap_or(0.8);
+        let class_a = self.estimator.matched_reference(a.0 .0)?;
+        let class_b = self.estimator.matched_reference(b.0 .0)?;
+        let norm_a = self.estimator.estimate(a.0 .0)?[class_b];
+        let norm_b = self.estimator.estimate(b.0 .0)?[class_a];
         let iso_a = oracle.isolated(a.1, gpu);
         let iso_b = oracle.isolated(b.1, gpu);
         if iso_a <= 0.0 || iso_b <= 0.0 {
@@ -118,7 +101,8 @@ impl EstimatorBridge {
         ))
     }
 
-    /// Feeds back a true measurement after a pair actually ran.
+    /// Feeds back a true measurement after a pair of registered jobs
+    /// actually ran.
     pub fn observe(
         &mut self,
         oracle: &Oracle,
@@ -126,11 +110,13 @@ impl EstimatorBridge {
         b: (JobId, JobConfig),
         gpu: GpuKind,
     ) {
+        let matched = |id: JobId| self.estimator.matched_reference(id.0);
+        let (Some(class_a), Some(class_b)) = (matched(a.0), matched(b.0)) else {
+            return;
+        };
         if let Some((ta, tb)) = oracle.colocated(a.1, b.1, gpu) {
             let iso_a = oracle.isolated(a.1, gpu);
             let iso_b = oracle.isolated(b.1, gpu);
-            let class_a = self.class_of(a.0, a.1);
-            let class_b = self.class_of(b.0, b.1);
             if iso_a > 0.0 {
                 self.estimator.refine(a.0 .0, class_b, ta / iso_a);
             }
@@ -154,15 +140,6 @@ impl EstimatorBridge {
         let mut dirty: Vec<JobId> = self.estimator.changed_since(epoch).map(JobId).collect();
         dirty.sort_unstable();
         dirty
-    }
-
-    /// The reference class a job maps to: its matched fingerprint if
-    /// registered, else its exact configuration's class.
-    fn class_of(&self, id: JobId, cfg: JobConfig) -> usize {
-        self.estimator
-            .matched_reference(id.0)
-            .or_else(|| self.config_class.get(&cfg).copied())
-            .unwrap_or(0)
     }
 }
 
@@ -188,7 +165,7 @@ mod tests {
     #[test]
     fn estimates_close_to_oracle_for_profiled_pairs() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 1);
+        let mut bridge = EstimatorBridge::new(&oracle, 1);
         let a = (JobId(100), JobConfig::new(ModelFamily::A3C, 4));
         let b = (JobId(101), JobConfig::new(ModelFamily::ResNet18, 16));
         bridge.register(&oracle, a.0, a.1);
@@ -209,7 +186,7 @@ mod tests {
     #[test]
     fn infeasible_pairs_stay_infeasible() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 1);
+        let mut bridge = EstimatorBridge::new(&oracle, 1);
         let big = (JobId(1), JobConfig::new(ModelFamily::Recoder, 8192));
         let r50 = (JobId(2), JobConfig::new(ModelFamily::ResNet50, 64));
         bridge.register(&oracle, big.0, big.1);
@@ -222,7 +199,7 @@ mod tests {
     #[test]
     fn refinement_converges_to_truth() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 2);
+        let mut bridge = EstimatorBridge::new(&oracle, 2);
         let a = (JobId(5), JobConfig::new(ModelFamily::CycleGan, 1));
         let b = (JobId(6), JobConfig::new(ModelFamily::Lstm, 20));
         bridge.register(&oracle, a.0, a.1);
@@ -243,7 +220,7 @@ mod tests {
     #[test]
     fn forget_fully_clears_job_state() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 4);
+        let mut bridge = EstimatorBridge::new(&oracle, 4);
         let a = (JobId(7), JobConfig::new(ModelFamily::A3C, 4));
         let b = (JobId(8), JobConfig::new(ModelFamily::ResNet18, 16));
         bridge.register(&oracle, a.0, a.1);
@@ -265,28 +242,23 @@ mod tests {
     #[test]
     fn refine_on_unregistered_job_is_a_noop_that_dirties_nothing() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 5);
+        let mut bridge = EstimatorBridge::new(&oracle, 5);
         let a = (JobId(1), JobConfig::new(ModelFamily::A3C, 4));
         let b = (JobId(2), JobConfig::new(ModelFamily::ResNet18, 16));
-        // Neither job registered: observing a running pair feeds refine,
-        // which must neither materialize state nor dirty anything.
+        // Neither job registered: observing a running pair must neither
+        // materialize state nor dirty anything.
         let epoch = bridge.clock();
-        let before = bridge.pair_throughput(&oracle, a, b, GpuKind::V100);
         bridge.observe(&oracle, a, b, GpuKind::V100);
         assert_eq!(bridge.clock(), epoch, "no-op refine must not tick");
         assert!(bridge.dirty_since(epoch).is_empty());
-        // And the estimate is bitwise unchanged (class-default path).
-        let after = bridge.pair_throughput(&oracle, a, b, GpuKind::V100);
-        assert_eq!(
-            before.map(|(x, y)| (x.to_bits(), y.to_bits())),
-            after.map(|(x, y)| (x.to_bits(), y.to_bits())),
-        );
+        // And there is still no estimate, not a guessed one.
+        assert_eq!(bridge.pair_throughput(&oracle, a, b, GpuKind::V100), None);
     }
 
     #[test]
     fn observe_dirties_exactly_the_refined_jobs() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 6);
+        let mut bridge = EstimatorBridge::new(&oracle, 6);
         let a = (JobId(1), JobConfig::new(ModelFamily::A3C, 4));
         let b = (JobId(2), JobConfig::new(ModelFamily::ResNet18, 16));
         let c = (JobId(3), JobConfig::new(ModelFamily::Lstm, 20));
@@ -301,16 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn forget_reverts_to_class_lookup() {
+    fn a_forgotten_job_has_no_estimate() {
         let oracle = Oracle::new();
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 3);
+        let mut bridge = EstimatorBridge::new(&oracle, 3);
         let a = (JobId(9), JobConfig::new(ModelFamily::A3C, 4));
-        bridge.register(&oracle, a.0, a.1);
-        bridge.forget(a.0);
-        // Still answers using the exact-config class.
         let b = (JobId(10), JobConfig::new(ModelFamily::A3C, 4));
-        assert!(bridge
-            .pair_throughput(&oracle, a, b, GpuKind::V100)
-            .is_some());
+        bridge.register(&oracle, a.0, a.1);
+        bridge.register(&oracle, b.0, b.1);
+        let pair = |bridge: &EstimatorBridge| bridge.pair_throughput(&oracle, a, b, GpuKind::V100);
+        assert!(pair(&bridge).is_some());
+        bridge.forget(a.0);
+        assert_eq!(pair(&bridge), None);
     }
 }

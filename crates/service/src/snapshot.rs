@@ -851,7 +851,6 @@ fn rank_and_cap<T: Copy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_estimator::EstimatorConfig;
     use gavel_workloads::{
         build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, JobConfig,
         ModelFamily,
@@ -991,7 +990,7 @@ mod tests {
     fn snapshot_bridged_on_a_plain_cache_serves_oracle_rows() {
         let oracle = Oracle::new();
         let opts = PairOptions::default();
-        let bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 3);
+        let bridge = EstimatorBridge::new(&oracle, 3);
         let mut cache = SnapshotCache::new(true, Some(opts));
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
@@ -1083,7 +1082,7 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 4,
         };
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 9);
+        let mut bridge = EstimatorBridge::new(&oracle, 9);
         let mut cache = SnapshotCache::new_bridged(true, opts);
         cache.set_crosscheck(true);
         for i in 0..8u64 {
@@ -1122,7 +1121,7 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 11);
+        let mut bridge = EstimatorBridge::new(&oracle, 11);
         let mut cache = SnapshotCache::new_bridged(true, opts);
         cache.set_crosscheck(true);
         for i in 0..6u64 {
@@ -1170,8 +1169,7 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
-        let mut bridges =
-            [3, 4].map(|seed| EstimatorBridge::new(&oracle, EstimatorConfig::default(), seed));
+        let mut bridges = [3, 4].map(|seed| EstimatorBridge::new(&oracle, seed));
         let mut cache = SnapshotCache::new_bridged(true, opts);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
@@ -1183,29 +1181,5 @@ mod tests {
         assert_eq!(bridges[0].clock(), bridges[1].clock());
         cache.snapshot_bridged(&oracle, &bridges[0]);
         cache.snapshot_bridged(&oracle, &bridges[1]);
-    }
-
-    #[test]
-    fn bridged_mixes_registered_and_unregistered_jobs() {
-        // Unregistered jobs ride the static class-estimate path; their
-        // pairs never dirty, while registered partners still invalidate.
-        let oracle = Oracle::new();
-        let opts = PairOptions {
-            min_aggregate: 1.0,
-            max_pairs_per_job: 8,
-        };
-        let mut bridge = EstimatorBridge::new(&oracle, EstimatorConfig::default(), 13);
-        let mut cache = SnapshotCache::new_bridged(true, opts);
-        for i in 0..6u64 {
-            let s = spec_nth(i, i as usize * 7 + 3);
-            if i % 2 == 0 {
-                bridge.register(&oracle, s.id, s.config);
-            }
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-        }
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
-        let (a, b) = (cache.specs()[0], cache.specs()[2]);
-        bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
     }
 }

@@ -1,15 +1,18 @@
 //! Service-level tests: admission caps and per-entity books, command
 //! rejection paths, query counters, failure/repair injection, the
-//! submission-log text round trip, and replay of an interactive session.
+//! submission-log text round trip, replay of an interactive session, and
+//! the round a failed policy solve is planned from.
 
-use gavel_core::{JobId, Policy};
-use gavel_policies::MaxMinFairness;
+use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
+use gavel_policies::{IsolatedSplit, MaxMinFairness};
 use gavel_service::EntityCounters;
 use gavel_service::{
-    replay, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
-    SubmissionLog,
+    recover, replay, Command, DurableService, MemoryCheckpointStore, MemorySink, Rejection,
+    SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
 };
+use gavel_solver::SolverError;
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
+use std::cell::{Cell, RefCell};
 
 fn small_cluster() -> gavel_core::ClusterSpec {
     gavel_core::ClusterSpec::new(&[
@@ -278,6 +281,109 @@ fn replay_reproduces_interactive_session() {
     assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
     assert_eq!(live.service_stats, replayed.service_stats);
     assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
+}
+
+/// Max-min fairness whose every third recompute fails the way a basis
+/// collapse in the LP engine now does: with the solver's typed numerical
+/// error. The schedule depends on the call count alone, so a fresh
+/// instance replays it.
+#[derive(Default)]
+struct FlakySolver {
+    calls: Cell<usize>,
+    failures: Cell<usize>,
+    /// After a failed recompute: what the isolated split gives each job
+    /// of that recompute's input. `None` after one that succeeded.
+    fallback_rates: RefCell<Option<Vec<(JobId, f64)>>>,
+}
+
+impl Policy for FlakySolver {
+    fn name(&self) -> &str {
+        "flaky-max-min"
+    }
+
+    fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
+        let call = self.calls.replace(self.calls.get() + 1);
+        if call % 3 != 1 {
+            self.fallback_rates.replace(None);
+            return MaxMinFairness::new().compute_allocation(input);
+        }
+        self.failures.set(self.failures.get() + 1);
+        let isolated = IsolatedSplit::new().compute_allocation(input)?;
+        let rate = |id| (id, isolated.effective_throughput(input.tensor, id));
+        let rates = input.jobs.iter().map(|job| rate(job.id)).collect();
+        self.fallback_rates.replace(Some(rates));
+        Err(PolicyError::Solver(Box::new(SolverError::Numerical {
+            context: "injected by the test".into(),
+        })))
+    }
+}
+
+#[test]
+fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
+    let cfg = SimConfig::new(small_cluster()).with_failures(1e15, 7200.0);
+    let round = cfg.round_seconds;
+    let svc_cfg = ServiceConfig::default();
+    let policy = FlakySolver::default();
+    let mut svc = DurableService::new(
+        &policy,
+        cfg.clone(),
+        svc_cfg.clone(),
+        MemorySink::new(),
+        MemoryCheckpointStore::new(),
+        0,
+    )
+    .unwrap();
+    let apply = |svc: &mut DurableService<'_, _, _>, cmd| svc.apply(&cmd).unwrap().unwrap();
+
+    // Staggered arrivals and completions plus one worker failure: every
+    // one a reset event, so the policy is asked often and fails a third
+    // of the time. Planning asserts (debug builds, as here) that each
+    // round's assignments name live jobs only and, while the worker is
+    // down, fit the reduced capacity.
+    let mut fallback_rounds = 0;
+    for step in 0..160u64 {
+        if step % 4 == 0 && step < 32 {
+            let job = mk_job(step / 4, step as f64 * round, 5e4 + 5e3 * step as f64, None);
+            apply(&mut svc, Command::Submit { job });
+        }
+        if step == 6 {
+            apply(&mut svc, Command::InjectFailure);
+        }
+        let seconds = (step + 1) as f64 * round;
+        apply(&mut svc, Command::AdvanceTo { seconds });
+        // While a failed recompute's allocation stands, the jobs still
+        // active are served exactly the isolated split of its input.
+        if let Some(expected) = policy.fallback_rates.borrow().as_ref() {
+            let served = svc.service().allocation_view().rates;
+            fallback_rounds += !served.is_empty() as usize;
+            for (id, rate) in served {
+                let split = expected.iter().find(|split| split.0 == id).unwrap().1;
+                assert_eq!(rate.to_bits(), split.to_bits(), "step {step}, {id}");
+                assert!(rate > 0.0, "step {step}, {id}");
+            }
+        }
+    }
+    let live_fp = svc.service().state_fingerprint();
+    let wal = svc.wal().sink().bytes().to_vec();
+    let log = SubmissionLog::parse(&svc.service().log().serialize()).unwrap();
+    let live = svc.into_result();
+
+    assert!(policy.failures.get() >= 4 && fallback_rounds >= 4);
+    assert_eq!(live.policy_failures, policy.failures.get());
+    assert_eq!(live.recomputations, policy.calls.get());
+    assert_eq!((live.jobs.len(), live.unfinished_fraction()), (8, 0.0));
+    assert!(live.utilization <= 1.0);
+
+    // The failures are part of the deterministic trajectory: replaying the
+    // log and recovering from the WAL, each against a fresh policy, land
+    // on the same state.
+    let fresh = FlakySolver::default();
+    let replayed = replay(&fresh, &cfg, &svc_cfg, &log);
+    assert_eq!(result_fingerprint(&replayed), result_fingerprint(&live));
+    assert_eq!(replayed.policy_failures, live.policy_failures);
+    let fresh = FlakySolver::default();
+    let (recovered, _) = recover(&fresh, &cfg, &svc_cfg, None, &wal).unwrap();
+    assert_eq!(recovered.state_fingerprint(), live_fp);
 }
 
 #[test]

@@ -74,7 +74,9 @@
 //!   bypassing the mechanism),
 //! - **physical mode** (Table 3: checkpoint/restore overhead on worker
 //!   changes plus multiplicative throughput jitter),
-//! - **space sharing** (pair tensors, oracle or estimated — Figure 14),
+//! - **space sharing** (pair tensors from the oracle, or — Figure 14,
+//!   `SimConfig::with_estimated_pairs` — from the §6 estimator, which
+//!   profiles every arriving job and refines online),
 //! - **allocation recomputation cadence** (reset events and/or every N
 //!   rounds),
 //! - **worker failures** (Poisson failures with fixed repair times, both

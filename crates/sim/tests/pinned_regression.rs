@@ -330,25 +330,3 @@ fn estimated_with_throttled_recomputes() {
     );
     assert_bridged_path_taken(&r);
 }
-
-#[test]
-fn estimated_pair_throughputs() {
-    let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_single(2.0, 30, 19), &oracle);
-    let mut cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    cfg.estimate_pair_throughputs = true;
-    let r = run_replayed(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
-    assert_eq!(
-        fingerprint(&r),
-        Fingerprint {
-            makespan: 0x4122d7adf9a8d7aa,
-            total_cost: 0x409b27ea8a707472,
-            utilization: 0x3fd8d652dbbb32a3,
-            rounds: 1715,
-            recomputations: 51,
-            jobs: 0xf6008f5d1892ef81,
-            job_costs: 0xf5a12a70c2fb3c54,
-        }
-    );
-    assert_bridged_path_taken(&r);
-}

@@ -10,7 +10,6 @@
 //! inside the cache itself.
 
 use gavel_core::{JobId, PolicyJob};
-use gavel_estimator::EstimatorConfig;
 use gavel_sim::{EstimatorBridge, SnapshotCache, SnapshotStats};
 use gavel_workloads::{
     build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_score,
@@ -27,7 +26,7 @@ use std::collections::BTreeSet;
 /// pick, cfg_idx, extra)`:
 ///
 /// - kinds 0 and 3 admit a new job, registering most with the estimator
-///   (unregistered jobs ride the static class path);
+///   (an unregistered job has no estimate, so it forms no pair);
 /// - kind 1 completes the resident job at `pick % len` (with estimator
 ///   forget) — exercising `swap_remove` reordering, which is what the
 ///   pair-candidate ranking has to survive;
@@ -191,7 +190,7 @@ proptest! {
         max_pairs in 1usize..6,
         seed in 0u64..1024,
     ) {
-        let bridge = EstimatorBridge::new(&Oracle::new(), EstimatorConfig::default(), seed);
+        let bridge = EstimatorBridge::new(&Oracle::new(), seed);
         run_sequence(
             &ops,
             Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),

@@ -29,8 +29,8 @@ pub enum SolverError {
     /// The problem references a [`crate::VarId`] that does not belong to it.
     UnknownVariable,
     /// The revised simplex lost numerical control (e.g. the basis became
-    /// floating-point singular). [`crate::LpProblem`] entry points retry
-    /// such failures on the dense tableau before surfacing them.
+    /// floating-point singular) on a cold solve. Returned as is: nothing
+    /// re-solves on the dense tableau.
     Numerical {
         /// Human-readable description of the failure site.
         context: String,

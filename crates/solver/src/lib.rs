@@ -14,8 +14,8 @@
 //!   [`LpProblem::solve`] and the warm-start entry point
 //!   [`LpProblem::solve_warm`].
 //! - [`simplex`] — the original dense two-phase tableau with Bland's-rule
-//!   anti-cycling, retained as an independent oracle
-//!   ([`LpProblem::solve_dense`]).
+//!   anti-cycling, retained as an independent oracle and reachable only
+//!   as one ([`LpProblem::solve_dense`]).
 //! - [`fractional`] — the Charnes–Cooper transform for maximizing a ratio of
 //!   affine functions over a polyhedron.
 //! - [`milp`] — branch-and-bound over binary variables.
@@ -44,7 +44,10 @@
 //!   all. Per-iteration cost is `O(nnz)` — one BTRAN for dual prices,
 //!   sparse dots for reduced costs, one FTRAN for the ratio test. This is
 //!   what every policy LP, MILP relaxation, and fractional transform runs
-//!   on.
+//!   on, and all they run on: a basis gone floating-point singular is the
+//!   caller's [`SolverError::Numerical`] (a failed recompute, which the
+//!   service counts and plans from the isolated split), never a silent
+//!   re-solve on the dense tableau.
 //! - **Dense (oracle).** [`simplex`] expands finite column bounds into
 //!   explicit `<=` rows and runs the original full-tableau two-phase
 //!   method, paying `O(m * width)` per pivot. It exists for differential
@@ -83,7 +86,7 @@
 //!    warm verdict accepted directly is an infeasibility *proof* from the
 //!    dual phase (dual unboundedness from a validated dual-feasible
 //!    basis); unbounded, iteration-limit, and numerical outcomes are
-//!    never trusted warm.
+//!    never trusted warm; what the cold solve then returns is final.
 //!
 //! Hints are validated, never trusted, so a hint never affects the
 //! feasibility/boundedness verdict or the optimal objective; the one
@@ -114,10 +117,12 @@
 //! takes patches to objective coefficients, right-hand sides, variable
 //! bounds and the coefficients of one column, writes each into the
 //! instance exactly as a fresh lowering would, and keeps the final
-//! factorization of one solve for the next. A prepared solve returns bit
-//! for bit what `solve_warm` on the patched problem would; patches that
-//! cannot be written in place (a right-hand side changing sign, a bound
-//! changing which ends are finite) make it re-lower first.
+//! factorization of one solve for the next. Both entry points run the
+//! same solve body over a lowered instance — one built for the call, one
+//! kept and patched — so a prepared solve returns bit for bit what
+//! `solve_warm` on the patched problem would; patches that cannot be
+//! written in place (a right-hand side changing sign, a bound changing
+//! which ends are finite) make it re-lower first.
 //!
 //! Consumers: `gavel-policies`' hierarchical water filling keeps two —
 //! the round LP (floors and the level variable's column move each round;

@@ -48,13 +48,14 @@ use crate::prepared::PreparedLp;
 use crate::problem::{LpProblem, Sense, VarId, WarmStart};
 use crate::simplex::{LpSolution, SolveStats};
 
+/// Values within this distance of an integer count as integral.
+const INT_TOL: f64 = 1e-6;
+
 /// Options for [`solve_milp`].
 #[derive(Debug, Clone)]
 pub struct MilpOptions {
     /// Maximum number of branch-and-bound nodes to explore.
     pub node_limit: usize,
-    /// Values within this distance of an integer count as integral.
-    pub int_tol: f64,
     /// Re-solve each node's relaxation from its parent's basis via the
     /// dual-reoptimizing warm path (on by default). Disabling forces a
     /// cold solve per node; the search tree and the returned solution are
@@ -66,7 +67,6 @@ impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             node_limit: 100_000,
-            int_tol: 1e-6,
             warm_start: true,
         }
     }
@@ -208,7 +208,7 @@ pub fn solve_milp(
             for &v in integer_vars {
                 let x = relaxed.value(v);
                 let frac = (x - x.round()).abs();
-                if frac > opts.int_tol {
+                if frac > INT_TOL {
                     let dist_half = (frac - 0.5).abs();
                     match branch {
                         None => branch = Some((v, x, dist_half)),
@@ -235,7 +235,7 @@ pub fn solve_milp(
                     // Down branch first: v <= floor(x) is a pure
                     // upper-bound tighten, the shape the patched warm
                     // path likes best.
-                    if floor >= lo - opts.int_tol {
+                    if floor >= lo - INT_TOL {
                         let mut down = node.overrides.clone();
                         down.push((v, lo, floor));
                         frontier.push(Node {
@@ -248,7 +248,7 @@ pub fn solve_milp(
                     // shifts the lowering's right-hand sides, which can
                     // (rarely) flip a row's structure and fall through to
                     // the general solve path.
-                    if ceil <= hi + opts.int_tol {
+                    if ceil <= hi + INT_TOL {
                         let mut up = node.overrides.clone();
                         up.push((v, ceil, hi));
                         frontier.push(Node {

@@ -34,8 +34,8 @@
 //! too changes the work, never the result.
 
 use crate::error::SolverError;
-use crate::problem::{recover_values, ConstraintId, LpProblem, Sense, VarId, VarMap, WarmStart};
-use crate::revised::{self, Instance, KeptLu};
+use crate::problem::{ConstraintId, LpProblem, VarId, VarMap, WarmStart};
+use crate::revised::{Instance, KeptLu};
 use crate::simplex::{LpSolution, SolveStats};
 
 /// One basic column of a caller-written basis, named in problem terms.
@@ -69,7 +69,6 @@ impl PreparedLp {
     /// Validates and lowers `lp`. Errors as [`LpProblem::solve`] would on
     /// invalid input.
     pub fn new(lp: LpProblem) -> Result<PreparedLp, SolverError> {
-        lp.validate()?;
         let lowering = lp.lower()?;
         Ok(PreparedLp {
             inst: Instance::build(&lowering.std),
@@ -221,54 +220,25 @@ impl PreparedLp {
 
     /// Solves the current problem, warm-started from `hint` when given —
     /// the same classification of hints, verdicts, counters and returned
-    /// basis as [`LpProblem::solve_warm`] on [`PreparedLp::problem`].
-    /// Errors carry the pivot counters spent reaching the verdict.
+    /// basis as [`LpProblem::solve_warm`] on [`PreparedLp::problem`], by
+    /// construction: both run one solve body over the lowered instance.
+    /// Errors — a [`SolverError::Numerical`] collapse among them — carry
+    /// the pivot counters spent reaching the verdict.
     pub fn solve(
         &mut self,
         hint: Option<&WarmStart>,
     ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
-        let uncounted = |e| (e, SolveStats::default());
         if self.stale {
-            *self = PreparedLp::new(self.lp.clone()).map_err(uncounted)?;
+            *self = PreparedLp::new(self.lp.clone()).map_err(|e| (e, SolveStats::default()))?;
         }
-        let out = match revised::solve_instance(
-            &self.inst,
-            hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice())),
-            &mut self.kept,
-        ) {
-            Ok(out) => out,
-            // Rare numerical collapse: the general path retries on the
-            // dense tableau.
-            Err((SolverError::Numerical { .. }, _)) => {
-                return self.lp.solve_warm(hint).map_err(uncounted)
-            }
-            Err(e) => return Err(e),
-        };
-        let mut objective = out.objective + self.lp.objective_constant(&self.mapping);
-        if self.lp.sense() == Sense::Maximize {
-            objective = -objective;
-        }
-        let sol = LpSolution {
-            values: recover_values(&self.mapping, &out.x),
-            objective,
-            stats: out.stats,
-        };
-        #[cfg(debug_assertions)]
-        self.lp.cross_check(&sol);
-        Ok((
-            sol,
-            WarmStart {
-                basis: out.basis,
-                at_upper: out.at_upper,
-            },
-        ))
+        (self.lp).solve_lowered(&self.inst, &self.mapping, hint, &mut self.kept)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Cmp;
+    use crate::problem::{Cmp, Sense};
 
     /// max 3x + 2y s.t. x + y <= 4, x - y >= -1, x in [0, 3], y in [0, 5].
     fn small() -> (LpProblem, [VarId; 2], [ConstraintId; 2]) {

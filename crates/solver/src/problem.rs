@@ -21,8 +21,8 @@
 //! variable.
 
 use crate::error::SolverError;
-use crate::revised;
-use crate::simplex::{self, LpSolution, StandardForm};
+use crate::revised::{self, Instance, KeptLu};
+use crate::simplex::{self, LpSolution, SolveStats, StandardForm};
 
 /// An optimal simplex basis state returned by [`LpProblem::solve_warm`],
 /// reusable as a hint for the next solve of a structurally similar
@@ -40,7 +40,8 @@ use crate::simplex::{self, LpSolution, StandardForm};
 /// returned directly — see [`crate::revised`]). A hint thus never changes
 /// the feasibility verdict or the optimal objective; on problems with
 /// multiple optimal solutions it may steer which optimal vertex is
-/// returned.
+/// returned. What the *cold* solve then fails with, a numerical collapse
+/// ([`SolverError::Numerical`]) included, is the caller's error.
 #[derive(Debug, Clone)]
 pub struct WarmStart {
     pub(crate) basis: Vec<usize>,
@@ -280,9 +281,10 @@ impl LpProblem {
 
     /// Solves the problem.
     ///
-    /// Runs the sparse revised simplex ([`crate::revised`]). Returns the
-    /// optimal solution, or a [`SolverError`] describing infeasibility,
-    /// unboundedness, or numerical failure.
+    /// Runs the sparse revised simplex ([`crate::revised`]), the only
+    /// engine behind this entry point. Returns the optimal solution, or a
+    /// [`SolverError`] describing infeasibility, unboundedness, or
+    /// numerical failure (reported, never retried on another engine).
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
         let (sol, _) = self.solve_warm(None)?;
         Ok(sol)
@@ -295,43 +297,39 @@ impl LpProblem {
     /// identical problem (same variables in the same order, same
     /// constraint shapes — coefficients and right-hand sides may differ)
     /// to skip phase 1 and resume phase 2 from the old vertex. Unusable
-    /// hints are ignored; see [`WarmStart`].
+    /// hints are ignored; see [`WarmStart`]. Errors as [`LpProblem::solve`]
+    /// does.
     pub fn solve_warm(
         &self,
         hint: Option<&WarmStart>,
     ) -> Result<(LpSolution, WarmStart), SolverError> {
-        self.validate()?;
         let lowering = self.lower()?;
-        let (raw, objective_std, stats, basis, at_upper) = match revised::solve_revised(
-            &lowering.std,
-            hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice())),
-        ) {
-            Ok(out) => (out.x, out.objective, out.stats, out.basis, out.at_upper),
-            // Rare numerical collapse (fp-singular basis): the dense
-            // tableau needs no factorization, so retry there. The empty
-            // basis token makes the *next* warm solve cold-start.
-            Err(SolverError::Numerical { .. }) => {
-                let (raw, obj, mut stats) = simplex::solve_standard(&lowering.std)?;
-                stats.dense_fallbacks = 1;
-                (raw, obj, stats, Vec::new(), Vec::new())
-            }
-            Err(e) => return Err(e),
-        };
-        let values = lowering.recover(&raw);
-        // The standard form always minimizes; undo the lowering's sign and
-        // constant shifts to report the user-facing objective.
-        let mut objective = objective_std + lowering.obj_const;
-        if self.sense == Sense::Maximize {
-            objective = -objective;
-        }
-        let sol = LpSolution {
-            values,
-            objective,
-            stats,
-        };
+        let inst = Instance::build(&lowering.std);
+        self.solve_lowered(&inst, &lowering.mapping, hint, &mut None)
+            .map_err(|(e, _)| e)
+    }
+
+    /// The one solve body, shared with [`crate::PreparedLp::solve`]: runs
+    /// the revised simplex over `inst` (this problem lowered through
+    /// `mapping`) and turns its outcome into the user-facing solution and
+    /// basis token. Errors carry the pivot counters spent on the verdict.
+    pub(crate) fn solve_lowered(
+        &self,
+        inst: &Instance,
+        mapping: &[VarMap],
+        hint: Option<&WarmStart>,
+        kept: &mut Option<KeptLu>,
+    ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
+        let hint = hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice()));
+        let out = revised::solve_instance(inst, hint, kept)?;
+        let sol = self.recover(mapping, &out.x, out.objective, out.stats);
         #[cfg(debug_assertions)]
         self.cross_check(&sol);
-        Ok((sol, WarmStart { basis, at_upper }))
+        let basis = WarmStart {
+            basis: out.basis,
+            at_upper: out.at_upper,
+        };
+        Ok((sol, basis))
     }
 
     /// Solves with the dense two-phase tableau ([`crate::simplex`]) — the
@@ -340,19 +338,36 @@ impl LpProblem {
     /// simplex. Not for production use: it scales as `O(m * width)` per
     /// pivot where the revised engine pays `O(nnz)`.
     pub fn solve_dense(&self) -> Result<LpSolution, SolverError> {
-        self.validate()?;
         let lowering = self.lower()?;
         let (raw, objective_std, stats) = simplex::solve_standard(&lowering.std)?;
-        let values = lowering.recover(&raw);
-        let mut objective = objective_std + lowering.obj_const;
+        Ok(self.recover(&lowering.mapping, &raw, objective_std, stats))
+    }
+
+    /// Maps a standard-form optimum back to this problem's variables and
+    /// objective.
+    fn recover(
+        &self,
+        mapping: &[VarMap],
+        raw: &[f64],
+        objective_std: f64,
+        stats: SolveStats,
+    ) -> LpSolution {
+        // The standard form always minimizes; undo the lowering's sign and
+        // constant shifts to report the user-facing objective.
+        let mut objective = objective_std + self.objective_constant(mapping);
         if self.sense == Sense::Maximize {
             objective = -objective;
         }
-        Ok(LpSolution {
-            values,
+        let value = |m: &VarMap| match *m {
+            VarMap::Shifted { col, shift } => shift + raw[col],
+            VarMap::Mirrored { col, upper } => upper - raw[col],
+            VarMap::Free { pos, neg } => raw[pos] - raw[neg],
+        };
+        LpSolution {
+            values: mapping.iter().map(value).collect(),
             objective,
             stats,
-        })
+        }
     }
 
     /// Debug-mode oracle: when `GAVEL_LP_CROSSCHECK` is on (set to anything
@@ -365,7 +380,7 @@ impl LpProblem {
     /// path — and additionally asserts the returned point respects every
     /// variable bound and constraint of the original problem.
     #[cfg(debug_assertions)]
-    pub(crate) fn cross_check(&self, sol: &LpSolution) {
+    fn cross_check(&self, sol: &LpSolution) {
         if !flag_on(std::env::var_os("GAVEL_LP_CROSSCHECK")) {
             return;
         }
@@ -404,7 +419,7 @@ impl LpProblem {
         }
     }
 
-    pub(crate) fn validate(&self) -> Result<(), SolverError> {
+    fn validate(&self) -> Result<(), SolverError> {
         for v in &self.vars {
             if v.lower.is_nan() || v.upper.is_nan() || v.lower > v.upper {
                 return Err(SolverError::InvalidBounds {
@@ -479,7 +494,9 @@ impl LpProblem {
         rhs
     }
 
+    /// Validates the problem and lowers it to standard form.
     pub(crate) fn lower(&self) -> Result<Lowering, SolverError> {
+        self.validate()?;
         let n = self.vars.len();
         // Per original variable: how it maps into standard columns, with
         // finite ranges carried on the column.
@@ -529,7 +546,6 @@ impl LpProblem {
             rows.push((merged, c.cmp, self.lowered_rhs(i, &mapping)));
         }
 
-        let obj_const = self.objective_constant(&mapping);
         Ok(Lowering {
             std: StandardForm {
                 ncols,
@@ -538,7 +554,6 @@ impl LpProblem {
                 upper: col_upper,
             },
             mapping,
-            obj_const,
             irregular,
         })
     }
@@ -548,7 +563,6 @@ impl LpProblem {
     /// [`LpProblem::num_constraints`] exactly; exposed so tests and
     /// diagnostics can assert no hidden rows are ever emitted.
     pub fn num_standard_rows(&self) -> Result<usize, SolverError> {
-        self.validate()?;
         Ok(self.lower()?.std.rows.len())
     }
 }
@@ -627,32 +641,9 @@ impl VarMap {
 pub(crate) struct Lowering {
     pub(crate) std: StandardForm,
     pub(crate) mapping: Vec<VarMap>,
-    /// Constant added to the standard-form objective (already sign-adjusted
-    /// for maximization).
-    pub(crate) obj_const: f64,
     /// Some constraint repeats a variable or carries an exact-zero
     /// coefficient, so its stored row differs from its term list.
     pub(crate) irregular: bool,
-}
-
-/// Maps standard-column values back to user-facing variable values.
-pub(crate) fn recover_values(mapping: &[VarMap], raw: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(mapping.len());
-    for m in mapping {
-        let v = match *m {
-            VarMap::Shifted { col, shift } => shift + raw[col],
-            VarMap::Mirrored { col, upper } => upper - raw[col],
-            VarMap::Free { pos, neg } => raw[pos] - raw[neg],
-        };
-        out.push(v);
-    }
-    out
-}
-
-impl Lowering {
-    fn recover(&self, raw: &[f64]) -> Vec<f64> {
-        recover_values(&self.mapping, raw)
-    }
 }
 
 /// The rule every `GAVEL_*` switch follows (see the README table).
@@ -737,6 +728,29 @@ mod tests {
         let x = lp.add_var("x", 0.0, f64::INFINITY, 1.0);
         lp.add_constraint(&[(x, -1.0)], Cmp::Le, 1.0);
         assert_eq!(lp.solve().unwrap_err(), SolverError::Unbounded);
+    }
+
+    #[test]
+    fn numerical_collapse_is_the_callers_error() {
+        // Coefficients spanning eleven orders of magnitude: the cold solve
+        // pivots its way to a basis the next refactorization finds
+        // floating-point singular. The dense tableau still produces *an*
+        // answer for this LP (a finite "optimum", although `x1` can grow
+        // without limit), which is exactly what must not stand in silently.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x0 = lp.add_var("x0", 0.0, f64::INFINITY, 0.0);
+        let x1 = lp.add_var("x1", 0.0, f64::INFINITY, 1.0);
+        let x2 = lp.add_var("x2", 0.0, f64::INFINITY, 1.0);
+        lp.add_constraint(&[(x0, 0.08)], Cmp::Le, 1.0);
+        lp.add_constraint(&[(x0, 0.001), (x2, 2e6)], Cmp::Le, 1.0);
+        lp.add_constraint(&[(x0, 3000.0), (x1, 0.003), (x2, 5e4)], Cmp::Ge, 1.0);
+        lp.add_constraint(&[(x0, 1e-4), (x1, 2e4)], Cmp::Ge, 0.0);
+        let numerical = |e: &SolverError| matches!(e, SolverError::Numerical { .. });
+        let err = lp.solve().unwrap_err();
+        assert!(numerical(&err), "{err:?}");
+        let (err, spent) = crate::PreparedLp::new(lp).unwrap().solve(None).unwrap_err();
+        assert!(numerical(&err), "{err:?}");
+        assert!(spent.total_pivots() > 0, "{spent:?}");
     }
 
     #[test]

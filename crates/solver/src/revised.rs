@@ -29,7 +29,7 @@
 //!
 //! # Warm starts and the dual simplex phase
 //!
-//! [`solve_revised`] accepts an optional `(basis, at_upper)` hint —
+//! [`solve_instance`] accepts an optional `(basis, at_upper)` hint —
 //! typically the optimal state of a near-identical LP solved a moment ago
 //! (Gavel's water-filling rounds, per-job probes, MILP branch-and-bound
 //! nodes). The hint is classified, never trusted:
@@ -217,18 +217,6 @@ fn effective_cmp(cmp: Cmp, rhs: f64) -> Cmp {
     }
 }
 
-/// Solves a standard-form LP with the revised simplex. `hint` is an
-/// optional warm-start state `(basis columns, nonbasic at-upper flags)`;
-/// see the module docs for how hints are classified. Invalid or unusable
-/// hints fall back to a cold start.
-pub(crate) fn solve_revised(
-    lp: &StandardForm,
-    hint: Option<(&[usize], &[bool])>,
-) -> Result<RevisedOutcome, SolverError> {
-    let inst = Instance::build(lp);
-    solve_instance(&inst, hint, &mut None).map_err(|(e, _)| e)
-}
-
 /// The factorization a solve finished with, kept so the next solve of the
 /// same matrix can start from it: hinted with exactly `basis`, it skips
 /// its first factorization. Factorizing is a pure function of the matrix
@@ -239,10 +227,12 @@ pub(crate) struct KeptLu {
     fac: Basis,
 }
 
-/// [`solve_revised`] over a prebuilt (possibly patched) instance — the
-/// [`crate::PreparedLp`] path, which skips re-lowering and matrix
-/// construction entirely. `kept` carries the final factorization from one
-/// solve to the next; the caller clears it whenever it changes the
+/// Solves a standard-form LP, built fresh or kept and patched by a
+/// [`crate::PreparedLp`], with the revised simplex. `hint` is an optional
+/// warm-start state `(basis columns, nonbasic at-upper flags)`; see the
+/// module docs for how hints are classified. Invalid or unusable hints
+/// fall back to a cold start. `kept` carries the final factorization from
+/// one solve to the next; the caller clears it whenever it changes the
 /// matrix. Errors carry the pivot counters spent reaching the verdict so
 /// drivers that aggregate over many solves (the MILP's pruned nodes,
 /// whose infeasibility the dual phase proves) can still account for the
@@ -890,9 +880,9 @@ impl<'a> Solver<'a> {
 
     /// Rebuilds the factorization from the current basis and recomputes
     /// `x_B` from scratch to shed accumulated drift. Errors when the basis
-    /// has become floating-point singular — the caller surfaces that as
-    /// [`SolverError::Numerical`] and the [`crate::LpProblem`] entry points
-    /// retry on the dense oracle.
+    /// has become floating-point singular: a hinted attempt then restarts
+    /// cold, the cold solve returns [`SolverError::Numerical`] to the
+    /// caller — no other engine re-solves.
     fn refactorize(&mut self) -> Result<(), SolverError> {
         let fac = Basis::factorize(&self.inst.a, &self.basis, PIVOT_TOL)
             // Ill-conditioned but maybe still usable: retry accepting any
@@ -993,15 +983,22 @@ mod tests {
         }
     }
 
+    fn solve_with(
+        lp: &StandardForm,
+        hint: Option<(&[usize], &[bool])>,
+    ) -> Result<RevisedOutcome, SolverError> {
+        solve_instance(&Instance::build(lp), hint, &mut None).map_err(|(e, _)| e)
+    }
+
     fn solve(lp: &StandardForm) -> Result<RevisedOutcome, SolverError> {
-        solve_revised(lp, None)
+        solve_with(lp, None)
     }
 
     fn solve_hinted(
         lp: &StandardForm,
         hint: &RevisedOutcome,
     ) -> Result<RevisedOutcome, SolverError> {
-        solve_revised(lp, Some((&hint.basis, &hint.at_upper)))
+        solve_with(lp, Some((&hint.basis, &hint.at_upper)))
     }
 
     #[test]
@@ -1228,7 +1225,7 @@ mod tests {
             (vec![7, 7, 7], vec![false; 3]),
         ];
         for (basis, at_upper) in &bogus {
-            let warm = solve_revised(&lp, Some((basis, at_upper))).unwrap();
+            let warm = solve_with(&lp, Some((basis, at_upper))).unwrap();
             assert!((warm.objective - cold.objective).abs() < 1e-12);
             assert_eq!(warm.stats.warm_falls_back, 1);
             assert_eq!(warm.stats.warm_hits, 0);

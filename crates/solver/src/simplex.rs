@@ -75,8 +75,9 @@ pub struct SolveStats {
     /// mismatch, singular basis, neither primal nor dual feasible, or the
     /// warm attempt failed part-way) and the solve cold-started, else 0.
     pub warm_falls_back: usize,
-    /// 1 when the revised engine lost numerical control and the solve was
-    /// retried on the dense tableau oracle, else 0.
+    /// Always 0: no solve is retried on the dense tableau. Kept only
+    /// because `bench/src/drills.rs` reads it; the bench refresh (ROADMAP
+    /// 1g) removes both.
     pub dense_fallbacks: usize,
     /// LP solves that were one of several in a batch: the hierarchical
     /// policy's per-job probe LPs (a pass probing a single job is not
@@ -107,7 +108,6 @@ impl SolveStats {
         self.bound_flips += other.bound_flips;
         self.warm_hits += other.warm_hits;
         self.warm_falls_back += other.warm_falls_back;
-        self.dense_fallbacks += other.dense_fallbacks;
         self.parallel_probes += other.parallel_probes;
         self.shards += other.shards;
     }
@@ -131,12 +131,15 @@ impl LpSolution {
     }
 }
 
-/// Solves a standard-form LP. Returns `(x, objective, stats)`.
+/// Solves a standard-form LP. Returns `(x, objective, stats)`. Reached
+/// only through [`crate::LpProblem::solve_dense`], the oracle entry point.
 ///
 /// Finite column upper bounds are expanded into explicit `x_j <= u_j` rows
 /// first (see the module docs), so the tableau itself only ever sees
 /// nonnegative variables.
-pub fn solve_standard(lp: &StandardForm) -> Result<(Vec<f64>, f64, SolveStats), SolverError> {
+pub(crate) fn solve_standard(
+    lp: &StandardForm,
+) -> Result<(Vec<f64>, f64, SolveStats), SolverError> {
     let expanded;
     let lp = if lp.upper.iter().any(|u| u.is_finite()) {
         let mut rows = lp.rows.clone();

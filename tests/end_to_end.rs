@@ -146,8 +146,7 @@ fn priorities_order_outcomes() {
 fn estimator_pipeline_runs_end_to_end() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.0, 25, 14), &oracle);
-    let mut cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    cfg.estimate_pair_throughputs = true;
+    let cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
     let result = gavel::sim::run(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
     assert_eq!(result.unfinished_fraction(), 0.0);
     assert_eq!(result.policy_failures, 0);
