@@ -6,12 +6,14 @@ use crate::tensor::ThroughputTensor;
 use crate::{JobId, EPSILON};
 use std::collections::HashMap;
 
-/// An allocation matrix: `values[k][j]` is the fraction of wall-clock time
+/// An allocation matrix: entry `(k, j)` is the fraction of wall-clock time
 /// combo row `k` should spend on accelerator type `j` (§3.1 of the paper).
 #[derive(Debug, Clone)]
 pub struct Allocation {
     combos: ComboSet,
-    values: Vec<Vec<f64>>,
+    num_types: usize,
+    /// Row-major: `num_types` values per combo row.
+    values: Vec<f64>,
 }
 
 /// Violation of the allocation constraints of §3.1.
@@ -70,21 +72,55 @@ impl std::fmt::Display for ValidityError {
 impl std::error::Error for ValidityError {}
 
 impl Allocation {
-    /// Wraps a value matrix with its combo labels.
+    /// Wraps a value matrix with its combo labels; the first row's length
+    /// is the number of accelerator types.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != combos.len()`.
+    /// Panics if `values.len() != combos.len()` or a row's length differs
+    /// from the first row's.
     pub fn new(combos: ComboSet, values: Vec<Vec<f64>>) -> Self {
         assert_eq!(values.len(), combos.len(), "allocation row count mismatch");
-        Allocation { combos, values }
+        let num_types = values.first().map_or(0, Vec::len);
+        let mut flat = Vec::with_capacity(values.len() * num_types);
+        for (k, row) in values.iter().enumerate() {
+            assert_eq!(
+                row.len(),
+                num_types,
+                "row {k} has {} entries, expected {num_types}",
+                row.len()
+            );
+            flat.extend_from_slice(row);
+        }
+        Self::from_flat(combos, num_types, flat)
+    }
+
+    /// Wraps row-major `values` with their combo labels: row `k`'s share
+    /// of type `j` is `values[k * num_types + j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != combos.len() * num_types`.
+    pub fn from_flat(combos: ComboSet, num_types: usize, values: Vec<f64>) -> Self {
+        assert_eq!(
+            values.len(),
+            combos.len() * num_types,
+            "allocation holds {} values, expected {} rows of {num_types}",
+            values.len(),
+            combos.len()
+        );
+        Allocation {
+            combos,
+            num_types,
+            values,
+        }
     }
 
     /// An all-zero allocation over `combos` for a cluster with `num_types`
     /// accelerator types.
     pub fn zeros(combos: ComboSet, num_types: usize) -> Self {
-        let values = vec![vec![0.0; num_types]; combos.len()];
-        Allocation { combos, values }
+        let values = vec![0.0; combos.len() * num_types];
+        Self::from_flat(combos, num_types, values)
     }
 
     /// Row labels.
@@ -92,19 +128,19 @@ impl Allocation {
         &self.combos
     }
 
-    /// Raw values.
-    pub fn values(&self) -> &[Vec<f64>] {
-        &self.values
+    /// The values of combo row `k`, one per accelerator type.
+    pub fn row(&self, k: usize) -> &[f64] {
+        &self.values[k * self.num_types..][..self.num_types]
     }
 
     /// Value at combo row `k`, type `j`.
     pub fn get(&self, k: usize, j: AccelIdx) -> f64 {
-        self.values[k][j.0]
+        self.row(k)[j.0]
     }
 
     /// Mutable value at combo row `k`, type `j`.
     pub fn get_mut(&mut self, k: usize, j: AccelIdx) -> &mut f64 {
-        &mut self.values[k][j.0]
+        &mut self.values[k * self.num_types..][..self.num_types][j.0]
     }
 
     /// Effective throughput of `job` under this allocation (§3.1):
@@ -118,7 +154,7 @@ impl Allocation {
             }
             for j in 0..tensor.num_types() {
                 let t = tensor.entry(k, AccelIdx(j));
-                total += t.for_job(combo, job) * self.values[k][j];
+                total += t.for_job(combo, job) * self.row(k)[j];
             }
         }
         total
@@ -130,7 +166,7 @@ impl Allocation {
         self.combos
             .rows_containing(job)
             .into_iter()
-            .map(|k| self.values[k].iter().sum::<f64>())
+            .map(|k| self.row(k).iter().sum::<f64>())
             .sum()
     }
 
@@ -146,21 +182,16 @@ impl Allocation {
         cluster: &ClusterSpec,
         scale_factor: &HashMap<JobId, u32>,
     ) -> Result<(), ValidityError> {
-        if self.values.len() != self.combos.len() {
+        if self.num_types != cluster.num_types() && !self.combos.is_empty() {
             return Err(ValidityError::ShapeMismatch);
         }
-        for (k, row) in self.values.iter().enumerate() {
-            if row.len() != cluster.num_types() {
-                return Err(ValidityError::ShapeMismatch);
-            }
-            for (j, &v) in row.iter().enumerate() {
-                if !(-EPSILON..=1.0 + EPSILON).contains(&v) {
-                    return Err(ValidityError::EntryOutOfRange {
-                        row: k,
-                        accel: j,
-                        value: v,
-                    });
-                }
+        for (i, &v) in self.values.iter().enumerate() {
+            if !(-EPSILON..=1.0 + EPSILON).contains(&v) {
+                return Err(ValidityError::EntryOutOfRange {
+                    row: i / self.num_types,
+                    accel: i % self.num_types,
+                    value: v,
+                });
             }
         }
         for job in self.combos.jobs() {
@@ -177,7 +208,7 @@ impl Allocation {
                     .map(|jid| *scale_factor.get(&jid).unwrap_or(&1))
                     .max()
                     .unwrap_or(1) as f64;
-                total += self.values[k][j.0] * sf;
+                total += self.get(k, j) * sf;
             }
             let capacity = cluster.num_workers(j) as f64;
             if total > capacity + EPSILON * 100.0 {
@@ -256,6 +287,52 @@ mod tests {
         // Job 0: 0.2*4 + 0.8*2 = 2.4; job 1: 0.8*1.5 = 1.2.
         assert!((alloc.effective_throughput(&tensor, j0) - 2.4).abs() < 1e-9);
         assert!((alloc.effective_throughput(&tensor, j1) - 1.2).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds 5 values, expected 2 rows of 3")]
+    fn flat_length_must_match_the_combos() {
+        let combos = ComboSet::singletons(&[JobId(0), JobId(1)]);
+        Allocation::from_flat(combos, 3, vec![0.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 has 1 entries, expected 2")]
+    fn ragged_rows_rejected() {
+        let combos = ComboSet::singletons(&[JobId(0), JobId(1)]);
+        Allocation::new(combos, vec![vec![0.5, 0.5], vec![1.0]]);
+    }
+
+    /// `row`, `get` and `get_mut` address the cells of the nested matrix
+    /// the allocation was built from, whichever constructor built it.
+    #[test]
+    fn flat_and_nested_constructors_agree() {
+        let jobs = [JobId(0), JobId(1), JobId(2)];
+        let mut nested = vec![vec![0.1, 0.2], vec![0.3, 0.4], vec![0.2, 0.1]];
+        let mut flat = Allocation::from_flat(ComboSet::singletons(&jobs), 2, nested.concat());
+        let mut alloc = Allocation::new(ComboSet::singletons(&jobs), nested.clone());
+        let mut zeros = Allocation::zeros(ComboSet::singletons(&jobs), 2);
+        for (k, j) in [(2, 1), (0, 0)] {
+            nested[k][j] += 0.25;
+            *flat.get_mut(k, AccelIdx(j)) += 0.25;
+            *alloc.get_mut(k, AccelIdx(j)) += 0.25;
+        }
+        for (k, row) in nested.iter().enumerate() {
+            assert_eq!(flat.row(k), &row[..]);
+            assert_eq!(alloc.row(k), &row[..]);
+            assert_eq!(zeros.row(k), [0.0, 0.0]);
+            for (j, &v) in row.iter().enumerate() {
+                assert_eq!(flat.get(k, AccelIdx(j)), v);
+                *zeros.get_mut(k, AccelIdx(j)) = v;
+            }
+            assert_eq!(zeros.row(k), &row[..]);
+        }
+        // A cluster of another width is a shape mismatch, not a misread.
+        let fits = flat.validate(&cluster(), &scale1(&jobs));
+        assert!(fits.is_ok(), "{fits:?}");
+        let wide = ClusterSpec::new(&[("a", 1, 1, 0.0), ("b", 1, 1, 0.0), ("c", 1, 1, 0.0)]);
+        let err = flat.validate(&wide, &scale1(&jobs)).unwrap_err();
+        assert_eq!(err, ValidityError::ShapeMismatch);
     }
 
     #[test]

@@ -84,9 +84,11 @@ impl ComboSet {
     /// Panics on duplicate combos — duplicated rows would silently double a
     /// job's allocation budget.
     pub fn new(combos: Vec<Combo>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for c in &combos {
-            assert!(seen.insert(*c), "duplicate combo {c}");
+        // Duplicates are adjacent once sorted: one copy, no hashing.
+        let mut sorted = combos.clone();
+        sorted.sort_unstable_by_key(|c| (c.a, c.b));
+        for w in sorted.windows(2) {
+            assert!(w[0] != w[1], "duplicate combo {}", w[1]);
         }
         ComboSet { combos }
     }

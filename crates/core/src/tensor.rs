@@ -62,7 +62,8 @@ impl PairThroughput {
 #[derive(Debug, Clone)]
 pub struct ThroughputTensor {
     num_types: usize,
-    rows: Vec<Vec<PairThroughput>>,
+    /// Row-major: `num_types` entries per combo row.
+    entries: Vec<PairThroughput>,
 }
 
 impl ThroughputTensor {
@@ -74,6 +75,7 @@ impl ThroughputTensor {
     /// Panics if any row's length differs from `num_types`, or any
     /// throughput is negative or non-finite.
     pub fn new(num_types: usize, rows: Vec<Vec<PairThroughput>>) -> Self {
+        let mut entries = Vec::with_capacity(rows.len() * num_types);
         for (k, row) in rows.iter().enumerate() {
             assert_eq!(
                 row.len(),
@@ -81,14 +83,35 @@ impl ThroughputTensor {
                 "row {k} has {} entries, expected {num_types}",
                 row.len()
             );
-            for (j, t) in row.iter().enumerate() {
-                assert!(
-                    t.a.is_finite() && t.b.is_finite() && t.a >= 0.0 && t.b >= 0.0,
-                    "invalid throughput at row {k}, type {j}: {t:?}"
-                );
-            }
+            entries.extend_from_slice(row);
         }
-        ThroughputTensor { num_types, rows }
+        Self::from_flat(num_types, entries)
+    }
+
+    /// Creates a tensor from row-major `entries`: combo `k`'s throughput
+    /// on type `j` is `entries[k * num_types + j]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` does not divide into rows of `num_types`, or
+    /// any throughput is negative or non-finite.
+    pub fn from_flat(num_types: usize, entries: Vec<PairThroughput>) -> Self {
+        let rows = entries.len().checked_div(num_types).unwrap_or(0);
+        assert_eq!(
+            entries.len(),
+            rows * num_types,
+            "{} entries do not divide into rows of {num_types}",
+            entries.len()
+        );
+        for (i, t) in entries.iter().enumerate() {
+            assert!(
+                t.a.is_finite() && t.b.is_finite() && t.a >= 0.0 && t.b >= 0.0,
+                "invalid throughput at row {}, type {}: {t:?}",
+                i / num_types,
+                i % num_types
+            );
+        }
+        ThroughputTensor { num_types, entries }
     }
 
     /// Number of accelerator types (columns).
@@ -98,28 +121,28 @@ impl ThroughputTensor {
 
     /// Number of combo rows.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        self.entries.len().checked_div(self.num_types).unwrap_or(0)
     }
 
     /// Throughput entry of combo row `k` on type `j`.
     pub fn entry(&self, k: usize, j: AccelIdx) -> PairThroughput {
-        self.rows[k][j.0]
+        self.row(k)[j.0]
     }
 
     /// Full row `k`.
     pub fn row(&self, k: usize) -> &[PairThroughput] {
-        &self.rows[k]
+        &self.entries[k * self.num_types..][..self.num_types]
     }
 
     /// The fastest single-job throughput of row `k` across types (used by
     /// the FIFO policy's `X_fastest` normalization).
     pub fn max_total(&self, k: usize) -> f64 {
-        self.rows[k].iter().map(|t| t.total()).fold(0.0, f64::max)
+        self.row(k).iter().map(|t| t.total()).fold(0.0, f64::max)
     }
 
     /// Whether combo row `k` can run anywhere in the cluster.
     pub fn runnable_anywhere(&self, k: usize) -> bool {
-        self.rows[k].iter().any(|t| t.runnable())
+        self.row(k).iter().any(|t| t.runnable())
     }
 }
 
@@ -179,6 +202,51 @@ mod tests {
     #[should_panic(expected = "invalid throughput")]
     fn negative_throughput_rejected() {
         ThroughputTensor::new(1, vec![vec![PairThroughput::single(-1.0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "5 entries do not divide into rows of 2")]
+    fn flat_length_must_be_whole_rows() {
+        ThroughputTensor::from_flat(2, vec![PairThroughput::single(1.0); 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid throughput at row 1, type 0")]
+    fn flat_negative_throughput_rejected() {
+        let mut entries = vec![PairThroughput::single(1.0); 4];
+        entries[2] = PairThroughput::pair(1.0, -0.5);
+        ThroughputTensor::from_flat(2, entries);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid throughput at row 2, type 1")]
+    fn flat_non_finite_throughput_rejected() {
+        let mut entries = vec![PairThroughput::single(1.0); 6];
+        entries[5] = PairThroughput::single(f64::NAN);
+        ThroughputTensor::from_flat(2, entries);
+    }
+
+    /// Both constructors serve the rows they were given.
+    #[test]
+    fn flat_and_nested_constructors_agree() {
+        let nested: Vec<Vec<PairThroughput>> = (0..4)
+            .map(|k| {
+                (0..3)
+                    .map(|j| PairThroughput::pair(k as f64, j as f64))
+                    .collect()
+            })
+            .collect();
+        let flat = ThroughputTensor::from_flat(3, nested.concat());
+        let tensor = ThroughputTensor::new(3, nested.clone());
+        assert_eq!((flat.num_rows(), flat.num_types()), (4, 3));
+        assert_eq!((tensor.num_rows(), tensor.num_types()), (4, 3));
+        for (k, row) in nested.iter().enumerate() {
+            assert_eq!(flat.row(k), &row[..]);
+            assert_eq!(tensor.row(k), &row[..]);
+            for (j, &t) in row.iter().enumerate() {
+                assert_eq!(flat.entry(k, AccelIdx(j)), t);
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,14 @@ impl Policy for GandivaPolicy {
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         let singles = check_input(input)?;
         let mut st = self.state.lock().expect("gandiva state poisoned");
+
+        // Retire pairs whose members have left the cluster: a verdict is
+        // only ever looked up for a pair row of present jobs.
+        let present: HashSet<JobId> = input.jobs.iter().map(|j| j.id).collect();
+        let still_here = |(a, b): &(JobId, JobId)| present.contains(a) && present.contains(b);
+        st.good_pairs.retain(still_here);
+        st.rejected_pairs.retain(still_here);
+
         let n = input.jobs.len();
         if n == 0 {
             return Ok(Allocation::zeros(
@@ -88,11 +96,6 @@ impl Policy for GandivaPolicy {
                 input.cluster.num_types(),
             ));
         }
-
-        // Retire pairs whose members have left the cluster.
-        let present: HashSet<JobId> = input.jobs.iter().map(|j| j.id).collect();
-        st.good_pairs
-            .retain(|(a, b)| present.contains(a) && present.contains(b));
 
         // Gandiva packs to relieve queuing pressure; with enough free
         // workers for every job, packing only hurts (two jobs sharing a GPU
@@ -214,5 +217,63 @@ impl Policy for GandivaPolicy {
             }
         }
         Ok(alloc)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gavel_core::{ClusterSpec, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+
+    /// A window of eight consecutive jobs slides over a two-worker
+    /// cluster; neighbours can pack, every other pair profitably. Both
+    /// verdict sets fill while jobs are present and hold no departed job's
+    /// key once every job has left.
+    #[test]
+    fn verdicts_are_retired_with_their_jobs() {
+        let cluster = ClusterSpec::new(&[("v100", 2, 2, 1.0)]);
+        let policy = GandivaPolicy::new(5);
+        let (mut most_good, mut most_rejected) = (0, 0);
+        for first in 0..60u64 {
+            let ids: Vec<JobId> = (first..first + 8).map(JobId).collect();
+            let jobs: Vec<PolicyJob> = ids.iter().map(|&id| PolicyJob::simple(id, 1.0)).collect();
+            let mut combos: Vec<Combo> = ids.iter().map(|&id| Combo::single(id)).collect();
+            let mut rows = vec![vec![PairThroughput::single(1.0)]; ids.len()];
+            for pair in ids.windows(2) {
+                combos.push(Combo::pair(pair[0], pair[1]));
+                let each = if pair[0].0 % 2 == 0 { 0.9 } else { 0.4 };
+                rows.push(vec![PairThroughput::pair(each, each)]);
+            }
+            let combos = ComboSet::new(combos);
+            let tensor = ThroughputTensor::new(1, rows);
+            let input = PolicyInput {
+                jobs: &jobs,
+                combos: &combos,
+                tensor: &tensor,
+                cluster: &cluster,
+            };
+            policy.compute_allocation(&input).unwrap();
+            let st = policy.state.lock().unwrap();
+            let present = |(a, b): &(JobId, JobId)| ids.contains(a) && ids.contains(b);
+            assert!(st.good_pairs.iter().all(present), "{:?}", st.good_pairs);
+            assert!(
+                st.rejected_pairs.iter().all(present),
+                "{:?}",
+                st.rejected_pairs
+            );
+            most_good = most_good.max(st.good_pairs.len());
+            most_rejected = most_rejected.max(st.rejected_pairs.len());
+        }
+        assert!(most_good > 0 && most_rejected > 0, "the run tried no pair");
+
+        let nobody = PolicyInput {
+            jobs: &[],
+            combos: &ComboSet::default(),
+            tensor: &ThroughputTensor::new(1, Vec::new()),
+            cluster: &cluster,
+        };
+        policy.compute_allocation(&nobody).unwrap();
+        let st = policy.state.lock().unwrap();
+        assert!(st.good_pairs.is_empty() && st.rejected_pairs.is_empty());
     }
 }

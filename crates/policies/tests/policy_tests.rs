@@ -301,7 +301,7 @@ fn fifo_agnostic_round_robins_types() {
         .validate(&setup.cluster, &setup.scale_factors())
         .unwrap();
     // Both workers busy, one job each.
-    let total: f64 = alloc.values().iter().flatten().sum();
+    let total: f64 = (0..alloc.combos().len()).flat_map(|k| alloc.row(k)).sum();
     assert!((total - 2.0).abs() < 1e-9);
 }
 

@@ -227,9 +227,8 @@ impl Resolution {
         self.local.clear();
         self.row_slot.clear();
         self.row_slot.resize(alloc.combos().len(), NO_SLOT);
-        let rows = alloc.combos().combos().iter().zip(alloc.values());
-        for (row, (&combo, targets)) in rows.enumerate() {
-            let mut wanted = (targets.iter().take(types).enumerate())
+        for (row, &combo) in alloc.combos().combos().iter().enumerate() {
+            let mut wanted = (alloc.row(row).iter().take(types).enumerate())
                 .filter(|(_, target)| target.is_finite() && **target > 1e-4)
                 .peekable();
             if wanted.peek().is_none() {

@@ -132,10 +132,12 @@ impl Command {
             "submit" => {
                 let family = parse_family(get("family")?, &err)?;
                 let batch: u32 = parse_num(get("batch")?, &err)?;
+                let config = JobConfig::try_new(family, batch)
+                    .ok_or_else(|| err("batch size not in Table 2"))?;
                 Ok(Command::Submit {
                     job: TraceJob {
                         id: JobId(parse_num(get("id")?, &err)?),
-                        config: JobConfig::new(family, batch),
+                        config,
                         arrival_time: parse_f64_hex(get("arrival")?, &err)?,
                         scale_factor: parse_num(get("scale")?, &err)?,
                         total_steps: parse_f64_hex(get("steps")?, &err)?,

@@ -33,7 +33,10 @@
 //!    its last sync and takes the jobs the bridge reports changed since
 //!    ([`EstimatorBridge::dirty_since`]) plus the jobs admitted since.
 //! 2. *Unlink.* Every candidate touching a dirty job leaves the store
-//!    through the reverse index (O(degree)), and its memoized row goes.
+//!    through the reverse index (O(degree)). A candidate that had a
+//!    materialized row gives it back to the row slab as it is unlinked, so
+//!    a row never outlives the score it was derived with — the same path
+//!    frees a completed job's rows in `remove`.
 //! 3. *Re-score.* Each dirty job is scored once against every resident
 //!    single-worker job — O(|dirty| · n) evaluations, n²/2 when every
 //!    job is dirty, so a large dirty set needs no rebuild path of its own
@@ -44,8 +47,20 @@
 //!    memoized selection stands and the snapshot is a pure assembly.
 //! 5. *Lazy rows.* The store keeps only scores (a row per candidate at 8k
 //!    jobs would put it in the tens of GBs); rows are derived from the
-//!    pair source just for the ~n selected pairs and memoized while a
-//!    pair stays selected and clean.
+//!    pair source just for the ~n selected pairs, into a free-listed slab
+//!    inside the store. A candidate's slot addresses its row directly
+//!    (`Slot::row`, no map), so a pair that stays selected and clean is
+//!    never derived twice. Two things free a row: unlinking its slot
+//!    (step 2), and a selection pass that picked the pair last time and
+//!    does not pick it now — a pair that later returns to the selection
+//!    is derived again ([`SnapshotStats::pair_rows_materialized`] counts
+//!    derivations). A slot taken from the free list starts without a row.
+//!
+//! Rows are flat throughout: the singleton rows, the row slab and the
+//! assembled tensor are row-major buffers with one entry per
+//! [`GpuKind`], so a snapshot is one slice copy for the singletons plus
+//! one per selected pair, and allocates the same few blocks whatever its
+//! row count.
 //!
 //! The assembled snapshot is **row-for-row bitwise identical** to a fresh
 //! `build_tensor_with_pairs` (oracle), `build_tensor_with_pairs_by` at
@@ -126,13 +141,24 @@ fn flag_on(value: Option<std::ffi::OsString>) -> bool {
 /// walk cheaply, fine enough that contested buckets stay small.
 const BUCKET_SHIFT: u32 = 40;
 
-/// Sentinel for "no position / dead handle".
+/// Sentinel for "no position / dead handle / no row".
 const NONE32: u32 = u32::MAX;
+
+/// Entries per throughput row.
+const WIDTH: usize = GpuKind::COUNT;
 
 /// A candidate slot in the bucketed store. Endpoints are dense job
 /// *handles* (stable across `swap_remove` churn, unlike positions);
 /// `la`/`lb`/`bucket_pos` are backpointers into the two per-job slot
 /// lists and the bucket vector, so unlinking is O(1) per reference.
+///
+/// **Padding rule.** There is one slot per above-threshold pair — ~n²/2 of
+/// them — so anything stored per candidate is paid millions of times over.
+/// Five `u32`s and an `f64` occupy 28 of the 32 bytes alignment rounds the
+/// struct to; `row` lives in the remaining four, which makes addressing a
+/// materialized row free. (A variant with two `u32` side arrays per
+/// candidate slot instead raised `ss_churn`'s peak RSS from 11.4 to
+/// 13.0 MB.)
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     ha: u32,
@@ -142,8 +168,12 @@ struct Slot {
     lb: u32,
     /// Index of this slot in its bucket's vector.
     bucket_pos: u32,
+    /// This pair's row in `PairStore::rows` ([`NONE32`]: not materialized).
+    row: u32,
     score: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 
 /// A bucket-resident copy of a slot's selection-relevant fields. The
 /// selection pass streams entire buckets; carrying the endpoints and
@@ -159,7 +189,12 @@ struct BucketEntry {
     score: f64,
 }
 
-/// The score-bucketed candidate store (see the module docs).
+/// The score-bucketed candidate store (see the module docs), and the
+/// slab of rows materialized for the selected candidates.
+///
+/// Everything sized by the candidate count is in `slots` and `buckets`;
+/// no other vector here is indexed by slot (see [`Slot`]'s padding rule).
+/// The row slab and its bookkeeping are sized by the selection, ~n rows.
 #[derive(Debug, Clone, Default)]
 struct PairStore {
     slots: Vec<Slot>,
@@ -171,6 +206,17 @@ struct PairStore {
     /// O(degree) instead of an O(|candidates|) scan.
     job_slots: Vec<Vec<u32>>,
     live: usize,
+    /// Materialized pair rows, [`WIDTH`] entries each, addressed by
+    /// [`Slot::row`]. A slot's row goes back to `free_rows` when the slot
+    /// is unlinked or a selection pass does not pick it again.
+    rows: Vec<PairThroughput>,
+    free_rows: Vec<u32>,
+    /// Per slab row, the selection pass that last picked its slot.
+    picked_in: Vec<u32>,
+    pass: u32,
+    /// The contested candidates of the bucket being sorted; kept between
+    /// passes for its capacity.
+    survivors: Vec<(u128, u32, u32, u32)>,
 }
 
 impl PairStore {
@@ -205,6 +251,7 @@ impl PairStore {
                     la: 0,
                     lb: 0,
                     bucket_pos: 0,
+                    row: NONE32,
                     score: 0.0,
                 });
                 (self.slots.len() - 1) as u32
@@ -228,6 +275,7 @@ impl PairStore {
             la,
             lb,
             bucket_pos,
+            row: NONE32,
             score,
         };
         self.live += 1;
@@ -276,6 +324,7 @@ impl PairStore {
         self.unlink_bucket(s);
         self.unlink_job(sl.ha, sl.la, s);
         self.unlink_job(sl.hb, sl.lb, s);
+        self.release_row(s);
         self.slots[s as usize].ha = NONE32;
         self.free.push(s);
         self.live -= 1;
@@ -285,6 +334,56 @@ impl PairStore {
     fn remove_job(&mut self, h: u32) {
         while let Some(&s) = self.job_slots[h as usize].last() {
             self.remove_slot(s);
+        }
+    }
+
+    /// Slot `s`'s materialized row.
+    fn row(&self, s: u32) -> &[PairThroughput] {
+        let r = self.slots[s as usize].row;
+        debug_assert_ne!(r, NONE32, "slot {s} has no row");
+        &self.rows[r as usize * WIDTH..][..WIDTH]
+    }
+
+    /// Opens a selection pass: rows of slots the pass does not
+    /// [`Self::pick`] are up for [`Self::release_unpicked`].
+    fn begin_pass(&mut self) {
+        self.pass = self.pass.wrapping_add(1);
+    }
+
+    /// Marks slot `s` picked by the current pass, giving it a slab row
+    /// filled by `materialize` unless it still holds one from an earlier
+    /// pass.
+    fn pick(&mut self, s: u32, materialize: impl FnOnce() -> [PairThroughput; WIDTH]) {
+        let mut r = self.slots[s as usize].row;
+        if r == NONE32 {
+            r = self.free_rows.pop().unwrap_or_else(|| {
+                self.rows
+                    .resize(self.rows.len() + WIDTH, PairThroughput::zero());
+                self.picked_in.push(0);
+                (self.picked_in.len() - 1) as u32
+            });
+            self.rows[r as usize * WIDTH..][..WIDTH].copy_from_slice(&materialize());
+            self.slots[s as usize].row = r;
+        }
+        self.picked_in[r as usize] = self.pass;
+    }
+
+    /// Frees the row of a slot an earlier pass picked and the current one
+    /// did not. `s` may since have been unlinked, or unlinked and reused:
+    /// either way it lost its row then, and holds one now only if this
+    /// pass picked it.
+    fn release_unpicked(&mut self, s: u32) {
+        let r = self.slots[s as usize].row;
+        if r != NONE32 && self.picked_in[r as usize] != self.pass {
+            self.release_row(s);
+        }
+    }
+
+    /// Returns slot `s`'s row, if it has one, to the free list.
+    fn release_row(&mut self, s: u32) {
+        let r = std::mem::replace(&mut self.slots[s as usize].row, NONE32);
+        if r != NONE32 {
+            self.free_rows.push(r);
         }
     }
 
@@ -300,12 +399,19 @@ impl PairStore {
     /// order, lazily materializing the exact tie-break order only for
     /// candidates the per-job cap still contests (see the module docs),
     /// and stops once fewer than two jobs remain both uncapped and
-    /// unexhausted. Returns selected slot ids in emission order —
-    /// bit-identical to the flat [`rank_and_cap`] over the same slots.
-    fn select(&self, handle_pos: &[u32], cap: usize, stats: &mut SnapshotStats) -> Vec<u32> {
-        let mut selected = Vec::new();
+    /// unexhausted. Leaves the selected slot ids in `selected`, in
+    /// emission order — bit-identical to the flat [`rank_and_cap`] over
+    /// the same slots.
+    fn select(
+        &mut self,
+        handle_pos: &[u32],
+        cap: usize,
+        stats: &mut SnapshotStats,
+        selected: &mut Vec<u32>,
+    ) {
+        selected.clear();
         if cap == 0 || self.live == 0 {
-            return selected;
+            return;
         }
         let cap = cap.min(u32::MAX as usize) as u32;
         let nh = self.job_slots.len();
@@ -325,7 +431,7 @@ impl PairStore {
                 s_prime += 1;
             }
         }
-        let mut survivors: Vec<(u128, u32, u32, u32)> = Vec::new();
+        let mut survivors = std::mem::take(&mut self.survivors);
         for bucket in self.buckets.values().rev() {
             if s_prime <= 1 {
                 break;
@@ -378,7 +484,7 @@ impl PairStore {
                 }
             }
         }
-        selected
+        self.survivors = survivors;
     }
 }
 
@@ -433,7 +539,8 @@ pub struct SnapshotCache {
     /// which scores an arriving job inside `admit`.
     fresh: Vec<JobId>,
     specs: Vec<JobSpec>,
-    singleton_rows: Vec<Vec<PairThroughput>>,
+    /// Row-major, [`WIDTH`] entries per job, parallel to `specs`.
+    singleton_rows: Vec<PairThroughput>,
     policy_jobs: Vec<PolicyJob>,
     /// Dense per-job handle, parallel to `specs`.
     handles: Vec<u32>,
@@ -447,9 +554,10 @@ pub struct SnapshotCache {
     /// selection pass entirely.
     selected: Vec<u32>,
     selection_dirty: bool,
-    /// Lazily materialized rows of the currently selected pairs; pruned
-    /// as selections, jobs and estimates churn.
-    row_memo: HashMap<Combo, Vec<PairThroughput>>,
+    /// The selection before `selected`; its slot ids may be stale. Read
+    /// once per reselection, to release the rows of pairs that dropped
+    /// out.
+    deselected: Vec<u32>,
     /// Assert every bucketed selection against [`rank_and_cap`].
     crosscheck: bool,
     stats: SnapshotStats,
@@ -475,7 +583,7 @@ impl SnapshotCache {
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
-            row_memo: HashMap::new(),
+            deselected: Vec::new(),
             crosscheck: flag_on(std::env::var_os(CROSSCHECK_ENV)),
             stats: SnapshotStats::default(),
         }
@@ -565,7 +673,7 @@ impl SnapshotCache {
     pub fn admit(&mut self, oracle: &Oracle, spec: JobSpec, job: PolicyJob) {
         debug_assert_eq!(spec.id, job.id, "spec/job identity mismatch");
         self.singleton_rows
-            .push(singleton_row(oracle, &spec, self.consolidated));
+            .extend_from_slice(&singleton_row(oracle, &spec, self.consolidated));
         self.stats.rows_appended += 1;
         let h = self.alloc_handle();
         self.handle_pos[h as usize] = self.specs.len() as u32;
@@ -609,13 +717,15 @@ impl SnapshotCache {
     }
 
     /// Removes the job at position `i` (swap-remove, mirroring the
-    /// engine's active vector) and unlinks its pair candidates through
-    /// the per-job reverse index — O(degree), not O(|candidates|).
+    /// engine's active vector) and unlinks its pair candidates — and with
+    /// them their materialized rows — through the per-job reverse index:
+    /// O(degree), not O(|candidates|).
     pub fn remove(&mut self, i: usize) {
-        let id = self.specs[i].id;
         let h = self.handles[i];
         self.specs.swap_remove(i);
-        self.singleton_rows.swap_remove(i);
+        let last = self.singleton_rows.len() - WIDTH;
+        self.singleton_rows.copy_within(last.., i * WIDTH);
+        self.singleton_rows.truncate(last);
         self.policy_jobs.swap_remove(i);
         self.handles.swap_remove(i);
         if i < self.handles.len() {
@@ -624,28 +734,46 @@ impl SnapshotCache {
         self.handle_pos[h as usize] = NONE32;
         self.store.remove_job(h);
         self.free_handles.push(h);
-        if self.pairs.is_some() {
-            // Memoized rows are keyed by JobId; drop the dead job's so a
-            // later id reuse can never resurrect a stale row.
-            self.row_memo.retain(|pair, _| !pair.contains(id));
-        }
         self.selection_dirty = true;
         self.stats.rows_dropped += 1;
     }
 
-    /// Runs the selection pass: the bucketed walk, re-run through the
-    /// flat [`rank_and_cap`] and asserted identical when crosschecking.
-    fn run_selection(&mut self, cap: usize) -> Vec<u32> {
+    /// Runs the selection pass — the bucketed walk, re-run through the
+    /// flat [`rank_and_cap`] and asserted identical when crosschecking —
+    /// then brings the row slab in line with it: a picked pair without a
+    /// row gets one from `pair_fn`, a pair the previous pass picked and
+    /// this one did not gives its row back.
+    fn reselect(
+        &mut self,
+        oracle: &Oracle,
+        cap: usize,
+        pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
+    ) {
+        std::mem::swap(&mut self.selected, &mut self.deselected);
         self.stats.bucketed_selections += 1;
-        let slots = self.store.select(&self.handle_pos, cap, &mut self.stats);
+        self.store
+            .select(&self.handle_pos, cap, &mut self.stats, &mut self.selected);
         if self.crosscheck {
             let flat = self.rank_flat(cap);
             assert_eq!(
-                slots, flat,
+                self.selected, flat,
                 "bucketed selection diverged from the flat rank_and_cap oracle"
             );
         }
-        slots
+        self.store.begin_pass();
+        for i in 0..self.selected.len() {
+            let s = self.selected[i];
+            let (a, b) = self.slot_specs(s);
+            let materialized = &mut self.stats.pair_rows_materialized;
+            self.store.pick(s, || {
+                *materialized += 1;
+                pair_row(oracle, &a, &b, pair_fn).1
+            });
+        }
+        for &s in &self.deselected {
+            self.store.release_unpicked(s);
+        }
+        self.selection_dirty = false;
     }
 
     /// The flat differential oracle: ranks every live slot through
@@ -671,51 +799,44 @@ impl SnapshotCache {
 
     /// Assembles the snapshot from cached rows: singletons, then — when
     /// `pair_fn` names the cache's pair source — the selected pairs,
-    /// reselecting first if anything changed since the last pass and
-    /// materializing rows only for pairs that were not already selected.
+    /// reselecting first if anything changed since the last pass. Rows
+    /// are copied, never derived, here: one slice for the singletons and
+    /// one per selected pair into a single buffer.
     fn assemble(
         &mut self,
         oracle: &Oracle,
         pair_fn: Option<&impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>>,
     ) -> (ComboSet, ThroughputTensor) {
-        let mut combos: Vec<Combo> = self.specs.iter().map(|s| Combo::single(s.id)).collect();
-        let mut rows = self.singleton_rows.clone();
-        if let (Some(opts), Some(pair_fn)) = (self.pairs, pair_fn) {
-            if self.selection_dirty {
-                self.selected = self.run_selection(opts.max_pairs_per_job);
-                self.selection_dirty = false;
-                let mut old = std::mem::take(&mut self.row_memo);
-                for &s in &self.selected {
-                    let (a, b) = self.slot_specs(s);
-                    let pair = Combo::pair(a.id, b.id);
-                    let row = old.remove(&pair).unwrap_or_else(|| {
-                        self.stats.pair_rows_materialized += 1;
-                        pair_row(oracle, &a, &b, pair_fn).1
-                    });
-                    self.row_memo.insert(pair, row);
-                }
-            }
-            combos.reserve(self.selected.len());
-            rows.reserve(self.selected.len());
+        let pairs = self.pairs.zip(pair_fn);
+        if let (Some((opts, pair_fn)), true) = (pairs, self.selection_dirty) {
+            self.reselect(oracle, opts.max_pairs_per_job, pair_fn);
+        }
+        let rows = self.specs.len() + pairs.map_or(0, |_| self.selected.len());
+        let mut combos = Vec::with_capacity(rows);
+        combos.extend(self.specs.iter().map(|s| Combo::single(s.id)));
+        let mut entries = Vec::with_capacity(rows * WIDTH);
+        entries.extend_from_slice(&self.singleton_rows);
+        if let Some((_, pair_fn)) = pairs {
             for &s in &self.selected {
                 let (a, b) = self.slot_specs(s);
                 let pair = Combo::pair(a.id, b.id);
-                let row = &self.row_memo[&pair];
+                let row = self.store.row(s);
                 // Estimates move; a score or row the dirty set failed to
                 // invalidate must not be served silently.
                 debug_assert!(
-                    !self.estimated
-                        || (self.store.slots[s as usize].score, row.clone())
-                            == pair_row(oracle, &a, &b, pair_fn),
+                    !self.estimated || {
+                        let (score, fresh) = pair_row(oracle, &a, &b, pair_fn);
+                        (self.store.slots[s as usize].score, row) == (score, &fresh[..])
+                    },
                     "stale estimated pair {pair} survived invalidation"
                 );
                 combos.push(pair);
-                rows.push(row.clone());
+                entries.extend_from_slice(row);
             }
         }
         (
             ComboSet::new(combos),
-            ThroughputTensor::new(GpuKind::all().len(), rows),
+            ThroughputTensor::from_flat(WIDTH, entries),
         )
     }
 
@@ -785,8 +906,6 @@ impl SnapshotCache {
             self.score_job(oracle, i, &pair_fn, |j| dirty[j] && j > i);
             self.selection_dirty = true;
         }
-        self.row_memo
-            .retain(|pair, _| !pair.jobs().any(|j| work.binary_search(&j).is_ok()));
         self.assemble(oracle, Some(&pair_fn))
     }
 }
@@ -1037,6 +1156,150 @@ mod tests {
                 .count();
             assert!(n <= 2, "{} appears in {n} pairs", s.id);
         }
+    }
+
+    /// The row slab's bookkeeping: a slot holds a row only while it is
+    /// linked and was picked by the last selection pass, no two slots
+    /// share a row, and every slab row is either held or on the free
+    /// list. Holds between a churn step and the next snapshot too, when
+    /// `selected` still names slots that have since been unlinked.
+    fn assert_slab_consistent(cache: &SnapshotCache) -> usize {
+        let store = &cache.store;
+        let slab_rows = store.rows.len() / WIDTH;
+        assert_eq!(store.picked_in.len(), slab_rows);
+        let mut accounted = vec![false; slab_rows];
+        let mut held = 0;
+        for (s, sl) in store.slots.iter().enumerate() {
+            if sl.row == NONE32 {
+                continue;
+            }
+            assert_ne!(sl.ha, NONE32, "unlinked slot {s} kept its row");
+            assert!(
+                cache.selected.contains(&(s as u32)),
+                "slot {s} holds a row no selection gave it"
+            );
+            assert!(!accounted[sl.row as usize], "row {} held twice", sl.row);
+            accounted[sl.row as usize] = true;
+            held += 1;
+        }
+        for &r in &store.free_rows {
+            assert!(
+                !accounted[r as usize],
+                "row {r} is free and held, or free twice"
+            );
+            accounted[r as usize] = true;
+        }
+        assert_eq!(held + store.free_rows.len(), slab_rows);
+        assert!(held <= cache.selected.len());
+        held
+    }
+
+    #[test]
+    fn a_reused_slot_starts_without_a_row() {
+        let mut store = PairStore::default();
+        store.ensure_handles(3);
+        let row = [PairThroughput::pair(1.0, 2.0); WIDTH];
+        let s = store.insert(0, 1, 1.5);
+        store.begin_pass();
+        store.pick(s, || row);
+        assert_eq!(store.row(s), row);
+        store.remove_slot(s);
+        assert_eq!(store.free_rows, [0]);
+
+        let t = store.insert(1, 2, 1.25);
+        assert_eq!(t, s, "the free list hands the slot back");
+        assert_eq!(store.slots[t as usize].row, NONE32);
+        // A pass that does not pick it leaves it without one; a pass that
+        // does reuses the released slab row.
+        store.begin_pass();
+        store.release_unpicked(t);
+        assert_eq!(store.slots[t as usize].row, NONE32);
+        store.pick(t, || [PairThroughput::zero(); WIDTH]);
+        assert!(store.free_rows.is_empty());
+        assert_eq!(store.rows.len(), WIDTH);
+    }
+
+    #[test]
+    fn row_slab_never_outgrows_the_selection_under_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let oracle = Oracle::new();
+        // A tight cap: pairs drop out of the selection and come back.
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 3,
+        };
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut most_rows = 0;
+        for step in 0..2_000u64 {
+            let n = cache.len();
+            if n < 2 || (n < 64 && rng.gen_bool(0.55)) {
+                let s = spec_nth(step, rng.gen_range(0..26));
+                cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+            } else {
+                cache.remove(rng.gen_range(0..n));
+            }
+            assert_slab_consistent(&cache);
+            // Some recomputes see several arrivals and departures.
+            if rng.gen_bool(0.7) {
+                let (combos, _) = cache.snapshot(&oracle);
+                let held = assert_slab_consistent(&cache);
+                assert_eq!(held, combos.len() - cache.len(), "step {step}");
+                assert_eq!(held, cache.selected.len());
+                most_rows = most_rows.max(cache.store.rows.len() / WIDTH);
+                if step % 16 == 0 {
+                    assert_matches_fresh(&mut cache, &oracle, Some(opts));
+                }
+            }
+        }
+        // A pass picks before it releases, so the slab's high-water mark
+        // is at most two selections (64 jobs × 3 pairs / 2 each) — not the
+        // number of rows ever materialized.
+        assert!(most_rows <= 2 * 96, "{most_rows} slab rows");
+        assert!(cache.stats().pair_rows_materialized > 10 * most_rows);
+    }
+
+    /// A refined job's candidates are unlinked before the snapshot that
+    /// follows, and their rows go with them: what that snapshot serves
+    /// for the job is derived from the refined estimates, and only that
+    /// (plus newly selected pairs) is derived.
+    #[test]
+    fn refined_jobs_lose_their_rows_before_the_next_snapshot() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 4,
+        };
+        let mut bridge = EstimatorBridge::new(&oracle, 9);
+        let mut cache = SnapshotCache::new_bridged(true, opts);
+        for i in 0..10u64 {
+            let s = spec_nth(i, i as usize * 5 + 2);
+            bridge.register(&oracle, s.id, s.config);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        let (before, _) = cache.snapshot_bridged(&oracle, &bridge);
+        assert_slab_consistent(&cache);
+
+        let epoch = bridge.clock();
+        let (a, b) = (cache.specs()[2], cache.specs()[7]);
+        bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
+        let refined = bridge.dirty_since(epoch);
+        assert!(!refined.is_empty());
+
+        let materialized = cache.stats().pair_rows_materialized;
+        let (after, _) = cache.snapshot_bridged(&oracle, &bridge);
+        assert_slab_consistent(&cache);
+        let rederived = (after.combos().iter())
+            .filter(|c| c.is_pair())
+            .filter(|c| refined.iter().any(|&j| c.contains(j)) || !before.combos().contains(c))
+            .count();
+        assert!(rederived > 0, "the refined jobs are in no selected pair");
+        assert_eq!(
+            cache.stats().pair_rows_materialized - materialized,
+            rederived
+        );
+        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
     }
 
     #[cfg(debug_assertions)]

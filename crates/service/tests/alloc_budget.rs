@@ -1,0 +1,140 @@
+//! The allocation count of a recompute does not grow with its rows.
+//!
+//! A counting global allocator wraps [`System`]; this file holds one
+//! `#[test]` so nothing else allocates while it counts. A space-sharing
+//! [`SnapshotCache`] is populated with 100 and with 400 single-worker
+//! jobs, warmed through churn until its slabs and scratch reach their
+//! high-water marks, and then the heap allocations of admit-one /
+//! remove-one / `snapshot` cycles are counted: the snapshot and the
+//! `Allocation::zeros` a policy builds on its combo set must each cost
+//! the same small constant at both sizes. (The planner's re-resolution
+//! after a recompute is not covered: it still allocates per newly seen
+//! job.)
+//!
+//! Run in release too — the profile the benchmark measures:
+//! `cargo test --release -p gavel-service --test alloc_budget`.
+
+use gavel_core::{Allocation, JobId, PolicyJob};
+use gavel_service::SnapshotCache;
+use gavel_workloads::{JobConfig, JobSpec, Oracle, PairOptions};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Calls that obtained or grew a heap block (`alloc`, `alloc_zeroed`,
+/// `realloc`). A statistic, so `Relaxed`.
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; the counter touches no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes (its result is dropped outside the count).
+fn count<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    drop(out);
+    made
+}
+
+fn spec(id: u64) -> JobSpec {
+    let all = JobConfig::all();
+    JobSpec {
+        id: JobId(id),
+        config: all[(id as usize * 7 + 3) % all.len()],
+        scale_factor: 1,
+    }
+}
+
+/// Cycles measured after the warm-up.
+const CYCLES: usize = 64;
+
+/// Most allocations any one measured cycle spent on (admit + remove,
+/// `snapshot`, `Allocation::zeros`) at `n` resident jobs.
+fn worst_cycle(n: usize) -> (usize, usize, usize) {
+    let oracle = Oracle::new();
+    let mut cache = SnapshotCache::new(true, Some(PairOptions::default()));
+    // The budget is the production path's: the flat differential oracle
+    // `GAVEL_SNAPSHOT_CROSSCHECK` switches on allocates per candidate.
+    cache.set_crosscheck(false);
+    let mut next_id = 0u64;
+    let mut admit_one = |cache: &mut SnapshotCache| {
+        let s = spec(next_id);
+        next_id += 1;
+        cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
+    };
+    for _ in 0..n {
+        admit_one(&mut cache);
+    }
+    let mut victim = 0usize;
+    let mut worst = (0, 0, 0);
+    // Warm-up: amortised growth (job and candidate vectors, buckets, the
+    // pair-row slab, the selection scratch) happens here, not below.
+    for cycle in 0..n + CYCLES {
+        victim = (victim + 17) % cache.len();
+        let churn = count(|| {
+            cache.remove(victim);
+            admit_one(&mut cache);
+        });
+        let mut snapshot = None;
+        let assemble = count(|| snapshot = Some(cache.snapshot(&oracle)));
+        let (combos, tensor) = snapshot.expect("just taken");
+        assert_eq!(tensor.num_rows(), combos.len());
+        assert!(combos.len() > n, "no pair rows at {n} jobs");
+        let zeros = count(|| Allocation::zeros(combos, tensor.num_types()));
+        if cycle >= n {
+            worst = (
+                worst.0.max(churn),
+                worst.1.max(assemble),
+                worst.2.max(zeros),
+            );
+        }
+    }
+    worst
+}
+
+#[test]
+fn a_recompute_allocates_a_constant_number_of_blocks() {
+    let small = worst_cycle(100);
+    let large = worst_cycle(400);
+    println!("allocations per cycle (admit + remove, snapshot, zeros): {small:?} at 100 jobs, {large:?} at 400");
+    // The snapshot: the combo vector, its sorted copy for the duplicate
+    // check, the tensor's one buffer, and the selection pass's four
+    // per-job arrays. None of them is per row.
+    assert_eq!(small.1, 7, "snapshot at 100 jobs");
+    assert_eq!(large.1, 7, "snapshot at 400 jobs");
+    // One value slab.
+    assert_eq!((small.2, large.2), (1, 1), "Allocation::zeros");
+    // Admit and remove touch amortised vectors only: a bucket that
+    // empties and refills, a job's candidate list that regrows.
+    assert!(small.0 <= 8 && large.0 <= 8, "admit + remove");
+}

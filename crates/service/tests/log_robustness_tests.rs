@@ -2,9 +2,13 @@
 //! mutated or truncated log text never panics — it either errors or
 //! recovers a valid prefix whose re-serialization parses cleanly.
 
-use gavel_core::JobId;
-use gavel_service::{Command, SubmissionLog, LOG_VERSION};
-use gavel_workloads::{JobConfig, TraceJob};
+use gavel_core::{ClusterSpec, JobId};
+use gavel_policies::IsolatedSplit;
+use gavel_service::{
+    recover, scan_wal, Command, MemorySink, RecoveryError, ServiceConfig, SimConfig, SubmissionLog,
+    Wal, LOG_VERSION,
+};
+use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -69,6 +73,78 @@ fn unknown_versions_are_refused() {
         let (log, err) = SubmissionLog::parse_prefix(text);
         assert!(log.is_empty());
         assert!(err.is_some());
+    }
+}
+
+// ---------------------------------------------------------------------
+// A well-framed submit naming a batch size Table 2 does not list (a
+// foreign or hand-edited log): a typed error on every way in, no panic.
+// ---------------------------------------------------------------------
+
+/// A CycleGAN submit at `batch_size`: Table 2 lists 1 for it and nothing
+/// else. (`JobConfig`'s fields are public, so the writer can frame a
+/// configuration the checked constructor refuses.)
+fn cyclegan_submit(batch_size: u32) -> Command {
+    Command::Submit {
+        job: TraceJob {
+            id: JobId(1),
+            config: JobConfig {
+                family: ModelFamily::CycleGan,
+                batch_size,
+            },
+            arrival_time: 0.0,
+            scale_factor: 1,
+            total_steps: 1000.0,
+            duration_seconds: 3600.0,
+            weight: 1.0,
+            slo_factor: None,
+            entity: None,
+        },
+    }
+}
+
+#[test]
+fn unlisted_batch_size_is_a_parse_error() {
+    assert!(Command::parse_line(&cyclegan_submit(1).fmt_line()).is_ok());
+    let err = Command::parse_line(&cyclegan_submit(64).fmt_line()).unwrap_err();
+    assert!(err.0.contains("batch size not in Table 2"), "{err}");
+}
+
+#[test]
+fn text_log_with_an_unlisted_batch_size_recovers_its_prefix() {
+    let cmds = [
+        cyclegan_submit(1),
+        cyclegan_submit(64),
+        Command::QueryAllocation,
+    ];
+    let text = build_log_text(&cmds, 0, 0, 0);
+    let err = SubmissionLog::parse(&text).unwrap_err();
+    assert!(err.0.contains("batch size not in Table 2"), "{err}");
+    let (prefix, err) = SubmissionLog::parse_prefix(&text);
+    assert_eq!(lines_of(&prefix), [cmds[0].fmt_line()]);
+    assert!(err.is_some());
+}
+
+#[test]
+fn wal_record_with_an_unlisted_batch_size_is_a_bad_record() {
+    let unlisted = cyclegan_submit(64);
+    let mut wal = Wal::create(MemorySink::new()).expect("memory sink");
+    wal.append_command(&unlisted).expect("memory sink");
+    let image = wal.sink().bytes();
+
+    let scan = scan_wal(image).expect("a WAL image");
+    assert!(scan.torn.is_none(), "CRC-valid: {:?}", scan.torn);
+    assert_eq!(scan.records.len(), 1);
+    assert_eq!(scan.records[0].payload, unlisted.fmt_line());
+
+    let policy = IsolatedSplit::new();
+    let config = SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]));
+    let recovered = recover(&policy, &config, &ServiceConfig::default(), None, image);
+    match recovered.map(|(_, report)| report) {
+        Err(RecoveryError::BadRecord { seq: 0, detail }) => {
+            assert!(detail.contains("batch size not in Table 2"), "{detail}")
+        }
+        other => panic!("expected a bad-record error, got {other:?}"),
     }
 }
 

@@ -14,10 +14,14 @@ pub enum GpuKind {
 }
 
 impl GpuKind {
+    /// Number of kinds: the width of every throughput row in this repo.
+    pub const COUNT: usize = 3;
+
     /// All kinds, in the column order used by every tensor in this repo
     /// (V100 = 0, P100 = 1, K80 = 2).
     pub fn all() -> &'static [GpuKind] {
-        &[GpuKind::V100, GpuKind::P100, GpuKind::K80]
+        const ALL: [GpuKind; GpuKind::COUNT] = [GpuKind::V100, GpuKind::P100, GpuKind::K80];
+        &ALL
     }
 
     /// Column index of this kind within a standard 3-type cluster.

@@ -83,12 +83,22 @@ impl JobConfig {
     ///
     /// Panics on a batch size not listed in Table 2 for the family.
     pub fn new(family: ModelFamily, batch_size: u32) -> Self {
-        assert!(
-            family.batch_sizes().contains(&batch_size),
-            "{} does not list batch size {batch_size} in Table 2",
-            family.name()
-        );
-        JobConfig { family, batch_size }
+        Self::try_new(family, batch_size).unwrap_or_else(|| {
+            panic!(
+                "{} does not list batch size {batch_size} in Table 2",
+                family.name()
+            )
+        })
+    }
+
+    /// Like [`JobConfig::new`], but `None` on a batch size not listed in
+    /// Table 2 for the family — for configurations read from outside the
+    /// program.
+    pub fn try_new(family: ModelFamily, batch_size: u32) -> Option<Self> {
+        family
+            .batch_sizes()
+            .contains(&batch_size)
+            .then_some(JobConfig { family, batch_size })
     }
 
     /// All 26 configurations from Table 2, in a fixed order.

@@ -2,7 +2,16 @@
 //!
 //! Substitutes for the paper's measured throughputs (DESIGN.md §3–4). The
 //! oracle is deterministic and analytic; per-run measurement noise is added
-//! by the simulator, not here. Three sub-models:
+//! by the simulator, not here.
+//!
+//! Like the paper's profiled tensor (§3.1, §6), it is computed once and then
+//! looked up. The closed form below *defines* one process-wide table over
+//! Table 2's 26 configurations × [`GpuKind::all`], filled on first use, so
+//! every cell is bit-identical to evaluating the formula; the table
+//! *answers* [`Oracle::isolated`], [`Oracle::utilization`] and
+//! [`Oracle::memory_gb`], and through them every other query. A
+//! [`JobConfig`] whose public fields name a batch size Table 2 does not
+//! list falls through to the formula. Three sub-models:
 //!
 //! 1. **Isolated throughput**: per-family base K80 throughput scaled by a
 //!    per-generation speedup and a batch-size exponent. Speedups range from
@@ -20,6 +29,7 @@
 
 use crate::clusters::GpuKind;
 use crate::models::{JobConfig, ModelFamily};
+use std::sync::LazyLock;
 
 /// Per-family performance profile (synthetic, see module docs).
 struct Profile {
@@ -126,10 +136,92 @@ const COLOCATION_BASE_RETENTION: f64 = 0.97;
 /// Strength of cross-job interference (cache/memory-bandwidth pressure).
 const INTERFERENCE: f64 = 0.12;
 
+/// Closed form of [`Oracle::memory_gb`].
+fn memory_closed_form(cfg: JobConfig) -> f64 {
+    let p = profile(cfg.family);
+    p.mem_base_gb + p.mem_per_sample_gb * cfg.batch_size as f64
+}
+
+/// Closed form of [`Oracle::isolated`].
+fn isolated_closed_form(cfg: JobConfig, gpu: GpuKind) -> f64 {
+    if memory_closed_form(cfg) > gpu.memory_gb() {
+        return 0.0;
+    }
+    let p = profile(cfg.family);
+    let speedup = match gpu {
+        GpuKind::V100 => p.speedup_v100,
+        GpuKind::P100 => p.speedup_p100,
+        GpuKind::K80 => 1.0,
+    };
+    let ref_b = cfg.family.reference_batch() as f64;
+    let b = cfg.batch_size as f64;
+    p.base_k80 * speedup * (ref_b / b).powf(p.batch_exponent)
+}
+
+/// Closed form of [`Oracle::utilization`].
+fn utilization_closed_form(cfg: JobConfig, gpu: GpuKind) -> f64 {
+    let p = profile(cfg.family);
+    let speedup = match gpu {
+        GpuKind::V100 => p.speedup_v100,
+        GpuKind::P100 => p.speedup_p100,
+        GpuKind::K80 => 1.0,
+    };
+    let ref_b = cfg.family.reference_batch() as f64;
+    let b = cfg.batch_size as f64;
+    let u = p.util_k80 * (b / ref_b).powf(0.4) / speedup.powf(0.3);
+    u.clamp(0.05, 1.0)
+}
+
+/// What the closed form says about one Table 2 configuration, per
+/// [`GpuKind::all`] column where it depends on the device.
+struct Entry {
+    memory_gb: f64,
+    isolated: [f64; GpuKind::COUNT],
+    utilization: [f64; GpuKind::COUNT],
+}
+
+/// Table 2 × [`GpuKind::all`] (see the module docs).
+struct Table {
+    /// Index in `entries` of each family's first configuration, by
+    /// `family as usize`.
+    first: Vec<usize>,
+    /// One entry per configuration, in [`JobConfig::all`] order.
+    entries: Vec<Entry>,
+}
+
+static TABLE: LazyLock<Table> = LazyLock::new(|| {
+    let mut first = vec![0; ModelFamily::all().len()];
+    let mut entries = Vec::new();
+    for &family in ModelFamily::all() {
+        first[family as usize] = entries.len();
+        for &batch_size in family.batch_sizes() {
+            let cfg = JobConfig { family, batch_size };
+            let column = |f: fn(JobConfig, GpuKind) -> f64| {
+                std::array::from_fn(|j| f(cfg, GpuKind::all()[j]))
+            };
+            entries.push(Entry {
+                memory_gb: memory_closed_form(cfg),
+                isolated: column(isolated_closed_form),
+                utilization: column(utilization_closed_form),
+            });
+        }
+    }
+    Table { first, entries }
+});
+
+/// The table entry of `cfg`; `None` for a batch size Table 2 does not list.
+fn entry(cfg: JobConfig) -> Option<&'static Entry> {
+    let sizes = cfg.family.batch_sizes();
+    let nth = sizes.iter().position(|&b| b == cfg.batch_size)?;
+    let table: &'static Table = &TABLE;
+    Some(&table.entries[table.first[cfg.family as usize] + nth])
+}
+
 /// Deterministic synthetic throughput model for the Table 2 zoo.
 ///
 /// All throughputs are in training iterations per second. See the module
-/// docs for the three sub-models.
+/// docs for the three sub-models. Every instance reads the same
+/// process-wide table, so creating one costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Oracle {
     _private: (),
@@ -146,40 +238,28 @@ impl Oracle {
     /// Returns `0.0` when the configuration does not fit in the device's
     /// memory (the paper's `T[m][j] = -inf` convention).
     pub fn isolated(&self, cfg: JobConfig, gpu: GpuKind) -> f64 {
-        if self.memory_gb(cfg) > gpu.memory_gb() {
-            return 0.0;
+        match entry(cfg) {
+            Some(e) => e.isolated[gpu.index().0],
+            None => isolated_closed_form(cfg, gpu),
         }
-        let p = profile(cfg.family);
-        let speedup = match gpu {
-            GpuKind::V100 => p.speedup_v100,
-            GpuKind::P100 => p.speedup_p100,
-            GpuKind::K80 => 1.0,
-        };
-        let ref_b = cfg.family.reference_batch() as f64;
-        let b = cfg.batch_size as f64;
-        p.base_k80 * speedup * (ref_b / b).powf(p.batch_exponent)
     }
 
     /// Device-memory footprint of `cfg` in GB.
     pub fn memory_gb(&self, cfg: JobConfig) -> f64 {
-        let p = profile(cfg.family);
-        p.mem_base_gb + p.mem_per_sample_gb * cfg.batch_size as f64
+        match entry(cfg) {
+            Some(e) => e.memory_gb,
+            None => memory_closed_form(cfg),
+        }
     }
 
     /// Compute utilization of `cfg` on `gpu` when running alone (0..1].
     ///
     /// Larger batches raise utilization; faster GPUs leave more headroom.
     pub fn utilization(&self, cfg: JobConfig, gpu: GpuKind) -> f64 {
-        let p = profile(cfg.family);
-        let speedup = match gpu {
-            GpuKind::V100 => p.speedup_v100,
-            GpuKind::P100 => p.speedup_p100,
-            GpuKind::K80 => 1.0,
-        };
-        let ref_b = cfg.family.reference_batch() as f64;
-        let b = cfg.batch_size as f64;
-        let u = p.util_k80 * (b / ref_b).powf(0.4) / speedup.powf(0.3);
-        u.clamp(0.05, 1.0)
+        match entry(cfg) {
+            Some(e) => e.utilization[gpu.index().0],
+            None => utilization_closed_form(cfg, gpu),
+        }
     }
 
     /// Throughputs of two configurations space-sharing one `gpu`, or `None`
@@ -381,6 +461,84 @@ mod tests {
             assert_eq!(o.distributed(t, g, 1, true), o.isolated(t, g));
             assert_eq!(o.throughput(t, g, 1, false), o.isolated(t, g));
         }
+    }
+
+    /// Every cell the table answers is the closed form's value, bit for bit.
+    #[test]
+    fn table_cells_equal_the_closed_form() {
+        let o = Oracle::new();
+        for cfg in JobConfig::all() {
+            assert!(entry(cfg).is_some(), "{cfg} has no table entry");
+            let bits = f64::to_bits;
+            assert_eq!(bits(o.memory_gb(cfg)), bits(memory_closed_form(cfg)));
+            for &g in GpuKind::all() {
+                let (iso, util) = (o.isolated(cfg, g), o.utilization(cfg, g));
+                assert_eq!(bits(iso), bits(isolated_closed_form(cfg, g)), "{cfg} {g:?}");
+                assert_eq!(
+                    bits(util),
+                    bits(utilization_closed_form(cfg, g)),
+                    "{cfg} {g:?}"
+                );
+            }
+        }
+    }
+
+    /// The colocation model written over the closed-form functions only.
+    fn colocated_closed_form(a: JobConfig, b: JobConfig, gpu: GpuKind) -> Option<(f64, f64)> {
+        if memory_closed_form(a) + memory_closed_form(b) > gpu.memory_gb() {
+            return None;
+        }
+        let ua = utilization_closed_form(a, gpu);
+        let ub = utilization_closed_form(b, gpu);
+        let combined = ua + ub;
+        let contention = if combined <= 1.0 { 1.0 } else { 1.0 / combined };
+        let slow_a = COLOCATION_BASE_RETENTION * contention * (1.0 - INTERFERENCE * ub);
+        let slow_b = COLOCATION_BASE_RETENTION * contention * (1.0 - INTERFERENCE * ua);
+        Some((
+            isolated_closed_form(a, gpu) * slow_a,
+            isolated_closed_form(b, gpu) * slow_b,
+        ))
+    }
+
+    #[test]
+    fn colocated_equals_the_closed_form_on_every_triple() {
+        let o = Oracle::new();
+        let bits = |pair: Option<(f64, f64)>| pair.map(|(a, b)| (a.to_bits(), b.to_bits()));
+        for a in JobConfig::all() {
+            for b in JobConfig::all() {
+                for &g in GpuKind::all() {
+                    assert_eq!(
+                        bits(o.colocated(a, b, g)),
+                        bits(colocated_closed_form(a, b, g)),
+                        "{a} + {b} on {g:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `JobConfig`'s fields are public, so a literal can name a batch size
+    /// Table 2 does not list; the oracle stays total and evaluates the
+    /// formula for it.
+    #[test]
+    fn unlisted_batch_sizes_fall_through_to_the_formula() {
+        let o = Oracle::new();
+        let odd = JobConfig {
+            family: MF::ResNet50,
+            batch_size: 7,
+        };
+        assert!(entry(odd).is_none());
+        assert_eq!(o.memory_gb(odd), memory_closed_form(odd));
+        for &g in GpuKind::all() {
+            assert_eq!(o.isolated(odd, g), isolated_closed_form(odd, g));
+            assert_eq!(o.utilization(odd, g), utilization_closed_form(odd, g));
+            assert_eq!(
+                o.colocated(odd, cfg(MF::A3C), g),
+                colocated_closed_form(odd, cfg(MF::A3C), g)
+            );
+            assert_eq!(o.throughput(odd, g, 1, true), o.isolated(odd, g));
+        }
+        assert!(o.isolated(odd, GpuKind::V100) > 0.0);
     }
 
     #[test]

@@ -53,11 +53,11 @@ pub fn build_singleton_tensor(
     consolidated: bool,
 ) -> (ComboSet, ThroughputTensor) {
     let combos = ComboSet::singletons(&jobs.iter().map(|j| j.id).collect::<Vec<_>>());
-    let rows = jobs
+    let entries = jobs
         .iter()
-        .map(|j| singleton_row(oracle, j, consolidated))
+        .flat_map(|j| singleton_row(oracle, j, consolidated))
         .collect();
-    (combos, ThroughputTensor::new(GpuKind::all().len(), rows))
+    (combos, ThroughputTensor::from_flat(GpuKind::COUNT, entries))
 }
 
 /// Builds singleton rows plus pruned space-sharing pair rows.
@@ -92,13 +92,13 @@ pub fn build_tensor_with_pairs_by(
     pair_fn: impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
 ) -> (ComboSet, ThroughputTensor) {
     let mut combos: Vec<Combo> = jobs.iter().map(|j| Combo::single(j.id)).collect();
-    let mut rows: Vec<Vec<PairThroughput>> = jobs
+    let mut entries: Vec<PairThroughput> = jobs
         .iter()
-        .map(|j| singleton_row(oracle, j, consolidated))
+        .flat_map(|j| singleton_row(oracle, j, consolidated))
         .collect();
 
     // Score all candidate pairs.
-    let mut candidates: Vec<(f64, usize, usize, Vec<PairThroughput>)> = Vec::new();
+    let mut candidates: Vec<(f64, usize, usize, [PairThroughput; GpuKind::COUNT])> = Vec::new();
     for i in 0..jobs.len() {
         if jobs[i].scale_factor != 1 {
             continue;
@@ -124,25 +124,27 @@ pub fn build_tensor_with_pairs_by(
         per_job_count[i] += 1;
         per_job_count[k] += 1;
         combos.push(Combo::pair(jobs[i].id, jobs[k].id));
-        rows.push(row);
+        entries.extend_from_slice(&row);
     }
 
     (
         ComboSet::new(combos),
-        ThroughputTensor::new(GpuKind::all().len(), rows),
+        ThroughputTensor::from_flat(GpuKind::COUNT, entries),
     )
 }
 
 /// The throughput row of a single job across all accelerator types —
 /// the unit the simulator's incremental `SnapshotCache` computes once at
 /// admission and reuses for every later recompute.
-pub fn singleton_row(oracle: &Oracle, j: &JobSpec, consolidated: bool) -> Vec<PairThroughput> {
-    GpuKind::all()
-        .iter()
-        .map(|&g| {
-            PairThroughput::single(oracle.throughput(j.config, g, j.scale_factor, consolidated))
-        })
-        .collect()
+pub fn singleton_row(
+    oracle: &Oracle,
+    j: &JobSpec,
+    consolidated: bool,
+) -> [PairThroughput; GpuKind::COUNT] {
+    std::array::from_fn(|g| {
+        let g = GpuKind::all()[g];
+        PairThroughput::single(oracle.throughput(j.config, g, j.scale_factor, consolidated))
+    })
 }
 
 /// The pruning score of a pair — the best-type sum of
@@ -183,22 +185,19 @@ pub fn pair_row(
     a: &JobSpec,
     b: &JobSpec,
     pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
-) -> (f64, Vec<PairThroughput>) {
+) -> (f64, [PairThroughput; GpuKind::COUNT]) {
     let mut best = 0.0f64;
-    let mut row = Vec::with_capacity(GpuKind::all().len());
+    let mut row = [PairThroughput::zero(); GpuKind::COUNT];
     // Canonical order: Combo::pair sorts by JobId, so align throughputs.
     let (first, second) = if a.id < b.id { (a, b) } else { (b, a) };
-    for &g in GpuKind::all() {
-        match pair_fn(first, second, g) {
-            Some((ta, tb)) => {
-                let ia = oracle.isolated(first.config, g);
-                let ib = oracle.isolated(second.config, g);
-                if ia > 0.0 && ib > 0.0 {
-                    best = best.max(ta / ia + tb / ib);
-                }
-                row.push(PairThroughput::pair(ta, tb));
+    for (cell, &g) in row.iter_mut().zip(GpuKind::all()) {
+        if let Some((ta, tb)) = pair_fn(first, second, g) {
+            let ia = oracle.isolated(first.config, g);
+            let ib = oracle.isolated(second.config, g);
+            if ia > 0.0 && ib > 0.0 {
+                best = best.max(ta / ia + tb / ib);
             }
-            None => row.push(PairThroughput::zero()),
+            *cell = PairThroughput::pair(ta, tb);
         }
     }
     (best, row)
