@@ -16,6 +16,10 @@ pub struct Allocation {
     values: Vec<f64>,
 }
 
+/// Slack [`Allocation::validate`] grants a type's scale-factor-weighted
+/// usage above its worker count.
+pub const CAPACITY_TOLERANCE: f64 = EPSILON * 100.0;
+
 /// Violation of the allocation constraints of §3.1.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidityError {
@@ -211,7 +215,7 @@ impl Allocation {
                 total += self.get(k, j) * sf;
             }
             let capacity = cluster.num_workers(j) as f64;
-            if total > capacity + EPSILON * 100.0 {
+            if total > capacity + CAPACITY_TOLERANCE {
                 return Err(ValidityError::WorkerOversubscribed {
                     accel: j.0,
                     total,

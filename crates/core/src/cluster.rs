@@ -98,11 +98,6 @@ impl ClusterSpec {
     pub fn total_workers(&self) -> usize {
         self.num_workers.iter().sum()
     }
-
-    /// Index of the type named `name`, if present.
-    pub fn type_by_name(&self, name: &str) -> Option<AccelIdx> {
-        self.names.iter().position(|n| n == name).map(AccelIdx)
-    }
 }
 
 #[cfg(test)]
@@ -127,13 +122,6 @@ mod tests {
         assert_eq!(c.workers_per_server(AccelIdx(1)), 4);
         assert_eq!(c.num_servers(AccelIdx(1)), 4);
         assert!((c.price_per_hour(AccelIdx(0)) - 2.48).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let c = spec();
-        assert_eq!(c.type_by_name("p100"), Some(AccelIdx(1)));
-        assert_eq!(c.type_by_name("tpu"), None);
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl Combo {
     pub fn jobs(&self) -> impl Iterator<Item = JobId> + '_ {
         std::iter::once(self.a).chain(self.b)
     }
-
-    /// Whether this combo shares any job with `other` (used by the
-    /// mechanism's conflict-removal step, Algorithm 1 line 9).
-    pub fn conflicts_with(&self, other: &Combo) -> bool {
-        other.jobs().any(|j| self.contains(j))
-    }
 }
 
 impl std::fmt::Display for Combo {
@@ -159,17 +153,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_conflicts() {
+    fn contains() {
         let s = Combo::single(JobId(1));
         let p = Combo::pair(JobId(1), JobId(2));
-        let q = Combo::pair(JobId(2), JobId(3));
-        let r = Combo::single(JobId(4));
         assert!(s.contains(JobId(1)));
         assert!(!s.contains(JobId(2)));
-        assert!(s.conflicts_with(&p));
-        assert!(p.conflicts_with(&q));
-        assert!(!s.conflicts_with(&q));
-        assert!(!r.conflicts_with(&p));
+        assert!(p.contains(JobId(1)) && p.contains(JobId(2)) && !p.contains(JobId(3)));
     }
 
     #[test]

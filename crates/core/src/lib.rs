@@ -27,7 +27,7 @@ pub mod policy;
 pub mod refs;
 pub mod tensor;
 
-pub use alloc::{Allocation, ValidityError};
+pub use alloc::{Allocation, ValidityError, CAPACITY_TOLERANCE};
 pub use cluster::{AccelIdx, ClusterSpec};
 pub use combo::{Combo, ComboSet};
 pub use policy::{Policy, PolicyError, PolicyInput, PolicyJob};

@@ -67,11 +67,6 @@ pub struct PolicyInput<'a> {
 }
 
 impl<'a> PolicyInput<'a> {
-    /// Index of `job` within [`PolicyInput::jobs`].
-    pub fn job_index(&self, job: JobId) -> Option<usize> {
-        self.jobs.iter().position(|j| j.id == job)
-    }
-
     /// The snapshot for `job`.
     pub fn job(&self, job: JobId) -> Option<&PolicyJob> {
         self.jobs.iter().find(|j| j.id == job)
@@ -116,9 +111,10 @@ pub trait Policy {
     /// §3.1 (checked by [`Allocation::validate`]).
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError>;
 
-    /// Whether the policy benefits from pair combos in its input (space
-    /// sharing). The driver only enumerates pairs for policies returning
-    /// true, since pair enumeration is quadratic.
+    /// Whether the policy can use pair combos in its input (space
+    /// sharing) — a capability, not a switch: whether a run space-shares
+    /// is the driver's configuration, and the driver scores pairs only
+    /// for policies returning true, since pair enumeration is quadratic.
     fn wants_space_sharing(&self) -> bool {
         false
     }
@@ -168,7 +164,7 @@ mod tests {
             tensor: &tensor,
             cluster: &cluster,
         };
-        assert_eq!(input.job_index(JobId(3)), Some(0));
+        assert_eq!(input.job(JobId(3)).map(|j| j.id), Some(JobId(3)));
         assert!(input.job(JobId(9)).is_none());
     }
 }

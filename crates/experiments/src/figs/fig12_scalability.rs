@@ -78,7 +78,7 @@ pub fn run(scale: Scale) {
         };
 
         let las = time_policy(&MaxMinFairness::new(), false);
-        let las_ss = time_policy(&MaxMinFairness::with_space_sharing(), true);
+        let las_ss = time_policy(&MaxMinFairness::new(), true);
         let hier = Hierarchical::new(vec![1.0; 4], EntityPolicy::Fairness);
         let hier_t = time_policy(&hier, false);
         // Hierarchical with space sharing only at smaller sizes (the probe

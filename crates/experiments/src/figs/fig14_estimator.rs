@@ -28,21 +28,17 @@ pub fn run(scale: Scale) {
                 .map(|&s| {
                     let trace =
                         generate(&TraceConfig::continuous_single(lam, num_jobs, s), &oracle);
-                    let mut cfg = SimConfig::new(cluster_twelve());
-                    let policy = match mode {
-                        "no-ss" => MaxMinFairness::new(),
-                        _ => {
-                            cfg = cfg.with_space_sharing();
-                            if mode == "estimated" {
-                                // Full §6 loop: profile arrivals, refine
-                                // online from mechanism feedback.
-                                cfg = cfg.with_estimated_pairs();
-                            }
-                            cfg.seed = s;
-                            MaxMinFairness::with_space_sharing()
-                        }
+                    let cfg = SimConfig::new(cluster_twelve());
+                    let mut cfg = match mode {
+                        "oracle" => cfg.with_space_sharing(),
+                        // Full §6 loop: profile arrivals, refine online
+                        // from mechanism feedback.
+                        "estimated" => cfg.with_estimated_pairs(),
+                        _ => cfg,
                     };
-                    run_avg_jct(&policy, &trace, &cfg)
+                    // Seeds the estimator's profiling; unused otherwise.
+                    cfg.seed = s;
+                    run_avg_jct(&MaxMinFairness::new(), &trace, &cfg)
                 })
                 .collect();
             cells.push(format!("{:.1}", mean(&jcts)));

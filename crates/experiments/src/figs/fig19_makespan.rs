@@ -27,11 +27,7 @@ pub fn run(scale: Scale) {
             ("FIFO", Box::new(FifoAgnostic::new()), false),
             ("Gandiva", Box::new(GandivaPolicy::new(11)), true),
             ("Gavel", Box::new(MinMakespan::new()), false),
-            (
-                "Gavel w/ SS",
-                Box::new(MinMakespan::with_space_sharing()),
-                true,
-            ),
+            ("Gavel w/ SS", Box::new(MinMakespan::new()), true),
         ];
         for (_, policy, ss) in &configs {
             let mut cfg = SimConfig::new(cluster_simulated());
@@ -42,7 +38,13 @@ pub fn run(scale: Scale) {
             cfg.recompute = RecomputeCadence::ThrottledResets(10);
             let result = run_full(policy.as_ref(), &trace, &cfg);
             // A round planned from the fallback split is not this policy's.
-            assert_eq!(result.policy_failures, 0, "{} at {n} jobs", policy.name());
+            assert_eq!(
+                result.policy_failures,
+                0,
+                "{} at {n} jobs: {:?}",
+                policy.name(),
+                result.policy_failure_kinds
+            );
             row.push(format!("{:.0}", result.makespan / 3600.0));
         }
         rows.push(row);

@@ -42,8 +42,8 @@ pub fn run(scale: Scale) {
             for &s in &seeds {
                 let trace = trace_fn(lam, s);
                 let result = run_full(policy, &trace, &cfg);
-                high.push(result.avg_jct_hours_where(|j| j.weight > 1.0));
-                low.push(result.avg_jct_hours_where(|j| j.weight <= 1.0));
+                high.push(mean(&result.jct_cdf_hours(|j| j.weight > 1.0)));
+                low.push(mean(&result.jct_cdf_hours(|j| j.weight <= 1.0)));
             }
             row.push(format!("{:.1}", mean(&high)));
             row.push(format!("{:.1}", mean(&low)));

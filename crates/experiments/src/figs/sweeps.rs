@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi`
 
-use crate::{cdf_summary, jct_cdfs_at, jct_sweep, run_full, NamedFactory, Scale};
+use crate::{cdf_summary, column_config, jct_cdfs_at, jct_sweep, run_full, Column, Scale};
 use gavel_policies::{
     AgnosticLas, Allox, FifoAgnostic, FifoHet, FinishTimeFairness, FtfAgnostic, GandivaPolicy,
     MaxMinFairness,
@@ -27,9 +27,8 @@ struct Sweep {
     num_jobs: [usize; 3],
     /// Input job rates at the quick, standard and full scales.
     lambdas: [&'static [f64]; 3],
-    /// Policies by column title; one whose title says "SS" runs with
-    /// space sharing.
-    policies: &'static [NamedFactory<'static>],
+    /// The columns: title, policy, and whether its runs space-share.
+    policies: &'static [Column<'static>],
     panel_b: Panel,
     /// The paper's shape, to compare the output against.
     shape: &'static str,
@@ -47,19 +46,20 @@ enum Panel {
     RhoWithGain,
 }
 
-const LAS: NamedFactory<'static> = ("LAS", &|_| Box::new(AgnosticLas::new()));
-const GAVEL_LAS: NamedFactory<'static> = ("Gavel", &|_| Box::new(MaxMinFairness::new()));
-const GAVEL_LAS_SS: NamedFactory<'static> = ("Gavel w/ SS", &|_| {
-    Box::new(MaxMinFairness::with_space_sharing())
-});
-const GANDIVA: NamedFactory<'static> = ("LAS w/ Gandiva SS", &|s| Box::new(GandivaPolicy::new(s)));
-const ALLOX: NamedFactory<'static> = ("AlloX", &|_| Box::new(Allox::new()));
-const FTF: NamedFactory<'static> = ("FTF", &|_| Box::new(FtfAgnostic::new()));
-const GAVEL_FTF: NamedFactory<'static> = ("Gavel", &|_| Box::new(FinishTimeFairness::new()));
-const FIFO: NamedFactory<'static> = ("FIFO", &|_| Box::new(FifoAgnostic::new()));
-const GAVEL_FIFO: NamedFactory<'static> = ("Gavel", &|_| Box::new(FifoHet::new()));
-const GAVEL_FIFO_SS: NamedFactory<'static> =
-    ("Gavel w/ SS", &|_| Box::new(FifoHet::with_space_sharing()));
+const LAS: Column<'static> = ("LAS", &|_| Box::new(AgnosticLas::new()), false);
+const GAVEL_LAS: Column<'static> = ("Gavel", &|_| Box::new(MaxMinFairness::new()), false);
+const GAVEL_LAS_SS: Column<'static> = ("Gavel w/ SS", &|_| Box::new(MaxMinFairness::new()), true);
+const GANDIVA: Column<'static> = (
+    "LAS w/ Gandiva SS",
+    &|s| Box::new(GandivaPolicy::new(s)),
+    true,
+);
+const ALLOX: Column<'static> = ("AlloX", &|_| Box::new(Allox::new()), false);
+const FTF: Column<'static> = ("FTF", &|_| Box::new(FtfAgnostic::new()), false);
+const GAVEL_FTF: Column<'static> = ("Gavel", &|_| Box::new(FinishTimeFairness::new()), false);
+const FIFO: Column<'static> = ("FIFO", &|_| Box::new(FifoAgnostic::new()), false);
+const GAVEL_FIFO: Column<'static> = ("Gavel", &|_| Box::new(FifoHet::new()), false);
+const GAVEL_FIFO_SS: Column<'static> = ("Gavel w/ SS", &|_| Box::new(FifoHet::new()), true);
 
 const SINGLE_RATES: [&[f64]; 3] = [&[1.0, 2.0], &[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0, 4.0, 5.0]];
 // Multi-worker jobs consume ~1.85 workers each on average, so the
@@ -77,13 +77,7 @@ impl Sweep {
 
         let trace = self.trace;
         let trace_fn = move |lam: f64, seed: u64| generate(&trace(lam, num_jobs, seed), &oracle);
-        let cfg_fn = |name: &str| {
-            let mut c = SimConfig::new(cluster_simulated());
-            if name.contains("SS") {
-                c = c.with_space_sharing();
-            }
-            c
-        };
+        let base = SimConfig::new(cluster_simulated());
 
         let figure = self.figure;
         jct_sweep(
@@ -95,17 +89,18 @@ impl Sweep {
             lambdas,
             &seeds,
             &trace_fn,
-            &cfg_fn,
+            &base,
         );
 
         let lam = lambdas[lambdas.len() - 2];
         let mut avg_rho = Vec::new();
         if let Panel::Rho | Panel::RhoWithGain = self.panel_b {
             println!("\n== Figure {figure}b: FTF (rho) CDF summaries (λ = {lam}) ==");
-            for (name, factory) in self.policies {
+            for &(name, factory, space_sharing) in self.policies {
                 let trace = trace_fn(lam, seeds[0]);
                 let policy = factory(seeds[0]);
-                let result = run_full(policy.as_ref(), &trace, &cfg_fn(name));
+                let cfg = column_config(&base, space_sharing);
+                let result = run_full(policy.as_ref(), &trace, &cfg);
                 println!(
                     "{name:>8}: {}  (avg rho {:.2})",
                     cdf_summary(&result.ftf_cdf()),
@@ -120,7 +115,7 @@ impl Sweep {
                 lam,
                 seeds[0],
                 &trace_fn,
-                &cfg_fn,
+                &base,
             );
         }
         let shape = self.shape;

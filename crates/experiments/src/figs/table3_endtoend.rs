@@ -5,7 +5,7 @@
 //! We have no physical GPUs: the "physical" column is the simulator in
 //! physical-fidelity mode (checkpoint overhead + throughput jitter,
 //! 20-minute rounds as in §7.2), versus the idealized simulator at
-//! 6-minute rounds (see DESIGN.md §3, substitution 1).
+//! 6-minute rounds (see `SimConfig::with_physical_fidelity`).
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- table3_endtoend`
 

@@ -157,11 +157,21 @@ pub fn short_job_threshold_seconds() -> f64 {
     10f64.powf(2.75) * 60.0
 }
 
-/// A named policy factory (fresh instance per run so stateful baselines
-/// like Gandiva start clean; the seed feeds their exploration RNG).
-/// `Sync` because sweeps fan the `(λ, seed, policy)` grid out over a
-/// scoped thread pool.
-pub type NamedFactory<'a> = (&'a str, &'a (dyn Fn(u64) -> Box<dyn Policy> + Sync));
+/// One column of a sweep: its title, a policy factory (fresh instance per
+/// run so stateful baselines like Gandiva start clean; the seed feeds
+/// their exploration RNG) and whether its runs space-share. `Sync` because
+/// sweeps fan the `(λ, seed, policy)` grid out over a scoped thread pool.
+pub type Column<'a> = (&'a str, &'a (dyn Fn(u64) -> Box<dyn Policy> + Sync), bool);
+
+/// `base`, with space sharing on for a column that asks for it.
+fn column_config(base: &SimConfig, space_sharing: bool) -> SimConfig {
+    let cfg = base.clone();
+    if space_sharing {
+        cfg.with_space_sharing()
+    } else {
+        cfg
+    }
+}
 
 /// Runs the standard "average JCT vs input job rate" sweep used by
 /// Figures 8, 9, 10, 16, 17, 18 and 20, printing one row per λ with one
@@ -172,11 +182,11 @@ pub type NamedFactory<'a> = (&'a str, &'a (dyn Fn(u64) -> Box<dyn Policy> + Sync
 #[allow(clippy::too_many_arguments)]
 pub fn jct_sweep(
     title: &str,
-    factories: &[NamedFactory<'_>],
+    factories: &[Column<'_>],
     lambdas: &[f64],
     seeds: &[u64],
     trace_fn: &(dyn Fn(f64, u64) -> Vec<TraceJob> + Sync),
-    cfg_fn: &(dyn Fn(&str) -> SimConfig + Sync),
+    base: &SimConfig,
 ) -> Vec<Vec<f64>> {
     // Flatten the grid so the pool load-balances across the whole sweep,
     // not just within one (λ, policy) cell.
@@ -189,10 +199,10 @@ pub fn jct_sweep(
         }
     }
     let jcts = parallel_map(&tasks, |&(lam, f, s)| {
-        let (name, factory) = factories[f];
+        let (_, factory, space_sharing) = factories[f];
         let trace = trace_fn(lam, s);
         let policy = factory(s);
-        run_avg_jct(policy.as_ref(), &trace, &cfg_fn(name))
+        run_avg_jct(policy.as_ref(), &trace, &column_config(base, space_sharing))
     });
 
     let mut table_rows = Vec::new();
@@ -211,7 +221,7 @@ pub fn jct_sweep(
         means.push(mean_row);
     }
     let mut header = vec!["jobs/hr"];
-    header.extend(factories.iter().map(|(n, _)| *n));
+    header.extend(factories.iter().map(|(n, ..)| *n));
     print_table(title, &header, &table_rows);
     means
 }
@@ -220,18 +230,18 @@ pub fn jct_sweep(
 /// (the companion of the sweep figures' CDF subplots).
 pub fn jct_cdfs_at(
     title: &str,
-    factories: &[NamedFactory<'_>],
+    factories: &[Column<'_>],
     lambda: f64,
     seed: u64,
     trace_fn: &dyn Fn(f64, u64) -> Vec<TraceJob>,
-    cfg_fn: &dyn Fn(&str) -> SimConfig,
+    base: &SimConfig,
 ) {
     println!("\n== {title} (λ = {lambda} jobs/hr) ==");
     let threshold = short_job_threshold_seconds();
-    for (name, factory) in factories {
+    for &(name, factory, space_sharing) in factories {
         let trace = trace_fn(lambda, seed);
         let policy = factory(seed);
-        let result = run_full(policy.as_ref(), &trace, &cfg_fn(name));
+        let result = run_full(policy.as_ref(), &trace, &column_config(base, space_sharing));
         let short = result.jct_cdf_hours(|j| j.is_short(threshold));
         let long = result.jct_cdf_hours(|j| !j.is_short(threshold));
         println!(

@@ -6,7 +6,7 @@
 //! add their objective and any extra constraints.
 
 use gavel_core::{
-    AccelIdx, Allocation, ClusterSpec, Combo, JobId, Policy, PolicyError, PolicyInput,
+    AccelIdx, Allocation, Combo, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE,
 };
 use gavel_solver::{Cmp, ConstraintId, LpProblem, Sense, VarId};
 
@@ -170,6 +170,41 @@ impl AllocLp {
         terms
     }
 
+    /// Linear terms of `sum_m k_m * throughput(m, X)` — the objective of
+    /// every throughput-sum policy of Table 1 — one summed term per cell,
+    /// in ascending variable order. `term(m, t)` is what the job at
+    /// position `m` adds at a cell where its throughput is `t`; each
+    /// policy passes its own arithmetic for `k_m * t`. A pair cell sums
+    /// one term per member.
+    pub fn throughput_sum_terms(
+        &self,
+        input: &PolicyInput<'_>,
+        term: impl Fn(usize, f64) -> f64,
+    ) -> Vec<(VarId, f64)> {
+        // Dense over `VarId::index()`.
+        let mut acc: Vec<Option<(VarId, f64)>> = vec![None; self.lp.num_vars()];
+        for (m, job) in input.jobs.iter().enumerate() {
+            for (v, t) in self.throughput_terms(input, job.id) {
+                acc[v.index()].get_or_insert((v, 0.0)).1 += term(m, t);
+            }
+        }
+        acc.into_iter().flatten().collect()
+    }
+
+    /// Maximizes `objective` over the valid allocations and reads the
+    /// optimum back.
+    pub fn maximize(
+        mut self,
+        input: &PolicyInput<'_>,
+        objective: &[(VarId, f64)],
+    ) -> Result<Allocation, PolicyError> {
+        for &(v, coeff) in objective {
+            self.lp.add_objective_coeff(v, coeff);
+        }
+        let sol = self.lp.solve().map_err(solver_err)?;
+        Ok(self.extract(input, &sol))
+    }
+
     /// Reads the solved variables back into an [`Allocation`].
     pub fn extract(&self, input: &PolicyInput<'_>, sol: &gavel_solver::LpSolution) -> Allocation {
         let mut alloc = Allocation::zeros(input.combos.clone(), input.cluster.num_types());
@@ -202,6 +237,17 @@ impl SingletonRows {
     pub fn row_of(&self, input: &PolicyInput<'_>, id: JobId) -> Option<usize> {
         let m = input.jobs.iter().position(|job| job.id == id)?;
         Some(self.0[m])
+    }
+
+    /// One time-sharing unit per job for [`spread`]: its singleton row,
+    /// its scale factor and its entry of `shares`.
+    pub fn units<'a>(
+        &'a self,
+        input: &'a PolicyInput<'_>,
+        shares: &'a [f64],
+    ) -> impl Iterator<Item = (usize, u32, f64)> + 'a {
+        (self.0.iter().zip(input.jobs).zip(shares))
+            .map(|((&row, job), &share)| (row, job.scale_factor, share))
     }
 
     /// `throughput(m, X_equal)` per job — the normalizer of §4.1: each
@@ -292,46 +338,57 @@ pub(crate) fn waterfill_shares(weights: &[f64], scale_factors: &[u32], capacity:
     (0..n).map(|i| (lo * weights[i]).min(1.0)).collect()
 }
 
-/// Spreads per-job time shares uniformly across accelerator types in
-/// proportion to worker counts — the allocation a heterogeneity-agnostic
-/// scheduler realizes. Types where the job cannot run at all (GPU memory)
-/// are excluded: even agnostic schedulers know memory feasibility.
-pub(crate) fn uniform_spread(
+/// Spreads the time shares of `(combo row, workers held, share)` units
+/// uniformly across accelerator types in proportion to worker counts — the
+/// allocation a heterogeneity-agnostic scheduler realizes. Types where a
+/// unit cannot run at all (GPU memory) are excluded: even agnostic
+/// schedulers know memory feasibility. Such a unit puts its whole share on
+/// the other types, which can then hold more than their workers; a type
+/// that does is scaled down to its worker count, so the result is valid
+/// (§3.1) whenever no share exceeds 1 and no job is in two units. The time
+/// this frees on the types the unit does not fit goes to nobody: the
+/// baseline stays agnostic.
+pub(crate) fn spread(
     input: &PolicyInput<'_>,
-    singles: &SingletonRows,
-    shares: &[f64],
-) -> Result<Allocation, PolicyError> {
-    let cluster: &ClusterSpec = input.cluster;
-    let mut alloc = Allocation::zeros(input.combos.clone(), cluster.num_types());
-    for m in 0..input.jobs.len() {
-        let row = singles.row(m);
-        let runnable: Vec<_> = cluster
-            .types()
-            .filter(|&j| input.tensor.entry(row, j).runnable())
-            .collect();
-        let total: f64 = runnable
-            .iter()
-            .map(|&j| cluster.num_workers(j) as f64)
+    units: impl IntoIterator<Item = (usize, u32, f64)>,
+) -> Allocation {
+    let cluster = input.cluster;
+    let workers: Vec<f64> = (cluster.types().map(|j| cluster.num_workers(j) as f64)).collect();
+    let mut alloc = Allocation::zeros(input.combos.clone(), workers.len());
+    let mut used = vec![0.0; workers.len()];
+    for (row, scale, share) in units {
+        let runnable = |j: &usize| input.tensor.entry(row, AccelIdx(*j)).runnable();
+        let total: f64 = (0..workers.len())
+            .filter(runnable)
+            .map(|j| workers[j])
             .sum();
         if total <= 0.0 {
             continue;
         }
-        for &j in &runnable {
-            *alloc.get_mut(row, j) = shares[m] * cluster.num_workers(j) as f64 / total;
+        for j in (0..workers.len()).filter(runnable) {
+            let x = share * workers[j] / total;
+            *alloc.get_mut(row, AccelIdx(j)) = x;
+            used[j] += scale as f64 * x;
         }
     }
-    Ok(alloc)
-}
-
-/// Boxed-policy convenience used by experiment sweeps.
-pub fn boxed<P: Policy + 'static>(p: P) -> Box<dyn Policy> {
-    Box::new(p)
+    for (j, (&used, &capacity)) in used.iter().zip(&workers).enumerate() {
+        // Within what `Allocation::validate` tolerates nothing moves.
+        if used > capacity + CAPACITY_TOLERANCE {
+            let shrink = capacity / used;
+            for k in 0..input.combos.len() {
+                *alloc.get_mut(k, AccelIdx(j)) *= shrink;
+            }
+        }
+    }
+    alloc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_core::{Combo, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+    use gavel_core::{
+        ClusterSpec, Combo, ComboSet, PairThroughput, Policy, PolicyJob, ThroughputTensor,
+    };
 
     /// First singleton row of `job`, by scanning the combo set.
     fn scanned_singleton(input: &PolicyInput<'_>, job: JobId) -> Option<usize> {
@@ -459,6 +516,99 @@ mod tests {
             unhinted.is_ok()
         });
         assert!(probes > 4, "the bisection ended after {probes} probes");
+    }
+
+    /// `uniform_spread` as it stood before [`spread`] replaced it and
+    /// Gandiva's copy of it: no cap.
+    fn uncapped(input: &PolicyInput<'_>, singles: &SingletonRows, shares: &[f64]) -> Allocation {
+        let cluster = input.cluster;
+        let mut alloc = Allocation::zeros(input.combos.clone(), cluster.num_types());
+        for m in 0..input.jobs.len() {
+            let row = singles.row(m);
+            let runnable: Vec<_> = (cluster.types())
+                .filter(|&j| input.tensor.entry(row, j).runnable())
+                .collect();
+            let total: f64 = (runnable.iter().map(|&j| cluster.num_workers(j) as f64)).sum();
+            for &j in &runnable {
+                *alloc.get_mut(row, j) = shares[m] * cluster.num_workers(j) as f64 / total;
+            }
+        }
+        alloc
+    }
+
+    fn bits(alloc: &Allocation) -> Vec<Vec<u64>> {
+        (0..alloc.combos().len())
+            .map(|k| alloc.row(k).iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_type_over_its_workers_is_capped_and_nothing_else() {
+        // Job 0 runs anywhere; job 1 holds two workers and fits V100s only.
+        let mut jobs = vec![
+            PolicyJob::simple(JobId(0), 1.0),
+            PolicyJob::simple(JobId(1), 1.0),
+        ];
+        jobs[1].scale_factor = 2;
+        let combos = ComboSet::singletons(&[JobId(0), JobId(1)]);
+        let single = PairThroughput::single;
+        let tensor = ThroughputTensor::new(
+            2,
+            vec![
+                vec![single(3.0), single(1.0)],
+                vec![single(3.0), PairThroughput::zero()],
+            ],
+        );
+        let cluster = ClusterSpec::new(&[("v100", 2, 2, 0.0), ("k80", 2, 2, 0.0)]);
+        let input = PolicyInput {
+            jobs: &jobs,
+            combos: &combos,
+            tensor: &tensor,
+            cluster: &cluster,
+        };
+        let singles = check_input(&input).unwrap();
+        let scale_factors = jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
+
+        // V100s hold 0.25 + 2 * 0.5 = 1.25 of 2: today's formula, untouched.
+        let fits = spread(&input, singles.units(&input, &[0.5, 0.5]));
+        assert_eq!(fits.row(0), [0.25, 0.25]);
+        assert_eq!(fits.row(1), [0.5, 0.0]);
+        assert_eq!(bits(&fits), bits(&uncapped(&input, &singles, &[0.5, 0.5])));
+
+        // 0.25 + 2 * 1.0 = 2.25 of 2: the V100 column shrinks by 2 / 2.25,
+        // the K80 column stays, and nobody picks up the idle K80 time.
+        let shares = [0.5, 1.0];
+        let invalid = uncapped(&input, &singles, &shares);
+        assert!(invalid.validate(&cluster, &scale_factors).is_err());
+        let capped = spread(&input, singles.units(&input, &shares));
+        capped.validate(&cluster, &scale_factors).unwrap();
+        let shrink = 2.0 / 2.25;
+        assert_eq!(capped.row(0), [0.25 * shrink, 0.25]);
+        assert_eq!(capped.row(1), [1.0 * shrink, 0.0]);
+    }
+
+    #[test]
+    fn an_allocation_that_was_valid_keeps_its_bits() {
+        use crate::las::tests::Setup;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // Every job runs on every type, so water-filled shares fill no
+        // type past its workers and the cap has nothing to do.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..64 {
+            let (n, types) = (rng.gen_range(1..40), rng.gen_range(1..5));
+            let workers = rng.gen_range(8..12);
+            let setup = Setup::random(&mut rng, n, types, workers, false, case % 2 == 1);
+            let input = setup.input();
+            let singles = check_input(&input).unwrap();
+            let weights: Vec<f64> = setup.jobs.iter().map(|j| j.weight).collect();
+            let sfs: Vec<u32> = setup.jobs.iter().map(|j| j.scale_factor).collect();
+            let shares = waterfill_shares(&weights, &sfs, setup.cluster.total_workers() as f64);
+            let old = uncapped(&input, &singles, &shares);
+            let scale_factors = setup.jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
+            old.validate(&setup.cluster, &scale_factors).unwrap();
+            let new = spread(&input, singles.units(&input, &shares));
+            assert_eq!(bits(&new), bits(&old), "case {case}");
+        }
     }
 
     #[test]

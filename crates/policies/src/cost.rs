@@ -33,15 +33,9 @@ impl Policy for MaxTotalThroughput {
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         let singles = check_input(input)?;
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
-            for (v, coeff) in alp.throughput_terms(input, job.id) {
-                alp.lp.add_objective_coeff(v, coeff / fastest);
-            }
-        }
-        let sol = alp.lp.solve().map_err(solver_err)?;
-        Ok(alp.extract(input, &sol))
+        let alp = AllocLp::new(input, Sense::Maximize);
+        let objective = normalized_throughput_terms(input, &singles, &alp);
+        alp.maximize(input, &objective)
     }
 }
 
@@ -62,22 +56,18 @@ fn cost_terms(input: &PolicyInput<'_>, alp: &AllocLp) -> Vec<(VarId, f64)> {
     terms
 }
 
-/// Builds the normalized-throughput numerator terms shared by the two cost
-/// policies, in ascending variable order.
+/// The sum of normalized effective throughputs, `sum_m throughput(m, X) /
+/// throughput(m, X_fastest)`: [`MaxTotalThroughput`]'s objective and the
+/// numerator of the two cost policies.
 fn normalized_throughput_terms(
     input: &PolicyInput<'_>,
     singles: &SingletonRows,
     alp: &AllocLp,
 ) -> Vec<(VarId, f64)> {
-    // Dense over `VarId::index()`; a pair cell collects one term per member.
-    let mut acc: Vec<Option<(VarId, f64)>> = vec![None; alp.lp.num_vars()];
-    for (m, job) in input.jobs.iter().enumerate() {
-        let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
-        for (v, coeff) in alp.throughput_terms(input, job.id) {
-            acc[v.index()].get_or_insert((v, 0.0)).1 += coeff / fastest;
-        }
-    }
-    acc.into_iter().flatten().collect()
+    let fastest: Vec<f64> = (0..input.jobs.len())
+        .map(|m| refs::x_fastest(input.tensor, singles.row(m)).max(1e-12))
+        .collect();
+    alp.throughput_sum_terms(input, |m, coeff| coeff / fastest[m])
 }
 
 /// Per-job throughput floor of the two cost policies, as a fraction of
@@ -197,11 +187,7 @@ fn solve_cost_once(
     let den = cost_terms(input, &alp);
     if den.is_empty() {
         // Free cluster: degenerate to max throughput.
-        for (v, c) in &num {
-            alp.lp.add_objective_coeff(*v, *c);
-        }
-        let sol = alp.lp.solve().map_err(solver_err)?;
-        return Ok(alp.extract(input, &sol));
+        return alp.maximize(input, &num);
     }
 
     let obj = FractionalObjective {

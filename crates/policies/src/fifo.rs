@@ -7,47 +7,32 @@
 //! maximize sum_m  throughput(m, X) / throughput(m, X_fastest) * (M - m)
 //! ```
 //!
-//! where jobs are enumerated in arrival order. The agnostic baseline packs
-//! jobs onto workers in arrival order without regard to type.
+//! where jobs are enumerated in arrival order; over an input with pair
+//! rows the same LP space-shares. The agnostic baseline packs jobs onto
+//! workers in arrival order without regard to type.
 
-use crate::common::{check_input, solver_err, AllocLp};
+use crate::common::{check_input, AllocLp};
 use gavel_core::{refs, AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::Sense;
 
-/// Heterogeneity-aware FIFO, optionally space-sharing aware.
+/// Heterogeneity-aware FIFO.
 #[derive(Debug, Clone, Default)]
-pub struct FifoHet {
-    /// Whether the policy should be offered space-sharing pair rows.
-    pub space_sharing: bool,
-}
+pub struct FifoHet;
 
 impl FifoHet {
-    /// FIFO without space sharing.
+    /// Creates the policy.
     pub fn new() -> Self {
-        FifoHet {
-            space_sharing: false,
-        }
-    }
-
-    /// FIFO with space sharing.
-    pub fn with_space_sharing() -> Self {
-        FifoHet {
-            space_sharing: true,
-        }
+        FifoHet
     }
 }
 
 impl Policy for FifoHet {
     fn name(&self) -> &str {
-        if self.space_sharing {
-            "fifo-het-ss"
-        } else {
-            "fifo-het"
-        }
+        "fifo-het"
     }
 
     fn wants_space_sharing(&self) -> bool {
-        self.space_sharing
+        true
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
@@ -63,23 +48,20 @@ impl Policy for FifoHet {
         order.sort_by_key(|&m| input.jobs[m].arrival_seq);
         let big_m = input.jobs.len() as f64;
 
-        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let mut mult = vec![0.0; input.jobs.len()];
         for (rank, &m) in order.iter().enumerate() {
-            let job = &input.jobs[m];
             let fastest = refs::x_fastest(input.tensor, singles.row(m));
             if fastest <= 0.0 {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} cannot run anywhere",
-                    job.id
+                    input.jobs[m].id
                 )));
             }
-            let mult = (big_m - rank as f64) / fastest;
-            for (v, coeff) in alp.throughput_terms(input, job.id) {
-                alp.lp.add_objective_coeff(v, coeff * mult);
-            }
+            mult[m] = (big_m - rank as f64) / fastest;
         }
-        let sol = alp.lp.solve().map_err(solver_err)?;
-        Ok(alp.extract(input, &sol))
+        let alp = AllocLp::new(input, Sense::Maximize);
+        let objective = alp.throughput_sum_terms(input, |m, coeff| coeff * mult[m]);
+        alp.maximize(input, &objective)
     }
 }
 
@@ -161,15 +143,17 @@ impl Policy for ShortestJobFirst {
                 input.cluster.num_types(),
             ));
         }
+        let fastest: Vec<f64> = (0..input.jobs.len())
+            .map(|m| refs::x_fastest(input.tensor, singles.row(m)).max(1e-12))
+            .collect();
         // The shortest job by ideal duration (steps / fastest throughput).
         let shortest = input
             .jobs
             .iter()
             .enumerate()
             .min_by(|(ma, a), (mb, b)| {
-                let (ra, rb) = (singles.row(*ma), singles.row(*mb));
-                let da = a.steps_remaining / refs::x_fastest(input.tensor, ra).max(1e-12);
-                let db = b.steps_remaining / refs::x_fastest(input.tensor, rb).max(1e-12);
+                let da = a.steps_remaining / fastest[*ma];
+                let db = b.steps_remaining / fastest[*mb];
                 // `total_cmp` so a NaN duration (zero-throughput job with
                 // NaN steps upstream) degrades to a stable order instead
                 // of panicking mid-comparison.
@@ -178,23 +162,16 @@ impl Policy for ShortestJobFirst {
             .map(|(m, _)| m)
             .expect("non-empty jobs");
 
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let short_id = input.jobs[shortest].id;
-        for (v, coeff) in alp.throughput_terms(input, short_id) {
-            alp.lp.add_objective_coeff(v, coeff);
-        }
-        // Tiny secondary term packs the remaining jobs without disturbing
+        let alp = AllocLp::new(input, Sense::Maximize);
+        // Tiny secondary terms pack the remaining jobs without disturbing
         // the primary objective.
-        for (m, job) in input.jobs.iter().enumerate() {
-            if job.id == short_id {
-                continue;
+        let objective = alp.throughput_sum_terms(input, |m, coeff| {
+            if m == shortest {
+                coeff
+            } else {
+                1e-6 * coeff / fastest[m]
             }
-            let fastest = refs::x_fastest(input.tensor, singles.row(m)).max(1e-12);
-            for (v, coeff) in alp.throughput_terms(input, job.id) {
-                alp.lp.add_objective_coeff(v, 1e-6 * coeff / fastest);
-            }
-        }
-        let sol = alp.lp.solve().map_err(solver_err)?;
-        Ok(alp.extract(input, &sol))
+        });
+        alp.maximize(input, &objective)
     }
 }

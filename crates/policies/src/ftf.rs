@@ -13,7 +13,7 @@
 //! linear, so the optimum is found by bisection over LP feasibility
 //! problems (the paper's sequence-of-LPs technique).
 
-use crate::common::{check_input, solver_err, uniform_spread, AllocLp, SingletonRows};
+use crate::common::{check_input, solver_err, spread, AllocLp, SingletonRows};
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{bisect_min, Cmp, Sense, SolverError};
 
@@ -36,6 +36,30 @@ fn isolated_denominators(
         out.push(job.time_elapsed + job.steps_remaining / tput_iso);
     }
     Ok(out)
+}
+
+/// The upper end of both rho bisections: the largest `rho` under the equal
+/// split — every job on a `1/n` time share of every worker, always a valid
+/// allocation — with a little headroom. `norms` are the jobs' equal-share
+/// throughputs.
+fn equal_split_rho(
+    input: &PolicyInput<'_>,
+    denoms: &[f64],
+    norms: &[f64],
+) -> Result<f64, PolicyError> {
+    let n = input.jobs.len() as f64;
+    let mut hi = 0.0f64;
+    for (m, job) in input.jobs.iter().enumerate() {
+        let tput_eq = norms[m] / n;
+        if tput_eq <= 0.0 {
+            return Err(PolicyError::NoFeasibleAllocation(format!(
+                "{} has zero equal-share throughput",
+                job.id
+            )));
+        }
+        hi = hi.max((job.time_elapsed + job.steps_remaining / tput_eq) / denoms[m]);
+    }
+    Ok(hi * 1.01 + 1e-6)
 }
 
 /// Heterogeneity-aware finish-time fairness.
@@ -89,26 +113,10 @@ impl Policy for FinishTimeFairness {
             ));
         }
         let denoms = isolated_denominators(input, &singles)?;
-        let n = input.jobs.len();
-
-        // A guaranteed-feasible rho: the equal-split allocation.
-        let mut hi = 0.0f64;
-        let mut lo = f64::INFINITY;
-        let norms = singles.equal_share_throughputs(input);
-        for (m, job) in input.jobs.iter().enumerate() {
-            let tput_eq = norms[m] / n as f64;
-            if tput_eq <= 0.0 {
-                return Err(PolicyError::NoFeasibleAllocation(format!(
-                    "{} has zero equal-share throughput",
-                    job.id
-                )));
-            }
-            let rho_eq = (job.time_elapsed + job.steps_remaining / tput_eq) / denoms[m];
-            hi = hi.max(rho_eq);
-            lo = lo.min(job.time_elapsed / denoms[m]);
-        }
-        hi = hi * 1.01 + 1e-6;
-        let lo = (lo * 0.99).max(1e-9);
+        let hi = equal_split_rho(input, &denoms, &singles.equal_share_throughputs(input))?;
+        // No job finishes before the time it has already spent.
+        let spent = (input.jobs.iter().zip(&denoms)).map(|(job, d)| job.time_elapsed / d);
+        let lo = (spent.fold(f64::INFINITY, f64::min) * 0.99).max(1e-9);
 
         bisect_rho(lo, hi, |rho| self.probe(input, &denoms, rho))
     }
@@ -178,11 +186,7 @@ impl Policy for FtfAgnostic {
         // Under the uniform-spread restriction a share s gives throughput
         // s * norm_m.
         let norms = singles.equal_share_throughputs(input);
-        if norms.iter().any(|&x| x <= 0.0) {
-            return Err(PolicyError::NoFeasibleAllocation(
-                "a job has zero equal-share throughput".into(),
-            ));
-        }
+        let hi = equal_split_rho(input, &denoms, &norms)?;
 
         // Required share per job at a given rho.
         let required = |rho: f64| -> Option<Vec<f64>> {
@@ -210,16 +214,6 @@ impl Policy for FtfAgnostic {
             }
         };
 
-        let hi = {
-            // Equal split is always feasible under the share model.
-            let n = input.jobs.len() as f64;
-            let mut hi = 0.0f64;
-            for (m, job) in input.jobs.iter().enumerate() {
-                let tput = norms[m] / n;
-                hi = hi.max((job.time_elapsed + job.steps_remaining / tput) / denoms[m]);
-            }
-            hi * 1.01 + 1e-6
-        };
         let tol = RHO_TOLERANCE * hi.max(1.0);
         let best = bisect_min(1e-9, hi, tol, 80, |rho| required(rho).is_some())
             .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
@@ -238,7 +232,7 @@ impl Policy for FtfAgnostic {
                 *s = (*s * kappa).min(1.0);
             }
         }
-        uniform_spread(input, &singles, &shares)
+        Ok(spread(input, singles.units(input, &shares)))
     }
 }
 

@@ -10,8 +10,8 @@
 //! measured aggregate normalized throughput exceeds 1, and drops pairs that
 //! turned out bad.
 
-use crate::common::{check_input, waterfill_shares, SingletonRows};
-use gavel_core::{AccelIdx, Allocation, Combo, JobId, Policy, PolicyError, PolicyInput};
+use crate::common::{check_input, spread, waterfill_shares, SingletonRows};
+use gavel_core::{AccelIdx, Allocation, JobId, Policy, PolicyError, PolicyInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -80,7 +80,8 @@ impl Policy for GandivaPolicy {
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         let singles = check_input(input)?;
-        let mut st = self.state.lock().expect("gandiva state poisoned");
+        let mut st = (self.state.lock())
+            .map_err(|_| PolicyError::InvalidInput("gandiva state poisoned".into()))?;
 
         // Retire pairs whose members have left the cluster: a verdict is
         // only ever looked up for a pair row of present jobs.
@@ -88,14 +89,6 @@ impl Policy for GandivaPolicy {
         let still_here = |(a, b): &(JobId, JobId)| present.contains(a) && present.contains(b);
         st.good_pairs.retain(still_here);
         st.rejected_pairs.retain(still_here);
-
-        let n = input.jobs.len();
-        if n == 0 {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
 
         // Gandiva packs to relieve queuing pressure; with enough free
         // workers for every job, packing only hurts (two jobs sharing a GPU
@@ -138,7 +131,8 @@ impl Policy for GandivaPolicy {
             }
             let k = pair_rows[st.rng.gen_range(0..pair_rows.len())];
             let combo = input.combos.combos()[k];
-            let key = (combo.a, combo.b.expect("pair row"));
+            let Some(b) = combo.b else { continue };
+            let key = (combo.a, b);
             if st.rejected_pairs.contains(&key)
                 || st.good_pairs.contains(&key)
                 || packed.contains(&key.0)
@@ -158,72 +152,37 @@ impl Policy for GandivaPolicy {
             }
         }
 
-        // Scheduling units: active pairs plus unpacked singletons.
-        struct Unit {
-            row: usize,
-            combo: Combo,
-            weight: f64,
-            scale: u32,
-        }
-        let mut units: Vec<Unit> = Vec::new();
+        // Scheduling units: active pairs (one worker each, their members'
+        // weights together) plus unpacked singletons.
+        let (mut rows, mut scales, mut weights) = (Vec::new(), Vec::new(), Vec::new());
         for &k in &active_pairs {
-            let combo = input.combos.combos()[k];
-            let weight: f64 = combo
-                .jobs()
-                .filter_map(|id| input.job(id).map(|j| j.weight))
-                .sum();
-            units.push(Unit {
-                row: k,
-                combo,
-                weight,
-                scale: 1,
-            });
+            let members = input.combos.combos()[k].jobs();
+            rows.push(k);
+            scales.push(1);
+            weights.push(members.filter_map(|id| Some(input.job(id)?.weight)).sum());
         }
         for (m, job) in input.jobs.iter().enumerate() {
-            if packed.contains(&job.id) {
-                continue;
+            if !packed.contains(&job.id) {
+                rows.push(singles.row(m));
+                scales.push(job.scale_factor.max(1));
+                weights.push(job.weight);
             }
-            units.push(Unit {
-                row: singles.row(m),
-                combo: Combo::single(job.id),
-                weight: job.weight,
-                scale: job.scale_factor.max(1),
-            });
         }
 
-        // Agnostic time sharing over units, spread across runnable types.
-        let weights: Vec<f64> = units.iter().map(|u| u.weight).collect();
-        let scales: Vec<u32> = units.iter().map(|u| u.scale).collect();
+        // Agnostic time sharing over units.
         let shares = waterfill_shares(&weights, &scales, input.cluster.total_workers() as f64);
-
-        let mut alloc = Allocation::zeros(input.combos.clone(), input.cluster.num_types());
-        for (u, share) in units.iter().zip(&shares) {
-            // Spread across the types where the unit can run, proportional
-            // to worker counts (agnostic to throughput).
-            let runnable: Vec<usize> = (0..input.tensor.num_types())
-                .filter(|&j| input.tensor.entry(u.row, AccelIdx(j)).runnable())
-                .collect();
-            let total: f64 = runnable
-                .iter()
-                .map(|&j| input.cluster.num_workers(AccelIdx(j)) as f64)
-                .sum();
-            if total <= 0.0 {
-                continue;
-            }
-            let _ = u.combo;
-            for &j in &runnable {
-                *alloc.get_mut(u.row, AccelIdx(j)) =
-                    share * input.cluster.num_workers(AccelIdx(j)) as f64 / total;
-            }
-        }
-        Ok(alloc)
+        let units = rows.into_iter().zip(scales).zip(shares);
+        Ok(spread(
+            input,
+            units.map(|((row, scale), share)| (row, scale, share)),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_core::{ClusterSpec, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+    use gavel_core::{ClusterSpec, Combo, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
 
     /// A window of eight consecutive jobs slides over a two-worker
     /// cluster; neighbours can pack, every other pair profitably. Both

@@ -5,7 +5,7 @@
 //! discussing sharing incentive (§4.4). Useful as a worst-reasonable-case
 //! baseline and in property tests.
 
-use crate::common::{check_input, uniform_spread, waterfill_shares};
+use crate::common::{check_input, spread, waterfill_shares};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 
 /// Static equal split across all jobs.
@@ -26,16 +26,9 @@ impl Policy for IsolatedSplit {
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         let singles = check_input(input)?;
-        let n = input.jobs.len();
-        if n == 0 {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        let weights = vec![1.0; n];
+        let weights = vec![1.0; input.jobs.len()];
         let sfs: Vec<u32> = input.jobs.iter().map(|j| j.scale_factor).collect();
         let shares = waterfill_shares(&weights, &sfs, input.cluster.total_workers() as f64);
-        uniform_spread(input, &singles, &shares)
+        Ok(spread(input, singles.units(input, &shares)))
     }
 }

@@ -12,8 +12,8 @@
 //!   others.
 //!
 //! Space sharing comes for free: feed the policy a combo set with pair rows
-//! (see `gavel_workloads::build_tensor_with_pairs`) and the same LP
-//! optimizes over them.
+//! (see `gavel_workloads::build_tensor_with_pairs`; in a simulated run,
+//! `SimConfig::pairs`) and the same LP optimizes over them.
 //!
 //! # One prepared LP, two structural bases
 //!
@@ -47,33 +47,20 @@
 //! [`PreparedLp::basis_hint`]); an unusable one costs a cold start, never
 //! a wrong answer.
 
-use crate::common::{
-    check_input, solver_err, uniform_spread, waterfill_shares, AllocLp, SingletonRows,
-};
+use crate::common::{check_input, solver_err, spread, waterfill_shares, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
     BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
 };
 
-/// Heterogeneity-aware max-min fairness (LAS), optionally space-sharing
-/// aware.
+/// Heterogeneity-aware max-min fairness (LAS).
 #[derive(Debug, Clone, Default)]
-pub struct MaxMinFairness {
-    /// Whether the policy should be offered space-sharing pair rows.
-    pub space_sharing: bool,
-}
+pub struct MaxMinFairness;
 
 impl MaxMinFairness {
-    /// Heterogeneity-aware LAS without space sharing.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Heterogeneity-aware LAS with space sharing.
-    pub fn with_space_sharing() -> Self {
-        MaxMinFairness {
-            space_sharing: true,
-        }
+        MaxMinFairness
     }
 
     /// The per-job coefficients `c_m` such that the objective term is
@@ -193,15 +180,11 @@ impl MaxMinFairness {
 
 impl Policy for MaxMinFairness {
     fn name(&self) -> &str {
-        if self.space_sharing {
-            "max-min-het-ss"
-        } else {
-            "max-min-het"
-        }
+        "max-min-het"
     }
 
     fn wants_space_sharing(&self) -> bool {
-        self.space_sharing
+        true
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
@@ -231,7 +214,7 @@ impl Policy for AgnosticLas {
         let weights: Vec<f64> = input.jobs.iter().map(|j| j.weight).collect();
         let sfs: Vec<u32> = input.jobs.iter().map(|j| j.scale_factor).collect();
         let shares = waterfill_shares(&weights, &sfs, input.cluster.total_workers() as f64);
-        uniform_spread(input, &singles, &shares)
+        Ok(spread(input, singles.units(input, &shares)))
     }
 }
 

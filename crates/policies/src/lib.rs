@@ -17,14 +17,21 @@
 //! | [`Hierarchical`] | Hierarchical | water filling (LPs + MILP/probes) |
 //!
 //! Heterogeneity-agnostic baselines: [`AgnosticLas`] (Tiresias-style),
-//! [`FifoAgnostic`], [`FtfAgnostic`] (Themis-style), [`GandivaPolicy`]
-//! (ad-hoc space sharing), [`Allox`] (min-cost matching; het-aware but
-//! single-objective), and [`IsolatedSplit`] (static 1/n).
+//! [`FtfAgnostic`] (Themis-style), [`GandivaPolicy`] (ad-hoc space
+//! sharing) and [`IsolatedSplit`] (static 1/n) compute time shares and lay
+//! them over the accelerator types through the one `common::spread`, which
+//! keeps all four valid (§3.1) on every input; [`FifoAgnostic`] packs whole
+//! workers in arrival order, and [`Allox`] is a min-cost matching
+//! (het-aware but single-objective).
 //!
-//! Space sharing: pass a combo set containing pair rows (built by
-//! `gavel_workloads::build_tensor_with_pairs`) to any policy whose
-//! `wants_space_sharing()` returns true; the same optimization then
-//! allocates over job combinations.
+//! Space sharing is the caller's decision, not the policy's: a policy
+//! allocates over whatever rows its input holds, so a combo set with pair
+//! rows (`gavel_workloads::build_tensor_with_pairs`; in a simulated or
+//! served run, `SimConfig::pairs`) makes the same optimization allocate
+//! over job combinations. `Policy::wants_space_sharing` only names the
+//! policies that can use pair rows — [`MaxMinFairness`], [`FifoHet`],
+//! [`MinMakespan`] (the three the paper evaluates with space sharing) and
+//! [`GandivaPolicy`] — so the service scores pairs for no other.
 
 pub mod allox;
 pub mod common;
@@ -38,7 +45,6 @@ pub mod las;
 pub mod makespan;
 
 pub use allox::Allox;
-pub use common::boxed;
 pub use cost::{MaxTotalThroughput, MinCost, MinCostSlo};
 pub use fifo::{FifoAgnostic, FifoHet, ShortestJobFirst};
 pub use ftf::{FinishTimeFairness, FtfAgnostic};

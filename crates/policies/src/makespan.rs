@@ -11,30 +11,21 @@
 //! `t = 1/M` the test reads `throughput(m, X) - num_steps_m * t >= 0`,
 //! maximize `t`: the max-min fairness LP with `c_m = num_steps_m`. So the
 //! policy is one solve of the LP [`MaxMinFairness`] builds — exact, no
-//! search.
+//! search — and, like it, space-shares over whatever pair rows its input
+//! holds.
 
 use crate::common::SingletonRows;
 use crate::las::MaxMinFairness;
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 
-/// Heterogeneity-aware minimum makespan, optionally space-sharing aware.
+/// Heterogeneity-aware minimum makespan.
 #[derive(Debug, Clone, Default)]
-pub struct MinMakespan {
-    /// Whether to use space-sharing pair rows.
-    pub space_sharing: bool,
-}
+pub struct MinMakespan;
 
 impl MinMakespan {
-    /// Makespan policy without space sharing.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Makespan policy with space sharing.
-    pub fn with_space_sharing() -> Self {
-        MinMakespan {
-            space_sharing: true,
-        }
+        MinMakespan
     }
 
     /// `c_m = steps_m / lo`, where `lo` — the longest job run alone at
@@ -51,15 +42,11 @@ impl MinMakespan {
 
 impl Policy for MinMakespan {
     fn name(&self) -> &str {
-        if self.space_sharing {
-            "makespan-het-ss"
-        } else {
-            "makespan-het"
-        }
+        "makespan-het"
     }
 
     fn wants_space_sharing(&self) -> bool {
-        self.space_sharing
+        true
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
@@ -108,10 +95,7 @@ mod tests {
                 job.steps_remaining = 10f64.powf(rng.gen_range(0.0..6.0));
             }
             let input = setup.input();
-            let policy = MinMakespan {
-                space_sharing: pairs,
-            };
-            let alloc = policy.compute_allocation(&input).unwrap();
+            let alloc = MinMakespan::new().compute_allocation(&input).unwrap();
             let scale_factors: HashMap<JobId, u32> =
                 setup.jobs.iter().map(|j| (j.id, j.scale_factor)).collect();
             alloc.validate(&setup.cluster, &scale_factors).unwrap();

@@ -214,9 +214,8 @@ fn las_homogeneous_reduces_to_equal_split() {
         .unwrap();
     // Normalized throughput equal across jobs; each job's share is 1/2 of
     // a worker (4 jobs on 2 workers).
-    for job in &setup.jobs {
+    for (row, job) in setup.jobs.iter().enumerate() {
         let tput = alloc.effective_throughput(&setup.tensor, job.id);
-        let row = setup.input().job_index(job.id).unwrap();
         let full = setup.tensor.entry(row, gavel_core::AccelIdx(0)).a;
         assert!(
             (tput / full - 0.5).abs() < 1e-4,
@@ -257,7 +256,7 @@ fn las_space_sharing_no_worse() {
         tensor,
         cluster,
     };
-    let alloc = MaxMinFairness::with_space_sharing()
+    let alloc = MaxMinFairness::new()
         .compute_allocation(&ss.input())
         .unwrap();
     alloc.validate(&ss.cluster, &ss.scale_factors()).unwrap();
@@ -337,13 +336,13 @@ fn makespan_matches_hand_computation() {
 }
 
 #[test]
-fn makespan_with_space_sharing_solves_the_stalling_instances() {
+fn makespan_over_pair_rows_solves_the_stalling_instances() {
     // Static traces with pair rows whose feasibility LPs stall the dual
     // warm path (`common.rs` replays one); the policy's one LP must not.
     use gavel_workloads::{cluster_scaled, TraceConfig};
     for (n, seed, scale) in [(64, 7, 2), (128, 6, 5), (128, 7, 5)] {
         let setup = trace_setup(&TraceConfig::static_single(n, seed), cluster_scaled(scale));
-        let alloc = MinMakespan::with_space_sharing()
+        let alloc = MinMakespan::new()
             .compute_allocation(&setup.input())
             .unwrap_or_else(|e| panic!("{n} jobs, seed {seed}: {e}"));
         alloc
@@ -385,8 +384,7 @@ fn ftf_equalizes_fresh_identical_jobs() {
     assert!((t0 - t1).abs() / t0.max(t1) < 0.05, "{t0} vs {t1}");
     // Each job should do at least as well as its 1/2-cluster share.
     let x_iso = gavel_core::refs::x_isolated(&setup.cluster, 2, 1);
-    for job in &setup.jobs {
-        let row = setup.input().job_index(job.id).unwrap();
+    for (row, job) in setup.jobs.iter().enumerate() {
         let iso = gavel_core::refs::throughput_under(&setup.tensor, row, &x_iso);
         let t = alloc.effective_throughput(&setup.tensor, job.id);
         assert!(t >= iso * 0.95, "{}: {t} vs isolated {iso}", job.id);
@@ -407,8 +405,8 @@ fn ftf_het_beats_agnostic() {
         setup
             .jobs
             .iter()
-            .map(|j| {
-                let row = setup.input().job_index(j.id).unwrap();
+            .enumerate()
+            .map(|(row, j)| {
                 let iso = gavel_core::refs::throughput_under(&setup.tensor, row, &x_iso);
                 let t = alloc.effective_throughput(&setup.tensor, j.id).max(1e-12);
                 (j.steps_remaining / t) / (j.steps_remaining / iso)
@@ -658,7 +656,6 @@ fn all_policies_return_valid_allocations_on_realistic_input() {
     );
     let policies: Vec<Box<dyn Policy>> = vec![
         Box::new(MaxMinFairness::new()),
-        Box::new(MaxMinFairness::with_space_sharing()),
         Box::new(AgnosticLas::new()),
         Box::new(FifoHet::new()),
         Box::new(FifoAgnostic::new()),
@@ -681,6 +678,83 @@ fn all_policies_return_valid_allocations_on_realistic_input() {
         alloc
             .validate(&setup.cluster, &sfs)
             .unwrap_or_else(|e| panic!("{} invalid: {e}", p.name()));
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// The policies that solve no LP return valid allocations (§3.1) when
+    /// jobs hold one, two or four workers and some fit only the V100s, or
+    /// only the V100s and P100s — the shape that used to push Gandiva and
+    /// the uniform spread past the V100 count. Gandiva runs with and
+    /// without pair rows, a few times over, so kept pairs are units too.
+    #[test]
+    fn non_lp_policies_stay_valid_when_jobs_do_not_fit_every_type(
+        seed in proptest::prelude::any::<u64>(),
+        n in 1usize..24,
+        workers in proptest::collection::vec(1usize..7, 3),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cluster = gavel_core::ClusterSpec::new(&[
+            ("v100", workers[0], workers[0], 0.0),
+            ("p100", workers[1], workers[1], 0.0),
+            ("k80", workers[2], workers[2], 0.0),
+        ]);
+        let mut jobs: Vec<PolicyJob> = (0..n as u64)
+            .map(|m| PolicyJob::simple(JobId(m), 1000.0))
+            .collect();
+        let mut rows: Vec<Vec<PairThroughput>> = Vec::new();
+        for job in &mut jobs {
+            job.weight = rng.gen_range(0.5..4.0);
+            job.scale_factor = [1, 1, 2, 4][rng.gen_range(0..4usize)];
+            let fits = rng.gen_range(1..4usize);
+            let tput = |j| PairThroughput::single(rng.gen_range(0.2..5.0) * (3 - j) as f64);
+            let mut row: Vec<PairThroughput> = (0..fits).map(tput).collect();
+            row.resize(3, PairThroughput::zero());
+            rows.push(row);
+        }
+        let singletons: Vec<Combo> = jobs.iter().map(|j| Combo::single(j.id)).collect();
+        // Single-worker neighbours may share a worker where both fit.
+        let (mut combos, mut pair_rows) = (singletons.clone(), rows.clone());
+        for m in 1..n {
+            if jobs[m - 1].scale_factor == 1 && jobs[m].scale_factor == 1 {
+                let shared = |j: usize| match (rows[m - 1][j].a, rows[m][j].a) {
+                    (a, b) if a > 0.0 && b > 0.0 => PairThroughput::pair(0.6 * a, 0.6 * b),
+                    _ => PairThroughput::zero(),
+                };
+                combos.push(Combo::pair(jobs[m - 1].id, jobs[m].id));
+                pair_rows.push((0..3).map(shared).collect());
+            }
+        }
+        for (combos, rows) in [(singletons, rows), (combos, pair_rows)] {
+            let setup = Setup {
+                jobs: jobs.clone(),
+                combos: ComboSet::new(combos),
+                tensor: ThroughputTensor::new(3, rows),
+                cluster: cluster.clone(),
+            };
+            let policies: Vec<Box<dyn Policy>> = vec![
+                Box::new(IsolatedSplit::new()),
+                Box::new(AgnosticLas::new()),
+                Box::new(FtfAgnostic::new()),
+                Box::new(FifoAgnostic::new()),
+                Box::new(GandivaPolicy::new(seed)),
+            ];
+            for policy in &policies {
+                for call in 0..4 {
+                    let alloc = policy.compute_allocation(&setup.input()).unwrap();
+                    let valid = alloc.validate(&setup.cluster, &setup.scale_factors());
+                    proptest::prop_assert!(
+                        valid.is_ok(),
+                        "{} over {} rows, call {call}: {valid:?}",
+                        policy.name(),
+                        setup.combos.len()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -104,11 +104,6 @@ impl PlacementState {
         self.free_total = self.free_of.iter().sum();
     }
 
-    /// Total free slots of type `j`.
-    pub fn free_of_type(&self, j: AccelIdx) -> usize {
-        self.free_of[j.0]
-    }
-
     /// Total free slots over all types.
     pub fn free_total(&self) -> usize {
         self.free_total
@@ -226,7 +221,7 @@ mod tests {
     fn partial_last_server() {
         let c = ClusterSpec::new(&[("x", 10, 4, 0.0)]);
         let st = PlacementState::new(&c);
-        assert_eq!(st.free_of_type(AccelIdx(0)), 10);
+        assert_eq!(st.free_total(), 10);
         assert_eq!(st.free, [4, 4, 2]);
     }
 

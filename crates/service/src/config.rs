@@ -47,8 +47,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// Allocation recomputation cadence.
     pub recompute: RecomputeCadence,
-    /// Pair-row generation for space-sharing-aware policies. `None`
-    /// disables pair rows even for policies that want them.
+    /// The one space-sharing switch: `Some` gives a policy that can use
+    /// pair rows (`Policy::wants_space_sharing`) pair rows pruned by these
+    /// options, `None` (the default) gives every policy singleton rows
+    /// only.
     pub pairs: Option<PairOptions>,
     /// Use the throughput estimator for pair throughputs instead of the
     /// oracle (Figure 14): each arriving job is profiled against a few

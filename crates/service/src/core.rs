@@ -27,7 +27,7 @@ use crate::command::{Command, Rejection, RejectionTally, SubmissionLog};
 use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
-use crate::metrics::{EntityCounters, JobOutcome, ServiceStats, SimResult};
+use crate::metrics::{EntityCounters, JobOutcome, PolicyFailures, ServiceStats, SimResult};
 use crate::snapshot::SnapshotCache;
 use gavel_core::{
     refs, AccelIdx, Allocation, ComboSet, EntityId, JobId, Policy, PolicyInput, PolicyJob,
@@ -202,7 +202,7 @@ pub struct SchedulerService<'p> {
     now: f64,
     rounds: usize,
     recomputations: usize,
-    policy_failures: usize,
+    policy_failures: PolicyFailures,
     never_placeable: usize,
     policy_seconds: f64,
     busy_worker_seconds: f64,
@@ -279,7 +279,7 @@ impl<'p> SchedulerService<'p> {
             now: 0.0,
             rounds: 0,
             recomputations: 0,
-            policy_failures: 0,
+            policy_failures: PolicyFailures::default(),
             never_placeable: 0,
             policy_seconds: 0.0,
             busy_worker_seconds: 0.0,
@@ -677,18 +677,15 @@ impl<'p> SchedulerService<'p> {
             tensor: &tensor,
             cluster: &cfg.cluster,
         };
-        let (alloc, failed) = match self.policy.compute_allocation(&input) {
-            Ok(alloc) => (alloc, false),
-            Err(_) => {
-                let alloc = IsolatedSplit::new()
-                    .compute_allocation(&input)
-                    .unwrap_or_else(|_| Allocation::zeros(combos.clone(), cfg.cluster.num_types()));
-                (alloc, true)
-            }
-        };
+        let alloc = self.policy.compute_allocation(&input).unwrap_or_else(|e| {
+            let (jobs, rows) = (input.jobs.len(), combos.len());
+            (self.policy_failures).record(&e, self.recomputations, jobs, rows);
+            IsolatedSplit::new()
+                .compute_allocation(&input)
+                .unwrap_or_else(|_| Allocation::zeros(combos.clone(), cfg.cluster.num_types()))
+        });
         self.policy_seconds += t0.elapsed().as_secs_f64();
         self.recomputations += 1;
-        self.policy_failures += failed as usize;
         self.row_positions.clear();
         self.row_positions
             .resize(combos.len(), RowPositions::default());
@@ -1037,7 +1034,8 @@ impl<'p> SchedulerService<'p> {
             rounds: self.rounds,
             recomputations: self.recomputations,
             policy_solve_seconds: self.policy_seconds,
-            policy_failures: self.policy_failures,
+            policy_failures: self.policy_failures.total(),
+            policy_failure_kinds: self.policy_failures,
             never_placeable: self.never_placeable,
         }
     }

@@ -106,7 +106,9 @@ pub use config::{FailureConfig, RecomputeCadence, SimConfig};
 pub use core::{AllocationView, SchedulerService, ServiceConfig};
 pub use error::{InvalidCommand, InvalidReason, ServiceError};
 pub use estimate::EstimatorBridge;
-pub use metrics::{EntityCounters, JobOutcome, ServiceStats, SimResult};
+pub use metrics::{
+    EntityCounters, FirstPolicyFailure, JobOutcome, PolicyFailures, ServiceStats, SimResult,
+};
 pub use recovery::{
     recover, run_until_crash, CrashOutcome, DurableService, MemoryDurableService, RecoveryError,
     RecoveryReport,

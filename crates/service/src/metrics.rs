@@ -1,7 +1,7 @@
 //! Simulation outcomes and the metrics the paper reports.
 
 use crate::snapshot::SnapshotStats;
-use gavel_core::{EntityId, JobId};
+use gavel_core::{EntityId, JobId, PolicyError};
 use gavel_sched::MechanismStats;
 use gavel_workloads::JobConfig;
 
@@ -41,6 +41,58 @@ pub struct ServiceStats {
     pub max_queries_between_recomputes: usize,
     /// Counters per entity, `None` first then ascending by id.
     pub per_entity: Vec<(Option<EntityId>, EntityCounters)>,
+}
+
+/// Why recomputes fell back to the isolated split: one count per
+/// [`PolicyError`] variant and the first failure in full. Diagnostic only
+/// — part of no fingerprint or digest.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PolicyFailures {
+    /// Recomputes that failed with [`PolicyError::Solver`].
+    pub solver: usize,
+    /// Recomputes that failed with [`PolicyError::InvalidInput`].
+    pub invalid_input: usize,
+    /// Recomputes that failed with [`PolicyError::NoFeasibleAllocation`].
+    pub no_feasible_allocation: usize,
+    /// The first failure.
+    pub first: Option<FirstPolicyFailure>,
+}
+
+/// The first failed recompute of a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FirstPolicyFailure {
+    /// Which recompute failed, counting from zero.
+    pub recompute: usize,
+    /// Jobs in its policy input.
+    pub jobs: usize,
+    /// Combo rows in its policy input.
+    pub rows: usize,
+    /// The [`PolicyError`]'s text.
+    pub error: String,
+}
+
+impl PolicyFailures {
+    /// Failures of every kind.
+    pub fn total(&self) -> usize {
+        self.solver + self.invalid_input + self.no_feasible_allocation
+    }
+
+    /// Counts `error`, raised by recompute number `recompute` over `jobs`
+    /// jobs and `rows` combo rows.
+    pub(crate) fn record(&mut self, e: &PolicyError, recompute: usize, jobs: usize, rows: usize) {
+        let kind = match e {
+            PolicyError::Solver(_) => &mut self.solver,
+            PolicyError::InvalidInput(_) => &mut self.invalid_input,
+            PolicyError::NoFeasibleAllocation(_) => &mut self.no_feasible_allocation,
+        };
+        *kind += 1;
+        (self.first).get_or_insert_with(|| FirstPolicyFailure {
+            recompute,
+            jobs,
+            rows,
+            error: e.to_string(),
+        });
+    }
 }
 
 /// Per-job outcome of a simulation.
@@ -120,6 +172,8 @@ pub struct SimResult {
     pub policy_solve_seconds: f64,
     /// Policy solve failures that fell back to the isolated split.
     pub policy_failures: usize,
+    /// The same failures by kind, with the first one's text.
+    pub policy_failure_kinds: PolicyFailures,
     /// Jobs whose scale factor exceeds every accelerator type's worker
     /// count: they can never be placed on this cluster, so the simulator
     /// rejects them at admission (completion `None`) and counts them here
@@ -166,20 +220,6 @@ impl SimResult {
             return 0.0;
         }
         window.iter().sum::<f64>() / window.len() as f64 / 3600.0
-    }
-
-    /// Average JCT in hours over jobs selected by `pred`.
-    pub fn avg_jct_hours_where<F: Fn(&JobOutcome) -> bool>(&self, pred: F) -> f64 {
-        let jcts: Vec<f64> = self
-            .jobs
-            .iter()
-            .filter(|j| pred(j))
-            .filter_map(|j| j.jct())
-            .collect();
-        if jcts.is_empty() {
-            return 0.0;
-        }
-        jcts.iter().sum::<f64>() / jcts.len() as f64 / 3600.0
     }
 
     /// Fraction of jobs left unfinished at the simulation cap.
@@ -296,6 +336,7 @@ mod tests {
             recomputations: 0,
             policy_solve_seconds: 0.0,
             policy_failures: 0,
+            policy_failure_kinds: PolicyFailures::default(),
             never_placeable: 0,
             snapshot_stats: SnapshotStats::default(),
             mechanism_stats: MechanismStats::default(),

@@ -370,6 +370,20 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
 
     assert!(policy.failures.get() >= 4 && fallback_rounds >= 4);
     assert_eq!(live.policy_failures, policy.failures.get());
+    // Every failure is attributed to its kind, the first one in full: the
+    // policy's second call, at the second job's arrival.
+    let kinds = &live.policy_failure_kinds;
+    assert_eq!(
+        (kinds.total(), kinds.solver),
+        (live.policy_failures, live.policy_failures)
+    );
+    let first = kinds.first.as_ref().unwrap();
+    assert_eq!(
+        (first.recompute, first.jobs, first.rows),
+        (1, 2, 2),
+        "{first:?}"
+    );
+    assert!(first.error.contains("injected by the test"), "{first:?}");
     assert_eq!(live.recomputations, policy.calls.get());
     assert_eq!((live.jobs.len(), live.unfinished_fraction()), (8, 0.0));
     assert!(live.utilization <= 1.0);
@@ -380,7 +394,7 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
     let fresh = FlakySolver::default();
     let replayed = replay(&fresh, &cfg, &svc_cfg, &log);
     assert_eq!(result_fingerprint(&replayed), result_fingerprint(&live));
-    assert_eq!(replayed.policy_failures, live.policy_failures);
+    assert_eq!(replayed.policy_failure_kinds, live.policy_failure_kinds);
     let fresh = FlakySolver::default();
     let (recovered, _) = recover(&fresh, &cfg, &svc_cfg, None, &wal).unwrap();
     assert_eq!(recovered.state_fingerprint(), live_fp);

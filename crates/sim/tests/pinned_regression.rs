@@ -130,7 +130,7 @@ fn round_mode_space_sharing() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 40, 17), &oracle);
     let cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let r = run_replayed(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
+    let r = run_replayed(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
@@ -289,7 +289,7 @@ fn estimated_with_worker_failures() {
         .with_estimated_pairs()
         .with_failures(14_400.0, 3600.0);
     cfg.seed = 5;
-    let r = run_replayed(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
+    let r = run_replayed(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
@@ -315,7 +315,7 @@ fn estimated_with_throttled_recomputes() {
     let trace = generate(&TraceConfig::continuous_single(2.2, 30, 59), &oracle);
     let mut cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
     cfg.recompute = RecomputeCadence::ThrottledResets(4);
-    let r = run_replayed(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
+    let r = run_replayed(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(
         fingerprint(&r),
         Fingerprint {

@@ -133,7 +133,7 @@ fn space_sharing_helps_at_high_load() {
     let cfg = SimConfig::new(cluster_twelve());
     let plain = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
     let ss_cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let ss = gavel_sim::run(&MaxMinFairness::with_space_sharing(), &trace, &ss_cfg);
+    let ss = gavel_sim::run(&MaxMinFairness::new(), &trace, &ss_cfg);
     let p = plain.steady_state_avg_jct_hours(5, 5);
     let s = ss.steady_state_avg_jct_hours(5, 5);
     assert!(s <= p * 1.02, "space sharing should not hurt: {s} vs {p}");
@@ -149,9 +149,9 @@ fn profiled_estimation_stays_close_and_uses_the_estimator_entry() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 40, 19), &oracle);
     let base = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let oracle_run = gavel_sim::run(&MaxMinFairness::with_space_sharing(), &trace, &base);
+    let oracle_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &base);
     let est_cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
-    let est_run = gavel_sim::run(&MaxMinFairness::with_space_sharing(), &trace, &est_cfg);
+    let est_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &est_cfg);
     let o = oracle_run.avg_jct_hours();
     let e = est_run.avg_jct_hours();
     assert!(

@@ -5,11 +5,11 @@
 //! across batch sizes, Table 2) on physical V100/P100/K80 GPUs. Those
 //! measurements are not public, so this crate substitutes a *synthetic
 //! oracle* whose structure matches every qualitative property the paper
-//! reports (see `DESIGN.md` §3–4): heterogeneous V100:K80 speedups from
-//! ~2x (A3C) to ~10x (ResNet-50), dollar-normalized crossovers, a
-//! colocation contention model reproducing the Figure 15 heatmap shape, and
-//! a communication-bound distributed-scaling model for placement
-//! sensitivity.
+//! reports (see the [`oracle`] module docs): heterogeneous V100:K80
+//! speedups from ~2x (A3C) to ~10x (ResNet-50), dollar-normalized
+//! crossovers, a colocation contention model reproducing the Figure 15
+//! heatmap shape, and a communication-bound distributed-scaling model for
+//! placement sensitivity.
 //!
 //! Everything downstream (policies, mechanism, simulator) consumes only the
 //! resulting throughput tensors, so the synthetic substitution preserves
@@ -18,7 +18,6 @@
 pub mod clusters;
 pub mod models;
 pub mod oracle;
-pub mod placement;
 pub mod tensors;
 pub mod trace;
 
@@ -27,7 +26,6 @@ pub use clusters::{
 };
 pub use models::{JobConfig, ModelFamily};
 pub use oracle::Oracle;
-pub use placement::{build_placement_tensor, PlacementCluster};
 pub use tensors::{
     build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_row,
     pair_score, singleton_row, JobSpec, PairOptions,

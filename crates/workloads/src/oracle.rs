@@ -1,8 +1,8 @@
 //! The synthetic throughput oracle.
 //!
-//! Substitutes for the paper's measured throughputs (DESIGN.md §3–4). The
-//! oracle is deterministic and analytic; per-run measurement noise is added
-//! by the simulator, not here.
+//! Substitutes for the paper's measured throughputs (why, and what that
+//! preserves: the [crate docs](crate)). The oracle is deterministic and
+//! analytic; per-run measurement noise is added by the simulator, not here.
 //!
 //! Like the paper's profiled tensor (§3.1, §6), it is computed once and then
 //! looked up. The closed form below *defines* one process-wide table over

@@ -29,7 +29,7 @@ fn main() {
         ),
         (
             "Gavel w/ space sharing",
-            Box::new(MaxMinFairness::with_space_sharing()),
+            Box::new(MaxMinFairness::new()),
             true,
         ),
     ];

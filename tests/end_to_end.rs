@@ -35,36 +35,48 @@ fn every_policy_survives_a_mixed_trace() {
         .filter(|t| t.scale_factor == 1)
         .cloned()
         .collect();
-    let policies: Vec<(Box<dyn Policy>, bool)> = vec![
-        (Box::new(MaxMinFairness::new()), false),
-        (Box::new(MaxMinFairness::with_space_sharing()), false),
-        (Box::new(AgnosticLas::new()), false),
-        (Box::new(FifoHet::new()), false),
-        (Box::new(FifoAgnostic::new()), false),
-        (Box::new(ShortestJobFirst::new()), false),
-        (Box::new(MinMakespan::new()), false),
-        (Box::new(FinishTimeFairness::new()), false),
-        (Box::new(FtfAgnostic::new()), false),
-        (Box::new(MaxTotalThroughput::new()), false),
-        (Box::new(MinCost::new()), false),
-        (Box::new(MinCostSlo::new()), false),
-        (Box::new(GandivaPolicy::new(1)), false),
-        (Box::new(IsolatedSplit::new()), false),
-        (Box::new(Hierarchical::single_level()), false),
-        (Box::new(Allox::new()), true), // single-worker jobs only
+    // Each policy, whether its run space-shares (the config's decision,
+    // not the policy's), and whether it takes single-worker jobs only.
+    let policies: Vec<(Box<dyn Policy>, bool, bool)> = vec![
+        (Box::new(MaxMinFairness::new()), false, false),
+        (Box::new(MaxMinFairness::new()), true, false),
+        (Box::new(AgnosticLas::new()), false, false),
+        (Box::new(FifoHet::new()), false, false),
+        (Box::new(FifoAgnostic::new()), false, false),
+        (Box::new(ShortestJobFirst::new()), false, false),
+        (Box::new(MinMakespan::new()), false, false),
+        (Box::new(FinishTimeFairness::new()), false, false),
+        (Box::new(FtfAgnostic::new()), false, false),
+        (Box::new(MaxTotalThroughput::new()), false, false),
+        (Box::new(MinCost::new()), false, false),
+        (Box::new(MinCostSlo::new()), false, false),
+        (Box::new(GandivaPolicy::new(1)), true, false),
+        (Box::new(IsolatedSplit::new()), false, false),
+        (Box::new(Hierarchical::single_level()), false, false),
+        (Box::new(Allox::new()), false, true),
     ];
-    for (policy, needs_single) in &policies {
+    for (policy, space_sharing, needs_single) in &policies {
         let mut cfg = SimConfig::new(cluster_twelve());
-        if policy.wants_space_sharing() {
+        if *space_sharing {
             cfg = cfg.with_space_sharing();
         }
         let t = if *needs_single { &single_only } else { &trace };
         let result = gavel::sim::run(policy.as_ref(), t, &cfg);
+        // One switch: pairs are scored, and pair rows offered, exactly
+        // when the config says so.
+        let stats = result.snapshot_stats;
+        assert_eq!(
+            (stats.pair_evals > 0, stats.pair_rows_materialized > 0),
+            (*space_sharing, *space_sharing),
+            "{} with space sharing {space_sharing}: {stats:?}",
+            policy.name()
+        );
         assert_eq!(
             result.policy_failures,
             0,
-            "{} fell back to isolated split",
-            policy.name()
+            "{} fell back to isolated split: {:?}",
+            policy.name(),
+            result.policy_failure_kinds
         );
         assert_eq!(
             result.unfinished_fraction(),
@@ -147,7 +159,7 @@ fn estimator_pipeline_runs_end_to_end() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.0, 25, 14), &oracle);
     let cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
-    let result = gavel::sim::run(&MaxMinFairness::with_space_sharing(), &trace, &cfg);
+    let result = gavel::sim::run(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(result.unfinished_fraction(), 0.0);
     assert_eq!(result.policy_failures, 0);
 }

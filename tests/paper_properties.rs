@@ -248,7 +248,7 @@ fn colocation_never_hurts() {
                 cluster: &cluster,
             })
             .unwrap();
-        let ss = MaxMinFairness::with_space_sharing()
+        let ss = MaxMinFairness::new()
             .compute_allocation(&PolicyInput {
                 jobs: &jobs,
                 combos: &c2,
