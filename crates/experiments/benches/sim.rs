@@ -8,9 +8,9 @@
 //!   completion + one arrival + one recompute per iteration, cached vs
 //!   rebuilt;
 //! - `plan/*` — the round planner replanning one allocation from its
-//!   resolved candidates (`cached`) vs resolving it on every call
-//!   (`fresh`), and `steady`: 50 plan + record rounds of one generation
-//!   over an allocation with pair rows, the loop a service runs;
+//!   resolved candidates (`cached`), and `steady`: a departure, then one
+//!   re-resolution and 50 plan + record rounds of one generation over an
+//!   allocation with pair rows, the loop a service runs;
 //! - `bridged/*` — the estimator-backed (Figure 14) recompute: the
 //!   `SnapshotCache` re-scoring only the jobs a steady refinement trickle
 //!   dirtied vs a full estimator-driven rebuild;
@@ -30,8 +30,7 @@
 //!   (crosschecked on a copy of the cache), and the timed cache must
 //!   record **zero** flat re-ranks (`SnapshotStats::flat_reranks`);
 //! - cached and fresh snapshots (oracle and estimated) must be
-//!   row-for-row identical, and cached and fresh round plans
-//!   assignment-for-assignment identical, on every sized instance.
+//!   row-for-row identical on every sized instance.
 //!
 //! Overwrites the machine-readable `BENCH_sim.json` (a header object,
 //! then one JSON object per line) next to `BENCH_solver.json` for the
@@ -39,7 +38,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 use gavel_core::{Allocation, Combo, ComboSet, JobId, PolicyJob};
-use gavel_sched::{RoundPlan, RoundScheduler};
+use gavel_sched::RoundScheduler;
 use gavel_sim::{EstimatorBridge, SnapshotCache};
 use gavel_workloads::{
     build_tensor_with_pairs, cluster_scaled, JobConfig, JobSpec, Oracle, PairOptions,
@@ -387,16 +386,8 @@ fn bench_bucketed(c: &mut Criterion) {
 /// Rounds one `plan/steady` iteration plans and records.
 const STEADY_ROUNDS: usize = 50;
 
-fn assert_same_plan(a: &RoundPlan, b: &RoundPlan) {
-    assert_eq!(a.assignments.len(), b.assignments.len());
-    for (a, b) in a.assignments.iter().zip(&b.assignments) {
-        assert_eq!((a.row, a.accel, &a.workers), (b.row, b.accel, &b.workers));
-    }
-}
-
-/// Round planning from the candidates resolved once per generation vs
-/// resolving the allocation on every call, replanning one unchanged
-/// allocation.
+/// Round planning from the candidates resolved once per generation,
+/// replanning one unchanged allocation.
 fn bench_plan(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan");
     group.sample_size(10);
@@ -427,35 +418,21 @@ fn bench_plan(c: &mut Criterion) {
             let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
             sched.record(&plan, 360.0);
         }
-        // Correctness gate: cached and fresh plans are identical.
-        assert_same_plan(
-            &sched.plan_round_cached(&alloc, 1, &sf, None),
-            &sched.plan_round_with_capacity(&alloc, &sf, None),
-        );
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
             b.iter(|| sched.plan_round_cached(&alloc, 1, &sf, None))
         });
-        group.bench_with_input(BenchmarkId::new("fresh", n), &n, |b, _| {
-            b.iter(|| sched.plan_round_with_capacity(&alloc, &sf, None))
-        });
 
         // The steady loop with space sharing: every singleton plus a pair
-        // row per two jobs. Gate: a second scheduler that resolves the
-        // allocation afresh every round plans the same 50 rounds.
+        // row per two jobs. Forgetting an id no row names costs what a
+        // departure costs — one re-resolution — and changes no plan.
         let combos = (jobs.iter().map(|&j| Combo::single(j)))
             .chain(jobs.chunks_exact(2).map(|p| Combo::pair(p[0], p[1])))
             .collect();
         let alloc = Allocation::new(ComboSet::new(combos), random_rows(n + n / 2));
-        let mut sched = RoundScheduler::new(cluster.clone());
-        let mut fresh = RoundScheduler::new(cluster);
-        for _ in 0..STEADY_ROUNDS {
-            let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
-            assert_same_plan(&plan, &fresh.plan_round_with_capacity(&alloc, &sf, None));
-            sched.record(&plan, 360.0);
-            fresh.record(&plan, 360.0);
-        }
+        let mut sched = RoundScheduler::new(cluster);
         group.bench_with_input(BenchmarkId::new("steady", n), &n, |b, _| {
             b.iter(|| {
+                sched.forget_job(JobId(u64::MAX));
                 for _ in 0..STEADY_ROUNDS {
                     let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
                     sched.record(&plan, 360.0);

@@ -8,11 +8,9 @@
 //!   reoptimization path),
 //! - `milp/*` — Appendix A.1-style bottleneck MILPs, branch-and-bound with
 //!   warm-started nodes vs cold nodes.
-//! - `probe_pass/*` — the hierarchical policy's bottleneck pass (prepass
-//!   plus the warm chain of per-job probes on one prepared LP). Gated on
-//!   verdict identity against an exhaustive oracle (a cold per-job LP for
-//!   every job) and every probe resuming warm — no phase 1, no cold
-//!   fallback.
+//! - `hier/*` — one whole single-level water-filling solve (round LPs,
+//!   prepass, the warm chain of per-job probes). Timing only; the probe
+//!   gates are `hierarchical.rs`'s own tests.
 //! - `las/*` — one whole `MaxMinFairness` recompute (build, lower once,
 //!   max-`t` solve, refine solve) on weighted jobs of scale factor 1–8.
 //!   Gated on both solves starting from their structural bases: no
@@ -40,7 +38,6 @@ use gavel_policies::{Hierarchical, MaxMinFairness, MinMakespan};
 use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Builds a synthetic max-min fairness LP with `n` jobs and 3 types.
 /// `floors` adds per-job already-achieved throughput floors, emulating a
@@ -349,7 +346,7 @@ fn bench_milp(c: &mut Criterion) {
     group.finish();
 }
 
-/// Owned bundle behind a `PolicyInput` for the probe-pass benches.
+/// Owned bundle behind a `PolicyInput` for the policy benches.
 struct ProbeSetup {
     jobs: Vec<PolicyJob>,
     combos: ComboSet,
@@ -396,110 +393,28 @@ fn probe_setup(n: usize, seed: u64) -> ProbeSetup {
     }
 }
 
-/// The exhaustive bottleneck test the probe pass must agree with: for
-/// every `stride`-th job, a cold LP maximizing its normalized throughput
-/// while all jobs keep their floors, built here from the raw instance
-/// rather than through the policy. Returns those of the tested jobs that
-/// cannot rise above their floor, under the policy's tolerance.
-fn oracle_bottlenecked(setup: &ProbeSetup, floors: &[f64], stride: usize) -> Vec<usize> {
-    let n = setup.jobs.len();
-    // Normalized throughput: raw throughput over the equal-share one (a
-    // third of the time on each of the three equally sized types).
-    let norm: Vec<Vec<f64>> = (0..n)
-        .map(|m| {
-            let raw: Vec<f64> = (0..3)
-                .map(|j| setup.tensor.entry(m, gavel_core::AccelIdx(j)).total())
-                .collect();
-            let equal_share: f64 = raw.iter().sum::<f64>() / 3.0;
-            raw.iter().map(|t| t / equal_share).collect()
-        })
-        .collect();
-    let mut lp = LpProblem::new(Sense::Maximize);
-    let x: Vec<Vec<VarId>> = (0..n)
-        .map(|m| {
-            (0..3)
-                .map(|j| lp.add_var_indexed2("x", (m, j), 0.0, f64::INFINITY, 0.0))
-                .collect()
-        })
-        .collect();
-    for (m, row) in x.iter().enumerate() {
-        let budget: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&budget, Cmp::Le, 1.0);
-        let tput: Vec<(VarId, f64)> = row.iter().zip(&norm[m]).map(|(&v, &t)| (v, t)).collect();
-        lp.add_constraint(&tput, Cmp::Ge, floors[m]);
-    }
-    for j in 0..3 {
-        let cap: Vec<(VarId, f64)> = x.iter().map(|row| (row[j], 1.0)).collect();
-        let workers = setup.cluster.num_workers(gavel_core::AccelIdx(j)) as f64;
-        lp.add_constraint(&cap, Cmp::Le, workers);
-    }
-    let mut bottlenecked = Vec::new();
-    for m in (0..n).step_by(stride) {
-        for j in 0..3 {
-            lp.set_objective_coeff(x[m][j], norm[m][j]);
-        }
-        let best = lp.solve().expect("floors are feasible").objective;
-        if best <= floors[m] + 1e-5 * (1.0 + floors[m].abs()) {
-            bottlenecked.push(m);
-        }
-        for j in 0..3 {
-            lp.set_objective_coeff(x[m][j], 0.0);
-        }
-    }
-    bottlenecked
-}
-
-/// The hierarchical bottleneck pass on one prepared LP. The gates run
-/// outside the timed loop: the verdict set must equal the exhaustive
-/// oracle's, and every probe must have resumed warm from the basis
-/// before it.
-fn bench_probe_pass(c: &mut Criterion) {
-    let mut group = c.benchmark_group("probe_pass");
+/// One whole single-level water-filling solve — every round's LP,
+/// prepass and warm chain of per-job probes — on the contested
+/// instances. Timing only: the probe gates (verdicts equal to an
+/// exhaustive oracle's, no probe running a phase 1) are
+/// `hierarchical.rs`'s own tests.
+fn bench_hierarchical(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hier");
     group.sample_size(5);
     for &n in &[256usize, 1024] {
         let setup = probe_setup(n, 31);
         let input = setup.input();
         let policy = Hierarchical::single_level();
-        let floors = policy
-            .first_round_floors(&input)
-            .expect("probe bench instance is feasible");
-
-        let (bottlenecked, stats) = policy.probe_pass(&input, &floors).unwrap();
-        // A cold 1024-job LP takes a tenth of a second: test every job at
-        // 256, every eighth at 1024.
-        let stride = if n <= 256 { 1 } else { 8 };
-        let t0 = Instant::now();
-        let oracle = oracle_bottlenecked(&setup, &floors, stride);
-        let oracle_secs = t0.elapsed().as_secs_f64();
-        let tested: Vec<usize> = bottlenecked
-            .iter()
-            .copied()
-            .filter(|m| m % stride == 0)
-            .collect();
-        assert_eq!(
-            tested, oracle,
-            "probe verdicts diverge from the exhaustive oracle at {n} jobs"
-        );
-        // The prepass of a fresh pass has no hint, so every warm hit is a
-        // probe: all of them resumed warm (a warm hit runs no phase 1) and
-        // none fell back to a cold start.
-        assert!(
-            stats.parallel_probes > 0
-                && stats.warm_hits == stats.parallel_probes
-                && stats.warm_falls_back == 0,
-            "a probe ran a phase 1 at {n} jobs: {stats:?}"
-        );
+        let (_, stats) = policy
+            .compute_allocation_with_stats(&input)
+            .expect("hier bench instance is feasible");
         println!(
-            "probe_pass/{n}: {} probes, {} bottlenecked, {} pivots \
-             (cold oracle over {} jobs: {oracle_secs:.2}s)",
+            "hier/{n}: {} probes, {} pivots",
             stats.parallel_probes,
-            bottlenecked.len(),
-            stats.total_pivots(),
-            n.div_ceil(stride),
+            stats.total_pivots()
         );
-
-        group.bench_with_input(BenchmarkId::new("chain", n), &n, |b, _| {
-            b.iter(|| policy.probe_pass(&input, &floors).unwrap())
+        group.bench_with_input(BenchmarkId::new("solve", n), &n, |b, _| {
+            b.iter(|| policy.compute_allocation_with_stats(&input).unwrap())
         });
     }
     group.finish();
@@ -601,6 +516,6 @@ fn main() {
     bench_engines(&mut criterion);
     bench_rising_floors(&mut criterion);
     bench_milp(&mut criterion);
-    bench_probe_pass(&mut criterion);
+    bench_hierarchical(&mut criterion);
     bench_las(&mut criterion);
 }

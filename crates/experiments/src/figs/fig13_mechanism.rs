@@ -3,7 +3,10 @@
 //! (a) Effect of the round length (360/720/1440/2880 s) on average JCT for
 //!     the heterogeneity-aware LAS policy, continuous-single trace.
 //! (b) The mechanism at 360 s rounds versus an ideal baseline that grants
-//!     each job exactly its computed allocation as a fluid rate.
+//!     each job exactly its computed allocation as a fluid rate, and the
+//!     gap between them — asserted under `MAX_GAP` at `Standard` and
+//!     `Full` (at `--quick` the cluster is uncontended and both sides read
+//!     the same, so nothing is gated there).
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig13_mechanism`
 
@@ -11,6 +14,14 @@ use crate::{mean, print_table, run_avg_jct, Scale};
 use gavel_policies::MaxMinFairness;
 use gavel_sim::SimConfig;
 use gavel_workloads::{cluster_simulated, generate, Oracle, TraceConfig};
+
+/// Largest mechanism-vs-ideal gap in average JCT panel (b) accepts. From
+/// this mechanism's own runs on seeds 0–5: `--full` per-seed gaps span
+/// +0.2 … +6.0 % over λ = 1 … 5 (per-λ means of the figure's two seeds
+/// +0.8 / +4.9 / +5.8 / +5.0 / +4.5 %), `Standard` +0.2 … +1.6 %. With
+/// lifetime instead of per-allocation received time the figure's λ = 3 row
+/// read +8.2 %.
+const MAX_GAP: f64 = 0.07;
 
 pub fn run(scale: Scale) {
     let num_jobs = scale.num_jobs(50, 120, 350);
@@ -23,57 +34,71 @@ pub fn run(scale: Scale) {
     let oracle = Oracle::new();
     let round_lengths = [360.0, 720.0, 1440.0, 2880.0];
 
+    // Average JCT at `lam` jobs/hr over the seeds, under a tweaked config.
+    let avg_jct = |lam: f64, tweak: &dyn Fn(&mut SimConfig)| {
+        let jcts: Vec<f64> = seeds
+            .iter()
+            .map(|&s| {
+                let trace = generate(&TraceConfig::continuous_single(lam, num_jobs, s), &oracle);
+                let mut cfg = SimConfig::new(cluster_simulated());
+                tweak(&mut cfg);
+                run_avg_jct(&MaxMinFairness::new(), &trace, &cfg)
+            })
+            .collect();
+        mean(&jcts)
+    };
+
     // (a) Round-length sweep.
-    let mut rows = Vec::new();
-    for &lam in &lambdas {
-        let mut row = vec![format!("{lam:.1}")];
-        for &rl in &round_lengths {
-            let jcts: Vec<f64> = seeds
-                .iter()
-                .map(|&s| {
-                    let trace =
-                        generate(&TraceConfig::continuous_single(lam, num_jobs, s), &oracle);
-                    let mut cfg = SimConfig::new(cluster_simulated());
-                    cfg.round_seconds = rl;
-                    run_avg_jct(&MaxMinFairness::new(), &trace, &cfg)
-                })
-                .collect();
-            row.push(format!("{:.1}", mean(&jcts)));
-        }
-        rows.push(row);
-    }
+    let by_round_length: Vec<Vec<f64>> = lambdas
+        .iter()
+        .map(|&lam| {
+            (round_lengths.iter())
+                .map(|&rl| avg_jct(lam, &|cfg| cfg.round_seconds = rl))
+                .collect()
+        })
+        .collect();
+    let rows: Vec<Vec<String>> = (lambdas.iter().zip(&by_round_length))
+        .map(|(lam, jcts)| {
+            let jcts = jcts.iter().map(|jct| format!("{jct:.1}"));
+            std::iter::once(format!("{lam:.1}")).chain(jcts).collect()
+        })
+        .collect();
     print_table(
         "Figure 13a: average JCT (hours) vs round length (LAS het-aware)",
         &["jobs/hr", "360s", "720s", "1440s", "2880s"],
         &rows,
     );
 
-    // (b) Mechanism vs ideal.
+    // (b) Mechanism (the 360 s column above) vs ideal.
     let mut rows = Vec::new();
-    for &lam in &lambdas {
-        let (mut mech, mut ideal) = (Vec::new(), Vec::new());
-        for &s in &seeds {
-            let trace = generate(&TraceConfig::continuous_single(lam, num_jobs, s), &oracle);
-            let cfg = SimConfig::new(cluster_simulated());
-            mech.push(run_avg_jct(&MaxMinFairness::new(), &trace, &cfg));
-            let mut icfg = SimConfig::new(cluster_simulated());
-            icfg.ideal_execution = true;
-            ideal.push(run_avg_jct(&MaxMinFairness::new(), &trace, &icfg));
+    for (&lam, by_round_length) in lambdas.iter().zip(&by_round_length) {
+        let mech = by_round_length[0];
+        let ideal = avg_jct(lam, &|cfg| cfg.ideal_execution = true);
+        let gap = mech / ideal - 1.0;
+        if matches!(scale, Scale::Standard | Scale::Full) {
+            assert!(
+                gap < MAX_GAP,
+                "at {lam} jobs/hr the mechanism's average JCT is {:.1}% above ideal execution's",
+                gap * 100.0
+            );
         }
         rows.push(vec![
             format!("{lam:.1}"),
-            format!("{:.1}", mean(&mech)),
-            format!("{:.1}", mean(&ideal)),
+            format!("{mech:.1}"),
+            format!("{ideal:.1}"),
+            format!("{:+.1}%", gap * 100.0),
         ]);
     }
     print_table(
         "Figure 13b: mechanism (360 s rounds) vs ideal fluid execution",
-        &["jobs/hr", "Gavel", "Gavel (ideal)"],
+        &["jobs/hr", "Gavel", "Gavel (ideal)", "gap"],
         &rows,
     );
     println!(
         "\nShape check (paper): shorter rounds track the computed allocation more \
          closely (lower JCT); at 360 s the mechanism is nearly indistinguishable \
-         from the ideal baseline."
+         from the ideal baseline (asserted at the default and --full scales: \
+         every gap under {:.0}%).",
+        MAX_GAP * 100.0
     );
 }

@@ -194,39 +194,6 @@ impl Hierarchical {
         Ok((alloc, wf.stats))
     }
 
-    /// Runs exactly one water-filling round and returns the raised floors.
-    /// Companion of [`Hierarchical::probe_pass`] for benchmarks and tests
-    /// that want to time or inspect a single probe pass in isolation.
-    pub fn first_round_floors(&self, input: &PolicyInput<'_>) -> Result<Vec<f64>, PolicyError> {
-        let mut wf = self.build_waterfill(input)?;
-        wf.raise_floors(&wf.active_jobs())?;
-        Ok(wf.floors)
-    }
-
-    /// Runs one probe pass (prepass + the chain of per-job probes) against
-    /// the given floors with every positive-weight job active, returning
-    /// the bottlenecked set and the pass's solver stats. This is the unit
-    /// the `probe_pass` bench group times: the probes dominate a
-    /// hierarchical solve at scale, and this entry point exposes them
-    /// without the surrounding rounds.
-    pub fn probe_pass(
-        &self,
-        input: &PolicyInput<'_>,
-        floors: &[f64],
-    ) -> Result<(Vec<usize>, SolveStats), PolicyError> {
-        if floors.len() != input.jobs.len() {
-            return Err(PolicyError::InvalidInput(format!(
-                "probe_pass got {} floors for {} jobs",
-                floors.len(),
-                input.jobs.len()
-            )));
-        }
-        let mut wf = self.build_waterfill(input)?;
-        wf.floors.copy_from_slice(floors);
-        let bottlenecked = wf.bottlenecked_probe(&wf.active_jobs())?;
-        Ok((bottlenecked, wf.stats))
-    }
-
     /// Validates the input, resolves entities and initial weights and
     /// builds the per-solve water-filling state (floors at zero).
     fn build_waterfill<'i, 'a>(

@@ -1,14 +1,16 @@
 //! The round-based mechanism: priorities and the Algorithm 1 greedy.
 //!
-//! Work is split by how often it changes (see the crate docs): a
-//! `Resolution` turns an allocation into integer-only candidates once
-//! per generation, against the received-time `Slab`; a round scores,
-//! orders and greedily places those candidates without hashing, and
-//! allocates only the plan it returns.
+//! Received time is counted per cell of the allocation being planned
+//! (`received[row * types + accel]`, added to by
+//! [`RoundScheduler::record`]), zeroed when
+//! [`RoundScheduler::plan_round_cached`] sees a new generation and kept
+//! across a [`RoundScheduler::forget_job`]; the crate docs say why. A
+//! `Resolution` turns an allocation into integer-only candidates; a round
+//! scores, orders and greedily places them without hashing, and allocates
+//! only the plan it returns.
 
 use crate::placement::{PlacementState, WorkerSlot};
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, JobId};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// The live jobs and their worker counts, as seen by the round planner.
@@ -44,7 +46,7 @@ pub struct Assignment {
     /// The scheduled combo.
     pub combo: Combo,
     /// Allocation-matrix row of the combo (into the allocation passed to
-    /// [`RoundScheduler::plan_round`]).
+    /// [`RoundScheduler::plan_round_cached`]).
     pub row: usize,
     /// Accelerator type it runs on this round.
     pub accel: AccelIdx,
@@ -90,77 +92,6 @@ pub struct MechanismStats {
     /// Candidates the greedy looked at before it could stop, summed over
     /// plans; `visited / scored` is the early-exit ratio.
     pub candidates_visited: u64,
-    /// Received-time slots in use now.
-    pub slots_live: usize,
-    /// Most slots ever in use at once.
-    pub slots_peak: usize,
-}
-
-/// Slot of a combo the slab has no accounting for: reads as zero seconds.
-const NO_SLOT: usize = usize::MAX;
-
-/// Cumulative seconds each combo has received per type, `types` values per
-/// slot.
-#[derive(Debug, Clone, Default)]
-struct Slab {
-    types: usize,
-    received: Vec<f64>,
-    /// The combo in each slot; `None` while the slot is on the free list.
-    combos: Vec<Option<Combo>>,
-    free: Vec<usize>,
-    index: HashMap<Combo, usize>,
-    /// Reverse index: the slots of every combo containing a job, in
-    /// registration order.
-    job_slots: HashMap<JobId, Vec<usize>>,
-    peak: usize,
-}
-
-impl Slab {
-    fn row(&self, slot: usize) -> &[f64] {
-        &self.received[slot * self.types..][..self.types]
-    }
-
-    fn row_mut(&mut self, slot: usize) -> &mut [f64] {
-        &mut self.received[slot * self.types..][..self.types]
-    }
-
-    /// The slot of `combo`, registering it with zero seconds if new.
-    fn slot_or_insert(&mut self, combo: Combo) -> usize {
-        let vacant = match self.index.entry(combo) {
-            Entry::Occupied(o) => return *o.get(),
-            Entry::Vacant(v) => v,
-        };
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.combos.push(None);
-            self.received.resize(self.received.len() + self.types, 0.0);
-            self.combos.len() - 1
-        });
-        vacant.insert(slot);
-        self.combos[slot] = Some(combo);
-        for job in combo.jobs() {
-            self.job_slots.entry(job).or_default().push(slot);
-        }
-        self.peak = self.peak.max(self.index.len());
-        slot
-    }
-
-    /// Zeroes `slot` and puts it on the free list (no-op on a free slot).
-    fn release(&mut self, slot: usize) {
-        let Some(combo) = self.combos.get_mut(slot).and_then(Option::take) else {
-            return;
-        };
-        self.index.remove(&combo);
-        for job in combo.jobs() {
-            if let Entry::Occupied(mut slots) = self.job_slots.entry(job) {
-                slots.get_mut().retain(|&s| s != slot);
-                if slots.get().is_empty() {
-                    slots.remove();
-                }
-            }
-        }
-        self.row_mut(slot).fill(0.0);
-        self.free.push(slot);
-    }
 }
 
 /// A (combo row, accelerator type) cell with a positive target, resolved
@@ -171,9 +102,6 @@ struct Candidate {
     row: usize,
     accel: usize,
     target: f64,
-    /// Slab slot of the combo ([`NO_SLOT`] in a read-only resolution of a
-    /// combo without accounting).
-    slot: usize,
     /// Scheduler-local indices of the members (a singleton repeats its
     /// one index).
     jobs: [usize; 2],
@@ -184,13 +112,11 @@ struct Candidate {
 /// A resolved allocation and the scratch a round reuses.
 #[derive(Debug, Clone, Default)]
 struct Resolution {
-    /// Generation `cands` was resolved from; `None` before the first
-    /// resolution and after a `forget_job`.
-    key: Option<u64>,
+    /// Whether `cands` reflects the current generation and every
+    /// departure; a new generation and a `forget_job` clear it.
+    fresh: bool,
     /// Candidates in tie-break order: target descending, row, type.
     cands: Vec<Candidate>,
-    /// Slot per allocation row, so `record` finds it without hashing.
-    row_slot: Vec<usize>,
     /// `JobId` → scheduler-local index; used while resolving only.
     local: HashMap<JobId, usize>,
     /// One sort key per candidate: inverted priority bits, then rank.
@@ -205,28 +131,13 @@ struct Resolution {
 }
 
 impl Resolution {
-    fn new(cluster: &ClusterSpec) -> Self {
-        Resolution {
-            placement: PlacementState::new(cluster),
-            ..Resolution::default()
-        }
-    }
-
     /// Extracts the cells with a finite target above `1e-4` (a NaN,
     /// infinite or negative cell is never planned), each with its combo's
-    /// slot from `slot_of`, member indices and worker count. A row with a
-    /// departed member yields nothing.
-    fn resolve(
-        &mut self,
-        alloc: &Allocation,
-        types: usize,
-        scale_factor: &impl ScaleFactors,
-        mut slot_of: impl FnMut(Combo) -> usize,
-    ) {
+    /// member indices and worker count. A row with a departed member
+    /// yields nothing.
+    fn resolve(&mut self, alloc: &Allocation, types: usize, scale_factor: &impl ScaleFactors) {
         self.cands.clear();
         self.local.clear();
-        self.row_slot.clear();
-        self.row_slot.resize(alloc.combos().len(), NO_SLOT);
         for (row, &combo) in alloc.combos().combos().iter().enumerate() {
             let mut wanted = (alloc.row(row).iter().take(types).enumerate())
                 .filter(|(_, target)| target.is_finite() && **target > 1e-4)
@@ -240,8 +151,6 @@ impl Resolution {
             }) else {
                 continue;
             };
-            let slot = slot_of(combo);
-            self.row_slot[row] = slot;
             let mut jobs = [0; 2];
             for (member, job) in combo.jobs().enumerate() {
                 let next = self.local.len();
@@ -255,7 +164,6 @@ impl Resolution {
                 row,
                 accel,
                 target,
-                slot,
                 jobs,
                 workers: workers as usize,
             }));
@@ -268,23 +176,21 @@ impl Resolution {
         });
         self.busy.clear();
         self.busy.resize(self.local.len(), 0);
+        self.fresh = true;
         self.stats.resolutions += 1;
     }
 
     /// One round over the resolved candidates. Priorities follow Figure 4:
-    /// the target allocation divided by the raw time already received on
-    /// that type (element-wise `X / f`), infinite for a combo that has
-    /// received nothing there yet; highest priority first, ties in
+    /// the target allocation divided by the raw time received on that
+    /// type under this allocation (element-wise `X / f`), infinite for a
+    /// cell that has received nothing yet; highest priority first, ties in
     /// candidate order. Then Algorithm 1: greedy admission with conflict
     /// removal.
-    fn plan(&mut self, slab: &Slab, available: Option<&[usize]>) -> RoundPlan {
+    fn plan(&mut self, received: &[f64], types: usize, available: Option<&[usize]>) -> RoundPlan {
         self.keys.clear();
         self.keys
             .extend(self.cands.iter().enumerate().map(|(rank, c)| {
-                let received = match c.slot {
-                    NO_SLOT => 0.0,
-                    slot => slab.row(slot)[c.accel],
-                };
+                let received = received[c.row * types + c.accel];
                 let priority = if received > 0.0 {
                     c.target / received
                 } else {
@@ -339,15 +245,18 @@ impl Resolution {
 
 /// Realizes target allocations round by round (§5).
 ///
-/// The scheduler tracks cumulative time each combo has spent per
-/// accelerator type; priorities `X / f` steer under-served combos onto
-/// workers first, so realized time fractions converge to the target
+/// The scheduler tracks the time each row of the current allocation has
+/// spent per accelerator type since that allocation took effect;
+/// priorities `X / f` steer under-served rows onto workers first, so
+/// within a generation realized time fractions converge to the target
 /// allocation (§7.5 evaluates this fidelity).
 #[derive(Debug, Clone)]
 pub struct RoundScheduler {
-    cluster: ClusterSpec,
-    slab: Slab,
-    /// The allocation [`RoundScheduler::plan_round_cached`] last resolved.
+    types: usize,
+    /// Generation `received` was received under.
+    gen: Option<u64>,
+    /// Seconds per cell of that generation's allocation, `rows × types`.
+    received: Vec<f64>,
     resolved: Resolution,
 }
 
@@ -355,91 +264,51 @@ impl RoundScheduler {
     /// Creates a scheduler for `cluster`.
     pub fn new(cluster: ClusterSpec) -> Self {
         RoundScheduler {
-            slab: Slab {
-                types: cluster.num_types(),
-                ..Slab::default()
+            types: cluster.num_types(),
+            gen: None,
+            received: Vec::new(),
+            resolved: Resolution {
+                placement: PlacementState::new(&cluster),
+                ..Resolution::default()
             },
-            resolved: Resolution::new(&cluster),
-            cluster,
         }
     }
 
-    /// Cumulative time combo `c` has received on type `j`.
-    pub fn time_received(&self, c: &Combo, j: AccelIdx) -> f64 {
-        self.slab
-            .index
-            .get(c)
-            .map_or(0.0, |&slot| self.slab.row(slot)[j.0])
-    }
-
-    /// Total time received by `job` across all combos and types.
-    pub fn job_time_received(&self, job: JobId) -> f64 {
-        self.slab.job_slots.get(&job).map_or(0.0, |slots| {
-            slots
-                .iter()
-                .map(|&slot| self.slab.row(slot).iter().sum::<f64>())
-                .sum()
-        })
+    /// Seconds row `row` of the current generation's allocation has
+    /// received on type `j`; zero for a row outside it.
+    pub fn time_received(&self, row: usize, j: AccelIdx) -> f64 {
+        (self.received.get(row * self.types + j.0)).map_or(0.0, |&seconds| seconds)
     }
 
     /// Work counters of [`RoundScheduler::plan_round_cached`].
     pub fn stats(&self) -> MechanismStats {
-        MechanismStats {
-            slots_live: self.slab.index.len(),
-            slots_peak: self.slab.peak,
-            ..self.resolved.stats
-        }
+        self.resolved.stats
     }
 
-    /// Drops a departed job's accounting: the slots of every combo it is
-    /// a member of go back to the free list, and the next plan re-resolves
+    /// Tells the scheduler a job has departed: the next plan re-resolves
     /// its allocation. The caller's [`ScaleFactors`] must report the job
-    /// departed from here on, so no later plan names it and nothing
-    /// registers its combos again.
-    pub fn forget_job(&mut self, job: JobId) {
-        for slot in self.slab.job_slots.remove(&job).unwrap_or_default() {
-            self.slab.release(slot);
-        }
-        self.resolved.key = None;
+    /// departed from here on, so no later plan of this generation names
+    /// it; the surviving rows keep what they received.
+    pub fn forget_job(&mut self, _job: JobId) {
+        self.resolved.fresh = false;
     }
 
-    /// Plans one round for the target allocation.
+    /// Plans one round for the target allocation tagged `alloc_gen`, with
+    /// reduced per-type worker availability (failed workers removed) when
+    /// `available` is given. Call [`RoundScheduler::record`] once the
+    /// round has actually run.
     ///
     /// `scale_factor` maps live jobs to their worker counts; rows naming
-    /// any other job are not planned. Returns the assignments; call
-    /// [`RoundScheduler::record`] once the round has actually run.
-    pub fn plan_round(&self, alloc: &Allocation, scale_factor: &impl ScaleFactors) -> RoundPlan {
-        self.plan_round_with_capacity(alloc, scale_factor, None)
-    }
-
-    /// Like [`RoundScheduler::plan_round`] but with reduced per-type worker
-    /// availability (failed workers removed) when `available` is given.
-    ///
-    /// Resolves `alloc` into a throwaway candidate list on every call;
-    /// rounds that replan one allocation should use
-    /// [`RoundScheduler::plan_round_cached`].
-    pub fn plan_round_with_capacity(
-        &self,
-        alloc: &Allocation,
-        scale_factor: &impl ScaleFactors,
-        available: Option<&[usize]>,
-    ) -> RoundPlan {
-        let mut once = Resolution::new(&self.cluster);
-        let slot_of = |combo| self.slab.index.get(&combo).copied().unwrap_or(NO_SLOT);
-        once.resolve(alloc, self.slab.types, scale_factor, slot_of);
-        once.plan(&self.slab, available)
-    }
-
-    /// Like [`RoundScheduler::plan_round_with_capacity`], but keeps the
-    /// candidates resolved from the allocation tagged `alloc_gen`.
+    /// any other job are not planned.
     ///
     /// The service recomputes allocations only at reset events or cadence
     /// hits, so most rounds replan the *same* allocation; those rounds
     /// only re-score priorities (`X / f` changes every round as time is
     /// recorded) before the greedy pass, and consult neither `alloc` nor
     /// `scale_factor`. Callers must bump `alloc_gen` whenever `alloc` or a
-    /// scale factor changes; a [`RoundScheduler::forget_job`] re-resolves
-    /// the same generation. Plans are identical to the uncached path.
+    /// scale factor changes: a new generation zeroes the received time. A
+    /// [`RoundScheduler::forget_job`] re-resolves the same generation and
+    /// zeroes nothing.
     pub fn plan_round_cached(
         &mut self,
         alloc: &Allocation,
@@ -447,27 +316,25 @@ impl RoundScheduler {
         scale_factor: &impl ScaleFactors,
         available: Option<&[usize]>,
     ) -> RoundPlan {
-        let RoundScheduler { slab, resolved, .. } = self;
-        if resolved.key != Some(alloc_gen) {
-            let types = slab.types;
-            resolved.resolve(alloc, types, scale_factor, |combo| {
-                slab.slot_or_insert(combo)
-            });
-            resolved.key = Some(alloc_gen);
+        if self.gen != Some(alloc_gen) {
+            self.gen = Some(alloc_gen);
+            self.received.clear();
+            self.received.resize(alloc.combos().len() * self.types, 0.0);
+            self.resolved.fresh = false;
         }
-        resolved.plan(slab, available)
+        if !self.resolved.fresh {
+            self.resolved.resolve(alloc, self.types, scale_factor);
+        }
+        self.resolved.plan(&self.received, self.types, available)
     }
 
-    /// Records that `plan` ran for `duration` seconds.
+    /// Records that `plan` ran for `duration` seconds. An assignment whose
+    /// row lies outside the current generation's allocation is ignored.
     pub fn record(&mut self, plan: &RoundPlan, duration: f64) {
         for a in &plan.assignments {
-            // The row's slot from the last resolution, if the plan came
-            // from it; any other plan pays one map lookup.
-            let slot = match self.resolved.row_slot.get(a.row) {
-                Some(&slot) if self.slab.combos.get(slot) == Some(&Some(a.combo)) => slot,
-                _ => self.slab.slot_or_insert(a.combo),
-            };
-            self.slab.row_mut(slot)[a.accel.0] += duration;
+            if let Some(cell) = self.received.get_mut(a.row * self.types + a.accel.0) {
+                *cell += duration;
+            }
         }
     }
 }
@@ -509,14 +376,14 @@ mod tests {
         let sf = sf1(&jobs);
         let rounds = 200;
         for _ in 0..rounds {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             sched.record(&plan, 360.0);
         }
         let total_per_type = rounds as f64 * 360.0;
         for (k, combo) in alloc.combos().combos().iter().enumerate() {
             for j in 0..3 {
                 let target = alloc.get(k, AccelIdx(j));
-                let got = sched.time_received(combo, AccelIdx(j)) / total_per_type;
+                let got = sched.time_received(k, AccelIdx(j)) / total_per_type;
                 assert!(
                     (got - target).abs() < 0.05,
                     "combo {combo} type {j}: {got} vs target {target}"
@@ -541,16 +408,17 @@ mod tests {
                 vec![0.5, 0.5, 0.0],
             ],
         );
-        let sched = RoundScheduler::new(cluster());
+        let mut sched = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(1)]);
         for _ in 0..20 {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             let mut seen = HashSet::new();
             for a in &plan.assignments {
                 for j in a.combo.jobs() {
                     assert!(seen.insert(j), "{j} scheduled twice in a round");
                 }
             }
+            sched.record(&plan, 360.0);
         }
     }
 
@@ -563,8 +431,8 @@ mod tests {
         let mut sf = HashMap::new();
         sf.insert(JobId(0), 4);
         sf.insert(JobId(1), 4);
-        let sched = RoundScheduler::new(c);
-        let plan = sched.plan_round(&alloc, &sf);
+        let mut sched = RoundScheduler::new(c);
+        let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
         // Only one 4-worker job fits on 4 workers.
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].workers.len(), 4);
@@ -581,7 +449,7 @@ mod tests {
         let mut sched = RoundScheduler::new(c);
         let mut ran = [0usize; 2];
         for _ in 0..10 {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             assert_eq!(plan.assignments.len(), 1);
             let job = plan.assignments[0].combo.a;
             ran[job.0 as usize] += 1;
@@ -591,12 +459,41 @@ mod tests {
         assert_eq!(ran[1], 5);
     }
 
+    /// Figure 4 divides by the time received under *this* allocation: a
+    /// job that ran alone for 100 rounds and then shares the worker 0.5 /
+    /// 0.5 alternates with the newcomer from the first round on, instead
+    /// of sitting out until the newcomer's lifetime seconds catch up.
+    #[test]
+    fn a_new_generation_starts_from_zero() {
+        let c = ClusterSpec::new(&[("v100", 1, 1, 0.0)]);
+        let mut sched = RoundScheduler::new(c);
+        let alone = Allocation::new(ComboSet::singletons(&[JobId(0)]), vec![vec![1.0]]);
+        for _ in 0..100 {
+            let plan = sched.plan_round_cached(&alone, 1, &sf1(&[JobId(0)]), None);
+            sched.record(&plan, 360.0);
+        }
+        assert_eq!(sched.time_received(0, AccelIdx(0)), 36_000.0);
+
+        let jobs = [JobId(0), JobId(1)];
+        let shared = Allocation::new(ComboSet::singletons(&jobs), vec![vec![0.5], vec![0.5]]);
+        let sf = sf1(&jobs);
+        let mut ran = [0usize; 2];
+        for round in 0..20 {
+            let plan = sched.plan_round_cached(&shared, 2, &sf, None);
+            if round == 0 {
+                assert_eq!(sched.time_received(0, AccelIdx(0)), 0.0);
+            }
+            ran[plan.assignments[0].combo.a.0 as usize] += 1;
+            sched.record(&plan, 360.0);
+        }
+        assert_eq!(ran, [10, 10]);
+    }
+
     #[test]
     fn rows_with_a_departed_member_are_not_planned() {
         // Job 1 has departed (absent from the scale-factor map) but the
         // allocation still names it, alone and as a pair partner: both
-        // rows drop out, on the cached and the uncached path, and the
-        // live jobs take the workers.
+        // rows drop out and the live jobs take the workers.
         let combos = ComboSet::new(vec![
             Combo::single(JobId(0)),
             Combo::single(JobId(1)),
@@ -609,80 +506,68 @@ mod tests {
         );
         let mut sched = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(2)]);
-        for plan in [
-            sched.plan_round_cached(&alloc, 1, &sf, None),
-            sched.plan_round(&alloc, &sf),
-        ] {
-            assert_eq!(plan.running_jobs(), HashSet::from([JobId(0), JobId(2)]));
+        let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
+        assert_eq!(plan.running_jobs(), HashSet::from([JobId(0), JobId(2)]));
+    }
+
+    /// A departure inside a generation: the departed job's rows (its
+    /// singleton and its pair) are never planned again, and the surviving
+    /// rows keep the seconds they received.
+    #[test]
+    fn forget_job_drops_rows_and_keeps_survivors_time() {
+        let combos = ComboSet::new(vec![
+            Combo::single(JobId(0)),
+            Combo::single(JobId(1)),
+            Combo::pair(JobId(0), JobId(1)),
+        ]);
+        let c = ClusterSpec::new(&[("v100", 3, 3, 0.0)]);
+        let alloc = Allocation::new(combos, vec![vec![0.9], vec![0.9], vec![0.9]]);
+        let mut sched = RoundScheduler::new(c);
+        let mut sf = sf1(&[JobId(0), JobId(1)]);
+        for _ in 0..4 {
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
+            sched.record(&plan, 360.0);
         }
-        assert_eq!(sched.stats().slots_live, 2, "departed rows get no slot");
+        let before = sched.time_received(1, AccelIdx(0));
+        assert!(before > 0.0);
+        sf.remove(&JobId(0));
+        sched.forget_job(JobId(0));
+        for round in 1..=4 {
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
+            assert_eq!(plan.running_jobs(), HashSet::from([JobId(1)]));
+            assert_eq!(plan.assignments[0].row, 1);
+            sched.record(&plan, 360.0);
+            let now = sched.time_received(1, AccelIdx(0));
+            assert_eq!(now, before + 360.0 * round as f64);
+        }
     }
 
     #[test]
-    fn forget_job_clears_state() {
+    fn record_ignores_a_row_outside_the_generation() {
         let alloc = example_allocation();
         let mut sched = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
-        let plan = sched.plan_round(&alloc, &sf);
+        let mut plan = sched.plan_round_cached(&alloc, 0, &sf, None);
+        plan.assignments[0].row = 3;
         sched.record(&plan, 360.0);
-        assert!(sched.job_time_received(JobId(0)) > 0.0);
-        sched.forget_job(JobId(0));
-        assert_eq!(sched.job_time_received(JobId(0)), 0.0);
+        assert_eq!(sched.time_received(3, AccelIdx(0)), 0.0);
+        let total: f64 = (0..3)
+            .flat_map(|row| (0..3).map(move |j| (row, AccelIdx(j))))
+            .map(|(row, j)| sched.time_received(row, j))
+            .sum();
+        assert_eq!(total, 360.0 * (plan.assignments.len() - 1) as f64);
     }
 
     #[test]
     fn plan_is_deterministic() {
         let alloc = example_allocation();
-        let sched = RoundScheduler::new(cluster());
         let sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
-        let p1 = sched.plan_round(&alloc, &sf);
-        let p2 = sched.plan_round(&alloc, &sf);
+        let p1 = RoundScheduler::new(cluster()).plan_round_cached(&alloc, 0, &sf, None);
+        let p2 = RoundScheduler::new(cluster()).plan_round_cached(&alloc, 0, &sf, None);
         assert_eq!(p1.assignments.len(), p2.assignments.len());
         for (a, b) in p1.assignments.iter().zip(&p2.assignments) {
             assert_eq!(a.combo, b.combo);
             assert_eq!(a.accel, b.accel);
-        }
-    }
-
-    #[test]
-    fn cached_plans_match_uncached() {
-        // The generation-keyed candidate buffer must be invisible: cached
-        // plans equal fresh plans round for round, including across a
-        // generation bump (new allocation) and a forgotten job.
-        let alloc = example_allocation();
-        let mut cached = RoundScheduler::new(cluster());
-        let mut fresh = RoundScheduler::new(cluster());
-        let mut sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
-        for round in 0..30 {
-            let gen = u64::from(round >= 15); // swap allocations mid-run
-            let alloc2 = if round >= 15 {
-                Allocation::new(
-                    alloc.combos().clone(),
-                    vec![
-                        vec![0.1, 0.8, 0.1],
-                        vec![0.5, 0.1, 0.4],
-                        vec![0.4, 0.1, 0.5],
-                    ],
-                )
-            } else {
-                alloc.clone()
-            };
-            let pc = cached.plan_round_cached(&alloc2, gen, &sf, None);
-            let pf = fresh.plan_round_with_capacity(&alloc2, &sf, None);
-            assert_eq!(pc.assignments.len(), pf.assignments.len(), "round {round}");
-            for (a, b) in pc.assignments.iter().zip(&pf.assignments) {
-                assert_eq!(a.combo, b.combo);
-                assert_eq!(a.accel, b.accel);
-                assert_eq!(a.row, b.row);
-                assert_eq!(a.workers, b.workers);
-            }
-            cached.record(&pc, 360.0);
-            fresh.record(&pf, 360.0);
-            if round == 20 {
-                sf.remove(&JobId(1));
-                cached.forget_job(JobId(1));
-                fresh.forget_job(JobId(1));
-            }
         }
     }
 
@@ -702,12 +587,8 @@ mod tests {
         );
         let mut sched = RoundScheduler::new(cluster());
         let sf = sf1(&jobs);
-        for round in 0..6 {
-            let plan = if round % 2 == 0 {
-                sched.plan_round_cached(&alloc, 1, &sf, None)
-            } else {
-                sched.plan_round(&alloc, &sf)
-            };
+        for _ in 0..6 {
+            let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
             assert!(!plan.assignments.is_empty());
             for a in &plan.assignments {
                 let target = alloc.get(a.row, a.accel);
@@ -742,6 +623,10 @@ mod tests {
                 calls: std::cell::Cell::new(0),
             };
             let plan = sched.plan_round_cached(&alloc, 7, &sf, None);
+            assert!(plan
+                .assignments
+                .iter()
+                .all(|a| inner.contains_key(&a.combo.a)));
             sched.record(&plan, 360.0);
             sf.calls.get()
         };
@@ -752,7 +637,7 @@ mod tests {
         assert_eq!(sched.stats().resolutions, 1);
 
         // A departure re-resolves the generation once, then it is steady
-        // again; the departed job's row is gone and so is its slot.
+        // again; the departed job's row is never planned.
         inner.remove(&JobId(1));
         sched.forget_job(JobId(1));
         assert!(round(&mut sched, &inner) > 0);
@@ -761,50 +646,7 @@ mod tests {
         }
         let stats = sched.stats();
         assert_eq!((stats.resolutions, stats.plans), (2, 22));
-        assert_eq!(stats.slots_live, 2);
         assert!(stats.candidates_visited <= stats.candidates_scored);
-
-        // The next generation has nothing left to release.
-        let sf = Counting {
-            inner: &inner,
-            calls: std::cell::Cell::new(0),
-        };
-        let live = [JobId(0), JobId(2)];
-        let alloc = Allocation::new(ComboSet::singletons(&live), vec![vec![0.5; 3]; 2]);
-        sched.plan_round_cached(&alloc, 8, &sf, None);
-        assert_eq!(sched.stats().slots_live, 2);
-        assert_eq!(sched.stats().slots_peak, 3);
-        assert_eq!(sched.job_time_received(JobId(1)), 0.0);
-    }
-
-    #[test]
-    fn forget_job_keeps_pair_peers_consistent() {
-        // Forgetting one member of a pair drops the pair's accounting but
-        // keeps the peer's other combos intact in the reverse index.
-        let combos = ComboSet::new(vec![
-            Combo::single(JobId(0)),
-            Combo::single(JobId(1)),
-            Combo::pair(JobId(0), JobId(1)),
-        ]);
-        let c = ClusterSpec::new(&[("v100", 3, 3, 0.0)]);
-        let alloc = Allocation::new(combos, vec![vec![0.9], vec![0.9], vec![0.9]]);
-        let mut sched = RoundScheduler::new(c);
-        let sf = sf1(&[JobId(0), JobId(1)]);
-        for _ in 0..4 {
-            let plan = sched.plan_round(&alloc, &sf);
-            sched.record(&plan, 360.0);
-        }
-        let before = sched.job_time_received(JobId(1));
-        assert!(before > 0.0);
-        sched.forget_job(JobId(0));
-        assert_eq!(sched.job_time_received(JobId(0)), 0.0);
-        // Job 1 keeps only its singleton time.
-        let singleton = sched.time_received(&Combo::single(JobId(1)), AccelIdx(0));
-        assert_eq!(sched.job_time_received(JobId(1)), singleton);
-        assert_eq!(
-            sched.time_received(&Combo::pair(JobId(0), JobId(1)), AccelIdx(0)),
-            0.0
-        );
     }
 
     #[test]
@@ -812,8 +654,8 @@ mod tests {
         let jobs = [JobId(0)];
         let combos = ComboSet::singletons(&jobs);
         let alloc = Allocation::new(combos, vec![vec![0.0, 0.0, 0.0]]);
-        let sched = RoundScheduler::new(cluster());
-        let plan = sched.plan_round(&alloc, &sf1(&jobs));
+        let mut sched = RoundScheduler::new(cluster());
+        let plan = sched.plan_round_cached(&alloc, 0, &sf1(&jobs), None);
         assert!(plan.assignments.is_empty());
     }
 
@@ -825,8 +667,8 @@ mod tests {
         let mut sf = HashMap::new();
         sf.insert(JobId(0), 1);
         sf.insert(JobId(1), 1);
-        let sched = RoundScheduler::new(c);
-        let plan = sched.plan_round(&alloc, &sf);
+        let mut sched = RoundScheduler::new(c);
+        let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
         assert_eq!(plan.assignments.len(), 1);
         assert_eq!(plan.assignments[0].workers.len(), 1);
         assert_eq!(plan.running_jobs().len(), 2);
@@ -864,7 +706,7 @@ mod tests {
         let rounds = 300;
         let mut steps = [0.0f64; 3];
         for _ in 0..rounds {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             for a in &plan.assignments {
                 let t = tensor.entry(a.row, a.accel);
                 steps[a.combo.a.0 as usize] += t.a * round_s;

@@ -1,9 +1,10 @@
 //! Property tests for the round-based mechanism: for *any* valid
 //! allocation, the mechanism must respect capacity and conflicts every
-//! round, and realized time fractions must converge to the target; and
-//! for any history of generations, departures and outages it must plan
-//! exactly what the reference planner kept in this file plans, and never
-//! a forgotten job.
+//! round, and realized time fractions must converge to the target — of
+//! the allocation in force, from the round it took effect; and for any
+//! history of generations, departures and outages it must plan exactly
+//! what the reference planner kept in this file plans, and never a
+//! forgotten job.
 
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, ComboSet, JobId};
 use gavel_sched::{PlacementState, RoundScheduler, WorkerSlot};
@@ -13,11 +14,12 @@ use std::collections::{HashMap, HashSet};
 /// One assignment as the differential test compares it.
 type Planned = (Combo, usize, usize, Vec<WorkerSlot>, bool);
 
-/// The planner as it was before slots and resolutions: a received-time
-/// hash map probed once per candidate, a full stable sort by the
-/// four-key float comparator, a hashed busy set and a fresh placement
-/// state, every round. Kept here only, as the oracle for
-/// `planner_matches_reference`.
+/// The planner as it was before resolutions: a received-time hash map
+/// probed once per candidate, a full stable sort by the four-key float
+/// comparator, a hashed busy set and a fresh placement state, every
+/// round. The map holds the seconds received under the allocation in
+/// force and is emptied when a new one takes effect. Kept here only, as
+/// the oracle for `planner_matches_reference`.
 #[derive(Default)]
 struct Reference {
     received: HashMap<Combo, Vec<f64>>,
@@ -165,12 +167,12 @@ fn random_allocation(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The slot/resolution planner against [`Reference`]: the same
-    /// assignments on the same workers and the same received-time bits,
-    /// round for round, through generation bumps, mid-generation
-    /// `forget_job`s (the departed job's rows stay in the allocation but
-    /// are never planned) and workers going down and coming back. The
-    /// cached planner equals the uncached one on every step.
+    /// The planner against [`Reference`]: the same assignments on the
+    /// same workers and the same received-time bits, round for round,
+    /// through generation bumps (received time starts over),
+    /// mid-generation `forget_job`s (the departed job's rows stay in the
+    /// allocation but are never planned; the others keep their seconds)
+    /// and workers going down and coming back.
     #[test]
     fn planner_matches_reference(seed in any::<u64>()) {
         let mut draws = Draws(seed);
@@ -201,13 +203,13 @@ proptest! {
                 }
                 alloc = scenario_allocation(&live, types, &mut draws);
                 gen += 1;
+                reference.received.clear();
             } else if live.len() > 1 && draws.below(6) == 0 {
                 // A departure the allocation has not caught up with.
                 let gone = live.swap_remove(draws.below(live.len()));
                 sf.remove(&gone);
                 sched.forget_job(gone);
                 forgotten.push(gone);
-                reference.received.retain(|combo, _| !combo.contains(gone));
             }
             if draws.below(10) == 0 {
                 available = (draws.below(3) > 0).then(|| {
@@ -222,26 +224,76 @@ proptest! {
                 .map(|a| (a.combo, a.row, a.accel.0, a.workers.clone(), a.consolidated))
                 .collect();
             prop_assert_eq!(&got, &want, "round {}", round);
-            let fresh = sched.plan_round_with_capacity(&alloc, &sf, available.as_deref());
-            prop_assert_eq!(fresh.assignments.len(), got.len());
-            for (a, b) in fresh.assignments.iter().zip(&plan.assignments) {
-                prop_assert_eq!((a.row, a.accel, &a.workers), (b.row, b.accel, &b.workers));
-            }
             for gone in &forgotten {
                 prop_assert!(plan.assignment_of(*gone).is_none(), "{} planned", gone);
             }
             let duration = 360.0 + draws.below(3) as f64;
             sched.record(&plan, duration);
             reference.record(&want, types, duration);
-            for combo in alloc.combos().combos() {
+            for (row, combo) in alloc.combos().combos().iter().enumerate() {
                 for j in 0..types {
                     let expect = reference.received.get(combo).map_or(0.0, |v| v[j]);
-                    let got = sched.time_received(combo, AccelIdx(j));
+                    let got = sched.time_received(row, AccelIdx(j));
                     prop_assert_eq!(got.to_bits(), expect.to_bits(), "{} type {}", combo, j);
                 }
             }
-            for gone in &forgotten {
-                prop_assert_eq!(sched.job_time_received(*gone), 0.0, "{} accrued time", gone);
+        }
+    }
+
+    /// Figure 13a's property, stated per generation: once a *different*
+    /// allocation takes effect, `k` quiet rounds give every cell at least
+    /// `target · k − LAG` rounds — its received fraction is no further
+    /// than `LAG / k` below its new target — however long the previous
+    /// allocation ran and whatever it gave the row. One-sided because the
+    /// mechanism is work conserving: a row may get more than its target
+    /// while workers would otherwise idle. Single-worker jobs, each
+    /// type's targets summing to at most its worker count.
+    #[test]
+    fn a_new_allocation_is_delivered_from_its_first_round(seed in any::<u64>()) {
+        // Rounds a cell may trail its target by. A row runs on one type
+        // per round, so it falls behind on the others while it catches up
+        // on one, and a round's first-come ties cost a round more: the
+        // worst of 30,000 scenarios drawn as below trails by 3.9 rounds
+        // (by 35.7 when the seconds of the previous allocation still
+        // count, growing with how long it ran).
+        const LAG: f64 = 5.0;
+        let mut draws = Draws(seed);
+        let workers = |draws: &mut Draws| 1 + draws.below(3);
+        let cluster = ClusterSpec::new(&[
+            ("v100", workers(&mut draws), 2, 0.0),
+            ("p100", workers(&mut draws), 2, 0.0),
+            ("k80", workers(&mut draws), 2, 0.0),
+        ]);
+        let n = 2 + draws.below(10);
+        let allocation = |draws: &mut Draws| {
+            let raw: Vec<f64> = (0..36).map(|_| draws.unit()).collect();
+            random_allocation(n, &raw, &cluster)
+        };
+        let (before, sf) = allocation(&mut draws);
+        let (after, _) = allocation(&mut draws);
+        let mut sched = RoundScheduler::new(cluster.clone());
+        for _ in 0..40 + draws.below(60) {
+            let plan = sched.plan_round_cached(&before, 1, &sf, None);
+            sched.record(&plan, 360.0);
+        }
+        let k = 40 + draws.below(60);
+        let mut rounds_on = vec![[0usize; 3]; n];
+        for _ in 0..k {
+            let plan = sched.plan_round_cached(&after, 2, &sf, None);
+            for a in &plan.assignments {
+                rounds_on[a.row][a.accel.0] += 1;
+            }
+            sched.record(&plan, 360.0);
+        }
+        for (row, got) in rounds_on.iter().enumerate() {
+            for (j, &got) in got.iter().enumerate() {
+                let target = after.get(row, AccelIdx(j));
+                prop_assert!(
+                    got as f64 + LAG >= target * k as f64,
+                    "row {} type {}: {} of {} rounds, target {}", row, j, got, k, target
+                );
+                let seconds = sched.time_received(row, AccelIdx(j));
+                prop_assert_eq!(seconds, 360.0 * got as f64);
             }
         }
     }
@@ -260,7 +312,7 @@ proptest! {
         let (alloc, sf) = random_allocation(n, &raw, &cluster);
         let mut sched = RoundScheduler::new(cluster.clone());
         for _ in 0..30 {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             let mut seen: HashSet<JobId> = HashSet::new();
             let mut used = [0usize; 3];
             for a in &plan.assignments {
@@ -299,7 +351,7 @@ proptest! {
         let mut sched = RoundScheduler::new(cluster);
         let rounds = 400;
         for _ in 0..rounds {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             sched.record(&plan, 1.0);
         }
         for (k, combo) in alloc.combos().combos().iter().enumerate() {
@@ -308,7 +360,7 @@ proptest! {
                 if target < 0.02 {
                     continue;
                 }
-                let got = sched.time_received(combo, AccelIdx(j)) / rounds as f64;
+                let got = sched.time_received(k, AccelIdx(j)) / rounds as f64;
                 prop_assert!(
                     got >= target - 0.10,
                     "{combo} type {j}: received {got} below target {target}"
@@ -333,7 +385,7 @@ proptest! {
         let sf: HashMap<JobId, u32> = [(JobId(0), 1), (JobId(1), 1)].into();
         let mut sched = RoundScheduler::new(cluster);
         for _ in 0..50 {
-            let plan = sched.plan_round(&alloc, &sf);
+            let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
             let mut seen = HashSet::new();
             for a in &plan.assignments {
                 for j in a.combo.jobs() {

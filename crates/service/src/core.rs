@@ -182,8 +182,6 @@ pub struct SchedulerService<'p> {
     service: ServiceConfig,
     oracle: Oracle,
     policy: &'p dyn Policy,
-    /// Fluid (ideal) stepping instead of rounds.
-    fluid: bool,
     active: Vec<ActiveJob>,
     /// Job → position in `active`, maintained across swap-removes.
     index: HashMap<JobId, usize>,
@@ -209,8 +207,6 @@ pub struct SchedulerService<'p> {
     total_cost: f64,
     need_recompute: bool,
     last_recompute_round: u32,
-    /// Bumped per recompute; keys the scheduler's resolved candidates.
-    alloc_gen: u64,
     current: Option<(ComboSet, ThroughputTensor, Allocation)>,
     /// Per row of the current allocation; cleared by a recompute.
     row_positions: Vec<RowPositions>,
@@ -220,7 +216,6 @@ pub struct SchedulerService<'p> {
     available: Vec<usize>,
     log: SubmissionLog,
     books: BTreeMap<Option<u32>, EntityBook>,
-    commands_accepted: usize,
     queries_served: usize,
     queries_since_recompute: usize,
     max_queries_between_recomputes: usize,
@@ -266,7 +261,6 @@ impl<'p> SchedulerService<'p> {
             service,
             oracle,
             policy,
-            fluid,
             active: Vec::new(),
             index: HashMap::new(),
             seen_ids: HashSet::new(),
@@ -286,14 +280,12 @@ impl<'p> SchedulerService<'p> {
             total_cost: 0.0,
             need_recompute: true,
             last_recompute_round: 0,
-            alloc_gen: 0,
             current: None,
             row_positions: Vec::new(),
             positions_epoch: 1,
             available: Vec::new(),
             log: SubmissionLog::default(),
             books: BTreeMap::new(),
-            commands_accepted: 0,
             queries_served: 0,
             queries_since_recompute: 0,
             max_queries_between_recomputes: 0,
@@ -326,10 +318,7 @@ impl<'p> SchedulerService<'p> {
             },
         };
         match &result {
-            Ok(()) => {
-                self.commands_accepted += 1;
-                self.log.push(cmd.clone());
-            }
+            Ok(()) => self.log.push(cmd.clone()),
             Err(err) => {
                 let entity = match cmd {
                     Command::Submit { job } => job.entity.map(|e| e as u32),
@@ -468,7 +457,7 @@ impl<'p> SchedulerService<'p> {
             return Ok(());
         }
         if self.active.is_empty() && job.arrival_time > self.now + 1e-9 {
-            let target = if self.fluid {
+            let target = if self.config.ideal_execution {
                 job.arrival_time
             } else {
                 let round = self.config.round_seconds;
@@ -499,7 +488,7 @@ impl<'p> SchedulerService<'p> {
         if !self.index.contains_key(&id) {
             return Err(Rejection::UnknownJob);
         }
-        self.complete(id, self.now);
+        self.remove_active(id, Some(self.now));
         Ok(())
     }
 
@@ -524,7 +513,7 @@ impl<'p> SchedulerService<'p> {
             if self.now + 1e-9 >= target {
                 break;
             }
-            if self.fluid {
+            if self.config.ideal_execution {
                 self.step_fluid(target);
             } else {
                 self.step_round();
@@ -541,7 +530,7 @@ impl<'p> SchedulerService<'p> {
         let Some(fc) = self.config.failures else {
             return Err(Rejection::NoFailureModel);
         };
-        if self.fluid {
+        if self.config.ideal_execution {
             return Err(Rejection::NoFailureModel);
         }
         self.fail_random_worker(self.now, fc);
@@ -619,12 +608,9 @@ impl<'p> SchedulerService<'p> {
         });
     }
 
-    /// Shared completion: swap-removes the job everywhere, emits its
-    /// outcome, and marks the reset event.
-    fn complete(&mut self, id: JobId, completion: f64) {
-        self.remove_active(id, Some(completion));
-    }
-
+    /// Shared departure: swap-removes the job everywhere, emits its
+    /// outcome (completed at `completion`, or cancelled), and marks the
+    /// reset event.
     fn remove_active(&mut self, id: JobId, completion: Option<f64>) {
         let idx = self.index[&id];
         let job = self.active.swap_remove(idx);
@@ -652,10 +638,11 @@ impl<'p> SchedulerService<'p> {
         self.need_recompute = true;
     }
 
-    /// Shared recompute: snapshots the policy input, solves the policy
-    /// (isolated-split fallback on failure), and bumps the allocation
-    /// generation.
-    fn recompute(&mut self) {
+    /// Shared recompute: snapshots the policy input and solves the policy
+    /// (isolated-split fallback on failure). Hands the allocation back for
+    /// the caller to step with and keep as `current`; its generation is
+    /// the new `recomputations`.
+    fn recompute(&mut self) -> (ComboSet, ThroughputTensor, Allocation) {
         let t0 = Instant::now();
         let cfg = &self.config;
         let (combos, tensor) = match &self.bridge {
@@ -677,25 +664,30 @@ impl<'p> SchedulerService<'p> {
             tensor: &tensor,
             cluster: &cfg.cluster,
         };
-        let alloc = self.policy.compute_allocation(&input).unwrap_or_else(|e| {
-            let (jobs, rows) = (input.jobs.len(), combos.len());
-            (self.policy_failures).record(&e, self.recomputations, jobs, rows);
-            IsolatedSplit::new()
-                .compute_allocation(&input)
-                .unwrap_or_else(|_| Allocation::zeros(combos.clone(), cfg.cluster.num_types()))
-        });
+        // The policy, then the isolated split, then nothing: every failure
+        // on the way is counted.
+        let fallback: &dyn Policy = &IsolatedSplit::new();
+        let (jobs, rows) = (input.jobs.len(), combos.len());
+        let alloc = [self.policy, fallback]
+            .into_iter()
+            .find_map(|policy| {
+                let solved = policy.compute_allocation(&input);
+                solved
+                    .map_err(|e| (self.policy_failures).record(&e, self.recomputations, jobs, rows))
+                    .ok()
+            })
+            .unwrap_or_else(|| Allocation::zeros(combos.clone(), cfg.cluster.num_types()));
         self.policy_seconds += t0.elapsed().as_secs_f64();
         self.recomputations += 1;
         self.row_positions.clear();
         self.row_positions
             .resize(combos.len(), RowPositions::default());
-        self.current = Some((combos, tensor, alloc));
         self.need_recompute = false;
-        self.alloc_gen += 1;
         self.max_queries_between_recomputes = self
             .max_queries_between_recomputes
             .max(self.queries_since_recompute);
         self.queries_since_recompute = 0;
+        (combos, tensor, alloc)
     }
 
     /// Fails one random worker (weighted by type populations) at `at`,
@@ -767,15 +759,13 @@ impl<'p> SchedulerService<'p> {
             }
             _ => true,
         };
-        if self.current.is_none() || cadence_hit || (self.need_recompute && throttle_ok) {
-            self.recompute();
-            self.last_recompute_round = self.rounds as u32;
-        }
-
-        let Some((_, _, alloc)) = self.current.as_ref() else {
-            // Unreachable: the branch above always installs an
-            // allocation when `current` is empty.
-            return;
+        let due = cadence_hit || (self.need_recompute && throttle_ok);
+        let current = match self.current.take() {
+            Some(current) if !due => current,
+            _ => {
+                self.last_recompute_round = self.rounds as u32;
+                self.recompute()
+            }
         };
         let cluster = &self.config.cluster;
         let available = (self.down_total != 0).then(|| {
@@ -791,9 +781,9 @@ impl<'p> SchedulerService<'p> {
             active: &self.active,
             index: &self.index,
         };
-        let plan = self
-            .sched
-            .plan_round_cached(alloc, self.alloc_gen, &sf, available);
+        let plan =
+            self.sched
+                .plan_round_cached(&current.2, self.recomputations as u64, &sf, available);
         if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -804,8 +794,9 @@ impl<'p> SchedulerService<'p> {
         let completed = self.execute_round(&plan);
         self.sched.record(&plan, round);
         for (id, completion) in completed {
-            self.complete(id, completion);
+            self.remove_active(id, Some(completion));
         }
+        self.current = Some(current);
         self.now += round;
         self.rounds += 1;
     }
@@ -912,12 +903,9 @@ impl<'p> SchedulerService<'p> {
     /// One fluid step: apply the allocation as continuous rates until the
     /// next event (the advance horizon, a completion, or the cap).
     fn step_fluid(&mut self, horizon: f64) {
-        self.recompute();
+        let current = self.recompute();
+        let (_, tensor, alloc) = &current;
         let cfg = &self.config;
-        let Some((_, tensor, alloc)) = self.current.as_ref() else {
-            // Unreachable: `recompute` always installs an allocation.
-            return;
-        };
 
         // Per-job fluid rates.
         let rates: Vec<f64> = self
@@ -979,13 +967,14 @@ impl<'p> SchedulerService<'p> {
             a.steps_done += r * dt;
         }
         self.now += dt;
+        self.current = Some(current);
 
         // Completions.
         let mut i = 0;
         while i < self.active.len() {
             if self.active[i].steps_done >= self.active[i].trace.total_steps - 1e-6 {
                 let id = self.active[i].trace.id;
-                self.complete(id, self.now);
+                self.remove_active(id, Some(self.now));
             } else {
                 i += 1;
             }
@@ -1012,7 +1001,7 @@ impl<'p> SchedulerService<'p> {
         // Makespan: the last completion. Under round stepping, anything
         // unfinished at the cap pushes the makespan to the cap time.
         let unfinished = self.outcomes.iter().any(|o| o.completion.is_none());
-        let makespan = if !self.fluid && unfinished {
+        let makespan = if !self.config.ideal_execution && unfinished {
             self.now
         } else {
             self.outcomes
@@ -1054,7 +1043,7 @@ impl<'p> SchedulerService<'p> {
             per_entity.entry(entity).or_default().cap_rejected = n;
         }
         ServiceStats {
-            commands_accepted: self.commands_accepted,
+            commands_accepted: self.log.len(),
             commands_rejected: rejections.commands,
             invalid_commands: rejections.invalid,
             admission_cap_rejections: rejections.admission_cap,
@@ -1159,7 +1148,6 @@ fn make_outcome(job: &ActiveJob, completion: Option<f64>) -> JobOutcome {
 mod tests {
     use super::*;
     use gavel_core::{ClusterSpec, Combo};
-    use gavel_policies::GandivaPolicy;
     use gavel_sched::Assignment;
     use gavel_workloads::{JobConfig, ModelFamily};
 
@@ -1229,9 +1217,10 @@ mod tests {
     }
 
     /// Under `ThrottledResets` a completed job's rows stay in the
-    /// allocation until the next recompute; no round may run them. A plan
-    /// naming a departed job would be recorded, so the job would hold
-    /// received time again (and trip `execute_round`'s debug assertion).
+    /// allocation until the next recompute; no plan of that generation
+    /// may name them (`execute_round`'s debug assertion holds the same of
+    /// every round that ran). Each departure re-resolves the generation,
+    /// so there are more resolutions than recomputes.
     #[test]
     fn throttled_resets_never_run_a_departed_job() {
         let cluster =
@@ -1247,16 +1236,29 @@ mod tests {
         let mut stale_rounds = 0;
         while svc.num_active() > 0 {
             svc.step_round();
-            for gone in &svc.outcomes {
-                assert_eq!(svc.sched.job_time_received(gone.id), 0.0, "{}", gone.id);
-            }
-            let rows = svc.current.as_ref().map_or(&[][..], |c| c.0.combos());
+            let Some((rows, _, alloc)) = &svc.current else {
+                panic!("a round leaves its allocation installed");
+            };
             let departed = |c: &Combo| c.jobs().any(|id| !svc.index.contains_key(&id));
-            stale_rounds += usize::from(svc.num_active() > 0 && rows.iter().any(departed));
+            if svc.active.is_empty() || !rows.combos().iter().any(departed) {
+                continue;
+            }
+            stale_rounds += 1;
+            let sf = ActiveScaleFactors {
+                active: &svc.active,
+                index: &svc.index,
+            };
+            let gen = svc.recomputations as u64;
+            let plan = svc.sched.plan_round_cached(alloc, gen, &sf, None);
+            assert!(!plan.assignments.is_empty());
+            for a in &plan.assignments {
+                assert!(!departed(&a.combo), "{} planned", a.combo);
+            }
         }
         assert!(stale_rounds > 0, "no round planned an outdated allocation");
         assert!(svc.outcomes.iter().all(|o| o.completion.is_some()));
-        assert_eq!(svc.sched.stats().slots_live, 0);
+        let stats = svc.sched.stats();
+        assert!(stats.resolutions > svc.recomputations as u64, "{stats:?}");
     }
 
     /// Failures and repairs due inside an idle gap take effect at their
@@ -1300,45 +1302,5 @@ mod tests {
             svc.down_total <= failures / 3,
             "repairs piled up: {repairs:?}"
         );
-    }
-
-    /// `ThrottledResets` leaves a completed job's rows in the allocation
-    /// until the next recompute; its received-time accounting goes when
-    /// it completes and nothing registers it again. 500 jobs through 16
-    /// workers.
-    #[test]
-    fn throttled_soak_leaks_no_slots() {
-        let cluster =
-            || ClusterSpec::new(&[("v100", 6, 2, 1.0), ("p100", 6, 2, 1.0), ("k80", 4, 2, 1.0)]);
-        let gandiva = GandivaPolicy::new(3);
-        let isolated = IsolatedSplit::new();
-        for pairs in [false, true] {
-            let mut cfg = SimConfig::new(cluster());
-            cfg.recompute = RecomputeCadence::ThrottledResets(40);
-            let policy: &dyn Policy = if pairs {
-                cfg = cfg.with_space_sharing();
-                &gandiva
-            } else {
-                &isolated
-            };
-            let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), policy);
-            let rows = |svc: &SchedulerService| svc.current.as_ref().map_or(0, |c| c.0.len());
-            for id in 0..500u64 {
-                let arrival = id as f64 * 1500.0;
-                svc.advance_to(arrival);
-                svc.submit(job(id, arrival, 3600.0 + (id * 7919 % 7200) as f64))
-                    .unwrap();
-                // Every slot belongs to live jobs only. (A pair of live
-                // jobs that a later allocation dropped keeps its history,
-                // so with pairs the bound is this workload's, not a law.)
-                assert!(svc.sched.stats().slots_live <= rows(&svc), "after job {id}");
-            }
-            svc.advance_to(f64::MAX);
-            assert_eq!(svc.num_active(), 0);
-            let stats = svc.sched.stats();
-            assert_eq!(stats.slots_live, 0, "pairs {pairs}: {stats:?}");
-            assert!(stats.slots_peak < 200, "pairs {pairs}: {stats:?}");
-            assert!(stats.resolutions > svc.recomputations as u64, "{stats:?}");
-        }
     }
 }

@@ -82,7 +82,11 @@
 //! pinned fixed-seed regressions in `gavel-sim` hold them in place. A
 //! round runs live jobs only, whatever the recompute cadence, and
 //! failures and repairs due during an idle fast-forward take effect at
-//! their scheduled times.
+//! their scheduled times. Each recompute is a new generation to the
+//! round scheduler (the generation is the recompute count): a round's
+//! priorities divide the allocation in force by the time received under
+//! it, and a completion between recomputes forgets the job without
+//! touching what the others received.
 
 pub mod checkpoint;
 pub mod command;

@@ -11,7 +11,7 @@ use gavel_service::{
     SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
 };
 use gavel_solver::SolverError;
-use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
+use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle, TraceJob};
 use std::cell::{Cell, RefCell};
 
 fn small_cluster() -> gavel_core::ClusterSpec {
@@ -398,6 +398,45 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
     let fresh = FlakySolver::default();
     let (recovered, _) = recover(&fresh, &cfg, &svc_cfg, None, &wal).unwrap();
     assert_eq!(recovered.state_fingerprint(), live_fp);
+}
+
+/// §5 delivers the allocation in force, not lifetime parity: a job that
+/// had one V100 to itself for 10 hours shares it 0.5 / 0.5 from the round
+/// a second job arrives — it is not parked until the newcomer's seconds
+/// catch up with its own (which finished it at hour 59.9, not 49.9).
+#[test]
+fn a_falling_share_does_not_starve_the_job() {
+    let price = 3.0;
+    let cluster = || gavel_core::ClusterSpec::new(&[("v100", 1, 1, price)]);
+    let config = JobConfig::new(ModelFamily::ResNet50, 32);
+    let tput = Oracle::new().throughput(config, GpuKind::V100, 1, true);
+    let policy = IsolatedSplit::new();
+    let hour = 3600.0;
+    let session = |until: f64| {
+        let cfg = SimConfig::new(cluster());
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        svc.submit(mk_job(0, 0.0, tput * 30.0 * hour, None))
+            .unwrap();
+        svc.advance_to(10.0 * hour);
+        svc.submit(mk_job(1, 10.0 * hour, tput * 30.0 * hour, None))
+            .unwrap();
+        svc.advance_to(until);
+        svc.into_result()
+    };
+
+    // Rounds each job ran in the 20 after the arrival, read off its cost:
+    // a round on the one worker costs `price / 10`.
+    let early = session(12.0 * hour);
+    let rounds: Vec<f64> = (early.jobs.iter())
+        .map(|j| (j.cost / (price / 10.0)).round())
+        .collect();
+    assert_eq!(rounds[0] + rounds[1], 120.0, "{rounds:?}");
+    assert!(rounds[0] <= 111.0 && rounds[1] <= 11.0, "{rounds:?}");
+
+    let done = session(f64::MAX);
+    let completion = |id: usize| done.jobs[id].completion.expect("finished") / hour;
+    assert!(completion(0) < 51.0, "job 0 done at hour {}", completion(0));
+    assert!(completion(1) < 61.0, "job 1 done at hour {}", completion(1));
 }
 
 #[test]

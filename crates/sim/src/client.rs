@@ -8,29 +8,23 @@
 use gavel_core::Policy;
 use gavel_service::{
     Command, DurableService, MemoryCheckpointStore, MemorySink, SchedulerService, ServiceConfig,
-    SimConfig, SimResult, SubmissionLog,
+    SimConfig, SimResult, SubmissionLog, WalError,
 };
-use gavel_workloads::{Oracle, TraceJob};
+use gavel_workloads::TraceJob;
+
+/// `(result, wal_bytes, checkpoint_bytes)` of a [`Simulator::run_durable`].
+pub type DurableRun = (SimResult, Vec<u8>, Option<Vec<u8>>);
 
 /// Simulates a policy over a trace (see the crate docs for the knobs).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
-    oracle: Oracle,
 }
 
 impl Simulator {
     /// Creates a simulator.
     pub fn new(config: SimConfig) -> Self {
-        Simulator {
-            config,
-            oracle: Oracle::new(),
-        }
-    }
-
-    /// The oracle used for execution (and, unless estimating, planning).
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
+        Simulator { config }
     }
 
     /// Runs `policy` over `trace`, returning per-job outcomes and
@@ -63,8 +57,7 @@ impl Simulator {
     /// Like [`Simulator::run`], but routes every command through the
     /// durability layer (in-memory WAL + checkpoint store, checkpointing
     /// every `checkpoint_every` commands; 0 = never) and returns the
-    /// durable artifacts alongside the result:
-    /// `(result, wal_bytes, checkpoint_bytes)`.
+    /// durable artifacts alongside the result.
     /// `gavel_service::recover` from those artifacts reconstructs the
     /// final service state bit-exactly — the crash-safety contract the
     /// recovery tests pin down.
@@ -73,7 +66,7 @@ impl Simulator {
         policy: &dyn Policy,
         trace: &[TraceJob],
         checkpoint_every: usize,
-    ) -> (SimResult, Vec<u8>, Option<Vec<u8>>) {
+    ) -> Result<DurableRun, WalError> {
         let mut durable = DurableService::new(
             policy,
             self.config.clone(),
@@ -81,18 +74,14 @@ impl Simulator {
             MemorySink::new(),
             MemoryCheckpointStore::new(),
             checkpoint_every,
-        )
-        .expect("in-memory sinks cannot fail");
+        )?;
         for cmd in compile_trace(trace, &self.config) {
-            let accepted = durable
-                .apply(&cmd)
-                .expect("in-memory sinks cannot fail")
-                .is_ok();
+            let accepted = durable.apply(&cmd)?.is_ok();
             debug_assert!(accepted, "compiled trace command rejected: {cmd:?}");
         }
         let wal_bytes = durable.wal().sink().bytes().to_vec();
         let checkpoint_bytes = durable.store().bytes().map(<[u8]>::to_vec);
-        (durable.into_result(), wal_bytes, checkpoint_bytes)
+        Ok((durable.into_result(), wal_bytes, checkpoint_bytes))
     }
 }
 

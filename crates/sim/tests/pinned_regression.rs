@@ -32,6 +32,14 @@
 //! at it, so schedules moved (rounds 1674 -> 1709, recomputations 23 ->
 //! 27). The other ten pins passed unchanged.
 //!
+//! The nine round-stepping pins (every config but `ideal_fluid_mode`,
+//! which never plans a round) were re-captured once, when the §5
+//! mechanism began dividing a target by the seconds received *under the
+//! allocation in force* instead of by a combo's lifetime seconds: after a
+//! recompute a row is no longer parked (or favoured) until lifetime
+//! seconds even out, so every round-stepped schedule moved.
+//! `ideal_fluid_mode` passed unchanged.
+//!
 //! If a change intentionally alters simulation semantics, recapture the
 //! fingerprints (see the `fingerprint` helper) and say so in the PR.
 
@@ -114,13 +122,13 @@ fn round_mode_plain() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4132df0dd7a40eba,
-            total_cost: 0x40a546aba72ff96b,
-            utilization: 0x3feb7a4853c403f2,
-            rounds: 3412,
-            recomputations: 54,
-            jobs: 0x6b53491e1b2bed2e,
-            job_costs: 0x9bb5ec1f1cf6289a,
+            makespan: 0x41322e345b043407,
+            total_cost: 0x40a4f24cabf1ed4f,
+            utilization: 0x3fec423d4049825e,
+            rounds: 3286,
+            recomputations: 53,
+            jobs: 0x03474d57aaf09e35,
+            job_costs: 0x7c68e8bc070483a3,
         }
     );
 }
@@ -134,13 +142,13 @@ fn round_mode_space_sharing() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4128cd6851896b3c,
-            total_cost: 0x40a45e6913b80ac0,
-            utilization: 0x3fe02f6fbfedd67a,
-            rounds: 2257,
-            recomputations: 67,
-            jobs: 0xc61927fdf142909b,
-            job_costs: 0x2a4eb6a60ce68caa,
+            makespan: 0x41286ed23a6f6dc6,
+            total_cost: 0x40a43b098f8f3f7a,
+            utilization: 0x3fe077fa316623e5,
+            rounds: 2223,
+            recomputations: 69,
+            jobs: 0x58291eed4d5ef622,
+            job_costs: 0x026f8c83282e6ad6,
         }
     );
 }
@@ -154,13 +162,13 @@ fn round_mode_physical_fidelity() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4123c0b0d89b6d1d,
-            total_cost: 0x40a05bddbde3c855,
-            utilization: 0x3fe156a9b6b39921,
-            rounds: 1769,
-            recomputations: 51,
-            jobs: 0x05a4fb425039e238,
-            job_costs: 0xf3f9974d902730a5,
+            makespan: 0x4122ffb0aee0c49d,
+            total_cost: 0x40a033131be23515,
+            utilization: 0x3fe1af73343397ad,
+            rounds: 1701,
+            recomputations: 53,
+            jobs: 0x0394bf16d84412c0,
+            job_costs: 0xb2e4b9691f0eff53,
         }
     );
 }
@@ -174,13 +182,13 @@ fn round_mode_worker_failures() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x41272ca99e083394,
-            total_cost: 0x40a3032d1dc565ea,
-            utilization: 0x3fdf95afa2cc78b7,
-            rounds: 2103,
-            recomputations: 216,
-            jobs: 0x2da6e656892bd604,
-            job_costs: 0xb960cb1bfa9961e7,
+            makespan: 0x41276a3754e3a14c,
+            total_cost: 0x40a2f7a97ac01de0,
+            utilization: 0x3fdf920e7166c65c,
+            rounds: 2125,
+            recomputations: 227,
+            jobs: 0x6ddcaf01e4940801,
+            job_costs: 0xe6edfc82b3e7e6e8,
         }
     );
 }
@@ -216,13 +224,13 @@ fn throttled_reset_cadence() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4124b0425504b753,
-            total_cost: 0x4090235786546247,
-            utilization: 0x3fe090cb579e3cfe,
-            rounds: 1877,
+            makespan: 0x4124ebf25504b754,
+            total_cost: 0x40900566ac38754b,
+            utilization: 0x3fe01a6958b362b1,
+            rounds: 1898,
             recomputations: 40,
-            jobs: 0x0325a7ddba06164a,
-            job_costs: 0xd190a18c91196b62,
+            jobs: 0xd736f6a5e97cc9a6,
+            job_costs: 0x780ea2e7f6fc7fd7,
         }
     );
 }
@@ -236,13 +244,13 @@ fn hierarchical_water_filling() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x41232f3619db3bd6,
-            total_cost: 0x40985bc256a34447,
-            utilization: 0x3fd856b277ad9445,
-            rounds: 1745,
+            makespan: 0x4121d4fe19db3bd8,
+            total_cost: 0x40982313e46e2cf6,
+            utilization: 0x3fd9b2710b916370,
+            rounds: 1622,
             recomputations: 43,
-            jobs: 0xf10d685d82051c2b,
-            job_costs: 0xfef7114284eb4536,
+            jobs: 0x370743e848c4dc65,
+            job_costs: 0x25a346d1a908d412,
         }
     );
 }
@@ -256,13 +264,13 @@ fn makespan_policy_static_trace() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x4122c5ab77a50c77,
-            total_cost: 0x40a0106eca99d62c,
-            utilization: 0x3fdd4cc9dff2832e,
-            rounds: 1709,
-            recomputations: 27,
-            jobs: 0x237c48068e190c1a,
-            job_costs: 0x54af75d3a5bc638c,
+            makespan: 0x4122af2b77a50c77,
+            total_cost: 0x40a00ffbc1f4eec2,
+            utilization: 0x3fdd76d765ab9820,
+            rounds: 1701,
+            recomputations: 21,
+            jobs: 0xa32d8e6146001c08,
+            job_costs: 0xdc46de3450a7c774,
         }
     );
 }
@@ -293,13 +301,13 @@ fn estimated_with_worker_failures() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x412452fe1138df89,
-            total_cost: 0x409e08b952fde665,
-            utilization: 0x3fdb56b6c2ce4619,
-            rounds: 1844,
-            recomputations: 151,
-            jobs: 0x0f11b4ab4d6ad040,
-            job_costs: 0xa235d09934705ccf,
+            makespan: 0x4124d0a5c8ec3101,
+            total_cost: 0x409d865f14fb6b44,
+            utilization: 0x3fda6db893e045b7,
+            rounds: 1889,
+            recomputations: 153,
+            jobs: 0x2ef8e08f688a0a20,
+            job_costs: 0x4bd22c75f3f41e09,
         }
     );
     assert_bridged_path_taken(&r);
@@ -319,13 +327,13 @@ fn estimated_with_throttled_recomputes() {
     assert_eq!(
         fingerprint(&r),
         Fingerprint {
-            makespan: 0x41219121351b0c27,
-            total_cost: 0x40945453a5b5a119,
-            utilization: 0x3fd50562a28577eb,
-            rounds: 1594,
-            recomputations: 46,
-            jobs: 0x6c090b4b22fe0c9e,
-            job_costs: 0x00a96a72b82b1b23,
+            makespan: 0x4121ea6d121f2699,
+            total_cost: 0x4094240c5a861dd0,
+            utilization: 0x3fd48241e2d05040,
+            rounds: 1626,
+            recomputations: 48,
+            jobs: 0x944ab118dae508a9,
+            job_costs: 0x26afb97c9afad3b9,
         }
     );
     assert_bridged_path_taken(&r);

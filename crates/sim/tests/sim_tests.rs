@@ -93,20 +93,25 @@ fn deterministic_given_seed() {
     }
 }
 
+/// Figure 13b: the mechanism at 6-minute rounds stays within the gap
+/// `fig13_mechanism` asserts (7% of average JCT) of the fluid ideal, also
+/// on a contended six-worker cluster where allocations change while jobs
+/// queue (+0.8% now; +7.7% while received time outlived the allocation
+/// it was received under).
 #[test]
 fn ideal_execution_close_to_mechanism() {
     let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_single(1.5, 40, 11), &oracle);
-    let mut cfg = SimConfig::new(cluster_twelve());
-    let rounds = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.ideal_execution = true;
-    let ideal = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
-    let rj = rounds.avg_jct_hours();
-    let ij = ideal.avg_jct_hours();
-    // Figure 13b: the mechanism at 6-minute rounds behaves almost
-    // identically to the fluid ideal.
-    assert!(ij <= rj * 1.05 + 0.2, "ideal {ij} vs rounds {rj}");
-    assert!(rj <= ij * 1.35 + 0.5, "rounds {rj} vs ideal {ij}");
+    for (cluster, lambda, seed) in [(cluster_twelve(), 1.5, 11), (small_cluster(), 0.5, 0)] {
+        let trace = generate(&TraceConfig::continuous_single(lambda, 40, seed), &oracle);
+        let mut cfg = SimConfig::new(cluster);
+        let rounds = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+        cfg.ideal_execution = true;
+        let ideal = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+        let rj = rounds.avg_jct_hours();
+        let ij = ideal.avg_jct_hours();
+        assert!(ij <= rj * 1.05 + 0.2, "ideal {ij} vs rounds {rj}");
+        assert!(rj <= ij * 1.07, "rounds {rj} vs ideal {ij}");
+    }
 }
 
 #[test]
@@ -396,7 +401,7 @@ fn durable_run_artifacts_recover_bit_exactly() {
 
     // The durable run matches the plain run bit-exactly...
     let plain = sim.run(&policy, &trace);
-    let (durable, wal_bytes, ckpt_bytes) = sim.run_durable(&policy, &trace, 7);
+    let (durable, wal_bytes, ckpt_bytes) = sim.run_durable(&policy, &trace, 7).unwrap();
     assert_eq!(durable.makespan.to_bits(), plain.makespan.to_bits());
     assert_eq!(durable.total_cost.to_bits(), plain.total_cost.to_bits());
     assert_eq!(durable.rounds, plain.rounds);

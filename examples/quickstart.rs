@@ -48,7 +48,7 @@ fn main() {
     let sf: HashMap<JobId, u32> = jobs.iter().map(|j| (j.id, 1)).collect();
     println!("\nFirst six rounds of the round-based mechanism:");
     for round in 0..6 {
-        let plan = sched.plan_round(&alloc, &sf);
+        let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
         let desc: Vec<String> = plan
             .assignments
             .iter()
@@ -61,7 +61,7 @@ fn main() {
     // 3. Check: realized time fractions track the target allocation.
     println!("\nReceived time fractions after 200 rounds:");
     for _ in 0..194 {
-        let plan = sched.plan_round(&alloc, &sf);
+        let plan = sched.plan_round_cached(&alloc, 0, &sf, None);
         sched.record(&plan, 360.0);
     }
     let total = 200.0 * 360.0;
@@ -70,7 +70,7 @@ fn main() {
             .map(|j| {
                 format!(
                     "{:.2}",
-                    sched.time_received(combo, gavel::core::AccelIdx(j)) / total
+                    sched.time_received(k, gavel::core::AccelIdx(j)) / total
                 )
             })
             .collect();
