@@ -20,24 +20,11 @@ pub struct EstimatorConfig {
 /// The reference matrix `R` is `r x r`: entry `(i, j)` is reference job
 /// `i`'s normalized throughput when colocated with reference job `j`.
 ///
-/// # Revision tracking
+/// # Drift
 ///
-/// Every state change to a tracked job — [`register_job`] establishing its
-/// fingerprint and initial row, [`refine`] blending in an online
-/// measurement — stamps the job with the current value of a monotone
-/// global [`clock`]. Consumers that cache values derived from estimate
-/// rows (the simulator's bridged snapshot cache) remember the clock at
-/// their last sync and ask [`changed_since`] which jobs drifted, instead
-/// of assuming every estimate moved. [`forget`] clears a job's revision
-/// along with its row, so a reused key starts fresh; because revisions
-/// come from the global clock, a re-registered key always stamps strictly
-/// newer than anything it carried before.
-///
-/// [`register_job`]: ThroughputEstimator::register_job
-/// [`refine`]: ThroughputEstimator::refine
-/// [`forget`]: ThroughputEstimator::forget
-/// [`clock`]: ThroughputEstimator::clock
-/// [`changed_since`]: ThroughputEstimator::changed_since
+/// [`register_job`](Self::register_job) and [`refine`](Self::refine) list
+/// the key they changed; the one reader that caches values derived from
+/// estimate rows drains the list with [`take_dirty`](Self::take_dirty).
 #[derive(Debug, Clone)]
 pub struct ThroughputEstimator {
     reference: Vec<Vec<f64>>,
@@ -46,11 +33,8 @@ pub struct ThroughputEstimator {
     estimates: HashMap<u64, Vec<f64>>,
     /// Which reference each tracked job mapped to.
     matched: HashMap<u64, usize>,
-    /// Monotone change counter; bumped by every mutation of a tracked
-    /// job's state.
-    clock: u64,
-    /// Per-tracked-job last-change stamp (values of `clock`).
-    revisions: HashMap<u64, u64>,
+    /// Keys registered or refined since the last [`Self::take_dirty`].
+    dirty: Vec<u64>,
 }
 
 impl ThroughputEstimator {
@@ -71,8 +55,7 @@ impl ThroughputEstimator {
             config,
             estimates: HashMap::new(),
             matched: HashMap::new(),
-            clock: 0,
-            revisions: HashMap::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -125,8 +108,7 @@ impl ThroughputEstimator {
         }
         self.estimates.insert(key, row);
         self.matched.insert(key, matched);
-        self.clock += 1;
-        self.revisions.insert(key, self.clock);
+        self.dirty.push(key);
         matched
     }
 
@@ -143,44 +125,26 @@ impl ThroughputEstimator {
     /// Feeds an online measurement: the job's observed normalized
     /// throughput against reference-class `j`, blended in by EMA.
     ///
-    /// A no-op for unregistered keys — it neither creates state nor bumps
-    /// the job's revision, so cached derivations stay valid.
+    /// A no-op for unregistered keys — it neither creates state nor lists
+    /// the key as dirty, so cached derivations stay valid.
     pub fn refine(&mut self, key: u64, j: usize, measured: f64) {
         if let Some(row) = self.estimates.get_mut(&key) {
             row[j] = (1.0 - REFINE_ALPHA) * row[j] + REFINE_ALPHA * measured;
-            self.clock += 1;
-            self.revisions.insert(key, self.clock);
+            self.dirty.push(key);
         }
     }
 
-    /// Removes a completed job's state, including its revision stamp (no
-    /// leak across reused keys; see the type docs).
+    /// Removes a completed job's state.
     pub fn forget(&mut self, key: u64) {
         self.estimates.remove(&key);
         self.matched.remove(&key);
-        self.revisions.remove(&key);
     }
 
-    /// The current value of the monotone change clock. Snapshot this
-    /// before reading estimates, then pass it to [`Self::changed_since`]
-    /// later to learn which jobs drifted in between.
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// The clock value at `key`'s last state change, if registered.
-    pub fn revision(&self, key: u64) -> Option<u64> {
-        self.revisions.get(&key).copied()
-    }
-
-    /// Keys of all tracked jobs whose state changed after `epoch` (a value
-    /// previously obtained from [`Self::clock`]). Forgotten jobs are not
-    /// reported — their state is gone, not merely stale.
-    pub fn changed_since(&self, epoch: u64) -> impl Iterator<Item = u64> + '_ {
-        self.revisions
-            .iter()
-            .filter(move |&(_, &rev)| rev > epoch)
-            .map(|(&key, _)| key)
+    /// Hands over the keys registered or refined since the last call, in
+    /// the order they changed. A key changed twice is listed twice, and
+    /// one forgotten since may still be listed.
+    pub fn take_dirty(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.dirty)
     }
 }
 
@@ -247,51 +211,31 @@ mod tests {
     }
 
     #[test]
-    fn revisions_track_register_and_refine() {
+    fn take_dirty_lists_each_change_once() {
         let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
-        assert_eq!(est.clock(), 0);
-        let epoch0 = est.clock();
+        assert!(est.take_dirty().is_empty());
         est.register_job(1, &[Some(0.9), None, None]);
         est.register_job(2, &[Some(0.7), Some(0.55), None]);
-        let after_registration = est.clock();
-        assert!(after_registration > epoch0);
-        let mut dirty: Vec<u64> = est.changed_since(epoch0).collect();
-        dirty.sort_unstable();
-        assert_eq!(dirty, vec![1, 2]);
-
-        // Refining job 1 moves only job 1 past the new epoch.
         est.refine(1, 2, 0.5);
-        let dirty: Vec<u64> = est.changed_since(after_registration).collect();
-        assert_eq!(dirty, vec![1]);
-        assert!(est.revision(1).unwrap() > est.revision(2).unwrap());
+        assert_eq!(est.take_dirty(), vec![1, 2, 1]);
+        assert!(est.take_dirty().is_empty(), "the list was handed over");
+
+        // Refining job 2 lists only job 2; forgetting it does not unlist
+        // it, and a reused key is listed like a new one.
+        est.refine(2, 0, 0.6);
+        est.forget(2);
+        est.register_job(2, &[Some(0.9), None, None]);
+        assert_eq!(est.take_dirty(), vec![2, 2]);
     }
 
     #[test]
     fn refine_on_unregistered_key_dirties_nothing() {
         let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
         est.register_job(1, &[Some(0.9), None, None]);
-        let epoch = est.clock();
+        est.take_dirty();
         est.refine(99, 0, 0.5);
-        assert_eq!(est.clock(), epoch, "no-op refine must not tick the clock");
-        assert_eq!(est.changed_since(epoch).count(), 0);
+        assert!(est.take_dirty().is_empty());
         assert!(est.estimate(99).is_none(), "no state materialized");
-        assert!(est.revision(99).is_none());
-    }
-
-    #[test]
-    fn forget_clears_revision_and_reuse_stamps_fresh() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
-        est.register_job(5, &[Some(0.9), None, None]);
-        est.refine(5, 1, 0.6);
-        let high_water = est.revision(5).unwrap();
-        est.forget(5);
-        assert!(est.revision(5).is_none(), "revision entry must be dropped");
-        assert_eq!(est.changed_since(0).count(), 0, "no leaked dirty keys");
-
-        // A reused key starts over with a strictly newer stamp: stale
-        // cached derivations keyed by the old revision can never match.
-        est.register_job(5, &[Some(0.7), Some(0.55), None]);
-        assert!(est.revision(5).unwrap() > high_water);
     }
 
     #[test]

@@ -211,21 +211,28 @@ fn bench_bridged(c: &mut Criterion) {
     for &n in &[512usize, 1024] {
         let oracle = Oracle::new();
         let opts = opts();
-        let mut bridge = EstimatorBridge::new(&oracle, 17);
-        let mut cache = SnapshotCache::new_bridged(true, opts);
+        let mut cache = SnapshotCache::estimated(true, opts, EstimatorBridge::new(&oracle, 17));
         let mut specs = Vec::with_capacity(n);
         for i in 0..n as u64 {
             let s = spec(i);
-            bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
             specs.push(s);
         }
-        let pair_fn = |b: &EstimatorBridge, x: &JobSpec, y: &JobSpec, g| {
-            b.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g)
+        // The estimator-driven full rebuild at the cache's current
+        // estimates.
+        let rebuild = |cache: &SnapshotCache| {
+            let bridge = cache.estimator().expect("an estimator-backed cache");
+            gavel_workloads::build_tensor_with_pairs_by(&oracle, &specs, true, &opts, |x, y, g| {
+                bridge.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g)
+            })
+        };
+        let observe = |cache: &mut SnapshotCache, a: JobSpec, b: JobSpec| {
+            let gpu = gavel_workloads::GpuKind::V100;
+            cache.observe(&oracle, (a.id, a.config), (b.id, b.config), gpu);
         };
 
         // Work gate: initial population scores every pair exactly once.
-        cache.snapshot_bridged(&oracle, &bridge);
+        cache.snapshot(&oracle);
         assert_eq!(
             cache.stats().pair_evals,
             n * (n - 1) / 2,
@@ -235,21 +242,9 @@ fn bench_bridged(c: &mut Criterion) {
         // Correctness gate: row-for-row identity with a fresh
         // estimator-driven rebuild after some drift.
         {
-            let (a, b) = (specs[3], specs[4]);
-            bridge.observe(
-                &oracle,
-                (a.id, a.config),
-                (b.id, b.config),
-                gavel_workloads::GpuKind::V100,
-            );
-            let (combos, tensor) = cache.snapshot_bridged(&oracle, &bridge);
-            let (fc, ft) = gavel_workloads::build_tensor_with_pairs_by(
-                &oracle,
-                &specs,
-                true,
-                &opts,
-                |x, y, g| pair_fn(&bridge, x, y, g),
-            );
+            observe(&mut cache, specs[3], specs[4]);
+            let (combos, tensor) = cache.snapshot(&oracle);
+            let (fc, ft) = rebuild(&cache);
             assert_eq!(
                 combos.combos(),
                 fc.combos(),
@@ -264,33 +259,21 @@ fn bench_bridged(c: &mut Criterion) {
         // trickle (two observed pairs, dirtying ≤ 4 jobs), the cache must
         // beat the estimator-driven full rebuild by >= 2x.
         let mut turn = 0usize;
-        let mut drift = |bridge: &mut EstimatorBridge| {
+        let mut drift = |cache: &mut SnapshotCache| {
             for _ in 0..2 {
                 let i = turn % (n - 1);
-                let (a, b) = (specs[i], specs[i + 1]);
-                bridge.observe(
-                    &oracle,
-                    (a.id, a.config),
-                    (b.id, b.config),
-                    gavel_workloads::GpuKind::V100,
-                );
+                observe(cache, specs[i], specs[i + 1]);
                 turn += 7;
             }
         };
         if n >= 1024 {
             let cached = median_secs(3, || {
-                drift(&mut bridge);
-                criterion::black_box(cache.snapshot_bridged(&oracle, &bridge));
+                drift(&mut cache);
+                criterion::black_box(cache.snapshot(&oracle));
             });
             let rebuilt = median_secs(3, || {
-                drift(&mut bridge);
-                criterion::black_box(gavel_workloads::build_tensor_with_pairs_by(
-                    &oracle,
-                    &specs,
-                    true,
-                    &opts,
-                    |x, y, g| pair_fn(&bridge, x, y, g),
-                ));
+                drift(&mut cache);
+                criterion::black_box(rebuild(&cache));
             });
             assert!(
                 rebuilt >= cached * 2.0,
@@ -308,12 +291,12 @@ fn bench_bridged(c: &mut Criterion) {
         // jobs), re-scoring each dirty job against at most the n
         // residents. The first snapshot takes in what the rebuild side of
         // the speed gate drifted, outside the count.
-        cache.snapshot_bridged(&oracle, &bridge);
+        cache.snapshot(&oracle);
         let before = cache.stats();
         group.bench_with_input(BenchmarkId::new("cached", n), &n, |b, _| {
             b.iter(|| {
-                drift(&mut bridge);
-                cache.snapshot_bridged(&oracle, &bridge)
+                drift(&mut cache);
+                cache.snapshot(&oracle)
             })
         });
         let after = cache.stats();
@@ -326,14 +309,8 @@ fn bench_bridged(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("rebuild", n), &n, |b, _| {
             b.iter(|| {
-                drift(&mut bridge);
-                gavel_workloads::build_tensor_with_pairs_by(
-                    &oracle,
-                    &specs,
-                    true,
-                    &opts,
-                    |x, y, g| pair_fn(&bridge, x, y, g),
-                )
+                drift(&mut cache);
+                rebuild(&cache)
             })
         });
     }

@@ -1,22 +1,12 @@
-//! `gavel-exp <name> [--smoke|--quick|--full] [--extended]` regenerates
-//! one figure or table of the paper, or runs one service demo. Every name
-//! is a module of [`gavel_experiments::figs`] or a function of its
-//! `sweeps` module, documented there;
-//! `--extended` selects `fig12_scalability`'s sweep past 2048 jobs. An
-//! unknown name, or any other argument after it, prints the usage and
-//! exits 2.
+//! `gavel-exp <name> [--smoke|--quick|--full]` regenerates one figure or
+//! table of the paper, or runs one service demo. Every name is a module
+//! of [`gavel_experiments::figs`] or a function of its `sweeps` module,
+//! documented there. An unknown name, or any argument after it other than
+//! one scale flag, prints the usage and exits 2.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi --quick`
 
 use gavel_experiments::{figs, Scale};
-
-fn fig12_scalability(scale: Scale) {
-    if std::env::args().any(|a| a == "--extended") {
-        figs::fig12_scalability::run_extended(scale);
-    } else {
-        figs::fig12_scalability::run(scale);
-    }
-}
 
 /// An experiment's name and entry point.
 type Experiment = (&'static str, fn(Scale));
@@ -27,7 +17,7 @@ const EXPERIMENTS: &[Experiment] = &[
     ("fig09_las_multi", figs::sweeps::fig09_las_multi),
     ("fig10_ftf_multi", figs::sweeps::fig10_ftf_multi),
     ("fig11_hierarchical", figs::fig11_hierarchical::run),
-    ("fig12_scalability", fig12_scalability),
+    ("fig12_scalability", figs::fig12_scalability::run),
     ("fig13_mechanism", figs::fig13_mechanism::run),
     ("fig14_estimator", figs::fig14_estimator::run),
     ("fig15_colocation", figs::fig15_colocation::run),
@@ -45,7 +35,7 @@ const EXPERIMENTS: &[Experiment] = &[
 
 /// Prints the usage with what was wrong and exits 2.
 fn refuse(problem: String) -> ! {
-    eprintln!("usage: gavel-exp <name> [--smoke|--quick|--full] [--extended]");
+    eprintln!("usage: gavel-exp <name> [--smoke|--quick|--full]");
     eprintln!("{problem}; the names are:");
     for (known, _) in EXPERIMENTS {
         eprintln!("  {known}");
@@ -59,13 +49,11 @@ fn main() {
     let Some((_, run)) = EXPERIMENTS.iter().find(|(known, _)| *known == name) else {
         refuse(format!("unknown experiment {name:?}"));
     };
-    // At most one scale flag; `--extended` is read by the
-    // `fig12_scalability` entry above and means nothing elsewhere.
+    // At most one scale flag.
     let mut scale = None;
     for arg in args {
         match Scale::from_flag(&arg) {
             Some(s) if scale.is_none() => scale = Some(s),
-            None if arg == "--extended" && name == "fig12_scalability" => {}
             _ => refuse(format!("unexpected argument {arg:?} after {name}")),
         }
     }

@@ -49,17 +49,9 @@ smoke!(
     fig18_fifo_multi,
 );
 
-/// The fig12 extended sweep (snapshot-cache scaling, hierarchical solve
-/// over the cached snapshot) shares its `run_extended` entry point with
-/// `gavel-exp fig12_scalability --extended`.
-#[test]
-fn fig12_scalability_extended() {
-    figs::fig12_scalability::run_extended(Scale::Smoke);
-}
-
 /// `gavel-exp` runs what it was asked or nothing: a misspelt flag, a
-/// second scale flag, or `--extended` on an experiment that has no
-/// extended sweep prints the usage and exits 2, like an unknown name.
+/// second scale flag or a flag it does not have prints the usage and
+/// exits 2, like an unknown name.
 #[test]
 fn gavel_exp_refuses_arguments_it_does_not_recognise() {
     let gavel_exp = |args: &[&str]| {
@@ -74,7 +66,7 @@ fn gavel_exp_refuses_arguments_it_does_not_recognise() {
     for refused in [
         &["fig01_throughputs", "--smok"][..],
         &["fig01_throughputs", "--smoke", "--quick"],
-        &["fig01_throughputs", "--smoke", "--extended"],
+        &["fig12_scalability", "--smoke", "--extended"],
     ] {
         let out = gavel_exp(refused);
         assert_eq!(out.status.code(), Some(2), "{refused:?}: {out:?}");

@@ -113,18 +113,21 @@ impl Policy for GandivaPolicy {
             .map(|(k, _)| k)
             .collect();
 
-        // Random exploration: sample a few untried pairs whose members are
-        // not already packed.
-        let mut packed: HashSet<JobId> = st.good_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        // Known-good pairs run packed on their rows. A kept pair whose row
+        // this input leaves out (the snapshot caps the rows per job) packs
+        // nobody: its members time-share as singletons until it returns.
+        let mut packed: HashSet<JobId> = HashSet::new();
         let mut active_pairs: Vec<usize> = Vec::new();
-        // Keep rows for known-good pairs.
-        for (k, c) in input.combos.combos().iter().enumerate() {
-            if let Some(b) = c.b {
-                if st.good_pairs.contains(&(c.a, b)) {
-                    active_pairs.push(k);
-                }
+        for &k in &pair_rows {
+            let c = input.combos.combos()[k];
+            let Some(b) = c.b else { continue };
+            if st.good_pairs.contains(&(c.a, b)) && !packed.contains(&c.a) && !packed.contains(&b) {
+                active_pairs.push(k);
+                packed.extend([c.a, b]);
             }
         }
+        // Random exploration: sample a few untried pairs whose members are
+        // not already packed.
         for _ in 0..TRIALS_PER_ROUND {
             if pair_rows.is_empty() || !contended {
                 break;
@@ -183,6 +186,45 @@ impl Policy for GandivaPolicy {
 mod tests {
     use super::*;
     use gavel_core::{ClusterSpec, Combo, ComboSet, PairThroughput, PolicyJob, ThroughputTensor};
+
+    /// A pair is tried and kept; the next input has no row for it (the
+    /// snapshot's per-job cap dropped it). Its members are not packed
+    /// then, so they time-share like everyone else — and pack again when
+    /// the row is back.
+    #[test]
+    fn a_kept_pair_without_its_row_time_shares() {
+        let cluster = ClusterSpec::new(&[("v100", 2, 2, 1.0)]);
+        let policy = GandivaPolicy::new(1);
+        let ids = [JobId(0), JobId(1), JobId(2)];
+        let jobs: Vec<PolicyJob> = ids.iter().map(|&id| PolicyJob::simple(id, 1.0)).collect();
+        let allocate = |with_pair_row: bool| {
+            let mut combos: Vec<Combo> = ids.iter().map(|&id| Combo::single(id)).collect();
+            let mut rows = vec![vec![PairThroughput::single(1.0)]; ids.len()];
+            if with_pair_row {
+                combos.push(Combo::pair(ids[0], ids[1]));
+                rows.push(vec![PairThroughput::pair(0.9, 0.9)]);
+            }
+            let combos = ComboSet::new(combos);
+            let input = PolicyInput {
+                jobs: &jobs,
+                combos: &combos,
+                tensor: &ThroughputTensor::new(1, rows),
+                cluster: &cluster,
+            };
+            let alloc = policy.compute_allocation(&input).unwrap();
+            alloc.validate(&cluster, &Default::default()).unwrap();
+            let time_of = |row: usize| alloc.row(row).iter().sum::<f64>();
+            (0..combos.len()).map(time_of).collect::<Vec<f64>>()
+        };
+        let packed = allocate(true);
+        assert!(packed[3] > 0.0 && packed[0] == 0.0 && packed[1] == 0.0);
+        let kept = policy.state.lock().unwrap().good_pairs.clone();
+        assert_eq!(kept, HashSet::from([(ids[0], ids[1])]));
+
+        let unpacked = allocate(false);
+        assert!(unpacked.iter().all(|&t| t > 0.0), "{unpacked:?}");
+        assert_eq!(allocate(true), packed);
+    }
 
     /// A window of eight consecutive jobs slides over a two-worker
     /// cluster; neighbours can pack, every other pair profitably. Both

@@ -189,7 +189,6 @@ pub struct SchedulerService<'p> {
     seen_ids: HashSet<JobId>,
     outcomes: Vec<JobOutcome>,
     cache: SnapshotCache,
-    bridge: Option<EstimatorBridge>,
     sched: RoundScheduler,
     events: EventQueue,
     jitter_rng: StdRng,
@@ -226,26 +225,18 @@ impl<'p> SchedulerService<'p> {
     pub fn new(config: SimConfig, service: ServiceConfig, policy: &'p dyn Policy) -> Self {
         let fluid = config.ideal_execution;
         let oracle = Oracle::new();
-        // The estimator bridge only participates in round execution (the
-        // fluid model has no concrete colocation to observe).
-        let bridge = if !fluid
-            && config.estimate_pair_throughputs
-            && config.pairs.is_some()
-            && policy.wants_space_sharing()
-        {
-            Some(EstimatorBridge::new(&oracle, config.seed))
-        } else {
-            None
-        };
-        let want_pairs = policy.wants_space_sharing() && config.pairs.is_some();
-        // The cache's pair source follows the bridge; either way, no
-        // recompute pays the O(n²) sweep.
-        let cache = match (&bridge, config.pairs) {
-            (Some(_), Some(pairs)) => SnapshotCache::new_bridged(config.assume_consolidated, pairs),
-            _ => SnapshotCache::new(
+        // Pair rows only for a policy that reads them. The estimator only
+        // participates in round execution (the fluid model has no
+        // concrete colocation to observe). Either way, no recompute pays
+        // the O(n²) sweep.
+        let pairs = config.pairs.filter(|_| policy.wants_space_sharing());
+        let cache = match pairs {
+            Some(opts) if config.estimate_pair_throughputs && !fluid => SnapshotCache::estimated(
                 config.assume_consolidated,
-                if want_pairs { config.pairs } else { None },
+                opts,
+                EstimatorBridge::new(&oracle, config.seed),
             ),
+            _ => SnapshotCache::new(config.assume_consolidated, pairs),
         };
         let mut events = EventQueue::default();
         let mut failure_rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xfa11));
@@ -266,7 +257,6 @@ impl<'p> SchedulerService<'p> {
             seen_ids: HashSet::new(),
             outcomes: Vec::new(),
             cache,
-            bridge,
             events,
             failure_rng,
             down_total: 0,
@@ -593,9 +583,6 @@ impl<'p> SchedulerService<'p> {
             entity: trace.entity,
         };
         self.cache.admit(&self.oracle, spec, pjob);
-        if let Some(b) = self.bridge.as_mut() {
-            b.register(&self.oracle, trace.id, trace.config);
-        }
         self.index.insert(trace.id, self.active.len());
         self.active.push(ActiveJob {
             contention_at_arrival: n,
@@ -632,9 +619,6 @@ impl<'p> SchedulerService<'p> {
         }
         self.outcomes.push(make_outcome(&job, completion));
         self.sched.forget_job(id);
-        if let Some(b) = self.bridge.as_mut() {
-            b.forget(id);
-        }
         self.need_recompute = true;
     }
 
@@ -645,12 +629,7 @@ impl<'p> SchedulerService<'p> {
     fn recompute(&mut self) -> (ComboSet, ThroughputTensor, Allocation) {
         let t0 = Instant::now();
         let cfg = &self.config;
-        let (combos, tensor) = match &self.bridge {
-            // Estimated runs re-score only the jobs whose estimates
-            // drifted since the last recompute.
-            Some(b) => self.cache.snapshot_bridged(&self.oracle, b),
-            None => self.cache.snapshot(&self.oracle),
-        };
+        let (combos, tensor) = self.cache.snapshot(&self.oracle);
         let now = self.now;
         let active = &self.active;
         for (pj, a) in self.cache.policy_jobs_mut().iter_mut().zip(active) {
@@ -833,11 +812,8 @@ impl<'p> SchedulerService<'p> {
                 if let Some(pair) = self.oracle.colocated(a.trace.config, b.trace.config, gpu) {
                     tputs = pair.into();
                 }
-                let (aid, acfg) = (a.trace.id, a.trace.config);
-                let (bid, bcfg) = (b.trace.id, b.trace.config);
-                if let Some(b2) = self.bridge.as_mut() {
-                    b2.observe(&self.oracle, (aid, acfg), (bid, bcfg), gpu);
-                }
+                let (a, b) = ((a.trace.id, a.trace.config), (b.trace.id, b.trace.config));
+                self.cache.observe(&self.oracle, a, b, gpu);
             } else {
                 let a = &self.active[positions[0]];
                 tputs[0] = self.oracle.throughput(

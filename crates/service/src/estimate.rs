@@ -10,12 +10,10 @@
 //! every job on arrival; a pair with an unregistered member has no
 //! estimate rather than a guessed one.
 //!
-//! Estimate drift is *observable*: the bridge re-exports the estimator's
-//! monotone change clock ([`EstimatorBridge::clock`]) and the set of jobs
-//! whose fingerprint rows changed since a given epoch
-//! ([`EstimatorBridge::dirty_since`]), so the simulator's snapshot cache
-//! can re-derive only the pair rows that actually moved instead of
-//! assuming every estimate drifted.
+//! Estimate drift is *observable*: [`EstimatorBridge::take_dirty`] hands
+//! over the jobs registered or refined since the last call, so the
+//! snapshot cache that owns the bridge re-derives only the pair rows that
+//! actually moved instead of assuming every estimate drifted.
 
 use gavel_core::JobId;
 use gavel_estimator::{EstimatorConfig, ThroughputEstimator};
@@ -126,19 +124,16 @@ impl EstimatorBridge {
         }
     }
 
-    /// The estimator's monotone change clock. Snapshot it before caching
-    /// values derived from estimates; pass the snapshot to
-    /// [`Self::dirty_since`] later to learn which jobs drifted.
-    pub fn clock(&self) -> u64 {
-        self.estimator.clock()
-    }
-
     /// Jobs whose estimator state (fingerprint row or matched class)
-    /// changed after `epoch`, in ascending id order. Forgotten jobs are
-    /// not reported — callers drop their cached rows on removal anyway.
-    pub fn dirty_since(&self, epoch: u64) -> Vec<JobId> {
-        let mut dirty: Vec<JobId> = self.estimator.changed_since(epoch).map(JobId).collect();
+    /// changed since the last call, each once, in ascending id order. A
+    /// job forgotten since may still be listed — callers drop their cached
+    /// rows on removal anyway.
+    pub fn take_dirty(&mut self) -> Vec<JobId> {
+        let mut dirty: Vec<JobId> = (self.estimator.take_dirty().into_iter())
+            .map(JobId)
+            .collect();
         dirty.sort_unstable();
+        dirty.dedup();
         dirty
     }
 }
@@ -227,16 +222,15 @@ mod tests {
         bridge.register(&oracle, b.0, b.1);
         bridge.observe(&oracle, a, b, GpuKind::V100);
         bridge.forget(a.0);
-        // No revision-map leak: only b remains dirty-trackable, and a's
-        // old refinements are invisible to any epoch query.
-        assert_eq!(bridge.dirty_since(0), vec![b.0]);
+        bridge.take_dirty();
+        // a is unmatched now, so the pair has no classes to refine under.
+        bridge.observe(&oracle, a, b, GpuKind::V100);
+        assert!(bridge.take_dirty().is_empty());
 
-        // Reusing a's JobId starts from a clean registration whose
-        // revision is strictly newer than anything the old job had: a
-        // cached pair row keyed by the old revision can never collide.
-        let clock_before_reuse = bridge.clock();
+        // Reusing a's JobId starts from a clean registration, listed like
+        // any other.
         bridge.register(&oracle, a.0, a.1);
-        assert_eq!(bridge.dirty_since(clock_before_reuse), vec![a.0]);
+        assert_eq!(bridge.take_dirty(), vec![a.0]);
     }
 
     #[test]
@@ -247,10 +241,8 @@ mod tests {
         let b = (JobId(2), JobConfig::new(ModelFamily::ResNet18, 16));
         // Neither job registered: observing a running pair must neither
         // materialize state nor dirty anything.
-        let epoch = bridge.clock();
         bridge.observe(&oracle, a, b, GpuKind::V100);
-        assert_eq!(bridge.clock(), epoch, "no-op refine must not tick");
-        assert!(bridge.dirty_since(epoch).is_empty());
+        assert!(bridge.take_dirty().is_empty());
         // And there is still no estimate, not a guessed one.
         assert_eq!(bridge.pair_throughput(&oracle, a, b, GpuKind::V100), None);
     }
@@ -265,11 +257,11 @@ mod tests {
         bridge.register(&oracle, a.0, a.1);
         bridge.register(&oracle, b.0, b.1);
         bridge.register(&oracle, c.0, c.1);
-        let epoch = bridge.clock();
+        assert_eq!(bridge.take_dirty(), vec![a.0, b.0, c.0]);
         bridge.observe(&oracle, a, b, GpuKind::V100);
-        assert_eq!(bridge.dirty_since(epoch), vec![a.0, b.0]);
-        // Draining the epoch forward leaves nothing dirty.
-        assert!(bridge.dirty_since(bridge.clock()).is_empty());
+        assert_eq!(bridge.take_dirty(), vec![a.0, b.0]);
+        // The list was drained: nothing is dirty now.
+        assert!(bridge.take_dirty().is_empty());
     }
 
     #[test]

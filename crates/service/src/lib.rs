@@ -4,8 +4,9 @@
 //! job submissions, not a batch trace replayer. This crate extracts the
 //! simulator's admit/recompute/advance/complete engine behind a service
 //! boundary: [`SchedulerService`] holds the scheduling state (job table,
-//! [`SnapshotCache`], [`EstimatorBridge`], round scheduler, failure
-//! clock) and is driven entirely by an externally-fed [`Command`] stream:
+//! [`SnapshotCache`] — which owns the [`EstimatorBridge`] when pair
+//! throughputs are estimated — round scheduler, failure clock) and is
+//! driven entirely by an externally-fed [`Command`] stream:
 //!
 //! - [`Command::Submit`] — admit a job, owned by an optional *entity*
 //!   (user/org). Per-entity job books track active counts;

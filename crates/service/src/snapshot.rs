@@ -13,11 +13,10 @@
 //! `remove` drops the completed job's rows and candidates, and a snapshot
 //! assembles the combo set and tensor from the cached rows, selecting
 //! pair rows through the score-bucketed store below. Pair throughputs
-//! come from one of two *pair sources* — the [`Oracle`]
-//! ([`SnapshotCache::new`], [`SnapshotCache::snapshot`]) or, for the
-//! Figure 14 experiment, an [`EstimatorBridge`]
-//! ([`SnapshotCache::new_bridged`], [`SnapshotCache::snapshot_bridged`]);
-//! everything else is the same for both.
+//! come from the cache's *pair source* — the [`Oracle`]
+//! ([`SnapshotCache::new`]) or, for the Figure 14 experiment, an
+//! [`EstimatorBridge`] the cache owns ([`SnapshotCache::estimated`]);
+//! [`SnapshotCache::snapshot`] and everything else is the same for both.
 //!
 //! # Invalidation protocol
 //!
@@ -27,11 +26,10 @@
 //!
 //! 1. *Dirty set.* Oracle throughputs never change, so only an arriving
 //!    job is dirty and `admit` processes it on the spot. Estimates drift
-//!    as the estimator refines, and an arriving job is profiled only
-//!    after it is admitted, so an estimator-backed cache waits for
-//!    `snapshot_bridged`: it remembers the estimator's change clock at
-//!    its last sync and takes the jobs the bridge reports changed since
-//!    ([`EstimatorBridge::dirty_since`]) plus the jobs admitted since.
+//!    as the estimator refines ([`SnapshotCache::observe`]), so an
+//!    estimator-backed cache waits for `snapshot` and drains the one list
+//!    the estimator keeps of the jobs it profiled (`admit`) or refined
+//!    since the last drain ([`EstimatorBridge::take_dirty`]).
 //! 2. *Unlink.* Every candidate touching a dirty job leaves the store
 //!    through the reverse index (O(degree)). A candidate that had a
 //!    materialized row gives it back to the row slab as it is unlinked, so
@@ -84,16 +82,18 @@
 //! bucket in O(1), and a completed or drifted job's candidates are
 //! unlinked in O(degree), without invalidating a global order.
 //!
-//! **Lazy materialization rule.** Selection walks buckets in descending
-//! score order. Inside each bucket it first *filters* candidates down to
-//! those whose both endpoints are still under the per-job pair cap —
-//! cap counts only grow during a pass, so a candidate filtered out here
-//! could never be selected later — and only those survivors are sorted
-//! with the exact tie-break key. The expensive total order is therefore
-//! materialized only inside the buckets the cap still contests, and the
-//! walk stops entirely once fewer than two jobs remain both uncapped and
-//! unexhausted. Cost per pass is O(live candidates) array reads plus
-//! O(contested · log contested) sorting, instead of O(n² log n²).
+//! **Lazy materialization rule.** Selection walks every bucket in
+//! descending score order. Inside each bucket it first *filters*
+//! candidates down to those whose both endpoints are still under the
+//! per-job pair cap — cap counts only grow during a pass, so a candidate
+//! filtered out here could never be selected later — and only those
+//! survivors are sorted with the exact tie-break key. The expensive total
+//! order is therefore materialized only inside the buckets the cap still
+//! contests. A pass reads every live candidate once and sorts the
+//! contested ones — on the `ss_churn` benchmark ~20.8 k entries read and
+//! ~1.3 k (6 %) sorted per snapshot. It has no early exit: two jobs under
+//! the cap with a candidate in the lowest bucket hold the walk to the end,
+//! the common case (ROADMAP, "Measured and rejected").
 //!
 //! **Tie-break contract.** The fresh builder
 //! (`build_tensor_with_pairs[_by]`) stable-sorts candidates by score
@@ -122,7 +122,9 @@
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
-use gavel_workloads::{pair_row, pair_score, singleton_row, GpuKind, JobSpec, Oracle, PairOptions};
+use gavel_workloads::{
+    pair_row, pair_score, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
+};
 use std::collections::{BTreeMap, HashMap};
 
 /// Environment variable that makes every bucketed selection re-run the
@@ -214,9 +216,11 @@ struct PairStore {
     /// Per slab row, the selection pass that last picked its slot.
     picked_in: Vec<u32>,
     pass: u32,
-    /// The contested candidates of the bucket being sorted; kept between
-    /// passes for its capacity.
+    /// Selection scratch, kept between passes for its capacity: the
+    /// contested candidates of the bucket being sorted, and the pairs
+    /// selected so far per handle.
     survivors: Vec<(u128, u32, u32, u32)>,
+    counts: Vec<u32>,
 }
 
 impl PairStore {
@@ -229,11 +233,6 @@ impl PairStore {
         if self.job_slots.len() < n {
             self.job_slots.resize_with(n, Vec::new);
         }
-    }
-
-    /// Number of live candidates touching handle `h`.
-    fn degree(&self, h: u32) -> usize {
-        self.job_slots[h as usize].len()
     }
 
     fn insert(&mut self, ha: u32, hb: u32, score: f64) -> u32 {
@@ -395,13 +394,12 @@ impl PairStore {
             .map(|(s, sl)| (s as u32, sl))
     }
 
-    /// The bucketed selection pass: walks buckets in descending score
-    /// order, lazily materializing the exact tie-break order only for
-    /// candidates the per-job cap still contests (see the module docs),
-    /// and stops once fewer than two jobs remain both uncapped and
-    /// unexhausted. Leaves the selected slot ids in `selected`, in
-    /// emission order — bit-identical to the flat [`rank_and_cap`] over
-    /// the same slots.
+    /// The bucketed selection pass: walks every bucket in descending
+    /// score order, lazily materializing the exact tie-break order only
+    /// for candidates the per-job cap still contests (see the module
+    /// docs). Leaves the selected slot ids in `selected`, in emission
+    /// order — bit-identical to the flat [`rank_and_cap`] over the same
+    /// slots.
     fn select(
         &mut self,
         handle_pos: &[u32],
@@ -414,44 +412,17 @@ impl PairStore {
             return;
         }
         let cap = cap.min(u32::MAX as usize) as u32;
-        let nh = self.job_slots.len();
-        // Small per-handle working arrays (tens of KB — cache-resident),
-        // with degrees snapshotted once so the hot loop never chases the
-        // `job_slots` vector headers.
-        let mut counts = vec![0u32; nh];
-        let mut scanned = vec![0u32; nh];
-        let degrees: Vec<u32> = self.job_slots.iter().map(|l| l.len() as u32).collect();
-        // S' = jobs still uncapped with unscanned candidates remaining;
-        // once |S'| < 2 no further pair can be selected.
-        let mut in_sp = vec![false; nh];
-        let mut s_prime = 0usize;
-        for h in 0..nh {
-            if degrees[h] > 0 {
-                in_sp[h] = true;
-                s_prime += 1;
-            }
-        }
+        let mut counts = std::mem::take(&mut self.counts);
+        counts.clear();
+        counts.resize(self.job_slots.len(), 0);
         let mut survivors = std::mem::take(&mut self.survivors);
         for bucket in self.buckets.values().rev() {
-            if s_prime <= 1 {
-                break;
-            }
             stats.buckets_walked += 1;
             survivors.clear();
             // This scan is the pass's volume term: one sequential read
             // per bucket entry, no slot-slab access.
             for e in bucket {
                 let (ha, hb) = (e.ha as usize, e.hb as usize);
-                scanned[ha] += 1;
-                if in_sp[ha] && scanned[ha] == degrees[ha] {
-                    in_sp[ha] = false;
-                    s_prime -= 1;
-                }
-                scanned[hb] += 1;
-                if in_sp[hb] && scanned[hb] == degrees[hb] {
-                    in_sp[hb] = false;
-                    s_prime -= 1;
-                }
                 // Cap counts only grow within a pass, so a candidate
                 // with a capped endpoint here can never be selected:
                 // filtering it out before the sort is exact.
@@ -476,14 +447,9 @@ impl PairStore {
                 counts[ha] += 1;
                 counts[hb] += 1;
                 selected.push(s);
-                for h in [ha, hb] {
-                    if in_sp[h] && counts[h] >= cap {
-                        in_sp[h] = false;
-                        s_prime -= 1;
-                    }
-                }
             }
         }
+        self.counts = counts;
         self.survivors = survivors;
     }
 }
@@ -491,14 +457,13 @@ impl PairStore {
 /// Counters making the incremental path observable (and gateable).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Oracle-backed snapshots served ([`SnapshotCache::snapshot`]).
+    /// Snapshots served by a cache without an estimator.
     pub incremental_snapshots: usize,
-    /// Estimator-backed snapshots served
-    /// ([`SnapshotCache::snapshot_bridged`]).
+    /// Snapshots served by an estimator-backed cache.
     pub bridged_snapshots: usize,
     /// Pair-score evaluations performed: one per (dirty job, resident
     /// single-worker job) pair, against the oracle at admission or the
-    /// bridge at snapshot time.
+    /// estimator at snapshot time.
     pub pair_evals: usize,
     /// Singleton rows appended (admissions).
     pub rows_appended: usize,
@@ -518,6 +483,18 @@ pub struct SnapshotStats {
     pub pair_rows_materialized: usize,
 }
 
+/// Where a cache's pair throughputs come from.
+#[derive(Debug, Clone)]
+enum PairSource {
+    /// Nowhere: singleton-only snapshots.
+    None,
+    /// The oracle, whose answers never change.
+    Oracle(PairOptions),
+    /// §6's estimator: `admit` profiles the arriving job, `observe`
+    /// refines, `remove` forgets, `snapshot` re-scores what drifted.
+    Estimated(PairOptions, Box<EstimatorBridge>),
+}
+
 /// Persistent combo/tensor/job state, updated by deltas on admit and
 /// complete (see the module docs).
 ///
@@ -527,17 +504,7 @@ pub struct SnapshotStats {
 #[derive(Debug, Clone)]
 pub struct SnapshotCache {
     consolidated: bool,
-    /// Pair generation options; `None` = singleton-only snapshots.
-    pairs: Option<PairOptions>,
-    /// Whether pair throughputs come from an [`EstimatorBridge`] (at
-    /// [`Self::snapshot_bridged`] time) instead of the oracle.
-    estimated: bool,
-    /// Estimator clock at the last estimator-backed snapshot.
-    epoch: u64,
-    /// Single-worker jobs admitted since the last estimator-backed
-    /// snapshot, not yet scored. Stays empty on an oracle-backed cache,
-    /// which scores an arriving job inside `admit`.
-    fresh: Vec<JobId>,
+    source: PairSource,
     specs: Vec<JobSpec>,
     /// Row-major, [`WIDTH`] entries per job, parallel to `specs`.
     singleton_rows: Vec<PairThroughput>,
@@ -570,10 +537,7 @@ impl SnapshotCache {
     pub fn new(consolidated: bool, pairs: Option<PairOptions>) -> Self {
         SnapshotCache {
             consolidated,
-            pairs,
-            estimated: false,
-            epoch: 0,
-            fresh: Vec::new(),
+            source: pairs.map_or(PairSource::None, PairSource::Oracle),
             specs: Vec::new(),
             singleton_rows: Vec::new(),
             policy_jobs: Vec::new(),
@@ -589,14 +553,21 @@ impl SnapshotCache {
         }
     }
 
-    /// Creates an empty estimator-backed cache: pair throughputs come
-    /// from an [`EstimatorBridge`] at [`Self::snapshot_bridged`] time and
-    /// are invalidated per job through the bridge's change clock (see the
+    /// Creates an empty estimator-backed cache: pair throughputs are
+    /// `bridge`'s estimates, invalidated per job as they drift (see the
     /// module docs).
-    pub fn new_bridged(consolidated: bool, opts: PairOptions) -> Self {
+    pub fn estimated(consolidated: bool, opts: PairOptions, bridge: EstimatorBridge) -> Self {
         SnapshotCache {
-            estimated: true,
-            ..SnapshotCache::new(consolidated, Some(opts))
+            source: PairSource::Estimated(opts, Box::new(bridge)),
+            ..SnapshotCache::new(consolidated, None)
+        }
+    }
+
+    /// The estimator an estimator-backed cache owns.
+    pub fn estimator(&self) -> Option<&EstimatorBridge> {
+        match &self.source {
+            PairSource::Estimated(_, bridge) => Some(bridge),
+            _ => None,
         }
     }
 
@@ -643,12 +614,6 @@ impl SnapshotCache {
         self.store.live
     }
 
-    /// Number of live candidates touching the job at position `i` —
-    /// the completion cost through the reverse index is O(this).
-    pub fn candidate_degree(&self, i: usize) -> usize {
-        self.store.degree(self.handles[i])
-    }
-
     fn alloc_handle(&mut self) -> u32 {
         self.free_handles.pop().unwrap_or_else(|| {
             self.handle_pos.push(NONE32);
@@ -666,10 +631,10 @@ impl SnapshotCache {
         )
     }
 
-    /// Admits a job: computes its singleton row and, when it can pair
-    /// (pairs enabled, single worker), marks it dirty — scored against
-    /// the oracle right here, or left for the next
-    /// [`Self::snapshot_bridged`] on an estimator-backed cache.
+    /// Admits a job: computes its singleton row and hands the job to the
+    /// pair source — a single-worker job is scored against the oracle
+    /// right here; the estimator profiles every arrival and lists it
+    /// dirty for the next [`Self::snapshot`].
     pub fn admit(&mut self, oracle: &Oracle, spec: JobSpec, job: PolicyJob) {
         debug_assert_eq!(spec.id, job.id, "spec/job identity mismatch");
         self.singleton_rows
@@ -681,13 +646,28 @@ impl SnapshotCache {
         self.specs.push(spec);
         self.policy_jobs.push(job);
         self.selection_dirty = true;
-        if self.pairs.is_some() && spec.scale_factor == 1 {
-            if self.estimated {
-                self.fresh.push(spec.id);
-            } else {
-                let i = self.specs.len() - 1;
-                self.score_job(oracle, i, &oracle_pairs(oracle), |_| false);
+        match &mut self.source {
+            PairSource::Oracle(opts) if spec.scale_factor == 1 => {
+                let (opts, i) = (*opts, self.specs.len() - 1);
+                self.score_job(oracle, opts, i, &oracle_pairs(oracle), |_| false);
             }
+            PairSource::Estimated(_, bridge) => bridge.register(oracle, spec.id, spec.config),
+            _ => {}
+        }
+    }
+
+    /// Feeds the true colocated throughputs of jobs `a` and `b`, which
+    /// just ran together on `gpu`, back to the estimator; a cache with
+    /// another pair source ignores it.
+    pub fn observe(
+        &mut self,
+        oracle: &Oracle,
+        a: (JobId, JobConfig),
+        b: (JobId, JobConfig),
+        gpu: GpuKind,
+    ) {
+        if let PairSource::Estimated(_, bridge) = &mut self.source {
+            bridge.observe(oracle, a, b, gpu);
         }
     }
 
@@ -698,11 +678,11 @@ impl SnapshotCache {
     fn score_job(
         &mut self,
         oracle: &Oracle,
+        opts: PairOptions,
         i: usize,
         pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
         skip: impl Fn(usize) -> bool,
     ) {
-        let Some(opts) = self.pairs else { return };
         let (spec, h) = (self.specs[i], self.handles[i]);
         for (j, other) in self.specs.iter().enumerate() {
             if j == i || other.scale_factor != 1 || skip(j) {
@@ -719,10 +699,13 @@ impl SnapshotCache {
     /// Removes the job at position `i` (swap-remove, mirroring the
     /// engine's active vector) and unlinks its pair candidates — and with
     /// them their materialized rows — through the per-job reverse index:
-    /// O(degree), not O(|candidates|).
+    /// O(degree), not O(|candidates|). The estimator forgets the job.
     pub fn remove(&mut self, i: usize) {
         let h = self.handles[i];
-        self.specs.swap_remove(i);
+        let spec = self.specs.swap_remove(i);
+        if let PairSource::Estimated(_, bridge) = &mut self.source {
+            bridge.forget(spec.id);
+        }
         let last = self.singleton_rows.len() - WIDTH;
         self.singleton_rows.copy_within(last.., i * WIDTH);
         self.singleton_rows.truncate(last);
@@ -738,17 +721,22 @@ impl SnapshotCache {
         self.stats.rows_dropped += 1;
     }
 
-    /// Runs the selection pass — the bucketed walk, re-run through the
-    /// flat [`rank_and_cap`] and asserted identical when crosschecking —
-    /// then brings the row slab in line with it: a picked pair without a
-    /// row gets one from `pair_fn`, a pair the previous pass picked and
-    /// this one did not gives its row back.
+    /// Brings the selection up to date: if anything was admitted, removed
+    /// or re-scored since the last pass, runs the selection pass — the
+    /// bucketed walk, re-run through the flat [`rank_and_cap`] and
+    /// asserted identical when crosschecking — then brings the row slab
+    /// in line with it: a picked pair without a row gets one from
+    /// `pair_fn`, a pair the previous pass picked and this one did not
+    /// gives its row back.
     fn reselect(
         &mut self,
         oracle: &Oracle,
         cap: usize,
         pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
     ) {
+        if !self.selection_dirty {
+            return;
+        }
         std::mem::swap(&mut self.selected, &mut self.deselected);
         self.stats.bucketed_selections += 1;
         self.store
@@ -797,42 +785,19 @@ impl SnapshotCache {
         )
     }
 
-    /// Assembles the snapshot from cached rows: singletons, then — when
-    /// `pair_fn` names the cache's pair source — the selected pairs,
-    /// reselecting first if anything changed since the last pass. Rows
-    /// are copied, never derived, here: one slice for the singletons and
-    /// one per selected pair into a single buffer.
-    fn assemble(
-        &mut self,
-        oracle: &Oracle,
-        pair_fn: Option<&impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>>,
-    ) -> (ComboSet, ThroughputTensor) {
-        let pairs = self.pairs.zip(pair_fn);
-        if let (Some((opts, pair_fn)), true) = (pairs, self.selection_dirty) {
-            self.reselect(oracle, opts.max_pairs_per_job, pair_fn);
-        }
-        let rows = self.specs.len() + pairs.map_or(0, |_| self.selected.len());
+    /// Assembles the snapshot from cached rows: singletons, then the
+    /// selected pairs. Rows are copied, never derived, here: one slice
+    /// for the singletons and one per selected pair into a single buffer.
+    fn assemble(&self) -> (ComboSet, ThroughputTensor) {
+        let rows = self.specs.len() + self.selected.len();
         let mut combos = Vec::with_capacity(rows);
         combos.extend(self.specs.iter().map(|s| Combo::single(s.id)));
         let mut entries = Vec::with_capacity(rows * WIDTH);
         entries.extend_from_slice(&self.singleton_rows);
-        if let Some((_, pair_fn)) = pairs {
-            for &s in &self.selected {
-                let (a, b) = self.slot_specs(s);
-                let pair = Combo::pair(a.id, b.id);
-                let row = self.store.row(s);
-                // Estimates move; a score or row the dirty set failed to
-                // invalidate must not be served silently.
-                debug_assert!(
-                    !self.estimated || {
-                        let (score, fresh) = pair_row(oracle, &a, &b, pair_fn);
-                        (self.store.slots[s as usize].score, row) == (score, &fresh[..])
-                    },
-                    "stale estimated pair {pair} survived invalidation"
-                );
-                combos.push(pair);
-                entries.extend_from_slice(row);
-            }
+        for &s in &self.selected {
+            let (a, b) = self.slot_specs(s);
+            combos.push(Combo::pair(a.id, b.id));
+            entries.extend_from_slice(self.store.row(s));
         }
         (
             ComboSet::new(combos),
@@ -840,73 +805,61 @@ impl SnapshotCache {
         )
     }
 
-    /// Assembles the current snapshot of an oracle-backed cache.
+    /// Assembles the current snapshot, first re-scoring the jobs whose
+    /// estimates drifted — or that were admitted — since the last call
+    /// when the cache is estimator-backed, and reselecting if anything
+    /// changed (see the module docs for the invalidation protocol).
     ///
     /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
-    /// consolidated, opts)` (or `build_singleton_tensor` without pairs)
-    /// over the current job vector; the oracle is consulted only to
-    /// materialize rows for newly selected pairs.
-    ///
-    /// An estimator-backed cache assembles through
-    /// [`Self::snapshot_bridged`]; calling this on one is a construction
-    /// mistake (debug-asserted). A release build serves the rows the
-    /// cache can vouch for without a bridge: the singleton rows, no
-    /// pairs.
+    /// consolidated, opts)`, to `build_tensor_with_pairs_by(.., |a, b, g|
+    /// bridge.pair_throughput(..))` at the estimator's current state, or
+    /// to `build_singleton_tensor` without pairs, over the current job
+    /// vector; the pair source is consulted only to score dirty jobs and
+    /// to materialize rows for newly selected pairs.
     pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
-        debug_assert!(
-            !self.estimated,
-            "estimator-backed caches assemble through snapshot_bridged"
-        );
-        self.stats.incremental_snapshots += 1;
-        let pair_fn = oracle_pairs(oracle);
-        self.assemble(oracle, (!self.estimated).then_some(&pair_fn))
-    }
-
-    /// Assembles the current snapshot of an estimator-backed cache with
-    /// pair throughputs from `bridge`, first re-scoring the jobs whose
-    /// estimates drifted — or that were admitted — since the last call
-    /// (see the module docs for the invalidation protocol).
-    ///
-    /// Row-for-row identical to `build_tensor_with_pairs_by(oracle,
-    /// specs, consolidated, opts, |a, b, g| bridge.pair_throughput(...))`
-    /// at the bridge's current state.
-    ///
-    /// Only a cache built by [`Self::new_bridged`] holds estimated
-    /// scores; calling this on an oracle-backed one is a construction
-    /// mistake (debug-asserted). A release build serves the rows the
-    /// cache can vouch for: the oracle-backed [`Self::snapshot`].
-    pub fn snapshot_bridged(
-        &mut self,
-        oracle: &Oracle,
-        bridge: &EstimatorBridge,
-    ) -> (ComboSet, ThroughputTensor) {
-        if !self.estimated {
-            debug_assert!(false, "oracle-backed caches assemble through snapshot");
-            return self.snapshot(oracle);
+        // The source is lent out of `self` for the call: scoring and row
+        // derivation read it while they update the rest of the cache.
+        let mut source = std::mem::replace(&mut self.source, PairSource::None);
+        match &mut source {
+            PairSource::None => self.stats.incremental_snapshots += 1,
+            PairSource::Oracle(opts) => {
+                self.stats.incremental_snapshots += 1;
+                self.reselect(oracle, opts.max_pairs_per_job, &oracle_pairs(oracle));
+            }
+            PairSource::Estimated(opts, bridge) => {
+                self.stats.bridged_snapshots += 1;
+                let work = bridge.take_dirty();
+                let pair_fn = |x: &JobSpec, y: &JobSpec, g| {
+                    bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
+                };
+                // Only resident single-worker jobs form pairs; ids that
+                // are not (or that left before this sync) drop out here.
+                let dirty: Vec<bool> = (self.specs.iter())
+                    .map(|s| s.scale_factor == 1 && work.binary_search(&s.id).is_ok())
+                    .collect();
+                for i in (0..dirty.len()).filter(|&i| dirty[i]) {
+                    // Unlink, then score against the clean jobs and the
+                    // dirty ones already re-scored; the dirty ones still
+                    // to come score against this one in their turn.
+                    self.store.remove_job(self.handles[i]);
+                    self.score_job(oracle, *opts, i, &pair_fn, |j| dirty[j] && j > i);
+                    self.selection_dirty = true;
+                }
+                self.reselect(oracle, opts.max_pairs_per_job, &pair_fn);
+                // Estimates move; a score or row the dirty list failed to
+                // invalidate must not be served silently.
+                debug_assert!(
+                    self.selected.iter().all(|&s| {
+                        let (a, b) = self.slot_specs(s);
+                        let (score, row) = pair_row(oracle, &a, &b, &pair_fn);
+                        (self.store.slots[s as usize].score, self.store.row(s)) == (score, &row[..])
+                    }),
+                    "a stale estimated pair survived invalidation"
+                );
+            }
         }
-        self.stats.bridged_snapshots += 1;
-        let pair_fn = |x: &JobSpec, y: &JobSpec, g| {
-            bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
-        };
-
-        let mut work = bridge.dirty_since(self.epoch);
-        work.append(&mut self.fresh);
-        work.sort_unstable();
-        self.epoch = bridge.clock();
-        // Only resident single-worker jobs form pairs; ids that are not
-        // (or that left before this sync) drop out here.
-        let dirty: Vec<bool> = (self.specs.iter())
-            .map(|s| s.scale_factor == 1 && work.binary_search(&s.id).is_ok())
-            .collect();
-        for i in (0..dirty.len()).filter(|&i| dirty[i]) {
-            // Unlink, then score against the clean jobs and the dirty
-            // ones already re-scored; the dirty ones still to come score
-            // against this one in their turn.
-            self.store.remove_job(self.handles[i]);
-            self.score_job(oracle, i, &pair_fn, |j| dirty[j] && j > i);
-            self.selection_dirty = true;
-        }
-        self.assemble(oracle, Some(&pair_fn))
+        self.source = source;
+        self.assemble()
     }
 }
 
@@ -1012,17 +965,25 @@ mod tests {
         assert_same(&cache.snapshot(oracle), &fresh);
     }
 
-    fn assert_bridged_matches_fresh(
-        cache: &mut SnapshotCache,
-        oracle: &Oracle,
-        bridge: &EstimatorBridge,
-        opts: PairOptions,
-    ) {
+    fn assert_bridged_matches_fresh(cache: &mut SnapshotCache, oracle: &Oracle, opts: PairOptions) {
         let specs = cache.specs().to_vec();
+        let snapshot = cache.snapshot(oracle);
+        let bridge = cache.estimator().expect("an estimator-backed cache");
         let fresh = build_tensor_with_pairs_by(oracle, &specs, true, &opts, |x, y, g| {
             bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
         });
-        assert_same(&cache.snapshot_bridged(oracle, bridge), &fresh);
+        assert_same(&snapshot, &fresh);
+    }
+
+    fn estimated_cache(oracle: &Oracle, opts: PairOptions, seed: u64) -> SnapshotCache {
+        SnapshotCache::estimated(true, opts, EstimatorBridge::new(oracle, seed))
+    }
+
+    /// Jobs `a` and `b` of `cache` just ran together on a V100.
+    fn observe(cache: &mut SnapshotCache, oracle: &Oracle, a: usize, b: usize) -> [JobId; 2] {
+        let (a, b) = (cache.specs()[a], cache.specs()[b]);
+        cache.observe(oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
+        [a.id, b.id]
     }
 
     #[test]
@@ -1063,13 +1024,16 @@ mod tests {
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
         // Six mutually pairable jobs: 15 candidates, each job degree 5.
+        let degree = |cache: &SnapshotCache, i: usize| {
+            cache.store.job_slots[cache.handles[i] as usize].len()
+        };
         assert_eq!(cache.candidate_count(), 15);
-        assert_eq!(cache.candidate_degree(0), 5);
+        assert_eq!(degree(&cache, 0), 5);
         cache.remove(0);
         // The removed job's 5 candidates are gone; survivors lost one.
         assert_eq!(cache.candidate_count(), 10);
         for i in 0..cache.len() {
-            assert_eq!(cache.candidate_degree(i), 4);
+            assert_eq!(degree(&cache, i), 4);
         }
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
     }
@@ -1089,36 +1053,6 @@ mod tests {
         assert!(combos.combos().iter().all(|c| !c.is_pair()));
     }
 
-    /// Oracle- and estimator-backed caches each have one assembly method.
-    /// Using the other one is caught in debug builds; a release build
-    /// serves the rows the cache can vouch for.
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "snapshot_bridged"))]
-    fn snapshot_on_a_bridged_cache_serves_singletons_only() {
-        let oracle = Oracle::new();
-        let mut cache = SnapshotCache::new_bridged(true, PairOptions::default());
-        for i in 0..6u64 {
-            let s = spec(i, ModelFamily::A3C, 4);
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-        }
-        assert_matches_fresh(&mut cache, &oracle, None);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "through snapshot"))]
-    fn snapshot_bridged_on_a_plain_cache_serves_oracle_rows() {
-        let oracle = Oracle::new();
-        let opts = PairOptions::default();
-        let bridge = EstimatorBridge::new(&oracle, 3);
-        let mut cache = SnapshotCache::new(true, Some(opts));
-        for i in 0..6u64 {
-            let s = spec_nth(i, i as usize * 3 + 1);
-            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-        }
-        let fresh = build_tensor_with_pairs(&oracle, cache.specs(), true, &opts);
-        assert_same(&cache.snapshot_bridged(&oracle, &bridge), &fresh);
-    }
-
     #[test]
     fn singleton_only_mode_matches_fresh() {
         let oracle = Oracle::new();
@@ -1129,6 +1063,38 @@ mod tests {
         }
         cache.remove(1);
         assert_matches_fresh(&mut cache, &oracle, None);
+    }
+
+    /// The walk used to stop once fewer than two jobs were both under the
+    /// cap and had candidates left. On this instance it would have: with
+    /// a cap of one, all but one of seven jobs are paired off well above
+    /// the lowest-scoring bucket. Walking every bucket selects exactly
+    /// what `rank_and_cap` selects (crosschecked) and the fresh builder
+    /// keeps.
+    #[test]
+    fn walking_past_the_last_selectable_bucket_selects_nothing_more() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 1,
+        };
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        cache.set_crosscheck(true);
+        for i in 0..7u64 {
+            let s = spec_nth(i, i as usize * 4);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().flat_reranks, 1);
+
+        let store = &cache.store;
+        assert_eq!(cache.selected.len(), 3, "one job is left without a partner");
+        let lowest_selected = (cache.selected.iter())
+            .map(|&s| PairStore::bucket_of(store.slots[s as usize].score))
+            .min();
+        let below = store.buckets.range(..lowest_selected.unwrap()).count();
+        assert!(below >= 3, "{below} buckets below the last selection");
+        assert_eq!(cache.stats().buckets_walked, store.buckets.len());
     }
 
     #[test]
@@ -1271,24 +1237,18 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 4,
         };
-        let mut bridge = EstimatorBridge::new(&oracle, 9);
-        let mut cache = SnapshotCache::new_bridged(true, opts);
+        let mut cache = estimated_cache(&oracle, opts, 9);
         for i in 0..10u64 {
             let s = spec_nth(i, i as usize * 5 + 2);
-            bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        let (before, _) = cache.snapshot_bridged(&oracle, &bridge);
+        let (before, _) = cache.snapshot(&oracle);
         assert_slab_consistent(&cache);
 
-        let epoch = bridge.clock();
-        let (a, b) = (cache.specs()[2], cache.specs()[7]);
-        bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
-        let refined = bridge.dirty_since(epoch);
-        assert!(!refined.is_empty());
+        let refined = observe(&mut cache, &oracle, 2, 7);
 
         let materialized = cache.stats().pair_rows_materialized;
-        let (after, _) = cache.snapshot_bridged(&oracle, &bridge);
+        let (after, _) = cache.snapshot(&oracle);
         assert_slab_consistent(&cache);
         let rederived = (after.combos().iter())
             .filter(|c| c.is_pair())
@@ -1299,7 +1259,7 @@ mod tests {
             cache.stats().pair_rows_materialized - materialized,
             rederived
         );
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
     }
 
     #[cfg(debug_assertions)]
@@ -1345,29 +1305,24 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 4,
         };
-        let mut bridge = EstimatorBridge::new(&oracle, 9);
-        let mut cache = SnapshotCache::new_bridged(true, opts);
+        let mut cache = estimated_cache(&oracle, opts, 9);
         cache.set_crosscheck(true);
         for i in 0..8u64 {
             let s = spec_nth(i, i as usize * 5 + 2);
-            bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-            assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+            assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         }
         // Refine two jobs (dirtying exactly them) and churn the vector.
-        let (a, b) = (cache.specs()[1], cache.specs()[4]);
-        bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        observe(&mut cache, &oracle, 1, 4);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         for &i in &[3usize, 0] {
-            let id = cache.specs()[i].id;
             cache.remove(i);
-            bridge.forget(id);
-            assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+            assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         }
         // A clean recompute (no drift, no churn) is a pure assembly — no
         // evaluation, selection or row derivation — and must also match.
         let before = cache.stats();
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         assert_eq!(
             cache.stats(),
             SnapshotStats {
@@ -1384,45 +1339,44 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
-        let mut bridge = EstimatorBridge::new(&oracle, 11);
-        let mut cache = SnapshotCache::new_bridged(true, opts);
+        let mut cache = estimated_cache(&oracle, opts, 11);
         cache.set_crosscheck(true);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
-            bridge.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
         // Initial population: every resident job is fresh, so every pair
         // is scored exactly once.
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         assert_eq!(cache.stats().pair_evals, 6 * 5 / 2);
 
         // Dirty most of the residents at once: each pair with a dirty
         // member is scored exactly once more, and the result still
         // matches the fresh build bit-for-bit.
-        let epoch = bridge.clock();
+        let mut refined = Vec::new();
         for i in 0..4usize {
-            let (a, b) = (cache.specs()[i], cache.specs()[(i + 1) % 6]);
-            bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
+            refined.extend(observe(&mut cache, &oracle, i, i + 1));
         }
-        let d = bridge.dirty_since(epoch).len();
+        refined.sort_unstable();
+        refined.dedup();
+        let d = refined.len();
         assert!(d > 3, "the burst must dirty more than half the residents");
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         assert_eq!(cache.stats().pair_evals, 15 + d * (d - 1) / 2 + d * (6 - d));
 
         // One refined pair afterwards re-scores its two jobs against the
         // other four, plus the pair itself.
         let before = cache.stats().pair_evals;
-        let (a, b) = (cache.specs()[0], cache.specs()[1]);
-        bridge.observe(&oracle, (a.id, a.config), (b.id, b.config), GpuKind::V100);
-        assert_bridged_matches_fresh(&mut cache, &oracle, &bridge, opts);
+        observe(&mut cache, &oracle, 0, 1);
+        assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         assert_eq!(cache.stats().pair_evals, before + 2 * 4 + 1);
     }
 
-    /// The dirty set is the only thing that invalidates estimated scores
+    /// The dirty list is the only thing that invalidates estimated scores
     /// and rows, so debug builds re-derive what a snapshot serves: drift
-    /// the bridge's clock does not report (here, a second bridge with
-    /// different estimates and the same clock) must not pass silently.
+    /// the estimator does not list (here, its estimates swapped for a
+    /// differently seeded bridge's behind the cache's back) must not pass
+    /// silently.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "survived invalidation")]
@@ -1432,17 +1386,16 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 8,
         };
-        let mut bridges = [3, 4].map(|seed| EstimatorBridge::new(&oracle, seed));
-        let mut cache = SnapshotCache::new_bridged(true, opts);
+        let mut other = EstimatorBridge::new(&oracle, 4);
+        let mut cache = estimated_cache(&oracle, opts, 3);
         for i in 0..6u64 {
             let s = spec_nth(i, i as usize * 3 + 1);
-            for b in &mut bridges {
-                b.register(&oracle, s.id, s.config);
-            }
+            other.register(&oracle, s.id, s.config);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        assert_eq!(bridges[0].clock(), bridges[1].clock());
-        cache.snapshot_bridged(&oracle, &bridges[0]);
-        cache.snapshot_bridged(&oracle, &bridges[1]);
+        cache.snapshot(&oracle);
+        other.take_dirty();
+        cache.source = PairSource::Estimated(opts, Box::new(other));
+        cache.snapshot(&oracle);
     }
 }

@@ -248,39 +248,44 @@ fn log_text_round_trips_exactly() {
     assert_eq!(parsed.serialize(), text);
 }
 
+/// On oracle throughputs and on the estimator's, whose seeded profiling
+/// draws are state a replay has to reproduce too.
 #[test]
 fn replay_reproduces_interactive_session() {
     let policy = MaxMinFairness::new();
-    let cfg = SimConfig::new(small_cluster()).with_failures(1e15, 3600.0);
-    let svc = interactive_session(&policy, &cfg);
-    let log = SubmissionLog::parse(&svc.log().serialize()).unwrap();
+    let plain = SimConfig::new(small_cluster()).with_failures(1e15, 3600.0);
+    for (cfg, estimated) in [(plain.clone(), false), (plain.with_estimated_pairs(), true)] {
+        let svc = interactive_session(&policy, &cfg);
+        let log = SubmissionLog::parse(&svc.log().serialize()).unwrap();
 
-    // State fingerprints match after applying the same command stream.
-    let mut twin = SchedulerService::new(
-        cfg.clone(),
-        ServiceConfig {
-            max_active_per_entity: Some(2),
-        },
-        &policy,
-    );
-    for cmd in log.commands() {
-        twin.apply(cmd).expect("logged commands replay cleanly");
+        // State fingerprints match after applying the same command stream.
+        let mut twin = SchedulerService::new(
+            cfg.clone(),
+            ServiceConfig {
+                max_active_per_entity: Some(2),
+            },
+            &policy,
+        );
+        for cmd in log.commands() {
+            twin.apply(cmd).expect("logged commands replay cleanly");
+        }
+        assert_eq!(svc.state_fingerprint(), twin.state_fingerprint());
+
+        // And the full result — rejection tallies included — round-trips.
+        let live = svc.into_result();
+        let replayed = replay(
+            &policy,
+            &cfg,
+            &ServiceConfig {
+                max_active_per_entity: Some(2),
+            },
+            &log,
+        );
+        assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
+        assert_eq!(live.service_stats, replayed.service_stats);
+        assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
+        assert_eq!(live.snapshot_stats.bridged_snapshots > 0, estimated);
     }
-    assert_eq!(svc.state_fingerprint(), twin.state_fingerprint());
-
-    // And the full result — rejection tallies included — round-trips.
-    let live = svc.into_result();
-    let replayed = replay(
-        &policy,
-        &cfg,
-        &ServiceConfig {
-            max_active_per_entity: Some(2),
-        },
-        &log,
-    );
-    assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
-    assert_eq!(live.service_stats, replayed.service_stats);
-    assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
 }
 
 /// Max-min fairness whose every third recompute fails the way a basis

@@ -10,9 +10,9 @@
 //!
 //! The scheduling engine itself lives in `gavel-service`: a
 //! command-driven [`gavel_service::SchedulerService`] owning the
-//! admit/recompute/advance/complete core, the [`SnapshotCache`], the
-//! [`EstimatorBridge`], and the round scheduler. This crate is the
-//! *trace client* of that service:
+//! admit/recompute/advance/complete core, the [`SnapshotCache`] (and in
+//! it, for estimated runs, the [`EstimatorBridge`]), and the round
+//! scheduler. This crate is the *trace client* of that service:
 //!
 //! - [`client::compile_trace`] maps a trace to the equivalent command
 //!   stream — jobs in arrival order as `[AdvanceTo(arrival),

@@ -275,14 +275,14 @@ fn makespan_policy_static_trace() {
     );
 }
 
-/// Estimated runs must assemble every recompute through the
-/// estimator-backed entry and none through `snapshot()`.
+/// Estimated runs must assemble every recompute from the estimator and
+/// none from the oracle.
 fn assert_bridged_path_taken(r: &SimResult) {
     let s = r.snapshot_stats;
     assert_eq!(
         (s.bridged_snapshots, s.incremental_snapshots),
         (r.recomputations, 0),
-        "estimated runs assemble through snapshot_bridged only: {s:?}"
+        "estimated runs assemble from the estimator only: {s:?}"
     );
 }
 

@@ -21,14 +21,13 @@ use std::collections::BTreeSet;
 /// Applies one op sequence to the cache while mirroring it on a plain
 /// spec vector, checking snapshot == fresh build after every step.
 ///
-/// `bridge` is the pair source: `None` for the oracle, or an estimator
-/// bridge (which needs `opts`). `ops` drives the interleaving — `(kind,
-/// pick, cfg_idx, extra)`:
+/// `estimator_seed` picks the pair source: `None` for the oracle, or the
+/// seed of an estimator bridge the cache owns (which needs `opts`). `ops`
+/// drives the interleaving — `(kind, pick, cfg_idx, extra)`:
 ///
-/// - kinds 0 and 3 admit a new job, registering most with the estimator
-///   (an unregistered job has no estimate, so it forms no pair);
-/// - kind 1 completes the resident job at `pick % len` (with estimator
-///   forget) — exercising `swap_remove` reordering, which is what the
+/// - kinds 0 and 3 admit a new job (the estimator profiles it);
+/// - kind 1 completes the resident job at `pick % len` (the estimator
+///   forgets it) — exercising `swap_remove` reordering, which is what the
 ///   pair-candidate ranking has to survive;
 /// - kind 2 is an `observe` burst refining 1..=len colocated pairs,
 ///   dirtying up to every resident job; the oracle never drifts, so
@@ -36,19 +35,17 @@ use std::collections::BTreeSet;
 fn run_sequence(
     ops: &[(usize, usize, usize, usize)],
     opts: Option<PairOptions>,
-    mut bridge: Option<EstimatorBridge>,
+    estimator_seed: Option<u64>,
 ) {
     let oracle = Oracle::new();
     let all = JobConfig::all();
-    let mut cache = match (&bridge, opts) {
-        (Some(_), Some(o)) => SnapshotCache::new_bridged(true, o),
+    let mut cache = match (estimator_seed, opts) {
+        (Some(seed), Some(o)) => {
+            SnapshotCache::estimated(true, o, EstimatorBridge::new(&oracle, seed))
+        }
         _ => SnapshotCache::new(true, opts),
     };
     cache.set_crosscheck(true);
-    let snapshot = |cache: &mut SnapshotCache, bridge: &Option<EstimatorBridge>| match bridge {
-        Some(b) => cache.snapshot_bridged(&oracle, b),
-        None => cache.snapshot(&oracle),
-    };
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut next_id = 0u64;
     let mut snapshots = 0usize;
@@ -65,42 +62,37 @@ fn run_sequence(
                     scale_factor: if extra % 5 == 0 { 2 } else { 1 },
                 };
                 next_id += 1;
-                if let Some(b) = bridge.as_mut().filter(|_| extra % 4 != 1) {
-                    b.register(&oracle, spec.id, spec.config);
-                }
                 cache.admit(&oracle, spec, PolicyJob::simple(spec.id, 1000.0));
                 specs.push(spec);
                 dirty.insert(spec.id);
             }
             1 if !specs.is_empty() => {
                 let i = pick % specs.len();
-                let id = specs[i].id;
                 cache.remove(i);
                 specs.swap_remove(i);
-                if let Some(b) = bridge.as_mut() {
-                    b.forget(id);
-                }
             }
             2 if specs.len() >= 2 => {
-                let Some(b) = bridge.as_mut() else { continue };
-                let epoch = b.clock();
+                if cache.estimator().is_none() {
+                    continue;
+                }
                 let burst = extra % specs.len() + 1;
                 for k in 0..burst {
                     let i = (pick + k) % specs.len();
                     let j = (i + 1) % specs.len();
                     let (x, y) = (specs[i], specs[j]);
-                    b.observe(&oracle, (x.id, x.config), (y.id, y.config), GpuKind::V100);
+                    cache.observe(&oracle, (x.id, x.config), (y.id, y.config), GpuKind::V100);
+                    dirty.extend([x.id, y.id]);
                 }
-                dirty.extend(b.dirty_since(epoch));
             }
             _ => continue,
         }
-        let (combos, tensor) = snapshot(&mut cache, &bridge);
-        let pair_fn = |x: &JobSpec, y: &JobSpec, g| match &bridge {
+        let (combos, tensor) = cache.snapshot(&oracle);
+        let bridge = cache.estimator();
+        let pair_fn = |x: &JobSpec, y: &JobSpec, g| match bridge {
             Some(b) => b.pair_throughput(&oracle, (x.id, x.config), (y.id, y.config), g),
             None => oracle.colocated(x.config, y.config, g),
         };
-        let (fresh_combos, fresh_tensor) = match (opts, &bridge) {
+        let (fresh_combos, fresh_tensor) = match (opts, bridge) {
             (None, _) => build_singleton_tensor(&oracle, &specs, true),
             (Some(o), None) => build_tensor_with_pairs(&oracle, &specs, true, &o),
             (Some(o), Some(_)) => build_tensor_with_pairs_by(&oracle, &specs, true, &o, pair_fn),
@@ -138,23 +130,25 @@ fn run_sequence(
 
         // With no drift and no churn a snapshot is a pure assembly: no
         // evaluation, no selection pass, no row derivation.
-        snapshot(&mut cache, &bridge);
+        let estimated = bridge.is_some();
+        cache.snapshot(&oracle);
         snapshots += 2;
-        let counted = match bridge {
-            Some(_) => SnapshotStats {
+        let counted = if estimated {
+            SnapshotStats {
                 bridged_snapshots: settled.bridged_snapshots + 1,
                 ..settled
-            },
-            None => SnapshotStats {
+            }
+        } else {
+            SnapshotStats {
                 incremental_snapshots: settled.incremental_snapshots + 1,
                 ..settled
-            },
+            }
         };
         assert_eq!(cache.stats(), counted);
     }
     let stats = cache.stats();
     let by_source = (stats.incremental_snapshots, stats.bridged_snapshots);
-    match bridge {
+    match cache.estimator() {
         Some(_) => assert_eq!(by_source, (0, snapshots)),
         None => assert_eq!(by_source, (snapshots, 0)),
     }
@@ -190,11 +184,10 @@ proptest! {
         max_pairs in 1usize..6,
         seed in 0u64..1024,
     ) {
-        let bridge = EstimatorBridge::new(&Oracle::new(), seed);
         run_sequence(
             &ops,
             Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),
-            Some(bridge),
+            Some(seed),
         );
     }
 }

@@ -31,6 +31,6 @@ pub use tensors::{
     pair_score, singleton_row, JobSpec, PairOptions,
 };
 pub use trace::{
-    assign_entities, assign_priorities, cost_workload, generate, ArrivalProcess, DurationModel,
-    ScaleFactorMix, TraceConfig, TraceJob,
+    assign_entities, assign_priorities, cost_workload, generate, ArrivalProcess, ScaleFactorMix,
+    TraceConfig, TraceJob,
 };

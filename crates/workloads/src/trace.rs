@@ -36,37 +36,10 @@ pub enum ScaleFactorMix {
     Microsoft,
 }
 
-/// Duration model for sampled jobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DurationModel {
-    /// `10^u` minutes with `u` uniform in `[lo_exp, hi_exp]` — the
-    /// Gandiva-style spread between `10^1.5` and `10^4` minutes.
-    LogUniform {
-        /// Lower exponent (base-10, minutes).
-        lo_exp: f64,
-        /// Upper exponent (base-10, minutes).
-        hi_exp: f64,
-    },
-    /// Exponentially distributed with the given mean, truncated to
-    /// `[lo_minutes, hi_minutes]` by resampling.
-    TruncatedExponential {
-        /// Mean in minutes.
-        mean_minutes: f64,
-        /// Lower truncation point in minutes.
-        lo_minutes: f64,
-        /// Upper truncation point in minutes.
-        hi_minutes: f64,
-    },
-}
-
-impl Default for DurationModel {
-    fn default() -> Self {
-        DurationModel::LogUniform {
-            lo_exp: 1.5,
-            hi_exp: 4.0,
-        }
-    }
-}
+/// Sampled durations are `10^u` minutes with `u` uniform between these
+/// exponents — the Gandiva-style spread between `10^1.5` and `10^4`
+/// minutes (§7.1).
+const DURATION_EXP: std::ops::Range<f64> = 1.5..4.0;
 
 /// Configuration of a synthetic trace.
 #[derive(Debug, Clone)]
@@ -83,8 +56,6 @@ pub struct TraceConfig {
     /// accelerator type at a time); cap the mix when targeting such a
     /// cluster, e.g. via [`TraceConfig::capped_for`].
     pub max_scale_factor: u32,
-    /// Duration model.
-    pub duration: DurationModel,
     /// RNG seed (each sweep point uses several seeds).
     pub seed: u64,
 }
@@ -97,7 +68,6 @@ impl TraceConfig {
             num_jobs,
             scale_mix: ScaleFactorMix::SingleOnly,
             max_scale_factor: u32::MAX,
-            duration: DurationModel::default(),
             seed,
         }
     }
@@ -109,7 +79,6 @@ impl TraceConfig {
             num_jobs,
             scale_mix: ScaleFactorMix::Microsoft,
             max_scale_factor: u32::MAX,
-            duration: DurationModel::default(),
             seed,
         }
     }
@@ -121,7 +90,6 @@ impl TraceConfig {
             num_jobs,
             scale_mix: ScaleFactorMix::SingleOnly,
             max_scale_factor: u32::MAX,
-            duration: DurationModel::default(),
             seed,
         }
     }
@@ -133,7 +101,6 @@ impl TraceConfig {
             num_jobs,
             scale_mix: ScaleFactorMix::Microsoft,
             max_scale_factor: u32::MAX,
-            duration: DurationModel::default(),
             seed,
         }
     }
@@ -223,7 +190,7 @@ pub fn generate(cfg: &TraceConfig, oracle: &Oracle) -> Vec<TraceJob> {
                 break c;
             }
         };
-        let duration_seconds = sample_duration_seconds(cfg.duration, &mut rng);
+        let duration_seconds = sample_duration_seconds(&mut rng);
         let reference_tput = oracle.throughput(config, GpuKind::V100, scale_factor, true);
         let total_steps = duration_seconds * reference_tput;
         jobs.push(TraceJob {
@@ -323,24 +290,9 @@ fn sample_scale_factor(mix: ScaleFactorMix, rng: &mut StdRng) -> u32 {
     }
 }
 
-fn sample_duration_seconds(model: DurationModel, rng: &mut StdRng) -> f64 {
-    match model {
-        DurationModel::LogUniform { lo_exp, hi_exp } => {
-            let u: f64 = rng.gen_range(lo_exp..hi_exp);
-            10f64.powf(u) * 60.0
-        }
-        DurationModel::TruncatedExponential {
-            mean_minutes,
-            lo_minutes,
-            hi_minutes,
-        } => loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            let d = -mean_minutes * u.ln();
-            if (lo_minutes..=hi_minutes).contains(&d) {
-                return d * 60.0;
-            }
-        },
-    }
+fn sample_duration_seconds(rng: &mut StdRng) -> f64 {
+    let u: f64 = rng.gen_range(DURATION_EXP);
+    10f64.powf(u) * 60.0
 }
 
 #[cfg(test)]
@@ -464,22 +416,6 @@ mod tests {
             .filter(|j| j.config.family == crate::models::ModelFamily::ResNet50)
             .count();
         assert!(r50 > 200 && r50 < 300);
-    }
-
-    #[test]
-    fn truncated_exponential_durations() {
-        let o = Oracle::new();
-        let mut cfg = TraceConfig::continuous_single(3.0, 200, 17);
-        cfg.duration = DurationModel::TruncatedExponential {
-            mean_minutes: 120.0,
-            lo_minutes: 31.6,
-            hi_minutes: 10_000.0,
-        };
-        let jobs = generate(&cfg, &o);
-        for j in &jobs {
-            let m = j.duration_seconds / 60.0;
-            assert!((31.6..=10_000.0).contains(&m));
-        }
     }
 
     #[test]
