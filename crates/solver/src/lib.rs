@@ -95,7 +95,14 @@
 //! warm and cold solves finish at the same basis state the returned
 //! values are *bit-identical*: extraction refactorizes the canonically
 //! sorted basis, so values are a pure function of the final state, not of
-//! the pivot path.
+//! the pivot path. That function is fixed down to the order of its
+//! floating-point operations: the factorization stores `L` and `U` as flat
+//! slabs and eliminates each column only with the earlier steps it
+//! reaches ([`basis`]), yet performs exactly the operations, in exactly
+//! the order, of the textbook loop over every earlier step — a unit test
+//! keeps that loop as the reference and compares solves bit for bit. How
+//! the engine stores and reuses its buffers is free to change; its
+//! arithmetic is not.
 //!
 //! A hint need not be harvested from a previous solve. A caller that can
 //! read a good vertex off the *shape* of its LP writes the basis down in

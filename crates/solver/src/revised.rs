@@ -14,6 +14,14 @@
 //! and sparse column dot products, then runs one FTRAN (`B w = a_q`) for
 //! the ratio test — `O(nnz)` per pivot instead of `O(m * width)`.
 //!
+//! An iteration allocates nothing. The solver owns its three length-`m`
+//! vectors — the prices `y`, the row `rho` of `B⁻¹` the dual ratio test
+//! reads, the FTRAN image `w` of the entering column — and overwrites them
+//! in place; the basis solves in place against its own scratch, appends
+//! to one eta slab, and refactorizes inside the buffers it already has
+//! (see [`crate::basis`]). A solve's heap blocks are therefore a constant
+//! plus the eta slab's doubling, whatever its pivot count.
+//!
 //! # Bounded variables
 //!
 //! Columns carry implicit bounds `0 <= x_j <= u_j` ([`StandardForm::
@@ -151,7 +159,29 @@ impl Instance {
         let art_start = n + n_slack;
         let ntot = art_start + n_art;
 
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ntot];
+        // Column sizes first (one entry per term, one per slack and
+        // artificial column), then every entry written straight into
+        // place: rows are visited in order, so each column's entries land
+        // in ascending row order, and `lower` has already merged
+        // duplicate terms and dropped zeros.
+        let mut col_ptr = vec![0usize; ntot + 1];
+        for (terms, _, _) in &lp.rows {
+            for &(j, _) in terms {
+                col_ptr[j + 1] += 1;
+            }
+        }
+        col_ptr[n + 1..].fill(1);
+        for j in 0..ntot {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next = col_ptr[..ntot].to_vec();
+        let mut row_idx = vec![0usize; col_ptr[ntot]];
+        let mut values = vec![0.0f64; col_ptr[ntot]];
+        let mut put = |j: usize, i: usize, v: f64| {
+            row_idx[next[j]] = i;
+            values[next[j]] = v;
+            next[j] += 1;
+        };
         let mut b = Vec::with_capacity(m);
         let mut init_basis = Vec::with_capacity(m);
         let mut slack_of = vec![None; m];
@@ -160,26 +190,26 @@ impl Instance {
         for (i, (terms, cmp, rhs)) in lp.rows.iter().enumerate() {
             let sgn = if *rhs < 0.0 { -1.0 } else { 1.0 };
             for &(j, c) in terms {
-                cols[j].push((i, sgn * c));
+                put(j, i, sgn * c);
             }
             b.push(sgn * rhs);
             match effective_cmp(*cmp, *rhs) {
                 Cmp::Le => {
-                    cols[slack_cursor].push((i, 1.0));
+                    put(slack_cursor, i, 1.0);
                     init_basis.push(slack_cursor);
                     slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
                 }
                 Cmp::Ge => {
-                    cols[slack_cursor].push((i, -1.0));
+                    put(slack_cursor, i, -1.0);
                     slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
-                    cols[art_cursor].push((i, 1.0));
+                    put(art_cursor, i, 1.0);
                     init_basis.push(art_cursor);
                     art_cursor += 1;
                 }
                 Cmp::Eq => {
-                    cols[art_cursor].push((i, 1.0));
+                    put(art_cursor, i, 1.0);
                     init_basis.push(art_cursor);
                     art_cursor += 1;
                 }
@@ -190,7 +220,7 @@ impl Instance {
         let mut upper = vec![f64::INFINITY; ntot];
         upper[..n].copy_from_slice(&lp.upper);
         Instance {
-            a: CscMatrix::from_columns(m, &cols),
+            a: CscMatrix::from_parts(m, col_ptr, row_idx, values),
             b,
             costs,
             upper,
@@ -292,7 +322,10 @@ pub(crate) fn solve_instance(
     // The cold solve reports the failed warm attempt's pivots with its own
     // but runs on a full budget of its own: a hint that stalled must not
     // turn a solvable LP into an iteration-limit error.
-    let mut solver = Solver::cold(inst);
+    let mut solver = match Solver::cold(inst) {
+        Ok(solver) => solver,
+        Err(e) => return Err((e, spent)),
+    };
     solver.iter_limit += work(&spent);
     solver.stats = spent;
     if let Err(e) = solver.phase1().and_then(|()| solver.phase2()) {
@@ -344,21 +377,32 @@ struct Solver<'a> {
     at_upper: Vec<bool>,
     fac: Basis,
     x_b: Vec<f64>,
+    /// Dual prices `B⁻ᵀ c_B` from the last [`Solver::prices`].
+    y: Vec<f64>,
+    /// Row `slot` of `B⁻¹` from the last [`Solver::inverse_row`].
+    rho: Vec<f64>,
+    /// FTRAN image `B⁻¹ a_j` from the last [`Solver::ftran_col`].
+    w: Vec<f64>,
     stats: SolveStats,
     bland: bool,
     degenerate_run: usize,
 }
 
 impl<'a> Solver<'a> {
-    fn cold(inst: &'a Instance) -> Solver<'a> {
+    /// The identity start basis: each row's slack or artificial column.
+    /// Its factorization cannot fail on a well-formed instance; if it
+    /// does, the solve reports [`SolverError::Numerical`].
+    fn cold(inst: &'a Instance) -> Result<Solver<'a>, SolverError> {
         let basis = inst.init_basis.clone();
-        let fac = Basis::factorize(&inst.a, &basis, PIVOT_TOL)
-            .expect("identity start basis is nonsingular");
+        let fac =
+            Basis::factorize(&inst.a, &basis, PIVOT_TOL).ok_or_else(|| SolverError::Numerical {
+                context: "identity start basis is singular".into(),
+            })?;
         let mut in_basis = vec![false; inst.ntot];
         for &c in &basis {
             in_basis[c] = true;
         }
-        Solver {
+        Ok(Solver {
             inst,
             iter_limit: auto_limit(inst),
             x_b: inst.b.clone(),
@@ -366,10 +410,13 @@ impl<'a> Solver<'a> {
             in_basis,
             at_upper: vec![false; inst.ntot],
             fac,
+            y: vec![0.0; inst.m],
+            rho: vec![0.0; inst.m],
+            w: vec![0.0; inst.m],
             stats: SolveStats::default(),
             bland: false,
             degenerate_run: 0,
-        }
+        })
     }
 
     /// Builds a solver from a warm-start state if it is structurally valid
@@ -411,6 +458,9 @@ impl<'a> Solver<'a> {
             at_upper,
             fac,
             x_b: vec![0.0; inst.m],
+            y: vec![0.0; inst.m],
+            rho: vec![0.0; inst.m],
+            w: vec![0.0; inst.m],
             stats: SolveStats::default(),
             bland: false,
             degenerate_run: 0,
@@ -441,14 +491,15 @@ impl<'a> Solver<'a> {
     /// Whether every movable nonbasic column's reduced cost has the
     /// optimality sign for its bound side (at lower: `d >= 0`, at upper:
     /// `d <= 0`), i.e. the basis is dual feasible for the phase-2 costs.
-    fn dual_feasible(&self) -> bool {
+    fn dual_feasible(&mut self) -> bool {
         const DTOL: f64 = 1e-7;
-        let y = self.prices(&self.inst.costs);
-        for j in 0..self.inst.art_start {
+        let inst = self.inst;
+        self.prices(&inst.costs);
+        for j in 0..inst.art_start {
             if self.in_basis[j] || self.ub(j, 2) <= 0.0 {
                 continue; // Basic or fixed columns carry no dual condition.
             }
-            let d = self.inst.costs[j] - self.inst.a.col_dot(j, &y);
+            let d = inst.costs[j] - inst.a.col_dot(j, &self.y);
             if self.at_upper[j] {
                 if d > DTOL {
                     return false;
@@ -460,11 +511,19 @@ impl<'a> Solver<'a> {
         true
     }
 
-    /// Dual prices `y = B⁻ᵀ c_B` for the given cost vector.
-    fn prices(&self, costs: &[f64]) -> Vec<f64> {
-        let mut cb: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
-        self.fac.btran(&mut cb);
-        cb
+    /// Dual prices `y = B⁻ᵀ c_B` for the given cost vector, into `y`.
+    fn prices(&mut self, costs: &[f64]) {
+        for (yi, &c) in self.y.iter_mut().zip(&self.basis) {
+            *yi = costs[c];
+        }
+        self.fac.btran(&mut self.y);
+    }
+
+    /// Row `slot` of `B⁻¹`, into `rho`: `rho · a_j = (B⁻¹ a_j)[slot]`.
+    fn inverse_row(&mut self, slot: usize) {
+        self.rho.fill(0.0);
+        self.rho[slot] = 1.0;
+        self.fac.btran(&mut self.rho);
     }
 
     /// Phase 1: minimize the sum of artificial variables from the identity
@@ -493,8 +552,8 @@ impl<'a> Solver<'a> {
 
     /// Phase 2: minimize the real objective; artificials are fixed at zero.
     fn phase2(&mut self) -> Result<(), SolverError> {
-        let costs = self.inst.costs.clone();
-        self.pivot_loop(&costs, 2)
+        let inst = self.inst;
+        self.pivot_loop(&inst.costs, 2)
     }
 
     /// Pivots artificial variables still basic at zero out of the basis
@@ -506,17 +565,13 @@ impl<'a> Solver<'a> {
             if self.basis[slot] < self.inst.art_start {
                 continue;
             }
-            // rho = row `slot` of B⁻¹, so rho . a_j = (B⁻¹ a_j)[slot].
-            let rho = {
-                let mut e = vec![0.0; self.inst.m];
-                e[slot] = 1.0;
-                self.fac.btran(&mut e);
-                e
-            };
-            let entering = (0..self.inst.art_start)
-                .find(|&j| !self.in_basis[j] && self.inst.a.col_dot(j, &rho).abs() > PIVOT_TOL);
+            self.inverse_row(slot);
+            let entering = (0..self.inst.art_start).find(|&j| {
+                !self.in_basis[j] && self.inst.a.col_dot(j, &self.rho).abs() > PIVOT_TOL
+            });
             if let Some(j) = entering {
-                let w = self.ftran_col(j);
+                self.ftran_col(j);
+                let w = &self.w;
                 if w[slot].abs() > PIVOT_TOL {
                     // Zero-movement swap: the leaving artificial sits at
                     // (numerically) zero, so the entering column keeps its
@@ -527,7 +582,7 @@ impl<'a> Solver<'a> {
                     } else {
                         (self.x_b[slot] / (dir * w[slot])).max(0.0)
                     };
-                    self.apply_pivot(slot, j, dir, t, false, &w)?;
+                    self.apply_pivot(slot, j, dir, t, false)?;
                 }
             }
         }
@@ -545,8 +600,8 @@ impl<'a> Solver<'a> {
             let Some((col, dir)) = self.choose_entering(costs, phase) else {
                 return Ok(());
             };
-            let w = self.ftran_col(col);
-            let Some(step) = self.choose_step(dir, &w, phase, self.ub(col, phase)) else {
+            self.ftran_col(col);
+            let Some(step) = self.choose_step(dir, phase, self.ub(col, phase)) else {
                 // Mirrors the dense engine: phase 1 is bounded below by
                 // zero, so "unbounded" there means numerical trouble;
                 // callers treat both as hard errors.
@@ -554,7 +609,7 @@ impl<'a> Solver<'a> {
             };
             let t = match step {
                 Step::Flip(t) => {
-                    for (xi, &wi) in self.x_b.iter_mut().zip(&w) {
+                    for (xi, &wi) in self.x_b.iter_mut().zip(&self.w) {
                         *xi -= dir * t * wi;
                     }
                     self.at_upper[col] = !self.at_upper[col];
@@ -570,11 +625,11 @@ impl<'a> Solver<'a> {
                     // a run of eta updates is usually accumulated error, not
                     // a real near-degenerate column. Refactorize and redo
                     // the iteration with exact factors before committing.
-                    if w[slot].abs() < 1e-7 && self.fac.has_updates() {
+                    if self.w[slot].abs() < 1e-7 && self.fac.has_updates() {
                         self.refactorize()?;
                         continue;
                     }
-                    self.apply_pivot(slot, col, dir, t, leave_at_upper, &w)?;
+                    self.apply_pivot(slot, col, dir, t, leave_at_upper)?;
                     if phase == 1 {
                         self.stats.pivots_phase1 += 1;
                     } else {
@@ -599,7 +654,7 @@ impl<'a> Solver<'a> {
     /// movement direction: `+1` rising from its lower bound, `-1` falling
     /// from its upper bound. Artificial and fixed columns never enter.
     fn choose_entering(&mut self, costs: &[f64], phase: u8) -> Option<(usize, f64)> {
-        let y = self.prices(costs);
+        self.prices(costs);
         let limit = self.inst.art_start;
         let mut best: Option<(usize, f64)> = None;
         let mut best_viol = RC_TOL;
@@ -607,7 +662,7 @@ impl<'a> Solver<'a> {
             if self.in_basis[j] || self.ub(j, phase) <= 0.0 {
                 continue;
             }
-            let rc = costs[j] - self.inst.a.col_dot(j, &y);
+            let rc = costs[j] - self.inst.a.col_dot(j, &self.y);
             let (viol, dir) = if self.at_upper[j] {
                 (rc, -1.0) // Profitable to decrease from the upper bound.
             } else {
@@ -628,7 +683,8 @@ impl<'a> Solver<'a> {
     /// at either bound, and the entering column's own bound (`u_enter`)
     /// competes as a bound flip. Returns `None` when no limit exists
     /// (unbounded ray).
-    fn choose_step(&self, dir: f64, w: &[f64], phase: u8, u_enter: f64) -> Option<Step> {
+    fn choose_step(&self, dir: f64, phase: u8, u_enter: f64) -> Option<Step> {
+        let w = &self.w;
         // (slot, ratio, leave_at_upper, |pivot element|)
         let mut best: Option<(usize, f64, bool, f64)> = None;
         for i in 0..self.inst.m {
@@ -723,13 +779,8 @@ impl<'a> Solver<'a> {
             let Some((r, _, above)) = leave else {
                 return Ok(()); // Primal feasible: dual reoptimization done.
             };
-            let y = self.prices(costs);
-            let rho = {
-                let mut e = vec![0.0; self.inst.m];
-                e[r] = 1.0;
-                self.fac.btran(&mut e);
-                e
-            };
+            self.prices(costs);
+            self.inverse_row(r);
             // Entering: minimum dual ratio |d_j| / |alpha_j| over columns
             // whose movement pushes x_B[r] back toward the violated bound.
             let mut best: Option<(usize, f64, f64, f64)> = None; // (j, ratio, |alpha|, dir)
@@ -738,7 +789,7 @@ impl<'a> Solver<'a> {
                     continue;
                 }
                 // One pass over the column prices it against both vectors.
-                let (alpha, ay) = self.inst.a.col_dot2(j, &rho, &y);
+                let (alpha, ay) = self.inst.a.col_dot2(j, &self.rho, &self.y);
                 if alpha.abs() <= PIVOT_TOL {
                     continue;
                 }
@@ -782,12 +833,13 @@ impl<'a> Solver<'a> {
                 // the LP is primal infeasible.
                 return Err(SolverError::Infeasible);
             };
-            let w = self.ftran_col(q);
-            if w[r].abs() < 1e-7 && self.fac.has_updates() {
+            self.ftran_col(q);
+            let w_r = self.w[r];
+            if w_r.abs() < 1e-7 && self.fac.has_updates() {
                 self.refactorize()?;
                 continue;
             }
-            if w[r].abs() <= PIVOT_TOL {
+            if w_r.abs() <= PIVOT_TOL {
                 return Err(SolverError::Numerical {
                     context: "dual pivot element vanished after refactorization".into(),
                 });
@@ -798,8 +850,8 @@ impl<'a> Solver<'a> {
             } else {
                 0.0
             };
-            let t = ((self.x_b[r] - target) / (dir * w[r])).max(0.0);
-            self.apply_pivot(r, q, dir, t, above, &w)?;
+            let t = ((self.x_b[r] - target) / (dir * w_r)).max(0.0);
+            self.apply_pivot(r, q, dir, t, above)?;
             self.stats.dual_pivots += 1;
             if ratio <= RC_TOL {
                 self.degenerate_run += 1;
@@ -812,20 +864,19 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// FTRAN of column `j` of the constraint matrix.
-    fn ftran_col(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.inst.m];
+    /// FTRAN of column `j` of the constraint matrix, into `w`.
+    fn ftran_col(&mut self, j: usize) {
+        self.w.fill(0.0);
         for (r, v) in self.inst.a.col(j) {
-            w[r] += v;
+            self.w[r] += v;
         }
-        self.fac.ftran(&mut w);
-        w
+        self.fac.ftran(&mut self.w);
     }
 
-    /// Replaces the basis column at `slot` by `col` entering with step `t`
-    /// in direction `dir`, updating `x_B`, the bound-side flags, and the
-    /// factorization (refactorizing when the eta file is full or the
-    /// product-form update is rejected).
+    /// Replaces the basis column at `slot` by `col`, whose FTRAN image is
+    /// in `w`, entering with step `t` in direction `dir`, updating `x_B`,
+    /// the bound-side flags, and the factorization (refactorizing when the
+    /// eta file is full or the product-form update is rejected).
     fn apply_pivot(
         &mut self,
         slot: usize,
@@ -833,9 +884,8 @@ impl<'a> Solver<'a> {
         dir: f64,
         t: f64,
         leave_at_upper: bool,
-        w: &[f64],
     ) -> Result<(), SolverError> {
-        for (xi, &wi) in self.x_b.iter_mut().zip(w) {
+        for (xi, &wi) in self.x_b.iter_mut().zip(&self.w) {
             *xi -= dir * t * wi;
         }
         // The entering column's new basic value, measured from the bound it
@@ -856,7 +906,7 @@ impl<'a> Solver<'a> {
         self.in_basis[col] = true;
         self.at_upper[col] = false;
         self.x_b[slot] = enter_val;
-        let ok = self.fac.update(slot, w);
+        let ok = self.fac.update(slot, &self.w);
         if !ok || self.fac.needs_refactor() {
             self.refactorize()?;
         }
@@ -865,7 +915,8 @@ impl<'a> Solver<'a> {
 
     /// Recomputes `x_B = B⁻¹ (b - Σ_{j at upper} u_j a_j)` from scratch.
     fn recompute_xb(&mut self) {
-        let mut x = self.inst.b.clone();
+        let x = &mut self.x_b;
+        x.copy_from_slice(&self.inst.b);
         for j in 0..self.inst.ntot {
             if self.at_upper[j] && !self.in_basis[j] {
                 let u = self.inst.upper[j];
@@ -874,8 +925,7 @@ impl<'a> Solver<'a> {
                 }
             }
         }
-        self.fac.ftran(&mut x);
-        self.x_b = x;
+        self.fac.ftran(x);
     }
 
     /// Rebuilds the factorization from the current basis and recomputes
@@ -884,14 +934,15 @@ impl<'a> Solver<'a> {
     /// cold, the cold solve returns [`SolverError::Numerical`] to the
     /// caller — no other engine re-solves.
     fn refactorize(&mut self) -> Result<(), SolverError> {
-        let fac = Basis::factorize(&self.inst.a, &self.basis, PIVOT_TOL)
-            // Ill-conditioned but maybe still usable: retry accepting any
-            // nonzero pivot before giving up.
-            .or_else(|| Basis::factorize(&self.inst.a, &self.basis, 0.0))
-            .ok_or_else(|| SolverError::Numerical {
+        let a = &self.inst.a;
+        // Ill-conditioned but maybe still usable: retry accepting any
+        // nonzero pivot before giving up.
+        if !(self.fac.refactor(a, &self.basis, PIVOT_TOL) || self.fac.refactor(a, &self.basis, 0.0))
+        {
+            return Err(SolverError::Numerical {
                 context: "basis became singular on refactorization".into(),
-            })?;
-        self.fac = fac;
+            });
+        }
         self.recompute_xb();
         Ok(())
     }

@@ -27,10 +27,9 @@ pub struct CscMatrix {
 impl CscMatrix {
     /// Builds a matrix from per-column `(row, value)` lists. Rows within a
     /// column need not be sorted; duplicate rows within one column are
-    /// summed. Entries that cancel to exactly zero are kept (harmless).
+    /// summed. Exact zeros, given or cancelled, are dropped.
     pub fn from_columns(nrows: usize, columns: &[Vec<(usize, f64)>]) -> CscMatrix {
-        let ncols = columns.len();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
+        let mut col_ptr = Vec::with_capacity(columns.len() + 1);
         let mut row_idx = Vec::new();
         let mut values = Vec::new();
         col_ptr.push(0);
@@ -70,10 +69,30 @@ impl CscMatrix {
             }
             col_ptr.push(row_idx.len());
         }
+        CscMatrix::from_parts(nrows, col_ptr, row_idx, values)
+    }
+
+    /// Builds a matrix from its compressed columns: column `j`'s nonzeros
+    /// are `row_idx[col_ptr[j]..col_ptr[j + 1]]` with the matching
+    /// `values`, rows strictly ascending, no exact zeros (the form
+    /// [`CscMatrix::from_columns`] normalizes to).
+    pub(crate) fn from_parts(
+        nrows: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> CscMatrix {
+        debug_assert_eq!(row_idx.len(), values.len());
+        debug_assert_eq!(col_ptr.last(), Some(&row_idx.len()));
+        debug_assert!(col_ptr.windows(2).all(|w| {
+            let rows = &row_idx[w[0]..w[1]];
+            rows.windows(2).all(|r| r[0] < r[1]) && rows.iter().all(|&r| r < nrows)
+        }));
+        debug_assert!(values.iter().all(|&v| v != 0.0));
         let col_len = col_ptr.windows(2).map(|w| w[1] - w[0]).collect();
         CscMatrix {
             nrows,
-            ncols,
+            ncols: col_ptr.len() - 1,
             col_ptr,
             col_len,
             row_idx,
