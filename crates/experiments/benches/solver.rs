@@ -1,4 +1,4 @@
-//! Benchmarks the LP/MILP solver on the structured programs Gavel
+//! Benchmarks the LP solver on the structured programs Gavel
 //! produces:
 //!
 //! - `solver/*` — max-min fairness LPs at several sizes, both engines
@@ -6,8 +6,6 @@
 //! - `rising_floor/*` — a water-filling round sequence whose floors only
 //!   rise, cold per round vs chained warm starts (the dual-simplex
 //!   reoptimization path),
-//! - `milp/*` — Appendix A.1-style bottleneck MILPs, branch-and-bound with
-//!   warm-started nodes vs cold nodes.
 //! - `hier/*` — one whole single-level water-filling solve (round LPs,
 //!   prepass, the warm chain of per-job probes). Timing only; the probe
 //!   gates are `hierarchical.rs`'s own tests.
@@ -35,7 +33,7 @@ use gavel_core::{
     ClusterSpec, ComboSet, JobId, PairThroughput, Policy, PolicyJob, ThroughputTensor,
 };
 use gavel_policies::{Hierarchical, MaxMinFairness, MinMakespan};
-use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolveStats, VarId, WarmStart};
+use gavel_solver::{Cmp, LpProblem, Sense, SolveStats, VarId, WarmStart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -154,77 +152,6 @@ fn rising_floor_rounds(n: usize, rounds: usize) -> Vec<LpProblem> {
     out
 }
 
-/// Appendix A.1-style bottleneck MILP: per-job binary improvement
-/// indicators `z_m` with big-Y forcing rows over a max-min allocation
-/// block; maximizes the number of jobs that improve by at least `delta`.
-///
-/// Formulated branch-stably: the big-M rides on an auxiliary
-/// `u_m = Y (1 - z_m)` in `[0, Y]` linked by an equality row, so every
-/// row's right-hand side keeps its sign under both branch directions and
-/// each child node's lowering keeps the parent's shape — the parent basis
-/// stays reusable (dual feasible) at every node.
-fn bottleneck_milp(n: usize, seed: u64) -> (LpProblem, Vec<VarId>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let tputs: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..3).map(|_| rng.gen_range(0.5..4.0)).collect())
-        .collect();
-    // Floors at the achieved max-min level: improving any one job by
-    // delta means stealing contested capacity from another, which is what
-    // makes the relaxation fractional and the search tree nontrivial.
-    let maxmin = round_lp(n, &tputs, &vec![0.0; n], &vec![true; n])
-        .solve()
-        .expect("max-min base is feasible");
-    let floors: Vec<f64> = (0..n)
-        .map(|m| {
-            let achieved: f64 = (0..3).map(|j| tputs[m][j] * maxmin.values[m * 3 + j]).sum();
-            0.95 * achieved
-        })
-        .collect();
-
-    let mut lp = LpProblem::new(Sense::Maximize);
-    let x: Vec<Vec<VarId>> = (0..n)
-        .map(|m| {
-            (0..3)
-                .map(|j| lp.add_var(&format!("x_{m}_{j}"), 0.0, f64::INFINITY, 0.0))
-                .collect()
-        })
-        .collect();
-    let mut zs = Vec::with_capacity(n);
-    let delta = 0.3;
-    let y = 4.0; // >= any achievable per-job throughput here
-    for (m, row) in x.iter().enumerate() {
-        let z = lp.add_var("z", 0.0, 1.0, 1.0);
-        let u = lp.add_var("u", 0.0, y, 0.0);
-        let budget: Vec<(VarId, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
-        lp.add_constraint(&budget, Cmp::Le, 1.0);
-        let tput: Vec<(VarId, f64)> = row
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, tputs[m][j]))
-            .collect();
-        // tput >= floor (no job drops below its water-fill level).
-        lp.add_constraint(&tput, Cmp::Ge, floors[m]);
-        // tput + u <= floor + Y  <=>  tput <= floor + Y z (z = 0 forces
-        // no improvement).
-        let mut upper = tput.clone();
-        upper.push((u, 1.0));
-        lp.add_constraint(&upper, Cmp::Le, floors[m] + y);
-        // tput + u >= floor + delta  <=>  tput >= floor + delta - Y (1-z)
-        // (z = 1 forces an improvement of at least delta).
-        let mut lower = tput;
-        lower.push((u, 1.0));
-        lp.add_constraint(&lower, Cmp::Ge, floors[m] + delta);
-        // u = Y (1 - z).
-        lp.add_constraint(&[(u, 1.0), (z, y)], Cmp::Eq, y);
-        zs.push(z);
-    }
-    for j in 0..3 {
-        let cap: Vec<(VarId, f64)> = x.iter().map(|row| (row[j], 1.0)).collect();
-        lp.add_constraint(&cap, Cmp::Le, (n as f64 / 6.0).max(1.0));
-    }
-    (lp, zs)
-}
-
 /// Revised (default) vs dense-tableau engine on the same LPs, up to the
 /// 512-job instances behind Figure 12's `Scale::Standard` sweep.
 fn bench_engines(c: &mut Criterion) {
@@ -302,50 +229,6 @@ fn bench_rising_floors(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warm-started branch-and-bound (dual reoptimization from the parent
-/// basis per node) vs cold-per-node on bottleneck MILPs.
-fn bench_milp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("milp");
-    group.sample_size(10);
-    let warm_opts = MilpOptions::default();
-    let cold_opts = MilpOptions {
-        warm_start: false,
-        ..Default::default()
-    };
-    for &n in &[16usize, 20] {
-        let (lp, zs) = bottleneck_milp(n, 23);
-        let warm = solve_milp(&lp, &zs, &warm_opts).unwrap();
-        let cold = solve_milp(&lp, &zs, &cold_opts).unwrap();
-        assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "warm/cold MILP objectives diverge: {} vs {}",
-            warm.objective,
-            cold.objective
-        );
-        println!(
-            "milp/{n}: warm counters: dual_pivots={} bound_flips={} \
-             warm_hits={} warm_falls_back={} pivots=({} p1, {} p2) \
-             [cold pivots: {} p1, {} p2]",
-            warm.stats.dual_pivots,
-            warm.stats.bound_flips,
-            warm.stats.warm_hits,
-            warm.stats.warm_falls_back,
-            warm.stats.pivots_phase1,
-            warm.stats.pivots_phase2,
-            cold.stats.pivots_phase1,
-            cold.stats.pivots_phase2,
-        );
-        let input = (lp, zs);
-        group.bench_with_input(BenchmarkId::new("warm", n), &input, |b, (lp, zs)| {
-            b.iter(|| solve_milp(lp, zs, &warm_opts).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("cold", n), &input, |b, (lp, zs)| {
-            b.iter(|| solve_milp(lp, zs, &cold_opts).unwrap())
-        });
-    }
-    group.finish();
-}
-
 /// Owned bundle behind a `PolicyInput` for the policy benches.
 struct ProbeSetup {
     jobs: Vec<PolicyJob>,
@@ -367,7 +250,7 @@ impl ProbeSetup {
 
 /// A contested single-level instance: random throughputs over 3 types
 /// with tight per-type capacity, so after the first water-filling round a
-/// large fraction of jobs shows zero prepass slack and the probe shards
+/// large fraction of jobs shows zero prepass slack and the probe chains
 /// have real work.
 fn probe_setup(n: usize, seed: u64) -> ProbeSetup {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -515,7 +398,6 @@ fn main() {
     let mut criterion = Criterion::default().with_json(json);
     bench_engines(&mut criterion);
     bench_rising_floors(&mut criterion);
-    bench_milp(&mut criterion);
     bench_hierarchical(&mut criterion);
     bench_las(&mut criterion);
 }

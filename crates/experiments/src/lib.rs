@@ -65,12 +65,11 @@ impl Scale {
     }
 }
 
-/// The scoped worker pool lives in `gavel-par` (shared with the solver's
-/// batched MILP nodes);
-/// re-exported here so the experiments and older call sites keep
-/// their import path. A panicking sweep worker re-raises its original
-/// panic payload instead of a generic "worker panicked" message.
-pub use gavel_par::{gavel_threads, parallel_map, parallel_map_init, with_threads};
+/// The scoped worker pool lives in `gavel-par`; re-exported here so the
+/// experiments and older call sites keep their import path. A panicking
+/// sweep worker re-raises its original panic payload instead of a generic
+/// "worker panicked" message.
+pub use gavel_par::{gavel_threads, parallel_map, with_threads};
 
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {

@@ -1,28 +1,20 @@
-//! Scoped-thread worker pool shared by the solver stack, the policies,
-//! and the experiment sweeps.
+//! Scoped-thread worker pool for the experiment sweeps.
 //!
 //! The build image has no rayon; this crate is the one place the
-//! workspace spawns worker threads. It grew out of
-//! `gavel-experiments::parallel_map` (which now re-exports it) so that
-//! `gavel-solver`'s batched MILP node solves and the experiment sweeps
-//! can share the pool without a dependency cycle — this crate depends on
-//! nothing and everything may depend on it.
+//! workspace spawns worker threads, and only the experiment sweeps
+//! (`gavel-experiments`, which re-exports it) use it: no policy solve runs
+//! in parallel. It depends on nothing.
 //!
 //! # Determinism contract
 //!
-//! [`parallel_map`] and [`parallel_map_init`] hand items to workers
-//! *dynamically* (an atomic cursor), so **which** worker computes which
-//! item is scheduling noise. Callers that need bit-exact,
-//! thread-count-independent results must therefore make each item's
-//! output a pure function of the item itself (plus shared read-only
-//! state) — never of worker identity, of per-worker mutable state that
-//! leaks into the output, or of [`gavel_threads`]. Output *order* is
-//! always the input order, so an in-order reduction over the returned
-//! `Vec` is deterministic regardless of thread count. The solver's
-//! batched MILP waves are built on exactly this contract: a wave's work
-//! units are fixed by the problem (never by the pool width), each unit
-//! is pure, and every floats-or-counters merge walks the results in
-//! input order.
+//! [`parallel_map`] hands items to workers *dynamically* (an atomic
+//! cursor), so **which** worker computes which item is scheduling noise.
+//! Callers that need bit-exact, thread-count-independent results must
+//! therefore make each item's output a pure function of the item itself
+//! (plus shared read-only state) — never of worker identity or of
+//! [`gavel_threads`]. Output *order* is always the input order, so an
+//! in-order reduction over the returned `Vec` is deterministic regardless
+//! of thread count.
 //!
 //! # Panics
 //!
@@ -82,29 +74,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 ///
 /// See the module docs for the determinism contract and panic behavior.
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_init(items, || (), |(), item| f(item))
-}
-
-/// Like [`parallel_map`], but each worker first builds private mutable
-/// state with `init` and threads it through every item it processes —
-/// the home for per-worker scratch buffers (e.g. the MILP node solver's
-/// patched-instance scratch) that would otherwise be rebuilt per item.
-///
-/// The serial fallback builds the state once and reuses it across all
-/// items, so state handling is identical in shape either way. Because
-/// item-to-worker assignment is dynamic, the state must never influence
-/// the produced values (scratch only) if the caller needs deterministic,
-/// thread-count-independent output — see the module docs.
-pub fn parallel_map_init<T: Sync, R: Send, S>(
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, &T) -> R + Sync,
-) -> Vec<R> {
     let n = items.len();
     let threads = gavel_threads().min(n);
     if threads <= 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
+        return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -113,14 +86,13 @@ pub fn parallel_map_init<T: Sync, R: Send, S>(
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        out.push((i, f(&mut state, &items[i])));
+                        out.push((i, f(&items[i])));
                     }
                     out
                 })
@@ -189,33 +161,6 @@ mod tests {
         let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
         assert!(result.is_err());
         assert_eq!(gavel_threads(), outer);
-    }
-
-    #[test]
-    fn per_worker_state_reused_within_worker() {
-        // Each worker's state counts the items it processed; the counts
-        // must sum to the item count regardless of distribution.
-        use std::sync::atomic::AtomicUsize;
-        let total = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        struct Counter<'a>(usize, &'a AtomicUsize);
-        impl Drop for Counter<'_> {
-            fn drop(&mut self) {
-                self.1.fetch_add(self.0, Ordering::Relaxed);
-            }
-        }
-        let out = with_threads(4, || {
-            parallel_map_init(
-                &items,
-                || Counter(0, &total),
-                |state, &i| {
-                    state.0 += 1;
-                    i + 1
-                },
-            )
-        });
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        assert_eq!(total.load(Ordering::Relaxed), 64);
     }
 
     #[test]

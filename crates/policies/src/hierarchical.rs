@@ -10,11 +10,10 @@
 //! 1. Solve `max t` s.t. `norm_tput_m >= floor_m + w_m * t` for active
 //!    jobs and `norm_tput_m >= floor_m` for all jobs.
 //! 2. Raise floors: `floor_m += w_m * t*`.
-//! 3. Identify bottlenecked jobs — either with the Appendix A.1 MILP or
-//!    with exact per-job LP probes (the default; see
-//!    [`BottleneckMethod`]) — zero their weights, and redistribute within
-//!    their entity.
-//! 4. Stop when every job is bottlenecked.
+//! 3. Identify bottlenecked jobs with exact LP probes (below), zero their
+//!    weights, and redistribute within their entity.
+//! 4. Stop when every job is bottlenecked. A round retires at least one
+//!    job for good, so `n` jobs take at most `n` rounds.
 //!
 //! With a single entity and fairness inside, this is exactly the paper's
 //! water-filled single-level max-min fairness.
@@ -48,17 +47,15 @@
 //!   so no probe ever runs a phase 1, and the factorization one probe ends
 //!   with is the one the next starts from.
 //!
-//! The Appendix A.1 bottleneck MILP uses the branch-stable
-//! `u = Y (1 - z)` auxiliary formulation so both branch directions keep
-//! the lowering's shape and branch-and-bound nodes warm-start from the
-//! parent basis; its node waves are the one place a hierarchical solve
-//! fans out over the [`gavel_par`] pool.
+//! Appendix A.1 states step 3 as a MILP with one binary per job. The
+//! probes answer the same question with LPs alone; this module's tests
+//! keep the MILP, under a plain branch-and-bound, as an oracle the probe
+//! verdicts are checked against every round.
 
 use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
-    solve_milp, Cmp, ConstraintId, LpSolution, MilpOptions, PreparedLp, Sense, SolveStats, VarId,
-    WarmStart,
+    Cmp, ConstraintId, LpSolution, PreparedLp, Sense, SolveStats, VarId, WarmStart,
 };
 
 /// Inner (per-entity) policy.
@@ -70,21 +67,6 @@ pub enum EntityPolicy {
     Fifo,
 }
 
-/// How bottlenecked jobs are identified each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BottleneckMethod {
-    /// Exact per-job LP probes, accelerated by a max-sum prepass (jobs with
-    /// positive slack in a joint improvement LP are provably not
-    /// bottlenecked, since the feasible region is convex).
-    Probe,
-    /// The Appendix A.1 mixed-integer program (one binary per job). Exact
-    /// but practical only for moderate job counts.
-    Milp,
-}
-
-/// Safety cap on water-filling iterations.
-const MAX_ITERATIONS: usize = 64;
-
 /// Hierarchical water-filling policy.
 #[derive(Debug, Clone)]
 pub struct Hierarchical {
@@ -92,21 +74,6 @@ pub struct Hierarchical {
     /// Different entities may use different inner policies (Figure 5 pairs
     /// a fairness-within product team with a FIFO research team).
     pub entities: Vec<(f64, EntityPolicy)>,
-    /// Bottleneck identification method.
-    pub bottleneck: BottleneckMethod,
-    /// Reuse each LP family's optimal basis across the water-filling
-    /// rounds and per-job probes (on by default). Rising floors make the
-    /// previous round's basis primal infeasible but leave it *dual*
-    /// feasible (only right-hand sides move), so the round LP re-solves
-    /// through the solver's dual-simplex reoptimization path — typically a
-    /// handful of dual pivots instead of a cold two-phase solve. The
-    /// solver validates every reused basis and falls back to a cold start
-    /// when it no longer applies, so objective values — and hence floors,
-    /// `t*`, and bottleneck decisions within their tolerances — never
-    /// depend on this flag; on LPs with several optimal allocations the
-    /// selected vertex may differ in principle (the equivalence tests pin
-    /// down instances where it does not). See [`gavel_solver::WarmStart`].
-    pub warm_start: bool,
     /// Inner policy assigned to entities synthesized for jobs that carry
     /// no entity (single-level mode).
     default_inner: EntityPolicy,
@@ -118,8 +85,6 @@ impl Hierarchical {
     pub fn new(entity_weights: Vec<f64>, inner: EntityPolicy) -> Self {
         Hierarchical {
             entities: entity_weights.into_iter().map(|w| (w, inner)).collect(),
-            bottleneck: BottleneckMethod::Probe,
-            warm_start: true,
             default_inner: inner,
         }
     }
@@ -128,8 +93,6 @@ impl Hierarchical {
     pub fn per_entity(entities: Vec<(f64, EntityPolicy)>) -> Self {
         Hierarchical {
             entities,
-            bottleneck: BottleneckMethod::Probe,
-            warm_start: true,
             default_inner: EntityPolicy::Fairness,
         }
     }
@@ -137,31 +100,12 @@ impl Hierarchical {
     /// Single-level max-min fairness with full water filling: every job is
     /// its own entity weighted by its job weight.
     pub fn single_level() -> Self {
-        Hierarchical {
-            entities: Vec::new(),
-            bottleneck: BottleneckMethod::Probe,
-            warm_start: true,
-            default_inner: EntityPolicy::Fairness,
-        }
-    }
-
-    /// Switches the bottleneck identification method.
-    pub fn with_bottleneck(mut self, method: BottleneckMethod) -> Self {
-        self.bottleneck = method;
-        self
-    }
-
-    /// Enables or disables warm-started basis reuse (on by default).
-    pub fn with_warm_start(mut self, on: bool) -> Self {
-        self.warm_start = on;
-        self
+        Hierarchical::per_entity(Vec::new())
     }
 
     /// Like [`Policy::compute_allocation`], but also returns the
-    /// aggregate [`SolveStats`] over every LP and MILP solved: round LPs,
-    /// prepass, probes (counted in [`SolveStats::parallel_probes`]), and
-    /// branch-and-bound nodes. The counters are identical under any
-    /// `GAVEL_THREADS` — parallelism changes wall-clock, never the work.
+    /// aggregate [`SolveStats`] over every LP solved: round LPs, prepass
+    /// and probes (counted in [`SolveStats::parallel_probes`]).
     pub fn compute_allocation_with_stats(
         &self,
         input: &PolicyInput<'_>,
@@ -174,21 +118,18 @@ impl Hierarchical {
         }
         let mut wf = self.build_waterfill(input)?;
 
-        let mut best_alloc = None;
-        for _iter in 0..MAX_ITERATIONS {
+        let mut alloc = None;
+        loop {
             let active = wf.active_jobs();
             if active.is_empty() {
                 break;
             }
-            best_alloc = Some(wf.raise_floors(&active)?);
-            let bottlenecked = match self.bottleneck {
-                BottleneckMethod::Probe => wf.bottlenecked_probe(&active)?,
-                BottleneckMethod::Milp => wf.bottlenecked_milp(&active)?,
-            };
+            alloc = Some(wf.raise_floors(&active)?);
+            let bottlenecked = wf.bottlenecked(&active)?;
             wf.retire(&active, bottlenecked);
         }
 
-        let alloc = best_alloc.ok_or_else(|| {
+        let alloc = alloc.ok_or_else(|| {
             PolicyError::NoFeasibleAllocation("water filling produced no allocation".into())
         })?;
         Ok((alloc, wf.stats))
@@ -254,47 +195,47 @@ impl Hierarchical {
         }
 
         let alp = AllocLp::new(input, Sense::Maximize);
-        let factors: Vec<f64> = singles
-            .equal_share_throughputs(input)
-            .iter()
-            .zip(input.jobs)
-            .map(|(norm, job)| job.scale_factor.max(1) as f64 / norm.max(1e-12))
-            .collect();
-        let tput = input
-            .jobs
-            .iter()
-            .zip(&factors)
-            .map(|(job, factor)| {
-                let mut terms = alp.throughput_terms(input, job.id);
-                for (_, c) in &mut terms {
-                    *c *= factor;
-                }
-                terms
-            })
-            .collect();
-
+        let tput = normalized_throughputs(input, &singles, &alp);
         Ok(WaterFill {
             input,
-            factors,
+            round: Family::round(&alp, &tput, &weights)?,
+            probe: Family::probe(&alp, &tput)?,
             floors: vec![0.0; n],
             weights,
             done: vec![false; n],
             entity_of,
             base_weights,
             inner_of,
-            warm: self.warm_start,
-            singles,
             alp,
-            tput,
-            round: None,
-            probe: None,
             stats: SolveStats::default(),
         })
     }
 }
 
-/// One of the two LP families of a solve: built once, patched and
-/// re-solved every round.
+/// Per job: the terms of its normalized throughput over `alp`'s variables,
+/// `sf_m / throughput(m, X_equal)` times `sum T x`.
+fn normalized_throughputs(
+    input: &PolicyInput<'_>,
+    singles: &SingletonRows,
+    alp: &AllocLp,
+) -> Vec<Vec<(VarId, f64)>> {
+    singles
+        .equal_share_throughputs(input)
+        .iter()
+        .zip(input.jobs)
+        .map(|(norm, job)| {
+            let factor = job.scale_factor.max(1) as f64 / norm.max(1e-12);
+            let mut terms = alp.throughput_terms(input, job.id);
+            for (_, c) in &mut terms {
+                *c *= factor;
+            }
+            terms
+        })
+        .collect()
+}
+
+/// One of the two LP families of a solve: built once at zero floors,
+/// patched and re-solved every round.
 struct Family {
     lp: PreparedLp,
     /// The job-specific variable: `t` for the round LP (one entry), the
@@ -307,19 +248,75 @@ struct Family {
     basis: Option<WarmStart>,
 }
 
+impl Family {
+    /// The round LP: `max t`, one floor row per job over its normalized
+    /// throughput `tput[m]`, with `t` in the rows of the jobs that carry
+    /// weight.
+    fn round(
+        alp: &AllocLp,
+        tput: &[Vec<(VarId, f64)>],
+        weights: &[f64],
+    ) -> Result<Family, PolicyError> {
+        let mut lp = alp.lp.clone();
+        let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let floor_rows = tput
+            .iter()
+            .zip(weights)
+            .map(|(terms, &w)| {
+                let mut terms = terms.clone();
+                if w > 0.0 {
+                    terms.push((t, -w));
+                }
+                // floor (+ w t if active) <= normalized throughput.
+                lp.add_constraint(&terms, Cmp::Ge, 0.0)
+            })
+            .collect();
+        Ok(Family {
+            lp: PreparedLp::new(lp).map_err(solver_err)?,
+            vars: vec![t],
+            floor_rows,
+            basis: None,
+        })
+    }
+
+    /// The probe LP: `tput[m] - s_m >= floor_m` with `s_m` in `[0, 1]` for
+    /// every job, maximizing the sum of slacks.
+    fn probe(alp: &AllocLp, tput: &[Vec<(VarId, f64)>]) -> Result<Family, PolicyError> {
+        let mut lp = alp.lp.clone();
+        let mut slacks = Vec::with_capacity(tput.len());
+        let mut floor_rows = Vec::with_capacity(tput.len());
+        for (m, terms) in tput.iter().enumerate() {
+            let s = lp.add_var_indexed("slack", m, 0.0, 1.0, 1.0);
+            let mut terms = terms.clone();
+            terms.push((s, -1.0));
+            floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, 0.0));
+            slacks.push(s);
+        }
+        // The slack variables' [0, 1] ranges ride on columns: the LP
+        // must lower to exactly one standard-form row per constraint.
+        debug_assert_eq!(
+            lp.num_standard_rows().ok(),
+            Some(lp.num_constraints()),
+            "probe LP grew hidden bound rows"
+        );
+        Ok(Family {
+            lp: PreparedLp::new(lp).map_err(solver_err)?,
+            vars: slacks,
+            floor_rows,
+            basis: None,
+        })
+    }
+}
+
 /// Solves `lp` at its current patches, warm-started from (and refreshing)
-/// `basis` when `warm`, and adds the solve's counters to `stats`.
+/// `basis`, and adds the solve's counters to `stats`.
 fn solve_from(
     lp: &mut PreparedLp,
     basis: &mut Option<WarmStart>,
-    warm: bool,
     stats: &mut SolveStats,
 ) -> Result<LpSolution, PolicyError> {
-    let hint = if warm { basis.as_ref() } else { None };
-    let (sol, optimal) = lp.solve(hint).map_err(|(e, _)| solver_err(e))?;
-    if warm {
-        *basis = Some(optimal);
-    }
+    let (sol, optimal) = lp.solve(basis.as_ref()).map_err(|(e, _)| solver_err(e))?;
+    *basis = Some(optimal);
     stats.absorb(&sol.stats);
     Ok(sol)
 }
@@ -327,9 +324,6 @@ fn solve_from(
 /// Internal per-solve state.
 struct WaterFill<'i, 'a> {
     input: &'i PolicyInput<'a>,
-    /// `sf_m / throughput(m, X_equal)` — normalized throughput is
-    /// `factor_m * sum T x`.
-    factors: Vec<f64>,
     /// Current normalized-throughput floor per job.
     floors: Vec<f64>,
     /// Current water-filling weight per job (0 = inactive/bottlenecked).
@@ -342,22 +336,14 @@ struct WaterFill<'i, 'a> {
     base_weights: Vec<f64>,
     /// Inner policy per entity.
     inner_of: Vec<EntityPolicy>,
-    /// Whether to reuse optimal bases across solves.
-    warm: bool,
-    /// Each job's singleton row.
-    singles: SingletonRows,
     /// The allocation variables and validity rows every LP here starts
     /// from.
     alp: AllocLp,
-    /// Per job: the terms of its normalized throughput over `alp`'s
-    /// variables.
-    tput: Vec<Vec<(VarId, f64)>>,
-    /// The round LP, built by the first round.
-    round: Option<Family>,
-    /// The probe LP, built by the first probe pass.
-    probe: Option<Family>,
-    /// Aggregate solver stats across every LP and MILP solved, in solve
-    /// order.
+    /// The round LP (step 1).
+    round: Family,
+    /// The probe LP (step 3).
+    probe: Family,
+    /// Aggregate solver stats across every LP solved, in solve order.
     stats: SolveStats,
 }
 
@@ -413,48 +399,27 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// Solves the iteration LP: max t subject to floors and weighted rises.
     /// Returns `(t*, allocation)`.
     fn solve_round(&mut self) -> Result<(f64, Allocation), PolicyError> {
-        let n = self.input.jobs.len();
-        if self.round.is_none() {
-            let mut lp = self.alp.lp.clone();
-            let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-            let mut floor_rows = Vec::with_capacity(n);
-            for m in 0..n {
-                let mut terms = self.tput[m].clone();
-                if self.active(m) {
-                    terms.push((t, -self.weights[m]));
-                }
-                // floor (+ w t if active) <= normalized throughput.
-                floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, self.floors[m]));
-            }
-            self.round = Some(Family {
-                lp: PreparedLp::new(lp).map_err(solver_err)?,
-                vars: vec![t],
-                floor_rows,
-                basis: None,
-            });
-        }
-        let weights = &self.weights;
-        let round = self.round.as_mut().expect("built above");
+        let round = &mut self.round;
         let t = round.vars[0];
-        // Exactly what a fresh build would hold (a no-op right after one):
-        // `t` appears in the active jobs' rows only, so its stored column
-        // shrinks with the active set.
-        let t_column: Vec<(ConstraintId, f64)> = (0..n)
-            .filter(|&m| weights[m] > 0.0)
-            .map(|m| (round.floor_rows[m], -weights[m]))
+        // Exactly what a fresh build would hold (a no-op in the first
+        // round): `t` appears in the active jobs' rows only, so its stored
+        // column shrinks with the active set.
+        let t_column: Vec<(ConstraintId, f64)> = (0..self.weights.len())
+            .filter(|&m| self.weights[m] > 0.0)
+            .map(|m| (round.floor_rows[m], -self.weights[m]))
             .collect();
         round.lp.set_column(t, &t_column);
-        for m in 0..n {
-            round.lp.set_rhs(round.floor_rows[m], self.floors[m]);
+        for (&row, &floor) in round.floor_rows.iter().zip(&self.floors) {
+            round.lp.set_rhs(row, floor);
         }
-        let sol = solve_from(&mut round.lp, &mut round.basis, self.warm, &mut self.stats)?;
+        let sol = solve_from(&mut round.lp, &mut round.basis, &mut self.stats)?;
         Ok((sol.value(t), self.alp.extract(self.input, &sol)))
     }
 
-    /// Exact bottleneck detection: a max-sum prepass clears every job that
-    /// shows slack, then each remaining candidate is probed on its own.
-    /// Returns the bottlenecked subset of `active`, in order.
-    fn bottlenecked_probe(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
+    /// Step 3's exact bottleneck detection: a max-sum prepass clears every
+    /// job that shows slack, then each remaining candidate is probed on its
+    /// own. Returns the bottlenecked subset of `active`, in order.
+    fn bottlenecked(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
         let candidates = self.prepass(active)?;
         self.probe_chain(&candidates)
     }
@@ -464,34 +429,8 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// jobs left without slack: the max-sum point may zero out an
     /// improvable job, so these still need a probe of their own.
     fn prepass(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let n = self.input.jobs.len();
-        if self.probe.is_none() {
-            let mut lp = self.alp.lp.clone();
-            let mut slacks = Vec::with_capacity(n);
-            let mut floor_rows = Vec::with_capacity(n);
-            for m in 0..n {
-                let s = lp.add_var_indexed("slack", m, 0.0, 1.0, 1.0);
-                let mut terms = self.tput[m].clone();
-                terms.push((s, -1.0));
-                floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, self.floors[m]));
-                slacks.push(s);
-            }
-            // The slack variables' [0, 1] ranges ride on columns: the LP
-            // must lower to exactly one standard-form row per constraint.
-            debug_assert_eq!(
-                lp.num_standard_rows().ok(),
-                Some(lp.num_constraints()),
-                "probe LP grew hidden bound rows"
-            );
-            self.probe = Some(Family {
-                lp: PreparedLp::new(lp).map_err(solver_err)?,
-                vars: slacks,
-                floor_rows,
-                basis: None,
-            });
-        }
-        let probe = self.probe.as_mut().expect("built above");
-        for m in 0..n {
+        let probe = &mut self.probe;
+        for m in 0..self.floors.len() {
             probe.lp.set_rhs(probe.floor_rows[m], self.floors[m]);
             // A job is active exactly while it carries weight.
             let ub = if self.weights[m] > 0.0 { 1.0 } else { 0.0 };
@@ -499,7 +438,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
                 probe.lp.set_bounds(probe.vars[m], 0.0, ub);
             }
         }
-        let sol = solve_from(&mut probe.lp, &mut probe.basis, self.warm, &mut self.stats)?;
+        let sol = solve_from(&mut probe.lp, &mut probe.basis, &mut self.stats)?;
         Ok(active
             .iter()
             .copied()
@@ -515,7 +454,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         if candidates.is_empty() {
             return Ok(Vec::new());
         }
-        let probe = self.probe.as_mut().expect("the prepass built it");
+        let probe = &mut self.probe;
         // The counter is for LPs that were one of several: a lone
         // candidate is not counted.
         if candidates.len() > 1 {
@@ -528,7 +467,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         let mut bottlenecked = Vec::new();
         for &m in candidates {
             probe.lp.set_objective_coeff(probe.vars[m], 1.0);
-            let sol = solve_from(&mut probe.lp, &mut chain, self.warm, &mut self.stats)?;
+            let sol = solve_from(&mut probe.lp, &mut chain, &mut self.stats)?;
             probe.lp.set_objective_coeff(probe.vars[m], 0.0);
             // The objective is `s_m*`: how far job `m` alone can rise
             // above its floor while every other job keeps theirs.
@@ -540,76 +479,6 @@ impl<'i, 'a> WaterFill<'i, 'a> {
             probe.lp.set_objective_coeff(s, 1.0);
         }
         Ok(bottlenecked)
-    }
-
-    /// Appendix A.1 MILP: maximize the number of jobs whose normalized
-    /// throughput strictly improves over the floor.
-    ///
-    /// Formulated branch-stably: instead of plain big-Y rows on `z`
-    /// (whose up-branch flips a row sign and cold-starts the node), the
-    /// big constant rides on an auxiliary `u_m = Y (1 - z_m)` in `[0, Y]`
-    /// linked by an equality row. Every row's right-hand side keeps its
-    /// sign under both branch directions, each child node's lowering keeps
-    /// the parent's shape, and the parent basis stays dual feasible at
-    /// every node — so branch-and-bound warm starts actually fire.
-    fn bottlenecked_milp(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let n = self.input.jobs.len();
-        let mut lp = self.alp.lp.clone();
-        let delta = 1e-4;
-        let mut is_active = vec![false; n];
-        let mut z_vars = Vec::with_capacity(active.len());
-        for &m in active {
-            is_active[m] = true;
-            let z = lp.add_var_indexed("z", m, 0.0, 1.0, 1.0);
-            // A valid big constant: normalized throughput is bounded by
-            // running the whole cluster's workers at the fastest rate.
-            let y = self.big_y(m);
-            let u = lp.add_var_indexed("u", m, 0.0, y, 0.0);
-            let terms = &self.tput[m];
-            // tput >= floor (always).
-            lp.add_constraint(terms, Cmp::Ge, self.floors[m]);
-            // tput + u <= floor + Y  <=>  tput <= floor + Y z
-            // (z = 0 forces no improvement).
-            let mut with_u = terms.clone();
-            with_u.push((u, 1.0));
-            lp.add_constraint(&with_u, Cmp::Le, self.floors[m] + y);
-            // tput + u >= floor + delta  <=>  tput >= floor + delta - Y (1 - z)
-            // (z = 1 forces an improvement of at least delta).
-            lp.add_constraint(&with_u, Cmp::Ge, self.floors[m] + delta);
-            // u = Y (1 - z).
-            lp.add_constraint(&[(u, 1.0), (z, y)], Cmp::Eq, y);
-            z_vars.push(z);
-        }
-        for m in (0..n).filter(|&m| !is_active[m]) {
-            lp.add_constraint(&self.tput[m], Cmp::Ge, self.floors[m]);
-        }
-        // Binary indicator bounds ride on columns, so every node
-        // relaxation keeps exactly one standard-form row per constraint.
-        debug_assert_eq!(
-            lp.num_standard_rows().ok(),
-            Some(lp.num_constraints()),
-            "bottleneck MILP grew hidden bound rows"
-        );
-        let opts = MilpOptions {
-            warm_start: self.warm,
-            ..MilpOptions::default()
-        };
-        let sol = solve_milp(&lp, &z_vars, &opts).map_err(solver_err)?;
-        self.stats.absorb(&sol.stats);
-        Ok(active
-            .iter()
-            .zip(&z_vars)
-            .filter(|(_, &z)| sol.value(z) < 0.5)
-            .map(|(&m, _)| m)
-            .collect())
-    }
-
-    /// Upper bound on job `m`'s normalized throughput (for MILP big-M
-    /// rows).
-    fn big_y(&self, m: usize) -> f64 {
-        let fastest = gavel_core::refs::x_fastest(self.input.tensor, self.singles.row(m));
-        let workers = self.input.cluster.total_workers() as f64;
-        (self.factors[m] * fastest * workers).max(1.0) * 2.0
     }
 
     /// Redistributes a bottlenecked job's weight within its entity.
@@ -677,11 +546,13 @@ impl Policy for Hierarchical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
+    use crate::milp::tests::solve_milp;
+    use gavel_core::{
+        AccelIdx, ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
+    };
     use proptest::prelude::*;
 
-    /// Owned bundle behind a `PolicyInput`: singleton rows over three
-    /// accelerator types, job `m` in entity `m mod entities`.
+    /// Owned bundle behind a `PolicyInput`.
     struct Setup {
         jobs: Vec<PolicyJob>,
         combos: ComboSet,
@@ -690,29 +561,35 @@ mod tests {
     }
 
     impl Setup {
-        fn new(tputs: &[[f64; 3]], entities: usize, workers: usize) -> Setup {
+        /// Singleton rows `tputs` over `cluster`'s types, job `m` in
+        /// entity `entity(m)`.
+        fn new<R: AsRef<[f64]>>(
+            tputs: &[R],
+            entity: impl Fn(usize) -> usize,
+            cluster: ClusterSpec,
+        ) -> Setup {
             let jobs: Vec<PolicyJob> = (0..tputs.len())
                 .map(|m| {
                     let mut job = PolicyJob::simple(JobId(m as u64), 1000.0);
-                    job.entity = Some(m % entities);
+                    job.entity = Some(entity(m));
                     job
                 })
                 .collect();
             let combos = ComboSet::singletons(&jobs.iter().map(|j| j.id).collect::<Vec<_>>());
             let rows = tputs
                 .iter()
-                .map(|row| row.iter().map(|&t| PairThroughput::single(t)).collect())
+                .map(|row| {
+                    row.as_ref()
+                        .iter()
+                        .map(|&t| PairThroughput::single(t))
+                        .collect()
+                })
                 .collect();
-            let w = workers;
             Setup {
                 jobs,
                 combos,
-                tensor: ThroughputTensor::new(3, rows),
-                cluster: ClusterSpec::new(&[
-                    ("v100", w, w, 0.0),
-                    ("p100", w, w, 0.0),
-                    ("k80", w, w, 0.0),
-                ]),
+                tensor: ThroughputTensor::new(cluster.num_types(), rows),
+                cluster,
             }
         }
 
@@ -726,28 +603,34 @@ mod tests {
         }
     }
 
-    /// The exhaustive bottleneck test the probe chain must agree with: for
-    /// every active job, a cold `max tput_m` LP built from scratch over
-    /// the current floors.
+    /// One accelerator type per name, `workers` of each.
+    fn cluster(names: &[&'static str], workers: usize) -> ClusterSpec {
+        let types: Vec<_> = names
+            .iter()
+            .map(|&name| (name, workers, workers, 0.0))
+            .collect();
+        ClusterSpec::new(&types)
+    }
+
+    /// Per job: its normalized throughput's terms, as the solve built them.
+    fn tput(wf: &WaterFill<'_, '_>) -> Vec<Vec<(VarId, f64)>> {
+        normalized_throughputs(wf.input, &check_input(wf.input).unwrap(), &wf.alp)
+    }
+
+    /// The exhaustive bottleneck test: for every active job, a cold `max
+    /// tput_m` LP built from scratch over the current floors.
     fn oracle_bottlenecked(wf: &WaterFill<'_, '_>, active: &[usize]) -> Vec<usize> {
-        let input = wf.input;
+        let tput = tput(wf);
         let mut bottlenecked = Vec::new();
         for &m in active {
-            let mut alp = AllocLp::new(input, Sense::Maximize);
-            for (m2, job) in input.jobs.iter().enumerate() {
-                let terms: Vec<(VarId, f64)> = alp
-                    .throughput_terms(input, job.id)
-                    .into_iter()
-                    .map(|(v, c)| (v, c * wf.factors[m2]))
-                    .collect();
-                if m2 == m {
-                    for &(v, c) in &terms {
-                        alp.lp.add_objective_coeff(v, c);
-                    }
-                }
-                alp.lp.add_constraint(&terms, Cmp::Ge, wf.floors[m2]);
+            let mut lp = wf.alp.lp.clone();
+            for (terms, &floor) in tput.iter().zip(&wf.floors) {
+                lp.add_constraint(terms, Cmp::Ge, floor);
             }
-            let best = alp.lp.solve().expect("floors are feasible").objective;
+            for &(v, c) in &tput[m] {
+                lp.add_objective_coeff(v, c);
+            }
+            let best = lp.solve().expect("floors are feasible").objective;
             if best <= wf.floors[m] + 1e-5 * (1.0 + wf.floors[m].abs()) {
                 bottlenecked.push(m);
             }
@@ -755,13 +638,76 @@ mod tests {
         bottlenecked
     }
 
+    /// Appendix A.1's bottleneck MILP: one binary `z_m` per active job,
+    /// maximizing how many jobs rise at least `delta` above their floors
+    /// at once; the active jobs left at `z_m = 0` are bottlenecked. With
+    /// `Y` above any normalized throughput, `tput_m <= floor_m + Y z_m`
+    /// holds a job at its floor unless `z_m = 1`, and `tput_m >= floor_m +
+    /// delta - Y (1 - z_m)` makes `z_m = 1` mean a rise of `delta`.
+    fn milp_bottlenecked(wf: &WaterFill<'_, '_>, active: &[usize]) -> Vec<usize> {
+        let delta = 1e-4;
+        let mut lp = wf.alp.lp.clone();
+        let mut z = Vec::new();
+        for (m, terms) in tput(wf).iter().enumerate() {
+            let floor = wf.floors[m];
+            lp.add_constraint(terms, Cmp::Ge, floor);
+            if active.contains(&m) {
+                // A job's time fractions sum to at most one, so its
+                // normalized throughput is at most its largest coefficient.
+                let y = 2.0 * terms.iter().fold(1.0, |y: f64, &(_, c)| y.max(c));
+                let zm = lp.add_var_indexed("z", m, 0.0, 1.0, 1.0);
+                let mut rise = terms.clone();
+                rise.push((zm, -y));
+                lp.add_constraint(&rise, Cmp::Le, floor);
+                lp.add_constraint(&rise, Cmp::Ge, floor + delta - y);
+                z.push((m, zm));
+            }
+        }
+        let binaries: Vec<VarId> = z.iter().map(|&(_, zm)| zm).collect();
+        let sol = solve_milp(&lp, &binaries).expect("every z at 0 keeps the floors");
+        z.into_iter()
+            .filter(|&(_, zm)| sol.value(zm) < 0.5)
+            .map(|(m, _)| m)
+            .collect()
+    }
+
+    /// Runs `policy`'s water filling on `input` to the end and checks that
+    /// every round the prepass plus probe chain names exactly the jobs both
+    /// oracles name. Returns the number of rounds.
+    fn check_every_round(policy: &Hierarchical, input: &PolicyInput<'_>) -> usize {
+        let mut wf = policy.build_waterfill(input).unwrap();
+        let mut rounds = 0;
+        loop {
+            let active = wf.active_jobs();
+            if active.is_empty() {
+                return rounds;
+            }
+            wf.raise_floors(&active).unwrap();
+            let bottlenecked = wf.bottlenecked(&active).unwrap();
+            let exhaustive = oracle_bottlenecked(&wf, &active);
+            assert_eq!(
+                bottlenecked, exhaustive,
+                "round {rounds}, active {active:?}"
+            );
+            let milp = milp_bottlenecked(&wf, &active);
+            assert_eq!(
+                bottlenecked, milp,
+                "MILP, round {rounds}, active {active:?}"
+            );
+            wf.retire(&active, bottlenecked);
+            rounds += 1;
+            assert!(rounds <= input.jobs.len(), "{rounds} rounds");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every round of a water filling, the prepass plus probe chain
-        /// names exactly the jobs the exhaustive oracle names — across
-        /// several entities, fairness and FIFO inners, and job sets drawn
-        /// from a few shared throughput profiles so ties are the norm.
+        /// names exactly the jobs the exhaustive oracle and the App. A.1
+        /// MILP name — across several entities, fairness and FIFO inners,
+        /// and job sets drawn from a few shared throughput profiles so ties
+        /// are the norm.
         #[test]
         fn probe_verdicts_match_exhaustive_oracle(
             n in 3usize..13,
@@ -771,11 +717,8 @@ mod tests {
             picks in proptest::collection::vec(0usize..4, 12),
             workers in 1usize..3,
         ) {
-            let tputs: Vec<[f64; 3]> = picks[..n]
-                .iter()
-                .map(|&p| [profiles[3 * p], profiles[3 * p + 1], profiles[3 * p + 2]])
-                .collect();
-            let setup = Setup::new(&tputs, entities, workers);
+            let tputs: Vec<&[f64]> = picks[..n].iter().map(|&p| &profiles[3 * p..3 * p + 3]).collect();
+            let setup = Setup::new(&tputs, |m| m % entities, cluster(&["v100", "p100", "k80"], workers));
             let policy = Hierarchical::per_entity(
                 (0..entities)
                     .map(|e| {
@@ -784,27 +727,37 @@ mod tests {
                     })
                     .collect(),
             );
-            let input = setup.input();
-            let mut wf = policy.build_waterfill(&input).unwrap();
-            let mut rounds = 0;
-            loop {
-                let active = wf.active_jobs();
-                if active.is_empty() {
-                    break;
-                }
-                wf.raise_floors(&active).unwrap();
-                let bottlenecked = wf.bottlenecked_probe(&active).unwrap();
-                prop_assert_eq!(
-                    &bottlenecked,
-                    &oracle_bottlenecked(&wf, &active),
-                    "round {} over active {:?}", rounds, active
-                );
-                wf.retire(&active, bottlenecked);
-                rounds += 1;
-                prop_assert!(rounds <= MAX_ITERATIONS);
-            }
-            prop_assert!(rounds > 0);
+            prop_assert!(check_every_round(&policy, &setup.input()) > 0);
         }
+    }
+
+    /// Fixed contested instances over two entities, sharing these rows.
+    const FIXED_TPUTS: [[f64; 2]; 5] = [[4.0, 1.0], [3.0, 1.0], [2.0, 1.0], [3.5, 0.8], [1.5, 1.2]];
+
+    /// Three jobs on one V100 and one K80: every round, the probe verdicts
+    /// equal both oracles'.
+    #[test]
+    fn three_job_instance_matches_both_oracles() {
+        let policy = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness);
+        let setup = Setup::new(
+            &FIXED_TPUTS[..3],
+            |m| [0, 0, 1][m],
+            cluster(&["v100", "k80"], 1),
+        );
+        assert!(check_every_round(&policy, &setup.input()) > 0);
+    }
+
+    /// Five jobs on two V100s and two K80s: every round, the probe verdicts
+    /// equal both oracles'.
+    #[test]
+    fn five_job_instance_matches_both_oracles() {
+        let policy = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness);
+        let setup = Setup::new(
+            &FIXED_TPUTS,
+            |m| [0, 0, 1, 1, 0][m],
+            cluster(&["v100", "k80"], 2),
+        );
+        assert!(check_every_round(&policy, &setup.input()) > 0);
     }
 
     /// The chain's whole point: on a contested 64-job, 4-entity instance
@@ -818,7 +771,7 @@ mod tests {
         let tputs: Vec<[f64; 3]> = (0..64)
             .map(|_| [(); 3].map(|()| rng.gen_range(0.5..4.0)))
             .collect();
-        let setup = Setup::new(&tputs, 4, 18);
+        let setup = Setup::new(&tputs, |m| m % 4, cluster(&["v100", "p100", "k80"], 18));
         let policy = Hierarchical::new(vec![1.0, 2.0, 3.0, 4.0], EntityPolicy::Fairness);
         let input = setup.input();
         let mut wf = policy.build_waterfill(&input).unwrap();
@@ -848,5 +801,66 @@ mod tests {
         );
         assert_eq!(warm_hits, probed);
         assert_eq!((phase1, cold), (0, 0));
+    }
+
+    /// A solve runs until no job is active, however many rounds that
+    /// takes: 80 jobs with seven weights over four entities retire a few
+    /// at a time for more than 64 rounds, and the allocation returned is
+    /// the last round's.
+    #[test]
+    fn water_filling_runs_until_no_job_is_active() {
+        use gavel_workloads::{
+            build_singleton_tensor, cluster_scaled, generate, JobSpec, Oracle, TraceConfig,
+        };
+        let oracle = Oracle::new();
+        let trace = generate(&TraceConfig::static_single(80, 3), &oracle);
+        let specs: Vec<JobSpec> = trace
+            .iter()
+            .map(|t| JobSpec {
+                id: t.id,
+                config: t.config,
+                scale_factor: t.scale_factor,
+            })
+            .collect();
+        let (combos, tensor) = build_singleton_tensor(&oracle, &specs, true);
+        let jobs = (trace.iter().enumerate())
+            .map(|(i, t)| {
+                let mut job = PolicyJob::simple(t.id, t.total_steps);
+                job.scale_factor = t.scale_factor;
+                job.weight = 1.0 + (i % 7) as f64;
+                job.entity = Some(i % 4);
+                job
+            })
+            .collect();
+        let setup = Setup {
+            jobs,
+            combos,
+            tensor,
+            cluster: cluster_scaled(80),
+        };
+        let input = setup.input();
+        let policy = Hierarchical::new(vec![1.0; 4], EntityPolicy::Fairness);
+        let (alloc, _) = policy.compute_allocation_with_stats(&input).unwrap();
+
+        let mut wf = policy.build_waterfill(&input).unwrap();
+        let (mut rounds, mut last) = (0, None);
+        loop {
+            let active = wf.active_jobs();
+            if active.is_empty() {
+                break;
+            }
+            last = Some(wf.raise_floors(&active).unwrap());
+            let bottlenecked = wf.bottlenecked(&active).unwrap();
+            wf.retire(&active, bottlenecked);
+            rounds += 1;
+        }
+        assert!(rounds > 64, "{rounds} rounds");
+        let last = last.unwrap();
+        for k in 0..setup.combos.len() {
+            for j in 0..setup.cluster.num_types() {
+                let (got, want) = (alloc.get(k, AccelIdx(j)), last.get(k, AccelIdx(j)));
+                assert_eq!(got.to_bits(), want.to_bits(), "row {k}, type {j}");
+            }
+        }
     }
 }

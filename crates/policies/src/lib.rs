@@ -14,7 +14,7 @@
 //! | [`MaxTotalThroughput`] | (cost baseline) | single LP |
 //! | [`MinCost`] | Minimize cost | linear-fractional program |
 //! | [`MinCostSlo`] | Minimize cost w/ SLOs | linear-fractional program |
-//! | [`Hierarchical`] | Hierarchical | water filling (LPs + MILP/probes) |
+//! | [`Hierarchical`] | Hierarchical | water filling (LP probes) |
 //!
 //! Heterogeneity-agnostic baselines: [`AgnosticLas`] (Tiresias-style),
 //! [`FtfAgnostic`] (Themis-style), [`GandivaPolicy`] (ad-hoc space
@@ -43,13 +43,14 @@ pub mod hierarchical;
 pub mod isolated;
 pub mod las;
 pub mod makespan;
+mod milp;
 
 pub use allox::Allox;
 pub use cost::{MaxTotalThroughput, MinCost, MinCostSlo};
 pub use fifo::{FifoAgnostic, FifoHet, ShortestJobFirst};
 pub use ftf::{FinishTimeFairness, FtfAgnostic};
 pub use gandiva::GandivaPolicy;
-pub use hierarchical::{BottleneckMethod, EntityPolicy, Hierarchical};
+pub use hierarchical::{EntityPolicy, Hierarchical};
 pub use isolated::IsolatedSplit;
 pub use las::{AgnosticLas, MaxMinFairness};
 pub use makespan::MinMakespan;

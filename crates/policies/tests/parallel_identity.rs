@@ -1,20 +1,11 @@
-//! Parallel == serial identity for the hierarchical policy, plus
-//! regression tests for the panic paths the parallel work exposed
-//! (NaN-unsafe float ordering, empty FIFO peer/member sets).
-//!
-//! The determinism contract (see `gavel_par` and the MILP module docs)
-//! promises that `GAVEL_THREADS` changes wall-clock only: the bottleneck
-//! MILP's node waves are pure functions of the problem, and the probe
-//! method is one serial chain, so every allocation cell and every solver
-//! stat must be bit-for-bit identical under any thread count.
+//! Regression tests for panic paths found while the hierarchical policy
+//! was parallelized: NaN-unsafe float ordering and empty FIFO peer/member
+//! sets.
 
 use gavel_core::{
-    AccelIdx, Allocation, ClusterSpec, ComboSet, JobId, PairThroughput, Policy, PolicyJob,
-    ThroughputTensor,
+    ClusterSpec, ComboSet, JobId, PairThroughput, Policy, PolicyJob, ThroughputTensor,
 };
-use gavel_par::with_threads;
-use gavel_policies::{BottleneckMethod, EntityPolicy, Hierarchical};
-use proptest::prelude::*;
+use gavel_policies::{EntityPolicy, Hierarchical};
 
 /// Owned bundle behind a `PolicyInput`.
 struct Setup {
@@ -53,65 +44,6 @@ impl Setup {
     }
 }
 
-fn assert_bit_identical(a: &Allocation, b: &Allocation, num_types: usize, label: &str) {
-    assert_eq!(a.combos().len(), b.combos().len(), "{label}: combo counts");
-    for k in 0..a.combos().len() {
-        for j in 0..num_types {
-            let (va, vb) = (a.get(k, AccelIdx(j)), b.get(k, AccelIdx(j)));
-            assert!(
-                va.to_bits() == vb.to_bits(),
-                "{label}: cell ({k}, {j}) differs: {va} vs {vb}"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Both bottleneck methods — the MILP, whose branch-and-bound waves
-    /// fan out over the pool, and the serial probe chain — produce
-    /// bit-identical allocations and equal merged `SolveStats` under
-    /// every thread count, on random job sets.
-    #[test]
-    fn hierarchical_parallel_matches_serial(
-        n in 2usize..9,
-        tputs in proptest::collection::vec(0.25f64..4.0, 18),
-        v100s in 1usize..3,
-        k80s in 1usize..3,
-    ) {
-        let cluster = ClusterSpec::new(&[
-            ("v100", v100s, v100s, 2.48),
-            ("k80", k80s, k80s, 0.45),
-        ]);
-        let matrix: Vec<Vec<f64>> = (0..n)
-            .map(|m| vec![tputs[2 * m].max(tputs[2 * m + 1]), tputs[2 * m + 1]])
-            .collect();
-        let setup = Setup::from_matrix(&matrix, cluster);
-        for method in [BottleneckMethod::Milp, BottleneckMethod::Probe] {
-            let policy = Hierarchical::single_level().with_bottleneck(method);
-            let (base_alloc, base_stats) =
-                with_threads(1, || policy.compute_allocation_with_stats(&setup.input()))
-                    .unwrap();
-            for threads in [2usize, 4, 7] {
-                let (alloc, stats) =
-                    with_threads(threads, || policy.compute_allocation_with_stats(&setup.input()))
-                        .unwrap();
-                assert_bit_identical(
-                    &base_alloc,
-                    &alloc,
-                    setup.cluster.num_types(),
-                    &format!("{method:?}, threads={threads}"),
-                );
-                prop_assert_eq!(
-                    base_stats, stats,
-                    "{:?} stats diverged at threads={}", method, threads
-                );
-            }
-        }
-    }
-}
-
 /// A job with all-zero throughput cannot run anywhere; the hierarchical
 /// policy must reject the input gracefully (it used to be able to reach
 /// `partial_cmp(..).unwrap()` on the NaN floors such jobs induce).
@@ -119,13 +51,8 @@ proptest! {
 fn degenerate_zero_throughput_job_errors_gracefully() {
     let cluster = ClusterSpec::new(&[("v100", 1, 1, 2.48), ("k80", 1, 1, 0.45)]);
     let setup = Setup::from_matrix(&[vec![4.0, 1.0], vec![0.0, 0.0]], cluster);
-    for policy in [
-        Hierarchical::single_level(),
-        Hierarchical::single_level().with_bottleneck(BottleneckMethod::Milp),
-    ] {
-        let got = policy.compute_allocation(&setup.input());
-        assert!(got.is_err(), "all-zero job must be rejected, got {got:?}");
-    }
+    let got = Hierarchical::single_level().compute_allocation(&setup.input());
+    assert!(got.is_err(), "all-zero job must be rejected, got {got:?}");
 }
 
 /// SJF orders jobs by remaining duration with `total_cmp`; near-zero

@@ -515,72 +515,6 @@ fn hierarchical_fifo_inner_serializes() {
 }
 
 #[test]
-fn hierarchical_milp_matches_probe() {
-    let cluster = one_v100_one_k80();
-    let mut setup = Setup::from_matrix(&[vec![4.0, 1.0], vec![3.0, 1.0], vec![2.0, 1.0]], cluster);
-    setup.jobs[0].entity = Some(0);
-    setup.jobs[1].entity = Some(0);
-    setup.jobs[2].entity = Some(1);
-    let probe = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness)
-        .with_bottleneck(BottleneckMethod::Probe)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    let milp = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness)
-        .with_bottleneck(BottleneckMethod::Milp)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    for job in &setup.jobs {
-        let tp = probe.effective_throughput(&setup.tensor, job.id);
-        let tm = milp.effective_throughput(&setup.tensor, job.id);
-        assert!(
-            (tp - tm).abs() < 2e-2,
-            "{}: probe {tp} vs milp {tm}",
-            job.id
-        );
-    }
-}
-
-#[test]
-fn hierarchical_milp_warm_matches_cold() {
-    // The branch-stable `u = Y(1-z)` bottleneck MILP must make identical
-    // bottleneck decisions — and hence produce the identical water-filled
-    // allocation — whether branch-and-bound nodes warm-start from the
-    // parent basis or cold-start. A larger contested instance so the
-    // search tree is nontrivial.
-    let cluster = gavel_core::ClusterSpec::new(&[("v100", 2, 2, 2.48), ("k80", 2, 2, 0.45)]);
-    let mut setup = Setup::from_matrix(
-        &[
-            vec![4.0, 1.0],
-            vec![3.0, 1.0],
-            vec![2.0, 1.0],
-            vec![3.5, 0.8],
-            vec![1.5, 1.2],
-        ],
-        cluster,
-    );
-    setup.jobs[0].entity = Some(0);
-    setup.jobs[1].entity = Some(0);
-    setup.jobs[2].entity = Some(1);
-    setup.jobs[3].entity = Some(1);
-    setup.jobs[4].entity = Some(0);
-    let warm = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness)
-        .with_bottleneck(BottleneckMethod::Milp)
-        .with_warm_start(true)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    let cold = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness)
-        .with_bottleneck(BottleneckMethod::Milp)
-        .with_warm_start(false)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    for job in &setup.jobs {
-        let tw = warm.effective_throughput(&setup.tensor, job.id);
-        let tc = cold.effective_throughput(&setup.tensor, job.id);
-        assert!((tw - tc).abs() < 1e-6, "{}: warm {tw} vs cold {tc}", job.id);
-    }
-}
-
-#[test]
 fn allox_minimizes_average_jct() {
     // Processing times: job 0 fast=100s / slow=400s; job 1 fast=220s /
     // slow=300s. Sums of completion times:
@@ -756,127 +690,4 @@ proptest::proptest! {
             }
         }
     }
-}
-
-/// Asserts two allocations are bit-identical over every (combo, type) cell.
-fn assert_alloc_bit_identical(
-    a: &gavel_core::Allocation,
-    b: &gavel_core::Allocation,
-    num_types: usize,
-    label: &str,
-) {
-    assert_eq!(
-        a.combos().len(),
-        b.combos().len(),
-        "{label}: combo counts differ"
-    );
-    for k in 0..a.combos().len() {
-        for j in 0..num_types {
-            let (va, vb) = (
-                a.get(k, gavel_core::AccelIdx(j)),
-                b.get(k, gavel_core::AccelIdx(j)),
-            );
-            assert!(
-                va.to_bits() == vb.to_bits(),
-                "{label}: cell ({k}, {j}) differs: warm {va} vs cold {vb}"
-            );
-        }
-    }
-}
-
-#[test]
-fn hierarchical_warm_start_is_bit_identical_to_cold() {
-    // Warm-started basis reuse must not change a single bit of the final
-    // allocation across several water-filling shapes: heterogeneous
-    // throughputs, weighted jobs, multiple entities, FIFO inners. The
-    // solver only guarantees equal *objectives* (a warm solve of a
-    // degenerate LP may in principle stop at a different optimal vertex);
-    // these fixed instances pin down, as a deterministic regression
-    // property, that the warm pivot paths land on the cold vertices here.
-    let mut setups: Vec<(String, Setup, Hierarchical)> = Vec::new();
-
-    let cluster = gavel_core::ClusterSpec::new(&[("v100", 4, 4, 0.0)]);
-    let mut s = Setup::from_matrix(&[vec![1.0], vec![1.0], vec![1.0], vec![1.0]], cluster);
-    s.jobs[0].weight = 3.0;
-    setups.push(("paper-4.3".into(), s, Hierarchical::single_level()));
-
-    let mut s = Setup::from_matrix(
-        &[
-            vec![4.0, 1.0],
-            vec![3.0, 1.0],
-            vec![2.0, 1.0],
-            vec![1.0, 1.0],
-        ],
-        one_v100_one_k80(),
-    );
-    s.jobs[0].entity = Some(0);
-    s.jobs[1].entity = Some(0);
-    s.jobs[2].entity = Some(1);
-    s.jobs[3].entity = Some(1);
-    setups.push((
-        "two-entities-het".into(),
-        s,
-        Hierarchical::new(vec![1.0, 2.0], EntityPolicy::Fairness),
-    ));
-
-    let cluster = gavel_core::ClusterSpec::new(&[("v100", 2, 2, 0.0), ("k80", 3, 3, 0.0)]);
-    let mut s = Setup::from_matrix(
-        &[
-            vec![5.0, 1.0],
-            vec![4.0, 2.0],
-            vec![3.0, 3.0],
-            vec![2.0, 1.5],
-            vec![1.0, 0.5],
-        ],
-        cluster,
-    );
-    for (i, j) in s.jobs.iter_mut().enumerate() {
-        j.entity = Some(i % 2);
-        j.arrival_seq = i as u64;
-    }
-    setups.push((
-        "mixed-inner".into(),
-        s,
-        Hierarchical::per_entity(vec![
-            (1.0, EntityPolicy::Fairness),
-            (1.0, EntityPolicy::Fifo),
-        ]),
-    ));
-
-    for (label, setup, policy) in &setups {
-        let warm = policy
-            .clone()
-            .with_warm_start(true)
-            .compute_allocation(&setup.input())
-            .unwrap();
-        let cold = policy
-            .clone()
-            .with_warm_start(false)
-            .compute_allocation(&setup.input())
-            .unwrap();
-        assert_alloc_bit_identical(&warm, &cold, setup.cluster.num_types(), label);
-    }
-}
-
-#[test]
-fn hierarchical_warm_start_is_bit_identical_on_realistic_trace() {
-    use gavel_workloads::{cluster_simulated, TraceConfig};
-    let mut setup = trace_setup(
-        &TraceConfig::continuous_multiple(3.0, 20, 17),
-        cluster_simulated(),
-    );
-    for (i, j) in setup.jobs.iter_mut().enumerate() {
-        j.entity = Some(i % 3);
-    }
-    let policy = Hierarchical::new(vec![1.0, 2.0, 1.0], EntityPolicy::Fairness);
-    let warm = policy
-        .clone()
-        .with_warm_start(true)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    let cold = policy
-        .with_warm_start(false)
-        .compute_allocation(&setup.input())
-        .unwrap();
-    assert_alloc_bit_identical(&warm, &cold, setup.cluster.num_types(), "realistic-ss");
 }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors returned by the LP and MILP solvers.
+/// Errors returned by the LP solver.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverError {
     /// The constraint set admits no feasible point.
@@ -35,12 +35,6 @@ pub enum SolverError {
         /// Human-readable description of the failure site.
         context: String,
     },
-    /// The branch-and-bound node limit was exceeded before proving
-    /// optimality.
-    NodeLimit {
-        /// Number of nodes explored.
-        nodes: usize,
-    },
     /// The denominator of a fractional objective is not strictly positive
     /// over the feasible region, so the Charnes–Cooper transform is invalid.
     NonPositiveDenominator,
@@ -63,12 +57,6 @@ impl fmt::Display for SolverError {
             SolverError::UnknownVariable => write!(f, "unknown variable id"),
             SolverError::Numerical { context } => {
                 write!(f, "numerical failure in the revised simplex: {context}")
-            }
-            SolverError::NodeLimit { nodes } => {
-                write!(
-                    f,
-                    "branch-and-bound node limit exceeded after {nodes} nodes"
-                )
             }
             SolverError::NonPositiveDenominator => {
                 write!(

@@ -4,9 +4,10 @@
 //! problem: most are single linear programs (makespan among them: with
 //! `t = 1/M` it is the max-min LP), finish-time fairness is a binary search
 //! over LP feasibility problems, the cost policies are linear-fractional
-//! programs, and the water-filling procedure for hierarchical fairness needs
-//! a small mixed-integer program to identify bottlenecked jobs. This crate
-//! provides all four building blocks without any external solver dependency:
+//! programs, and hierarchical water filling finds its bottlenecked jobs
+//! with exact per-job LP probes (the paper's Appendix A.1 states that step
+//! as a MILP; `gavel-policies` keeps the MILP as a test oracle). This crate
+//! provides the building blocks without any external solver dependency:
 //!
 //! - [`LpProblem`] — a builder for linear programs with bounded variables.
 //! - [`revised`] — a sparse revised simplex (CSC matrix, LU-factorized
@@ -18,7 +19,6 @@
 //!   as one ([`LpProblem::solve_dense`]).
 //! - [`fractional`] — the Charnes–Cooper transform for maximizing a ratio of
 //!   affine functions over a polyhedron.
-//! - [`milp`] — branch-and-bound over binary variables.
 //! - [`prepared`] — [`PreparedLp`], a problem lowered once and re-solved
 //!   by patching costs, right-hand sides, bounds or one column.
 //! - [`bisect`] — a bisection driver for sequence-of-LP policies
@@ -32,8 +32,7 @@
 //! equals the user-facing constraint count exactly
 //! ([`LpProblem::num_standard_rows`]). That matters because the LPs that
 //! dominate Gavel's runtime are exactly the bounded ones: probe/prepass
-//! LPs carry per-job slack variables in `[0, 1]`, and MILP node
-//! relaxations carry binary bounds.
+//! LPs carry per-job slack variables in `[0, 1]`.
 //!
 //! - **Revised (default).** [`revised`] is a *bounded-variable* two-phase
 //!   primal simplex over a column-major sparse matrix with a factorized
@@ -43,8 +42,8 @@
 //!   whose own bound binds first simply *bound-flips* — no basis change at
 //!   all. Per-iteration cost is `O(nnz)` — one BTRAN for dual prices,
 //!   sparse dots for reduced costs, one FTRAN for the ratio test. This is
-//!   what every policy LP, MILP relaxation, and fractional transform runs
-//!   on, and all they run on: a basis gone floating-point singular is the
+//!   what every policy LP and fractional transform runs on, and all they
+//!   run on: a basis gone floating-point singular is the
 //!   caller's [`SolverError::Numerical`] (a failed recompute, which the
 //!   service counts and plans from the isolated split), never a silent
 //!   re-solve on the dense tableau.
@@ -73,8 +72,8 @@
 //!    often zero pivots.
 //! 2. **Dual reoptimization.** The old basis is primal *infeasible* but
 //!    still *dual* feasible — the signature of a pure right-hand-side or
-//!    bound change: a risen water-filling floor, a flipped MILP
-//!    branching bound. A dual simplex phase drives the violated basic
+//!    bound change: a risen water-filling floor, a tightened bound. A
+//!    dual simplex phase drives the violated basic
 //!    variables back to their bounds in a handful of pivots
 //!    ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!    no-op).
@@ -139,32 +138,9 @@
 //! feasibility); its max-min fairness keeps one per recompute (the
 //! refine pass is the `max t` LP with one bound and the costs patched;
 //! the makespan policy is the same `max t` LP with `c_m = steps_m` and no
-//! refine pass) — and [`milp`]'s branch-and-bound solves every node as
-//! the root LP with patched bounds, from its parent's basis.
+//! refine pass).
 //!
-//! # Threading: MILP node waves on the `gavel-par` pool
-//!
-//! One solve family fans out over the scoped worker pool in `gavel-par`
-//! (`GAVEL_THREADS` sets the worker count; `gavel_par::with_threads`
-//! overrides it for a scope): [`milp`]'s branch-and-bound explores the
-//! tree in *waves*. The whole frontier is solved as one batch, then
-//! pruning, incumbent updates, and branching happen sequentially in
-//! frontier order. Each node solve is a pure function of (root problem,
-//! node bounds, parent basis): every worker patches its own copy of the
-//! root's [`PreparedLp`] and puts the root's bounds back afterwards, and
-//! per-node stats merge in node order.
-//!
-//! The determinism contract: work decomposition is a pure function of the
-//! *problem* (a wave is the frontier), never of the thread count, and
-//! every floats-accumulating merge walks results in input order.
-//! Parallelism therefore changes wall-clock only — solutions, objectives,
-//! and every [`SolveStats`] counter are bit-identical under any
-//! `GAVEL_THREADS`, including [`SolveStats::shards`] (multi-node waves)
-//! and [`SolveStats::parallel_probes`] (their nodes, plus the hierarchical
-//! policy's probe LPs), which count work *structure*, not scheduling.
-//! Everything else runs on the calling thread — including the
-//! hierarchical probes, a chain in which each solve starts from the basis
-//! the one before it ended on.
+//! Every solve runs on the calling thread.
 //!
 //! # Examples
 //!
@@ -187,7 +163,6 @@ pub mod basis;
 pub mod bisect;
 pub mod error;
 pub mod fractional;
-pub mod milp;
 pub mod prepared;
 pub mod problem;
 pub mod revised;
@@ -197,7 +172,6 @@ pub mod sparse;
 pub use bisect::bisect_min;
 pub use error::SolverError;
 pub use fractional::{solve_fractional, FractionalObjective};
-pub use milp::{solve_milp, MilpOptions};
 pub use prepared::{BasisEntry, PreparedLp};
 pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId, WarmStart};
 pub use simplex::{LpSolution, SolveStats};

@@ -2,8 +2,7 @@
 //!
 //! Gavel's expensive policies solve one LP *family* many times: the
 //! water-filling round LP with rising floors and a shrinking active set,
-//! the bottleneck probes that differ only in their objective, and
-//! branch-and-bound nodes that differ only in a few variable bounds.
+//! and the bottleneck probe LP solved under one cost vector per job.
 //! [`LpProblem::solve_warm`] pays validation, lowering, the sparse matrix
 //! build and a first factorization on every call, although none of those
 //! depend on what moved. [`PreparedLp`] pays them once.
@@ -29,8 +28,7 @@
 //! The final factorization of each solve is kept as well: a solve hinted
 //! with the basis the previous one returned, over an unchanged matrix,
 //! starts from that factorization instead of recomputing it (a chain of
-//! probes seeded from one another, a child node solved right after its
-//! parent). Factorizing is a pure function of matrix and basis, so this
+//! probes seeded from one another). Factorizing is a pure function of matrix and basis, so this
 //! too changes the work, never the result.
 
 use crate::error::SolverError;

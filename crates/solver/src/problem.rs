@@ -16,9 +16,8 @@
 //!
 //! Because bounds ride on columns, the standard-form row count `m` equals
 //! the user-facing constraint count exactly — the probe/prepass LPs (slack
-//! variables in `[0, 1]`) and MILP node relaxations (binary bounds) that
-//! dominate Gavel's runtime no longer pay one basis row per bounded
-//! variable.
+//! variables in `[0, 1]`) that dominate Gavel's hierarchical runtime pay no
+//! basis row per bounded variable.
 
 use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};

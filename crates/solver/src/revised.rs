@@ -39,14 +39,14 @@
 //!
 //! [`solve_instance`] accepts an optional `(basis, at_upper)` hint —
 //! typically the optimal state of a near-identical LP solved a moment ago
-//! (Gavel's water-filling rounds, per-job probes, MILP branch-and-bound
-//! nodes). The hint is classified, never trusted:
+//! (Gavel's water-filling rounds and per-job probes). The hint is
+//! classified, never trusted:
 //!
 //! - still **primal feasible** under the new data → phase 2 resumes from
 //!   that vertex (often zero pivots);
 //! - primal infeasible but **dual feasible** — the signature of a risen
-//!   floor (RHS change) or a tightened variable bound (MILP branching),
-//!   both of which leave reduced costs untouched → a **dual simplex**
+//!   floor (RHS change) or a tightened variable bound, both of which
+//!   leave reduced costs untouched → a **dual simplex**
 //!   phase repairs primal feasibility in a handful of pivots
 //!   ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!   no-op);
@@ -58,8 +58,8 @@
 //! reached from a validated dual-feasible basis is a sound proof that the
 //! LP is primal infeasible (phase 2 fixes artificials at zero, so the
 //! extended system is exactly the real one), and is returned without a
-//! cold re-derivation — infeasible-by-design solves (pruned MILP nodes)
-//! would otherwise pay the dual phase *and* a full phase 1. Every other
+//! cold re-derivation — a solve that is infeasible by design would
+//! otherwise pay the dual phase *and* a full phase 1. Every other
 //! warm-path failure (unbounded, iteration limit, numerical) still falls
 //! back cold, and the hinted attempt runs on a fraction of the pivot limit
 //! so that a stalled one leaves the cold solve its whole budget. A hint
@@ -264,8 +264,7 @@ pub(crate) struct KeptLu {
 /// fall back to a cold start. `kept` carries the final factorization from
 /// one solve to the next; the caller clears it whenever it changes the
 /// matrix. Errors carry the pivot counters spent reaching the verdict so
-/// drivers that aggregate over many solves (the MILP's pruned nodes,
-/// whose infeasibility the dual phase proves) can still account for the
+/// drivers that aggregate over many solves can still account for the
 /// work.
 pub(crate) fn solve_instance(
     inst: &Instance,
@@ -303,9 +302,8 @@ pub(crate) fn solve_instance(
                     // zero, so the extended system is exactly the real
                     // one): no violated row can be repaired by any column.
                     // Re-deriving the verdict cold would double the work on
-                    // exactly the solves that are infeasible by design
-                    // (pruned MILP nodes). The proof is a warm hit: the
-                    // hint did its job.
+                    // exactly the solves that are infeasible by design.
+                    // The proof is a warm hit: the hint did its job.
                     Err(SolverError::Infeasible) => {
                         solver.stats.warm_hits = 1;
                         return Err((SolverError::Infeasible, solver.stats));

@@ -79,16 +79,9 @@ pub struct SolveStats {
     /// because `bench/src/drills.rs` reads it; the bench refresh (ROADMAP
     /// 1g) removes both.
     pub dense_fallbacks: usize,
-    /// LP solves that were one of several in a batch: the hierarchical
-    /// policy's per-job probe LPs (a pass probing a single job is not
-    /// counted) and the nodes of multi-node MILP branch-and-bound waves.
-    /// Counts work *structure*, not thread usage — the probes run as one
-    /// serial chain — so the value is identical under any
-    /// `GAVEL_THREADS`.
+    /// The hierarchical policy's per-job probe LPs, one serial chain per
+    /// round (a pass probing a single job is not counted).
     pub parallel_probes: usize,
-    /// Multi-node MILP waves solved as one batch on the worker pool.
-    /// Thread-count-invariant, like [`SolveStats::parallel_probes`].
-    pub shards: usize,
 }
 
 impl SolveStats {
@@ -100,7 +93,7 @@ impl SolveStats {
     }
 
     /// Sums every counter of `other` into `self` — used by drivers that
-    /// aggregate over many solves (branch-and-bound, bisection).
+    /// aggregate over many solves (water filling, bisection).
     pub fn absorb(&mut self, other: &SolveStats) {
         self.pivots_phase1 += other.pivots_phase1;
         self.pivots_phase2 += other.pivots_phase2;
@@ -109,7 +102,6 @@ impl SolveStats {
         self.warm_hits += other.warm_hits;
         self.warm_falls_back += other.warm_falls_back;
         self.parallel_probes += other.parallel_probes;
-        self.shards += other.shards;
     }
 }
 

@@ -1,11 +1,10 @@
-//! Property-based tests for the LP/MILP solver.
+//! Property-based tests for the LP solver.
 //!
 //! Strategy: generate small random problems where an independent method can
-//! certify the answer — brute-force vertex enumeration for LPs, exhaustive
-//! enumeration for binary MILPs, and strong duality between a random primal
-//! and its hand-built dual.
+//! certify the answer — brute-force vertex enumeration, and strong duality
+//! between a random primal and its hand-built dual.
 
-use gavel_solver::{solve_milp, Cmp, LpProblem, MilpOptions, Sense, SolverError, VarId};
+use gavel_solver::{Cmp, LpProblem, Sense, SolverError, VarId};
 use proptest::prelude::*;
 
 /// Solves the square system `ax = b` by Gaussian elimination with partial
@@ -201,97 +200,6 @@ proptest! {
 
         prop_assert!((psol.objective - dsol.objective).abs() < 1e-5,
             "primal {} vs dual {}", psol.objective, dsol.objective);
-    }
-
-    /// MILP matches exhaustive enumeration on random binary knapsacks.
-    #[test]
-    fn milp_matches_bruteforce_knapsack(
-        n in 1usize..10,
-        values in proptest::collection::vec(0.5f64..10.0, 10),
-        weights in proptest::collection::vec(0.5f64..5.0, 10),
-        cap_frac in 0.1f64..0.9,
-    ) {
-        let values = &values[..n];
-        let weights = &weights[..n];
-        let cap = cap_frac * weights.iter().sum::<f64>();
-
-        // Exhaustive optimum.
-        let mut best = 0.0f64;
-        for mask in 0u32..(1 << n) {
-            let (mut v, mut w) = (0.0, 0.0);
-            for i in 0..n {
-                if mask & (1 << i) != 0 {
-                    v += values[i];
-                    w += weights[i];
-                }
-            }
-            if w <= cap + 1e-12 && v > best {
-                best = v;
-            }
-        }
-
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let vars: Vec<VarId> = (0..n)
-            .map(|i| lp.add_var(&format!("x{i}"), 0.0, 1.0, values[i]))
-            .collect();
-        let terms: Vec<(VarId, f64)> =
-            vars.iter().enumerate().map(|(i, &v)| (v, weights[i])).collect();
-        lp.add_constraint(&terms, Cmp::Le, cap);
-        let sol = solve_milp(&lp, &vars, &MilpOptions::default()).unwrap();
-
-        prop_assert!((sol.objective - best).abs() < 1e-5,
-            "milp {} vs brute force {}", sol.objective, best);
-        for &v in &sol.values {
-            prop_assert!(v.abs() < 1e-6 || (v - 1.0).abs() < 1e-6);
-        }
-    }
-
-    /// Wave-batched branch-and-bound is bit-identical under every thread
-    /// count: node waves are a pure function of the tree, workers only
-    /// change which core solves a node, and stats merge in node order —
-    /// so values, objective, and every `SolveStats` counter must match
-    /// the serial run exactly.
-    #[test]
-    fn milp_waves_parallel_matches_serial(
-        n in 2usize..10,
-        values in proptest::collection::vec(0.5f64..10.0, 10),
-        weights in proptest::collection::vec(0.5f64..5.0, 10),
-        cap_frac in 0.1f64..0.9,
-    ) {
-        let values = &values[..n];
-        let weights = &weights[..n];
-        let cap = cap_frac * weights.iter().sum::<f64>();
-
-        let mut lp = LpProblem::new(Sense::Maximize);
-        let vars: Vec<VarId> = (0..n)
-            .map(|i| lp.add_var(&format!("x{i}"), 0.0, 1.0, values[i]))
-            .collect();
-        let terms: Vec<(VarId, f64)> =
-            vars.iter().enumerate().map(|(i, &v)| (v, weights[i])).collect();
-        lp.add_constraint(&terms, Cmp::Le, cap);
-
-        for warm in [true, false] {
-            let opts = MilpOptions { warm_start: warm, ..MilpOptions::default() };
-            let base = gavel_par::with_threads(1, || solve_milp(&lp, &vars, &opts)).unwrap();
-            for threads in [2usize, 4, 7] {
-                let got =
-                    gavel_par::with_threads(threads, || solve_milp(&lp, &vars, &opts)).unwrap();
-                prop_assert!(
-                    got.objective.to_bits() == base.objective.to_bits(),
-                    "objective diverged at threads={threads} warm={warm}"
-                );
-                for (a, b) in base.values.iter().zip(&got.values) {
-                    prop_assert!(
-                        a.to_bits() == b.to_bits(),
-                        "value diverged at threads={threads} warm={warm}: {a} vs {b}"
-                    );
-                }
-                prop_assert_eq!(
-                    base.stats, got.stats,
-                    "stats diverged at threads={} warm={}", threads, warm
-                );
-            }
-        }
     }
 
     /// Feasibility invariant: any optimal solution satisfies all constraints

@@ -10,7 +10,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] | Jobs, clusters, combos, throughput tensors, allocations, the [`core::Policy`] trait |
-//! | [`solver`] | From-scratch LP/MILP toolkit (simplex, Charnes–Cooper, branch-and-bound) |
+//! | [`solver`] | From-scratch LP toolkit (revised simplex, prepared LPs, Charnes–Cooper, bisection) |
 //! | [`policies`] | All Table 1 policies plus AlloX/Gandiva/Tiresias-style baselines |
 //! | [`sched`] | The round-based scheduling mechanism and placement |
 //! | [`workloads`] | Table 2 model zoo, synthetic throughput oracle, trace generators |
