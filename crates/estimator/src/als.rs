@@ -152,8 +152,8 @@ fn solve_spd(a: &mut [Vec<f64>], b: &mut [f64]) {
     let n = b.len();
     for col in 0..n {
         let pivot = (col..n)
-            .max_by(|&x, &y| a[x][col].abs().partial_cmp(&a[y][col].abs()).unwrap())
-            .unwrap();
+            .max_by(|&x, &y| a[x][col].abs().total_cmp(&a[y][col].abs()))
+            .unwrap_or(col);
         a.swap(col, pivot);
         b.swap(col, pivot);
         let p = a[col][col];
@@ -236,6 +236,13 @@ mod tests {
         let pred = mc.complete(&masked);
         let rmse = MatrixCompletion::observed_rmse(&masked, &pred);
         assert!(rmse < 0.05, "observed RMSE {rmse}");
+    }
+
+    #[test]
+    fn a_nan_pivot_candidate_does_not_panic() {
+        let mut a = vec![vec![f64::NAN, 1.0], vec![1.0, 2.0]];
+        let mut b = vec![1.0, 1.0];
+        solve_spd(&mut a, &mut b);
     }
 
     #[test]

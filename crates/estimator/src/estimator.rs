@@ -93,9 +93,9 @@ impl ThroughputEstimator {
         let matched = (0..r)
             .min_by(|&a, &b| {
                 euclidean(&self.reference[a], fingerprint)
-                    .partial_cmp(&euclidean(&self.reference[b], fingerprint))
-                    .unwrap()
+                    .total_cmp(&euclidean(&self.reference[b], fingerprint))
             })
+            // `new` refuses an empty reference set, so `0..r` has an item.
             .expect("non-empty reference set");
 
         // Initial estimate: the matched reference row, overridden by any
@@ -180,6 +180,13 @@ mod tests {
         assert!((row[0] - 0.74).abs() < 1e-9);
         assert!((row[1] - 0.56).abs() < 1e-9);
         assert!((row[2] - 0.40).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_nan_profile_does_not_panic() {
+        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let matched = est.register_job(9, &[Some(f64::NAN), Some(0.7), None]);
+        assert!(matched < reference().len());
     }
 
     #[test]

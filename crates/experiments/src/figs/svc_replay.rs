@@ -123,7 +123,7 @@ pub fn run(scale: Scale) {
 
     // Replay the serialized log against a fresh service: bit-identical or
     // bust.
-    let replayed = replay(&policy, &cfg, &service, &log);
+    let replayed = replay(&policy, &cfg, &service, &log).expect("logged commands replay");
     assert_eq!(
         result_fingerprint(&live),
         result_fingerprint(&replayed),

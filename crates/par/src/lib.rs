@@ -120,6 +120,8 @@ pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -
     }
     results
         .into_iter()
+        // Every index below `n` was claimed by a worker, and a worker that
+        // panicked re-raised above, so every slot is filled.
         .map(|r| r.expect("every index visited"))
         .collect()
 }

@@ -160,6 +160,7 @@ impl Policy for ShortestJobFirst {
                 da.total_cmp(&db).then(ma.cmp(mb))
             })
             .map(|(m, _)| m)
+            // An empty job list returned the empty allocation above.
             .expect("non-empty jobs");
 
         let alp = AllocLp::new(input, Sense::Maximize);

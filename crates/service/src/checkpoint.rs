@@ -18,23 +18,22 @@
 //!   recovery replays the embedded prefix and verifies it lands on
 //!   exactly this value before trusting the checkpoint.
 //!
-//! The serialized form is line-oriented text with a trailing CRC32 over
-//! the whole preamble + embedded log, so a torn or bit-flipped checkpoint
-//! is *detected* ([`CheckpointError`]) rather than silently replayed.
+//! A checkpoint image is a stream in the WAL's format ([`crate::wal`])
+//! holding one frame: its `seq` is `covered_seq`, and its payload is the
+//! line `checkpoint config=0x… state=0x…` followed by the embedded log
+//! text. The frame's CRC makes a torn or bit-flipped checkpoint
+//! *detected* ([`WalError`]) rather than silently replayed.
 //! Checkpoints reach storage through a [`CheckpointStore`]:
 //! [`MemoryCheckpointStore`] for tests, [`FileCheckpointStore`] for real
-//! runs (write-to-temp + atomic rename, so a crash mid-save leaves the
-//! previous checkpoint intact).
+//! runs (write-to-temp + rename).
 
+use crate::command::Line;
 use crate::config::SimConfig;
 use crate::core::ServiceConfig;
-use crate::wal::crc32;
+use crate::wal::{push_frame, scan_wal, stream_header, WalError};
 
-/// Checkpoint text header magic (first line prefix).
-pub const CHECKPOINT_MAGIC: &str = "gavel-checkpoint";
-
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The checkpoint stores' error: the crate's one persistence error type.
+pub type CheckpointError = WalError;
 
 /// Fingerprint of the full run configuration: FNV-1a over the policy
 /// name and the `Debug` forms of [`SimConfig`] and [`ServiceConfig`].
@@ -67,128 +66,46 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes to the checked text form.
+    /// Serializes to a one-frame stream image.
     pub fn serialize(&self) -> Vec<u8> {
-        let preamble = format!(
-            "{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}\n\
-             config=0x{:016x}\n\
-             covered_seq={}\n\
-             state=0x{:016x}\n\
-             log_bytes={}\n",
-            self.config_fingerprint,
-            self.covered_seq,
-            self.state_fingerprint,
-            self.log_text.len(),
+        let payload = format!(
+            "checkpoint config=0x{:016x} state=0x{:016x}\n{}",
+            self.config_fingerprint, self.state_fingerprint, self.log_text
         );
-        let mut body = Vec::with_capacity(preamble.len() + self.log_text.len() + 16);
-        body.extend_from_slice(preamble.as_bytes());
-        body.extend_from_slice(self.log_text.as_bytes());
-        let crc = crc32(&body);
-        body.extend_from_slice(format!("\ncrc=0x{crc:08x}\n").as_bytes());
-        body
+        let mut image = stream_header();
+        push_frame(&mut image, self.covered_seq, payload.as_bytes());
+        image
     }
 
-    /// Parses the text form. Any damage — truncation, bit flips, a
-    /// foreign file — returns `Err`; this never panics and never returns
-    /// a checkpoint whose CRC did not verify.
-    pub fn parse(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let malformed = |msg: &str| CheckpointError::Malformed(msg.to_string());
-        let text = std::str::from_utf8(bytes).map_err(|_| malformed("not UTF-8"))?;
-        // The CRC trailer is the last non-empty line.
-        let trimmed = text.trim_end_matches('\n');
-        let (body_text, crc_line) = trimmed
-            .rsplit_once('\n')
-            .ok_or_else(|| malformed("missing crc trailer"))?;
-        let crc_hex = crc_line
-            .strip_prefix("crc=0x")
-            .ok_or_else(|| malformed("missing crc trailer"))?;
-        let expected_crc =
-            u32::from_str_radix(crc_hex, 16).map_err(|_| malformed("bad crc trailer"))?;
-        if crc32(body_text.as_bytes()) != expected_crc {
-            return Err(CheckpointError::ChecksumMismatch);
+    /// Parses a one-frame stream image. Any damage — truncation, bit
+    /// flips, a foreign file, a WAL — returns `Err`; this never panics
+    /// and never returns a checkpoint whose CRC did not verify.
+    pub fn parse(bytes: &[u8]) -> Result<Checkpoint, WalError> {
+        let bad = |detail: String| WalError::BadCheckpoint(detail);
+        let mut scan = scan_wal(bytes)?;
+        if let Some(torn) = scan.torn {
+            return Err(bad(format!("{} at byte {}", torn.reason, torn.offset)));
         }
-
-        let mut lines = body_text.splitn(5, '\n');
-        let header = lines.next().ok_or_else(|| malformed("empty"))?;
-        let version = header
-            .strip_prefix(CHECKPOINT_MAGIC)
-            .and_then(|rest| rest.trim().strip_prefix('v'))
-            .ok_or(CheckpointError::BadMagic)?
-            .parse::<u32>()
-            .map_err(|_| malformed("bad header version"))?;
-        if version == 0 || version > CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
+        if scan.records.len() != 1 {
+            return Err(bad(format!("{} frames, not one", scan.records.len())));
         }
-        let field = |line: Option<&str>, key: &str| -> Result<String, CheckpointError> {
-            line.and_then(|l| l.strip_prefix(key))
-                .and_then(|l| l.strip_prefix('='))
-                .map(str::to_string)
-                .ok_or_else(|| malformed(&format!("missing field `{key}`")))
-        };
-        let config_hex = field(lines.next(), "config")?;
-        let covered = field(lines.next(), "covered_seq")?;
-        let state_hex = field(lines.next(), "state")?;
-        let tail = lines.next().ok_or_else(|| malformed("missing log"))?;
-        let (log_bytes_line, log_text) = tail
-            .split_once('\n')
-            .map(|(a, b)| (a, b.to_string()))
-            .unwrap_or((tail, String::new()));
-        let log_bytes: usize = log_bytes_line
-            .strip_prefix("log_bytes=")
-            .ok_or_else(|| malformed("missing field `log_bytes`"))?
-            .parse()
-            .map_err(|_| malformed("bad log_bytes"))?;
-        if log_text.len() != log_bytes {
-            return Err(malformed("log length mismatch"));
+        let frame = scan.records.remove(0);
+        let mut text =
+            String::from_utf8(frame.payload).map_err(|_| bad("payload is not UTF-8".into()))?;
+        let first_line_len = text.find('\n').ok_or_else(|| bad("no log text".into()))?;
+        let line = Line::parse(&text[..first_line_len]).map_err(|e| bad(e.0))?;
+        if line.verb != "checkpoint" {
+            return Err(bad(line.err("not a checkpoint line").0));
         }
-        let parse_hex_u64 = |s: &str, what: &str| {
-            s.strip_prefix("0x")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| malformed(&format!("bad {what}")))
-        };
+        let config_fingerprint = line.bits("config").map_err(|e| bad(e.0))?;
+        let state_fingerprint = line.bits("state").map_err(|e| bad(e.0))?;
+        text.drain(..=first_line_len);
         Ok(Checkpoint {
-            config_fingerprint: parse_hex_u64(&config_hex, "config fingerprint")?,
-            covered_seq: covered.parse().map_err(|_| malformed("bad covered_seq"))?,
-            state_fingerprint: parse_hex_u64(&state_hex, "state fingerprint")?,
-            log_text,
+            config_fingerprint,
+            covered_seq: frame.seq,
+            state_fingerprint,
+            log_text: text,
         })
-    }
-}
-
-/// A checkpoint that could not be read back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// Storage failed.
-    Io(String),
-    /// The bytes do not open with the checkpoint magic.
-    BadMagic,
-    /// The format version is newer than this build reads.
-    UnsupportedVersion(u32),
-    /// The CRC trailer did not verify — torn or corrupted capture.
-    ChecksumMismatch,
-    /// Structurally broken text (with detail).
-    Malformed(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
-            CheckpointError::BadMagic => write!(f, "not a gavel checkpoint (bad magic)"),
-            CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v}")
-            }
-            CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
-            CheckpointError::Malformed(m) => write!(f, "malformed checkpoint: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e.to_string())
     }
 }
 
@@ -196,9 +113,9 @@ impl From<std::io::Error> for CheckpointError {
 /// the latest; saving replaces it atomically (or not at all).
 pub trait CheckpointStore {
     /// Replaces the stored checkpoint.
-    fn save(&mut self, bytes: &[u8]) -> Result<(), CheckpointError>;
+    fn save(&mut self, bytes: &[u8]) -> Result<(), WalError>;
     /// Reads the stored checkpoint, `None` if none was ever saved.
-    fn load(&self) -> Result<Option<Vec<u8>>, CheckpointError>;
+    fn load(&self) -> Result<Option<Vec<u8>>, WalError>;
 }
 
 /// In-memory store for tests and crash harnesses.
@@ -220,19 +137,22 @@ impl MemoryCheckpointStore {
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
-    fn save(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         self.bytes = Some(bytes.to_vec());
         Ok(())
     }
 
-    fn load(&self) -> Result<Option<Vec<u8>>, CheckpointError> {
+    fn load(&self) -> Result<Option<Vec<u8>>, WalError> {
         Ok(self.bytes.clone())
     }
 }
 
 /// File-backed store: saves write a sibling temp file and rename it into
-/// place, so a crash mid-save can only ever leave the *previous*
-/// checkpoint behind, never a half-written one.
+/// place, so a process crash mid-save can only ever leave the *previous*
+/// checkpoint behind, never a half-written one. Neither the temp file nor
+/// the directory is `fsync`ed, so after a power loss the rename may be
+/// lost or the renamed file incomplete; [`Checkpoint::parse`] detects the
+/// latter.
 #[derive(Debug, Clone)]
 pub struct FileCheckpointStore {
     path: std::path::PathBuf,
@@ -246,14 +166,14 @@ impl FileCheckpointStore {
 }
 
 impl CheckpointStore for FileCheckpointStore {
-    fn save(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), WalError> {
         let tmp = self.path.with_extension("tmp");
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, &self.path)?;
         Ok(())
     }
 
-    fn load(&self) -> Result<Option<Vec<u8>>, CheckpointError> {
+    fn load(&self) -> Result<Option<Vec<u8>>, WalError> {
         match std::fs::read(&self.path) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
@@ -296,27 +216,23 @@ mod tests {
     #[test]
     fn damage_is_detected_never_panics() {
         let bytes = sample().serialize();
-        // Dropping only the final newline is tolerated...
-        assert!(Checkpoint::parse(&bytes[..bytes.len() - 1]).is_ok());
-        // ...every real truncation fails cleanly.
-        for cut in 0..bytes.len() - 1 {
+        // Every truncation fails cleanly...
+        for cut in 0..bytes.len() {
             assert!(Checkpoint::parse(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        // Every single-byte flip either fails cleanly or parses to the
-        // identical checkpoint (a case flip inside the crc hex digits
-        // changes bytes but not the value) — never a silently different
-        // one.
+        // ...and so does every single-byte flip: the frame's CRC covers
+        // everything past the stream header, which has no spare bits.
         for pos in 0..bytes.len() {
             let mut img = bytes.clone();
             img[pos] ^= 0x20;
-            match Checkpoint::parse(&img) {
-                Err(_) => {}
-                Ok(parsed) => assert_eq!(parsed, sample(), "silent corruption at {pos}"),
-            }
+            assert!(
+                Checkpoint::parse(&img).is_err(),
+                "silent corruption at {pos}"
+            );
         }
         assert_eq!(
-            Checkpoint::parse(b"something else entirely\ncrc=0x00000000\n"),
-            Err(CheckpointError::ChecksumMismatch),
+            Checkpoint::parse(b"something else entirely"),
+            Err(WalError::BadMagic),
         );
     }
 

@@ -1,27 +1,27 @@
-//! The service command protocol and the replayable submission log.
+//! The service command protocol, the submission log, and the one line
+//! grammar everything persisted is written in.
 //!
 //! Every interaction with [`crate::SchedulerService`] is a [`Command`].
 //! Commands the service *accepts* are appended, in application order, to a
 //! [`SubmissionLog`]; because the service is deterministic given its
-//! configuration and the ordered command stream, [`replay`] of that log
-//! reconstructs the run bit-exactly — same state fingerprint, same
-//! [`crate::SimResult`]. The log serializes to a line-oriented text form
-//! with `f64` payloads as IEEE-754 bit patterns, so a round trip through
-//! text never perturbs a single bit.
+//! configuration and the ordered command stream, [`crate::replay`] of that
+//! log reconstructs the run bit-exactly — same state fingerprint, same
+//! [`crate::SimResult`].
 //!
-//! The text form is versioned: the header line carries the format version
+//! Every record this crate persists is one line of text,
+//! `verb key=value ...`, with `f64` payloads as IEEE-754 bit patterns, so
+//! a round trip never perturbs a single bit. The verbs are the seven
+//! commands' ([`Command::fmt_line`]); `reject`, a failed command's tally
+//! entry in the write-ahead log ([`crate::wal`]); the submission log's
+//! `rejected` / `rejected-entity` tally lines; and a checkpoint's
+//! `checkpoint` line ([`crate::checkpoint`]). The submission log's text
+//! form is versioned: its header line carries the format version
 //! ([`SubmissionLog::version`]), and [`SubmissionLog::parse`] accepts
 //! every known version (v1 = the original form, v2 adds the
-//! invalid-command tally). Individual command lines are the shared
-//! serialization unit — [`Command::fmt_line`] / [`Command::parse_line`]
-//! are reused verbatim as the payloads of the binary write-ahead log
-//! ([`crate::wal`]), so the text log and the WAL can never drift apart.
+//! invalid-command tally).
 
-use crate::config::SimConfig;
-use crate::core::{SchedulerService, ServiceConfig};
 use crate::error::ServiceError;
-use crate::metrics::SimResult;
-use gavel_core::{JobId, Policy};
+use gavel_core::JobId;
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -109,64 +109,134 @@ impl Command {
 
     /// Parses one command line produced by [`Command::fmt_line`].
     pub fn parse_line(line: &str) -> Result<Command, LogParseError> {
-        let line = line.trim();
-        let err = |msg: &str| LogParseError(format!("{msg}: {line:?}"));
-        let mut parts = line.split_whitespace();
-        let Some(verb) = parts.next() else {
-            return Err(err("empty command line"));
-        };
-        let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
-        for part in parts {
-            let (k, v) = part
-                .split_once('=')
-                .ok_or_else(|| err("expected key=value"))?;
-            fields.insert(k, v);
+        Command::from_line(&Line::parse(line)?)
+    }
+
+    fn from_line(line: &Line<'_>) -> Result<Command, LogParseError> {
+        match Entry::from_line(line)? {
+            Entry::Accepted(cmd) => Ok(cmd),
+            Entry::Failed(_) => Err(line.err("not a command")),
         }
-        let get = |k: &str| {
-            fields
-                .get(k)
-                .copied()
-                .ok_or_else(|| err(&format!("missing field `{k}`")))
-        };
-        match verb {
+    }
+}
+
+/// What one command left in the write-ahead log: the command, if the
+/// service accepted it, or its tally entry if not.
+#[derive(Debug, Clone)]
+pub(crate) enum Entry {
+    /// An accepted command (its [`Command::fmt_line`]).
+    Accepted(Command),
+    /// A failed command (its [`Failure::fmt_line`]).
+    Failed(Failure),
+}
+
+impl Entry {
+    /// Parses one WAL payload.
+    pub(crate) fn parse(payload: &[u8]) -> Result<Entry, LogParseError> {
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| LogParseError("payload is not UTF-8".into()))?;
+        Entry::from_line(&Line::parse(text)?)
+    }
+
+    fn from_line(line: &Line<'_>) -> Result<Entry, LogParseError> {
+        let cmd = match line.verb {
             "submit" => {
-                let family = parse_family(get("family")?, &err)?;
-                let batch: u32 = parse_num(get("batch")?, &err)?;
-                let config = JobConfig::try_new(family, batch)
-                    .ok_or_else(|| err("batch size not in Table 2"))?;
-                Ok(Command::Submit {
+                let family = line.get("family")?;
+                let family = ModelFamily::all()
+                    .iter()
+                    .copied()
+                    .find(|f| format!("{f:?}") == family)
+                    .ok_or_else(|| line.err("unknown model family"))?;
+                let config = JobConfig::try_new(family, line.num("batch")?)
+                    .ok_or_else(|| line.err("batch size not in Table 2"))?;
+                Command::Submit {
                     job: TraceJob {
-                        id: JobId(parse_num(get("id")?, &err)?),
+                        id: JobId(line.num("id")?),
                         config,
-                        arrival_time: parse_f64_hex(get("arrival")?, &err)?,
-                        scale_factor: parse_num(get("scale")?, &err)?,
-                        total_steps: parse_f64_hex(get("steps")?, &err)?,
-                        duration_seconds: parse_f64_hex(get("duration")?, &err)?,
-                        weight: parse_f64_hex(get("weight")?, &err)?,
-                        slo_factor: match get("slo")? {
+                        arrival_time: line.f64("arrival")?,
+                        scale_factor: line.num("scale")?,
+                        total_steps: line.f64("steps")?,
+                        duration_seconds: line.f64("duration")?,
+                        weight: line.f64("weight")?,
+                        slo_factor: match line.get("slo")? {
                             "-" => None,
-                            s => Some(parse_f64_hex(s, &err)?),
+                            _ => Some(line.f64("slo")?),
                         },
-                        entity: parse_opt_u32(get("entity")?, &err)?.map(|e| e as usize),
+                        entity: line.opt_u32("entity")?.map(|e| e as usize),
                     },
-                })
+                }
             }
-            "complete" => Ok(Command::Complete {
-                job: JobId(parse_num(get("job")?, &err)?),
-            }),
-            "cancel" => Ok(Command::Cancel {
-                job: JobId(parse_num(get("job")?, &err)?),
-            }),
-            "advance" => Ok(Command::AdvanceTo {
-                seconds: parse_f64_hex(get("t")?, &err)?,
-            }),
-            "query" => Ok(Command::QueryAllocation),
-            "inject-failure" => Ok(Command::InjectFailure),
-            "inject-repair" => Ok(Command::InjectRepair {
-                accel: parse_num(get("accel")?, &err)?,
-            }),
-            _ => Err(err("unknown verb")),
+            "complete" => Command::Complete {
+                job: JobId(line.num("job")?),
+            },
+            "cancel" => Command::Cancel {
+                job: JobId(line.num("job")?),
+            },
+            "advance" => Command::AdvanceTo {
+                seconds: line.f64("t")?,
+            },
+            "query" => Command::QueryAllocation,
+            "inject-failure" => Command::InjectFailure,
+            "inject-repair" => Command::InjectRepair {
+                accel: line.num("accel")?,
+            },
+            "reject" => {
+                let kind = line.get("kind")?;
+                let (rejection, _) = FAILURE_KINDS
+                    .iter()
+                    .find(|(_, name)| *name == kind)
+                    .ok_or_else(|| line.err("unknown rejection kind"))?;
+                return Ok(Entry::Failed(Failure {
+                    rejection: *rejection,
+                    entity: line.opt_u32("entity")?,
+                }));
+            }
+            _ => return Err(line.err("unknown verb")),
+        };
+        Ok(Entry::Accepted(cmd))
+    }
+}
+
+/// A failed command as the stream records it: what its tally needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Failure {
+    /// The rule that refused it; `None` if its payload failed validation.
+    pub(crate) rejection: Option<Rejection>,
+    /// The submitting entity, for a submit.
+    pub(crate) entity: Option<u32>,
+}
+
+/// The `kind` names of a `reject` line; `None` is a command whose payload
+/// failed validation.
+const FAILURE_KINDS: [(Option<Rejection>, &str); 6] = [
+    (Some(Rejection::DuplicateJob), "duplicate-job"),
+    (Some(Rejection::EntityCapExceeded), "entity-cap"),
+    (Some(Rejection::UnknownJob), "unknown-job"),
+    (Some(Rejection::NoFailureModel), "no-failure-model"),
+    (Some(Rejection::NothingToRepair), "nothing-to-repair"),
+    (None, "invalid"),
+];
+
+impl Failure {
+    /// How `cmd` failed with `err`.
+    pub(crate) fn new(cmd: &Command, err: &ServiceError) -> Failure {
+        let entity = match cmd {
+            Command::Submit { job } => job.entity.map(|e| e as u32),
+            _ => None,
+        };
+        Failure {
+            rejection: err.rejection(),
+            entity,
         }
+    }
+
+    /// Serializes as a `reject` line (no trailing newline).
+    pub(crate) fn fmt_line(&self) -> String {
+        let kind = FAILURE_KINDS
+            .iter()
+            .find(|(rejection, _)| *rejection == self.rejection)
+            .map_or("invalid", |(_, name)| name);
+        format!("reject kind={kind} entity={}", fmt_opt_u32(self.entity))
     }
 }
 
@@ -203,9 +273,9 @@ impl std::fmt::Display for Rejection {
 }
 
 /// Tallies of commands that failed, observed live. Failed commands are
-/// absent from the log body, so [`replay`] seeds these into the
-/// reconstructed service to keep the replayed [`SimResult`] bit-identical,
-/// rejection counters included.
+/// absent from the log body, so [`crate::replay`] seeds these into the
+/// reconstructed service to keep the replayed [`crate::SimResult`]
+/// bit-identical, rejection counters included.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RejectionTally {
     /// Total commands that failed (rejections plus invalid commands).
@@ -216,21 +286,6 @@ pub struct RejectionTally {
     pub admission_cap: usize,
     /// Cap-bounced submits per entity (`None` = entity-less submits).
     pub per_entity_cap: BTreeMap<Option<u32>, usize>,
-}
-
-impl RejectionTally {
-    /// Records one failed command into the tallies.
-    pub(crate) fn record(&mut self, err: &ServiceError, entity: Option<u32>) {
-        self.commands += 1;
-        match err {
-            ServiceError::Invalid(_) => self.invalid += 1,
-            ServiceError::Rejected(Rejection::EntityCapExceeded) => {
-                self.admission_cap += 1;
-                *self.per_entity_cap.entry(entity).or_insert(0) += 1;
-            }
-            ServiceError::Rejected(_) => {}
-        }
-    }
 }
 
 /// The ordered record of every accepted command, plus rejection tallies.
@@ -288,27 +343,34 @@ impl SubmissionLog {
         self.rejections = tally;
     }
 
-    pub(crate) fn record_rejection(&mut self, err: &ServiceError, entity: Option<u32>) {
-        self.rejections.record(err, entity);
+    /// Tallies one failed command.
+    pub(crate) fn record_failure(&mut self, failure: Failure) {
+        let tally = &mut self.rejections;
+        tally.commands += 1;
+        match failure.rejection {
+            None => tally.invalid += 1,
+            Some(Rejection::EntityCapExceeded) => {
+                tally.admission_cap += 1;
+                *tally.per_entity_cap.entry(failure.entity).or_insert(0) += 1;
+            }
+            Some(_) => {}
+        }
     }
 
     /// Serializes to the line-oriented text form, at this log's
     /// [`SubmissionLog::version`].
     pub fn serialize(&self) -> String {
         let mut out = format!("gavel-submission-log v{}\n", self.version);
+        let tally = &self.rejections;
+        let _ = write!(
+            out,
+            "rejected commands={} cap={}",
+            tally.commands, tally.admission_cap
+        );
         if self.version >= 2 {
-            let _ = writeln!(
-                out,
-                "rejected commands={} cap={} invalid={}",
-                self.rejections.commands, self.rejections.admission_cap, self.rejections.invalid
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "rejected commands={} cap={}",
-                self.rejections.commands, self.rejections.admission_cap
-            );
+            let _ = write!(out, " invalid={}", tally.invalid);
         }
+        out.push('\n');
         for (entity, n) in &self.rejections.per_entity_cap {
             let _ = writeln!(
                 out,
@@ -324,109 +386,56 @@ impl SubmissionLog {
     }
 
     /// Parses the text form produced by [`SubmissionLog::serialize`].
-    /// Malformed input of any shape returns `Err` — never panics.
+    /// Malformed input of any shape returns `Err`, naming the first bad
+    /// line — never panics.
     pub fn parse(text: &str) -> Result<Self, LogParseError> {
-        let (log, rest) = Self::parse_inner(text)?;
-        match rest {
-            None => Ok(log),
-            Some(err) => Err(err),
-        }
-    }
-
-    /// Parses the longest valid prefix of a (possibly truncated or
-    /// corrupted) log text: every well-formed leading line is kept, and
-    /// the first malformed line — if any — is reported alongside. The
-    /// returned log serializes to a log that parses cleanly, so a torn
-    /// text log recovers to its last valid prefix instead of being lost.
-    ///
-    /// A text whose header line is unusable has no valid prefix: the
-    /// returned log is empty and the error says why.
-    pub fn parse_prefix(text: &str) -> (Self, Option<LogParseError>) {
-        match Self::parse_inner(text) {
-            Ok((log, err)) => (log, err),
-            Err(err) => (SubmissionLog::default(), Some(err)),
-        }
-    }
-
-    /// Shared parser: a hard `Err` means the header was unusable (no
-    /// valid prefix exists); otherwise returns everything parsed up to
-    /// the first malformed line, plus that line's error if any.
-    fn parse_inner(text: &str) -> Result<(Self, Option<LogParseError>), LogParseError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| LogParseError("empty log".into()))?;
-        let version = match header.trim().strip_prefix("gavel-submission-log v") {
-            Some(v) => v
-                .parse::<u32>()
-                .map_err(|_| LogParseError(format!("bad header version: {header:?}")))?,
-            None => return Err(LogParseError(format!("bad header: {header:?}"))),
-        };
-        if version == 0 || version > LOG_VERSION {
-            return Err(LogParseError(format!(
-                "unsupported log version {version} (this build reads 1..={LOG_VERSION})"
-            )));
-        }
+        let mut lines = text.lines();
+        let header = lines.next().unwrap_or_default().trim();
+        let version = header
+            .strip_prefix("gavel-submission-log v")
+            .and_then(|v| v.parse().ok())
+            .filter(|v| (1..=LOG_VERSION).contains(v))
+            .ok_or_else(|| {
+                LogParseError(format!(
+                    "bad or unsupported header {header:?} (this build reads v1..=v{LOG_VERSION})"
+                ))
+            })?;
         let mut log = SubmissionLog {
             version,
             ..SubmissionLog::default()
         };
-        for (lineno, line) in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let with_line =
-                |e: LogParseError| Some(LogParseError(format!("line {}: {}", lineno + 1, e.0)));
-            let err = |msg: &str| LogParseError(format!("{msg}: {line:?}"));
-            let mut parts = line.split_whitespace();
-            let Some(verb) = parts.next() else { continue };
-            match verb {
-                "rejected" | "rejected-entity" => {
-                    let mut fields: BTreeMap<&str, &str> = BTreeMap::new();
-                    for part in parts {
-                        let Some((k, v)) = part.split_once('=') else {
-                            return Ok((log, with_line(err("expected key=value"))));
-                        };
-                        fields.insert(k, v);
-                    }
-                    let get = |k: &str| {
-                        fields
-                            .get(k)
-                            .copied()
-                            .ok_or_else(|| err(&format!("missing field `{k}`")))
-                    };
-                    let parsed: Result<(), LogParseError> = (|| {
-                        if verb == "rejected" {
-                            log.rejections.commands = parse_num(get("commands")?, &err)?;
-                            log.rejections.admission_cap = parse_num(get("cap")?, &err)?;
-                            log.rejections.invalid = if version >= 2 {
-                                parse_num(get("invalid")?, &err)?
-                            } else {
-                                0
-                            };
-                        } else {
-                            let entity = parse_opt_u32(get("entity")?, &err)?;
-                            let n = parse_num(get("cap")?, &err)?;
-                            log.rejections.per_entity_cap.insert(entity, n);
-                        }
-                        Ok(())
-                    })();
-                    if let Err(e) = parsed {
-                        return Ok((log, with_line(e)));
-                    }
-                }
-                _ => match Command::parse_line(line) {
-                    Ok(cmd) => log.commands.push(cmd),
-                    Err(e) => return Ok((log, with_line(e))),
-                },
+        for (i, line) in lines.enumerate() {
+            if !line.trim().is_empty() {
+                log.parse_line(line)
+                    .map_err(|e| LogParseError(format!("line {}: {}", i + 2, e.0)))?;
             }
         }
-        Ok((log, None))
+        Ok(log)
+    }
+
+    fn parse_line(&mut self, text: &str) -> Result<(), LogParseError> {
+        let line = Line::parse(text)?;
+        let tally = &mut self.rejections;
+        match line.verb {
+            "rejected" => {
+                tally.commands = line.num("commands")?;
+                tally.admission_cap = line.num("cap")?;
+                if self.version >= 2 {
+                    tally.invalid = line.num("invalid")?;
+                }
+            }
+            "rejected-entity" => {
+                tally
+                    .per_entity_cap
+                    .insert(line.opt_u32("entity")?, line.num("cap")?);
+            }
+            _ => self.commands.push(Command::from_line(&line)?),
+        }
+        Ok(())
     }
 }
 
-/// A malformed submission-log text.
+/// A malformed line of persisted text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogParseError(pub String);
 
@@ -438,6 +447,71 @@ impl std::fmt::Display for LogParseError {
 
 impl std::error::Error for LogParseError {}
 
+/// One persisted line, `verb key=value ...`: the grammar every record
+/// this crate writes shares.
+pub(crate) struct Line<'a> {
+    text: &'a str,
+    pub(crate) verb: &'a str,
+    fields: BTreeMap<&'a str, &'a str>,
+}
+
+impl<'a> Line<'a> {
+    pub(crate) fn parse(text: &'a str) -> Result<Self, LogParseError> {
+        let text = text.trim();
+        let mut parts = text.split_whitespace();
+        let verb = parts
+            .next()
+            .ok_or_else(|| LogParseError("empty line".into()))?;
+        let mut line = Line {
+            text,
+            verb,
+            fields: BTreeMap::new(),
+        };
+        for part in parts {
+            let (k, v) = part
+                .split_once('=')
+                .ok_or_else(|| line.err("expected key=value"))?;
+            line.fields.insert(k, v);
+        }
+        Ok(line)
+    }
+
+    /// A parse error quoting this line.
+    pub(crate) fn err(&self, msg: &str) -> LogParseError {
+        LogParseError(format!("{msg}: {:?}", self.text))
+    }
+
+    fn get(&self, key: &str) -> Result<&'a str, LogParseError> {
+        self.fields
+            .get(key)
+            .copied()
+            .ok_or_else(|| self.err(&format!("missing field `{key}`")))
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, LogParseError> {
+        self.get(key)?.parse().map_err(|_| self.err("bad number"))
+    }
+
+    /// A `0x`-prefixed hex field: an `f64`'s bit pattern or a fingerprint.
+    pub(crate) fn bits(&self, key: &str) -> Result<u64, LogParseError> {
+        self.get(key)?
+            .strip_prefix("0x")
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| self.err("bad 0x-prefixed bits"))
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, LogParseError> {
+        self.bits(key).map(f64::from_bits)
+    }
+
+    fn opt_u32(&self, key: &str) -> Result<Option<u32>, LogParseError> {
+        match self.get(key)? {
+            "-" => Ok(None),
+            _ => self.num(key).map(Some),
+        }
+    }
+}
+
 fn f64_hex(v: f64) -> String {
     format!("0x{:016x}", v.to_bits())
 }
@@ -446,58 +520,42 @@ fn fmt_opt_u32(v: Option<u32>) -> String {
     v.map_or("-".into(), |e| e.to_string())
 }
 
-fn parse_f64_hex(s: &str, err: &impl Fn(&str) -> LogParseError) -> Result<f64, LogParseError> {
-    let hex = s
-        .strip_prefix("0x")
-        .ok_or_else(|| err("f64 field must be 0x-prefixed bits"))?;
-    u64::from_str_radix(hex, 16)
-        .map(f64::from_bits)
-        .map_err(|_| err("bad f64 bits"))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn parse_num<T: std::str::FromStr>(
-    s: &str,
-    err: &impl Fn(&str) -> LogParseError,
-) -> Result<T, LogParseError> {
-    s.parse().map_err(|_| err("bad number"))
-}
-
-fn parse_opt_u32(
-    s: &str,
-    err: &impl Fn(&str) -> LogParseError,
-) -> Result<Option<u32>, LogParseError> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        parse_num(s, err).map(Some)
+    #[test]
+    fn every_failure_kind_round_trips_through_its_reject_line() {
+        for (rejection, name) in FAILURE_KINDS {
+            for entity in [None, Some(3)] {
+                let failure = Failure { rejection, entity };
+                let line = failure.fmt_line();
+                assert!(line.contains(name), "{line}");
+                match Entry::parse(line.as_bytes()) {
+                    Ok(Entry::Failed(parsed)) => assert_eq!(parsed, failure),
+                    other => panic!("{line}: {other:?}"),
+                }
+            }
+        }
     }
-}
 
-fn parse_family(
-    s: &str,
-    err: &impl Fn(&str) -> LogParseError,
-) -> Result<ModelFamily, LogParseError> {
-    ModelFamily::all()
-        .iter()
-        .copied()
-        .find(|f| format!("{f:?}") == s)
-        .ok_or_else(|| err("unknown model family"))
-}
-
-/// Replays a submission log against a fresh service, returning the
-/// reconstructed result — bit-identical to the live run that produced the
-/// log (same config, same policy).
-pub fn replay(
-    policy: &dyn Policy,
-    config: &SimConfig,
-    service: &ServiceConfig,
-    log: &SubmissionLog,
-) -> SimResult {
-    let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
-    svc.seed_rejections(log.rejections().clone());
-    for cmd in log.commands() {
-        let accepted = svc.apply(cmd).is_ok();
-        debug_assert!(accepted, "logged command rejected on replay: {cmd:?}");
+    #[test]
+    fn a_reject_line_is_not_a_command() {
+        let line = Failure {
+            rejection: None,
+            entity: None,
+        }
+        .fmt_line();
+        assert!(Command::parse_line(&line).is_err());
+        let text =
+            format!("gavel-submission-log v2\nrejected commands=0 cap=0 invalid=0\n{line}\n");
+        assert!(SubmissionLog::parse(&text).is_err());
     }
-    svc.into_result()
+
+    #[test]
+    fn a_payload_that_is_not_utf8_or_has_no_known_verb_does_not_parse() {
+        assert!(Entry::parse(b"\xff\xfe query").is_err());
+        assert!(Entry::parse(b"checkpoint config=0x0 state=0x0").is_err());
+        assert!(Entry::parse(b"").is_err());
+    }
 }

@@ -23,7 +23,7 @@
 //! admission cap ([`ServiceConfig::max_active_per_entity`]); the
 //! resulting counters surface on [`SimResult::service_stats`].
 
-use crate::command::{Command, Rejection, RejectionTally, SubmissionLog};
+use crate::command::{Command, Failure, Rejection, RejectionTally, SubmissionLog};
 use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
@@ -309,13 +309,7 @@ impl<'p> SchedulerService<'p> {
         };
         match &result {
             Ok(()) => self.log.push(cmd.clone()),
-            Err(err) => {
-                let entity = match cmd {
-                    Command::Submit { job } => job.entity.map(|e| e as u32),
-                    _ => None,
-                };
-                self.log.record_rejection(err, entity);
-            }
+            Err(err) => self.log.record_failure(Failure::new(cmd, err)),
         }
         result
     }
@@ -377,10 +371,10 @@ impl<'p> SchedulerService<'p> {
         self.log.set_rejections(tally);
     }
 
-    /// Records a rejection recovered from a WAL rejection record (the
-    /// failed command itself was never logged, only its tally entry).
-    pub(crate) fn note_recovered_rejection(&mut self, err: &ServiceError, entity: Option<u32>) {
-        self.log.record_rejection(err, entity);
+    /// Tallies a failure recovered from a WAL `reject` record (the failed
+    /// command itself was never logged, only its tally entry).
+    pub(crate) fn record_failure(&mut self, failure: Failure) {
+        self.log.record_failure(failure);
     }
 
     /// A read-only view of the current allocation (not logged — use

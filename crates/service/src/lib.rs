@@ -39,32 +39,26 @@
 //!
 //! # Durability and crash recovery
 //!
-//! The service can be wrapped in a [`DurableService`], which makes every
-//! accepted command crash-safe via a write-ahead log plus periodic
-//! checkpoints:
+//! A [`DurableService`] writes the command stream one way: every record
+//! is one line of one grammar ([`command`]), every image one stream of
+//! CRC-checked `[len][crc][seq][payload]` frames ([`wal`]).
 //!
-//! - **WAL** ([`wal`]): each command (and each *rejection*, so tallies
-//!   survive) is framed as a length-prefixed, CRC-32-checksummed,
-//!   version-tagged record behind a pluggable [`LogSink`]
-//!   ([`MemorySink`], [`FileSink`], or the fault-injecting
-//!   [`FaultSink`]). The durability contract is apply-then-append: a
-//!   command is durable once [`DurableService::apply`] returns, and a
-//!   crash mid-write loses at most the single in-flight command.
+//! - **WAL** ([`wal`]): one frame per command — its command line, or a
+//!   `reject` line so tallies survive — behind a pluggable [`LogSink`]
+//!   ([`MemorySink`], [`FileSink`], or the fault-injecting [`FaultSink`]).
+//!   Apply-then-append gives *process*-crash durability: once
+//!   [`DurableService::apply`] returns the frame is in the sink. A
+//!   [`FileSink`] is synced only after a checkpoint compaction.
 //! - **Checkpoints** ([`checkpoint`]): every `checkpoint_every` records
-//!   the service saves a [`Checkpoint`] — the serialized submission-log
-//!   prefix, a config fingerprint, the covered WAL sequence number, and
-//!   the live [`SchedulerService::state_fingerprint`] — then compacts
-//!   the WAL. The save happens *before* compaction, so a crash between
-//!   the two leaves checkpoint-covered records in the WAL; recovery
-//!   skips them by sequence number.
-//! - **Recovery** ([`recovery`]): [`recover`] parses the checkpoint
-//!   (refusing config mismatches and fingerprint divergence), replays
-//!   its embedded prefix, then scans the WAL with torn-tail tolerance —
-//!   a truncated frame, short body, bad length, checksum mismatch, or
-//!   unknown record version at the tail is classified ([`TornTail`]) and
-//!   dropped rather than misread, while damage *before* the tail is
-//!   refused. The recovered state is always a bit-exact prefix of the
-//!   uninterrupted run.
+//!   the service saves a [`Checkpoint`] — one frame holding the covered
+//!   sequence number, both fingerprints and the submission-log prefix —
+//!   then compacts the WAL; a crash between the two leaves covered
+//!   records, which recovery skips.
+//! - **Recovery** ([`recovery`]): [`recover`] verifies the checkpoint and
+//!   replays its prefix, then the WAL's intact frames, dropping a torn
+//!   tail ([`TornTail`]) and refusing every other defect; [`replay`]
+//!   shares its one replay loop. The recovered state is always a
+//!   bit-exact prefix of the uninterrupted run.
 //! - **Crash harness**: [`FaultPlan`] (kill after k appends keeping a
 //!   fraction of the last write, corrupt a byte, truncate), derived
 //!   deterministically from a seed, drives [`run_until_crash`] — the
@@ -104,9 +98,7 @@ pub use checkpoint::{
     config_fingerprint, Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore,
     MemoryCheckpointStore,
 };
-pub use command::{
-    replay, Command, LogParseError, Rejection, RejectionTally, SubmissionLog, LOG_VERSION,
-};
+pub use command::{Command, LogParseError, Rejection, RejectionTally, SubmissionLog, LOG_VERSION};
 pub use config::{FailureConfig, RecomputeCadence, SimConfig};
 pub use core::{AllocationView, SchedulerService, ServiceConfig};
 pub use error::{InvalidCommand, InvalidReason, ServiceError};
@@ -115,11 +107,10 @@ pub use metrics::{
     EntityCounters, FirstPolicyFailure, JobOutcome, PolicyFailures, ServiceStats, SimResult,
 };
 pub use recovery::{
-    recover, run_until_crash, CrashOutcome, DurableService, MemoryDurableService, RecoveryError,
-    RecoveryReport,
+    recover, replay, run_until_crash, CrashOutcome, DurableService, RecoveryError, RecoveryReport,
 };
 pub use snapshot::{SnapshotCache, SnapshotStats, CROSSCHECK_ENV};
 pub use wal::{
-    scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, RecordKind,
-    RejectionRecord, TornReason, TornTail, Wal, WalError, WalRecord, WalScan,
+    scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, TornReason, TornTail,
+    Wal, WalError, WalRecord, WalScan,
 };

@@ -1,4 +1,5 @@
-//! Crash recovery: checkpoint + WAL suffix → the service that crashed.
+//! Crash recovery and replay: checkpoint + WAL suffix → the service that
+//! crashed, and a submission log → the run that recorded it.
 //!
 //! [`recover`] rebuilds a [`SchedulerService`] from the two durable
 //! artifacts a crashed run leaves behind — the latest checkpoint (if
@@ -8,7 +9,9 @@
 //! or corrupted tail was dropped. The recovered service is bit-identical
 //! to the crashed one as of its last durable record: same
 //! [`SchedulerService::state_fingerprint`], same eventual
-//! [`crate::SimResult`].
+//! [`crate::SimResult`]. [`replay`] does the same for a submission log,
+//! through the same replay loop, which refuses a logged command the
+//! service rejects on re-application ([`RecoveryError::BadRecord`]).
 //!
 //! Trust, but verify: recovery refuses a checkpoint whose
 //! [`config_fingerprint`] does not match the configuration it was handed
@@ -23,31 +26,27 @@
 //! ([`RecoveryError::SequenceGap`]).
 //!
 //! [`DurableService`] packages the write path: every command is applied
-//! then framed to the WAL (accepted → command record, failed → rejection
-//! record, so tallies survive crashes too), with a checkpoint taken — and
-//! the WAL compacted — every `checkpoint_every` commands.
+//! then framed to the WAL (accepted → its command line, failed → its
+//! `reject` line, so tallies survive crashes too), with a checkpoint
+//! taken — and the WAL compacted — every `checkpoint_every` commands.
 
-use crate::checkpoint::{
-    config_fingerprint, Checkpoint, CheckpointError, CheckpointStore, MemoryCheckpointStore,
-};
-use crate::command::{Command, SubmissionLog};
+use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointStore, MemoryCheckpointStore};
+use crate::command::{Command, Entry, Failure, SubmissionLog};
 use crate::config::SimConfig;
 use crate::core::{SchedulerService, ServiceConfig};
 use crate::error::ServiceError;
 use crate::metrics::SimResult;
-use crate::wal::{
-    scan_wal, FaultSink, LogSink, MemorySink, RecordKind, RejectionRecord, TornTail, Wal, WalError,
-};
+use crate::wal::{scan_wal, FaultPlan, FaultSink, LogSink, TornTail, Wal, WalError};
 use gavel_core::Policy;
 
-/// Why recovery refused to produce a service.
+/// Why recovery or replay refused to produce a service.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
     /// The WAL image is not a WAL (bad magic / unreadable stream
     /// version) or storage failed.
     Wal(WalError),
-    /// The checkpoint bytes did not verify.
-    Checkpoint(CheckpointError),
+    /// The checkpoint image is not one intact checkpoint frame.
+    Checkpoint(WalError),
     /// The checkpoint was captured under a different (policy, config)
     /// than recovery was handed.
     ConfigMismatch {
@@ -64,8 +63,6 @@ pub enum RecoveryError {
         /// Fingerprint the replayed prefix actually produced.
         recovered: u64,
     },
-    /// The checkpoint's embedded log text failed to parse.
-    PrefixUnreadable(String),
     /// A surviving WAL record's sequence number skips ahead of the
     /// record stream recovery expected — an intact-looking record is
     /// missing in the middle, so everything after it is untrustworthy.
@@ -75,11 +72,13 @@ pub enum RecoveryError {
         /// Sequence number the record actually carried.
         found: u64,
     },
-    /// A WAL command record failed to parse or was rejected on
-    /// re-application — a logged command is by construction one the
-    /// service accepted, so this means the record stream lies.
+    /// A CRC-valid record that does not parse, or a logged command the
+    /// service rejected on re-application — a logged command is by
+    /// construction one the service accepted, so the record stream lies.
     BadRecord {
-        /// Sequence number of the offending record.
+        /// Where the entry sits: a frame's sequence number, or a command's
+        /// position in a submission log (a checkpoint's embedded prefix,
+        /// or the log handed to [`replay`]).
         seq: u64,
         /// What went wrong.
         detail: String,
@@ -89,8 +88,8 @@ pub enum RecoveryError {
 impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecoveryError::Wal(e) => write!(f, "recovery: {e}"),
-            RecoveryError::Checkpoint(e) => write!(f, "recovery: {e}"),
+            RecoveryError::Wal(e) => write!(f, "recovery: wal: {e}"),
+            RecoveryError::Checkpoint(e) => write!(f, "recovery: checkpoint: {e}"),
             RecoveryError::ConfigMismatch { expected, found } => write!(
                 f,
                 "recovery: checkpoint config fingerprint 0x{found:016x} does not match \
@@ -104,15 +103,12 @@ impl std::fmt::Display for RecoveryError {
                 "recovery: checkpoint prefix replays to 0x{recovered:016x}, \
                  checkpoint recorded 0x{expected:016x}"
             ),
-            RecoveryError::PrefixUnreadable(e) => {
-                write!(f, "recovery: checkpoint prefix unreadable: {e}")
-            }
             RecoveryError::SequenceGap { expected, found } => write!(
                 f,
                 "recovery: WAL record sequence gap (expected {expected}, found {found})"
             ),
             RecoveryError::BadRecord { seq, detail } => {
-                write!(f, "recovery: WAL record {seq} unusable: {detail}")
+                write!(f, "recovery: record {seq} unusable: {detail}")
             }
         }
     }
@@ -123,12 +119,6 @@ impl std::error::Error for RecoveryError {}
 impl From<WalError> for RecoveryError {
     fn from(e: WalError) -> Self {
         RecoveryError::Wal(e)
-    }
-}
-
-impl From<CheckpointError> for RecoveryError {
-    fn from(e: CheckpointError) -> Self {
-        RecoveryError::Checkpoint(e)
     }
 }
 
@@ -152,6 +142,59 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
+/// The one replay loop, behind [`replay`] and both halves of [`recover`]:
+/// applies `entries` to `svc` in order. A logged command must be accepted
+/// again and a failure is tallied again; the first entry that fails
+/// either way, or arrives as an error, stops the loop. Returns the
+/// commands applied and the failures tallied.
+fn apply_entries(
+    svc: &mut SchedulerService<'_>,
+    entries: impl IntoIterator<Item = Result<(u64, Entry), RecoveryError>>,
+) -> Result<(usize, usize), RecoveryError> {
+    let (mut commands, mut failures) = (0, 0);
+    for entry in entries {
+        match entry? {
+            (seq, Entry::Accepted(cmd)) => {
+                svc.apply(&cmd).map_err(|e| RecoveryError::BadRecord {
+                    seq,
+                    detail: format!("logged command rejected on replay: {e}"),
+                })?;
+                commands += 1;
+            }
+            (_, Entry::Failed(failure)) => {
+                svc.record_failure(failure);
+                failures += 1;
+            }
+        }
+    }
+    Ok((commands, failures))
+}
+
+/// Seeds `svc` with `log`'s rejection tallies and applies its commands;
+/// returns how many it applied.
+fn apply_log(svc: &mut SchedulerService<'_>, log: &SubmissionLog) -> Result<usize, RecoveryError> {
+    svc.seed_rejections(log.rejections().clone());
+    let entries = (0..)
+        .zip(log.commands())
+        .map(|(i, cmd)| Ok((i, Entry::Accepted(cmd.clone()))));
+    apply_entries(svc, entries).map(|(commands, _)| commands)
+}
+
+/// Replays a submission log against a fresh service, returning the
+/// reconstructed result — bit-identical to the live run that produced the
+/// log (same config, same policy). A logged command the fresh service
+/// rejects is a [`RecoveryError::BadRecord`] naming its position.
+pub fn replay(
+    policy: &dyn Policy,
+    config: &SimConfig,
+    service: &ServiceConfig,
+    log: &SubmissionLog,
+) -> Result<SimResult, RecoveryError> {
+    let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
+    apply_log(&mut svc, log)?;
+    Ok(svc.into_result())
+}
+
 /// Rebuilds the service from `checkpoint_bytes` (the latest saved
 /// checkpoint, or `None`) and `wal_bytes` (the WAL image, possibly with
 /// a torn tail). Returns the recovered service plus a [`RecoveryReport`]
@@ -166,10 +209,9 @@ pub fn recover<'p>(
 ) -> Result<(SchedulerService<'p>, RecoveryReport), RecoveryError> {
     let mut report = RecoveryReport::default();
     let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
-    let mut expected_seq = 0u64;
 
     if let Some(bytes) = checkpoint_bytes {
-        let ckpt = Checkpoint::parse(bytes)?;
+        let ckpt = Checkpoint::parse(bytes).map_err(RecoveryError::Checkpoint)?;
         let expected_fp = config_fingerprint(policy.name(), config, service);
         if ckpt.config_fingerprint != expected_fp {
             return Err(RecoveryError::ConfigMismatch {
@@ -177,16 +219,12 @@ pub fn recover<'p>(
                 found: ckpt.config_fingerprint,
             });
         }
-        let prefix = SubmissionLog::parse(&ckpt.log_text)
-            .map_err(|e| RecoveryError::PrefixUnreadable(e.to_string()))?;
-        svc.seed_rejections(prefix.rejections().clone());
-        for cmd in prefix.commands() {
-            if let Err(e) = svc.apply(cmd) {
-                return Err(RecoveryError::PrefixUnreadable(format!(
-                    "checkpointed command rejected on replay: {e}"
-                )));
-            }
-        }
+        let prefix =
+            SubmissionLog::parse(&ckpt.log_text).map_err(|e| RecoveryError::BadRecord {
+                seq: ckpt.covered_seq,
+                detail: format!("checkpoint log: {e}"),
+            })?;
+        report.prefix_commands = apply_log(&mut svc, &prefix)?;
         let recovered_fp = svc.state_fingerprint();
         if recovered_fp != ckpt.state_fingerprint {
             return Err(RecoveryError::StateMismatch {
@@ -195,70 +233,52 @@ pub fn recover<'p>(
             });
         }
         report.checkpoint_used = true;
-        report.prefix_commands = prefix.len();
-        expected_seq = ckpt.covered_seq;
+        report.next_seq = ckpt.covered_seq;
     }
 
     let scan = scan_wal(wal_bytes)?;
     report.torn = scan.torn;
-    for record in &scan.records {
-        if record.seq < expected_seq {
+    let (next_seq, skipped) = (&mut report.next_seq, &mut report.wal_records_skipped);
+    let entries = scan.records.iter().filter_map(|record| {
+        if record.seq < *next_seq {
             // Covered by the checkpoint: the crash landed between the
             // checkpoint save and the WAL compaction that follows it.
-            report.wal_records_skipped += 1;
-            continue;
+            *skipped += 1;
+            return None;
         }
-        if record.seq > expected_seq {
-            return Err(RecoveryError::SequenceGap {
-                expected: expected_seq,
+        if record.seq > *next_seq {
+            return Some(Err(RecoveryError::SequenceGap {
+                expected: *next_seq,
                 found: record.seq,
-            });
+            }));
         }
-        match record.kind {
-            RecordKind::Command => {
-                let cmd =
-                    Command::parse_line(&record.payload).map_err(|e| RecoveryError::BadRecord {
-                        seq: record.seq,
-                        detail: e.to_string(),
-                    })?;
-                svc.apply(&cmd).map_err(|e| RecoveryError::BadRecord {
-                    seq: record.seq,
-                    detail: format!("logged command rejected on replay: {e}"),
-                })?;
-                report.wal_commands_applied += 1;
-            }
-            RecordKind::Rejection => {
-                let (rej, entity) =
-                    RejectionRecord::parse_payload(&record.payload).ok_or_else(|| {
-                        RecoveryError::BadRecord {
-                            seq: record.seq,
-                            detail: "unparseable rejection payload".to_string(),
-                        }
-                    })?;
-                svc.note_recovered_rejection(&rej.as_service_error(), entity);
-                report.wal_rejections_applied += 1;
-            }
-        }
-        expected_seq = record.seq + 1;
-    }
-    report.next_seq = expected_seq;
+        *next_seq += 1;
+        let entry = Entry::parse(&record.payload).map_err(|e| RecoveryError::BadRecord {
+            seq: record.seq,
+            detail: e.to_string(),
+        });
+        Some(entry.map(|entry| (record.seq, entry)))
+    });
+    (report.wal_commands_applied, report.wal_rejections_applied) =
+        apply_entries(&mut svc, entries)?;
     Ok((svc, report))
 }
 
 /// A [`SchedulerService`] wrapped in the durability protocol: every
-/// command is applied, then framed to the WAL (accepted → command
-/// record, failed → rejection record), with a checkpoint captured — and
+/// command is applied, then framed to the WAL (accepted → its command
+/// line, failed → its `reject` line), with a checkpoint captured — and
 /// the WAL compacted — every `checkpoint_every` commands.
 ///
 /// The write path is *apply-then-append* (a redo log): acceptance is
 /// only known after application, so a crash between the two loses
-/// exactly the in-flight command. A command is durable once
-/// [`DurableService::apply`] returns.
+/// exactly the in-flight command. Once [`DurableService::apply`] returns,
+/// the command's frame has been handed to the sink: it survives the
+/// process crashing, and survives the machine crashing only once the
+/// sink has synced — see [`crate::wal`] for exactly what is synced when.
 pub struct DurableService<'p, S: LogSink, C: CheckpointStore> {
     svc: SchedulerService<'p>,
     wal: Wal<S>,
     store: C,
-    service: ServiceConfig,
     config_fp: u64,
     checkpoint_every: usize,
     since_checkpoint: usize,
@@ -277,13 +297,10 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         checkpoint_every: usize,
     ) -> Result<Self, WalError> {
         let config_fp = config_fingerprint(policy.name(), &config, &service);
-        let svc = SchedulerService::new(config, service.clone(), policy);
-        let wal = Wal::create(sink)?;
         Ok(DurableService {
-            svc,
-            wal,
+            svc: SchedulerService::new(config, service, policy),
+            wal: Wal::create(sink)?,
             store,
-            service,
             config_fp,
             checkpoint_every,
             since_checkpoint: 0,
@@ -307,18 +324,15 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         checkpoint_every: usize,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let (svc, report) = recover(policy, &config, &service, checkpoint_bytes, wal_bytes)?;
-        let wal = Wal::with_seq(sink, report.next_seq)?;
-        let config_fp = config_fingerprint(policy.name(), &config, &service);
         let mut durable = DurableService {
             svc,
-            wal,
+            wal: Wal::with_seq(sink, report.next_seq)?,
             store,
-            service,
-            config_fp,
+            config_fp: config_fingerprint(policy.name(), &config, &service),
             checkpoint_every,
             since_checkpoint: 0,
         };
-        durable.checkpoint_now().map_err(RecoveryError::from)?;
+        durable.checkpoint_now()?;
         Ok((durable, report))
     }
 
@@ -328,33 +342,24 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// exactly like a crash at this point); the inner one is the
     /// service's accept/reject verdict.
     pub fn apply(&mut self, cmd: &Command) -> Result<Result<(), ServiceError>, WalError> {
-        let entity = match cmd {
-            Command::Submit { job } => job.entity.map(|e| e as u32),
-            _ => None,
-        };
         let outcome = self.svc.apply(cmd);
-        match &outcome {
-            Ok(()) => {
-                self.wal.append_command(cmd)?;
-            }
-            Err(e) => {
-                self.wal
-                    .append_rejection(RejectionRecord::from(e), entity)?;
-            }
-        }
+        let line = match &outcome {
+            Ok(()) => cmd.fmt_line(),
+            Err(e) => Failure::new(cmd, e).fmt_line(),
+        };
+        self.wal.append(line.as_bytes())?;
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint_now()
-                .map_err(|e| WalError::Io(e.to_string()))?;
+            self.checkpoint_now()?;
         }
         Ok(outcome)
     }
 
     /// Captures a checkpoint of the current state into the store, then
-    /// compacts the WAL. Save-before-compact: a crash between the two
-    /// only leaves redundant (checkpoint-covered) WAL records, which
-    /// recovery skips.
-    pub fn checkpoint_now(&mut self) -> Result<(), CheckpointError> {
+    /// compacts the WAL and syncs it. Save-before-compact: a crash between
+    /// the two only leaves redundant (checkpoint-covered) WAL records,
+    /// which recovery skips.
+    pub fn checkpoint_now(&mut self) -> Result<(), WalError> {
         let ckpt = Checkpoint {
             config_fingerprint: self.config_fp,
             covered_seq: self.wal.next_seq(),
@@ -362,10 +367,8 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
             log_text: self.svc.log().serialize(),
         };
         self.store.save(&ckpt.serialize())?;
-        self.wal
-            .compact()
-            .and_then(|()| self.wal.sync())
-            .map_err(|e| CheckpointError::Io(e.to_string()))?;
+        self.wal.compact()?;
+        self.wal.sync()?;
         self.since_checkpoint = 0;
         Ok(())
     }
@@ -383,11 +386,6 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// The checkpoint store.
     pub fn store(&self) -> &C {
         &self.store
-    }
-
-    /// The service config this service runs under.
-    pub fn service_config(&self) -> &ServiceConfig {
-        &self.service
     }
 
     /// Finishes the run, returning the result (drops the durability
@@ -424,60 +422,46 @@ pub fn run_until_crash(
     config: &SimConfig,
     service: &ServiceConfig,
     commands: &[Command],
-    plan: crate::wal::FaultPlan,
+    plan: FaultPlan,
     checkpoint_every: usize,
 ) -> Result<CrashOutcome, WalError> {
     let sink = FaultSink::new(plan);
     let disk = sink.disk();
-    let mut durable = match DurableService::new(
+    let store = MemoryCheckpointStore::new();
+    let durable = DurableService::new(
         policy,
         config.clone(),
         service.clone(),
         sink,
-        MemoryCheckpointStore::new(),
+        store,
         checkpoint_every,
-    ) {
-        Ok(d) => d,
+    );
+    let (processed, checkpoint_bytes, crashed) = match durable {
+        Ok(mut durable) => {
+            let processed = commands
+                .iter()
+                .take_while(|cmd| durable.apply(cmd).is_ok())
+                .count();
+            let checkpoint_bytes = durable.store().bytes().map(<[u8]>::to_vec);
+            (processed, checkpoint_bytes, durable.wal().sink().crashed())
+        }
         // The crash fired on the stream-header append: the "disk" holds
         // a torn header and nothing else.
-        Err(WalError::InjectedCrash) => {
-            return Ok(CrashOutcome {
-                processed: 0,
-                wal_bytes: disk.damaged_bytes(),
-                checkpoint_bytes: None,
-                crashed: true,
-            })
-        }
+        Err(WalError::InjectedCrash) => (0, None, true),
         Err(e) => return Err(e),
     };
-    let mut processed = 0;
-    let mut crashed = false;
-    for cmd in commands {
-        match durable.apply(cmd) {
-            Ok(_) => processed += 1,
-            Err(_) => {
-                crashed = true;
-                break;
-            }
-        }
-    }
-    let checkpoint_bytes = durable.store().bytes().map(<[u8]>::to_vec);
-    let wal_bytes = disk.damaged_bytes();
     Ok(CrashOutcome {
         processed,
-        wal_bytes,
+        wal_bytes: disk.damaged_bytes(),
         checkpoint_bytes,
         crashed,
     })
 }
 
-/// Convenience alias: a durable service on in-memory storage.
-pub type MemoryDurableService<'p> = DurableService<'p, MemorySink, MemoryCheckpointStore>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{FaultPlan, KillSpec};
+    use crate::wal::{KillSpec, MemorySink};
     use gavel_core::{ClusterSpec, JobId};
     use gavel_policies::MaxMinFairness;
     use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
@@ -646,6 +630,38 @@ mod tests {
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("mismatched config must be refused"),
         }
+    }
+
+    #[test]
+    fn a_crash_during_checkpoint_compaction_is_an_injected_crash() {
+        let policy = MaxMinFairness::new();
+        let cfg = SimConfig::new(small_cluster());
+        // Appends: stream header 0, commands 1 and 2, then the checkpoint
+        // after command 2 compacts the WAL and rewrites its header: 3.
+        let plan = FaultPlan {
+            kill: Some(KillSpec {
+                after_appends: 3,
+                keep_permille: 500,
+            }),
+            ..FaultPlan::default()
+        };
+        let sink = FaultSink::new(plan);
+        let mut durable = DurableService::new(
+            &policy,
+            cfg,
+            ServiceConfig::default(),
+            sink,
+            MemoryCheckpointStore::new(),
+            2,
+        )
+        .unwrap();
+        let commands = stream();
+        assert!(durable.apply(&commands[0]).is_ok());
+        assert_eq!(
+            durable.apply(&commands[1]).unwrap_err(),
+            WalError::InjectedCrash
+        );
+        assert!(durable.wal().sink().crashed());
     }
 
     #[test]

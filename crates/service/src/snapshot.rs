@@ -286,6 +286,8 @@ impl PairStore {
     fn unlink_bucket(&mut self, s: u32) {
         let sl = self.slots[s as usize];
         let bucket = Self::bucket_of(sl.score);
+        // `insert` pushed the slot into the bucket of its score, which never
+        // changes, and the bucket is dropped only once its last slot leaves.
         let bvec = self.buckets.get_mut(&bucket).expect("slot bucket missing");
         let p = sl.bucket_pos as usize;
         debug_assert_eq!(bvec[p].slot, s);

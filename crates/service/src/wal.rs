@@ -1,59 +1,55 @@
-//! The write-ahead log: durable, checksummed framing for the command
-//! stream.
+//! The write-ahead log, and the one frame everything this crate
+//! persists rides in.
 //!
-//! Each record the service emits — an accepted [`Command`] or a failed
-//! command's rejection tally entry — is framed as
+//! A stream — the WAL, or a checkpoint image ([`crate::checkpoint`]) —
+//! opens with a 10-byte header (`GAVELWAL` magic + stream version), so a
+//! file that is not a stream is told apart from a stream with a damaged
+//! tail. Frames follow:
 //!
 //! ```text
-//! [len: u32 LE][crc32: u32 LE][body]
-//! body = [record version: u16 LE][kind: u8][seq: u64 LE][payload bytes]
+//! [len: u32 LE][crc32: u32 LE][seq: u64 LE][payload]
 //! ```
 //!
-//! where `len` is the body length, the CRC (IEEE 802.3) covers the whole
-//! body, `seq` is a globally monotone record sequence number, and the
-//! payload is the same text line the [`crate::SubmissionLog`] serializes
-//! ([`Command::fmt_line`]) — one serialization, two containers. The
-//! stream itself opens with an 10-byte header (`GAVELWAL` magic + stream
-//! version), so a file that is not a WAL is distinguishable from a WAL
-//! with a damaged tail.
+//! `len` counts `seq` and the payload, the CRC (IEEE 802.3) covers the
+//! same bytes, and `seq` is a globally monotone record sequence number.
+//! The frame's CRC is the crate's only integrity check. A WAL frame's
+//! payload is one line of the crate's grammar ([`crate::command`]): an
+//! accepted command's [`Command::fmt_line`](crate::Command::fmt_line), or
+//! the `reject` line of a failed one, so tallies survive a crash too.
 //!
-//! Records reach storage through a pluggable [`LogSink`]:
-//! [`MemorySink`] for tests and in-process capture, [`FileSink`] for
-//! real runs, and [`FaultSink`] for crash injection (deterministic torn
-//! writes mid-append, driven by a [`FaultPlan`]). [`scan_wal`] reads a
-//! byte image back tolerantly: it stops at the first unreadable record —
-//! truncated frame, checksum failure, unknown version/kind — and reports
-//! the torn tail ([`TornTail`]) instead of failing the whole log, so
-//! recovery lands on the last durable prefix.
+//! Frames reach storage through a pluggable [`LogSink`]: [`MemorySink`]
+//! for tests and in-process capture, [`FileSink`] for real runs, and
+//! [`FaultSink`] for crash injection (deterministic torn writes
+//! mid-append, driven by a [`FaultPlan`]). [`scan_wal`] reads a byte image
+//! back tolerantly: it stops at the first frame that is truncated, has an
+//! impossible length or fails its checksum, and reports the torn tail
+//! ([`TornTail`]) instead of failing the whole log, so recovery lands on
+//! the last intact prefix. The scan does not read payloads: a CRC-valid
+//! frame whose payload is not a known line is refused by recovery
+//! ([`crate::RecoveryError::BadRecord`]), not dropped as a torn tail.
 //!
-//! Durability contract: a command is durable once the append that framed
-//! it returns. The in-memory service applies a command *before* the
-//! append (acceptance is only known after application), so a crash
-//! between application and append loses exactly the in-flight command —
-//! nothing acknowledged to a caller after `apply` returns is ever lost,
-//! and recovery converges on the longest prefix whose records survived
-//! intact.
-
-use crate::command::{Command, Rejection};
-use crate::error::{InvalidCommand, InvalidReason, ServiceError};
+//! Durability contract: *process*-crash durability. By the time
+//! [`crate::DurableService::apply`] returns, the command's frame has been
+//! handed to the sink — on a [`FileSink`], written to the file, so it
+//! survives the process dying. It may not survive the machine losing
+//! power: the WAL file is `fsync`ed (`sync_data`) only after a checkpoint
+//! compaction rewrites it, and checkpoint saves are not synced at all
+//! ([`crate::FileCheckpointStore`]). The service applies a command
+//! *before* the append (acceptance is only known after application), so
+//! a crash between the two loses exactly the in-flight command, and
+//! recovery converges on the longest prefix whose frames survived intact.
 
 /// Stream header magic. A byte image that does not open with this is not
-/// a (possibly damaged) WAL but some other file entirely.
+/// a (possibly damaged) stream but some other file entirely.
 pub const WAL_MAGIC: &[u8; 8] = b"GAVELWAL";
 
-/// Current WAL stream format version.
-pub const WAL_STREAM_VERSION: u16 = 1;
-
-/// Current record body version (the version tag inside each frame).
-pub const WAL_RECORD_VERSION: u16 = 1;
+/// Current stream format version. Version 1 framed a record version and a
+/// kind byte inside every frame; this build refuses it.
+pub const WAL_STREAM_VERSION: u16 = 2;
 
 const STREAM_HEADER_LEN: usize = WAL_MAGIC.len() + 2;
 const FRAME_PREFIX_LEN: usize = 8; // len + crc
-const BODY_MIN_LEN: usize = 2 + 1 + 8; // version + kind + seq
-
-/// Sanity bound on a single record body; a frame length beyond this is
-/// treated as corruption rather than attempted as an allocation.
-const MAX_BODY_LEN: u32 = 64 * 1024 * 1024;
+const SEQ_LEN: usize = 8;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected), table-driven, no external deps.
@@ -82,7 +78,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -94,30 +90,35 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Errors
 // ---------------------------------------------------------------------
 
-/// A WAL-level failure (I/O, injected crash, or a stream that is not a
-/// WAL at all). Torn tails are *not* errors — see [`TornTail`].
+/// A persistence failure, for WAL sinks and checkpoint stores alike:
+/// storage, an injected crash, or an image that is not the stream it
+/// should be. Torn WAL tails are *not* errors — see [`TornTail`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
     /// Underlying storage failed.
     Io(String),
     /// A [`FaultSink`] injected a crash; the sink accepts no further
-    /// appends.
+    /// writes.
     InjectedCrash,
-    /// The byte image does not open with the WAL magic.
+    /// The byte image does not open with the stream magic.
     BadMagic,
     /// The stream header carries a version this build does not read.
     UnsupportedStreamVersion(u16),
+    /// A checkpoint image that is not exactly one intact `checkpoint`
+    /// frame (with detail).
+    BadCheckpoint(String),
 }
 
 impl std::fmt::Display for WalError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WalError::Io(e) => write!(f, "wal i/o error: {e}"),
-            WalError::InjectedCrash => write!(f, "wal sink crashed (fault injection)"),
-            WalError::BadMagic => write!(f, "not a gavel WAL (bad magic)"),
+            WalError::Io(e) => write!(f, "i/o error: {e}"),
+            WalError::InjectedCrash => write!(f, "storage crashed (fault injection)"),
+            WalError::BadMagic => write!(f, "not a gavel stream (bad magic)"),
             WalError::UnsupportedStreamVersion(v) => {
-                write!(f, "unsupported WAL stream version {v}")
+                write!(f, "unsupported stream version {v}")
             }
+            WalError::BadCheckpoint(detail) => write!(f, "unusable checkpoint: {detail}"),
         }
     }
 }
@@ -160,11 +161,6 @@ impl MemorySink {
     /// The accumulated stream image.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Consumes the sink, returning the stream image.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
     }
 }
 
@@ -313,15 +309,14 @@ impl FaultPlan {
 /// was consumed by a failed [`Wal::create`] (the crash-at-birth case).
 #[derive(Debug, Clone, Default)]
 pub struct FaultSink {
-    bytes: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
-    plan: FaultPlan,
+    disk: FaultDisk,
     appends: usize,
     dead: bool,
 }
 
 /// A read handle on a [`FaultSink`]'s byte buffer — what a crash
 /// harness inspects after the "process" died.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultDisk {
     bytes: std::rc::Rc<std::cell::RefCell<Vec<u8>>>,
     plan: FaultPlan,
@@ -340,211 +335,100 @@ impl FaultDisk {
 impl FaultSink {
     /// A sink that will fail according to `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultSink {
+        let disk = FaultDisk {
             plan,
+            ..FaultDisk::default()
+        };
+        FaultSink {
+            disk,
             ..FaultSink::default()
         }
     }
 
     /// A read handle that survives the sink being moved or dropped.
     pub fn disk(&self) -> FaultDisk {
-        FaultDisk {
-            bytes: std::rc::Rc::clone(&self.bytes),
-            plan: self.plan,
-        }
-    }
-
-    /// The (possibly torn) stream image, with the plan's post-hoc
-    /// corruption/truncation applied.
-    pub fn damaged_bytes(&self) -> Vec<u8> {
-        self.disk().damaged_bytes()
+        self.disk.clone()
     }
 
     /// Whether the injected crash has fired.
     pub fn crashed(&self) -> bool {
         self.dead
     }
+
+    fn alive(&self) -> Result<(), WalError> {
+        if self.dead {
+            Err(WalError::InjectedCrash)
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl LogSink for FaultSink {
     fn append(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        if self.dead {
+        self.alive()?;
+        let mut disk = self.disk.bytes.borrow_mut();
+        if let Some(kill) = self
+            .disk
+            .plan
+            .kill
+            .filter(|k| k.after_appends == self.appends)
+        {
+            let keep = (bytes.len() * kill.keep_permille as usize) / 1000;
+            disk.extend_from_slice(&bytes[..keep]);
+            self.dead = true;
             return Err(WalError::InjectedCrash);
         }
-        if let Some(kill) = self.plan.kill {
-            if self.appends == kill.after_appends {
-                let keep = (bytes.len() * kill.keep_permille as usize) / 1000;
-                self.bytes.borrow_mut().extend_from_slice(&bytes[..keep]);
-                self.dead = true;
-                return Err(WalError::InjectedCrash);
-            }
-        }
         self.appends += 1;
-        self.bytes.borrow_mut().extend_from_slice(bytes);
+        disk.extend_from_slice(bytes);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), WalError> {
-        if self.dead {
-            return Err(WalError::InjectedCrash);
-        }
-        Ok(())
+        self.alive()
     }
 
     fn reset(&mut self) -> Result<(), WalError> {
-        if self.dead {
-            return Err(WalError::InjectedCrash);
-        }
-        self.bytes.borrow_mut().clear();
+        self.alive()?;
+        self.disk.bytes.borrow_mut().clear();
         Ok(())
     }
 }
 
 // ---------------------------------------------------------------------
-// Records
+// Frames
 // ---------------------------------------------------------------------
 
-/// What a WAL record carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
-    /// An accepted command (payload = [`Command::fmt_line`]).
-    Command,
-    /// A failed command's tally entry (payload = `reject kind=... entity=...`).
-    Rejection,
+/// The stream header every image opens with.
+pub(crate) fn stream_header() -> Vec<u8> {
+    [&WAL_MAGIC[..], &WAL_STREAM_VERSION.to_le_bytes()].concat()
 }
 
-impl RecordKind {
-    fn to_byte(self) -> u8 {
-        match self {
-            RecordKind::Command => 1,
-            RecordKind::Rejection => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<RecordKind> {
-        match b {
-            1 => Some(RecordKind::Command),
-            2 => Some(RecordKind::Rejection),
-            _ => None,
-        }
-    }
+/// Appends one frame carrying `seq` and `payload` to `out`.
+pub(crate) fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(payload);
+    let prefix = frame_prefix(&out[start + FRAME_PREFIX_LEN..]);
+    out[start..start + FRAME_PREFIX_LEN].copy_from_slice(&prefix);
 }
 
-/// One decoded WAL record.
-#[derive(Debug, Clone)]
-pub struct WalRecord {
-    /// Globally monotone record sequence number.
-    pub seq: u64,
-    /// Command or rejection.
-    pub kind: RecordKind,
-    /// The record's text payload.
-    pub payload: String,
-}
-
-/// The tally-relevant identity of a failed command, as persisted in a
-/// rejection record. (The full [`ServiceError`] detail — which field of
-/// an invalid payload was bad — is diagnostic, not replayable state, so
-/// only the tally-relevant kind survives the round trip.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectionRecord {
-    /// A rule rejection.
-    Rejected(Rejection),
-    /// A validation failure.
-    Invalid,
-}
-
-impl From<&ServiceError> for RejectionRecord {
-    fn from(e: &ServiceError) -> Self {
-        match e {
-            ServiceError::Rejected(r) => RejectionRecord::Rejected(*r),
-            ServiceError::Invalid(_) => RejectionRecord::Invalid,
-        }
-    }
-}
-
-impl RejectionRecord {
-    /// A [`ServiceError`] that tallies identically to the original
-    /// (invalid-command field detail does not survive persistence).
-    pub(crate) fn as_service_error(&self) -> ServiceError {
-        match self {
-            RejectionRecord::Rejected(r) => ServiceError::Rejected(*r),
-            RejectionRecord::Invalid => ServiceError::Invalid(InvalidCommand {
-                field: "(recovered)",
-                reason: InvalidReason::NotFinite,
-            }),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            RejectionRecord::Rejected(Rejection::DuplicateJob) => "duplicate-job",
-            RejectionRecord::Rejected(Rejection::EntityCapExceeded) => "entity-cap",
-            RejectionRecord::Rejected(Rejection::UnknownJob) => "unknown-job",
-            RejectionRecord::Rejected(Rejection::NoFailureModel) => "no-failure-model",
-            RejectionRecord::Rejected(Rejection::NothingToRepair) => "nothing-to-repair",
-            RejectionRecord::Invalid => "invalid",
-        }
-    }
-
-    fn from_name(name: &str) -> Option<RejectionRecord> {
-        Some(match name {
-            "duplicate-job" => RejectionRecord::Rejected(Rejection::DuplicateJob),
-            "entity-cap" => RejectionRecord::Rejected(Rejection::EntityCapExceeded),
-            "unknown-job" => RejectionRecord::Rejected(Rejection::UnknownJob),
-            "no-failure-model" => RejectionRecord::Rejected(Rejection::NoFailureModel),
-            "nothing-to-repair" => RejectionRecord::Rejected(Rejection::NothingToRepair),
-            "invalid" => RejectionRecord::Invalid,
-            _ => return None,
-        })
-    }
-
-    /// Serializes as a rejection-record payload.
-    pub fn fmt_payload(&self, entity: Option<u32>) -> String {
-        format!(
-            "reject kind={} entity={}",
-            self.name(),
-            entity.map_or("-".to_string(), |e| e.to_string())
-        )
-    }
-
-    /// Parses a rejection-record payload back to `(record, entity)`.
-    pub fn parse_payload(payload: &str) -> Option<(RejectionRecord, Option<u32>)> {
-        let mut parts = payload.split_whitespace();
-        if parts.next() != Some("reject") {
-            return None;
-        }
-        let mut kind = None;
-        let mut entity = None;
-        for part in parts {
-            match part.split_once('=')? {
-                ("kind", v) => kind = Some(RejectionRecord::from_name(v)?),
-                ("entity", "-") => entity = Some(None),
-                ("entity", v) => entity = Some(Some(v.parse().ok()?)),
-                _ => return None,
-            }
-        }
-        Some((kind?, entity?))
-    }
-}
-
-fn encode_record(seq: u64, kind: RecordKind, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(BODY_MIN_LEN + payload.len());
-    body.extend_from_slice(&WAL_RECORD_VERSION.to_le_bytes());
-    body.push(kind.to_byte());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(payload);
-    let mut out = Vec::with_capacity(FRAME_PREFIX_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// The `[len][crc]` prefix of a frame whose body (`seq` + payload) is
+/// `body`: what the writer puts in front of it, and what the reader must
+/// find there.
+fn frame_prefix(body: &[u8]) -> [u8; FRAME_PREFIX_LEN] {
+    let mut prefix = [0; FRAME_PREFIX_LEN];
+    prefix[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    prefix
 }
 
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------
 
-/// The WAL writer: frames records and appends them through a sink.
+/// The WAL writer: frames payloads and appends them through a sink.
 #[derive(Debug)]
 pub struct Wal<S: LogSink> {
     sink: S,
@@ -561,33 +445,18 @@ impl<S: LogSink> Wal<S> {
     /// Starts a fresh WAL whose first record will carry `next_seq` —
     /// used after recovery, where sequence numbers continue from the
     /// recovered prefix.
-    pub fn with_seq(mut sink: S, next_seq: u64) -> Result<Self, WalError> {
-        sink.reset()?;
-        let mut header = Vec::with_capacity(STREAM_HEADER_LEN);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_STREAM_VERSION.to_le_bytes());
-        sink.append(&header)?;
-        Ok(Wal { sink, next_seq })
+    pub fn with_seq(sink: S, next_seq: u64) -> Result<Self, WalError> {
+        let mut wal = Wal { sink, next_seq };
+        wal.compact()?;
+        Ok(wal)
     }
 
-    /// Appends an accepted command; returns its sequence number.
-    pub fn append_command(&mut self, cmd: &Command) -> Result<u64, WalError> {
-        self.append_payload(RecordKind::Command, cmd.fmt_line().as_bytes())
-    }
-
-    /// Appends a failed command's tally entry; returns its sequence
-    /// number.
-    pub fn append_rejection(
-        &mut self,
-        rej: RejectionRecord,
-        entity: Option<u32>,
-    ) -> Result<u64, WalError> {
-        self.append_payload(RecordKind::Rejection, rej.fmt_payload(entity).as_bytes())
-    }
-
-    fn append_payload(&mut self, kind: RecordKind, payload: &[u8]) -> Result<u64, WalError> {
+    /// Frames `payload` as the next record and appends it; returns its
+    /// sequence number.
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        let frame = encode_record(seq, kind, payload);
+        let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + SEQ_LEN + payload.len());
+        push_frame(&mut frame, seq, payload);
         self.sink.append(&frame)?;
         self.next_seq += 1;
         Ok(seq)
@@ -602,10 +471,7 @@ impl<S: LogSink> Wal<S> {
     /// restarts the stream; sequence numbers keep counting.
     pub fn compact(&mut self) -> Result<(), WalError> {
         self.sink.reset()?;
-        let mut header = Vec::with_capacity(STREAM_HEADER_LEN);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_STREAM_VERSION.to_le_bytes());
-        self.sink.append(&header)
+        self.sink.append(&stream_header())
     }
 
     /// Sequence number the next record will carry (= records written so
@@ -624,6 +490,15 @@ impl<S: LogSink> Wal<S> {
 // Tolerant reader
 // ---------------------------------------------------------------------
 
+/// One intact frame.
+#[derive(Debug, Clone)]
+pub struct WalRecord {
+    /// Globally monotone record sequence number.
+    pub seq: u64,
+    /// The frame's payload bytes.
+    pub payload: Vec<u8>,
+}
+
 /// Why the scan stopped before the end of the image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornReason {
@@ -631,17 +506,11 @@ pub enum TornReason {
     TruncatedFrame,
     /// The frame announced more body bytes than the image holds.
     TruncatedBody,
-    /// The frame length is structurally impossible (too small to hold a
-    /// record body, or absurdly large) — corruption hit the length.
+    /// The frame length is too small to hold a sequence number —
+    /// corruption hit the length.
     BadLength(u32),
     /// The body checksum did not match.
     ChecksumMismatch,
-    /// The record body carries a version this build does not read.
-    BadRecordVersion(u16),
-    /// The record kind byte is unknown.
-    BadKind(u8),
-    /// The payload is not UTF-8.
-    PayloadNotUtf8,
 }
 
 impl std::fmt::Display for TornReason {
@@ -651,9 +520,6 @@ impl std::fmt::Display for TornReason {
             TornReason::TruncatedBody => write!(f, "truncated record body"),
             TornReason::BadLength(n) => write!(f, "impossible frame length {n}"),
             TornReason::ChecksumMismatch => write!(f, "checksum mismatch"),
-            TornReason::BadRecordVersion(v) => write!(f, "unknown record version {v}"),
-            TornReason::BadKind(k) => write!(f, "unknown record kind {k}"),
-            TornReason::PayloadNotUtf8 => write!(f, "payload is not UTF-8"),
         }
     }
 }
@@ -670,7 +536,7 @@ pub struct TornTail {
     pub reason: TornReason,
 }
 
-/// Result of scanning a WAL byte image.
+/// Result of scanning a stream image.
 #[derive(Debug, Clone, Default)]
 pub struct WalScan {
     /// Every intact record, in stream order.
@@ -679,97 +545,65 @@ pub struct WalScan {
     pub torn: Option<TornTail>,
 }
 
-/// Scans a WAL byte image, returning every record up to the first
-/// unreadable one. `Err` means the image is not a WAL at all (bad magic
-/// or an unreadable stream version); a damaged *tail* — torn header
-/// included, for an image shorter than the stream header — is reported
-/// in [`WalScan::torn`], never panicking, never erroring.
+/// Scans a stream image, returning every frame up to the first unreadable
+/// one. `Err` means the image is not a stream at all (bad magic or an
+/// unreadable stream version); a damaged *tail* — torn header included,
+/// for an image shorter than the stream header — is reported in
+/// [`WalScan::torn`], never panicking, never erroring.
 ///
 /// An empty image is an empty WAL (no records, no tear): the log of a
 /// service that crashed before creating its WAL.
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
-    if bytes.is_empty() {
-        return Ok(WalScan::default());
-    }
-    if bytes.len() < STREAM_HEADER_LEN {
-        // The stream header itself was torn mid-write.
-        if WAL_MAGIC.starts_with(&bytes[..bytes.len().min(WAL_MAGIC.len())]) {
-            return Ok(WalScan {
-                records: Vec::new(),
-                torn: Some(TornTail {
-                    offset: 0,
-                    dropped_bytes: bytes.len() as u64,
-                    reason: TornReason::TruncatedFrame,
-                }),
-            });
-        }
-        return Err(WalError::BadMagic);
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    let stream_version = u16::from_le_bytes([bytes[8], bytes[9]]);
-    if stream_version == 0 || stream_version > WAL_STREAM_VERSION {
-        return Err(WalError::UnsupportedStreamVersion(stream_version));
-    }
-
     let mut scan = WalScan::default();
-    let mut pos = STREAM_HEADER_LEN;
+    let magic_len = bytes.len().min(WAL_MAGIC.len());
+    if bytes[..magic_len] != WAL_MAGIC[..magic_len] {
+        return Err(WalError::BadMagic);
+    }
     let total = bytes.len();
-    let torn = |pos: usize, reason: TornReason| TornTail {
-        offset: pos as u64,
-        dropped_bytes: (total - pos) as u64,
-        reason,
+    let torn = |pos: usize, reason| {
+        Some(TornTail {
+            offset: pos as u64,
+            dropped_bytes: (total - pos) as u64,
+            reason,
+        })
     };
+    if total < STREAM_HEADER_LEN {
+        // Empty (a service that crashed before creating its WAL), or the
+        // stream header itself was torn mid-write.
+        if total > 0 {
+            scan.torn = torn(0, TornReason::TruncatedFrame);
+        }
+        return Ok(scan);
+    }
+    let version = u16::from_le_bytes([bytes[8], bytes[9]]);
+    if version != WAL_STREAM_VERSION {
+        return Err(WalError::UnsupportedStreamVersion(version));
+    }
+    let mut pos = STREAM_HEADER_LEN;
     while pos < total {
-        if total - pos < FRAME_PREFIX_LEN {
-            scan.torn = Some(torn(pos, TornReason::TruncatedFrame));
+        let frame = &bytes[pos..];
+        if frame.len() < FRAME_PREFIX_LEN {
+            scan.torn = torn(pos, TornReason::TruncatedFrame);
             break;
         }
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        let crc = u32::from_le_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        if len < BODY_MIN_LEN as u32 || len > MAX_BODY_LEN {
-            scan.torn = Some(torn(pos, TornReason::BadLength(len)));
+        let len = u32::from_le_bytes(std::array::from_fn(|i| frame[i]));
+        if len < SEQ_LEN as u32 {
+            scan.torn = torn(pos, TornReason::BadLength(len));
             break;
         }
-        let body_start = pos + FRAME_PREFIX_LEN;
-        let body_end = body_start + len as usize;
-        if body_end > total {
-            scan.torn = Some(torn(pos, TornReason::TruncatedBody));
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        if crc32(body) != crc {
-            scan.torn = Some(torn(pos, TornReason::ChecksumMismatch));
-            break;
-        }
-        let version = u16::from_le_bytes([body[0], body[1]]);
-        if version != WAL_RECORD_VERSION {
-            scan.torn = Some(torn(pos, TornReason::BadRecordVersion(version)));
-            break;
-        }
-        let Some(kind) = RecordKind::from_byte(body[2]) else {
-            scan.torn = Some(torn(pos, TornReason::BadKind(body[2])));
+        let Some(body) = frame[FRAME_PREFIX_LEN..].get(..len as usize) else {
+            scan.torn = torn(pos, TornReason::TruncatedBody);
             break;
         };
-        let seq = u64::from_le_bytes([
-            body[3], body[4], body[5], body[6], body[7], body[8], body[9], body[10],
-        ]);
-        let Ok(payload) = std::str::from_utf8(&body[BODY_MIN_LEN..]) else {
-            scan.torn = Some(torn(pos, TornReason::PayloadNotUtf8));
+        if frame[..FRAME_PREFIX_LEN] != frame_prefix(body) {
+            scan.torn = torn(pos, TornReason::ChecksumMismatch);
             break;
-        };
+        }
         scan.records.push(WalRecord {
-            seq,
-            kind,
-            payload: payload.to_string(),
+            seq: u64::from_le_bytes(std::array::from_fn(|i| body[i])),
+            payload: body[SEQ_LEN..].to_vec(),
         });
-        pos = body_end;
+        pos += FRAME_PREFIX_LEN + body.len();
     }
     Ok(scan)
 }
@@ -777,6 +611,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::command::Command;
     use gavel_core::JobId;
 
     #[test]
@@ -794,48 +629,44 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn wal_round_trips_records() {
+    fn sample_wal() -> Wal<MemorySink> {
         let mut wal = Wal::create(MemorySink::new()).unwrap();
         for cmd in &sample_commands() {
-            wal.append_command(cmd).unwrap();
+            wal.append(cmd.fmt_line().as_bytes()).unwrap();
         }
-        wal.append_rejection(RejectionRecord::Rejected(Rejection::UnknownJob), Some(7))
-            .unwrap();
+        wal
+    }
+
+    #[test]
+    fn wal_round_trips_records() {
+        let mut wal = sample_wal();
+        wal.append(b"reject kind=unknown-job entity=7").unwrap();
         let scan = scan_wal(wal.sink().bytes()).unwrap();
         assert!(scan.torn.is_none());
-        assert_eq!(scan.records.len(), 5);
         assert_eq!(
             scan.records.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
         );
-        assert_eq!(scan.records[4].kind, RecordKind::Rejection);
-        let (rej, entity) = RejectionRecord::parse_payload(&scan.records[4].payload).unwrap();
-        assert_eq!(rej, RejectionRecord::Rejected(Rejection::UnknownJob));
-        assert_eq!(entity, Some(7));
+        assert_eq!(scan.records[4].payload, b"reject kind=unknown-job entity=7");
         for (rec, cmd) in scan.records.iter().zip(&sample_commands()) {
-            assert_eq!(rec.kind, RecordKind::Command);
-            assert_eq!(rec.payload, cmd.fmt_line());
+            assert_eq!(rec.payload, cmd.fmt_line().as_bytes());
         }
+        // Header, then per frame: len + crc + seq + payload.
+        let payloads: usize = scan.records.iter().map(|r| r.payload.len()).sum();
+        assert_eq!(wal.sink().bytes().len(), 10 + 5 * 16 + payloads);
     }
 
     #[test]
     fn torn_tail_recovers_prefix() {
-        let mut wal = Wal::create(MemorySink::new()).unwrap();
-        for cmd in &sample_commands() {
-            wal.append_command(cmd).unwrap();
-        }
-        let full = wal.sink().bytes().to_vec();
+        let full = sample_wal().sink().bytes().to_vec();
         // Every truncation point recovers a prefix, never panics.
         for cut in 0..full.len() {
             let scan = scan_wal(&full[..cut]).unwrap();
-            assert!(scan.records.len() <= 4);
-            if cut < full.len() {
-                // Either clean prefix or a reported tear — and the
-                // records that survived are exactly leading ones.
-                for (i, r) in scan.records.iter().enumerate() {
-                    assert_eq!(r.seq, i as u64);
-                }
+            assert!(scan.records.len() < 4);
+            // Either clean prefix or a reported tear — and the records
+            // that survived are exactly leading ones.
+            for (i, r) in scan.records.iter().enumerate() {
+                assert_eq!(r.seq, i as u64);
             }
         }
         // Corrupting any single byte past the header loses only a suffix.
@@ -853,12 +684,9 @@ mod tests {
 
     #[test]
     fn compaction_restarts_stream_with_continuing_seq() {
-        let mut wal = Wal::create(MemorySink::new()).unwrap();
-        for cmd in &sample_commands() {
-            wal.append_command(cmd).unwrap();
-        }
+        let mut wal = sample_wal();
         wal.compact().unwrap();
-        wal.append_command(&Command::QueryAllocation).unwrap();
+        wal.append(b"query").unwrap();
         let scan = scan_wal(wal.sink().bytes()).unwrap();
         assert!(scan.torn.is_none());
         assert_eq!(scan.records.len(), 1);
@@ -877,11 +705,11 @@ mod tests {
         let mut wal = Wal::create(FaultSink::new(plan)).unwrap();
         // Header consumed append 0; command appends 1 and 2 — the second
         // tears.
-        wal.append_command(&Command::QueryAllocation).unwrap();
-        let err = wal.append_command(&Command::InjectFailure).unwrap_err();
+        wal.append(b"query").unwrap();
+        let err = wal.append(b"inject-failure").unwrap_err();
         assert_eq!(err, WalError::InjectedCrash);
         assert!(wal.sink().crashed());
-        let scan = scan_wal(&wal.sink().damaged_bytes()).unwrap();
+        let scan = scan_wal(&wal.sink().disk().damaged_bytes()).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert!(scan.torn.is_some());
     }
@@ -893,13 +721,13 @@ mod tests {
             scan_wal(b"not a wal at all").unwrap_err(),
             WalError::BadMagic
         );
-        let mut img = Vec::new();
-        img.extend_from_slice(WAL_MAGIC);
-        img.extend_from_slice(&99u16.to_le_bytes());
-        assert_eq!(
-            scan_wal(&img).unwrap_err(),
-            WalError::UnsupportedStreamVersion(99)
-        );
+        for version in [0u16, 1, 99] {
+            let img = [&WAL_MAGIC[..], &version.to_le_bytes()].concat();
+            assert_eq!(
+                scan_wal(&img).unwrap_err(),
+                WalError::UnsupportedStreamVersion(version)
+            );
+        }
     }
 
     #[test]

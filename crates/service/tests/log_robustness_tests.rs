@@ -1,12 +1,15 @@
-//! Submission-log robustness: versioned headers round-trip, and parsing
-//! mutated or truncated log text never panics — it either errors or
-//! recovers a valid prefix whose re-serialization parses cleanly.
+//! Robustness of what is persisted: submission-log versions round-trip,
+//! parsing mutated or truncated log text never panics — it either errors
+//! or returns a log whose re-serialization parses cleanly — and a stream
+//! image of the wrong kind or version, or a CRC-valid frame that says
+//! nothing known, is a typed error rather than a service.
 
 use gavel_core::{ClusterSpec, JobId};
 use gavel_policies::IsolatedSplit;
+use gavel_service::wal::WAL_MAGIC;
 use gavel_service::{
-    recover, scan_wal, Command, MemorySink, RecoveryError, ServiceConfig, SimConfig, SubmissionLog,
-    Wal, LOG_VERSION,
+    recover, scan_wal, Command, DurableService, MemoryCheckpointStore, MemorySink, RecoveryError,
+    ServiceConfig, SimConfig, SubmissionLog, Wal, WalError, LOG_VERSION,
 };
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 use proptest::prelude::*;
@@ -68,11 +71,6 @@ fn unknown_versions_are_refused() {
         "",
     ] {
         assert!(SubmissionLog::parse(text).is_err(), "accepted: {text:?}");
-        // And prefix recovery reports the unusable header rather than
-        // inventing an empty log silently.
-        let (log, err) = SubmissionLog::parse_prefix(text);
-        assert!(log.is_empty());
-        assert!(err.is_some());
     }
 }
 
@@ -111,7 +109,7 @@ fn unlisted_batch_size_is_a_parse_error() {
 }
 
 #[test]
-fn text_log_with_an_unlisted_batch_size_recovers_its_prefix() {
+fn text_log_with_an_unlisted_batch_size_is_refused_at_its_line() {
     let cmds = [
         cyclegan_submit(1),
         cyclegan_submit(64),
@@ -120,22 +118,22 @@ fn text_log_with_an_unlisted_batch_size_recovers_its_prefix() {
     let text = build_log_text(&cmds, 0, 0, 0);
     let err = SubmissionLog::parse(&text).unwrap_err();
     assert!(err.0.contains("batch size not in Table 2"), "{err}");
-    let (prefix, err) = SubmissionLog::parse_prefix(&text);
-    assert_eq!(lines_of(&prefix), [cmds[0].fmt_line()]);
-    assert!(err.is_some());
+    // Header, tallies, the listed submit, then the unlisted one.
+    assert!(err.0.starts_with("line 4: "), "{err}");
 }
 
 #[test]
 fn wal_record_with_an_unlisted_batch_size_is_a_bad_record() {
     let unlisted = cyclegan_submit(64);
     let mut wal = Wal::create(MemorySink::new()).expect("memory sink");
-    wal.append_command(&unlisted).expect("memory sink");
+    wal.append(unlisted.fmt_line().as_bytes())
+        .expect("memory sink");
     let image = wal.sink().bytes();
 
     let scan = scan_wal(image).expect("a WAL image");
     assert!(scan.torn.is_none(), "CRC-valid: {:?}", scan.torn);
     assert_eq!(scan.records.len(), 1);
-    assert_eq!(scan.records[0].payload, unlisted.fmt_line());
+    assert_eq!(scan.records[0].payload, unlisted.fmt_line().as_bytes());
 
     let policy = IsolatedSplit::new();
     let config = SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]));
@@ -145,6 +143,116 @@ fn wal_record_with_an_unlisted_batch_size_is_a_bad_record() {
             assert!(detail.contains("batch size not in Table 2"), "{detail}")
         }
         other => panic!("expected a bad-record error, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stream images of the wrong kind: a typed error, never a service.
+// ---------------------------------------------------------------------
+
+fn tiny_config() -> SimConfig {
+    SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]))
+}
+
+/// A WAL image and the checkpoint image taken after its `checkpointed`
+/// leading commands (both through a durable service on memory storage).
+fn durable_images(checkpointed: usize) -> (Vec<u8>, Vec<u8>) {
+    let policy = IsolatedSplit::new();
+    let mut durable = DurableService::new(
+        &policy,
+        tiny_config(),
+        ServiceConfig::default(),
+        MemorySink::new(),
+        MemoryCheckpointStore::new(),
+        0,
+    )
+    .expect("memory storage");
+    let cmds = [cyclegan_submit(1), Command::QueryAllocation];
+    for (i, cmd) in cmds.iter().enumerate() {
+        if i == checkpointed {
+            durable.checkpoint_now().expect("memory storage");
+        }
+        durable
+            .apply(cmd)
+            .expect("memory storage")
+            .expect("accepted");
+    }
+    let wal = durable.wal().sink().bytes().to_vec();
+    let ckpt = durable.store().bytes().expect("checkpoint saved").to_vec();
+    (wal, ckpt)
+}
+
+fn recover_images(ckpt: Option<&[u8]>, wal: &[u8]) -> Result<(), RecoveryError> {
+    let policy = IsolatedSplit::new();
+    let config = tiny_config();
+    recover(&policy, &config, &ServiceConfig::default(), ckpt, wal).map(|_| ())
+}
+
+#[test]
+fn checkpoint_and_wal_images_are_not_interchangeable() {
+    let (wal, ckpt) = durable_images(1);
+    assert_eq!(recover_images(Some(&ckpt), &wal), Ok(()));
+    // A checkpoint as the WAL: its frame's seq is the covered position,
+    // ahead of an empty prefix...
+    assert_eq!(
+        recover_images(None, &ckpt),
+        Err(RecoveryError::SequenceGap {
+            expected: 0,
+            found: 1
+        })
+    );
+    // ...and where the seq lines up, its payload is no WAL line.
+    assert!(matches!(
+        recover_images(Some(&ckpt), &ckpt),
+        Err(RecoveryError::BadRecord { seq: 1, .. })
+    ));
+    let (_, empty_ckpt) = durable_images(0);
+    assert!(matches!(
+        recover_images(None, &empty_ckpt),
+        Err(RecoveryError::BadRecord { seq: 0, .. })
+    ));
+    // A WAL as the checkpoint: one frame or many, none is a checkpoint.
+    for checkpointed in [0, 1] {
+        let (wal, _) = durable_images(checkpointed);
+        assert!(matches!(
+            recover_images(Some(&wal), &wal),
+            Err(RecoveryError::Checkpoint(WalError::BadCheckpoint(_)))
+        ));
+    }
+}
+
+#[test]
+fn a_version_1_stream_is_refused() {
+    let (wal, ckpt) = durable_images(1);
+    for mut img in [wal, ckpt] {
+        img[WAL_MAGIC.len()..WAL_MAGIC.len() + 2].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            recover_images(None, &img),
+            Err(RecoveryError::Wal(WalError::UnsupportedStreamVersion(1)))
+        );
+        assert_eq!(
+            recover_images(Some(&img), &[]),
+            Err(RecoveryError::Checkpoint(
+                WalError::UnsupportedStreamVersion(1)
+            ))
+        );
+    }
+}
+
+#[test]
+fn a_crc_valid_payload_that_is_not_utf8_is_a_bad_record() {
+    let mut wal = Wal::create(MemorySink::new()).expect("memory sink");
+    wal.append(b"query").expect("memory sink");
+    wal.append(b"query \xff\xfe").expect("memory sink");
+    let image = wal.sink().bytes();
+    let scan = scan_wal(image).expect("a WAL image");
+    assert!(scan.torn.is_none(), "CRC-valid: {:?}", scan.torn);
+    assert_eq!(scan.records.len(), 2);
+    match recover_images(None, image) {
+        Err(RecoveryError::BadRecord { seq: 1, detail }) => {
+            assert!(detail.contains("not UTF-8"), "{detail}")
+        }
+        other => panic!("expected a bad record, got {other:?}"),
     }
 }
 
@@ -233,9 +341,9 @@ proptest! {
     }
 
     /// Truncating a valid log at *any* byte: `parse` errors or returns a
-    /// prefix, never panics; `parse_prefix` recovers a log that (a) is a
-    /// line-prefix of the original except possibly a reinterpreted final
-    /// line and (b) re-serializes to text that parses cleanly.
+    /// log that (a) is a line-prefix of the original except possibly a
+    /// reinterpreted final line and (b) re-serializes to text that parses
+    /// cleanly — never panics.
     #[test]
     fn truncated_logs_recover_a_valid_prefix(
         ops in prop::collection::vec((0usize..6, 0usize..64, any::<u64>()), 1..12),
@@ -248,8 +356,9 @@ proptest! {
         let truncated = &text[..cut.min(text.len())];
         if let Ok(t) = std::str::from_utf8(truncated.as_bytes()) {
             // `parse` must not panic; outcome may be either.
-            let _ = SubmissionLog::parse(t);
-            let (prefix, _err) = SubmissionLog::parse_prefix(t);
+            let Ok(prefix) = SubmissionLog::parse(t) else {
+                return Ok(());
+            };
             let recovered = lines_of(&prefix);
             let original: Vec<String> = cmds.iter().map(Command::fmt_line).collect();
             prop_assert!(recovered.len() <= original.len());
@@ -267,9 +376,8 @@ proptest! {
         }
     }
 
-    /// Flipping arbitrary bytes of a valid log: `parse` and
-    /// `parse_prefix` never panic, and whatever prefix is recovered
-    /// still re-serializes to a parseable log.
+    /// Flipping arbitrary bytes of a valid log: `parse` never panics, and
+    /// whatever it accepts still re-serializes to a parseable log.
     #[test]
     fn mutated_logs_never_panic(
         ops in prop::collection::vec((0usize..6, 0usize..64, any::<u64>()), 1..10),
@@ -283,8 +391,9 @@ proptest! {
             bytes[idx] ^= mask;
         }
         if let Ok(t) = std::str::from_utf8(&bytes) {
-            let _ = SubmissionLog::parse(t);
-            let (prefix, _err) = SubmissionLog::parse_prefix(t);
+            let Ok(prefix) = SubmissionLog::parse(t) else {
+                return Ok(());
+            };
             let reserialized = prefix.serialize();
             let reparsed = SubmissionLog::parse(&reserialized)
                 .expect("recovered prefix must serialize to a parseable log");

@@ -133,7 +133,7 @@ fn run_interleaving(
 
     // (b) Full replay → bit-identical result.
     let live = svc.into_result();
-    let replayed = replay(&policy, &cfg, &service, &log);
+    let replayed = replay(&policy, &cfg, &service, &log).expect("logged commands replay");
     prop_assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
     prop_assert_eq!(&live.service_stats, &replayed.service_stats);
     prop_assert_eq!(live.snapshot_stats, replayed.snapshot_stats);

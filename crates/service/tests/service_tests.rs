@@ -7,8 +7,9 @@ use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{IsolatedSplit, MaxMinFairness};
 use gavel_service::EntityCounters;
 use gavel_service::{
-    recover, replay, Command, DurableService, MemoryCheckpointStore, MemorySink, Rejection,
-    SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
+    recover, replay, Command, DurableService, MemoryCheckpointStore, MemorySink, RecoveryError,
+    Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
+    Wal,
 };
 use gavel_solver::SolverError;
 use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle, TraceJob};
@@ -280,12 +281,51 @@ fn replay_reproduces_interactive_session() {
                 max_active_per_entity: Some(2),
             },
             &log,
-        );
+        )
+        .expect("logged commands replay");
         assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
         assert_eq!(live.service_stats, replayed.service_stats);
         assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
         assert_eq!(live.snapshot_stats.bridged_snapshots > 0, estimated);
     }
+}
+
+/// A well-formed log that submits one id twice, with no rejection
+/// tallied: the fresh service rejects the second submit, so the log does
+/// not describe a run. Replay and recovery from a WAL carrying the same
+/// lines both refuse it, naming the entry, instead of returning a result
+/// whose counters disagree with the log's.
+#[test]
+fn a_logged_command_rejected_on_replay_is_a_typed_error() {
+    let submit = Command::Submit {
+        job: mk_job(0, 0.0, 1e6, None),
+    }
+    .fmt_line();
+    let text = format!(
+        "gavel-submission-log v2\nrejected commands=0 cap=0 invalid=0\n{submit}\n{submit}\n"
+    );
+    let log = SubmissionLog::parse(&text).expect("well-formed log");
+    let policy = MaxMinFairness::new();
+    let cfg = SimConfig::new(small_cluster());
+    let svc_cfg = ServiceConfig::default();
+    let refused = |err: RecoveryError| match err {
+        RecoveryError::BadRecord { seq: 1, detail } => {
+            assert!(detail.contains("duplicate job id"), "{detail}")
+        }
+        other => panic!("expected entry 1 to be refused, got {other}"),
+    };
+    refused(replay(&policy, &cfg, &svc_cfg, &log).expect_err("duplicate submit replays"));
+
+    let mut wal = Wal::create(MemorySink::new()).unwrap();
+    for _ in 0..2 {
+        wal.append(submit.as_bytes()).unwrap();
+    }
+    let recovered = recover(&policy, &cfg, &svc_cfg, None, wal.sink().bytes());
+    refused(
+        recovered
+            .map(|_| ())
+            .expect_err("duplicate submit recovers"),
+    );
 }
 
 /// Max-min fairness whose every third recompute fails the way a basis
@@ -397,7 +437,7 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
     // log and recovering from the WAL, each against a fresh policy, land
     // on the same state.
     let fresh = FlakySolver::default();
-    let replayed = replay(&fresh, &cfg, &svc_cfg, &log);
+    let replayed = replay(&fresh, &cfg, &svc_cfg, &log).expect("logged commands replay");
     assert_eq!(result_fingerprint(&replayed), result_fingerprint(&live));
     assert_eq!(replayed.policy_failure_kinds, live.policy_failure_kinds);
     let fresh = FlakySolver::default();

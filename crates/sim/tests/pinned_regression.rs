@@ -101,7 +101,8 @@ fn fingerprint(r: &SimResult) -> Fingerprint {
 fn run_replayed(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
     let (live, log) = Simulator::new(cfg.clone()).run_logged(policy, trace);
     let parsed = SubmissionLog::parse(&log.serialize()).expect("log text round-trips");
-    let replayed = replay(policy, cfg, &ServiceConfig::default(), &parsed);
+    let replayed =
+        replay(policy, cfg, &ServiceConfig::default(), &parsed).expect("logged commands replay");
     assert_eq!(
         fingerprint(&live),
         fingerprint(&replayed),

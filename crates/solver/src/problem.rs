@@ -383,6 +383,8 @@ impl LpProblem {
         if !flag_on(std::env::var_os("GAVEL_LP_CROSSCHECK")) {
             return;
         }
+        // A debug-only cross-check: disagreeing engines are the failure it
+        // exists to report.
         let dense = self
             .solve_dense()
             .expect("dense oracle failed where the revised simplex succeeded");

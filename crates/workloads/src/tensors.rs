@@ -113,7 +113,7 @@ pub fn build_tensor_with_pairs_by(
             }
         }
     }
-    candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+    candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
 
     let mut per_job_count = vec![0usize; jobs.len()];
     for (_, i, k, row) in candidates {
@@ -255,6 +255,34 @@ mod tests {
                 .any(|c| c.contains(JobId(2)) && c.contains(JobId(3))),
             "heavy pair should be pruned: {pairs:?}"
         );
+    }
+
+    /// A NaN colocated throughput scores nothing (`f64::max` skips it),
+    /// so its pair is pruned; the pairs that survive are ranked without
+    /// panicking.
+    #[test]
+    fn nan_pair_throughputs_do_not_panic() {
+        let o = Oracle::new();
+        let jobs = [
+            spec(0, MF::A3C, 4),
+            spec(1, MF::ResNet18, 16),
+            spec(2, MF::CycleGan, 1),
+        ];
+        let opts = PairOptions {
+            min_aggregate: 0.1,
+            max_pairs_per_job: 8,
+        };
+        let (combos, _) = build_tensor_with_pairs_by(&o, &jobs, true, &opts, |a, _, g| {
+            let t = o.isolated(a.config, g);
+            Some(if a.id == JobId(0) {
+                (f64::NAN, t)
+            } else {
+                (t, t)
+            })
+        });
+        let pairs: Vec<_> = combos.combos().iter().filter(|c| c.is_pair()).collect();
+        assert_eq!(pairs.len(), 1, "{pairs:?}");
+        assert!(!pairs[0].contains(JobId(0)));
     }
 
     #[test]
