@@ -7,8 +7,9 @@
 //!   rise, cold per round vs chained warm starts (the dual-simplex
 //!   reoptimization path),
 //! - `hier/*` — one whole single-level water-filling solve (round LPs,
-//!   prepass, the warm chain of per-job probes). Timing only; the probe
-//!   gates are `hierarchical.rs`'s own tests.
+//!   prepass, the warm chain of per-job probes). Gated on every one of
+//!   those solves starting from its hint: no phase-1 pivot, no warm
+//!   fallback. The probe verdicts' gates are `hierarchical.rs`'s own tests.
 //! - `las/*` — one whole `MaxMinFairness` recompute (build, lower once,
 //!   max-`t` solve, refine solve) on weighted jobs of scale factor 1–8.
 //!   Gated on both solves starting from their structural bases: no
@@ -20,8 +21,8 @@
 //! After each timed group the warm path's counters (`dual_pivots`,
 //! `bound_flips`, `warm_hits`, `warm_falls_back`) are printed so warm-path
 //! efficacy is observable rather than inferred, and the bench **panics**
-//! if a rising-floor round cold-started — CI runs this at smoke scale as
-//! a regression gate.
+//! if a rising-floor round or a water-filling solve cold-started — CI
+//! runs this at smoke scale as a regression gate.
 //!
 //! Overwrites the machine-readable `BENCH_solver.json` (a header object —
 //! git revision, core count, `GAVEL_THREADS`, sampling — then one JSON
@@ -278,9 +279,9 @@ fn probe_setup(n: usize, seed: u64) -> ProbeSetup {
 
 /// One whole single-level water-filling solve — every round's LP,
 /// prepass and warm chain of per-job probes — on the contested
-/// instances. Timing only: the probe gates (verdicts equal to an
-/// exhaustive oracle's, no probe running a phase 1) are
-/// `hierarchical.rs`'s own tests.
+/// instances. The gate runs outside the timed loop: no solve of the water
+/// filling may run a phase 1 or fall back cold. The probe verdicts are
+/// checked against an exhaustive oracle by `hierarchical.rs`'s own tests.
 fn bench_hierarchical(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier");
     group.sample_size(5);
@@ -291,6 +292,10 @@ fn bench_hierarchical(c: &mut Criterion) {
         let (_, stats) = policy
             .compute_allocation_with_stats(&input)
             .expect("hier bench instance is feasible");
+        assert!(
+            stats.warm_falls_back == 0 && stats.pivots_phase1 == 0,
+            "a water-filling solve started cold at {n} jobs: {stats:?}"
+        );
         println!(
             "hier/{n}: {} probes, {} pivots",
             stats.parallel_probes,

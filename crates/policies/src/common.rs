@@ -8,7 +8,7 @@
 use gavel_core::{
     AccelIdx, Allocation, Combo, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE,
 };
-use gavel_solver::{Cmp, ConstraintId, LpProblem, Sense, VarId};
+use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, Sense, VarId};
 
 /// The job ids of a [`PolicyInput`] sorted for lookup, so a pass over the
 /// combos can place each one without rescanning the job list.
@@ -144,6 +144,28 @@ impl AllocLp {
             budget,
             capacity,
         }
+    }
+
+    /// The cell of singleton row `k` with the largest throughput (the
+    /// first one on ties): where a structural basis puts the row's job.
+    pub fn best_cell(&self, input: &PolicyInput<'_>, k: usize) -> Option<VarId> {
+        (self.x[k].iter().zip(input.tensor.row(k)))
+            .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
+            .reduce(|best, cell| if cell.1 > best.1 { cell } else { best })
+            .map(|(v, _)| v)
+    }
+
+    /// The origin basis of a level LP built on this block, whose floor rows
+    /// `throughput_m - c_m t >= floor_m` come one per job: the validity rows
+    /// on their slacks, and the floor rows on `cells`, each job's
+    /// [`AllocLp::best_cell`] at zero. Every variable is zero and every
+    /// slack equals its right-hand side, so while the floors are zero the
+    /// basis is primal feasible by construction.
+    pub fn origin(&self, cells: &[BasisEntry]) -> Vec<BasisEntry> {
+        let validity = self.budget.iter().chain(&self.capacity).flatten();
+        let mut origin: Vec<BasisEntry> = validity.map(|&row| BasisEntry::Slack(row)).collect();
+        origin.extend_from_slice(cells);
+        origin
     }
 
     /// Linear terms of `throughput(job, X)` — the effective-throughput

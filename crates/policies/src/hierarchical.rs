@@ -26,13 +26,11 @@
 //!
 //! - the **round LP** (step 1): one floor row per job and the level
 //!   variable `t`. Each round patches the floors (right-hand sides) and
-//!   rewrites `t`'s column to the active jobs and their weights, then
-//!   re-solves from the previous round's basis. Floors only ever rise,
-//!   which keeps that basis *dual* feasible, so the solver repairs it with
-//!   a few dual pivots. Only this LP's vertices reach the returned
-//!   allocation, and every patch writes exactly what a fresh build of the
-//!   round's LP would contain, so the allocation is bit-identical to
-//!   building and solving each round from scratch.
+//!   rewrites `t`'s column to the active jobs and their weights. Only this
+//!   LP's vertices reach the returned allocation, and every patch writes
+//!   exactly what a fresh build of the round's LP would contain, so the
+//!   allocation is bit-identical to solving a fresh build of each round
+//!   from the same hint.
 //! - the **probe LP** (step 3): one floor row and one slack `s_m` in
 //!   `[0, 1]` per job, `tput_m - s_m >= floor_m`; a bottlenecked job's
 //!   slack is fixed at zero instead of being removed. Maximizing the sum of
@@ -47,6 +45,27 @@
 //!   so no probe ever runs a phase 1, and the factorization one probe ends
 //!   with is the one the next starts from.
 //!
+//! # Where each solve starts
+//!
+//! The two families share their rows and allocation variables, so a basis
+//! written in problem terms ([`BasisEntry`]) hints either. The first round
+//! LP starts from the origin basis — validity rows on their slacks, each
+//! floor row on its job's best cell, every variable at zero. Every later
+//! round LP, and the first prepass, start from the last round optimum with
+//! `t` taken out. Both hints are primal feasible by construction. Floors
+//! rise exactly to that optimum `x*`: an active job's floor becomes
+//! `floor_m + w_m t*`, which `x*` meets. So `(x*, t = 0)` satisfies every
+//! round row and `(x*, s = 0)` every probe row. The solver completes the
+//! basis in the row `t` leaves with a logical column, which sits at zero
+//! whichever one it picks.
+//!
+//! A later prepass starts from the prepass before it. Rising floors and
+//! slacks fixed at zero leave that basis dual feasible, so at worst the
+//! dual simplex repairs it. A slack freed again (a FIFO entity handing a
+//! retired job's weight on) breaks this; that prepass starts from the
+//! round optimum too. No solve of a water filling runs a phase 1 or falls
+//! back cold.
+//!
 //! Appendix A.1 states step 3 as a MILP with one binary per job. The
 //! probes answer the same question with LPs alone; this module's tests
 //! keep the MILP, under a plain branch-and-bound, as an oracle the probe
@@ -55,7 +74,7 @@
 use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{
-    Cmp, ConstraintId, LpSolution, PreparedLp, Sense, SolveStats, VarId, WarmStart,
+    BasisEntry, Cmp, ConstraintId, LpSolution, PreparedLp, Sense, SolveStats, VarId, WarmStart,
 };
 
 /// Inner (per-entity) policy.
@@ -196,10 +215,16 @@ impl Hierarchical {
 
         let alp = AllocLp::new(input, Sense::Maximize);
         let tput = normalized_throughputs(input, &singles, &alp);
+        let cells: Vec<BasisEntry> = (0..n)
+            .filter_map(|m| alp.best_cell(input, singles.row(m)))
+            .map(BasisEntry::Var)
+            .collect();
         Ok(WaterFill {
             input,
             round: Family::round(&alp, &tput, &weights)?,
             probe: Family::probe(&alp, &tput)?,
+            start: alp.origin(&cells),
+            prepass_optimum: None,
             floors: vec![0.0; n],
             weights,
             done: vec![false; n],
@@ -243,9 +268,6 @@ struct Family {
     vars: Vec<VarId>,
     /// Floor row per job.
     floor_rows: Vec<ConstraintId>,
-    /// Optimal basis of the family's last solve at the *family's own*
-    /// objective (round LP, prepass) — the warm start of the next round's.
-    basis: Option<WarmStart>,
 }
 
 impl Family {
@@ -275,7 +297,6 @@ impl Family {
             lp: PreparedLp::new(lp).map_err(solver_err)?,
             vars: vec![t],
             floor_rows,
-            basis: None,
         })
     }
 
@@ -303,22 +324,20 @@ impl Family {
             lp: PreparedLp::new(lp).map_err(solver_err)?,
             vars: slacks,
             floor_rows,
-            basis: None,
         })
     }
 }
 
-/// Solves `lp` at its current patches, warm-started from (and refreshing)
-/// `basis`, and adds the solve's counters to `stats`.
+/// Solves `lp` at its current patches, warm-started from `hint`, and adds
+/// the solve's counters to `stats`. Returns the solution and its basis.
 fn solve_from(
     lp: &mut PreparedLp,
-    basis: &mut Option<WarmStart>,
+    hint: Option<&WarmStart>,
     stats: &mut SolveStats,
-) -> Result<LpSolution, PolicyError> {
-    let (sol, optimal) = lp.solve(basis.as_ref()).map_err(|(e, _)| solver_err(e))?;
-    *basis = Some(optimal);
+) -> Result<(LpSolution, WarmStart), PolicyError> {
+    let (sol, optimal) = lp.solve(hint).map_err(|(e, _)| solver_err(e))?;
     stats.absorb(&sol.stats);
-    Ok(sol)
+    Ok((sol, optimal))
 }
 
 /// Internal per-solve state.
@@ -343,6 +362,13 @@ struct WaterFill<'i, 'a> {
     round: Family,
     /// The probe LP (step 3).
     probe: Family,
+    /// Where the next round LP starts, and a prepass that cannot start from
+    /// the last one, in problem terms: the origin basis, then the last
+    /// round optimum without `t`.
+    start: Vec<BasisEntry>,
+    /// The last prepass optimum: where the probe chain and the next
+    /// prepass start.
+    prepass_optimum: Option<WarmStart>,
     /// Aggregate solver stats across every LP solved, in solve order.
     stats: SolveStats,
 }
@@ -401,6 +427,8 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     fn solve_round(&mut self) -> Result<(f64, Allocation), PolicyError> {
         let round = &mut self.round;
         let t = round.vars[0];
+        // Written before the patches, which may leave the LP to re-lower.
+        let hint = round.lp.basis_hint(&self.start);
         // Exactly what a fresh build would hold (a no-op in the first
         // round): `t` appears in the active jobs' rows only, so its stored
         // column shrinks with the active set.
@@ -412,7 +440,9 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for (&row, &floor) in round.floor_rows.iter().zip(&self.floors) {
             round.lp.set_rhs(row, floor);
         }
-        let sol = solve_from(&mut round.lp, &mut round.basis, &mut self.stats)?;
+        let (sol, optimal) = solve_from(&mut round.lp, hint.as_ref(), &mut self.stats)?;
+        self.start = round.lp.basis_entries(&optimal);
+        self.start.retain(|&entry| entry != BasisEntry::Var(t));
         Ok((sol.value(t), self.alp.extract(self.input, &sol)))
     }
 
@@ -430,6 +460,15 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// improvable job, so these still need a probe of their own.
     fn prepass(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
         let probe = &mut self.probe;
+        // The last prepass optimum stays dual feasible while floors rise and
+        // slacks are fixed at zero, but not once a slack is freed again (a
+        // FIFO entity hands a retired job's weight on): then, and in the
+        // first round, start from the round optimum without `t`.
+        let freed = (active.iter()).any(|&m| probe.lp.problem().bounds(probe.vars[m]).1 == 0.0);
+        let hint = match self.prepass_optimum.take() {
+            Some(last) if !freed => Some(last),
+            _ => probe.lp.basis_hint(&self.start),
+        };
         for m in 0..self.floors.len() {
             probe.lp.set_rhs(probe.floor_rows[m], self.floors[m]);
             // A job is active exactly while it carries weight.
@@ -438,7 +477,8 @@ impl<'i, 'a> WaterFill<'i, 'a> {
                 probe.lp.set_bounds(probe.vars[m], 0.0, ub);
             }
         }
-        let sol = solve_from(&mut probe.lp, &mut probe.basis, &mut self.stats)?;
+        let (sol, optimum) = solve_from(&mut probe.lp, hint.as_ref(), &mut self.stats)?;
+        self.prepass_optimum = Some(optimum);
         Ok(active
             .iter()
             .copied()
@@ -448,8 +488,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
 
     /// Probes each candidate on the LP [`WaterFill::prepass`] just solved:
     /// the same constraints under the cost vector `e_m`, chained from the
-    /// prepass optimum (which stays `probe.basis` for the next round).
-    /// Returns the candidates found bottlenecked, in order.
+    /// prepass optimum. Returns the candidates found bottlenecked, in order.
     fn probe_chain(&mut self, candidates: &[usize]) -> Result<Vec<usize>, PolicyError> {
         if candidates.is_empty() {
             return Ok(Vec::new());
@@ -463,11 +502,12 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for &s in &probe.vars {
             probe.lp.set_objective_coeff(s, 0.0);
         }
-        let mut chain = probe.basis.clone();
+        let mut chain = self.prepass_optimum.clone();
         let mut bottlenecked = Vec::new();
         for &m in candidates {
             probe.lp.set_objective_coeff(probe.vars[m], 1.0);
-            let sol = solve_from(&mut probe.lp, &mut chain, &mut self.stats)?;
+            let (sol, optimal) = solve_from(&mut probe.lp, chain.as_ref(), &mut self.stats)?;
+            chain = Some(optimal);
             probe.lp.set_objective_coeff(probe.vars[m], 0.0);
             // The objective is `s_m*`: how far job `m` alone can rise
             // above its floor while every other job keeps theirs.
@@ -801,6 +841,47 @@ mod tests {
         );
         assert_eq!(warm_hits, probed);
         assert_eq!((phase1, cold), (0, 0));
+    }
+
+    /// Every solve of a whole water filling — round LPs, prepasses and
+    /// probes — starts from its hint: no phase-1 pivot and no cold
+    /// fallback, single-level and over four entities, with fairness and
+    /// with FIFO inside.
+    #[test]
+    fn every_solve_starts_warm() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        let policies = [
+            Hierarchical::single_level(),
+            Hierarchical::new(vec![1.0, 2.0, 3.0, 4.0], EntityPolicy::Fairness),
+            Hierarchical::new(vec![1.0, 2.0, 3.0, 4.0], EntityPolicy::Fifo),
+        ];
+        for case in 0..8 {
+            let n = rng.gen_range(8..48);
+            let tputs: Vec<[f64; 3]> = (0..n)
+                .map(|_| [(); 3].map(|()| rng.gen_range(0.5..4.0)))
+                .collect();
+            let workers = rng.gen_range(1..n / 4 + 2);
+            let types = ["v100", "p100", "k80"];
+            let mut setup = Setup::new(&tputs, |m| m % 4, cluster(&types, workers));
+            for policy in &policies {
+                for (m, job) in setup.jobs.iter_mut().enumerate() {
+                    job.weight = rng.gen_range(0.5..4.0);
+                    job.entity = (!policy.entities.is_empty()).then_some(m % 4);
+                }
+                let (_, stats) = policy
+                    .compute_allocation_with_stats(&setup.input())
+                    .unwrap();
+                let what = format!("case {case}, {n} jobs, {}: {stats:?}", policy.name());
+                assert!(stats.warm_hits > 0, "{what}");
+                assert_eq!(
+                    (stats.pivots_phase1, stats.warm_falls_back),
+                    (0, 0),
+                    "{what}"
+                );
+            }
+        }
     }
 
     /// A solve runs until no job is active, however many rounds that

@@ -49,9 +49,7 @@
 
 use crate::common::{check_input, solver_err, spread, waterfill_shares, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{
-    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
-};
+use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats};
 
 /// Heterogeneity-aware max-min fairness (LAS).
 #[derive(Debug, Clone, Default)]
@@ -73,16 +71,6 @@ impl MaxMinFairness {
             .zip(norms)
             .map(|(job, norm)| job.weight * norm / job.scale_factor.max(1) as f64)
             .collect()
-    }
-
-    /// The cell of singleton row `k` with the largest throughput (the
-    /// first one on ties): the column both structural bases put the row's
-    /// job on.
-    fn best_cell(input: &PolicyInput<'_>, alp: &AllocLp, k: usize) -> Option<VarId> {
-        (alp.x[k].iter().zip(input.tensor.row(k)))
-            .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
-            .reduce(|best, cell| if cell.1 > best.1 { cell } else { best })
-            .map(|(v, _)| v)
     }
 
     /// Like [`Policy::compute_allocation`], but also returns the summed
@@ -122,7 +110,7 @@ impl MaxMinFairness {
         let mut floors = Vec::with_capacity(n);
         let mut on_cell = Vec::with_capacity(n);
         for (m, (job, &c)) in input.jobs.iter().zip(&normalizers).enumerate() {
-            let (Some(cell), true) = (Self::best_cell(input, &alp, singles.row(m)), c > 0.0) else {
+            let (Some(cell), true) = (alp.best_cell(input, singles.row(m)), c > 0.0) else {
                 return Err(PolicyError::NoFeasibleAllocation(format!(
                     "{} has zero normalized throughput",
                     job.id
@@ -147,10 +135,7 @@ impl MaxMinFairness {
 
         // Max t from the origin: validity rows on their slacks, floor rows
         // on their jobs' best cells.
-        let validity = alp.budget.iter().chain(&alp.capacity).flatten();
-        let mut origin: Vec<BasisEntry> = validity.map(slack).collect();
-        origin.extend_from_slice(&on_cell);
-        let (sol, _) = solve_hinted(&mut lp, &origin)?;
+        let (sol, _) = solve_hinted(&mut lp, &alp.origin(&on_cell))?;
         let mut stats = sol.stats;
         if !refine {
             return Ok((alp.extract(input, &sol), stats));

@@ -42,12 +42,25 @@
 //! the steps reached instead of `O(m)` per column. The factors, and every
 //! solve against them, are bit-identical to that loop's (a unit test keeps
 //! the full scan as the reference and compares FTRAN/BTRAN bit patterns).
+//!
+//! # Completing a hint
+//!
+//! A warm start names a basis, but it may name too few columns or columns
+//! that depend on one another. [`Basis::complete`] repairs such a hint in
+//! the same elimination pass: it skips each column with no pivot left and
+//! then puts a logical column (a slack, surplus or artificial: a unit
+//! column) in every row still without a pivot. A unit column in a row no
+//! step has pivoted on eliminates to itself, so it always pivots there.
 
 use crate::sparse::CscMatrix;
 
 /// Eta-file length at which the factorization is rebuilt: pivots between
 /// refactorizations.
 const REFACTOR_EVERY: usize = 64;
+
+/// A slot of the selection given to [`Basis::complete`] that names no
+/// column.
+pub const NO_COLUMN: usize = usize::MAX;
 
 /// Product-form update: basis slot `slot` was replaced by a column whose
 /// FTRAN image was `w` (`diag = w[slot]`, the other nonzeros in
@@ -171,14 +184,70 @@ impl Basis {
     /// Returns `false` when the selection is singular; the factors are then
     /// unusable until a refactorization succeeds.
     pub fn refactor(&mut self, a: &CscMatrix, basis_cols: &[usize], pivot_tol: f64) -> bool {
-        self.refactor_with(a, basis_cols, pivot_tol, eliminate)
+        self.refactor_with(a, basis_cols, pivot_tol, false, eliminate)
     }
 
+    /// Factorizes a warm-start hint that may name fewer columns than `a`
+    /// has rows, or columns that depend on one another. `cols` has one slot
+    /// per row; a slot holding [`NO_COLUMN`] names nothing. The named
+    /// columns are factorized sparsest first, as in [`Basis::factorize`],
+    /// except that a column dependent on the ones before it is skipped.
+    /// Then every row left without a pivot gets its logical column
+    /// `logical(row)` — a unit column in that row, so it pivots there — in
+    /// a free slot, a skipped column's first. Never fails.
+    ///
+    /// Returns the factors, with `cols` rewritten to the completed basis,
+    /// and the number of logical columns put in. Zero means `cols` was a
+    /// nonsingular basis already, and the factors are bit for bit
+    /// [`Basis::factorize`]'s. Otherwise the factor columns are not in the
+    /// order a factorization of the completed basis would use.
+    pub fn complete(
+        a: &CscMatrix,
+        cols: &mut [usize],
+        logical: impl Fn(usize) -> usize,
+        pivot_tol: f64,
+    ) -> (Basis, usize) {
+        let mut basis = Basis {
+            etas: Vec::with_capacity(REFACTOR_EVERY),
+            ..Basis::default()
+        };
+        basis.refactor_with(a, cols, pivot_tol, true, eliminate);
+        // `q` lists the pivoted slots, then the skipped ones.
+        let pivoted = basis.lu.p.len();
+        let skipped_end = basis.lu.q.len();
+        let mut empty = 0;
+        for row in 0..basis.m {
+            if basis.lu.pinv[row] != usize::MAX {
+                continue;
+            }
+            let k = basis.lu.p.len();
+            let slot = if k < skipped_end {
+                basis.lu.q[k]
+            } else {
+                while cols[empty] != NO_COLUMN {
+                    empty += 1;
+                }
+                basis.lu.q.push(empty);
+                empty
+            };
+            cols[slot] = logical(row);
+            let ok = basis.push_column(a, cols[slot], &eliminate);
+            debug_assert!(ok && basis.lu.p[k] == row, "logical column off its row");
+        }
+        let added = basis.m - pivoted;
+        (basis, added)
+    }
+
+    /// Rebuilds the factors from the columns `basis_cols` names. A column
+    /// dependent on the ones before it ends the factorization with `false`,
+    /// or with `skip_dependent` is left out; `q` then lists the pivoted
+    /// slots, in factor order, before the skipped ones.
     fn refactor_with(
         &mut self,
         a: &CscMatrix,
         basis_cols: &[usize],
         pivot_tol: f64,
+        skip_dependent: bool,
         eliminate: impl Fn(&LuFactors, &mut [f64], &mut Vec<usize>, &mut [u64]),
     ) -> bool {
         let m = a.nrows();
@@ -199,11 +268,13 @@ impl Basis {
         // the basis itself instead of exploding on a poor ordering. Ties
         // keep slot order.
         lu.q.clear();
-        lu.q.extend(0..m);
+        lu.q.reserve(m);
+        lu.q.extend((0..m).filter(|&slot| basis_cols[slot] != NO_COLUMN));
         lu.q.sort_unstable_by_key(|&slot| (a.col_nnz(basis_cols[slot]), slot));
         // Without fill-in, `L` and `U` together hold the basis's
         // off-diagonal nonzeros, so either slab fits its share whole.
-        let nnz: usize = basis_cols.iter().map(|&c| a.col_nnz(c)).sum();
+        let named = basis_cols.iter().filter(|&&c| c != NO_COLUMN);
+        let nnz: usize = named.map(|&c| a.col_nnz(c)).sum();
         for (start, ent) in [
             (&mut lu.l_start, &mut lu.l_ent),
             (&mut lu.u_start, &mut lu.u_ent),
@@ -220,49 +291,79 @@ impl Basis {
         lu.p.reserve(m);
         lu.pinv.clear();
         lu.pinv.resize(m, usize::MAX);
-        // Zeroed here, not on the way out: a singular selection returns
-        // mid-column.
         work.clear();
         work.resize(m, 0.0);
         pending.clear();
         pending.resize(m.div_ceil(64), 0);
         touched.clear();
         touched.reserve(m);
-        for k in 0..m {
-            a.scatter_col(basis_cols[lu.q[k]], work, touched);
-            eliminate(lu, work, touched, pending);
-            // Partial pivoting over not-yet-pivotal rows.
-            let mut piv_row = usize::MAX;
-            let mut piv_abs = 0.0f64;
-            for &r in touched.iter() {
-                if lu.pinv[r] == usize::MAX && work[r].abs() > piv_abs {
-                    piv_abs = work[r].abs();
-                    piv_row = r;
-                }
+        let mut k = 0;
+        for next in 0..self.lu.q.len() {
+            if self.push_column(a, basis_cols[self.lu.q[next]], &eliminate) {
+                self.lu.q.swap(k, next);
+                k += 1;
+            } else if !skip_dependent {
+                return false;
             }
-            if piv_abs <= pivot_tol {
-                return false; // Singular (dependent basis columns).
+        }
+        true
+    }
+
+    /// Eliminates column `col` of `a` as the next factor column and pivots
+    /// it on its largest entry in a row not yet pivotal. Returns `false`,
+    /// leaving the factors as they were, when no such entry is above the
+    /// pivot tolerance: the column depends on the ones before it.
+    fn push_column(
+        &mut self,
+        a: &CscMatrix,
+        col: usize,
+        eliminate: &impl Fn(&LuFactors, &mut [f64], &mut Vec<usize>, &mut [u64]),
+    ) -> bool {
+        let Basis {
+            lu,
+            scratch: work,
+            touched,
+            pending,
+            pivot_tol,
+            ..
+        } = self;
+        a.scatter_col(col, work, touched);
+        eliminate(lu, work, touched, pending);
+        // Partial pivoting over not-yet-pivotal rows.
+        let mut piv_row = usize::MAX;
+        let mut piv_abs = 0.0f64;
+        for &r in touched.iter() {
+            if lu.pinv[r] == usize::MAX && work[r].abs() > piv_abs {
+                piv_abs = work[r].abs();
+                piv_row = r;
             }
-            let pivot = work[piv_row];
+        }
+        if piv_abs <= *pivot_tol {
             for &r in touched.iter() {
-                let v = work[r];
                 work[r] = 0.0;
-                if v == 0.0 || r == piv_row {
-                    continue;
-                }
-                if lu.pinv[r] != usize::MAX {
-                    lu.u_ent.push((lu.pinv[r], v));
-                } else {
-                    lu.l_ent.push((r, v / pivot));
-                }
             }
             touched.clear();
-            lu.l_start.push(lu.l_ent.len());
-            lu.u_start.push(lu.u_ent.len());
-            lu.u_diag.push(pivot);
-            lu.p.push(piv_row);
-            lu.pinv[piv_row] = k;
+            return false;
         }
+        let pivot = work[piv_row];
+        for &r in touched.iter() {
+            let v = work[r];
+            work[r] = 0.0;
+            if v == 0.0 || r == piv_row {
+                continue;
+            }
+            if lu.pinv[r] != usize::MAX {
+                lu.u_ent.push((lu.pinv[r], v));
+            } else {
+                lu.l_ent.push((r, v / pivot));
+            }
+        }
+        touched.clear();
+        lu.pinv[piv_row] = lu.p.len();
+        lu.l_start.push(lu.l_ent.len());
+        lu.u_start.push(lu.u_ent.len());
+        lu.u_diag.push(pivot);
+        lu.p.push(piv_row);
         true
     }
 
@@ -606,7 +707,7 @@ mod tests {
         let tol = 1e-11;
         let fast = Basis::factorize(&a, &cols[..m], tol);
         let mut full = Basis::default();
-        let full_ok = full.refactor_with(&a, &cols[..m], tol, eliminate_full_scan);
+        let full_ok = full.refactor_with(&a, &cols[..m], tol, false, eliminate_full_scan);
         prop_assert_eq!(fast.is_some(), full_ok, "singular verdict");
         let Some(mut fast) = fast else {
             return Ok(());
@@ -631,7 +732,7 @@ mod tests {
             cols.swap(slot, enter);
             if fast.needs_refactor() {
                 let ok = fast.refactor(&a, &cols[..m], tol);
-                let full_ok = full.refactor_with(&a, &cols[..m], tol, eliminate_full_scan);
+                let full_ok = full.refactor_with(&a, &cols[..m], tol, false, eliminate_full_scan);
                 prop_assert_eq!(ok, full_ok, "singular verdict on refactorization");
                 if !ok {
                     return Ok(());
@@ -642,8 +743,59 @@ mod tests {
         Ok(())
     }
 
+    /// One completion: a [`random_case`] selection with about a quarter of
+    /// its slots emptied, completed with the unit columns `0..m` as the
+    /// logical ones.
+    fn check_completion(m: usize, seed: u64) -> Result<(), TestCaseError> {
+        let mut rng = Rng(seed);
+        let (a, named) = random_case(m, &mut rng);
+        let named: Vec<usize> = (named.iter())
+            .map(|&c| if rng.below(4) == 0 { NO_COLUMN } else { c })
+            .collect();
+        let mut cols = named.clone();
+        let (mut fac, added) = Basis::complete(&a, &mut cols, |row| row, 1e-11);
+        // One column per slot, none twice; every named column it kept
+        // stays in its slot.
+        let mut distinct = cols.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), m);
+        prop_assert!(distinct.iter().all(|&c| c < a.ncols()));
+        let kept = (named.iter().zip(&cols)).filter(|(n, c)| n == c).count();
+        prop_assert_eq!(kept + added, m);
+        // The factors solve the completed basis: `B x = rhs`.
+        let rhs: Vec<f64> = (0..m).map(|_| rng.value()).collect();
+        let mut x = rhs.clone();
+        fac.ftran(&mut x);
+        let mut back = vec![0.0; m];
+        for (&c, &xs) in cols.iter().zip(&x) {
+            for (r, v) in a.col(c) {
+                back[r] += v * xs;
+            }
+        }
+        let scale = 1.0 + x.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+        for (b, r) in back.iter().zip(&rhs) {
+            prop_assert!((b - r).abs() <= 1e-9 * scale, "{:?} vs {:?}", back, rhs);
+        }
+        // With nothing to add, the factors are the plain factorization's.
+        if added == 0 {
+            let mut plain = Basis::factorize(&a, &cols, 1e-11).expect("nonsingular");
+            same_solves(&mut fac, &mut plain, &mut rng)?;
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// [`Basis::complete`] skips dependent columns, fills every row
+        /// left without a pivot with its logical column, and factorizes
+        /// the completed basis; a complete nonsingular selection gets
+        /// exactly [`Basis::factorize`]'s factors.
+        #[test]
+        fn completion_factorizes_a_full_basis(m in 2usize..40, seed in any::<u64>()) {
+            check_completion(m, seed)?;
+        }
 
         /// Reach-ordered elimination against the full scan: the same
         /// singular verdicts and bit-identical solves, through up to 70

@@ -63,8 +63,13 @@
 //! columns plus nonbasic bound sides) as a [`WarmStart`] token alongside
 //! the solution. Feeding that token into the next solve of a
 //! *structurally identical* problem (same variable list and constraint
-//! shapes; coefficients, bounds, and right-hand sides may drift) is
-//! classified into one of three paths:
+//! shapes; coefficients, bounds, and right-hand sides may drift) first
+//! *completes* it: a hinted column that has become dependent on the others
+//! is dropped, and a row left without a column gets its logical one (its
+//! slack, its surplus, or on an equality row its artificial), all in the
+//! factorization pass the solve starts with. A hint may therefore name
+//! fewer columns than there are rows. The completed basis is classified
+//! into one of three paths:
 //!
 //! 1. **Primal continuation.** The old basis is still primal feasible
 //!    (e.g. only the objective moved, as in per-job probes within one
@@ -77,9 +82,10 @@
 //!    variables back to their bounds in a handful of pivots
 //!    ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!    no-op).
-//! 3. **Cold fallback.** Anything else — shape mismatch, singular basis,
-//!    neither feasibility, or a failure part-way along a warm path —
-//!    silently cold-starts on a full pivot budget of its own (the hinted
+//! 3. **Cold fallback.** A completed basis that is neither primal nor
+//!    dual feasible, a hint that does not fit (more columns than rows, a
+//!    column out of range or named twice), or a failure part-way along a
+//!    warm path silently cold-starts on a full pivot budget of its own (the hinted
 //!    attempt runs on a fraction of the limit, so a stalled hint cannot
 //!    starve the cold solve; [`SolveStats::warm_falls_back`]). The one
 //!    warm verdict accepted directly is an infeasibility *proof* from the
@@ -105,14 +111,15 @@
 //!
 //! A hint need not be harvested from a previous solve. A caller that can
 //! read a good vertex off the *shape* of its LP writes the basis down in
-//! problem terms — one [`BasisEntry`] per constraint, a variable or a
-//! row's slack — and [`PreparedLp::basis_hint`] turns it into the same
-//! [`WarmStart`] token, with every unnamed column at its lower bound.
-//! `gavel-policies`' max-min fairness starts both of its solves this way
-//! (the origin for `max t`, "every job full-time on its fastest cell" for
-//! the refine pass) and so never runs a phase 1. Such a hint goes through
-//! the same three-way classification: a repeated column, a singular
-//! basis or one that is neither primal nor dual feasible cold-starts.
+//! problem terms — at most one [`BasisEntry`] per constraint, a variable
+//! or a row's slack — and [`PreparedLp::basis_hint`] turns it into the
+//! same [`WarmStart`] token, with every unnamed column at its lower bound;
+//! [`PreparedLp::basis_entries`] reads a solved basis back into those
+//! terms. `gavel-policies`' max-min fairness starts both of its solves
+//! this way (the origin for `max t`, "every job full-time on its fastest
+//! cell" for the refine pass) and so never runs a phase 1. Such a hint is
+//! completed and classified like any other: a repeated column, or a
+//! completed basis that is neither primal nor dual feasible, cold-starts.
 //!
 //! # Prepared LPs: lower once, re-solve by patching
 //!
@@ -132,7 +139,8 @@
 //!
 //! Consumers: `gavel-policies`' hierarchical water filling keeps two —
 //! the round LP (floors and the level variable's column move each round;
-//! the dual path repairs the previous basis) and the probe LP (the
+//! each round starts from the last optimum with the level variable taken
+//! out, a primal feasible hint the solver completes) and the probe LP (the
 //! prepass and every per-job probe are one LP under different cost
 //! vectors, solved as a warm chain that never leaves primal
 //! feasibility); its max-min fairness keeps one per recompute (the

@@ -190,13 +190,15 @@ impl PreparedLp {
         }
     }
 
-    /// The basis made of exactly `entries` (one per constraint, any order),
+    /// The basis made of `entries` (at most one per constraint, any order),
     /// every other column resting at its lower standard bound, as a hint
     /// for [`PreparedLp::solve`]. `None` when an entry has no single
     /// standard column (a free variable, the slack of an equality row) or
-    /// a pending patch still waits for a re-lowering. The hint is
-    /// classified like a harvested one: singular, repeated-column and
-    /// neither-primal-nor-dual-feasible bases cold-start.
+    /// a pending patch still waits for a re-lowering. The solver completes
+    /// the hint like a harvested one — a dependent entry is dropped, a row
+    /// left without a column gets its slack, surplus or artificial — and
+    /// then classifies it: a repeated entry, or a completed basis neither
+    /// primal nor dual feasible, cold-starts.
     pub fn basis_hint(&self, entries: &[BasisEntry]) -> Option<WarmStart> {
         if self.stale {
             return None;
@@ -214,6 +216,28 @@ impl PreparedLp {
             basis,
             at_upper: vec![false; self.inst.ntot()],
         })
+    }
+
+    /// The basic columns of `basis`, a [`WarmStart`] a solve of this LP
+    /// returned, in problem terms: the inverse of
+    /// [`PreparedLp::basis_hint`]. Columns without such a name — half of a
+    /// free variable, an artificial — are left out; a hint written from
+    /// the rest is completed in their rows.
+    pub fn basis_entries(&self, basis: &WarmStart) -> Vec<BasisEntry> {
+        let mut named = vec![None; self.inst.ntot()];
+        for (v, map) in self.mapping.iter().enumerate() {
+            if !matches!(map, VarMap::Free { .. }) {
+                named[map.col()] = Some(BasisEntry::Var(VarId(v)));
+            }
+        }
+        for i in 0..self.lp.num_constraints() {
+            if let Some(c) = self.inst.slack_col(i) {
+                named[c] = Some(BasisEntry::Slack(ConstraintId(i)));
+            }
+        }
+        (basis.basis.iter())
+            .filter_map(|&c| named.get(c).copied().flatten())
+            .collect()
     }
 
     /// Solves the current problem, warm-started from `hint` when given —
@@ -322,21 +346,41 @@ mod tests {
 
         // The origin, written down from the LP's shape: primal feasible.
         let origin = prep.basis_hint(&[BasisEntry::Var(x), BasisEntry::Slack(budget)]);
-        let (warm, _) = prep.solve(origin.as_ref()).unwrap();
+        let (warm, optimal) = prep.solve(origin.as_ref()).unwrap();
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
         assert_eq!((warm.stats.warm_hits, warm.stats.pivots_phase1), (1, 0));
+        // Read back in problem terms, the optimum hints its own vertex.
+        let entries = prep.basis_entries(&optimal);
+        assert_eq!(entries.len(), 2, "{entries:?}");
+        let (again, _) = prep.solve(prep.basis_hint(&entries).as_ref()).unwrap();
+        assert_eq!(again.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!((again.stats.warm_hits, again.stats.total_pivots()), (1, 0));
 
-        // A repeated column and a singular basis (`t` and the floor's
-        // surplus both live in the floor row only) cold-start.
+        // A singular basis (`t` and the floor's surplus both live in the
+        // floor row only) and a partial one are completed: the surplus is
+        // dropped, the budget row gets its slack, and phase 2 starts from
+        // the origin.
         for entries in [
-            [BasisEntry::Var(x), BasisEntry::Var(x)],
-            [BasisEntry::Var(t), BasisEntry::Slack(floor)],
+            &[BasisEntry::Var(t), BasisEntry::Slack(floor)][..],
+            &[BasisEntry::Var(t)],
+            &[],
         ] {
-            let hint = prep.basis_hint(&entries);
+            let hint = prep.basis_hint(entries);
             let (sol, _) = prep.solve(hint.as_ref()).unwrap();
             assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
-            assert_eq!((sol.stats.warm_hits, sol.stats.warm_falls_back), (0, 1));
+            let stats = sol.stats;
+            assert_eq!(
+                (stats.warm_hits, stats.pivots_phase1),
+                (1, 0),
+                "{entries:?}"
+            );
         }
+
+        // A repeated column still cold-starts.
+        let hint = prep.basis_hint(&[BasisEntry::Var(x), BasisEntry::Var(x)]);
+        let (sol, _) = prep.solve(hint.as_ref()).unwrap();
+        assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
+        assert_eq!((sol.stats.warm_hits, sol.stats.warm_falls_back), (0, 1));
 
         // Entries without a single standard column, and a stale instance.
         let mut lp = LpProblem::new(Sense::Minimize);

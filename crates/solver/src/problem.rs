@@ -29,12 +29,15 @@ use crate::simplex::{self, LpSolution, SolveStats, StandardForm};
 /// side (lower or upper) each nonbasic column rests at, so bounded-variable
 /// vertices round-trip exactly.
 ///
-/// The warm-start contract: a hint is *never* required to be valid. If the
-/// next problem lowers to a different shape, or the hinted basis is
-/// singular, or it is neither primal feasible (warm phase-2 continuation)
-/// nor dual feasible (dual-simplex reoptimization) under the new data, or
-/// the warm solve fails part-way, the solver silently falls back to a cold
-/// start on a full pivot budget of its own (the one exception: an infeasibility
+/// The warm-start contract: a hint is *never* required to be valid. A
+/// singular or partial hint is completed: a dependent column is dropped
+/// and a row left without one gets its slack, surplus or artificial. If
+/// the hint does not fit the next problem (more columns than rows, a
+/// column out of range or named twice), or the completed basis is neither
+/// primal feasible (warm phase-2 continuation) nor dual feasible
+/// (dual-simplex reoptimization) under the new data, or the warm solve
+/// fails part-way, the solver silently falls back to a cold start on a
+/// full pivot budget of its own (the one exception: an infeasibility
 /// *proved* by the dual phase from a validated dual-feasible basis is
 /// returned directly — see [`crate::revised`]). A hint thus never changes
 /// the feasibility verdict or the optimal objective; on problems with
@@ -50,7 +53,8 @@ pub struct WarmStart {
 }
 
 impl WarmStart {
-    /// Number of basic columns recorded (one per standard-form row).
+    /// Number of basic columns recorded (one per standard-form row in a
+    /// solve's result; a caller-written hint may name fewer).
     pub fn len(&self) -> usize {
         self.basis.len()
     }

@@ -39,8 +39,15 @@
 //!
 //! [`solve_instance`] accepts an optional `(basis, at_upper)` hint —
 //! typically the optimal state of a near-identical LP solved a moment ago
-//! (Gavel's water-filling rounds and per-job probes). The hint is
-//! classified, never trusted:
+//! (Gavel's water-filling rounds and per-job probes). The hint is first
+//! *completed*, in the one factorization pass that starts the solve
+//! ([`Basis::complete`]): it may name fewer columns than there are rows,
+//! or columns that depend on one another. The hinted columns are pivoted
+//! sparsest first, the dependent ones skipped, and each row left without
+//! a pivot gets its logical column — its slack, its surplus, or on an
+//! equality row its artificial. Only a hint that does not fit (more
+//! columns than rows, a column out of range or named twice) is dropped.
+//! The completed basis is then classified, never trusted:
 //!
 //! - still **primal feasible** under the new data → phase 2 resumes from
 //!   that vertex (often zero pivots);
@@ -50,9 +57,8 @@
 //!   phase repairs primal feasibility in a handful of pivots
 //!   ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!   no-op);
-//! - anything else (shape mismatch, singular basis, neither feasibility) →
-//!   silent cold start on a full pivot budget of its own
-//!   ([`SolveStats::warm_falls_back`]).
+//! - neither, or a hint that does not fit → silent cold start on a full
+//!   pivot budget of its own ([`SolveStats::warm_falls_back`]).
 //!
 //! One verdict *is* accepted from the warm path: dual unboundedness
 //! reached from a validated dual-feasible basis is a sound proof that the
@@ -70,7 +76,7 @@
 //! cold solves that finish at the same basis return bit-identical
 //! solutions.
 
-use crate::basis::Basis;
+use crate::basis::{Basis, NO_COLUMN};
 use crate::error::SolverError;
 use crate::problem::Cmp;
 use crate::simplex::{SolveStats, StandardForm, DEGENERACY_THRESHOLD, FEAS_TOL, PIVOT_TOL, RC_TOL};
@@ -132,6 +138,12 @@ impl Instance {
     /// The slack or surplus column of row `i`, if the row has one.
     pub(crate) fn slack_col(&self, i: usize) -> Option<usize> {
         self.slack_of[i]
+    }
+
+    /// The logical column a hint is completed with in row `i`: its slack
+    /// (`<=`), its surplus (`>=`) or, on an equality row, its artificial.
+    fn logical(&self, i: usize) -> usize {
+        self.slack_of[i].unwrap_or(self.init_basis[i])
     }
 
     /// Rewrites structural column `j`; see [`CscMatrix::set_col`].
@@ -260,12 +272,12 @@ pub(crate) struct KeptLu {
 /// Solves a standard-form LP, built fresh or kept and patched by a
 /// [`crate::PreparedLp`], with the revised simplex. `hint` is an optional
 /// warm-start state `(basis columns, nonbasic at-upper flags)`; see the
-/// module docs for how hints are classified. Invalid or unusable hints
-/// fall back to a cold start. `kept` carries the final factorization from
-/// one solve to the next; the caller clears it whenever it changes the
-/// matrix. Errors carry the pivot counters spent reaching the verdict so
-/// drivers that aggregate over many solves can still account for the
-/// work.
+/// module docs for how hints are completed and classified. Hints that do
+/// not fit or stay unusable fall back to a cold start. `kept` carries the
+/// final factorization from one solve to the next; the caller clears it
+/// whenever it changes the matrix. Errors carry the pivot counters spent
+/// reaching the verdict so drivers that aggregate over many solves can
+/// still account for the work.
 pub(crate) fn solve_instance(
     inst: &Instance,
     hint: Option<(&[usize], &[bool])>,
@@ -374,6 +386,9 @@ struct Solver<'a> {
     /// finite upper bound.
     at_upper: Vec<bool>,
     fac: Basis,
+    /// `fac` completed a partial or singular hint, so its factor columns
+    /// are not in the canonical order [`Solver::extract`] reads values in.
+    completed: bool,
     x_b: Vec<f64>,
     /// Dual prices `B⁻ᵀ c_B` from the last [`Solver::prices`].
     y: Vec<f64>,
@@ -408,6 +423,7 @@ impl<'a> Solver<'a> {
             in_basis,
             at_upper: vec![false; inst.ntot],
             fac,
+            completed: false,
             y: vec![0.0; inst.m],
             rho: vec![0.0; inst.m],
             w: vec![0.0; inst.m],
@@ -417,17 +433,21 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// Builds a solver from a warm-start state if it is structurally valid
-    /// and the selected basis is nonsingular. Feasibility is *not* checked
-    /// here — the caller classifies the state as primal feasible, dual
-    /// feasible, or unusable.
+    /// Builds a solver from a warm-start state: at most one column per row,
+    /// none named twice, and a bound side per column. The hinted columns
+    /// are factorized and completed in one pass ([`Basis::complete`]): a
+    /// column dependent on the others is dropped, and each row left without
+    /// one gets its logical column. `None` only for a state that does not
+    /// fit the instance. Feasibility is *not* checked here — the caller
+    /// classifies the completed basis as primal feasible, dual feasible, or
+    /// unusable.
     fn from_hint(
         inst: &'a Instance,
         hint_basis: &[usize],
         hint_at_upper: &[bool],
         kept: Option<KeptLu>,
     ) -> Option<Solver<'a>> {
-        if hint_basis.len() != inst.m || hint_at_upper.len() != inst.ntot {
+        if hint_basis.len() > inst.m || hint_at_upper.len() != inst.ntot {
             return None;
         }
         let mut in_basis = vec![false; inst.ntot];
@@ -437,6 +457,23 @@ impl<'a> Solver<'a> {
             }
             in_basis[c] = true;
         }
+        let mut basis = Vec::with_capacity(inst.m);
+        basis.extend_from_slice(hint_basis);
+        let (fac, completed) = match kept {
+            Some(kept) if kept.basis == hint_basis => (kept.fac, false),
+            _ => {
+                basis.resize(inst.m, NO_COLUMN);
+                let logical = |row| inst.logical(row);
+                let (fac, added) = Basis::complete(&inst.a, &mut basis, logical, PIVOT_TOL);
+                if added > 0 {
+                    in_basis.fill(false);
+                    for &c in &basis {
+                        in_basis[c] = true;
+                    }
+                }
+                (fac, added > 0)
+            }
+        };
         // Sanitize the bound sides: only nonbasic, non-artificial columns
         // with a finite upper bound may rest at it.
         let mut at_upper = vec![false; inst.ntot];
@@ -444,17 +481,14 @@ impl<'a> Solver<'a> {
             *flag =
                 hint_at_upper[j] && !in_basis[j] && j < inst.art_start && inst.upper[j].is_finite();
         }
-        let fac = match kept {
-            Some(kept) if kept.basis == hint_basis => kept.fac,
-            _ => Basis::factorize(&inst.a, hint_basis, PIVOT_TOL)?,
-        };
         let mut solver = Solver {
             inst,
             iter_limit: auto_limit(inst) / WARM_SHARE,
-            basis: hint_basis.to_vec(),
+            basis,
             in_basis,
             at_upper,
             fac,
+            completed,
             x_b: vec![0.0; inst.m],
             y: vec![0.0; inst.m],
             rho: vec![0.0; inst.m],
@@ -958,7 +992,7 @@ impl<'a> Solver<'a> {
         kept: &mut Option<KeptLu>,
     ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
         let sorted = self.basis.windows(2).all(|w| w[0] < w[1]);
-        if !sorted || self.fac.has_updates() {
+        if !sorted || self.fac.has_updates() || self.completed {
             self.basis.sort_unstable();
             self.refactorize().map_err(|e| (e, self.stats))?;
         }

@@ -71,9 +71,11 @@ pub struct SolveStats {
     /// 1 when a warm-start hint was accepted and carried the solve to
     /// optimality (primal continuation or dual reoptimization), else 0.
     pub warm_hits: usize,
-    /// 1 when a warm-start hint was provided but unusable (structure
-    /// mismatch, singular basis, neither primal nor dual feasible, or the
-    /// warm attempt failed part-way) and the solve cold-started, else 0.
+    /// 1 when a warm-start hint was provided but unusable and the solve
+    /// cold-started, else 0: the hint did not fit the problem, its
+    /// completed basis was neither primal nor dual feasible, or the warm
+    /// attempt failed part-way. A singular or partial hint is completed,
+    /// not dropped.
     pub warm_falls_back: usize,
     /// Always 0: no solve is retried on the dense tableau. Kept only
     /// because `bench/src/drills.rs` reads it; the bench refresh (ROADMAP

@@ -4,9 +4,12 @@
 //! lowering path — `<=` / `>=` / `=` rows, negative right-hand sides,
 //! free, bounded, and fixed variables, and deliberately duplicated rows
 //! for degenerate optima — plus warm-start-equals-cold-start equivalence
-//! over water-filling-style round sequences.
+//! over water-filling-style round sequences and over partial or singular
+//! hints the solver completes.
 
-use gavel_solver::{Cmp, LpProblem, Sense, SolverError, VarId, WarmStart};
+use gavel_solver::{
+    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolverError, VarId, WarmStart,
+};
 use proptest::prelude::*;
 
 /// Variable shapes exercised by the generator.
@@ -45,6 +48,9 @@ type CheckRow = (Vec<(usize, f64)>, Cmp, f64);
 struct RandomLp {
     lp: LpProblem,
     cons: Vec<CheckRow>,
+    /// Every variable and every constraint, in the order added.
+    vars: Vec<VarId>,
+    rows: Vec<ConstraintId>,
 }
 
 /// Builds a random bounded LP. A box row `sum x_i <= B` over the
@@ -68,6 +74,7 @@ fn build_lp(
     };
     let mut lp = LpProblem::new(sense);
     let mut cons: Vec<CheckRow> = Vec::new();
+    let mut rows: Vec<ConstraintId> = Vec::new();
     let mut vars: Vec<VarId> = Vec::with_capacity(n);
     for (i, kind) in kinds.iter().enumerate() {
         let c = costs[i];
@@ -83,10 +90,10 @@ fn build_lp(
     // unbounded regardless of the random rows.
     for (i, &v) in vars.iter().enumerate() {
         if matches!(kinds[i], VarKind::NonNeg | VarKind::Free) {
-            lp.add_constraint(&[(v, 1.0)], Cmp::Le, 8.0);
+            rows.push(lp.add_constraint(&[(v, 1.0)], Cmp::Le, 8.0));
             cons.push((vec![(i, 1.0)], Cmp::Le, 8.0));
             if matches!(kinds[i], VarKind::Free) {
-                lp.add_constraint(&[(v, 1.0)], Cmp::Ge, -8.0);
+                rows.push(lp.add_constraint(&[(v, 1.0)], Cmp::Ge, -8.0));
                 cons.push((vec![(i, 1.0)], Cmp::Ge, -8.0));
             }
         }
@@ -107,16 +114,21 @@ fn build_lp(
         // equality/>= rows satisfiable at moderate magnitudes; the
         // brute-force comparison tolerates (and checks) infeasibility
         // symmetrically anyway.
-        lp.add_constraint(&terms, cmp, rhs[r]);
+        rows.push(lp.add_constraint(&terms, cmp, rhs[r]));
         let dense_terms: Vec<(usize, f64)> = terms.iter().map(|&(v, c)| (v.index(), c)).collect();
         cons.push((dense_terms.clone(), cmp, rhs[r]));
         if dup_row && r == 0 {
             // Duplicated row: forces degenerate bases in both engines.
-            lp.add_constraint(&terms, cmp, rhs[r]);
+            rows.push(lp.add_constraint(&terms, cmp, rhs[r]));
             cons.push((dense_terms, cmp, rhs[r]));
         }
     }
-    RandomLp { lp, cons }
+    RandomLp {
+        lp,
+        cons,
+        vars,
+        rows,
+    }
 }
 
 proptest! {
@@ -162,6 +174,73 @@ proptest! {
             (Err(SolverError::Infeasible), Err(SolverError::Infeasible)) => {}
             (Err(SolverError::Unbounded), Err(SolverError::Unbounded)) => {}
             (r, d) => prop_assert!(false, "engines disagree: revised {r:?} vs dense {d:?}"),
+        }
+    }
+
+    /// A hint naming too few columns, or dependent ones, is completed
+    /// rather than dropped, and the completed solve reaches the cold
+    /// solve's verdict and, to 1e-9 relative, its objective. Half the hints
+    /// are random picks of variables and slacks, often dependent; half are
+    /// the cold optimum's basis with random entries taken out.
+    #[test]
+    fn completed_hints_match_cold(
+        kinds in proptest::collection::vec(var_kind(), 2..5),
+        costs in proptest::collection::vec(coeff(), 5),
+        coeffs in proptest::collection::vec(coeff(), 20),
+        rhs in proptest::collection::vec(-5.0f64..6.0, 4),
+        cmps in proptest::collection::vec(0u8..3, 1..4),
+        dup_row in any::<bool>(),
+        maximize in any::<bool>(),
+        from_optimum in any::<bool>(),
+        picks in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        let built = build_lp(&kinds, &costs[..kinds.len()], &coeffs, &rhs, &cmps, dup_row, maximize);
+        let mut prep = PreparedLp::new(built.lp.clone()).unwrap();
+        let cold = prep.solve(None);
+        let drawn: Vec<BasisEntry> = match (&cold, from_optimum) {
+            (Ok((_, optimal)), true) => {
+                let mut entries = prep.basis_entries(optimal);
+                for &p in &picks {
+                    if !entries.is_empty() {
+                        entries.remove(p % entries.len());
+                    }
+                }
+                entries
+            }
+            _ => {
+                let named = (built.vars.iter().map(|&v| BasisEntry::Var(v)))
+                    .chain(built.rows.iter().map(|&c| BasisEntry::Slack(c)));
+                let named: Vec<BasisEntry> =
+                    named.filter(|e| prep.basis_hint(&[*e]).is_some()).collect();
+                picks.iter().map(|&p| named[p % named.len()]).collect()
+            }
+        };
+        // At most one entry per row, none twice: a hint that does not fit
+        // is dropped, which is not what this test is about.
+        let mut entries = Vec::new();
+        for e in drawn {
+            if !entries.contains(&e) && entries.len() < built.rows.len() {
+                entries.push(e);
+            }
+        }
+        let hint = prep.basis_hint(&entries);
+        prop_assert!(hint.is_some(), "{:?}", entries);
+        let warm = prep.solve(hint.as_ref());
+        match (cold, warm) {
+            (Ok((c, _)), Ok((w, _))) => {
+                let tol = 1e-9 * c.objective.abs().max(1.0);
+                prop_assert!(
+                    (w.objective - c.objective).abs() <= tol,
+                    "completed {} vs cold {} from {:?}: {:?}",
+                    w.objective,
+                    c.objective,
+                    entries,
+                    w.stats
+                );
+                prop_assert_eq!(w.stats.warm_hits + w.stats.warm_falls_back, 1);
+            }
+            (Err((c, _)), Err((w, _))) => prop_assert_eq!(c, w),
+            (c, w) => prop_assert!(false, "cold {c:?} vs completed {w:?}"),
         }
     }
 
