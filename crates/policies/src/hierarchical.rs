@@ -55,16 +55,17 @@
 //! `t` taken out. Both hints are primal feasible by construction. Floors
 //! rise exactly to that optimum `x*`: an active job's floor becomes
 //! `floor_m + w_m t*`, which `x*` meets. So `(x*, t = 0)` satisfies every
-//! round row and `(x*, s = 0)` every probe row. The solver completes the
-//! basis in the row `t` leaves with a logical column, which sits at zero
-//! whichever one it picks.
+//! round row and `(x*, s = 0)` every probe row, whichever slacks are
+//! fixed at zero. The solver completes the basis in the row `t` leaves
+//! with a logical column, which sits at zero whichever one it picks.
 //!
-//! A later prepass starts from the prepass before it. Rising floors and
-//! slacks fixed at zero leave that basis dual feasible, so at worst the
-//! dual simplex repairs it. A slack freed again (a FIFO entity handing a
-//! retired job's weight on) breaks this; that prepass starts from the
-//! round optimum too. No solve of a water filling runs a phase 1 or falls
-//! back cold.
+//! A later prepass starts from the prepass before it, a few dual pivots
+//! from its optimum where the round optimum is many primal pivots away.
+//! The prepass's costs and matrix never change, and rising floors and
+//! slacks fixed at zero keep that basis dual feasible. A slack freed
+//! again (a FIFO entity handing a retired job's weight on) breaks this;
+//! that prepass starts from the round optimum instead. No solve of a water
+//! filling runs a phase 1 or falls back cold.
 //!
 //! Appendix A.1 states step 3 as a MILP with one binary per job. The
 //! probes answer the same question with LPs alone; this module's tests
@@ -224,7 +225,7 @@ impl Hierarchical {
             round: Family::round(&alp, &tput, &weights)?,
             probe: Family::probe(&alp, &tput)?,
             start: alp.origin(&cells),
-            prepass_optimum: None,
+            last_prepass: None,
             floors: vec![0.0; n],
             weights,
             done: vec![false; n],
@@ -366,9 +367,8 @@ struct WaterFill<'i, 'a> {
     /// the last one, in problem terms: the origin basis, then the last
     /// round optimum without `t`.
     start: Vec<BasisEntry>,
-    /// The last prepass optimum: where the probe chain and the next
-    /// prepass start.
-    prepass_optimum: Option<WarmStart>,
+    /// The last prepass optimum, where the next prepass starts.
+    last_prepass: Option<WarmStart>,
     /// Aggregate solver stats across every LP solved, in solve order.
     stats: SolveStats,
 }
@@ -450,22 +450,23 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// job that shows slack, then each remaining candidate is probed on its
     /// own. Returns the bottlenecked subset of `active`, in order.
     fn bottlenecked(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let candidates = self.prepass(active)?;
-        self.probe_chain(&candidates)
+        let (candidates, optimum) = self.prepass(active)?;
+        self.probe_chain(&candidates, optimum)
     }
 
     /// Brings the probe LP to the current floors and active set and
     /// jointly maximizes total slack above the floors. Returns the active
-    /// jobs left without slack: the max-sum point may zero out an
-    /// improvable job, so these still need a probe of their own.
-    fn prepass(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
+    /// jobs left without slack — the max-sum point may zero out an
+    /// improvable job, so these still need a probe of their own — and the
+    /// optimal basis.
+    fn prepass(&mut self, active: &[usize]) -> Result<(Vec<usize>, WarmStart), PolicyError> {
         let probe = &mut self.probe;
-        // The last prepass optimum stays dual feasible while floors rise and
-        // slacks are fixed at zero, but not once a slack is freed again (a
-        // FIFO entity hands a retired job's weight on): then, and in the
-        // first round, start from the round optimum without `t`.
+        // Written before the patches, which may leave the LP to re-lower.
+        // The last prepass optimum is dual feasible unless a slack is freed
+        // again; then, and in the first round, the round optimum without
+        // `t` is primal feasible.
         let freed = (active.iter()).any(|&m| probe.lp.problem().bounds(probe.vars[m]).1 == 0.0);
-        let hint = match self.prepass_optimum.take() {
+        let hint = match self.last_prepass.take() {
             Some(last) if !freed => Some(last),
             _ => probe.lp.basis_hint(&self.start),
         };
@@ -478,18 +479,22 @@ impl<'i, 'a> WaterFill<'i, 'a> {
             }
         }
         let (sol, optimum) = solve_from(&mut probe.lp, hint.as_ref(), &mut self.stats)?;
-        self.prepass_optimum = Some(optimum);
-        Ok(active
-            .iter()
-            .copied()
+        self.last_prepass = Some(optimum.clone());
+        let candidates = (active.iter().copied())
             .filter(|&m| sol.value(probe.vars[m]) <= 1e-6)
-            .collect())
+            .collect();
+        Ok((candidates, optimum))
     }
 
     /// Probes each candidate on the LP [`WaterFill::prepass`] just solved:
     /// the same constraints under the cost vector `e_m`, chained from the
-    /// prepass optimum. Returns the candidates found bottlenecked, in order.
-    fn probe_chain(&mut self, candidates: &[usize]) -> Result<Vec<usize>, PolicyError> {
+    /// prepass optimum `prepass`. Returns the candidates found
+    /// bottlenecked, in order.
+    fn probe_chain(
+        &mut self,
+        candidates: &[usize],
+        prepass: WarmStart,
+    ) -> Result<Vec<usize>, PolicyError> {
         if candidates.is_empty() {
             return Ok(Vec::new());
         }
@@ -502,12 +507,12 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for &s in &probe.vars {
             probe.lp.set_objective_coeff(s, 0.0);
         }
-        let mut chain = self.prepass_optimum.clone();
+        let mut chain = prepass;
         let mut bottlenecked = Vec::new();
         for &m in candidates {
             probe.lp.set_objective_coeff(probe.vars[m], 1.0);
-            let (sol, optimal) = solve_from(&mut probe.lp, chain.as_ref(), &mut self.stats)?;
-            chain = Some(optimal);
+            let (sol, optimal) = solve_from(&mut probe.lp, Some(&chain), &mut self.stats)?;
+            chain = optimal;
             probe.lp.set_objective_coeff(probe.vars[m], 0.0);
             // The objective is `s_m*`: how far job `m` alone can rise
             // above its floor while every other job keeps theirs.
@@ -825,9 +830,9 @@ mod tests {
                 break;
             }
             wf.raise_floors(&active).unwrap();
-            let candidates = wf.prepass(&active).unwrap();
+            let (candidates, prepass) = wf.prepass(&active).unwrap();
             let before = wf.stats;
-            let bottlenecked = wf.probe_chain(&candidates).unwrap();
+            let bottlenecked = wf.probe_chain(&candidates, prepass).unwrap();
             phase1 += wf.stats.pivots_phase1 - before.pivots_phase1;
             cold += wf.stats.warm_falls_back - before.warm_falls_back;
             warm_hits += wf.stats.warm_hits - before.warm_hits;

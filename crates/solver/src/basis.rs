@@ -46,7 +46,7 @@
 //! # Completing a hint
 //!
 //! A warm start names a basis, but it may name too few columns or columns
-//! that depend on one another. [`Basis::complete`] repairs such a hint in
+//! that depend on one another. `Basis::complete` repairs such a hint in
 //! the same elimination pass: it skips each column with no pivot left and
 //! then puts a logical column (a slack, surplus or artificial: a unit
 //! column) in every row still without a pivot. A unit column in a row no
@@ -60,7 +60,7 @@ const REFACTOR_EVERY: usize = 64;
 
 /// A slot of the selection given to [`Basis::complete`] that names no
 /// column.
-pub const NO_COLUMN: usize = usize::MAX;
+pub(crate) const NO_COLUMN: usize = usize::MAX;
 
 /// Product-form update: basis slot `slot` was replaced by a column whose
 /// FTRAN image was `w` (`diag = w[slot]`, the other nonzeros in
@@ -201,7 +201,7 @@ impl Basis {
     /// nonsingular basis already, and the factors are bit for bit
     /// [`Basis::factorize`]'s. Otherwise the factor columns are not in the
     /// order a factorization of the completed basis would use.
-    pub fn complete(
+    pub(crate) fn complete(
         a: &CscMatrix,
         cols: &mut [usize],
         logical: impl Fn(usize) -> usize,

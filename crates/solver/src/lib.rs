@@ -114,8 +114,9 @@
 //! problem terms — at most one [`BasisEntry`] per constraint, a variable
 //! or a row's slack — and [`PreparedLp::basis_hint`] turns it into the
 //! same [`WarmStart`] token, with every unnamed column at its lower bound;
-//! [`PreparedLp::basis_entries`] reads a solved basis back into those
-//! terms. `gavel-policies`' max-min fairness starts both of its solves
+//! [`PreparedLp::basis_entries`] reads a solved basis's basic columns back
+//! into those terms (not the bound each nonbasic column rests at).
+//! `gavel-policies`' max-min fairness starts both of its solves
 //! this way (the origin for `max t`, "every job full-time on its fastest
 //! cell" for the refine pass) and so never runs a phase 1. Such a hint is
 //! completed and classified like any other: a repeated column, or a

@@ -219,10 +219,15 @@ impl PreparedLp {
     }
 
     /// The basic columns of `basis`, a [`WarmStart`] a solve of this LP
-    /// returned, in problem terms: the inverse of
-    /// [`PreparedLp::basis_hint`]. Columns without such a name — half of a
+    /// returned, in problem terms. Columns without such a name — half of a
     /// free variable, an artificial — are left out; a hint written from
     /// the rest is completed in their rows.
+    ///
+    /// Only the basic columns are kept, not which bound each nonbasic
+    /// column rests at, so this inverts [`PreparedLp::basis_hint`] only
+    /// where every nonbasic column rests at its lower bound. A hint written
+    /// back from an optimum with a column at a finite upper bound puts that
+    /// column at its lower bound: another point, classified like any hint.
     pub fn basis_entries(&self, basis: &WarmStart) -> Vec<BasisEntry> {
         let mut named = vec![None; self.inst.ntot()];
         for (v, map) in self.mapping.iter().enumerate() {
@@ -392,5 +397,26 @@ mod tests {
         prep.set_rhs(floor, -1.0);
         assert!(prep.stale);
         assert!(prep.basis_hint(&[BasisEntry::Slack(budget)]).is_none());
+    }
+
+    #[test]
+    fn read_back_bases_keep_no_bound_sides() {
+        // `small`'s only optimum, x = 3 and y = 1, rests `x` at its upper
+        // bound.
+        let (lp, [x, _], _) = small();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let (sol, optimal) = prep.solve(None).unwrap();
+        assert_eq!(sol.value(x), 3.0);
+        assert!(optimal.at_upper_flags().contains(&true));
+        let entries = prep.basis_entries(&optimal);
+        assert!(!entries.contains(&BasisEntry::Var(x)), "{entries:?}");
+
+        // Written back, the hint rests `x` at zero: another point, which
+        // the solve pivots away from to the same optimum.
+        let hint = prep.basis_hint(&entries).unwrap();
+        assert!(!hint.at_upper_flags().contains(&true));
+        let (again, _) = prep.solve(Some(&hint)).unwrap();
+        assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+        assert!(again.stats.total_pivots() > 0, "{:?}", again.stats);
     }
 }

@@ -41,7 +41,7 @@
 //! typically the optimal state of a near-identical LP solved a moment ago
 //! (Gavel's water-filling rounds and per-job probes). The hint is first
 //! *completed*, in the one factorization pass that starts the solve
-//! ([`Basis::complete`]): it may name fewer columns than there are rows,
+//! (`Basis::complete`): it may name fewer columns than there are rows,
 //! or columns that depend on one another. The hinted columns are pivoted
 //! sparsest first, the dependent ones skipped, and each row left without
 //! a pivot gets its logical column — its slack, its surplus, or on an
