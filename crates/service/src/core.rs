@@ -30,8 +30,7 @@ use crate::estimate::EstimatorBridge;
 use crate::metrics::{EntityCounters, JobOutcome, PolicyFailures, ServiceStats, SimResult};
 use crate::snapshot::SnapshotCache;
 use gavel_core::{
-    refs, AccelIdx, Allocation, ComboSet, EntityId, JobId, Policy, PolicyInput, PolicyJob,
-    ThroughputTensor,
+    refs, AccelIdx, Allocation, EntityId, JobId, Policy, PolicyInput, PolicyJob, ThroughputTensor,
 };
 use gavel_policies::IsolatedSplit;
 use gavel_sched::{RoundPlan, RoundScheduler, ScaleFactors, WorkerSlot};
@@ -206,7 +205,7 @@ pub struct SchedulerService<'p> {
     total_cost: f64,
     need_recompute: bool,
     last_recompute_round: u32,
-    current: Option<(ComboSet, ThroughputTensor, Allocation)>,
+    current: Option<(ThroughputTensor, Allocation)>,
     /// Per row of the current allocation; cleared by a recompute.
     row_positions: Vec<RowPositions>,
     /// Bumped whenever a removal moves jobs within `active`.
@@ -381,7 +380,7 @@ impl<'p> SchedulerService<'p> {
     /// [`SchedulerService::query_allocation`] for the command path).
     pub fn allocation_view(&self) -> AllocationView {
         let rates = match &self.current {
-            Some((_, tensor, alloc)) => self
+            Some((tensor, alloc)) => self
                 .active
                 .iter()
                 .map(|a| (a.trace.id, alloc.effective_throughput(tensor, a.trace.id)))
@@ -620,7 +619,7 @@ impl<'p> SchedulerService<'p> {
     /// (isolated-split fallback on failure). Hands the allocation back for
     /// the caller to step with and keep as `current`; its generation is
     /// the new `recomputations`.
-    fn recompute(&mut self) -> (ComboSet, ThroughputTensor, Allocation) {
+    fn recompute(&mut self) -> (ThroughputTensor, Allocation) {
         let t0 = Instant::now();
         let cfg = &self.config;
         let (combos, tensor) = self.cache.snapshot(&self.oracle);
@@ -649,18 +648,17 @@ impl<'p> SchedulerService<'p> {
                     .map_err(|e| (self.policy_failures).record(&e, self.recomputations, jobs, rows))
                     .ok()
             })
-            .unwrap_or_else(|| Allocation::zeros(combos.clone(), cfg.cluster.num_types()));
+            .unwrap_or_else(|| Allocation::zeros(combos, cfg.cluster.num_types()));
         self.policy_seconds += t0.elapsed().as_secs_f64();
         self.recomputations += 1;
         self.row_positions.clear();
-        self.row_positions
-            .resize(combos.len(), RowPositions::default());
+        self.row_positions.resize(rows, RowPositions::default());
         self.need_recompute = false;
         self.max_queries_between_recomputes = self
             .max_queries_between_recomputes
             .max(self.queries_since_recompute);
         self.queries_since_recompute = 0;
-        (combos, tensor, alloc)
+        (tensor, alloc)
     }
 
     /// Fails one random worker (weighted by type populations) at `at`,
@@ -756,7 +754,7 @@ impl<'p> SchedulerService<'p> {
         };
         let plan =
             self.sched
-                .plan_round_cached(&current.2, self.recomputations as u64, &sf, available);
+                .plan_round_cached(&current.1, self.recomputations as u64, &sf, available);
         if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -874,7 +872,7 @@ impl<'p> SchedulerService<'p> {
     /// next event (the advance horizon, a completion, or the cap).
     fn step_fluid(&mut self, horizon: f64) {
         let current = self.recompute();
-        let (_, tensor, alloc) = &current;
+        let (tensor, alloc) = &current;
         let cfg = &self.config;
 
         // Per-job fluid rates.
@@ -958,15 +956,8 @@ impl<'p> SchedulerService<'p> {
         for job in &self.active {
             self.outcomes.push(make_outcome(job, None));
         }
-        // Arrivals are finite (validation), so `partial_cmp` never
-        // returns `None`; `Equal` keeps the stable sort's input order as
-        // a harmless fallback rather than panicking.
-        self.outcomes.sort_by(|a, b| {
-            a.arrival
-                .partial_cmp(&b.arrival)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
+        self.outcomes
+            .sort_by(|a, b| (a.arrival.total_cmp(&b.arrival)).then(a.id.cmp(&b.id)));
 
         // Makespan: the last completion. Under round stepping, anything
         // unfinished at the cap pushes the makespan to the cap time.
@@ -1206,11 +1197,11 @@ mod tests {
         let mut stale_rounds = 0;
         while svc.num_active() > 0 {
             svc.step_round();
-            let Some((rows, _, alloc)) = &svc.current else {
+            let Some((_, alloc)) = &svc.current else {
                 panic!("a round leaves its allocation installed");
             };
             let departed = |c: &Combo| c.jobs().any(|id| !svc.index.contains_key(&id));
-            if svc.active.is_empty() || !rows.combos().iter().any(departed) {
+            if svc.active.is_empty() || !alloc.combos().combos().iter().any(departed) {
                 continue;
             }
             stale_rounds += 1;

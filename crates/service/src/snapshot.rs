@@ -11,25 +11,30 @@
 //! [`SnapshotCache`] keeps all three alive across recomputes and applies
 //! deltas instead: `admit` appends the arriving job's singleton row,
 //! `remove` drops the completed job's rows and candidates, and a snapshot
-//! assembles the combo set and tensor from the cached rows, selecting
-//! pair rows through the score-bucketed store below. Pair throughputs
-//! come from the cache's *pair source* — the [`Oracle`]
-//! ([`SnapshotCache::new`]) or, for the Figure 14 experiment, an
-//! [`EstimatorBridge`] the cache owns ([`SnapshotCache::estimated`]);
-//! [`SnapshotCache::snapshot`] and everything else is the same for both.
+//! scores what changed and assembles the combo set and tensor from the
+//! cached rows, selecting pair rows through the score-bucketed store
+//! below. Pair throughputs come from the cache's *pair source* — the
+//! [`Oracle`] ([`SnapshotCache::new`]) or, for the Figure 14 experiment,
+//! an [`EstimatorBridge`] the cache owns ([`SnapshotCache::estimated`]).
+//! The source decides only where pair throughputs come from; everything
+//! else is the same for both.
 //!
 //! # Invalidation protocol
 //!
 //! The store holds one *score* per pair of resident single-worker jobs
 //! that clears `min_aggregate`, valid until the pair source's answer for
-//! either member changes. A **dirty set** of jobs brings it up to date:
+//! either member changes. One rule brings it up to date: each
+//! [`SnapshotCache::snapshot`] re-scores what the events since the last
+//! one dirtied.
 //!
-//! 1. *Dirty set.* Oracle throughputs never change, so only an arriving
-//!    job is dirty and `admit` processes it on the spot. Estimates drift
-//!    as the estimator refines ([`SnapshotCache::observe`]), so an
-//!    estimator-backed cache waits for `snapshot` and drains the one list
-//!    the estimator keeps of the jobs it profiled (`admit`) or refined
-//!    since the last drain ([`EstimatorBridge::take_dirty`]).
+//! 1. *Dirty set.* A flag per resident job. `admit` sets it for an
+//!    arriving single-worker job, whatever the source; a job that leaves
+//!    before the next snapshot takes its flag along and is never scored.
+//!    Oracle throughputs never change, so an oracle-backed cache's dirty
+//!    set holds arrivals only. Estimates drift as the estimator refines
+//!    ([`SnapshotCache::observe`]), so an estimator-backed snapshot first
+//!    flags the jobs the estimator lists as refined since the last drain
+//!    ([`EstimatorBridge::take_dirty`]).
 //! 2. *Unlink.* Every candidate touching a dirty job leaves the store
 //!    through the reverse index (O(degree)). A candidate that had a
 //!    materialized row gives it back to the row slab as it is unlinked, so
@@ -65,9 +70,8 @@
 //! the bridge's current state (estimator) or `build_singleton_tensor`
 //! (no pairs) over the same jobs — proptested across random
 //! admit/complete/refine interleavings. Debug builds also re-derive every
-//! score and row an estimator-backed snapshot serves and assert they
-//! equal the cached ones, so drift the dirty set failed to report cannot
-//! go unnoticed.
+//! score and row a snapshot serves and assert they equal the cached ones,
+//! so drift the dirty set failed to report cannot go unnoticed.
 //!
 //! # The score-bucketed candidate store
 //!
@@ -95,37 +99,27 @@
 //! the cap with a candidate in the lowest bucket hold the walk to the end,
 //! the common case (ROADMAP, "Measured and rejected").
 //!
-//! **Tie-break contract.** The fresh builder
-//! (`build_tensor_with_pairs[_by]`) stable-sorts candidates by score
-//! descending, so equal-scoring pairs keep their (i, k) enumeration
-//! order *in the current job vector* — positions change as completions
-//! `swap_remove` jobs. The cache reproduces that exact total order as a
-//! single `u128` key per candidate:
-//!
-//! ```text
-//! key = (!score.to_bits()) << 64 | position_i << 32 | position_k,   i < k
-//! ```
-//!
-//! sorted ascending. Scores are nonnegative and finite (debug-asserted),
-//! so complemented IEEE bits order exactly inverse to the values; the
-//! (i, k) suffix reproduces the stable sort's enumeration order for
-//! ties. The greedy per-job cap is then applied in that order. The key
-//! depends on scores and positions only — never on slot ids or insertion
-//! order — which is why unlinking and re-inserting a drifted job's
-//! candidates selects exactly what a fresh enumeration would. The
-//! contract is preserved bit-exactly by the bucketed store (bucket ids
-//! are a prefix of the score bits, so the descending bucket walk refines
-//! into the same global order) and is crosschecked against the flat
-//! [`rank_and_cap`] differential oracle when
-//! [`SnapshotCache::set_crosscheck`] or the `GAVEL_SNAPSHOT_CROSSCHECK`
-//! environment variable enables it.
+//! **Tie-break contract.** The fresh builder ranks candidates through
+//! [`rank_and_cap`]: score descending, then the pair's (i, k) positions
+//! *in the current job vector* — positions change as completions
+//! `swap_remove` jobs — packed into one `u128` key, and the greedy
+//! per-job cap applied in that order. The key depends on scores and
+//! positions only — never on slot ids or insertion order — which is why
+//! unlinking and re-inserting a drifted job's candidates selects exactly
+//! what a fresh enumeration would. The bucketed store builds the same key
+//! for the candidates it sorts, and bucket ids are a prefix of the score
+//! bits, so the descending bucket walk refines into the same global
+//! order. [`SnapshotCache::set_crosscheck`] or the
+//! `GAVEL_SNAPSHOT_CROSSCHECK` environment variable re-ranks every live
+//! candidate through [`rank_and_cap`] and asserts the two selections
+//! equal.
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
 use gavel_workloads::{
-    pair_row, pair_score, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
+    pair_row, rank_and_cap, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
 };
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Environment variable that makes every bucketed selection re-run the
 /// flat [`rank_and_cap`] differential oracle and assert the two orders
@@ -463,9 +457,8 @@ pub struct SnapshotStats {
     pub incremental_snapshots: usize,
     /// Snapshots served by an estimator-backed cache.
     pub bridged_snapshots: usize,
-    /// Pair-score evaluations performed: one per (dirty job, resident
-    /// single-worker job) pair, against the oracle at admission or the
-    /// estimator at snapshot time.
+    /// Pair-score evaluations performed at snapshot time: one per (dirty
+    /// job, resident single-worker job) pair, whatever the pair source.
     pub pair_evals: usize,
     /// Singleton rows appended (admissions).
     pub rows_appended: usize,
@@ -478,23 +471,13 @@ pub struct SnapshotStats {
     /// Candidates whose exact tie-break order was lazily materialized
     /// (filtered into a contested bucket's sort) across all passes.
     pub candidates_sorted: usize,
-    /// Flat [`rank_and_cap`] runs, i.e. differential-oracle crosschecks.
-    /// Zero unless crosschecking is on; benches and CI gate on that.
+    /// Crosscheck re-ranks: bucketed selections re-run through the flat
+    /// [`rank_and_cap`] over the store's cached scores, whatever the pair
+    /// source. Zero unless crosschecking is on; benches and CI gate on
+    /// that.
     pub flat_reranks: usize,
     /// Pair rows materialized for newly selected candidates.
     pub pair_rows_materialized: usize,
-}
-
-/// Where a cache's pair throughputs come from.
-#[derive(Debug, Clone)]
-enum PairSource {
-    /// Nowhere: singleton-only snapshots.
-    None,
-    /// The oracle, whose answers never change.
-    Oracle(PairOptions),
-    /// §6's estimator: `admit` profiles the arriving job, `observe`
-    /// refines, `remove` forgets, `snapshot` re-scores what drifted.
-    Estimated(PairOptions, Box<EstimatorBridge>),
 }
 
 /// Persistent combo/tensor/job state, updated by deltas on admit and
@@ -506,7 +489,12 @@ enum PairSource {
 #[derive(Debug, Clone)]
 pub struct SnapshotCache {
     consolidated: bool,
-    source: PairSource,
+    /// Pair-row options; `None` serves singleton-only snapshots.
+    pairs: Option<PairOptions>,
+    /// §6's estimator, when it rather than the oracle is the pair source:
+    /// `admit` profiles the arriving job, `observe` refines, `remove`
+    /// forgets.
+    estimator: Option<EstimatorBridge>,
     specs: Vec<JobSpec>,
     /// Row-major, [`WIDTH`] entries per job, parallel to `specs`.
     singleton_rows: Vec<PairThroughput>,
@@ -516,6 +504,9 @@ pub struct SnapshotCache {
     /// Position of each handle in `specs` ([`NONE32`] once freed).
     handle_pos: Vec<u32>,
     free_handles: Vec<u32>,
+    /// The dirty set, parallel to `specs`: jobs whose pair scores are
+    /// missing or stale until the next snapshot.
+    dirty: Vec<bool>,
     store: PairStore,
     /// Memoized selection (slot ids in emission order), valid while no
     /// admit/remove/drift has happened since it was computed — so
@@ -539,13 +530,15 @@ impl SnapshotCache {
     pub fn new(consolidated: bool, pairs: Option<PairOptions>) -> Self {
         SnapshotCache {
             consolidated,
-            source: pairs.map_or(PairSource::None, PairSource::Oracle),
+            pairs,
+            estimator: None,
             specs: Vec::new(),
             singleton_rows: Vec::new(),
             policy_jobs: Vec::new(),
             handles: Vec::new(),
             handle_pos: Vec::new(),
             free_handles: Vec::new(),
+            dirty: Vec::new(),
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
@@ -560,17 +553,14 @@ impl SnapshotCache {
     /// module docs).
     pub fn estimated(consolidated: bool, opts: PairOptions, bridge: EstimatorBridge) -> Self {
         SnapshotCache {
-            source: PairSource::Estimated(opts, Box::new(bridge)),
-            ..SnapshotCache::new(consolidated, None)
+            estimator: Some(bridge),
+            ..SnapshotCache::new(consolidated, Some(opts))
         }
     }
 
     /// The estimator an estimator-backed cache owns.
     pub fn estimator(&self) -> Option<&EstimatorBridge> {
-        match &self.source {
-            PairSource::Estimated(_, bridge) => Some(bridge),
-            _ => None,
-        }
+        self.estimator.as_ref()
     }
 
     /// Number of resident jobs.
@@ -633,28 +623,29 @@ impl SnapshotCache {
         )
     }
 
-    /// Admits a job: computes its singleton row and hands the job to the
-    /// pair source — a single-worker job is scored against the oracle
-    /// right here; the estimator profiles every arrival and lists it
-    /// dirty for the next [`Self::snapshot`].
+    /// Admits a job: computes its singleton row and, with pair rows on,
+    /// lists a single-worker job dirty for the next [`Self::snapshot`] to
+    /// score. The estimator, if any, profiles the job.
     pub fn admit(&mut self, oracle: &Oracle, spec: JobSpec, job: PolicyJob) {
         debug_assert_eq!(spec.id, job.id, "spec/job identity mismatch");
         self.singleton_rows
             .extend_from_slice(&singleton_row(oracle, &spec, self.consolidated));
         self.stats.rows_appended += 1;
         let h = self.alloc_handle();
+        let pairable = self.pairs.is_some() && spec.scale_factor == 1;
+        if pairable {
+            // Room for a partner per resident, so that the snapshot scoring
+            // the job does not regrow its candidate list.
+            self.store.job_slots[h as usize].reserve(self.specs.len());
+        }
         self.handle_pos[h as usize] = self.specs.len() as u32;
         self.handles.push(h);
         self.specs.push(spec);
         self.policy_jobs.push(job);
+        self.dirty.push(pairable);
         self.selection_dirty = true;
-        match &mut self.source {
-            PairSource::Oracle(opts) if spec.scale_factor == 1 => {
-                let (opts, i) = (*opts, self.specs.len() - 1);
-                self.score_job(oracle, opts, i, &oracle_pairs(oracle), |_| false);
-            }
-            PairSource::Estimated(_, bridge) => bridge.register(oracle, spec.id, spec.config),
-            _ => {}
+        if let Some(bridge) = &mut self.estimator {
+            bridge.register(oracle, spec.id, spec.config);
         }
     }
 
@@ -668,33 +659,8 @@ impl SnapshotCache {
         b: (JobId, JobConfig),
         gpu: GpuKind,
     ) {
-        if let PairSource::Estimated(_, bridge) = &mut self.source {
+        if let Some(bridge) = &mut self.estimator {
             bridge.observe(oracle, a, b, gpu);
-        }
-    }
-
-    /// Scores the single-worker job at position `i` against every other
-    /// resident single-worker job `skip` does not exclude, inserting the
-    /// pairs that clear `min_aggregate` — the one place candidates are
-    /// born, for an arriving job and a drifted one alike.
-    fn score_job(
-        &mut self,
-        oracle: &Oracle,
-        opts: PairOptions,
-        i: usize,
-        pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
-        skip: impl Fn(usize) -> bool,
-    ) {
-        let (spec, h) = (self.specs[i], self.handles[i]);
-        for (j, other) in self.specs.iter().enumerate() {
-            if j == i || other.scale_factor != 1 || skip(j) {
-                continue;
-            }
-            let score = pair_score(oracle, other, &spec, pair_fn);
-            self.stats.pair_evals += 1;
-            if score >= opts.min_aggregate {
-                self.store.insert(self.handles[j], h, score);
-            }
         }
     }
 
@@ -705,13 +671,14 @@ impl SnapshotCache {
     pub fn remove(&mut self, i: usize) {
         let h = self.handles[i];
         let spec = self.specs.swap_remove(i);
-        if let PairSource::Estimated(_, bridge) = &mut self.source {
+        if let Some(bridge) = &mut self.estimator {
             bridge.forget(spec.id);
         }
         let last = self.singleton_rows.len() - WIDTH;
         self.singleton_rows.copy_within(last.., i * WIDTH);
         self.singleton_rows.truncate(last);
         self.policy_jobs.swap_remove(i);
+        self.dirty.swap_remove(i);
         self.handles.swap_remove(i);
         if i < self.handles.len() {
             self.handle_pos[self.handles[i] as usize] = i as u32;
@@ -721,6 +688,35 @@ impl SnapshotCache {
         self.free_handles.push(h);
         self.selection_dirty = true;
         self.stats.rows_dropped += 1;
+    }
+
+    /// Drains the dirty set: unlinks each dirty job's candidates and
+    /// scores it once against every other resident single-worker job —
+    /// the clean ones and the dirty ones already re-scored; the dirty ones
+    /// still to come score against it in their turn — inserting the pairs
+    /// that clear `min_aggregate`. The one place candidates are born.
+    fn rescore(
+        &mut self,
+        oracle: &Oracle,
+        min_aggregate: f64,
+        pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
+    ) {
+        for i in (0..self.specs.len()).filter(|&i| self.dirty[i]) {
+            let (spec, h) = (self.specs[i], self.handles[i]);
+            self.store.remove_job(h);
+            for (j, other) in self.specs.iter().enumerate() {
+                if j == i || other.scale_factor != 1 || (self.dirty[j] && j > i) {
+                    continue;
+                }
+                let score = pair_row(oracle, other, &spec, pair_fn).0;
+                self.stats.pair_evals += 1;
+                if score >= min_aggregate {
+                    self.store.insert(self.handles[j], h, score);
+                }
+            }
+            self.selection_dirty = true;
+        }
+        self.dirty.fill(false);
     }
 
     /// Brings the selection up to date: if anything was admitted, removed
@@ -744,9 +740,13 @@ impl SnapshotCache {
         self.store
             .select(&self.handle_pos, cap, &mut self.stats, &mut self.selected);
         if self.crosscheck {
-            let flat = self.rank_flat(cap);
+            self.stats.flat_reranks += 1;
+            let pos = &self.handle_pos;
+            let live = (self.store.live_slots())
+                .map(|(s, sl)| (pos[sl.ha as usize], pos[sl.hb as usize], sl.score, s));
             assert_eq!(
-                self.selected, flat,
+                self.selected,
+                rank_and_cap(live, self.specs.len(), cap),
                 "bucketed selection diverged from the flat rank_and_cap oracle"
             );
         }
@@ -764,27 +764,6 @@ impl SnapshotCache {
             self.store.release_unpicked(s);
         }
         self.selection_dirty = false;
-    }
-
-    /// The flat differential oracle: ranks every live slot through
-    /// [`rank_and_cap`].
-    fn rank_flat(&mut self, cap: usize) -> Vec<u32> {
-        self.stats.flat_reranks += 1;
-        let pos: HashMap<JobId, u32> = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i as u32))
-            .collect();
-        rank_and_cap(
-            self.store.live_slots().map(|(s, sl)| {
-                let (a, b) = self.slot_specs(s);
-                (a.id, b.id, sl.score, s)
-            }),
-            &pos,
-            self.specs.len(),
-            cap,
-        )
     }
 
     /// Assembles the snapshot from cached rows: singletons, then the
@@ -807,10 +786,10 @@ impl SnapshotCache {
         )
     }
 
-    /// Assembles the current snapshot, first re-scoring the jobs whose
-    /// estimates drifted — or that were admitted — since the last call
-    /// when the cache is estimator-backed, and reselecting if anything
-    /// changed (see the module docs for the invalidation protocol).
+    /// Assembles the current snapshot: drains the dirty set — with an
+    /// estimator, after adding the jobs it refined since the last call —
+    /// and reselects if anything changed (see the module docs for the
+    /// invalidation protocol).
     ///
     /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
     /// consolidated, opts)`, to `build_tensor_with_pairs_by(.., |a, b, g|
@@ -819,107 +798,44 @@ impl SnapshotCache {
     /// vector; the pair source is consulted only to score dirty jobs and
     /// to materialize rows for newly selected pairs.
     pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
-        // The source is lent out of `self` for the call: scoring and row
-        // derivation read it while they update the rest of the cache.
-        let mut source = std::mem::replace(&mut self.source, PairSource::None);
-        match &mut source {
-            PairSource::None => self.stats.incremental_snapshots += 1,
-            PairSource::Oracle(opts) => {
-                self.stats.incremental_snapshots += 1;
-                self.reselect(oracle, opts.max_pairs_per_job, &oracle_pairs(oracle));
-            }
-            PairSource::Estimated(opts, bridge) => {
+        // The estimator is lent out of `self` for the call: scoring and
+        // row derivation read it while they update the rest of the cache.
+        let mut estimator = self.estimator.take();
+        match &mut estimator {
+            Some(bridge) => {
                 self.stats.bridged_snapshots += 1;
-                let work = bridge.take_dirty();
-                let pair_fn = |x: &JobSpec, y: &JobSpec, g| {
-                    bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
-                };
                 // Only resident single-worker jobs form pairs; ids that
                 // are not (or that left before this sync) drop out here.
-                let dirty: Vec<bool> = (self.specs.iter())
-                    .map(|s| s.scale_factor == 1 && work.binary_search(&s.id).is_ok())
-                    .collect();
-                for i in (0..dirty.len()).filter(|&i| dirty[i]) {
-                    // Unlink, then score against the clean jobs and the
-                    // dirty ones already re-scored; the dirty ones still
-                    // to come score against this one in their turn.
-                    self.store.remove_job(self.handles[i]);
-                    self.score_job(oracle, *opts, i, &pair_fn, |j| dirty[j] && j > i);
-                    self.selection_dirty = true;
+                let drifted = bridge.take_dirty();
+                for (dirty, s) in self.dirty.iter_mut().zip(&self.specs) {
+                    *dirty |= s.scale_factor == 1 && drifted.binary_search(&s.id).is_ok();
                 }
-                self.reselect(oracle, opts.max_pairs_per_job, &pair_fn);
-                // Estimates move; a score or row the dirty list failed to
-                // invalidate must not be served silently.
-                debug_assert!(
-                    self.selected.iter().all(|&s| {
-                        let (a, b) = self.slot_specs(s);
-                        let (score, row) = pair_row(oracle, &a, &b, &pair_fn);
-                        (self.store.slots[s as usize].score, self.store.row(s)) == (score, &row[..])
-                    }),
-                    "a stale estimated pair survived invalidation"
-                );
             }
+            None => self.stats.incremental_snapshots += 1,
         }
-        self.source = source;
+        if let Some(opts) = self.pairs {
+            let pair_fn = |x: &JobSpec, y: &JobSpec, g| match &estimator {
+                Some(bridge) => {
+                    bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
+                }
+                None => oracle.colocated(x.config, y.config, g),
+            };
+            self.rescore(oracle, opts.min_aggregate, &pair_fn);
+            self.reselect(oracle, opts.max_pairs_per_job, &pair_fn);
+            // A score or row the dirty set failed to invalidate must not
+            // be served silently.
+            debug_assert!(
+                self.selected.iter().all(|&s| {
+                    let (a, b) = self.slot_specs(s);
+                    let (score, row) = pair_row(oracle, &a, &b, &pair_fn);
+                    (self.store.slots[s as usize].score, self.store.row(s)) == (score, &row[..])
+                }),
+                "a stale pair survived invalidation"
+            );
+        }
+        self.estimator = estimator;
         self.assemble()
     }
-}
-
-/// The oracle as a pair source.
-fn oracle_pairs(
-    oracle: &Oracle,
-) -> impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)> + '_ {
-    move |a, b, g| oracle.colocated(a.config, b.config, g)
-}
-
-/// Ranks scored pair candidates exactly like the fresh builder and
-/// applies its greedy per-job cap, returning each surviving candidate's
-/// `tag` in emission order.
-///
-/// This is the *flat* implementation of the tie-break contract (see the
-/// module docs): every candidate is packed into a single `u128` key —
-/// descending score bits, then the two positions — and globally sorted.
-/// It costs O(n² log n²) per pass and survives as the differential
-/// oracle the bucketed store is crosschecked against.
-///
-/// Scores must be nonnegative and finite: `!score.to_bits()` orders the
-/// IEEE bit patterns inverse to the values only on that domain, and
-/// silently mis-orders negatives and NaNs (debug-asserted here).
-fn rank_and_cap<T: Copy>(
-    candidates: impl Iterator<Item = (JobId, JobId, f64, T)>,
-    pos: &HashMap<JobId, u32>,
-    n_jobs: usize,
-    max_pairs_per_job: usize,
-) -> Vec<T> {
-    let mut keys: Vec<(u128, T)> = candidates
-        .map(|(a, b, score, tag)| {
-            let pa = pos[&a];
-            let pb = pos[&b];
-            let (i, k) = if pa < pb { (pa, pb) } else { (pb, pa) };
-            debug_assert!(
-                score >= 0.0 && score.is_finite(),
-                "rank_and_cap requires nonnegative finite scores \
-                 (the score_desc bit trick mis-orders negatives/NaNs), got {score}"
-            );
-            let score_desc = !score.to_bits();
-            let key = ((score_desc as u128) << 64) | ((i as u128) << 32) | (k as u128);
-            (key, tag)
-        })
-        .collect();
-    keys.sort_unstable_by_key(|&(key, _)| key);
-    let mut per_job_count = vec![0usize; n_jobs];
-    let mut selected = Vec::new();
-    for &(key, tag) in &keys {
-        let i = ((key >> 32) & 0xffff_ffff) as usize;
-        let k = (key & 0xffff_ffff) as usize;
-        if per_job_count[i] >= max_pairs_per_job || per_job_count[k] >= max_pairs_per_job {
-            continue;
-        }
-        per_job_count[i] += 1;
-        per_job_count[k] += 1;
-        selected.push(tag);
-    }
-    selected
 }
 
 #[cfg(test)]
@@ -1025,6 +941,9 @@ mod tests {
             let s = spec(i, ModelFamily::A3C, 4);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
+        // Arrivals are scored at the next snapshot.
+        assert_eq!(cache.candidate_count(), 0);
+        cache.snapshot(&oracle);
         // Six mutually pairable jobs: 15 candidates, each job degree 5.
         let degree = |cache: &SnapshotCache, i: usize| {
             cache.store.job_slots[cache.handles[i] as usize].len()
@@ -1038,6 +957,34 @@ mod tests {
             assert_eq!(degree(&cache, i), 4);
         }
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
+    }
+
+    /// Both sources score an arrival at the next snapshot, against the
+    /// jobs resident then: a job that left in between is never scored
+    /// against it.
+    #[test]
+    fn an_arrival_is_not_scored_against_a_job_gone_by_the_snapshot() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 8,
+        };
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        cache.set_crosscheck(true);
+        for i in 0..5u64 {
+            let s = spec_nth(i, i as usize * 3 + 1);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().pair_evals, 5 * 4 / 2);
+
+        // Admit A, remove resident R, snapshot: A meets the four jobs
+        // left besides itself, and (A, R) is never scored.
+        let a = spec_nth(5, 16);
+        cache.admit(&oracle, a, PolicyJob::simple(a.id, 100.0));
+        cache.remove(1);
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().pair_evals, 10 + 4);
     }
 
     #[test]
@@ -1264,34 +1211,6 @@ mod tests {
         assert_bridged_matches_fresh(&mut cache, &oracle, opts);
     }
 
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "nonnegative finite")]
-    fn rank_and_cap_rejects_negative_scores() {
-        let pos: HashMap<JobId, u32> = [(JobId(0), 0u32), (JobId(1), 1u32)].into_iter().collect();
-        // A negative score would silently sort *above* every positive one
-        // under the bit complement; the debug assertion must catch it.
-        rank_and_cap(
-            std::iter::once((JobId(0), JobId(1), -1.0f64, 0usize)),
-            &pos,
-            2,
-            8,
-        );
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "nonnegative finite")]
-    fn rank_and_cap_rejects_nan_scores() {
-        let pos: HashMap<JobId, u32> = [(JobId(0), 0u32), (JobId(1), 1u32)].into_iter().collect();
-        rank_and_cap(
-            std::iter::once((JobId(0), JobId(1), f64::NAN, 0usize)),
-            &pos,
-            2,
-            8,
-        );
-    }
-
     #[test]
     fn crosscheck_flag_is_off_when_unset_empty_or_zero() {
         assert!(!flag_on(None));
@@ -1397,7 +1316,7 @@ mod tests {
         }
         cache.snapshot(&oracle);
         other.take_dirty();
-        cache.source = PairSource::Estimated(opts, Box::new(other));
+        cache.estimator = Some(other);
         cache.snapshot(&oracle);
     }
 }

@@ -129,13 +129,15 @@ fn a_recompute_allocates_a_constant_number_of_blocks() {
     println!("allocations per cycle (admit + remove, snapshot, zeros): {small:?} at 100 jobs, {large:?} at 400");
     // The snapshot: the combo vector, its sorted copy for the duplicate
     // check and the tensor's one buffer. None of them is per row; the
-    // selection pass's scratch (one per-job array, the sort buffer)
-    // stays on the store and reached its size during the warm-up.
+    // selection pass's scratch (one per-job array, the sort buffer) and
+    // the buckets the arrival's scored pairs go into stay on the store
+    // and reached their size during the warm-up.
     assert_eq!(small.1, 3, "snapshot at 100 jobs");
     assert_eq!(large.1, 3, "snapshot at 400 jobs");
     // One value slab.
     assert_eq!((small.2, large.2), (1, 1), "Allocation::zeros");
-    // Admit and remove touch amortised vectors only: a bucket that
-    // empties and refills, a job's candidate list that regrows.
+    // Admit and remove touch amortised vectors only: the job vectors,
+    // and the arrival's candidate list, sized at admission for the
+    // snapshot that scores it.
     assert!(small.0 <= 8 && large.0 <= 8, "admit + remove");
 }

@@ -32,8 +32,10 @@
 //!
 //! The per-round machinery the service core composes is documented where
 //! it lives: the incremental policy-input snapshots (oracle- and
-//! estimator-backed, with the flat ranking kept as a differential oracle
-//! behind [`CROSSCHECK_ENV`]) in [`gavel_service::snapshot`], the round
+//! estimator-backed alike, re-scoring one dirty set per snapshot, with
+//! the bucketed selection re-checked behind [`CROSSCHECK_ENV`] against
+//! [`gavel_workloads::rank_and_cap`], the fresh builder's flat ranking)
+//! in [`gavel_service::snapshot`], the round
 //! planner in [`gavel_sched::mechanism`], and the gates the `sim` bench
 //! holds them to in that bench's header
 //! (`crates/experiments/benches/sim.rs`). [`SnapshotCache`] and

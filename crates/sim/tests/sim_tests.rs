@@ -1,12 +1,21 @@
 //! End-to-end simulator tests on small clusters and traces.
 
+use gavel_core::Policy;
 use gavel_policies::{
     AgnosticLas, FifoAgnostic, FifoHet, GandivaPolicy, MaxMinFairness, MinMakespan,
 };
-use gavel_sim::{RecomputeCadence, SimConfig, Simulator};
+use gavel_sim::{RecomputeCadence, SimConfig, SimResult, Simulator};
 use gavel_workloads::{
     cluster_twelve, generate, GpuKind, JobConfig, ModelFamily, Oracle, TraceConfig, TraceJob,
 };
+
+/// `gavel_sim::run`, asserting the service accepted every command the
+/// trace compiled to.
+fn run(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
+    let result = gavel_sim::run(policy, trace, cfg);
+    assert_eq!(result.service_stats.commands_rejected, 0);
+    result
+}
 
 fn small_cluster() -> gavel_core::ClusterSpec {
     gavel_core::ClusterSpec::new(&[
@@ -37,7 +46,7 @@ fn single_job_trace(duration_s: f64) -> Vec<TraceJob> {
 fn lone_job_finishes_in_ideal_time() {
     let trace = single_job_trace(7200.0);
     let cfg = SimConfig::new(small_cluster());
-    let result = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let result = run(&MaxMinFairness::new(), &trace, &cfg);
     let jct = result.jobs[0].jct().expect("job completes");
     // One job gets a dedicated V100; JCT is the ideal duration, round-
     // quantized at worst.
@@ -50,7 +59,7 @@ fn jct_never_beats_ideal_duration() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(8.0, 30, 5), &oracle);
     let cfg = SimConfig::new(small_cluster());
-    let result = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let result = run(&MaxMinFairness::new(), &trace, &cfg);
     for o in &result.jobs {
         if let Some(jct) = o.jct() {
             assert!(
@@ -70,8 +79,8 @@ fn het_aware_beats_agnostic_on_avg_jct() {
     // Moderate load on the 12-GPU cluster.
     let trace = generate(&TraceConfig::continuous_single(1.2, 60, 7), &oracle);
     let cfg = SimConfig::new(cluster_twelve());
-    let het = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
-    let agn = gavel_sim::run(&AgnosticLas::new(), &trace, &cfg);
+    let het = run(&MaxMinFairness::new(), &trace, &cfg);
+    let agn = run(&AgnosticLas::new(), &trace, &cfg);
     let h = het.steady_state_avg_jct_hours(10, 5);
     let a = agn.steady_state_avg_jct_hours(10, 5);
     assert!(
@@ -85,8 +94,8 @@ fn deterministic_given_seed() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 25, 3), &oracle);
     let cfg = SimConfig::new(small_cluster());
-    let r1 = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
-    let r2 = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let r1 = run(&MaxMinFairness::new(), &trace, &cfg);
+    let r2 = run(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(r1.jobs.len(), r2.jobs.len());
     for (a, b) in r1.jobs.iter().zip(&r2.jobs) {
         assert_eq!(a.completion, b.completion, "{}", a.id);
@@ -104,9 +113,9 @@ fn ideal_execution_close_to_mechanism() {
     for (cluster, lambda, seed) in [(cluster_twelve(), 1.5, 11), (small_cluster(), 0.5, 0)] {
         let trace = generate(&TraceConfig::continuous_single(lambda, 40, seed), &oracle);
         let mut cfg = SimConfig::new(cluster);
-        let rounds = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+        let rounds = run(&MaxMinFairness::new(), &trace, &cfg);
         cfg.ideal_execution = true;
-        let ideal = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+        let ideal = run(&MaxMinFairness::new(), &trace, &cfg);
         let rj = rounds.avg_jct_hours();
         let ij = ideal.avg_jct_hours();
         assert!(ij <= rj * 1.05 + 0.2, "ideal {ij} vs rounds {rj}");
@@ -119,9 +128,9 @@ fn physical_fidelity_adds_modest_overhead() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.5, 30, 13), &oracle);
     let cfg = SimConfig::new(cluster_twelve());
-    let sim = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let sim = run(&MaxMinFairness::new(), &trace, &cfg);
     let phys_cfg = SimConfig::new(cluster_twelve()).with_physical_fidelity(1);
-    let phys = gavel_sim::run(&MaxMinFairness::new(), &trace, &phys_cfg);
+    let phys = run(&MaxMinFairness::new(), &trace, &phys_cfg);
     let s = sim.avg_jct_hours();
     let p = phys.avg_jct_hours();
     // Table 3: physical and simulated metrics agree within a few percent.
@@ -136,9 +145,9 @@ fn space_sharing_helps_at_high_load() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.5, 50, 17), &oracle);
     let cfg = SimConfig::new(cluster_twelve());
-    let plain = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let plain = run(&MaxMinFairness::new(), &trace, &cfg);
     let ss_cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let ss = gavel_sim::run(&MaxMinFairness::new(), &trace, &ss_cfg);
+    let ss = run(&MaxMinFairness::new(), &trace, &ss_cfg);
     let p = plain.steady_state_avg_jct_hours(5, 5);
     let s = ss.steady_state_avg_jct_hours(5, 5);
     assert!(s <= p * 1.02, "space sharing should not hurt: {s} vs {p}");
@@ -154,9 +163,9 @@ fn profiled_estimation_stays_close_and_uses_the_estimator_entry() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 40, 19), &oracle);
     let base = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let oracle_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &base);
+    let oracle_run = run(&MaxMinFairness::new(), &trace, &base);
     let est_cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
-    let est_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &est_cfg);
+    let est_run = run(&MaxMinFairness::new(), &trace, &est_cfg);
     let o = oracle_run.avg_jct_hours();
     let e = est_run.avg_jct_hours();
     assert!(
@@ -177,8 +186,8 @@ fn makespan_policy_beats_fifo_on_static_trace() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::static_single(40, 23), &oracle);
     let cfg = SimConfig::new(cluster_twelve());
-    let mk = gavel_sim::run(&MinMakespan::new(), &trace, &cfg);
-    let fifo = gavel_sim::run(&FifoAgnostic::new(), &trace, &cfg);
+    let mk = run(&MinMakespan::new(), &trace, &cfg);
+    let fifo = run(&FifoAgnostic::new(), &trace, &cfg);
     assert!(mk.unfinished_fraction() == 0.0);
     assert!(
         mk.makespan < fifo.makespan,
@@ -193,8 +202,8 @@ fn fifo_het_beats_fifo_agnostic() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.5, 40, 29), &oracle);
     let cfg = SimConfig::new(cluster_twelve());
-    let het = gavel_sim::run(&FifoHet::new(), &trace, &cfg);
-    let agn = gavel_sim::run(&FifoAgnostic::new(), &trace, &cfg);
+    let het = run(&FifoHet::new(), &trace, &cfg);
+    let agn = run(&FifoAgnostic::new(), &trace, &cfg);
     let h = het.steady_state_avg_jct_hours(5, 5);
     let a = agn.steady_state_avg_jct_hours(5, 5);
     assert!(h < a, "FIFO het {h} vs agnostic {a}");
@@ -205,7 +214,7 @@ fn gandiva_runs_to_completion() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.5, 25, 31), &oracle);
     let cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
-    let result = gavel_sim::run(&GandivaPolicy::new(5), &trace, &cfg);
+    let result = run(&GandivaPolicy::new(5), &trace, &cfg);
     assert_eq!(result.unfinished_fraction(), 0.0);
     assert_eq!(result.policy_failures, 0);
 }
@@ -215,9 +224,9 @@ fn recompute_cadence_changes_solve_count() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(2.0, 20, 37), &oracle);
     let mut cfg = SimConfig::new(small_cluster());
-    let on_reset = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let on_reset = run(&MaxMinFairness::new(), &trace, &cfg);
     cfg.recompute = RecomputeCadence::EveryNRounds(1);
-    let every_round = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let every_round = run(&MaxMinFairness::new(), &trace, &cfg);
     assert!(
         every_round.recomputations > on_reset.recomputations,
         "every-round {} vs on-reset {}",
@@ -249,10 +258,10 @@ fn worker_failures_trigger_resets_and_slow_jobs() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.0, 25, 41), &oracle);
     let base = SimConfig::new(cluster_twelve());
-    let healthy = gavel_sim::run(&MaxMinFairness::new(), &trace, &base);
+    let healthy = run(&MaxMinFairness::new(), &trace, &base);
     // Aggressive failures: one per ~2 hours, 1-hour repairs.
     let faulty_cfg = SimConfig::new(cluster_twelve()).with_failures(7200.0, 3600.0);
-    let faulty = gavel_sim::run(&MaxMinFairness::new(), &trace, &faulty_cfg);
+    let faulty = run(&MaxMinFairness::new(), &trace, &faulty_cfg);
     assert!(
         faulty.recomputations > healthy.recomputations,
         "failures are reset events: {} vs {}",
@@ -276,8 +285,8 @@ fn failure_injection_is_deterministic() {
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(1.5, 20, 43), &oracle);
     let cfg = SimConfig::new(cluster_twelve()).with_failures(10_000.0, 3600.0);
-    let a = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
-    let b = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let a = run(&MaxMinFairness::new(), &trace, &cfg);
+    let b = run(&MaxMinFairness::new(), &trace, &cfg);
     for (x, y) in a.jobs.iter().zip(&b.jobs) {
         assert_eq!(x.completion, y.completion);
         assert_eq!(x.cost.to_bits(), y.cost.to_bits());
@@ -298,7 +307,7 @@ fn capacity_respected_while_workers_down() {
     // the workload down measurably.
     let oracle = Oracle::new();
     let trace = generate(&TraceConfig::continuous_single(0.8, 12, 47), &oracle);
-    let healthy = gavel_sim::run(
+    let healthy = run(
         &MaxMinFairness::new(),
         &trace,
         &SimConfig::new(small_cluster()),
@@ -306,7 +315,7 @@ fn capacity_respected_while_workers_down() {
     // One failure every ~2 simulated hours, each worker down for 6 hours:
     // the cluster spends most of the run degraded.
     let faulty_cfg = SimConfig::new(small_cluster()).with_failures(7200.0, 21_600.0);
-    let faulty = gavel_sim::run(&MaxMinFairness::new(), &trace, &faulty_cfg);
+    let faulty = run(&MaxMinFairness::new(), &trace, &faulty_cfg);
     assert_eq!(faulty.unfinished_fraction(), 0.0, "jobs still finish");
     assert!(
         faulty.makespan > healthy.makespan * 1.05,
@@ -331,8 +340,8 @@ fn repair_triggers_recompute() {
     let base = cluster_twelve();
     let long_downtime = SimConfig::new(base.clone()).with_failures(7200.0, 1.0e9);
     let short_downtime = SimConfig::new(base).with_failures(7200.0, 720.0);
-    let long_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &long_downtime);
-    let short_run = gavel_sim::run(&MaxMinFairness::new(), &trace, &short_downtime);
+    let long_run = run(&MaxMinFairness::new(), &trace, &long_downtime);
+    let short_run = run(&MaxMinFairness::new(), &trace, &short_downtime);
     assert!(
         long_run.recomputations > 1,
         "failures alone must already recompute: {}",
@@ -360,7 +369,7 @@ fn never_placeable_jobs_are_rejected_and_counted() {
     trace.push(giant);
 
     let cfg = SimConfig::new(small_cluster());
-    let result = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let result = run(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(result.never_placeable, 1);
     assert_eq!(result.jobs.len(), 2);
     let giant_outcome = result
@@ -387,7 +396,7 @@ fn never_placeable_jobs_are_rejected_and_counted() {
 fn placeable_runs_report_zero_never_placeable() {
     let trace = single_job_trace(1800.0);
     let cfg = SimConfig::new(small_cluster());
-    let result = gavel_sim::run(&MaxMinFairness::new(), &trace, &cfg);
+    let result = run(&MaxMinFairness::new(), &trace, &cfg);
     assert_eq!(result.never_placeable, 0);
 }
 
@@ -402,6 +411,8 @@ fn durable_run_artifacts_recover_bit_exactly() {
     // The durable run matches the plain run bit-exactly...
     let plain = sim.run(&policy, &trace);
     let (durable, wal_bytes, ckpt_bytes) = sim.run_durable(&policy, &trace, 7).unwrap();
+    assert_eq!(plain.service_stats.commands_rejected, 0);
+    assert_eq!(durable.service_stats, plain.service_stats);
     assert_eq!(durable.makespan.to_bits(), plain.makespan.to_bits());
     assert_eq!(durable.total_cost.to_bits(), plain.total_cost.to_bits());
     assert_eq!(durable.rounds, plain.rounds);
@@ -422,4 +433,30 @@ fn durable_run_artifacts_recover_bit_exactly() {
     assert_eq!(recovered.makespan.to_bits(), plain.makespan.to_bits());
     assert_eq!(recovered.rounds, plain.rounds);
     assert_eq!(recovered.service_stats, plain.service_stats);
+}
+
+/// A trace holding commands the service refuses — a duplicated job id, a
+/// NaN arrival — runs to completion through the logged and the durable
+/// client alike, and the refusals are counted in `service_stats`.
+#[test]
+fn a_trace_the_service_partly_rejects_runs_to_completion() {
+    let mut trace = single_job_trace(1800.0);
+    let mut duplicate = trace[0].clone();
+    duplicate.arrival_time = 60.0;
+    let mut nan = trace[0].clone();
+    nan.id = gavel_core::JobId(1);
+    nan.arrival_time = f64::NAN;
+    trace.extend([duplicate, nan]);
+
+    let sim = Simulator::new(SimConfig::new(small_cluster()));
+    let policy = MaxMinFairness::new();
+    let (logged, _) = sim.run_logged(&policy, &trace);
+    let (durable, _, _) = sim.run_durable(&policy, &trace, 0).unwrap();
+    for result in [logged, durable] {
+        // The duplicate's submit, then the NaN job's advance and submit.
+        let stats = &result.service_stats;
+        assert_eq!((stats.commands_rejected, stats.invalid_commands), (3, 2));
+        assert_eq!(result.jobs.len(), 1);
+        assert!(result.jobs[0].completion.is_some());
+    }
 }

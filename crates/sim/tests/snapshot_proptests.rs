@@ -3,27 +3,32 @@
 //! interleavings, whichever pair source backs the cache — the oracle, or
 //! a live estimator whose refinements dirty anywhere from one pair up to
 //! every resident job — and spends work proportional to the dirty set.
+//! Snapshots follow a random subset of the ops, so the dirty set a
+//! snapshot drains may hold several arrivals and drifts, minus the jobs
+//! that left before it.
 //!
 //! The harness runs with the crosscheck enabled, so every bucketed
 //! selection pass is additionally asserted bit-identical (same pair set,
-//! same emission order) to the flat `rank_and_cap` differential oracle
-//! inside the cache itself.
+//! same emission order) to the flat `rank_and_cap` ranking inside the
+//! cache itself.
 
 use gavel_core::{JobId, PolicyJob};
 use gavel_sim::{EstimatorBridge, SnapshotCache, SnapshotStats};
 use gavel_workloads::{
-    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_score,
-    GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
+    build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_row, GpuKind,
+    JobConfig, JobSpec, Oracle, PairOptions,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// Applies one op sequence to the cache while mirroring it on a plain
-/// spec vector, checking snapshot == fresh build after every step.
+/// spec vector, checking snapshot == fresh build after a random subset
+/// of the steps and after the last, so that several admissions, removals
+/// and refinements can land between two snapshots.
 ///
 /// `estimator_seed` picks the pair source: `None` for the oracle, or the
 /// seed of an estimator bridge the cache owns (which needs `opts`). `ops`
-/// drives the interleaving — `(kind, pick, cfg_idx, extra)`:
+/// drives the interleaving — `(kind, pick, cfg_idx, extra, snap)`:
 ///
 /// - kinds 0 and 3 admit a new job (the estimator profiles it);
 /// - kind 1 completes the resident job at `pick % len` (the estimator
@@ -31,9 +36,10 @@ use std::collections::BTreeSet;
 ///   pair-candidate ranking has to survive;
 /// - kind 2 is an `observe` burst refining 1..=len colocated pairs,
 ///   dirtying up to every resident job; the oracle never drifts, so
-///   there it is a no-op.
+///   there it is a no-op;
+/// - a snapshot follows the op when `snap` is 0.
 fn run_sequence(
-    ops: &[(usize, usize, usize, usize)],
+    ops: &[(usize, usize, usize, usize, usize)],
     opts: Option<PairOptions>,
     estimator_seed: Option<u64>,
 ) {
@@ -49,10 +55,11 @@ fn run_sequence(
     let mut specs: Vec<JobSpec> = Vec::new();
     let mut next_id = 0u64;
     let mut snapshots = 0usize;
-    for &(kind, pick, cfg_idx, extra) in ops {
-        let before = cache.stats();
-        // Jobs this op admits or drifts: what the snapshot may re-score.
-        let mut dirty: BTreeSet<JobId> = BTreeSet::new();
+    let mut before = cache.stats();
+    // Resident jobs admitted or drifted since the last snapshot: what the
+    // next one may score. A job that leaves first is never scored.
+    let mut dirty: BTreeSet<JobId> = BTreeSet::new();
+    for (step, &(kind, pick, cfg_idx, extra, snap)) in ops.iter().enumerate() {
         match kind % 4 {
             0 | 3 => {
                 let spec = JobSpec {
@@ -69,12 +76,9 @@ fn run_sequence(
             1 if !specs.is_empty() => {
                 let i = pick % specs.len();
                 cache.remove(i);
-                specs.swap_remove(i);
+                dirty.remove(&specs.swap_remove(i).id);
             }
-            2 if specs.len() >= 2 => {
-                if cache.estimator().is_none() {
-                    continue;
-                }
+            2 if specs.len() >= 2 && cache.estimator().is_some() => {
                 let burst = extra % specs.len() + 1;
                 for k in 0..burst {
                     let i = (pick + k) % specs.len();
@@ -84,7 +88,10 @@ fn run_sequence(
                     dirty.extend([x.id, y.id]);
                 }
             }
-            _ => continue,
+            _ => {}
+        }
+        if snap != 0 && step + 1 < ops.len() {
+            continue;
         }
         let (combos, tensor) = cache.snapshot(&oracle);
         let bridge = cache.estimator();
@@ -108,9 +115,10 @@ fn run_sequence(
             assert_eq!(tensor.row(k), fresh_tensor.row(k), "row {k} diverges");
         }
 
-        // Work follows the dirty set: each admitted or drifted job is
-        // scored at most once against each resident single-worker job,
-        // and the store holds exactly the pairs a fresh enumeration keeps.
+        // Work follows the dirty set: each resident job admitted or
+        // drifted since the last snapshot is scored at most once against
+        // each resident single-worker job, and the store holds exactly
+        // the pairs a fresh enumeration keeps.
         let singles: Vec<&JobSpec> = specs.iter().filter(|s| s.scale_factor == 1).collect();
         let settled = cache.stats();
         assert!(
@@ -123,7 +131,7 @@ fn run_sequence(
         let kept = opts.map_or(0, |o| {
             (singles.iter().enumerate())
                 .flat_map(|(i, a)| singles[i + 1..].iter().map(move |b| (a, b)))
-                .filter(|(a, b)| pair_score(&oracle, a, b, &pair_fn) >= o.min_aggregate)
+                .filter(|(a, b)| pair_row(&oracle, a, b, &pair_fn).0 >= o.min_aggregate)
                 .count()
         });
         assert_eq!(cache.candidate_count(), kept);
@@ -145,6 +153,8 @@ fn run_sequence(
             }
         };
         assert_eq!(cache.stats(), counted);
+        before = counted;
+        dirty.clear();
     }
     let stats = cache.stats();
     let by_source = (stats.incremental_snapshots, stats.bridged_snapshots);
@@ -156,8 +166,11 @@ fn run_sequence(
     assert_eq!(stats.flat_reranks, stats.bucketed_selections);
 }
 
-fn ops(max_len: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, usize)>> {
-    prop::collection::vec((0usize..4, 0usize..64, 0usize..64, 0usize..16), 1..max_len)
+fn ops(max_len: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, usize, usize)>> {
+    prop::collection::vec(
+        (0usize..4, 0usize..64, 0usize..64, 0usize..16, 0usize..3),
+        1..max_len,
+    )
 }
 
 proptest! {

@@ -28,7 +28,7 @@ pub use models::{JobConfig, ModelFamily};
 pub use oracle::Oracle;
 pub use tensors::{
     build_singleton_tensor, build_tensor_with_pairs, build_tensor_with_pairs_by, pair_row,
-    pair_score, singleton_row, JobSpec, PairOptions,
+    rank_and_cap, singleton_row, JobSpec, PairOptions,
 };
 pub use trace::{
     assign_entities, assign_priorities, cost_workload, generate, ArrivalProcess, ScaleFactorMix,

@@ -98,7 +98,7 @@ pub fn build_tensor_with_pairs_by(
         .collect();
 
     // Score all candidate pairs.
-    let mut candidates: Vec<(f64, usize, usize, [PairThroughput; GpuKind::COUNT])> = Vec::new();
+    let mut candidates: Vec<(u32, u32, f64, [PairThroughput; GpuKind::COUNT])> = Vec::new();
     for i in 0..jobs.len() {
         if jobs[i].scale_factor != 1 {
             continue;
@@ -109,28 +109,74 @@ pub fn build_tensor_with_pairs_by(
             }
             let (score, row) = pair_row(oracle, &jobs[i], &jobs[k], &pair_fn);
             if score >= opts.min_aggregate {
-                candidates.push((score, i, k, row));
+                candidates.push((i as u32, k as u32, score, row));
             }
         }
     }
-    candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-
-    let mut per_job_count = vec![0usize; jobs.len()];
-    for (_, i, k, row) in candidates {
-        if per_job_count[i] >= opts.max_pairs_per_job || per_job_count[k] >= opts.max_pairs_per_job
-        {
-            continue;
-        }
-        per_job_count[i] += 1;
-        per_job_count[k] += 1;
-        combos.push(Combo::pair(jobs[i].id, jobs[k].id));
-        entries.extend_from_slice(&row);
+    let ranked = (candidates.iter().enumerate()).map(|(c, &(i, k, score, _))| (i, k, score, c));
+    for c in rank_and_cap(ranked, jobs.len(), opts.max_pairs_per_job) {
+        let (i, k, _, row) = &candidates[c];
+        combos.push(Combo::pair(jobs[*i as usize].id, jobs[*k as usize].id));
+        entries.extend_from_slice(row);
     }
 
     (
         ComboSet::new(combos),
         ThroughputTensor::from_flat(GpuKind::COUNT, entries),
     )
+}
+
+/// Ranks scored pair candidates and applies the greedy per-job cap,
+/// returning each surviving candidate's `tag` in emission order: the flat
+/// ranking behind [`build_tensor_with_pairs_by`], and the oracle the
+/// simulator's score-bucketed `SnapshotCache` selection is crosschecked
+/// against.
+///
+/// A candidate is `(position_a, position_b, score, tag)`, where the
+/// positions index the current job vector (`n_jobs` long). The order is
+/// score descending, then the (lower, higher) position pair ascending —
+/// the order a stable score sort of the (i, k) enumeration produces —
+/// packed into one `u128` key per candidate and sorted ascending:
+///
+/// ```text
+/// key = (!score.to_bits()) << 64 | i << 32 | k,   i < k
+/// ```
+///
+/// Scores must be nonnegative and finite: `!score.to_bits()` orders the
+/// IEEE bit patterns inverse to the values only on that domain, and
+/// silently mis-orders negatives and NaNs (debug-asserted here).
+pub fn rank_and_cap<T: Copy>(
+    candidates: impl Iterator<Item = (u32, u32, f64, T)>,
+    n_jobs: usize,
+    max_pairs_per_job: usize,
+) -> Vec<T> {
+    let mut keys: Vec<(u128, T)> = candidates
+        .map(|(pa, pb, score, tag)| {
+            let (i, k) = if pa < pb { (pa, pb) } else { (pb, pa) };
+            debug_assert!(
+                score >= 0.0 && score.is_finite(),
+                "rank_and_cap requires nonnegative finite scores \
+                 (the score_desc bit trick mis-orders negatives/NaNs), got {score}"
+            );
+            let score_desc = !score.to_bits();
+            let key = ((score_desc as u128) << 64) | ((i as u128) << 32) | (k as u128);
+            (key, tag)
+        })
+        .collect();
+    keys.sort_unstable_by_key(|&(key, _)| key);
+    let mut per_job_count = vec![0usize; n_jobs];
+    let mut selected = Vec::new();
+    for &(key, tag) in &keys {
+        let i = ((key >> 32) & 0xffff_ffff) as usize;
+        let k = (key & 0xffff_ffff) as usize;
+        if per_job_count[i] >= max_pairs_per_job || per_job_count[k] >= max_pairs_per_job {
+            continue;
+        }
+        per_job_count[i] += 1;
+        per_job_count[k] += 1;
+        selected.push(tag);
+    }
+    selected
 }
 
 /// The throughput row of a single job across all accelerator types —
@@ -148,38 +194,11 @@ pub fn singleton_row(
 }
 
 /// The pruning score of a pair — the best-type sum of
-/// colocation-normalized throughputs — without materializing its row:
-/// the unit the simulator's incremental `SnapshotCache` evaluates once
-/// per (arriving or drifted job, resident job) pair instead of re-running
-/// the full O(n²) enumeration per recompute. `pair_fn` supplies the
-/// colocated throughputs as in [`build_tensor_with_pairs_by`]. Performs
-/// the same floating-point operations in the same accelerator order as
-/// [`pair_row`], so the result is bitwise identical to
-/// `pair_row(oracle, a, b, pair_fn).0`.
-pub fn pair_score(
-    oracle: &Oracle,
-    a: &JobSpec,
-    b: &JobSpec,
-    pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
-) -> f64 {
-    let mut best = 0.0f64;
-    let (first, second) = if a.id < b.id { (a, b) } else { (b, a) };
-    for &g in GpuKind::all() {
-        if let Some((ta, tb)) = pair_fn(first, second, g) {
-            let ia = oracle.isolated(first.config, g);
-            let ib = oracle.isolated(second.config, g);
-            if ia > 0.0 && ib > 0.0 {
-                best = best.max(ta / ia + tb / ib);
-            }
-        }
-    }
-    best
-}
-
-/// The pruning score of a pair and its throughput row, exactly as
+/// colocation-normalized throughputs — and its throughput row, exactly as
 /// [`build_tensor_with_pairs_by`] computes them for the same pair and the
-/// same `pair_fn` state — `SnapshotCache` calls this only for the pairs a
-/// selection just picked.
+/// same `pair_fn` state. The simulator's incremental `SnapshotCache` takes
+/// the score once per (arriving or drifted job, resident job) pair and
+/// the row only for the pairs a selection just picked.
 pub fn pair_row(
     oracle: &Oracle,
     a: &JobSpec,
@@ -283,6 +302,22 @@ mod tests {
         let pairs: Vec<_> = combos.combos().iter().filter(|c| c.is_pair()).collect();
         assert_eq!(pairs.len(), 1, "{pairs:?}");
         assert!(!pairs[0].contains(JobId(0)));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "nonnegative finite")]
+    fn rank_and_cap_rejects_negative_scores() {
+        // A negative score would silently sort *above* every positive one
+        // under the bit complement; the debug assertion must catch it.
+        rank_and_cap(std::iter::once((0, 1, -1.0f64, 0usize)), 2, 8);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "nonnegative finite")]
+    fn rank_and_cap_rejects_nan_scores() {
+        rank_and_cap(std::iter::once((0, 1, f64::NAN, 0usize)), 2, 8);
     }
 
     #[test]
