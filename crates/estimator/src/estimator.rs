@@ -7,13 +7,6 @@ use std::collections::HashMap;
 /// when refining an estimate.
 const REFINE_ALPHA: f64 = 0.5;
 
-/// Configuration of the [`ThroughputEstimator`].
-#[derive(Debug, Clone, Default)]
-pub struct EstimatorConfig {
-    /// Matrix-completion solver.
-    pub completion: MatrixCompletion,
-}
-
 /// Quasar-style estimator: maps new jobs onto pre-profiled reference jobs
 /// through sparse profiling plus matrix completion, then refines online.
 ///
@@ -28,7 +21,6 @@ pub struct EstimatorConfig {
 #[derive(Debug, Clone)]
 pub struct ThroughputEstimator {
     reference: Vec<Vec<f64>>,
-    config: EstimatorConfig,
     /// Per-tracked-job estimated colocation rows (indexed by caller key).
     estimates: HashMap<u64, Vec<f64>>,
     /// Which reference each tracked job mapped to.
@@ -43,7 +35,7 @@ impl ThroughputEstimator {
     /// # Panics
     ///
     /// Panics if `reference` is empty or not square.
-    pub fn new(reference: Vec<Vec<f64>>, config: EstimatorConfig) -> Self {
+    pub fn new(reference: Vec<Vec<f64>>) -> Self {
         let r = reference.len();
         assert!(r > 0, "empty reference matrix");
         assert!(
@@ -52,7 +44,6 @@ impl ThroughputEstimator {
         );
         ThroughputEstimator {
             reference,
-            config,
             estimates: HashMap::new(),
             matched: HashMap::new(),
             dirty: Vec::new(),
@@ -81,7 +72,7 @@ impl ThroughputEstimator {
         // row: at rank == observations the factors interpolate the (noisy)
         // profile exactly and extrapolate wildly to unseen columns.
         let num_obs = profiled.iter().flatten().count();
-        let mut completion = self.config.completion.clone();
+        let mut completion = MatrixCompletion::default();
         completion.rank = completion.rank.min(num_obs.saturating_sub(1)).max(1);
         let completed = completion.complete(&observed);
         let fingerprint = &completed[r];
@@ -171,7 +162,7 @@ mod tests {
 
     #[test]
     fn matches_obvious_fingerprint() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         // A job profiled against references 0 and 1 with heavy-like values.
         let matched = est.register_job(42, &[Some(0.74), Some(0.56), None]);
         assert_eq!(matched, 2, "heavy contention profile should match row 2");
@@ -184,21 +175,21 @@ mod tests {
 
     #[test]
     fn a_nan_profile_does_not_panic() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         let matched = est.register_job(9, &[Some(f64::NAN), Some(0.7), None]);
         assert!(matched < reference().len());
     }
 
     #[test]
     fn exact_profile_matches_itself() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         let matched = est.register_job(1, &[Some(0.85), Some(0.70), Some(0.55)]);
         assert_eq!(matched, 1);
     }
 
     #[test]
     fn online_refinement_converges() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         est.register_job(7, &[Some(0.95), None, None]);
         // True value against reference 2 is 0.6; feed measurements.
         for _ in 0..10 {
@@ -210,7 +201,7 @@ mod tests {
 
     #[test]
     fn forget_clears_state() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         est.register_job(9, &[Some(0.9), None, None]);
         est.forget(9);
         assert!(est.estimate(9).is_none());
@@ -219,7 +210,7 @@ mod tests {
 
     #[test]
     fn take_dirty_lists_each_change_once() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         assert!(est.take_dirty().is_empty());
         est.register_job(1, &[Some(0.9), None, None]);
         est.register_job(2, &[Some(0.7), Some(0.55), None]);
@@ -237,7 +228,7 @@ mod tests {
 
     #[test]
     fn refine_on_unregistered_key_dirties_nothing() {
-        let mut est = ThroughputEstimator::new(reference(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(reference());
         est.register_job(1, &[Some(0.9), None, None]);
         est.take_dirty();
         est.refine(99, 0, 0.5);
@@ -248,7 +239,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "square")]
     fn non_square_reference_rejected() {
-        ThroughputEstimator::new(vec![vec![1.0, 2.0]], EstimatorConfig::default());
+        ThroughputEstimator::new(vec![vec![1.0, 2.0]]);
     }
 
     #[test]
@@ -256,7 +247,7 @@ mod tests {
         // Jobs that are noisy versions of reference rows should match their
         // own class and produce small estimation error.
         let refm = reference();
-        let mut est = ThroughputEstimator::new(refm.clone(), EstimatorConfig::default());
+        let mut est = ThroughputEstimator::new(refm.clone());
         for (class, true_row) in refm.iter().enumerate() {
             // Profile two of three entries with 3% noise (the service
             // profiles five references; one observation alone

@@ -21,4 +21,4 @@ pub mod als;
 pub mod estimator;
 
 pub use als::MatrixCompletion;
-pub use estimator::{EstimatorConfig, ThroughputEstimator};
+pub use estimator::ThroughputEstimator;

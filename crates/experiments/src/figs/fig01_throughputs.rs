@@ -47,7 +47,7 @@ pub fn run(_scale: crate::Scale) {
         let k = per(GpuKind::K80);
         let best = [GpuKind::V100, GpuKind::P100, GpuKind::K80]
             .into_iter()
-            .max_by(|a, b| per(*a).partial_cmp(&per(*b)).unwrap())
+            .max_by(|a, b| per(*a).total_cmp(&per(*b)))
             .unwrap();
         rows.push(vec![
             name.to_string(),

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig19_makespan`
 
-use crate::{print_table, run_full, Scale};
+use crate::{print_table, Scale};
 use gavel_core::Policy;
 use gavel_policies::{FifoAgnostic, GandivaPolicy, MinMakespan};
 use gavel_sim::{RecomputeCadence, SimConfig};
@@ -36,7 +36,7 @@ pub fn run(scale: Scale) {
             }
             // Batch the completion bursts of a static trace.
             cfg.recompute = RecomputeCadence::ThrottledResets(10);
-            let result = run_full(policy.as_ref(), &trace, &cfg);
+            let result = gavel_sim::run(policy.as_ref(), &trace, &cfg);
             // A round planned from the fallback split is not this policy's.
             assert_eq!(
                 result.policy_failures,

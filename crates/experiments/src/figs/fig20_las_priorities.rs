@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig20_las_priorities`
 
-use crate::{mean, print_table, run_full, Scale};
+use crate::{mean, print_table, Scale};
 use gavel_core::Policy;
 use gavel_policies::{AgnosticLas, MaxMinFairness};
 use gavel_sim::SimConfig;
@@ -41,7 +41,7 @@ pub fn run(scale: Scale) {
             let (mut high, mut low) = (Vec::new(), Vec::new());
             for &s in &seeds {
                 let trace = trace_fn(lam, s);
-                let result = run_full(policy, &trace, &cfg);
+                let result = gavel_sim::run(policy, &trace, &cfg);
                 high.push(mean(&result.jct_cdf_hours(|j| j.weight > 1.0)));
                 low.push(mean(&result.jct_cdf_hours(|j| j.weight <= 1.0)));
             }

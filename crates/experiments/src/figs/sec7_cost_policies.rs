@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- sec7_cost_policies`
 
-use crate::{print_table, run_full, Scale};
+use crate::{print_table, Scale};
 use gavel_policies::{MaxTotalThroughput, MinCost, MinCostSlo};
 use gavel_sim::SimConfig;
 use gavel_workloads::{cluster_simulated, cost_workload, Oracle};
@@ -28,7 +28,7 @@ pub fn run(scale: Scale) {
         ("Minimize cost", &MinCost::new()),
         ("Minimize cost w/ SLOs", &MinCostSlo::new()),
     ] {
-        let result = run_full(policy, &trace, &cfg);
+        let result = gavel_sim::run(policy, &trace, &cfg);
         costs.push(result.total_cost);
         rows.push(vec![
             name.into(),

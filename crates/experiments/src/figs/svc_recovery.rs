@@ -86,7 +86,7 @@ pub fn run(scale: Scale) {
         commands.len(),
         wal_bytes.len(),
         ckpt_bytes.as_ref().map_or(0, Vec::len),
-        report.prefix_commands,
+        report.prefix_commands + report.prefix_rejections,
         report.wal_commands_applied + report.wal_rejections_applied,
         reference_fp,
     );
@@ -128,7 +128,7 @@ pub fn run(scale: Scale) {
             &outcome.wal_bytes,
         )
         .expect("crashed artifacts recover");
-        let consumed = svc.log().len() + svc.log().rejections().commands;
+        let consumed = report.consumed();
         assert_eq!(
             svc.state_fingerprint(),
             prefix_fps[consumed],
@@ -193,8 +193,8 @@ pub fn run(scale: Scale) {
             outcome.checkpoint_bytes.as_deref(),
             &outcome.wal_bytes,
         ) {
-            Ok((svc, _)) => {
-                let consumed = svc.log().len() + svc.log().rejections().commands;
+            Ok((svc, report)) => {
+                let consumed = report.consumed();
                 assert_eq!(
                     svc.state_fingerprint(),
                     prefix_fps[consumed],

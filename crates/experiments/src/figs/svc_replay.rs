@@ -6,9 +6,10 @@
 //! Unlike the `fig*` experiments (which feed the service pre-compiled
 //! traces), this drives [`gavel_service::SchedulerService`] through its
 //! command interface the way an external client would: jobs stream in
-//! from three entities, each capped at two active jobs, and everything
-//! the service accepts lands in its replayable [`SubmissionLog`]. The
-//! run ends by serializing the log to its text form, parsing it back,
+//! from three entities, each capped at two active jobs, and every
+//! command, accepted or bounced, lands in a replayable [`SubmissionLog`]
+//! recorded beside the service. The run ends by serializing the log to
+//! its text form, parsing it back,
 //! and replaying it against a fresh service — panicking unless the
 //! replayed [`SimResult`] is bit-identical, counters included.
 //!
@@ -16,7 +17,7 @@
 
 use crate::{print_table, Scale};
 use gavel_policies::MaxMinFairness;
-use gavel_service::{replay, SchedulerService, ServiceConfig, SimResult, SubmissionLog};
+use gavel_service::{replay, Command, SchedulerService, ServiceConfig, SimResult, SubmissionLog};
 use gavel_sim::SimConfig;
 use gavel_workloads::{assign_entities, cluster_twelve, generate, Oracle, TraceConfig};
 
@@ -45,12 +46,7 @@ pub fn run(scale: Scale) {
     let oracle = Oracle::new();
     let mut jobs = generate(&TraceConfig::continuous_single(lam, num_jobs, 11), &oracle);
     assign_entities(&mut jobs, 3);
-    jobs.sort_by(|a, b| {
-        a.arrival_time
-            .partial_cmp(&b.arrival_time)
-            .unwrap()
-            .then(a.id.cmp(&b.id))
-    });
+    jobs.sort_by(|a, b| (a.arrival_time.total_cmp(&b.arrival_time)).then(a.id.cmp(&b.id)));
 
     let policy = MaxMinFairness::new();
     let cfg = SimConfig::new(cluster_twelve()).with_failures(86_400.0, 3600.0);
@@ -58,31 +54,40 @@ pub fn run(scale: Scale) {
         max_active_per_entity: Some(2),
     };
     let mut svc = SchedulerService::new(cfg.clone(), service.clone(), &policy);
+    let mut log = SubmissionLog::default();
+    let mut apply = |cmd: Command| {
+        let outcome = svc.apply(&cmd);
+        log.record(&cmd, &outcome);
+        outcome
+    };
 
     // Stream the session in: submits bounce when their entity is at the
     // cap; every third arrival is followed by an allocation query, and the
     // midpoint job's admission is preceded by an injected worker failure.
     let mut last_accepted = None;
     for (i, job) in jobs.iter().enumerate() {
-        svc.advance_to(job.arrival_time);
+        let _ = apply(Command::AdvanceTo {
+            seconds: job.arrival_time,
+        });
         if i == num_jobs / 2 {
-            svc.inject_failure().expect("failure model configured");
+            apply(Command::InjectFailure).expect("failure model configured");
         }
-        let id = job.id;
-        if svc.submit(job.clone()).is_ok() {
-            last_accepted = Some(id);
+        if apply(Command::Submit { job: job.clone() }).is_ok() {
+            last_accepted = Some(job.id);
         }
         if i % 3 == 2 {
-            svc.query_allocation();
+            let _ = apply(Command::QueryAllocation);
         }
     }
     // Cancel the most recent accepted submit (if it is still running).
-    if let Some(id) = last_accepted {
-        let _ = svc.cancel(id);
+    if let Some(job) = last_accepted {
+        let _ = apply(Command::Cancel { job });
     }
-    svc.advance_to(cfg.max_seconds);
+    let _ = apply(Command::AdvanceTo {
+        seconds: cfg.max_seconds,
+    });
 
-    let log = SubmissionLog::parse(&svc.log().serialize()).expect("log text round-trips");
+    let log = SubmissionLog::parse(&log.serialize()).expect("log text round-trips");
     let live = svc.into_result();
 
     let stats = &live.service_stats;
@@ -132,7 +137,7 @@ pub fn run(scale: Scale) {
     assert_eq!(live.service_stats, replayed.service_stats);
     println!(
         "replay: {} logged commands -> bit-identical result (fingerprint {:#018x})",
-        log.len(),
+        log.commands().len(),
         result_fingerprint(&live),
     );
 }

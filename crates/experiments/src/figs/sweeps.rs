@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi`
 
-use crate::{cdf_summary, column_config, jct_cdfs_at, jct_sweep, run_full, Column, Scale};
+use crate::{cdf_summary, column_config, jct_cdfs_at, jct_sweep, Column, Scale};
 use gavel_policies::{
     AgnosticLas, Allox, FifoAgnostic, FifoHet, FinishTimeFairness, FtfAgnostic, GandivaPolicy,
     MaxMinFairness,
@@ -100,7 +100,7 @@ impl Sweep {
                 let trace = trace_fn(lam, seeds[0]);
                 let policy = factory(seeds[0]);
                 let cfg = column_config(&base, space_sharing);
-                let result = run_full(policy.as_ref(), &trace, &cfg);
+                let result = gavel_sim::run(policy.as_ref(), &trace, &cfg);
                 println!(
                     "{name:>8}: {}  (avg rho {:.2})",
                     cdf_summary(&result.ftf_cdf()),

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- table3_endtoend`
 
-use crate::{print_table, run_full, Scale};
+use crate::{print_table, Scale};
 use gavel_policies::{AgnosticLas, GandivaPolicy, MaxMinFairness, MinMakespan};
 use gavel_sim::SimConfig;
 use gavel_workloads::{cluster_physical, generate, Oracle, TraceConfig};
@@ -40,8 +40,8 @@ pub fn run(scale: Scale) {
         ("Gavel", &MaxMinFairness::new() as &dyn gavel_core::Policy),
         ("Baseline LAS", &AgnosticLas::new()),
     ] {
-        let phys = run_full(policy, &continuous, &phys_cfg());
-        let sim = run_full(policy, &continuous, &sim_cfg());
+        let phys = gavel_sim::run(policy, &continuous, &phys_cfg());
+        let sim = gavel_sim::run(policy, &continuous, &sim_cfg());
         let warm = continuous.len() / 8;
         rows.push(vec![
             "Continuous".into(),
@@ -53,8 +53,8 @@ pub fn run(scale: Scale) {
     }
 
     // Static trace: makespan, Gavel makespan policy vs Gandiva.
-    let gavel_mk_phys = run_full(&MinMakespan::new(), &static_trace, &phys_cfg());
-    let gavel_mk_sim = run_full(&MinMakespan::new(), &static_trace, &sim_cfg());
+    let gavel_mk_phys = gavel_sim::run(&MinMakespan::new(), &static_trace, &phys_cfg());
+    let gavel_mk_sim = gavel_sim::run(&MinMakespan::new(), &static_trace, &sim_cfg());
     // A round planned from the fallback split is not the makespan policy's.
     assert_eq!(
         gavel_mk_phys.policy_failures + gavel_mk_sim.policy_failures,
@@ -70,8 +70,8 @@ pub fn run(scale: Scale) {
     let mut ss_phys = phys_cfg().with_space_sharing();
     ss_phys.seed = 7;
     let ss_sim = sim_cfg().with_space_sharing();
-    let gandiva_phys = run_full(&GandivaPolicy::new(7), &static_trace, &ss_phys);
-    let gandiva_sim = run_full(&GandivaPolicy::new(7), &static_trace, &ss_sim);
+    let gandiva_phys = gavel_sim::run(&GandivaPolicy::new(7), &static_trace, &ss_phys);
+    let gandiva_sim = gavel_sim::run(&GandivaPolicy::new(7), &static_trace, &ss_sim);
     rows.push(vec![
         "Static".into(),
         "Gandiva".into(),

@@ -10,7 +10,7 @@
 pub mod figs;
 
 use gavel_core::Policy;
-use gavel_sim::{SimConfig, SimResult};
+use gavel_sim::SimConfig;
 use gavel_workloads::TraceJob;
 
 /// Experiment scale parsed from the command line.
@@ -96,11 +96,6 @@ pub fn run_avg_jct(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> 
     let result = gavel_sim::run(policy, trace, cfg);
     let warm = trace.len() / 10;
     result.steady_state_avg_jct_hours(warm, warm)
-}
-
-/// Runs one policy over one trace and returns the full result.
-pub fn run_full(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
-    gavel_sim::run(policy, trace, cfg)
 }
 
 /// Prints a markdown-ish aligned table.
@@ -240,7 +235,7 @@ pub fn jct_cdfs_at(
     for &(name, factory, space_sharing) in factories {
         let trace = trace_fn(lambda, seed);
         let policy = factory(seed);
-        let result = run_full(policy.as_ref(), &trace, &column_config(base, space_sharing));
+        let result = gavel_sim::run(policy.as_ref(), &trace, &column_config(base, space_sharing));
         let short = result.jct_cdf_hours(|j| j.is_short(threshold));
         let long = result.jct_cdf_hours(|j| !j.is_short(threshold));
         println!(

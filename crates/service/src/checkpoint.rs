@@ -4,9 +4,10 @@
 //! service as of a WAL position without replaying the whole record
 //! stream from time zero:
 //!
-//! - the **covered command prefix**, embedded as serialized
-//!   [`SubmissionLog`](crate::SubmissionLog) text (rejection tallies ride
-//!   in its header, so counters survive compaction too);
+//! - the **covered entry prefix**, embedded as serialized
+//!   [`SubmissionLog`](crate::SubmissionLog) text: one line per consumed
+//!   command, failed ones as `reject` lines, so counters survive
+//!   compaction too;
 //! - `covered_seq` — the WAL sequence number the checkpoint covers up to
 //!   (exclusive): records below it are compacted away, records at or
 //!   above it are the post-checkpoint suffix;
@@ -191,8 +192,7 @@ mod tests {
             config_fingerprint: 0xdead_beef_0123_4567,
             covered_seq: 42,
             state_fingerprint: 0x0f0f_0f0f_1234_5678,
-            log_text: "gavel-submission-log v2\nrejected commands=0 cap=0 invalid=0\nquery\n"
-                .to_string(),
+            log_text: "gavel-submission-log v3\nquery\nreject kind=invalid entity=-\n".to_string(),
         }
     }
 

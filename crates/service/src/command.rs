@@ -2,23 +2,22 @@
 //! grammar everything persisted is written in.
 //!
 //! Every interaction with [`crate::SchedulerService`] is a [`Command`].
-//! Commands the service *accepts* are appended, in application order, to a
-//! [`SubmissionLog`]; because the service is deterministic given its
-//! configuration and the ordered command stream, [`crate::replay`] of that
-//! log reconstructs the run bit-exactly — same state fingerprint, same
-//! [`crate::SimResult`].
+//! A layer that needs a record of the stream keeps a [`SubmissionLog`]:
+//! one entry per consumed command, in application order — the command
+//! itself if the service accepted it, its `reject` entry if not. Because the
+//! service is deterministic given its configuration and the ordered
+//! command stream, [`crate::replay`] of that log reconstructs the run
+//! bit-exactly — same state fingerprint, same [`crate::SimResult`].
 //!
 //! Every record this crate persists is one line of text,
 //! `verb key=value ...`, with `f64` payloads as IEEE-754 bit patterns, so
 //! a round trip never perturbs a single bit. The verbs are the seven
-//! commands' ([`Command::fmt_line`]); `reject`, a failed command's tally
-//! entry in the write-ahead log ([`crate::wal`]); the submission log's
-//! `rejected` / `rejected-entity` tally lines; and a checkpoint's
-//! `checkpoint` line ([`crate::checkpoint`]). The submission log's text
-//! form is versioned: its header line carries the format version
-//! ([`SubmissionLog::version`]), and [`SubmissionLog::parse`] accepts
-//! every known version (v1 = the original form, v2 adds the
-//! invalid-command tally).
+//! commands' ([`Command::fmt_line`]); `reject`, a failed command's entry;
+//! and a checkpoint's `checkpoint` line ([`crate::checkpoint`]). A log
+//! entry's line is exactly the payload the write-ahead log ([`crate::wal`])
+//! frames for it. The log's text form is a `gavel-submission-log v3`
+//! header ([`LOG_VERSION`]) followed by those lines; [`SubmissionLog::parse`]
+//! refuses the v1 and v2 forms, which kept failures as header tallies.
 
 use crate::error::ServiceError;
 use gavel_core::JobId;
@@ -26,9 +25,9 @@ use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Current submission-log text format version ([`SubmissionLog::serialize`]
-/// emits this for freshly recorded logs; older versions stay parseable).
-pub const LOG_VERSION: u32 = 2;
+/// The submission-log text format version: [`SubmissionLog::serialize`]
+/// writes it and [`SubmissionLog::parse`] reads no other.
+pub const LOG_VERSION: u32 = 3;
 
 /// One externally-fed scheduler command.
 #[derive(Debug, Clone)]
@@ -109,19 +108,16 @@ impl Command {
 
     /// Parses one command line produced by [`Command::fmt_line`].
     pub fn parse_line(line: &str) -> Result<Command, LogParseError> {
-        Command::from_line(&Line::parse(line)?)
-    }
-
-    fn from_line(line: &Line<'_>) -> Result<Command, LogParseError> {
-        match Entry::from_line(line)? {
+        let line = Line::parse(line)?;
+        match Entry::from_line(&line)? {
             Entry::Accepted(cmd) => Ok(cmd),
             Entry::Failed(_) => Err(line.err("not a command")),
         }
     }
 }
 
-/// What one command left in the write-ahead log: the command, if the
-/// service accepted it, or its tally entry if not.
+/// What one consumed command leaves in the stream: the command, if the
+/// service accepted it, or its failure if not.
 #[derive(Debug, Clone)]
 pub(crate) enum Entry {
     /// An accepted command (its [`Command::fmt_line`]).
@@ -131,6 +127,23 @@ pub(crate) enum Entry {
 }
 
 impl Entry {
+    /// The entry `cmd` leaves, given the service's verdict on it.
+    pub(crate) fn new(cmd: &Command, outcome: &Result<(), ServiceError>) -> Entry {
+        match outcome {
+            Ok(()) => Entry::Accepted(cmd.clone()),
+            Err(err) => Entry::Failed(Failure::new(cmd, err)),
+        }
+    }
+
+    /// Serializes as one line (no trailing newline): the log's body line
+    /// and the WAL's payload alike.
+    pub(crate) fn fmt_line(&self) -> String {
+        match self {
+            Entry::Accepted(cmd) => cmd.fmt_line(),
+            Entry::Failed(failure) => failure.fmt_line(),
+        }
+    }
+
     /// Parses one WAL payload.
     pub(crate) fn parse(payload: &[u8]) -> Result<Entry, LogParseError> {
         let text = std::str::from_utf8(payload)
@@ -240,9 +253,9 @@ impl Failure {
     }
 }
 
-/// Why the service refused a well-formed command. Rejected commands are
-/// never logged (and therefore never replayed); their tallies ride in the
-/// log header so a replayed result still reports them.
+/// Why the service refused a well-formed command. A rejected command is
+/// recorded as its `reject` entry, which replay tallies but never
+/// re-applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
     /// The job id was already submitted in this run (ids are never
@@ -272,10 +285,9 @@ impl std::fmt::Display for Rejection {
     }
 }
 
-/// Tallies of commands that failed, observed live. Failed commands are
-/// absent from the log body, so [`crate::replay`] seeds these into the
-/// reconstructed service to keep the replayed [`crate::SimResult`]
-/// bit-identical, rejection counters included.
+/// Tallies of commands that failed. A failed command leaves only its
+/// `reject` entry in the stream, and [`crate::replay`] tallies each again,
+/// so a replayed [`crate::SimResult`] reports the same counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RejectionTally {
     /// Total commands that failed (rejections plus invalid commands).
@@ -288,22 +300,28 @@ pub struct RejectionTally {
     pub per_entity_cap: BTreeMap<Option<u32>, usize>,
 }
 
-/// The ordered record of every accepted command, plus rejection tallies.
-#[derive(Debug, Clone)]
-pub struct SubmissionLog {
-    version: u32,
-    commands: Vec<Command>,
-    rejections: RejectionTally,
-}
-
-impl Default for SubmissionLog {
-    fn default() -> Self {
-        SubmissionLog {
-            version: LOG_VERSION,
-            commands: Vec::new(),
-            rejections: RejectionTally::default(),
+impl RejectionTally {
+    /// Tallies one failed command.
+    pub(crate) fn record(&mut self, failure: Failure) {
+        self.commands += 1;
+        match failure.rejection {
+            None => self.invalid += 1,
+            Some(Rejection::EntityCapExceeded) => {
+                self.admission_cap += 1;
+                *self.per_entity_cap.entry(failure.entity).or_insert(0) += 1;
+            }
+            Some(_) => {}
         }
     }
+}
+
+/// Every command a service consumed, in application order: an accepted
+/// command as itself, a failed one as its `reject` entry.
+#[derive(Debug, Clone, Default)]
+pub struct SubmissionLog {
+    commands: Vec<Command>,
+    /// Each failure, with the number of commands accepted before it.
+    failures: Vec<(usize, Failure)>,
 }
 
 impl SubmissionLog {
@@ -312,126 +330,64 @@ impl SubmissionLog {
         &self.commands
     }
 
-    /// Rejection tallies observed when the log was recorded.
-    pub fn rejections(&self) -> &RejectionTally {
-        &self.rejections
+    /// Records `cmd` with the service's verdict on it.
+    pub fn record(&mut self, cmd: &Command, outcome: &Result<(), ServiceError>) {
+        self.push(Entry::new(cmd, outcome));
     }
 
-    /// The text format version this log serializes as: [`LOG_VERSION`]
-    /// for freshly recorded logs, the parsed header's version for logs
-    /// read back from text (so parse → serialize is the identity on any
-    /// known version).
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
-    /// Number of accepted commands.
-    pub fn len(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// Whether no command was accepted.
-    pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
-    }
-
-    pub(crate) fn push(&mut self, cmd: Command) {
-        self.commands.push(cmd);
-    }
-
-    pub(crate) fn set_rejections(&mut self, tally: RejectionTally) {
-        self.rejections = tally;
-    }
-
-    /// Tallies one failed command.
-    pub(crate) fn record_failure(&mut self, failure: Failure) {
-        let tally = &mut self.rejections;
-        tally.commands += 1;
-        match failure.rejection {
-            None => tally.invalid += 1,
-            Some(Rejection::EntityCapExceeded) => {
-                tally.admission_cap += 1;
-                *tally.per_entity_cap.entry(failure.entity).or_insert(0) += 1;
-            }
-            Some(_) => {}
+    pub(crate) fn push(&mut self, entry: Entry) {
+        match entry {
+            Entry::Accepted(cmd) => self.commands.push(cmd),
+            Entry::Failed(failure) => self.failures.push((self.commands.len(), failure)),
         }
     }
 
-    /// Serializes to the line-oriented text form, at this log's
-    /// [`SubmissionLog::version`].
+    /// The entries, in application order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        let mut failures = self.failures.iter().peekable();
+        let mut commands = self.commands.iter();
+        let mut accepted = 0;
+        std::iter::from_fn(
+            move || match failures.next_if(|(before, _)| *before == accepted) {
+                Some(&(_, failure)) => Some(Entry::Failed(failure)),
+                None => {
+                    accepted += 1;
+                    commands.next().cloned().map(Entry::Accepted)
+                }
+            },
+        )
+    }
+
+    /// Serializes to the text form: the header, then one line per entry.
     pub fn serialize(&self) -> String {
-        let mut out = format!("gavel-submission-log v{}\n", self.version);
-        let tally = &self.rejections;
-        let _ = write!(
-            out,
-            "rejected commands={} cap={}",
-            tally.commands, tally.admission_cap
-        );
-        if self.version >= 2 {
-            let _ = write!(out, " invalid={}", tally.invalid);
-        }
-        out.push('\n');
-        for (entity, n) in &self.rejections.per_entity_cap {
-            let _ = writeln!(
-                out,
-                "rejected-entity entity={} cap={n}",
-                fmt_opt_u32(*entity)
-            );
-        }
-        for cmd in &self.commands {
-            out.push_str(&cmd.fmt_line());
+        let mut out = format!("gavel-submission-log v{LOG_VERSION}\n");
+        for entry in self.entries() {
+            out.push_str(&entry.fmt_line());
             out.push('\n');
         }
         out
     }
 
     /// Parses the text form produced by [`SubmissionLog::serialize`].
-    /// Malformed input of any shape returns `Err`, naming the first bad
-    /// line — never panics.
+    /// Malformed input of any shape, or a log of another version, returns
+    /// `Err` naming the first bad line or the version — never panics.
     pub fn parse(text: &str) -> Result<Self, LogParseError> {
         let mut lines = text.lines();
         let header = lines.next().unwrap_or_default().trim();
-        let version = header
-            .strip_prefix("gavel-submission-log v")
-            .and_then(|v| v.parse().ok())
-            .filter(|v| (1..=LOG_VERSION).contains(v))
-            .ok_or_else(|| {
-                LogParseError(format!(
-                    "bad or unsupported header {header:?} (this build reads v1..=v{LOG_VERSION})"
-                ))
-            })?;
-        let mut log = SubmissionLog {
-            version,
-            ..SubmissionLog::default()
-        };
+        let version = header.strip_prefix("gavel-submission-log v");
+        match version.map(str::parse) {
+            Some(Ok(LOG_VERSION)) => {}
+            Some(Ok(v)) => return Err(LogParseError(format!("log v{v} is unsupported"))),
+            _ => return Err(LogParseError(format!("bad header {header:?}"))),
+        }
+        let mut log = SubmissionLog::default();
         for (i, line) in lines.enumerate() {
             if !line.trim().is_empty() {
-                log.parse_line(line)
-                    .map_err(|e| LogParseError(format!("line {}: {}", i + 2, e.0)))?;
+                let entry = Line::parse(line).and_then(|line| Entry::from_line(&line));
+                log.push(entry.map_err(|e| LogParseError(format!("line {}: {}", i + 2, e.0)))?);
             }
         }
         Ok(log)
-    }
-
-    fn parse_line(&mut self, text: &str) -> Result<(), LogParseError> {
-        let line = Line::parse(text)?;
-        let tally = &mut self.rejections;
-        match line.verb {
-            "rejected" => {
-                tally.commands = line.num("commands")?;
-                tally.admission_cap = line.num("cap")?;
-                if self.version >= 2 {
-                    tally.invalid = line.num("invalid")?;
-                }
-            }
-            "rejected-entity" => {
-                tally
-                    .per_entity_cap
-                    .insert(line.opt_u32("entity")?, line.num("cap")?);
-            }
-            _ => self.commands.push(Command::from_line(&line)?),
-        }
-        Ok(())
     }
 }
 
@@ -541,15 +497,16 @@ mod tests {
 
     #[test]
     fn a_reject_line_is_not_a_command() {
-        let line = Failure {
+        let failure = Failure {
             rejection: None,
             entity: None,
-        }
-        .fmt_line();
+        };
+        let line = failure.fmt_line();
         assert!(Command::parse_line(&line).is_err());
-        let text =
-            format!("gavel-submission-log v2\nrejected commands=0 cap=0 invalid=0\n{line}\n");
-        assert!(SubmissionLog::parse(&text).is_err());
+        // A log holds it as a failure, not a command.
+        let log = SubmissionLog::parse(&format!("gavel-submission-log v3\n{line}\n")).unwrap();
+        assert!(log.commands().is_empty());
+        assert_eq!(log.failures, [(0, failure)]);
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //!   as continuous rates and time advances to the next event — the
 //!   advance horizon, a fluid completion, or the simulation cap.
 //!
-//! Accepted commands append to the [`SubmissionLog`]; the service is
-//! deterministic in (config, policy, ordered command stream), so
-//! [`crate::replay`] of the log reproduces the run bit-exactly. Job
+//! The service keeps no history of the commands it consumed; a layer
+//! that needs one records it beside the service ([`crate::command`]). The
+//! service is deterministic in (config, policy, ordered command stream),
+//! so [`crate::replay`] of that record reproduces the run bit-exactly. Job
 //! ownership is tracked in per-entity books with an optional active-job
 //! admission cap ([`ServiceConfig::max_active_per_entity`]); the
 //! resulting counters surface on [`SimResult::service_stats`].
 
-use crate::command::{Command, Failure, Rejection, RejectionTally, SubmissionLog};
+use crate::command::{Command, Failure, Rejection, RejectionTally};
 use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
@@ -212,7 +213,9 @@ pub struct SchedulerService<'p> {
     positions_epoch: u64,
     /// Workers up per type, refreshed each round a worker is down.
     available: Vec<usize>,
-    log: SubmissionLog,
+    /// Commands accepted so far.
+    accepted: usize,
+    rejections: RejectionTally,
     books: BTreeMap<Option<u32>, EntityBook>,
     queries_served: usize,
     queries_since_recompute: usize,
@@ -273,7 +276,8 @@ impl<'p> SchedulerService<'p> {
             row_positions: Vec::new(),
             positions_epoch: 1,
             available: Vec::new(),
-            log: SubmissionLog::default(),
+            accepted: 0,
+            rejections: RejectionTally::default(),
             books: BTreeMap::new(),
             queries_served: 0,
             queries_since_recompute: 0,
@@ -281,10 +285,9 @@ impl<'p> SchedulerService<'p> {
         }
     }
 
-    /// Applies one command: accepted commands are appended to the
-    /// submission log; failed commands — rejected by a rule or malformed
-    /// outright — leave the schedule untouched (only rejection tallies
-    /// move, never the process).
+    /// Applies one command. A failed command — rejected by a rule or
+    /// malformed outright — leaves the schedule untouched (only rejection
+    /// tallies move, never the process).
     pub fn apply(&mut self, cmd: &Command) -> Result<(), ServiceError> {
         let result: Result<(), ServiceError> = match validate_command(cmd) {
             Err(invalid) => Err(ServiceError::Invalid(invalid)),
@@ -307,8 +310,8 @@ impl<'p> SchedulerService<'p> {
             },
         };
         match &result {
-            Ok(()) => self.log.push(cmd.clone()),
-            Err(err) => self.log.record_failure(Failure::new(cmd, err)),
+            Ok(()) => self.accepted += 1,
+            Err(err) => self.record_failure(Failure::new(cmd, err)),
         }
         result
     }
@@ -359,21 +362,10 @@ impl<'p> SchedulerService<'p> {
         self.active.len()
     }
 
-    /// The submission log recorded so far.
-    pub fn log(&self) -> &SubmissionLog {
-        &self.log
-    }
-
-    /// Seeds rejection tallies from a recorded log (replay only: rejected
-    /// commands are not re-applied, so their counters carry over).
-    pub(crate) fn seed_rejections(&mut self, tally: RejectionTally) {
-        self.log.set_rejections(tally);
-    }
-
-    /// Tallies a failure recovered from a WAL `reject` record (the failed
-    /// command itself was never logged, only its tally entry).
+    /// Tallies a failed command: live, or replayed from its `reject`
+    /// entry (the failed command itself is never re-applied).
     pub(crate) fn record_failure(&mut self, failure: Failure) {
-        self.log.record_failure(failure);
+        self.rejections.record(failure);
     }
 
     /// A read-only view of the current allocation (not logged — use
@@ -991,10 +983,10 @@ impl<'p> SchedulerService<'p> {
     }
 
     fn assemble_service_stats(&self) -> ServiceStats {
-        let rejections = self.log.rejections();
+        let rejections = &self.rejections;
         // Per-entity counters merge the books (accepted-path counters)
-        // with the cap-rejection tallies kept on the log, covering
-        // entities that only ever got rejected.
+        // with the cap-rejection tallies, covering entities that only
+        // ever got rejected.
         let mut per_entity: BTreeMap<Option<u32>, EntityCounters> = self
             .books
             .iter()
@@ -1004,7 +996,7 @@ impl<'p> SchedulerService<'p> {
             per_entity.entry(entity).or_default().cap_rejected = n;
         }
         ServiceStats {
-            commands_accepted: self.log.len(),
+            commands_accepted: self.accepted,
             commands_rejected: rejections.commands,
             invalid_commands: rejections.invalid,
             admission_cap_rejections: rejections.admission_cap,

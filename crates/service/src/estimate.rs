@@ -16,13 +16,15 @@
 //! actually moved instead of assuming every estimate drifted.
 
 use gavel_core::JobId;
-use gavel_estimator::{EstimatorConfig, ThroughputEstimator};
+use gavel_estimator::ThroughputEstimator;
 use gavel_workloads::{GpuKind, JobConfig, Oracle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// How many reference jobs an arriving job is profiled against.
 const PROFILE_SAMPLES: usize = 5;
+/// Relative noise on each profiling measurement: uniform in ±3%.
+const PROFILE_NOISE: f64 = 0.03;
 
 /// Estimator wiring for the simulator.
 #[derive(Debug, Clone)]
@@ -30,7 +32,6 @@ pub struct EstimatorBridge {
     estimator: ThroughputEstimator,
     references: Vec<JobConfig>,
     rng: StdRng,
-    profile_noise: f64,
 }
 
 impl EstimatorBridge {
@@ -45,10 +46,9 @@ impl EstimatorBridge {
             }
         }
         EstimatorBridge {
-            estimator: ThroughputEstimator::new(matrix, EstimatorConfig::default()),
+            estimator: ThroughputEstimator::new(matrix),
             references,
             rng: StdRng::seed_from_u64(seed),
-            profile_noise: 0.03,
         }
     }
 
@@ -59,7 +59,7 @@ impl EstimatorBridge {
         for _ in 0..PROFILE_SAMPLES {
             let j = self.rng.gen_range(0..r);
             let truth = normalized_colocated(oracle, cfg, self.references[j]);
-            let noise = 1.0 + self.profile_noise * (self.rng.gen::<f64>() * 2.0 - 1.0);
+            let noise = 1.0 + PROFILE_NOISE * (self.rng.gen::<f64>() * 2.0 - 1.0);
             profiled[j] = Some(truth * noise);
         }
         self.estimator.register_job(id.0, &profiled);

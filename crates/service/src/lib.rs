@@ -26,16 +26,21 @@
 //!
 //! # The submission log and deterministic replay
 //!
-//! Every *accepted* command appends to a [`SubmissionLog`]. The service
-//! is deterministic in (config, policy, ordered command stream) — all
+//! The service keeps no history of what it consumed. A layer that needs
+//! one — [`DurableService`], `gavel-sim`'s logged run, a test — records
+//! every consumed command in a [`SubmissionLog`] with
+//! [`SubmissionLog::record`]: an accepted command as itself, a failed one
+//! as its `reject` entry, in application order. The service is
+//! deterministic in (config, policy, ordered command stream) — all
 //! randomness is seeded, and no decision reads wall-clock time — so
 //! [`replay`] of a recorded log reproduces the original run bit-exactly:
 //! identical [`SchedulerService::state_fingerprint`], identical
-//! [`SimResult`] down to the float bits. Rejected commands never enter
-//! the log; their tallies ride in the log header so replayed results
-//! report the same [`ServiceStats`]. The log serializes to a text form
-//! with `f64`s as IEEE-754 bit patterns ([`SubmissionLog::serialize`] /
-//! [`SubmissionLog::parse`]), so persistence round trips are exact.
+//! [`SimResult`] down to the float bits. A `reject` entry is tallied, not
+//! re-applied, so replayed results report the same [`ServiceStats`]. The
+//! log serializes to a text form with `f64`s as IEEE-754 bit patterns
+//! ([`SubmissionLog::serialize`] / [`SubmissionLog::parse`]), one line
+//! per entry — the same lines the WAL frames — so persistence round trips
+//! are exact.
 //!
 //! # Durability and crash recovery
 //!
@@ -43,15 +48,16 @@
 //! is one line of one grammar ([`command`]), every image one stream of
 //! CRC-checked `[len][crc][seq][payload]` frames ([`wal`]).
 //!
-//! - **WAL** ([`wal`]): one frame per command — its command line, or a
-//!   `reject` line so tallies survive — behind a pluggable [`LogSink`]
-//!   ([`MemorySink`], [`FileSink`], or the fault-injecting [`FaultSink`]).
+//! - **WAL** ([`wal`]): one frame per consumed command, holding its log
+//!   entry's line (a failed command's `reject` line keeps tallies across
+//!   crashes), behind a pluggable [`LogSink`] ([`MemorySink`],
+//!   [`FileSink`], or the fault-injecting [`FaultSink`]).
 //!   Apply-then-append gives *process*-crash durability: once
 //!   [`DurableService::apply`] returns the frame is in the sink. A
 //!   [`FileSink`] is synced only after a checkpoint compaction.
 //! - **Checkpoints** ([`checkpoint`]): every `checkpoint_every` records
 //!   the service saves a [`Checkpoint`] — one frame holding the covered
-//!   sequence number, both fingerprints and the submission-log prefix —
+//!   sequence number, both fingerprints and the submission log it keeps —
 //!   then compacts the WAL; a crash between the two leaves covered
 //!   records, which recovery skips.
 //! - **Recovery** ([`recovery`]): [`recover`] verifies the checkpoint and

@@ -252,14 +252,14 @@ impl SimResult {
             .filter_map(|j| j.jct())
             .map(|s| s / 3600.0)
             .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        v.sort_by(f64::total_cmp);
         v
     }
 
     /// Sorted finish-time-fairness ratios of completed jobs.
     pub fn ftf_cdf(&self) -> Vec<f64> {
         let mut v: Vec<f64> = self.jobs.iter().filter_map(|j| j.ftf_rho()).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        v.sort_by(f64::total_cmp);
         v
     }
 

@@ -25,13 +25,13 @@
 //! gaps between the checkpoint and the surviving records are refused
 //! ([`RecoveryError::SequenceGap`]).
 //!
-//! [`DurableService`] packages the write path: every command is applied
-//! then framed to the WAL (accepted → its command line, failed → its
-//! `reject` line, so tallies survive crashes too), with a checkpoint
-//! taken — and the WAL compacted — every `checkpoint_every` commands.
+//! [`DurableService`] packages the write path: every command is applied,
+//! recorded in its [`SubmissionLog`] and framed to the WAL as that entry's
+//! line (a failed command's `reject` line keeps tallies across crashes),
+//! with a checkpoint of the log every `checkpoint_every` commands.
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointStore, MemoryCheckpointStore};
-use crate::command::{Command, Entry, Failure, SubmissionLog};
+use crate::command::{Command, Entry, SubmissionLog};
 use crate::config::SimConfig;
 use crate::core::{SchedulerService, ServiceConfig};
 use crate::error::ServiceError;
@@ -76,7 +76,7 @@ pub enum RecoveryError {
     /// service rejected on re-application — a logged command is by
     /// construction one the service accepted, so the record stream lies.
     BadRecord {
-        /// Where the entry sits: a frame's sequence number, or a command's
+        /// Where the entry sits: a frame's sequence number, or an entry's
         /// position in a submission log (a checkpoint's embedded prefix,
         /// or the log handed to [`replay`]).
         seq: u64,
@@ -129,6 +129,8 @@ pub struct RecoveryReport {
     pub checkpoint_used: bool,
     /// Commands replayed from the checkpoint's embedded prefix.
     pub prefix_commands: usize,
+    /// Rejection entries re-tallied from the checkpoint's embedded prefix.
+    pub prefix_rejections: usize,
     /// WAL command records applied on top of the prefix.
     pub wal_commands_applied: usize,
     /// WAL rejection records re-tallied on top of the prefix.
@@ -142,42 +144,45 @@ pub struct RecoveryReport {
     pub next_seq: u64,
 }
 
+impl RecoveryReport {
+    /// Entries the recovered service consumed, accepted or failed.
+    pub fn consumed(&self) -> usize {
+        let prefix = self.prefix_commands + self.prefix_rejections;
+        prefix + self.wal_commands_applied + self.wal_rejections_applied
+    }
+}
+
 /// The one replay loop, behind [`replay`] and both halves of [`recover`]:
-/// applies `entries` to `svc` in order. A logged command must be accepted
-/// again and a failure is tallied again; the first entry that fails
-/// either way, or arrives as an error, stops the loop. Returns the
-/// commands applied and the failures tallied.
+/// applies `entries` to `svc` in order, then records each into `log`, if
+/// any. A logged command must be accepted again and a failure is tallied
+/// again; the first entry that fails either way, or arrives as an error,
+/// stops the loop. Returns the commands applied and the failures tallied.
 fn apply_entries(
     svc: &mut SchedulerService<'_>,
     entries: impl IntoIterator<Item = Result<(u64, Entry), RecoveryError>>,
+    mut log: Option<&mut SubmissionLog>,
 ) -> Result<(usize, usize), RecoveryError> {
     let (mut commands, mut failures) = (0, 0);
     for entry in entries {
-        match entry? {
-            (seq, Entry::Accepted(cmd)) => {
-                svc.apply(&cmd).map_err(|e| RecoveryError::BadRecord {
+        let (seq, entry) = entry?;
+        match &entry {
+            Entry::Accepted(cmd) => {
+                svc.apply(cmd).map_err(|e| RecoveryError::BadRecord {
                     seq,
                     detail: format!("logged command rejected on replay: {e}"),
                 })?;
                 commands += 1;
             }
-            (_, Entry::Failed(failure)) => {
-                svc.record_failure(failure);
+            Entry::Failed(failure) => {
+                svc.record_failure(*failure);
                 failures += 1;
             }
         }
+        if let Some(log) = log.as_deref_mut() {
+            log.push(entry);
+        }
     }
     Ok((commands, failures))
-}
-
-/// Seeds `svc` with `log`'s rejection tallies and applies its commands;
-/// returns how many it applied.
-fn apply_log(svc: &mut SchedulerService<'_>, log: &SubmissionLog) -> Result<usize, RecoveryError> {
-    svc.seed_rejections(log.rejections().clone());
-    let entries = (0..)
-        .zip(log.commands())
-        .map(|(i, cmd)| Ok((i, Entry::Accepted(cmd.clone()))));
-    apply_entries(svc, entries).map(|(commands, _)| commands)
 }
 
 /// Replays a submission log against a fresh service, returning the
@@ -191,7 +196,7 @@ pub fn replay(
     log: &SubmissionLog,
 ) -> Result<SimResult, RecoveryError> {
     let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
-    apply_log(&mut svc, log)?;
+    apply_entries(&mut svc, (0..).zip(log.entries()).map(Ok), None)?;
     Ok(svc.into_result())
 }
 
@@ -207,7 +212,21 @@ pub fn recover<'p>(
     checkpoint_bytes: Option<&[u8]>,
     wal_bytes: &[u8],
 ) -> Result<(SchedulerService<'p>, RecoveryReport), RecoveryError> {
+    let (svc, _, report) = recover_logged(policy, config, service, checkpoint_bytes, wal_bytes)?;
+    Ok((svc, report))
+}
+
+/// [`recover`], also returning the log of every entry the recovered
+/// service consumed (the prefix's, moved, then the WAL's).
+fn recover_logged<'p>(
+    policy: &'p dyn Policy,
+    config: &SimConfig,
+    service: &ServiceConfig,
+    checkpoint_bytes: Option<&[u8]>,
+    wal_bytes: &[u8],
+) -> Result<(SchedulerService<'p>, SubmissionLog, RecoveryReport), RecoveryError> {
     let mut report = RecoveryReport::default();
+    let mut log = SubmissionLog::default();
     let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
 
     if let Some(bytes) = checkpoint_bytes {
@@ -224,7 +243,8 @@ pub fn recover<'p>(
                 seq: ckpt.covered_seq,
                 detail: format!("checkpoint log: {e}"),
             })?;
-        report.prefix_commands = apply_log(&mut svc, &prefix)?;
+        (report.prefix_commands, report.prefix_rejections) =
+            apply_entries(&mut svc, (0..).zip(prefix.entries()).map(Ok), None)?;
         let recovered_fp = svc.state_fingerprint();
         if recovered_fp != ckpt.state_fingerprint {
             return Err(RecoveryError::StateMismatch {
@@ -234,6 +254,7 @@ pub fn recover<'p>(
         }
         report.checkpoint_used = true;
         report.next_seq = ckpt.covered_seq;
+        log = prefix;
     }
 
     let scan = scan_wal(wal_bytes)?;
@@ -260,14 +281,14 @@ pub fn recover<'p>(
         Some(entry.map(|entry| (record.seq, entry)))
     });
     (report.wal_commands_applied, report.wal_rejections_applied) =
-        apply_entries(&mut svc, entries)?;
-    Ok((svc, report))
+        apply_entries(&mut svc, entries, Some(&mut log))?;
+    Ok((svc, log, report))
 }
 
 /// A [`SchedulerService`] wrapped in the durability protocol: every
-/// command is applied, then framed to the WAL (accepted → its command
-/// line, failed → its `reject` line), with a checkpoint captured — and
-/// the WAL compacted — every `checkpoint_every` commands.
+/// command is applied, then recorded in the wrapper's [`SubmissionLog`]
+/// and framed to the WAL as that entry's line, with a checkpoint of the
+/// log captured — and the WAL compacted — every `checkpoint_every` commands.
 ///
 /// The write path is *apply-then-append* (a redo log): acceptance is
 /// only known after application, so a crash between the two loses
@@ -277,6 +298,8 @@ pub fn recover<'p>(
 /// sink has synced — see [`crate::wal`] for exactly what is synced when.
 pub struct DurableService<'p, S: LogSink, C: CheckpointStore> {
     svc: SchedulerService<'p>,
+    /// Every entry the WAL and the checkpoints hold between them.
+    log: SubmissionLog,
     wal: Wal<S>,
     store: C,
     config_fp: u64,
@@ -299,6 +322,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         let config_fp = config_fingerprint(policy.name(), &config, &service);
         Ok(DurableService {
             svc: SchedulerService::new(config, service, policy),
+            log: SubmissionLog::default(),
             wal: Wal::create(sink)?,
             store,
             config_fp,
@@ -323,9 +347,11 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         store: C,
         checkpoint_every: usize,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        let (svc, report) = recover(policy, &config, &service, checkpoint_bytes, wal_bytes)?;
+        let (svc, log, report) =
+            recover_logged(policy, &config, &service, checkpoint_bytes, wal_bytes)?;
         let mut durable = DurableService {
             svc,
+            log,
             wal: Wal::with_seq(sink, report.next_seq)?,
             store,
             config_fp: config_fingerprint(policy.name(), &config, &service),
@@ -343,10 +369,10 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// service's accept/reject verdict.
     pub fn apply(&mut self, cmd: &Command) -> Result<Result<(), ServiceError>, WalError> {
         let outcome = self.svc.apply(cmd);
-        let line = match &outcome {
-            Ok(()) => cmd.fmt_line(),
-            Err(e) => Failure::new(cmd, e).fmt_line(),
-        };
+        // Logged before the append: a checkpoint's log never lags its state.
+        let entry = Entry::new(cmd, &outcome);
+        let line = entry.fmt_line();
+        self.log.push(entry);
         self.wal.append(line.as_bytes())?;
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
@@ -364,7 +390,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
             config_fingerprint: self.config_fp,
             covered_seq: self.wal.next_seq(),
             state_fingerprint: self.svc.state_fingerprint(),
-            log_text: self.svc.log().serialize(),
+            log_text: self.log.serialize(),
         };
         self.store.save(&ckpt.serialize())?;
         self.wal.compact()?;
@@ -568,7 +594,8 @@ mod tests {
             fingerprint_of_prefix(&policy, &cfg, &svc_cfg, &commands),
         );
         // The rejection tallies survived the checkpoint boundary.
-        assert_eq!(svc.log().rejections().commands, 2);
+        assert_eq!(report.prefix_rejections + report.wal_rejections_applied, 2);
+        assert_eq!(svc.into_result().service_stats.commands_rejected, 2);
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn crash_matrix(name: &str, cfg: &SimConfig, checkpoint_every: usize) {
         // survived: at least everything acknowledged before the crash,
         // at most one more (a crash inside the checkpoint that follows
         // a successful append loses the acknowledgment, not the record).
-        let consumed = svc.log().len() + svc.log().rejections().commands;
+        let consumed = report.consumed();
         assert!(
             consumed == outcome.processed || consumed == outcome.processed + 1,
             "[{name}] kill@{kill_at}: consumed {consumed}, acknowledged {}",
@@ -331,14 +331,14 @@ fn seeded_fault_plans_recover_to_prefixes() {
             let outcome = run_until_crash(&policy, cfg, &svc_cfg, &commands, plan, 4).unwrap();
             // A corrupted checkpoint or WAL header is refused (Err),
             // not misread — only successful recoveries need checking.
-            if let Ok((svc, _)) = recover(
+            if let Ok((svc, report)) = recover(
                 &policy,
                 cfg,
                 &svc_cfg,
                 outcome.checkpoint_bytes.as_deref(),
                 &outcome.wal_bytes,
             ) {
-                let consumed = svc.log().len() + svc.log().rejections().commands;
+                let consumed = report.consumed();
                 assert_eq!(
                     svc.state_fingerprint(),
                     prefix_fps[consumed],

@@ -7,7 +7,9 @@
 
 use gavel_core::JobId;
 use gavel_policies::MaxMinFairness;
-use gavel_service::{replay, SchedulerService, ServiceConfig, SimConfig, SimResult, SubmissionLog};
+use gavel_service::{
+    replay, Command, SchedulerService, ServiceConfig, SimConfig, SimResult, SubmissionLog,
+};
 use gavel_workloads::{JobConfig, TraceJob};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -40,8 +42,15 @@ fn result_fingerprint(r: &SimResult) -> u64 {
     h
 }
 
-/// Drives a random command interleaving live, then checks that (a) a twin
-/// service fed the recorded log lands on the same state fingerprint and
+/// Applies `cmd` to `svc` and records it, with the verdict, in `log`.
+fn apply(svc: &mut SchedulerService<'_>, log: &mut SubmissionLog, cmd: Command) {
+    let outcome = svc.apply(&cmd);
+    log.record(&cmd, &outcome);
+}
+
+/// Drives a random command interleaving live, recording a log beside the
+/// service, then checks that (a) a twin service fed the log's accepted
+/// commands lands on the same state fingerprint and
 /// (b) [`replay`] of the text-serialized log returns a bit-identical
 /// [`SimResult`], rejection tallies and per-entity counters included.
 fn run_interleaving(
@@ -66,17 +75,19 @@ fn run_interleaving(
     let round = cfg.round_seconds;
 
     let mut svc = SchedulerService::new(cfg.clone(), service.clone(), &policy);
+    let mut log = SubmissionLog::default();
     let mut next_id = 0u64;
     for &(op, pick, extra) in ops {
-        match op {
+        let now = svc.now();
+        let cmd = match op {
             // Submits: future arrivals exercise the idle fast-forward,
             // past arrivals the admit-at-now path; entity 3 means "no
             // entity". The cap (2 active per entity) bounces some.
             0 | 1 => {
                 let arrival = if extra % 2 == 0 {
-                    svc.now() + (pick as f64) * 500.0
+                    now + (pick as f64) * 500.0
                 } else {
-                    svc.now() * 0.5
+                    now * 0.5
                 };
                 let job = TraceJob {
                     id: JobId(next_id),
@@ -90,35 +101,34 @@ fn run_interleaving(
                     entity: Some(pick % 4).filter(|&e| e < 3),
                 };
                 next_id += 1;
-                let _ = svc.submit(job);
+                Command::Submit { job }
             }
-            2 => svc.advance_to(svc.now() + ((pick % 7) + 1) as f64 * round),
+            2 => Command::AdvanceTo {
+                seconds: now + ((pick % 7) + 1) as f64 * round,
+            },
             // Complete/cancel aim at an arbitrary past id — often already
             // finished or never admitted, exercising rejections.
             3 | 4 if next_id > 0 => {
-                let id = JobId(pick as u64 % next_id);
-                let _ = if op == 3 {
-                    svc.complete_job(id)
+                let job = JobId(pick as u64 % next_id);
+                if op == 3 {
+                    Command::Complete { job }
                 } else {
-                    svc.cancel(id)
-                };
+                    Command::Cancel { job }
+                }
             }
-            5 => {
-                svc.query_allocation();
-            }
-            6 => {
-                let _ = svc.inject_failure();
-            }
-            7 => {
-                let _ = svc.inject_repair(pick % 4);
-            }
-            _ => {}
-        }
+            5 => Command::QueryAllocation,
+            6 => Command::InjectFailure,
+            7 => Command::InjectRepair { accel: pick % 4 },
+            _ => continue,
+        };
+        apply(&mut svc, &mut log, cmd);
     }
-    svc.advance_to(svc.now() + 20.0 * round);
+    let seconds = svc.now() + 20.0 * round;
+    apply(&mut svc, &mut log, Command::AdvanceTo { seconds });
 
-    let log = SubmissionLog::parse(&svc.log().serialize()).expect("log round-trips");
-    prop_assert_eq!(log.len(), svc.log().len());
+    let text = log.serialize();
+    let log = SubmissionLog::parse(&text).expect("log round-trips");
+    prop_assert_eq!(log.serialize(), text);
 
     // (a) Twin service, same command stream → same state fingerprint.
     let mut twin = SchedulerService::new(cfg.clone(), service.clone(), &policy);

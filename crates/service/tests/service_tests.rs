@@ -7,9 +7,9 @@ use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{IsolatedSplit, MaxMinFairness};
 use gavel_service::EntityCounters;
 use gavel_service::{
-    recover, replay, Command, DurableService, MemoryCheckpointStore, MemorySink, RecoveryError,
-    Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
-    Wal,
+    recover, replay, scan_wal, Command, DurableService, MemoryCheckpointStore, MemorySink,
+    RecoveryError, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
+    SubmissionLog, Wal,
 };
 use gavel_solver::SolverError;
 use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle, TraceJob};
@@ -210,43 +210,121 @@ fn failure_and_repair_injection_paths() {
     );
 }
 
-/// One interactive session exercising every command verb, used by the
-/// round-trip and replay tests below.
-fn interactive_session<'p>(policy: &'p dyn Policy, cfg: &SimConfig) -> SchedulerService<'p> {
+/// One interactive session exercising every command verb, recorded in a
+/// log beside the service; used by the round-trip and replay tests below.
+fn interactive_session<'p>(
+    policy: &'p dyn Policy,
+    cfg: &SimConfig,
+) -> (SchedulerService<'p>, SubmissionLog) {
     let service = ServiceConfig {
         max_active_per_entity: Some(2),
     };
     let round = cfg.round_seconds;
     let mut svc = SchedulerService::new(cfg.clone(), service, policy);
-    svc.submit(mk_job(0, 0.0, 5e6, Some(0))).unwrap();
-    svc.submit(mk_job(1, 0.0, 5e6, Some(0))).unwrap();
-    // Bounces on the cap (tallied, not logged).
-    let _ = svc.submit(mk_job(2, 0.0, 5e6, Some(0)));
+    let mut log = SubmissionLog::default();
+    let mut apply = |cmd: Command| {
+        let outcome = svc.apply(&cmd);
+        log.record(&cmd, &outcome);
+        outcome
+    };
+    let submit = |job| Command::Submit { job };
+    let advance = |seconds| Command::AdvanceTo { seconds };
+    apply(submit(mk_job(0, 0.0, 5e6, Some(0)))).unwrap();
+    apply(submit(mk_job(1, 0.0, 5e6, Some(0)))).unwrap();
+    // Bounces on the cap (recorded as a `reject` entry).
+    apply(submit(mk_job(2, 0.0, 5e6, Some(0)))).unwrap_err();
     let mut slo = mk_job(3, 300.0, 5e6, None);
     slo.slo_factor = Some(4.0);
-    svc.submit(slo).unwrap();
-    svc.advance_to(3.0 * round);
-    svc.query_allocation();
-    svc.inject_failure().unwrap();
-    svc.advance_to(6.0 * round);
-    svc.cancel(JobId(1)).unwrap();
-    svc.complete_job(JobId(0)).unwrap();
-    svc.query_allocation();
-    svc.advance_to(40.0 * round);
-    svc
+    apply(submit(slo)).unwrap();
+    apply(advance(3.0 * round)).unwrap();
+    apply(Command::QueryAllocation).unwrap();
+    apply(Command::InjectFailure).unwrap();
+    apply(advance(6.0 * round)).unwrap();
+    apply(Command::Cancel { job: JobId(1) }).unwrap();
+    apply(Command::Complete { job: JobId(0) }).unwrap();
+    apply(Command::QueryAllocation).unwrap();
+    apply(advance(40.0 * round)).unwrap();
+    (svc, log)
 }
 
 #[test]
 fn log_text_round_trips_exactly() {
     let policy = MaxMinFairness::new();
     let cfg = SimConfig::new(small_cluster()).with_failures(1e15, 3600.0);
-    let svc = interactive_session(&policy, &cfg);
-    let text = svc.log().serialize();
+    let (_, log) = interactive_session(&policy, &cfg);
+    let text = log.serialize();
+    assert!(
+        text.contains("\nreject kind=entity-cap entity=0\n"),
+        "{text}"
+    );
     let parsed = SubmissionLog::parse(&text).expect("serialized log parses");
-    assert_eq!(parsed.len(), svc.log().len());
-    assert_eq!(parsed.rejections(), svc.log().rejections());
+    assert_eq!(parsed.commands().len(), log.commands().len());
     // Parse→serialize is the identity on the text form.
     assert_eq!(parsed.serialize(), text);
+}
+
+/// A consumed command leaves one entry, the same one in every record:
+/// the WAL's payloads are, line for line, the body of a log recorded
+/// beside it — each `reject` kind included — and replaying that log
+/// reports the live counters.
+#[test]
+fn the_wal_and_a_log_recorded_beside_it_hold_the_same_entries() {
+    let policy = MaxMinFairness::new();
+    let cfg = SimConfig::new(small_cluster());
+    let svc_cfg = ServiceConfig {
+        max_active_per_entity: Some(1),
+    };
+    let (sink, store) = (MemorySink::new(), MemoryCheckpointStore::new());
+    let mut durable =
+        DurableService::new(&policy, cfg.clone(), svc_cfg.clone(), sink, store, 0).unwrap();
+    let submit = |id, entity| Command::Submit {
+        job: mk_job(id, 0.0, 1e7, entity),
+    };
+    let mut invalid = mk_job(9, 0.0, 1e7, None);
+    invalid.weight = f64::NAN;
+    let stream = [
+        submit(0, Some(0)),
+        submit(0, Some(1)), // duplicate id
+        submit(1, Some(0)), // entity cap
+        Command::AdvanceTo { seconds: 3600.0 },
+        Command::Complete { job: JobId(5) }, // unknown job
+        Command::InjectFailure,              // no failure model
+        Command::InjectRepair { accel: 0 },  // nothing to repair
+        Command::Submit { job: invalid },    // invalid
+        Command::QueryAllocation,
+        Command::Cancel { job: JobId(0) },
+    ];
+    let mut log = SubmissionLog::default();
+    for cmd in &stream {
+        let outcome = durable.apply(cmd).unwrap();
+        log.record(cmd, &outcome);
+    }
+
+    let text = log.serialize();
+    let body: Vec<&str> = text.lines().skip(1).collect();
+    let kinds = [
+        "duplicate-job",
+        "entity-cap",
+        "unknown-job",
+        "no-failure-model",
+        "nothing-to-repair",
+        "invalid",
+    ];
+    for kind in kinds {
+        let line = format!("reject kind={kind} ");
+        assert!(body.iter().any(|l| l.starts_with(&line)), "{kind}: {text}");
+    }
+    let scan = scan_wal(durable.wal().sink().bytes()).unwrap();
+    let payloads: Vec<&str> = (scan.records.iter())
+        .map(|r| std::str::from_utf8(&r.payload).unwrap())
+        .collect();
+    assert_eq!(payloads, body);
+
+    let live = durable.into_result();
+    assert_eq!(live.service_stats.commands_rejected, kinds.len());
+    let parsed = SubmissionLog::parse(&text).unwrap();
+    let replayed = replay(&policy, &cfg, &svc_cfg, &parsed).unwrap();
+    assert_eq!(replayed.service_stats, live.service_stats);
 }
 
 /// On oracle throughputs and on the estimator's, whose seeded profiling
@@ -256,8 +334,8 @@ fn replay_reproduces_interactive_session() {
     let policy = MaxMinFairness::new();
     let plain = SimConfig::new(small_cluster()).with_failures(1e15, 3600.0);
     for (cfg, estimated) in [(plain.clone(), false), (plain.with_estimated_pairs(), true)] {
-        let svc = interactive_session(&policy, &cfg);
-        let log = SubmissionLog::parse(&svc.log().serialize()).unwrap();
+        let (svc, log) = interactive_session(&policy, &cfg);
+        let log = SubmissionLog::parse(&log.serialize()).unwrap();
 
         // State fingerprints match after applying the same command stream.
         let mut twin = SchedulerService::new(
@@ -290,8 +368,8 @@ fn replay_reproduces_interactive_session() {
     }
 }
 
-/// A well-formed log that submits one id twice, with no rejection
-/// tallied: the fresh service rejects the second submit, so the log does
+/// A well-formed log that submits one id twice, with no `reject` entry
+/// between: the fresh service rejects the second submit, so the log does
 /// not describe a run. Replay and recovery from a WAL carrying the same
 /// lines both refuse it, naming the entry, instead of returning a result
 /// whose counters disagree with the log's.
@@ -301,9 +379,7 @@ fn a_logged_command_rejected_on_replay_is_a_typed_error() {
         job: mk_job(0, 0.0, 1e6, None),
     }
     .fmt_line();
-    let text = format!(
-        "gavel-submission-log v2\nrejected commands=0 cap=0 invalid=0\n{submit}\n{submit}\n"
-    );
+    let text = format!("gavel-submission-log v3\n{submit}\n{submit}\n");
     let log = SubmissionLog::parse(&text).expect("well-formed log");
     let policy = MaxMinFairness::new();
     let cfg = SimConfig::new(small_cluster());
@@ -378,7 +454,12 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
         0,
     )
     .unwrap();
-    let apply = |svc: &mut DurableService<'_, _, _>, cmd| svc.apply(&cmd).unwrap().unwrap();
+    let mut log = SubmissionLog::default();
+    let mut apply = |svc: &mut DurableService<'_, _, _>, cmd| {
+        let outcome = svc.apply(&cmd).unwrap();
+        log.record(&cmd, &outcome);
+        outcome.unwrap()
+    };
 
     // Staggered arrivals and completions plus one worker failure: every
     // one a reset event, so the policy is asked often and fails a third
@@ -410,7 +491,7 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
     }
     let live_fp = svc.service().state_fingerprint();
     let wal = svc.wal().sink().bytes().to_vec();
-    let log = SubmissionLog::parse(&svc.service().log().serialize()).unwrap();
+    let log = SubmissionLog::parse(&log.serialize()).unwrap();
     let live = svc.into_result();
 
     assert!(policy.failures.get() >= 4 && fallback_rounds >= 4);
@@ -488,7 +569,7 @@ fn a_falling_share_does_not_starve_the_job() {
 fn parse_rejects_malformed_logs() {
     assert!(SubmissionLog::parse("").is_err());
     assert!(SubmissionLog::parse("not-a-log v9\n").is_err());
-    let header = "gavel-submission-log v1\n";
+    let header = "gavel-submission-log v3\n";
     assert!(SubmissionLog::parse(&format!("{header}frobnicate x=1\n")).is_err());
     assert!(SubmissionLog::parse(&format!("{header}advance t=12.5\n")).is_err());
     assert!(SubmissionLog::parse(&format!("{header}complete\n")).is_err());

@@ -34,24 +34,38 @@ impl Simulator {
     /// [`SimConfig::ideal_execution`] the same service core steps fluidly
     /// (Figure 13b) instead.
     pub fn run(&self, policy: &dyn Policy, trace: &[TraceJob]) -> SimResult {
-        self.run_logged(policy, trace).0
+        self.drive(policy, trace, None)
     }
 
-    /// Like [`Simulator::run`], but also returns the service's submission
-    /// log — `gavel_service::replay` of that log (same config, same
-    /// policy) reproduces the returned result bit-exactly.
+    /// Like [`Simulator::run`], but also records every command the
+    /// service consumed, accepted or failed, in a submission log —
+    /// `gavel_service::replay` of that log (same config, same policy)
+    /// reproduces the returned result bit-exactly.
     pub fn run_logged(
         &self,
         policy: &dyn Policy,
         trace: &[TraceJob],
     ) -> (SimResult, SubmissionLog) {
+        let mut log = SubmissionLog::default();
+        let result = self.drive(policy, trace, Some(&mut log));
+        (result, log)
+    }
+
+    fn drive(
+        &self,
+        policy: &dyn Policy,
+        trace: &[TraceJob],
+        mut log: Option<&mut SubmissionLog>,
+    ) -> SimResult {
         let mut svc = SchedulerService::new(self.config.clone(), ServiceConfig::default(), policy);
         // A command the service refuses is tallied in `service_stats`.
         for cmd in compile_trace(trace, &self.config) {
-            let _ = svc.apply(&cmd);
+            let outcome = svc.apply(&cmd);
+            if let Some(log) = log.as_deref_mut() {
+                log.record(&cmd, &outcome);
+            }
         }
-        let log = svc.log().clone();
-        (svc.into_result(), log)
+        svc.into_result()
     }
 
     /// Like [`Simulator::run`], but routes every command through the

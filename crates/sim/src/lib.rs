@@ -18,9 +18,10 @@
 //!   stream — jobs in arrival order as `[AdvanceTo(arrival),
 //!   Submit(job)]` pairs plus a final drain advance;
 //! - [`Simulator::run`] feeds the stream to a fresh service and returns
-//!   its [`SimResult`]; [`Simulator::run_logged`] also hands back the
-//!   service's [`gavel_service::SubmissionLog`], whose
-//!   [`gavel_service::replay`] reproduces the run bit-exactly.
+//!   its [`SimResult`], recording nothing; [`Simulator::run_logged`] also
+//!   records every consumed command, accepted or failed, in a
+//!   [`gavel_service::SubmissionLog`], whose [`gavel_service::replay`]
+//!   reproduces the run bit-exactly.
 //!
 //! Trace-only semantics (idle fast-forward between arrivals, round
 //! quantization of the wake-up, the simulation cap) are part of the
