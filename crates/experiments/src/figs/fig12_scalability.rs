@@ -1,26 +1,60 @@
-//! Figure 12: policy solve-time scaling with the number of active jobs,
-//! for the LAS and hierarchical policies, with and without space sharing.
-//! The cluster grows with the job count, as in the paper.
+//! Figure 12: how the scheduler's cost grows with the number of active
+//! jobs. The cluster grows with the job count, as in the paper, and every
+//! layer a recompute and a round pass through is measured on the same
+//! input at each count:
+//!
+//! - the policy: one solve each of LAS and hierarchical (4 entities), with
+//!   and without space sharing, timed, with the solver's pivots and the
+//!   water filling's probe LPs;
+//! - the snapshot cache: populating it with every job, a fresh
+//!   `build_tensor_with_pairs` of the same rows, a snapshot of an
+//!   unchanged job set, and one churn step (a completion, an arrival and
+//!   a snapshot);
+//! - the round planner: resolving the LAS-with-space-sharing allocation
+//!   into candidates and planning its first round, then one steady round
+//!   (plan and record).
+//!
+//! It panics at any size where the cached snapshot differs from the fresh
+//! build row for row, or a hierarchical solve ran a phase 1 or fell back
+//! from its warm start.
 //!
 //! Note on scale: the paper's cvxpy/ECOS stack reaches 2048 jobs in ~8.5
-//! minutes for hierarchical w/ SS. The sparse revised simplex with
-//! warm-started basis reuse (`gavel-solver`) covers the paper's full range:
-//! the default sweep stops at 512 jobs to keep the figure quick, and
-//! `--full` extends it to the paper's 2048-job hierarchical-with-space-
-//! sharing point. The snapshot cache's populate and churn steps and whole
-//! hierarchical solves are timed, with gates, by `benches/sim.rs` and
-//! `benches/solver.rs` (`hier/solve/*`).
+//! minutes for hierarchical w/ SS. The default sweep stops at 512 jobs to
+//! keep the figure quick, and `--full` extends it to the paper's 2048-job
+//! point. Policy solves are one sample each; the snapshot and planner
+//! steps are medians of five runs.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig12_scalability`
 
 use crate::{print_table, Scale};
-use gavel_core::{Policy, PolicyInput, PolicyJob};
+use gavel_core::{Allocation, JobId, PolicyError, PolicyInput, PolicyJob};
 use gavel_policies::{EntityPolicy, Hierarchical, MaxMinFairness};
+use gavel_sched::RoundScheduler;
+use gavel_sim::SnapshotCache;
+use gavel_solver::SolveStats;
 use gavel_workloads::{
-    build_singleton_tensor, build_tensor_with_pairs, cluster_scaled, generate, JobSpec, Oracle,
-    PairOptions, TraceConfig,
+    build_singleton_tensor, build_tensor_with_pairs, cluster_scaled, generate, JobConfig, JobSpec,
+    Oracle, PairOptions, TraceConfig,
 };
+use std::collections::HashMap;
 use std::time::Instant;
+
+/// Runs per median for the snapshot and planner steps.
+const REPS: usize = 5;
+
+/// Runs `f` once; returns its value and the seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
+/// Median seconds of [`REPS`] runs of `f`.
+fn median_secs(mut f: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..REPS).map(|_| timed(&mut f).1).collect();
+    samples.sort_by(f64::total_cmp);
+    samples[REPS / 2]
+}
 
 pub fn run(scale: Scale) {
     let sizes: Vec<usize> = match scale {
@@ -30,8 +64,13 @@ pub fn run(scale: Scale) {
         Scale::Full => vec![32, 64, 128, 256, 512, 1024, 2048],
     };
     let oracle = Oracle::new();
+    let pair_opts = PairOptions {
+        min_aggregate: 1.3,
+        max_pairs_per_job: 4,
+    };
+    let ms = |s: f64| format!("{:.3}", s * 1e3);
 
-    let mut rows = Vec::new();
+    let (mut solve_rows, mut work_rows, mut layer_rows) = (Vec::new(), Vec::new(), Vec::new());
     for &n in &sizes {
         let trace = generate(&TraceConfig::static_single(n, 5), &oracle);
         let specs: Vec<JobSpec> = trace
@@ -42,71 +81,170 @@ pub fn run(scale: Scale) {
                 scale_factor: 1,
             })
             .collect();
-        let mut jobs: Vec<PolicyJob> = trace
-            .iter()
-            .map(|t| PolicyJob::simple(t.id, t.total_steps))
-            .collect();
         // Hierarchical: 4 entities, round-robin.
-        for (i, j) in jobs.iter_mut().enumerate() {
-            j.entity = Some(i % 4);
-        }
+        let jobs: Vec<PolicyJob> = (trace.iter().enumerate())
+            .map(|(i, t)| PolicyJob {
+                entity: Some(i % 4),
+                ..PolicyJob::simple(t.id, t.total_steps)
+            })
+            .collect();
         let cluster = cluster_scaled((n / 3).max(2));
 
+        let mut cache = SnapshotCache::new(true, Some(pair_opts));
+        let ((combos_ss, tensor_ss), populate) = timed(|| {
+            for (&spec, job) in specs.iter().zip(&jobs) {
+                cache.admit(&oracle, spec, job.clone());
+            }
+            cache.snapshot(&oracle)
+        });
+        let ((fresh_combos, fresh_tensor), fresh) =
+            timed(|| build_tensor_with_pairs(&oracle, &specs, true, &pair_opts));
+        assert_eq!(
+            combos_ss.combos(),
+            fresh_combos.combos(),
+            "snapshot diverges at {n}"
+        );
+        for k in 0..tensor_ss.num_rows() {
+            assert_eq!(
+                tensor_ss.row(k),
+                fresh_tensor.row(k),
+                "row {k} diverges at {n}"
+            );
+        }
+        let snapshot = median_secs(|| {
+            cache.snapshot(&oracle);
+        });
+
         let (combos_plain, tensor_plain) = build_singleton_tensor(&oracle, &specs, true);
-        let pair_opts = PairOptions {
-            min_aggregate: 1.3,
-            max_pairs_per_job: 4,
+        let input = |ss: bool| PolicyInput {
+            jobs: &jobs,
+            combos: if ss { &combos_ss } else { &combos_plain },
+            tensor: if ss { &tensor_ss } else { &tensor_plain },
+            cluster: &cluster,
         };
-        let (combos_ss, tensor_ss) = build_tensor_with_pairs(&oracle, &specs, true, &pair_opts);
-
-        let time_policy = |policy: &dyn Policy, ss: bool| -> f64 {
-            let input = PolicyInput {
-                jobs: &jobs,
-                combos: if ss { &combos_ss } else { &combos_plain },
-                tensor: if ss { &tensor_ss } else { &tensor_plain },
-                cluster: &cluster,
-            };
-            let t0 = Instant::now();
-            policy
-                .compute_allocation(&input)
-                .unwrap_or_else(|e| panic!("{} failed at n={n}: {e}", policy.name()));
-            t0.elapsed().as_secs_f64()
+        type Solved = Result<(Allocation, SolveStats), PolicyError>;
+        let solved = |what: &str, (out, secs): (Solved, f64)| {
+            let (alloc, stats) = out.unwrap_or_else(|e| panic!("{what} failed at n={n}: {e}"));
+            (alloc, stats, secs)
         };
-
-        let las = time_policy(&MaxMinFairness::new(), false);
-        let las_ss = time_policy(&MaxMinFairness::new(), true);
+        let solve_las = |ss: bool| {
+            let las = MaxMinFairness::new();
+            solved(
+                "LAS",
+                timed(|| las.compute_allocation_with_stats(&input(ss))),
+            )
+        };
         let hier = Hierarchical::new(vec![1.0; 4], EntityPolicy::Fairness);
-        let hier_t = time_policy(&hier, false);
+        let solve_hier = |ss: bool| {
+            let out = solved(
+                "hierarchical",
+                timed(|| hier.compute_allocation_with_stats(&input(ss))),
+            );
+            let stats = out.1;
+            assert!(
+                stats.pivots_phase1 == 0 && stats.warm_falls_back == 0,
+                "a water-filling solve started cold at {n} jobs (space sharing {ss}): {stats:?}"
+            );
+            out
+        };
+        let las = solve_las(false);
+        let las_ss = solve_las(true);
+        let hier_t = solve_hier(false);
         // Hierarchical with space sharing only at smaller sizes (the probe
         // LPs over pair rows grow quickly).
-        let hier_ss_t = if n <= 256 || scale == Scale::Full {
-            Some(time_policy(&hier, true))
-        } else {
-            None
-        };
+        let hier_ss = (n <= 256 || scale == Scale::Full).then(|| solve_hier(true));
 
-        rows.push(vec![
+        // The round planner on the LAS-with-space-sharing allocation.
+        let sf: HashMap<JobId, u32> = specs.iter().map(|s| (s.id, 1)).collect();
+        let mut sched = RoundScheduler::new(cluster.clone());
+        let (first, resolve) = timed(|| sched.plan_round_cached(&las_ss.0, 1, &sf, None));
+        sched.record(&first, 360.0);
+        let round = median_secs(|| {
+            let plan = sched.plan_round_cached(&las_ss.0, 1, &sf, None);
+            sched.record(&plan, 360.0);
+        });
+
+        // One churn step: a resident completes, a job of the next
+        // configuration in turn arrives, and the cache takes a snapshot.
+        let configs = JobConfig::all();
+        let mut next = n;
+        let churn = median_secs(|| {
+            cache.remove(0);
+            let spec = JobSpec {
+                id: JobId(next as u64),
+                config: configs[next % configs.len()],
+                scale_factor: 1,
+            };
+            next += 1;
+            cache.admit(&oracle, spec, PolicyJob::simple(spec.id, 1_000.0));
+            cache.snapshot(&oracle);
+        });
+
+        let secs = |t: f64| format!("{t:.3}");
+        let pivots = |s: &SolveStats| s.total_pivots().to_string();
+        let probes = |s: &SolveStats| format!("{} ({})", s.total_pivots(), s.parallel_probes);
+        let (hier_ss_secs, hier_ss_work) =
+            (hier_ss.as_ref()).map_or(("-".into(), "-".into()), |h| (secs(h.2), probes(&h.1)));
+        solve_rows.push(vec![
             n.to_string(),
-            format!("{las:.3}"),
-            format!("{las_ss:.3}"),
-            format!("{hier_t:.3}"),
-            hier_ss_t.map_or("-".into(), |t| format!("{t:.3}")),
+            secs(las.2),
+            secs(las_ss.2),
+            secs(hier_t.2),
+            hier_ss_secs,
+        ]);
+        work_rows.push(vec![
+            n.to_string(),
+            pivots(&las.1),
+            pivots(&las_ss.1),
+            probes(&hier_t.1),
+            hier_ss_work,
+        ]);
+        layer_rows.push(vec![
+            n.to_string(),
+            (combos_ss.len() - n).to_string(),
+            ms(populate),
+            ms(fresh),
+            ms(snapshot),
+            ms(churn),
+            ms(resolve),
+            ms(round),
         ]);
     }
+    let policies = [
+        "jobs",
+        "LAS",
+        "LAS w/ SS",
+        "Hierarchical",
+        "Hierarchical w/ SS",
+    ];
     print_table(
         "Figure 12: policy solve time (seconds) vs number of jobs",
+        &policies,
+        &solve_rows,
+    );
+    print_table(
+        "Figure 12: solver pivots per solve (hierarchical: probe LPs in parentheses)",
+        &policies,
+        &work_rows,
+    );
+    print_table(
+        "Figure 12: snapshot cache and round planner (milliseconds)",
         &[
             "jobs",
-            "LAS",
-            "LAS w/ SS",
-            "Hierarchical",
-            "Hierarchical w/ SS",
+            "pair rows",
+            "populate",
+            "fresh build",
+            "snapshot",
+            "churn step",
+            "resolve+plan",
+            "round",
         ],
-        &rows,
+        &layer_rows,
     );
     println!(
         "\nShape check (paper): hierarchical is costlier than LAS; space sharing \
          grows the problem superlinearly; even large instances stay within the \
-         sub-10-minute budget the paper deems acceptable."
+         sub-10-minute budget the paper deems acceptable. The policy solve \
+         dominates every other layer at every size."
     );
 }

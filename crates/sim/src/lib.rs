@@ -36,12 +36,10 @@
 //! estimator-backed alike, re-scoring one dirty set per snapshot, with
 //! the bucketed selection re-checked behind [`CROSSCHECK_ENV`] against
 //! [`gavel_workloads::rank_and_cap`], the fresh builder's flat ranking)
-//! in [`gavel_service::snapshot`], the round
-//! planner in [`gavel_sched::mechanism`], and the gates the `sim` bench
-//! holds them to in that bench's header
-//! (`crates/experiments/benches/sim.rs`). [`SnapshotCache`] and
-//! [`EstimatorBridge`] are re-exported here for this crate's tests and
-//! benches.
+//! in [`gavel_service::snapshot`], and the round planner in
+//! [`gavel_sched::mechanism`]; `gavel-exp fig12_scalability` times both
+//! at each job count. [`SnapshotCache`] and [`EstimatorBridge`] are
+//! re-exported here for this crate's tests and the experiments.
 //!
 //! Fidelity knobs reproduce the paper's setups:
 //!
