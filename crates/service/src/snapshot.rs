@@ -473,8 +473,7 @@ pub struct SnapshotStats {
     pub candidates_sorted: usize,
     /// Crosscheck re-ranks: bucketed selections re-run through the flat
     /// [`rank_and_cap`] over the store's cached scores, whatever the pair
-    /// source. Zero unless crosschecking is on; benches and CI gate on
-    /// that.
+    /// source. Zero unless crosschecking is on; Figure 12 gates on that.
     pub flat_reranks: usize,
     /// Pair rows materialized for newly selected candidates.
     pub pair_rows_materialized: usize,
@@ -589,7 +588,7 @@ impl SnapshotCache {
         &mut self.policy_jobs
     }
 
-    /// Counters for benches and CI gates.
+    /// Counters for tests and Figure 12's gates.
     pub fn stats(&self) -> SnapshotStats {
         self.stats
     }
