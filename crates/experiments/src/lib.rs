@@ -10,6 +10,7 @@
 pub mod figs;
 
 use gavel_core::Policy;
+use gavel_par::parallel_map;
 use gavel_sim::SimConfig;
 use gavel_workloads::TraceJob;
 
@@ -64,12 +65,6 @@ impl Scale {
         (0..n as u64).collect()
     }
 }
-
-/// The scoped worker pool lives in `gavel-par`; re-exported here so the
-/// experiments and older call sites keep their import path. A panicking
-/// sweep worker re-raises its original panic payload instead of a generic
-/// "worker panicked" message.
-pub use gavel_par::{gavel_threads, parallel_map, with_threads};
 
 /// Mean of a slice (0 for empty).
 pub fn mean(xs: &[f64]) -> f64 {
@@ -267,16 +262,6 @@ mod tests {
         assert!(s.contains("p50=50"), "{s}");
         assert!(s.contains("p99=98"), "{s}");
         assert_eq!(cdf_summary(&[]), "n/a");
-    }
-
-    #[test]
-    fn parallel_map_reexport_preserves_order() {
-        // The real test suite lives in `gavel-par`; this pins the
-        // re-exported path the sweeps use.
-        let items: Vec<usize> = (0..16).collect();
-        let out = parallel_map(&items, |&i| i * 2);
-        assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(gavel_threads() >= 1);
     }
 
     #[test]

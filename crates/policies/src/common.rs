@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn a_stalled_hint_does_not_change_a_feasibility_verdict() {
-        use gavel_solver::{bisect_min, WarmStart};
+        use gavel_solver::{bisect_min, PreparedLp, WarmStart};
         use gavel_workloads::{
             build_tensor_with_pairs, cluster_scaled, generate, JobSpec, Oracle, PairOptions,
             TraceConfig,
@@ -532,7 +532,9 @@ mod tests {
                 alp.lp.add_constraint(&terms, Cmp::Ge, floor);
             }
             let unhinted = alp.lp.solve().map(drop);
-            let hinted = (alp.lp.solve_warm(cache.as_ref())).map(|(_, basis)| cache = Some(basis));
+            let hinted = PreparedLp::new(alp.lp)
+                .and_then(|mut lp| lp.solve(cache.as_ref()).map_err(|(e, _)| e))
+                .map(|(_, basis)| cache = Some(basis));
             assert_eq!(hinted, unhinted, "probe {probes} at M = {makespan}");
             probes += 1;
             unhinted.is_ok()

@@ -285,36 +285,6 @@ impl std::fmt::Display for Rejection {
     }
 }
 
-/// Tallies of commands that failed. A failed command leaves only its
-/// `reject` entry in the stream, and [`crate::replay`] tallies each again,
-/// so a replayed [`crate::SimResult`] reports the same counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RejectionTally {
-    /// Total commands that failed (rejections plus invalid commands).
-    pub commands: usize,
-    /// Commands whose payload failed validation.
-    pub invalid: usize,
-    /// Submits bounced by the per-entity admission cap.
-    pub admission_cap: usize,
-    /// Cap-bounced submits per entity (`None` = entity-less submits).
-    pub per_entity_cap: BTreeMap<Option<u32>, usize>,
-}
-
-impl RejectionTally {
-    /// Tallies one failed command.
-    pub(crate) fn record(&mut self, failure: Failure) {
-        self.commands += 1;
-        match failure.rejection {
-            None => self.invalid += 1,
-            Some(Rejection::EntityCapExceeded) => {
-                self.admission_cap += 1;
-                *self.per_entity_cap.entry(failure.entity).or_insert(0) += 1;
-            }
-            Some(_) => {}
-        }
-    }
-}
-
 /// Every command a service consumed, in application order: an accepted
 /// command as itself, a failed one as its `reject` entry.
 #[derive(Debug, Clone, Default)]

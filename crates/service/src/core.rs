@@ -4,8 +4,9 @@
 //! complete engine, detached from any trace: callers feed it
 //! [`Command`]s — submissions (with an optional owning entity), forced
 //! completions, cancellations, clock advances, allocation queries, and
-//! failure/repair injections. Two stepping strategies drive time forward
-//! during [`SchedulerService::advance_to`]:
+//! failure/repair injections, all through [`SchedulerService::apply`].
+//! Two stepping strategies drive time forward during an
+//! [`Command::AdvanceTo`]:
 //!
 //! - **round stepping** (the paper's §5 mechanism): time advances in
 //!   fixed-length rounds; each step drains due cluster events (worker
@@ -24,7 +25,7 @@
 //! admission cap ([`ServiceConfig::max_active_per_entity`]); the
 //! resulting counters surface on [`SimResult::service_stats`].
 
-use crate::command::{Command, Failure, Rejection, RejectionTally};
+use crate::command::{Command, Failure, Rejection};
 use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
@@ -164,7 +165,7 @@ struct EntityBook {
 }
 
 /// A read-only view of the current allocation, served by
-/// [`SchedulerService::query_allocation`].
+/// [`SchedulerService::allocation_view`].
 #[derive(Debug, Clone, Default)]
 pub struct AllocationView {
     /// Service time the view was taken at, seconds.
@@ -215,7 +216,10 @@ pub struct SchedulerService<'p> {
     available: Vec<usize>,
     /// Commands accepted so far.
     accepted: usize,
-    rejections: RejectionTally,
+    /// Commands that failed, and of those, the ones whose payload failed
+    /// validation. A cap rejection is counted in its entity's book.
+    rejected: usize,
+    invalid: usize,
     books: BTreeMap<Option<u32>, EntityBook>,
     queries_served: usize,
     queries_since_recompute: usize,
@@ -277,7 +281,8 @@ impl<'p> SchedulerService<'p> {
             positions_epoch: 1,
             available: Vec::new(),
             accepted: 0,
-            rejections: RejectionTally::default(),
+            rejected: 0,
+            invalid: 0,
             books: BTreeMap::new(),
             queries_served: 0,
             queries_since_recompute: 0,
@@ -285,9 +290,10 @@ impl<'p> SchedulerService<'p> {
         }
     }
 
-    /// Applies one command. A failed command — rejected by a rule or
-    /// malformed outright — leaves the schedule untouched (only rejection
-    /// tallies move, never the process).
+    /// Applies one command: the service's one entry point for commands.
+    /// A failed command — rejected by a rule or malformed outright —
+    /// leaves the schedule untouched (only rejection tallies move, never
+    /// the process).
     pub fn apply(&mut self, cmd: &Command) -> Result<(), ServiceError> {
         let result: Result<(), ServiceError> = match validate_command(cmd) {
             Err(invalid) => Err(ServiceError::Invalid(invalid)),
@@ -316,42 +322,6 @@ impl<'p> SchedulerService<'p> {
         result
     }
 
-    /// Submits a job for admission.
-    pub fn submit(&mut self, job: TraceJob) -> Result<(), ServiceError> {
-        self.apply(&Command::Submit { job })
-    }
-
-    /// Forces `job` to complete at the current service time.
-    pub fn complete_job(&mut self, job: JobId) -> Result<(), ServiceError> {
-        self.apply(&Command::Complete { job })
-    }
-
-    /// Cancels an active job.
-    pub fn cancel(&mut self, job: JobId) -> Result<(), ServiceError> {
-        self.apply(&Command::Cancel { job })
-    }
-
-    /// Advances the service clock to `seconds` (no-op if in the past).
-    pub fn advance_to(&mut self, seconds: f64) {
-        let _ = self.apply(&Command::AdvanceTo { seconds });
-    }
-
-    /// Serves the current allocation view (logged as a query command).
-    pub fn query_allocation(&mut self) -> AllocationView {
-        let _ = self.apply(&Command::QueryAllocation);
-        self.allocation_view()
-    }
-
-    /// Takes a random worker down (a §3 reset event).
-    pub fn inject_failure(&mut self) -> Result<(), ServiceError> {
-        self.apply(&Command::InjectFailure)
-    }
-
-    /// Brings a downed worker of accelerator type `accel` back up.
-    pub fn inject_repair(&mut self, accel: usize) -> Result<(), ServiceError> {
-        self.apply(&Command::InjectRepair { accel })
-    }
-
     /// Current service time, seconds.
     pub fn now(&self) -> f64 {
         self.now
@@ -365,11 +335,20 @@ impl<'p> SchedulerService<'p> {
     /// Tallies a failed command: live, or replayed from its `reject`
     /// entry (the failed command itself is never re-applied).
     pub(crate) fn record_failure(&mut self, failure: Failure) {
-        self.rejections.record(failure);
+        self.rejected += 1;
+        match failure.rejection {
+            None => self.invalid += 1,
+            Some(Rejection::EntityCapExceeded) => {
+                let book = self.books.entry(failure.entity).or_default();
+                book.counters.cap_rejected += 1;
+            }
+            Some(_) => {}
+        }
     }
 
-    /// A read-only view of the current allocation (not logged — use
-    /// [`SchedulerService::query_allocation`] for the command path).
+    /// A read-only view of the current allocation. Reading it is not a
+    /// command; a served query is [`Command::QueryAllocation`] through
+    /// [`SchedulerService::apply`], followed by this view.
     pub fn allocation_view(&self) -> AllocationView {
         let rates = match &self.current {
             Some((tensor, alloc)) => self
@@ -983,31 +962,17 @@ impl<'p> SchedulerService<'p> {
     }
 
     fn assemble_service_stats(&self) -> ServiceStats {
-        let rejections = &self.rejections;
-        // Per-entity counters merge the books (accepted-path counters)
-        // with the cap-rejection tallies, covering entities that only
-        // ever got rejected.
-        let mut per_entity: BTreeMap<Option<u32>, EntityCounters> = self
-            .books
-            .iter()
-            .map(|(&e, book)| (e, book.counters))
-            .collect();
-        for (&entity, &n) in &rejections.per_entity_cap {
-            per_entity.entry(entity).or_default().cap_rejected = n;
-        }
+        let counters = || self.books.iter().map(|(&e, book)| (e, book.counters));
         ServiceStats {
             commands_accepted: self.accepted,
-            commands_rejected: rejections.commands,
-            invalid_commands: rejections.invalid,
-            admission_cap_rejections: rejections.admission_cap,
+            commands_rejected: self.rejected,
+            invalid_commands: self.invalid,
+            admission_cap_rejections: counters().map(|(_, c)| c.cap_rejected).sum(),
             queries_served: self.queries_served,
             max_queries_between_recomputes: self
                 .max_queries_between_recomputes
                 .max(self.queries_since_recompute),
-            per_entity: per_entity
-                .into_iter()
-                .map(|(e, c)| (e.map(EntityId), c))
-                .collect(),
+            per_entity: counters().map(|(e, c)| (e.map(EntityId), c)).collect(),
         }
     }
 }
@@ -1132,8 +1097,14 @@ mod tests {
         cfg.checkpoint_seconds = 30.0;
         let policy = IsolatedSplit::new();
         let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
-        svc.submit(job(0, 0.0, 1.0e6)).unwrap();
-        svc.submit(job(1, 0.0, 1.0e6)).unwrap();
+        svc.apply(&Command::Submit {
+            job: job(0, 0.0, 1.0e6),
+        })
+        .unwrap();
+        svc.apply(&Command::Submit {
+            job: job(1, 0.0, 1.0e6),
+        })
+        .unwrap();
         svc.recompute();
         let tput = Oracle::new().throughput(svc.active[0].trace.config, GpuKind::V100, 1, true);
         let on_slot = |slot| RoundPlan {
@@ -1183,8 +1154,8 @@ mod tests {
         let policy = IsolatedSplit::new();
         let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
         for id in 0..25u64 {
-            svc.submit(job(id, 0.0, 600.0 + (id * 431 % 5000) as f64))
-                .unwrap();
+            let job = job(id, 0.0, 600.0 + (id * 431 % 5000) as f64);
+            svc.apply(&Command::Submit { job }).unwrap();
         }
         let mut stale_rounds = 0;
         while svc.num_active() > 0 {
@@ -1226,14 +1197,21 @@ mod tests {
         let cfg = SimConfig::new(cluster).with_failures(1800.0, 3600.0);
         let policy = IsolatedSplit::new();
         let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
-        svc.submit(job(0, 0.0, 100.0)).unwrap();
-        svc.advance_to(36_000.0);
+        svc.apply(&Command::Submit {
+            job: job(0, 0.0, 100.0),
+        })
+        .unwrap();
+        svc.apply(&Command::AdvanceTo { seconds: 36_000.0 })
+            .unwrap();
         assert_eq!(
             (svc.num_active(), svc.now()),
             (0, 360.0),
             "idle after one round"
         );
-        svc.submit(job(1, 36_000.0, 1.0e6)).unwrap();
+        svc.apply(&Command::Submit {
+            job: job(1, 36_000.0, 1.0e6),
+        })
+        .unwrap();
         let now = svc.now();
         assert_eq!(now, 36_000.0);
 

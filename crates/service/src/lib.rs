@@ -6,7 +6,8 @@
 //! boundary: [`SchedulerService`] holds the scheduling state (job table,
 //! [`SnapshotCache`] — which owns the [`EstimatorBridge`] when pair
 //! throughputs are estimated — round scheduler, failure clock) and is
-//! driven entirely by an externally-fed [`Command`] stream:
+//! driven entirely by an externally-fed [`Command`] stream, every command
+//! through its one entry point, [`SchedulerService::apply`]:
 //!
 //! - [`Command::Submit`] — admit a job, owned by an optional *entity*
 //!   (user/org). Per-entity job books track active counts;
@@ -16,9 +17,10 @@
 //!   schedule at the current time (with/without counting as completed).
 //! - [`Command::AdvanceTo`] — move the clock forward, executing §5 rounds
 //!   (or Figure 13b fluid steps) while jobs are active.
-//! - [`Command::QueryAllocation`] — read the per-job effective
-//!   throughputs of the current allocation, without forcing a recompute
-//!   (staleness is observable via
+//! - [`Command::QueryAllocation`] — count a served query of the per-job
+//!   effective throughputs of the current allocation, which
+//!   [`SchedulerService::allocation_view`] then reads, without forcing a
+//!   recompute (staleness is observable via
 //!   [`ServiceStats::max_queries_between_recomputes`]).
 //! - [`Command::InjectFailure`] / [`Command::InjectRepair`] — drive the
 //!   cluster-health reset events (§3) from outside, on top of the
@@ -27,7 +29,8 @@
 //! # The submission log and deterministic replay
 //!
 //! The service keeps no history of what it consumed. A layer that needs
-//! one — [`DurableService`], `gavel-sim`'s logged run, a test — records
+//! one — [`DurableService`], an experiment or a test applying commands
+//! beside a log — records
 //! every consumed command in a [`SubmissionLog`] with
 //! [`SubmissionLog::record`]: an accepted command as itself, a failed one
 //! as its `reject` entry, in application order. The service is
@@ -104,7 +107,7 @@ pub use checkpoint::{
     config_fingerprint, Checkpoint, CheckpointError, CheckpointStore, FileCheckpointStore,
     MemoryCheckpointStore,
 };
-pub use command::{Command, LogParseError, Rejection, RejectionTally, SubmissionLog, LOG_VERSION};
+pub use command::{Command, LogParseError, Rejection, SubmissionLog, LOG_VERSION};
 pub use config::{FailureConfig, RecomputeCadence, SimConfig};
 pub use core::{AllocationView, SchedulerService, ServiceConfig};
 pub use error::{InvalidCommand, InvalidReason, ServiceError};

@@ -168,7 +168,10 @@ pub struct SimResult {
     pub rounds: usize,
     /// Number of allocation recomputations.
     pub recomputations: usize,
-    /// Wall-clock seconds spent inside policy solves.
+    /// Wall-clock seconds spent in recomputes: the snapshot of the policy
+    /// input (pair scoring and the estimator included), the refresh of
+    /// each policy job's remaining steps, elapsed time and SLO, the policy
+    /// solve and any isolated-split fallback. Not the policy solve alone.
     pub policy_solve_seconds: f64,
     /// Policy solve failures that fell back to the isolated split.
     pub policy_failures: usize,

@@ -38,6 +38,11 @@ fn mk_job(id: u64, arrival: f64, steps: f64, entity: Option<usize>) -> TraceJob 
     }
 }
 
+/// The command that submits `job`.
+fn submit(job: TraceJob) -> Command {
+    Command::Submit { job }
+}
+
 fn mix(acc: u64, x: u64) -> u64 {
     (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
@@ -76,17 +81,17 @@ fn entity_cap_rejects_then_frees_on_completion() {
     };
     let mut svc = SchedulerService::new(cfg, service, &policy);
 
-    svc.submit(mk_job(0, 0.0, 1e7, Some(0))).unwrap();
+    svc.apply(&submit(mk_job(0, 0.0, 1e7, Some(0)))).unwrap();
     // Entity 0 is at its cap; the submit bounces and the id stays unused.
     assert_eq!(
-        svc.submit(mk_job(1, 0.0, 1e7, Some(0))),
+        svc.apply(&submit(mk_job(1, 0.0, 1e7, Some(0)))),
         Err(ServiceError::Rejected(Rejection::EntityCapExceeded))
     );
     // Other entities are unaffected.
-    svc.submit(mk_job(2, 0.0, 1e7, Some(1))).unwrap();
+    svc.apply(&submit(mk_job(2, 0.0, 1e7, Some(1)))).unwrap();
     // Completing entity 0's job frees a slot; the bounced id resubmits.
-    svc.complete_job(JobId(0)).unwrap();
-    svc.submit(mk_job(1, 0.0, 1e7, Some(0))).unwrap();
+    svc.apply(&Command::Complete { job: JobId(0) }).unwrap();
+    svc.apply(&submit(mk_job(1, 0.0, 1e7, Some(0)))).unwrap();
 
     let r = svc.into_result();
     assert_eq!(r.service_stats.commands_accepted, 4);
@@ -108,34 +113,34 @@ fn duplicate_and_unknown_job_commands_are_rejected() {
     let cfg = SimConfig::new(small_cluster());
     let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
 
-    svc.submit(mk_job(7, 0.0, 1e7, None)).unwrap();
+    svc.apply(&submit(mk_job(7, 0.0, 1e7, None))).unwrap();
     assert_eq!(
-        svc.submit(mk_job(7, 0.0, 1e7, None)),
+        svc.apply(&submit(mk_job(7, 0.0, 1e7, None))),
         Err(ServiceError::Rejected(Rejection::DuplicateJob))
     );
     assert_eq!(
-        svc.complete_job(JobId(99)),
+        svc.apply(&Command::Complete { job: JobId(99) }),
         Err(ServiceError::Rejected(Rejection::UnknownJob))
     );
     assert_eq!(
-        svc.cancel(JobId(99)),
+        svc.apply(&Command::Cancel { job: JobId(99) }),
         Err(ServiceError::Rejected(Rejection::UnknownJob))
     );
 
     // Cancel is terminal: the outcome reports no completion, and the job
     // can be neither completed nor cancelled again.
-    svc.cancel(JobId(7)).unwrap();
+    svc.apply(&Command::Cancel { job: JobId(7) }).unwrap();
     assert_eq!(
-        svc.complete_job(JobId(7)),
+        svc.apply(&Command::Complete { job: JobId(7) }),
         Err(ServiceError::Rejected(Rejection::UnknownJob))
     );
     assert_eq!(
-        svc.cancel(JobId(7)),
+        svc.apply(&Command::Cancel { job: JobId(7) }),
         Err(ServiceError::Rejected(Rejection::UnknownJob))
     );
     // The id stays burned — ids are never reused.
     assert_eq!(
-        svc.submit(mk_job(7, 0.0, 1e7, None)),
+        svc.apply(&submit(mk_job(7, 0.0, 1e7, None))),
         Err(ServiceError::Rejected(Rejection::DuplicateJob))
     );
 
@@ -157,18 +162,19 @@ fn query_counters_track_recompute_gaps() {
     let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
 
     // Before any allocation exists, queries serve all-zero rates.
-    svc.submit(mk_job(0, 0.0, 1e8, Some(2))).unwrap();
+    svc.apply(&submit(mk_job(0, 0.0, 1e8, Some(2)))).unwrap();
     for _ in 0..3 {
-        let view = svc.query_allocation();
-        assert_eq!(view.rates, vec![(JobId(0), 0.0)]);
+        svc.apply(&Command::QueryAllocation).unwrap();
+        assert_eq!(svc.allocation_view().rates, vec![(JobId(0), 0.0)]);
     }
     // The first round recomputes, closing a 3-query gap.
-    svc.advance_to(round);
-    let view = svc.query_allocation();
+    svc.apply(&Command::AdvanceTo { seconds: round }).unwrap();
+    svc.apply(&Command::QueryAllocation).unwrap();
+    let view = svc.allocation_view();
     assert_eq!(view.seconds, round);
     assert_eq!(view.rates.len(), 1);
     assert!(view.rates[0].1 > 0.0, "allocated job should have a rate");
-    svc.query_allocation();
+    svc.apply(&Command::QueryAllocation).unwrap();
 
     let r = svc.into_result();
     assert_eq!(r.service_stats.queries_served, 5);
@@ -183,7 +189,7 @@ fn failure_and_repair_injection_paths() {
     let cfg = SimConfig::new(small_cluster());
     let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
     assert_eq!(
-        svc.inject_failure(),
+        svc.apply(&Command::InjectFailure),
         Err(ServiceError::Rejected(Rejection::NoFailureModel))
     );
 
@@ -192,20 +198,22 @@ fn failure_and_repair_injection_paths() {
     let cfg = SimConfig::new(small_cluster()).with_failures(1e15, 3600.0);
     let num_types = cfg.cluster.num_types();
     let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
-    svc.inject_failure().unwrap();
+    svc.apply(&Command::InjectFailure).unwrap();
     let repaired: Vec<usize> = (0..num_types)
-        .filter(|&j| svc.inject_repair(j).is_ok())
+        .filter(|&j| svc.apply(&Command::InjectRepair { accel: j }).is_ok())
         .collect();
     assert_eq!(repaired.len(), 1, "exactly one type has a downed worker");
     // Everything is healthy again; repairs have nothing to do.
     for j in 0..num_types {
         assert_eq!(
-            svc.inject_repair(j),
+            svc.apply(&Command::InjectRepair { accel: j }),
             Err(ServiceError::Rejected(Rejection::NothingToRepair))
         );
     }
     assert_eq!(
-        svc.inject_repair(num_types + 5),
+        svc.apply(&Command::InjectRepair {
+            accel: num_types + 5
+        }),
         Err(ServiceError::Rejected(Rejection::NothingToRepair))
     );
 }
@@ -227,7 +235,6 @@ fn interactive_session<'p>(
         log.record(&cmd, &outcome);
         outcome
     };
-    let submit = |job| Command::Submit { job };
     let advance = |seconds| Command::AdvanceTo { seconds };
     apply(submit(mk_job(0, 0.0, 5e6, Some(0)))).unwrap();
     apply(submit(mk_job(1, 0.0, 5e6, Some(0)))).unwrap();
@@ -541,12 +548,15 @@ fn a_falling_share_does_not_starve_the_job() {
     let session = |until: f64| {
         let cfg = SimConfig::new(cluster());
         let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
-        svc.submit(mk_job(0, 0.0, tput * 30.0 * hour, None))
+        svc.apply(&submit(mk_job(0, 0.0, tput * 30.0 * hour, None)))
             .unwrap();
-        svc.advance_to(10.0 * hour);
-        svc.submit(mk_job(1, 10.0 * hour, tput * 30.0 * hour, None))
+        svc.apply(&Command::AdvanceTo {
+            seconds: 10.0 * hour,
+        })
+        .unwrap();
+        svc.apply(&submit(mk_job(1, 10.0 * hour, tput * 30.0 * hour, None)))
             .unwrap();
-        svc.advance_to(until);
+        svc.apply(&Command::AdvanceTo { seconds: until }).unwrap();
         svc.into_result()
     };
 

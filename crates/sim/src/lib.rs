@@ -17,11 +17,14 @@
 //! - [`client::compile_trace`] maps a trace to the equivalent command
 //!   stream — jobs in arrival order as `[AdvanceTo(arrival),
 //!   Submit(job)]` pairs plus a final drain advance;
-//! - [`Simulator::run`] feeds the stream to a fresh service and returns
-//!   its [`SimResult`], recording nothing; [`Simulator::run_logged`] also
-//!   records every consumed command, accepted or failed, in a
-//!   [`gavel_service::SubmissionLog`], whose [`gavel_service::replay`]
-//!   reproduces the run bit-exactly.
+//! - [`run`] feeds the stream to a fresh service through
+//!   [`gavel_service::SchedulerService::apply`] and returns its
+//!   [`SimResult`], recording nothing. A caller that wants a record
+//!   applies the stream itself: beside a [`gavel_service::SubmissionLog`]
+//!   (accepted and failed commands alike), whose [`gavel_service::replay`]
+//!   reproduces the run bit-exactly, or through a
+//!   [`gavel_service::DurableService`], whose write-ahead log and
+//!   checkpoints [`gavel_service::recover`] rebuilds it from.
 //!
 //! Trace-only semantics (idle fast-forward between arrivals, round
 //! quantization of the wake-up, the simulation cap) are part of the
@@ -60,19 +63,8 @@
 
 pub mod client;
 
-pub use client::{compile_trace, Simulator};
+pub use client::{compile_trace, run};
 pub use gavel_service::{
     EstimatorBridge, FailureConfig, JobOutcome, RecomputeCadence, ServiceStats, SimConfig,
     SimResult, SnapshotCache, SnapshotStats, CROSSCHECK_ENV,
 };
-
-/// Runs `policy` over `trace` under `config` and returns the metrics.
-///
-/// Convenience wrapper over [`Simulator`].
-pub fn run(
-    policy: &dyn gavel_core::Policy,
-    trace: &[gavel_workloads::TraceJob],
-    config: &SimConfig,
-) -> SimResult {
-    Simulator::new(config.clone()).run(policy, trace)
-}

@@ -50,8 +50,8 @@
 
 use gavel_core::Policy;
 use gavel_policies::{Hierarchical, MaxMinFairness, MinMakespan};
-use gavel_service::{replay, ServiceConfig, SubmissionLog};
-use gavel_sim::{RecomputeCadence, SimConfig, SimResult, Simulator};
+use gavel_service::{replay, SchedulerService, ServiceConfig, SubmissionLog};
+use gavel_sim::{compile_trace, RecomputeCadence, SimConfig, SimResult};
 use gavel_workloads::{cluster_twelve, generate, Oracle, TraceConfig, TraceJob};
 
 fn small_cluster() -> gavel_core::ClusterSpec {
@@ -99,12 +99,19 @@ fn fingerprint(r: &SimResult) -> Fingerprint {
     }
 }
 
-/// Runs through the service path *with* logging, then replays the log
-/// (after a serialize/parse round trip) and asserts the replay is
-/// bit-identical to the live run — every pinned config double-checks the
-/// submission-log protocol.
+/// Runs the trace's command stream through the service, recording each
+/// command beside it in a log, then replays the log (after a
+/// serialize/parse round trip) and asserts the replay is bit-identical to
+/// the live run — every pinned config double-checks the submission-log
+/// protocol.
 fn run_replayed(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
-    let (live, log) = Simulator::new(cfg.clone()).run_logged(policy, trace);
+    let mut svc = SchedulerService::new(cfg.clone(), ServiceConfig::default(), policy);
+    let mut log = SubmissionLog::default();
+    for cmd in compile_trace(trace, cfg) {
+        let outcome = svc.apply(&cmd);
+        log.record(&cmd, &outcome);
+    }
+    let live = svc.into_result();
     let parsed = SubmissionLog::parse(&log.serialize()).expect("log text round-trips");
     let replayed =
         replay(policy, cfg, &ServiceConfig::default(), &parsed).expect("logged commands replay");

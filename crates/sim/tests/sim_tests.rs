@@ -4,7 +4,11 @@ use gavel_core::Policy;
 use gavel_policies::{
     AgnosticLas, FifoAgnostic, FifoHet, GandivaPolicy, MaxMinFairness, MinMakespan,
 };
-use gavel_sim::{RecomputeCadence, SimConfig, SimResult, Simulator};
+use gavel_service::{
+    DurableService, MemoryCheckpointStore, MemorySink, SchedulerService, ServiceConfig,
+    SubmissionLog,
+};
+use gavel_sim::{compile_trace, RecomputeCadence, SimConfig, SimResult};
 use gavel_workloads::{
     cluster_twelve, generate, GpuKind, JobConfig, ModelFamily, Oracle, TraceConfig, TraceJob,
 };
@@ -15,6 +19,50 @@ fn run(policy: &dyn Policy, trace: &[TraceJob], cfg: &SimConfig) -> SimResult {
     let result = gavel_sim::run(policy, trace, cfg);
     assert_eq!(result.service_stats.commands_rejected, 0);
     result
+}
+
+/// The trace's command stream applied to a fresh service, each command
+/// recorded with its verdict in a log beside it.
+fn run_with_log(
+    policy: &dyn Policy,
+    trace: &[TraceJob],
+    cfg: &SimConfig,
+) -> (SimResult, SubmissionLog) {
+    let mut svc = SchedulerService::new(cfg.clone(), ServiceConfig::default(), policy);
+    let mut log = SubmissionLog::default();
+    for cmd in compile_trace(trace, cfg) {
+        let outcome = svc.apply(&cmd);
+        log.record(&cmd, &outcome);
+    }
+    (svc.into_result(), log)
+}
+
+/// The trace's command stream through a durable service on in-memory
+/// media, checkpointing every `checkpoint_every` commands (0: never):
+/// the result, the write-ahead log's bytes and the last checkpoint's.
+fn run_durably(
+    policy: &dyn Policy,
+    trace: &[TraceJob],
+    cfg: &SimConfig,
+    checkpoint_every: usize,
+) -> (SimResult, Vec<u8>, Option<Vec<u8>>) {
+    let mut durable = DurableService::new(
+        policy,
+        cfg.clone(),
+        ServiceConfig::default(),
+        MemorySink::new(),
+        MemoryCheckpointStore::new(),
+        checkpoint_every,
+    )
+    .expect("in-memory media open");
+    for cmd in compile_trace(trace, cfg) {
+        let _ = durable
+            .apply(&cmd)
+            .expect("in-memory media accept every write");
+    }
+    let wal_bytes = durable.wal().sink().bytes().to_vec();
+    let checkpoint_bytes = durable.store().bytes().map(<[u8]>::to_vec);
+    (durable.into_result(), wal_bytes, checkpoint_bytes)
 }
 
 fn small_cluster() -> gavel_core::ClusterSpec {
@@ -239,8 +287,7 @@ fn recompute_cadence_changes_solve_count() {
 fn utilization_and_cost_accounting_consistent() {
     let trace = single_job_trace(3600.0);
     let cfg = SimConfig::new(small_cluster());
-    let sim = Simulator::new(cfg.clone());
-    let result = sim.run(&MaxMinFairness::new(), &trace);
+    let result = run(&MaxMinFairness::new(), &trace, &cfg);
     // One V100 busy for ~an hour: cost ~ $2.48.
     assert!(
         (result.total_cost - 2.48).abs() < 0.35,
@@ -406,12 +453,10 @@ fn durable_run_artifacts_recover_bit_exactly() {
     let trace = generate(&TraceConfig::continuous_single(6.0, 12, 5), &oracle);
     let cfg = SimConfig::new(small_cluster());
     let policy = MaxMinFairness::new();
-    let sim = Simulator::new(cfg.clone());
 
     // The durable run matches the plain run bit-exactly...
-    let plain = sim.run(&policy, &trace);
-    let (durable, wal_bytes, ckpt_bytes) = sim.run_durable(&policy, &trace, 7).unwrap();
-    assert_eq!(plain.service_stats.commands_rejected, 0);
+    let plain = run(&policy, &trace, &cfg);
+    let (durable, wal_bytes, ckpt_bytes) = run_durably(&policy, &trace, &cfg, 7);
     assert_eq!(durable.service_stats, plain.service_stats);
     assert_eq!(durable.makespan.to_bits(), plain.makespan.to_bits());
     assert_eq!(durable.total_cost.to_bits(), plain.total_cost.to_bits());
@@ -422,7 +467,7 @@ fn durable_run_artifacts_recover_bit_exactly() {
     let (svc, report) = gavel_service::recover(
         &policy,
         &cfg,
-        &gavel_service::ServiceConfig::default(),
+        &ServiceConfig::default(),
         ckpt_bytes.as_deref(),
         &wal_bytes,
     )
@@ -436,8 +481,9 @@ fn durable_run_artifacts_recover_bit_exactly() {
 }
 
 /// A trace holding commands the service refuses — a duplicated job id, a
-/// NaN arrival — runs to completion through the logged and the durable
-/// client alike, and the refusals are counted in `service_stats`.
+/// NaN arrival — runs to completion beside a log and through a durable
+/// service alike, the refusals are counted in `service_stats`, and the
+/// log's replay counts them again.
 #[test]
 fn a_trace_the_service_partly_rejects_runs_to_completion() {
     let mut trace = single_job_trace(1800.0);
@@ -448,11 +494,13 @@ fn a_trace_the_service_partly_rejects_runs_to_completion() {
     nan.arrival_time = f64::NAN;
     trace.extend([duplicate, nan]);
 
-    let sim = Simulator::new(SimConfig::new(small_cluster()));
+    let cfg = SimConfig::new(small_cluster());
     let policy = MaxMinFairness::new();
-    let (logged, _) = sim.run_logged(&policy, &trace);
-    let (durable, _, _) = sim.run_durable(&policy, &trace, 0).unwrap();
-    for result in [logged, durable] {
+    let (logged, log) = run_with_log(&policy, &trace, &cfg);
+    let replayed = gavel_service::replay(&policy, &cfg, &ServiceConfig::default(), &log)
+        .expect("logged commands replay");
+    let (durable, _, _) = run_durably(&policy, &trace, &cfg, 0);
+    for result in [logged, replayed, durable] {
         // The duplicate's submit, then the NaN job's advance and submit.
         let stats = &result.service_stats;
         assert_eq!((stats.commands_rejected, stats.invalid_commands), (3, 2));

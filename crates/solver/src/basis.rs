@@ -500,7 +500,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        CscMatrix::from_columns(nrows, &sparse)
+        crate::sparse::tests::csc(nrows, &sparse)
     }
 
     #[test]
@@ -663,7 +663,7 @@ mod tests {
         if rng.below(8) == 0 {
             basis[rng.below(m)] = 2 * m + rng.below(m);
         }
-        (CscMatrix::from_columns(m, &cols), basis)
+        (crate::sparse::tests::csc(m, &cols), basis)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

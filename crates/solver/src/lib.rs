@@ -11,16 +11,17 @@
 //!
 //! - [`LpProblem`] — a builder for linear programs with bounded variables.
 //! - [`revised`] — a sparse revised simplex (CSC matrix, LU-factorized
-//!   basis with eta-file updates, BTRAN/FTRAN pricing), used by
-//!   [`LpProblem::solve`] and the warm-start entry point
-//!   [`LpProblem::solve_warm`].
+//!   basis with eta-file updates, BTRAN/FTRAN pricing), behind the two
+//!   solve entry points: [`LpProblem::solve`] (cold) and
+//!   [`PreparedLp::solve`] (warm-startable).
 //! - [`simplex`] — the original dense two-phase tableau with Bland's-rule
 //!   anti-cycling, retained as an independent oracle and reachable only
 //!   as one ([`LpProblem::solve_dense`]).
 //! - [`fractional`] — the Charnes–Cooper transform for maximizing a ratio of
 //!   affine functions over a polyhedron.
-//! - [`prepared`] — [`PreparedLp`], a problem lowered once and re-solved
-//!   by patching costs, right-hand sides, bounds or one column.
+//! - [`prepared`] — [`PreparedLp`], a problem lowered once, solved from
+//!   an optional warm-start hint, and re-solved by patching costs,
+//!   right-hand sides, bounds or one column.
 //! - [`bisect`] — a bisection driver for sequence-of-LP policies
 //!   (finish-time fairness).
 //!
@@ -59,9 +60,9 @@
 //!
 //! # Warm starts and dual reoptimization
 //!
-//! [`LpProblem::solve_warm`] returns the optimal basis state (basic
-//! columns plus nonbasic bound sides) as a [`WarmStart`] token alongside
-//! the solution. Feeding that token into the next solve of a
+//! [`PreparedLp::solve`] returns the optimal basis state (basic columns
+//! plus nonbasic bound sides) as a [`WarmStart`] token alongside the
+//! solution. Feeding that token into the next solve of a
 //! *structurally identical* problem (same variable list and constraint
 //! shapes; coefficients, bounds, and right-hand sides may drift) first
 //! *completes* it: a hinted column that has become dependent on the others
@@ -124,19 +125,19 @@
 //!
 //! # Prepared LPs: lower once, re-solve by patching
 //!
-//! A warm start saves pivots, but [`LpProblem::solve_warm`] still
-//! validates, lowers, builds the sparse matrix and factorizes the hinted
-//! basis on every call. Callers that re-solve one LP *family* keep a
-//! [`PreparedLp`] instead: it owns the problem and its lowered instance,
-//! takes patches to objective coefficients, right-hand sides, variable
-//! bounds and the coefficients of one column, writes each into the
-//! instance exactly as a fresh lowering would, and keeps the final
-//! factorization of one solve for the next. Both entry points run the
-//! same solve body over a lowered instance — one built for the call, one
-//! kept and patched — so a prepared solve returns bit for bit what
-//! `solve_warm` on the patched problem would; patches that cannot be
-//! written in place (a right-hand side changing sign, a bound changing
-//! which ends are finite) make it re-lower first.
+//! A [`PreparedLp`] owns the problem and its lowered instance, takes
+//! patches to objective coefficients, right-hand sides, variable bounds
+//! and the coefficients of one column, writes each into the instance
+//! exactly as a fresh lowering would, and keeps the final factorization
+//! of one solve for the next. [`LpProblem::solve`] and
+//! [`PreparedLp::solve`] run the same solve body over a lowered instance
+//! — one built for the call, one kept and patched — so a patched prepared
+//! LP returns bit for bit what a fresh [`PreparedLp`] of the patched
+//! problem would, and a fresh one solved without a hint what
+//! [`LpProblem::solve`] would; patches that cannot be written in place (a
+//! right-hand side changing sign, a bound changing which ends are finite)
+//! make it re-lower first. A one-off warm solve is a fresh [`PreparedLp`]
+//! solved once.
 //!
 //! Consumers: `gavel-policies`' hierarchical water filling keeps two —
 //! the round LP (floors and the level variable's column move each round;

@@ -3,9 +3,11 @@
 //! Gavel's expensive policies solve one LP *family* many times: the
 //! water-filling round LP with rising floors and a shrinking active set,
 //! and the bottleneck probe LP solved under one cost vector per job.
-//! [`LpProblem::solve_warm`] pays validation, lowering, the sparse matrix
-//! build and a first factorization on every call, although none of those
-//! depend on what moved. [`PreparedLp`] pays them once.
+//! Validation, lowering, the sparse matrix build and a first
+//! factorization depend on none of what moves between those solves;
+//! [`PreparedLp`] pays them once. It is also the one warm-startable entry
+//! point: a single warm solve is a fresh prepared LP solved once with a
+//! hint, and [`LpProblem::solve`] is the same solve body, cold.
 //!
 //! A prepared LP owns its [`LpProblem`] and the standard-form instance
 //! lowered from it, and keeps the two in step: every patch
@@ -14,8 +16,9 @@
 //! problem and writes exactly the bits a fresh lowering of the edited
 //! problem would produce into the instance. The contract is therefore
 //! simple: **[`PreparedLp::solve`] returns what
-//! `self.problem().solve_warm(hint)` would, bit for bit** — same values,
-//! same objective, same counters, same [`WarmStart`].
+//! `PreparedLp::new(self.problem().clone())?.solve(hint)` would, bit for
+//! bit** — same values, same objective, same counters, same
+//! [`WarmStart`].
 //!
 //! Patches that cannot be written in place — a right-hand side whose sign
 //! flips (which changes the row's slack/artificial structure), a bound
@@ -247,7 +250,7 @@ impl PreparedLp {
 
     /// Solves the current problem, warm-started from `hint` when given —
     /// the same classification of hints, verdicts, counters and returned
-    /// basis as [`LpProblem::solve_warm`] on [`PreparedLp::problem`], by
+    /// basis as a fresh prepared LP of [`PreparedLp::problem`], by
     /// construction: both run one solve body over the lowered instance.
     /// Errors — a [`SolverError::Numerical`] collapse among them — carry
     /// the pivot counters spent reaching the verdict.
@@ -278,7 +281,8 @@ mod tests {
     }
 
     fn assert_same(prep: &mut PreparedLp, hint: Option<&WarmStart>) -> WarmStart {
-        let (fresh, fresh_basis) = prep.problem().solve_warm(hint).unwrap();
+        let mut fresh = PreparedLp::new(prep.problem().clone()).unwrap();
+        let (fresh, fresh_basis) = fresh.solve(hint).unwrap();
         let (sol, basis) = prep.solve(hint).unwrap();
         assert_eq!(sol.values, fresh.values);
         assert_eq!(sol.objective.to_bits(), fresh.objective.to_bits());

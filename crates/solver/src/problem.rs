@@ -23,7 +23,7 @@ use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};
 use crate::simplex::{self, LpSolution, SolveStats, StandardForm};
 
-/// An optimal simplex basis state returned by [`LpProblem::solve_warm`],
+/// An optimal simplex basis state returned by [`crate::PreparedLp::solve`],
 /// reusable as a hint for the next solve of a structurally similar
 /// problem. Carries the basic column per standard-form row plus the bound
 /// side (lower or upper) each nonbasic column rests at, so bounded-variable
@@ -287,35 +287,21 @@ impl LpProblem {
     /// Runs the sparse revised simplex ([`crate::revised`]), the only
     /// engine behind this entry point. Returns the optimal solution, or a
     /// [`SolverError`] describing infeasibility, unboundedness, or
-    /// numerical failure (reported, never retried on another engine).
+    /// numerical failure (reported, never retried on another engine). A
+    /// warm-started solve, or a re-solve after patches, goes through a
+    /// [`crate::PreparedLp`] instead.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        let (sol, _) = self.solve_warm(None)?;
-        Ok(sol)
-    }
-
-    /// Solves with an optional warm-start hint, returning the optimal
-    /// basis alongside the solution for the next solve.
-    ///
-    /// Pass the [`WarmStart`] from a previous solve of a structurally
-    /// identical problem (same variables in the same order, same
-    /// constraint shapes — coefficients and right-hand sides may differ)
-    /// to skip phase 1 and resume phase 2 from the old vertex. Unusable
-    /// hints are ignored; see [`WarmStart`]. Errors as [`LpProblem::solve`]
-    /// does.
-    pub fn solve_warm(
-        &self,
-        hint: Option<&WarmStart>,
-    ) -> Result<(LpSolution, WarmStart), SolverError> {
         let lowering = self.lower()?;
         let inst = Instance::build(&lowering.std);
-        self.solve_lowered(&inst, &lowering.mapping, hint, &mut None)
-            .map_err(|(e, _)| e)
+        let solved = self.solve_lowered(&inst, &lowering.mapping, None, &mut None);
+        solved.map(|(sol, _)| sol).map_err(|(e, _)| e)
     }
 
-    /// The one solve body, shared with [`crate::PreparedLp::solve`]: runs
-    /// the revised simplex over `inst` (this problem lowered through
-    /// `mapping`) and turns its outcome into the user-facing solution and
-    /// basis token. Errors carry the pivot counters spent on the verdict.
+    /// The one solve body, shared by [`LpProblem::solve`] and
+    /// [`crate::PreparedLp::solve`]: runs the revised simplex over `inst`
+    /// (this problem lowered through `mapping`) and turns its outcome into
+    /// the user-facing solution and basis token. Errors carry the pivot
+    /// counters spent on the verdict.
     pub(crate) fn solve_lowered(
         &self,
         inst: &Instance,
@@ -379,8 +365,8 @@ impl LpProblem {
     /// bounded-variable path) and assert the engines agree on the
     /// objective. Runs on *every* revised-engine solve —
     /// cold, warm-continued, and dual-reoptimized alike, since
-    /// [`LpProblem::solve`] and [`LpProblem::solve_warm`] share this exit
-    /// path — and additionally asserts the returned point respects every
+    /// [`LpProblem::solve`] and [`crate::PreparedLp::solve`] share this
+    /// exit path — and additionally asserts the returned point respects every
     /// variable bound and constraint of the original problem.
     #[cfg(debug_assertions)]
     fn cross_check(&self, sol: &LpSolution) {

@@ -79,7 +79,7 @@ pub struct SolveStats {
     pub warm_falls_back: usize,
     /// Always 0: no solve is retried on the dense tableau. Kept only
     /// because `bench/src/drills.rs` reads it; the bench refresh (ROADMAP
-    /// 1g) removes both.
+    /// direction 1) removes both.
     pub dense_fallbacks: usize,
     /// The hierarchical policy's per-job probe LPs, one serial chain per
     /// round (a pass probing a single job is not counted).
@@ -279,7 +279,7 @@ impl Tableau {
                 }
             }
         }
-        self.pivot_loop(true, 1)?;
+        self.pivot_loop(1)?;
         let phase1_obj = -self.data[obj * width + width - 1];
         if phase1_obj > FEAS_TOL {
             return Err(SolverError::Infeasible);
@@ -328,16 +328,13 @@ impl Tableau {
                 }
             }
         }
-        self.pivot_loop(false, 2)
+        self.pivot_loop(2)
     }
 
-    /// Runs pivots until optimality. `ban_artificials` bans artificial
-    /// columns from entering (phase 2); during phase 1 they are already
-    /// priced correctly so entry is harmless but pointless, so we always ban
-    /// re-entry of artificial columns for simplicity (an artificial that left
-    /// the basis can never help).
-    fn pivot_loop(&mut self, phase1: bool, phase: u8) -> Result<(), SolverError> {
-        let _ = phase1;
+    /// Runs pivots until optimality, counting each as a pivot of `phase`
+    /// (1 or 2). Artificial columns never (re-)enter, in either phase: an
+    /// artificial that left the basis can never help.
+    fn pivot_loop(&mut self, phase: u8) -> Result<(), SolverError> {
         loop {
             let total = self.stats.total_pivots();
             if total > self.iter_limit {

@@ -25,57 +25,9 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Builds a matrix from per-column `(row, value)` lists. Rows within a
-    /// column need not be sorted; duplicate rows within one column are
-    /// summed. Exact zeros, given or cancelled, are dropped.
-    pub fn from_columns(nrows: usize, columns: &[Vec<(usize, f64)>]) -> CscMatrix {
-        let mut col_ptr = Vec::with_capacity(columns.len() + 1);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        col_ptr.push(0);
-        let mut merged: Vec<(usize, f64)> = Vec::new();
-        for col in columns {
-            // Fast path: the simplex instance builder emits columns with
-            // strictly increasing row indices, so most columns need no
-            // sort-and-merge at all.
-            if col.windows(2).all(|w| w[0].0 < w[1].0) {
-                for &(r, v) in col {
-                    debug_assert!(r < nrows, "row index out of range");
-                    if v != 0.0 {
-                        row_idx.push(r);
-                        values.push(v);
-                    }
-                }
-                col_ptr.push(row_idx.len());
-                continue;
-            }
-            merged.clear();
-            merged.extend_from_slice(col);
-            merged.sort_unstable_by_key(|&(r, _)| r);
-            let mut i = 0;
-            while i < merged.len() {
-                let (r, mut v) = merged[i];
-                debug_assert!(r < nrows, "row index out of range");
-                let mut k = i + 1;
-                while k < merged.len() && merged[k].0 == r {
-                    v += merged[k].1;
-                    k += 1;
-                }
-                if v != 0.0 {
-                    row_idx.push(r);
-                    values.push(v);
-                }
-                i = k;
-            }
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix::from_parts(nrows, col_ptr, row_idx, values)
-    }
-
     /// Builds a matrix from its compressed columns: column `j`'s nonzeros
     /// are `row_idx[col_ptr[j]..col_ptr[j + 1]]` with the matching
-    /// `values`, rows strictly ascending, no exact zeros (the form
-    /// [`CscMatrix::from_columns`] normalizes to).
+    /// `values`, rows strictly ascending, no exact zeros.
     pub(crate) fn from_parts(
         nrows: usize,
         col_ptr: Vec<usize>,
@@ -101,9 +53,9 @@ impl CscMatrix {
     }
 
     /// Replaces the nonzeros of column `j` by `entries` (strictly
-    /// ascending rows; exact zeros are dropped, as in
-    /// [`CscMatrix::from_columns`]). Returns `false`, leaving the column
-    /// untouched, when they do not fit the room the column was built with.
+    /// ascending rows; exact zeros are dropped, none being stored).
+    /// Returns `false`, leaving the column untouched, when they do not fit
+    /// the room the column was built with.
     pub fn set_col(&mut self, j: usize, entries: &[(usize, f64)]) -> bool {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         let start = self.col_ptr[j];
@@ -189,33 +141,46 @@ impl CscMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A matrix from per-column `(row, value)` lists in any order:
+    /// repeated rows are summed and exact zeros dropped.
+    pub(crate) fn csc(nrows: usize, columns: &[Vec<(usize, f64)>]) -> CscMatrix {
+        let (mut col_ptr, mut row_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for col in columns {
+            let mut merged = std::collections::BTreeMap::new();
+            for &(r, v) in col {
+                *merged.entry(r).or_insert(0.0) += v;
+            }
+            for (r, v) in merged.into_iter().filter(|e| e.1 != 0.0) {
+                row_idx.push(r);
+                values.push(v);
+            }
+            col_ptr.push(row_idx.len());
+        }
+        CscMatrix::from_parts(nrows, col_ptr, row_idx, values)
+    }
 
     #[test]
     fn build_and_read() {
-        let m = CscMatrix::from_columns(
+        let m = CscMatrix::from_parts(
             3,
-            &[
-                vec![(0, 1.0), (2, 2.0)],
-                vec![(1, -1.0)],
-                vec![],
-                vec![(2, 0.5), (0, 3.0)],
-            ],
+            vec![0, 2, 3, 3, 5],
+            vec![0, 2, 1, 0, 2],
+            vec![1.0, 2.0, -1.0, 3.0, 0.5],
         );
         assert_eq!(m.nrows(), 3);
         assert_eq!(m.ncols(), 4);
         assert_eq!(m.nnz(), 5);
         assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 2.0)]);
         assert_eq!(m.col(2).count(), 0);
-        // Column 3 is sorted by row on construction.
         assert_eq!(m.col(3).collect::<Vec<_>>(), vec![(0, 3.0), (2, 0.5)]);
     }
 
     #[test]
     fn set_col_rewrites_within_room() {
-        let mut m =
-            CscMatrix::from_columns(3, &[vec![(0, 1.0), (1, 2.0), (2, 3.0)], vec![(1, 5.0)]]);
+        let mut m = csc(3, &[vec![(0, 1.0), (1, 2.0), (2, 3.0)], vec![(1, 5.0)]]);
         assert!(m.set_col(0, &[(2, -4.0)]));
         assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(2, -4.0)]);
         assert_eq!(m.col_nnz(0), 1);
@@ -231,14 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_are_summed() {
-        let m = CscMatrix::from_columns(2, &[vec![(1, 0.5), (1, 0.5), (0, 1.0)]]);
-        assert_eq!(m.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (1, 1.0)]);
-    }
-
-    #[test]
     fn col_dot_matches_dense() {
-        let m = CscMatrix::from_columns(3, &[vec![(0, 2.0), (2, -1.0)]]);
+        let m = csc(3, &[vec![(0, 2.0), (2, -1.0)]]);
         assert_eq!(m.col_dot(0, &[1.0, 10.0, 4.0]), 2.0 - 4.0);
     }
 }

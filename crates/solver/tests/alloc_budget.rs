@@ -1,9 +1,12 @@
 //! The allocation count of a solve does not grow with its pivots.
 //!
-//! A counting global allocator wraps [`System`]; this file holds one
-//! `#[test]` so nothing else allocates while it counts. The workload is
-//! the max-min fairness recompute's second LP (the refine pass of
-//! `gavel-policies`' `MaxMinFairness`): per-job budget rows, per-type
+//! A counting global allocator wraps [`System`] and counts per thread, so
+//! only what the solving thread allocates is charged to the solve: the
+//! test harness's main thread can still be allocating when the first
+//! solve is counted (4 blocks, in a few debug runs in ten under load).
+//!
+//! The workload is the max-min fairness recompute's second LP (the refine
+//! pass of `gavel-policies`' `MaxMinFairness`): per-job budget rows, per-type
 //! capacity rows and a floor row `throughput_m - c_m t >= 0` per job,
 //! re-solved through one [`PreparedLp`] from the structural basis
 //! "everyone full-time on their best cell", which the dual simplex
@@ -22,11 +25,20 @@
 
 use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, VarId};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Calls that obtained or grew a heap block (`alloc`, `alloc_zeroed`,
-/// `realloc`). A statistic, so `Relaxed`.
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Calls on this thread that obtained or grew a heap block (`alloc`,
+    /// `alloc_zeroed`, `realloc`). Const-initialized and without a
+    /// destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one block for the calling thread (none once its thread-locals
+/// are gone, during thread exit).
+fn tally() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
@@ -35,19 +47,19 @@ struct Counting;
 // memory the allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -61,11 +73,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `f` makes (its result is dropped outside the count).
+/// Allocations `f` makes on this thread (its result is dropped outside
+/// the count).
 fn count<T>(f: impl FnOnce() -> T) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let made = ALLOCATIONS.with(Cell::get) - before;
     drop(out);
     made
 }

@@ -12,7 +12,7 @@
 //!    *bit-identical* to cold solves of the same rounds, never fall back
 //!    to a cold start, and never run phase 1.
 
-use gavel_solver::{Cmp, LpProblem, Sense, VarId, WarmStart};
+use gavel_solver::{Cmp, LpProblem, PreparedLp, Sense, VarId, WarmStart};
 use proptest::prelude::*;
 
 /// Builds the bounded LP both ways: bounds on columns vs bounds as rows.
@@ -156,8 +156,8 @@ proptest! {
         let mut cache: Option<WarmStart> = None;
         for (r, rise) in rises.iter().enumerate() {
             let lp = round_lp(n, &tputs, &floors, &active);
-            let (cold, cold_state) = lp.solve_warm(None).unwrap();
-            let (warm, basis) = lp.solve_warm(cache.as_ref()).unwrap();
+            let (cold, cold_state) = PreparedLp::new(lp.clone()).unwrap().solve(None).unwrap();
+            let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
             // A deactivation rewrites the constraint *matrix* (the t
             // column), so the first round after one may legitimately fall
             // back. Once the victims are spent, rounds differ from their
@@ -222,7 +222,7 @@ fn fixed_rising_floor_sequence_is_bit_identical_and_dual_reoptimized() {
     for r in 0..8 {
         let lp = round_lp(n, &tputs, &floors, &active);
         let cold = lp.solve().unwrap();
-        let (warm, basis) = lp.solve_warm(cache.as_ref()).unwrap();
+        let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
         if r > 0 {
             assert_eq!(warm.stats.warm_falls_back, 0, "round {r}: {:?}", warm.stats);
             assert_eq!(warm.stats.pivots_phase1, 0, "round {r}: {:?}", warm.stats);

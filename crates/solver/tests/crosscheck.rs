@@ -5,7 +5,7 @@
 //! threads would nondeterministically drag them through the dense-oracle
 //! cross-check path.
 
-use gavel_solver::{Cmp, LpProblem, Sense, SolverError, VarId, WarmStart};
+use gavel_solver::{Cmp, LpProblem, PreparedLp, Sense, SolverError, VarId, WarmStart};
 
 /// One water-filling round LP (see `bounded_dual.rs` for the full story):
 /// `max t` with per-job budgets, tight per-type capacity, `floor + t`
@@ -41,8 +41,8 @@ fn round_lp(n: usize, tputs: &[f64], floors: &[f64], active: &[bool]) -> LpProbl
 }
 
 /// `GAVEL_LP_CROSSCHECK` runs the dense oracle against every revised
-/// solve, including warm-started and dual-reoptimized ones (they share the
-/// `solve_warm` exit path). This exercises that hook over a rising
+/// solve, including warm-started and dual-reoptimized ones (`LpProblem`
+/// and `PreparedLp` share one solve body and its exit path). This exercises that hook over a rising
 /// floor sequence so the dual path is differentially tested in debug runs.
 #[test]
 fn crosscheck_covers_warm_and_dual_solves() {
@@ -58,8 +58,8 @@ fn crosscheck_covers_warm_and_dual_solves() {
     let mut dual_pivots = 0;
     for r in 0..6 {
         let lp = round_lp(5, &tputs, &floors, &active);
-        // cross_check fires inside solve_warm (debug builds).
-        let (sol, basis) = lp.solve_warm(cache.as_ref()).unwrap();
+        // cross_check fires inside the solve (debug builds).
+        let (sol, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
         dual_pivots += sol.stats.dual_pivots;
         cache = Some(basis);
         let t_star = sol.objective.max(0.1);
@@ -82,8 +82,9 @@ fn crosscheck_covers_warm_and_dual_solves() {
     // identically warm and cold.
     floors.iter_mut().for_each(|f| *f += 1e6);
     let lp = round_lp(5, &tputs, &floors, &active);
+    let mut warm = PreparedLp::new(lp.clone()).unwrap();
     assert_eq!(
-        lp.solve_warm(cache.as_ref()).unwrap_err(),
+        warm.solve(cache.as_ref()).unwrap_err().0,
         SolverError::Infeasible
     );
     assert_eq!(lp.solve().unwrap_err(), SolverError::Infeasible);

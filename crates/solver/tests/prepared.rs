@@ -1,6 +1,5 @@
 //! `PreparedLp`'s contract: after any sequence of patches, `solve` returns
-//! bit for bit what a fresh `LpProblem::solve_warm` of the patched problem
-//! returns — values, objective, counters, basis, or the same error —
+//! bit for bit what a fresh `PreparedLp` of the patched problem returns — values, objective, counters, basis, or the same error —
 //! whether the patches were written in place or forced a re-lowering.
 
 use gavel_solver::{Cmp, ConstraintId, LpProblem, PreparedLp, Sense, VarId, WarmStart};
@@ -48,7 +47,8 @@ fn assert_same_as_fresh(
     hint: Option<&WarmStart>,
     step: usize,
 ) -> Option<WarmStart> {
-    let fresh = prep.problem().solve_warm(hint);
+    let fresh = PreparedLp::new(prep.problem().clone())
+        .and_then(|mut fresh| fresh.solve(hint).map_err(|(e, _)| e));
     let patched = prep.solve(hint);
     match (patched, fresh) {
         (Ok((sol, basis)), Ok((fresh_sol, fresh_basis))) => {

@@ -287,7 +287,7 @@ proptest! {
         for r in 0..rounds {
             let lp = build_round(&floors);
             let cold = lp.solve().unwrap();
-            let (warm, basis) = lp.solve_warm(cache.as_ref()).unwrap();
+            let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
             cache = Some(basis);
             let scale = 1.0 + cold.objective.abs();
             prop_assert!(

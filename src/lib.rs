@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use gavel_sched::{RoundPlan, RoundScheduler};
     pub use gavel_service::{Command, SchedulerService, ServiceConfig, SubmissionLog};
-    pub use gavel_sim::{RecomputeCadence, SimConfig, SimResult, Simulator};
+    pub use gavel_sim::{RecomputeCadence, SimConfig, SimResult};
     pub use gavel_workloads::{
         cluster_physical, cluster_simulated, cluster_small, cluster_twelve, generate, GpuKind,
         JobConfig, ModelFamily, Oracle, TraceConfig, TraceJob,
