@@ -29,7 +29,9 @@ use crate::command::{Command, Failure, Rejection};
 use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
-use crate::metrics::{EntityCounters, JobOutcome, PolicyFailures, ServiceStats, SimResult};
+use crate::metrics::{
+    EntityCounters, JobOutcome, Phase, PhaseTimes, PolicyFailures, ServiceStats, SimResult,
+};
 use crate::snapshot::SnapshotCache;
 use gavel_core::{
     refs, AccelIdx, Allocation, EntityId, JobId, Policy, PolicyInput, PolicyJob, ThroughputTensor,
@@ -202,7 +204,8 @@ pub struct SchedulerService<'p> {
     recomputations: usize,
     policy_failures: PolicyFailures,
     never_placeable: usize,
-    policy_seconds: f64,
+    /// Wall clock per phase; the durability layer adds its own phases.
+    pub(crate) phases: PhaseTimes,
     busy_worker_seconds: f64,
     total_cost: f64,
     need_recompute: bool,
@@ -271,7 +274,7 @@ impl<'p> SchedulerService<'p> {
             recomputations: 0,
             policy_failures: PolicyFailures::default(),
             never_placeable: 0,
-            policy_seconds: 0.0,
+            phases: PhaseTimes::default(),
             busy_worker_seconds: 0.0,
             total_cost: 0.0,
             need_recompute: true,
@@ -601,6 +604,7 @@ impl<'p> SchedulerService<'p> {
             pj.time_elapsed = (now - a.trace.arrival_time).max(0.0);
             pj.slo_seconds_remaining = a.trace.slo_deadline().map(|d| (d - now).max(1.0));
         }
+        let t1 = self.phases.lap(Phase::Snapshot, t0);
         let input = PolicyInput {
             jobs: self.cache.policy_jobs(),
             combos: &combos,
@@ -620,7 +624,7 @@ impl<'p> SchedulerService<'p> {
                     .ok()
             })
             .unwrap_or_else(|| Allocation::zeros(combos, cfg.cluster.num_types()));
-        self.policy_seconds += t0.elapsed().as_secs_f64();
+        self.phases.lap(Phase::Policy, t1);
         self.recomputations += 1;
         self.row_positions.clear();
         self.row_positions.resize(rows, RowPositions::default());
@@ -723,9 +727,11 @@ impl<'p> SchedulerService<'p> {
             active: &self.active,
             index: &self.index,
         };
+        let t0 = Instant::now();
         let plan =
             self.sched
                 .plan_round_cached(&current.1, self.recomputations as u64, &sf, available);
+        let t1 = self.phases.lap(Phase::Plan, t0);
         if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -735,8 +741,12 @@ impl<'p> SchedulerService<'p> {
 
         let completed = self.execute_round(&plan);
         self.sched.record(&plan, round);
-        for (id, completion) in completed {
-            self.remove_active(id, Some(completion));
+        let t2 = self.phases.lap(Phase::Execute, t1);
+        if !completed.is_empty() {
+            for (id, completion) in completed {
+                self.remove_active(id, Some(completion));
+            }
+            self.phases.lap(Phase::Completion, t2);
         }
         self.current = Some(current);
         self.now += round;
@@ -954,10 +964,12 @@ impl<'p> SchedulerService<'p> {
             utilization: (self.busy_worker_seconds / denom).min(1.0),
             rounds: self.rounds,
             recomputations: self.recomputations,
-            policy_solve_seconds: self.policy_seconds,
+            policy_solve_seconds: self.phases.seconds(Phase::Snapshot)
+                + self.phases.seconds(Phase::Policy),
             policy_failures: self.policy_failures.total(),
             policy_failure_kinds: self.policy_failures,
             never_placeable: self.never_placeable,
+            phases: self.phases,
         }
     }
 

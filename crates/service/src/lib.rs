@@ -113,7 +113,8 @@ pub use core::{AllocationView, SchedulerService, ServiceConfig};
 pub use error::{InvalidCommand, InvalidReason, ServiceError};
 pub use estimate::EstimatorBridge;
 pub use metrics::{
-    EntityCounters, FirstPolicyFailure, JobOutcome, PolicyFailures, ServiceStats, SimResult,
+    EntityCounters, FirstPolicyFailure, JobOutcome, Phase, PhaseTimes, PolicyFailures,
+    ServiceStats, SimResult,
 };
 pub use recovery::{
     recover, replay, run_until_crash, CrashOutcome, DurableService, RecoveryError, RecoveryReport,

@@ -4,6 +4,7 @@ use crate::snapshot::SnapshotStats;
 use gavel_core::{EntityId, JobId, PolicyError};
 use gavel_sched::MechanismStats;
 use gavel_workloads::JobConfig;
+use std::time::Instant;
 
 /// Per-entity command and admission counters kept by the service's job
 /// books (entity `None` groups jobs submitted without an entity).
@@ -17,6 +18,107 @@ pub struct EntityCounters {
     pub completed: usize,
     /// Jobs cancelled while active.
     pub cancelled: usize,
+}
+
+/// A stage of the service's work with its own wall clock in
+/// [`PhaseTimes`]. The first five are the scheduler core's, the last two
+/// the durability layer's ([`crate::DurableService`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The policy input: `SnapshotCache::snapshot` (pair scoring and the
+    /// estimator included) and the refresh of each policy job's remaining
+    /// steps, elapsed time and SLO.
+    Snapshot,
+    /// The policy solve and any isolated-split fallback.
+    Policy,
+    /// `RoundScheduler::plan_round_cached`: one round's assignments.
+    Plan,
+    /// Running a planned round against the oracle, and recording it.
+    Execute,
+    /// Retiring the jobs a round completed (round stepping; counted for
+    /// rounds that completed one).
+    Completion,
+    /// Logging one consumed command and framing it onto the WAL.
+    WalAppend,
+    /// Saving a checkpoint and compacting the WAL behind it.
+    Checkpoint,
+}
+
+impl Phase {
+    /// Every phase, in table order.
+    pub const ALL: [Phase; 7] = [
+        Phase::Snapshot,
+        Phase::Policy,
+        Phase::Plan,
+        Phase::Execute,
+        Phase::Completion,
+        Phase::WalAppend,
+        Phase::Checkpoint,
+    ];
+
+    /// The phase's name in a printed table.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Snapshot => "snapshot",
+            Phase::Policy => "policy",
+            Phase::Plan => "plan",
+            Phase::Execute => "execute",
+            Phase::Completion => "completion",
+            Phase::WalAppend => "wal_append",
+            Phase::Checkpoint => "checkpoint",
+        }
+    }
+}
+
+/// Calls and wall-clock nanoseconds per [`Phase`] of one run. Timings,
+/// not decisions: no fingerprint or digest reads them, and two runs of
+/// one command stream differ here only.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PhaseTimes {
+    calls: [u64; Phase::ALL.len()],
+    ns: [u64; Phase::ALL.len()],
+}
+
+impl PhaseTimes {
+    /// Times `phase` entered.
+    pub fn calls(&self, phase: Phase) -> u64 {
+        self.calls[phase as usize]
+    }
+
+    /// Wall-clock seconds spent in `phase`.
+    pub fn seconds(&self, phase: Phase) -> f64 {
+        self.ns[phase as usize] as f64 * 1e-9
+    }
+
+    /// Closes one call of `phase` that began at `start` and returns its
+    /// end, so back-to-back phases read the clock once per boundary.
+    pub(crate) fn lap(&mut self, phase: Phase, start: Instant) -> Instant {
+        let end = Instant::now();
+        self.calls[phase as usize] += 1;
+        self.ns[phase as usize] += (end - start).as_nanos() as u64;
+        end
+    }
+}
+
+impl std::fmt::Display for PhaseTimes {
+    /// One line per phase: name, calls, seconds and mean microseconds.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for phase in Phase::ALL {
+            let calls = self.calls(phase);
+            let seconds = self.seconds(phase);
+            let mean_us = if calls > 0 {
+                seconds * 1e6 / calls as f64
+            } else {
+                0.0
+            };
+            writeln!(
+                f,
+                "{:<12} {calls:>10} calls {seconds:>10.4} s {mean_us:>10.2} us/call",
+                phase.name()
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Aggregate service-command counters for one run. All zeros for runs
@@ -168,10 +270,9 @@ pub struct SimResult {
     pub rounds: usize,
     /// Number of allocation recomputations.
     pub recomputations: usize,
-    /// Wall-clock seconds spent in recomputes: the snapshot of the policy
-    /// input (pair scoring and the estimator included), the refresh of
-    /// each policy job's remaining steps, elapsed time and SLO, the policy
-    /// solve and any isolated-split fallback. Not the policy solve alone.
+    /// Wall-clock seconds spent in recomputes: [`Phase::Snapshot`] plus
+    /// [`Phase::Policy`] of [`SimResult::phases`], read off the same
+    /// clocks. Not the policy solve alone.
     pub policy_solve_seconds: f64,
     /// Policy solve failures that fell back to the isolated split.
     pub policy_failures: usize,
@@ -194,6 +295,9 @@ pub struct SimResult {
     /// Service-command counters: per-entity books, admission-cap
     /// rejections, and query staleness.
     pub service_stats: ServiceStats,
+    /// Calls and wall-clock time per [`Phase`]; outside every
+    /// fingerprint.
+    pub phases: PhaseTimes,
 }
 
 impl SimResult {
@@ -344,6 +448,7 @@ mod tests {
             snapshot_stats: SnapshotStats::default(),
             mechanism_stats: MechanismStats::default(),
             service_stats: ServiceStats::default(),
+            phases: PhaseTimes::default(),
         };
         // All 10 jobs: mean of 1..=10 hours = 5.5.
         assert!((r.avg_jct_hours() - 5.5).abs() < 1e-9);

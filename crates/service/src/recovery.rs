@@ -35,9 +35,10 @@ use crate::command::{Command, Entry, SubmissionLog};
 use crate::config::SimConfig;
 use crate::core::{SchedulerService, ServiceConfig};
 use crate::error::ServiceError;
-use crate::metrics::SimResult;
+use crate::metrics::{Phase, SimResult};
 use crate::wal::{scan_wal, FaultPlan, FaultSink, LogSink, TornTail, Wal, WalError};
 use gavel_core::Policy;
+use std::time::Instant;
 
 /// Why recovery or replay refused to produce a service.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -369,11 +370,13 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// service's accept/reject verdict.
     pub fn apply(&mut self, cmd: &Command) -> Result<Result<(), ServiceError>, WalError> {
         let outcome = self.svc.apply(cmd);
+        let t0 = Instant::now();
         // Logged before the append: a checkpoint's log never lags its state.
         let entry = Entry::new(cmd, &outcome);
         let line = entry.fmt_line();
         self.log.push(entry);
         self.wal.append(line.as_bytes())?;
+        self.svc.phases.lap(Phase::WalAppend, t0);
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
             self.checkpoint_now()?;
@@ -386,6 +389,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// the two only leaves redundant (checkpoint-covered) WAL records,
     /// which recovery skips.
     pub fn checkpoint_now(&mut self) -> Result<(), WalError> {
+        let t0 = Instant::now();
         let ckpt = Checkpoint {
             config_fingerprint: self.config_fp,
             covered_seq: self.wal.next_seq(),
@@ -396,6 +400,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         self.wal.compact()?;
         self.wal.sync()?;
         self.since_checkpoint = 0;
+        self.svc.phases.lap(Phase::Checkpoint, t0);
         Ok(())
     }
 

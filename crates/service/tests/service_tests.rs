@@ -1,13 +1,13 @@
 //! Service-level tests: admission caps and per-entity books, command
 //! rejection paths, query counters, failure/repair injection, the
-//! submission-log text round trip, replay of an interactive session, and
-//! the round a failed policy solve is planned from.
+//! submission-log text round trip, replay of an interactive session,
+//! the round a failed policy solve is planned from, and the phase table.
 
 use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{IsolatedSplit, MaxMinFairness};
 use gavel_service::EntityCounters;
 use gavel_service::{
-    recover, replay, scan_wal, Command, DurableService, MemoryCheckpointStore, MemorySink,
+    recover, replay, scan_wal, Command, DurableService, MemoryCheckpointStore, MemorySink, Phase,
     RecoveryError, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
     SubmissionLog, Wal,
 };
@@ -588,4 +588,41 @@ fn parse_rejects_malformed_logs() {
          duration=0x0 weight=0x0 slo=- entity=-\n"
     ))
     .is_err());
+}
+
+/// The phase table counts what ran: one plan and one execution per
+/// round, one snapshot and one policy solve per recompute, one WAL
+/// append per consumed command and one checkpoint per save; the
+/// recompute timer is the snapshot and policy clocks added up.
+#[test]
+fn the_phase_table_counts_every_phase_it_clocks() {
+    let policy = MaxMinFairness::new();
+    let cfg = SimConfig::new(small_cluster());
+    let (sink, store) = (MemorySink::new(), MemoryCheckpointStore::new());
+    let mut durable =
+        DurableService::new(&policy, cfg, ServiceConfig::default(), sink, store, 3).unwrap();
+    let stream = [
+        submit(mk_job(0, 0.0, 2e4, None)),
+        submit(mk_job(1, 0.0, 1e7, None)),
+        submit(mk_job(2, 0.0, 1e7, None)),
+        Command::AdvanceTo { seconds: 36_000.0 },
+        Command::Complete { job: JobId(7) }, // unknown job: still appended
+        Command::Cancel { job: JobId(1) },
+    ];
+    for cmd in &stream {
+        durable.apply(cmd).unwrap().ok();
+    }
+    let r = durable.into_result();
+    let p = &r.phases;
+    assert!(r.rounds > 0 && r.jobs.iter().any(|j| j.completion.is_some()));
+    assert_eq!(p.calls(Phase::Plan), r.rounds as u64);
+    assert_eq!(p.calls(Phase::Execute), r.rounds as u64);
+    assert!((1..=r.rounds as u64).contains(&p.calls(Phase::Completion)));
+    assert_eq!(p.calls(Phase::Snapshot), r.recomputations as u64);
+    assert_eq!(p.calls(Phase::Policy), r.recomputations as u64);
+    assert_eq!(p.calls(Phase::WalAppend), stream.len() as u64);
+    assert_eq!(p.calls(Phase::Checkpoint), 2);
+    let recompute_s = p.seconds(Phase::Snapshot) + p.seconds(Phase::Policy);
+    assert_eq!(r.policy_solve_seconds, recompute_s);
+    assert_eq!(p.to_string().lines().count(), Phase::ALL.len());
 }
