@@ -41,22 +41,33 @@
 //! *The resolution.* `plan_round_cached` turns the allocation into
 //! candidates — one per cell with a finite target above `1e-4` — that
 //! already hold the row, its members' scheduler-local indices and its
-//! worker count, in tie-break order (target descending, row, type). It is
-//! rebuilt when the generation changes and after a `forget_job`;
-//! [`ScaleFactors`] is read only then. A row naming a departed job (the
-//! allocation has not been recomputed since it left) is dropped at
-//! resolution, so a plan names live jobs only.
+//! worker count, in tie-break order (target descending, row, type: one
+//! packed `u128` key per candidate, sorted once). It is rebuilt when the
+//! generation changes and after a `forget_job`; [`ScaleFactors`] is read
+//! only then. A row naming a departed job (the allocation has not been
+//! recomputed since it left) is dropped at resolution, so a plan names
+//! live jobs only.
 //!
-//! Each round then scores the candidates from the array, sorts one `u128`
-//! key per candidate (inverted priority bits, then tie-break rank), and
-//! walks them greedily over one reused [`PlacementState`], marking busy
-//! jobs with a per-plan stamp and stopping when no worker is free or no
-//! candidate job is idle. Only resolving hashes (`JobId` → local index),
-//! only the returned [`RoundPlan`] is allocated, and [`MechanismStats`]
-//! counts the work.
+//! *The priority order.* A resolution also keys every candidate — the
+//! inverted bits of its priority, then its tie-break rank, one `u128` —
+//! and sorts the keys. The keys are a strict total order, and a key moves
+//! only when its cell's received time does: `record` marks the cells that
+//! ran, the next plan re-keys just those and merges them back into the
+//! order it kept, which is the order a full sort of fresh keys gives
+//! (debug builds check that on every plan). A round then walks the order
+//! greedily over one reused [`PlacementState`], marking busy jobs with a
+//! per-plan stamp and stopping when no worker is free or no candidate job
+//! is idle.
+//!
+//! Only resolving hashes (`JobId` → local index) and sizes the scratch.
+//! A steady round allocates one heap block, the returned [`RoundPlan`]'s
+//! vector: an assignment's worker slots are a [`Workers`] range of the
+//! placement's slot list, which the next round reuses
+//! ([`RoundScheduler::worker_slots`]). [`MechanismStats`] counts the work,
+//! keys computed included.
 
 pub mod mechanism;
 pub mod placement;
 
 pub use mechanism::{Assignment, MechanismStats, RoundPlan, RoundScheduler, ScaleFactors};
-pub use placement::{PlacementState, WorkerSlot};
+pub use placement::{PlacementState, WorkerSlot, Workers};

@@ -5,11 +5,13 @@
 //! [`RoundScheduler::record`]), zeroed when
 //! [`RoundScheduler::plan_round_cached`] sees a new generation and kept
 //! across a [`RoundScheduler::forget_job`]; the crate docs say why. A
-//! `Resolution` turns an allocation into integer-only candidates; a round
-//! scores, orders and greedily places them without hashing, and allocates
-//! only the plan it returns.
+//! `Resolution` turns an allocation into integer-only candidates and
+//! sorts them once into priority order; a round re-keys only the cells
+//! recorded since the last one, merges them back into that order, and
+//! greedily places candidates without hashing. It allocates only the
+//! plan it returns.
 
-use crate::placement::{PlacementState, WorkerSlot};
+use crate::placement::{PlacementState, WorkerSlot, Workers};
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, JobId};
 use std::collections::{HashMap, HashSet};
 
@@ -50,8 +52,9 @@ pub struct Assignment {
     pub row: usize,
     /// Accelerator type it runs on this round.
     pub accel: AccelIdx,
-    /// Concrete worker slots.
-    pub workers: Vec<WorkerSlot>,
+    /// Its worker slots: a range of the round's slot list, read with
+    /// [`RoundScheduler::worker_slots`] until the next plan.
+    pub workers: Workers,
     /// Whether all workers share one server.
     pub consolidated: bool,
 }
@@ -87,56 +90,90 @@ pub struct MechanismStats {
     /// Times an allocation was resolved into candidates: once per
     /// generation, plus once after each `forget_job` that a plan followed.
     pub resolutions: u64,
-    /// Candidates scored and ordered, summed over plans.
+    /// Candidates in priority order when a round was planned, summed over
+    /// plans.
     pub candidates_scored: u64,
     /// Candidates the greedy looked at before it could stop, summed over
     /// plans; `visited / scored` is the early-exit ratio.
     pub candidates_visited: u64,
+    /// Priority keys computed: every candidate of a resolution, then per
+    /// plan only the cells recorded since the one before, which are merged
+    /// back into the kept order. `keys / scored` is the share of the order
+    /// a round re-keys.
+    pub keys_computed: u64,
 }
 
 /// A (combo row, accelerator type) cell with a positive target, resolved
 /// for planning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     combo: Combo,
-    row: usize,
-    accel: usize,
     target: f64,
+    row: u32,
+    accel: u32,
     /// Scheduler-local indices of the members (a singleton repeats its
     /// one index).
-    jobs: [usize; 2],
+    jobs: [u32; 2],
     /// Workers the combo occupies: its largest member scale factor.
-    workers: usize,
+    workers: u32,
 }
 
-/// A resolved allocation and the scratch a round reuses.
+/// `rank_of` entry of a cell without a candidate.
+const NO_RANK: u32 = u32::MAX;
+
+/// A resolved allocation, its kept priority order and the scratch a round
+/// reuses.
+///
+/// The order holds one `u128` key per candidate: the inverted bits of its
+/// priority, then its rank (its index in `cands`). Priorities are
+/// non-negative, so keys sort in descending priority with ties in rank
+/// order, and no two keys are equal. A key changes only when its cell's
+/// received time does, which [`RoundScheduler::record`] reports through
+/// `touch`; the next plan re-keys those cells and merges them back, which
+/// gives the order a full sort of fresh keys would.
 #[derive(Debug, Clone, Default)]
 struct Resolution {
     /// Whether `cands` reflects the current generation and every
     /// departure; a new generation and a `forget_job` clear it.
     fresh: bool,
-    /// Candidates in tie-break order: target descending, row, type.
+    /// Candidates in tie-break order: target descending, row, type. A
+    /// candidate's index is its rank.
     cands: Vec<Candidate>,
+    /// Resolution scratch: the candidates in row order.
+    unsorted: Vec<Candidate>,
     /// `JobId` → scheduler-local index; used while resolving only.
     local: HashMap<JobId, usize>,
-    /// One sort key per candidate: inverted priority bits, then rank.
-    keys: Vec<u128>,
+    /// Rank of each cell's candidate, `rows × types`, or [`NO_RANK`].
+    rank_of: Vec<u32>,
+    /// The priority order, ascending keys.
+    order: Vec<u128>,
+    /// Sort and merge scratch, swapped with `order`.
+    scratch: Vec<u128>,
+    /// Ranks whose cell was recorded since the last plan, each once, and
+    /// the flag per rank that keeps them unique.
+    stale: Vec<u32>,
+    is_stale: Vec<bool>,
     /// Per local job, the epoch of the plan it last ran in.
     busy: Vec<u64>,
     epoch: u64,
     placement: PlacementState,
-    /// Assignments in the previous plan, to size the next one.
-    planned: usize,
     stats: MechanismStats,
 }
 
 impl Resolution {
     /// Extracts the cells with a finite target above `1e-4` (a NaN,
     /// infinite or negative cell is never planned), each with its combo's
-    /// member indices and worker count. A row with a departed member
-    /// yields nothing.
-    fn resolve(&mut self, alloc: &Allocation, types: usize, scale_factor: &impl ScaleFactors) {
-        self.cands.clear();
+    /// member indices and worker count, and orders them by priority under
+    /// `received`. A row with a departed member yields nothing.
+    fn resolve(
+        &mut self,
+        alloc: &Allocation,
+        types: usize,
+        scale_factor: &impl ScaleFactors,
+        received: &[f64],
+    ) {
+        self.unsorted.clear();
+        self.scratch.clear();
         self.local.clear();
         for (row, &combo) in alloc.combos().combos().iter().enumerate() {
             let mut wanted = (alloc.row(row).iter().take(types).enumerate())
@@ -154,90 +191,187 @@ impl Resolution {
             let mut jobs = [0; 2];
             for (member, job) in combo.jobs().enumerate() {
                 let next = self.local.len();
-                jobs[member] = *self.local.entry(job).or_insert(next);
+                jobs[member] = *self.local.entry(job).or_insert(next) as u32;
             }
             if !combo.is_pair() {
                 jobs[1] = jobs[0];
             }
-            self.cands.extend(wanted.map(|(accel, &target)| Candidate {
-                combo,
-                row,
-                accel,
-                target,
-                jobs,
-                workers: workers as usize,
-            }));
+            for (accel, &target) in wanted {
+                // Positive targets order like their bits, and candidates
+                // are pushed in (row, type) order: one packed key sorts by
+                // target descending, then row, then type.
+                let index = self.unsorted.len() as u128;
+                self.scratch
+                    .push((u128::from(!target.to_bits()) << 64) | index);
+                self.unsorted.push(Candidate {
+                    combo,
+                    target,
+                    row: row as u32,
+                    accel: accel as u32,
+                    jobs,
+                    workers,
+                });
+            }
         }
-        self.cands.sort_unstable_by(|a, b| {
-            b.target
-                .total_cmp(&a.target)
-                .then(a.row.cmp(&b.row))
-                .then(a.accel.cmp(&b.accel))
-        });
+        self.scratch.sort_unstable();
+        self.cands.clear();
+        let unsorted = &self.unsorted;
+        (self.cands).extend(
+            self.scratch
+                .iter()
+                .map(|&key| unsorted[key as u64 as usize]),
+        );
+
+        self.rank_of.clear();
+        self.rank_of.resize(alloc.combos().len() * types, NO_RANK);
+        for (rank, c) in self.cands.iter().enumerate() {
+            self.rank_of[c.row as usize * types + c.accel as usize] = rank as u32;
+        }
+        self.order.clear();
+        for rank in 0..self.cands.len() {
+            let key = self.key(rank, received, types);
+            self.order.push(key);
+        }
+        self.order.sort_unstable();
+        self.stale.clear();
+        self.is_stale.clear();
+        self.is_stale.resize(self.cands.len(), false);
         self.busy.clear();
         self.busy.resize(self.local.len(), 0);
         self.fresh = true;
         self.stats.resolutions += 1;
+        self.stats.keys_computed += self.cands.len() as u64;
     }
 
-    /// One round over the resolved candidates. Priorities follow Figure 4:
+    /// The priority key of candidate `rank`. Priorities follow Figure 4:
     /// the target allocation divided by the raw time received on that
     /// type under this allocation (element-wise `X / f`), infinite for a
-    /// cell that has received nothing yet; highest priority first, ties in
-    /// candidate order. Then Algorithm 1: greedy admission with conflict
-    /// removal.
+    /// cell that has received nothing yet.
+    fn key(&self, rank: usize, received: &[f64], types: usize) -> u128 {
+        let c = &self.cands[rank];
+        let received = received[c.row as usize * types + c.accel as usize];
+        let priority = if received > 0.0 {
+            c.target / received
+        } else {
+            f64::INFINITY
+        };
+        // Non-negative floats order like their bit patterns.
+        (u128::from(!priority.to_bits()) << 64) | rank as u128
+    }
+
+    /// Notes that `cell` received time: its candidate, if it has one, is
+    /// re-keyed by the next plan. Nothing to note before a resolution,
+    /// which keys every candidate.
+    fn touch(&mut self, cell: usize) {
+        if !self.fresh {
+            return;
+        }
+        if let Some(&rank) = self.rank_of.get(cell).filter(|&&rank| rank != NO_RANK) {
+            if !std::mem::replace(&mut self.is_stale[rank as usize], true) {
+                self.stale.push(rank);
+            }
+        }
+    }
+
+    /// Brings the order up to date: re-keys the stale candidates, sorts
+    /// those few keys and merges them with the untouched ones.
+    fn rekey(&mut self, received: &[f64], types: usize) {
+        if self.stale.is_empty() {
+            return;
+        }
+        // `keys` holds the new keys, sorted, then the untouched ones in
+        // order; the low half of a key is its rank.
+        let mut keys = std::mem::take(&mut self.scratch);
+        keys.clear();
+        keys.extend((self.stale.iter()).map(|&rank| self.key(rank as usize, received, types)));
+        keys.sort_unstable();
+        let rekeyed = keys.len();
+        let is_stale = &self.is_stale;
+        keys.extend((self.order.iter()).filter(|&&key| !is_stale[key as u64 as usize]));
+        let (new, kept) = keys.split_at(rekeyed);
+        self.order.clear();
+        let (mut i, mut j) = (0, 0);
+        while i < new.len() && j < kept.len() {
+            if new[i] < kept[j] {
+                self.order.push(new[i]);
+                i += 1;
+            } else {
+                self.order.push(kept[j]);
+                j += 1;
+            }
+        }
+        self.order.extend_from_slice(&new[i..]);
+        self.order.extend_from_slice(&kept[j..]);
+        self.scratch = keys;
+        self.stats.keys_computed += self.stale.len() as u64;
+        for rank in self.stale.drain(..) {
+            self.is_stale[rank as usize] = false;
+        }
+    }
+
+    /// Whether the kept order is what a full sort of fresh keys gives:
+    /// one key per candidate, strictly ascending, each equal to its
+    /// candidate's key now.
+    fn order_is_sorted_fresh(&self, received: &[f64], types: usize) -> bool {
+        self.order.len() == self.cands.len()
+            && self.order.windows(2).all(|pair| pair[0] < pair[1])
+            && self.order.iter().all(|&key| {
+                let rank = key as u64 as usize;
+                rank < self.cands.len() && key == self.key(rank, received, types)
+            })
+    }
+
+    /// One round over the resolved candidates: highest priority first,
+    /// ties in candidate order, then Algorithm 1's greedy admission with
+    /// conflict removal.
     fn plan(&mut self, received: &[f64], types: usize, available: Option<&[usize]>) -> RoundPlan {
-        self.keys.clear();
-        self.keys
-            .extend(self.cands.iter().enumerate().map(|(rank, c)| {
-                let received = received[c.row * types + c.accel];
-                let priority = if received > 0.0 {
-                    c.target / received
-                } else {
-                    f64::INFINITY
-                };
-                // Non-negative floats order like their bit patterns.
-                (u128::from(!priority.to_bits()) << 64) | rank as u128
-            }));
-        self.keys.sort_unstable();
+        self.rekey(received, types);
+        debug_assert!(
+            self.order_is_sorted_fresh(received, types),
+            "the kept priority order differs from a fresh sort"
+        );
 
         self.placement.reset(available);
         self.epoch += 1;
         let mut idle_jobs = self.busy.len();
+        // A job runs in one assignment and an assignment takes a worker.
+        let most = idle_jobs.min(self.placement.free_total());
         let mut plan = RoundPlan {
-            assignments: Vec::with_capacity(self.planned),
+            assignments: Vec::with_capacity(most),
         };
         let mut visited = 0;
-        for &key in &self.keys {
+        for &key in &self.order {
             if idle_jobs == 0 || self.placement.free_total() == 0 {
                 break;
             }
             visited += 1;
-            // The low half of a key is the candidate's rank.
             let c = &self.cands[key as u64 as usize];
-            if c.jobs.iter().any(|&job| self.busy[job] == self.epoch) {
+            if c.jobs
+                .iter()
+                .any(|&job| self.busy[job as usize] == self.epoch)
+            {
                 continue;
             }
-            let Some((workers, consolidated)) =
-                self.placement.allocate(AccelIdx(c.accel), c.workers)
+            let accel = AccelIdx(c.accel as usize);
+            let Some((workers, consolidated)) = self.placement.allocate(accel, c.workers as usize)
             else {
                 continue;
             };
             for &job in &c.jobs {
-                idle_jobs -= usize::from(self.busy[job] != self.epoch);
-                self.busy[job] = self.epoch;
+                let busy = &mut self.busy[job as usize];
+                idle_jobs -= usize::from(*busy != self.epoch);
+                *busy = self.epoch;
             }
             plan.assignments.push(Assignment {
                 combo: c.combo,
-                row: c.row,
-                accel: AccelIdx(c.accel),
+                row: c.row as usize,
+                accel,
                 workers,
                 consolidated,
             });
         }
-        self.planned = plan.assignments.len();
         self.stats.plans += 1;
-        self.stats.candidates_scored += self.keys.len() as u64;
+        self.stats.candidates_scored += self.order.len() as u64;
         self.stats.candidates_visited += visited;
         plan
     }
@@ -285,6 +419,14 @@ impl RoundScheduler {
         self.resolved.stats
     }
 
+    /// The worker slots of `a`, an assignment of the last plan. They live
+    /// in storage the next plan reuses, so read them before planning
+    /// again (an assignment of an older plan reads another's slots or
+    /// none).
+    pub fn worker_slots(&self, a: &Assignment) -> &[WorkerSlot] {
+        self.resolved.placement.slots(a.workers)
+    }
+
     /// Tells the scheduler a job has departed: the next plan re-resolves
     /// its allocation. The caller's [`ScaleFactors`] must report the job
     /// departed from here on, so no later plan of this generation names
@@ -303,12 +445,12 @@ impl RoundScheduler {
     ///
     /// The service recomputes allocations only at reset events or cadence
     /// hits, so most rounds replan the *same* allocation; those rounds
-    /// only re-score priorities (`X / f` changes every round as time is
-    /// recorded) before the greedy pass, and consult neither `alloc` nor
-    /// `scale_factor`. Callers must bump `alloc_gen` whenever `alloc` or a
-    /// scale factor changes: a new generation zeroes the received time. A
-    /// [`RoundScheduler::forget_job`] re-resolves the same generation and
-    /// zeroes nothing.
+    /// re-key only the cells recorded since the last plan (`X / f` moves
+    /// only where `f` did) before the greedy pass, and consult neither
+    /// `alloc` nor `scale_factor`. Callers must bump `alloc_gen` whenever
+    /// `alloc` or a scale factor changes: a new generation zeroes the
+    /// received time. A [`RoundScheduler::forget_job`] re-resolves the
+    /// same generation and zeroes nothing.
     pub fn plan_round_cached(
         &mut self,
         alloc: &Allocation,
@@ -323,7 +465,7 @@ impl RoundScheduler {
             self.resolved.fresh = false;
         }
         if !self.resolved.fresh {
-            self.resolved.resolve(alloc, self.types, scale_factor);
+            (self.resolved).resolve(alloc, self.types, scale_factor, &self.received);
         }
         self.resolved.plan(&self.received, self.types, available)
     }
@@ -332,8 +474,10 @@ impl RoundScheduler {
     /// row lies outside the current generation's allocation is ignored.
     pub fn record(&mut self, plan: &RoundPlan, duration: f64) {
         for a in &plan.assignments {
-            if let Some(cell) = self.received.get_mut(a.row * self.types + a.accel.0) {
-                *cell += duration;
+            let cell = a.row * self.types + a.accel.0;
+            if let Some(seconds) = self.received.get_mut(cell) {
+                *seconds += duration;
+                self.resolved.touch(cell);
             }
         }
     }
@@ -647,6 +791,32 @@ mod tests {
         let stats = sched.stats();
         assert_eq!((stats.resolutions, stats.plans), (2, 22));
         assert!(stats.candidates_visited <= stats.candidates_scored);
+    }
+
+    /// A resolution keys every candidate; a steady round re-keys only the
+    /// cells the round before ran on, and none after a round that was not
+    /// recorded.
+    #[test]
+    fn steady_rounds_rekey_only_what_ran() {
+        let alloc = example_allocation();
+        let sf = sf1(&[JobId(0), JobId(1), JobId(2)]);
+        let mut sched = RoundScheduler::new(cluster());
+        let mut plan = sched.plan_round_cached(&alloc, 0, &sf, None);
+        let candidates = 7;
+        assert_eq!(sched.stats().keys_computed, candidates);
+        for round in 0..20 {
+            let before = sched.stats().keys_computed;
+            let ran = plan.assignments.len() as u64;
+            if round % 5 != 4 {
+                sched.record(&plan, 360.0);
+            }
+            plan = sched.plan_round_cached(&alloc, 0, &sf, None);
+            let keyed = sched.stats().keys_computed - before;
+            assert_eq!(keyed, if round % 5 != 4 { ran } else { 0 }, "round {round}");
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.candidates_scored, 21 * candidates);
+        assert_eq!(stats.resolutions, 1);
     }
 
     #[test]

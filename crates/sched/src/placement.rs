@@ -4,6 +4,8 @@
 //! physical server (§2.2 placement sensitivity), so the placement pass
 //! assigns combos to concrete worker slots, largest jobs first, using
 //! best-fit onto single servers and falling back to a spread placement.
+//! The slots a round hands out go into one list the state reuses from
+//! round to round; an allocation is a [`Workers`] range of it.
 
 use gavel_core::{AccelIdx, ClusterSpec};
 use std::cmp::Reverse;
@@ -17,6 +19,26 @@ pub struct WorkerSlot {
     pub server: usize,
     /// Slot index within the server.
     pub slot: usize,
+}
+
+/// The worker slots one [`PlacementState::allocate`] took: a range of
+/// the round's slot list, read with [`PlacementState::slots`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Workers {
+    start: u32,
+    len: u32,
+}
+
+impl Workers {
+    /// Number of worker slots.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether no slot was taken.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 /// Free-slot tracking for scheduling rounds: [`PlacementState::reset`]
@@ -34,6 +56,9 @@ pub struct PlacementState {
     /// cluster's `nominal` slots with the downed workers taken out.
     usable: Vec<usize>,
     nominal: Vec<usize>,
+    /// The slots handed out since the last reset, in allocation order;
+    /// sized for the whole cluster once, so it never grows.
+    slots: Vec<WorkerSlot>,
 }
 
 impl PlacementState {
@@ -56,6 +81,7 @@ impl PlacementState {
             free_of: vec![0; start.len() - 1],
             start,
             usable: nominal.clone(),
+            slots: Vec::with_capacity(nominal.iter().sum()),
             nominal,
             free_total: 0,
         };
@@ -72,7 +98,8 @@ impl PlacementState {
         st
     }
 
-    /// Frees every usable slot for a new round. `available` gives the
+    /// Frees every usable slot for a new round and forgets the slots
+    /// handed out in the last one. `available` gives the
     /// workers up per type (`None`, a missing entry, or more than the type
     /// has: all of them); the downed slots are recomputed only for a type
     /// whose count changed since the last reset.
@@ -102,11 +129,21 @@ impl PlacementState {
         }
         self.free.copy_from_slice(&self.usable);
         self.free_total = self.free_of.iter().sum();
+        self.slots.clear();
     }
 
     /// Total free slots over all types.
     pub fn free_total(&self) -> usize {
         self.free_total
+    }
+
+    /// The slots of `workers`, an allocation made since the last reset
+    /// (empty for one that is not).
+    pub fn slots(&self, workers: Workers) -> &[WorkerSlot] {
+        let start = workers.start as usize;
+        (self.slots)
+            .get(start..start + workers.len())
+            .unwrap_or_default()
     }
 
     /// Attempts to allocate `count` slots of type `j`.
@@ -116,21 +153,30 @@ impl PlacementState {
     /// server that still fits) to minimize fragmentation; spreads across
     /// servers only when no single server fits. Returns `None` when fewer
     /// than `count` slots remain in total.
-    pub fn allocate(&mut self, j: AccelIdx, count: usize) -> Option<(Vec<WorkerSlot>, bool)> {
+    pub fn allocate(&mut self, j: AccelIdx, count: usize) -> Option<(Workers, bool)> {
         if count == 0 || self.free_of[j.0] < count {
             return None;
         }
         self.free_of[j.0] -= count;
         self.free_total -= count;
         let servers = &mut self.free[self.start[j.0]..self.start[j.0 + 1]];
-        // Best fit: the server with the smallest sufficient free count.
-        let fit = servers
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f >= count)
-            .min_by_key(|(_, &f)| f)
-            .map(|(s, _)| s);
-        let mut out = Vec::with_capacity(count);
+        // Best fit: the first server with the smallest sufficient free
+        // count; an exact fit cannot be beaten.
+        let mut fit = None;
+        let mut tightest = usize::MAX;
+        for (s, &f) in servers.iter().enumerate() {
+            if f >= count && f < tightest {
+                (fit, tightest) = (Some(s), f);
+                if f == count {
+                    break;
+                }
+            }
+        }
+        let workers = Workers {
+            start: self.slots.len() as u32,
+            len: count as u32,
+        };
+        let out = &mut self.slots;
         let mut take = |servers: &mut [usize], s: usize, n: usize| {
             for _ in 0..n {
                 servers[s] -= 1;
@@ -159,7 +205,7 @@ impl PlacementState {
                 debug_assert_eq!(need, 0);
             }
         }
-        Some((out, fit.is_some() || count == 1))
+        Some((workers, fit.is_some() || count == 1))
     }
 }
 
@@ -175,22 +221,23 @@ mod tests {
     #[test]
     fn consolidated_when_server_fits() {
         let mut st = PlacementState::new(&cluster());
-        let (slots, consolidated) = st.allocate(AccelIdx(0), 8).unwrap();
-        assert_eq!(slots.len(), 8);
+        let (workers, consolidated) = st.allocate(AccelIdx(0), 8).unwrap();
+        assert_eq!(workers.len(), 8);
         assert!(consolidated);
-        assert!(slots.iter().all(|s| s.server == 0));
+        assert!(st.slots(workers).iter().all(|s| s.server == 0));
     }
 
     #[test]
     fn spread_when_no_server_fits() {
         let mut st = PlacementState::new(&cluster());
-        let (slots, consolidated) = st.allocate(AccelIdx(1), 8).unwrap();
-        assert_eq!(slots.len(), 8);
+        let (workers, consolidated) = st.allocate(AccelIdx(1), 8).unwrap();
+        assert_eq!(st.slots(workers).len(), 8);
         assert!(
             !consolidated,
             "8 slots across 4-slot servers cannot consolidate"
         );
-        let servers: std::collections::HashSet<usize> = slots.iter().map(|s| s.server).collect();
+        let servers: std::collections::HashSet<usize> =
+            st.slots(workers).iter().map(|s| s.server).collect();
         assert_eq!(servers.len(), 2);
     }
 
@@ -201,12 +248,12 @@ mod tests {
         st.allocate(AccelIdx(1), 3).unwrap();
         // A 1-slot request should take the 1-slot hole, not break the
         // empty server.
-        let (slots, _) = st.allocate(AccelIdx(1), 1).unwrap();
-        assert_eq!(slots[0].server, 0);
+        let (workers, _) = st.allocate(AccelIdx(1), 1).unwrap();
+        assert_eq!(st.slots(workers)[0].server, 0);
         // A 4-slot request still fits consolidated on server 1.
-        let (slots, consolidated) = st.allocate(AccelIdx(1), 4).unwrap();
+        let (workers, consolidated) = st.allocate(AccelIdx(1), 4).unwrap();
         assert!(consolidated);
-        assert!(slots.iter().all(|s| s.server == 1));
+        assert!(st.slots(workers).iter().all(|s| s.server == 1));
     }
 
     #[test]
@@ -252,6 +299,30 @@ mod tests {
         // Downed slots come off the emptiest server first.
         let c = ClusterSpec::new(&[("x", 10, 4, 0.0)]);
         assert_eq!(PlacementState::with_available(&c, &[7]).free, [3, 4, 0]);
+    }
+
+    /// A round's slots go into one list, cleared by the next reset and
+    /// never grown: a range is read back until then, and not after.
+    #[test]
+    fn slots_live_in_one_list_reused_across_rounds() {
+        let mut st = PlacementState::new(&cluster());
+        let list = (st.slots.as_ptr(), st.slots.capacity());
+        for _ in 0..3 {
+            let (a, _) = st.allocate(AccelIdx(1), 3).unwrap();
+            let (b, _) = st.allocate(AccelIdx(0), 8).unwrap();
+            let (c, _) = st.allocate(AccelIdx(1), 5).unwrap();
+            assert_eq!(st.free_total(), 0);
+            assert_eq!([a.len(), b.len(), c.len()], [3, 8, 5]);
+            let all: std::collections::HashSet<WorkerSlot> = [a, b, c]
+                .iter()
+                .flat_map(|&w| st.slots(w).iter().copied())
+                .collect();
+            assert_eq!(all.len(), 16, "every slot handed out once");
+            assert!(st.slots(b).iter().all(|s| s.accel == AccelIdx(0)));
+            st.reset(None);
+            assert!(st.slots(b).is_empty());
+            assert_eq!((st.slots.as_ptr(), st.slots.capacity()), list);
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! allocation, the mechanism must respect capacity and conflicts every
 //! round, and realized time fractions must converge to the target — of
 //! the allocation in force, from the round it took effect; and for any
-//! history of generations, departures and outages it must plan exactly
-//! what the reference planner kept in this file plans, and never a
-//! forgotten job.
+//! history of generations, departures, outages and records — of plans
+//! that ran for no time, of a previous generation's plan, of rows outside
+//! the allocation, or of none — it must plan exactly what the reference
+//! planner kept in this file plans, and never a forgotten job.
 
 use gavel_core::{AccelIdx, Allocation, ClusterSpec, Combo, ComboSet, JobId};
-use gavel_sched::{PlacementState, RoundScheduler, WorkerSlot};
+use gavel_sched::{PlacementState, RoundPlan, RoundScheduler, WorkerSlot};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -18,8 +19,9 @@ type Planned = (Combo, usize, usize, Vec<WorkerSlot>, bool);
 /// probed once per candidate, a full stable sort by the four-key float
 /// comparator, a hashed busy set and a fresh placement state, every
 /// round. The map holds the seconds received under the allocation in
-/// force and is emptied when a new one takes effect. Kept here only, as
-/// the oracle for `planner_matches_reference`.
+/// force and is emptied when a new one takes effect. No order is kept
+/// from one round to the next. Kept here only, as the oracle for
+/// `planner_matches_reference`.
 #[derive(Default)]
 struct Reference {
     received: HashMap<Combo, Vec<f64>>,
@@ -67,19 +69,30 @@ impl Reference {
                 continue;
             }
             let count = combos[k].jobs().map(|job| sf[&job]).max().unwrap_or(1) as usize;
-            if let Some((slots, consolidated)) = placement.allocate(AccelIdx(j), count) {
+            if let Some((workers, consolidated)) = placement.allocate(AccelIdx(j), count) {
                 busy.extend(combos[k].jobs());
+                let slots = placement.slots(workers).to_vec();
                 out.push((combos[k], k, j, slots, consolidated));
             }
         }
         out
     }
 
-    fn record(&mut self, plan: &[Planned], types: usize, duration: f64) {
-        for (combo, _, j, _, _) in plan {
-            self.received
-                .entry(*combo)
-                .or_insert_with(|| vec![0.0; types])[*j] += duration;
+    /// Adds `duration` to each `(row, type)` cell of the allocation in
+    /// force; a row outside it is ignored.
+    fn record(
+        &mut self,
+        alloc: &Allocation,
+        types: usize,
+        cells: &[(usize, usize)],
+        duration: f64,
+    ) {
+        for &(row, j) in cells {
+            if let Some(combo) = alloc.combos().combos().get(row) {
+                self.received
+                    .entry(*combo)
+                    .or_insert_with(|| vec![0.0; types])[j] += duration;
+            }
         }
     }
 }
@@ -171,8 +184,13 @@ proptest! {
     /// same workers and the same received-time bits, round for round,
     /// through generation bumps (received time starts over),
     /// mid-generation `forget_job`s (the departed job's rows stay in the
-    /// allocation but are never planned; the others keep their seconds)
-    /// and workers going down and coming back.
+    /// allocation but are never planned; the others keep their seconds),
+    /// workers going down and coming back, and records that are not one
+    /// plan's run: none (the round did not run), zero seconds, the last
+    /// plan of the previous generation (its rows name this allocation's
+    /// cells) and rows past the end of the allocation (ignored). The
+    /// planner keeps its priority order across rounds; the reference
+    /// sorts afresh every round.
     #[test]
     fn planner_matches_reference(seed in any::<u64>()) {
         let mut draws = Draws(seed);
@@ -191,7 +209,9 @@ proptest! {
         let mut gen = 0u64;
         let mut alloc = Allocation::new(ComboSet::new(Vec::new()), Vec::new());
         let mut available: Option<Vec<usize>> = None;
-        for round in 0..60 {
+        let mut last = RoundPlan::default();
+        let mut previous_generation = RoundPlan::default();
+        for round in 0..80 {
             // A new generation: jobs arrive, the allocation is recomputed
             // over the live ones only (departed ids never return).
             if round == 0 || draws.below(8) == 0 {
@@ -204,6 +224,7 @@ proptest! {
                 alloc = scenario_allocation(&live, types, &mut draws);
                 gen += 1;
                 reference.received.clear();
+                previous_generation = std::mem::take(&mut last);
             } else if live.len() > 1 && draws.below(6) == 0 {
                 // A departure the allocation has not caught up with.
                 let gone = live.swap_remove(draws.below(live.len()));
@@ -221,15 +242,36 @@ proptest! {
             let want = reference.plan(&cluster, &alloc, &sf, available.as_deref());
             let plan = sched.plan_round_cached(&alloc, gen, &sf, available.as_deref());
             let got: Vec<Planned> = (plan.assignments.iter())
-                .map(|a| (a.combo, a.row, a.accel.0, a.workers.clone(), a.consolidated))
+                .map(|a| {
+                    let slots = sched.worker_slots(a).to_vec();
+                    (a.combo, a.row, a.accel.0, slots, a.consolidated)
+                })
                 .collect();
             prop_assert_eq!(&got, &want, "round {}", round);
             for gone in &forgotten {
                 prop_assert!(plan.assignment_of(*gone).is_none(), "{} planned", gone);
             }
-            let duration = 360.0 + draws.below(3) as f64;
-            sched.record(&plan, duration);
-            reference.record(&want, types, duration);
+            // What is recorded: mostly the plan that ran, sometimes for no
+            // time; now and then nothing, the previous generation's last
+            // plan, or this plan with one row moved past the allocation.
+            let duration = match draws.below(8) {
+                0 => 0.0,
+                _ => 360.0 + draws.below(3) as f64,
+            };
+            let mut recorded = plan.clone();
+            match draws.below(12) {
+                0 => recorded.assignments.clear(),
+                1 => recorded = previous_generation.clone(),
+                2 if !recorded.assignments.is_empty() => {
+                    let a = draws.below(recorded.assignments.len());
+                    recorded.assignments[a].row = alloc.combos().len() + draws.below(3);
+                }
+                _ => {}
+            }
+            let cells: Vec<(usize, usize)> =
+                (recorded.assignments.iter()).map(|a| (a.row, a.accel.0)).collect();
+            sched.record(&recorded, duration);
+            reference.record(&alloc, types, &cells, duration);
             for (row, combo) in alloc.combos().combos().iter().enumerate() {
                 for j in 0..types {
                     let expect = reference.received.get(combo).map_or(0.0, |v| v[j]);
@@ -237,7 +279,11 @@ proptest! {
                     prop_assert_eq!(got.to_bits(), expect.to_bits(), "{} type {}", combo, j);
                 }
             }
+            last = plan;
         }
+        // No plan keys more candidates than it orders.
+        let stats = sched.stats();
+        prop_assert!(stats.keys_computed <= stats.candidates_scored, "{:?}", stats);
     }
 
     /// Figure 13a's property, stated per generation: once a *different*

@@ -797,6 +797,7 @@ impl<'p> SchedulerService<'p> {
                 );
             }
 
+            let workers = self.sched.worker_slots(assignment);
             let mut latest_offset = 0.0f64;
             for (&i, &tput_raw) in positions.iter().zip(&tputs) {
                 let job = &mut self.active[i];
@@ -809,10 +810,10 @@ impl<'p> SchedulerService<'p> {
                     }
                     // Preemption overhead unless the job ran last round
                     // on these same workers.
-                    let kept =
-                        job.last_ran == self.rounds && job.prev_workers == assignment.workers;
+                    let kept = job.last_ran == self.rounds && job.prev_workers == workers;
                     if !kept {
-                        job.prev_workers.clone_from(&assignment.workers);
+                        job.prev_workers.clear();
+                        job.prev_workers.extend_from_slice(workers);
                         overhead = cfg.checkpoint_seconds.min(round);
                     }
                     job.last_ran = self.rounds + 1;
@@ -1077,8 +1078,7 @@ fn make_outcome(job: &ActiveJob, completion: Option<f64>) -> JobOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gavel_core::{ClusterSpec, Combo};
-    use gavel_sched::Assignment;
+    use gavel_core::{ClusterSpec, Combo, ComboSet};
     use gavel_workloads::{JobConfig, ModelFamily};
 
     fn job(id: u64, arrival: f64, v100_seconds: f64) -> TraceJob {
@@ -1100,7 +1100,8 @@ mod tests {
     /// Physical mode charges `checkpoint_seconds` exactly when a job's
     /// workers differ from those of the round before: on first placement,
     /// on a move, and on regaining a placement after a round off — not
-    /// while it stays put.
+    /// while it stays put. On one two-slot server a round with both slots
+    /// up gives the job slot 1 and a round with one up gives it slot 0.
     #[test]
     fn preemption_overhead_follows_placement_changes() {
         let mut cfg = SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]));
@@ -1119,33 +1120,28 @@ mod tests {
         .unwrap();
         svc.recompute();
         let tput = Oracle::new().throughput(svc.active[0].trace.config, GpuKind::V100, 1, true);
-        let on_slot = |slot| RoundPlan {
-            assignments: vec![Assignment {
-                combo: Combo::single(JobId(0)),
-                row: 0,
-                accel: AccelIdx(0),
-                workers: vec![WorkerSlot {
-                    accel: AccelIdx(0),
-                    server: 0,
-                    slot,
-                }],
-                consolidated: true,
-            }],
-        };
-        let off = RoundPlan::default();
-        // (plan, seconds of the 360 s round the job trains for)
+        let jobs = [JobId(0), JobId(1)];
+        let alloc = Allocation::new(ComboSet::singletons(&jobs), vec![vec![1.0], vec![0.0]]);
+        let sf: HashMap<JobId, u32> = jobs.iter().map(|&j| (j, 1)).collect();
+        // (slots up, the slot the job runs on, seconds of the 360 s round
+        // it trains for)
         let script = [
-            (on_slot(0), 330.0), // first placement
-            (on_slot(0), 360.0), // keeps it
-            (on_slot(1), 330.0), // moves
-            (on_slot(1), 360.0),
-            (off, 0.0),          // loses it
-            (on_slot(1), 330.0), // regains the same slot: still a restore
-            (on_slot(1), 360.0),
+            (2, Some(1), 330.0), // first placement
+            (2, Some(1), 360.0), // keeps it
+            (1, Some(0), 330.0), // moves
+            (1, Some(0), 360.0),
+            (0, None, 0.0),      // loses it
+            (1, Some(0), 330.0), // regains the same slot: still a restore
+            (1, Some(0), 360.0),
         ];
         let mut steps = 0.0;
-        for (round, (plan, trained)) in script.iter().enumerate() {
-            assert!(svc.execute_round(plan).is_empty());
+        for (round, (up, slot, trained)) in script.into_iter().enumerate() {
+            let plan = svc.sched.plan_round_cached(&alloc, 1, &sf, Some(&[up]));
+            let slots: Vec<usize> = (plan.assignments.iter())
+                .flat_map(|a| svc.sched.worker_slots(a).iter().map(|w| w.slot))
+                .collect();
+            assert_eq!(slots, Vec::from_iter(slot), "round {round}");
+            assert!(svc.execute_round(&plan).is_empty());
             steps += tput * trained;
             assert_eq!(svc.active[0].steps_done, steps, "round {round}");
             svc.rounds += 1;

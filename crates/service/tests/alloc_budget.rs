@@ -1,15 +1,17 @@
 //! The allocation count of a recompute does not grow with its rows.
 //!
-//! A counting global allocator wraps [`System`]; this file holds one
-//! `#[test]` so nothing else allocates while it counts. A space-sharing
-//! [`SnapshotCache`] is populated with 100 and with 400 single-worker
-//! jobs, warmed through churn until its slabs and scratch reach their
-//! high-water marks, and then the heap allocations of admit-one /
-//! remove-one / `snapshot` cycles are counted: the snapshot and the
-//! `Allocation::zeros` a policy builds on its combo set must each cost
-//! the same small constant at both sizes. (The planner's re-resolution
-//! after a recompute is not covered: it still allocates per newly seen
-//! job.)
+//! A counting global allocator wraps [`System`] and counts per thread, so
+//! only what the test's own thread allocates is charged: the test
+//! harness's main thread can still be allocating while a cycle is
+//! counted. A space-sharing [`SnapshotCache`] is populated with 100 and
+//! with 400 single-worker jobs, warmed through churn until its slabs and
+//! scratch reach their high-water marks, and then the heap allocations of
+//! admit-one / remove-one / `snapshot` cycles are counted: the snapshot
+//! and the `Allocation::zeros` a policy builds on its combo set must each
+//! cost the same small constant at both sizes. The round planner's budget
+//! is `gavel-sched`'s own `alloc_budget` test: a steady round allocates
+//! one block, its plan, and re-resolving an allocation after a recompute
+//! sizes the planner's scratch, which is not counted there or here.
 //!
 //! Run in release too — the profile the benchmark measures:
 //! `cargo test --release -p gavel-service --test alloc_budget`.
@@ -18,11 +20,20 @@ use gavel_core::{Allocation, JobId, PolicyJob};
 use gavel_service::SnapshotCache;
 use gavel_workloads::{JobConfig, JobSpec, Oracle, PairOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Calls that obtained or grew a heap block (`alloc`, `alloc_zeroed`,
-/// `realloc`). A statistic, so `Relaxed`.
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Calls on this thread that obtained or grew a heap block (`alloc`,
+    /// `alloc_zeroed`, `realloc`). Const-initialized and without a
+    /// destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one block for the calling thread (none once its thread-locals
+/// are gone, during thread exit).
+fn tally() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
@@ -31,19 +42,19 @@ struct Counting;
 // memory the allocator hands out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        tally();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -57,11 +68,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations `f` makes (its result is dropped outside the count).
+/// Allocations `f` makes on this thread (its result is dropped outside
+/// the count).
 fn count<T>(f: impl FnOnce() -> T) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let made = ALLOCATIONS.with(Cell::get) - before;
     drop(out);
     made
 }
