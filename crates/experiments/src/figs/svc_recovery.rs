@@ -8,7 +8,8 @@
 //!
 //! 1. **Reference** — the full session, uninterrupted, through a durable
 //!    service on file-backed storage (WAL + checkpoint files under
-//!    `target/svc_recovery/`), then recovery from those real files.
+//!    `target/svc_recovery/`), then recovery from those real files; the
+//!    run's wall clock per phase (`SimResult::phases`) is printed.
 //! 2. **Crash sweep** — the same session killed mid-append at evenly
 //!    spaced injection points (torn tails of varying length), each
 //!    recovered and resumed; the table reports what survived each crash.
@@ -70,7 +71,8 @@ pub fn run(scale: Scale) {
     for cmd in &commands {
         let _ = durable.apply(cmd).expect("file WAL append");
     }
-    drop(durable); // "process exit" — only the files remain
+    // "Process exit": only the files remain, and where the run's time went.
+    let phases = durable.into_result().phases;
     let wal_bytes = std::fs::read(&wal_path).expect("read WAL back");
     let ckpt_bytes = std::fs::read(&ckpt_path).ok();
     let (svc, report) = recover(&policy, &cfg, &svc_cfg, ckpt_bytes.as_deref(), &wal_bytes)
@@ -90,6 +92,7 @@ pub fn run(scale: Scale) {
         report.wal_commands_applied + report.wal_rejections_applied,
         reference_fp,
     );
+    println!("file-backed run, wall clock per phase:\n{phases}");
 
     // Fingerprints of every clean prefix, for crash verification.
     let prefix_fps: Vec<u64> = {
