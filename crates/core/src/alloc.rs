@@ -152,10 +152,8 @@ impl Allocation {
     /// combos containing the job.
     pub fn effective_throughput(&self, tensor: &ThroughputTensor, job: JobId) -> f64 {
         let mut total = 0.0;
-        for (k, combo) in self.combos.combos().iter().enumerate() {
-            if !combo.contains(job) {
-                continue;
-            }
+        for k in self.combos.job_rows(job) {
+            let combo = &self.combos.combos()[k];
             for j in 0..tensor.num_types() {
                 let t = tensor.entry(k, AccelIdx(j));
                 total += t.for_job(combo, job) * self.row(k)[j];
@@ -167,9 +165,7 @@ impl Allocation {
     /// Total time fraction allocated to `job` across all its combos and
     /// types (must be at most 1 in a valid allocation).
     pub fn job_total(&self, job: JobId) -> f64 {
-        self.combos
-            .rows_containing(job)
-            .into_iter()
+        (self.combos.job_rows(job))
             .map(|k| self.row(k).iter().sum::<f64>())
             .sum()
     }
@@ -178,9 +174,9 @@ impl Allocation {
     /// entries within `[0, 1]`, per-job totals at most 1, and per-type
     /// scale-factor-weighted usage at most the worker count.
     ///
-    /// `scale_factor` maps each job to its worker count; combos use the
-    /// maximum scale factor of their members (pairs are formed between jobs
-    /// of equal scale factor in practice).
+    /// `scale_factor` maps each job to its worker count (1 when absent);
+    /// combos use the maximum scale factor of their members (pairs are
+    /// formed between jobs of equal scale factor in practice).
     pub fn validate(
         &self,
         cluster: &ClusterSpec,
@@ -198,21 +194,20 @@ impl Allocation {
                 });
             }
         }
-        for job in self.combos.jobs() {
+        for &job in self.combos.jobs() {
             let total = self.job_total(job);
             if total > 1.0 + EPSILON * 10.0 {
                 return Err(ValidityError::JobOversubscribed { job, total });
             }
         }
+        let slot_scale: Vec<u32> = (self.combos.jobs().iter())
+            .map(|job| *scale_factor.get(job).unwrap_or(&1))
+            .collect();
         for j in cluster.types() {
             let mut total = 0.0;
-            for (k, combo) in self.combos.combos().iter().enumerate() {
-                let sf = combo
-                    .jobs()
-                    .map(|jid| *scale_factor.get(&jid).unwrap_or(&1))
-                    .max()
-                    .unwrap_or(1) as f64;
-                total += self.get(k, j) * sf;
+            for k in 0..self.combos.len() {
+                let [a, b] = self.combos.members(k);
+                total += self.get(k, j) * slot_scale[a].max(slot_scale[b]) as f64;
             }
             let capacity = cluster.num_workers(j) as f64;
             if total > capacity + CAPACITY_TOLERANCE {

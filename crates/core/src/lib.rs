@@ -4,7 +4,7 @@
 //!
 //! - [`JobId`], [`PolicyJob`] — jobs and the per-job snapshot policies see.
 //! - [`ClusterSpec`] — accelerator types, counts, servers, and prices.
-//! - [`Combo`] — a schedulable unit: one job, or two jobs space-sharing.
+//! - [`Combo`], [`ComboSet`] — one job or two space-sharing; `X`'s rows.
 //! - [`ThroughputTensor`] — the throughput matrix `T` of §3.1, extended with
 //!   rows for job combinations (space sharing) and, when placement
 //!   sensitivity is modeled, separate consolidated/unconsolidated columns.

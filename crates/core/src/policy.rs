@@ -66,13 +66,6 @@ pub struct PolicyInput<'a> {
     pub cluster: &'a ClusterSpec,
 }
 
-impl<'a> PolicyInput<'a> {
-    /// The snapshot for `job`.
-    pub fn job(&self, job: JobId) -> Option<&PolicyJob> {
-        self.jobs.iter().find(|j| j.id == job)
-    }
-}
-
 /// Errors surfaced by policies.
 #[derive(Debug)]
 pub enum PolicyError {
@@ -164,7 +157,10 @@ mod tests {
             tensor: &tensor,
             cluster: &cluster,
         };
-        assert_eq!(input.job(JobId(3)).map(|j| j.id), Some(JobId(3)));
-        assert!(input.job(JobId(9)).is_none());
+        // A job's rows are looked up through the input's combo set.
+        let slot = input.combos.slot(JobId(3));
+        assert_eq!(slot, Some(0));
+        assert_eq!(slot.and_then(|s| input.combos.singleton_row(s)), Some(0));
+        assert_eq!(input.combos.slot(JobId(9)), None);
     }
 }

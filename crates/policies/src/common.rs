@@ -5,64 +5,8 @@
 //! constraints of §3.1. [`AllocLp`] builds that block once; policies then
 //! add their objective and any extra constraints.
 
-use gavel_core::{
-    AccelIdx, Allocation, Combo, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE,
-};
+use gavel_core::{AccelIdx, Allocation, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE};
 use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, Sense, VarId};
-
-/// The job ids of a [`PolicyInput`] sorted for lookup, so a pass over the
-/// combos can place each one without rescanning the job list.
-struct JobIds(Vec<(JobId, usize)>);
-
-impl JobIds {
-    fn new(input: &PolicyInput<'_>) -> Self {
-        let mut ids: Vec<(JobId, usize)> = input.jobs.iter().map(|j| j.id).zip(0..).collect();
-        ids.sort_unstable();
-        JobIds(ids)
-    }
-
-    /// Position of `job` in the input's job list.
-    fn position(&self, job: JobId) -> Option<usize> {
-        let at = self.0.binary_search_by_key(&job, |&(id, _)| id).ok()?;
-        Some(self.0[at].1)
-    }
-}
-
-/// Reverse index from the jobs of a [`PolicyInput`] to the combo rows that
-/// mention them, built in one pass over the combos so per-job lookups do
-/// not each rescan the whole combo set.
-pub(crate) struct JobRows {
-    ids: JobIds,
-    /// Per job: rows of the combos containing it (the paper's `C_m`),
-    /// ascending.
-    rows: Vec<Vec<usize>>,
-    /// Per combo row: the largest scale factor among its members (pairs
-    /// are formed between equal-scale jobs by the tensor builders).
-    scale: Vec<u32>,
-}
-
-impl JobRows {
-    pub fn new(input: &PolicyInput<'_>) -> Self {
-        let n = input.jobs.len();
-        let mut index = JobRows {
-            ids: JobIds::new(input),
-            rows: vec![Vec::new(); n],
-            scale: Vec::with_capacity(input.combos.len()),
-        };
-        for (k, combo) in input.combos.combos().iter().enumerate() {
-            let mut scale = None;
-            for id in combo.jobs() {
-                let Some(m) = index.ids.position(id) else {
-                    continue;
-                };
-                index.rows[m].push(k);
-                scale = scale.max(Some(input.jobs[m].scale_factor));
-            }
-            index.scale.push(scale.unwrap_or(1));
-        }
-        index
-    }
-}
 
 /// The common allocation-variable block of a policy LP.
 pub(crate) struct AllocLp {
@@ -71,8 +15,6 @@ pub(crate) struct AllocLp {
     /// `x[k][j]`: allocation variable for combo row `k` on type `j`.
     /// Non-runnable cells map to `None` (fixed to zero by omission).
     pub x: Vec<Vec<Option<VarId>>>,
-    /// Which combo rows each job appears in.
-    pub jobs: JobRows,
     /// Per job: its time-budget row (`None` for a job with no runnable
     /// cell, which [`check_input`] rejects).
     pub budget: Vec<Option<ConstraintId>>,
@@ -93,7 +35,7 @@ impl AllocLp {
     pub fn new(input: &PolicyInput<'_>, sense: Sense) -> Self {
         let mut lp = LpProblem::new(sense);
         let num_types = input.cluster.num_types();
-        let jobs = JobRows::new(input);
+        let combos = input.combos;
         let mut x: Vec<Vec<Option<VarId>>> = Vec::with_capacity(input.combos.len());
         for k in 0..input.combos.len() {
             let mut row = Vec::with_capacity(num_types);
@@ -112,25 +54,32 @@ impl AllocLp {
             (!terms.is_empty()).then(|| lp.add_constraint(terms, Cmp::Le, rhs))
         };
 
-        // Per-job time budget.
-        let mut budget = Vec::with_capacity(jobs.rows.len());
-        for rows in &jobs.rows {
+        // Per-job time budget, over the job's rows (`C_m`) ascending.
+        let mut budget = Vec::with_capacity(input.jobs.len());
+        // Per slot, the listed job's scale factor; 1 for a member the input
+        // does not list.
+        let mut scale = vec![1; combos.jobs().len()];
+        for job in input.jobs {
             let mut terms = Vec::new();
-            for &k in rows {
-                for v in x[k].iter().flatten() {
-                    terms.push((*v, 1.0));
+            if let Some(slot) = combos.slot(job.id) {
+                scale[slot] = job.scale_factor;
+                for k in combos.rows_of(slot) {
+                    terms.extend(x[k].iter().flatten().map(|&v| (v, 1.0)));
                 }
             }
             budget.push(row_le(&terms, 1.0));
         }
 
-        // Per-type worker capacity, weighted by combo scale factor.
+        // Per-type worker capacity, weighted by combo scale factor: the
+        // largest among its members (pairs are formed between equal-scale
+        // jobs by the tensor builders).
         let mut capacity = Vec::with_capacity(num_types);
         for j in 0..num_types {
             let mut terms = Vec::new();
             for (k, row) in x.iter().enumerate() {
                 if let Some(v) = row[j] {
-                    terms.push((v, jobs.scale[k] as f64));
+                    let [a, b] = combos.members(k);
+                    terms.push((v, scale[a].max(scale[b]) as f64));
                 }
             }
             let workers = input.cluster.num_workers(AccelIdx(j)) as f64;
@@ -140,7 +89,6 @@ impl AllocLp {
         AllocLp {
             lp,
             x,
-            jobs,
             budget,
             capacity,
         }
@@ -173,12 +121,7 @@ impl AllocLp {
     /// order.
     pub fn throughput_terms(&self, input: &PolicyInput<'_>, job: JobId) -> Vec<(VarId, f64)> {
         let mut terms = Vec::new();
-        let rows = self
-            .jobs
-            .ids
-            .position(job)
-            .map_or(&[][..], |m| &self.jobs.rows[m]);
-        for &k in rows {
+        for k in input.combos.job_rows(job) {
             let combo = &input.combos.combos()[k];
             for (j, v) in self.x[k].iter().enumerate() {
                 if let Some(v) = v {
@@ -253,14 +196,6 @@ impl SingletonRows {
         self.0[m]
     }
 
-    /// Singleton row of job `id`, for callers that start from a combo's
-    /// members rather than from the job list; `None` when the input does
-    /// not list the job.
-    pub fn row_of(&self, input: &PolicyInput<'_>, id: JobId) -> Option<usize> {
-        let m = input.jobs.iter().position(|job| job.id == id)?;
-        Some(self.0[m])
-    }
-
     /// One time-sharing unit per job for [`spread`]: its singleton row,
     /// its scale factor and its entry of `shares`.
     pub fn units<'a>(
@@ -292,28 +227,13 @@ pub(crate) fn solver_err(e: gavel_solver::SolverError) -> PolicyError {
 /// has a singleton row and can run somewhere — and returns the singleton
 /// rows it found, the one index every policy reads them from.
 pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<SingletonRows, PolicyError> {
-    let combos = input.combos.combos();
-    // The tensor builders lay singleton rows out parallel to the jobs;
-    // only a job whose row is elsewhere needs a lookup.
-    let mut singletons: Vec<Option<usize>> = (input.jobs.iter().enumerate())
-        .map(|(m, job)| (combos.get(m) == Some(&Combo::single(job.id))).then_some(m))
-        .collect();
-    if singletons.contains(&None) {
-        let ids = JobIds::new(input);
-        for (k, combo) in combos.iter().enumerate() {
-            if combo.is_pair() {
-                continue;
-            }
-            if let Some(m) = ids.position(combo.a) {
-                singletons[m].get_or_insert(k);
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(singletons.len());
-    for (job, singleton) in input.jobs.iter().zip(singletons) {
-        let row = singleton.ok_or_else(|| {
-            PolicyError::InvalidInput(format!("no singleton combo for {}", job.id))
-        })?;
+    let mut rows = Vec::with_capacity(input.jobs.len());
+    for job in input.jobs {
+        let row = (input.combos.slot(job.id))
+            .and_then(|slot| input.combos.singleton_row(slot))
+            .ok_or_else(|| {
+                PolicyError::InvalidInput(format!("no singleton combo for {}", job.id))
+            })?;
         if !input.tensor.runnable_anywhere(row) {
             return Err(PolicyError::NoFeasibleAllocation(format!(
                 "{} cannot run on any accelerator type",
@@ -452,12 +372,28 @@ mod tests {
         let singles = check_input(&input).unwrap();
         let alp = AllocLp::new(&input, Sense::Maximize);
         for (m, job) in input.jobs.iter().enumerate() {
-            assert_eq!(alp.jobs.rows[m], combos.rows_containing(job.id));
             assert_eq!(Some(singles.row(m)), scanned_singleton(&input, job.id));
-            assert_eq!(singles.row_of(&input, job.id), Some(singles.row(m)));
         }
-        assert_eq!(singles.row_of(&input, JobId(77)), None);
-        assert_eq!(alp.jobs.scale, vec![4, 1, 4, 1, 1]);
+        // The unlisted job has a slot but no singleton row and no budget.
+        let unlisted = combos.slot(JobId(77)).unwrap();
+        assert_eq!(combos.singleton_row(unlisted), None);
+        assert_eq!(alp.budget.len(), input.jobs.len());
+        // A row takes its largest listed member's scale factor in workers:
+        // job 2's rows 4, the pair with the unlisted job 1.
+        let two = ClusterSpec::new(&[("v100", 2, 2, 0.0)]);
+        let most = |k: usize| {
+            let input = PolicyInput {
+                cluster: &two,
+                ..input
+            };
+            let alp = AllocLp::new(&input, Sense::Maximize);
+            let x = alp.x[k][0].unwrap();
+            let alloc = alp.maximize(&input, &[(x, 1.0)]).unwrap();
+            alloc.get(k, AccelIdx(0))
+        };
+        for (k, expected) in [(0, 0.5), (1, 1.0), (2, 0.5), (3, 1.0)] {
+            assert!((most(k) - expected).abs() < 1e-9, "row {k}: {}", most(k));
+        }
         // Terms come in ascending row order, each with the job's own side
         // of the pair throughput.
         let x = |k: usize| alp.x[k][0].unwrap();
@@ -469,7 +405,11 @@ mod tests {
             alp.throughput_terms(&input, JobId(2)),
             vec![(x(0), 0.5), (x(2), 2.0)]
         );
-        assert!(alp.throughput_terms(&input, JobId(77)).is_empty());
+        // The unlisted job's terms are its side of the pair row, as
+        // `Allocation::effective_throughput` reads it; a job no combo
+        // names has none.
+        assert_eq!(alp.throughput_terms(&input, JobId(77)), vec![(x(3), 0.5)]);
+        assert!(alp.throughput_terms(&input, JobId(78)).is_empty());
 
         // A job without a singleton row is invalid input, not a panic:
         // from the index, and from a policy that used to scan for the row.

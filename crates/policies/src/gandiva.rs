@@ -10,7 +10,7 @@
 //! measured aggregate normalized throughput exceeds 1, and drops pairs that
 //! turned out bad.
 
-use crate::common::{check_input, spread, waterfill_shares, SingletonRows};
+use crate::common::{check_input, spread, waterfill_shares};
 use gavel_core::{AccelIdx, Allocation, JobId, Policy, PolicyError, PolicyInput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,11 +49,11 @@ impl GandivaPolicy {
     }
 
     /// Aggregate normalized throughput of pair row `k` on its best type;
-    /// zero when a member is not among the input's jobs.
-    fn pair_score(input: &PolicyInput<'_>, singles: &SingletonRows, k: usize) -> f64 {
-        let combo = input.combos.combos()[k];
-        let row = |id| singles.row_of(input, id);
-        let (Some(row_a), Some(row_b)) = (row(combo.a), combo.b.and_then(row)) else {
+    /// zero when a member has no singleton row to normalize by.
+    fn pair_score(input: &PolicyInput<'_>, k: usize) -> f64 {
+        let [a, b] = input.combos.members(k);
+        let row = |slot| input.combos.singleton_row(slot);
+        let (Some(row_a), Some(row_b)) = (row(a), row(b)) else {
             return 0.0;
         };
         let mut best: f64 = 0.0;
@@ -83,10 +83,11 @@ impl Policy for GandivaPolicy {
         let mut st = (self.state.lock())
             .map_err(|_| PolicyError::InvalidInput("gandiva state poisoned".into()))?;
 
-        // Retire pairs whose members have left the cluster: a verdict is
-        // only ever looked up for a pair row of present jobs.
-        let present: HashSet<JobId> = input.jobs.iter().map(|j| j.id).collect();
-        let still_here = |(a, b): &(JobId, JobId)| present.contains(a) && present.contains(b);
+        // Retire pairs whose members have left the cluster (the combo set
+        // names none of them): a verdict is only ever looked up for a pair
+        // row of present jobs.
+        let here = |job: &JobId| input.combos.slot(*job).is_some();
+        let still_here = |(a, b): &(JobId, JobId)| here(a) && here(b);
         st.good_pairs.retain(still_here);
         st.rejected_pairs.retain(still_here);
 
@@ -116,14 +117,14 @@ impl Policy for GandivaPolicy {
         // Known-good pairs run packed on their rows. A kept pair whose row
         // this input leaves out (the snapshot caps the rows per job) packs
         // nobody: its members time-share as singletons until it returns.
-        let mut packed: HashSet<JobId> = HashSet::new();
+        let mut packed = vec![false; input.combos.jobs().len()];
         let mut active_pairs: Vec<usize> = Vec::new();
         for &k in &pair_rows {
-            let c = input.combos.combos()[k];
-            let Some(b) = c.b else { continue };
-            if st.good_pairs.contains(&(c.a, b)) && !packed.contains(&c.a) && !packed.contains(&b) {
+            let (c, [a, b]) = (input.combos.combos()[k], input.combos.members(k));
+            let Some(partner) = c.b else { continue };
+            if st.good_pairs.contains(&(c.a, partner)) && !packed[a] && !packed[b] {
                 active_pairs.push(k);
-                packed.extend([c.a, b]);
+                (packed[a], packed[b]) = (true, true);
             }
         }
         // Random exploration: sample a few untried pairs whose members are
@@ -133,22 +134,21 @@ impl Policy for GandivaPolicy {
                 break;
             }
             let k = pair_rows[st.rng.gen_range(0..pair_rows.len())];
-            let combo = input.combos.combos()[k];
-            let Some(b) = combo.b else { continue };
-            let key = (combo.a, b);
+            let (combo, [a, b]) = (input.combos.combos()[k], input.combos.members(k));
+            let Some(partner) = combo.b else { continue };
+            let key = (combo.a, partner);
             if st.rejected_pairs.contains(&key)
                 || st.good_pairs.contains(&key)
-                || packed.contains(&key.0)
-                || packed.contains(&key.1)
+                || packed[a]
+                || packed[b]
             {
                 continue;
             }
             // Trial round: the pair runs packed this round regardless; its
             // fate is decided by the observed score.
             active_pairs.push(k);
-            packed.insert(key.0);
-            packed.insert(key.1);
-            if Self::pair_score(input, &singles, k) >= KEEP_THRESHOLD {
+            (packed[a], packed[b]) = (true, true);
+            if Self::pair_score(input, k) >= KEEP_THRESHOLD {
                 st.good_pairs.insert(key);
             } else {
                 st.rejected_pairs.insert(key);
@@ -156,16 +156,21 @@ impl Policy for GandivaPolicy {
         }
 
         // Scheduling units: active pairs (one worker each, their members'
-        // weights together) plus unpacked singletons.
+        // weights together) plus unpacked singletons. A listed job's slot
+        // is its singleton row's member; an unlisted one weighs nothing.
+        let slot = |m: usize| input.combos.members(singles.row(m))[0];
+        let mut weight = vec![0.0; packed.len()];
+        for (m, job) in input.jobs.iter().enumerate() {
+            weight[slot(m)] = job.weight;
+        }
         let (mut rows, mut scales, mut weights) = (Vec::new(), Vec::new(), Vec::new());
         for &k in &active_pairs {
-            let members = input.combos.combos()[k].jobs();
             rows.push(k);
             scales.push(1);
-            weights.push(members.filter_map(|id| Some(input.job(id)?.weight)).sum());
+            weights.push(input.combos.members(k).iter().map(|&s| weight[s]).sum());
         }
         for (m, job) in input.jobs.iter().enumerate() {
-            if !packed.contains(&job.id) {
+            if !packed[slot(m)] {
                 rows.push(singles.row(m));
                 scales.push(job.scale_factor.max(1));
                 weights.push(job.weight);

@@ -40,13 +40,13 @@
 //!
 //! *The resolution.* `plan_round_cached` turns the allocation into
 //! candidates — one per cell with a finite target above `1e-4` — that
-//! already hold the row, its members' scheduler-local indices and its
-//! worker count, in tie-break order (target descending, row, type: one
-//! packed `u128` key per candidate, sorted once). It is rebuilt when the
+//! already hold the row, its members' combo-set slots and its worker
+//! count, in tie-break order (target descending, row, type: one packed
+//! `u128` key per candidate, sorted once). It is rebuilt when the
 //! generation changes and after a `forget_job`; [`ScaleFactors`] is read
-//! only then. A row naming a departed job (the allocation has not been
-//! recomputed since it left) is dropped at resolution, so a plan names
-//! live jobs only.
+//! only then, once per job. A row naming a departed job (the allocation
+//! has not been recomputed since it left) is dropped at resolution, so a
+//! plan names live jobs only.
 //!
 //! *The priority order.* A resolution also keys every candidate — the
 //! inverted bits of its priority, then its tie-break rank, one `u128` —
@@ -59,8 +59,9 @@
 //! per-plan stamp and stopping when no worker is free or no candidate job
 //! is idle.
 //!
-//! Only resolving hashes (`JobId` → local index) and sizes the scratch.
-//! A steady round allocates one heap block, the returned [`RoundPlan`]'s
+//! Only resolving sizes the scratch, and nothing hashes: a job is its
+//! slot in the allocation's [`ComboSet`](gavel_core::ComboSet). A steady
+//! round allocates one heap block, the returned [`RoundPlan`]'s
 //! vector: an assignment's worker slots are a [`Workers`] range of the
 //! placement's slot list, which the next round reuses
 //! ([`RoundScheduler::worker_slots`]). [`MechanismStats`] counts the work,

@@ -111,8 +111,8 @@ struct Candidate {
     target: f64,
     row: u32,
     accel: u32,
-    /// Scheduler-local indices of the members (a singleton repeats its
-    /// one index).
+    /// The members' slots in the allocation's combo set (a singleton
+    /// repeats its one slot).
     jobs: [u32; 2],
     /// Workers the combo occupies: its largest member scale factor.
     workers: u32,
@@ -141,8 +141,10 @@ struct Resolution {
     cands: Vec<Candidate>,
     /// Resolution scratch: the candidates in row order.
     unsorted: Vec<Candidate>,
-    /// `JobId` → scheduler-local index; used while resolving only.
-    local: HashMap<JobId, usize>,
+    /// Per combo-set slot, its job's scale factor (`None`: departed).
+    scale: Vec<Option<u32>>,
+    /// Jobs with a candidate: what a plan can find idle.
+    candidate_jobs: usize,
     /// Rank of each cell's candidate, `rows × types`, or [`NO_RANK`].
     rank_of: Vec<u32>,
     /// The priority order, ascending keys.
@@ -153,7 +155,8 @@ struct Resolution {
     /// the flag per rank that keeps them unique.
     stale: Vec<u32>,
     is_stale: Vec<bool>,
-    /// Per local job, the epoch of the plan it last ran in.
+    /// Per slot, the epoch of the plan it last ran in, or of the
+    /// resolution that counted it among `candidate_jobs`.
     busy: Vec<u64>,
     epoch: u64,
     placement: PlacementState,
@@ -163,7 +166,7 @@ struct Resolution {
 impl Resolution {
     /// Extracts the cells with a finite target above `1e-4` (a NaN,
     /// infinite or negative cell is never planned), each with its combo's
-    /// member indices and worker count, and orders them by priority under
+    /// member slots and worker count, and orders them by priority under
     /// `received`. A row with a departed member yields nothing.
     fn resolve(
         &mut self,
@@ -174,8 +177,15 @@ impl Resolution {
     ) {
         self.unsorted.clear();
         self.scratch.clear();
-        self.local.clear();
-        for (row, &combo) in alloc.combos().combos().iter().enumerate() {
+        let combos = alloc.combos();
+        self.scale.clear();
+        let ask = |&job| scale_factor.scale_factor_of(job);
+        self.scale.extend(combos.jobs().iter().map(ask));
+        self.busy.clear();
+        self.busy.resize(combos.jobs().len(), 0);
+        self.epoch += 1;
+        self.candidate_jobs = 0;
+        for (row, &combo) in combos.combos().iter().enumerate() {
             let mut wanted = (alloc.row(row).iter().take(types).enumerate())
                 .filter(|(_, target)| target.is_finite() && **target > 1e-4)
                 .peekable();
@@ -183,19 +193,18 @@ impl Resolution {
                 continue;
             }
             // The combo occupies its largest member's worker count.
-            let Some(workers) = (combo.jobs()).try_fold(0, |most, job| {
-                Some(most.max(scale_factor.scale_factor_of(job)?))
-            }) else {
+            let members = combos.members(row);
+            let Some(workers) =
+                (members.iter()).try_fold(0, |most, &slot| Some(most.max(self.scale[slot]?)))
+            else {
                 continue;
             };
-            let mut jobs = [0; 2];
-            for (member, job) in combo.jobs().enumerate() {
-                let next = self.local.len();
-                jobs[member] = *self.local.entry(job).or_insert(next) as u32;
+            for slot in members {
+                if std::mem::replace(&mut self.busy[slot], self.epoch) != self.epoch {
+                    self.candidate_jobs += 1;
+                }
             }
-            if !combo.is_pair() {
-                jobs[1] = jobs[0];
-            }
+            let jobs = members.map(|slot| slot as u32);
             for (accel, &target) in wanted {
                 // Positive targets order like their bits, and candidates
                 // are pushed in (row, type) order: one packed key sorts by
@@ -236,8 +245,6 @@ impl Resolution {
         self.stale.clear();
         self.is_stale.clear();
         self.is_stale.resize(self.cands.len(), false);
-        self.busy.clear();
-        self.busy.resize(self.local.len(), 0);
         self.fresh = true;
         self.stats.resolutions += 1;
         self.stats.keys_computed += self.cands.len() as u64;
@@ -333,7 +340,7 @@ impl Resolution {
 
         self.placement.reset(available);
         self.epoch += 1;
-        let mut idle_jobs = self.busy.len();
+        let mut idle_jobs = self.candidate_jobs;
         // A job runs in one assignment and an assignment takes a worker.
         let most = idle_jobs.min(self.placement.free_total());
         let mut plan = RoundPlan {

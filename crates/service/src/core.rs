@@ -881,12 +881,15 @@ impl<'p> SchedulerService<'p> {
         // worker-seconds — zero-rate jobs pay nothing.
         let mut used_worker_seconds = 0.0;
         let mut step_cost = 0.0;
-        let mut member_costs: Vec<(JobId, f64)> = Vec::new();
-        for (k, combo) in alloc.combos().combos().iter().enumerate() {
-            let sf = combo
-                .jobs()
-                .filter_map(|id| self.index.get(&id).map(|&i| &self.active[i]))
-                .map(|a| a.trace.scale_factor)
+        let combos = alloc.combos();
+        // Per combo-set slot, the job's position in `active`.
+        let positions: Vec<Option<usize>> = (combos.jobs().iter())
+            .map(|id| self.index.get(id).copied())
+            .collect();
+        for (k, combo) in combos.combos().iter().enumerate() {
+            let members = &combos.members(k)[..combo.jobs().count()];
+            let active = members.iter().filter_map(|&slot| positions[slot]);
+            let sf = (active.clone().map(|i| self.active[i].trace.scale_factor))
                 .max()
                 .unwrap_or(1) as f64;
             let mut combo_cost = 0.0;
@@ -900,19 +903,13 @@ impl<'p> SchedulerService<'p> {
                 }
             }
             if combo_cost > 0.0 {
-                let n_members = combo.jobs().count() as f64;
-                for id in combo.jobs() {
-                    member_costs.push((id, combo_cost / n_members));
+                for i in active {
+                    self.active[i].cost += combo_cost / members.len() as f64;
                 }
             }
         }
         self.busy_worker_seconds += used_worker_seconds;
         self.total_cost += step_cost;
-        for (id, c) in member_costs {
-            if let Some(&i) = self.index.get(&id) {
-                self.active[i].cost += c;
-            }
-        }
         for (a, &r) in self.active.iter_mut().zip(&rates) {
             a.steps_done += r * dt;
         }

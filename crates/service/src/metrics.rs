@@ -290,7 +290,7 @@ pub struct SimResult {
     /// the perf gates assert on.
     pub snapshot_stats: SnapshotStats,
     /// Round-mechanism work counters: plans, resolutions, candidates
-    /// scored and visited, received-time slots live and at peak.
+    /// scored and visited, priority keys computed.
     pub mechanism_stats: MechanismStats,
     /// Service-command counters: per-entity books, admission-cap
     /// rejections, and query staleness.
@@ -301,8 +301,8 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// Average JCT in hours over completed jobs (optionally only those with
-    /// id within `[skip_first, len - skip_last)` to measure steady state).
+    /// Average JCT in hours over every completed job, zero if none did;
+    /// [`SimResult::steady_state_avg_jct_hours`] drops warm-up/cool-down.
     pub fn avg_jct_hours(&self) -> f64 {
         let jcts: Vec<f64> = self.jobs.iter().filter_map(|j| j.jct()).collect();
         if jcts.is_empty() {

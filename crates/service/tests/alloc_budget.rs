@@ -139,13 +139,16 @@ fn a_recompute_allocates_a_constant_number_of_blocks() {
     let small = worst_cycle(100);
     let large = worst_cycle(400);
     println!("allocations per cycle (admit + remove, snapshot, zeros): {small:?} at 100 jobs, {large:?} at 400");
-    // The snapshot: the combo vector, its sorted copy for the duplicate
-    // check and the tensor's one buffer. None of them is per row; the
-    // selection pass's scratch (one per-job array, the sort buffer) and
-    // the buckets the arrival's scored pairs go into stay on the store
-    // and reached their size during the warm-up.
-    assert_eq!(small.1, 3, "snapshot at 100 jobs");
-    assert_eq!(large.1, 3, "snapshot at 400 jobs");
+    // The snapshot: the combo vector; what `ComboSet::new` builds for
+    // its job index (`C_m`) — the sorted member keys and the duplicate
+    // check's per-job stamps, both dropped, then the distinct jobs, each
+    // job's row range, the rows, each row's member slots and the shared
+    // box that holds them; and the tensor's one buffer. None of them is
+    // per row; the selection pass's scratch (one per-job array, the sort
+    // buffer) and the buckets the arrival's scored pairs go into stay on
+    // the store and reached their size during the warm-up.
+    assert_eq!(small.1, 9, "snapshot at 100 jobs");
+    assert_eq!(large.1, 9, "snapshot at 400 jobs");
     // One value slab.
     assert_eq!((small.2, large.2), (1, 1), "Allocation::zeros");
     // Admit and remove touch amortised vectors only: the job vectors,
