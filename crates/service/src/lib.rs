@@ -119,7 +119,7 @@ pub use metrics::{
 pub use recovery::{
     recover, replay, run_until_crash, CrashOutcome, DurableService, RecoveryError, RecoveryReport,
 };
-pub use snapshot::{SnapshotCache, SnapshotStats, CROSSCHECK_ENV};
+pub use snapshot::{SnapshotCache, SnapshotStats};
 pub use wal::{
     scan_wal, FaultPlan, FaultSink, FileSink, KillSpec, LogSink, MemorySink, TornReason, TornTail,
     Wal, WalError, WalRecord, WalScan,

@@ -109,10 +109,9 @@
 //! what a fresh enumeration would. The bucketed store builds the same key
 //! for the candidates it sorts, and bucket ids are a prefix of the score
 //! bits, so the descending bucket walk refines into the same global
-//! order. [`SnapshotCache::set_crosscheck`] or the
-//! `GAVEL_SNAPSHOT_CROSSCHECK` environment variable re-ranks every live
-//! candidate through [`rank_and_cap`] and asserts the two selections
-//! equal.
+//! order. In debug builds, or wherever [`SnapshotCache::set_crosscheck`]
+//! turns it on, every selection pass re-ranks every live candidate
+//! through [`rank_and_cap`] and asserts the two selections equal.
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
@@ -120,16 +119,6 @@ use gavel_workloads::{
     pair_row, rank_and_cap, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
 };
 use std::collections::BTreeMap;
-
-/// Environment variable that makes every bucketed selection re-run the
-/// flat [`rank_and_cap`] differential oracle and assert the two orders
-/// are identical. Unset, empty or `0` is off; anything else is on.
-pub const CROSSCHECK_ENV: &str = "GAVEL_SNAPSHOT_CROSSCHECK";
-
-/// The rule every `GAVEL_*` switch follows (see the README table).
-fn flag_on(value: Option<std::ffi::OsString>) -> bool {
-    value.is_some_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Right-shift applied to a score's IEEE-754 bits to name its bucket.
 /// Keeping the top 24 bits (sign, exponent, 12 mantissa bits) yields a
@@ -542,7 +531,7 @@ impl SnapshotCache {
             selected: Vec::new(),
             selection_dirty: true,
             deselected: Vec::new(),
-            crosscheck: flag_on(std::env::var_os(CROSSCHECK_ENV)),
+            crosscheck: cfg!(debug_assertions),
             stats: SnapshotStats::default(),
         }
     }
@@ -594,8 +583,8 @@ impl SnapshotCache {
     }
 
     /// Enables (or disables) crosschecking every bucketed selection
-    /// against the flat [`rank_and_cap`] differential oracle. Also
-    /// enabled by setting the [`CROSSCHECK_ENV`] environment variable.
+    /// against the flat [`rank_and_cap`] differential oracle, which a new
+    /// cache does in debug builds only.
     pub fn set_crosscheck(&mut self, on: bool) {
         self.crosscheck = on;
     }
@@ -1208,14 +1197,6 @@ mod tests {
             rederived
         );
         assert_bridged_matches_fresh(&mut cache, &oracle, opts);
-    }
-
-    #[test]
-    fn crosscheck_flag_is_off_when_unset_empty_or_zero() {
-        assert!(!flag_on(None));
-        for (value, on) in [("", false), ("0", false), ("1", true), ("off", true)] {
-            assert_eq!(flag_on(Some(value.into())), on, "{value:?}");
-        }
     }
 
     #[test]

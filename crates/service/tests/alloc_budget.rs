@@ -95,8 +95,8 @@ const CYCLES: usize = 64;
 fn worst_cycle(n: usize) -> (usize, usize, usize) {
     let oracle = Oracle::new();
     let mut cache = SnapshotCache::new(true, Some(PairOptions::default()));
-    // The budget is the production path's: the flat differential oracle
-    // `GAVEL_SNAPSHOT_CROSSCHECK` switches on allocates per candidate.
+    // The budget is the production path's: the flat differential oracle,
+    // which debug builds turn on, allocates per candidate.
     cache.set_crosscheck(false);
     let mut next_id = 0u64;
     let mut admit_one = |cache: &mut SnapshotCache| {

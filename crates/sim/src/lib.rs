@@ -37,7 +37,7 @@
 //! The per-round machinery the service core composes is documented where
 //! it lives: the incremental policy-input snapshots (oracle- and
 //! estimator-backed alike, re-scoring one dirty set per snapshot, with
-//! the bucketed selection re-checked behind [`CROSSCHECK_ENV`] against
+//! the bucketed selection re-checked in debug builds against
 //! [`gavel_workloads::rank_and_cap`], the fresh builder's flat ranking)
 //! in [`gavel_service::snapshot`], and the round planner in
 //! [`gavel_sched::mechanism`]; `gavel-exp fig12_scalability` times both
@@ -66,5 +66,5 @@ pub mod client;
 pub use client::{compile_trace, run};
 pub use gavel_service::{
     EstimatorBridge, FailureConfig, JobOutcome, RecomputeCadence, ServiceStats, SimConfig,
-    SimResult, SnapshotCache, SnapshotStats, CROSSCHECK_ENV,
+    SimResult, SnapshotCache, SnapshotStats,
 };

@@ -50,49 +50,33 @@
 //!   re-solve on the dense tableau.
 //! - **Dense (oracle).** [`simplex`] expands finite column bounds into
 //!   explicit `<=` rows and runs the original full-tableau two-phase
-//!   method, paying `O(m * width)` per pivot. It exists for differential
-//!   testing: because it lowers bounds the *other* way, it is an
-//!   independent check on the entire bounded-variable path. The property
-//!   tests pit the two engines against each other, and setting
-//!   `GAVEL_LP_CROSSCHECK=1` in debug builds re-solves every LP densely —
-//!   cold, warm-continued, and dual-reoptimized solves alike — asserting
-//!   the objectives agree and the returned point is feasible.
+//!   method, paying `O(m * width)` per pivot. Because it lowers bounds the
+//!   *other* way, it is an independent check on the entire
+//!   bounded-variable path, and the differential tests pit the two
+//!   engines against each other.
+//!
+//! Debug builds check every successful solve — cold, warm-continued,
+//! dual-repaired, hinted or prepared — with a certificate instead of a
+//! second engine: from the final basis's own duals, every reduced cost
+//! has the optimality sign for its bound side, every basic value lies
+//! within its bounds and the duality gap is closed. The point is then
+//! checked against every stated bound and row, and the objective against
+//! `Σ c_v x_v`. Neither check allocates; release builds run neither.
 //!
 //! # Warm starts and dual reoptimization
 //!
 //! [`PreparedLp::solve`] returns the optimal basis state (basic columns
 //! plus nonbasic bound sides) as a [`WarmStart`] token alongside the
-//! solution. Feeding that token into the next solve of a
-//! *structurally identical* problem (same variable list and constraint
-//! shapes; coefficients, bounds, and right-hand sides may drift) first
-//! *completes* it: a hinted column that has become dependent on the others
-//! is dropped, and a row left without a column gets its logical one (its
-//! slack, its surplus, or on an equality row its artificial), all in the
-//! factorization pass the solve starts with. A hint may therefore name
-//! fewer columns than there are rows. The completed basis is classified
-//! into one of three paths:
-//!
-//! 1. **Primal continuation.** The old basis is still primal feasible
-//!    (e.g. only the objective moved, as in per-job probes within one
-//!    round): phase 1 is skipped and phase 2 resumes from the old vertex —
-//!    often zero pivots.
-//! 2. **Dual reoptimization.** The old basis is primal *infeasible* but
-//!    still *dual* feasible — the signature of a pure right-hand-side or
-//!    bound change: a risen water-filling floor, a tightened bound. A
-//!    dual simplex phase drives the violated basic
-//!    variables back to their bounds in a handful of pivots
-//!    ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
-//!    no-op).
-//! 3. **Cold fallback.** A completed basis that is neither primal nor
-//!    dual feasible, a hint that does not fit (more columns than rows, a
-//!    column out of range or named twice), or a failure part-way along a
-//!    warm path silently cold-starts on a full pivot budget of its own (the hinted
-//!    attempt runs on a fraction of the limit, so a stalled hint cannot
-//!    starve the cold solve; [`SolveStats::warm_falls_back`]). The one
-//!    warm verdict accepted directly is an infeasibility *proof* from the
-//!    dual phase (dual unboundedness from a validated dual-feasible
-//!    basis); unbounded, iteration-limit, and numerical outcomes are
-//!    never trusted warm; what the cold solve then returns is final.
+//! solution. The next solve of a *structurally identical* problem
+//! (coefficients, bounds and right-hand sides may drift) completes the
+//! token in its first factorization and classifies the completed basis:
+//! still primal feasible, phase 2 resumes from it; primal infeasible but
+//! dual feasible (a risen water-filling floor, a tightened bound), a dual
+//! simplex phase repairs it ([`SolveStats::dual_pivots`]); neither, or a
+//! hint that does not fit, a silent cold start on a pivot budget of its
+//! own ([`SolveStats::warm_falls_back`]). [`revised`] documents each path
+//! and the one warm verdict accepted directly, an infeasibility proof
+//! from the dual phase.
 //!
 //! Hints are validated, never trusted, so a hint never affects the
 //! feasibility/boundedness verdict or the optimal objective; the one

@@ -4,8 +4,8 @@
 //! and linear constraints, then lowers the problem to the standard form
 //! `min c'x` subject to `Ax {<=,>=,=} b, 0 <= x <= u` consumed by the
 //! simplex engines in [`crate::revised`] (the default) and
-//! [`crate::simplex`] (the dense cross-check oracle). The lowering emits
-//! sparse rows and handles:
+//! [`crate::simplex`] (the differential tests' dense oracle). The lowering
+//! emits sparse rows and handles:
 //!
 //! - maximization (objective negation),
 //! - finite lower bounds (variable shifting),
@@ -313,7 +313,7 @@ impl LpProblem {
         let out = revised::solve_instance(inst, hint, kept)?;
         let sol = self.recover(mapping, &out.x, out.objective, out.stats);
         #[cfg(debug_assertions)]
-        self.cross_check(&sol);
+        self.check_stated(&sol);
         let basis = WarmStart {
             basis: out.basis,
             at_upper: out.at_upper,
@@ -323,9 +323,9 @@ impl LpProblem {
 
     /// Solves with the dense two-phase tableau ([`crate::simplex`]) — the
     /// original engine, kept as an independently-implemented oracle for
-    /// differential tests and debug-mode cross-checks of the revised
-    /// simplex. Not for production use: it scales as `O(m * width)` per
-    /// pivot where the revised engine pays `O(nnz)`.
+    /// the differential tests of the revised simplex. Not for production
+    /// use: it scales as `O(m * width)` per pivot where the revised engine
+    /// pays `O(nnz)`.
     pub fn solve_dense(&self) -> Result<LpSolution, SolverError> {
         let lowering = self.lower()?;
         let (raw, objective_std, stats) = simplex::solve_standard(&lowering.std)?;
@@ -359,34 +359,14 @@ impl LpProblem {
         }
     }
 
-    /// Debug-mode oracle: when `GAVEL_LP_CROSSCHECK` is on (set to anything
-    /// but the empty string or `0`), re-solve with the dense tableau (which
-    /// expands column bounds into explicit rows, independently of the
-    /// bounded-variable path) and assert the engines agree on the
-    /// objective. Runs on *every* revised-engine solve —
-    /// cold, warm-continued, and dual-reoptimized alike, since
-    /// [`LpProblem::solve`] and [`crate::PreparedLp::solve`] share this
-    /// exit path — and additionally asserts the returned point respects every
-    /// variable bound and constraint of the original problem.
+    /// Debug builds check every solution, after the engine certified its
+    /// standard-form optimum, against the problem as stated: each variable
+    /// within its bounds to `1e-6`, each row within `1e-6·(1 + |rhs|)`,
+    /// and the objective equal to `Σ c_v x_v` within `1e-6·(1 + max)`.
     #[cfg(debug_assertions)]
-    fn cross_check(&self, sol: &LpSolution) {
-        if !flag_on(std::env::var_os("GAVEL_LP_CROSSCHECK")) {
-            return;
-        }
-        // A debug-only cross-check: disagreeing engines are the failure it
-        // exists to report.
-        let dense = self
-            .solve_dense()
-            .expect("dense oracle failed where the revised simplex succeeded");
-        let scale = 1.0 + sol.objective.abs().max(dense.objective.abs());
-        debug_assert!(
-            (sol.objective - dense.objective).abs() <= 1e-6 * scale,
-            "revised/dense objective mismatch: {} vs {}",
-            sol.objective,
-            dense.objective,
-        );
+    fn check_stated(&self, sol: &LpSolution) {
         for (v, value) in self.vars.iter().zip(&sol.values) {
-            debug_assert!(
+            assert!(
                 *value >= v.lower - 1e-6 && *value <= v.upper + 1e-6,
                 "variable `{}` = {value} violates bounds [{}, {}]",
                 v.name,
@@ -406,8 +386,20 @@ impl LpProblem {
                 Cmp::Ge => lhs >= c.rhs - tol,
                 Cmp::Eq => (lhs - c.rhs).abs() <= tol,
             };
-            debug_assert!(ok, "constraint {i} violated: lhs {lhs} vs rhs {}", c.rhs);
+            assert!(ok, "constraint {i} violated: lhs {lhs} vs rhs {}", c.rhs);
         }
+        let stated: f64 = self
+            .vars
+            .iter()
+            .zip(&sol.values)
+            .map(|(v, x)| v.obj * x)
+            .sum();
+        let scale = 1.0 + stated.abs().max(sol.objective.abs());
+        assert!(
+            (stated - sol.objective).abs() <= 1e-6 * scale,
+            "reported objective {} vs stated Σ c·x {stated}",
+            sol.objective,
+        );
     }
 
     fn validate(&self) -> Result<(), SolverError> {
@@ -637,24 +629,9 @@ pub(crate) struct Lowering {
     pub(crate) irregular: bool,
 }
 
-/// The rule every `GAVEL_*` switch follows (see the README table).
-#[cfg(debug_assertions)]
-fn flag_on(value: Option<std::ffi::OsString>) -> bool {
-    value.is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn crosscheck_flag_is_off_when_unset_empty_or_zero() {
-        assert!(!flag_on(None));
-        for (value, on) in [("", false), ("0", false), ("1", true), ("off", true)] {
-            assert_eq!(flag_on(Some(value.into())), on, "{value:?}");
-        }
-    }
 
     #[test]
     fn maximization_with_upper_bounds() {

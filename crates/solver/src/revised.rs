@@ -520,27 +520,23 @@ impl<'a> Solver<'a> {
             .all(|(&c, &v)| v >= -FEAS_TOL && v <= self.ub(c, 2) + FEAS_TOL)
     }
 
-    /// Whether every movable nonbasic column's reduced cost has the
-    /// optimality sign for its bound side (at lower: `d >= 0`, at upper:
-    /// `d <= 0`), i.e. the basis is dual feasible for the phase-2 costs.
+    /// Whether the basis is dual feasible for the phase-2 costs: no
+    /// [`Solver::dual_miss`] above `1e-7`.
     fn dual_feasible(&mut self) -> bool {
-        const DTOL: f64 = 1e-7;
         let inst = self.inst;
         self.prices(&inst.costs);
-        for j in 0..inst.art_start {
-            if self.in_basis[j] || self.ub(j, 2) <= 0.0 {
-                continue; // Basic or fixed columns carry no dual condition.
-            }
-            let d = inst.costs[j] - inst.a.col_dot(j, &self.y);
-            if self.at_upper[j] {
-                if d > DTOL {
-                    return false;
-                }
-            } else if d < -DTOL {
-                return false;
-            }
+        !(0..inst.art_start).any(|j| self.dual_miss(&inst.costs, j, 2).is_some_and(|d| d > 1e-7))
+    }
+
+    /// How far `d_j = c_j − a_j·y` misses the optimality sign for `j`'s
+    /// bound side (`d_j >= 0` at lower, `<= 0` at upper); positive when
+    /// moving `j` pays, `None` for a basic or fixed column.
+    fn dual_miss(&self, costs: &[f64], j: usize, phase: u8) -> Option<f64> {
+        if self.in_basis[j] || self.ub(j, phase) <= 0.0 {
+            return None;
         }
-        true
+        let d = costs[j] - self.inst.a.col_dot(j, &self.y);
+        Some(if self.at_upper[j] { d } else { -d })
     }
 
     /// Dual prices `y = B⁻ᵀ c_B` for the given cost vector, into `y`.
@@ -691,16 +687,12 @@ impl<'a> Solver<'a> {
         let mut best: Option<(usize, f64)> = None;
         let mut best_viol = RC_TOL;
         for j in 0..limit {
-            if self.in_basis[j] || self.ub(j, phase) <= 0.0 {
+            let Some(viol) = self.dual_miss(costs, j, phase) else {
                 continue;
-            }
-            let rc = costs[j] - self.inst.a.col_dot(j, &self.y);
-            let (viol, dir) = if self.at_upper[j] {
-                (rc, -1.0) // Profitable to decrease from the upper bound.
-            } else {
-                (-rc, 1.0) // Profitable to increase from the lower bound.
             };
             if viol > best_viol {
+                // Decrease from the upper bound, or increase from the lower.
+                let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
                 if self.bland {
                     return Some((j, dir));
                 }
@@ -1028,6 +1020,8 @@ impl<'a> Solver<'a> {
                 objective += self.inst.costs[j] * self.inst.upper[j];
             }
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(self.certify(objective), Ok(()), "optimality certificate");
         *kept = Some(KeptLu {
             basis: self.basis.clone(),
             fac: self.fac,
@@ -1040,6 +1034,52 @@ impl<'a> Solver<'a> {
             at_upper: self.at_upper,
         })
     }
+
+    /// Certifies `primal` optimal from the state's own duals `y = B⁻ᵀ c_B`
+    /// (priced into `y`; nothing is allocated): every [`Solver::dual_miss`]
+    /// within `1e-7·(1 + |c_j| + Σ|a_ij y_i|)`, every basic value in `[0, u]`
+    /// within `1e-6·(1 + u)` (`u` finite, else 0), and `primal` equal to
+    /// `b·y + Σ_{j at upper} u_j d_j` within `1e-6·(1 + max)`.
+    #[cfg(debug_assertions)]
+    fn certify(&mut self, primal: f64) -> Result<(), Violation> {
+        let check = |what, at, off: f64, tol: f64| {
+            (off <= tol)
+                .then_some(())
+                .ok_or(Violation { what, at, off, tol })
+        };
+        let inst = self.inst;
+        self.prices(&inst.costs);
+        let mut dual: f64 = inst.b.iter().zip(&self.y).map(|(b, y)| b * y).sum();
+        for j in 0..inst.art_start {
+            let Some(miss) = self.dual_miss(&inst.costs, j, 2) else {
+                continue;
+            };
+            let size: f64 = inst.a.col(j).map(|(r, v)| (v * self.y[r]).abs()).sum();
+            let tol = 1e-7 * (1.0 + inst.costs[j].abs() + size);
+            check("reduced cost", j, miss, tol)?;
+            if self.at_upper[j] {
+                dual += inst.upper[j] * miss; // At its upper bound, `miss` is `d_j`.
+            }
+        }
+        for (slot, (&c, &v)) in self.basis.iter().zip(&self.x_b).enumerate() {
+            let u = self.ub(c, 2);
+            let room = if u.is_finite() { u } else { 0.0 };
+            check("basic value", slot, (-v).max(v - u), 1e-6 * (1.0 + room))?;
+        }
+        let scale = 1.0 + primal.abs().max(dual.abs());
+        check("duality gap", 0, (primal - dual).abs(), 1e-6 * scale)
+    }
+}
+
+/// A condition [`Solver::certify`] found broken: which one, at which
+/// column or basis slot, by how much, and the tolerance it exceeded.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Violation {
+    what: &'static str,
+    at: usize,
+    off: f64,
+    tol: f64,
 }
 
 #[cfg(test)]
@@ -1295,6 +1335,37 @@ mod tests {
             hint = warm;
         }
         assert!(dual_pivots > 0, "no dual pivots over the whole sequence");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn certificate_rejects_a_feasible_non_optimal_state_and_accepts_the_optimum() {
+        // max 3x + 2y s.t. x + y <= 4, x <= 2: hinted at its origin (slack)
+        // basis and not pivoted, the state is primal feasible at x = y = 0
+        // but both structural columns price out profitable.
+        let lp = std_lp(
+            2,
+            vec![-3.0, -2.0],
+            vec![
+                (vec![1.0, 1.0], Cmp::Le, 4.0),
+                (vec![1.0, 0.0], Cmp::Le, 2.0),
+            ],
+        );
+        let inst = Instance::build(&lp);
+        let at_upper = vec![false; inst.ntot];
+        let mut solver = Solver::from_hint(&inst, &inst.init_basis, &at_upper, None).unwrap();
+        assert!(solver.primal_feasible());
+        let verdict = solver.certify(0.0).unwrap_err();
+        assert_eq!(verdict.what, "reduced cost", "{verdict:?}");
+        assert!(verdict.off > verdict.tol, "{verdict:?}");
+
+        // Pivoted to the optimum x = y = 2, objective -10 in the standard
+        // form's minimization.
+        solver.phase2().unwrap();
+        assert_eq!(solver.certify(-10.0), Ok(()));
+        // The same optimal basis, reported with a wrong objective.
+        let verdict = solver.certify(-10.0 + 1e-3).unwrap_err();
+        assert_eq!(verdict.what, "duality gap", "{verdict:?}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! Finite column upper bounds are *not* handled implicitly here: the dense
 //! engine expands each `x_j <= u_j` into an explicit `<=` row before
 //! building the tableau. That deliberately keeps this engine independent of
-//! the bounded-variable machinery in [`crate::revised`], so differential
-//! tests and the `GAVEL_LP_CROSSCHECK` oracle exercise the implicit-bound
-//! path against a row-based implementation of the same LP.
+//! the bounded-variable machinery in [`crate::revised`], so the
+//! differential tests ([`crate::LpProblem::solve_dense`]) exercise the
+//! implicit-bound path against a row-based implementation of the same LP.
 
 use crate::error::SolverError;
 use crate::problem::Cmp;

@@ -11,8 +11,12 @@
 //!    water-filling round sequence (floors only rise) return allocations
 //!    *bit-identical* to cold solves of the same rounds, never fall back
 //!    to a cold start, and never run phase 1.
+//!
+//! Debug builds certify every one of these solves from the engine's own
+//! duals, so the warm-continued and dual-repaired ones are checked for
+//! optimality as they run.
 
-use gavel_solver::{Cmp, LpProblem, PreparedLp, Sense, VarId, WarmStart};
+use gavel_solver::{Cmp, LpProblem, PreparedLp, Sense, SolverError, VarId, WarmStart};
 use proptest::prelude::*;
 
 /// Builds the bounded LP both ways: bounds on columns vs bounds as rows.
@@ -248,4 +252,41 @@ fn fixed_rising_floor_sequence_is_bit_identical_and_dual_reoptimized() {
         dual_pivots > 0,
         "dual path never exercised on the fixed sequence"
     );
+}
+
+/// A chained warm sequence whose bottlenecked job's floor rises each
+/// round, so the warm basis crosses breakpoints into the dual path (every
+/// solve certified in debug builds), then an infeasible round (floors
+/// beyond capacity) that must verdict identically warm and cold.
+#[test]
+fn warm_dual_sequence_then_infeasible_round_agrees_warm_and_cold() {
+    let tputs: Vec<f64> = (0..21).map(|i| 0.5 + 0.17 * i as f64).collect();
+    let mut active = vec![true; 5];
+    active[4] = false;
+    let mut floors = vec![0.0f64; 5];
+    let mut cache: Option<WarmStart> = None;
+    let mut dual_pivots = 0;
+    for r in 0..6 {
+        let lp = round_lp(5, &tputs, &floors, &active);
+        let (sol, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
+        dual_pivots += sol.stats.dual_pivots;
+        cache = Some(basis);
+        let t_star = sol.objective.max(0.1);
+        for (m, f) in floors.iter_mut().enumerate() {
+            *f += if active[m] {
+                0.1 * t_star
+            } else {
+                0.12 * r as f64
+            };
+        }
+    }
+    assert!(dual_pivots > 0, "dual path never exercised");
+    floors.iter_mut().for_each(|f| *f += 1e6);
+    let lp = round_lp(5, &tputs, &floors, &active);
+    let mut warm = PreparedLp::new(lp.clone()).unwrap();
+    assert_eq!(
+        warm.solve(cache.as_ref()).unwrap_err().0,
+        SolverError::Infeasible
+    );
+    assert_eq!(lp.solve().unwrap_err(), SolverError::Infeasible);
 }
