@@ -10,73 +10,61 @@
 //! 1. Solve `max t` s.t. `norm_tput_m >= floor_m + w_m * t` for active
 //!    jobs and `norm_tput_m >= floor_m` for all jobs.
 //! 2. Raise floors: `floor_m += w_m * t*`.
-//! 3. Identify bottlenecked jobs with exact LP probes (below), zero their
-//!    weights, and redistribute within their entity.
-//! 4. Stop when every job is bottlenecked. A round retires at least one
-//!    job for good, so `n` jobs take at most `n` rounds.
+//! 3. Retire the bottlenecked jobs the round LP's duals name (below): zero
+//!    their weights and redistribute within their entity.
+//! 4. Stop when no job is active. A round retires at least one job for
+//!    good, so `n` jobs take at most `n` rounds.
 //!
 //! With a single entity and fairness inside, this is exactly the paper's
 //! water-filled single-level max-min fairness.
 //!
-//! # One prepared LP per family
+//! # One prepared LP
 //!
-//! A solve builds its LPs once. The allocation variables and validity
-//! rows are shared; on top of them sit two [`PreparedLp`]s whose shape
-//! never changes across rounds, only their data:
-//!
-//! - the **round LP** (step 1): one floor row per job and the level
-//!   variable `t`. Each round patches the floors (right-hand sides) and
-//!   rewrites `t`'s column to the active jobs and their weights. Only this
-//!   LP's vertices reach the returned allocation, and every patch writes
-//!   exactly what a fresh build of the round's LP would contain, so the
-//!   allocation is bit-identical to solving a fresh build of each round
-//!   from the same hint.
-//! - the **probe LP** (step 3): one floor row and one slack `s_m` in
-//!   `[0, 1]` per job, `tput_m - s_m >= floor_m`; a bottlenecked job's
-//!   slack is fixed at zero instead of being removed. Maximizing the sum of
-//!   slacks is the *prepass*: by convexity a job improvable at all can show
-//!   positive slack in some feasible point, and every job that does so at
-//!   the max-sum point is cleared at once. Each remaining candidate `m` is
-//!   *probed* by maximizing `s_m` alone — the same constraints under the
-//!   cost vector `e_m` — and is bottlenecked iff the optimum stays at zero.
-//!   The probes run as one chain, each warm-started from the one before and
-//!   the first from the prepass optimum: every basis in the chain is primal
-//!   feasible for every probe (the constraints never move within a pass),
-//!   so no probe ever runs a phase 1, and the factorization one probe ends
-//!   with is the one the next starts from.
-//!
-//! # Where each solve starts
-//!
-//! The two families share their rows and allocation variables, so a basis
-//! written in problem terms ([`BasisEntry`]) hints either. The first round
-//! LP starts from the origin basis — validity rows on their slacks, each
-//! floor row on its job's best cell, every variable at zero. Every later
-//! round LP, and the first prepass, start from the last round optimum with
-//! `t` taken out. Both hints are primal feasible by construction. Floors
-//! rise exactly to that optimum `x*`: an active job's floor becomes
-//! `floor_m + w_m t*`, which `x*` meets. So `(x*, t = 0)` satisfies every
-//! round row and `(x*, s = 0)` every probe row, whichever slacks are
-//! fixed at zero. The solver completes the basis in the row `t` leaves
-//! with a logical column, which sits at zero whichever one it picks.
-//!
-//! A later prepass starts from the prepass before it, a few dual pivots
-//! from its optimum where the round optimum is many primal pivots away.
-//! The prepass's costs and matrix never change, and rising floors and
-//! slacks fixed at zero keep that basis dual feasible. A slack freed
-//! again (a FIFO entity handing a retired job's weight on) breaks this;
-//! that prepass starts from the round optimum instead. No solve of a water
+//! The round LP is the only LP a solve builds, and it builds it once, as a
+//! [`PreparedLp`]. Each round patches the floors (right-hand sides) and
+//! rewrites `t`'s column to the active jobs and their weights, exactly as
+//! a fresh build of that round's LP would hold them. The first round
+//! starts from the origin basis (validity rows on their slacks, each floor
+//! row on its job's best cell), every later one from the last optimum `x*`
+//! with `t` taken out. Both are primal feasible: floors rise exactly to
+//! `x*`, so `(x*, t = 0)` meets every floor row. No solve of a water
 //! filling runs a phase 1 or falls back cold.
 //!
-//! Appendix A.1 states step 3 as a MILP with one binary per job. The
-//! probes answer the same question with LPs alone; this module's tests
-//! keep the MILP, under a plain branch-and-bound, as an oracle the probe
-//! verdicts are checked against every round.
+//! # Bottlenecks from the round LP's duals
+//!
+//! Step 3 asks which active jobs cannot rise above their new floors while
+//! every other job keeps its own. Appendix A.1 states that test as a MILP;
+//! the round LP's optimal duals answer it without another solve.
+//!
+//! - *A nonzero dual proves a bottleneck.* Let `y_m` be the dual of job
+//!   `m`'s floor row. Any allocation that keeps every new floor is
+//!   feasible for the round LP with `t = t*`, hence optimal, and by
+//!   complementary slackness a row with a nonzero dual is tight at every
+//!   optimum. So `y_m != 0` pins job `m` to its floor (Nace & Pióro's dual
+//!   test for progressive filling). A round retires the active jobs whose
+//!   dual exceeds `DUAL_TOL` of the largest active dual, and of 1.
+//! - *Every round makes progress.* `t`'s column prices out at the optimum:
+//!   `Σ_active w_m·y_m = −1` while `t` is basic, `≤ −1` when it rests at
+//!   zero (the `>=` floor rows of a maximization have `y_m <= 0`). So some
+//!   active dual is at least `1 / Σ_active w_m` in magnitude, and every
+//!   round retires a job. Debug builds assert the identity every round.
+//! - *A zero dual proves nothing.* At a degenerate optimum a bottlenecked
+//!   job's dual can be zero, and the job stays active. The next round then
+//!   has `t* = 0`, raises no floor, and names that job or another
+//!   bottlenecked one: the levels reached do not change, only the number
+//!   of rounds.
+//!
+//! This module's tests keep the App. A.1 MILP, under a plain
+//! branch-and-bound, and an exhaustive per-job LP as oracles for every
+//! round's dual verdicts.
 
 use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{
-    BasisEntry, Cmp, ConstraintId, LpSolution, PreparedLp, Sense, SolveStats, VarId, WarmStart,
-};
+use gavel_solver::{BasisEntry, Cmp, ConstraintId, PreparedLp, Sense, SolveStats, VarId};
+
+/// A floor-row dual at most this fraction of the largest active dual
+/// (and of 1) counts as zero: it retires no job.
+const DUAL_TOL: f64 = 1e-9;
 
 /// Inner (per-entity) policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,8 +112,8 @@ impl Hierarchical {
     }
 
     /// Like [`Policy::compute_allocation`], but also returns the
-    /// aggregate [`SolveStats`] over every LP solved: round LPs, prepass
-    /// and probes (counted in [`SolveStats::parallel_probes`]).
+    /// aggregate [`SolveStats`] over every LP solved: one round LP per
+    /// round.
     pub fn compute_allocation_with_stats(
         &self,
         input: &PolicyInput<'_>,
@@ -145,7 +133,7 @@ impl Hierarchical {
                 break;
             }
             alloc = Some(wf.raise_floors(&active)?);
-            let bottlenecked = wf.bottlenecked(&active)?;
+            let bottlenecked = wf.bottlenecked(&active);
             wf.retire(&active, bottlenecked);
         }
 
@@ -222,11 +210,10 @@ impl Hierarchical {
             .collect();
         Ok(WaterFill {
             input,
-            round: Family::round(&alp, &tput, &weights)?,
-            probe: Family::probe(&alp, &tput)?,
+            round: RoundLp::new(&alp, &tput, &weights)?,
             start: alp.origin(&cells),
-            last_prepass: None,
             floors: vec![0.0; n],
+            duals: vec![0.0; n],
             weights,
             done: vec![false; n],
             entity_of,
@@ -260,26 +247,24 @@ fn normalized_throughputs(
         .collect()
 }
 
-/// One of the two LP families of a solve: built once at zero floors,
-/// patched and re-solved every round.
-struct Family {
+/// The round LP (step 1) of a solve: built once at zero floors, patched
+/// and re-solved every round.
+struct RoundLp {
     lp: PreparedLp,
-    /// The job-specific variable: `t` for the round LP (one entry), the
-    /// per-job slacks for the probe LP.
-    vars: Vec<VarId>,
+    /// The level variable.
+    t: VarId,
     /// Floor row per job.
     floor_rows: Vec<ConstraintId>,
 }
 
-impl Family {
-    /// The round LP: `max t`, one floor row per job over its normalized
-    /// throughput `tput[m]`, with `t` in the rows of the jobs that carry
-    /// weight.
-    fn round(
+impl RoundLp {
+    /// `max t`, one floor row per job over its normalized throughput
+    /// `tput[m]`, with `t` in the rows of the jobs that carry weight.
+    fn new(
         alp: &AllocLp,
         tput: &[Vec<(VarId, f64)>],
         weights: &[f64],
-    ) -> Result<Family, PolicyError> {
+    ) -> Result<RoundLp, PolicyError> {
         let mut lp = alp.lp.clone();
         let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
         let floor_rows = tput
@@ -294,51 +279,12 @@ impl Family {
                 lp.add_constraint(&terms, Cmp::Ge, 0.0)
             })
             .collect();
-        Ok(Family {
+        Ok(RoundLp {
             lp: PreparedLp::new(lp).map_err(solver_err)?,
-            vars: vec![t],
+            t,
             floor_rows,
         })
     }
-
-    /// The probe LP: `tput[m] - s_m >= floor_m` with `s_m` in `[0, 1]` for
-    /// every job, maximizing the sum of slacks.
-    fn probe(alp: &AllocLp, tput: &[Vec<(VarId, f64)>]) -> Result<Family, PolicyError> {
-        let mut lp = alp.lp.clone();
-        let mut slacks = Vec::with_capacity(tput.len());
-        let mut floor_rows = Vec::with_capacity(tput.len());
-        for (m, terms) in tput.iter().enumerate() {
-            let s = lp.add_var_indexed("slack", m, 0.0, 1.0, 1.0);
-            let mut terms = terms.clone();
-            terms.push((s, -1.0));
-            floor_rows.push(lp.add_constraint(&terms, Cmp::Ge, 0.0));
-            slacks.push(s);
-        }
-        // The slack variables' [0, 1] ranges ride on columns: the LP
-        // must lower to exactly one standard-form row per constraint.
-        debug_assert_eq!(
-            lp.num_standard_rows().ok(),
-            Some(lp.num_constraints()),
-            "probe LP grew hidden bound rows"
-        );
-        Ok(Family {
-            lp: PreparedLp::new(lp).map_err(solver_err)?,
-            vars: slacks,
-            floor_rows,
-        })
-    }
-}
-
-/// Solves `lp` at its current patches, warm-started from `hint`, and adds
-/// the solve's counters to `stats`. Returns the solution and its basis.
-fn solve_from(
-    lp: &mut PreparedLp,
-    hint: Option<&WarmStart>,
-    stats: &mut SolveStats,
-) -> Result<(LpSolution, WarmStart), PolicyError> {
-    let (sol, optimal) = lp.solve(hint).map_err(|(e, _)| solver_err(e))?;
-    stats.absorb(&sol.stats);
-    Ok((sol, optimal))
 }
 
 /// Internal per-solve state.
@@ -346,6 +292,8 @@ struct WaterFill<'i, 'a> {
     input: &'i PolicyInput<'a>,
     /// Current normalized-throughput floor per job.
     floors: Vec<f64>,
+    /// Floor-row dual per job at the last round optimum.
+    duals: Vec<f64>,
     /// Current water-filling weight per job (0 = inactive/bottlenecked).
     weights: Vec<f64>,
     /// Whether the job has been declared bottlenecked.
@@ -356,20 +304,15 @@ struct WaterFill<'i, 'a> {
     base_weights: Vec<f64>,
     /// Inner policy per entity.
     inner_of: Vec<EntityPolicy>,
-    /// The allocation variables and validity rows every LP here starts
-    /// from.
+    /// The allocation variables and validity rows the round LP is built
+    /// on.
     alp: AllocLp,
     /// The round LP (step 1).
-    round: Family,
-    /// The probe LP (step 3).
-    probe: Family,
-    /// Where the next round LP starts, and a prepass that cannot start from
-    /// the last one, in problem terms: the origin basis, then the last
-    /// round optimum without `t`.
+    round: RoundLp,
+    /// Where the next round LP starts, in problem terms: the origin basis,
+    /// then the last round optimum without `t`.
     start: Vec<BasisEntry>,
-    /// The last prepass optimum, where the next prepass starts.
-    last_prepass: Option<WarmStart>,
-    /// Aggregate solver stats across every LP solved, in solve order.
+    /// Aggregate solver stats across every round LP solved.
     stats: SolveStats,
 }
 
@@ -386,144 +329,74 @@ impl<'i, 'a> WaterFill<'i, 'a> {
             .collect()
     }
 
-    /// Steps 1 and 2: solves the round LP and raises every active job's
-    /// floor by its weighted share of `t*`. Returns the round's allocation.
+    /// Steps 1 and 2: solves the round LP, keeps its floor rows' duals and
+    /// raises every active job's floor by its weighted share of `t*`.
+    /// Returns the round's allocation.
     fn raise_floors(&mut self, active: &[usize]) -> Result<Allocation, PolicyError> {
-        let (t_star, alloc) = self.solve_round()?;
-        for &m in active {
-            self.floors[m] += self.weights[m] * t_star;
-        }
-        Ok(alloc)
-    }
-
-    /// End of step 3: retires the bottlenecked jobs, handing their weights
-    /// on within their entities.
-    fn retire(&mut self, active: &[usize], bottlenecked: Vec<usize>) {
-        if bottlenecked.is_empty() {
-            // Numerical stall: treat the tightest job as bottlenecked
-            // to guarantee progress. A NaN floor would poison this
-            // ordering (and every bottleneck comparison upstream), so
-            // reject it loudly in debug builds; `total_cmp` keeps the
-            // ordering total — never panicking — in release.
-            debug_assert!(
-                active.iter().all(|&m| !self.floors[m].is_nan()),
-                "NaN floor in water filling"
-            );
-            if let Some(&tightest) = active
-                .iter()
-                .min_by(|&&a, &&b| self.floors[a].total_cmp(&self.floors[b]))
-            {
-                self.redistribute(tightest);
-            }
-        } else {
-            for m in bottlenecked {
-                self.redistribute(m);
-            }
-        }
-    }
-
-    /// Solves the iteration LP: max t subject to floors and weighted rises.
-    /// Returns `(t*, allocation)`.
-    fn solve_round(&mut self) -> Result<(f64, Allocation), PolicyError> {
         let round = &mut self.round;
-        let t = round.vars[0];
         // Written before the patches, which may leave the LP to re-lower.
         let hint = round.lp.basis_hint(&self.start);
-        // Exactly what a fresh build would hold (a no-op in the first
-        // round): `t` appears in the active jobs' rows only, so its stored
-        // column shrinks with the active set.
-        let t_column: Vec<(ConstraintId, f64)> = (0..self.weights.len())
-            .filter(|&m| self.weights[m] > 0.0)
-            .map(|m| (round.floor_rows[m], -self.weights[m]))
+        // `t` appears in the active jobs' rows only, so its stored column
+        // shrinks with the active set (a no-op in the first round).
+        let t_column: Vec<(ConstraintId, f64)> = (active.iter())
+            .map(|&m| (round.floor_rows[m], -self.weights[m]))
             .collect();
-        round.lp.set_column(t, &t_column);
+        round.lp.set_column(round.t, &t_column);
         for (&row, &floor) in round.floor_rows.iter().zip(&self.floors) {
             round.lp.set_rhs(row, floor);
         }
-        let (sol, optimal) = solve_from(&mut round.lp, hint.as_ref(), &mut self.stats)?;
+        let (sol, optimal) = (round.lp.solve(hint.as_ref())).map_err(|(e, _)| solver_err(e))?;
+        self.stats.absorb(&sol.stats);
+        let y = (round.lp.row_duals())
+            .ok_or_else(|| PolicyError::Solver("round LP optimum without duals".into()))?;
+        for (dual, row) in self.duals.iter_mut().zip(&round.floor_rows) {
+            *dual = y[row.index()];
+        }
         self.start = round.lp.basis_entries(&optimal);
-        self.start.retain(|&entry| entry != BasisEntry::Var(t));
-        Ok((sol.value(t), self.alp.extract(self.input, &sol)))
+        self.start
+            .retain(|&entry| entry != BasisEntry::Var(round.t));
+        let t_star = sol.value(round.t);
+        for &m in active {
+            self.floors[m] += self.weights[m] * t_star;
+        }
+        Ok(self.alp.extract(self.input, &sol))
     }
 
-    /// Step 3's exact bottleneck detection: a max-sum prepass clears every
-    /// job that shows slack, then each remaining candidate is probed on its
-    /// own. Returns the bottlenecked subset of `active`, in order.
-    fn bottlenecked(&mut self, active: &[usize]) -> Result<Vec<usize>, PolicyError> {
-        let (candidates, optimum) = self.prepass(active)?;
-        self.probe_chain(&candidates, optimum)
+    /// End of step 3: retires the bottlenecked jobs, handing their weights
+    /// on within their entities. Only duals that broke the progress
+    /// identity (asserted in debug builds) name none; the first active job
+    /// then retires, so a solve always ends.
+    fn retire(&mut self, active: &[usize], mut bottlenecked: Vec<usize>) {
+        if bottlenecked.is_empty() {
+            bottlenecked.extend(active.first());
+        }
+        for m in bottlenecked {
+            self.redistribute(m);
+        }
     }
 
-    /// Brings the probe LP to the current floors and active set and
-    /// jointly maximizes total slack above the floors. Returns the active
-    /// jobs left without slack — the max-sum point may zero out an
-    /// improvable job, so these still need a probe of their own — and the
-    /// optimal basis.
-    fn prepass(&mut self, active: &[usize]) -> Result<(Vec<usize>, WarmStart), PolicyError> {
-        let probe = &mut self.probe;
-        // Written before the patches, which may leave the LP to re-lower.
-        // The last prepass optimum is dual feasible unless a slack is freed
-        // again; then, and in the first round, the round optimum without
-        // `t` is primal feasible.
-        let freed = (active.iter()).any(|&m| probe.lp.problem().bounds(probe.vars[m]).1 == 0.0);
-        let hint = match self.last_prepass.take() {
-            Some(last) if !freed => Some(last),
-            _ => probe.lp.basis_hint(&self.start),
-        };
-        for m in 0..self.floors.len() {
-            probe.lp.set_rhs(probe.floor_rows[m], self.floors[m]);
-            // A job is active exactly while it carries weight.
-            let ub = if self.weights[m] > 0.0 { 1.0 } else { 0.0 };
-            if probe.lp.problem().bounds(probe.vars[m]).1 != ub {
-                probe.lp.set_bounds(probe.vars[m], 0.0, ub);
-            }
-        }
-        let (sol, optimum) = solve_from(&mut probe.lp, hint.as_ref(), &mut self.stats)?;
-        self.last_prepass = Some(optimum.clone());
-        let candidates = (active.iter().copied())
-            .filter(|&m| sol.value(probe.vars[m]) <= 1e-6)
-            .collect();
-        Ok((candidates, optimum))
-    }
-
-    /// Probes each candidate on the LP [`WaterFill::prepass`] just solved:
-    /// the same constraints under the cost vector `e_m`, chained from the
-    /// prepass optimum `prepass`. Returns the candidates found
-    /// bottlenecked, in order.
-    fn probe_chain(
-        &mut self,
-        candidates: &[usize],
-        prepass: WarmStart,
-    ) -> Result<Vec<usize>, PolicyError> {
-        if candidates.is_empty() {
-            return Ok(Vec::new());
-        }
-        let probe = &mut self.probe;
-        // The counter is for LPs that were one of several: a lone
-        // candidate is not counted.
-        if candidates.len() > 1 {
-            self.stats.parallel_probes += candidates.len();
-        }
-        for &s in &probe.vars {
-            probe.lp.set_objective_coeff(s, 0.0);
-        }
-        let mut chain = prepass;
-        let mut bottlenecked = Vec::new();
-        for &m in candidates {
-            probe.lp.set_objective_coeff(probe.vars[m], 1.0);
-            let (sol, optimal) = solve_from(&mut probe.lp, Some(&chain), &mut self.stats)?;
-            chain = optimal;
-            probe.lp.set_objective_coeff(probe.vars[m], 0.0);
-            // The objective is `s_m*`: how far job `m` alone can rise
-            // above its floor while every other job keeps theirs.
-            if sol.objective <= 1e-5 * (1.0 + self.floors[m].abs()) {
-                bottlenecked.push(m);
-            }
-        }
-        for &s in &probe.vars {
-            probe.lp.set_objective_coeff(s, 1.0);
-        }
-        Ok(bottlenecked)
+    /// Step 3: the active jobs whose floor row has a nonzero dual at the
+    /// last round optimum, in order — bottlenecked by complementary
+    /// slackness (module docs).
+    fn bottlenecked(&self, active: &[usize]) -> Vec<usize> {
+        // The `>=` floor rows of a maximization price at `y_m <= 0`, and
+        // `t`'s column prices out at `Σ w_m y_m <= -1`.
+        debug_assert!(
+            active
+                .iter()
+                .map(|&m| self.weights[m] * self.duals[m])
+                .sum::<f64>()
+                <= -1.0 + 1e-7,
+            "floor duals {:?} miss the progress identity for weights {:?}",
+            self.duals,
+            self.weights,
+        );
+        let largest = active
+            .iter()
+            .fold(1.0, |big: f64, &m| big.max(-self.duals[m]));
+        (active.iter().copied())
+            .filter(|&m| -self.duals[m] > DUAL_TOL * largest)
+            .collect()
     }
 
     /// Redistributes a bottlenecked job's weight within its entity.
@@ -716,45 +589,67 @@ mod tests {
             .collect()
     }
 
-    /// Runs `policy`'s water filling on `input` to the end and checks that
-    /// every round the prepass plus probe chain names exactly the jobs both
-    /// oracles name. Returns the number of rounds.
-    fn check_every_round(policy: &Hierarchical, input: &PolicyInput<'_>) -> usize {
+    /// Runs `policy`'s water filling on `input` to the end, retiring each
+    /// round the jobs `pick` names. Returns the finished state and the
+    /// number of rounds.
+    fn fill<'i, 'a>(
+        policy: &Hierarchical,
+        input: &'i PolicyInput<'a>,
+        mut pick: impl FnMut(&WaterFill<'_, '_>, &[usize]) -> Vec<usize>,
+    ) -> (WaterFill<'i, 'a>, usize) {
         let mut wf = policy.build_waterfill(input).unwrap();
         let mut rounds = 0;
         loop {
             let active = wf.active_jobs();
             if active.is_empty() {
-                return rounds;
+                return (wf, rounds);
             }
             wf.raise_floors(&active).unwrap();
-            let bottlenecked = wf.bottlenecked(&active).unwrap();
-            let exhaustive = oracle_bottlenecked(&wf, &active);
-            assert_eq!(
-                bottlenecked, exhaustive,
-                "round {rounds}, active {active:?}"
-            );
-            let milp = milp_bottlenecked(&wf, &active);
-            assert_eq!(
-                bottlenecked, milp,
-                "MILP, round {rounds}, active {active:?}"
-            );
-            wf.retire(&active, bottlenecked);
+            let retired = pick(&wf, &active);
+            wf.retire(&active, retired);
             rounds += 1;
             assert!(rounds <= input.jobs.len(), "{rounds} rounds");
         }
     }
 
+    /// Checks every round of `policy`'s water filling on `input`: the dual
+    /// verdicts name at least one job, and only jobs both the exhaustive
+    /// oracle and the App. A.1 MILP find bottlenecked. A water filling that
+    /// retires exactly the exhaustive oracle's jobs each round must then
+    /// reach the same floors. Returns the number of rounds.
+    fn check_dual_verdicts(policy: &Hierarchical, input: &PolicyInput<'_>) -> usize {
+        let (duals, rounds) = fill(policy, input, |wf, active| {
+            let retired = wf.bottlenecked(active);
+            assert!(!retired.is_empty(), "no verdict, active {active:?}");
+            let exhaustive = oracle_bottlenecked(wf, active);
+            let milp = milp_bottlenecked(wf, active);
+            for m in &retired {
+                assert!(
+                    exhaustive.contains(m) && milp.contains(m),
+                    "job {m}: duals {retired:?}, exhaustive {exhaustive:?}, MILP {milp:?}"
+                );
+            }
+            retired
+        });
+        let (exact, _) = fill(policy, input, oracle_bottlenecked);
+        for (m, (got, want)) in duals.floors.iter().zip(&exact.floors).enumerate() {
+            let tol = 1e-5 * (1.0 + want.abs());
+            assert!((got - want).abs() <= tol, "job {m}: floor {got} vs {want}");
+        }
+        rounds
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every round of a water filling, the prepass plus probe chain
-        /// names exactly the jobs the exhaustive oracle and the App. A.1
-        /// MILP name — across several entities, fairness and FIFO inners,
-        /// and job sets drawn from a few shared throughput profiles so ties
-        /// are the norm.
+        /// Every round of a water filling, the round LP's duals name only
+        /// jobs the exhaustive oracle and the App. A.1 MILP name, and the
+        /// levels reached equal the exhaustive water filling's — across
+        /// several entities, fairness and FIFO inners, and job sets drawn
+        /// from a few shared throughput profiles so ties (and degenerate
+        /// optima) are the norm.
         #[test]
-        fn probe_verdicts_match_exhaustive_oracle(
+        fn dual_verdicts_are_bottlenecks_both_oracles_name(
             n in 3usize..13,
             entities in 1usize..4,
             fifo_mask in 0usize..8,
@@ -772,15 +667,15 @@ mod tests {
                     })
                     .collect(),
             );
-            prop_assert!(check_every_round(&policy, &setup.input()) > 0);
+            prop_assert!(check_dual_verdicts(&policy, &setup.input()) > 0);
         }
     }
 
     /// Fixed contested instances over two entities, sharing these rows.
     const FIXED_TPUTS: [[f64; 2]; 5] = [[4.0, 1.0], [3.0, 1.0], [2.0, 1.0], [3.5, 0.8], [1.5, 1.2]];
 
-    /// Three jobs on one V100 and one K80: every round, the probe verdicts
-    /// equal both oracles'.
+    /// Three jobs on one V100 and one K80: every round, the dual verdicts
+    /// are bottlenecks both oracles name, and the levels match.
     #[test]
     fn three_job_instance_matches_both_oracles() {
         let policy = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness);
@@ -789,11 +684,11 @@ mod tests {
             |m| [0, 0, 1][m],
             cluster(&["v100", "k80"], 1),
         );
-        assert!(check_every_round(&policy, &setup.input()) > 0);
+        assert!(check_dual_verdicts(&policy, &setup.input()) > 0);
     }
 
-    /// Five jobs on two V100s and two K80s: every round, the probe verdicts
-    /// equal both oracles'.
+    /// Five jobs on two V100s and two K80s: every round, the dual verdicts
+    /// are bottlenecks both oracles name, and the levels match.
     #[test]
     fn five_job_instance_matches_both_oracles() {
         let policy = Hierarchical::new(vec![1.0, 1.0], EntityPolicy::Fairness);
@@ -802,14 +697,14 @@ mod tests {
             |m| [0, 0, 1, 1, 0][m],
             cluster(&["v100", "k80"], 2),
         );
-        assert!(check_every_round(&policy, &setup.input()) > 0);
+        assert!(check_dual_verdicts(&policy, &setup.input()) > 0);
     }
 
-    /// The chain's whole point: on a contested 64-job, 4-entity instance
-    /// every probe resumes from a primal feasible basis, so across all
-    /// rounds the probes run no phase 1 and never fall back cold.
+    /// A whole water filling solves one LP per round: on a contested
+    /// 64-job, 4-entity instance every round LP starts from its hint, and
+    /// none runs a phase 1 or falls back cold.
     #[test]
-    fn probes_never_run_phase_one() {
+    fn one_lp_per_round_never_runs_phase_one() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
@@ -819,39 +714,19 @@ mod tests {
         let setup = Setup::new(&tputs, |m| m % 4, cluster(&["v100", "p100", "k80"], 18));
         let policy = Hierarchical::new(vec![1.0, 2.0, 3.0, 4.0], EntityPolicy::Fairness);
         let input = setup.input();
-        let mut wf = policy.build_waterfill(&input).unwrap();
-        // Counters the probe chains alone add to the running totals.
-        let (mut phase1, mut cold, mut warm_hits) = (0, 0, 0);
-        let mut probed = 0;
-        let mut rounds = 0;
-        loop {
-            let active = wf.active_jobs();
-            if active.is_empty() {
-                break;
-            }
-            wf.raise_floors(&active).unwrap();
-            let (candidates, prepass) = wf.prepass(&active).unwrap();
-            let before = wf.stats;
-            let bottlenecked = wf.probe_chain(&candidates, prepass).unwrap();
-            phase1 += wf.stats.pivots_phase1 - before.pivots_phase1;
-            cold += wf.stats.warm_falls_back - before.warm_falls_back;
-            warm_hits += wf.stats.warm_hits - before.warm_hits;
-            probed += candidates.len();
-            rounds += 1;
-            wf.retire(&active, bottlenecked);
-        }
-        assert!(
-            rounds > 1 && probed >= 64,
-            "{probed} probes in {rounds} rounds"
+        let (wf, rounds) = fill(&policy, &input, |wf, active| wf.bottlenecked(active));
+        let stats = wf.stats;
+        assert!(rounds > 1, "{rounds} rounds");
+        assert_eq!(
+            (stats.warm_hits, stats.pivots_phase1, stats.warm_falls_back),
+            (rounds, 0, 0),
+            "{stats:?}"
         );
-        assert_eq!(warm_hits, probed);
-        assert_eq!((phase1, cold), (0, 0));
     }
 
-    /// Every solve of a whole water filling — round LPs, prepasses and
-    /// probes — starts from its hint: no phase-1 pivot and no cold
-    /// fallback, single-level and over four entities, with fairness and
-    /// with FIFO inside.
+    /// Every round LP of a whole water filling starts from its hint: no
+    /// phase-1 pivot and no cold fallback, single-level and over four
+    /// entities, with fairness and with FIFO inside.
     #[test]
     fn every_solve_starts_warm() {
         use rand::rngs::StdRng;
@@ -936,7 +811,7 @@ mod tests {
                 break;
             }
             last = Some(wf.raise_floors(&active).unwrap());
-            let bottlenecked = wf.bottlenecked(&active).unwrap();
+            let bottlenecked = wf.bottlenecked(&active);
             wf.retire(&active, bottlenecked);
             rounds += 1;
         }

@@ -14,7 +14,7 @@
 //! | [`MaxTotalThroughput`] | (cost baseline) | single LP |
 //! | [`MinCost`] | Minimize cost | linear-fractional program |
 //! | [`MinCostSlo`] | Minimize cost w/ SLOs | linear-fractional program |
-//! | [`Hierarchical`] | Hierarchical | water filling (LP probes) |
+//! | [`Hierarchical`] | Hierarchical | water filling (round-LP duals) |
 //!
 //! Heterogeneity-agnostic baselines: [`AgnosticLas`] (Tiresias-style),
 //! [`FtfAgnostic`] (Themis-style), [`GandivaPolicy`] (ad-hoc space

@@ -1,7 +1,7 @@
 //! Mixed-integer programs by branch-and-bound, as a test oracle.
 //!
 //! Appendix A.1 states water filling's bottleneck step as a MILP.
-//! [`crate::Hierarchical`] answers that question with LP probes instead;
+//! [`crate::Hierarchical`] reads the answer off its round LP's duals;
 //! its tests solve the paper's formulation with the branch-and-bound below
 //! and compare. A reference is the simplest correct search: serial,
 //! depth-first, every node relaxation solved cold. Nothing here is

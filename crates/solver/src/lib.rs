@@ -4,8 +4,8 @@
 //! problem: most are single linear programs (makespan among them: with
 //! `t = 1/M` it is the max-min LP), finish-time fairness is a binary search
 //! over LP feasibility problems, the cost policies are linear-fractional
-//! programs, and hierarchical water filling finds its bottlenecked jobs
-//! with exact per-job LP probes (the paper's Appendix A.1 states that step
+//! programs, and hierarchical water filling reads its bottlenecked jobs
+//! off each round LP's duals (the paper's Appendix A.1 states that step
 //! as a MILP; `gavel-policies` keeps the MILP as a test oracle). This crate
 //! provides the building blocks without any external solver dependency:
 //!
@@ -31,9 +31,8 @@
 //! `min c'x, Ax {<=,>=,=} b, 0 <= x <= u` in which finite upper bounds
 //! ride on *columns*, never as extra rows — the standard-form row count
 //! equals the user-facing constraint count exactly
-//! ([`LpProblem::num_standard_rows`]). That matters because the LPs that
-//! dominate Gavel's runtime are exactly the bounded ones: probe/prepass
-//! LPs carry per-job slack variables in `[0, 1]`.
+//! ([`LpProblem::num_standard_rows`]), so a bounded variable costs no
+//! basis row.
 //!
 //! - **Revised (default).** [`revised`] is a *bounded-variable* two-phase
 //!   primal simplex over a column-major sparse matrix with a factorized
@@ -113,7 +112,8 @@
 //! patches to objective coefficients, right-hand sides, variable bounds
 //! and the coefficients of one column, writes each into the instance
 //! exactly as a fresh lowering would, and keeps the final factorization
-//! of one solve for the next. [`LpProblem::solve`] and
+//! of a solve for [`PreparedLp::row_duals`], which prices the optimum's
+//! rows from it on demand. [`LpProblem::solve`] and
 //! [`PreparedLp::solve`] run the same solve body over a lowered instance
 //! — one built for the call, one kept and patched — so a patched prepared
 //! LP returns bit for bit what a fresh [`PreparedLp`] of the patched
@@ -123,13 +123,12 @@
 //! make it re-lower first. A one-off warm solve is a fresh [`PreparedLp`]
 //! solved once.
 //!
-//! Consumers: `gavel-policies`' hierarchical water filling keeps two —
-//! the round LP (floors and the level variable's column move each round;
-//! each round starts from the last optimum with the level variable taken
-//! out, a primal feasible hint the solver completes) and the probe LP (the
-//! prepass and every per-job probe are one LP under different cost
-//! vectors, solved as a warm chain that never leaves primal
-//! feasibility); its max-min fairness keeps one per recompute (the
+//! Consumers: `gavel-policies`' hierarchical water filling keeps one, the
+//! round LP (floors and the level variable's column move each round; each
+//! round starts from the last optimum with the level variable taken out,
+//! a primal feasible hint the solver completes, and reads its row duals
+//! to find the bottlenecked jobs); its max-min fairness keeps one per
+//! recompute (the
 //! refine pass is the `max t` LP with one bound and the costs patched;
 //! the makespan policy is the same `max t` LP with `c_m = steps_m` and no
 //! refine pass).

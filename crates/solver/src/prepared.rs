@@ -1,13 +1,13 @@
 //! A lowered LP kept ready for re-solving under small changes.
 //!
-//! Gavel's expensive policies solve one LP *family* many times: the
-//! water-filling round LP with rising floors and a shrinking active set,
-//! and the bottleneck probe LP solved under one cost vector per job.
-//! Validation, lowering, the sparse matrix build and a first
-//! factorization depend on none of what moves between those solves;
-//! [`PreparedLp`] pays them once. It is also the one warm-startable entry
-//! point: a single warm solve is a fresh prepared LP solved once with a
-//! hint, and [`LpProblem::solve`] is the same solve body, cold.
+//! Gavel's expensive policies solve one LP many times: the water-filling
+//! round LP with rising floors and a shrinking active set, the max-min
+//! LP and its refine pass under patched costs and one bound. Validation,
+//! lowering and the sparse matrix build depend on none of what moves
+//! between those solves; [`PreparedLp`] pays them once. It is also the one
+//! warm-startable entry point: a single warm solve is a fresh prepared LP
+//! solved once with a hint, and [`LpProblem::solve`] is the same solve
+//! body, cold.
 //!
 //! A prepared LP owns its [`LpProblem`] and the standard-form instance
 //! lowered from it, and keeps the two in step: every patch
@@ -28,11 +28,11 @@
 //! input the way [`LpProblem::solve`] does). Correctness never depends on
 //! a patch being expressible; only the saving does.
 //!
-//! The final factorization of each solve is kept as well: a solve hinted
-//! with the basis the previous one returned, over an unchanged matrix,
-//! starts from that factorization instead of recomputing it (a chain of
-//! probes seeded from one another). Factorizing is a pure function of matrix and basis, so this
-//! too changes the work, never the result.
+//! The final factorization of each solve is kept as well, for one reader:
+//! [`PreparedLp::row_duals`] prices the optimum's rows from it with one
+//! BTRAN, paid only by a caller that asks. A patch that changes the matrix
+//! or the costs drops it, since the duals it would give are no longer the
+//! last optimum's.
 
 use crate::error::SolverError;
 use crate::problem::{ConstraintId, LpProblem, VarId, VarMap, WarmStart};
@@ -91,6 +91,7 @@ impl PreparedLp {
     /// Overwrites the objective coefficient of `var`.
     pub fn set_objective_coeff(&mut self, var: VarId, obj: f64) {
         self.lp.set_objective_coeff(var, obj);
+        self.kept = None;
         self.stale |= !obj.is_finite();
         if !self.stale {
             let cost = self.lp.cost_sign() * obj;
@@ -263,6 +264,24 @@ impl PreparedLp {
         }
         (self.lp).solve_lowered(&self.inst, &self.mapping, hint, &mut self.kept)
     }
+
+    /// The row duals of the optimum the last [`PreparedLp::solve`]
+    /// returned, indexed by [`ConstraintId::index`], in problem sense: `y_i`
+    /// is the rate at which the optimal objective moves with constraint
+    /// `i`'s right-hand side. In a maximization a binding `<=` row has
+    /// `y_i >= 0` and a binding `>=` row `y_i <= 0`; a row with slack has
+    /// `y_i = 0`. One BTRAN on the kept factorization. `None` before the
+    /// first solve, after a failed one, and after a patch to the costs or
+    /// the matrix, or one still waiting for a re-lowering.
+    pub fn row_duals(&mut self) -> Option<Vec<f64>> {
+        let kept = self.kept.as_mut().filter(|_| !self.stale)?;
+        let mut y = kept.duals(&self.inst.costs);
+        let sign = self.lp.cost_sign();
+        for (yi, &negated) in y.iter_mut().zip(&self.negated) {
+            *yi *= if negated { -sign } else { sign };
+        }
+        Some(y)
+    }
 }
 
 #[cfg(test)]
@@ -326,17 +345,44 @@ mod tests {
     }
 
     #[test]
-    fn chained_solves_reuse_the_factorization() {
-        let (lp, [x, y], _) = small();
+    fn row_duals_are_the_optimum_prices_in_problem_sense() {
+        // max x + 2y + z s.t. x + y <= 4, x - y >= 1, -z >= -2 (stored
+        // negated, as z <= 2), y <= 10. At the optimum x = 2.5, y = 1.5,
+        // z = 2 the first three rows bind: 1 = y0 + y1 and 2 = y0 - y1
+        // with Lagrange multipliers y0 = 1.5, y1 = 0.5, and z's row prices
+        // its unit cost. A `>=` row of a maximization tightens as its
+        // right-hand side rises, so its rate is the negated multiplier.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = lp.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
+        let budget = lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        let gap = lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, 1.0);
+        let cap = lp.add_constraint(&[(z, -1.0)], Cmp::Ge, -2.0);
+        lp.add_constraint(&[(y, 1.0)], Cmp::Le, 10.0);
         let mut prep = PreparedLp::new(lp).unwrap();
-        let (_, basis) = prep.solve(None).unwrap();
-        assert!(prep.kept.is_some());
-        prep.set_objective_coeff(x, 1.0);
-        assert_same(&mut prep, Some(&basis));
-        // A matrix patch drops it.
-        prep.set_column(y, &[]);
-        assert!(prep.kept.is_none());
-        assert_same(&mut prep, Some(&basis));
+        assert!(prep.negated[cap.index()]);
+        assert_eq!(prep.row_duals(), None, "no solve yet");
+        let (sol, _) = prep.solve(None).unwrap();
+        assert_eq!(sol.values, [2.5, 1.5, 2.0]);
+        let duals = prep.row_duals().unwrap();
+        let want = [1.5, -0.5, -1.0, 0.0];
+        for (got, want) in duals.iter().zip(want) {
+            assert!((got - want).abs() < 1e-12, "{duals:?}");
+        }
+        // Each binding row's dual is the rate a nudge of its right-hand
+        // side moves the optimum at.
+        for row in [budget, gap, cap] {
+            let mut moved = prep.problem().clone();
+            moved.set_rhs(row, prep.problem().rhs(row) + 0.25);
+            let delta = moved.solve().unwrap().objective - sol.objective;
+            assert!((delta - 0.25 * want[row.index()]).abs() < 1e-12, "{delta}");
+        }
+        // A matrix patch drops them until the next solve.
+        prep.set_column(y, &[(budget, 1.0), (gap, -2.0)]);
+        assert_eq!(prep.row_duals(), None, "after set_column");
+        prep.solve(None).unwrap();
+        assert!(prep.row_duals().is_some());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! - free variables (split into a difference of two nonnegative variables).
 //!
 //! Because bounds ride on columns, the standard-form row count `m` equals
-//! the user-facing constraint count exactly — the probe/prepass LPs (slack
-//! variables in `[0, 1]`) that dominate Gavel's hierarchical runtime pay no
-//! basis row per bounded variable.
+//! the user-facing constraint count exactly: a bounded variable costs no
+//! basis row.
 
 use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};
@@ -114,6 +113,13 @@ impl VarId {
 /// Opaque handle to a constraint of an [`LpProblem`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConstraintId(pub(crate) usize);
+
+impl ConstraintId {
+    /// Returns the dense index of this constraint within its problem.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// A variable's name, formatted only when an error or a debug assertion
 /// needs it: the policy LPs add thousands of `x_k_j` variables per solve

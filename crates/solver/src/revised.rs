@@ -39,7 +39,7 @@
 //!
 //! [`solve_instance`] accepts an optional `(basis, at_upper)` hint —
 //! typically the optimal state of a near-identical LP solved a moment ago
-//! (Gavel's water-filling rounds and per-job probes). The hint is first
+//! (Gavel's water-filling rounds). The hint is first
 //! *completed*, in the one factorization pass that starts the solve
 //! (`Basis::complete`): it may name fewer columns than there are rows,
 //! or columns that depend on one another. The hinted columns are pivoted
@@ -259,37 +259,45 @@ fn effective_cmp(cmp: Cmp, rhs: f64) -> Cmp {
     }
 }
 
-/// The factorization a solve finished with, kept so the next solve of the
-/// same matrix can start from it: hinted with exactly `basis`, it skips
-/// its first factorization. Factorizing is a pure function of the matrix
-/// and the (canonically sorted) basis, so reuse never changes a result.
+/// The factorization a solve finished with, kept so its row duals can be
+/// read afterwards ([`KeptLu::duals`]) without a solve paying for them.
 #[derive(Debug, Clone)]
 pub(crate) struct KeptLu {
     basis: Vec<usize>,
     fac: Basis,
 }
 
+impl KeptLu {
+    /// The duals `y = B⁻ᵀ c_B` of the kept basis under `costs`, one per
+    /// stored row: one BTRAN.
+    pub(crate) fn duals(&mut self, costs: &[f64]) -> Vec<f64> {
+        let mut y: Vec<f64> = self.basis.iter().map(|&c| costs[c]).collect();
+        self.fac.btran(&mut y);
+        y
+    }
+}
+
 /// Solves a standard-form LP, built fresh or kept and patched by a
 /// [`crate::PreparedLp`], with the revised simplex. `hint` is an optional
 /// warm-start state `(basis columns, nonbasic at-upper flags)`; see the
 /// module docs for how hints are completed and classified. Hints that do
-/// not fit or stay unusable fall back to a cold start. `kept` carries the
-/// final factorization from one solve to the next; the caller clears it
-/// whenever it changes the matrix. Errors carry the pivot counters spent
-/// reaching the verdict so drivers that aggregate over many solves can
-/// still account for the work.
+/// not fit or stay unusable fall back to a cold start. `kept` receives
+/// the optimal basis's factorization, and is empty after a failed solve.
+/// Errors carry the pivot counters spent reaching the verdict so drivers
+/// that aggregate over many solves can still account for the work.
 pub(crate) fn solve_instance(
     inst: &Instance,
     hint: Option<(&[usize], &[bool])>,
     kept: &mut Option<KeptLu>,
 ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
+    *kept = None;
     let mut spent = SolveStats::default();
     if let Some((hint_basis, hint_at_upper)) = hint {
         // Assume fallback; on success the warm solver's own stats (which
         // carry `warm_hits = 1` instead) are returned and `spent` is
         // dropped.
         spent.warm_falls_back = 1;
-        if let Some(mut solver) = Solver::from_hint(inst, hint_basis, hint_at_upper, kept.take()) {
+        if let Some(mut solver) = Solver::from_hint(inst, hint_basis, hint_at_upper) {
             if solver.primal_feasible() {
                 match solver.phase2() {
                     Ok(()) => {
@@ -445,7 +453,6 @@ impl<'a> Solver<'a> {
         inst: &'a Instance,
         hint_basis: &[usize],
         hint_at_upper: &[bool],
-        kept: Option<KeptLu>,
     ) -> Option<Solver<'a>> {
         if hint_basis.len() > inst.m || hint_at_upper.len() != inst.ntot {
             return None;
@@ -459,21 +466,15 @@ impl<'a> Solver<'a> {
         }
         let mut basis = Vec::with_capacity(inst.m);
         basis.extend_from_slice(hint_basis);
-        let (fac, completed) = match kept {
-            Some(kept) if kept.basis == hint_basis => (kept.fac, false),
-            _ => {
-                basis.resize(inst.m, NO_COLUMN);
-                let logical = |row| inst.logical(row);
-                let (fac, added) = Basis::complete(&inst.a, &mut basis, logical, PIVOT_TOL);
-                if added > 0 {
-                    in_basis.fill(false);
-                    for &c in &basis {
-                        in_basis[c] = true;
-                    }
-                }
-                (fac, added > 0)
+        basis.resize(inst.m, NO_COLUMN);
+        let logical = |row| inst.logical(row);
+        let (fac, added) = Basis::complete(&inst.a, &mut basis, logical, PIVOT_TOL);
+        if added > 0 {
+            in_basis.fill(false);
+            for &c in &basis {
+                in_basis[c] = true;
             }
-        };
+        }
         // Sanitize the bound sides: only nonbasic, non-artificial columns
         // with a finite upper bound may rest at it.
         let mut at_upper = vec![false; inst.ntot];
@@ -488,7 +489,7 @@ impl<'a> Solver<'a> {
             in_basis,
             at_upper,
             fac,
-            completed,
+            completed: added > 0,
             x_b: vec![0.0; inst.m],
             y: vec![0.0; inst.m],
             rho: vec![0.0; inst.m],
@@ -978,7 +979,8 @@ impl<'a> Solver<'a> {
     /// warm and a cold solve finishing at the same basis could disagree in
     /// the last floating-point bits. After canonicalization the returned
     /// values are a pure function of the final `(basis set, at_upper)`
-    /// state. That canonical factorization is handed back through `kept`.
+    /// state. That canonical factorization is handed back through `kept`,
+    /// where [`KeptLu::duals`] reads the optimum's row duals from it.
     fn extract(
         mut self,
         kept: &mut Option<KeptLu>,
@@ -1353,7 +1355,7 @@ mod tests {
         );
         let inst = Instance::build(&lp);
         let at_upper = vec![false; inst.ntot];
-        let mut solver = Solver::from_hint(&inst, &inst.init_basis, &at_upper, None).unwrap();
+        let mut solver = Solver::from_hint(&inst, &inst.init_basis, &at_upper).unwrap();
         assert!(solver.primal_feasible());
         let verdict = solver.certify(0.0).unwrap_err();
         assert_eq!(verdict.what, "reduced cost", "{verdict:?}");
