@@ -1,8 +1,7 @@
-//! State checkpoints: periodic compaction points for the WAL.
+//! Checkpoints: periodic compaction points for the WAL.
 //!
-//! A [`Checkpoint`] captures everything recovery needs to reconstruct the
-//! service as of a WAL position without replaying the whole record
-//! stream from time zero:
+//! A [`Checkpoint`] captures the covered prefix of the command stream so
+//! the WAL records it covers can be dropped:
 //!
 //! - the **covered entry prefix**, embedded as serialized
 //!   [`SubmissionLog`](crate::SubmissionLog) text: one line per consumed
@@ -19,11 +18,20 @@
 //!   recovery replays the embedded prefix and verifies it lands on
 //!   exactly this value before trusting the checkpoint.
 //!
+//! What a checkpoint buys is WAL compaction and a verified prefix, not a
+//! shorter recovery: [`crate::recover`] replays the embedded prefix on a
+//! fresh service, from time zero, before it applies the WAL's suffix.
+//!
 //! A checkpoint image is a stream in the WAL's format ([`crate::wal`])
 //! holding one frame: its `seq` is `covered_seq`, and its payload is the
-//! line `checkpoint config=0x… state=0x…` followed by the embedded log
-//! text. The frame's CRC makes a torn or bit-flipped checkpoint
-//! *detected* ([`WalError`]) rather than silently replayed.
+//! fixed-width line `checkpoint config=0x… state=0x…` followed by the
+//! embedded log text. The frame's CRC makes a torn or bit-flipped
+//! checkpoint *detected* ([`WalError`]) rather than silently replayed.
+//! Every image is written by one writer, `CheckpointImage`: the durable
+//! service keeps its next image between captures, appending each
+//! consumed entry's line as it goes, so a capture rewrites the fixed
+//! head and extends the frame's CRC over only the lines appended since
+//! the last one; [`Checkpoint::serialize`] builds one image whole.
 //! Checkpoints reach storage through a [`CheckpointStore`]:
 //! [`MemoryCheckpointStore`] for tests, [`FileCheckpointStore`] for real
 //! runs (write-to-temp + rename).
@@ -31,7 +39,8 @@
 use crate::command::Line;
 use crate::config::SimConfig;
 use crate::core::ServiceConfig;
-use crate::wal::{push_frame, scan_wal, stream_header, WalError};
+use crate::wal::{scan_wal, stream_header, OpenFrame, WalError};
+use std::io::Write as _;
 
 /// The checkpoint stores' error: the crate's one persistence error type.
 pub type CheckpointError = WalError;
@@ -69,13 +78,13 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes to a one-frame stream image.
     pub fn serialize(&self) -> Vec<u8> {
-        let payload = format!(
-            "checkpoint config=0x{:016x} state=0x{:016x}\n{}",
-            self.config_fingerprint, self.state_fingerprint, self.log_text
+        let mut image = CheckpointImage::new(&self.log_text);
+        image.seal(
+            self.config_fingerprint,
+            self.covered_seq,
+            self.state_fingerprint,
         );
-        let mut image = stream_header();
-        push_frame(&mut image, self.covered_seq, payload.as_bytes());
-        image
+        image.bytes
     }
 
     /// Parses a one-frame stream image. Any damage — truncation, bit
@@ -107,6 +116,60 @@ impl Checkpoint {
             state_fingerprint,
             log_text: text,
         })
+    }
+}
+
+/// Length of the payload's first line,
+/// `checkpoint config=0x{16 hex digits} state=0x{16 hex digits}\n`.
+const HEAD_LINE_LEN: usize = "checkpoint config=0x state=0x\n".len() + 2 * 16;
+
+/// A checkpoint image under construction: the stream header and one
+/// open frame whose head is the `checkpoint` line and whose tail is the
+/// embedded log text. Lines are only ever appended to the text, so each
+/// [`CheckpointImage::seal`] costs the lines appended since the last one.
+#[derive(Debug, Clone)]
+pub(crate) struct CheckpointImage {
+    bytes: Vec<u8>,
+    frame: OpenFrame,
+}
+
+impl CheckpointImage {
+    /// An image whose embedded log text starts as `log_text`.
+    pub(crate) fn new(log_text: &str) -> CheckpointImage {
+        let mut bytes = stream_header();
+        let frame = OpenFrame::open(&mut bytes, HEAD_LINE_LEN);
+        bytes.extend_from_slice(log_text.as_bytes());
+        CheckpointImage { bytes, frame }
+    }
+
+    /// Appends one line to the log text — what `write` writes, then a
+    /// newline — and returns it without its newline. The text must end
+    /// its last line.
+    pub(crate) fn push_line(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+        let start = self.bytes.len();
+        write(&mut self.bytes);
+        let end = self.bytes.len();
+        self.bytes.push(b'\n');
+        &self.bytes[start..end]
+    }
+
+    /// Rewrites the `checkpoint` line and the frame's `seq`, `len` and
+    /// CRC, and returns the finished image.
+    pub(crate) fn seal(
+        &mut self,
+        config_fingerprint: u64,
+        covered_seq: u64,
+        state_fingerprint: u64,
+    ) -> &[u8] {
+        let mut head = self.frame.head_mut(&mut self.bytes);
+        writeln!(
+            head,
+            "checkpoint config=0x{config_fingerprint:016x} state=0x{state_fingerprint:016x}"
+        )
+        .expect("the checkpoint line fits its head");
+        debug_assert!(head.is_empty(), "the checkpoint line fills its head");
+        self.frame.seal(&mut self.bytes, covered_seq);
+        &self.bytes
     }
 }
 

@@ -23,7 +23,7 @@ use crate::error::ServiceError;
 use gavel_core::JobId;
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// The submission-log text format version: [`SubmissionLog::serialize`]
 /// writes it and [`SubmissionLog::parse`] reads no other.
@@ -69,41 +69,37 @@ impl Command {
     /// Serializes this command as one submission-log line (no trailing
     /// newline). The same bytes are the payload of a WAL command record.
     pub fn fmt_line(&self) -> String {
-        let mut out = String::new();
-        match self {
-            Command::Submit { job } => {
-                let _ = write!(
-                    out,
-                    "submit id={} family={:?} batch={} arrival={} scale={} steps={} \
-                     duration={} weight={} slo={} entity={}",
-                    job.id.0,
-                    job.config.family,
-                    job.config.batch_size,
-                    f64_hex(job.arrival_time),
-                    job.scale_factor,
-                    f64_hex(job.total_steps),
-                    f64_hex(job.duration_seconds),
-                    f64_hex(job.weight),
-                    job.slo_factor.map_or("-".into(), f64_hex),
-                    fmt_opt_u32(job.entity.map(|e| e as u32)),
-                );
-            }
-            Command::Complete { job } => {
-                let _ = write!(out, "complete job={}", job.0);
-            }
-            Command::Cancel { job } => {
-                let _ = write!(out, "cancel job={}", job.0);
-            }
-            Command::AdvanceTo { seconds } => {
-                let _ = write!(out, "advance t={}", f64_hex(*seconds));
-            }
-            Command::QueryAllocation => out.push_str("query"),
-            Command::InjectFailure => out.push_str("inject-failure"),
-            Command::InjectRepair { accel } => {
-                let _ = write!(out, "inject-repair accel={accel}");
-            }
-        }
-        out
+        let mut out = Vec::new();
+        self.write_line(&mut out);
+        String::from_utf8(out).expect("a line is ASCII")
+    }
+
+    /// Appends [`Command::fmt_line`]'s bytes to `out`.
+    pub(crate) fn write_line(&self, out: &mut Vec<u8>) {
+        // Writing to a `Vec` cannot fail.
+        let _ = match self {
+            Command::Submit { job } => write!(
+                out,
+                "submit id={} family={:?} batch={} arrival={} scale={} steps={} \
+                 duration={} weight={} slo={} entity={}",
+                job.id.0,
+                job.config.family,
+                job.config.batch_size,
+                Bits(job.arrival_time),
+                job.scale_factor,
+                Bits(job.total_steps),
+                Bits(job.duration_seconds),
+                Bits(job.weight),
+                OrDash(job.slo_factor.map(Bits)),
+                OrDash(job.entity.map(|e| e as u32)),
+            ),
+            Command::Complete { job } => write!(out, "complete job={}", job.0),
+            Command::Cancel { job } => write!(out, "cancel job={}", job.0),
+            Command::AdvanceTo { seconds } => write!(out, "advance t={}", Bits(*seconds)),
+            Command::QueryAllocation => out.write_all(b"query"),
+            Command::InjectFailure => out.write_all(b"inject-failure"),
+            Command::InjectRepair { accel } => write!(out, "inject-repair accel={accel}"),
+        };
     }
 
     /// Parses one command line produced by [`Command::fmt_line`].
@@ -122,7 +118,7 @@ impl Command {
 pub(crate) enum Entry {
     /// An accepted command (its [`Command::fmt_line`]).
     Accepted(Command),
-    /// A failed command (its [`Failure::fmt_line`]).
+    /// A failed command (its [`Failure::write_line`]).
     Failed(Failure),
 }
 
@@ -135,12 +131,12 @@ impl Entry {
         }
     }
 
-    /// Serializes as one line (no trailing newline): the log's body line
-    /// and the WAL's payload alike.
-    pub(crate) fn fmt_line(&self) -> String {
+    /// Appends this entry's line (no trailing newline): the log's body
+    /// line and the WAL's payload alike.
+    pub(crate) fn write_line(&self, out: &mut Vec<u8>) {
         match self {
-            Entry::Accepted(cmd) => cmd.fmt_line(),
-            Entry::Failed(failure) => failure.fmt_line(),
+            Entry::Accepted(cmd) => cmd.write_line(out),
+            Entry::Failed(failure) => failure.write_line(out),
         }
     }
 
@@ -243,13 +239,13 @@ impl Failure {
         }
     }
 
-    /// Serializes as a `reject` line (no trailing newline).
-    pub(crate) fn fmt_line(&self) -> String {
+    /// Appends this failure's `reject` line (no trailing newline).
+    pub(crate) fn write_line(&self, out: &mut Vec<u8>) {
         let kind = FAILURE_KINDS
             .iter()
             .find(|(rejection, _)| *rejection == self.rejection)
             .map_or("invalid", |(_, name)| name);
-        format!("reject kind={kind} entity={}", fmt_opt_u32(self.entity))
+        let _ = write!(out, "reject kind={kind} entity={}", OrDash(self.entity));
     }
 }
 
@@ -330,12 +326,12 @@ impl SubmissionLog {
 
     /// Serializes to the text form: the header, then one line per entry.
     pub fn serialize(&self) -> String {
-        let mut out = format!("gavel-submission-log v{LOG_VERSION}\n");
+        let mut out = log_header().into_bytes();
         for entry in self.entries() {
-            out.push_str(&entry.fmt_line());
-            out.push('\n');
+            entry.write_line(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("a log is ASCII")
     }
 
     /// Parses the text form produced by [`SubmissionLog::serialize`].
@@ -438,24 +434,48 @@ impl<'a> Line<'a> {
     }
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("0x{:016x}", v.to_bits())
+/// The text form of an empty log: its header line.
+pub(crate) fn log_header() -> String {
+    format!("gavel-submission-log v{LOG_VERSION}\n")
 }
 
-fn fmt_opt_u32(v: Option<u32>) -> String {
-    v.map_or("-".into(), |e| e.to_string())
+/// An `f64` as its `0x`-prefixed bit pattern.
+struct Bits(f64);
+
+impl std::fmt::Display for Bits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "0x{:016x}", self.0.to_bits())
+    }
+}
+
+/// An optional field: its value, or `-`.
+struct OrDash<T>(Option<T>);
+
+impl<T: std::fmt::Display> std::fmt::Display for OrDash<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn line_of(failure: &Failure) -> String {
+        let mut out = Vec::new();
+        failure.write_line(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn every_failure_kind_round_trips_through_its_reject_line() {
         for (rejection, name) in FAILURE_KINDS {
             for entity in [None, Some(3)] {
                 let failure = Failure { rejection, entity };
-                let line = failure.fmt_line();
+                let line = line_of(&failure);
                 assert!(line.contains(name), "{line}");
                 match Entry::parse(line.as_bytes()) {
                     Ok(Entry::Failed(parsed)) => assert_eq!(parsed, failure),
@@ -471,7 +491,7 @@ mod tests {
             rejection: None,
             entity: None,
         };
-        let line = failure.fmt_line();
+        let line = line_of(&failure);
         assert!(Command::parse_line(&line).is_err());
         // A log holds it as a failure, not a command.
         let log = SubmissionLog::parse(&format!("gavel-submission-log v3\n{line}\n")).unwrap();

@@ -29,11 +29,11 @@
 //! # The submission log and deterministic replay
 //!
 //! The service keeps no history of what it consumed. A layer that needs
-//! one — [`DurableService`], an experiment or a test applying commands
-//! beside a log — records
-//! every consumed command in a [`SubmissionLog`] with
+//! one — an experiment or a test applying commands beside a log —
+//! records every consumed command in a [`SubmissionLog`] with
 //! [`SubmissionLog::record`]: an accepted command as itself, a failed one
-//! as its `reject` entry, in application order. The service is
+//! as its `reject` entry, in application order. [`DurableService`] keeps
+//! the same lines as the text of its next checkpoint image instead. The service is
 //! deterministic in (config, policy, ordered command stream) — all
 //! randomness is seeded, and no decision reads wall-clock time — so
 //! [`replay`] of a recorded log reproduces the original run bit-exactly:
@@ -60,9 +60,13 @@
 //!   [`FileSink`] is synced only after a checkpoint compaction.
 //! - **Checkpoints** ([`checkpoint`]): every `checkpoint_every` records
 //!   the service saves a [`Checkpoint`] — one frame holding the covered
-//!   sequence number, both fingerprints and the submission log it keeps —
-//!   then compacts the WAL; a crash between the two leaves covered
-//!   records, which recovery skips.
+//!   sequence number, both fingerprints and the submission-log text of
+//!   every entry so far — then compacts the WAL; a crash between the two
+//!   leaves covered records, which recovery skips. The service keeps its
+//!   next checkpoint image between saves and appends each entry's line
+//!   to it as the entry is made, so a save costs the lines appended since
+//!   the last one: the frame's CRC is extended over them and joined to
+//!   the rewritten head's, not recomputed over the history.
 //! - **Recovery** ([`recovery`]): [`recover`] verifies the checkpoint and
 //!   replays its prefix, then the WAL's intact frames, dropping a torn
 //!   tail ([`TornTail`]) and refusing every other defect; [`replay`]

@@ -26,12 +26,16 @@
 //! ([`RecoveryError::SequenceGap`]).
 //!
 //! [`DurableService`] packages the write path: every command is applied,
-//! recorded in its [`SubmissionLog`] and framed to the WAL as that entry's
-//! line (a failed command's `reject` line keeps tallies across crashes),
-//! with a checkpoint of the log every `checkpoint_every` commands.
+//! its entry's line (a failed command's `reject` line keeps tallies
+//! across crashes) is formatted once, into the service's next checkpoint
+//! image, and framed to the WAL from there; every `checkpoint_every`
+//! commands that image is sealed and saved, which costs only the lines
+//! appended since the last checkpoint.
 
-use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointStore, MemoryCheckpointStore};
-use crate::command::{Command, Entry, SubmissionLog};
+use crate::checkpoint::{
+    config_fingerprint, Checkpoint, CheckpointImage, CheckpointStore, MemoryCheckpointStore,
+};
+use crate::command::{log_header, Command, Entry, SubmissionLog};
 use crate::config::SimConfig;
 use crate::core::{SchedulerService, ServiceConfig};
 use crate::error::ServiceError;
@@ -154,14 +158,14 @@ impl RecoveryReport {
 }
 
 /// The one replay loop, behind [`replay`] and both halves of [`recover`]:
-/// applies `entries` to `svc` in order, then records each into `log`, if
-/// any. A logged command must be accepted again and a failure is tallied
-/// again; the first entry that fails either way, or arrives as an error,
-/// stops the loop. Returns the commands applied and the failures tallied.
+/// applies `entries` to `svc` in order, then appends each one's line to
+/// `image`, if any. A logged command must be accepted again and a failure
+/// is tallied again; the first entry that fails either way, or arrives as
+/// an error, stops the loop. Returns the commands applied and the failures tallied.
 fn apply_entries(
     svc: &mut SchedulerService<'_>,
     entries: impl IntoIterator<Item = Result<(u64, Entry), RecoveryError>>,
-    mut log: Option<&mut SubmissionLog>,
+    mut image: Option<&mut CheckpointImage>,
 ) -> Result<(usize, usize), RecoveryError> {
     let (mut commands, mut failures) = (0, 0);
     for entry in entries {
@@ -179,8 +183,8 @@ fn apply_entries(
                 failures += 1;
             }
         }
-        if let Some(log) = log.as_deref_mut() {
-            log.push(entry);
+        if let Some(image) = image.as_deref_mut() {
+            image.push_line(|out| entry.write_line(out));
         }
     }
     Ok((commands, failures))
@@ -213,21 +217,31 @@ pub fn recover<'p>(
     checkpoint_bytes: Option<&[u8]>,
     wal_bytes: &[u8],
 ) -> Result<(SchedulerService<'p>, RecoveryReport), RecoveryError> {
-    let (svc, _, report) = recover_logged(policy, config, service, checkpoint_bytes, wal_bytes)?;
+    let (svc, _, report) =
+        recover_logged(policy, config, service, checkpoint_bytes, wal_bytes, false)?;
     Ok((svc, report))
 }
 
-/// [`recover`], also returning the log of every entry the recovered
-/// service consumed (the prefix's, moved, then the WAL's).
+/// [`recover`], also returning — if `keep_image` — the next checkpoint
+/// image of every entry the recovered service consumed: the checkpoint's
+/// log text as it was saved, then one line per WAL entry.
 fn recover_logged<'p>(
     policy: &'p dyn Policy,
     config: &SimConfig,
     service: &ServiceConfig,
     checkpoint_bytes: Option<&[u8]>,
     wal_bytes: &[u8],
-) -> Result<(SchedulerService<'p>, SubmissionLog, RecoveryReport), RecoveryError> {
+    keep_image: bool,
+) -> Result<
+    (
+        SchedulerService<'p>,
+        Option<CheckpointImage>,
+        RecoveryReport,
+    ),
+    RecoveryError,
+> {
     let mut report = RecoveryReport::default();
-    let mut log = SubmissionLog::default();
+    let mut prefix_text = None;
     let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
 
     if let Some(bytes) = checkpoint_bytes {
@@ -255,8 +269,15 @@ fn recover_logged<'p>(
         }
         report.checkpoint_used = true;
         report.next_seq = ckpt.covered_seq;
-        log = prefix;
+        let mut text = ckpt.log_text;
+        if !text.ends_with('\n') {
+            // Lines appended after it must start lines of their own.
+            text.push('\n');
+        }
+        prefix_text = Some(text);
     }
+    let mut image =
+        keep_image.then(|| CheckpointImage::new(&prefix_text.unwrap_or_else(log_header)));
 
     let scan = scan_wal(wal_bytes)?;
     report.torn = scan.torn;
@@ -282,14 +303,17 @@ fn recover_logged<'p>(
         Some(entry.map(|entry| (record.seq, entry)))
     });
     (report.wal_commands_applied, report.wal_rejections_applied) =
-        apply_entries(&mut svc, entries, Some(&mut log))?;
-    Ok((svc, log, report))
+        apply_entries(&mut svc, entries, image.as_mut())?;
+    Ok((svc, image, report))
 }
 
 /// A [`SchedulerService`] wrapped in the durability protocol: every
-/// command is applied, then recorded in the wrapper's [`SubmissionLog`]
-/// and framed to the WAL as that entry's line, with a checkpoint of the
-/// log captured — and the WAL compacted — every `checkpoint_every` commands.
+/// command is applied, then its entry's line is appended to the wrapper's
+/// next checkpoint image and framed to the WAL, with that image sealed
+/// and saved — and the WAL compacted — every `checkpoint_every` commands.
+/// A checkpoint costs the lines appended since the last one, not the
+/// history: the image keeps the embedded log text and a running CRC over
+/// it from one checkpoint to the next.
 ///
 /// The write path is *apply-then-append* (a redo log): acceptance is
 /// only known after application, so a crash between the two loses
@@ -299,8 +323,9 @@ fn recover_logged<'p>(
 /// sink has synced — see [`crate::wal`] for exactly what is synced when.
 pub struct DurableService<'p, S: LogSink, C: CheckpointStore> {
     svc: SchedulerService<'p>,
-    /// Every entry the WAL and the checkpoints hold between them.
-    log: SubmissionLog,
+    /// The next checkpoint's image: one line per entry the WAL and the
+    /// checkpoints hold between them.
+    image: CheckpointImage,
     wal: Wal<S>,
     store: C,
     config_fp: u64,
@@ -323,7 +348,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         let config_fp = config_fingerprint(policy.name(), &config, &service);
         Ok(DurableService {
             svc: SchedulerService::new(config, service, policy),
-            log: SubmissionLog::default(),
+            image: CheckpointImage::new(&log_header()),
             wal: Wal::create(sink)?,
             store,
             config_fp,
@@ -336,7 +361,9 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// service from `checkpoint_bytes` + `wal_bytes`, then immediately
     /// re-checkpoints into `store` and starts a fresh (compacted) WAL on
     /// `sink` — so the torn tail, once dropped, is gone for good and a
-    /// second crash recovers from clean artifacts.
+    /// second crash recovers from clean artifacts. The new checkpoint
+    /// carries the old one's log text byte for byte (its last line ended,
+    /// if it was not), then a line per recovered WAL entry.
     #[allow(clippy::too_many_arguments)]
     pub fn resume(
         policy: &'p dyn Policy,
@@ -348,11 +375,11 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         store: C,
         checkpoint_every: usize,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
-        let (svc, log, report) =
-            recover_logged(policy, &config, &service, checkpoint_bytes, wal_bytes)?;
+        let (svc, image, report) =
+            recover_logged(policy, &config, &service, checkpoint_bytes, wal_bytes, true)?;
         let mut durable = DurableService {
             svc,
-            log,
+            image: image.expect("recovery kept the image"),
             wal: Wal::with_seq(sink, report.next_seq)?,
             store,
             config_fp: config_fingerprint(policy.name(), &config, &service),
@@ -372,10 +399,10 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         let outcome = self.svc.apply(cmd);
         let t0 = Instant::now();
         // Logged before the append: a checkpoint's log never lags its state.
-        let entry = Entry::new(cmd, &outcome);
-        let line = entry.fmt_line();
-        self.log.push(entry);
-        self.wal.append(line.as_bytes())?;
+        let line = self
+            .image
+            .push_line(|out| Entry::new(cmd, &outcome).write_line(out));
+        self.wal.append(line)?;
         self.svc.phases.lap(Phase::WalAppend, t0);
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
@@ -387,16 +414,18 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
     /// Captures a checkpoint of the current state into the store, then
     /// compacts the WAL and syncs it. Save-before-compact: a crash between
     /// the two only leaves redundant (checkpoint-covered) WAL records,
-    /// which recovery skips.
+    /// which recovery skips. The image is sealed in place — its CRC
+    /// extended over the lines appended since the last checkpoint — and
+    /// handed to the store without a copy; the bytes are those of
+    /// [`Checkpoint::serialize`] of the same checkpoint.
     pub fn checkpoint_now(&mut self) -> Result<(), WalError> {
         let t0 = Instant::now();
-        let ckpt = Checkpoint {
-            config_fingerprint: self.config_fp,
-            covered_seq: self.wal.next_seq(),
-            state_fingerprint: self.svc.state_fingerprint(),
-            log_text: self.log.serialize(),
-        };
-        self.store.save(&ckpt.serialize())?;
+        let image = self.image.seal(
+            self.config_fp,
+            self.wal.next_seq(),
+            self.svc.state_fingerprint(),
+        );
+        self.store.save(image)?;
         self.wal.compact()?;
         self.wal.sync()?;
         self.since_checkpoint = 0;
@@ -694,6 +723,39 @@ mod tests {
             WalError::InjectedCrash
         );
         assert!(durable.wal().sink().crashed());
+    }
+
+    #[test]
+    fn resume_ends_the_last_line_of_a_checkpoint_log_that_did_not() {
+        let policy = MaxMinFairness::new();
+        let cfg = SimConfig::new(small_cluster());
+        let svc_cfg = ServiceConfig::default();
+        let fresh = SchedulerService::new(cfg.clone(), svc_cfg.clone(), &policy);
+        let ckpt = Checkpoint {
+            config_fingerprint: config_fingerprint(policy.name(), &cfg, &svc_cfg),
+            covered_seq: 0,
+            state_fingerprint: fresh.state_fingerprint(),
+            log_text: log_header().trim_end().to_string(),
+        };
+        let (mut durable, _) = DurableService::resume(
+            &policy,
+            cfg.clone(),
+            svc_cfg.clone(),
+            Some(&ckpt.serialize()),
+            &[],
+            MemorySink::new(),
+            MemoryCheckpointStore::new(),
+            0,
+        )
+        .unwrap();
+        durable.apply(&Command::QueryAllocation).unwrap().unwrap();
+        durable.checkpoint_now().unwrap();
+        let saved = Checkpoint::parse(durable.store().bytes().unwrap()).unwrap();
+        assert_eq!(saved.log_text, format!("{}query\n", log_header()));
+        let wal_bytes = durable.wal().sink().bytes();
+        let (_, report) =
+            recover(&policy, &cfg, &svc_cfg, durable.store().bytes(), wal_bytes).unwrap();
+        assert_eq!(report.prefix_commands, 1);
     }
 
     #[test]

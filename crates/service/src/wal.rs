@@ -55,6 +55,9 @@ const SEQ_LEN: usize = 8;
 // CRC32 (IEEE 802.3, reflected), table-driven, no external deps.
 // ---------------------------------------------------------------------
 
+/// The reflected CRC-32 generator polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
 const fn crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -63,7 +66,7 @@ const fn crc32_table() -> [u32; 256] {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC32_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -79,11 +82,69 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC32 (IEEE) of `bytes`.
 fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    crc32_extend(0, bytes)
+}
+
+/// Extends `crc`, the CRC32 of some bytes `a`, to the CRC32 of `a`
+/// followed by `bytes`.
+fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
     for &b in bytes {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
+}
+
+/// `a · b` modulo the generator, both read as GF(2) polynomials in the
+/// reflected bit order (bit 31 is `x^0`).
+const fn crc32_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC32_POLY
+        } else {
+            b >> 1
+        };
+        bit += 1;
+    }
+    product
+}
+
+/// `x^(2^k)` modulo the generator, for `k` in `0..32`; the sequence
+/// repeats with period 32 (`x^(2^32) = x` modulo the generator).
+const fn crc32_x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = crc32_mul(p, p);
+        k += 1;
+    }
+    table
+}
+
+static CRC32_X2N: [u32; 32] = crc32_x2n_table();
+
+/// The CRC32 of `a` followed by `b`, from `crc_a = crc32(a)`,
+/// `crc_b = crc32(b)` and `len_b = b.len()` (zlib's `crc32_combine`):
+/// shifting `crc_a` past `len_b` zero bytes is a multiplication by
+/// `x^(8·len_b)`, built from the squares table in O(log len_b) steps.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1 << 31; // x^0
+    let (mut n, mut k) = (len_b, 3); // 8·len_b = len_b · 2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = crc32_mul(CRC32_X2N[k % 32], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    crc32_mul(shift, crc_a) ^ crc_b
 }
 
 // ---------------------------------------------------------------------
@@ -406,21 +467,75 @@ pub(crate) fn stream_header() -> Vec<u8> {
 
 /// Appends one frame carrying `seq` and `payload` to `out`.
 pub(crate) fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
-    let start = out.len();
-    out.extend_from_slice(&[0; FRAME_PREFIX_LEN]);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(payload);
-    let prefix = frame_prefix(&out[start + FRAME_PREFIX_LEN..]);
-    out[start..start + FRAME_PREFIX_LEN].copy_from_slice(&prefix);
+    let mut frame = OpenFrame::open(out, payload.len());
+    frame.head_mut(out).copy_from_slice(payload);
+    frame.seal(out, seq);
+}
+
+/// A frame written in place at the end of a stream image,
+/// `[len][crc][seq][head][tail]`: `seq` and a head of fixed length are
+/// rewritten at each seal, and the tail — every byte after the head —
+/// only grows between seals, so a seal reads the head and the tail bytes
+/// appended since the last one, however long the tail is.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenFrame {
+    /// Offset of the frame's `[len]` in the image.
+    start: usize,
+    head_len: usize,
+    tail_crc: TailCrc,
+}
+
+impl OpenFrame {
+    /// Opens a frame at the end of `image`, with a zeroed `seq` and a
+    /// zeroed head of `head_len` bytes; what is appended after it is the
+    /// tail.
+    pub(crate) fn open(image: &mut Vec<u8>, head_len: usize) -> OpenFrame {
+        let start = image.len();
+        image.resize(start + FRAME_PREFIX_LEN + SEQ_LEN + head_len, 0);
+        OpenFrame {
+            start,
+            head_len,
+            tail_crc: TailCrc::default(),
+        }
+    }
+
+    /// The head's bytes in `image`, to rewrite before the next seal.
+    pub(crate) fn head_mut<'a>(&self, image: &'a mut [u8]) -> &'a mut [u8] {
+        let at = self.start + FRAME_PREFIX_LEN + SEQ_LEN;
+        &mut image[at..at + self.head_len]
+    }
+
+    /// Writes `seq` and the `[len][crc]` prefix of the frame as `image`
+    /// now holds it. The tail must only have grown since the last seal.
+    pub(crate) fn seal(&mut self, image: &mut [u8], seq: u64) {
+        let body_at = self.start + FRAME_PREFIX_LEN;
+        image[body_at..body_at + SEQ_LEN].copy_from_slice(&seq.to_le_bytes());
+        let (head, tail) = image[body_at..].split_at(SEQ_LEN + self.head_len);
+        let prefix = frame_prefix(head, tail, &mut self.tail_crc);
+        image[self.start..body_at].copy_from_slice(&prefix);
+    }
+}
+
+/// The running CRC32 of a growing frame tail: the CRC of its first `len`
+/// bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct TailCrc {
+    crc: u32,
+    len: usize,
 }
 
 /// The `[len][crc]` prefix of a frame whose body (`seq` + payload) is
-/// `body`: what the writer puts in front of it, and what the reader must
-/// find there.
-fn frame_prefix(body: &[u8]) -> [u8; FRAME_PREFIX_LEN] {
+/// `head` followed by `tail`: what the writer puts in front of it, and
+/// what the reader must find there. `tail_crc` covers a prefix of `tail`
+/// and is extended over the rest, so across calls on a tail that only
+/// grows each byte of it is read once; `head` is read whole every call.
+fn frame_prefix(head: &[u8], tail: &[u8], tail_crc: &mut TailCrc) -> [u8; FRAME_PREFIX_LEN] {
+    tail_crc.crc = crc32_extend(tail_crc.crc, &tail[tail_crc.len..]);
+    tail_crc.len = tail.len();
+    let crc = crc32_combine(crc32(head), tail_crc.crc, tail.len() as u64);
     let mut prefix = [0; FRAME_PREFIX_LEN];
-    prefix[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    prefix[4..].copy_from_slice(&crc32(body).to_le_bytes());
+    prefix[..4].copy_from_slice(&((head.len() + tail.len()) as u32).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc.to_le_bytes());
     prefix
 }
 
@@ -595,7 +710,7 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             scan.torn = torn(pos, TornReason::TruncatedBody);
             break;
         };
-        if frame[..FRAME_PREFIX_LEN] != frame_prefix(body) {
+        if frame[..FRAME_PREFIX_LEN] != frame_prefix(body, &[], &mut TailCrc::default()) {
             scan.torn = torn(pos, TornReason::ChecksumMismatch);
             break;
         }
@@ -616,8 +731,81 @@ mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // The canonical IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        // The canonical IEEE check value, one-shot, extended a byte at a
+        // time, and combined from every split.
+        let check = b"123456789";
+        assert_eq!(crc32(check), 0xCBF4_3926);
+        let running = check.iter().fold(0, |crc, &b| crc32_extend(crc, &[b]));
+        assert_eq!(running, 0xCBF4_3926);
+        for cut in 0..=check.len() {
+            let (a, b) = check.split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                0xCBF4_3926
+            );
+        }
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// Lengths around every power of two up to 2^13, and some between.
+    fn lengths(seed: &mut u64) -> Vec<usize> {
+        let mut lengths = vec![0, 1, 2, 3];
+        for k in 2..=13 {
+            lengths.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        lengths.extend((0..16).map(|_| (splitmix(seed) % 20_000) as usize));
+        lengths
+    }
+
+    #[test]
+    fn extending_and_combining_equal_the_one_shot_crc() {
+        let mut seed = 7;
+        for len in lengths(&mut seed) {
+            let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut seed) as u8).collect();
+            let whole = crc32(&bytes);
+            // Two random cuts, empty parts included: every part extended
+            // onto the running CRC, and every pair of parts combined.
+            let mut cuts = [0, 0].map(|_| (splitmix(&mut seed) % (len as u64 + 1)) as usize);
+            cuts.sort_unstable();
+            let parts = [
+                &bytes[..cuts[0]],
+                &bytes[cuts[0]..cuts[1]],
+                &bytes[cuts[1]..],
+            ];
+            let running = parts.iter().fold(0, |crc, part| crc32_extend(crc, part));
+            assert_eq!(running, whole, "extended, len {len} cuts {cuts:?}");
+            let combined = parts.iter().fold(0, |crc, part| {
+                crc32_combine(crc, crc32(part), part.len() as u64)
+            });
+            assert_eq!(combined, whole, "combined, len {len} cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn the_squares_table_repeats_with_period_32() {
+        // `crc32_combine` indexes it modulo 32 for lengths past 2^29.
+        assert_eq!(crc32_mul(CRC32_X2N[31], CRC32_X2N[31]), CRC32_X2N[0]);
+    }
+
+    #[test]
+    fn a_frame_sealed_as_its_tail_grows_matches_one_written_whole() {
+        let mut seed = 11;
+        let mut image = stream_header();
+        let mut frame = OpenFrame::open(&mut image, 5);
+        for (round, len) in lengths(&mut seed).into_iter().enumerate() {
+            image.extend((0..len).map(|_| splitmix(&mut seed) as u8));
+            frame
+                .head_mut(&mut image)
+                .copy_from_slice(&[round as u8; 5]);
+            frame.seal(&mut image, round as u64);
+            let body = &image[STREAM_HEADER_LEN + FRAME_PREFIX_LEN..];
+            let mut whole = stream_header();
+            push_frame(&mut whole, round as u64, &body[SEQ_LEN..]);
+            assert_eq!(image, whole, "after round {round}");
+            let scan = scan_wal(&image).unwrap();
+            assert!(scan.torn.is_none());
+            assert_eq!(scan.records[0].seq, round as u64);
+        }
     }
 
     fn sample_commands() -> Vec<Command> {

@@ -13,12 +13,20 @@
 //! one block, its plan, and re-resolving an allocation after a recompute
 //! sizes the planner's scratch, which is not counted there or here.
 //!
+//! A checkpoint's allocations do not grow with the history it covers
+//! either: `DurableService::checkpoint_now` on in-memory storage costs
+//! the same blocks after 200 commands as after 2,000.
+//!
 //! Run in release too — the profile the benchmark measures:
 //! `cargo test --release -p gavel-service --test alloc_budget`.
 
-use gavel_core::{Allocation, JobId, PolicyJob};
-use gavel_service::SnapshotCache;
-use gavel_workloads::{JobConfig, JobSpec, Oracle, PairOptions};
+use gavel_core::{Allocation, ClusterSpec, JobId, PolicyJob};
+use gavel_policies::MaxMinFairness;
+use gavel_service::{
+    Command, DurableService, MemoryCheckpointStore, MemorySink, ServiceConfig, SimConfig,
+    SnapshotCache,
+};
+use gavel_workloads::{JobConfig, JobSpec, ModelFamily, Oracle, PairOptions, TraceJob};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -155,4 +163,62 @@ fn a_recompute_allocates_a_constant_number_of_blocks() {
     // and the arrival's candidate list, sized at admission for the
     // snapshot that scores it.
     assert!(small.0 <= 8 && large.0 <= 8, "admit + remove");
+}
+
+/// Allocations of one `checkpoint_now` after `history` commands (submits,
+/// queries, clock advances and refused cancels) on in-memory storage.
+fn checkpoint_after(history: usize) -> usize {
+    let policy = MaxMinFairness::new();
+    let cluster = ClusterSpec::new(&[
+        ("v100", 2, 2, 2.48),
+        ("p100", 2, 2, 1.46),
+        ("k80", 2, 2, 0.45),
+    ]);
+    let mut durable = DurableService::new(
+        &policy,
+        SimConfig::new(cluster),
+        ServiceConfig::default(),
+        MemorySink::new(),
+        MemoryCheckpointStore::new(),
+        0,
+    )
+    .expect("in-memory storage");
+    for i in 0..history as u64 {
+        let cmd = match i % 4 {
+            0 if i < 40 => Command::Submit {
+                job: TraceJob {
+                    id: JobId(i),
+                    config: JobConfig::new(ModelFamily::ResNet50, 64),
+                    arrival_time: 0.0,
+                    scale_factor: 1,
+                    total_steps: 1e12,
+                    duration_seconds: 3600.0,
+                    weight: 1.0,
+                    slo_factor: None,
+                    entity: Some(i as usize % 3),
+                },
+            },
+            1 => Command::AdvanceTo {
+                seconds: 360.0 * i as f64,
+            },
+            2 => Command::Cancel {
+                job: JobId(1 << 40),
+            },
+            _ => Command::QueryAllocation,
+        };
+        let _verdict = durable.apply(&cmd).expect("in-memory storage");
+    }
+    // The first checkpoint sizes what the next ones reuse.
+    durable.checkpoint_now().expect("in-memory storage");
+    count(|| durable.checkpoint_now().expect("in-memory storage"))
+}
+
+#[test]
+fn a_checkpoint_allocates_the_same_blocks_whatever_its_history() {
+    let short = checkpoint_after(200);
+    let long = checkpoint_after(2_000);
+    println!("allocations per checkpoint: {short} after 200 commands, {long} after 2,000");
+    // The store's copy of the image and the compacted WAL's stream
+    // header; the image itself is sealed in place.
+    assert_eq!((short, long), (2, 2), "checkpoint_now");
 }

@@ -11,11 +11,13 @@
 //! admission cap so rejection records ride the WAL.
 
 use gavel_core::JobId;
+use gavel_core::Policy;
 use gavel_policies::MaxMinFairness;
-use gavel_service::wal::{FaultPlan, KillSpec};
+use gavel_service::wal::{scan_wal, FaultPlan, KillSpec, Wal};
 use gavel_service::{
-    recover, run_until_crash, Command, DurableService, MemoryCheckpointStore, MemorySink,
-    RecomputeCadence, SchedulerService, ServiceConfig, SimConfig, SimResult,
+    config_fingerprint, recover, run_until_crash, Checkpoint, Command, DurableService,
+    MemoryCheckpointStore, MemorySink, RecomputeCadence, Rejection, SchedulerService,
+    ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
 };
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 
@@ -347,4 +349,212 @@ fn seeded_fault_plans_recover_to_prefixes() {
             }
         }
     }
+}
+
+/// A stream for the checkpoint-image tests: accepted submits, entity-cap
+/// and duplicate rejections, queries, an accepted and a refused cancel, a
+/// failure and its repair (the repairs of types with no downed worker
+/// are refused).
+fn image_stream() -> Vec<Command> {
+    vec![
+        Command::Submit {
+            job: job(0, 0.0, Some(0)),
+        },
+        Command::Submit {
+            job: job(1, 100.0, Some(0)),
+        },
+        Command::Submit {
+            job: job(2, 200.0, Some(0)), // entity 0 at cap → rejected
+        },
+        Command::AdvanceTo { seconds: 1500.0 },
+        Command::QueryAllocation,
+        Command::Submit {
+            job: job(0, 1500.0, Some(1)), // duplicate id → rejected
+        },
+        Command::Submit {
+            job: job(4, 1500.0, Some(1)),
+        },
+        Command::Cancel { job: JobId(4) },
+        Command::InjectFailure,
+        Command::AdvanceTo { seconds: 3000.0 },
+        Command::InjectRepair { accel: 0 },
+        Command::InjectRepair { accel: 1 },
+        Command::InjectRepair { accel: 2 },
+        Command::Complete { job: JobId(0) },
+        Command::Cancel { job: JobId(99) }, // unknown → rejected
+        Command::AdvanceTo { seconds: 9000.0 },
+        Command::QueryAllocation,
+    ]
+}
+
+/// The checkpoint image of `log` written whole: `Checkpoint::serialize`,
+/// checked against the same frame put down by the WAL's writer.
+fn whole_image(config_fp: u64, covered_seq: u64, state_fp: u64, log: &SubmissionLog) -> Vec<u8> {
+    let ckpt = Checkpoint {
+        config_fingerprint: config_fp,
+        covered_seq,
+        state_fingerprint: state_fp,
+        log_text: log.serialize(),
+    };
+    let payload = format!(
+        "checkpoint config=0x{config_fp:016x} state=0x{state_fp:016x}\n{}",
+        ckpt.log_text
+    );
+    let mut wal = Wal::with_seq(MemorySink::new(), covered_seq).unwrap();
+    wal.append(payload.as_bytes()).unwrap();
+    let image = ckpt.serialize();
+    assert_eq!(image, wal.sink().bytes(), "Checkpoint::serialize");
+    image
+}
+
+type MemoryDurable<'p> = DurableService<'p, MemorySink, MemoryCheckpointStore>;
+
+/// The image `durable`'s store holds must be the whole image of `log`.
+fn assert_stored_image(
+    durable: &MemoryDurable<'_>,
+    log: &SubmissionLog,
+    config_fp: u64,
+    what: &str,
+) {
+    let expected = whole_image(
+        config_fp,
+        durable.wal().next_seq(),
+        durable.service().state_fingerprint(),
+        log,
+    );
+    assert!(
+        durable.store().bytes() == Some(&expected[..]),
+        "{what}: the saved checkpoint image differs from the log's whole image"
+    );
+}
+
+/// Applies `commands` through `durable`, recording each verdict in
+/// `log`, and checks every checkpoint saved on the way, then two taken at
+/// the end with nothing appended between them. Returns the verdicts.
+fn apply_checking_images(
+    durable: &mut MemoryDurable<'_>,
+    log: &mut SubmissionLog,
+    commands: &[Command],
+    config_fp: u64,
+    what: &str,
+) -> Vec<Result<(), ServiceError>> {
+    let mut verdicts = Vec::new();
+    for (i, cmd) in commands.iter().enumerate() {
+        let verdict = durable.apply(cmd).unwrap();
+        log.record(cmd, &verdict);
+        verdicts.push(verdict);
+        // A compacted WAL holds no record: this command was checkpointed.
+        if scan_wal(durable.wal().sink().bytes())
+            .unwrap()
+            .records
+            .is_empty()
+        {
+            assert_stored_image(durable, log, config_fp, &format!("{what}, command {i}"));
+        }
+    }
+    for k in 0..2 {
+        durable.checkpoint_now().unwrap();
+        assert_stored_image(durable, log, config_fp, &format!("{what}, final {k}"));
+    }
+    verdicts
+}
+
+#[test]
+fn every_checkpoint_image_equals_the_whole_serialized_log() {
+    let policy = MaxMinFairness::new();
+    let cfg = configs()[2].1.clone(); // Poisson failures: inject-failure is accepted
+    let svc_cfg = service_config();
+    let config_fp = config_fingerprint(policy.name(), &cfg, &svc_cfg);
+    let commands = image_stream();
+    for every in [1, 2, 3] {
+        let mut durable = DurableService::new(
+            &policy,
+            cfg.clone(),
+            svc_cfg.clone(),
+            MemorySink::new(),
+            MemoryCheckpointStore::new(),
+            every,
+        )
+        .unwrap();
+        let mut log = SubmissionLog::default();
+        let what = format!("every {every}");
+        let verdicts = apply_checking_images(&mut durable, &mut log, &commands, config_fp, &what);
+        // The stream exercised what it is meant to.
+        let accepted = |pick: fn(&Command) -> bool| {
+            commands
+                .iter()
+                .zip(&verdicts)
+                .any(|(c, v)| pick(c) && v.is_ok())
+        };
+        assert!(accepted(|c| matches!(c, Command::Submit { .. })));
+        assert!(accepted(|c| matches!(c, Command::QueryAllocation)));
+        assert!(accepted(|c| matches!(c, Command::Cancel { .. })));
+        assert!(accepted(|c| matches!(c, Command::InjectFailure)));
+        assert!(accepted(|c| matches!(c, Command::InjectRepair { .. })));
+        let refused: Vec<_> = verdicts.iter().filter_map(|v| v.as_ref().err()).collect();
+        for rejection in [
+            Rejection::EntityCapExceeded,
+            Rejection::DuplicateJob,
+            Rejection::UnknownJob,
+            Rejection::NothingToRepair,
+        ] {
+            assert!(
+                refused.iter().any(|e| e.rejection() == Some(rejection)),
+                "no {rejection:?} in the stream"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_resumed_service_checkpoints_the_whole_serialized_log() {
+    let policy = MaxMinFairness::new();
+    let cfg = configs()[2].1.clone();
+    let svc_cfg = service_config();
+    let config_fp = config_fingerprint(policy.name(), &cfg, &svc_cfg);
+    let commands = image_stream();
+    let every = 3;
+    let mut resumed = 0;
+    for kill_at in 1..commands.len() + commands.len() / every {
+        let plan = FaultPlan {
+            kill: Some(KillSpec {
+                after_appends: kill_at,
+                keep_permille: 500,
+            }),
+            ..FaultPlan::default()
+        };
+        let outcome = run_until_crash(&policy, &cfg, &svc_cfg, &commands, plan, every).unwrap();
+        if !outcome.crashed {
+            continue;
+        }
+        let (mut durable, report) = DurableService::resume(
+            &policy,
+            cfg.clone(),
+            svc_cfg.clone(),
+            outcome.checkpoint_bytes.as_deref(),
+            &outcome.wal_bytes,
+            MemorySink::new(),
+            MemoryCheckpointStore::new(),
+            every,
+        )
+        .unwrap();
+        // The log of the recovered prefix, as a fresh service judges it.
+        let consumed = report.consumed();
+        let mut svc = SchedulerService::new(cfg.clone(), svc_cfg.clone(), &policy);
+        let mut log = SubmissionLog::default();
+        for cmd in &commands[..consumed] {
+            log.record(cmd, &svc.apply(cmd));
+        }
+        let what = format!("kill@{kill_at}");
+        assert_stored_image(&durable, &log, config_fp, &format!("{what}, resume"));
+        apply_checking_images(
+            &mut durable,
+            &mut log,
+            &commands[consumed..],
+            config_fp,
+            &what,
+        );
+        resumed += 1;
+    }
+    assert!(resumed >= commands.len() - 1, "resumed {resumed} times");
 }
