@@ -14,8 +14,9 @@
 //!    spaced injection points (torn tails of varying length), each
 //!    recovered and resumed; the table reports what survived each crash.
 //! 3. **Damage sweep** — seed-derived fault plans (corruption and
-//!    truncation on top of kills) that must always recover to a clean
-//!    prefix of the run, never panic, never invent state.
+//!    truncation on top of kills), and a checkpoint save torn part-way
+//!    on file-backed storage, that must always recover to a clean prefix
+//!    of the run (or be refused), never panic, never invent state.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- svc_recovery`
 
@@ -23,11 +24,35 @@ use crate::{print_table, Scale};
 use gavel_policies::MaxMinFairness;
 use gavel_service::wal::{FaultPlan, KillSpec};
 use gavel_service::{
-    recover, run_until_crash, DurableService, FileCheckpointStore, FileSink, MemoryCheckpointStore,
-    MemorySink, SchedulerService, ServiceConfig,
+    recover, run_until_crash, CheckpointStore, DurableService, FileCheckpointStore, FileSink,
+    MemoryCheckpointStore, MemorySink, SchedulerService, ServiceConfig, WalError,
 };
 use gavel_sim::{compile_trace, SimConfig};
 use gavel_workloads::{assign_entities, cluster_twelve, generate, Oracle, TraceConfig};
+
+/// A file store whose `tear_at`-th save (1-based) lands only the first
+/// half of its image, as a crash mid-write would, and then fails; the
+/// run stops there.
+struct TearingStore {
+    inner: FileCheckpointStore,
+    saves: usize,
+    tear_at: usize,
+}
+
+impl CheckpointStore for TearingStore {
+    fn save(&mut self, bytes: &[u8]) -> Result<(), WalError> {
+        self.saves += 1;
+        if self.saves < self.tear_at {
+            return self.inner.save(bytes);
+        }
+        self.inner.save(&bytes[..bytes.len() / 2])?;
+        Err(WalError::InjectedCrash)
+    }
+
+    fn load(&self) -> Result<Option<Vec<u8>>, WalError> {
+        self.inner.load()
+    }
+}
 
 pub fn run(scale: Scale) {
     let num_jobs = scale.num_jobs(10, 32, 100);
@@ -74,7 +99,9 @@ pub fn run(scale: Scale) {
     // "Process exit": only the files remain, and where the run's time went.
     let phases = durable.into_result().phases;
     let wal_bytes = std::fs::read(&wal_path).expect("read WAL back");
-    let ckpt_bytes = std::fs::read(&ckpt_path).ok();
+    let ckpt_bytes = FileCheckpointStore::new(&ckpt_path)
+        .load()
+        .expect("read checkpoint back");
     let (svc, report) = recover(&policy, &cfg, &svc_cfg, ckpt_bytes.as_deref(), &wal_bytes)
         .expect("file artifacts recover");
     assert_eq!(
@@ -208,9 +235,49 @@ pub fn run(scale: Scale) {
             Err(_) => refused += 1, // destroyed header/checkpoint: refused, not misread
         }
     }
+    // One torn checkpoint slot: checkpointing every quarter of the stream,
+    // the third save lands half its image in the slot it overwrites, and
+    // the process dies before compacting the WAL.
+    let torn_wal = dir.join("torn.wal");
+    let torn_ckpt = dir.join("torn.ckpt");
+    let mut torn = DurableService::new(
+        &policy,
+        cfg.clone(),
+        svc_cfg.clone(),
+        FileSink::create(&torn_wal).expect("create WAL file"),
+        TearingStore {
+            inner: FileCheckpointStore::new(&torn_ckpt),
+            saves: 0,
+            tear_at: 3,
+        },
+        (commands.len() / 4).max(1),
+    )
+    .expect("durable service on files");
+    let processed = commands
+        .iter()
+        .take_while(|cmd| torn.apply(cmd).is_ok())
+        .count();
+    assert!(processed < commands.len(), "the torn save never came");
+    drop(torn);
+    let ckpt_bytes = FileCheckpointStore::new(&torn_ckpt)
+        .load()
+        .expect("read checkpoint back");
+    let wal_bytes = std::fs::read(&torn_wal).expect("read WAL back");
+    match recover(&policy, &cfg, &svc_cfg, ckpt_bytes.as_deref(), &wal_bytes) {
+        Ok((svc, report)) => {
+            assert_eq!(
+                svc.state_fingerprint(),
+                prefix_fps[report.consumed()],
+                "torn checkpoint slot: recovery produced a non-prefix state"
+            );
+            recovered_clean += 1;
+        }
+        Err(_) => refused += 1,
+    }
     println!(
-        "damage sweep: {damage_seeds} seed-derived fault plans -> {recovered_clean} recovered \
-         to a clean prefix, {refused} refused outright, 0 panics, 0 divergent states",
+        "damage sweep: {damage_seeds} seed-derived fault plans and 1 torn checkpoint slot -> \
+         {recovered_clean} recovered to a clean prefix, {refused} refused outright, 0 panics, \
+         0 divergent states",
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,13 +34,15 @@
 //! the last one; [`Checkpoint::serialize`] builds one image whole.
 //! Checkpoints reach storage through a [`CheckpointStore`]:
 //! [`MemoryCheckpointStore`] for tests, [`FileCheckpointStore`] for real
-//! runs (write-to-temp + rename).
+//! runs (two slot files; a save overwrites the older one in place).
 
 use crate::command::Line;
 use crate::config::SimConfig;
 use crate::core::ServiceConfig;
-use crate::wal::{scan_wal, stream_header, OpenFrame, WalError};
-use std::io::Write as _;
+use crate::wal::{claimed_first_seq, scan_wal, stream_header, OpenFrame, WalError, FIRST_SEQ_END};
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Read as _, Seek as _, Write as _};
+use std::path::{Path, PathBuf};
 
 /// The checkpoint stores' error: the crate's one persistence error type.
 pub type CheckpointError = WalError;
@@ -173,12 +175,15 @@ impl CheckpointImage {
     }
 }
 
-/// Pluggable checkpoint storage. A store holds at most one checkpoint —
-/// the latest; saving replaces it atomically (or not at all).
+/// Pluggable checkpoint storage. The contract is stated through
+/// [`CheckpointStore::load`]: it returns `None` until the first save;
+/// once a [`CheckpointStore::save`] returns `Ok`, exactly its bytes until
+/// the next save; and after a save that failed or was cut short by a
+/// process crash, the previous checkpoint — never a mix of two images.
 pub trait CheckpointStore {
-    /// Replaces the stored checkpoint.
+    /// Stores `bytes` as the latest checkpoint.
     fn save(&mut self, bytes: &[u8]) -> Result<(), WalError>;
-    /// Reads the stored checkpoint, `None` if none was ever saved.
+    /// Reads the latest checkpoint, `None` if none was ever saved.
     fn load(&self) -> Result<Option<Vec<u8>>, WalError>;
 }
 
@@ -211,39 +216,131 @@ impl CheckpointStore for MemoryCheckpointStore {
     }
 }
 
-/// File-backed store: saves write a sibling temp file and rename it into
-/// place, so a process crash mid-save can only ever leave the *previous*
-/// checkpoint behind, never a half-written one. Neither the temp file nor
-/// the directory is `fsync`ed, so after a power loss the rename may be
-/// lost or the renamed file incomplete; [`Checkpoint::parse`] detects the
-/// latter.
-#[derive(Debug, Clone)]
+/// File-backed store in two slot files, `path` and its sibling `path.1`
+/// ([`FileCheckpointStore::slot_paths`]), each holding one image or
+/// nothing. A save overwrites in place — seek to the start, write, cut to
+/// length — the slot that does not hold the image `load` serves: no temp
+/// file, no rename. The first save through a store verifies which slot
+/// holds the newest valid image, writes the other one, and then empties
+/// the verified one, so images an earlier run left at the same path are
+/// never served once this store has saved; later saves alternate between
+/// the two without reading either. `load` tries the slot whose frame
+/// claims the higher `seq` first and serves it if it verifies
+/// ([`Checkpoint::parse`]), else the other slot; if neither verifies, a
+/// non-empty slot's bytes, so that recovery reports the damage.
+///
+/// A crash mid-save can tear only the slot being written: its CRC fails
+/// and the other slot is served, beside the WAL, which the durable
+/// service compacts only after the save returns. Neither slot is
+/// `fsync`ed, so after a power loss a save that returned may be lost or
+/// torn as well; the CRC catches a tear, and an older image beside a WAL
+/// whose compaction was synced is refused by recovery as a sequence gap.
+#[derive(Debug)]
 pub struct FileCheckpointStore {
-    path: std::path::PathBuf,
+    slots: [PathBuf; 2],
+    /// Both slot files and the slot the next save overwrites, once this
+    /// store's first save has succeeded.
+    written: Option<([File; 2], usize)>,
 }
 
 impl FileCheckpointStore {
-    /// A store at `path` (the file need not exist yet).
-    pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
-        FileCheckpointStore { path: path.into() }
+    /// A store at `path` and its sibling slot (neither file need exist
+    /// yet).
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        let path = path.into();
+        let mut sibling = path.clone().into_os_string();
+        sibling.push(".1");
+        FileCheckpointStore {
+            slots: [path, sibling.into()],
+            written: None,
+        }
+    }
+
+    /// The two slot files: `path`, then its sibling.
+    pub fn slot_paths(&self) -> [&Path; 2] {
+        [&self.slots[0], &self.slots[1]]
+    }
+
+    /// The slot `load` serves and its bytes: of the slots in the order of
+    /// the `seq` their frames claim, newest first, the first whose image
+    /// verifies, else the first that is not empty.
+    fn newest(&self) -> Result<Option<(usize, Vec<u8>)>, WalError> {
+        let claimed = |slot: usize| -> Result<_, WalError> {
+            Ok(claimed_first_seq(&read_slot(
+                &self.slots[slot],
+                FIRST_SEQ_END,
+            )?))
+        };
+        let order = if claimed(1)? > claimed(0)? {
+            [1, 0]
+        } else {
+            [0, 1]
+        };
+        let mut damaged = None;
+        for slot in order {
+            let bytes = read_slot(&self.slots[slot], usize::MAX)?;
+            if Checkpoint::parse(&bytes).is_ok() {
+                return Ok(Some((slot, bytes)));
+            }
+            if !bytes.is_empty() {
+                damaged = damaged.or(Some(slot));
+            }
+        }
+        // Read again rather than hold two images at once.
+        damaged
+            .map(|slot| Ok((slot, read_slot(&self.slots[slot], usize::MAX)?)))
+            .transpose()
     }
 }
 
 impl CheckpointStore for FileCheckpointStore {
     fn save(&mut self, bytes: &[u8]) -> Result<(), WalError> {
-        let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, &self.path)?;
+        if let Some((files, next)) = &mut self.written {
+            overwrite(&mut files[*next], bytes)?;
+            *next = 1 - *next;
+            return Ok(());
+        }
+        // Keep the slot `load` serves, chosen by verification, so a torn
+        // slot claiming a newer `seq` is the one overwritten.
+        let keep = self.newest()?.map_or(1, |(slot, _)| slot);
+        let open = |slot: usize| {
+            OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&self.slots[slot])
+        };
+        let mut files = [open(0)?, open(1)?];
+        overwrite(&mut files[1 - keep], bytes)?;
+        files[keep].set_len(0)?;
+        self.written = Some((files, keep));
         Ok(())
     }
 
     fn load(&self) -> Result<Option<Vec<u8>>, WalError> {
-        match std::fs::read(&self.path) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+        Ok(self.newest()?.map(|(_, bytes)| bytes))
     }
+}
+
+/// Up to `limit` leading bytes of the slot file at `path`; a missing
+/// file is an empty slot.
+fn read_slot(path: &Path, limit: usize) -> Result<Vec<u8>, WalError> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let len = file.metadata()?.len().min(limit as u64);
+    let mut bytes = Vec::with_capacity(len as usize);
+    file.take(len).read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// Replaces the contents of `file` with `bytes`, in place.
+fn overwrite(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
+    file.rewind()?;
+    file.write_all(bytes)?;
+    file.set_len(bytes.len() as u64)
 }
 
 #[cfg(test)]

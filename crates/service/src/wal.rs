@@ -465,6 +465,16 @@ pub(crate) fn stream_header() -> Vec<u8> {
     [&WAL_MAGIC[..], &WAL_STREAM_VERSION.to_le_bytes()].concat()
 }
 
+/// Bytes from an image's start through its first frame's `seq`.
+pub(crate) const FIRST_SEQ_END: usize = STREAM_HEADER_LEN + FRAME_PREFIX_LEN + SEQ_LEN;
+
+/// The `seq` the first frame of an image opening with `head` claims,
+/// unverified; `None` if `head` ends before it.
+pub(crate) fn claimed_first_seq(head: &[u8]) -> Option<u64> {
+    let seq = head.get(FIRST_SEQ_END - SEQ_LEN..FIRST_SEQ_END)?;
+    Some(u64::from_le_bytes(std::array::from_fn(|i| seq[i])))
+}
+
 /// Appends one frame carrying `seq` and `payload` to `out`.
 pub(crate) fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     let mut frame = OpenFrame::open(out, payload.len());
