@@ -175,31 +175,11 @@ impl Hierarchical {
         }
         let inner_of: Vec<EntityPolicy> = entities.iter().map(|(_, p)| *p).collect();
 
-        // Initial per-job weights according to each entity's inner policy.
-        let base_weights: Vec<f64> = input.jobs.iter().map(|j| j.weight).collect();
+        // Every job starts at zero; each entity hands out its weight.
         let mut weights = vec![0.0; n];
         for (e, &(entity_weight, inner)) in entities.iter().enumerate() {
             let members: Vec<usize> = (0..n).filter(|&m| entity_of[m] == e).collect();
-            match inner {
-                EntityPolicy::Fairness => {
-                    let total: f64 = members.iter().map(|&m| base_weights[m]).sum();
-                    for &m in &members {
-                        weights[m] = entity_weight * base_weights[m] / total.max(1e-12);
-                    }
-                }
-                EntityPolicy::Fifo => {
-                    // An entity with no members contributes no weight; an
-                    // empty minimum just leaves the entity idle instead of
-                    // panicking.
-                    if let Some(head) = members
-                        .iter()
-                        .copied()
-                        .min_by_key(|&m| input.jobs[m].arrival_seq)
-                    {
-                        weights[head] = entity_weight;
-                    }
-                }
-            }
+            give(&mut weights, input, &members, inner, entity_weight);
         }
 
         let alp = AllocLp::new(input, Sense::Maximize);
@@ -217,7 +197,6 @@ impl Hierarchical {
             weights,
             done: vec![false; n],
             entity_of,
-            base_weights,
             inner_of,
             alp,
             stats: SolveStats::default(),
@@ -300,8 +279,6 @@ struct WaterFill<'i, 'a> {
     done: Vec<bool>,
     /// Entity id per job (dense, possibly synthesized).
     entity_of: Vec<usize>,
-    /// Original per-job weights (for fairness redistribution).
-    base_weights: Vec<f64>,
     /// Inner policy per entity.
     inner_of: Vec<EntityPolicy>,
     /// The allocation variables and validity rows the round LP is built
@@ -403,37 +380,45 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     fn redistribute(&mut self, m: usize) {
         let w = std::mem::replace(&mut self.weights[m], 0.0);
         self.done[m] = true;
-        if w <= 0.0 {
-            return;
-        }
         let entity = self.entity_of[m];
         let peers: Vec<usize> = (0..self.input.jobs.len())
             .filter(|&k| self.entity_of[k] == entity && !self.done[k])
             .collect();
-        if peers.is_empty() {
-            return;
-        }
-        match self.inner_of[entity] {
-            EntityPolicy::Fairness => {
-                let total: f64 = peers.iter().map(|&k| self.base_weights[k]).sum();
-                if total <= 0.0 {
-                    return;
-                }
-                for &k in &peers {
-                    self.weights[k] += w * self.base_weights[k] / total;
+        give(
+            &mut self.weights,
+            self.input,
+            &peers,
+            self.inner_of[entity],
+            w,
+        );
+    }
+}
+
+/// Hands weight `w` of an entity to `members`, its jobs still in the water
+/// filling, by the entity's inner policy: split in proportion to job
+/// weight under fairness, whole to the earliest arrival under FIFO. With
+/// no member (or no member weight) to take it, the weight retires and the
+/// entity keeps the allocation its floors fix.
+fn give(
+    weights: &mut [f64],
+    input: &PolicyInput<'_>,
+    members: &[usize],
+    inner: EntityPolicy,
+    w: f64,
+) {
+    let jobs = input.jobs;
+    match inner {
+        EntityPolicy::Fairness => {
+            let total: f64 = members.iter().map(|&k| jobs[k].weight).sum();
+            if total > 0.0 {
+                for &k in members {
+                    weights[k] += w * jobs[k].weight / total;
                 }
             }
-            EntityPolicy::Fifo => {
-                // Weight passes to the earliest remaining job in the
-                // queue; with every peer already bottlenecked the weight
-                // simply retires and the level keeps its fixed allocation.
-                if let Some(next) = peers
-                    .iter()
-                    .copied()
-                    .min_by_key(|&k| self.input.jobs[k].arrival_seq)
-                {
-                    self.weights[next] += w;
-                }
+        }
+        EntityPolicy::Fifo => {
+            if let Some(head) = members.iter().copied().min_by_key(|&k| jobs[k].arrival_seq) {
+                weights[head] += w;
             }
         }
     }

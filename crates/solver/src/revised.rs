@@ -174,7 +174,7 @@ impl Instance {
         // Column sizes first (one entry per term, one per slack and
         // artificial column), then every entry written straight into
         // place: rows are visited in order, so each column's entries land
-        // in ascending row order, and `lower` has already merged
+        // in ascending row order, and `LpProblem` has already merged
         // duplicate terms and dropped zeros.
         let mut col_ptr = vec![0usize; ntot + 1];
         for (terms, _, _) in &lp.rows {

