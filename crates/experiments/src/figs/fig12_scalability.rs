@@ -26,6 +26,10 @@
 //!   a copy of the cache over three churn steps (and, past the default
 //!   and full sweeps, at 4096 jobs), or the timed cache ran the flat
 //!   ranking at all;
+//! - the oracle-backed cache holds more than K(K+1)/2 class-pair
+//!   candidates, K being the distinct single-worker configurations
+//!   resident (the table prints them beside the job-pair candidates they
+//!   stand for);
 //! - a LAS solve without pair rows leaves its structural bases, or a
 //!   hierarchical solve runs a phase 1 or falls back from its warm start;
 //! - from 1024 jobs, a cached snapshot or churn step is not 3 times
@@ -153,6 +157,26 @@ fn assert_bucketed_is_flat(cache: &SnapshotCache, oracle: &Oracle, mut next: usi
     assert_eq!(checked, 3, "selections checked at {} jobs", copy.len());
 }
 
+/// Asserts that the oracle-backed `cache` holds at most K(K+1)/2 class
+/// pairs, K being the distinct single-worker configurations resident;
+/// returns its class pairs and job-level candidates.
+fn assert_class_pairs(cache: &SnapshotCache) -> (usize, usize) {
+    let mut configs: Vec<JobConfig> = (cache.specs().iter())
+        .filter(|s| s.scale_factor == 1)
+        .map(|s| s.config)
+        .collect();
+    configs.sort_by_key(|c| (c.family, c.batch_size));
+    configs.dedup();
+    let k = configs.len();
+    let class_pairs = cache.class_pair_count();
+    assert!(
+        class_pairs <= k * (k + 1) / 2,
+        "{class_pairs} class pairs for {k} configurations at {} jobs",
+        cache.len()
+    );
+    (class_pairs, cache.candidate_count())
+}
+
 /// Asserts that a solve started every LP from its hint: no phase-1 pivot,
 /// no warm fallback, and at least `hits` warm hits.
 fn assert_warm(what: &str, n: usize, stats: &SolveStats, hits: usize) {
@@ -268,6 +292,7 @@ pub fn run(scale: Scale) {
         assert_edge("a churn step", n, churn_step, fresh, CACHED_EDGE);
         let stats = cache.stats();
         assert!(stats.bucketed_selections > 0 && stats.flat_reranks == 0);
+        let (class_pairs, candidates) = assert_class_pairs(&cache);
 
         // The estimator-backed cache on the same jobs: each drift step
         // observes two colocated pairs, dirtying at most four jobs.
@@ -331,6 +356,8 @@ pub fn run(scale: Scale) {
         ]);
         layer_rows.push(vec![
             n.to_string(),
+            class_pairs.to_string(),
+            candidates.to_string(),
             (combos_ss.len() - n).to_string(),
             ms(populate),
             ms(fresh),
@@ -364,6 +391,8 @@ pub fn run(scale: Scale) {
         "Figure 12: snapshot cache and round planner (milliseconds)",
         &[
             "jobs",
+            "class pairs",
+            "candidates",
             "pair rows",
             "populate",
             "fresh build",
@@ -388,9 +417,11 @@ pub fn run(scale: Scale) {
             cache.snapshot(&oracle);
             assert_bucketed_is_flat(&cache, &oracle, BUCKETED_JOBS);
         });
+        let (class_pairs, candidates) = assert_class_pairs(&cache);
         println!(
             "\nBucketed selection at {BUCKETED_JOBS} jobs: three churn steps equal the \
-             flat ranking ({secs:.1} s with populating)."
+             flat ranking ({secs:.1} s with populating); {class_pairs} class pairs stand \
+             for {candidates} job-pair candidates."
         );
     }
     println!(

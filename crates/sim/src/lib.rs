@@ -36,10 +36,13 @@
 //!
 //! The per-round machinery the service core composes is documented where
 //! it lives: the incremental policy-input snapshots (oracle- and
-//! estimator-backed alike, re-scoring one dirty set per snapshot, with
+//! estimator-backed alike, holding pair candidates between classes of
+//! interchangeable jobs — a configuration under the oracle, one job under
+//! the estimator — and scoring the dirty classes once per snapshot, with
 //! the bucketed selection re-checked in debug builds against
-//! [`gavel_workloads::rank_and_cap`], the fresh builder's flat ranking)
-//! in [`gavel_service::snapshot`], and the round planner in
+//! [`gavel_workloads::rank_and_cap`] over the expanded job pairs, the
+//! fresh builder's flat ranking) in [`gavel_service::snapshot`], and the
+//! round planner in
 //! [`gavel_sched::mechanism`]; `gavel-exp fig12_scalability` times both
 //! at each job count. [`SnapshotCache`] and [`EstimatorBridge`] are
 //! re-exported here for this crate's tests and the experiments.

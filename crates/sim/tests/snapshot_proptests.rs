@@ -3,6 +3,8 @@
 //! interleavings, whichever pair source backs the cache — the oracle, or
 //! a live estimator whose refinements dirty anywhere from one pair up to
 //! every resident job — and spends work proportional to the dirty set.
+//! One oracle case draws its jobs from two or three configurations, so
+//! the cache's configuration classes hold many members each.
 //! Snapshots follow a random subset of the ops, so the dirty set a
 //! snapshot drains may hold several arrivals and drifts, minus the jobs
 //! that left before it.
@@ -27,8 +29,9 @@ use std::collections::BTreeSet;
 /// and refinements can land between two snapshots.
 ///
 /// `estimator_seed` picks the pair source: `None` for the oracle, or the
-/// seed of an estimator bridge the cache owns (which needs `opts`). `ops`
-/// drives the interleaving — `(kind, pick, cfg_idx, extra, snap)`:
+/// seed of an estimator bridge the cache owns (which needs `opts`).
+/// Arrivals draw their configuration from `configs`. `ops` drives the
+/// interleaving — `(kind, pick, cfg_idx, extra, snap)`:
 ///
 /// - kinds 0 and 3 admit a new job (the estimator profiles it);
 /// - kind 1 completes the resident job at `pick % len` (the estimator
@@ -42,9 +45,9 @@ fn run_sequence(
     ops: &[(usize, usize, usize, usize, usize)],
     opts: Option<PairOptions>,
     estimator_seed: Option<u64>,
+    configs: &[JobConfig],
 ) {
     let oracle = Oracle::new();
-    let all = JobConfig::all();
     let mut cache = match (estimator_seed, opts) {
         (Some(seed), Some(o)) => {
             SnapshotCache::estimated(true, o, EstimatorBridge::new(&oracle, seed))
@@ -64,7 +67,7 @@ fn run_sequence(
             0 | 3 => {
                 let spec = JobSpec {
                     id: JobId(next_id),
-                    config: all[cfg_idx % all.len()],
+                    config: configs[cfg_idx % configs.len()],
                     // Mostly single-worker jobs (pairable), some distributed.
                     scale_factor: if extra % 5 == 0 { 2 } else { 1 },
                 };
@@ -182,12 +185,17 @@ proptest! {
         min_aggregate in 1.0f64..1.6,
         max_pairs in 1usize..6,
     ) {
-        run_sequence(&ops, Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }), None);
+        run_sequence(
+            &ops,
+            Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),
+            None,
+            &JobConfig::all(),
+        );
     }
 
     #[test]
     fn incremental_equals_fresh_singletons(ops in ops(40)) {
-        run_sequence(&ops, None, None);
+        run_sequence(&ops, None, None, &JobConfig::all());
     }
 
     #[test]
@@ -201,6 +209,32 @@ proptest! {
             &ops,
             Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),
             Some(seed),
+            &JobConfig::all(),
+        );
+    }
+
+    /// Many jobs of few configurations: each class holds many members,
+    /// whose positions keep moving under heavy removal churn, so tie
+    /// groups of one class pair enumerate many job pairs.
+    #[test]
+    fn incremental_equals_fresh_with_few_configurations(
+        ops in ops(80),
+        palette in (0usize..26, 0usize..26, 0usize..26, 2usize..4),
+        min_aggregate in 1.0f64..1.3,
+        max_pairs in 1usize..7,
+    ) {
+        let all = JobConfig::all();
+        let (a, b, c, count) = palette;
+        let configs = [all[a], all[b], all[c]];
+        // Kinds 0–1 admit, 2–3 remove.
+        let churn: Vec<_> = (ops.iter())
+            .map(|&(kind, pick, cfg, extra, snap)| (kind / 2, pick, cfg, extra, snap))
+            .collect();
+        run_sequence(
+            &churn,
+            Some(PairOptions { min_aggregate, max_pairs_per_job: max_pairs }),
+            None,
+            &configs[..count],
         );
     }
 }

@@ -339,6 +339,35 @@ mod tests {
         }
     }
 
+    /// What the snapshot cache's configuration classes rest on: under the
+    /// oracle a pair's score does not depend on which job holds the lower
+    /// id, bit for bit, and its row only swaps cells.
+    #[test]
+    fn pair_rows_depend_on_id_order_only_by_swapping_cells() {
+        let o = Oracle::new();
+        let colocated = |x: &JobSpec, y: &JobSpec, g| o.colocated(x.config, y.config, g);
+        let at = |id: u64, config: JobConfig| JobSpec {
+            id: JobId(id),
+            config,
+            scale_factor: 1,
+        };
+        let all = JobConfig::all();
+        for &ca in &all {
+            for &cb in &all {
+                let (score, row) = pair_row(&o, &at(0, ca), &at(1, cb), &colocated);
+                let (swapped_score, swapped) = pair_row(&o, &at(1, ca), &at(0, cb), &colocated);
+                assert_eq!(score.to_bits(), swapped_score.to_bits(), "{ca} with {cb}");
+                for (cell, other) in row.iter().zip(&swapped) {
+                    assert_eq!(
+                        (cell.a.to_bits(), cell.b.to_bits()),
+                        (other.b.to_bits(), other.a.to_bits()),
+                        "{ca} with {cb}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn distributed_jobs_never_pair() {
         let o = Oracle::new();
