@@ -22,10 +22,10 @@
 //!   build row for row;
 //! - populating the estimator-backed cache scores other than n(n−1)/2
 //!   pairs, or a drift step scores more than 4n;
-//! - a bucketed pair selection differs from the flat ranking, checked on
-//!   a copy of the cache over three churn steps (and, past the default
-//!   and full sweeps, at 4096 jobs), or the timed cache ran the flat
-//!   ranking at all;
+//! - the sorted pair store's selection differs from the flat ranking,
+//!   checked on a copy of the cache over three churn steps (and, past the
+//!   default and full sweeps, at 4096 jobs), or the timed cache ran the
+//!   flat ranking at all;
 //! - the oracle-backed cache holds more than K(K+1)/2 class-pair
 //!   candidates, K being the distinct single-worker configurations
 //!   resident (the table prints them beside the job-pair candidates they
@@ -74,9 +74,9 @@ const CACHED_EDGE: f64 = 3.0;
 /// step must be from [`GATE_JOBS`] jobs.
 const ESTIMATED_EDGE: f64 = 2.0;
 
-/// Jobs in the bucketed-selection check run after the default and full
+/// Jobs in the pair-selection check run after the default and full
 /// sweeps.
-const BUCKETED_JOBS: usize = 4096;
+const SELECTION_CHECK_JOBS: usize = 4096;
 
 /// Runs `f` once; returns its value and the seconds it took.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -145,9 +145,9 @@ fn churn(cache: &mut SnapshotCache, oracle: &Oracle, next: &mut usize) {
 }
 
 /// Runs three churn steps on a copy of `cache` that re-ranks every
-/// bucketed selection with the fresh builder's flat ranking and asserts
+/// pair selection with the fresh builder's flat ranking and asserts
 /// the two equal (inside `snapshot`).
-fn assert_bucketed_is_flat(cache: &SnapshotCache, oracle: &Oracle, mut next: usize) {
+fn assert_selection_is_flat(cache: &SnapshotCache, oracle: &Oracle, mut next: usize) {
     let mut copy = cache.clone();
     copy.set_crosscheck(true);
     for _ in 0..3 {
@@ -287,7 +287,7 @@ pub fn run(scale: Scale) {
         // in turn arrives before each snapshot. The copy checked against
         // the flat ranking churns ahead of the timed cache.
         let mut next = n;
-        assert_bucketed_is_flat(&cache, &oracle, next);
+        assert_selection_is_flat(&cache, &oracle, next);
         let churn_step = median_secs(|| churn(&mut cache, &oracle, &mut next));
         assert_edge("a churn step", n, churn_step, fresh, CACHED_EDGE);
         let stats = cache.stats();
@@ -411,15 +411,15 @@ pub fn run(scale: Scale) {
     if matches!(scale, Scale::Standard | Scale::Full) {
         let mut cache = SnapshotCache::new(true, Some(pair_opts));
         let ((), secs) = timed(|| {
-            for s in (0..BUCKETED_JOBS).map(spec) {
+            for s in (0..SELECTION_CHECK_JOBS).map(spec) {
                 cache.admit(&oracle, s, PolicyJob::simple(s.id, 1_000.0));
             }
             cache.snapshot(&oracle);
-            assert_bucketed_is_flat(&cache, &oracle, BUCKETED_JOBS);
+            assert_selection_is_flat(&cache, &oracle, SELECTION_CHECK_JOBS);
         });
         let (class_pairs, candidates) = assert_class_pairs(&cache);
         println!(
-            "\nBucketed selection at {BUCKETED_JOBS} jobs: three churn steps equal the \
+            "\nPair selection at {SELECTION_CHECK_JOBS} jobs: three churn steps equal the \
              flat ranking ({secs:.1} s with populating); {class_pairs} class pairs stand \
              for {candidates} job-pair candidates."
         );

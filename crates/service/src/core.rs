@@ -993,36 +993,31 @@ fn mix(acc: u64, x: u64) -> u64 {
 
 /// Validates a command's payload before it touches any scheduling state:
 /// every `f64` field must be finite (a NaN arrival or advance target
-/// would poison event ordering and outcome sorts downstream) and the
-/// scale factor positive. Malformed commands are tallied rejections, not
-/// process aborts.
+/// would poison event ordering and outcome sorts downstream), and the
+/// weight and scale factor positive (max-min fairness scales each job's
+/// normalizer by its weight, so one active job of weight zero or below
+/// would fail every recompute). Malformed commands are tallied
+/// rejections, not process aborts.
 fn validate_command(cmd: &Command) -> Result<(), InvalidCommand> {
-    fn finite(v: f64, field: &'static str) -> Result<(), InvalidCommand> {
-        if v.is_finite() {
-            Ok(())
-        } else {
-            Err(InvalidCommand {
-                field,
-                reason: InvalidReason::NotFinite,
-            })
+    fn check(ok: bool, field: &'static str, reason: InvalidReason) -> Result<(), InvalidCommand> {
+        match ok {
+            true => Ok(()),
+            false => Err(InvalidCommand { field, reason }),
         }
     }
+    let finite = |v: f64, field| check(v.is_finite(), field, InvalidReason::NotFinite);
+    let positive = |ok, field| check(ok, field, InvalidReason::NotPositive);
     match cmd {
         Command::Submit { job } => {
             finite(job.arrival_time, "arrival_time")?;
             finite(job.total_steps, "total_steps")?;
             finite(job.duration_seconds, "duration_seconds")?;
             finite(job.weight, "weight")?;
+            positive(job.weight > 0.0, "weight")?;
             if let Some(slo) = job.slo_factor {
                 finite(slo, "slo_factor")?;
             }
-            if job.scale_factor == 0 {
-                return Err(InvalidCommand {
-                    field: "scale_factor",
-                    reason: InvalidReason::NotPositive,
-                });
-            }
-            Ok(())
+            positive(job.scale_factor > 0, "scale_factor")
         }
         Command::AdvanceTo { seconds } => finite(*seconds, "seconds"),
         _ => Ok(()),

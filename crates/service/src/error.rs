@@ -57,9 +57,10 @@ impl std::error::Error for ServiceError {}
 
 /// A malformed command payload. Validation runs before dispatch, so the
 /// scheduling core only ever sees finite times, finite job parameters,
-/// and positive scale factors — the panics a NaN arrival or advance
-/// target used to cause downstream (unordered event heaps, unsortable
-/// outcome lists) are now clean rejections.
+/// and positive weights and scale factors — the panics a NaN arrival or
+/// advance target used to cause downstream (unordered event heaps,
+/// unsortable outcome lists) are now clean rejections, and so is the
+/// weight that failed every max-min recompute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidCommand {
     /// Which payload field failed validation.

@@ -12,7 +12,7 @@
 //! deltas instead: `admit` appends the arriving job's singleton row,
 //! `remove` drops the completed job's row, and a snapshot scores what
 //! changed and assembles the combo set and tensor from the cached rows,
-//! selecting pair rows through the score-bucketed store below. Pair
+//! selecting pair rows through the sorted candidate store below. Pair
 //! throughputs come from the cache's *pair source* — the [`Oracle`]
 //! ([`SnapshotCache::new`]) or, for the Figure 14 experiment, an
 //! [`EstimatorBridge`] the cache owns ([`SnapshotCache::estimated`]).
@@ -36,32 +36,34 @@
 //! The store holds one *score* per pair of live classes that clears
 //! `min_aggregate`, valid until the pair source's answer for either class
 //! changes. One rule brings it up to date: each
-//! [`SnapshotCache::snapshot`] scores the classes the events since the
-//! last one dirtied.
+//! [`SnapshotCache::snapshot`] purges and re-scores the classes the events
+//! since the last one created, freed or dirtied. `admit` and `remove`
+//! never touch the store.
 //!
 //! 1. *Dirty classes.* A class is dirty when `admit` creates it — an
 //!    arrival whose configuration is already resident under the oracle
 //!    joins its class and dirties nothing. A class whose last member
-//!    leaves before the next snapshot is freed and never scored. Oracle
+//!    leaves is freed, and never scored if that happens before the next
+//!    snapshot; a completion that leaves its class non-empty changes no
+//!    class, so under the oracle `admit` and `remove` are O(1). Oracle
 //!    throughputs never change, so an oracle-backed cache's dirty classes
 //!    are new ones only. Estimates drift as the estimator refines
 //!    ([`SnapshotCache::observe`]), so an estimator-backed snapshot first
 //!    flags the classes of the jobs the estimator lists as refined since
 //!    the last drain ([`EstimatorBridge::take_dirty`]).
-//! 2. *Unlink.* Every candidate touching a dirty class leaves the store
-//!    through the per-class reverse index (O(degree)). A candidate that
-//!    had materialized rows gives them back to the row slab as it is
-//!    unlinked, so a row never outlives the score it was derived with —
-//!    the same path frees an emptied class's rows in `remove`. A
-//!    completion that leaves its class non-empty unlinks nothing, so under
-//!    the oracle `admit` and `remove` are O(1).
-//! 3. *Re-score.* Each dirty class is scored once against every live
-//!    class — itself included when a class can hold more than one job —
-//!    O(|dirty| · K) evaluations over K live classes, and the pairs that
-//!    clear `min_aggregate` are inserted ([`SnapshotStats::pair_evals`]).
+//! 2. *Purge.* One pass over the store drops every candidate touching a
+//!    freed or dirty class (a freed handle that a new class took over is
+//!    dirty), and gives the rows of each one it drops back to the row
+//!    slab, so a row never outlives the score it was derived with.
+//! 3. *Re-score and merge.* Each dirty class is scored once against every
+//!    live class — itself included when a class can hold more than one
+//!    job — O(|dirty| · K) evaluations over K live classes
+//!    ([`SnapshotStats::pair_evals`]), into a pending list of the pairs
+//!    that clear `min_aggregate`. The list is sorted and merged into the
+//!    store in one pass ([`SnapshotStats::candidates_sorted`]).
 //! 4. *Reselect.* If anything was admitted, removed or re-scored since
-//!    the last pass, the bucketed selection runs again; otherwise the
-//!    memoized selection stands and the snapshot is a pure assembly.
+//!    the last pass, the selection runs again; otherwise the memoized
+//!    selection stands and the snapshot is a pure assembly.
 //! 5. *Lazy rows.* The store keeps only scores; rows are derived from the
 //!    pair source just for the class pairs the selection picks, into a
 //!    free-listed slab inside the store — one row per class pair and
@@ -69,14 +71,14 @@
 //!    (`Combo::pair` orders a pair by id, so the two orientations' rows
 //!    hold the same throughputs in swapped cells; the store keeps both
 //!    rather than assume it). A selected job pair copies its class pair's
-//!    row of its orientation. A candidate's slot addresses its rows
-//!    directly (`Slot::row`, no map), so a class pair that stays selected
-//!    and clean is never derived twice. Two things free a row: unlinking
-//!    its slot (step 2), and a selection pass that picked that class pair
-//!    and orientation last time and does not pick it now — one that later
-//!    returns to the selection is derived again
+//!    row of its orientation. A candidate addresses its rows directly
+//!    (`Candidate::row`, no map), so a class pair that stays selected and
+//!    clean is never derived twice. Two things free a row: the purge
+//!    (step 2), and the sweep that closes a selection pass, which gives
+//!    back every row the pass did not pick — one that later returns to
+//!    the selection is derived again
 //!    ([`SnapshotStats::pair_rows_materialized`] counts derivations). A
-//!    slot taken from the free list starts without rows.
+//!    merged-in candidate starts without rows.
 //!
 //! Rows are flat throughout: the singleton rows, the row slab and the
 //! assembled tensor are row-major buffers with one entry per
@@ -95,64 +97,55 @@
 //! they equal the cached ones, so drift the dirty classes failed to
 //! report cannot go unnoticed.
 //!
-//! # The score-bucketed candidate store
+//! # The sorted candidate store
 //!
-//! [`PairStore`] keeps its class-pair candidates in coarse *score
-//! buckets*: every candidate lives in the bucket named by the top
-//! [`BUCKET_SHIFT`]-truncated bits of its score's IEEE-754 pattern (an
-//! exponent-plus-leading-mantissa bin), so bucket order *is* score order
-//! and a candidate's bucket never depends on any other candidate. Churn
-//! is local: a scored class pair is inserted into its bucket in O(1), and
-//! an emptied or drifted class's candidates are unlinked in O(degree),
-//! without invalidating a global order. Under the oracle the store holds
-//! at most K(K+1)/2 candidates for K resident configurations; with
-//! one-job classes (the estimator) it holds one per above-threshold job
-//! pair, ~n²/2.
+//! [`PairStore`] keeps its class-pair candidates in one vector, sorted by
+//! descending score and then by class pair (`Candidate::key`). An entry
+//! is a class pair's two handles, its score and its rows; nothing else
+//! indexes the vector. It changes only at snapshot time, in batches: the
+//! purge is one `retain`, the merge one backward pass over the vector and
+//! the sorted pending list, the way the round planner re-keys its order.
+//! Under the oracle the store holds at most K(K+1)/2 candidates for K
+//! resident configurations; with one-job classes (the estimator) it holds
+//! one per above-threshold job pair, ~n²/2.
 //!
 //! **Selection.** A pass first lists each class's members in position
 //! order (one O(n) pass over the jobs) and keeps, per class, a linked
 //! list of the members still under the per-job pair cap. It then walks
-//! the buckets in descending score order. Inside each bucket it *filters*
-//! the class pairs down to those whose classes still have uncapped
-//! members — cap counts only grow during a pass, so a pair filtered out
-//! here could never be selected later — and sorts the survivors by exact
-//! score. Each run of exactly equal scores is one *tie group*, usually a
-//! single class pair. Inside a tie group the pass enumerates job pairs
-//! `(i, k)`, `i < k`, in position order over the uncapped members of the
-//! group's classes: the lower member `i` in position order, then its
-//! partners above it in position order. A member that reaches the cap
+//! the vector in order. Each run of exactly equal scores is one *tie
+//! group*, usually a single class pair. The pass *filters* a group down
+//! to the class pairs whose classes still have uncapped members — cap
+//! counts only grow during a pass, so a pair filtered out here could
+//! never be selected later. Inside a tie group the pass enumerates job
+//! pairs `(i, k)`, `i < k`, in position order over the uncapped members
+//! of the group's classes: the lower member `i` in position order, then
+//! its partners above it in position order. A member that reaches the cap
 //! leaves its class's list at once, so every pair the enumeration reaches
 //! has both endpoints uncapped and is selected. A pass reads O(class
 //! pairs + uncapped members + selections), not O(job pairs); it has no
-//! early exit across buckets (ROADMAP, "Measured and rejected").
+//! early exit (ROADMAP, "Measured and rejected").
 //!
 //! **Tie-break contract.** The fresh builder ranks job-pair candidates
 //! through [`rank_and_cap`]: score descending, then the pair's (i, k)
 //! positions *in the current job vector* — positions change as
 //! completions `swap_remove` jobs — and the greedy per-job cap applied in
-//! that order. The key depends on scores and positions only — never on
-//! slot ids or insertion order — which is why unlinking and re-inserting
-//! a drifted class's candidates selects exactly what a fresh enumeration
-//! would. Bucket ids are a prefix of the score bits, so the descending
-//! bucket walk refines into descending score; a tie group holds every job
-//! pair of that score, and its enumeration is the (i, k) order. In debug
-//! builds, or wherever [`SnapshotCache::set_crosscheck`] turns it on,
-//! every selection pass expands the live class pairs into their job pairs,
-//! re-ranks them through [`rank_and_cap`] and asserts the two selections
-//! equal, set and order.
+//! that order. The key depends on scores and positions only — never on a
+//! candidate's place in the vector or when it was merged — which is why
+//! purging and re-merging a drifted class's candidates selects exactly
+//! what a fresh enumeration would. The walk visits scores in descending
+//! order, a tie group holds every job pair of its score, and its
+//! enumeration is the (i, k) order. In debug builds, or wherever
+//! [`SnapshotCache::set_crosscheck`] turns it on, every selection pass
+//! expands the live class pairs into their job pairs, re-ranks them
+//! through [`rank_and_cap`] and asserts the two selections equal, set and
+//! order.
 
 use crate::estimate::EstimatorBridge;
 use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
 use gavel_workloads::{
     pair_row, rank_and_cap, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
 };
-use std::collections::{BTreeMap, HashMap};
-
-/// Right-shift applied to a score's IEEE-754 bits to name its bucket.
-/// Keeping the top 24 bits (sign, exponent, 12 mantissa bits) yields a
-/// few hundred buckets over the realistic score range — few enough to
-/// walk cheaply, fine enough that contested buckets stay small.
-const BUCKET_SHIFT: u32 = 40;
+use std::collections::HashMap;
 
 /// Sentinel for "no position / no class / no row / end of list".
 const NONE32: u32 = u32::MAX;
@@ -160,46 +153,36 @@ const NONE32: u32 = u32::MAX;
 /// Entries per throughput row.
 const WIDTH: usize = GpuKind::COUNT;
 
-/// A class-pair candidate slot in the bucketed store. Endpoints are class
-/// handles (a class paired with itself has `ca == cb`); `la`/`lb`/
-/// `bucket_pos` are backpointers into the two per-class slot lists (one
-/// list, `la`, for a self pair) and the bucket vector, so unlinking is
-/// O(1) per reference.
+/// A class-pair candidate in the sorted store. Endpoints are class
+/// handles (a class paired with itself has `ca == cb`).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Candidate {
     ca: u32,
     cb: u32,
-    /// Index of this slot in `class_slots[ca]` / `class_slots[cb]`.
-    la: u32,
-    lb: u32,
-    /// Index of this slot in its bucket's vector.
-    bucket_pos: u32,
+    score: f64,
     /// This class pair's row in `PairStore::rows` per orientation: index
     /// 0 when the job of `ca` holds the lower `JobId`, 1 when the job of
     /// `cb` does ([`NONE32`]: not materialized).
     row: [u32; 2],
-    score: f64,
 }
 
-// The estimator's one-job classes still store a slot per above-threshold
-// job pair, ~n²/2 of them, so anything added here is paid that often.
-const _: () = assert!(std::mem::size_of::<Slot>() == 40);
+// The estimator's one-job classes still store a candidate per
+// above-threshold job pair, ~n²/2 of them, so anything added here is paid
+// that often.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 24);
 
-/// A bucket-resident copy of a slot's selection-relevant fields. The
-/// selection pass streams entire buckets; carrying the endpoints and
-/// score inline keeps that scan sequential (the slot slab is only
-/// touched for backpointer fixups on unlink).
-#[derive(Debug, Clone, Copy)]
-struct BucketEntry {
-    slot: u32,
-    ca: u32,
-    cb: u32,
-    /// Mirrors `Slot::score`.
-    score: f64,
+impl Candidate {
+    /// The store's order: descending score (nonnegative scores order like
+    /// their bits, so the inverted bits ascend), then class pair. Each
+    /// class pair is scored once, so keys are unique.
+    fn key(&self) -> (u64, u32, u32) {
+        (!self.score.to_bits(), self.ca, self.cb)
+    }
 }
 
-/// One selected job pair: positions `i < k` in the job vector, the slot
-/// of their class pair and the orientation of the row it copies.
+/// One selected job pair: positions `i < k` in the job vector, the
+/// index (`slot`) of their class pair's candidate in the store's vector
+/// and the orientation of the row it copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pick {
     i: u32,
@@ -228,8 +211,8 @@ struct Walk {
     /// Per class of the tie group being enumerated, its first member not
     /// yet visited as the lower end of a pair.
     cursor: Vec<u32>,
-    /// The contested class pairs of the bucket being walked: (score key,
-    /// slot, ca, cb).
+    /// The contested class pairs of the tie group being walked: (score
+    /// key, slot, ca, cb).
     survivors: Vec<(u64, u32, u32, u32)>,
     /// The classes of the tie group being enumerated.
     group_classes: Vec<u32>,
@@ -371,22 +354,17 @@ impl Walk {
     }
 }
 
-/// The score-bucketed class-pair store (see the module docs), and the
-/// slab of rows materialized for the selected class pairs.
+/// The sorted class-pair store (see the module docs), and the slab of
+/// rows materialized for the selected class pairs.
 #[derive(Debug, Clone, Default)]
 struct PairStore {
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Bucket id (top score bits) → entries; iterated high-to-low so
-    /// bucket order is descending score order.
-    buckets: BTreeMap<u32, Vec<BucketEntry>>,
-    /// Per-class slot lists — the reverse index that makes an emptied or
-    /// drifted class's unlinking O(degree).
-    class_slots: Vec<Vec<u32>>,
-    live: usize,
+    /// The live candidates, sorted by [`Candidate::key`].
+    cands: Vec<Candidate>,
+    /// Candidates scored since the last [`Self::merge`], in no order.
+    pending: Vec<Candidate>,
     /// Materialized pair rows, [`WIDTH`] entries each, addressed by
-    /// [`Slot::row`]. A slot's rows go back to `free_rows` when the slot
-    /// is unlinked or a selection pass does not pick them again.
+    /// [`Candidate::row`]. A candidate's rows go back to `free_rows` when
+    /// a purge drops it or a selection pass does not pick them.
     rows: Vec<PairThroughput>,
     free_rows: Vec<u32>,
     /// Per slab row, the selection pass that last picked it.
@@ -396,145 +374,71 @@ struct PairStore {
 }
 
 impl PairStore {
-    fn bucket_of(score: f64) -> u32 {
-        (score.to_bits() >> BUCKET_SHIFT) as u32
+    /// Drops every candidate touching a class `stale` names, giving its
+    /// rows back to the slab.
+    fn purge(&mut self, stale: impl Fn(u32) -> bool) {
+        let free_rows = &mut self.free_rows;
+        self.cands.retain(|c| {
+            let keep = !stale(c.ca) && !stale(c.cb);
+            if !keep {
+                free_rows.extend(c.row.iter().filter(|&&r| r != NONE32));
+            }
+            keep
+        });
     }
 
-    /// Grows the per-class lists to cover `n` class handles.
-    fn ensure_classes(&mut self, n: usize) {
-        if self.class_slots.len() < n {
-            self.class_slots.resize_with(n, Vec::new);
-        }
-    }
-
-    fn insert(&mut self, ca: u32, cb: u32, score: f64) -> u32 {
+    /// Queues class pair (`ca`, `cb`) for the next [`Self::merge`].
+    fn push(&mut self, ca: u32, cb: u32, score: f64) {
         debug_assert!(
             score >= 0.0 && score.is_finite(),
-            "bucketed candidate scores must be nonnegative finite, got {score}"
+            "candidate scores must be nonnegative finite, got {score}"
         );
-        let s = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot {
-                    ca: NONE32,
-                    cb: NONE32,
-                    la: 0,
-                    lb: 0,
-                    bucket_pos: 0,
-                    row: [NONE32; 2],
-                    score: 0.0,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let bvec = self.buckets.entry(Self::bucket_of(score)).or_default();
-        let bucket_pos = bvec.len() as u32;
-        bvec.push(BucketEntry {
-            slot: s,
+        self.pending.push(Candidate {
             ca,
             cb,
             score,
-        });
-        let la = self.class_slots[ca as usize].len() as u32;
-        self.class_slots[ca as usize].push(s);
-        let lb = match ca == cb {
-            true => la,
-            false => {
-                self.class_slots[cb as usize].push(s);
-                self.class_slots[cb as usize].len() as u32 - 1
-            }
-        };
-        self.slots[s as usize] = Slot {
-            ca,
-            cb,
-            la,
-            lb,
-            bucket_pos,
             row: [NONE32; 2],
-            score,
-        };
-        self.live += 1;
-        s
+        });
     }
 
-    /// Unlinks `s` from its bucket vector, fixing the swapped slot's
-    /// backpointer and dropping the bucket when it empties.
-    fn unlink_bucket(&mut self, s: u32) {
-        let sl = self.slots[s as usize];
-        let bucket = Self::bucket_of(sl.score);
-        // `insert` pushed the slot into the bucket of its score, which never
-        // changes, and the bucket is dropped only once its last slot leaves.
-        let bvec = self.buckets.get_mut(&bucket).expect("slot bucket missing");
-        let p = sl.bucket_pos as usize;
-        debug_assert_eq!(bvec[p].slot, s);
-        bvec.swap_remove(p);
-        if p < bvec.len() {
-            let moved = bvec[p].slot;
-            self.slots[moved as usize].bucket_pos = p as u32;
-        }
-        if bvec.is_empty() {
-            self.buckets.remove(&bucket);
-        }
-    }
-
-    /// Unlinks `s` from class `c`'s slot list.
-    fn unlink_class(&mut self, c: u32, list_pos: u32, s: u32) {
-        let list = &mut self.class_slots[c as usize];
-        let p = list_pos as usize;
-        debug_assert_eq!(list[p], s);
-        list.swap_remove(p);
-        if p < list.len() {
-            let msl = &mut self.slots[list[p] as usize];
-            debug_assert!(msl.ca == c || msl.cb == c);
-            if msl.ca == c {
-                msl.la = p as u32;
-            }
-            if msl.cb == c {
-                msl.lb = p as u32;
+    /// Sorts the pending candidates and merges them into the store, from
+    /// the back and in place; returns how many it merged.
+    fn merge(&mut self) -> usize {
+        let pending = &mut self.pending;
+        pending.sort_unstable_by_key(Candidate::key);
+        let (mut i, mut j) = (self.cands.len(), pending.len());
+        self.cands.extend_from_slice(pending);
+        let mut w = self.cands.len();
+        while j > 0 {
+            w -= 1;
+            if i > 0 && self.cands[i - 1].key() > pending[j - 1].key() {
+                i -= 1;
+                self.cands[w] = self.cands[i];
+            } else {
+                j -= 1;
+                self.cands[w] = pending[j];
             }
         }
+        let merged = pending.len();
+        pending.clear();
+        merged
     }
 
-    fn remove_slot(&mut self, s: u32) {
-        let sl = self.slots[s as usize];
-        debug_assert_ne!(sl.ca, NONE32, "double free of slot {s}");
-        self.unlink_bucket(s);
-        self.unlink_class(sl.ca, sl.la, s);
-        if sl.cb != sl.ca {
-            self.unlink_class(sl.cb, sl.lb, s);
-        }
-        self.release_row(s, 0);
-        self.release_row(s, 1);
-        self.slots[s as usize].ca = NONE32;
-        self.free.push(s);
-        self.live -= 1;
-    }
-
-    /// Drops every candidate touching class `c` — O(degree).
-    fn remove_class(&mut self, c: u32) {
-        while let Some(&s) = self.class_slots[c as usize].last() {
-            self.remove_slot(s);
-        }
-    }
-
-    /// Slot `s`'s materialized row of orientation `orient`.
+    /// Candidate `s`'s materialized row of orientation `orient`.
     fn row(&self, s: u32, orient: u32) -> &[PairThroughput] {
-        let r = self.slots[s as usize].row[orient as usize];
-        debug_assert_ne!(r, NONE32, "slot {s} has no row of orientation {orient}");
+        let r = self.cands[s as usize].row[orient as usize];
+        debug_assert_ne!(
+            r, NONE32,
+            "candidate {s} has no row of orientation {orient}"
+        );
         &self.rows[r as usize * WIDTH..][..WIDTH]
     }
 
-    /// Opens a selection pass: rows the pass does not [`Self::pick`] are
-    /// up for [`Self::release_unpicked`].
-    fn begin_pass(&mut self) {
-        self.pass = self.pass.wrapping_add(1);
-    }
-
-    /// Marks slot `s`'s row of orientation `orient` picked by the current
-    /// pass, giving it a slab row filled by `materialize` unless it still
-    /// holds one from an earlier pass.
+    /// Marks candidate `s`'s row of orientation `orient` picked by the
+    /// current pass, giving it a slab row filled by `materialize` unless
+    /// it still holds one from an earlier pass.
     fn pick(&mut self, s: u32, orient: u32, materialize: impl FnOnce() -> [PairThroughput; WIDTH]) {
-        let mut r = self.slots[s as usize].row[orient as usize];
+        let mut r = self.cands[s as usize].row[orient as usize];
         if r == NONE32 {
             r = self.free_rows.pop().unwrap_or_else(|| {
                 self.rows
@@ -543,98 +447,80 @@ impl PairStore {
                 (self.picked_in.len() - 1) as u32
             });
             self.rows[r as usize * WIDTH..][..WIDTH].copy_from_slice(&materialize());
-            self.slots[s as usize].row[orient as usize] = r;
+            self.cands[s as usize].row[orient as usize] = r;
         }
         self.picked_in[r as usize] = self.pass;
     }
 
-    /// Frees the rows of slot `s` an earlier pass picked and the current
-    /// one did not. `s` may since have been unlinked, or unlinked and
-    /// reused: either way it lost its rows then, and holds one now only if
-    /// this pass picked it.
-    fn release_unpicked(&mut self, s: u32) {
-        for orient in 0..2 {
-            let r = self.slots[s as usize].row[orient];
-            if r != NONE32 && self.picked_in[r as usize] != self.pass {
-                self.release_row(s, orient);
+    /// Closes the current selection pass: gives back every row it did
+    /// not [`Self::pick`], and opens the next.
+    fn end_pass(&mut self) {
+        for c in &mut self.cands {
+            for r in &mut c.row {
+                if *r != NONE32 && self.picked_in[*r as usize] != self.pass {
+                    self.free_rows.push(std::mem::replace(r, NONE32));
+                }
             }
         }
+        self.pass = self.pass.wrapping_add(1);
     }
 
-    /// Returns slot `s`'s row of orientation `orient`, if it has one, to
-    /// the free list.
-    fn release_row(&mut self, s: u32, orient: usize) {
-        let r = std::mem::replace(&mut self.slots[s as usize].row[orient], NONE32);
-        if r != NONE32 {
-            self.free_rows.push(r);
-        }
-    }
-
-    fn live_slots(&self) -> impl Iterator<Item = (u32, &Slot)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, sl)| sl.ca != NONE32)
-            .map(|(s, sl)| (s as u32, sl))
-    }
-
-    /// The bucketed selection pass (see the module docs): leaves the
-    /// selected job pairs in `selected`, in emission order —
-    /// bit-identical to the flat [`rank_and_cap`] over the job-level
-    /// candidates of the same store.
+    /// The selection pass (see the module docs) over jobs of class
+    /// handles below `classes`: leaves the selected job pairs in
+    /// `selected`, in emission order — bit-identical to the flat
+    /// [`rank_and_cap`] over the job-level candidates of the same store.
     fn select(
         &mut self,
         class_of: &[u32],
+        classes: usize,
         cap: usize,
         stats: &mut SnapshotStats,
         selected: &mut Vec<Pick>,
     ) {
         selected.clear();
-        if cap == 0 || self.live == 0 {
+        if cap == 0 || self.cands.is_empty() {
             return;
         }
         let cap = cap.min(u32::MAX as usize) as u32;
         let walk = &mut self.walk;
-        walk.index(class_of, self.class_slots.len());
+        walk.index(class_of, classes);
         let mut survivors = std::mem::take(&mut walk.survivors);
-        for bucket in self.buckets.values().rev() {
+        let mut at = 0u32;
+        for group in (self.cands).chunk_by(|x, y| x.score.to_bits() == y.score.to_bits()) {
             stats.buckets_walked += 1;
             survivors.clear();
             // Cap counts only grow within a pass, so a class pair without
             // an uncapped member on each side here can never be selected:
-            // filtering it out before the sort is exact.
-            for e in bucket {
-                let (a, b) = (walk.uncapped[e.ca as usize], walk.uncapped[e.cb as usize]);
-                if a > (e.ca == e.cb) as u32 && b > 0 {
-                    survivors.push((!e.score.to_bits(), e.slot, e.ca, e.cb));
+            // filtering it out is exact.
+            for (s, c) in (at..).zip(group) {
+                let (a, b) = (walk.uncapped[c.ca as usize], walk.uncapped[c.cb as usize]);
+                if a > (c.ca == c.cb) as u32 && b > 0 {
+                    survivors.push((!c.score.to_bits(), s, c.ca, c.cb));
                 }
             }
-            stats.candidates_sorted += survivors.len();
-            survivors.sort_unstable();
-            for group in survivors.chunk_by(|x, y| x.0 == y.0) {
-                walk.select_group(group, cap, selected);
-            }
+            at += group.len() as u32;
+            walk.select_group(&survivors, cap, selected);
         }
         walk.survivors = survivors;
     }
 
     /// What [`Self::select`] must select: the flat [`rank_and_cap`] over
-    /// the job pairs of every live class pair, given each job's class
-    /// (`class_of`), as (i, k, slot).
-    fn flat_selection(&self, class_of: &[u32], cap: usize) -> Vec<(u32, u32, u32)> {
-        let mut members = vec![Vec::new(); self.class_slots.len()];
+    /// the job pairs of every candidate, given each job's class
+    /// (`class_of`, handles below `classes`), as (i, k, candidate).
+    fn flat_selection(&self, class_of: &[u32], classes: usize, cap: usize) -> Vec<(u32, u32, u32)> {
+        let mut members = vec![Vec::new(); classes];
         for (p, &c) in class_of.iter().enumerate().filter(|&(_, &c)| c != NONE32) {
             members[c as usize].push(p as u32);
         }
         let mut job_pairs = Vec::new();
-        for (s, sl) in self.live_slots() {
-            let (a, b) = (&members[sl.ca as usize], &members[sl.cb as usize]);
+        for (s, c) in (0u32..).zip(&self.cands) {
+            let (a, b) = (&members[c.ca as usize], &members[c.cb as usize]);
             for (x, &i) in a.iter().enumerate() {
                 // A class paired with itself: each two members once.
-                let partners = if sl.ca == sl.cb { &b[x + 1..] } else { &b[..] };
+                let partners = if c.ca == c.cb { &b[x + 1..] } else { &b[..] };
                 job_pairs.extend(partners.iter().map(|&k| {
                     let (i, k) = (i.min(k), i.max(k));
-                    (i, k, sl.score, (i, k, s))
+                    (i, k, c.score, (i, k, s))
                 }));
             }
         }
@@ -657,14 +543,15 @@ pub struct SnapshotStats {
     pub rows_appended: usize,
     /// Singleton rows dropped (completions).
     pub rows_dropped: usize,
-    /// Bucketed selection passes.
+    /// Selection passes over the sorted store.
     pub bucketed_selections: usize,
-    /// Buckets visited across all bucketed selection passes.
+    /// Tie groups (runs of equal score in the sorted store) walked across
+    /// all selection passes.
     pub buckets_walked: usize,
-    /// Class pairs sorted by exact score inside contested buckets, across
-    /// all passes.
+    /// Class pairs sorted and merged into the store, across all
+    /// snapshots.
     pub candidates_sorted: usize,
-    /// Crosscheck re-ranks: bucketed selections re-run through the flat
+    /// Crosscheck re-ranks: selection passes re-run through the flat
     /// [`rank_and_cap`] over the store's job-level candidates, whatever
     /// the pair source. Zero unless crosschecking is on; Figure 12 gates
     /// on that.
@@ -713,8 +600,9 @@ pub struct SnapshotCache {
     free_classes: Vec<u32>,
     /// An oracle-backed cache's class of each resident configuration.
     by_config: HashMap<JobConfig, u32>,
-    /// Classes flagged dirty since the last snapshot; an entry whose flag
-    /// is clear was freed (or listed twice) and is skipped.
+    /// Classes created, drifted or freed since the last snapshot, which
+    /// purges their candidates and re-scores those still flagged dirty
+    /// (an entry whose flag is clear was freed, or listed twice).
     dirty: Vec<u32>,
     store: PairStore,
     /// Memoized selection (job pairs in emission order), valid while no
@@ -723,10 +611,7 @@ pub struct SnapshotCache {
     /// selection pass entirely.
     selected: Vec<Pick>,
     selection_dirty: bool,
-    /// The selection before `selected`; its slot ids may be stale. Read
-    /// once per reselection, to release the rows that dropped out.
-    deselected: Vec<Pick>,
-    /// Assert every bucketed selection against [`rank_and_cap`].
+    /// Assert every selection pass against [`rank_and_cap`].
     crosscheck: bool,
     stats: SnapshotStats,
 }
@@ -751,7 +636,6 @@ impl SnapshotCache {
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
-            deselected: Vec::new(),
             crosscheck: cfg!(debug_assertions),
             stats: SnapshotStats::default(),
         }
@@ -803,7 +687,7 @@ impl SnapshotCache {
         self.stats
     }
 
-    /// Enables (or disables) crosschecking every bucketed selection
+    /// Enables (or disables) crosschecking every selection pass
     /// against the flat [`rank_and_cap`] differential oracle, which a new
     /// cache does in debug builds only.
     pub fn set_crosscheck(&mut self, on: bool) {
@@ -814,10 +698,10 @@ impl SnapshotCache {
     /// pair in the store, counted from the class sizes.
     pub fn candidate_count(&self) -> usize {
         let size = |c: u32| self.classes[c as usize].size as usize;
-        (self.store.live_slots())
-            .map(|(_, sl)| match sl.ca == sl.cb {
-                true => size(sl.ca) * size(sl.ca).saturating_sub(1) / 2,
-                false => size(sl.ca) * size(sl.cb),
+        (self.store.cands.iter())
+            .map(|c| match c.ca == c.cb {
+                true => size(c.ca) * size(c.ca).saturating_sub(1) / 2,
+                false => size(c.ca) * size(c.cb),
             })
             .sum()
     }
@@ -825,7 +709,7 @@ impl SnapshotCache {
     /// Number of class-pair candidates the store holds: under the oracle
     /// at most K(K+1)/2 for K resident single-worker configurations.
     pub fn class_pair_count(&self) -> usize {
-        self.store.live
+        self.store.cands.len()
     }
 
     /// The class `spec` joins: under the oracle the class of its
@@ -849,7 +733,6 @@ impl SnapshotCache {
             }
             None => {
                 self.classes.push(class);
-                self.store.ensure_classes(self.classes.len());
                 (self.classes.len() - 1) as u32
             }
         };
@@ -900,10 +783,9 @@ impl SnapshotCache {
 
     /// Removes the job at position `i` (swap-remove, mirroring the
     /// engine's active vector). If it was the last member of its class,
-    /// the class's candidates — and with them their materialized rows —
-    /// leave through the per-class reverse index: O(degree), not
-    /// O(|candidates|); otherwise nothing is unlinked. The estimator
-    /// forgets the job.
+    /// the class is freed and the next snapshot purges its candidates,
+    /// with their materialized rows; the store is not touched here. The
+    /// estimator forgets the job.
     pub fn remove(&mut self, i: usize) {
         let spec = self.specs.swap_remove(i);
         if let Some(bridge) = &mut self.estimator {
@@ -919,7 +801,7 @@ impl SnapshotCache {
             class.size -= 1;
             if class.size == 0 {
                 class.dirty = false;
-                self.store.remove_class(c);
+                self.dirty.push(c);
                 if self.estimator.is_none() {
                     self.by_config.remove(&spec.config);
                 }
@@ -930,12 +812,13 @@ impl SnapshotCache {
         self.stats.rows_dropped += 1;
     }
 
-    /// Drains the dirty classes: unlinks each one's candidates and scores
-    /// it once against every live class — the clean ones, the dirty ones
-    /// already re-scored and, where a class can hold several jobs
-    /// (`self_pairs`), itself; the dirty ones still to come score against
-    /// it in their turn — inserting the pairs that clear `min_aggregate`.
-    /// The one place candidates are born.
+    /// Drains the dirty list: purges every candidate touching a freed or
+    /// dirty class, then scores each dirty class once against every live
+    /// class — the clean ones, the dirty ones already re-scored and, where
+    /// a class can hold several jobs (`self_pairs`), itself; the dirty
+    /// ones still to come score against it in their turn — and merges the
+    /// pairs that clear `min_aggregate` into the store. The one place
+    /// candidates are born.
     fn rescore(
         &mut self,
         oracle: &Oracle,
@@ -943,13 +826,17 @@ impl SnapshotCache {
         self_pairs: bool,
         pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
     ) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        let classes = &self.classes;
+        (self.store).purge(|c| classes[c as usize].size == 0 || classes[c as usize].dirty);
         for t in 0..self.dirty.len() {
             let c = self.dirty[t];
             if !self.classes[c as usize].dirty {
                 continue;
             }
             self.classes[c as usize].dirty = false;
-            self.store.remove_class(c);
             let rep = self.classes[c as usize].rep;
             for (d, other) in self.classes.iter().enumerate() {
                 if other.size == 0 || other.dirty || (d == c as usize && !self_pairs) {
@@ -958,21 +845,22 @@ impl SnapshotCache {
                 let score = pair_row(oracle, &other.rep, &rep, pair_fn).0;
                 self.stats.pair_evals += 1;
                 if score >= min_aggregate {
-                    self.store.insert(d as u32, c, score);
+                    self.store.push(d as u32, c, score);
                 }
             }
-            self.selection_dirty = true;
         }
+        self.stats.candidates_sorted += self.store.merge();
         self.dirty.clear();
+        self.selection_dirty = true;
     }
 
     /// Brings the selection up to date: if anything was admitted, removed
     /// or re-scored since the last pass, runs the selection pass — the
-    /// bucketed walk, re-run through the flat [`rank_and_cap`] and
-    /// asserted identical when crosschecking — then brings the row slab
-    /// in line with it: a picked class pair and orientation without a row
-    /// gets one from `pair_fn`, one the previous pass picked and this one
-    /// did not gives its row back.
+    /// walk over the sorted store, re-run through the flat
+    /// [`rank_and_cap`] and asserted identical when crosschecking — then
+    /// brings the row slab in line with it: a picked class pair and
+    /// orientation without a row gets one from `pair_fn`, and every row
+    /// the pass did not pick goes back.
     fn reselect(
         &mut self,
         oracle: &Oracle,
@@ -982,35 +870,37 @@ impl SnapshotCache {
         if !self.selection_dirty {
             return;
         }
-        std::mem::swap(&mut self.selected, &mut self.deselected);
+        let classes = self.classes.len();
         self.stats.bucketed_selections += 1;
-        self.store
-            .select(&self.class_of, cap, &mut self.stats, &mut self.selected);
+        (self.store).select(
+            &self.class_of,
+            classes,
+            cap,
+            &mut self.stats,
+            &mut self.selected,
+        );
         if self.crosscheck {
             self.stats.flat_reranks += 1;
-            let bucketed: Vec<_> = (self.selected.iter()).map(|p| (p.i, p.k, p.slot)).collect();
+            let walked: Vec<_> = (self.selected.iter()).map(|p| (p.i, p.k, p.slot)).collect();
             assert_eq!(
-                bucketed,
-                self.store.flat_selection(&self.class_of, cap),
-                "bucketed selection diverged from the flat rank_and_cap oracle"
+                walked,
+                self.store.flat_selection(&self.class_of, classes, cap),
+                "the selection diverged from the flat rank_and_cap oracle"
             );
         }
-        self.store.begin_pass();
         for p in &mut self.selected {
             let (a, b) = (self.specs[p.i as usize], self.specs[p.k as usize]);
-            let sl = &self.store.slots[p.slot as usize];
+            let c = &self.store.cands[p.slot as usize];
             // Orientation 1: the job of `cb` holds the lower id.
-            let a_in_ca = self.class_of[p.i as usize] == sl.ca;
-            p.orient = (sl.ca != sl.cb && (a.id < b.id) != a_in_ca) as u32;
+            let a_in_ca = self.class_of[p.i as usize] == c.ca;
+            p.orient = (c.ca != c.cb && (a.id < b.id) != a_in_ca) as u32;
             let materialized = &mut self.stats.pair_rows_materialized;
             self.store.pick(p.slot, p.orient, || {
                 *materialized += 1;
                 pair_row(oracle, &a, &b, pair_fn).1
             });
         }
-        for p in &self.deselected {
-            self.store.release_unpicked(p.slot);
-        }
+        self.store.end_pass();
         self.selection_dirty = false;
     }
 
@@ -1034,7 +924,7 @@ impl SnapshotCache {
         )
     }
 
-    /// Assembles the current snapshot: drains the dirty classes — with an
+    /// Assembles the current snapshot: drains the dirty list — with an
     /// estimator, after adding the classes of the jobs it refined since
     /// the last call — and reselects if anything changed (see the module
     /// docs for the invalidation protocol).
@@ -1085,7 +975,7 @@ impl SnapshotCache {
                 self.selected.iter().all(|p| {
                     let (a, b) = (self.specs[p.i as usize], self.specs[p.k as usize]);
                     let (score, row) = pair_row(oracle, &a, &b, &pair_fn);
-                    let cached = self.store.slots[p.slot as usize].score;
+                    let cached = self.store.cands[p.slot as usize].score;
                     (cached, self.store.row(p.slot, p.orient)) == (score, &row[..])
                 }),
                 "a stale pair survived invalidation"
@@ -1186,8 +1076,15 @@ mod tests {
         assert!(stats.bucketed_selections > 0);
     }
 
+    /// The store's entries, for comparing two states of it.
+    fn entries(store: &PairStore) -> Vec<(u32, u32, u64, [u32; 2])> {
+        (store.cands.iter())
+            .map(|c| (c.ca, c.cb, c.score.to_bits(), c.row))
+            .collect()
+    }
+
     #[test]
-    fn completions_unlink_through_reverse_index() {
+    fn completions_leave_the_store_to_the_next_snapshot() {
         let oracle = Oracle::new();
         let opts = PairOptions {
             min_aggregate: 1.0,
@@ -1203,31 +1100,93 @@ mod tests {
         cache.snapshot(&oracle);
         // Six mutually pairable jobs of one configuration: one class
         // paired with itself stands for their 15 job pairs.
-        let degree = |cache: &SnapshotCache, i: usize| {
-            cache.store.class_slots[cache.class_of[i] as usize].len()
-        };
         assert_eq!((cache.class_pair_count(), cache.candidate_count()), (1, 15));
         assert_eq!(cache.stats().pair_evals, 1);
-        // A completion that leaves its class non-empty unlinks nothing.
+        // A completion that leaves its class non-empty leaves the store
+        // untouched, and the next snapshot neither purges nor merges.
+        let before = entries(&cache.store);
         cache.remove(0);
+        assert!(cache.dirty.is_empty());
+        assert_eq!(entries(&cache.store), before);
         assert_eq!((cache.class_pair_count(), cache.candidate_count()), (1, 10));
+        let merged = cache.stats().candidates_sorted;
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().candidates_sorted, merged);
 
         // A job of a new configuration: its class meets the A3C class
-        // and itself. Its completion empties the class, whose candidates
-        // leave through the reverse index.
+        // and itself. Its completion frees the class, whose candidates
+        // the next snapshot purges.
         let other = spec(9, ModelFamily::ResNet18, 16);
         cache.admit(&oracle, other, PolicyJob::simple(other.id, 100.0));
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
         assert_eq!(cache.stats().pair_evals, 1 + 2);
         let last = cache.len() - 1;
-        let with_other = degree(&cache, last);
-        assert!(with_other >= 1, "ResNet-18 pairs with nothing");
+        let c = cache.class_of[last];
+        let degree = |cache: &SnapshotCache| {
+            let touches = |x: &&Candidate| x.ca == c || x.cb == c;
+            cache.store.cands.iter().filter(touches).count()
+        };
+        assert!(degree(&cache) >= 1, "ResNet-18 pairs with nothing");
         assert_eq!(cache.candidate_count(), 10 + 5);
+        let before = entries(&cache.store);
         cache.remove(last);
-        assert_eq!((cache.class_pair_count(), cache.candidate_count()), (1, 10));
-        assert_eq!(degree(&cache, 0), 1);
+        assert_eq!(entries(&cache.store), before, "remove touched the store");
+        assert_eq!(cache.candidate_count(), 10);
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!((cache.class_pair_count(), cache.candidate_count()), (1, 10));
+        assert_eq!(degree(&cache), 0);
+    }
+
+    /// A class emptied and its handle taken over by a new configuration
+    /// before the next snapshot: the handle is dirty then, so the purge
+    /// drops the old class's candidates and their rows, and nothing stale
+    /// is scored, selected or served.
+    #[test]
+    fn a_reused_class_handle_leaves_no_stale_candidate_or_row() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 8,
+        };
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        cache.set_crosscheck(true);
+        // Six jobs of six configurations: each class has one member.
+        for i in 0..6u64 {
+            let s = spec_nth(i, i as usize * 3 + 1);
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_slab_consistent(&cache);
+        let holds_a_row = |cache: &SnapshotCache, c: u32| {
+            (cache.store.cands.iter()).any(|x| (x.ca == c || x.cb == c) && x.row != [NONE32; 2])
+        };
+        let victim = (0..cache.len())
+            .find(|&j| holds_a_row(&cache, cache.class_of[j]))
+            .expect("some selected pair");
+        let c = cache.class_of[victim];
+        let old = cache.specs()[victim].config;
+
+        cache.remove(victim);
+        let s = spec_nth(100, 20);
+        cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        let last = cache.len() - 1;
+        assert_eq!(cache.class_of[last], c, "the freed handle is reused");
+        assert_ne!(s.config, old);
+        let evals = cache.stats().pair_evals;
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_slab_consistent(&cache);
+        // The new class is scored against the five others and itself, and
+        // every candidate on its handle carries the new configuration's
+        // score.
+        assert_eq!(cache.stats().pair_evals, evals + 6);
+        let pair_fn = |x: &JobSpec, y: &JobSpec, g| oracle.colocated(x.config, y.config, g);
+        let rep = |c: u32| cache.classes[c as usize].rep;
+        for x in cache.store.cands.iter().filter(|x| x.ca == c || x.cb == c) {
+            assert_eq!(x.cb, c, "the class scored last is the candidate's second");
+            let score = pair_row(&oracle, &rep(x.ca), &rep(x.cb), &pair_fn).0;
+            assert_eq!(x.score, score);
+            assert_ne!(rep(x.cb).config, old);
+        }
     }
 
     /// Under the oracle an arrival whose configuration is resident joins
@@ -1317,11 +1276,11 @@ mod tests {
     /// The walk used to stop once fewer than two jobs were both under the
     /// cap and had candidates left. On this instance it would have: with
     /// a cap of one, all but one of seven jobs are paired off well above
-    /// the lowest-scoring bucket. Walking every bucket selects exactly
-    /// what `rank_and_cap` selects (crosschecked) and the fresh builder
-    /// keeps.
+    /// the lowest-scoring tie group. Walking every tie group selects
+    /// exactly what `rank_and_cap` selects (crosschecked) and the fresh
+    /// builder keeps.
     #[test]
-    fn walking_past_the_last_selectable_bucket_selects_nothing_more() {
+    fn walking_past_the_last_selectable_tie_group_selects_nothing_more() {
         let oracle = Oracle::new();
         let opts = PairOptions {
             min_aggregate: 1.0,
@@ -1339,11 +1298,13 @@ mod tests {
         let store = &cache.store;
         assert_eq!(cache.selected.len(), 3, "one job is left without a partner");
         let lowest_selected = (cache.selected.iter())
-            .map(|p| PairStore::bucket_of(store.slots[p.slot as usize].score))
-            .min();
-        let below = store.buckets.range(..lowest_selected.unwrap()).count();
-        assert!(below >= 3, "{below} buckets below the last selection");
-        assert_eq!(cache.stats().buckets_walked, store.buckets.len());
+            .map(|p| store.cands[p.slot as usize].score)
+            .fold(f64::INFINITY, f64::min);
+        let mut scores: Vec<f64> = store.cands.iter().map(|c| c.score).collect();
+        scores.dedup();
+        let below = scores.iter().filter(|&&s| s < lowest_selected).count();
+        assert!(below >= 3, "{below} tie groups below the last selection");
+        assert_eq!(cache.stats().buckets_walked, scores.len());
     }
 
     #[test]
@@ -1373,34 +1334,34 @@ mod tests {
         }
     }
 
-    /// The row slab's bookkeeping: a slot holds a row of an orientation
-    /// only while it is linked and the last selection pass picked a job
-    /// pair of that class pair and orientation, no two slots share a row,
-    /// and every slab row is either held or on the free list. Holds between
-    /// a churn step and the next snapshot too, when `selected` still names
-    /// slots that have since been unlinked. Returns the rows held.
+    /// The row slab's bookkeeping: a candidate holds a row of an
+    /// orientation exactly when the last selection pass picked a job pair
+    /// of that class pair and orientation, no two candidates share a row,
+    /// and every slab row is either held or on the free list. Holds
+    /// between a churn step and the next snapshot too: `admit` and
+    /// `remove` leave the store, and so `selected`'s indices into it, as
+    /// they were. Returns the rows held.
     fn assert_slab_consistent(cache: &SnapshotCache) -> usize {
         let store = &cache.store;
         let slab_rows = store.rows.len() / WIDTH;
         assert_eq!(store.picked_in.len(), slab_rows);
+        let mut picked: Vec<_> = (cache.selected.iter())
+            .map(|p| (p.slot, p.orient))
+            .collect();
+        picked.sort_unstable();
+        picked.dedup();
         let mut accounted = vec![false; slab_rows];
-        let mut held = 0;
-        for (s, sl) in store.slots.iter().enumerate() {
-            for (orient, &r) in sl.row.iter().enumerate() {
-                if r == NONE32 {
-                    continue;
+        let mut held = Vec::new();
+        for (s, c) in (0u32..).zip(&store.cands) {
+            for (orient, &r) in (0u32..).zip(&c.row) {
+                if r != NONE32 {
+                    assert!(!accounted[r as usize], "row {r} held twice");
+                    accounted[r as usize] = true;
+                    held.push((s, orient));
                 }
-                assert_ne!(sl.ca, NONE32, "unlinked slot {s} kept its row");
-                assert!(
-                    (cache.selected.iter())
-                        .any(|p| (p.slot, p.orient) == (s as u32, orient as u32)),
-                    "slot {s} holds a row no selection gave it"
-                );
-                assert!(!accounted[r as usize], "row {r} held twice");
-                accounted[r as usize] = true;
-                held += 1;
             }
         }
+        assert_eq!(held, picked, "the rows held are not the last pass's picks");
         for &r in &store.free_rows {
             assert!(
                 !accounted[r as usize],
@@ -1408,59 +1369,117 @@ mod tests {
             );
             accounted[r as usize] = true;
         }
-        assert_eq!(held + store.free_rows.len(), slab_rows);
-        assert!(held <= cache.selected.len());
-        held
+        assert_eq!(held.len() + store.free_rows.len(), slab_rows);
+        held.len()
     }
 
     #[test]
-    fn a_reused_slot_starts_without_a_row() {
+    fn a_merged_candidate_starts_without_a_row() {
         let mut store = PairStore::default();
-        store.ensure_classes(3);
         let row = [PairThroughput::pair(1.0, 2.0); WIDTH];
-        let s = store.insert(0, 1, 1.5);
-        store.begin_pass();
-        store.pick(s, 1, || row);
-        assert_eq!(store.row(s, 1), row);
-        store.remove_slot(s);
+        store.push(0, 1, 1.5);
+        assert_eq!(store.merge(), 1);
+        store.pick(0, 1, || row);
+        assert_eq!(store.row(0, 1), row);
+        store.purge(|c| c == 0);
+        assert!(store.cands.is_empty());
         assert_eq!(store.free_rows, [0]);
 
-        let t = store.insert(1, 2, 1.25);
-        assert_eq!(t, s, "the free list hands the slot back");
-        assert_eq!(store.slots[t as usize].row, [NONE32; 2]);
+        // Class 0's handle comes back for another configuration: what is
+        // merged in for it holds no row, though one is free.
+        store.push(1, 0, 1.25);
+        store.push(2, 1, 1.75);
+        assert_eq!(store.merge(), 2);
+        let scores: Vec<_> = store.cands.iter().map(|c| c.score).collect();
+        assert_eq!(scores, [1.75, 1.25]);
+        assert!(store.cands.iter().all(|c| c.row == [NONE32; 2]));
         // A pass that does not pick it leaves it without one; a pass that
         // does reuses the released slab row.
-        store.begin_pass();
-        store.release_unpicked(t);
-        assert_eq!(store.slots[t as usize].row, [NONE32; 2]);
-        store.pick(t, 0, || [PairThroughput::zero(); WIDTH]);
+        store.end_pass();
+        assert!(store.cands.iter().all(|c| c.row == [NONE32; 2]));
+        store.pick(1, 0, || [PairThroughput::zero(); WIDTH]);
         assert!(store.free_rows.is_empty());
         assert_eq!(store.rows.len(), WIDTH);
         // The other orientation gets a row of its own; a pass that picks
         // only one of them releases the other.
-        store.pick(t, 1, || row);
+        store.pick(1, 1, || row);
         assert_eq!(store.rows.len(), 2 * WIDTH);
-        store.begin_pass();
-        store.pick(t, 1, || unreachable!("orientation 1 still holds its row"));
-        store.release_unpicked(t);
-        assert_eq!(store.slots[t as usize].row[0], NONE32);
-        assert_eq!(store.row(t, 1), row);
+        store.end_pass();
+        store.pick(1, 1, || unreachable!("orientation 1 still holds its row"));
+        store.end_pass();
+        assert_eq!(store.cands[1].row[0], NONE32);
+        assert_eq!(store.row(1, 1), row);
         assert_eq!(store.free_rows, [0]);
+        // A candidate merged in ahead of it moves it, rows and all.
+        store.push(3, 3, 2.0);
+        store.merge();
+        assert_eq!(store.cands[2].row[0], NONE32);
+        assert_eq!(store.row(2, 1), row);
     }
 
-    /// Asserts that `store`'s bucketed selection over jobs of classes
-    /// `class_of` equals the flat ranking of the expanded job pairs at
-    /// every cap from 1 to 5; returns the pairs selected at cap 1.
-    fn assert_selects_flat(store: &mut PairStore, class_of: &[u32]) -> usize {
+    #[test]
+    fn a_purge_gives_back_the_rows_of_every_candidate_it_drops() {
+        let mut store = PairStore::default();
+        for (a, b, score) in [
+            (0, 0, 1.5),
+            (0, 1, 1.25),
+            (1, 2, 2.0),
+            (2, 2, 1.125),
+            (1, 1, 1.75),
+        ] {
+            store.push(a, b, score);
+        }
+        assert_eq!(store.merge(), 5);
+        // Every orientation of every candidate gets a row of its own.
+        let content = |c: &Candidate, orient: u32| {
+            [PairThroughput::pair(c.ca as f64 + c.cb as f64 / 8.0, orient as f64); WIDTH]
+        };
+        for s in 0..5 {
+            for orient in 0..2 {
+                let c = store.cands[s as usize];
+                store.pick(s, orient, || content(&c, orient));
+            }
+        }
+        store.end_pass();
+        assert!(store.free_rows.is_empty());
+        let mut dropped: Vec<u32> = (store.cands.iter())
+            .filter(|c| c.ca == 2 || c.cb == 2)
+            .flat_map(|c| c.row)
+            .collect();
+        dropped.sort_unstable();
+        assert_eq!(dropped.len(), 4);
+
+        store.purge(|c| c == 2);
+        let mut freed = store.free_rows.clone();
+        freed.sort_unstable();
+        assert_eq!(freed, dropped);
+        // The survivors keep their order and their rows.
+        let keys: Vec<_> = store.cands.iter().map(Candidate::key).collect();
+        assert_eq!(keys.len(), 3);
+        assert!(keys.windows(2).all(|k| k[0] < k[1]));
+        for (s, c) in (0u32..).zip(&store.cands) {
+            assert!(c.ca != 2 && c.cb != 2);
+            for orient in 0..2 {
+                assert_eq!(store.row(s, orient), content(c, orient));
+            }
+        }
+        assert_eq!(store.rows.len(), 10 * WIDTH);
+    }
+
+    /// Asserts that `store`'s selection over jobs of classes `class_of`
+    /// (handles below `classes`) equals the flat ranking of the expanded
+    /// job pairs at every cap from 1 to 5; returns the pairs selected at
+    /// cap 1.
+    fn assert_selects_flat(store: &mut PairStore, class_of: &[u32], classes: usize) -> usize {
         let mut out = Vec::new();
         let mut selected_at_one = 0;
         for cap in 1..=5 {
             let mut stats = SnapshotStats::default();
-            store.select(class_of, cap, &mut stats, &mut out);
-            let bucketed: Vec<_> = out.iter().map(|p| (p.i, p.k, p.slot)).collect();
+            store.select(class_of, classes, cap, &mut stats, &mut out);
+            let walked: Vec<_> = out.iter().map(|p| (p.i, p.k, p.slot)).collect();
             assert_eq!(
-                bucketed,
-                store.flat_selection(class_of, cap),
+                walked,
+                store.flat_selection(class_of, classes, cap),
                 "cap {cap}, classes {class_of:?}"
             );
             if cap == 1 {
@@ -1479,7 +1498,6 @@ mod tests {
     #[test]
     fn tie_groups_select_what_the_flat_ranking_selects() {
         let mut store = PairStore::default();
-        store.ensure_classes(5);
         // Class 0 has four members, 1 and 2 two each, 3 and 4 one each.
         let mut class_of = vec![0, 1, 0, 2, 0, 1, 3, NONE32, 0, 2, 4];
         for (a, b, score) in [
@@ -1494,17 +1512,18 @@ mod tests {
             (2, 4, 2.0),
             (2, 2, 1.5 + f64::EPSILON),
         ] {
-            store.insert(a, b, score);
+            store.push(a, b, score);
         }
-        assert!(assert_selects_flat(&mut store, &class_of) > 0);
+        store.merge();
+        assert!(assert_selects_flat(&mut store, &class_of, 5) > 0);
         // Completions move the last job into the freed position.
         for i in [1, 0, 4] {
             class_of.swap_remove(i);
-            assert_selects_flat(&mut store, &class_of);
+            assert_selects_flat(&mut store, &class_of, 5);
         }
         // Arrivals join classes at the end of the job vector.
         class_of.extend([3, 1, 0, 4, 4]);
-        assert_selects_flat(&mut store, &class_of);
+        assert_selects_flat(&mut store, &class_of, 5);
 
         // Random class assignments, few distinct scores and churn: the
         // tie group shapes the hand-built case does not reach.
@@ -1514,16 +1533,16 @@ mod tests {
         for _ in 0..200 {
             let classes = rng.gen_range(1..6u32);
             let mut store = PairStore::default();
-            store.ensure_classes(classes as usize);
             for a in 0..classes {
                 for b in a..classes {
                     if rng.gen_bool(0.7) {
                         let score = [1.0, 1.25, 1.5][rng.gen_range(0..3usize)];
                         let (x, y) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
-                        store.insert(x, y, score);
+                        store.push(x, y, score);
                     }
                 }
             }
+            store.merge();
             let n = rng.gen_range(0..14);
             let mut class_of: Vec<u32> = (0..n)
                 .map(|_| match rng.gen_bool(0.1) {
@@ -1532,7 +1551,7 @@ mod tests {
                 })
                 .collect();
             for _ in 0..3 {
-                assert_selects_flat(&mut store, &class_of);
+                assert_selects_flat(&mut store, &class_of, classes as usize);
                 if !class_of.is_empty() {
                     class_of.swap_remove(rng.gen_range(0..class_of.len()));
                 }
@@ -1586,7 +1605,7 @@ mod tests {
         assert!(cache.stats().pair_rows_materialized > 10 * most_rows);
     }
 
-    /// A refined job's candidates are unlinked before the snapshot that
+    /// A refined job's candidates are purged before the snapshot that
     /// follows, and their rows go with them: what that snapshot serves
     /// for the job is derived from the refined estimates, and only that
     /// (plus newly selected pairs) is derived.

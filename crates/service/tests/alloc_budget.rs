@@ -119,8 +119,9 @@ fn worst_cycle(n: usize) -> (usize, usize, usize) {
     }
     let mut victim = 0usize;
     let mut worst = (0, 0, 0);
-    // Warm-up: amortised growth (job and candidate vectors, buckets, the
-    // pair-row slab, the selection scratch) happens here, not below.
+    // Warm-up: amortised growth (job and candidate vectors, the pending
+    // list, the pair-row slab, the selection scratch) happens here, not
+    // below.
     for cycle in 0..n + CYCLES {
         victim = (victim + 17) % cache.len();
         let (s, job) = arrival();
@@ -156,16 +157,16 @@ fn a_recompute_allocates_a_constant_number_of_blocks() {
     // job's row range, the rows, each row's member slots and the shared
     // box that holds them; and the tensor's one buffer. None of them is
     // per row; the selection pass's scratch (the per-class member lists,
-    // their links and cap counts, the sort buffer) stays on the store and
-    // reached its size during the warm-up.
+    // their links and cap counts, the tie-group buffer) stays on the
+    // store and reached its size during the warm-up.
     assert_eq!(small.1, 9, "snapshot at 100 jobs");
     assert_eq!(large.1, 9, "snapshot at 400 jobs");
     // One value slab.
     assert_eq!((small.2, large.2), (1, 1), "Allocation::zeros");
     // Admit and remove touch amortised vectors only. The arrival's
     // configuration is resident (26 configurations over 100 or 400 jobs),
-    // so it joins its class; a completion that empties a class returns
-    // its candidates to free lists sized during the warm-up.
+    // so it joins its class; a completion that empties a class only
+    // frees it, and the next snapshot purges its candidates.
     assert_eq!((small.0, large.0), (0, 0), "admit + remove");
 }
 

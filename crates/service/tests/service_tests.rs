@@ -7,9 +7,9 @@ use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{IsolatedSplit, MaxMinFairness};
 use gavel_service::EntityCounters;
 use gavel_service::{
-    recover, replay, scan_wal, Command, DurableService, MemoryCheckpointStore, MemorySink, Phase,
-    RecoveryError, Rejection, SchedulerService, ServiceConfig, ServiceError, SimConfig, SimResult,
-    SubmissionLog, Wal,
+    recover, replay, scan_wal, Command, DurableService, InvalidCommand, InvalidReason,
+    MemoryCheckpointStore, MemorySink, Phase, RecoveryError, Rejection, SchedulerService,
+    ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog, Wal,
 };
 use gavel_solver::SolverError;
 use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle, TraceJob};
@@ -152,6 +152,42 @@ fn duplicate_and_unknown_job_commands_are_rejected() {
     assert_eq!(none.cancelled, 1);
     assert_eq!(r.service_stats.commands_rejected, 6);
     assert_eq!(r.service_stats.admission_cap_rejections, 0);
+}
+
+/// A weight of zero or below would zero a job's max-min normalizer and
+/// fail every recompute while the job is active, putting every job on
+/// the isolated split; the service refuses such a submit instead.
+#[test]
+fn non_positive_weights_are_invalid_commands() {
+    let policy = MaxMinFairness::new();
+    let cfg = SimConfig::new(small_cluster());
+    let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+    svc.apply(&submit(mk_job(0, 0.0, 1e5, None))).unwrap();
+    for (id, weight) in [(1, 0.0), (2, -1.0)] {
+        let job = TraceJob {
+            weight,
+            ..mk_job(id, 0.0, 1e5, None)
+        };
+        assert_eq!(
+            svc.apply(&submit(job)),
+            Err(ServiceError::Invalid(InvalidCommand {
+                field: "weight",
+                reason: InvalidReason::NotPositive,
+            }))
+        );
+    }
+    svc.apply(&submit(mk_job(3, 0.0, 1e5, None))).unwrap();
+    svc.apply(&Command::AdvanceTo { seconds: f64::MAX })
+        .unwrap();
+
+    let r = svc.into_result();
+    assert_eq!(r.service_stats.invalid_commands, 2);
+    assert_eq!(r.policy_failures, 0);
+    let ids: Vec<u64> = (r.jobs.iter())
+        .filter(|j| j.completion.is_some())
+        .map(|j| j.id.0)
+        .collect();
+    assert_eq!(ids, [0, 3]);
 }
 
 #[test]

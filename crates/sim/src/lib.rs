@@ -39,7 +39,7 @@
 //! estimator-backed alike, holding pair candidates between classes of
 //! interchangeable jobs — a configuration under the oracle, one job under
 //! the estimator — and scoring the dirty classes once per snapshot, with
-//! the bucketed selection re-checked in debug builds against
+//! the sorted store's selection re-checked in debug builds against
 //! [`gavel_workloads::rank_and_cap`] over the expanded job pairs, the
 //! fresh builder's flat ranking) in [`gavel_service::snapshot`], and the
 //! round planner in

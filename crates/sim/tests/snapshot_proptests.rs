@@ -9,7 +9,7 @@
 //! snapshot drains may hold several arrivals and drifts, minus the jobs
 //! that left before it.
 //!
-//! The harness runs with the crosscheck enabled, so every bucketed
+//! The harness runs with the crosscheck enabled, so every
 //! selection pass is additionally asserted bit-identical (same pair set,
 //! same emission order) to the flat `rank_and_cap` ranking inside the
 //! cache itself.
@@ -165,7 +165,7 @@ fn run_sequence(
         Some(_) => assert_eq!(by_source, (0, snapshots)),
         None => assert_eq!(by_source, (snapshots, 0)),
     }
-    // Crosschecking runs the flat oracle once per bucketed pass.
+    // Crosschecking runs the flat oracle once per selection pass.
     assert_eq!(stats.flat_reranks, stats.bucketed_selections);
 }
 

@@ -79,11 +79,11 @@ pub struct SolveStats {
     pub warm_falls_back: usize,
     /// Always 0: no solve is retried on the dense tableau. Kept only
     /// because `bench/src/drills.rs` reads it; the bench refresh (ROADMAP
-    /// direction 2) removes both.
+    /// direction 1) removes both.
     pub dense_fallbacks: usize,
     /// Always 0: water filling solves no probe LPs. Kept only because
     /// `bench/src/drills.rs` reads it as `solver.hier_probe_lps`; the bench
-    /// refresh (ROADMAP direction 2) removes it with `dense_fallbacks`.
+    /// refresh (ROADMAP direction 1) removes it with `dense_fallbacks`.
     pub parallel_probes: usize,
 }
 

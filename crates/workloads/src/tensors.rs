@@ -129,8 +129,8 @@ pub fn build_tensor_with_pairs_by(
 /// Ranks scored pair candidates and applies the greedy per-job cap,
 /// returning each surviving candidate's `tag` in emission order: the flat
 /// ranking behind [`build_tensor_with_pairs_by`], and the oracle the
-/// simulator's score-bucketed `SnapshotCache` selection is crosschecked
-/// against.
+/// simulator's `SnapshotCache` selection over its sorted pair store is
+/// crosschecked against.
 ///
 /// A candidate is `(position_a, position_b, score, tag)`, where the
 /// positions index the current job vector (`n_jobs` long). The order is
