@@ -111,6 +111,13 @@ pub trait Policy {
     fn wants_space_sharing(&self) -> bool {
         false
     }
+
+    /// How many entities the policy's jobs may name: `Some(n)` if it
+    /// reads [`PolicyJob::entity`] and fails an input whose job names an
+    /// entity outside `0..n`, `None` (the default) if it ignores entities.
+    fn entities(&self) -> Option<usize> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +150,7 @@ mod tests {
         let p: Box<dyn Policy> = Box::new(EqualSplit);
         assert_eq!(p.name(), "equal-split");
         assert!(!p.wants_space_sharing());
+        assert_eq!(p.entities(), None);
     }
 
     #[test]

@@ -54,9 +54,11 @@ impl ThroughputEstimator {
     /// `profiled[j] = Some(v)` gives the job's normalized colocated
     /// throughput against reference `j`.
     ///
-    /// Completes the extended matrix, fingerprints the job, and stores the
-    /// most similar reference's row (blended with the completed row) as the
-    /// initial estimate. Returns the matched reference index.
+    /// Completes the extended matrix, fingerprints the job by its
+    /// completed row, and stores a copy of the nearest reference's row,
+    /// with the profiled entries written over it, as the initial estimate;
+    /// no completed value enters the estimate. Returns the matched
+    /// reference index.
     pub fn register_job(&mut self, key: u64, profiled: &[Option<f64>]) -> usize {
         let r = self.reference.len();
         assert_eq!(profiled.len(), r, "profile vector length mismatch");

@@ -5,8 +5,14 @@
 //! - [`MinCost`]: maximizes throughput per dollar — the linear-fractional
 //!   program of §4.2, solved via the Charnes–Cooper transform.
 //! - [`MinCostSlo`]: same, with per-job SLO constraints
-//!   `throughput(m, X) >= steps_m / SLO_m`. Jobs whose SLO is infeasible
-//!   are relaxed to best-effort rather than failing the whole solve.
+//!   `throughput(m, X) >= steps_m / SLO_m`. The relaxation is per job: a
+//!   job whose SLO even a dedicated fastest accelerator cannot meet gets
+//!   (just under) that accelerator's throughput as its floor instead.
+//!   Floors that together exceed the cluster are not relaxed, and the
+//!   solve fails with [`PolicyError::NoFeasibleAllocation`] ("SLO
+//!   constraints are jointly infeasible"): three ResNet-50 jobs on two
+//!   V100s, each due at 1.2× its ideal duration, fail so at their first
+//!   recompute, and so do three whose SLOs were each relaxed.
 //!
 //! With space sharing the instance cost is counted once per combo row, not
 //! once per job, matching the paper's double-counting caveat.

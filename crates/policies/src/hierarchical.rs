@@ -444,6 +444,10 @@ impl Policy for Hierarchical {
         self.compute_allocation_with_stats(input)
             .map(|(alloc, _stats)| alloc)
     }
+
+    fn entities(&self) -> Option<usize> {
+        Some(self.entities.len())
+    }
 }
 
 #[cfg(test)]

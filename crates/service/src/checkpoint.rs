@@ -23,15 +23,16 @@
 //! fresh service, from time zero, before it applies the WAL's suffix.
 //!
 //! A checkpoint image is a stream in the WAL's format ([`crate::wal`])
-//! holding one frame: its `seq` is `covered_seq`, and its payload is the
-//! fixed-width line `checkpoint config=0x… state=0x…` followed by the
-//! embedded log text. The frame's CRC makes a torn or bit-flipped
+//! holding one frame: its payload is the embedded log text followed by
+//! the fixed-width line `checkpoint config=0x… state=0x…`, and its `seq`
+//! is `covered_seq`. The frame's CRC makes a torn or bit-flipped
 //! checkpoint *detected* ([`WalError`]) rather than silently replayed.
 //! Every image is written by one writer, `CheckpointImage`: the durable
 //! service keeps its next image between captures, appending each
-//! consumed entry's line as it goes, so a capture rewrites the fixed
-//! head and extends the frame's CRC over only the lines appended since
-//! the last one; [`Checkpoint::serialize`] builds one image whole.
+//! consumed entry's line as it goes, so a capture extends the frame's
+//! running CRC over the lines appended since the last one, then over the
+//! rewritten `checkpoint` line and `seq` that end the image;
+//! [`Checkpoint::serialize`] builds one image whole.
 //! Checkpoints reach storage through a [`CheckpointStore`]:
 //! [`MemoryCheckpointStore`] for tests, [`FileCheckpointStore`] for real
 //! runs (two slot files; a save overwrites the older one in place).
@@ -39,9 +40,9 @@
 use crate::command::Line;
 use crate::config::SimConfig;
 use crate::core::ServiceConfig;
-use crate::wal::{claimed_first_seq, scan_wal, stream_header, OpenFrame, WalError, FIRST_SEQ_END};
+use crate::wal::{scan_wal, stream_header, OpenFrame, WalError, SEQ_LEN};
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Read as _, Seek as _, Write as _};
+use std::io::{ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// The checkpoint stores' error: the crate's one persistence error type.
@@ -104,14 +105,18 @@ impl Checkpoint {
         let frame = scan.records.remove(0);
         let mut text =
             String::from_utf8(frame.payload).map_err(|_| bad("payload is not UTF-8".into()))?;
-        let first_line_len = text.find('\n').ok_or_else(|| bad("no log text".into()))?;
-        let line = Line::parse(&text[..first_line_len]).map_err(|e| bad(e.0))?;
+        let line = text
+            .len()
+            .checked_sub(LINE_LEN)
+            .and_then(|at| text.get(at..)?.strip_suffix('\n'))
+            .ok_or_else(|| bad("no checkpoint line".into()))?;
+        let line = Line::parse(line).map_err(|e| bad(e.0))?;
         if line.verb != "checkpoint" {
             return Err(bad(line.err("not a checkpoint line").0));
         }
         let config_fingerprint = line.bits("config").map_err(|e| bad(e.0))?;
         let state_fingerprint = line.bits("state").map_err(|e| bad(e.0))?;
-        text.drain(..=first_line_len);
+        text.truncate(text.len() - LINE_LEN);
         Ok(Checkpoint {
             config_fingerprint,
             covered_seq: frame.seq,
@@ -121,17 +126,21 @@ impl Checkpoint {
     }
 }
 
-/// Length of the payload's first line,
+/// Length of the payload's last line,
 /// `checkpoint config=0x{16 hex digits} state=0x{16 hex digits}\n`.
-const HEAD_LINE_LEN: usize = "checkpoint config=0x state=0x\n".len() + 2 * 16;
+const LINE_LEN: usize = "checkpoint config=0x state=0x\n".len() + 2 * 16;
 
 /// A checkpoint image under construction: the stream header and one
-/// open frame whose head is the `checkpoint` line and whose tail is the
-/// embedded log text. Lines are only ever appended to the text, so each
-/// [`CheckpointImage::seal`] costs the lines appended since the last one.
+/// open frame whose payload is the embedded log text, followed — once
+/// sealed — by the `checkpoint` line and the frame's `seq`. Lines are
+/// only ever appended to the text, so each [`CheckpointImage::seal`]
+/// costs the lines appended since the last one.
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointImage {
     bytes: Vec<u8>,
+    /// Where the log text ends: the last seal's `checkpoint` line and
+    /// `seq` follow it.
+    text_end: usize,
     frame: OpenFrame,
 }
 
@@ -139,38 +148,45 @@ impl CheckpointImage {
     /// An image whose embedded log text starts as `log_text`.
     pub(crate) fn new(log_text: &str) -> CheckpointImage {
         let mut bytes = stream_header();
-        let frame = OpenFrame::open(&mut bytes, HEAD_LINE_LEN);
+        let frame = OpenFrame::open(&mut bytes);
         bytes.extend_from_slice(log_text.as_bytes());
-        CheckpointImage { bytes, frame }
+        let text_end = bytes.len();
+        CheckpointImage {
+            bytes,
+            text_end,
+            frame,
+        }
     }
 
     /// Appends one line to the log text — what `write` writes, then a
     /// newline — and returns it without its newline. The text must end
     /// its last line.
     pub(crate) fn push_line(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
-        let start = self.bytes.len();
+        let start = self.text_end;
+        self.bytes.truncate(start);
         write(&mut self.bytes);
         let end = self.bytes.len();
         self.bytes.push(b'\n');
+        self.text_end = end + 1;
         &self.bytes[start..end]
     }
 
-    /// Rewrites the `checkpoint` line and the frame's `seq`, `len` and
-    /// CRC, and returns the finished image.
+    /// Writes the `checkpoint` line and the frame's `seq`, `len` and CRC
+    /// after the log text, and returns the finished image.
     pub(crate) fn seal(
         &mut self,
         config_fingerprint: u64,
         covered_seq: u64,
         state_fingerprint: u64,
     ) -> &[u8] {
-        let mut head = self.frame.head_mut(&mut self.bytes);
+        self.bytes.truncate(self.text_end);
         writeln!(
-            head,
+            self.bytes,
             "checkpoint config=0x{config_fingerprint:016x} state=0x{state_fingerprint:016x}"
         )
-        .expect("the checkpoint line fits its head");
-        debug_assert!(head.is_empty(), "the checkpoint line fills its head");
-        self.frame.seal(&mut self.bytes, covered_seq);
+        .expect("writing to a Vec cannot fail");
+        debug_assert_eq!(self.bytes.len() - self.text_end, LINE_LEN);
+        self.frame.seal(&mut self.bytes, self.text_end, covered_seq);
         &self.bytes
     }
 }
@@ -265,20 +281,14 @@ impl FileCheckpointStore {
     /// the `seq` their frames claim, newest first, the first whose image
     /// verifies, else the first that is not empty.
     fn newest(&self) -> Result<Option<(usize, Vec<u8>)>, WalError> {
-        let claimed = |slot: usize| -> Result<_, WalError> {
-            Ok(claimed_first_seq(&read_slot(
-                &self.slots[slot],
-                FIRST_SEQ_END,
-            )?))
-        };
-        let order = if claimed(1)? > claimed(0)? {
+        let order = if claimed_seq(&self.slots[1])? > claimed_seq(&self.slots[0])? {
             [1, 0]
         } else {
             [0, 1]
         };
         let mut damaged = None;
         for slot in order {
-            let bytes = read_slot(&self.slots[slot], usize::MAX)?;
+            let bytes = read_slot(&self.slots[slot])?;
             if Checkpoint::parse(&bytes).is_ok() {
                 return Ok(Some((slot, bytes)));
             }
@@ -288,7 +298,7 @@ impl FileCheckpointStore {
         }
         // Read again rather than hold two images at once.
         damaged
-            .map(|slot| Ok((slot, read_slot(&self.slots[slot], usize::MAX)?)))
+            .map(|slot| Ok((slot, read_slot(&self.slots[slot])?)))
             .transpose()
     }
 }
@@ -322,18 +332,31 @@ impl CheckpointStore for FileCheckpointStore {
     }
 }
 
-/// Up to `limit` leading bytes of the slot file at `path`; a missing
-/// file is an empty slot.
-fn read_slot(path: &Path, limit: usize) -> Result<Vec<u8>, WalError> {
-    let file = match File::open(path) {
+/// The bytes of the slot file at `path`; a missing file is an empty
+/// slot.
+fn read_slot(path: &Path) -> Result<Vec<u8>, WalError> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(Vec::new()),
+        bytes => Ok(bytes?),
+    }
+}
+
+/// The `seq` the image in the slot file at `path` claims, unverified:
+/// its last bytes, where a one-frame image ends with its frame's `seq`.
+/// `None` for a missing slot or one shorter than that.
+fn claimed_seq(path: &Path) -> Result<Option<u64>, WalError> {
+    let mut file = match File::open(path) {
         Ok(file) => file,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let len = file.metadata()?.len().min(limit as u64);
-    let mut bytes = Vec::with_capacity(len as usize);
-    file.take(len).read_to_end(&mut bytes)?;
-    Ok(bytes)
+    let mut seq = [0; SEQ_LEN];
+    if file.metadata()?.len() < SEQ_LEN as u64 {
+        return Ok(None);
+    }
+    file.seek(SeekFrom::End(-(SEQ_LEN as i64)))?;
+    file.read_exact(&mut seq)?;
+    Ok(Some(u64::from_le_bytes(seq)))
 }
 
 /// Replaces the contents of `file` with `bytes`, in place.
@@ -358,9 +381,18 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let ckpt = sample();
-        let bytes = ckpt.serialize();
-        assert_eq!(Checkpoint::parse(&bytes).unwrap(), ckpt);
+        // Parse strips exactly the fixed-width `checkpoint` line: the log
+        // text before it comes back byte for byte, whatever its last line.
+        let sample = sample();
+        let unended = "gavel-submission-log v3\nquery";
+        for log_text in [&sample.log_text[..], unended, "é", "\n", "checkpoint"] {
+            let ckpt = Checkpoint {
+                log_text: log_text.to_string(),
+                ..sample.clone()
+            };
+            let bytes = ckpt.serialize();
+            assert_eq!(Checkpoint::parse(&bytes).unwrap(), ckpt);
+        }
     }
 
     #[test]

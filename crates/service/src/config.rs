@@ -28,6 +28,16 @@ pub struct FailureConfig {
     pub downtime_seconds: f64,
 }
 
+/// Checkpoint save+restore cost, in seconds, that physical mode
+/// ([`SimConfig::physical`]) charges a job whose workers differ from
+/// those of the round before (the paper measured < 5 s for its models).
+pub const CHECKPOINT_SECONDS: f64 = 5.0;
+
+/// Magnitude of physical mode's multiplicative throughput jitter: each
+/// round a running job's throughput is scaled by a factor drawn uniformly
+/// from `1 ± PHYSICAL_JITTER`.
+pub const PHYSICAL_JITTER: f64 = 0.05;
+
 /// Full simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -35,14 +45,10 @@ pub struct SimConfig {
     pub cluster: ClusterSpec,
     /// Round duration in seconds (§7.1 uses 360 s; §7.2 uses 1200 s).
     pub round_seconds: f64,
-    /// Checkpoint save+restore cost charged when a job's placement changes
-    /// between rounds (the paper measured < 5 s for its models).
-    pub checkpoint_seconds: f64,
-    /// Physical-fidelity mode: enables the checkpoint overhead and
-    /// multiplicative throughput jitter (Table 3's "physical" column).
+    /// Physical-fidelity mode: enables the checkpoint overhead
+    /// ([`CHECKPOINT_SECONDS`]) and multiplicative throughput jitter
+    /// ([`PHYSICAL_JITTER`]) (Table 3's "physical" column).
     pub physical: bool,
-    /// Jitter magnitude in physical mode (fraction of throughput).
-    pub jitter: f64,
     /// RNG seed for jitter.
     pub seed: u64,
     /// Allocation recomputation cadence.
@@ -78,9 +84,7 @@ impl SimConfig {
         SimConfig {
             cluster,
             round_seconds: 360.0,
-            checkpoint_seconds: 5.0,
             physical: false,
-            jitter: 0.05,
             seed: 0,
             recompute: RecomputeCadence::OnReset,
             pairs: None,

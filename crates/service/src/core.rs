@@ -26,7 +26,9 @@
 //! resulting counters surface on [`SimResult::service_stats`].
 
 use crate::command::{Command, Failure, Rejection};
-use crate::config::{FailureConfig, RecomputeCadence, SimConfig};
+use crate::config::{
+    FailureConfig, RecomputeCadence, SimConfig, CHECKPOINT_SECONDS, PHYSICAL_JITTER,
+};
 use crate::error::{InvalidCommand, InvalidReason, ServiceError};
 use crate::estimate::EstimatorBridge;
 use crate::metrics::{
@@ -298,7 +300,7 @@ impl<'p> SchedulerService<'p> {
     /// leaves the schedule untouched (only rejection tallies move, never
     /// the process).
     pub fn apply(&mut self, cmd: &Command) -> Result<(), ServiceError> {
-        let result: Result<(), ServiceError> = match validate_command(cmd) {
+        let result: Result<(), ServiceError> = match validate_command(cmd, self.policy.entities()) {
             Err(invalid) => Err(ServiceError::Invalid(invalid)),
             Ok(()) => match cmd {
                 Command::Submit { job } => self.do_submit(job).map_err(ServiceError::from),
@@ -805,7 +807,8 @@ impl<'p> SchedulerService<'p> {
                 let mut overhead = 0.0;
                 if cfg.physical {
                     if tput > 0.0 {
-                        let noise = 1.0 + cfg.jitter * (self.jitter_rng.gen::<f64>() * 2.0 - 1.0);
+                        let noise =
+                            1.0 + PHYSICAL_JITTER * (self.jitter_rng.gen::<f64>() * 2.0 - 1.0);
                         tput *= noise.max(0.1);
                     }
                     // Preemption overhead unless the job ran last round
@@ -814,7 +817,7 @@ impl<'p> SchedulerService<'p> {
                     if !kept {
                         job.prev_workers.clear();
                         job.prev_workers.extend_from_slice(workers);
-                        overhead = cfg.checkpoint_seconds.min(round);
+                        overhead = CHECKPOINT_SECONDS.min(round);
                     }
                     job.last_ran = self.rounds + 1;
                 }
@@ -996,9 +999,12 @@ fn mix(acc: u64, x: u64) -> u64 {
 /// would poison event ordering and outcome sorts downstream), and the
 /// weight and scale factor positive (max-min fairness scales each job's
 /// normalizer by its weight, so one active job of weight zero or below
-/// would fail every recompute). Malformed commands are tallied
-/// rejections, not process aborts.
-fn validate_command(cmd: &Command) -> Result<(), InvalidCommand> {
+/// would fail every recompute), and a job's entity one of the policy's
+/// `entities` (hierarchical water filling fails its whole input on a job
+/// naming an entity it does not have, so every job would run on the
+/// fallback split while that one is active). Malformed commands are
+/// tallied rejections, not process aborts.
+fn validate_command(cmd: &Command, entities: Option<usize>) -> Result<(), InvalidCommand> {
     fn check(ok: bool, field: &'static str, reason: InvalidReason) -> Result<(), InvalidCommand> {
         match ok {
             true => Ok(()),
@@ -1017,7 +1023,13 @@ fn validate_command(cmd: &Command) -> Result<(), InvalidCommand> {
             if let Some(slo) = job.slo_factor {
                 finite(slo, "slo_factor")?;
             }
-            positive(job.scale_factor > 0, "scale_factor")
+            positive(job.scale_factor > 0, "scale_factor")?;
+            let known = |e: usize| entities.is_none_or(|n| e < n);
+            check(
+                job.entity.is_none_or(known),
+                "entity",
+                InvalidReason::NoSuchEntity,
+            )
         }
         Command::AdvanceTo { seconds } => finite(*seconds, "seconds"),
         _ => Ok(()),
@@ -1089,7 +1101,7 @@ mod tests {
         }
     }
 
-    /// Physical mode charges `checkpoint_seconds` exactly when a job's
+    /// Physical mode charges [`CHECKPOINT_SECONDS`] exactly when a job's
     /// workers differ from those of the round before: on first placement,
     /// on a move, and on regaining a placement after a round off — not
     /// while it stays put. On one two-slot server a round with both slots
@@ -1098,8 +1110,6 @@ mod tests {
     fn preemption_overhead_follows_placement_changes() {
         let mut cfg = SimConfig::new(ClusterSpec::new(&[("v100", 2, 2, 1.0)]));
         cfg.physical = true;
-        cfg.jitter = 0.0;
-        cfg.checkpoint_seconds = 30.0;
         let policy = IsolatedSplit::new();
         let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
         svc.apply(&Command::Submit {
@@ -1117,24 +1127,30 @@ mod tests {
         let sf: HashMap<JobId, u32> = jobs.iter().map(|&j| (j, 1)).collect();
         // (slots up, the slot the job runs on, seconds of the 360 s round
         // it trains for)
+        let restored = 360.0 - CHECKPOINT_SECONDS;
         let script = [
-            (2, Some(1), 330.0), // first placement
-            (2, Some(1), 360.0), // keeps it
-            (1, Some(0), 330.0), // moves
+            (2, Some(1), restored), // first placement
+            (2, Some(1), 360.0),    // keeps it
+            (1, Some(0), restored), // moves
             (1, Some(0), 360.0),
-            (0, None, 0.0),      // loses it
-            (1, Some(0), 330.0), // regains the same slot: still a restore
+            (0, None, 0.0),         // loses it
+            (1, Some(0), restored), // regains the same slot: still a restore
             (1, Some(0), 360.0),
         ];
         let mut steps = 0.0;
         for (round, (up, slot, trained)) in script.into_iter().enumerate() {
+            // The jitter factor this round draws, if the job runs.
+            let mut rng = svc.jitter_rng.clone();
             let plan = svc.sched.plan_round_cached(&alloc, 1, &sf, Some(&[up]));
             let slots: Vec<usize> = (plan.assignments.iter())
                 .flat_map(|a| svc.sched.worker_slots(a).iter().map(|w| w.slot))
                 .collect();
             assert_eq!(slots, Vec::from_iter(slot), "round {round}");
             assert!(svc.execute_round(&plan).is_empty());
-            steps += tput * trained;
+            if slot.is_some() {
+                let noise = 1.0 + PHYSICAL_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
+                steps += tput * noise.max(0.1) * trained;
+            }
             assert_eq!(svc.active[0].steps_done, steps, "round {round}");
             svc.rounds += 1;
         }

@@ -57,10 +57,11 @@ impl std::error::Error for ServiceError {}
 
 /// A malformed command payload. Validation runs before dispatch, so the
 /// scheduling core only ever sees finite times, finite job parameters,
-/// and positive weights and scale factors — the panics a NaN arrival or
-/// advance target used to cause downstream (unordered event heaps,
-/// unsortable outcome lists) are now clean rejections, and so is the
-/// weight that failed every max-min recompute.
+/// positive weights and scale factors, and entities the policy has — the
+/// panics a NaN arrival or advance target used to cause downstream
+/// (unordered event heaps, unsortable outcome lists) are now clean
+/// rejections, and so are the weight that failed every max-min recompute
+/// and the entity that failed every hierarchical one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidCommand {
     /// Which payload field failed validation.
@@ -76,6 +77,9 @@ pub enum InvalidReason {
     NotFinite,
     /// A field that must be strictly positive was zero (or negative).
     NotPositive,
+    /// A job's entity is not one of the policy's
+    /// ([`gavel_core::Policy::entities`]).
+    NoSuchEntity,
 }
 
 impl std::fmt::Display for InvalidCommand {
@@ -83,6 +87,7 @@ impl std::fmt::Display for InvalidCommand {
         let reason = match self.reason {
             InvalidReason::NotFinite => "must be finite",
             InvalidReason::NotPositive => "must be positive",
+            InvalidReason::NoSuchEntity => "names no entity of the policy",
         };
         write!(f, "field `{}` {reason}", self.field)
     }

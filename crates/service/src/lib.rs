@@ -49,7 +49,7 @@
 //!
 //! A [`DurableService`] writes the command stream one way: every record
 //! is one line of one grammar ([`command`]), every image one stream of
-//! CRC-checked `[len][crc][seq][payload]` frames ([`wal`]).
+//! CRC-checked `[len][crc][payload][seq]` frames ([`wal`]).
 //!
 //! - **WAL** ([`wal`]): one frame per consumed command, holding its log
 //!   entry's line (a failed command's `reject` line keeps tallies across
@@ -59,14 +59,15 @@
 //!   [`DurableService::apply`] returns the frame is in the sink. A
 //!   [`FileSink`] is synced only after a checkpoint compaction.
 //! - **Checkpoints** ([`checkpoint`]): every `checkpoint_every` records
-//!   the service saves a [`Checkpoint`] — one frame holding the covered
-//!   sequence number, both fingerprints and the submission-log text of
-//!   every entry so far — then compacts the WAL; a crash between the two
-//!   leaves covered records, which recovery skips. The service keeps its
-//!   next checkpoint image between saves and appends each entry's line
-//!   to it as the entry is made, so a save costs the lines appended since
-//!   the last one: the frame's CRC is extended over them and joined to
-//!   the rewritten head's, not recomputed over the history.
+//!   the service saves a [`Checkpoint`] — one frame holding the
+//!   submission-log text of every entry so far, then both fingerprints
+//!   and the covered sequence number — then compacts the WAL; a crash
+//!   between the two leaves covered records, which recovery skips. The
+//!   service keeps its next checkpoint image between saves and appends
+//!   each entry's line to it as the entry is made, so a save costs the
+//!   lines appended since the last one: the frame's running CRC is
+//!   extended over them and then over the rewritten fingerprint line and
+//!   sequence number that end the frame, not recomputed over the history.
 //! - **Recovery** ([`recovery`]): [`recover`] verifies the checkpoint and
 //!   replays its prefix, then the WAL's intact frames, dropping a torn
 //!   tail ([`TornTail`]) and refusing every other defect; [`replay`]

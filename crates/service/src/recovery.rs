@@ -313,7 +313,8 @@ fn recover_logged<'p>(
 /// and saved — and the WAL compacted — every `checkpoint_every` commands.
 /// A checkpoint costs the lines appended since the last one, not the
 /// history: the image keeps the embedded log text and a running CRC over
-/// it from one checkpoint to the next.
+/// it from one checkpoint to the next, and rewrites only the fingerprint
+/// line and `seq` that end it.
 ///
 /// The write path is *apply-then-append* (a redo log): acceptance is
 /// only known after application, so a crash between the two loses

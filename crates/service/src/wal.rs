@@ -7,15 +7,19 @@
 //! tail. Frames follow:
 //!
 //! ```text
-//! [len: u32 LE][crc32: u32 LE][seq: u64 LE][payload]
+//! [len: u32 LE][crc32: u32 LE][payload][seq: u64 LE]
 //! ```
 //!
-//! `len` counts `seq` and the payload, the CRC (IEEE 802.3) covers the
-//! same bytes, and `seq` is a globally monotone record sequence number.
-//! The frame's CRC is the crate's only integrity check. A WAL frame's
-//! payload is one line of the crate's grammar ([`crate::command`]): an
-//! accepted command's [`Command::fmt_line`](crate::Command::fmt_line), or
-//! the `reject` line of a failed one, so tallies survive a crash too.
+//! `len` counts the payload and `seq`, the CRC (IEEE 802.3) covers the
+//! same bytes in order, and `seq` is a globally monotone record sequence
+//! number. A frame's variable part comes first and its fixed-width `seq`
+//! last, so a writer that rewrites only a frame's last bytes extends one
+//! running CRC over what it appended since its last seal, then over the
+//! rewritten bytes ([`crate::checkpoint`]). The frame's CRC is the
+//! crate's only integrity check. A WAL frame's payload is one line of
+//! the crate's grammar ([`crate::command`]): an accepted command's
+//! [`Command::fmt_line`](crate::Command::fmt_line), or the `reject` line
+//! of a failed one, so tallies survive a crash too.
 //!
 //! Frames reach storage through a pluggable [`LogSink`]: [`MemorySink`]
 //! for tests and in-process capture, [`FileSink`] for real runs, and
@@ -44,12 +48,14 @@
 pub const WAL_MAGIC: &[u8; 8] = b"GAVELWAL";
 
 /// Current stream format version. Version 1 framed a record version and a
-/// kind byte inside every frame; this build refuses it.
-pub const WAL_STREAM_VERSION: u16 = 2;
+/// kind byte inside every frame; version 2 put `seq` in front of the
+/// payload, and a checkpoint's `checkpoint` line in front of its log
+/// text. This build refuses both.
+pub const WAL_STREAM_VERSION: u16 = 3;
 
 const STREAM_HEADER_LEN: usize = WAL_MAGIC.len() + 2;
 const FRAME_PREFIX_LEN: usize = 8; // len + crc
-const SEQ_LEN: usize = 8;
+pub(crate) const SEQ_LEN: usize = 8;
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected), table-driven, no external deps.
@@ -80,11 +86,6 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// CRC32 (IEEE) of `bytes`.
-fn crc32(bytes: &[u8]) -> u32 {
-    crc32_extend(0, bytes)
-}
-
 /// Extends `crc`, the CRC32 of some bytes `a`, to the CRC32 of `a`
 /// followed by `bytes`.
 fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
@@ -93,58 +94,6 @@ fn crc32_extend(crc: u32, bytes: &[u8]) -> u32 {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
-}
-
-/// `a · b` modulo the generator, both read as GF(2) polynomials in the
-/// reflected bit order (bit 31 is `x^0`).
-const fn crc32_mul(a: u32, mut b: u32) -> u32 {
-    let mut product = 0;
-    let mut bit = 0;
-    while bit < 32 {
-        if a & (1 << (31 - bit)) != 0 {
-            product ^= b;
-        }
-        b = if b & 1 != 0 {
-            (b >> 1) ^ CRC32_POLY
-        } else {
-            b >> 1
-        };
-        bit += 1;
-    }
-    product
-}
-
-/// `x^(2^k)` modulo the generator, for `k` in `0..32`; the sequence
-/// repeats with period 32 (`x^(2^32) = x` modulo the generator).
-const fn crc32_x2n_table() -> [u32; 32] {
-    let mut table = [0u32; 32];
-    let mut p = 1 << 30; // x^1
-    let mut k = 0;
-    while k < 32 {
-        table[k] = p;
-        p = crc32_mul(p, p);
-        k += 1;
-    }
-    table
-}
-
-static CRC32_X2N: [u32; 32] = crc32_x2n_table();
-
-/// The CRC32 of `a` followed by `b`, from `crc_a = crc32(a)`,
-/// `crc_b = crc32(b)` and `len_b = b.len()` (zlib's `crc32_combine`):
-/// shifting `crc_a` past `len_b` zero bytes is a multiplication by
-/// `x^(8·len_b)`, built from the squares table in O(log len_b) steps.
-fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    let mut shift = 1 << 31; // x^0
-    let (mut n, mut k) = (len_b, 3); // 8·len_b = len_b · 2^3
-    while n != 0 {
-        if n & 1 != 0 {
-            shift = crc32_mul(CRC32_X2N[k % 32], shift);
-        }
-        n >>= 1;
-        k += 1;
-    }
-    crc32_mul(shift, crc_a) ^ crc_b
 }
 
 // ---------------------------------------------------------------------
@@ -465,87 +414,69 @@ pub(crate) fn stream_header() -> Vec<u8> {
     [&WAL_MAGIC[..], &WAL_STREAM_VERSION.to_le_bytes()].concat()
 }
 
-/// Bytes from an image's start through its first frame's `seq`.
-pub(crate) const FIRST_SEQ_END: usize = STREAM_HEADER_LEN + FRAME_PREFIX_LEN + SEQ_LEN;
-
-/// The `seq` the first frame of an image opening with `head` claims,
-/// unverified; `None` if `head` ends before it.
-pub(crate) fn claimed_first_seq(head: &[u8]) -> Option<u64> {
-    let seq = head.get(FIRST_SEQ_END - SEQ_LEN..FIRST_SEQ_END)?;
-    Some(u64::from_le_bytes(std::array::from_fn(|i| seq[i])))
+/// Appends one frame carrying `payload` and `seq` to `out`.
+pub(crate) fn push_frame(out: &mut Vec<u8>, payload: &[u8], seq: u64) {
+    let mut frame = OpenFrame::open(out);
+    out.extend_from_slice(payload);
+    let stable = out.len();
+    frame.seal(out, stable, seq);
 }
 
-/// Appends one frame carrying `seq` and `payload` to `out`.
-pub(crate) fn push_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
-    let mut frame = OpenFrame::open(out, payload.len());
-    frame.head_mut(out).copy_from_slice(payload);
-    frame.seal(out, seq);
-}
-
-/// A frame written in place at the end of a stream image,
-/// `[len][crc][seq][head][tail]`: `seq` and a head of fixed length are
-/// rewritten at each seal, and the tail — every byte after the head —
-/// only grows between seals, so a seal reads the head and the tail bytes
-/// appended since the last one, however long the tail is.
+/// A frame written in place at the end of a stream image, its payload
+/// running to the image's end. Between seals the payload's bytes before
+/// the last seal's `stable` offset stay as they are and the rest may be
+/// rewritten, so a seal reads the stable bytes appended since the last
+/// one and the bytes after them, however long the payload is.
 #[derive(Debug, Clone)]
 pub(crate) struct OpenFrame {
     /// Offset of the frame's `[len]` in the image.
     start: usize,
-    head_len: usize,
-    tail_crc: TailCrc,
+    crc: RunningCrc,
 }
 
 impl OpenFrame {
-    /// Opens a frame at the end of `image`, with a zeroed `seq` and a
-    /// zeroed head of `head_len` bytes; what is appended after it is the
-    /// tail.
-    pub(crate) fn open(image: &mut Vec<u8>, head_len: usize) -> OpenFrame {
+    /// Opens a frame at the end of `image`: what is appended after it is
+    /// its payload.
+    pub(crate) fn open(image: &mut Vec<u8>) -> OpenFrame {
         let start = image.len();
-        image.resize(start + FRAME_PREFIX_LEN + SEQ_LEN + head_len, 0);
+        image.resize(start + FRAME_PREFIX_LEN, 0);
         OpenFrame {
             start,
-            head_len,
-            tail_crc: TailCrc::default(),
+            crc: RunningCrc::default(),
         }
     }
 
-    /// The head's bytes in `image`, to rewrite before the next seal.
-    pub(crate) fn head_mut<'a>(&self, image: &'a mut [u8]) -> &'a mut [u8] {
-        let at = self.start + FRAME_PREFIX_LEN + SEQ_LEN;
-        &mut image[at..at + self.head_len]
-    }
-
-    /// Writes `seq` and the `[len][crc]` prefix of the frame as `image`
-    /// now holds it. The tail must only have grown since the last seal.
-    pub(crate) fn seal(&mut self, image: &mut [u8], seq: u64) {
+    /// Ends the frame's payload where `image` ends, appends `seq` and
+    /// writes the `[len][crc]` prefix. The payload's bytes before
+    /// `stable`, an offset in `image`, must be what they were at the last
+    /// seal, up to that seal's `stable`.
+    pub(crate) fn seal(&mut self, image: &mut Vec<u8>, stable: usize, seq: u64) {
+        image.extend_from_slice(&seq.to_le_bytes());
         let body_at = self.start + FRAME_PREFIX_LEN;
-        image[body_at..body_at + SEQ_LEN].copy_from_slice(&seq.to_le_bytes());
-        let (head, tail) = image[body_at..].split_at(SEQ_LEN + self.head_len);
-        let prefix = frame_prefix(head, tail, &mut self.tail_crc);
+        let prefix = frame_prefix(&image[body_at..], stable - body_at, &mut self.crc);
         image[self.start..body_at].copy_from_slice(&prefix);
     }
 }
 
-/// The running CRC32 of a growing frame tail: the CRC of its first `len`
-/// bytes.
+/// The CRC32 of the first `len` bytes of a frame's body.
 #[derive(Debug, Clone, Copy, Default)]
-struct TailCrc {
+struct RunningCrc {
     crc: u32,
     len: usize,
 }
 
-/// The `[len][crc]` prefix of a frame whose body (`seq` + payload) is
-/// `head` followed by `tail`: what the writer puts in front of it, and
-/// what the reader must find there. `tail_crc` covers a prefix of `tail`
-/// and is extended over the rest, so across calls on a tail that only
-/// grows each byte of it is read once; `head` is read whole every call.
-fn frame_prefix(head: &[u8], tail: &[u8], tail_crc: &mut TailCrc) -> [u8; FRAME_PREFIX_LEN] {
-    tail_crc.crc = crc32_extend(tail_crc.crc, &tail[tail_crc.len..]);
-    tail_crc.len = tail.len();
-    let crc = crc32_combine(crc32(head), tail_crc.crc, tail.len() as u64);
+/// The `[len][crc]` prefix of a frame whose body (payload + `seq`) is
+/// `body`: what the writer puts in front of it, and what the reader must
+/// find there. `crc` covers a prefix of `body[..stable]`: it is extended
+/// to all of it and kept, and a copy is extended over the bytes from
+/// `stable` on. So across calls on a body whose first `stable` bytes only
+/// grow, each of those is read once.
+fn frame_prefix(body: &[u8], stable: usize, crc: &mut RunningCrc) -> [u8; FRAME_PREFIX_LEN] {
+    crc.crc = crc32_extend(crc.crc, &body[crc.len..stable]);
+    crc.len = stable;
     let mut prefix = [0; FRAME_PREFIX_LEN];
-    prefix[..4].copy_from_slice(&((head.len() + tail.len()) as u32).to_le_bytes());
-    prefix[4..].copy_from_slice(&crc.to_le_bytes());
+    prefix[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    prefix[4..].copy_from_slice(&crc32_extend(crc.crc, &body[stable..]).to_le_bytes());
     prefix
 }
 
@@ -580,8 +511,8 @@ impl<S: LogSink> Wal<S> {
     /// sequence number.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let seq = self.next_seq;
-        let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + SEQ_LEN + payload.len());
-        push_frame(&mut frame, seq, payload);
+        let mut frame = Vec::with_capacity(FRAME_PREFIX_LEN + payload.len() + SEQ_LEN);
+        push_frame(&mut frame, payload, seq);
         self.sink.append(&frame)?;
         self.next_seq += 1;
         Ok(seq)
@@ -720,13 +651,14 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
             scan.torn = torn(pos, TornReason::TruncatedBody);
             break;
         };
-        if frame[..FRAME_PREFIX_LEN] != frame_prefix(body, &[], &mut TailCrc::default()) {
+        if frame[..FRAME_PREFIX_LEN] != frame_prefix(body, 0, &mut RunningCrc::default()) {
             scan.torn = torn(pos, TornReason::ChecksumMismatch);
             break;
         }
+        let (payload, seq) = body.split_at(body.len() - SEQ_LEN);
         scan.records.push(WalRecord {
-            seq: u64::from_le_bytes(std::array::from_fn(|i| body[i])),
-            payload: body[SEQ_LEN..].to_vec(),
+            seq: u64::from_le_bytes(std::array::from_fn(|i| seq[i])),
+            payload: payload.to_vec(),
         });
         pos += FRAME_PREFIX_LEN + body.len();
     }
@@ -739,21 +671,19 @@ mod tests {
     use crate::command::Command;
     use gavel_core::JobId;
 
+    /// CRC32 (IEEE) of `bytes`, in one shot.
+    fn crc32(bytes: &[u8]) -> u32 {
+        crc32_extend(0, bytes)
+    }
+
     #[test]
     fn crc32_known_vector() {
-        // The canonical IEEE check value, one-shot, extended a byte at a
-        // time, and combined from every split.
+        // The canonical IEEE check value, one-shot and extended a byte at
+        // a time.
         let check = b"123456789";
         assert_eq!(crc32(check), 0xCBF4_3926);
         let running = check.iter().fold(0, |crc, &b| crc32_extend(crc, &[b]));
         assert_eq!(running, 0xCBF4_3926);
-        for cut in 0..=check.len() {
-            let (a, b) = check.split_at(cut);
-            assert_eq!(
-                crc32_combine(crc32(a), crc32(b), b.len() as u64),
-                0xCBF4_3926
-            );
-        }
         assert_eq!(crc32(b""), 0);
     }
 
@@ -768,13 +698,12 @@ mod tests {
     }
 
     #[test]
-    fn extending_and_combining_equal_the_one_shot_crc() {
+    fn extending_equals_the_one_shot_crc() {
         let mut seed = 7;
         for len in lengths(&mut seed) {
             let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut seed) as u8).collect();
-            let whole = crc32(&bytes);
             // Two random cuts, empty parts included: every part extended
-            // onto the running CRC, and every pair of parts combined.
+            // onto the running CRC.
             let mut cuts = [0, 0].map(|_| (splitmix(&mut seed) % (len as u64 + 1)) as usize);
             cuts.sort_unstable();
             let parts = [
@@ -783,35 +712,32 @@ mod tests {
                 &bytes[cuts[1]..],
             ];
             let running = parts.iter().fold(0, |crc, part| crc32_extend(crc, part));
-            assert_eq!(running, whole, "extended, len {len} cuts {cuts:?}");
-            let combined = parts.iter().fold(0, |crc, part| {
-                crc32_combine(crc, crc32(part), part.len() as u64)
-            });
-            assert_eq!(combined, whole, "combined, len {len} cuts {cuts:?}");
+            assert_eq!(running, crc32(&bytes), "len {len} cuts {cuts:?}");
         }
     }
 
     #[test]
-    fn the_squares_table_repeats_with_period_32() {
-        // `crc32_combine` indexes it modulo 32 for lengths past 2^29.
-        assert_eq!(crc32_mul(CRC32_X2N[31], CRC32_X2N[31]), CRC32_X2N[0]);
-    }
-
-    #[test]
     fn a_frame_sealed_as_its_tail_grows_matches_one_written_whole() {
+        // Each round appends stable bytes, then rewrites five bytes after
+        // them, as a checkpoint rewrites its `checkpoint` line.
         let mut seed = 11;
         let mut image = stream_header();
-        let mut frame = OpenFrame::open(&mut image, 5);
+        let mut frame = OpenFrame::open(&mut image);
+        let mut stable = image.len();
         for (round, len) in lengths(&mut seed).into_iter().enumerate() {
+            image.truncate(stable);
             image.extend((0..len).map(|_| splitmix(&mut seed) as u8));
-            frame
-                .head_mut(&mut image)
-                .copy_from_slice(&[round as u8; 5]);
-            frame.seal(&mut image, round as u64);
+            stable = image.len();
+            image.extend_from_slice(&[round as u8; 5]);
+            frame.seal(&mut image, stable, round as u64);
             let body = &image[STREAM_HEADER_LEN + FRAME_PREFIX_LEN..];
             let mut whole = stream_header();
-            push_frame(&mut whole, round as u64, &body[SEQ_LEN..]);
+            push_frame(&mut whole, &body[..body.len() - SEQ_LEN], round as u64);
             assert_eq!(image, whole, "after round {round}");
+            assert_eq!(
+                crc32(body).to_le_bytes(),
+                image[STREAM_HEADER_LEN + 4..][..4]
+            );
             let scan = scan_wal(&image).unwrap();
             assert!(scan.torn.is_none());
             assert_eq!(scan.records[0].seq, round as u64);
@@ -849,7 +775,7 @@ mod tests {
         for (rec, cmd) in scan.records.iter().zip(&sample_commands()) {
             assert_eq!(rec.payload, cmd.fmt_line().as_bytes());
         }
-        // Header, then per frame: len + crc + seq + payload.
+        // Header, then per frame: len + crc + payload + seq.
         let payloads: usize = scan.records.iter().map(|r| r.payload.len()).sum();
         assert_eq!(wal.sink().bytes().len(), 10 + 5 * 16 + payloads);
     }
@@ -919,7 +845,7 @@ mod tests {
             scan_wal(b"not a wal at all").unwrap_err(),
             WalError::BadMagic
         );
-        for version in [0u16, 1, 99] {
+        for version in [0u16, 1, 2, 99] {
             let img = [&WAL_MAGIC[..], &version.to_le_bytes()].concat();
             assert_eq!(
                 scan_wal(&img).unwrap_err(),

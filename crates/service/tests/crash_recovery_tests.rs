@@ -397,7 +397,7 @@ fn whole_image(config_fp: u64, covered_seq: u64, state_fp: u64, log: &Submission
         log_text: log.serialize(),
     };
     let payload = format!(
-        "checkpoint config=0x{config_fp:016x} state=0x{state_fp:016x}\n{}",
+        "{}checkpoint config=0x{config_fp:016x} state=0x{state_fp:016x}\n",
         ckpt.log_text
     );
     let mut wal = Wal::with_seq(MemorySink::new(), covered_seq).unwrap();

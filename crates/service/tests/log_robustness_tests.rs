@@ -213,22 +213,37 @@ fn checkpoint_and_wal_images_are_not_interchangeable() {
     }
 }
 
-#[test]
-fn a_version_1_stream_is_refused() {
+/// A WAL and a checkpoint image marked with stream `version` are both
+/// refused as that version.
+fn assert_version_refused(version: u16) {
     let (wal, ckpt) = durable_images(1);
     for mut img in [wal, ckpt] {
-        img[WAL_MAGIC.len()..WAL_MAGIC.len() + 2].copy_from_slice(&1u16.to_le_bytes());
+        img[WAL_MAGIC.len()..WAL_MAGIC.len() + 2].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
             recover_images(None, &img),
-            Err(RecoveryError::Wal(WalError::UnsupportedStreamVersion(1)))
+            Err(RecoveryError::Wal(WalError::UnsupportedStreamVersion(
+                version
+            )))
         );
         assert_eq!(
             recover_images(Some(&img), &[]),
             Err(RecoveryError::Checkpoint(
-                WalError::UnsupportedStreamVersion(1)
+                WalError::UnsupportedStreamVersion(version)
             ))
         );
     }
+}
+
+#[test]
+fn a_version_1_stream_is_refused() {
+    assert_version_refused(1);
+}
+
+/// Version 2 put `seq` in front of each payload and the `checkpoint`
+/// line in front of the log text.
+#[test]
+fn a_version_2_stream_is_refused() {
+    assert_version_refused(2);
 }
 
 #[test]

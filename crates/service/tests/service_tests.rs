@@ -4,7 +4,10 @@
 //! the round a failed policy solve is planned from, and the phase table.
 
 use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
-use gavel_policies::{IsolatedSplit, MaxMinFairness};
+use gavel_policies::{
+    EntityPolicy, FifoHet, FinishTimeFairness, Hierarchical, IsolatedSplit, MaxMinFairness,
+    MinMakespan,
+};
 use gavel_service::EntityCounters;
 use gavel_service::{
     recover, replay, scan_wal, Command, DurableService, InvalidCommand, InvalidReason,
@@ -188,6 +191,87 @@ fn non_positive_weights_are_invalid_commands() {
         .map(|j| j.id.0)
         .collect();
     assert_eq!(ids, [0, 3]);
+}
+
+/// Hierarchical water filling fails its whole input on a job naming an
+/// entity it does not have, which would put every job on the isolated
+/// split while that job is active; the service refuses such a submit.
+#[test]
+fn an_entity_the_policy_does_not_have_is_an_invalid_command() {
+    let policy = Hierarchical::new(vec![1.0, 2.0], EntityPolicy::Fairness);
+    let cfg = SimConfig::new(small_cluster());
+    let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+    svc.apply(&submit(mk_job(0, 0.0, 1e5, Some(0)))).unwrap();
+    svc.apply(&submit(mk_job(1, 0.0, 1e5, Some(1)))).unwrap();
+    for (id, entity) in [(2, 7), (3, 2)] {
+        assert_eq!(
+            svc.apply(&submit(mk_job(id, 0.0, 1e5, Some(entity)))),
+            Err(ServiceError::Invalid(InvalidCommand {
+                field: "entity",
+                reason: InvalidReason::NoSuchEntity,
+            }))
+        );
+    }
+    svc.apply(&Command::AdvanceTo { seconds: f64::MAX })
+        .unwrap();
+
+    let r = svc.into_result();
+    assert_eq!(r.service_stats.invalid_commands, 2);
+    assert_eq!(r.policy_failures, 0, "{:?}", r.policy_failure_kinds);
+    let ids: Vec<u64> = (r.jobs.iter())
+        .filter(|j| j.completion.is_some())
+        .map(|j| j.id.0)
+        .collect();
+    assert_eq!(ids, [0, 1]);
+}
+
+/// A zero or negative `total_steps`, `duration_seconds` or `slo_factor`
+/// is accepted, and fails none of the policies that read job parameters:
+/// the session still drains with no failed recompute.
+#[test]
+fn non_positive_job_parameters_fail_no_policy() {
+    let policies: [(&str, Box<dyn Policy>); 6] = [
+        ("max-min", Box::new(MaxMinFairness::new())),
+        ("ftf", Box::new(FinishTimeFairness::new())),
+        ("makespan", Box::new(MinMakespan::new())),
+        ("fifo", Box::new(FifoHet::new())),
+        (
+            "hier-fair",
+            Box::new(Hierarchical::new(vec![1.0, 2.0], EntityPolicy::Fairness)),
+        ),
+        (
+            "hier-fifo",
+            Box::new(Hierarchical::new(vec![1.0, 2.0], EntityPolicy::Fifo)),
+        ),
+    ];
+    type Tweak = fn(&mut TraceJob, f64);
+    let fields: [(&str, Tweak); 3] = [
+        ("total_steps", |job, v| job.total_steps = v),
+        ("duration_seconds", |job, v| job.duration_seconds = v),
+        ("slo_factor", |job, v| job.slo_factor = Some(v)),
+    ];
+    for (name, policy) in &policies {
+        for (field, tweak) in fields {
+            for value in [0.0, -1.0] {
+                let what = format!("{name}, {field} = {value}");
+                let cfg = SimConfig::new(small_cluster());
+                let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &**policy);
+                for id in 0..4 {
+                    let mut job = mk_job(id, 0.0, 1e5, Some(id as usize % 2));
+                    if id == 1 {
+                        tweak(&mut job, value);
+                    }
+                    svc.apply(&submit(job)).expect(&what);
+                }
+                svc.apply(&Command::AdvanceTo { seconds: f64::MAX })
+                    .expect(&what);
+                assert_eq!(svc.num_active(), 0, "{what}: the session drains");
+                let r = svc.into_result();
+                assert_eq!(r.policy_failures, 0, "{what}: {:?}", r.policy_failure_kinds);
+                assert!(r.jobs.iter().all(|j| j.completion.is_some()), "{what}");
+            }
+        }
+    }
 }
 
 #[test]
