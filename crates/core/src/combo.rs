@@ -64,10 +64,16 @@ impl std::fmt::Display for Combo {
 }
 
 /// An ordered set of combos together with a reverse index from jobs to the
-/// combo rows containing them (the paper's `C_m`), built once by
-/// [`ComboSet::new`] and shared by clones. A job's *slot* is its position
-/// among the distinct jobs, ascending ([`ComboSet::jobs`]); the index
-/// holds each slot's rows, ascending, and each row's member slots.
+/// combo rows containing them (the paper's `C_m`), built once when the set
+/// is and shared by clones. A job's *slot* is its position among the
+/// distinct jobs, ascending ([`ComboSet::jobs`]); the index holds each
+/// slot's rows, ascending, and each row's member slots.
+///
+/// Two constructors build it. [`ComboSet::with_pairs`] takes what every
+/// producer of policy inputs emits — one singleton per job, then pairs of
+/// those jobs by position — and sorts only the job ids. [`ComboSet::new`]
+/// takes combos in any order, pair-only sets included, for sets built by
+/// hand.
 #[derive(Debug, Clone, Default)]
 pub struct ComboSet(Arc<Index>);
 
@@ -86,58 +92,110 @@ struct Index {
 }
 
 impl ComboSet {
-    /// Builds a combo set and its job index; duplicates (after pair
-    /// canonicalization) are rejected.
+    /// Builds a combo set and its job index from combos in any order;
+    /// duplicates (after pair canonicalization) are rejected. Sets whose
+    /// rows are one singleton per job followed by pairs of those jobs
+    /// come from [`ComboSet::with_pairs`], which sorts fewer keys.
     ///
     /// # Panics
     ///
     /// Panics on duplicate combos — duplicated rows would silently double a
     /// job's allocation budget.
     pub fn new(combos: Vec<Combo>) -> Self {
-        // One sort of the member occurrences, keyed (job, row, role) —
-        // role 0 for a singleton's job, 1 and 2 for a pair's lower and
-        // higher — groups each job's rows in ascending order: the groups
-        // are the slots, in job order.
-        let key = |job: JobId, row, role| u128::from(job.0) << 34 | (row as u128) << 2 | role;
-        let mut keys = Vec::with_capacity(2 * combos.len());
-        for (row, c) in combos.iter().enumerate() {
-            match c.b {
-                None => keys.push(key(c.a, row, 0)),
-                Some(b) => keys.extend([key(c.a.min(b), row, 1), key(c.a.max(b), row, 2)]),
+        let mut jobs: Vec<JobId> = combos.iter().flat_map(|c| c.jobs()).collect();
+        jobs.sort_unstable();
+        jobs.dedup();
+        let slot = |job| jobs.partition_point(|&j| j < job) as u32;
+        let members = (combos.iter())
+            .map(|c| {
+                let (x, y) = (slot(c.a), slot(c.b.unwrap_or(c.a)));
+                [x.min(y), x.max(y)]
+            })
+            .collect();
+        Self::index(combos, jobs, members)
+    }
+
+    /// Builds the combo set a policy input uses: one singleton row per job
+    /// of `jobs`, in order, then one pair row per `(i, k)` of `pairs` — the
+    /// jobs at positions `i` and `k`, in either orientation — in order.
+    /// Only the job ids are sorted; each slot's rows come out ascending
+    /// without a sort, its singleton first.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a job listed twice, a pair listed twice (in either
+    /// orientation), a position paired with itself, or a position out of
+    /// range.
+    pub fn with_pairs(jobs: &[JobId], pairs: &[(u32, u32)]) -> Self {
+        let mut sorted = jobs.to_vec();
+        sorted.sort_unstable();
+        let rows = jobs.len() + pairs.len();
+        let mut combos = Vec::with_capacity(rows);
+        let mut members = Vec::with_capacity(rows);
+        for &job in jobs {
+            combos.push(Combo::single(job));
+            // A job listed twice takes its first slot both times, so the
+            // index's duplicate check finds its two singletons.
+            let slot = sorted.partition_point(|&j| j < job) as u32;
+            members.push([slot; 2]);
+        }
+        for &(i, k) in pairs {
+            let (i, k) = (i as usize, k as usize);
+            combos.push(Combo::pair(jobs[i], jobs[k]));
+            let (x, y) = (members[i][0], members[k][0]);
+            members.push([x.min(y), x.max(y)]);
+        }
+        Self::index(combos, sorted, members)
+    }
+
+    /// Builds the singleton-only combo set for `jobs`:
+    /// [`ComboSet::with_pairs`] without pairs, so it panics on a job
+    /// listed twice.
+    pub fn singletons(jobs: &[JobId]) -> Self {
+        Self::with_pairs(jobs, &[])
+    }
+
+    /// Indexes `combos`, whose row `r` has member slots `members[r]` into
+    /// the distinct ascending `jobs`, in O(rows + jobs): a counting pass
+    /// sizes each slot's run of rows and a placement pass fills it.
+    fn index(combos: Vec<Combo>, jobs: Vec<JobId>, members: Vec<[u32; 2]>) -> Self {
+        // Each slot's count, then its end: `starts[s]` sums the counts of
+        // slots up to and including `s`.
+        let mut starts = vec![0u32; jobs.len() + 1];
+        for &[lo, hi] in &members {
+            starts[lo as usize] += 1;
+            starts[hi as usize] += u32::from(hi != lo);
+        }
+        let mut end = 0;
+        for s in &mut starts {
+            end += *s;
+            *s = end;
+        }
+        // Rows placed last to first, each just below its slot's end, come
+        // out ascending per slot and leave each `starts[s]` at its start.
+        let mut rows = vec![0u32; end as usize];
+        for (row, &[lo, hi]) in members.iter().enumerate().rev() {
+            starts[hi as usize] -= 1;
+            rows[starts[hi as usize] as usize] = row as u32;
+            if lo != hi {
+                starts[lo as usize] -= 1;
+                rows[starts[lo as usize] as usize] = row as u32;
             }
         }
-        keys.sort_unstable();
-        let job = |k: &u128| (k >> 34) as u64;
-        let same_job = |x: &u128, y: &u128| job(x) == job(y);
-        let distinct = keys.chunk_by(same_job).count();
-        let mut jobs = Vec::with_capacity(distinct);
-        let mut starts = Vec::with_capacity(distinct + 1);
-        let mut rows = Vec::with_capacity(keys.len());
-        let mut members = vec![[0; 2]; combos.len()];
-        // Per slot, the slot (plus one) of the group that last completed a
-        // combo it is the lower member of.
-        let mut completed = vec![0; distinct];
-        for (slot, group) in keys.chunk_by(same_job).enumerate() {
-            jobs.push(JobId(job(&group[0])));
-            starts.push(rows.len() as u32);
-            for &k in group {
-                let row = (k >> 2) as u32;
-                rows.push(row);
-                let m = &mut members[row as usize];
-                match k & 3 {
-                    0 => *m = [slot as u32; 2],
-                    1 => m[0] = slot as u32,
-                    _ => m[1] = slot as u32,
-                }
-                // A combo completes at its higher member, after its lower
-                // one: two completing here with one lower member are equal.
-                let stamp = slot as u32 + 1;
-                if k & 3 != 1 && std::mem::replace(&mut completed[m[0] as usize], stamp) == stamp {
+        // A combo repeats when its lower member lists the same higher one
+        // twice: per slot, the lower slot (plus one) that last listed it.
+        let mut listed_by = vec![0u32; jobs.len()];
+        for lo in 0..jobs.len() {
+            let stamp = lo as u32 + 1;
+            for &row in &rows[starts[lo] as usize..starts[lo + 1] as usize] {
+                let [low, hi] = members[row as usize];
+                if low as usize == lo
+                    && std::mem::replace(&mut listed_by[hi as usize], stamp) == stamp
+                {
                     panic!("duplicate combo {}", combos[row as usize]);
                 }
             }
         }
-        starts.push(rows.len() as u32);
         ComboSet(Arc::new(Index {
             combos,
             jobs,
@@ -145,12 +203,6 @@ impl ComboSet {
             rows,
             members,
         }))
-    }
-
-    /// Builds the singleton-only combo set for `jobs`; like
-    /// [`ComboSet::new`], panics on a job listed twice.
-    pub fn singletons(jobs: &[JobId]) -> Self {
-        Self::new(jobs.iter().map(|&j| Combo::single(j)).collect())
     }
 
     /// All combos, in row order.
@@ -355,6 +407,90 @@ mod tests {
                 assert!(built.is_err(), "case {case}: {c} repeated");
             }
         }
+    }
+
+    /// `with_pairs` against `new` over the same rows: 0–300 jobs with
+    /// sparse ids in random order, pairs in both orientations, and sets
+    /// without pairs.
+    #[test]
+    fn with_pairs_indexes_what_new_indexes() {
+        let mut rng = Xorshift(0x2545_f491_4f6c_dd1d);
+        for case in 0..120 {
+            let n = match case % 4 {
+                0 => rng.below(4) as usize,
+                1 => 300,
+                _ => rng.below(301) as usize,
+            };
+            let mut ids: Vec<JobId> = Vec::with_capacity(n);
+            while ids.len() < n {
+                let id = match rng.below(8) {
+                    0 => JobId(u64::MAX - rng.below(1_000)),
+                    _ => JobId(rng.below(1 << 40)),
+                };
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            rng.shuffle(&mut ids);
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            if n >= 2 && case % 3 != 0 {
+                for _ in 0..rng.below(3 * n as u64) {
+                    let (i, k) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+                    if i != k && !pairs.contains(&(i, k)) && !pairs.contains(&(k, i)) {
+                        pairs.push((i, k));
+                    }
+                }
+            }
+            let set = ComboSet::with_pairs(&ids, &pairs);
+            let combos: Vec<Combo> = (ids.iter().map(|&j| Combo::single(j)))
+                .chain(
+                    pairs
+                        .iter()
+                        .map(|&(i, k)| Combo::pair(ids[i as usize], ids[k as usize])),
+                )
+                .collect();
+            let reference = ComboSet::new(combos.clone());
+            assert_eq!(set.combos(), &combos[..], "case {case}");
+            assert_eq!(set.jobs(), reference.jobs(), "case {case}: jobs");
+            for slot in 0..set.jobs().len() {
+                assert!(
+                    set.rows_of(slot).eq(reference.rows_of(slot)),
+                    "case {case}: slot {slot}"
+                );
+                assert_eq!(set.singleton_row(slot), reference.singleton_row(slot));
+            }
+            for row in 0..combos.len() {
+                assert_eq!(
+                    set.members(row),
+                    reference.members(row),
+                    "case {case}: row {row}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate combo job7")]
+    fn with_pairs_rejects_a_repeated_job() {
+        ComboSet::with_pairs(&[JobId(3), JobId(7), JobId(5), JobId(7)], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate combo (job3, job5)")]
+    fn with_pairs_rejects_a_repeated_pair() {
+        ComboSet::with_pairs(&[JobId(3), JobId(7), JobId(5)], &[(0, 2), (1, 2), (0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate combo (job3, job5)")]
+    fn with_pairs_rejects_a_pair_repeated_in_the_other_orientation() {
+        ComboSet::with_pairs(&[JobId(3), JobId(7), JobId(5)], &[(2, 0), (1, 0), (0, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be paired")]
+    fn with_pairs_rejects_a_self_pair() {
+        ComboSet::with_pairs(&[JobId(3), JobId(7)], &[(1, 1)]);
     }
 
     #[test]

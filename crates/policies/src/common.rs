@@ -268,9 +268,15 @@ pub(crate) fn waterfill_shares(weights: &[f64], scale_factors: &[u32], capacity:
         return vec![1.0; n];
     }
     // Otherwise bisect the water level: demand is monotone in lambda.
+    // `lo` only ever holds a level whose demand fits and `hi` one whose
+    // demand does not, so once the midpoint equals either bound no step
+    // can move `lo` again: the loop stops at that fixed point.
     let (mut lo, mut hi) = (0.0f64, max_level);
     for _ in 0..100 {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
         if demand(mid) <= capacity {
             lo = mid;
         } else {
@@ -620,5 +626,60 @@ mod tests {
     #[test]
     fn waterfill_empty() {
         assert!(waterfill_shares(&[], &[], 4.0).is_empty());
+    }
+
+    /// `waterfill_shares` without the stop at the bisection's fixed point:
+    /// always 100 steps. The reference the early stop must match.
+    fn waterfill_hundred_steps(weights: &[f64], scale_factors: &[u32], capacity: f64) -> Vec<f64> {
+        let n = weights.len();
+        let demand = |lambda: f64| -> f64 {
+            (0..n)
+                .map(|i| scale_factors[i] as f64 * (lambda * weights[i]).min(1.0))
+                .sum()
+        };
+        let max_level = (weights.iter()).fold(0.0f64, |acc, &w| acc.max(1.0 / w.max(1e-12)));
+        if demand(max_level) <= capacity {
+            return vec![1.0; n];
+        }
+        let (mut lo, mut hi) = (0.0f64, max_level);
+        for _ in 0..100 {
+            let mid = 0.5 * (lo + hi);
+            if demand(mid) <= capacity {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (0..n).map(|i| (lo * weights[i]).min(1.0)).collect()
+    }
+
+    /// Random weights (every third case all equal), scale factors 1–8 and
+    /// capacities 0–600, whole and fractional: the early stop returns the
+    /// 100-step loop's shares bit for bit.
+    #[test]
+    fn waterfill_stops_where_a_hundred_steps_end() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..600 {
+            let n = rng.gen_range(1..=420usize);
+            let equal = rng.gen_range(0.01..10.0);
+            let weights: Vec<f64> = (0..n)
+                .map(|_| match case % 3 {
+                    0 => equal,
+                    _ => rng.gen_range(0.01..10.0),
+                })
+                .collect();
+            let sfs: Vec<u32> = (0..n).map(|_| rng.gen_range(1..=8u32)).collect();
+            let capacity = match case % 2 {
+                0 => rng.gen_range(0..=600u32) as f64,
+                _ => rng.gen_range(0.0..600.0),
+            };
+            let bits = |shares: Vec<f64>| shares.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(waterfill_shares(&weights, &sfs, capacity)),
+                bits(waterfill_hundred_steps(&weights, &sfs, capacity)),
+                "case {case}: {n} units, capacity {capacity}"
+            );
+        }
     }
 }

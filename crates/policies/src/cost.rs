@@ -138,11 +138,16 @@ fn solve_cost(input: &PolicyInput<'_>, with_slos: bool) -> Result<Allocation, Po
     }
     // Retry with successively halved progress floors if the combination of
     // floors is infeasible (more jobs than the cluster can float at once).
-    let mut floor = MIN_PROGRESS;
-    for _ in 0..6 {
-        match solve_cost_once(input, &singles, with_slos, floor) {
-            Err(PolicyError::NoFeasibleAllocation(_)) if floor > 1e-4 => floor *= 0.5,
-            other => return other,
+    // When every job has an SLO, no job gets a progress floor, so there is
+    // nothing to halve: the one LP is solved once.
+    let floored = !with_slos || input.jobs.iter().any(|j| j.slo_seconds_remaining.is_none());
+    if floored {
+        let mut floor = MIN_PROGRESS;
+        for _ in 0..6 {
+            match solve_cost_once(input, &singles, with_slos, floor) {
+                Err(PolicyError::NoFeasibleAllocation(_)) if floor > 1e-4 => floor *= 0.5,
+                other => return other,
+            }
         }
     }
     solve_cost_once(input, &singles, with_slos, 0.0)
@@ -229,5 +234,46 @@ mod tests {
         assert!(terms.windows(2).all(|w| w[0].0 < w[1].0), "{terms:?}");
         assert!(terms.len() > 12, "{terms:?}");
         assert_eq!(terms, normalized_throughput_terms(&input, &singles, &alp));
+    }
+
+    /// Three ResNet-50 jobs on two V100s, each due at 1.2× its ideal
+    /// duration, need 2.5 V100s: the SLO floors are jointly infeasible.
+    /// Every job has an SLO, so no progress floor is added and the LP that
+    /// is solved once fails as it does at every floor the halving loop
+    /// would have tried.
+    #[test]
+    fn jointly_infeasible_slos_fail_at_the_one_solve() {
+        use gavel_core::{
+            ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
+        };
+        use gavel_workloads::{GpuKind, JobConfig, ModelFamily, Oracle};
+        let rate = Oracle::new().isolated(JobConfig::new(ModelFamily::ResNet50, 64), GpuKind::V100);
+        let ids = [JobId(0), JobId(1), JobId(2)];
+        let steps = 1e6;
+        let jobs: Vec<PolicyJob> = (ids.iter())
+            .map(|&id| PolicyJob {
+                slo_seconds_remaining: Some(1.2 * steps / rate),
+                ..PolicyJob::simple(id, steps)
+            })
+            .collect();
+        let combos = ComboSet::singletons(&ids);
+        let tensor = ThroughputTensor::from_flat(1, vec![PairThroughput::single(rate); 3]);
+        let cluster = ClusterSpec::new(&[("v100", 2, 2, GpuKind::V100.price_per_hour())]);
+        let input = PolicyInput {
+            jobs: &jobs,
+            combos: &combos,
+            tensor: &tensor,
+            cluster: &cluster,
+        };
+        let verdict = |r: Result<Allocation, PolicyError>| match r {
+            Err(PolicyError::NoFeasibleAllocation(why)) => why,
+            other => panic!("expected no feasible allocation, got {other:?}"),
+        };
+        let why = verdict(MinCostSlo::new().compute_allocation(&input));
+        assert_eq!(why, "SLO constraints are jointly infeasible");
+        let singles = check_input(&input).unwrap();
+        for floor in [MIN_PROGRESS, MIN_PROGRESS / 64.0, 0.0] {
+            assert_eq!(verdict(solve_cost_once(&input, &singles, true, floor)), why);
+        }
     }
 }

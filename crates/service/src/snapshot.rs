@@ -86,6 +86,13 @@
 //! one per selected pair, and allocates the same few blocks whatever its
 //! row count.
 //!
+//! *Assembly.* The combo set comes from the same order: the job ids in
+//! position order and the selection's `(i, k)` positions in emission
+//! order go to [`ComboSet::with_pairs`], which sorts the ids once for the
+//! slots and scatters each job's rows by counting — its singleton, then
+//! its pairs, already ascending. No sort over the rows' members runs on a
+//! recompute; the fresh builder indexes its rows the same way.
+//!
 //! The assembled snapshot is **row-for-row bitwise identical** to a fresh
 //! `build_tensor_with_pairs` (oracle), `build_tensor_with_pairs_by` at
 //! the bridge's current state (estimator) or `build_singleton_tensor`
@@ -141,7 +148,7 @@
 //! order.
 
 use crate::estimate::EstimatorBridge;
-use gavel_core::{Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
+use gavel_core::{ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
 use gavel_workloads::{
     pair_row, rank_and_cap, singleton_row, GpuKind, JobConfig, JobSpec, Oracle, PairOptions,
 };
@@ -611,6 +618,10 @@ pub struct SnapshotCache {
     /// selection pass entirely.
     selected: Vec<Pick>,
     selection_dirty: bool,
+    /// Assembly scratch: the job ids, parallel to `specs`, and the
+    /// selection's position pairs, in emission order.
+    ids: Vec<JobId>,
+    pair_at: Vec<(u32, u32)>,
     /// Assert every selection pass against [`rank_and_cap`].
     crosscheck: bool,
     stats: SnapshotStats,
@@ -636,6 +647,8 @@ impl SnapshotCache {
             store: PairStore::default(),
             selected: Vec::new(),
             selection_dirty: true,
+            ids: Vec::new(),
+            pair_at: Vec::new(),
             crosscheck: cfg!(debug_assertions),
             stats: SnapshotStats::default(),
         }
@@ -907,19 +920,22 @@ impl SnapshotCache {
     /// Assembles the snapshot from cached rows: singletons, then the
     /// selected pairs. Rows are copied, never derived, here: one slice
     /// for the singletons and one per selected pair into a single buffer.
-    fn assemble(&self) -> (ComboSet, ThroughputTensor) {
+    /// The combo set is indexed from the same order
+    /// ([`ComboSet::with_pairs`]), its ids and pair positions listed in
+    /// scratch kept for its capacity.
+    fn assemble(&mut self) -> (ComboSet, ThroughputTensor) {
         let rows = self.specs.len() + self.selected.len();
-        let mut combos = Vec::with_capacity(rows);
-        combos.extend(self.specs.iter().map(|s| Combo::single(s.id)));
         let mut entries = Vec::with_capacity(rows * WIDTH);
         entries.extend_from_slice(&self.singleton_rows);
+        self.pair_at.clear();
         for p in &self.selected {
-            let (a, b) = (self.specs[p.i as usize], self.specs[p.k as usize]);
-            combos.push(Combo::pair(a.id, b.id));
+            self.pair_at.push((p.i, p.k));
             entries.extend_from_slice(self.store.row(p.slot, p.orient));
         }
+        self.ids.clear();
+        self.ids.extend(self.specs.iter().map(|s| s.id));
         (
-            ComboSet::new(combos),
+            ComboSet::with_pairs(&self.ids, &self.pair_at),
             ThroughputTensor::from_flat(WIDTH, entries),
         )
     }

@@ -151,16 +151,17 @@ fn a_recompute_allocates_a_constant_number_of_blocks() {
     let small = worst_cycle(100);
     let large = worst_cycle(400);
     println!("allocations per cycle (admit + remove, snapshot, zeros): {small:?} at 100 jobs, {large:?} at 400");
-    // The snapshot: the combo vector; what `ComboSet::new` builds for
-    // its job index (`C_m`) — the sorted member keys and the duplicate
-    // check's per-job stamps, both dropped, then the distinct jobs, each
-    // job's row range, the rows, each row's member slots and the shared
-    // box that holds them; and the tensor's one buffer. None of them is
-    // per row; the selection pass's scratch (the per-class member lists,
-    // their links and cap counts, the tie-group buffer) stays on the
-    // store and reached its size during the warm-up.
-    assert_eq!(small.1, 9, "snapshot at 100 jobs");
-    assert_eq!(large.1, 9, "snapshot at 400 jobs");
+    // The snapshot: what `ComboSet::with_pairs` builds — the combo
+    // vector; for its job index (`C_m`) the sorted job ids (kept as the
+    // distinct jobs), each row's member slots, each job's row range, the
+    // rows, and the duplicate check's per-job stamps (dropped); and the
+    // shared box that holds them — and the tensor's one buffer. None of
+    // them is per row. The ids and pair positions `with_pairs` reads,
+    // and the selection pass's scratch (the per-class member lists, their
+    // links and cap counts, the tie-group buffer), stay on the cache and
+    // reached their size during the warm-up.
+    assert_eq!(small.1, 8, "snapshot at 100 jobs");
+    assert_eq!(large.1, 8, "snapshot at 400 jobs");
     // One value slab.
     assert_eq!((small.2, large.2), (1, 1), "Allocation::zeros");
     // Admit and remove touch amortised vectors only. The arrival's

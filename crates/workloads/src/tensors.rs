@@ -9,7 +9,7 @@
 use crate::clusters::GpuKind;
 use crate::models::JobConfig;
 use crate::oracle::Oracle;
-use gavel_core::{Combo, ComboSet, JobId, PairThroughput, ThroughputTensor};
+use gavel_core::{ComboSet, JobId, PairThroughput, ThroughputTensor};
 
 /// Minimal job description the builders need.
 #[derive(Debug, Clone, Copy)]
@@ -91,7 +91,7 @@ pub fn build_tensor_with_pairs_by(
     opts: &PairOptions,
     pair_fn: impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
 ) -> (ComboSet, ThroughputTensor) {
-    let mut combos: Vec<Combo> = jobs.iter().map(|j| Combo::single(j.id)).collect();
+    let ids: Vec<JobId> = jobs.iter().map(|j| j.id).collect();
     let mut entries: Vec<PairThroughput> = jobs
         .iter()
         .flat_map(|j| singleton_row(oracle, j, consolidated))
@@ -114,14 +114,15 @@ pub fn build_tensor_with_pairs_by(
         }
     }
     let ranked = (candidates.iter().enumerate()).map(|(c, &(i, k, score, _))| (i, k, score, c));
+    let mut pairs = Vec::new();
     for c in rank_and_cap(ranked, jobs.len(), opts.max_pairs_per_job) {
         let (i, k, _, row) = &candidates[c];
-        combos.push(Combo::pair(jobs[*i as usize].id, jobs[*k as usize].id));
+        pairs.push((*i, *k));
         entries.extend_from_slice(row);
     }
 
     (
-        ComboSet::new(combos),
+        ComboSet::with_pairs(&ids, &pairs),
         ThroughputTensor::from_flat(GpuKind::COUNT, entries),
     )
 }
