@@ -368,6 +368,9 @@ pub fn run(scale: Scale) {
         ]);
         estimated_rows.push(vec![
             n.to_string(),
+            // One-job classes: each class pair is one job-pair candidate,
+            // carrying its row.
+            estimated.class_pair_count().to_string(),
             (estimated_ss.0.len() - n).to_string(),
             ms(estimated_populate),
             ms(estimated_fresh),
@@ -405,7 +408,14 @@ pub fn run(scale: Scale) {
     );
     print_table(
         "Figure 12: estimator-backed snapshot cache (milliseconds)",
-        &["jobs", "pair rows", "populate", "fresh build", "drift step"],
+        &[
+            "jobs",
+            "candidates",
+            "pair rows",
+            "populate",
+            "fresh build",
+            "drift step",
+        ],
         &estimated_rows,
     );
     if matches!(scale, Scale::Standard | Scale::Full) {

@@ -38,29 +38,12 @@ fn isolated_denominators(
     Ok(out)
 }
 
-/// The upper end of both rho bisections: the largest `rho` under the equal
-/// split — every job on a `1/n` time share of every worker, always a valid
-/// allocation — with a little headroom. `norms` are the jobs' equal-share
-/// throughputs.
-fn equal_split_rho(
-    input: &PolicyInput<'_>,
-    denoms: &[f64],
-    norms: &[f64],
-) -> Result<f64, PolicyError> {
-    let n = input.jobs.len() as f64;
-    let mut hi = 0.0f64;
-    for (m, job) in input.jobs.iter().enumerate() {
-        let tput_eq = norms[m] / n;
-        if tput_eq <= 0.0 {
-            return Err(PolicyError::NoFeasibleAllocation(format!(
-                "{} has zero equal-share throughput",
-                job.id
-            )));
-        }
-        hi = hi.max((job.time_elapsed + job.steps_remaining / tput_eq) / denoms[m]);
-    }
-    Ok(hi * 1.01 + 1e-6)
-}
+/// Headroom of both rho bisections' upper end over the `rho` a valid
+/// allocation meets, so that the first probe is not on the boundary.
+const HEADROOM: f64 = 1.01;
+
+/// Absolute tolerance of both rho bisections.
+const RHO_TOLERANCE: f64 = 1e-3;
 
 /// Heterogeneity-aware finish-time fairness.
 #[derive(Debug, Clone, Default)]
@@ -113,7 +96,10 @@ impl Policy for FinishTimeFairness {
             ));
         }
         let denoms = isolated_denominators(input, &singles)?;
-        let hi = equal_split_rho(input, &denoms, &singles.equal_share_throughputs(input))?;
+        // `X_isolated` is a valid allocation (on each type the jobs use
+        // `Σ_m s_m · W_j / (n · s_m) = W_j` workers) and meets rho = 1 for
+        // every job, by the definition of `D_m`.
+        let hi = HEADROOM;
         // No job finishes before the time it has already spent.
         let spent = (input.jobs.iter().zip(&denoms)).map(|(job, d)| job.time_elapsed / d);
         let lo = (spent.fold(f64::INFINITY, f64::min) * 0.99).max(1e-9);
@@ -121,10 +107,6 @@ impl Policy for FinishTimeFairness {
         bisect_rho(lo, hi, |rho| self.probe(input, &denoms, rho))
     }
 }
-
-/// Tolerance of both rho bisections, relative to the feasible `hi` they
-/// start from (or to 1, when `hi` is smaller).
-const RHO_TOLERANCE: f64 = 1e-3;
 
 /// Bisects for the smallest `rho` in `[lo, hi]` that `probe` can meet and
 /// returns the allocation meeting it. The first probe that fails for a
@@ -136,8 +118,7 @@ fn bisect_rho(
     mut probe: impl FnMut(f64) -> Result<Option<Allocation>, PolicyError>,
 ) -> Result<Allocation, PolicyError> {
     let mut failure = None;
-    let tol = RHO_TOLERANCE * hi.max(1.0);
-    let best = bisect_min(lo, hi, tol, 80, |rho| {
+    let best = bisect_min(lo, hi, RHO_TOLERANCE, 80, |rho| {
         failure.is_none()
             && match probe(rho) {
                 Ok(alloc) => alloc.is_some(),
@@ -186,7 +167,17 @@ impl Policy for FtfAgnostic {
         // Under the uniform-spread restriction a share s gives throughput
         // s * norm_m.
         let norms = singles.equal_share_throughputs(input);
-        let hi = equal_split_rho(input, &denoms, &norms)?;
+        // The equal split, one share for every job that the cluster's
+        // workers hold, is a valid allocation: the upper end is the
+        // largest rho it gives a job.
+        let demand: f64 = (input.jobs.iter())
+            .map(|j| j.scale_factor.max(1) as f64)
+            .sum();
+        let equal = (capacity / demand).min(1.0);
+        let worst = (input.jobs.iter().zip(&denoms).zip(&norms))
+            .map(|((job, d), norm)| (job.time_elapsed + job.steps_remaining / (equal * norm)) / d)
+            .fold(0.0, f64::max);
+        let hi = worst * HEADROOM;
 
         // Required share per job at a given rho.
         let required = |rho: f64| -> Option<Vec<f64>> {
@@ -214,8 +205,7 @@ impl Policy for FtfAgnostic {
             }
         };
 
-        let tol = RHO_TOLERANCE * hi.max(1.0);
-        let best = bisect_min(1e-9, hi, tol, 80, |rho| required(rho).is_some())
+        let best = bisect_min(1e-9, hi, RHO_TOLERANCE, 80, |rho| required(rho).is_some())
             .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
         let mut shares =
             required(best).ok_or_else(|| PolicyError::Solver(Box::new(SolverError::Infeasible)))?;
@@ -279,6 +269,65 @@ mod tests {
                 Some(&SolverError::IterationLimit { pivots: 7 })
             ),
             other => panic!("the probe failure was swallowed: {other:?}"),
+        }
+    }
+
+    /// Figure 12's inputs (the static trace at seed 5 on a cluster of
+    /// n/3 servers per type), fresh or with elapsed times of (i mod 7) ×
+    /// 600 s: the policy's rho is within the tolerance of a reference from
+    /// a fine bisection of the same probe, and the probe just below the
+    /// reference is infeasible.
+    #[test]
+    fn rho_is_within_tolerance_of_its_optimum() {
+        use gavel_workloads::{
+            build_singleton_tensor, cluster_scaled, generate, JobSpec, Oracle, TraceConfig,
+        };
+        let oracle = Oracle::new();
+        for n in [32, 128, 256] {
+            let trace = generate(&TraceConfig::static_single(n, 5), &oracle);
+            let specs: Vec<JobSpec> = (trace.iter())
+                .map(|t| JobSpec {
+                    id: t.id,
+                    config: t.config,
+                    scale_factor: 1,
+                })
+                .collect();
+            let (combos, tensor) = build_singleton_tensor(&oracle, &specs, true);
+            let cluster = cluster_scaled((n / 3).max(2));
+            for elapsed in [false, true] {
+                let jobs: Vec<PolicyJob> = (trace.iter().enumerate())
+                    .map(|(i, t)| PolicyJob {
+                        time_elapsed: if elapsed { (i % 7) as f64 * 600.0 } else { 0.0 },
+                        ..PolicyJob::simple(t.id, t.total_steps)
+                    })
+                    .collect();
+                let input = PolicyInput {
+                    jobs: &jobs,
+                    combos: &combos,
+                    tensor: &tensor,
+                    cluster: &cluster,
+                };
+                let policy = FinishTimeFairness::new();
+                let singles = check_input(&input).unwrap();
+                let denoms = isolated_denominators(&input, &singles).unwrap();
+                let feasible = |rho| policy.probe(&input, &denoms, rho).unwrap().is_some();
+                // 1e-7, not finer: within about 1e-8 of the boundary the
+                // probe LP fails the solver's debug optimality certificate.
+                let optimum = bisect_min(0.0, HEADROOM, 1e-7, 200, feasible).unwrap();
+
+                let alloc = policy.compute_allocation(&input).unwrap();
+                let rho = (jobs.iter().zip(&denoms))
+                    .map(|(j, d)| {
+                        let tput = alloc.effective_throughput(&tensor, j.id);
+                        (j.time_elapsed + j.steps_remaining / tput) / d
+                    })
+                    .fold(0.0, f64::max);
+                assert!(
+                    rho <= optimum + RHO_TOLERANCE,
+                    "n={n}, elapsed {elapsed}: rho {rho} vs optimum {optimum}"
+                );
+                assert!(!feasible(optimum - 1e-6), "n={n}, elapsed {elapsed}");
+            }
         }
     }
 }

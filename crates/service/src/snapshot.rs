@@ -53,8 +53,8 @@
 //!    the last drain ([`EstimatorBridge::take_dirty`]).
 //! 2. *Purge.* One pass over the store drops every candidate touching a
 //!    freed or dirty class (a freed handle that a new class took over is
-//!    dirty), and gives the rows of each one it drops back to the row
-//!    slab, so a row never outlives the score it was derived with.
+//!    dirty), and its row with it, so a row never outlives the score it
+//!    was derived with.
 //! 3. *Re-score and merge.* Each dirty class is scored once against every
 //!    live class — itself included when a class can hold more than one
 //!    job — O(|dirty| · K) evaluations over K live classes
@@ -64,27 +64,24 @@
 //! 4. *Reselect.* If anything was admitted, removed or re-scored since
 //!    the last pass, the selection runs again; otherwise the memoized
 //!    selection stands and the snapshot is a pure assembly.
-//! 5. *Lazy rows.* The store keeps only scores; rows are derived from the
-//!    pair source just for the class pairs the selection picks, into a
-//!    free-listed slab inside the store — one row per class pair and
-//!    *orientation*, which class holds the lower `JobId` of the job pair
-//!    (`Combo::pair` orders a pair by id, so the two orientations' rows
-//!    hold the same throughputs in swapped cells; the store keeps both
-//!    rather than assume it). A selected job pair copies its class pair's
-//!    row of its orientation. A candidate addresses its rows directly
-//!    (`Candidate::row`, no map), so a class pair that stays selected and
-//!    clean is never derived twice. Two things free a row: the purge
-//!    (step 2), and the sweep that closes a selection pass, which gives
-//!    back every row the pass did not pick — one that later returns to
-//!    the selection is derived again
-//!    ([`SnapshotStats::pair_rows_materialized`] counts derivations). A
-//!    merged-in candidate starts without rows.
+//! 5. *Rows with their scores.* The `pair_row` call that scores a class
+//!    pair also derives its row, and the candidate keeps it, its cells in
+//!    class order: the member of `ca` in `a`. `Combo::pair` orders a pair
+//!    by id, so a selected job pair copies its class pair's row and swaps
+//!    the two cells when the job of `cb` holds the lower id. Under the
+//!    oracle that is exact because a pair row's two orientations differ
+//!    only by swapped cells, which `gavel-workloads` pins for every pair
+//!    of Table 2 configurations; under the estimator a class is one job,
+//!    its own stand-in, so a swap made at scoring is undone at assembly.
+//!    No selection pass derives a row
+//!    ([`SnapshotStats::pair_rows_materialized`] equals
+//!    [`SnapshotStats::candidates_sorted`]).
 //!
-//! Rows are flat throughout: the singleton rows, the row slab and the
-//! assembled tensor are row-major buffers with one entry per
-//! [`GpuKind`], so a snapshot is one slice copy for the singletons plus
-//! one per selected pair, and allocates the same few blocks whatever its
-//! row count.
+//! Rows are flat throughout: the singleton rows and the assembled tensor
+//! are row-major buffers with one entry per [`GpuKind`], and a candidate
+//! holds its row inline, so a snapshot is one slice copy for the
+//! singletons plus one row copy per selected pair, and allocates the same
+//! few blocks whatever its row count.
 //!
 //! *Assembly.* The combo set comes from the same order: the job ids in
 //! position order and the selection's `(i, k)` positions in emission
@@ -106,15 +103,15 @@
 //!
 //! # The sorted candidate store
 //!
-//! [`PairStore`] keeps its class-pair candidates in one vector, sorted by
+//! `PairStore` keeps its class-pair candidates in one vector, sorted by
 //! descending score and then by class pair (`Candidate::key`). An entry
-//! is a class pair's two handles, its score and its rows; nothing else
+//! is a class pair's two handles, its score and its row; nothing else
 //! indexes the vector. It changes only at snapshot time, in batches: the
 //! purge is one `retain`, the merge one backward pass over the vector and
 //! the sorted pending list, the way the round planner re-keys its order.
 //! Under the oracle the store holds at most K(K+1)/2 candidates for K
 //! resident configurations; with one-job classes (the estimator) it holds
-//! one per above-threshold job pair, ~n²/2.
+//! one per above-threshold job pair, ~n²/2, each with its row.
 //!
 //! **Selection.** A pass first lists each class's members in position
 //! order (one O(n) pass over the jobs) and keeps, per class, a linked
@@ -154,7 +151,7 @@ use gavel_workloads::{
 };
 use std::collections::HashMap;
 
-/// Sentinel for "no position / no class / no row / end of list".
+/// Sentinel for "no position / no class / end of list".
 const NONE32: u32 = u32::MAX;
 
 /// Entries per throughput row.
@@ -167,16 +164,17 @@ struct Candidate {
     ca: u32,
     cb: u32,
     score: f64,
-    /// This class pair's row in `PairStore::rows` per orientation: index
-    /// 0 when the job of `ca` holds the lower `JobId`, 1 when the job of
-    /// `cb` does ([`NONE32`]: not materialized).
-    row: [u32; 2],
+    /// The class pair's row, derived with its score, the member of `ca`
+    /// in each cell's `a` (see the module docs).
+    row: [PairThroughput; WIDTH],
 }
 
-// The estimator's one-job classes still store a candidate per
-// above-threshold job pair, ~n²/2 of them, so anything added here is paid
-// that often.
-const _: () = assert!(std::mem::size_of::<Candidate>() == 24);
+// The estimator's one-job classes store a candidate per above-threshold
+// job pair, ~n²/2 of them, so anything added here is paid that often. The
+// row is 48 of the 64 bytes, held by every candidate, selected or not:
+// Figure 12's 330,419 estimated candidates at 1,024 jobs take 21 MB,
+// against 8 MB at 24 bytes without their rows.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 64);
 
 impl Candidate {
     /// The store's order: descending score (nonnegative scores order like
@@ -187,15 +185,22 @@ impl Candidate {
     }
 }
 
-/// One selected job pair: positions `i < k` in the job vector, the
-/// index (`slot`) of their class pair's candidate in the store's vector
-/// and the orientation of the row it copies.
+/// One selected job pair: positions `i < k` in the job vector and the
+/// index (`slot`) of their class pair's candidate in the store's vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pick {
     i: u32,
     k: u32,
     slot: u32,
-    orient: u32,
+}
+
+/// `row` with each cell's two throughputs swapped: the row of the other
+/// orientation.
+fn swapped(mut row: [PairThroughput; WIDTH]) -> [PairThroughput; WIDTH] {
+    for cell in &mut row {
+        std::mem::swap(&mut cell.a, &mut cell.b);
+    }
+    row
 }
 
 /// Selection scratch, kept between passes for its capacity.
@@ -347,7 +352,6 @@ impl Walk {
                     i: self.members[x as usize],
                     k: self.members[k as usize],
                     slot,
-                    orient: 0,
                 });
                 if self.counts[k as usize] == cap {
                     self.unlink(k, d);
@@ -361,51 +365,30 @@ impl Walk {
     }
 }
 
-/// The sorted class-pair store (see the module docs), and the slab of
-/// rows materialized for the selected class pairs.
+/// The sorted class-pair store (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct PairStore {
     /// The live candidates, sorted by [`Candidate::key`].
     cands: Vec<Candidate>,
     /// Candidates scored since the last [`Self::merge`], in no order.
     pending: Vec<Candidate>,
-    /// Materialized pair rows, [`WIDTH`] entries each, addressed by
-    /// [`Candidate::row`]. A candidate's rows go back to `free_rows` when
-    /// a purge drops it or a selection pass does not pick them.
-    rows: Vec<PairThroughput>,
-    free_rows: Vec<u32>,
-    /// Per slab row, the selection pass that last picked it.
-    picked_in: Vec<u32>,
-    pass: u32,
     walk: Walk,
 }
 
 impl PairStore {
-    /// Drops every candidate touching a class `stale` names, giving its
-    /// rows back to the slab.
+    /// Drops every candidate touching a class `stale` names.
     fn purge(&mut self, stale: impl Fn(u32) -> bool) {
-        let free_rows = &mut self.free_rows;
-        self.cands.retain(|c| {
-            let keep = !stale(c.ca) && !stale(c.cb);
-            if !keep {
-                free_rows.extend(c.row.iter().filter(|&&r| r != NONE32));
-            }
-            keep
-        });
+        self.cands.retain(|c| !stale(c.ca) && !stale(c.cb));
     }
 
-    /// Queues class pair (`ca`, `cb`) for the next [`Self::merge`].
-    fn push(&mut self, ca: u32, cb: u32, score: f64) {
+    /// Queues class pair (`ca`, `cb`) with its score and row (the member
+    /// of `ca` in `a`) for the next [`Self::merge`].
+    fn push(&mut self, ca: u32, cb: u32, score: f64, row: [PairThroughput; WIDTH]) {
         debug_assert!(
             score >= 0.0 && score.is_finite(),
             "candidate scores must be nonnegative finite, got {score}"
         );
-        self.pending.push(Candidate {
-            ca,
-            cb,
-            score,
-            row: [NONE32; 2],
-        });
+        self.pending.push(Candidate { ca, cb, score, row });
     }
 
     /// Sorts the pending candidates and merges them into the store, from
@@ -429,47 +412,6 @@ impl PairStore {
         let merged = pending.len();
         pending.clear();
         merged
-    }
-
-    /// Candidate `s`'s materialized row of orientation `orient`.
-    fn row(&self, s: u32, orient: u32) -> &[PairThroughput] {
-        let r = self.cands[s as usize].row[orient as usize];
-        debug_assert_ne!(
-            r, NONE32,
-            "candidate {s} has no row of orientation {orient}"
-        );
-        &self.rows[r as usize * WIDTH..][..WIDTH]
-    }
-
-    /// Marks candidate `s`'s row of orientation `orient` picked by the
-    /// current pass, giving it a slab row filled by `materialize` unless
-    /// it still holds one from an earlier pass.
-    fn pick(&mut self, s: u32, orient: u32, materialize: impl FnOnce() -> [PairThroughput; WIDTH]) {
-        let mut r = self.cands[s as usize].row[orient as usize];
-        if r == NONE32 {
-            r = self.free_rows.pop().unwrap_or_else(|| {
-                self.rows
-                    .resize(self.rows.len() + WIDTH, PairThroughput::zero());
-                self.picked_in.push(0);
-                (self.picked_in.len() - 1) as u32
-            });
-            self.rows[r as usize * WIDTH..][..WIDTH].copy_from_slice(&materialize());
-            self.cands[s as usize].row[orient as usize] = r;
-        }
-        self.picked_in[r as usize] = self.pass;
-    }
-
-    /// Closes the current selection pass: gives back every row it did
-    /// not [`Self::pick`], and opens the next.
-    fn end_pass(&mut self) {
-        for c in &mut self.cands {
-            for r in &mut c.row {
-                if *r != NONE32 && self.picked_in[*r as usize] != self.pass {
-                    self.free_rows.push(std::mem::replace(r, NONE32));
-                }
-            }
-        }
-        self.pass = self.pass.wrapping_add(1);
     }
 
     /// The selection pass (see the module docs) over jobs of class
@@ -563,8 +505,9 @@ pub struct SnapshotStats {
     /// the pair source. Zero unless crosschecking is on; Figure 12 gates
     /// on that.
     pub flat_reranks: usize,
-    /// Pair rows materialized for newly selected class pairs and
-    /// orientations.
+    /// Pair rows derived, each with the score of the class pair it is
+    /// stored with: equal to [`Self::candidates_sorted`], and kept because
+    /// the benchmark reports it.
     pub pair_rows_materialized: usize,
 }
 
@@ -797,8 +740,8 @@ impl SnapshotCache {
     /// Removes the job at position `i` (swap-remove, mirroring the
     /// engine's active vector). If it was the last member of its class,
     /// the class is freed and the next snapshot purges its candidates,
-    /// with their materialized rows; the store is not touched here. The
-    /// estimator forgets the job.
+    /// rows and all; the store is not touched here. The estimator forgets
+    /// the job.
     pub fn remove(&mut self, i: usize) {
         let spec = self.specs.swap_remove(i);
         if let Some(bridge) = &mut self.estimator {
@@ -830,8 +773,8 @@ impl SnapshotCache {
     /// class — the clean ones, the dirty ones already re-scored and, where
     /// a class can hold several jobs (`self_pairs`), itself; the dirty
     /// ones still to come score against it in their turn — and merges the
-    /// pairs that clear `min_aggregate` into the store. The one place
-    /// candidates are born.
+    /// pairs that clear `min_aggregate` into the store, each with the row
+    /// its score came from. The one place candidates and rows are born.
     fn rescore(
         &mut self,
         oracle: &Oracle,
@@ -855,14 +798,22 @@ impl SnapshotCache {
                 if other.size == 0 || other.dirty || (d == c as usize && !self_pairs) {
                     continue;
                 }
-                let score = pair_row(oracle, &other.rep, &rep, pair_fn).0;
+                let (score, row) = pair_row(oracle, &other.rep, &rep, pair_fn);
                 self.stats.pair_evals += 1;
                 if score >= min_aggregate {
-                    self.store.push(d as u32, c, score);
+                    // `pair_row` puts the lower id's cell first; the
+                    // store puts the member of `d`, the candidate's `ca`.
+                    let row = match rep.id < other.rep.id {
+                        true => swapped(row),
+                        false => row,
+                    };
+                    self.store.push(d as u32, c, score, row);
                 }
             }
         }
-        self.stats.candidates_sorted += self.store.merge();
+        let merged = self.store.merge();
+        self.stats.candidates_sorted += merged;
+        self.stats.pair_rows_materialized += merged;
         self.dirty.clear();
         self.selection_dirty = true;
     }
@@ -870,16 +821,8 @@ impl SnapshotCache {
     /// Brings the selection up to date: if anything was admitted, removed
     /// or re-scored since the last pass, runs the selection pass — the
     /// walk over the sorted store, re-run through the flat
-    /// [`rank_and_cap`] and asserted identical when crosschecking — then
-    /// brings the row slab in line with it: a picked class pair and
-    /// orientation without a row gets one from `pair_fn`, and every row
-    /// the pass did not pick goes back.
-    fn reselect(
-        &mut self,
-        oracle: &Oracle,
-        cap: usize,
-        pair_fn: &impl Fn(&JobSpec, &JobSpec, GpuKind) -> Option<(f64, f64)>,
-    ) {
+    /// [`rank_and_cap`] and asserted identical when crosschecking.
+    fn reselect(&mut self, cap: usize) {
         if !self.selection_dirty {
             return;
         }
@@ -901,26 +844,26 @@ impl SnapshotCache {
                 "the selection diverged from the flat rank_and_cap oracle"
             );
         }
-        for p in &mut self.selected {
-            let (a, b) = (self.specs[p.i as usize], self.specs[p.k as usize]);
-            let c = &self.store.cands[p.slot as usize];
-            // Orientation 1: the job of `cb` holds the lower id.
-            let a_in_ca = self.class_of[p.i as usize] == c.ca;
-            p.orient = (c.ca != c.cb && (a.id < b.id) != a_in_ca) as u32;
-            let materialized = &mut self.stats.pair_rows_materialized;
-            self.store.pick(p.slot, p.orient, || {
-                *materialized += 1;
-                pair_row(oracle, &a, &b, pair_fn).1
-            });
-        }
-        self.store.end_pass();
         self.selection_dirty = false;
+    }
+
+    /// Selected job pair `p`'s row in `Combo::pair` order: its class
+    /// pair's row, the cells swapped when the job of `cb` holds the lower
+    /// id.
+    fn served_row(&self, p: &Pick) -> [PairThroughput; WIDTH] {
+        let c = &self.store.cands[p.slot as usize];
+        let (i, k) = (&self.specs[p.i as usize], &self.specs[p.k as usize]);
+        let i_in_ca = self.class_of[p.i as usize] == c.ca;
+        match c.ca != c.cb && (i.id < k.id) != i_in_ca {
+            true => swapped(c.row),
+            false => c.row,
+        }
     }
 
     /// Assembles the snapshot from cached rows: singletons, then the
     /// selected pairs. Rows are copied, never derived, here: one slice
-    /// for the singletons and one per selected pair into a single buffer.
-    /// The combo set is indexed from the same order
+    /// for the singletons and one row per selected pair into a single
+    /// buffer. The combo set is indexed from the same order
     /// ([`ComboSet::with_pairs`]), its ids and pair positions listed in
     /// scratch kept for its capacity.
     fn assemble(&mut self) -> (ComboSet, ThroughputTensor) {
@@ -930,7 +873,7 @@ impl SnapshotCache {
         self.pair_at.clear();
         for p in &self.selected {
             self.pair_at.push((p.i, p.k));
-            entries.extend_from_slice(self.store.row(p.slot, p.orient));
+            entries.extend_from_slice(&self.served_row(p));
         }
         self.ids.clear();
         self.ids.extend(self.specs.iter().map(|s| s.id));
@@ -949,8 +892,8 @@ impl SnapshotCache {
     /// consolidated, opts)`, to `build_tensor_with_pairs_by(.., |a, b, g|
     /// bridge.pair_throughput(..))` at the estimator's current state, or
     /// to `build_singleton_tensor` without pairs, over the current job
-    /// vector; the pair source is consulted only to score dirty classes
-    /// and to materialize rows for newly selected class pairs.
+    /// vector; the pair source is consulted only to score dirty classes,
+    /// which derives their rows too.
     pub fn snapshot(&mut self, oracle: &Oracle) -> (ComboSet, ThroughputTensor) {
         // The estimator is lent out of `self` for the call: scoring and
         // row derivation read it while they update the rest of the cache.
@@ -984,7 +927,7 @@ impl SnapshotCache {
             // Estimates are per job, so only oracle classes hold several.
             let self_pairs = estimator.is_none();
             self.rescore(oracle, opts.min_aggregate, self_pairs, &pair_fn);
-            self.reselect(oracle, opts.max_pairs_per_job, &pair_fn);
+            self.reselect(opts.max_pairs_per_job);
             // A score or row the dirty classes failed to invalidate must
             // not be served silently.
             debug_assert!(
@@ -992,7 +935,7 @@ impl SnapshotCache {
                     let (a, b) = (self.specs[p.i as usize], self.specs[p.k as usize]);
                     let (score, row) = pair_row(oracle, &a, &b, &pair_fn);
                     let cached = self.store.cands[p.slot as usize].score;
-                    (cached, self.store.row(p.slot, p.orient)) == (score, &row[..])
+                    (cached, self.served_row(p)) == (score, row)
                 }),
                 "a stale pair survived invalidation"
             );
@@ -1093,7 +1036,7 @@ mod tests {
     }
 
     /// The store's entries, for comparing two states of it.
-    fn entries(store: &PairStore) -> Vec<(u32, u32, u64, [u32; 2])> {
+    fn entries(store: &PairStore) -> Vec<(u32, u32, u64, [PairThroughput; WIDTH])> {
         (store.cands.iter())
             .map(|c| (c.ca, c.cb, c.score.to_bits(), c.row))
             .collect()
@@ -1153,6 +1096,26 @@ mod tests {
         assert_eq!(degree(&cache), 0);
     }
 
+    /// What a candidate must hold: the score and row of its class pair's
+    /// stand-ins, the member of `ca` in each cell's `a`.
+    fn fresh_candidate(
+        cache: &SnapshotCache,
+        oracle: &Oracle,
+        c: &Candidate,
+    ) -> (f64, [PairThroughput; WIDTH]) {
+        let rep = |c: u32| cache.classes[c as usize].rep;
+        let (a, b) = (rep(c.ca), rep(c.cb));
+        let (score, row) = match cache.estimator() {
+            Some(bridge) => pair_row(oracle, &a, &b, &|x: &JobSpec, y: &JobSpec, g| {
+                bridge.pair_throughput(oracle, (x.id, x.config), (y.id, y.config), g)
+            }),
+            None => pair_row(oracle, &a, &b, &|x: &JobSpec, y: &JobSpec, g| {
+                oracle.colocated(x.config, y.config, g)
+            }),
+        };
+        (score, if b.id < a.id { swapped(row) } else { row })
+    }
+
     /// A class emptied and its handle taken over by a new configuration
     /// before the next snapshot: the handle is dirty then, so the purge
     /// drops the old class's candidates and their rows, and nothing stale
@@ -1172,13 +1135,9 @@ mod tests {
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
-        assert_slab_consistent(&cache);
-        let holds_a_row = |cache: &SnapshotCache, c: u32| {
-            (cache.store.cands.iter()).any(|x| (x.ca == c || x.cb == c) && x.row != [NONE32; 2])
-        };
-        let victim = (0..cache.len())
-            .find(|&j| holds_a_row(&cache, cache.class_of[j]))
-            .expect("some selected pair");
+        let victim = (0..cache.len() as u32)
+            .find(|&j| cache.selected.iter().any(|p| p.i == j || p.k == j))
+            .expect("some selected pair") as usize;
         let c = cache.class_of[victim];
         let old = cache.specs()[victim].config;
 
@@ -1190,18 +1149,22 @@ mod tests {
         assert_ne!(s.config, old);
         let evals = cache.stats().pair_evals;
         assert_matches_fresh(&mut cache, &oracle, Some(opts));
-        assert_slab_consistent(&cache);
         // The new class is scored against the five others and itself, and
         // every candidate on its handle carries the new configuration's
-        // score.
+        // score and row.
         assert_eq!(cache.stats().pair_evals, evals + 6);
-        let pair_fn = |x: &JobSpec, y: &JobSpec, g| oracle.colocated(x.config, y.config, g);
         let rep = |c: u32| cache.classes[c as usize].rep;
+        let mut held = 0;
         for x in cache.store.cands.iter().filter(|x| x.ca == c || x.cb == c) {
             assert_eq!(x.cb, c, "the class scored last is the candidate's second");
-            let score = pair_row(&oracle, &rep(x.ca), &rep(x.cb), &pair_fn).0;
-            assert_eq!(x.score, score);
+            assert_eq!((x.score, x.row), fresh_candidate(&cache, &oracle, x));
             assert_ne!(rep(x.cb).config, old);
+            held += 1;
+        }
+        assert!(held > 0, "the new class pairs with nothing");
+        // No row the old class scored is left anywhere in the store.
+        for x in &cache.store.cands {
+            assert_eq!((x.score, x.row), fresh_candidate(&cache, &oracle, x));
         }
     }
 
@@ -1350,138 +1313,6 @@ mod tests {
         }
     }
 
-    /// The row slab's bookkeeping: a candidate holds a row of an
-    /// orientation exactly when the last selection pass picked a job pair
-    /// of that class pair and orientation, no two candidates share a row,
-    /// and every slab row is either held or on the free list. Holds
-    /// between a churn step and the next snapshot too: `admit` and
-    /// `remove` leave the store, and so `selected`'s indices into it, as
-    /// they were. Returns the rows held.
-    fn assert_slab_consistent(cache: &SnapshotCache) -> usize {
-        let store = &cache.store;
-        let slab_rows = store.rows.len() / WIDTH;
-        assert_eq!(store.picked_in.len(), slab_rows);
-        let mut picked: Vec<_> = (cache.selected.iter())
-            .map(|p| (p.slot, p.orient))
-            .collect();
-        picked.sort_unstable();
-        picked.dedup();
-        let mut accounted = vec![false; slab_rows];
-        let mut held = Vec::new();
-        for (s, c) in (0u32..).zip(&store.cands) {
-            for (orient, &r) in (0u32..).zip(&c.row) {
-                if r != NONE32 {
-                    assert!(!accounted[r as usize], "row {r} held twice");
-                    accounted[r as usize] = true;
-                    held.push((s, orient));
-                }
-            }
-        }
-        assert_eq!(held, picked, "the rows held are not the last pass's picks");
-        for &r in &store.free_rows {
-            assert!(
-                !accounted[r as usize],
-                "row {r} is free and held, or free twice"
-            );
-            accounted[r as usize] = true;
-        }
-        assert_eq!(held.len() + store.free_rows.len(), slab_rows);
-        held.len()
-    }
-
-    #[test]
-    fn a_merged_candidate_starts_without_a_row() {
-        let mut store = PairStore::default();
-        let row = [PairThroughput::pair(1.0, 2.0); WIDTH];
-        store.push(0, 1, 1.5);
-        assert_eq!(store.merge(), 1);
-        store.pick(0, 1, || row);
-        assert_eq!(store.row(0, 1), row);
-        store.purge(|c| c == 0);
-        assert!(store.cands.is_empty());
-        assert_eq!(store.free_rows, [0]);
-
-        // Class 0's handle comes back for another configuration: what is
-        // merged in for it holds no row, though one is free.
-        store.push(1, 0, 1.25);
-        store.push(2, 1, 1.75);
-        assert_eq!(store.merge(), 2);
-        let scores: Vec<_> = store.cands.iter().map(|c| c.score).collect();
-        assert_eq!(scores, [1.75, 1.25]);
-        assert!(store.cands.iter().all(|c| c.row == [NONE32; 2]));
-        // A pass that does not pick it leaves it without one; a pass that
-        // does reuses the released slab row.
-        store.end_pass();
-        assert!(store.cands.iter().all(|c| c.row == [NONE32; 2]));
-        store.pick(1, 0, || [PairThroughput::zero(); WIDTH]);
-        assert!(store.free_rows.is_empty());
-        assert_eq!(store.rows.len(), WIDTH);
-        // The other orientation gets a row of its own; a pass that picks
-        // only one of them releases the other.
-        store.pick(1, 1, || row);
-        assert_eq!(store.rows.len(), 2 * WIDTH);
-        store.end_pass();
-        store.pick(1, 1, || unreachable!("orientation 1 still holds its row"));
-        store.end_pass();
-        assert_eq!(store.cands[1].row[0], NONE32);
-        assert_eq!(store.row(1, 1), row);
-        assert_eq!(store.free_rows, [0]);
-        // A candidate merged in ahead of it moves it, rows and all.
-        store.push(3, 3, 2.0);
-        store.merge();
-        assert_eq!(store.cands[2].row[0], NONE32);
-        assert_eq!(store.row(2, 1), row);
-    }
-
-    #[test]
-    fn a_purge_gives_back_the_rows_of_every_candidate_it_drops() {
-        let mut store = PairStore::default();
-        for (a, b, score) in [
-            (0, 0, 1.5),
-            (0, 1, 1.25),
-            (1, 2, 2.0),
-            (2, 2, 1.125),
-            (1, 1, 1.75),
-        ] {
-            store.push(a, b, score);
-        }
-        assert_eq!(store.merge(), 5);
-        // Every orientation of every candidate gets a row of its own.
-        let content = |c: &Candidate, orient: u32| {
-            [PairThroughput::pair(c.ca as f64 + c.cb as f64 / 8.0, orient as f64); WIDTH]
-        };
-        for s in 0..5 {
-            for orient in 0..2 {
-                let c = store.cands[s as usize];
-                store.pick(s, orient, || content(&c, orient));
-            }
-        }
-        store.end_pass();
-        assert!(store.free_rows.is_empty());
-        let mut dropped: Vec<u32> = (store.cands.iter())
-            .filter(|c| c.ca == 2 || c.cb == 2)
-            .flat_map(|c| c.row)
-            .collect();
-        dropped.sort_unstable();
-        assert_eq!(dropped.len(), 4);
-
-        store.purge(|c| c == 2);
-        let mut freed = store.free_rows.clone();
-        freed.sort_unstable();
-        assert_eq!(freed, dropped);
-        // The survivors keep their order and their rows.
-        let keys: Vec<_> = store.cands.iter().map(Candidate::key).collect();
-        assert_eq!(keys.len(), 3);
-        assert!(keys.windows(2).all(|k| k[0] < k[1]));
-        for (s, c) in (0u32..).zip(&store.cands) {
-            assert!(c.ca != 2 && c.cb != 2);
-            for orient in 0..2 {
-                assert_eq!(store.row(s, orient), content(c, orient));
-            }
-        }
-        assert_eq!(store.rows.len(), 10 * WIDTH);
-    }
-
     /// Asserts that `store`'s selection over jobs of classes `class_of`
     /// (handles below `classes`) equals the flat ranking of the expanded
     /// job pairs at every cap from 1 to 5; returns the pairs selected at
@@ -1528,7 +1359,7 @@ mod tests {
             (2, 4, 2.0),
             (2, 2, 1.5 + f64::EPSILON),
         ] {
-            store.push(a, b, score);
+            store.push(a, b, score, [PairThroughput::zero(); WIDTH]);
         }
         store.merge();
         assert!(assert_selects_flat(&mut store, &class_of, 5) > 0);
@@ -1554,7 +1385,7 @@ mod tests {
                     if rng.gen_bool(0.7) {
                         let score = [1.0, 1.25, 1.5][rng.gen_range(0..3usize)];
                         let (x, y) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
-                        store.push(x, y, score);
+                        store.push(x, y, score, [PairThroughput::zero(); WIDTH]);
                     }
                 }
             }
@@ -1575,8 +1406,13 @@ mod tests {
         }
     }
 
+    /// Random admit, remove and drift steps under both pair sources:
+    /// every row is derived with its score, so the rows derived equal the
+    /// candidates merged, every candidate's row is its class pair's, and a
+    /// snapshot that merges nothing derives nothing, whatever its
+    /// selection pass picks.
     #[test]
-    fn row_slab_never_outgrows_the_selection_under_churn() {
+    fn a_candidate_carries_the_row_of_its_score() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let oracle = Oracle::new();
@@ -1585,46 +1421,117 @@ mod tests {
             min_aggregate: 1.0,
             max_pairs_per_job: 3,
         };
-        let mut cache = SnapshotCache::new(true, Some(opts));
-        let mut rng = StdRng::seed_from_u64(20);
-        let mut most_rows = 0;
-        for step in 0..2_000u64 {
-            let n = cache.len();
-            if n < 2 || (n < 64 && rng.gen_bool(0.55)) {
-                let s = spec_nth(step, rng.gen_range(0..26));
-                cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
-            } else {
-                cache.remove(rng.gen_range(0..n));
-            }
-            assert_slab_consistent(&cache);
-            // Some recomputes see several arrivals and departures.
-            if rng.gen_bool(0.7) {
-                let (combos, _) = cache.snapshot(&oracle);
-                let held = assert_slab_consistent(&cache);
-                let mut rows: Vec<_> = (cache.selected.iter())
-                    .map(|p| (p.slot, p.orient))
-                    .collect();
-                rows.sort_unstable();
-                rows.dedup();
-                assert_eq!(held, rows.len(), "step {step}");
-                assert_eq!(cache.selected.len(), combos.len() - cache.len());
-                most_rows = most_rows.max(cache.store.rows.len() / WIDTH);
+        for estimated in [false, true] {
+            let mut cache = match estimated {
+                true => estimated_cache(&oracle, opts, 21),
+                false => SnapshotCache::new(true, Some(opts)),
+            };
+            let mut rng = StdRng::seed_from_u64(46);
+            let mut reselected_without_merge = 0;
+            for step in 0..600u64 {
+                let n = cache.len();
+                if n < 2 || (n < 40 && rng.gen_bool(0.55)) {
+                    let s = spec_nth(step, rng.gen_range(0..26));
+                    cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+                } else if estimated && rng.gen_bool(0.3) {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if a != b {
+                        observe(&mut cache, &oracle, a, b);
+                    }
+                } else {
+                    cache.remove(rng.gen_range(0..n));
+                }
+                if !rng.gen_bool(0.7) {
+                    continue;
+                }
+                let before = cache.stats();
                 if step % 16 == 0 {
-                    assert_matches_fresh(&mut cache, &oracle, Some(opts));
+                    match estimated {
+                        true => assert_bridged_matches_fresh(&mut cache, &oracle, opts),
+                        false => assert_matches_fresh(&mut cache, &oracle, Some(opts)),
+                    }
+                } else {
+                    cache.snapshot(&oracle);
+                }
+                let after = cache.stats();
+                assert_eq!(
+                    after.pair_rows_materialized, after.candidates_sorted,
+                    "step {step}"
+                );
+                if after.candidates_sorted == before.candidates_sorted
+                    && after.bucketed_selections > before.bucketed_selections
+                {
+                    reselected_without_merge += 1;
+                    assert_eq!(after.pair_rows_materialized, before.pair_rows_materialized);
+                }
+                for c in &cache.store.cands {
+                    assert_eq!((c.score, c.row), fresh_candidate(&cache, &oracle, c));
                 }
             }
+            assert!(reselected_without_merge > 0, "estimated: {estimated}");
         }
-        // A pass picks before it releases, so the slab's high-water mark
-        // is at most two selections (64 jobs × 3 pairs / 2 each) — not the
-        // number of rows ever materialized.
-        assert!(most_rows <= 2 * 96, "{most_rows} slab rows");
-        assert!(cache.stats().pair_rows_materialized > 10 * most_rows);
+    }
+
+    /// Two configurations whose first members give `ca` the lower id,
+    /// then a job pair in which the member of `cb` holds it: the served
+    /// row is the stored one with its cells swapped, and equals the fresh
+    /// build's.
+    #[test]
+    fn a_swapped_pair_serves_swapped_cells() {
+        let oracle = Oracle::new();
+        let opts = PairOptions {
+            min_aggregate: 1.0,
+            max_pairs_per_job: 8,
+        };
+        let all = JobConfig::all();
+        let at = |id: u64, config: JobConfig| JobSpec {
+            id: JobId(id),
+            config,
+            scale_factor: 1,
+        };
+        // A pair that is kept and whose two cells differ somewhere, so a
+        // missed swap shows.
+        let colocated = |x: &JobSpec, y: &JobSpec, g| oracle.colocated(x.config, y.config, g);
+        let (x, y) = (all.iter())
+            .flat_map(|&x| all.iter().map(move |&y| (x, y)))
+            .find(|&(x, y)| {
+                let (score, row) = pair_row(&oracle, &at(1, x), &at(2, y), &colocated);
+                x != y && score >= opts.min_aggregate && row.iter().any(|c| c.a != c.b)
+            })
+            .expect("an asymmetric pair above the threshold");
+        let mut cache = SnapshotCache::new(true, Some(opts));
+        cache.set_crosscheck(true);
+        for s in [at(1, x), at(2, y)] {
+            cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
+        }
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        let c = cache.store.cands[cache.selected[0].slot as usize];
+        assert_eq!(
+            (c.ca, c.cb),
+            (cache.class_of[0], cache.class_of[1]),
+            "the first member of `ca` holds the lower id"
+        );
+        // Job 3 of `x` replaces job 1: now `cb`'s member, job 2, holds the
+        // lower id. Nothing is re-scored.
+        cache.admit(&oracle, at(3, x), PolicyJob::simple(JobId(3), 100.0));
+        cache.remove(0);
+        let merged = cache.stats().candidates_sorted;
+        assert_matches_fresh(&mut cache, &oracle, Some(opts));
+        assert_eq!(cache.stats().candidates_sorted, merged);
+        assert_eq!(cache.specs()[0].id, JobId(3));
+        let p = cache.selected[0];
+        assert_eq!(cache.store.cands[p.slot as usize].row, c.row);
+        assert_eq!(cache.served_row(&p), swapped(c.row));
+        let (_, tensor) = cache.snapshot(&oracle);
+        let fresh = build_tensor_with_pairs(&oracle, cache.specs(), true, &opts).1;
+        assert_eq!(tensor.row(2), fresh.row(2));
+        assert_ne!(tensor.row(2), &c.row[..]);
     }
 
     /// A refined job's candidates are purged before the snapshot that
     /// follows, and their rows go with them: what that snapshot serves
-    /// for the job is derived from the refined estimates, and only that
-    /// (plus newly selected pairs) is derived.
+    /// for the job is derived from the refined estimates, and the only
+    /// rows it derives are the refined jobs' re-scored candidates'.
     #[test]
     fn refined_jobs_lose_their_rows_before_the_next_snapshot() {
         let oracle = Oracle::new();
@@ -1637,23 +1544,40 @@ mod tests {
             let s = spec_nth(i, i as usize * 5 + 2);
             cache.admit(&oracle, s, PolicyJob::simple(s.id, 100.0));
         }
-        let (before, _) = cache.snapshot(&oracle);
-        assert_slab_consistent(&cache);
+        cache.snapshot(&oracle);
+        let stale = cache.store.cands.clone();
 
         let refined = observe(&mut cache, &oracle, 2, 7);
+        let refined_classes = [2, 7].map(|j| cache.class_of[j]);
+        let touches = |c: &Candidate| refined_classes.iter().any(|&r| r == c.ca || r == c.cb);
 
         let materialized = cache.stats().pair_rows_materialized;
         let (after, _) = cache.snapshot(&oracle);
-        assert_slab_consistent(&cache);
-        let rederived = (after.combos().iter())
-            .filter(|c| c.is_pair())
-            .filter(|c| refined.iter().any(|&j| c.contains(j)) || !before.combos().contains(c))
+        let served = (after.combos().iter())
+            .filter(|c| c.is_pair() && refined.iter().any(|&j| c.contains(j)))
             .count();
-        assert!(rederived > 0, "the refined jobs are in no selected pair");
+        assert!(served > 0, "the refined jobs are in no selected pair");
+        // The rows derived are exactly the refined jobs' re-scored
+        // candidates, each with its score; the others keep theirs.
+        let rescored = cache.store.cands.iter().filter(|c| touches(c)).count();
+        assert!(rescored > 0);
         assert_eq!(
             cache.stats().pair_rows_materialized - materialized,
-            rederived
+            rescored
         );
+        for c in cache.store.cands.iter().filter(|c| touches(c)) {
+            assert_eq!((c.score, c.row), fresh_candidate(&cache, &oracle, c));
+        }
+        let kept = |c: &Candidate| (c.ca, c.cb, c.score.to_bits(), c.row);
+        let untouched: Vec<_> = stale.iter().filter(|c| !touches(c)).map(kept).collect();
+        let now: Vec<_> = cache
+            .store
+            .cands
+            .iter()
+            .filter(|c| !touches(c))
+            .map(kept)
+            .collect();
+        assert_eq!(untouched, now);
         assert_bridged_matches_fresh(&mut cache, &oracle, opts);
     }
 

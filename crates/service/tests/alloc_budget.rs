@@ -119,9 +119,9 @@ fn worst_cycle(n: usize) -> (usize, usize, usize) {
     }
     let mut victim = 0usize;
     let mut worst = (0, 0, 0);
-    // Warm-up: amortised growth (job and candidate vectors, the pending
-    // list, the pair-row slab, the selection scratch) happens here, not
-    // below.
+    // Warm-up: amortised growth (job and candidate vectors, the latter
+    // with their pair rows, the pending list, the selection scratch)
+    // happens here, not below.
     for cycle in 0..n + CYCLES {
         victim = (victim + 17) % cache.len();
         let (s, job) = arrival();
