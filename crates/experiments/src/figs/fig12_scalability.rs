@@ -4,7 +4,8 @@
 //! input at each count:
 //!
 //! - the policy: one solve each of LAS and hierarchical (4 entities), with
-//!   and without space sharing, timed, with the solver's pivots;
+//!   and without space sharing, timed, with the solver's pivots and the
+//!   time per pivot;
 //! - the snapshot cache: populating it with every job, a fresh
 //!   `build_tensor_with_pairs` of the same rows, a snapshot of an
 //!   unchanged job set, and one churn step (a completion, an arrival and
@@ -200,7 +201,7 @@ pub fn run(scale: Scale) {
     };
     let ms = |s: f64| format!("{:.3}", s * 1e3);
 
-    let (mut solve_rows, mut work_rows) = (Vec::new(), Vec::new());
+    let (mut solve_rows, mut work_rows, mut pivot_cost_rows) = (Vec::new(), Vec::new(), Vec::new());
     let (mut layer_rows, mut estimated_rows) = (Vec::new(), Vec::new());
     for &n in &sizes {
         let trace = generate(&TraceConfig::static_single(n, 5), &oracle);
@@ -354,6 +355,19 @@ pub fn run(scale: Scale) {
             pivots(&hier_t.1),
             pivots(&hier_ss.1),
         ]);
+        // A solve's seconds over its pivots: bound flips and everything
+        // outside the pivot loop are charged to the pivots too.
+        let per_pivot = |s: &SolveStats, t: f64| match s.total_pivots() {
+            0 => "-".to_string(),
+            p => format!("{:.1}", t * 1e6 / p as f64),
+        };
+        pivot_cost_rows.push(vec![
+            n.to_string(),
+            per_pivot(&las.1, las.2),
+            per_pivot(&las_ss.1, las_ss.2),
+            per_pivot(&hier_t.1, hier_t.2),
+            per_pivot(&hier_ss.1, hier_ss.2),
+        ]);
         layer_rows.push(vec![
             n.to_string(),
             class_pairs.to_string(),
@@ -390,6 +404,11 @@ pub fn run(scale: Scale) {
         &solve_rows,
     );
     print_table("Figure 12: solver pivots per solve", &policies, &work_rows);
+    print_table(
+        "Figure 12: µs per pivot (solve time / pivots)",
+        &policies,
+        &pivot_cost_rows,
+    );
     print_table(
         "Figure 12: snapshot cache and round planner (milliseconds)",
         &[

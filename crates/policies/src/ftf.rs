@@ -311,9 +311,7 @@ mod tests {
                 let singles = check_input(&input).unwrap();
                 let denoms = isolated_denominators(&input, &singles).unwrap();
                 let feasible = |rho| policy.probe(&input, &denoms, rho).unwrap().is_some();
-                // 1e-7, not finer: within about 1e-8 of the boundary the
-                // probe LP fails the solver's debug optimality certificate.
-                let optimum = bisect_min(0.0, HEADROOM, 1e-7, 200, feasible).unwrap();
+                let optimum = bisect_min(0.0, HEADROOM, 1e-9, 200, feasible).unwrap();
 
                 let alloc = policy.compute_allocation(&input).unwrap();
                 let rho = (jobs.iter().zip(&denoms))

@@ -364,18 +364,59 @@ pub(crate) mod tests {
         stats
     }
 
-    #[test]
-    fn matches_cold_reference_on_random_inputs() {
+    /// 96 random inputs: up to 27 jobs on 2–4 types, with and without
+    /// quirks and pair rows.
+    fn random_cases() -> impl Iterator<Item = (usize, Setup)> {
         let mut rng = StdRng::seed_from_u64(0x1a5);
-        for case in 0..96 {
+        (0..96).map(move |case| {
             let n: usize = rng.gen_range(1..28);
             let types: usize = rng.gen_range(2..5);
             let workers = rng.gen_range(1..(n / 2).max(2) + 1);
             let (quirks, pairs) = (case % 2 == 1, case % 4 >= 2);
             let setup = Setup::random(&mut rng, n, types, workers, quirks, pairs);
+            (case, setup)
+        })
+    }
+
+    #[test]
+    fn matches_cold_reference_on_random_inputs() {
+        for (case, setup) in random_cases() {
             let stats = assert_matches_reference(&setup, &format!("case {case}"));
             assert_eq!(stats.warm_falls_back, 0, "case {case}: {stats:?}");
         }
+    }
+
+    /// The pivot path over [`random_cases`], pinned: the summed stats of
+    /// both max-level solves per case (solve 1 alone, then with the
+    /// refine) and an FNV-style hash of every allocation value's bits. A
+    /// change that only makes the same pivots cheaper moves neither.
+    #[test]
+    fn pivot_path_on_random_inputs_is_pinned() {
+        let mut total = SolveStats::default();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (_, setup) in random_cases() {
+            for refine in [false, true] {
+                let (alloc, stats) = max_level(&setup.input(), refine);
+                total.absorb(&stats);
+                for k in 0..alloc.combos().len() {
+                    for v in alloc.row(k) {
+                        hash = (hash ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        let pinned = SolveStats {
+            pivots_phase1: 0,
+            pivots_phase2: 820,
+            dual_pivots: 1704,
+            bound_flips: 0,
+            warm_hits: 288,
+            warm_falls_back: 0,
+            dense_fallbacks: 0,
+            parallel_probes: 0,
+        };
+        assert_eq!(total, pinned);
+        assert_eq!(hash, 0xc766_0122_4d8d_b7cc, "allocation bits");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! current basis matrix `B` (one column of `A` per constraint row):
 //!
 //! - FTRAN: `B w = a_q` — the entering column in basis coordinates,
-//! - BTRAN: `Bᵀ y = c_B` — the dual prices used to compute reduced costs.
+//! - BTRAN: `Bᵀ y = c_B` — the dual prices used to compute reduced costs;
+//!   a dual simplex pivot also solves `Bᵀ rho = e_r` for the leaving row
+//!   of `B⁻¹`.
 //!
 //! [`Basis`] keeps an LU factorization of `B` (Gaussian elimination with
 //! partial pivoting, columns processed sparsest first) plus an *eta file*:
@@ -14,6 +16,16 @@
 //! and the factorization is rebuilt from scratch ("refactorized") once the
 //! file grows past a threshold or a pivot looks numerically degenerate —
 //! exactly the classic revised-simplex scheme.
+//!
+//! # Two BTRANs in one walk
+//!
+//! `Basis::btran2` solves two right-hand sides in one pass over the eta
+//! file, `U` and `L`: each entry it reads is applied to both vectors, and
+//! each vector gets exactly the operations, in the order, that a lone
+//! [`Basis::btran`] gives it, so each result is that solve's bit for bit.
+//! What the pass saves is the walk itself: the entry slabs, their start
+//! offsets and the permutations are read once for the two. The vectors'
+//! permuted copies share the scratch vector, interleaved.
 //!
 //! # Flat storage, reused in place
 //!
@@ -159,8 +171,9 @@ pub struct Basis {
     eta_ent: Vec<(usize, f64)>,
     /// Pivots below this magnitude make the factorization refuse a column.
     pivot_tol: f64,
-    /// Dense length-`m` work vector: the column being eliminated (zero
-    /// between columns), then the permuted vector inside FTRAN/BTRAN.
+    /// Dense length-`2m` work vector: the column being eliminated (its
+    /// first `m` entries, zero between columns), then the permuted vector
+    /// inside FTRAN/BTRAN, or the fused BTRAN's two, interleaved.
     scratch: Vec<f64>,
     touched: Vec<usize>,
     /// One bit per elimination step, set while the step is reachable.
@@ -292,7 +305,7 @@ impl Basis {
         lu.pinv.clear();
         lu.pinv.resize(m, usize::MAX);
         work.clear();
-        work.resize(m, 0.0);
+        work.resize(2 * m, 0.0);
         pending.clear();
         pending.resize(m.div_ceil(64), 0);
         touched.clear();
@@ -449,42 +462,66 @@ impl Basis {
     /// BTRAN: solves `Bᵀ y = rhs` in place. `rhs` is indexed by basis slot
     /// on input and by constraint row on output.
     pub fn btran(&mut self, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.m);
+        self.btran_each([x]);
+    }
+
+    /// Two BTRANs in one pass: solves `Bᵀ y = y_rhs` and `Bᵀ z = z_rhs` in
+    /// place, each vector bit for bit what [`Basis::btran`] makes of it.
+    pub(crate) fn btran2(&mut self, y: &mut [f64], z: &mut [f64]) {
+        self.btran_each([y, z]);
+    }
+
+    /// BTRAN of each of the `N` vectors in one walk over the eta file, `U`
+    /// and `L`, every entry applied to each vector in turn (see the module
+    /// docs).
+    fn btran_each<const N: usize>(&mut self, mut xs: [&mut [f64]; N]) {
+        debug_assert!(xs.iter().all(|x| x.len() == self.m));
         // Undo the eta file transposed, newest first.
         for eta in self.etas.iter().rev() {
-            let mut acc = x[eta.slot];
+            let mut acc: [f64; N] = std::array::from_fn(|n| xs[n][eta.slot]);
             for &(i, v) in &self.eta_ent[eta.start..eta.end] {
-                acc -= v * x[i];
+                for (a, x) in acc.iter_mut().zip(&xs) {
+                    *a -= v * x[i];
+                }
             }
-            x[eta.slot] = acc / eta.diag;
+            for (a, x) in acc.iter().zip(&mut xs) {
+                x[eta.slot] = a / eta.diag;
+            }
         }
         let lu = &self.lu;
         // Solve Uᵀ w = x in pivot coordinates (forward), permuting the
         // slot-indexed input into factor-column order.
-        let w = &mut self.scratch;
+        let w = &mut self.scratch.as_chunks_mut::<N>().0[..self.m];
         for j in 0..self.m {
-            let mut acc = x[lu.q[j]];
+            let slot = lu.q[j];
+            let mut acc: [f64; N] = std::array::from_fn(|n| xs[n][slot]);
             for &(k, v) in lu.u_col(j) {
-                acc -= v * w[k];
+                for (a, wk) in acc.iter_mut().zip(w[k]) {
+                    *a -= v * wk;
+                }
             }
-            w[j] = acc / lu.u_diag[j];
+            w[j] = acc.map(|a| a / lu.u_diag[j]);
         }
         // Solve Lᵀ z = w (backward), then scatter through the permutation.
         for k in (0..self.m).rev() {
             let mut acc = w[k];
             for &(r, v) in lu.l_col(k) {
-                acc -= v * w[lu.pinv[r]];
+                for (a, wr) in acc.iter_mut().zip(w[lu.pinv[r]]) {
+                    *a -= v * wr;
+                }
             }
             w[k] = acc;
         }
-        for (&r, &wk) in lu.p.iter().zip(w.iter()) {
-            x[r] = wk;
+        for (&r, wk) in lu.p.iter().zip(w.iter()) {
+            for (x, &v) in xs.iter_mut().zip(wk) {
+                x[r] = v;
+            }
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -602,7 +639,7 @@ mod tests {
     }
 
     /// splitmix64: the test's own generator, seeded by the proptest case.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -613,12 +650,12 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
 
         /// A value in `[-2, 2)` with an exact zero one time in four.
-        fn value(&mut self) -> f64 {
+        pub(crate) fn value(&mut self) -> f64 {
             if self.below(4) == 0 {
                 0.0
             } else {
@@ -743,6 +780,56 @@ mod tests {
         Ok(())
     }
 
+    /// One case for the fused BTRAN: a [`random_case`] basis through
+    /// `updates` random pivots, refactorizing in place whenever the eta file
+    /// is full. Before the first pivot and after each, [`Basis::btran2`] of
+    /// a random right-hand side and of a unit or a random one — the dual
+    /// simplex's prices and row of `B⁻¹` — must give each vector the bits
+    /// [`Basis::btran`] gives it alone.
+    fn check_fused(m: usize, seed: u64, updates: usize) -> Result<(), TestCaseError> {
+        let mut rng = Rng(seed);
+        let (a, basis) = random_case(m, &mut rng);
+        let mut cols = basis.clone();
+        cols.extend((0..a.ncols()).filter(|c| !basis.contains(c)));
+        let tol = 1e-11;
+        let Some(mut fac) = Basis::factorize(&a, &cols[..m], tol) else {
+            return Ok(());
+        };
+        for step in 0..=updates {
+            if step > 0 {
+                let enter = m + rng.below(cols.len() - m);
+                let mut w = vec![0.0; m];
+                a.scatter_col(cols[enter], &mut w, &mut Vec::new());
+                fac.ftran(&mut w);
+                let slot = (0..m)
+                    .max_by(|&i, &j| w[i].abs().total_cmp(&w[j].abs()))
+                    .unwrap_or(0);
+                if !fac.update(slot, &w) {
+                    continue;
+                }
+                cols.swap(slot, enter);
+                if fac.needs_refactor() && !fac.refactor(&a, &cols[..m], tol) {
+                    return Ok(());
+                }
+            }
+            let y_rhs: Vec<f64> = (0..m).map(|_| rng.value()).collect();
+            let z_rhs: Vec<f64> = if rng.below(2) == 0 {
+                let unit = rng.below(m);
+                (0..m).map(|i| if i == unit { 1.0 } else { 0.0 }).collect()
+            } else {
+                (0..m).map(|_| rng.value()).collect()
+            };
+            let (mut y, mut z) = (y_rhs.clone(), z_rhs.clone());
+            fac.btran2(&mut y, &mut z);
+            let (mut y_alone, mut z_alone) = (y_rhs, z_rhs);
+            fac.btran(&mut y_alone);
+            fac.btran(&mut z_alone);
+            prop_assert_eq!(bits(&y), bits(&y_alone), "step {}: first vector", step);
+            prop_assert_eq!(bits(&z), bits(&z_alone), "step {}: second vector", step);
+        }
+        Ok(())
+    }
+
     /// One completion: a [`random_case`] selection with about a quarter of
     /// its slots emptied, completed with the unit columns `0..m` as the
     /// logical ones.
@@ -808,6 +895,18 @@ mod tests {
             updates in 0usize..=70,
         ) {
             check_case(m, seed, updates)?;
+        }
+
+        /// The fused BTRAN against two lone ones: the same bits for each
+        /// vector, through up to 70 eta updates (crossing the in-place
+        /// refactorization at `REFACTOR_EVERY`).
+        #[test]
+        fn fused_btran_matches_two_lone_solves(
+            m in 2usize..40,
+            seed in any::<u64>(),
+            updates in 0usize..=70,
+        ) {
+            check_fused(m, seed, updates)?;
         }
     }
 }

@@ -10,9 +10,18 @@
 //!   file of product-form updates, refactorized at a fixed file length),
 //! - the basic solution `x_B`, updated incrementally per pivot.
 //!
-//! Each iteration prices with reduced costs from one BTRAN (`Bᵀ y = c_B`)
-//! and sparse column dot products, then runs one FTRAN (`B w = a_q`) for
-//! the ratio test — `O(nnz)` per pivot instead of `O(m * width)`.
+//! A primal iteration prices the columns with reduced costs from one
+//! BTRAN (`Bᵀ y = c_B`), then runs one FTRAN (`B w = a_q`) for the ratio
+//! test — `O(nnz)` per pivot instead of `O(m * width)`. A dual iteration
+//! prices against the prices and the leaving row `rho` of `B⁻¹` (`Bᵀ rho
+//! = e_r`); one BTRAN pass solves both (`Basis::btran2`), walking the eta
+//! file and the LU factors once. Columns are priced by kind: a structural
+//! column over its CSC slices, a slack or surplus column from the one
+//! `(row, ±1)` entry `Instance::build` records for it. The dual ratio test
+//! divides only a nonzero reduced cost (a zero one is a zero ratio). Each
+//! of these does the floating-point operations of the plain BTRANs and
+//! dot products, in their order, so they leave every pivot and every
+//! returned bit as those would.
 //!
 //! An iteration allocates nothing. The solver owns its three length-`m`
 //! vectors — the prices `y`, the row `rho` of `B⁻¹` the dual ratio test
@@ -74,7 +83,11 @@
 //! refactorized and `x_B` recomputed from scratch, so the returned values
 //! are a pure function of the final `(basis, at_upper)` state — warm and
 //! cold solves that finish at the same basis return bit-identical
-//! solutions.
+//! solutions. A recomputed basic value that lands outside its bounds by
+//! more than the feasibility tolerance is repaired by the dual simplex
+//! from that optimal, so dual feasible, basis (or proves the LP
+//! infeasible), and the basis it ends at is refactorized and checked
+//! again.
 
 use crate::basis::{Basis, NO_COLUMN};
 use crate::error::SolverError;
@@ -121,6 +134,9 @@ pub(crate) struct Instance {
     /// Per row: its slack (`<=`) or surplus (`>=`) column; equality rows
     /// have none.
     slack_of: Vec<Option<usize>>,
+    /// The one entry `(row, ±1)` of slack or surplus column `n + i`, at
+    /// `i`: pricing reads it instead of the column's CSC slice.
+    slack_entry: Vec<(usize, f64)>,
 }
 
 impl Instance {
@@ -144,6 +160,45 @@ impl Instance {
     /// (`<=`), its surplus (`>=`) or, on an equality row, its artificial.
     fn logical(&self, i: usize) -> usize {
         self.slack_of[i].unwrap_or(self.init_basis[i])
+    }
+
+    /// Prices the columns below `art_start` that `keep` admits, in column
+    /// order, calling `visit(j, a_j · v)`: a structural column over its CSC
+    /// slices, a slack or surplus column from its one `(row, ±1)` entry.
+    /// Each product is bit for bit [`CscMatrix::col_dot`]'s.
+    fn price(&self, v: &[f64], keep: impl Fn(usize) -> bool, mut visit: impl FnMut(usize, f64)) {
+        for j in (0..self.n).filter(|&j| keep(j)) {
+            visit(j, self.a.col_dot(j, v));
+        }
+        for (i, &(r, sign)) in self.slack_entry.iter().enumerate() {
+            let j = self.n + i;
+            if keep(j) {
+                // `0.0 +` as the dot product's accumulator starts.
+                visit(j, 0.0 + v[r] * sign);
+            }
+        }
+    }
+
+    /// [`Instance::price`] against two vectors at once: `visit(j, a_j · v,
+    /// a_j · z)`, bit for bit [`CscMatrix::col_dot2`]'s.
+    fn price2(
+        &self,
+        v: &[f64],
+        z: &[f64],
+        keep: impl Fn(usize) -> bool,
+        mut visit: impl FnMut(usize, f64, f64),
+    ) {
+        for j in (0..self.n).filter(|&j| keep(j)) {
+            let (av, az) = self.a.col_dot2(j, v, z);
+            visit(j, av, az);
+        }
+        for (i, &(r, sign)) in self.slack_entry.iter().enumerate() {
+            let j = self.n + i;
+            if keep(j) {
+                // `0.0 +` as the dot product's accumulator starts.
+                visit(j, 0.0 + v[r] * sign, 0.0 + z[r] * sign);
+            }
+        }
     }
 
     /// Rewrites structural column `j`; see [`CscMatrix::set_col`].
@@ -197,6 +252,7 @@ impl Instance {
         let mut b = Vec::with_capacity(m);
         let mut init_basis = Vec::with_capacity(m);
         let mut slack_of = vec![None; m];
+        let mut slack_entry = Vec::with_capacity(n_slack);
         let mut slack_cursor = n;
         let mut art_cursor = art_start;
         for (i, (terms, cmp, rhs)) in lp.rows.iter().enumerate() {
@@ -208,12 +264,14 @@ impl Instance {
             match effective_cmp(*cmp, *rhs) {
                 Cmp::Le => {
                     put(slack_cursor, i, 1.0);
+                    slack_entry.push((i, 1.0));
                     init_basis.push(slack_cursor);
                     slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
                 }
                 Cmp::Ge => {
                     put(slack_cursor, i, -1.0);
+                    slack_entry.push((i, -1.0));
                     slack_of[i] = Some(slack_cursor);
                     slack_cursor += 1;
                     put(art_cursor, i, 1.0);
@@ -242,6 +300,7 @@ impl Instance {
             m,
             init_basis,
             slack_of,
+            slack_entry,
         }
     }
 }
@@ -398,9 +457,11 @@ struct Solver<'a> {
     /// are not in the canonical order [`Solver::extract`] reads values in.
     completed: bool,
     x_b: Vec<f64>,
-    /// Dual prices `B⁻ᵀ c_B` from the last [`Solver::prices`].
+    /// Dual prices `B⁻ᵀ c_B` from the last [`Solver::prices`] or
+    /// [`Solver::prices_and_row`].
     y: Vec<f64>,
-    /// Row `slot` of `B⁻¹` from the last [`Solver::inverse_row`].
+    /// Row `slot` of `B⁻¹` from the last [`Solver::inverse_row`] or
+    /// [`Solver::prices_and_row`].
     rho: Vec<f64>,
     /// FTRAN image `B⁻¹ a_j` from the last [`Solver::ftran_col`].
     w: Vec<f64>,
@@ -522,37 +583,69 @@ impl<'a> Solver<'a> {
     }
 
     /// Whether the basis is dual feasible for the phase-2 costs: no
-    /// [`Solver::dual_miss`] above `1e-7`.
+    /// [`Solver::miss`] above `1e-7`.
     fn dual_feasible(&mut self) -> bool {
         let inst = self.inst;
         self.prices(&inst.costs);
-        !(0..inst.art_start).any(|j| self.dual_miss(&inst.costs, j, 2).is_some_and(|d| d > 1e-7))
+        let mut infeasible = false;
+        inst.price(
+            &self.y,
+            |j| self.priced(j),
+            |j, ay| {
+                infeasible |= self.miss(j, inst.costs[j] - ay) > 1e-7;
+            },
+        );
+        !infeasible
     }
 
-    /// How far `d_j = c_j − a_j·y` misses the optimality sign for `j`'s
-    /// bound side (`d_j >= 0` at lower, `<= 0` at upper); positive when
-    /// moving `j` pays, `None` for a basic or fixed column.
-    fn dual_miss(&self, costs: &[f64], j: usize, phase: u8) -> Option<f64> {
-        if self.in_basis[j] || self.ub(j, phase) <= 0.0 {
-            return None;
+    /// Whether column `j` (below `art_start`) is priced: it is nonbasic
+    /// and not fixed at zero.
+    fn priced(&self, j: usize) -> bool {
+        !self.in_basis[j] && self.inst.upper[j] > 0.0
+    }
+
+    /// How far the reduced cost `d = c_j − a_j·y` of a priced column `j`
+    /// misses the optimality sign for `j`'s bound side (`d >= 0` at lower,
+    /// `<= 0` at upper); positive when moving `j` pays.
+    fn miss(&self, j: usize, d: f64) -> f64 {
+        if self.at_upper[j] {
+            d
+        } else {
+            -d
         }
-        let d = costs[j] - self.inst.a.col_dot(j, &self.y);
-        Some(if self.at_upper[j] { d } else { -d })
     }
 
     /// Dual prices `y = B⁻ᵀ c_B` for the given cost vector, into `y`.
     fn prices(&mut self, costs: &[f64]) {
-        for (yi, &c) in self.y.iter_mut().zip(&self.basis) {
-            *yi = costs[c];
-        }
+        self.load_costs(costs);
         self.fac.btran(&mut self.y);
     }
 
     /// Row `slot` of `B⁻¹`, into `rho`: `rho · a_j = (B⁻¹ a_j)[slot]`.
     fn inverse_row(&mut self, slot: usize) {
+        self.load_unit(slot);
+        self.fac.btran(&mut self.rho);
+    }
+
+    /// [`Solver::prices`] and [`Solver::inverse_row`] in one BTRAN pass,
+    /// each vector bit for bit what its own solve would make.
+    fn prices_and_row(&mut self, costs: &[f64], slot: usize) {
+        self.load_costs(costs);
+        self.load_unit(slot);
+        self.fac.btran2(&mut self.y, &mut self.rho);
+    }
+
+    /// `c_B` into `y`, the right-hand side of the prices' BTRAN.
+    fn load_costs(&mut self, costs: &[f64]) {
+        for (yi, &c) in self.y.iter_mut().zip(&self.basis) {
+            *yi = costs[c];
+        }
+    }
+
+    /// `e_slot` into `rho`, the right-hand side of row `slot`'s BTRAN.
+    fn load_unit(&mut self, slot: usize) {
         self.rho.fill(0.0);
         self.rho[slot] = 1.0;
-        self.fac.btran(&mut self.rho);
     }
 
     /// Phase 1: minimize the sum of artificial variables from the identity
@@ -626,7 +719,7 @@ impl<'a> Solver<'a> {
                     pivots: self.stats.total_pivots(),
                 });
             }
-            let Some((col, dir)) = self.choose_entering(costs, phase) else {
+            let Some((col, dir)) = self.choose_entering(costs) else {
                 return Ok(());
             };
             self.ftran_col(col);
@@ -682,25 +775,27 @@ impl<'a> Solver<'a> {
     /// suspected, Bland (lowest index). Returns the entering column and its
     /// movement direction: `+1` rising from its lower bound, `-1` falling
     /// from its upper bound. Artificial and fixed columns never enter.
-    fn choose_entering(&mut self, costs: &[f64], phase: u8) -> Option<(usize, f64)> {
+    fn choose_entering(&mut self, costs: &[f64]) -> Option<(usize, f64)> {
         self.prices(costs);
-        let limit = self.inst.art_start;
         let mut best: Option<(usize, f64)> = None;
         let mut best_viol = RC_TOL;
-        for j in 0..limit {
-            let Some(viol) = self.dual_miss(costs, j, phase) else {
-                continue;
-            };
-            if viol > best_viol {
-                // Decrease from the upper bound, or increase from the lower.
-                let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
-                if self.bland {
-                    return Some((j, dir));
+        let inst = self.inst;
+        inst.price(
+            &self.y,
+            |j| self.priced(j),
+            |j, ay| {
+                if self.bland && best.is_some() {
+                    return; // Bland: the lowest index wins.
                 }
-                best_viol = viol;
-                best = Some((j, dir));
-            }
-        }
+                let viol = self.miss(j, costs[j] - ay);
+                if viol > best_viol {
+                    // Decrease from the upper bound, or increase from the lower.
+                    let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
+                    best_viol = viol;
+                    best = Some((j, dir));
+                }
+            },
+        );
         best
     }
 
@@ -804,26 +899,20 @@ impl<'a> Solver<'a> {
             let Some((r, _, above)) = leave else {
                 return Ok(()); // Primal feasible: dual reoptimization done.
             };
-            self.prices(costs);
-            self.inverse_row(r);
+            self.prices_and_row(costs, r);
             // Entering: minimum dual ratio |d_j| / |alpha_j| over columns
             // whose movement pushes x_B[r] back toward the violated bound.
             let mut best: Option<(usize, f64, f64, f64)> = None; // (j, ratio, |alpha|, dir)
-            for j in 0..self.inst.art_start {
-                if self.in_basis[j] || self.ub(j, 2) <= 0.0 {
-                    continue;
-                }
-                // One pass over the column prices it against both vectors.
-                let (alpha, ay) = self.inst.a.col_dot2(j, &self.rho, &self.y);
+            let consider = |j: usize, alpha: f64, ay: f64| {
                 if alpha.abs() <= PIVOT_TOL {
-                    continue;
+                    return;
                 }
                 let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
                 // x_B[r] moves by `-dir * alpha` per unit step; it must
                 // move down when above its upper bound, up when below zero.
                 let movement = -dir * alpha;
                 if (above && movement >= 0.0) || (!above && movement <= 0.0) {
-                    continue;
+                    return;
                 }
                 let d = costs[j] - ay;
                 let dres = if self.at_upper[j] {
@@ -831,7 +920,8 @@ impl<'a> Solver<'a> {
                 } else {
                     d.max(0.0)
                 };
-                let ratio = dres / alpha.abs();
+                // A zero reduced cost is a zero ratio: no division.
+                let ratio = if dres == 0.0 { 0.0 } else { dres / alpha.abs() };
                 let better = match best {
                     None => true,
                     Some((bj, bratio, balpha, _)) => {
@@ -852,7 +942,9 @@ impl<'a> Solver<'a> {
                 if better {
                     best = Some((j, ratio, alpha.abs(), dir));
                 }
-            }
+            };
+            let inst = self.inst;
+            inst.price2(&self.rho, &self.y, |j| self.priced(j), consider);
             let Some((q, ratio, _, dir)) = best else {
                 // Dual unbounded: no column can repair the violated row, so
                 // the LP is primal infeasible.
@@ -981,14 +1073,26 @@ impl<'a> Solver<'a> {
     /// values are a pure function of the final `(basis set, at_upper)`
     /// state. That canonical factorization is handed back through `kept`,
     /// where [`KeptLu::duals`] reads the optimum's row duals from it.
+    ///
+    /// A recomputed basic value can land outside its bounds where the
+    /// updates held it inside. The dual simplex repairs it from the optimal
+    /// — so dual feasible — basis, and the basis it ends at is
+    /// canonicalized and checked in turn.
     fn extract(
         mut self,
         kept: &mut Option<KeptLu>,
     ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
-        let sorted = self.basis.windows(2).all(|w| w[0] < w[1]);
-        if !sorted || self.fac.has_updates() || self.completed {
-            self.basis.sort_unstable();
-            self.refactorize().map_err(|e| (e, self.stats))?;
+        loop {
+            let sorted = self.basis.windows(2).all(|w| w[0] < w[1]);
+            if !sorted || self.fac.has_updates() || self.completed {
+                self.basis.sort_unstable();
+                self.completed = false;
+                self.refactorize().map_err(|e| (e, self.stats))?;
+            }
+            if self.primal_feasible() {
+                break;
+            }
+            self.dual_phase().map_err(|e| (e, self.stats))?;
         }
         let mut x = vec![0.0; self.inst.n];
         for (j, xv) in x.iter_mut().enumerate() {
@@ -1038,7 +1142,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Certifies `primal` optimal from the state's own duals `y = B⁻ᵀ c_B`
-    /// (priced into `y`; nothing is allocated): every [`Solver::dual_miss`]
+    /// (priced into `y`; nothing is allocated): every [`Solver::miss`]
     /// within `1e-7·(1 + |c_j| + Σ|a_ij y_i|)`, every basic value in `[0, u]`
     /// within `1e-6·(1 + u)` (`u` finite, else 0), and `primal` equal to
     /// `b·y + Σ_{j at upper} u_j d_j` within `1e-6·(1 + max)`.
@@ -1052,10 +1156,8 @@ impl<'a> Solver<'a> {
         let inst = self.inst;
         self.prices(&inst.costs);
         let mut dual: f64 = inst.b.iter().zip(&self.y).map(|(b, y)| b * y).sum();
-        for j in 0..inst.art_start {
-            let Some(miss) = self.dual_miss(&inst.costs, j, 2) else {
-                continue;
-            };
+        for j in (0..inst.art_start).filter(|&j| self.priced(j)) {
+            let miss = self.miss(j, inst.costs[j] - inst.a.col_dot(j, &self.y));
             let size: f64 = inst.a.col(j).map(|(r, v)| (v * self.y[r]).abs()).sum();
             let tol = 1e-7 * (1.0 + inst.costs[j].abs() + size);
             check("reduced cost", j, miss, tol)?;
@@ -1087,6 +1189,8 @@ struct Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::tests::Rng;
+    use proptest::prelude::*;
 
     fn std_lp(ncols: usize, costs: Vec<f64>, rows: Vec<(Vec<f64>, Cmp, f64)>) -> StandardForm {
         let rows = rows
@@ -1368,6 +1472,66 @@ mod tests {
         // The same optimal basis, reported with a wrong objective.
         let verdict = solver.certify(-10.0 + 1e-3).unwrap_err();
         assert_eq!(verdict.what, "duality gap", "{verdict:?}");
+    }
+
+    /// One random instance: up to 12 structural columns over up to 10
+    /// rows of every comparison, some with a negative right-hand side (so
+    /// normalization flips them), priced by kind against two vectors that
+    /// hold exact and negative zeros.
+    fn check_pricing(seed: u64) -> Result<(), TestCaseError> {
+        let mut rng = Rng(seed);
+        let (n, m) = (1 + rng.below(12), 1 + rng.below(10));
+        let rows = (0..m)
+            .map(|_| {
+                let terms: Vec<(usize, f64)> = (0..n)
+                    .map(|j| (j, if rng.below(3) == 0 { rng.value() } else { 0.0 }))
+                    .filter(|&(_, c)| c != 0.0)
+                    .collect();
+                let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.below(3)];
+                (terms, cmp, rng.value())
+            })
+            .collect();
+        let lp = StandardForm {
+            ncols: n,
+            costs: vec![0.0; n],
+            rows,
+            upper: vec![f64::INFINITY; n],
+        };
+        let inst = Instance::build(&lp);
+        let mut vector = || -> Vec<f64> {
+            (0..m)
+                .map(|_| if rng.below(6) == 0 { -0.0 } else { rng.value() })
+                .collect()
+        };
+        let (v, z) = (vector(), vector());
+        let (mut two, mut one) = (Vec::new(), Vec::new());
+        inst.price2(&v, &z, |_| true, |j, av, az| two.push((j, av, az)));
+        inst.price(&v, |_| true, |j, av| one.push((j, av)));
+        prop_assert_eq!(two.len(), inst.art_start);
+        prop_assert_eq!(one.len(), inst.art_start);
+        for (j, (&(j2, av, az), &(j1, a1))) in two.iter().zip(&one).enumerate() {
+            prop_assert_eq!((j2, j1), (j, j), "column order");
+            let (cv, cz) = inst.a.col_dot2(j, &v, &z);
+            prop_assert_eq!((av.to_bits(), az.to_bits()), (cv.to_bits(), cz.to_bits()));
+            prop_assert_eq!(
+                a1.to_bits(),
+                inst.a.col_dot(j, &v).to_bits(),
+                "column {}",
+                j
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Pricing by column kind gives every column below the artificials,
+        /// in column order, the bits of its CSC dot products.
+        #[test]
+        fn pricing_by_kind_matches_the_csc_dot_products(seed in any::<u64>()) {
+            check_pricing(seed)?;
+        }
     }
 
     #[test]

@@ -92,6 +92,10 @@ impl CscMatrix {
     }
 
     /// Iterates the `(row, value)` nonzeros of column `j`.
+    // Inlined, like the dot products below: the simplex calls them once
+    // per column per pivot on columns of one to three entries, and a call
+    // left out of line cost more than the entries it read.
+    #[inline]
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.col_ptr[j]..self.col_ptr[j] + self.col_len[j];
         self.row_idx[range.clone()]
@@ -106,6 +110,7 @@ impl CscMatrix {
     }
 
     /// Sparse dot product `y . column_j` against a dense vector.
+    #[inline(always)]
     pub fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
         let mut acc = 0.0;
         for (r, v) in self.col(j) {
@@ -118,6 +123,7 @@ impl CscMatrix {
     /// one pass over the column's nonzeros — the dual simplex prices every
     /// candidate column against both the dual prices and a row of `B⁻¹`,
     /// and the fused loop halves that scan.
+    #[inline(always)]
     pub fn col_dot2(&self, j: usize, y: &[f64], z: &[f64]) -> (f64, f64) {
         let mut acc_y = 0.0;
         let mut acc_z = 0.0;
