@@ -8,8 +8,8 @@
 //!   time per pivot;
 //! - the snapshot cache: populating it with every job, a fresh
 //!   `build_tensor_with_pairs` of the same rows, a snapshot of an
-//!   unchanged job set, and one churn step (a completion, an arrival and
-//!   a snapshot);
+//!   unchanged job set (a selection pass and the assembly), and one churn
+//!   step (a completion, an arrival and a snapshot);
 //! - the estimator-backed snapshot cache (Figure 14's pair source):
 //!   populating it, a fresh estimator-driven build of the same rows, and
 //!   one drift step (two observed pairs and a snapshot);

@@ -11,34 +11,15 @@
 //! recorded beside the service. The run ends by serializing the log to
 //! its text form, parsing it back,
 //! and replaying it against a fresh service — panicking unless the
-//! replayed [`SimResult`] is bit-identical, counters included.
+//! replayed [`SimResult`](gavel_service::SimResult) is bit-identical, counters included.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- svc_replay`
 
 use crate::{print_table, Scale};
 use gavel_policies::MaxMinFairness;
-use gavel_service::{replay, Command, SchedulerService, ServiceConfig, SimResult, SubmissionLog};
+use gavel_service::{replay, Command, SchedulerService, ServiceConfig, SubmissionLog};
 use gavel_sim::SimConfig;
 use gavel_workloads::{assign_entities, cluster_twelve, generate, Oracle, TraceConfig};
-
-fn mix(acc: u64, x: u64) -> u64 {
-    (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-fn result_fingerprint(r: &SimResult) -> u64 {
-    let mut h = 0u64;
-    h = mix(h, r.makespan.to_bits());
-    h = mix(h, r.total_cost.to_bits());
-    h = mix(h, r.utilization.to_bits());
-    h = mix(h, r.rounds as u64);
-    h = mix(h, r.recomputations as u64);
-    for j in &r.jobs {
-        h = mix(h, j.id.0);
-        h = mix(h, j.completion.unwrap_or(-1.0).to_bits());
-        h = mix(h, j.cost.to_bits());
-    }
-    h
-}
 
 pub fn run(scale: Scale) {
     let num_jobs = scale.num_jobs(16, 48, 150);
@@ -130,14 +111,14 @@ pub fn run(scale: Scale) {
     // bust.
     let replayed = replay(&policy, &cfg, &service, &log).expect("logged commands replay");
     assert_eq!(
-        result_fingerprint(&live),
-        result_fingerprint(&replayed),
+        live.digest(),
+        replayed.digest(),
         "replay diverged from the live session"
     );
     assert_eq!(live.service_stats, replayed.service_stats);
     println!(
         "replay: {} logged commands -> bit-identical result (fingerprint {:#018x})",
         log.commands().len(),
-        result_fingerprint(&live),
+        live.digest(),
     );
 }

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn a_stalled_hint_does_not_change_a_feasibility_verdict() {
-        use gavel_solver::{bisect_min, PreparedLp, WarmStart};
+        use gavel_solver::{bisect_min, BasisEntry, PreparedLp};
         use gavel_workloads::{
             build_tensor_with_pairs, cluster_scaled, generate, JobSpec, Oracle, PairOptions,
             TraceConfig,
@@ -468,7 +468,7 @@ mod tests {
             .collect();
         let lo = alone.iter().copied().fold(0.0, f64::max);
         let hi = alone.iter().sum::<f64>() * 1.01 + 1.0;
-        let mut cache: Option<WarmStart> = None;
+        let mut cache: Option<Vec<BasisEntry>> = None;
         let mut probes = 0;
         bisect_min(lo, hi, 1e-3 * hi, 80, |makespan| {
             let mut alp = AllocLp::new(&input, Sense::Maximize);
@@ -478,9 +478,11 @@ mod tests {
                 alp.lp.add_constraint(&terms, Cmp::Ge, floor);
             }
             let unhinted = alp.lp.solve().map(drop);
-            let hinted = PreparedLp::new(alp.lp)
-                .and_then(|mut lp| lp.solve(cache.as_ref()).map_err(|(e, _)| e))
-                .map(|(_, basis)| cache = Some(basis));
+            let hinted = PreparedLp::new(alp.lp).and_then(|mut lp| {
+                lp.solve(cache.as_deref())?;
+                cache = lp.basis();
+                Ok(())
+            });
             assert_eq!(hinted, unhinted, "probe {probes} at M = {makespan}");
             probes += 1;
             unhinted.is_ok()

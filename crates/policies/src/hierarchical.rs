@@ -311,8 +311,6 @@ impl<'i, 'a> WaterFill<'i, 'a> {
     /// Returns the round's allocation.
     fn raise_floors(&mut self, active: &[usize]) -> Result<Allocation, PolicyError> {
         let round = &mut self.round;
-        // Written before the patches, which may leave the LP to re-lower.
-        let hint = round.lp.basis_hint(&self.start);
         // `t` appears in the active jobs' rows only, so its stored column
         // shrinks with the active set (a no-op in the first round).
         let t_column: Vec<(ConstraintId, f64)> = (active.iter())
@@ -322,14 +320,15 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for (&row, &floor) in round.floor_rows.iter().zip(&self.floors) {
             round.lp.set_rhs(row, floor);
         }
-        let (sol, optimal) = (round.lp.solve(hint.as_ref())).map_err(|(e, _)| solver_err(e))?;
+        let sol = round.lp.solve(Some(&self.start)).map_err(solver_err)?;
         self.stats.absorb(&sol.stats);
-        let y = (round.lp.row_duals())
-            .ok_or_else(|| PolicyError::Solver("round LP optimum without duals".into()))?;
+        let (Some(y), Some(start)) = (round.lp.row_duals(), round.lp.basis()) else {
+            return Err(PolicyError::Solver("round LP optimum without duals".into()));
+        };
         for (dual, row) in self.duals.iter_mut().zip(&round.floor_rows) {
             *dual = y[row.index()];
         }
-        self.start = round.lp.basis_entries(&optimal);
+        self.start = start;
         self.start
             .retain(|&entry| entry != BasisEntry::Var(round.t));
         let t_star = sol.value(round.t);

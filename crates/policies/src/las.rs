@@ -44,8 +44,8 @@
 //!   and the dual simplex repairs exactly those rows.
 //!
 //! The solver classifies both hints like any other (see
-//! [`PreparedLp::basis_hint`]); an unusable one costs a cold start, never
-//! a wrong answer.
+//! [`PreparedLp::solve`]); an unusable one costs a cold start, never a
+//! wrong answer.
 
 use crate::common::{check_input, solver_err, spread, waterfill_shares, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
@@ -127,15 +127,11 @@ impl MaxMinFairness {
         // variable block for `extract`.
         let lp = std::mem::replace(&mut alp.lp, LpProblem::new(Sense::Maximize));
         let mut lp = PreparedLp::new(lp).map_err(solver_err)?;
-        let solve_hinted = |lp: &mut PreparedLp, basis: &[BasisEntry]| {
-            let hint = lp.basis_hint(basis);
-            lp.solve(hint.as_ref()).map_err(|(e, _)| solver_err(e))
-        };
         let slack = |row: &ConstraintId| BasisEntry::Slack(*row);
 
         // Max t from the origin: validity rows on their slacks, floor rows
         // on their jobs' best cells.
-        let (sol, _) = solve_hinted(&mut lp, &alp.origin(&on_cell))?;
+        let sol = lp.solve(Some(&alp.origin(&on_cell))).map_err(solver_err)?;
         let mut stats = sol.stats;
         if !refine {
             return Ok((alp.extract(input, &sol), stats));
@@ -157,7 +153,7 @@ impl MaxMinFairness {
         }
         let mut full_time = on_cell;
         full_time.extend(alp.capacity.iter().flatten().chain(&floors).map(slack));
-        let (sol, _) = solve_hinted(&mut lp, &full_time)?;
+        let sol = lp.solve(Some(&full_time)).map_err(solver_err)?;
         stats.absorb(&sol.stats);
         Ok((alp.extract(input, &sol), stats))
     }

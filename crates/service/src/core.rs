@@ -990,7 +990,9 @@ impl<'p> SchedulerService<'p> {
     }
 }
 
-fn mix(acc: u64, x: u64) -> u64 {
+/// One step of the fingerprint folds: [`SchedulerService::state_fingerprint`]
+/// and [`crate::SimResult::digest`].
+pub(crate) fn mix(acc: u64, x: u64) -> u64 {
     (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 

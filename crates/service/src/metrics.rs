@@ -1,5 +1,6 @@
 //! Simulation outcomes and the metrics the paper reports.
 
+use crate::core::mix;
 use crate::snapshot::SnapshotStats;
 use gavel_core::{EntityId, JobId, PolicyError};
 use gavel_sched::MechanismStats;
@@ -301,6 +302,27 @@ pub struct SimResult {
 }
 
 impl SimResult {
+    /// Folds the run's outcome into one value, bit for bit: makespan,
+    /// cost, utilization, rounds, recomputations, never-placeable jobs, and
+    /// each job's id, completion and cost. Two runs with equal digests
+    /// reported the same outcome; the stats and [`SimResult::phases`] are
+    /// outside it.
+    pub fn digest(&self) -> u64 {
+        let mut h = 0u64;
+        h = mix(h, self.makespan.to_bits());
+        h = mix(h, self.total_cost.to_bits());
+        h = mix(h, self.utilization.to_bits());
+        h = mix(h, self.rounds as u64);
+        h = mix(h, self.recomputations as u64);
+        h = mix(h, self.never_placeable as u64);
+        for j in &self.jobs {
+            h = mix(h, j.id.0);
+            h = mix(h, j.completion.unwrap_or(-1.0).to_bits());
+            h = mix(h, j.cost.to_bits());
+        }
+        h
+    }
+
     /// Average JCT in hours over every completed job, zero if none did;
     /// [`SimResult::steady_state_avg_jct_hours`] drops warm-up/cool-down.
     pub fn avg_jct_hours(&self) -> f64 {

@@ -61,9 +61,8 @@
 //!    ([`SnapshotStats::pair_evals`]), into a pending list of the pairs
 //!    that clear `min_aggregate`. The list is sorted and merged into the
 //!    store in one pass ([`SnapshotStats::candidates_sorted`]).
-//! 4. *Reselect.* If anything was admitted, removed or re-scored since
-//!    the last pass, the selection runs again; otherwise the memoized
-//!    selection stands and the snapshot is a pure assembly.
+//! 4. *Reselect.* Every snapshot runs the selection pass over the
+//!    store, against the current job vector's classes.
 //! 5. *Rows with their scores.* The `pair_row` call that scores a class
 //!    pair also derives its row, and the candidate keeps it, its cells in
 //!    class order: the member of `ca` in `a`. `Combo::pair` orders a pair
@@ -555,12 +554,9 @@ pub struct SnapshotCache {
     /// (an entry whose flag is clear was freed, or listed twice).
     dirty: Vec<u32>,
     store: PairStore,
-    /// Memoized selection (job pairs in emission order), valid while no
-    /// admit/remove/drift has happened since it was computed — so
-    /// cadence-driven recomputes over an unchanged job set skip the
-    /// selection pass entirely.
+    /// The last snapshot's selection (job pairs in emission order), kept
+    /// for its capacity and read by the assembly.
     selected: Vec<Pick>,
-    selection_dirty: bool,
     /// Assembly scratch: the job ids, parallel to `specs`, and the
     /// selection's position pairs, in emission order.
     ids: Vec<JobId>,
@@ -589,7 +585,6 @@ impl SnapshotCache {
             dirty: Vec::new(),
             store: PairStore::default(),
             selected: Vec::new(),
-            selection_dirty: true,
             ids: Vec::new(),
             pair_at: Vec::new(),
             crosscheck: cfg!(debug_assertions),
@@ -716,7 +711,6 @@ impl SnapshotCache {
         self.class_of.push(class);
         self.specs.push(spec);
         self.policy_jobs.push(job);
-        self.selection_dirty = true;
         if let Some(bridge) = &mut self.estimator {
             bridge.register(oracle, spec.id, spec.config);
         }
@@ -764,7 +758,6 @@ impl SnapshotCache {
                 self.free_classes.push(c);
             }
         }
-        self.selection_dirty = true;
         self.stats.rows_dropped += 1;
     }
 
@@ -815,17 +808,12 @@ impl SnapshotCache {
         self.stats.candidates_sorted += merged;
         self.stats.pair_rows_materialized += merged;
         self.dirty.clear();
-        self.selection_dirty = true;
     }
 
-    /// Brings the selection up to date: if anything was admitted, removed
-    /// or re-scored since the last pass, runs the selection pass — the
-    /// walk over the sorted store, re-run through the flat
-    /// [`rank_and_cap`] and asserted identical when crosschecking.
+    /// Runs the selection pass — the walk over the sorted store, re-run
+    /// through the flat [`rank_and_cap`] and asserted identical when
+    /// crosschecking.
     fn reselect(&mut self, cap: usize) {
-        if !self.selection_dirty {
-            return;
-        }
         let classes = self.classes.len();
         self.stats.bucketed_selections += 1;
         (self.store).select(
@@ -844,7 +832,6 @@ impl SnapshotCache {
                 "the selection diverged from the flat rank_and_cap oracle"
             );
         }
-        self.selection_dirty = false;
     }
 
     /// Selected job pair `p`'s row in `Combo::pair` order: its class
@@ -885,8 +872,8 @@ impl SnapshotCache {
 
     /// Assembles the current snapshot: drains the dirty list — with an
     /// estimator, after adding the classes of the jobs it refined since
-    /// the last call — and reselects if anything changed (see the module
-    /// docs for the invalidation protocol).
+    /// the last call — and runs the selection pass (see the module docs
+    /// for the invalidation protocol).
     ///
     /// Row-for-row identical to `build_tensor_with_pairs(oracle, specs,
     /// consolidated, opts)`, to `build_tensor_with_pairs_by(.., |a, b, g|
@@ -1602,14 +1589,19 @@ mod tests {
             cache.remove(i);
             assert_bridged_matches_fresh(&mut cache, &oracle, opts);
         }
-        // A clean recompute (no drift, no churn) is a pure assembly — no
-        // evaluation, selection or row derivation — and must also match.
+        // A clean recompute (no drift, no churn) evaluates no pair and
+        // derives no row: it is one selection pass and the assembly, and
+        // must also match.
         let before = cache.stats();
         assert_bridged_matches_fresh(&mut cache, &oracle, opts);
+        let after = cache.stats();
         assert_eq!(
-            cache.stats(),
+            after,
             SnapshotStats {
                 bridged_snapshots: before.bridged_snapshots + 1,
+                bucketed_selections: before.bucketed_selections + 1,
+                flat_reranks: before.flat_reranks + 1,
+                buckets_walked: after.buckets_walked,
                 ..before
             }
         );

@@ -17,7 +17,7 @@ use gavel_service::wal::{scan_wal, FaultPlan, KillSpec, Wal};
 use gavel_service::{
     config_fingerprint, recover, run_until_crash, Checkpoint, Command, DurableService,
     MemoryCheckpointStore, MemorySink, RecomputeCadence, Rejection, SchedulerService,
-    ServiceConfig, ServiceError, SimConfig, SimResult, SubmissionLog,
+    ServiceConfig, ServiceError, SimConfig, SubmissionLog,
 };
 use gavel_workloads::{JobConfig, ModelFamily, TraceJob};
 
@@ -27,25 +27,6 @@ fn small_cluster() -> gavel_core::ClusterSpec {
         ("p100", 2, 2, 1.46),
         ("k80", 2, 2, 0.45),
     ])
-}
-
-fn mix(acc: u64, x: u64) -> u64 {
-    (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-fn result_fingerprint(r: &SimResult) -> u64 {
-    let mut h = 0u64;
-    h = mix(h, r.makespan.to_bits());
-    h = mix(h, r.total_cost.to_bits());
-    h = mix(h, r.utilization.to_bits());
-    h = mix(h, r.rounds as u64);
-    h = mix(h, r.recomputations as u64);
-    for j in &r.jobs {
-        h = mix(h, j.id.0);
-        h = mix(h, j.completion.unwrap_or(-1.0).to_bits());
-        h = mix(h, j.cost.to_bits());
-    }
-    h
 }
 
 fn job(id: u64, arrival: f64, entity: Option<usize>) -> TraceJob {
@@ -222,8 +203,8 @@ fn crash_matrix(name: &str, cfg: &SimConfig, checkpoint_every: usize) {
         );
         let resumed_result = durable.into_result();
         assert_eq!(
-            result_fingerprint(&resumed_result),
-            result_fingerprint(&reference_result),
+            resumed_result.digest(),
+            reference_result.digest(),
             "[{name}] kill@{kill_at}: resumed result diverged"
         );
         assert_eq!(

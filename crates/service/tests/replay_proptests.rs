@@ -7,9 +7,7 @@
 
 use gavel_core::JobId;
 use gavel_policies::MaxMinFairness;
-use gavel_service::{
-    replay, Command, SchedulerService, ServiceConfig, SimConfig, SimResult, SubmissionLog,
-};
+use gavel_service::{replay, Command, SchedulerService, ServiceConfig, SimConfig, SubmissionLog};
 use gavel_workloads::{JobConfig, TraceJob};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -20,26 +18,6 @@ fn small_cluster() -> gavel_core::ClusterSpec {
         ("p100", 2, 2, 1.46),
         ("k80", 2, 2, 0.45),
     ])
-}
-
-fn mix(acc: u64, x: u64) -> u64 {
-    (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-fn result_fingerprint(r: &SimResult) -> u64 {
-    let mut h = 0u64;
-    h = mix(h, r.makespan.to_bits());
-    h = mix(h, r.total_cost.to_bits());
-    h = mix(h, r.utilization.to_bits());
-    h = mix(h, r.rounds as u64);
-    h = mix(h, r.recomputations as u64);
-    h = mix(h, r.never_placeable as u64);
-    for j in &r.jobs {
-        h = mix(h, j.id.0);
-        h = mix(h, j.completion.unwrap_or(-1.0).to_bits());
-        h = mix(h, j.cost.to_bits());
-    }
-    h
 }
 
 /// Applies `cmd` to `svc` and records it, with the verdict, in `log`.
@@ -144,7 +122,7 @@ fn run_interleaving(
     // (b) Full replay → bit-identical result.
     let live = svc.into_result();
     let replayed = replay(&policy, &cfg, &service, &log).expect("logged commands replay");
-    prop_assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
+    prop_assert_eq!(live.digest(), replayed.digest());
     prop_assert_eq!(&live.service_stats, &replayed.service_stats);
     prop_assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
     Ok(())

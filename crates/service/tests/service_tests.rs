@@ -46,26 +46,6 @@ fn submit(job: TraceJob) -> Command {
     Command::Submit { job }
 }
 
-fn mix(acc: u64, x: u64) -> u64 {
-    (acc.rotate_left(13) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-}
-
-/// Bit-exact fold over everything a [`SimResult`] reports.
-fn result_fingerprint(r: &SimResult) -> u64 {
-    let mut h = 0u64;
-    h = mix(h, r.makespan.to_bits());
-    h = mix(h, r.total_cost.to_bits());
-    h = mix(h, r.utilization.to_bits());
-    h = mix(h, r.rounds as u64);
-    h = mix(h, r.recomputations as u64);
-    for j in &r.jobs {
-        h = mix(h, j.id.0);
-        h = mix(h, j.completion.unwrap_or(-1.0).to_bits());
-        h = mix(h, j.cost.to_bits());
-    }
-    h
-}
-
 fn counters_for(r: &SimResult, entity: Option<u32>) -> EntityCounters {
     r.service_stats
         .per_entity
@@ -488,7 +468,7 @@ fn replay_reproduces_interactive_session() {
             &log,
         )
         .expect("logged commands replay");
-        assert_eq!(result_fingerprint(&live), result_fingerprint(&replayed));
+        assert_eq!(live.digest(), replayed.digest());
         assert_eq!(live.service_stats, replayed.service_stats);
         assert_eq!(live.snapshot_stats, replayed.snapshot_stats);
         assert_eq!(live.snapshot_stats.bridged_snapshots > 0, estimated);
@@ -646,7 +626,7 @@ fn a_failed_solve_is_counted_and_planned_from_the_isolated_split() {
     // on the same state.
     let fresh = FlakySolver::default();
     let replayed = replay(&fresh, &cfg, &svc_cfg, &log).expect("logged commands replay");
-    assert_eq!(result_fingerprint(&replayed), result_fingerprint(&live));
+    assert_eq!(replayed.digest(), live.digest());
     assert_eq!(replayed.policy_failure_kinds, live.policy_failure_kinds);
     let fresh = FlakySolver::default();
     let (recovered, _) = recover(&fresh, &cfg, &svc_cfg, None, &wal).unwrap();

@@ -139,20 +139,29 @@ fn run_sequence(
         });
         assert_eq!(cache.candidate_count(), kept);
 
-        // With no drift and no churn a snapshot is a pure assembly: no
-        // evaluation, no selection pass, no row derivation.
+        // With no drift and no churn a snapshot evaluates nothing and
+        // derives no row: with pair rows it is one selection pass over the
+        // unchanged store, walking the tie groups the last pass walked,
+        // and the assembly.
         let estimated = bridge.is_some();
+        let passes = usize::from(opts.is_some());
         cache.snapshot(&oracle);
         snapshots += 2;
+        let reselected = SnapshotStats {
+            bucketed_selections: settled.bucketed_selections + passes,
+            flat_reranks: settled.flat_reranks + passes,
+            buckets_walked: 2 * settled.buckets_walked - before.buckets_walked,
+            ..settled
+        };
         let counted = if estimated {
             SnapshotStats {
                 bridged_snapshots: settled.bridged_snapshots + 1,
-                ..settled
+                ..reselected
             }
         } else {
             SnapshotStats {
                 incremental_snapshots: settled.incremental_snapshots + 1,
-                ..settled
+                ..reselected
             }
         };
         assert_eq!(cache.stats(), counted);

@@ -69,18 +69,25 @@
 //!
 //! # Warm starts and dual reoptimization
 //!
-//! [`PreparedLp::solve`] returns the optimal basis state (basic columns
-//! plus nonbasic bound sides) as a [`WarmStart`] token alongside the
-//! solution. The next solve of a *structurally identical* problem
-//! (coefficients, bounds and right-hand sides may drift) completes the
-//! token in its first factorization and classifies the completed basis:
-//! still primal feasible, phase 2 resumes from it; primal infeasible but
-//! dual feasible (a risen water-filling floor, a tightened bound), a dual
-//! simplex phase repairs it ([`SolveStats::dual_pivots`]); neither, or a
-//! hint that does not fit, a silent cold start on a pivot budget of its
-//! own ([`SolveStats::warm_falls_back`]). [`revised`] documents each path
-//! and the one warm verdict accepted directly, an infeasibility proof
-//! from the dual phase.
+//! A basis is named in problem terms: at most one [`BasisEntry`] per
+//! constraint, a variable or a row's slack, every unnamed column resting
+//! at its lower bound. [`PreparedLp::solve`] takes such a list as its hint
+//! and [`PreparedLp::basis`] reads the last optimum's basic columns back
+//! the same way (not the bound each nonbasic column rests at), so a hint
+//! may be harvested from a solve of a *structurally identical* problem
+//! (coefficients, bounds and right-hand sides may drift) or written down
+//! from the *shape* of the LP: `gavel-policies`' max-min fairness starts
+//! both of its solves this way (the origin for `max t`, "every job
+//! full-time on its fastest cell" for the refine pass) and so never runs
+//! a phase 1. The solve completes the hint in its first factorization and
+//! classifies the completed basis: still primal feasible, phase 2 resumes
+//! from it; primal infeasible but dual feasible (a risen water-filling
+//! floor, a tightened bound), a dual simplex phase repairs it
+//! ([`SolveStats::dual_pivots`]); neither, or a hint that does not fit (a
+//! repeated entry among them), a silent cold start on a pivot budget of
+//! its own ([`SolveStats::warm_falls_back`]). [`revised`] documents each
+//! path and the one warm verdict accepted directly, an infeasibility
+//! proof from the dual phase.
 //!
 //! Hints are validated, never trusted, so a hint never affects the
 //! feasibility/boundedness verdict or the optimal objective; the one
@@ -98,27 +105,15 @@
 //! the engine stores and reuses its buffers is free to change; its
 //! arithmetic is not.
 //!
-//! A hint need not be harvested from a previous solve. A caller that can
-//! read a good vertex off the *shape* of its LP writes the basis down in
-//! problem terms — at most one [`BasisEntry`] per constraint, a variable
-//! or a row's slack — and [`PreparedLp::basis_hint`] turns it into the
-//! same [`WarmStart`] token, with every unnamed column at its lower bound;
-//! [`PreparedLp::basis_entries`] reads a solved basis's basic columns back
-//! into those terms (not the bound each nonbasic column rests at).
-//! `gavel-policies`' max-min fairness starts both of its solves
-//! this way (the origin for `max t`, "every job full-time on its fastest
-//! cell" for the refine pass) and so never runs a phase 1. Such a hint is
-//! completed and classified like any other: a repeated column, or a
-//! completed basis that is neither primal nor dual feasible, cold-starts.
-//!
 //! # Prepared LPs: lower once, re-solve by patching
 //!
 //! A [`PreparedLp`] owns the problem and its lowered instance, takes
 //! patches to objective coefficients, right-hand sides, variable bounds
 //! and the coefficients of one column, writes each into the instance
-//! exactly as a fresh lowering would, and keeps the final factorization
-//! of a solve for [`PreparedLp::row_duals`], which prices the optimum's
-//! rows from it on demand. [`LpProblem::solve`] and
+//! exactly as a fresh lowering would, and keeps the final basis of a solve
+//! with its factorization for [`PreparedLp::basis`] and
+//! [`PreparedLp::row_duals`], which prices the optimum's rows from it on
+//! demand. [`LpProblem::solve`] and
 //! [`PreparedLp::solve`] run the same solve body over a lowered instance
 //! — one built for the call, one kept and patched — so a patched prepared
 //! LP returns bit for bit what a fresh [`PreparedLp`] of the patched
@@ -171,5 +166,5 @@ pub use bisect::bisect_min;
 pub use error::SolverError;
 pub use fractional::{solve_fractional, FractionalObjective};
 pub use prepared::{BasisEntry, PreparedLp};
-pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId, WarmStart};
+pub use problem::{Cmp, ConstraintId, LpProblem, Sense, VarId};
 pub use simplex::{LpSolution, SolveStats};

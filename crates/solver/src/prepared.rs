@@ -17,8 +17,8 @@
 //! problem would produce into the instance. The contract is therefore
 //! simple: **[`PreparedLp::solve`] returns what
 //! `PreparedLp::new(self.problem().clone())?.solve(hint)` would, bit for
-//! bit** — same values, same objective, same counters, same
-//! [`WarmStart`].
+//! bit** — same values, same objective, same counters — and
+//! [`PreparedLp::basis`] then reads the same basis.
 //!
 //! Every variable is one shifted column and every stored row its
 //! standard-form row, so a bound patch is a column width and a shift the
@@ -31,18 +31,21 @@
 //! [`LpProblem::solve`] does). Correctness never depends on a patch being
 //! expressible; only the saving does.
 //!
-//! The final factorization of each solve is kept as well, for one reader:
-//! [`PreparedLp::row_duals`] prices the optimum's rows from it with one
-//! BTRAN, paid only by a caller that asks. A patch that changes the matrix
-//! or the costs drops it, since the duals it would give are no longer the
-//! last optimum's.
+//! The final basis of each solve is kept with its factorization, for two
+//! readers: [`PreparedLp::basis`] names its columns in problem terms, the
+//! one basis format the solver takes back as a hint, and
+//! [`PreparedLp::row_duals`] prices the optimum's rows from the
+//! factorization with one BTRAN, paid only by a caller that asks. A patch
+//! that changes the matrix or the costs drops both, since what they would
+//! give is no longer the last optimum's.
 
 use crate::error::SolverError;
-use crate::problem::{valid_bounds, ConstraintId, LpProblem, VarId, WarmStart};
+use crate::problem::{valid_bounds, ConstraintId, LpProblem, VarId};
 use crate::revised::{Instance, KeptLu};
-use crate::simplex::{LpSolution, SolveStats};
+use crate::simplex::LpSolution;
 
-/// One basic column of a caller-written basis, named in problem terms.
+/// One basic column of a basis, named in problem terms: what a hint for
+/// [`PreparedLp::solve`] lists and [`PreparedLp::basis`] reads back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasisEntry {
     /// The column of a variable: standard column `i` is variable `i`.
@@ -168,70 +171,65 @@ impl PreparedLp {
         }
     }
 
-    /// The basis made of `entries` (at most one per constraint, any order),
-    /// every other column resting at its lower standard bound, as a hint
-    /// for [`PreparedLp::solve`]. `None` when an entry names the slack of
-    /// an equality row, which has none, or a pending patch still waits for
-    /// a re-lowering. The solver completes the hint like a harvested one —
-    /// a dependent entry is dropped, a row left without a column gets its
-    /// slack, surplus or artificial — and then classifies it: a repeated
-    /// entry, or a completed basis neither primal nor dual feasible,
-    /// cold-starts.
-    pub fn basis_hint(&self, entries: &[BasisEntry]) -> Option<WarmStart> {
-        if self.stale {
-            return None;
-        }
-        let column = |entry: &BasisEntry| match *entry {
-            BasisEntry::Var(v) => Some(v.index()),
-            BasisEntry::Slack(c) => self.inst.slack_col(c.0),
-        };
-        let mut basis = entries.iter().map(column).collect::<Option<Vec<_>>>()?;
-        basis.sort_unstable();
-        Some(WarmStart {
-            basis,
-            at_upper: vec![false; self.inst.ntot()],
-        })
-    }
-
-    /// The basic columns of `basis`, a [`WarmStart`] a solve of this LP
-    /// returned, in problem terms. Artificial columns have no such name and
-    /// are left out; a hint written from the rest is completed in their
-    /// rows.
+    /// Solves the current problem, warm-started from the basis `hint`
+    /// names when given: at most one entry per constraint, in any order,
+    /// every column it does not name resting at its lower bound. The same
+    /// classification of hints, verdicts and counters as a fresh prepared
+    /// LP of [`PreparedLp::problem`], by construction: both map the entries
+    /// to columns after any re-lowering and run one solve body over the
+    /// lowered instance.
     ///
-    /// Only the basic columns are kept, not which bound each nonbasic
-    /// column rests at, so this inverts [`PreparedLp::basis_hint`] only
-    /// where every nonbasic column rests at its lower bound. A hint written
-    /// back from an optimum with a column at a finite upper bound puts that
-    /// column at its lower bound: another point, classified like any hint.
-    pub fn basis_entries(&self, basis: &WarmStart) -> Vec<BasisEntry> {
-        let mut named: Vec<_> = (0..self.lp.num_vars())
-            .map(|v| Some(BasisEntry::Var(VarId(v))))
-            .collect();
-        named.resize(self.inst.ntot(), None);
-        for i in 0..self.lp.num_constraints() {
-            if let Some(c) = self.inst.slack_col(i) {
-                named[c] = Some(BasisEntry::Slack(ConstraintId(i)));
-            }
+    /// A hint is never required to be valid. A singular or partial one is
+    /// completed: a dependent column is dropped and a row left without one
+    /// gets its slack, surplus or artificial. A hint that does not fit (more
+    /// entries than constraints, an entry named twice, the slack of an
+    /// equality row, which has none), or whose completed basis is neither
+    /// primal nor dual feasible, or a warm solve that fails part-way, falls
+    /// back to a cold start on a full pivot budget of its own — save an
+    /// infeasibility the dual phase *proves* from a validated dual-feasible
+    /// basis (see [`crate::revised`]). A hint thus never changes the
+    /// verdict or the optimal objective; on an LP with several optimal
+    /// vertices it may steer which one is returned. What the cold solve
+    /// then fails with, a [`SolverError::Numerical`] collapse included, is
+    /// the caller's error.
+    pub fn solve(&mut self, hint: Option<&[BasisEntry]>) -> Result<LpSolution, SolverError> {
+        if self.stale {
+            *self = PreparedLp::new(self.lp.clone())?;
         }
-        (basis.basis.iter())
-            .filter_map(|&c| named.get(c).copied().flatten())
-            .collect()
+        let hint = hint.map(|entries| {
+            let mut columns = Vec::with_capacity(entries.len());
+            columns.extend(entries.iter().map(|entry| match *entry {
+                BasisEntry::Var(v) => v.index(),
+                // No column: a hint that does not fit.
+                BasisEntry::Slack(c) => self.inst.slack_col(c.0).unwrap_or(usize::MAX),
+            }));
+            columns.sort_unstable();
+            columns
+        });
+        (self.lp).solve_lowered(&self.inst, hint.as_deref(), &mut self.kept)
     }
 
-    /// Solves the current problem, warm-started from `hint` when given —
-    /// the same classification of hints, verdicts, counters and returned
-    /// basis as a fresh prepared LP of [`PreparedLp::problem`], by
-    /// construction: both run one solve body over the lowered instance.
-    /// Errors — a [`SolverError::Numerical`] collapse among them — carry
-    /// the pivot counters spent reaching the verdict.
-    pub fn solve(
-        &mut self,
-        hint: Option<&WarmStart>,
-    ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
-        if self.stale {
-            *self = PreparedLp::new(self.lp.clone()).map_err(|e| (e, SolveStats::default()))?;
-        }
-        (self.lp).solve_lowered(&self.inst, hint, &mut self.kept)
+    /// The basic columns of the optimum the last [`PreparedLp::solve`]
+    /// returned, in problem terms and column order, as a hint for the next
+    /// solve. Artificial columns have no such name and are left out; a hint
+    /// written from the rest is completed in their rows. Only the basic
+    /// columns are kept, not which bound each nonbasic column rests at: as
+    /// a hint, this puts a column that rested at a finite upper bound at
+    /// its lower one, another point, classified like any hint. `None`
+    /// exactly when [`PreparedLp::row_duals`] is.
+    pub fn basis(&self) -> Option<Vec<BasisEntry>> {
+        let kept = self.kept.as_ref().filter(|_| !self.stale)?;
+        let n = self.lp.num_vars();
+        let mut entries = Vec::with_capacity(kept.basis.len());
+        entries.extend(kept.basis.iter().filter_map(|&c| {
+            if c < n {
+                Some(BasisEntry::Var(VarId(c)))
+            } else {
+                let row = self.inst.slack_row(c)?;
+                Some(BasisEntry::Slack(ConstraintId(row)))
+            }
+        }));
+        Some(entries)
     }
 
     /// The row duals of the optimum the last [`PreparedLp::solve`]
@@ -268,15 +266,18 @@ mod tests {
         (lp, [x, y], [c0, c1])
     }
 
-    fn assert_same(prep: &mut PreparedLp, hint: Option<&WarmStart>) -> WarmStart {
+    /// Solves `prep` and a fresh prepared LP of its problem from `hint`,
+    /// asserts the two agree bit for bit, and returns the basis read back.
+    fn assert_same(prep: &mut PreparedLp, hint: Option<&[BasisEntry]>) -> Vec<BasisEntry> {
         let mut fresh = PreparedLp::new(prep.problem().clone()).unwrap();
-        let (fresh, fresh_basis) = fresh.solve(hint).unwrap();
-        let (sol, basis) = prep.solve(hint).unwrap();
-        assert_eq!(sol.values, fresh.values);
-        assert_eq!(sol.objective.to_bits(), fresh.objective.to_bits());
-        assert_eq!(sol.stats, fresh.stats);
-        assert_eq!(basis.basic_columns(), fresh_basis.basic_columns());
-        assert_eq!(basis.at_upper_flags(), fresh_basis.at_upper_flags());
+        let want = fresh.solve(hint).unwrap();
+        let sol = prep.solve(hint).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sol.values), bits(&want.values));
+        assert_eq!(sol.objective.to_bits(), want.objective.to_bits());
+        assert_eq!(sol.stats, want.stats);
+        let basis = prep.basis().unwrap();
+        assert_eq!(basis, fresh.basis().unwrap());
         basis
     }
 
@@ -347,7 +348,7 @@ mod tests {
         let (lp, [x, _], _) = small();
         let mut prep = PreparedLp::new(lp).unwrap();
         prep.set_bounds(x, 2.0, 1.0);
-        let (err, _) = prep.solve(None).unwrap_err();
+        let err = prep.solve(None).unwrap_err();
         assert_eq!(err, SolverError::InvalidBounds { var: "x".into() });
         // Repairing the input repairs the prepared LP.
         prep.set_bounds(x, 1.0, 2.0);
@@ -373,7 +374,7 @@ mod tests {
         let mut prep = PreparedLp::new(lp).unwrap();
         assert!(prep.negated[cap.index()]);
         assert_eq!(prep.row_duals(), None, "no solve yet");
-        let (sol, _) = prep.solve(None).unwrap();
+        let sol = prep.solve(None).unwrap();
         assert_eq!(sol.values, [2.5, 1.5, 2.0]);
         let duals = prep.row_duals().unwrap();
         let want = [1.5, -0.5, -1.0, 0.0];
@@ -396,6 +397,66 @@ mod tests {
     }
 
     #[test]
+    fn the_basis_is_read_when_the_row_duals_are() {
+        // max x + y s.t. x + y <= 4, x >= 1, y in [0, 2].
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = lp.add_var("y", 0.0, 2.0, 1.0);
+        let cap = lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        let floor = lp.add_constraint(&[(x, 1.0)], Cmp::Ge, 1.0);
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let read = |prep: &mut PreparedLp, want: bool, when: &str| {
+            assert_eq!(prep.basis().is_some(), want, "basis {when}");
+            assert_eq!(prep.row_duals().is_some(), want, "row duals {when}");
+        };
+        read(&mut prep, false, "before the first solve");
+        prep.solve(None).unwrap();
+        read(&mut prep, true, "after a solve");
+        // The right-hand side and the bounds move the point, not the basis.
+        prep.set_rhs(cap, 5.0);
+        read(&mut prep, true, "after set_rhs");
+        prep.set_bounds(y, 0.5, 2.0);
+        read(&mut prep, true, "after set_bounds");
+        prep.set_objective_coeff(x, 2.0);
+        read(&mut prep, false, "after set_objective_coeff");
+        prep.solve(None).unwrap();
+        prep.set_column(y, &[(cap, 2.0)]);
+        read(&mut prep, false, "after set_column");
+        prep.solve(None).unwrap();
+        // x >= 10 but x + 2y <= 5 with y >= 0.5.
+        prep.set_rhs(floor, 10.0);
+        read(&mut prep, true, "after an rhs patch in place");
+        assert_eq!(prep.solve(None).unwrap_err(), SolverError::Infeasible);
+        read(&mut prep, false, "after a failed solve");
+    }
+
+    #[test]
+    fn a_hint_names_its_columns_after_a_re_lowering() {
+        // The row-duals LP below: its optimum's basis, hinted after a
+        // patch that flips the sign of `x - y >= 1`'s right-hand side (so
+        // the row trades its surplus and artificial for a slack), is mapped
+        // onto the re-lowered instance and still starts the solve warm.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = lp.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        let gap = lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, 1.0);
+        lp.add_constraint(&[(z, -1.0)], Cmp::Ge, -2.0);
+        lp.add_constraint(&[(y, 1.0)], Cmp::Le, 10.0);
+        let mut prep = PreparedLp::new(lp).unwrap();
+        prep.solve(None).unwrap();
+        let basis = prep.basis().unwrap();
+        prep.set_rhs(gap, -1.0);
+        assert!(prep.stale);
+        assert_eq!(prep.basis(), None);
+        assert_same(&mut prep, Some(&basis));
+        let sol = prep.solve(Some(&basis)).unwrap();
+        assert_eq!(sol.values, [1.5, 2.5, 2.0]);
+        assert_eq!((sol.stats.warm_hits, sol.stats.pivots_phase1), (1, 0));
+    }
+
+    #[test]
     fn caller_written_bases_are_classified_not_trusted() {
         // max t s.t. x + y <= 1, 2x + y - t >= 0: the floor row starts a
         // cold solve on a zero-level artificial.
@@ -406,18 +467,21 @@ mod tests {
         let budget = lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 1.0);
         let floor = lp.add_constraint(&[(x, 2.0), (y, 1.0), (t, -1.0)], Cmp::Ge, 0.0);
         let mut prep = PreparedLp::new(lp).unwrap();
-        let (cold, _) = prep.solve(None).unwrap();
+        let cold = prep.solve(None).unwrap();
         assert!(cold.stats.pivots_phase1 > 0, "{:?}", cold.stats);
 
         // The origin, written down from the LP's shape: primal feasible.
-        let origin = prep.basis_hint(&[BasisEntry::Var(x), BasisEntry::Slack(budget)]);
-        let (warm, optimal) = prep.solve(origin.as_ref()).unwrap();
+        let origin = [BasisEntry::Var(x), BasisEntry::Slack(budget)];
+        let warm = prep.solve(Some(&origin)).unwrap();
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
         assert_eq!((warm.stats.warm_hits, warm.stats.pivots_phase1), (1, 0));
-        // Read back in problem terms, the optimum hints its own vertex.
-        let entries = prep.basis_entries(&optimal);
+        // Read back in problem terms, the optimum hints its own vertex:
+        // no pivots, the same bits.
+        let entries = prep.basis().unwrap();
         assert_eq!(entries.len(), 2, "{entries:?}");
-        let (again, _) = prep.solve(prep.basis_hint(&entries).as_ref()).unwrap();
+        let again = prep.solve(Some(&entries)).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again.values), bits(&warm.values));
         assert_eq!(again.objective.to_bits(), cold.objective.to_bits());
         assert_eq!((again.stats.warm_hits, again.stats.total_pivots()), (1, 0));
 
@@ -430,8 +494,7 @@ mod tests {
             &[BasisEntry::Var(t)],
             &[],
         ] {
-            let hint = prep.basis_hint(entries);
-            let (sol, _) = prep.solve(hint.as_ref()).unwrap();
+            let sol = prep.solve(Some(entries)).unwrap();
             assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
             let stats = sol.stats;
             assert_eq!(
@@ -442,41 +505,37 @@ mod tests {
         }
 
         // A repeated column still cold-starts.
-        let hint = prep.basis_hint(&[BasisEntry::Var(x), BasisEntry::Var(x)]);
-        let (sol, _) = prep.solve(hint.as_ref()).unwrap();
+        let sol = prep
+            .solve(Some(&[BasisEntry::Var(x), BasisEntry::Var(x)]))
+            .unwrap();
         assert_eq!(sol.objective.to_bits(), cold.objective.to_bits());
         assert_eq!((sol.stats.warm_hits, sol.stats.warm_falls_back), (0, 1));
 
-        // An equality row has no slack to name, and a stale instance names
-        // no column at all.
+        // So does the slack of an equality row, which has none.
         let mut lp = LpProblem::new(Sense::Minimize);
         let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
         let tie = lp.add_constraint(&[(z, 1.0)], Cmp::Eq, 1.0);
-        let pinned = PreparedLp::new(lp).unwrap();
-        assert!(pinned.basis_hint(&[BasisEntry::Var(z)]).is_some());
-        assert!(pinned.basis_hint(&[BasisEntry::Slack(tie)]).is_none());
-        prep.set_rhs(floor, -1.0);
-        assert!(prep.stale);
-        assert!(prep.basis_hint(&[BasisEntry::Slack(budget)]).is_none());
+        let mut pinned = PreparedLp::new(lp).unwrap();
+        let named = pinned.solve(Some(&[BasisEntry::Var(z)])).unwrap().stats;
+        assert_eq!((named.warm_hits, named.warm_falls_back), (1, 0));
+        let unnamed = pinned.solve(Some(&[BasisEntry::Slack(tie)])).unwrap().stats;
+        assert_eq!((unnamed.warm_hits, unnamed.warm_falls_back), (0, 1));
     }
 
     #[test]
     fn read_back_bases_keep_no_bound_sides() {
         // `small`'s only optimum, x = 3 and y = 1, rests `x` at its upper
-        // bound.
+        // bound, so `x` is not among its basic columns.
         let (lp, [x, _], _) = small();
         let mut prep = PreparedLp::new(lp).unwrap();
-        let (sol, optimal) = prep.solve(None).unwrap();
+        let sol = prep.solve(None).unwrap();
         assert_eq!(sol.value(x), 3.0);
-        assert!(optimal.at_upper_flags().contains(&true));
-        let entries = prep.basis_entries(&optimal);
+        let entries = prep.basis().unwrap();
         assert!(!entries.contains(&BasisEntry::Var(x)), "{entries:?}");
 
         // Written back, the hint rests `x` at zero: another point, which
         // the solve pivots away from to the same optimum.
-        let hint = prep.basis_hint(&entries).unwrap();
-        assert!(!hint.at_upper_flags().contains(&true));
-        let (again, _) = prep.solve(Some(&hint)).unwrap();
+        let again = prep.solve(Some(&entries)).unwrap();
         assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
         assert!(again.stats.total_pivots() > 0, "{:?}", again.stats);
     }

@@ -24,63 +24,6 @@ use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};
 use crate::simplex::{self, LpSolution, SolveStats, StandardForm};
 
-/// An optimal simplex basis state returned by [`crate::PreparedLp::solve`],
-/// reusable as a hint for the next solve of a structurally similar
-/// problem. Carries the basic column per standard-form row plus the bound
-/// side (lower or upper) each nonbasic column rests at, so bounded-variable
-/// vertices round-trip exactly.
-///
-/// The warm-start contract: a hint is *never* required to be valid. A
-/// singular or partial hint is completed: a dependent column is dropped
-/// and a row left without one gets its slack, surplus or artificial. If
-/// the hint does not fit the next problem (more columns than rows, a
-/// column out of range or named twice), or the completed basis is neither
-/// primal feasible (warm phase-2 continuation) nor dual feasible
-/// (dual-simplex reoptimization) under the new data, or the warm solve
-/// fails part-way, the solver silently falls back to a cold start on a
-/// full pivot budget of its own (the one exception: an infeasibility
-/// *proved* by the dual phase from a validated dual-feasible basis is
-/// returned directly — see [`crate::revised`]). A hint thus never changes
-/// the feasibility verdict or the optimal objective; on problems with
-/// multiple optimal solutions it may steer which optimal vertex is
-/// returned. What the *cold* solve then fails with, a numerical collapse
-/// ([`SolverError::Numerical`]) included, is the caller's error.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    pub(crate) basis: Vec<usize>,
-    /// Bound side per standard-form column (structural, slack, artificial):
-    /// `true` when the column was nonbasic at its upper bound.
-    pub(crate) at_upper: Vec<bool>,
-}
-
-impl WarmStart {
-    /// Number of basic columns recorded (one per standard-form row in a
-    /// solve's result; a caller-written hint may name fewer).
-    pub fn len(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Whether the recorded basis is empty (a problem with no rows).
-    pub fn is_empty(&self) -> bool {
-        self.basis.is_empty()
-    }
-
-    /// The recorded basic columns, in canonical (sorted) order. Two solves
-    /// that report the same basis state here (and the same
-    /// [`WarmStart::at_upper_flags`]) return bit-identical solutions — the
-    /// engine recomputes values from a canonical refactorization of the
-    /// final basis, so they cannot depend on the pivot path.
-    pub fn basic_columns(&self) -> &[usize] {
-        &self.basis
-    }
-
-    /// Bound side per standard-form column: `true` when nonbasic at its
-    /// upper bound. See [`WarmStart::basic_columns`].
-    pub fn at_upper_flags(&self) -> &[bool] {
-        &self.at_upper
-    }
-}
-
 /// Optimization direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
@@ -318,32 +261,24 @@ impl LpProblem {
     /// warm-started solve, or a re-solve after patches, goes through a
     /// [`crate::PreparedLp`] instead.
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
-        let inst = Instance::build(&self.lower()?);
-        let solved = self.solve_lowered(&inst, None, &mut None);
-        solved.map(|(sol, _)| sol).map_err(|(e, _)| e)
+        self.solve_lowered(&Instance::build(&self.lower()?), None, &mut None)
     }
 
     /// The one solve body, shared by [`LpProblem::solve`] and
     /// [`crate::PreparedLp::solve`]: runs the revised simplex over `inst`
-    /// (this problem, lowered) and turns its outcome into
-    /// the user-facing solution and basis token. Errors carry the pivot
-    /// counters spent on the verdict.
+    /// (this problem, lowered) from the basic columns `hint`, if given, and
+    /// turns its outcome into the user-facing solution.
     pub(crate) fn solve_lowered(
         &self,
         inst: &Instance,
-        hint: Option<&WarmStart>,
+        hint: Option<&[usize]>,
         kept: &mut Option<KeptLu>,
-    ) -> Result<(LpSolution, WarmStart), (SolverError, SolveStats)> {
-        let hint = hint.map(|h| (h.basis.as_slice(), h.at_upper.as_slice()));
+    ) -> Result<LpSolution, SolverError> {
         let out = revised::solve_instance(inst, hint, kept)?;
         let sol = self.recover(&out.x, out.objective, out.stats);
         #[cfg(debug_assertions)]
         self.check_stated(&sol);
-        let basis = WarmStart {
-            basis: out.basis,
-            at_upper: out.at_upper,
-        };
-        Ok((sol, basis))
+        Ok(sol)
     }
 
     /// Solves with the dense two-phase tableau ([`crate::simplex`]) — the
@@ -577,9 +512,9 @@ mod tests {
 
             lp.set_bounds(x, 0.0, 7.0);
             let mut prep = crate::PreparedLp::new(lp).unwrap();
-            assert_eq!(prep.solve(None).unwrap().0[x], 3.0);
+            assert_eq!(prep.solve(None).unwrap()[x], 3.0);
             prep.set_bounds(x, lower, 7.0);
-            assert_eq!(prep.solve(None).unwrap_err().0, invalid);
+            assert_eq!(prep.solve(None).unwrap_err(), invalid);
         }
     }
 
@@ -667,9 +602,8 @@ mod tests {
         let numerical = |e: &SolverError| matches!(e, SolverError::Numerical { .. });
         let err = lp.solve().unwrap_err();
         assert!(numerical(&err), "{err:?}");
-        let (err, spent) = crate::PreparedLp::new(lp).unwrap().solve(None).unwrap_err();
+        let err = crate::PreparedLp::new(lp).unwrap().solve(None).unwrap_err();
         assert!(numerical(&err), "{err:?}");
-        assert!(spent.total_pivots() > 0, "{spent:?}");
     }
 
     #[test]

@@ -46,9 +46,10 @@
 //!
 //! # Warm starts and the dual simplex phase
 //!
-//! [`solve_instance`] accepts an optional `(basis, at_upper)` hint —
-//! typically the optimal state of a near-identical LP solved a moment ago
-//! (Gavel's water-filling rounds). The hint is first
+//! `solve_instance` accepts an optional hint, a list of basic columns
+//! with every other column at its lower bound — typically the optimal
+//! basis of a near-identical LP solved a moment ago (Gavel's
+//! water-filling rounds). The hint is first
 //! *completed*, in the one factorization pass that starts the solve
 //! (`Basis::complete`): it may name fewer columns than there are rows,
 //! or columns that depend on one another. The hinted columns are pivoted
@@ -95,16 +96,14 @@ use crate::problem::Cmp;
 use crate::simplex::{SolveStats, StandardForm, DEGENERACY_THRESHOLD, FEAS_TOL, PIVOT_TOL, RC_TOL};
 use crate::sparse::CscMatrix;
 
-/// Result of a revised-simplex solve: structural values, objective, pivot
-/// counters, and the final basis state (basic column per row plus the
-/// nonbasic bound sides) for reuse as a warm-start hint.
+/// Result of a revised-simplex solve: structural values, objective and
+/// pivot counters. The final basis stays with its factorization
+/// ([`KeptLu`]).
 #[derive(Debug, Clone)]
 pub(crate) struct RevisedOutcome {
     pub x: Vec<f64>,
     pub objective: f64,
     pub stats: SolveStats,
-    pub basis: Vec<usize>,
-    pub at_upper: Vec<bool>,
 }
 
 /// The standard form with slack and artificial columns made explicit.
@@ -146,14 +145,15 @@ impl Instance {
         self.a.col(j)
     }
 
-    /// Total column count (structural, slack, artificial).
-    pub(crate) fn ntot(&self) -> usize {
-        self.ntot
-    }
-
     /// The slack or surplus column of row `i`, if the row has one.
     pub(crate) fn slack_col(&self, i: usize) -> Option<usize> {
         self.slack_of[i]
+    }
+
+    /// The row whose slack or surplus column `j` is, if it is one.
+    pub(crate) fn slack_row(&self, j: usize) -> Option<usize> {
+        let i = j.checked_sub(self.n)?;
+        self.slack_entry.get(i).map(|&(row, _)| row)
     }
 
     /// The logical column a hint is completed with in row `i`: its slack
@@ -318,11 +318,13 @@ fn effective_cmp(cmp: Cmp, rhs: f64) -> Cmp {
     }
 }
 
-/// The factorization a solve finished with, kept so its row duals can be
-/// read afterwards ([`KeptLu::duals`]) without a solve paying for them.
+/// The basis a solve finished with and its factorization, kept so the
+/// basis and its row duals can be read afterwards ([`KeptLu::duals`])
+/// without a solve paying for them.
 #[derive(Debug, Clone)]
 pub(crate) struct KeptLu {
-    basis: Vec<usize>,
+    /// Basic column per row, in canonical (sorted) order.
+    pub(crate) basis: Vec<usize>,
     fac: Basis,
 }
 
@@ -338,25 +340,24 @@ impl KeptLu {
 
 /// Solves a standard-form LP, built fresh or kept and patched by a
 /// [`crate::PreparedLp`], with the revised simplex. `hint` is an optional
-/// warm-start state `(basis columns, nonbasic at-upper flags)`; see the
-/// module docs for how hints are completed and classified. Hints that do
-/// not fit or stay unusable fall back to a cold start. `kept` receives
-/// the optimal basis's factorization, and is empty after a failed solve.
-/// Errors carry the pivot counters spent reaching the verdict so drivers
-/// that aggregate over many solves can still account for the work.
+/// warm-start basis, sorted columns with every other column at its lower
+/// bound; see the module docs for how hints are completed and classified.
+/// Hints that do not fit or stay unusable fall back to a cold start.
+/// `kept` receives the optimal basis and its factorization, and is empty
+/// after a failed solve.
 pub(crate) fn solve_instance(
     inst: &Instance,
-    hint: Option<(&[usize], &[bool])>,
+    hint: Option<&[usize]>,
     kept: &mut Option<KeptLu>,
-) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
+) -> Result<RevisedOutcome, SolverError> {
     *kept = None;
     let mut spent = SolveStats::default();
-    if let Some((hint_basis, hint_at_upper)) = hint {
+    if let Some(hint) = hint {
         // Assume fallback; on success the warm solver's own stats (which
         // carry `warm_hits = 1` instead) are returned and `spent` is
         // dropped.
         spent.warm_falls_back = 1;
-        if let Some(mut solver) = Solver::from_hint(inst, hint_basis, hint_at_upper) {
+        if let Some(mut solver) = Solver::from_hint(inst, hint) {
             if solver.primal_feasible() {
                 match solver.phase2() {
                     Ok(()) => {
@@ -382,11 +383,7 @@ pub(crate) fn solve_instance(
                     // one): no violated row can be repaired by any column.
                     // Re-deriving the verdict cold would double the work on
                     // exactly the solves that are infeasible by design.
-                    // The proof is a warm hit: the hint did its job.
-                    Err(SolverError::Infeasible) => {
-                        solver.stats.warm_hits = 1;
-                        return Err((SolverError::Infeasible, solver.stats));
-                    }
+                    Err(SolverError::Infeasible) => return Err(SolverError::Infeasible),
                     // Other failures (iteration limit, numerical) fall back
                     // cold as above — those verdicts are not authoritative.
                     Err(_) => spent.absorb(&solver.stats),
@@ -399,15 +396,10 @@ pub(crate) fn solve_instance(
     // The cold solve reports the failed warm attempt's pivots with its own
     // but runs on a full budget of its own: a hint that stalled must not
     // turn a solvable LP into an iteration-limit error.
-    let mut solver = match Solver::cold(inst) {
-        Ok(solver) => solver,
-        Err(e) => return Err((e, spent)),
-    };
+    let mut solver = Solver::cold(inst)?;
     solver.iter_limit += work(&spent);
     solver.stats = spent;
-    if let Err(e) = solver.phase1().and_then(|()| solver.phase2()) {
-        return Err((e, solver.stats));
-    }
+    solver.phase1().and_then(|()| solver.phase2())?;
     solver.extract(kept)
 }
 
@@ -502,31 +494,27 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// Builds a solver from a warm-start state: at most one column per row,
-    /// none named twice, and a bound side per column. The hinted columns
-    /// are factorized and completed in one pass ([`Basis::complete`]): a
-    /// column dependent on the others is dropped, and each row left without
-    /// one gets its logical column. `None` only for a state that does not
-    /// fit the instance. Feasibility is *not* checked here — the caller
-    /// classifies the completed basis as primal feasible, dual feasible, or
-    /// unusable.
-    fn from_hint(
-        inst: &'a Instance,
-        hint_basis: &[usize],
-        hint_at_upper: &[bool],
-    ) -> Option<Solver<'a>> {
-        if hint_basis.len() > inst.m || hint_at_upper.len() != inst.ntot {
+    /// Builds a solver from a warm-start basis: at most one column per row,
+    /// none named twice, every nonbasic column at its lower bound. The
+    /// hinted columns are factorized and completed in one pass
+    /// ([`Basis::complete`]): a column dependent on the others is dropped,
+    /// and each row left without one gets its logical column. `None` only
+    /// for a basis that does not fit the instance. Feasibility is *not*
+    /// checked here — the caller classifies the completed basis as primal
+    /// feasible, dual feasible, or unusable.
+    fn from_hint(inst: &'a Instance, hint: &[usize]) -> Option<Solver<'a>> {
+        if hint.len() > inst.m {
             return None;
         }
         let mut in_basis = vec![false; inst.ntot];
-        for &c in hint_basis {
+        for &c in hint {
             if c >= inst.ntot || in_basis[c] {
                 return None; // Out of range or repeated column.
             }
             in_basis[c] = true;
         }
         let mut basis = Vec::with_capacity(inst.m);
-        basis.extend_from_slice(hint_basis);
+        basis.extend_from_slice(hint);
         basis.resize(inst.m, NO_COLUMN);
         let logical = |row| inst.logical(row);
         let (fac, added) = Basis::complete(&inst.a, &mut basis, logical, PIVOT_TOL);
@@ -536,19 +524,12 @@ impl<'a> Solver<'a> {
                 in_basis[c] = true;
             }
         }
-        // Sanitize the bound sides: only nonbasic, non-artificial columns
-        // with a finite upper bound may rest at it.
-        let mut at_upper = vec![false; inst.ntot];
-        for (j, flag) in at_upper.iter_mut().enumerate() {
-            *flag =
-                hint_at_upper[j] && !in_basis[j] && j < inst.art_start && inst.upper[j].is_finite();
-        }
         let mut solver = Solver {
             inst,
             iter_limit: auto_limit(inst) / WARM_SHARE,
             basis,
             in_basis,
-            at_upper,
+            at_upper: vec![false; inst.ntot],
             fac,
             completed: added > 0,
             x_b: vec![0.0; inst.m],
@@ -1064,35 +1045,33 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
-    /// Extracts structural values, the phase-2 objective, pivot counters,
-    /// and the final basis state. The basic columns are first sorted into
+    /// Extracts structural values, the phase-2 objective and pivot
+    /// counters. The basic columns are first sorted into
     /// canonical order and the basis refactorized with `x_B` recomputed
     /// from scratch — slot order is pivot-path history, so without this a
     /// warm and a cold solve finishing at the same basis could disagree in
     /// the last floating-point bits. After canonicalization the returned
     /// values are a pure function of the final `(basis set, at_upper)`
-    /// state. That canonical factorization is handed back through `kept`,
-    /// where [`KeptLu::duals`] reads the optimum's row duals from it.
+    /// state. That canonical basis and its factorization are handed back
+    /// through `kept`, where [`crate::PreparedLp::basis`] reads the one and
+    /// [`KeptLu::duals`] the optimum's row duals from the other.
     ///
     /// A recomputed basic value can land outside its bounds where the
     /// updates held it inside. The dual simplex repairs it from the optimal
     /// — so dual feasible — basis, and the basis it ends at is
     /// canonicalized and checked in turn.
-    fn extract(
-        mut self,
-        kept: &mut Option<KeptLu>,
-    ) -> Result<RevisedOutcome, (SolverError, SolveStats)> {
+    fn extract(mut self, kept: &mut Option<KeptLu>) -> Result<RevisedOutcome, SolverError> {
         loop {
             let sorted = self.basis.windows(2).all(|w| w[0] < w[1]);
             if !sorted || self.fac.has_updates() || self.completed {
                 self.basis.sort_unstable();
                 self.completed = false;
-                self.refactorize().map_err(|e| (e, self.stats))?;
+                self.refactorize()?;
             }
             if self.primal_feasible() {
                 break;
             }
-            self.dual_phase().map_err(|e| (e, self.stats))?;
+            self.dual_phase()?;
         }
         let mut x = vec![0.0; self.inst.n];
         for (j, xv) in x.iter_mut().enumerate() {
@@ -1129,15 +1108,13 @@ impl<'a> Solver<'a> {
         #[cfg(debug_assertions)]
         assert_eq!(self.certify(objective), Ok(()), "optimality certificate");
         *kept = Some(KeptLu {
-            basis: self.basis.clone(),
+            basis: self.basis,
             fac: self.fac,
         });
         Ok(RevisedOutcome {
             x,
             objective,
             stats: self.stats,
-            basis: self.basis,
-            at_upper: self.at_upper,
         })
     }
 
@@ -1212,22 +1189,18 @@ mod tests {
         }
     }
 
+    /// The outcome of a solve hinted with `hint`, and its optimal basis.
     fn solve_with(
         lp: &StandardForm,
-        hint: Option<(&[usize], &[bool])>,
-    ) -> Result<RevisedOutcome, SolverError> {
-        solve_instance(&Instance::build(lp), hint, &mut None).map_err(|(e, _)| e)
+        hint: Option<&[usize]>,
+    ) -> Result<(RevisedOutcome, Vec<usize>), SolverError> {
+        let mut kept = None;
+        let out = solve_instance(&Instance::build(lp), hint, &mut kept)?;
+        Ok((out, kept.expect("an optimum keeps its basis").basis))
     }
 
     fn solve(lp: &StandardForm) -> Result<RevisedOutcome, SolverError> {
-        solve_with(lp, None)
-    }
-
-    fn solve_hinted(
-        lp: &StandardForm,
-        hint: &RevisedOutcome,
-    ) -> Result<RevisedOutcome, SolverError> {
-        solve_with(lp, Some((&hint.basis, &hint.at_upper)))
+        solve_with(lp, None).map(|(out, _)| out)
     }
 
     #[test]
@@ -1350,8 +1323,8 @@ mod tests {
                 (vec![1.0, 0.0], Cmp::Le, 2.0),
             ],
         );
-        let cold = solve(&lp).unwrap();
-        let warm = solve_hinted(&lp, &cold).unwrap();
+        let (cold, basis) = solve_with(&lp, None).unwrap();
+        let (warm, _) = solve_with(&lp, Some(&basis)).unwrap();
         assert_eq!(warm.stats.total_pivots(), 0);
         assert_eq!(warm.stats.warm_hits, 1);
         assert_eq!(warm.stats.warm_falls_back, 0);
@@ -1371,9 +1344,9 @@ mod tests {
                 ],
             )
         };
-        let cold4 = solve(&mk(4.0)).unwrap();
+        let (_, basis4) = solve_with(&mk(4.0), None).unwrap();
         // Loosen the first row: the old basis stays feasible, phase 2 only.
-        let warm6 = solve_hinted(&mk(6.0), &cold4).unwrap();
+        let (warm6, _) = solve_with(&mk(6.0), Some(&basis4)).unwrap();
         let cold6 = solve(&mk(6.0)).unwrap();
         assert!((warm6.objective - cold6.objective).abs() < 1e-9);
     }
@@ -1393,8 +1366,8 @@ mod tests {
                 ],
             )
         };
-        let cold6 = solve(&mk(6.0)).unwrap();
-        let warm4 = solve_hinted(&mk(4.0), &cold6).unwrap();
+        let (_, basis6) = solve_with(&mk(6.0), None).unwrap();
+        let (warm4, _) = solve_with(&mk(4.0), Some(&basis6)).unwrap();
         let cold4 = solve(&mk(4.0)).unwrap();
         assert!((warm4.objective - cold4.objective).abs() < 1e-9);
         assert_eq!(warm4.stats.warm_hits, 1);
@@ -1423,11 +1396,11 @@ mod tests {
                 ],
             )
         };
-        let mut hint = solve(&mk(0.5)).unwrap();
+        let (_, mut hint) = solve_with(&mk(0.5), None).unwrap();
         let mut dual_pivots = 0;
         for r in 1..6 {
             let floor = 0.5 + 0.25 * r as f64;
-            let warm = solve_hinted(&mk(floor), &hint).unwrap();
+            let (warm, basis) = solve_with(&mk(floor), Some(&hint)).unwrap();
             let cold = solve(&mk(floor)).unwrap();
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-9,
@@ -1438,7 +1411,7 @@ mod tests {
             assert_eq!(warm.stats.warm_falls_back, 0, "round {r} fell back");
             assert_eq!(warm.stats.pivots_phase1, 0, "round {r} ran phase 1");
             dual_pivots += warm.stats.dual_pivots;
-            hint = warm;
+            hint = basis;
         }
         assert!(dual_pivots > 0, "no dual pivots over the whole sequence");
     }
@@ -1458,8 +1431,7 @@ mod tests {
             ],
         );
         let inst = Instance::build(&lp);
-        let at_upper = vec![false; inst.ntot];
-        let mut solver = Solver::from_hint(&inst, &inst.init_basis, &at_upper).unwrap();
+        let mut solver = Solver::from_hint(&inst, &inst.init_basis).unwrap();
         assert!(solver.primal_feasible());
         let verdict = solver.certify(0.0).unwrap_err();
         assert_eq!(verdict.what, "reduced cost", "{verdict:?}");
@@ -1538,14 +1510,10 @@ mod tests {
     fn bogus_hints_fall_back_to_cold() {
         let lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 1.0], Cmp::Le, 1.0)]);
         let cold = solve(&lp).unwrap();
-        let bogus: [(Vec<usize>, Vec<bool>); 4] = [
-            (vec![], vec![]),
-            (vec![0, 0], vec![false; 3]),
-            (vec![99], vec![false; 3]),
-            (vec![7, 7, 7], vec![false; 3]),
-        ];
-        for (basis, at_upper) in &bogus {
-            let warm = solve_with(&lp, Some((basis, at_upper))).unwrap();
+        // Longer than the one row, or naming a column out of range.
+        let bogus: [&[usize]; 3] = [&[0, 0], &[99], &[7, 7, 7]];
+        for basis in bogus {
+            let (warm, _) = solve_with(&lp, Some(basis)).unwrap();
             assert!((warm.objective - cold.objective).abs() < 1e-12);
             assert_eq!(warm.stats.warm_falls_back, 1);
             assert_eq!(warm.stats.warm_hits, 0);

@@ -150,8 +150,7 @@ fn refine_solve(n: usize, short: bool) -> (usize, usize) {
     let slack = |row: &ConstraintId| BasisEntry::Slack(*row);
     let mut origin: Vec<BasisEntry> = budget.iter().chain(&capacity).map(slack).collect();
     origin.extend_from_slice(&best);
-    let hint = prep.basis_hint(&origin);
-    let (sol, _) = prep.solve(hint.as_ref()).expect("max t solves");
+    let sol = prep.solve(Some(&origin)).expect("max t solves");
     prep.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
     prep.set_objective_coeff(t, 0.0);
     for (m, row) in x.iter().enumerate() {
@@ -164,11 +163,10 @@ fn refine_solve(n: usize, short: bool) -> (usize, usize) {
     if short {
         full_time.retain(|&entry| entry != slack(&capacity[0]));
     }
-    let hint = prep.basis_hint(&full_time);
 
     let mut outcome = None;
-    let allocations = count(|| outcome = Some(prep.solve(hint.as_ref())));
-    let (sol, _) = outcome.expect("counted").expect("refine solves");
+    let allocations = count(|| outcome = Some(prep.solve(Some(&full_time))));
+    let sol = outcome.expect("counted").expect("refine solves");
     assert_eq!(sol.stats.warm_hits, 1, "{:?}", sol.stats);
     assert_eq!(sol.stats.pivots_phase1, 0, "{:?}", sol.stats);
     (allocations, sol.stats.dual_pivots)

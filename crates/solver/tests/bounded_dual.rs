@@ -16,7 +16,7 @@
 //! duals, so the warm-continued and dual-repaired ones are checked for
 //! optimality as they run.
 
-use gavel_solver::{Cmp, LpProblem, PreparedLp, Sense, SolverError, VarId, WarmStart};
+use gavel_solver::{BasisEntry, Cmp, LpProblem, PreparedLp, Sense, SolverError, VarId};
 use proptest::prelude::*;
 
 /// Builds the bounded LP both ways: bounds on columns vs bounds as rows.
@@ -156,11 +156,14 @@ proptest! {
     ) {
         let mut floors = vec![0.0f64; n];
         let mut active = vec![true; n];
-        let mut cache: Option<WarmStart> = None;
+        let mut cache: Option<Vec<BasisEntry>> = None;
         for (r, rise) in rises.iter().enumerate() {
             let lp = round_lp(n, &tputs, &floors, &active);
-            let (cold, cold_state) = PreparedLp::new(lp.clone()).unwrap().solve(None).unwrap();
-            let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
+            let mut cold_lp = PreparedLp::new(lp.clone()).unwrap();
+            let cold = cold_lp.solve(None).unwrap();
+            let mut warm_lp = PreparedLp::new(lp).unwrap();
+            let warm = warm_lp.solve(cache.as_deref()).unwrap();
+            let basis = warm_lp.basis();
             // A deactivation rewrites the constraint *matrix* (the t
             // column), so the first round after one may legitimately fall
             // back. Once the victims are spent, rounds differ from their
@@ -180,9 +183,9 @@ proptest! {
                 (warm.objective - cold.objective).abs() < 1e-8 * scale,
                 "round {}: warm {} vs cold {}", r, warm.objective, cold.objective
             );
-            let same_state = basis.basic_columns() == cold_state.basic_columns()
-                && basis.at_upper_flags() == cold_state.at_upper_flags();
-            if same_state {
+            // `round_lp` bounds no variable above, so the basic columns are
+            // the whole basis state.
+            if basis == cold_lp.basis() {
                 for (i, (w, c)) in warm.values.iter().zip(&cold.values).enumerate() {
                     prop_assert!(
                         w.to_bits() == c.to_bits(),
@@ -191,7 +194,7 @@ proptest! {
                     );
                 }
             }
-            cache = Some(basis);
+            cache = basis;
             // Raise active floors like a water-filling iteration (rise < 1
             // keeps the next round feasible by construction), then
             // bottleneck scheduled victims: their weight leaves the
@@ -220,18 +223,19 @@ fn fixed_rising_floor_sequence_is_bit_identical_and_dual_reoptimized() {
     let mut active = vec![true; n];
     active[n - 1] = false; // one bottlenecked job from the start
     let mut floors = vec![0.0f64; n];
-    let mut cache: Option<WarmStart> = None;
+    let mut cache: Option<Vec<BasisEntry>> = None;
     let mut dual_pivots = 0;
     for r in 0..8 {
         let lp = round_lp(n, &tputs, &floors, &active);
         let cold = lp.solve().unwrap();
-        let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
+        let mut warm_lp = PreparedLp::new(lp).unwrap();
+        let warm = warm_lp.solve(cache.as_deref()).unwrap();
         if r > 0 {
             assert_eq!(warm.stats.warm_falls_back, 0, "round {r}: {:?}", warm.stats);
             assert_eq!(warm.stats.pivots_phase1, 0, "round {r}: {:?}", warm.stats);
         }
         dual_pivots += warm.stats.dual_pivots;
-        cache = Some(basis);
+        cache = warm_lp.basis();
         for (i, (w, c)) in warm.values.iter().zip(&cold.values).enumerate() {
             assert!(
                 w.to_bits() == c.to_bits(),
@@ -263,13 +267,14 @@ fn warm_dual_sequence_then_infeasible_round_agrees_warm_and_cold() {
     let mut active = vec![true; 5];
     active[4] = false;
     let mut floors = vec![0.0f64; 5];
-    let mut cache: Option<WarmStart> = None;
+    let mut cache: Option<Vec<BasisEntry>> = None;
     let mut dual_pivots = 0;
     for r in 0..6 {
         let lp = round_lp(5, &tputs, &floors, &active);
-        let (sol, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
+        let mut warm = PreparedLp::new(lp).unwrap();
+        let sol = warm.solve(cache.as_deref()).unwrap();
         dual_pivots += sol.stats.dual_pivots;
-        cache = Some(basis);
+        cache = warm.basis();
         let t_star = sol.objective.max(0.1);
         for (m, f) in floors.iter_mut().enumerate() {
             *f += if active[m] {
@@ -284,7 +289,7 @@ fn warm_dual_sequence_then_infeasible_round_agrees_warm_and_cold() {
     let lp = round_lp(5, &tputs, &floors, &active);
     let mut warm = PreparedLp::new(lp.clone()).unwrap();
     assert_eq!(
-        warm.solve(cache.as_ref()).unwrap_err().0,
+        warm.solve(cache.as_deref()).unwrap_err(),
         SolverError::Infeasible
     );
     assert_eq!(lp.solve().unwrap_err(), SolverError::Infeasible);

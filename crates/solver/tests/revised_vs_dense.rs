@@ -8,7 +8,7 @@
 //! hints the solver completes.
 
 use gavel_solver::{
-    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolverError, VarId, WarmStart,
+    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolverError, VarId,
 };
 use proptest::prelude::*;
 
@@ -189,9 +189,8 @@ proptest! {
         let built = build_lp(&kinds, &costs[..kinds.len()], &coeffs, &rhs, &cmps, dup_row, maximize);
         let mut prep = PreparedLp::new(built.lp.clone()).unwrap();
         let cold = prep.solve(None);
-        let drawn: Vec<BasisEntry> = match (&cold, from_optimum) {
-            (Ok((_, optimal)), true) => {
-                let mut entries = prep.basis_entries(optimal);
+        let drawn: Vec<BasisEntry> = match (prep.basis(), from_optimum) {
+            (Some(mut entries), true) => {
                 for &p in &picks {
                     if !entries.is_empty() {
                         entries.remove(p % entries.len());
@@ -202,8 +201,13 @@ proptest! {
             _ => {
                 let named = (built.vars.iter().map(|&v| BasisEntry::Var(v)))
                     .chain(built.rows.iter().map(|&c| BasisEntry::Slack(c)));
-                let named: Vec<BasisEntry> =
-                    named.filter(|e| prep.basis_hint(&[*e]).is_some()).collect();
+                // An equality row has no slack to name.
+                let named: Vec<BasisEntry> = named
+                    .filter(|e| match e {
+                        BasisEntry::Slack(c) => built.cons[c.index()].1 != Cmp::Eq,
+                        BasisEntry::Var(_) => true,
+                    })
+                    .collect();
                 picks.iter().map(|&p| named[p % named.len()]).collect()
             }
         };
@@ -215,11 +219,9 @@ proptest! {
                 entries.push(e);
             }
         }
-        let hint = prep.basis_hint(&entries);
-        prop_assert!(hint.is_some(), "{:?}", entries);
-        let warm = prep.solve(hint.as_ref());
+        let warm = prep.solve(Some(&entries));
         match (cold, warm) {
-            (Ok((c, _)), Ok((w, _))) => {
+            (Ok(c), Ok(w)) => {
                 let tol = 1e-9 * c.objective.abs().max(1.0);
                 prop_assert!(
                     (w.objective - c.objective).abs() <= tol,
@@ -231,7 +233,7 @@ proptest! {
                 );
                 prop_assert_eq!(w.stats.warm_hits + w.stats.warm_falls_back, 1);
             }
-            (Err((c, _)), Err((w, _))) => prop_assert_eq!(c, w),
+            (Err(c), Err(w)) => prop_assert_eq!(c, w),
             (c, w) => prop_assert!(false, "cold {c:?} vs completed {w:?}"),
         }
     }
@@ -275,12 +277,13 @@ proptest! {
         };
 
         let mut floors = vec![0.0f64; n];
-        let mut cache: Option<WarmStart> = None;
+        let mut cache: Option<Vec<BasisEntry>> = None;
         for r in 0..rounds {
             let lp = build_round(&floors);
             let cold = lp.solve().unwrap();
-            let (warm, basis) = PreparedLp::new(lp).unwrap().solve(cache.as_ref()).unwrap();
-            cache = Some(basis);
+            let mut prep = PreparedLp::new(lp).unwrap();
+            let warm = prep.solve(cache.as_deref()).unwrap();
+            cache = prep.basis();
             let scale = 1.0 + cold.objective.abs();
             prop_assert!(
                 (warm.objective - cold.objective).abs() < 1e-7 * scale,
