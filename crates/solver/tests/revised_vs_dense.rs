@@ -189,6 +189,11 @@ proptest! {
         let built = build_lp(&kinds, &costs[..kinds.len()], &coeffs, &rhs, &cmps, dup_row, maximize);
         let mut prep = PreparedLp::new(built.lp.clone()).unwrap();
         let cold = prep.solve(None);
+        // An equality row has no slack to name.
+        let fits = |e: &BasisEntry| match e {
+            BasisEntry::Slack(c) => built.cons[c.index()].1 != Cmp::Eq,
+            BasisEntry::Var(_) => true,
+        };
         let drawn: Vec<BasisEntry> = match (prep.basis(), from_optimum) {
             (Some(mut entries), true) => {
                 for &p in &picks {
@@ -201,24 +206,21 @@ proptest! {
             _ => {
                 let named = (built.vars.iter().map(|&v| BasisEntry::Var(v)))
                     .chain(built.rows.iter().map(|&c| BasisEntry::Slack(c)));
-                // An equality row has no slack to name.
-                let named: Vec<BasisEntry> = named
-                    .filter(|e| match e {
-                        BasisEntry::Slack(c) => built.cons[c.index()].1 != Cmp::Eq,
-                        BasisEntry::Var(_) => true,
-                    })
-                    .collect();
+                let named: Vec<BasisEntry> = named.filter(fits).collect();
                 picks.iter().map(|&p| named[p % named.len()]).collect()
             }
         };
         // At most one entry per row, none twice: a hint that does not fit
-        // is dropped, which is not what this test is about.
+        // cold-starts, which is not what this test is about. Every entry
+        // of the drawn hint, `basis()`'s read-back included, names a
+        // column the LP has.
         let mut entries = Vec::new();
         for e in drawn {
             if !entries.contains(&e) && entries.len() < built.rows.len() {
                 entries.push(e);
             }
         }
+        prop_assert!(entries.iter().all(fits), "{:?}", entries);
         let warm = prep.solve(Some(&entries));
         match (cold, warm) {
             (Ok(c), Ok(w)) => {
