@@ -2,7 +2,7 @@
 //! 18 — on the simulated 108-GPU cluster: average JCT vs input job rate
 //! for a family of policies, then per-policy CDF summaries at a reference
 //! load and the paper's shape to compare against. One body
-//! ([`Sweep::run`]); each figure is one [`Sweep`] row inside the function
+//! (`Sweep::run`); each figure is one `Sweep` row inside the function
 //! `gavel-exp` calls by its name.
 //!
 //! Run: `cargo run --release -p gavel-experiments --bin gavel-exp -- fig09_las_multi`

@@ -56,6 +56,8 @@ impl Policy for Allox {
 
         let mut lp = LpProblem::new(Sense::Minimize);
         // y[m][j][k]: job m at position k (0-based) on a type-j machine.
+        // No upper bound: `y <= 1` follows from `y >= 0` and the job's
+        // `= 1` assignment row.
         let mut y: Vec<Vec<Vec<Option<VarId>>>> = Vec::with_capacity(n);
         for (m, job) in input.jobs.iter().enumerate() {
             let row = singles.row(m);
@@ -67,7 +69,12 @@ impl Policy for Allox {
                     if tput > 0.0 {
                         let proc = job.steps_remaining / tput;
                         let cost = (k + 1) as f64 * proc;
-                        per_pos.push(Some(lp.add_var(&format!("y_{m}_{j}_{k}"), 0.0, 1.0, cost)));
+                        per_pos.push(Some(lp.add_var(
+                            &format!("y_{m}_{j}_{k}"),
+                            0.0,
+                            f64::INFINITY,
+                            cost,
+                        )));
                     } else {
                         per_pos.push(None);
                     }

@@ -2,7 +2,7 @@
 //!
 //! Every heterogeneity-aware policy optimizes over the same variable block —
 //! one `X[k][j]` per (combo row, accelerator type) — under the validity
-//! constraints of §3.1. [`AllocLp`] builds that block once; policies then
+//! constraints of §3.1. `AllocLp` builds that block once; policies then
 //! add their objective and any extra constraints.
 
 use gavel_core::{AccelIdx, Allocation, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE};

@@ -26,54 +26,53 @@
 //! - [`bisect`] — a bisection driver for sequence-of-LP policies
 //!   (finish-time fairness).
 //!
-//! # Solver architecture: bounded variables, dense vs revised
+//! # Solver architecture: one lowering, dense vs revised
 //!
 //! [`LpProblem`] serves the LPs Gavel writes: time fractions and levels,
 //! every variable with a finite lower bound (an infinite one is
 //! [`SolverError::InvalidBounds`]). Its lowering to a sparse
-//! [`simplex::StandardForm`] `min c'x, Ax {<=,>=,=} b, 0 <= x <= u` is
-//! one shift per variable: standard column `i` is variable `i` minus its
-//! lower bound, and a finite upper bound rides on the *column*, never as
-//! an extra row. A constraint's terms are sorted, merged and stripped of
-//! exact zeros when they are stored, so standard row `i` is constraint
-//! `i`'s stored terms: the row count equals the user-facing constraint
-//! count exactly, and a bounded variable costs no basis row.
+//! [`simplex::StandardForm`] `min c'x, Ax {<=,>=,=} b, x >= 0` is one
+//! shift per variable: standard column `i` is variable `i` minus its lower
+//! bound. A constraint's terms are sorted, merged and stripped of exact
+//! zeros when they are stored, so standard row `i` is constraint `i`'s
+//! stored terms. A finite upper bound is one more row, `x' <= upper -
+//! lower`, after the constraints; the policy LPs bound their variables
+//! from below only, so they lower to exactly their constraints. Both
+//! engines read the rows this one lowering writes.
 //!
-//! - **Revised (default).** [`revised`] is a *bounded-variable* two-phase
-//!   primal simplex over a column-major sparse matrix with a factorized
-//!   basis (sparse LU with partial pivoting plus a product-form eta file,
-//!   refactorized at a fixed file length). Nonbasic variables rest at
-//!   either bound, the ratio test is two-sided, and an entering variable
-//!   whose own bound binds first simply *bound-flips* — no basis change at
-//!   all. Per-iteration cost is `O(nnz)` — one BTRAN for dual prices,
-//!   sparse dots for reduced costs, one FTRAN for the ratio test. This is
-//!   what every policy LP and fractional transform runs on, and all they
-//!   run on: a basis gone floating-point singular is the
-//!   caller's [`SolverError::Numerical`] (a failed recompute, which the
-//!   service counts and plans from the isolated split), never a silent
-//!   re-solve on the dense tableau.
-//! - **Dense (oracle).** [`simplex`] expands finite column bounds into
-//!   explicit `<=` rows and runs the original full-tableau two-phase
-//!   method, paying `O(m * width)` per pivot. Because it lowers bounds the
-//!   *other* way, it is an independent check on the entire
-//!   bounded-variable path, and the differential tests pit the two
-//!   engines against each other.
+//! - **Revised (default).** [`revised`] is a two-phase primal simplex over
+//!   a column-major sparse matrix with a factorized basis (sparse LU with
+//!   partial pivoting plus a product-form eta file, refactorized at a
+//!   fixed file length). Every column is bounded by zero only, so a
+//!   nonbasic column rests at zero and the ratio test is one-sided.
+//!   Per-iteration cost is `O(nnz)` — one BTRAN for dual prices, sparse
+//!   dots for reduced costs, one FTRAN for the ratio test. This is what
+//!   every policy LP and fractional transform runs on, and all they run
+//!   on: a basis gone floating-point singular is the caller's
+//!   [`SolverError::Numerical`] (a failed recompute, which the service
+//!   counts and plans from the isolated split), never a silent re-solve on
+//!   the dense tableau.
+//! - **Dense (oracle).** [`simplex`] runs the original full-tableau
+//!   two-phase method over the same rows, paying `O(m * width)` per pivot.
+//!   It shares no linear algebra with the revised engine, so the
+//!   differential tests pit the two against each other.
 //!
 //! Debug builds check every successful solve — cold, warm-continued,
 //! dual-repaired, hinted or prepared — with a certificate instead of a
-//! second engine: from the final basis's own duals, every reduced cost
-//! has the optimality sign for its bound side, every basic value lies
-//! within its bounds and the duality gap is closed. The point is then
+//! second engine: from the final basis's own duals, every nonbasic reduced
+//! cost is nonnegative, every basic value is nonnegative (a basic
+//! artificial zero) and the duality gap is closed. The point is then
 //! checked against every stated bound and row, and the objective against
 //! `Σ c_v x_v`. Neither check allocates; release builds run neither.
 //!
 //! # Warm starts and dual reoptimization
 //!
 //! A basis is named in problem terms: at most one [`BasisEntry`] per
-//! constraint, a variable or a row's slack, every unnamed column resting
+//! constraint, a variable or a row's slack, every unnamed variable resting
 //! at its lower bound. [`PreparedLp::solve`] takes such a list as its hint
 //! and [`PreparedLp::basis`] reads the last optimum's basic columns back
-//! the same way (not the bound each nonbasic column rests at), so a hint
+//! the same way (not the slacks of bound rows, which are no constraints),
+//! so a hint
 //! may be harvested from a solve of a *structurally identical* problem
 //! (coefficients, bounds and right-hand sides may drift) or written down
 //! from the *shape* of the LP: `gavel-policies`' max-min fairness starts
@@ -82,7 +81,7 @@
 //! a phase 1. The solve completes the hint in its first factorization and
 //! classifies the completed basis: still primal feasible, phase 2 resumes
 //! from it; primal infeasible but dual feasible (a risen water-filling
-//! floor, a tightened bound), a dual simplex phase repairs it
+//! floor, a raised lower bound), a dual simplex phase repairs it
 //! ([`SolveStats::dual_pivots`]); neither, or a hint that does not fit (a
 //! repeated entry among them), a silent cold start on a pivot budget of
 //! its own ([`SolveStats::warm_falls_back`]). [`revised`] documents each
@@ -119,9 +118,11 @@
 //! LP returns bit for bit what a fresh [`PreparedLp`] of the patched
 //! problem would, and a fresh one solved without a hint what
 //! [`LpProblem::solve`] would; patches that cannot be written in place (a
-//! right-hand side changing sign, a column out of constraint order or
-//! outgrowing its room, invalid input) make it re-lower first. A one-off
-//! warm solve is a fresh [`PreparedLp`] solved once.
+//! right-hand side changing sign, a bound patch to or from a finite upper
+//! bound, a column patch of a variable with one, a column out of
+//! constraint order or outgrowing its room, invalid input) make it
+//! re-lower first. A one-off warm solve is a fresh [`PreparedLp`] solved
+//! once.
 //!
 //! Consumers: `gavel-policies`' hierarchical water filling keeps one, the
 //! round LP (floors and the level variable's column move each round; each

@@ -21,12 +21,14 @@
 //! [`PreparedLp::basis`] then reads the same basis.
 //!
 //! Every variable is one shifted column and every stored row its
-//! standard-form row, so a bound patch is a column width and a shift the
-//! variable's rows absorb, and a column patch is one column rewritten.
-//! Patches that cannot be written in place — a right-hand side whose sign
-//! flips (which changes the row's slack/artificial structure), a column
-//! given out of constraint order or outgrowing the room it was built
-//! with, invalid input — mark the instance stale, and the next solve
+//! standard-form row, so a lower-bound patch is a shift the variable's
+//! rows absorb, and a column patch is one column rewritten. Patches that
+//! cannot be written in place — a right-hand side whose sign flips (which
+//! changes the row's slack/artificial structure), a bound patch to or from
+//! a finite upper bound or a column patch of a variable that has one (each
+//! finite upper bound is a row of its own), a column given out of
+//! constraint order or outgrowing the room it was built with, invalid
+//! input — mark the instance stale, and the next solve
 //! re-lowers from the problem first (reporting invalid input the way
 //! [`LpProblem::solve`] does). Correctness never depends on a patch being
 //! expressible; only the saving does.
@@ -105,15 +107,16 @@ impl PreparedLp {
         self.refresh_row(constraint.0);
     }
 
-    /// Overwrites the bounds of `var`.
+    /// Overwrites the bounds of `var`. In place while its upper bound stays
+    /// infinite; one to or from a finite upper bound re-lowers.
     pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
+        let (_, old_upper) = self.lp.bounds(var);
         self.lp.set_bounds(var, lower, upper);
-        self.stale |= !valid_bounds(lower, upper);
+        self.stale |= !valid_bounds(lower, upper) || old_upper.is_finite() || upper.is_finite();
         if self.stale {
             return;
         }
         let col = var.index();
-        self.inst.upper[col] = upper - lower;
         // The shift moved: every row the variable appears in absorbs it.
         let rows: Vec<usize> = self.inst.col(col).map(|(row, _)| row).collect();
         for row in rows {
@@ -126,9 +129,10 @@ impl PreparedLp {
     /// (zeros meaning absent, a repeated constraint's coefficients summed)
     /// and appears nowhere else. In-place when the entries come in
     /// ascending constraint order and fit the room the column had when the
-    /// LP was prepared.
+    /// LP was prepared, and the variable has no finite upper bound.
     pub fn set_column(&mut self, var: VarId, entries: &[(ConstraintId, f64)]) {
         let col = var.index();
+        self.stale |= self.lp.bounds(var).1.is_finite();
         // Rows that currently mention the variable: its stored column
         // while the instance is in step with the problem, else every row.
         let old_rows: Vec<usize> = if self.stale {
@@ -183,7 +187,8 @@ impl PreparedLp {
     /// completed: a dependent column is dropped and a row left without one
     /// gets its slack, surplus or artificial. A hint that does not fit (more
     /// entries than constraints, an entry named twice, the slack of an
-    /// equality row, which has none), or whose completed basis is neither
+    /// equality row, which has none, an entry naming no variable or
+    /// constraint of this problem), or whose completed basis is neither
     /// primal nor dual feasible, or a warm solve that fails part-way, falls
     /// back to a cold start on a full pivot budget of its own — save an
     /// infeasibility the dual phase *proves* from a validated dual-feasible
@@ -196,12 +201,16 @@ impl PreparedLp {
         if self.stale {
             *self = PreparedLp::new(self.lp.clone())?;
         }
+        let (n, rows) = (self.lp.num_vars(), self.lp.num_constraints());
         let hint = hint.map(|entries| {
             let mut columns = Vec::with_capacity(entries.len());
             columns.extend(entries.iter().map(|entry| match *entry {
-                BasisEntry::Var(v) => v.index(),
-                // No column: a hint that does not fit.
-                BasisEntry::Slack(c) => self.inst.slack_col(c.0).unwrap_or(usize::MAX),
+                BasisEntry::Var(v) if v.0 < n => v.0,
+                BasisEntry::Slack(c) if c.0 < rows => {
+                    self.inst.slack_col(c.0).unwrap_or(usize::MAX)
+                }
+                // No column of this problem: a hint that does not fit.
+                _ => usize::MAX,
             }));
             columns.sort_unstable();
             columns
@@ -211,21 +220,21 @@ impl PreparedLp {
 
     /// The basic columns of the optimum the last [`PreparedLp::solve`]
     /// returned, in problem terms and column order, as a hint for the next
-    /// solve. Artificial columns have no such name and are left out; a hint
-    /// written from the rest is completed in their rows. Only the basic
-    /// columns are kept, not which bound each nonbasic column rests at: as
-    /// a hint, this puts a column that rested at a finite upper bound at
-    /// its lower one, another point, classified like any hint. `None`
-    /// exactly when [`PreparedLp::row_duals`] is.
+    /// solve. Artificial columns and the slacks of the finite upper bounds'
+    /// rows have no such name and are left out; a hint written from the
+    /// rest is completed in their rows, a bound row with its slack. So a
+    /// variable that rested at its upper bound may come back elsewhere,
+    /// another point, classified like any hint. `None` exactly when
+    /// [`PreparedLp::row_duals`] is.
     pub fn basis(&self) -> Option<Vec<BasisEntry>> {
         let kept = self.kept.as_ref().filter(|_| !self.stale)?;
-        let n = self.lp.num_vars();
+        let (n, rows) = (self.lp.num_vars(), self.lp.num_constraints());
         let mut entries = Vec::with_capacity(kept.basis.len());
         entries.extend(kept.basis.iter().filter_map(|&c| {
             if c < n {
                 Some(BasisEntry::Var(VarId(c)))
             } else {
-                let row = self.inst.slack_row(c)?;
+                let row = self.inst.slack_row(c).filter(|&row| row < rows)?;
                 Some(BasisEntry::Slack(ConstraintId(row)))
             }
         }));
@@ -243,6 +252,7 @@ impl PreparedLp {
     pub fn row_duals(&mut self) -> Option<Vec<f64>> {
         let kept = self.kept.as_mut().filter(|_| !self.stale)?;
         let mut y = kept.duals(&self.inst.costs);
+        y.truncate(self.lp.num_constraints());
         let sign = self.lp.cost_sign();
         for (yi, &negated) in y.iter_mut().zip(&self.negated) {
             *yi *= if negated { -sign } else { sign };
@@ -289,13 +299,17 @@ mod tests {
         prep.set_objective_coeff(y, 4.0);
         basis = assert_same(&mut prep, Some(&basis));
         prep.set_rhs(c0, 3.5);
+        assert!(!prep.stale, "an rhs patch is written in place");
         basis = assert_same(&mut prep, Some(&basis));
+        // `x` and `y` have finite upper bounds, each a row of its own: a
+        // bound or column patch of either re-lowers.
         prep.set_bounds(x, 0.5, 2.0);
+        assert!(prep.stale);
         basis = assert_same(&mut prep, Some(&basis));
         prep.set_column(y, &[(c0, 2.0)]);
+        assert!(prep.stale);
         basis = assert_same(&mut prep, Some(&basis));
-        assert!(!prep.stale, "every patch above is expressible in place");
-        // A sign flip is not: the row's structure changes.
+        // So does a sign flip: the row's structure changes.
         prep.set_rhs(c1, 0.5);
         assert!(prep.stale);
         assert_same(&mut prep, Some(&basis));
@@ -306,14 +320,16 @@ mod tests {
     fn merged_rows_take_bound_and_column_patches_in_place() {
         // Rows given with a repeated variable and an exact zero are stored
         // as their standard-form rows, so the prepared LP patches them in
-        // place, like any other.
+        // place, like any other. (No variable has a finite upper bound,
+        // whose row a bound or column patch would re-lower.)
         let mut lp = LpProblem::new(Sense::Maximize);
-        let x = lp.add_var("x", 0.0, 3.0, 3.0);
-        let y = lp.add_var("y", 0.5, 5.0, 2.0);
+        let x = lp.add_var("x", 0.0, f64::INFINITY, 3.0);
+        let y = lp.add_var("y", 0.5, f64::INFINITY, 2.0);
         let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
         let c0 = lp.add_constraint(&[(y, 0.5), (x, 1.0), (z, 0.0), (y, 0.5)], Cmp::Le, 4.0);
         let c1 = lp.add_constraint(&[(z, 1.0), (x, 1.0), (y, -1.0), (z, -1.0)], Cmp::Ge, -1.0);
         let c2 = lp.add_constraint(&[(z, 1.0), (x, 1.0)], Cmp::Le, 6.0);
+        let c3 = lp.add_constraint(&[(z, 1.0)], Cmp::Le, 2.0);
         let terms =
             |prep: &PreparedLp, c: ConstraintId| prep.problem().cons[c.index()].terms.clone();
         let mut prep = PreparedLp::new(lp).unwrap();
@@ -321,23 +337,23 @@ mod tests {
         assert_eq!(terms(&prep, c1), [(0, 1.0), (1, -1.0)]);
         assert!(prep.negated[c1.index()]);
         let mut basis = assert_same(&mut prep, None);
-        // A moved shift, then an upper bound made finite.
-        prep.set_bounds(y, 0.25, 4.0);
-        basis = assert_same(&mut prep, Some(&basis));
-        prep.set_bounds(z, 0.0, 2.0);
+        // A moved shift.
+        prep.set_bounds(y, 0.25, f64::INFINITY);
+        assert!(!prep.stale, "a lower-bound patch is written in place");
         basis = assert_same(&mut prep, Some(&basis));
         // `x` leaves the negated row; `z` enters it.
         prep.set_column(x, &[(c0, 2.0), (c1, 0.0), (c2, -1.0)]);
+        assert!(!prep.stale, "a column patch is written in place");
         assert_eq!(terms(&prep, c0), [(0, 2.0), (1, 1.0)]);
         assert_eq!(terms(&prep, c1), [(1, -1.0)]);
         basis = assert_same(&mut prep, Some(&basis));
-        prep.set_column(z, &[(c1, 1.0)]);
+        prep.set_column(z, &[(c1, 1.0), (c3, 1.0)]);
+        assert!(!prep.stale, "a column patch is written in place");
         assert_eq!(terms(&prep, c1), [(1, -1.0), (2, 1.0)]);
         basis = assert_same(&mut prep, Some(&basis));
-        assert!(!prep.stale, "every patch above is expressible in place");
         // A repeated constraint is summed into the row (here to nothing),
         // but is no ascending column: the next solve re-lowers.
-        prep.set_column(y, &[(c0, 1.0), (c0, -1.0)]);
+        prep.set_column(y, &[(c0, 1.0), (c0, -1.0), (c1, -1.0)]);
         assert_eq!(terms(&prep, c0), [(0, 2.0)]);
         assert!(prep.stale);
         assert_same(&mut prep, Some(&basis));
@@ -412,11 +428,17 @@ mod tests {
         read(&mut prep, false, "before the first solve");
         prep.solve(None).unwrap();
         read(&mut prep, true, "after a solve");
-        // The right-hand side and the bounds move the point, not the basis.
+        // The right-hand side and a lower bound move the point, not the
+        // basis.
         prep.set_rhs(cap, 5.0);
         read(&mut prep, true, "after set_rhs");
+        prep.set_bounds(x, 0.5, f64::INFINITY);
+        read(&mut prep, true, "after a lower-bound patch");
+        // A finite upper bound is a row of its own: a patch to or from one
+        // re-lowers.
         prep.set_bounds(y, 0.5, 2.0);
-        read(&mut prep, true, "after set_bounds");
+        read(&mut prep, false, "after an upper-bound patch");
+        prep.solve(None).unwrap();
         prep.set_objective_coeff(x, 2.0);
         read(&mut prep, false, "after set_objective_coeff");
         prep.solve(None).unwrap();
@@ -520,23 +542,72 @@ mod tests {
         assert_eq!((named.warm_hits, named.warm_falls_back), (1, 0));
         let unnamed = pinned.solve(Some(&[BasisEntry::Slack(tie)])).unwrap().stats;
         assert_eq!((unnamed.warm_hits, unnamed.warm_falls_back), (0, 1));
+        // And entries of another problem that name no constraint or
+        // variable of this one.
+        for alien in [BasisEntry::Slack(floor), BasisEntry::Var(t)] {
+            let stats = pinned.solve(Some(&[alien])).unwrap().stats;
+            assert_eq!(
+                (stats.warm_hits, stats.warm_falls_back),
+                (0, 1),
+                "{alien:?}"
+            );
+        }
     }
 
     #[test]
     fn read_back_bases_keep_no_bound_sides() {
         // `small`'s only optimum, x = 3 and y = 1, rests `x` at its upper
-        // bound, so `x` is not among its basic columns.
-        let (lp, [x, _], _) = small();
+        // bound: `x`, `y` and the slack of `y <= 5` are basic, and the
+        // read-back basis names the two variables but not the bound row.
+        let (lp, [x, y], [_, c1]) = small();
         let mut prep = PreparedLp::new(lp).unwrap();
         let sol = prep.solve(None).unwrap();
         assert_eq!(sol.value(x), 3.0);
         let entries = prep.basis().unwrap();
-        assert!(!entries.contains(&BasisEntry::Var(x)), "{entries:?}");
+        let want = [
+            BasisEntry::Var(x),
+            BasisEntry::Var(y),
+            BasisEntry::Slack(c1),
+        ];
+        assert_eq!(entries, want);
 
-        // Written back, the hint rests `x` at zero: another point, which
-        // the solve pivots away from to the same optimum.
+        // Written back, the hint is completed with the other bound row's
+        // slack, which rests `y` at its upper bound instead: another point,
+        // which the solve leaves for the same optimum.
         let again = prep.solve(Some(&entries)).unwrap();
         assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
         assert!(again.stats.total_pivots() > 0, "{:?}", again.stats);
+    }
+
+    #[test]
+    fn bound_rows_are_neither_constraints_nor_basis_entries() {
+        // max 2x + y + z s.t. x + y + z <= 4, x - z >= 0.5, x in [0, 10],
+        // y in [0.5, 3]: two bound rows follow the two constraints. At the
+        // optimum x = 3.5, y = 0.5, z = 0 no upper bound binds.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 10.0, 2.0);
+        let y = lp.add_var("y", 0.5, 3.0, 1.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 4.0);
+        lp.add_constraint(&[(x, 1.0), (z, -1.0)], Cmp::Ge, 0.5);
+        let rows = lp.num_constraints();
+        let mut prep = PreparedLp::new(lp).unwrap();
+        let sol = prep.solve(None).unwrap();
+        assert_eq!(sol.values, [3.5, 0.5, 0.0]);
+        assert_eq!(prep.row_duals().unwrap().len(), rows);
+        let entries = prep.basis().unwrap();
+        for entry in &entries {
+            if let BasisEntry::Slack(c) = entry {
+                assert!(c.index() < rows, "{entries:?}");
+            }
+        }
+        // Hinted back, the bound rows get their slacks: the same basis,
+        // no pivots, the same bits.
+        let again = prep.solve(Some(&entries)).unwrap();
+        assert_eq!((again.stats.warm_hits, again.stats.total_pivots()), (1, 0));
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again.values), bits(&sol.values));
+        assert_eq!(again.objective.to_bits(), sol.objective.to_bits());
+        assert_eq!(prep.basis().unwrap(), entries);
     }
 }

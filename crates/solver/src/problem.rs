@@ -2,23 +2,23 @@
 //!
 //! [`LpProblem`] collects variables (with bounds and objective coefficients)
 //! and linear constraints, then lowers the problem to the standard form
-//! `min c'x` subject to `Ax {<=,>=,=} b, 0 <= x <= u` consumed by the
-//! simplex engines in [`crate::revised`] (the default) and
-//! [`crate::simplex`] (the differential tests' dense oracle). Every
-//! variable has a finite lower bound, so the lowering is one shifted
-//! column per variable — standard column `i` is variable `i` — and
-//! handles:
+//! `min c'x` subject to `Ax {<=,>=,=} b, x >= 0` consumed by the simplex
+//! engines in [`crate::revised`] (the default) and [`crate::simplex`] (the
+//! differential tests' dense oracle). Every variable has a finite lower
+//! bound, so the lowering is one shifted column per variable — standard
+//! column `i` is variable `i` — and handles:
 //!
 //! - maximization (objective negation),
 //! - lower bounds (variable shifting, `x = lower + x'`),
-//! - finite upper bounds (carried on the column as `u = upper - lower`;
-//!   never an extra row — the revised engine's ratio test handles bounds
-//!   implicitly, the dense oracle re-expands them to rows on its side).
+//! - finite upper bounds (one row `x' <= upper - lower` each, in variable
+//!   order after the user's constraints; both engines read the same rows).
 //!
 //! A constraint's terms are stored sorted, merged and zero-free, so each
-//! stored row is its standard-form row and the standard-form row count `m`
-//! equals the user-facing constraint count exactly: a bounded variable
-//! costs no basis row.
+//! stored row is its standard-form row: standard row `i` is constraint `i`
+//! for every [`ConstraintId`], and the bound rows follow. They are no
+//! constraints of the problem, and nothing a solve reports about rows —
+//! [`crate::PreparedLp::row_duals`], [`crate::PreparedLp::basis`] — names
+//! them.
 
 use crate::error::SolverError;
 use crate::revised::{self, Instance, KeptLu};
@@ -423,17 +423,20 @@ impl LpProblem {
     }
 
     /// Validates the problem and lowers it to standard form: column `i` is
-    /// variable `i` shifted by its lower bound, and row `i` constraint
-    /// `i`'s stored terms.
+    /// variable `i` shifted by its lower bound, row `i` constraint `i`'s
+    /// stored terms, and after them one row `x' <= upper - lower` per
+    /// variable with a finite upper bound, in variable order.
     pub(crate) fn lower(&self) -> Result<StandardForm, SolverError> {
         self.validate()?;
+        let user = (self.cons.iter().enumerate())
+            .map(|(i, c)| (c.terms.clone(), c.cmp, self.lowered_rhs(i)));
+        let bounds = (self.vars.iter().enumerate())
+            .filter(|(_, v)| v.upper.is_finite())
+            .map(|(i, v)| (vec![(i, 1.0)], Cmp::Le, v.upper - v.lower));
         Ok(StandardForm {
             ncols: self.vars.len(),
             costs: (0..self.vars.len()).map(|i| self.std_cost(i)).collect(),
-            rows: (self.cons.iter().enumerate())
-                .map(|(i, c)| (c.terms.clone(), c.cmp, self.lowered_rhs(i)))
-                .collect(),
-            upper: self.vars.iter().map(|v| v.upper - v.lower).collect(),
+            rows: user.chain(bounds).collect(),
         })
     }
 }
@@ -645,15 +648,14 @@ mod tests {
     }
 
     #[test]
-    fn bounded_vars_lower_without_extra_rows() {
-        // Finite upper bounds ride on columns: the standard form has
-        // exactly one row per user constraint, and the solve still honors
-        // every bound.
+    fn bounded_vars_lower_to_one_row_each() {
+        // A finite upper bound is one standard-form row after the user's
+        // constraints, and the solve honors every bound.
         let mut lp = LpProblem::new(Sense::Maximize);
         let x = lp.add_var("x", 0.0, 1.0, 3.0);
         let y = lp.add_var("y", 0.5, 2.5, 1.0);
         lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 3.0);
-        assert_eq!(lp.lower().unwrap().rows.len(), lp.num_constraints());
+        assert_eq!(lp.lower().unwrap().rows.len(), lp.num_constraints() + 2);
         let sol = lp.solve().unwrap();
         assert!((sol[x] - 1.0).abs() < 1e-9);
         assert!((sol[y] - 2.0).abs() < 1e-9);

@@ -31,23 +31,21 @@
 //! (see [`crate::basis`]). A solve's heap blocks are therefore a constant
 //! plus the eta slab's doubling, whatever its pivot count.
 //!
-//! # Bounded variables
+//! # Bounds
 //!
-//! Columns carry implicit bounds `0 <= x_j <= u_j` ([`StandardForm::
-//! upper`]); finite upper bounds never become rows here. A nonbasic
-//! variable rests at *either* bound (`at_upper` state), the ratio test is
-//! two-sided (a basic variable can leave at its lower or its upper bound),
-//! and an entering variable whose own bound is the tightest limit simply
-//! *bound-flips* to the other bound — no basis change, no factorization
-//! update, counted in [`SolveStats::bound_flips`]. During phase 2,
-//! artificial columns are treated as fixed at zero (`[0, 0]` bounds),
-//! which makes them inert: they can neither re-enter nor rise, so a
-//! warm-started basis that kept an artificial basic at zero is safe.
+//! Every column is bounded by zero from below and by nothing from above:
+//! a finite upper bound reaches this engine as a row of the standard form
+//! ([`crate::LpProblem`] lowers it), so a nonbasic column always rests at
+//! zero and an entering column always rises from it. The one upper bound
+//! is on the artificial columns during phase 2, which are fixed at zero
+//! there. That makes them inert: they can neither re-enter nor rise, so a
+//! warm-started basis that kept an artificial basic at zero is safe, and
+//! the ratio test lets a basic artificial block at zero from either side.
 //!
 //! # Warm starts and the dual simplex phase
 //!
 //! `solve_instance` accepts an optional hint, a list of basic columns
-//! with every other column at its lower bound — typically the optimal
+//! with every other column at zero — typically the optimal
 //! basis of a near-identical LP solved a moment ago (Gavel's
 //! water-filling rounds). The hint is first
 //! *completed*, in the one factorization pass that starts the solve
@@ -62,8 +60,9 @@
 //! - still **primal feasible** under the new data → phase 2 resumes from
 //!   that vertex (often zero pivots);
 //! - primal infeasible but **dual feasible** — the signature of a risen
-//!   floor (RHS change) or a tightened variable bound, both of which
-//!   leave reduced costs untouched → a **dual simplex**
+//!   floor or a tightened variable bound, both right-hand-side changes
+//!   (a bound is a shift or a row) that leave reduced costs untouched → a
+//!   **dual simplex**
 //!   phase repairs primal feasibility in a handful of pivots
 //!   ([`SolveStats::dual_pivots`]), then phase 2 polishes (usually a
 //!   no-op);
@@ -82,13 +81,12 @@
 //! therefore never changes the feasibility verdict or the optimal
 //! objective, only the work done. Before extraction the basis is
 //! refactorized and `x_B` recomputed from scratch, so the returned values
-//! are a pure function of the final `(basis, at_upper)` state — warm and
-//! cold solves that finish at the same basis return bit-identical
-//! solutions. A recomputed basic value that lands outside its bounds by
-//! more than the feasibility tolerance is repaired by the dual simplex
-//! from that optimal, so dual feasible, basis (or proves the LP
-//! infeasible), and the basis it ends at is refactorized and checked
-//! again.
+//! are a pure function of the final basis — warm and cold solves that
+//! finish at the same basis return bit-identical solutions. A recomputed
+//! basic value that lands outside its bounds by more than the feasibility
+//! tolerance is repaired by the dual simplex from that optimal, so dual
+//! feasible, basis (or proves the LP infeasible), and the basis it ends at
+//! is refactorized and checked again.
 
 use crate::basis::{Basis, NO_COLUMN};
 use crate::error::SolverError;
@@ -107,8 +105,8 @@ pub(crate) struct RevisedOutcome {
 }
 
 /// The standard form with slack and artificial columns made explicit.
-/// Crate-internal, cloneable and patchable (`b`, `costs`, `upper`, one
-/// structural column at a time) so [`crate::PreparedLp`] can re-solve a
+/// Crate-internal, cloneable and patchable (`b`, `costs`, one structural
+/// column at a time) so [`crate::PreparedLp`] can re-solve a
 /// drifting LP without rebuilding the constraint matrix.
 #[derive(Debug, Clone)]
 pub(crate) struct Instance {
@@ -118,10 +116,6 @@ pub(crate) struct Instance {
     pub(crate) b: Vec<f64>,
     /// Phase-2 costs over all `ntot` columns.
     pub(crate) costs: Vec<f64>,
-    /// Upper bounds over all `ntot` columns (slack/artificial: `+inf`;
-    /// artificial columns are additionally clamped to zero in phase 2 via
-    /// [`Solver::ub`]).
-    pub(crate) upper: Vec<f64>,
     /// Structural column count.
     n: usize,
     /// First artificial column.
@@ -210,7 +204,6 @@ impl Instance {
     pub(crate) fn build(lp: &StandardForm) -> Instance {
         let m = lp.rows.len();
         let n = lp.ncols;
-        debug_assert_eq!(lp.upper.len(), n, "upper bounds must cover all columns");
         let mut n_slack = 0usize;
         let mut n_art = 0usize;
         for (_, cmp, rhs) in &lp.rows {
@@ -287,13 +280,10 @@ impl Instance {
         }
         let mut costs = vec![0.0; ntot];
         costs[..n].copy_from_slice(&lp.costs);
-        let mut upper = vec![f64::INFINITY; ntot];
-        upper[..n].copy_from_slice(&lp.upper);
         Instance {
             a: CscMatrix::from_parts(m, col_ptr, row_idx, values),
             b,
             costs,
-            upper,
             n,
             art_start,
             ntot,
@@ -340,8 +330,8 @@ impl KeptLu {
 
 /// Solves a standard-form LP, built fresh or kept and patched by a
 /// [`crate::PreparedLp`], with the revised simplex. `hint` is an optional
-/// warm-start basis, sorted columns with every other column at its lower
-/// bound; see the module docs for how hints are completed and classified.
+/// warm-start basis, sorted columns with every other column at zero; see
+/// the module docs for how hints are completed and classified.
 /// Hints that do not fit or stay unusable fall back to a cold start.
 /// `kept` receives the optimal basis and its factorization, and is empty
 /// after a failed solve.
@@ -397,13 +387,13 @@ pub(crate) fn solve_instance(
     // but runs on a full budget of its own: a hint that stalled must not
     // turn a solvable LP into an iteration-limit error.
     let mut solver = Solver::cold(inst)?;
-    solver.iter_limit += work(&spent);
+    solver.iter_limit += spent.total_pivots();
     solver.stats = spent;
     solver.phase1().and_then(|()| solver.phase2())?;
     solver.extract(kept)
 }
 
-/// The pivot limit of one solve attempt, in [`work`] units.
+/// The pivot limit of one solve attempt.
 fn auto_limit(inst: &Instance) -> usize {
     200 * (inst.m + inst.ntot + 1) + 20_000
 }
@@ -413,37 +403,13 @@ fn auto_limit(inst: &Instance) -> usize {
 /// cold solve takes over is pure loss.
 const WARM_SHARE: usize = 16;
 
-/// Work an attempt has spent against its limit: bound flips move no
-/// basis column but cost a ratio test like any pivot.
-fn work(stats: &SolveStats) -> usize {
-    stats.total_pivots() + stats.bound_flips
-}
-
-/// Outcome of the bounded ratio test for one entering column.
-enum Step {
-    /// The entering column's own bound is the tightest limit: it jumps to
-    /// its other bound, no basis change.
-    Flip(f64),
-    /// A basic variable blocks first and leaves the basis at the recorded
-    /// bound side.
-    Pivot {
-        slot: usize,
-        t: f64,
-        leave_at_upper: bool,
-    },
-}
-
 struct Solver<'a> {
     inst: &'a Instance,
-    /// Cap on [`work`]; past it the attempt ends in
+    /// Cap on the attempt's pivots; past it the attempt ends in
     /// [`SolverError::IterationLimit`].
     iter_limit: usize,
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Nonbasic bound side per column (`true` = resting at its upper
-    /// bound). Always `false` for basic columns and columns without a
-    /// finite upper bound.
-    at_upper: Vec<bool>,
     fac: Basis,
     /// `fac` completed a partial or singular hint, so its factor columns
     /// are not in the canonical order [`Solver::extract`] reads values in.
@@ -482,7 +448,6 @@ impl<'a> Solver<'a> {
             x_b: inst.b.clone(),
             basis,
             in_basis,
-            at_upper: vec![false; inst.ntot],
             fac,
             completed: false,
             y: vec![0.0; inst.m],
@@ -495,7 +460,7 @@ impl<'a> Solver<'a> {
     }
 
     /// Builds a solver from a warm-start basis: at most one column per row,
-    /// none named twice, every nonbasic column at its lower bound. The
+    /// none named twice, every nonbasic column at zero. The
     /// hinted columns are factorized and completed in one pass
     /// ([`Basis::complete`]): a column dependent on the others is dropped,
     /// and each row left without one gets its logical column. `None` only
@@ -529,7 +494,6 @@ impl<'a> Solver<'a> {
             iter_limit: auto_limit(inst) / WARM_SHARE,
             basis,
             in_basis,
-            at_upper: vec![false; inst.ntot],
             fac,
             completed: added > 0,
             x_b: vec![0.0; inst.m],
@@ -544,14 +508,14 @@ impl<'a> Solver<'a> {
         Some(solver)
     }
 
-    /// Effective upper bound of a column: in phase 2 artificial columns
-    /// are fixed at zero, which bans re-entry and caps any basic
+    /// Upper bound of a column: none, except that in phase 2 artificial
+    /// columns are fixed at zero, which bans re-entry and caps any basic
     /// artificial so it can never rise above zero.
     fn ub(&self, col: usize, phase: u8) -> f64 {
         if phase == 2 && col >= self.inst.art_start {
             0.0
         } else {
-            self.inst.upper[col]
+            f64::INFINITY
         }
     }
 
@@ -564,36 +528,19 @@ impl<'a> Solver<'a> {
     }
 
     /// Whether the basis is dual feasible for the phase-2 costs: no
-    /// [`Solver::miss`] above `1e-7`.
+    /// nonbasic column's reduced cost `c_j − a_j·y` below `-1e-7`.
     fn dual_feasible(&mut self) -> bool {
         let inst = self.inst;
         self.prices(&inst.costs);
         let mut infeasible = false;
         inst.price(
             &self.y,
-            |j| self.priced(j),
+            |j| !self.in_basis[j],
             |j, ay| {
-                infeasible |= self.miss(j, inst.costs[j] - ay) > 1e-7;
+                infeasible |= -(inst.costs[j] - ay) > 1e-7;
             },
         );
         !infeasible
-    }
-
-    /// Whether column `j` (below `art_start`) is priced: it is nonbasic
-    /// and not fixed at zero.
-    fn priced(&self, j: usize) -> bool {
-        !self.in_basis[j] && self.inst.upper[j] > 0.0
-    }
-
-    /// How far the reduced cost `d = c_j − a_j·y` of a priced column `j`
-    /// misses the optimality sign for `j`'s bound side (`d >= 0` at lower,
-    /// `<= 0` at upper); positive when moving `j` pays.
-    fn miss(&self, j: usize, d: f64) -> f64 {
-        if self.at_upper[j] {
-            d
-        } else {
-            -d
-        }
     }
 
     /// Dual prices `y = B⁻ᵀ c_B` for the given cost vector, into `y`.
@@ -677,15 +624,14 @@ impl<'a> Solver<'a> {
                 let w = &self.w;
                 if w[slot].abs() > PIVOT_TOL {
                     // Zero-movement swap: the leaving artificial sits at
-                    // (numerically) zero, so the entering column keeps its
-                    // current value regardless of bound side.
-                    let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
+                    // (numerically) zero, so the entering column stays
+                    // (numerically) at zero too.
                     let t = if self.x_b[slot].abs() <= 1e-12 {
                         0.0
                     } else {
-                        (self.x_b[slot] / (dir * w[slot])).max(0.0)
+                        (self.x_b[slot] / w[slot]).max(0.0)
                     };
-                    self.apply_pivot(slot, j, dir, t, false)?;
+                    self.apply_pivot(slot, j, t)?;
                 }
             }
         }
@@ -695,52 +641,34 @@ impl<'a> Solver<'a> {
     /// Runs primal pivots until no entering column remains.
     fn pivot_loop(&mut self, costs: &[f64], phase: u8) -> Result<(), SolverError> {
         loop {
-            if work(&self.stats) > self.iter_limit {
-                return Err(SolverError::IterationLimit {
-                    pivots: self.stats.total_pivots(),
-                });
+            let pivots = self.stats.total_pivots();
+            if pivots > self.iter_limit {
+                return Err(SolverError::IterationLimit { pivots });
             }
-            let Some((col, dir)) = self.choose_entering(costs) else {
+            let Some(col) = self.choose_entering(costs) else {
                 return Ok(());
             };
             self.ftran_col(col);
-            let Some(step) = self.choose_step(dir, phase, self.ub(col, phase)) else {
+            let Some((slot, t)) = self.choose_step(phase) else {
                 // Mirrors the dense engine: phase 1 is bounded below by
                 // zero, so "unbounded" there means numerical trouble;
                 // callers treat both as hard errors.
                 return Err(SolverError::Unbounded);
             };
-            let t = match step {
-                Step::Flip(t) => {
-                    for (xi, &wi) in self.x_b.iter_mut().zip(&self.w) {
-                        *xi -= dir * t * wi;
-                    }
-                    self.at_upper[col] = !self.at_upper[col];
-                    self.stats.bound_flips += 1;
-                    t
-                }
-                Step::Pivot {
-                    slot,
-                    t,
-                    leave_at_upper,
-                } => {
-                    // Stability guard: a barely-eligible pivot element after
-                    // a run of eta updates is usually accumulated error, not
-                    // a real near-degenerate column. Refactorize and redo
-                    // the iteration with exact factors before committing.
-                    if self.w[slot].abs() < 1e-7 && self.fac.has_updates() {
-                        self.refactorize()?;
-                        continue;
-                    }
-                    self.apply_pivot(slot, col, dir, t, leave_at_upper)?;
-                    if phase == 1 {
-                        self.stats.pivots_phase1 += 1;
-                    } else {
-                        self.stats.pivots_phase2 += 1;
-                    }
-                    t
-                }
-            };
+            // Stability guard: a barely-eligible pivot element after a run
+            // of eta updates is usually accumulated error, not a real
+            // near-degenerate column. Refactorize and redo the iteration
+            // with exact factors before committing.
+            if self.w[slot].abs() < 1e-7 && self.fac.has_updates() {
+                self.refactorize()?;
+                continue;
+            }
+            self.apply_pivot(slot, col, t)?;
+            if phase == 1 {
+                self.stats.pivots_phase1 += 1;
+            } else {
+                self.stats.pivots_phase2 += 1;
+            }
             if t <= PIVOT_TOL {
                 self.degenerate_run += 1;
                 if self.degenerate_run >= DEGENERACY_THRESHOLD {
@@ -753,60 +681,58 @@ impl<'a> Solver<'a> {
     }
 
     /// Dantzig (largest reduced-cost violation) or, once cycling is
-    /// suspected, Bland (lowest index). Returns the entering column and its
-    /// movement direction: `+1` rising from its lower bound, `-1` falling
-    /// from its upper bound. Artificial and fixed columns never enter.
-    fn choose_entering(&mut self, costs: &[f64]) -> Option<(usize, f64)> {
+    /// suspected, Bland (lowest index). Returns the entering column, which
+    /// rises from zero; artificial columns never enter.
+    fn choose_entering(&mut self, costs: &[f64]) -> Option<usize> {
         self.prices(costs);
-        let mut best: Option<(usize, f64)> = None;
+        let mut best = None;
         let mut best_viol = RC_TOL;
         let inst = self.inst;
         inst.price(
             &self.y,
-            |j| self.priced(j),
+            |j| !self.in_basis[j],
             |j, ay| {
                 if self.bland && best.is_some() {
                     return; // Bland: the lowest index wins.
                 }
-                let viol = self.miss(j, costs[j] - ay);
+                let viol = -(costs[j] - ay);
                 if viol > best_viol {
-                    // Decrease from the upper bound, or increase from the lower.
-                    let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
                     best_viol = viol;
-                    best = Some((j, dir));
+                    best = Some(j);
                 }
             },
         );
         best
     }
 
-    /// Two-sided ratio test over `w = B⁻¹ a_q`: basic variables may block
-    /// at either bound, and the entering column's own bound (`u_enter`)
-    /// competes as a bound flip. Returns `None` when no limit exists
-    /// (unbounded ray).
-    fn choose_step(&self, dir: f64, phase: u8, u_enter: f64) -> Option<Step> {
+    /// Ratio test over `w = B⁻¹ a_q` for an entering column rising from
+    /// zero: a basic variable blocks where it falls to zero, a basic
+    /// artificial in phase 2 also where it would rise above zero. Returns
+    /// the blocking slot and the step length, or `None` when no limit
+    /// exists (unbounded ray).
+    fn choose_step(&self, phase: u8) -> Option<(usize, f64)> {
         let w = &self.w;
-        // (slot, ratio, leave_at_upper, |pivot element|)
-        let mut best: Option<(usize, f64, bool, f64)> = None;
+        // (slot, ratio, |pivot element|)
+        let mut best: Option<(usize, f64, f64)> = None;
         for i in 0..self.inst.m {
             // Rate of change of x_B[i] per unit of entering movement.
-            let delta = -dir * w[i];
-            let (ratio, leave_at_upper) = if delta < -PIVOT_TOL {
+            let delta = -w[i];
+            let ratio = if delta < -PIVOT_TOL {
                 // Decreasing toward its lower bound (zero).
-                ((self.x_b[i] / -delta).max(0.0), false)
+                (self.x_b[i] / -delta).max(0.0)
             } else if delta > PIVOT_TOL {
                 let ubi = self.ub(self.basis[i], phase);
                 if !ubi.is_finite() {
                     continue;
                 }
                 // Increasing toward its upper bound.
-                (((ubi - self.x_b[i]) / delta).max(0.0), true)
+                ((ubi - self.x_b[i]) / delta).max(0.0)
             } else {
                 continue;
             };
             let better = match best {
                 None => true,
-                Some((bslot, bratio, _, bpivot)) => {
+                Some((bslot, bratio, bpivot)) => {
                     let tol = 1e-10 * (1.0 + bratio.abs());
                     if ratio < bratio - tol {
                         true
@@ -822,27 +748,14 @@ impl<'a> Solver<'a> {
                 }
             };
             if better {
-                best = Some((i, ratio, leave_at_upper, w[i].abs()));
+                best = Some((i, ratio, w[i].abs()));
             }
         }
-        match best {
-            Some((slot, t, leave_at_upper, _)) => {
-                if u_enter.is_finite() && u_enter <= t {
-                    Some(Step::Flip(u_enter))
-                } else {
-                    Some(Step::Pivot {
-                        slot,
-                        t,
-                        leave_at_upper,
-                    })
-                }
-            }
-            None => u_enter.is_finite().then_some(Step::Flip(u_enter)),
-        }
+        best.map(|(slot, t, _)| (slot, t))
     }
 
     /// Dual simplex phase: from a dual-feasible basis, repeatedly drive the
-    /// most bound-violating basic variable to the bound it violates,
+    /// most bound-violating basic variable to zero, the bound it violates,
     /// choosing the entering column by the dual ratio test so reduced costs
     /// keep their optimality signs. Terminates at primal feasibility (then
     /// phase 2 finishes, usually pivot-free) or proves the LP infeasible
@@ -851,10 +764,9 @@ impl<'a> Solver<'a> {
     fn dual_phase(&mut self) -> Result<(), SolverError> {
         let costs = &self.inst.costs;
         loop {
-            if work(&self.stats) > self.iter_limit {
-                return Err(SolverError::IterationLimit {
-                    pivots: self.stats.total_pivots(),
-                });
+            let pivots = self.stats.total_pivots();
+            if pivots > self.iter_limit {
+                return Err(SolverError::IterationLimit { pivots });
             }
             // Leaving: the most bound-violating basic variable (first one
             // under Bland).
@@ -882,30 +794,23 @@ impl<'a> Solver<'a> {
             };
             self.prices_and_row(costs, r);
             // Entering: minimum dual ratio |d_j| / |alpha_j| over columns
-            // whose movement pushes x_B[r] back toward the violated bound.
-            let mut best: Option<(usize, f64, f64, f64)> = None; // (j, ratio, |alpha|, dir)
+            // whose rise pushes x_B[r] back toward zero.
+            let mut best: Option<(usize, f64, f64)> = None; // (j, ratio, |alpha|)
             let consider = |j: usize, alpha: f64, ay: f64| {
                 if alpha.abs() <= PIVOT_TOL {
                     return;
                 }
-                let dir = if self.at_upper[j] { -1.0 } else { 1.0 };
-                // x_B[r] moves by `-dir * alpha` per unit step; it must
-                // move down when above its upper bound, up when below zero.
-                let movement = -dir * alpha;
-                if (above && movement >= 0.0) || (!above && movement <= 0.0) {
+                // x_B[r] moves by `-alpha` per unit step; it must move down
+                // when above its upper bound, up when below zero.
+                if above != (alpha > 0.0) {
                     return;
                 }
-                let d = costs[j] - ay;
-                let dres = if self.at_upper[j] {
-                    (-d).max(0.0)
-                } else {
-                    d.max(0.0)
-                };
+                let dres = (costs[j] - ay).max(0.0);
                 // A zero reduced cost is a zero ratio: no division.
                 let ratio = if dres == 0.0 { 0.0 } else { dres / alpha.abs() };
                 let better = match best {
                     None => true,
-                    Some((bj, bratio, balpha, _)) => {
+                    Some((bj, bratio, balpha)) => {
                         let tol = 1e-10 * (1.0 + bratio.abs());
                         if ratio < bratio - tol {
                             true
@@ -921,12 +826,12 @@ impl<'a> Solver<'a> {
                     }
                 };
                 if better {
-                    best = Some((j, ratio, alpha.abs(), dir));
+                    best = Some((j, ratio, alpha.abs()));
                 }
             };
             let inst = self.inst;
-            inst.price2(&self.rho, &self.y, |j| self.priced(j), consider);
-            let Some((q, ratio, _, dir)) = best else {
+            inst.price2(&self.rho, &self.y, |j| !self.in_basis[j], consider);
+            let Some((q, ratio, _)) = best else {
                 // Dual unbounded: no column can repair the violated row, so
                 // the LP is primal infeasible.
                 return Err(SolverError::Infeasible);
@@ -942,14 +847,10 @@ impl<'a> Solver<'a> {
                     context: "dual pivot element vanished after refactorization".into(),
                 });
             }
-            // Step length that lands x_B[r] exactly on its violated bound.
-            let target = if above {
-                self.ub(self.basis[r], 2)
-            } else {
-                0.0
-            };
-            let t = ((self.x_b[r] - target) / (dir * w_r)).max(0.0);
-            self.apply_pivot(r, q, dir, t, above)?;
+            // Step length that lands x_B[r] exactly on zero, the bound it
+            // violates either way.
+            let t = (self.x_b[r] / w_r).max(0.0);
+            self.apply_pivot(r, q, t)?;
             self.stats.dual_pivots += 1;
             if ratio <= RC_TOL {
                 self.degenerate_run += 1;
@@ -972,38 +873,17 @@ impl<'a> Solver<'a> {
     }
 
     /// Replaces the basis column at `slot` by `col`, whose FTRAN image is
-    /// in `w`, entering with step `t` in direction `dir`, updating `x_B`,
-    /// the bound-side flags, and the factorization (refactorizing when the
-    /// eta file is full or the product-form update is rejected).
-    fn apply_pivot(
-        &mut self,
-        slot: usize,
-        col: usize,
-        dir: f64,
-        t: f64,
-        leave_at_upper: bool,
-    ) -> Result<(), SolverError> {
+    /// in `w`, entering with step `t`, updating `x_B` and the factorization
+    /// (refactorizing when the eta file is full or the product-form update
+    /// is rejected). The leaving column rests at zero.
+    fn apply_pivot(&mut self, slot: usize, col: usize, t: f64) -> Result<(), SolverError> {
         for (xi, &wi) in self.x_b.iter_mut().zip(&self.w) {
-            *xi -= dir * t * wi;
+            *xi -= t * wi;
         }
-        // The entering column's new basic value, measured from the bound it
-        // left. (Entering from the upper bound implies that bound is
-        // finite.)
-        let enter_val = if dir > 0.0 {
-            t
-        } else {
-            self.inst.upper[col] - t
-        };
-        let leaving = self.basis[slot];
-        self.in_basis[leaving] = false;
-        // Artificial columns always rest at zero once nonbasic (their
-        // phase-2 bounds are [0, 0]); other columns record which bound they
-        // left at.
-        self.at_upper[leaving] = leave_at_upper && leaving < self.inst.art_start;
+        self.in_basis[self.basis[slot]] = false;
         self.basis[slot] = col;
         self.in_basis[col] = true;
-        self.at_upper[col] = false;
-        self.x_b[slot] = enter_val;
+        self.x_b[slot] = t;
         let ok = self.fac.update(slot, &self.w);
         if !ok || self.fac.needs_refactor() {
             self.refactorize()?;
@@ -1011,19 +891,10 @@ impl<'a> Solver<'a> {
         Ok(())
     }
 
-    /// Recomputes `x_B = B⁻¹ (b - Σ_{j at upper} u_j a_j)` from scratch.
+    /// Recomputes `x_B = B⁻¹ b` from scratch.
     fn recompute_xb(&mut self) {
-        let x = &mut self.x_b;
-        x.copy_from_slice(&self.inst.b);
-        for j in 0..self.inst.ntot {
-            if self.at_upper[j] && !self.in_basis[j] {
-                let u = self.inst.upper[j];
-                for (r, v) in self.inst.a.col(j) {
-                    x[r] -= u * v;
-                }
-            }
-        }
-        self.fac.ftran(x);
+        self.x_b.copy_from_slice(&self.inst.b);
+        self.fac.ftran(&mut self.x_b);
     }
 
     /// Rebuilds the factorization from the current basis and recomputes
@@ -1051,8 +922,7 @@ impl<'a> Solver<'a> {
     /// from scratch — slot order is pivot-path history, so without this a
     /// warm and a cold solve finishing at the same basis could disagree in
     /// the last floating-point bits. After canonicalization the returned
-    /// values are a pure function of the final `(basis set, at_upper)`
-    /// state. That canonical basis and its factorization are handed back
+    /// values are a pure function of the final basis set. That canonical basis and its factorization are handed back
     /// through `kept`, where [`crate::PreparedLp::basis`] reads the one and
     /// [`KeptLu::duals`] the optimum's row duals from the other.
     ///
@@ -1074,37 +944,23 @@ impl<'a> Solver<'a> {
             self.dual_phase()?;
         }
         let mut x = vec![0.0; self.inst.n];
-        for (j, xv) in x.iter_mut().enumerate() {
-            if self.at_upper[j] && !self.in_basis[j] {
-                *xv = self.inst.upper[j];
-            }
-        }
         for (i, &c) in self.basis.iter().enumerate() {
             if c < self.inst.n {
                 x[c] = self.x_b[i];
             }
         }
-        for (j, v) in x.iter_mut().enumerate() {
-            // Clamp tiny pivoting noise back into the variable's range.
+        for v in &mut x {
+            // Clamp tiny negative pivoting noise back to zero.
             if *v < 0.0 && *v > -1e-9 {
                 *v = 0.0;
             }
-            let u = self.inst.upper[j];
-            if u.is_finite() && *v > u && *v < u + 1e-9 {
-                *v = u;
-            }
         }
-        let mut objective: f64 = self
+        let objective: f64 = self
             .basis
             .iter()
             .zip(&self.x_b)
             .map(|(&c, &v)| self.inst.costs[c] * v)
             .sum();
-        for j in 0..self.inst.n {
-            if self.at_upper[j] && !self.in_basis[j] {
-                objective += self.inst.costs[j] * self.inst.upper[j];
-            }
-        }
         #[cfg(debug_assertions)]
         assert_eq!(self.certify(objective), Ok(()), "optimality certificate");
         *kept = Some(KeptLu {
@@ -1119,10 +975,10 @@ impl<'a> Solver<'a> {
     }
 
     /// Certifies `primal` optimal from the state's own duals `y = B⁻ᵀ c_B`
-    /// (priced into `y`; nothing is allocated): every [`Solver::miss`]
-    /// within `1e-7·(1 + |c_j| + Σ|a_ij y_i|)`, every basic value in `[0, u]`
-    /// within `1e-6·(1 + u)` (`u` finite, else 0), and `primal` equal to
-    /// `b·y + Σ_{j at upper} u_j d_j` within `1e-6·(1 + max)`.
+    /// (priced into `y`; nothing is allocated): every nonbasic reduced cost
+    /// `d_j = c_j − a_j·y` at least `-1e-7·(1 + |c_j| + Σ|a_ij y_i|)`, every
+    /// basic value at least `-1e-6` (a basic artificial also at most
+    /// `1e-6`), and `primal` equal to `b·y` within `1e-6·(1 + max)`.
     #[cfg(debug_assertions)]
     fn certify(&mut self, primal: f64) -> Result<(), Violation> {
         let check = |what, at, off: f64, tol: f64| {
@@ -1132,20 +988,15 @@ impl<'a> Solver<'a> {
         };
         let inst = self.inst;
         self.prices(&inst.costs);
-        let mut dual: f64 = inst.b.iter().zip(&self.y).map(|(b, y)| b * y).sum();
-        for j in (0..inst.art_start).filter(|&j| self.priced(j)) {
-            let miss = self.miss(j, inst.costs[j] - inst.a.col_dot(j, &self.y));
+        let dual: f64 = inst.b.iter().zip(&self.y).map(|(b, y)| b * y).sum();
+        for j in (0..inst.art_start).filter(|&j| !self.in_basis[j]) {
+            let miss = -(inst.costs[j] - inst.a.col_dot(j, &self.y));
             let size: f64 = inst.a.col(j).map(|(r, v)| (v * self.y[r]).abs()).sum();
             let tol = 1e-7 * (1.0 + inst.costs[j].abs() + size);
             check("reduced cost", j, miss, tol)?;
-            if self.at_upper[j] {
-                dual += inst.upper[j] * miss; // At its upper bound, `miss` is `d_j`.
-            }
         }
         for (slot, (&c, &v)) in self.basis.iter().zip(&self.x_b).enumerate() {
-            let u = self.ub(c, 2);
-            let room = if u.is_finite() { u } else { 0.0 };
-            check("basic value", slot, (-v).max(v - u), 1e-6 * (1.0 + room))?;
+            check("basic value", slot, (-v).max(v - self.ub(c, 2)), 1e-6)?;
         }
         let scale = 1.0 + primal.abs().max(dual.abs());
         check("duality gap", 0, (primal - dual).abs(), 1e-6 * scale)
@@ -1181,12 +1032,13 @@ mod tests {
                 (terms, cmp, rhs)
             })
             .collect();
-        StandardForm {
-            ncols,
-            costs,
-            rows,
-            upper: vec![f64::INFINITY; ncols],
-        }
+        StandardForm { ncols, costs, rows }
+    }
+
+    /// `lp`'s revised solve after [`LpProblem::lower`]: its finite upper
+    /// bounds as rows.
+    fn solve_lowered(lp: &crate::LpProblem) -> RevisedOutcome {
+        solve(&lp.lower().unwrap()).unwrap()
     }
 
     /// The outcome of a solve hinted with `hint`, and its optimal basis.
@@ -1281,35 +1133,27 @@ mod tests {
 
     #[test]
     fn implicit_upper_bounds_bind() {
-        // min -x - y s.t. x + y <= 3, x <= 1, y <= 1.5 via column bounds.
-        let mut lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 1.0], Cmp::Le, 3.0)]);
-        lp.upper = vec![1.0, 1.5];
-        let out = solve(&lp).unwrap();
+        // max x + y s.t. x + y <= 3, x <= 1, y <= 1.5 via variable bounds.
+        let mut lp = crate::LpProblem::new(crate::Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 1.0, 1.0);
+        let y = lp.add_var("y", 0.0, 1.5, 1.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 3.0);
+        let out = solve_lowered(&lp);
         assert!((out.objective + 2.5).abs() < 1e-9, "obj={}", out.objective);
         assert!((out.x[0] - 1.0).abs() < 1e-9);
         assert!((out.x[1] - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bound_flip_happens_without_basis_change() {
-        // min -x with x <= 2 and a slack-only row that never binds: the
-        // optimal move is a pure bound flip of x to its upper bound.
-        let mut lp = std_lp(1, vec![-1.0], vec![(vec![1.0], Cmp::Le, 10.0)]);
-        lp.upper = vec![2.0];
-        let out = solve(&lp).unwrap();
-        assert!((out.x[0] - 2.0).abs() < 1e-12);
-        assert!((out.objective + 2.0).abs() < 1e-12);
-        assert!(out.stats.bound_flips >= 1, "stats={:?}", out.stats);
-        assert_eq!(out.stats.total_pivots(), 0, "stats={:?}", out.stats);
+        assert_eq!(out.stats.bound_flips, 0, "a bound is a row, never a flip");
     }
 
     #[test]
     fn bounded_only_unbounded_direction_is_capped() {
         // max x + y with x free of rows, x <= 5, y <= 1: bounded purely by
-        // column bounds (no binding rows at all besides a slack row).
-        let mut lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 0.0], Cmp::Le, 100.0)]);
-        lp.upper = vec![5.0, 1.0];
-        let out = solve(&lp).unwrap();
+        // variable bounds (no binding rows at all besides a slack row).
+        let mut lp = crate::LpProblem::new(crate::Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 5.0, 1.0);
+        lp.add_var("y", 0.0, 1.0, 1.0);
+        lp.add_constraint(&[(x, 1.0)], Cmp::Le, 100.0);
+        let out = solve_lowered(&lp);
         assert!((out.objective + 6.0).abs() < 1e-9);
     }
 
@@ -1467,7 +1311,6 @@ mod tests {
             ncols: n,
             costs: vec![0.0; n],
             rows,
-            upper: vec![f64::INFINITY; n],
         };
         let inst = Instance::build(&lp);
         let mut vector = || -> Vec<f64> {

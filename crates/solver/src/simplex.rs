@@ -1,34 +1,28 @@
 //! Dense two-phase primal simplex.
 //!
 //! Operates on the standard form `min c'x` subject to
-//! `A x {<=,>=,=} b, 0 <= x <= u` produced by [`crate::problem`]. The
-//! implementation keeps the full tableau in row-major storage, prices with
-//! Dantzig's rule, and permanently switches to Bland's rule once a run of
-//! degenerate pivots suggests cycling. Artificial variables are driven out of
-//! the basis after phase 1 and banned from entering in phase 2.
-//!
-//! Finite column upper bounds are *not* handled implicitly here: the dense
-//! engine expands each `x_j <= u_j` into an explicit `<=` row before
-//! building the tableau. That deliberately keeps this engine independent of
-//! the bounded-variable machinery in [`crate::revised`], so the
-//! differential tests ([`crate::LpProblem::solve_dense`]) exercise the
-//! implicit-bound path against a row-based implementation of the same LP.
+//! `A x {<=,>=,=} b, x >= 0` produced by [`crate::problem`], the same rows
+//! the revised engine ([`crate::revised`]) reads, a finite upper bound
+//! among them. The implementation keeps the full tableau in row-major
+//! storage, prices with Dantzig's rule, and permanently switches to
+//! Bland's rule once a run of degenerate pivots suggests cycling.
+//! Artificial variables are driven out of the basis after phase 1 and
+//! banned from entering in phase 2. The differential tests
+//! ([`crate::LpProblem::solve_dense`]) pit this tableau against the
+//! revised engine's factorized basis on the same LP.
 
 use crate::error::SolverError;
 use crate::problem::Cmp;
 
 /// A linear program in standard form: minimize `costs . x` subject to the
-/// rows, with `0 <= x <= upper` (componentwise; `upper` entries may be
-/// `+inf`).
+/// rows, with `x >= 0` (componentwise). A finite upper bound is a row.
 ///
 /// Rows are stored sparsely as `(column, coefficient)` terms — the policy
 /// LPs this crate serves have a handful of nonzeros per row regardless of
 /// problem size. Column indices within a row are unique and sorted
 /// ([`crate::LpProblem`] stores its rows so); the dense tableau
 /// scatters them, the revised simplex ([`crate::revised`]) keeps them
-/// sparse end to end. Finite entries of `upper` ride on the columns: the
-/// revised engine honors them in its ratio test, the dense engine lowers
-/// them to explicit rows on entry.
+/// sparse end to end.
 #[derive(Debug, Clone)]
 pub struct StandardForm {
     /// Number of structural columns.
@@ -37,9 +31,6 @@ pub struct StandardForm {
     pub costs: Vec<f64>,
     /// Constraint rows.
     pub rows: Vec<StdRow>,
-    /// Per-column upper bounds (`f64::INFINITY` when absent). Lower bounds
-    /// are always zero in standard form.
-    pub upper: Vec<f64>,
 }
 
 /// One standard-form row: sparse `(column, coefficient)` terms, the
@@ -65,8 +56,10 @@ pub struct SolveStats {
     /// Dual-simplex pivots performed while reoptimizing a warm basis that
     /// was primal infeasible but dual feasible (revised engine only).
     pub dual_pivots: usize,
-    /// Bound-flip pivots: a nonbasic variable jumped between its lower and
-    /// upper bound without any basis change (revised engine only).
+    /// Always 0: a finite upper bound is a row, so no variable flips
+    /// between bounds. Kept only because `bench/src/drills.rs` reads it as
+    /// `solver.hier_bound_flips`; the bench refresh (ROADMAP direction 1)
+    /// removes it with `dense_fallbacks`.
     pub bound_flips: usize,
     /// 1 when a warm-start hint was accepted and carried the solve to
     /// optimality (primal continuation or dual reoptimization), else 0.
@@ -88,9 +81,7 @@ pub struct SolveStats {
 }
 
 impl SolveStats {
-    /// Total basis-changing pivots (phase 1 + phase 2 + dual). Bound flips
-    /// are excluded: they move a nonbasic variable without touching the
-    /// basis.
+    /// Total pivots (phase 1 + phase 2 + dual).
     pub fn total_pivots(&self) -> usize {
         self.pivots_phase1 + self.pivots_phase2 + self.dual_pivots
     }
@@ -101,7 +92,6 @@ impl SolveStats {
         self.pivots_phase1 += other.pivots_phase1;
         self.pivots_phase2 += other.pivots_phase2;
         self.dual_pivots += other.dual_pivots;
-        self.bound_flips += other.bound_flips;
         self.warm_hits += other.warm_hits;
         self.warm_falls_back += other.warm_falls_back;
         self.parallel_probes += other.parallel_probes;
@@ -128,31 +118,9 @@ impl LpSolution {
 
 /// Solves a standard-form LP. Returns `(x, objective, stats)`. Reached
 /// only through [`crate::LpProblem::solve_dense`], the oracle entry point.
-///
-/// Finite column upper bounds are expanded into explicit `x_j <= u_j` rows
-/// first (see the module docs), so the tableau itself only ever sees
-/// nonnegative variables.
 pub(crate) fn solve_standard(
     lp: &StandardForm,
 ) -> Result<(Vec<f64>, f64, SolveStats), SolverError> {
-    let expanded;
-    let lp = if lp.upper.iter().any(|u| u.is_finite()) {
-        let mut rows = lp.rows.clone();
-        for (j, &u) in lp.upper.iter().enumerate() {
-            if u.is_finite() {
-                rows.push((vec![(j, 1.0)], Cmp::Le, u));
-            }
-        }
-        expanded = StandardForm {
-            ncols: lp.ncols,
-            costs: lp.costs.clone(),
-            rows,
-            upper: vec![f64::INFINITY; lp.ncols],
-        };
-        &expanded
-    } else {
-        lp
-    };
     let mut t = Tableau::build(lp);
     t.phase1()?;
     t.phase2()?;
@@ -500,6 +468,7 @@ fn normalize_cmp(cmp: Cmp, rhs: f64) -> (Cmp, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::{LpProblem, Sense};
 
     fn std_lp(ncols: usize, costs: Vec<f64>, rows: Vec<(Vec<f64>, Cmp, f64)>) -> StandardForm {
         let rows = rows
@@ -513,12 +482,7 @@ mod tests {
                 (terms, cmp, rhs)
             })
             .collect();
-        StandardForm {
-            ncols,
-            costs,
-            rows,
-            upper: vec![f64::INFINITY; ncols],
-        }
+        StandardForm { ncols, costs, rows }
     }
 
     #[test]
@@ -626,14 +590,37 @@ mod tests {
     }
 
     #[test]
-    fn column_uppers_expand_to_rows() {
-        // min -x - y s.t. x + y <= 3, x <= 1, y <= 1.5 (as column bounds).
-        let mut lp = std_lp(2, vec![-1.0, -1.0], vec![(vec![1.0, 1.0], Cmp::Le, 3.0)]);
-        lp.upper = vec![1.0, 1.5];
-        let (x, obj, _) = solve_standard(&lp).unwrap();
-        assert!((obj + 2.5).abs() < 1e-9, "obj={obj}");
-        assert!((x[0] - 1.0).abs() < 1e-9);
-        assert!((x[1] - 1.5).abs() < 1e-9);
+    fn finite_uppers_lower_to_rows_after_the_users() {
+        // max x + 2y + z s.t. x + y + z <= 4, x in [0, 1], y in [0.5, 2],
+        // z >= 0: each finite upper is one `x' <= u - l` row, in variable
+        // order after the user's row; `z` has none.
+        let mut lp = LpProblem::new(Sense::Maximize);
+        let x = lp.add_var("x", 0.0, 1.0, 1.0);
+        let y = lp.add_var("y", 0.5, 2.0, 2.0);
+        let z = lp.add_var("z", 0.0, f64::INFINITY, 1.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0), (z, 1.0)], Cmp::Le, 4.0);
+        let std = lp.lower().unwrap();
+        assert_eq!(lp.num_constraints(), 1);
+        assert_eq!(
+            std.rows,
+            [
+                (vec![(0, 1.0), (1, 1.0), (2, 1.0)], Cmp::Le, 3.5),
+                (vec![(0, 1.0)], Cmp::Le, 1.0),
+                (vec![(1, 1.0)], Cmp::Le, 1.5),
+            ]
+        );
+        // Both engines solve those rows: y = 2 and x = 1 bind, z takes
+        // the rest of the budget.
+        for sol in [lp.solve().unwrap(), lp.solve_dense().unwrap()] {
+            assert!((sol.objective - 6.0).abs() < 1e-9, "obj={}", sol.objective);
+            assert!((sol[x] - 1.0).abs() < 1e-9 && (sol[y] - 2.0).abs() < 1e-9);
+            assert!((sol[z] - 1.0).abs() < 1e-9);
+        }
+        // A shifted lower bound moves the bound row's right-hand side.
+        lp.set_bounds(y, 1.25, 2.0);
+        let rows = lp.lower().unwrap().rows;
+        assert_eq!(rows[2], (vec![(1, 1.0)], Cmp::Le, 0.75));
+        assert_eq!(rows[0].2, 2.75);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Two property families back the PR-level guarantees:
 //!
 //! 1. **Implicit vs explicit bounds.** A random LP whose variables carry
-//!    finite upper bounds solves identically whether the bounds ride on
-//!    columns (the revised engine's implicit path), are expanded to rows by
-//!    the dense oracle, or are handed to the builder as explicit `<=`
-//!    constraints — three independently-lowered formulations of one LP.
+//!    finite upper bounds solves identically whether the bounds are given
+//!    on the variables (lowered to rows after the constraints) and solved
+//!    by the revised engine or by the dense oracle, or are handed to the
+//!    builder as explicit `<=` constraints — three solves of one LP.
 //! 2. **Dual reoptimization over rising floors.** Chained warm solves of a
 //!    water-filling round sequence (floors only rise) return allocations
 //!    *bit-identical* to cold solves of the same rounds, never fall back
@@ -96,9 +96,9 @@ fn round_lp(n: usize, tputs: &[f64], floors: &[f64], active: &[bool]) -> LpProbl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Implicit column bounds, dense row expansion, and explicit `<=`
-    /// constraints are three lowerings of the same LP: all objectives
-    /// agree, and the implicit path states no rows for the bounds.
+    /// Variable bounds solved by either engine, and explicit `<=`
+    /// constraints, are three solves of the same LP: all objectives agree,
+    /// and the implicit path states no constraints for the bounds.
     #[test]
     fn implicit_bounds_match_explicit_rows(
         n in 2usize..5,
@@ -109,9 +109,8 @@ proptest! {
         rhs in proptest::collection::vec(0.5f64..6.0, 4),
     ) {
         let (implicit, explicit) = bounded_pair(n, &costs[..n], &uppers[..n], &coeffs, &rhs, m);
-        // The bounds ride on the implicit LP's columns: it states `n`
-        // constraints fewer, and its standard form has one row per
-        // constraint.
+        // The bounds are on the implicit LP's variables: it states `n`
+        // constraints fewer (its lowering adds their rows).
         prop_assert_eq!(implicit.num_constraints() + n, explicit.num_constraints());
         // x = 0 is feasible and all variables are boxed: always solvable.
         let viai = implicit.solve().unwrap(); // revised, implicit bounds
