@@ -6,8 +6,9 @@
 //! - [`ClusterSpec`] — accelerator types, counts, servers, and prices.
 //! - [`Combo`], [`ComboSet`] — one job or two space-sharing; `X`'s rows.
 //! - [`ThroughputTensor`] — the throughput matrix `T` of §3.1, extended with
-//!   rows for job combinations (space sharing) and, when placement
-//!   sensitivity is modeled, separate consolidated/unconsolidated columns.
+//!   rows for job combinations (space sharing). Placement sensitivity adds
+//!   no columns: whether a distributed job runs consolidated is an argument
+//!   of the row it is built from (`gavel_workloads::singleton_row`).
 //! - [`Allocation`] — the matrix `X` of §3.1: the fraction of wall-clock
 //!   time each combo spends on each accelerator type.
 //! - [`Policy`] — the interface every scheduling policy implements.

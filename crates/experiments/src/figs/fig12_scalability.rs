@@ -355,8 +355,8 @@ pub fn run(scale: Scale) {
             pivots(&hier_t.1),
             pivots(&hier_ss.1),
         ]);
-        // A solve's seconds over its pivots: bound flips and everything
-        // outside the pivot loop are charged to the pivots too.
+        // A solve's seconds over its pivots: everything outside the pivot
+        // loop is charged to the pivots too.
         let per_pivot = |s: &SolveStats, t: f64| match s.total_pivots() {
             0 => "-".to_string(),
             p => format!("{:.1}", t * 1e6 / p as f64),

@@ -3,10 +3,13 @@
 //! Every heterogeneity-aware policy optimizes over the same variable block —
 //! one `X[k][j]` per (combo row, accelerator type) — under the validity
 //! constraints of §3.1. `AllocLp` builds that block once; policies then
-//! add their objective and any extra constraints.
+//! add their objective and any extra constraints. The max-min LP of §4.1
+//! (and the makespan LP of §4.2) and every water-filling round of §4.3 are
+//! one program on it, `max t` with one floor row per job, built in one
+//! place: `AllocLp::level_lp`.
 
 use gavel_core::{AccelIdx, Allocation, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE};
-use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, Sense, VarId};
+use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, VarId};
 
 /// The common allocation-variable block of a policy LP.
 pub(crate) struct AllocLp {
@@ -94,26 +97,45 @@ impl AllocLp {
         }
     }
 
-    /// The cell of singleton row `k` with the largest throughput (the
-    /// first one on ties): where a structural basis puts the row's job.
-    pub fn best_cell(&self, input: &PolicyInput<'_>, k: usize) -> Option<VarId> {
-        (self.x[k].iter().zip(input.tensor.row(k)))
-            .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
-            .reduce(|best, cell| if cell.1 > best.1 { cell } else { best })
-            .map(|(v, _)| v)
-    }
-
-    /// The origin basis of a level LP built on this block, whose floor rows
-    /// `throughput_m - c_m t >= floor_m` come one per job: the validity rows
-    /// on their slacks, and the floor rows on `cells`, each job's
-    /// [`AllocLp::best_cell`] at zero. Every variable is zero and every
-    /// slack equals its right-hand side, so while the floors are zero the
-    /// basis is primal feasible by construction.
-    pub fn origin(&self, cells: &[BasisEntry]) -> Vec<BasisEntry> {
+    /// Moves this block's problem into its level LP: `max t` over the
+    /// valid allocations with one floor row per job, `terms_m - c_m t >=
+    /// 0`, from `rows`' `(terms_m, c_m)` in input order. A job whose `c_m`
+    /// is not positive gets no `t` term. The block keeps its variables and
+    /// validity rows, for [`AllocLp::extract`]; it must have been built to
+    /// maximize.
+    pub fn level_lp<'r>(
+        &mut self,
+        input: &PolicyInput<'_>,
+        singles: &SingletonRows,
+        rows: impl IntoIterator<Item = (&'r [(VarId, f64)], f64)>,
+    ) -> Result<LevelLp, PolicyError> {
+        let mut lp = std::mem::replace(&mut self.lp, LpProblem::new(Sense::Maximize));
+        let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let mut start = Vec::with_capacity(lp.num_constraints() + input.jobs.len());
+        let mut floor_rows = Vec::with_capacity(input.jobs.len());
+        let mut floor = Vec::new();
+        for (m, (terms, c)) in rows.into_iter().enumerate() {
+            // The fastest cell of the job's singleton row, the first on
+            // ties: where a structural basis puts the job. `check_input`
+            // leaves every job one.
+            let best = (self.x[singles.row(m)].iter())
+                .zip(input.tensor.row(singles.row(m)))
+                .filter_map(|(v, tput)| Some(((*v)?, tput.a)))
+                .reduce(|best, cell| if cell.1 > best.1 { cell } else { best });
+            start.extend(best.map(|(cell, _)| BasisEntry::Var(cell)));
+            let t_term = (c > 0.0).then_some((t, -c));
+            floor.clear();
+            floor.extend(terms.iter().copied().chain(t_term));
+            floor_rows.push(lp.add_constraint(&floor, Cmp::Ge, 0.0));
+        }
         let validity = self.budget.iter().chain(&self.capacity).flatten();
-        let mut origin: Vec<BasisEntry> = validity.map(|&row| BasisEntry::Slack(row)).collect();
-        origin.extend_from_slice(cells);
-        origin
+        start.extend(validity.map(|&row| BasisEntry::Slack(row)));
+        Ok(LevelLp {
+            lp: PreparedLp::new(lp).map_err(solver_err)?,
+            t,
+            floor_rows,
+            start,
+        })
     }
 
     /// Linear terms of `throughput(job, X)` — the effective-throughput
@@ -185,6 +207,23 @@ impl AllocLp {
     }
 }
 
+/// The level LP of an [`AllocLp`] block (see [`AllocLp::level_lp`]),
+/// prepared once and patched by its caller.
+pub(crate) struct LevelLp {
+    /// The prepared problem: the block's rows, then the floor rows.
+    pub lp: PreparedLp,
+    /// The level variable, with objective coefficient 1.
+    pub t: VarId,
+    /// Floor row per job, in input order.
+    pub floor_rows: Vec<ConstraintId>,
+    /// Where the next solve starts, in problem terms. Built as the origin
+    /// basis: each job's fastest singleton cell, on its floor row at zero,
+    /// in input order, then the validity rows on their slacks. Every
+    /// variable is zero and every slack equals its right-hand side, so
+    /// while the floors are zero the basis is primal feasible.
+    pub start: Vec<BasisEntry>,
+}
+
 /// The first singleton combo row of every job of a [`PolicyInput`], by the
 /// job's position in `input.jobs`. Total by construction: [`check_input`]
 /// is the only source and rejects an input that leaves a job without one.
@@ -249,7 +288,8 @@ pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<SingletonRows, Poli
 /// heterogeneity-agnostic baselines: maximize `min_m share_m / w_m` subject
 /// to `sum_m share_m * sf_m <= capacity` and `share_m <= 1`.
 ///
-/// Returns one share per job. Runs in `O(n log n)`.
+/// Returns one share per job. Bisects the water level in at most 100
+/// steps of `O(n)` each.
 pub(crate) fn waterfill_shares(weights: &[f64], scale_factors: &[u32], capacity: f64) -> Vec<f64> {
     let n = weights.len();
     if n == 0 {

@@ -20,15 +20,18 @@
 //!
 //! # One prepared LP
 //!
-//! The round LP is the only LP a solve builds, and it builds it once, as a
-//! [`PreparedLp`]. Each round patches the floors (right-hand sides) and
-//! rewrites `t`'s column to the active jobs and their weights, exactly as
-//! a fresh build of that round's LP would hold them. The first round
-//! starts from the origin basis (validity rows on their slacks, each floor
-//! row on its job's best cell), every later one from the last optimum `x*`
-//! with `t` taken out. Both are primal feasible: floors rise exactly to
-//! `x*`, so `(x*, t = 0)` meets every floor row. No solve of a water
-//! filling runs a phase 1 or falls back cold.
+//! The round LP is the only LP a solve builds: the level LP of
+//! [`MaxMinFairness`](crate::MaxMinFairness) (`AllocLp::level_lp`), over
+//! each job's normalized throughput with its weight as `t`'s coefficient,
+//! built once as a [`PreparedLp`](gavel_solver::PreparedLp). Each round
+//! patches the floors (right-hand sides) and rewrites `t`'s column to the
+//! active jobs and their weights, exactly as a fresh build of that round's
+//! LP would hold them. The first round starts from the origin basis
+//! (validity rows on their slacks, each floor row on its job's best cell),
+//! every later one from the last optimum `x*` with `t` taken out. Both are
+//! primal feasible: floors rise exactly to `x*`, so `(x*, t = 0)` meets
+//! every floor row. No solve of a water filling runs a phase 1 or falls
+//! back cold. The last round's optimum is the allocation.
 //!
 //! # Bottlenecks from the round LP's duals
 //!
@@ -58,9 +61,9 @@
 //! branch-and-bound, and an exhaustive per-job LP as oracles for every
 //! round's dual verdicts.
 
-use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
+use crate::common::{check_input, solver_err, AllocLp, LevelLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{BasisEntry, Cmp, ConstraintId, PreparedLp, Sense, SolveStats, VarId};
+use gavel_solver::{BasisEntry, ConstraintId, LpSolution, Sense, SolveStats, VarId};
 
 /// A floor-row dual at most this fraction of the largest active dual
 /// (and of 1) counts as zero: it retires no job.
@@ -126,21 +129,22 @@ impl Hierarchical {
         }
         let mut wf = self.build_waterfill(input)?;
 
-        let mut alloc = None;
+        let mut last = None;
         loop {
             let active = wf.active_jobs();
             if active.is_empty() {
                 break;
             }
-            alloc = Some(wf.raise_floors(&active)?);
+            last = Some(wf.raise_floors(&active)?);
             let bottlenecked = wf.bottlenecked(&active);
             wf.retire(&active, bottlenecked);
         }
 
-        let alloc = alloc.ok_or_else(|| {
+        // The last round's optimum is the allocation.
+        let sol = last.ok_or_else(|| {
             PolicyError::NoFeasibleAllocation("water filling produced no allocation".into())
         })?;
-        Ok((alloc, wf.stats))
+        Ok((wf.alp.extract(input, &sol), wf.stats))
     }
 
     /// Validates the input, resolves entities and initial weights and
@@ -182,16 +186,14 @@ impl Hierarchical {
             give(&mut weights, input, &members, inner, entity_weight);
         }
 
-        let alp = AllocLp::new(input, Sense::Maximize);
+        // The round LP (step 1) at zero floors, `t` in the rows of the jobs
+        // that carry weight.
+        let mut alp = AllocLp::new(input, Sense::Maximize);
         let tput = normalized_throughputs(input, &singles, &alp);
-        let cells: Vec<BasisEntry> = (0..n)
-            .filter_map(|m| alp.best_cell(input, singles.row(m)))
-            .map(BasisEntry::Var)
-            .collect();
+        let rows = (tput.iter().zip(&weights)).map(|(terms, &w)| (terms.as_slice(), w));
         Ok(WaterFill {
             input,
-            round: RoundLp::new(&alp, &tput, &weights)?,
-            start: alp.origin(&cells),
+            round: alp.level_lp(input, &singles, rows)?,
             floors: vec![0.0; n],
             duals: vec![0.0; n],
             weights,
@@ -226,46 +228,6 @@ fn normalized_throughputs(
         .collect()
 }
 
-/// The round LP (step 1) of a solve: built once at zero floors, patched
-/// and re-solved every round.
-struct RoundLp {
-    lp: PreparedLp,
-    /// The level variable.
-    t: VarId,
-    /// Floor row per job.
-    floor_rows: Vec<ConstraintId>,
-}
-
-impl RoundLp {
-    /// `max t`, one floor row per job over its normalized throughput
-    /// `tput[m]`, with `t` in the rows of the jobs that carry weight.
-    fn new(
-        alp: &AllocLp,
-        tput: &[Vec<(VarId, f64)>],
-        weights: &[f64],
-    ) -> Result<RoundLp, PolicyError> {
-        let mut lp = alp.lp.clone();
-        let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let floor_rows = tput
-            .iter()
-            .zip(weights)
-            .map(|(terms, &w)| {
-                let mut terms = terms.clone();
-                if w > 0.0 {
-                    terms.push((t, -w));
-                }
-                // floor (+ w t if active) <= normalized throughput.
-                lp.add_constraint(&terms, Cmp::Ge, 0.0)
-            })
-            .collect();
-        Ok(RoundLp {
-            lp: PreparedLp::new(lp).map_err(solver_err)?,
-            t,
-            floor_rows,
-        })
-    }
-}
-
 /// Internal per-solve state.
 struct WaterFill<'i, 'a> {
     input: &'i PolicyInput<'a>,
@@ -284,11 +246,10 @@ struct WaterFill<'i, 'a> {
     /// The allocation variables and validity rows the round LP is built
     /// on.
     alp: AllocLp,
-    /// The round LP (step 1).
-    round: RoundLp,
-    /// Where the next round LP starts, in problem terms: the origin basis,
-    /// then the last round optimum without `t`.
-    start: Vec<BasisEntry>,
+    /// The round LP (step 1): built once at zero floors, patched and
+    /// re-solved every round. It starts from the origin basis, then from
+    /// the last round optimum without `t`.
+    round: LevelLp,
     /// Aggregate solver stats across every round LP solved.
     stats: SolveStats,
 }
@@ -308,8 +269,8 @@ impl<'i, 'a> WaterFill<'i, 'a> {
 
     /// Steps 1 and 2: solves the round LP, keeps its floor rows' duals and
     /// raises every active job's floor by its weighted share of `t*`.
-    /// Returns the round's allocation.
-    fn raise_floors(&mut self, active: &[usize]) -> Result<Allocation, PolicyError> {
+    /// Returns the round LP's optimum.
+    fn raise_floors(&mut self, active: &[usize]) -> Result<LpSolution, PolicyError> {
         let round = &mut self.round;
         // `t` appears in the active jobs' rows only, so its stored column
         // shrinks with the active set (a no-op in the first round).
@@ -320,7 +281,7 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for (&row, &floor) in round.floor_rows.iter().zip(&self.floors) {
             round.lp.set_rhs(row, floor);
         }
-        let sol = round.lp.solve(Some(&self.start)).map_err(solver_err)?;
+        let sol = round.lp.solve(Some(&round.start)).map_err(solver_err)?;
         self.stats.absorb(&sol.stats);
         let (Some(y), Some(start)) = (round.lp.row_duals(), round.lp.basis()) else {
             return Err(PolicyError::Solver("round LP optimum without duals".into()));
@@ -328,14 +289,15 @@ impl<'i, 'a> WaterFill<'i, 'a> {
         for (dual, row) in self.duals.iter_mut().zip(&round.floor_rows) {
             *dual = y[row.index()];
         }
-        self.start = start;
-        self.start
+        round.start = start;
+        round
+            .start
             .retain(|&entry| entry != BasisEntry::Var(round.t));
         let t_star = sol.value(round.t);
         for &m in active {
             self.floors[m] += self.weights[m] * t_star;
         }
-        Ok(self.alp.extract(self.input, &sol))
+        Ok(sol)
     }
 
     /// End of step 3: retires the bottlenecked jobs, handing their weights
@@ -456,6 +418,7 @@ mod tests {
     use gavel_core::{
         AccelIdx, ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
     };
+    use gavel_solver::Cmp;
     use proptest::prelude::*;
 
     /// Owned bundle behind a `PolicyInput`.
@@ -529,7 +492,7 @@ mod tests {
         let tput = tput(wf);
         let mut bottlenecked = Vec::new();
         for &m in active {
-            let mut lp = wf.alp.lp.clone();
+            let mut lp = AllocLp::new(wf.input, Sense::Maximize).lp;
             for (terms, &floor) in tput.iter().zip(&wf.floors) {
                 lp.add_constraint(terms, Cmp::Ge, floor);
             }
@@ -552,7 +515,7 @@ mod tests {
     /// delta - Y (1 - z_m)` makes `z_m = 1` mean a rise of `delta`.
     fn milp_bottlenecked(wf: &WaterFill<'_, '_>, active: &[usize]) -> Vec<usize> {
         let delta = 1e-4;
-        let mut lp = wf.alp.lp.clone();
+        let mut lp = AllocLp::new(wf.input, Sense::Maximize).lp;
         let mut z = Vec::new();
         for (m, terms) in tput(wf).iter().enumerate() {
             let floor = wf.floors[m];
@@ -688,6 +651,29 @@ mod tests {
         assert!(check_dual_verdicts(&policy, &setup.input()) > 0);
     }
 
+    /// Max-min fairness and a water-filling round are one LP: on random
+    /// inputs, with and without pair rows, the first round of single-level
+    /// water filling reaches the level `max_level` finds without its refine
+    /// pass — the least normalized throughput over weight of any job.
+    #[test]
+    fn first_round_reaches_the_max_min_level() {
+        use crate::las::tests::{max_level, random_cases};
+        for (case, setup) in random_cases() {
+            let input = setup.input();
+            let (alloc, _) = max_level(&input, false);
+            let level = (setup.normalized(&alloc).into_iter()).fold(f64::INFINITY, f64::min);
+            let policy = Hierarchical::single_level();
+            let mut wf = policy.build_waterfill(&input).unwrap();
+            let active = wf.active_jobs();
+            assert_eq!(active.len(), input.jobs.len(), "case {case}");
+            let t_star = wf.raise_floors(&active).unwrap().value(wf.round.t);
+            assert!(
+                (t_star - level).abs() <= 1e-9 * level,
+                "case {case}: round t* {t_star} vs max-min level {level}"
+            );
+        }
+    }
+
     /// A whole water filling solves one LP per round: on a contested
     /// 64-job, 4-entity instance every round LP starts from its hint, and
     /// none runs a phase 1 or falls back cold.
@@ -804,7 +790,7 @@ mod tests {
             rounds += 1;
         }
         assert!(rounds > 64, "{rounds} rounds");
-        let last = last.unwrap();
+        let last = wf.alp.extract(&input, &last.unwrap());
         for k in 0..setup.combos.len() {
             for j in 0..setup.cluster.num_types() {
                 let (got, want) = (alloc.get(k, AccelIdx(j)), last.get(k, AccelIdx(j)));

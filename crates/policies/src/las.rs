@@ -17,16 +17,18 @@
 //!
 //! # One prepared LP, two structural bases
 //!
-//! Both passes run on one [`PreparedLp`]: the allocation block, the level
-//! variable `t` and one floor row `throughput_m - c_m t >= 0` per job,
-//! lowered once. The second pass is the first patched in place: `t` is
-//! bounded below by `t* (1 - 1e-7)` and loses its objective, the cells
-//! take `T / c`. Neither solve starts cold, and neither start is carried
-//! over from anywhere: each basis is written down from the shape of the
-//! LP, so the allocation stays a pure function of the [`PolicyInput`].
-//! Both put job `m` on its *best cell*, the fastest cell of its singleton
-//! row (pair rows never supply a basic column, so no column is named
-//! twice):
+//! Both passes run on one level LP (`AllocLp::level_lp`, which also builds
+//! every round LP of [`Hierarchical`](crate::Hierarchical)'s water
+//! filling): the allocation block, the level variable `t` and one floor row
+//! `throughput_m - c_m t >= 0` per job, lowered once into a
+//! [`PreparedLp`](gavel_solver::PreparedLp). The second pass is the first
+//! patched in place: `t` is bounded below by `t* (1 - 1e-7)` and loses its
+//! objective, the cells take `T / c`. Neither solve starts cold, and
+//! neither start is carried over from anywhere: each basis is written down
+//! from the shape of the LP, so the allocation stays a pure function of the
+//! [`PolicyInput`]. Both put job `m` on its *best cell*, the fastest cell
+//! of its singleton row (pair rows never supply a basic column, so no
+//! column is named twice):
 //!
 //! - **Max `t`, from the origin.** Budget and capacity rows keep their
 //!   slacks, floor row `m` holds `m`'s best cell at zero. Every variable
@@ -44,12 +46,12 @@
 //!   and the dual simplex repairs exactly those rows.
 //!
 //! The solver classifies both hints like any other (see
-//! [`PreparedLp::solve`]); an unusable one costs a cold start, never a
-//! wrong answer.
+//! [`PreparedLp::solve`](gavel_solver::PreparedLp::solve)); an unusable
+//! one costs a cold start, never a wrong answer.
 
 use crate::common::{check_input, solver_err, spread, waterfill_shares, AllocLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
-use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats};
+use gavel_solver::{BasisEntry, Sense, SolveStats};
 
 /// Heterogeneity-aware max-min fairness (LAS).
 #[derive(Debug, Clone, Default)]
@@ -102,36 +104,25 @@ impl MaxMinFairness {
                 SolveStats::default(),
             ));
         }
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let t = alp.lp.add_var("t", 0.0, f64::INFINITY, 1.0);
         let normalizers = c(&singles);
-        let n = input.jobs.len();
-        let mut tputs = Vec::with_capacity(n);
-        let mut floors = Vec::with_capacity(n);
-        let mut on_cell = Vec::with_capacity(n);
-        for (m, (job, &c)) in input.jobs.iter().zip(&normalizers).enumerate() {
-            let (Some(cell), true) = (alp.best_cell(input, singles.row(m)), c > 0.0) else {
-                return Err(PolicyError::NoFeasibleAllocation(format!(
-                    "{} has zero normalized throughput",
-                    job.id
-                )));
-            };
-            on_cell.push(BasisEntry::Var(cell));
-            let mut terms = alp.throughput_terms(input, job.id);
-            terms.push((t, -c));
-            floors.push(alp.lp.add_constraint(&terms, Cmp::Ge, 0.0));
-            terms.pop();
-            tputs.push(terms);
+        let zero = (input.jobs.iter().zip(&normalizers)).find(|(_, &c)| c.is_nan() || c <= 0.0);
+        if let Some((job, _)) = zero {
+            return Err(PolicyError::NoFeasibleAllocation(format!(
+                "{} has zero normalized throughput",
+                job.id
+            )));
         }
-        // The prepared LP owns the problem from here on; `alp` keeps the
-        // variable block for `extract`.
-        let lp = std::mem::replace(&mut alp.lp, LpProblem::new(Sense::Maximize));
-        let mut lp = PreparedLp::new(lp).map_err(solver_err)?;
-        let slack = |row: &ConstraintId| BasisEntry::Slack(*row);
+        let mut alp = AllocLp::new(input, Sense::Maximize);
+        let tputs: Vec<_> = (input.jobs.iter())
+            .map(|job| alp.throughput_terms(input, job.id))
+            .collect();
+        let rows = (tputs.iter().zip(&normalizers)).map(|(terms, &c)| (terms.as_slice(), c));
+        let mut level = alp.level_lp(input, &singles, rows)?;
+        let (lp, t) = (&mut level.lp, level.t);
 
         // Max t from the origin: validity rows on their slacks, floor rows
         // on their jobs' best cells.
-        let sol = lp.solve(Some(&alp.origin(&on_cell))).map_err(solver_err)?;
+        let sol = lp.solve(Some(&level.start)).map_err(solver_err)?;
         let mut stats = sol.stats;
         if !refine {
             return Ok((alp.extract(input, &sol), stats));
@@ -141,8 +132,8 @@ impl MaxMinFairness {
         // (slightly relaxed for numerical robustness), then maximize the
         // sum of normalized throughputs so non-bottlenecked jobs use
         // leftover capacity (single water-filling step). From "everyone
-        // full-time on their best cell": budget rows on the cells, the
-        // others on their slacks.
+        // full-time on their best cell": budget rows on the cells (the
+        // origin's first entry per job), the others on their slacks.
         lp.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
         lp.set_objective_coeff(t, 0.0);
         for (terms, &c) in tputs.iter().zip(&normalizers) {
@@ -151,9 +142,11 @@ impl MaxMinFairness {
                 lp.set_objective_coeff(v, sum);
             }
         }
-        let mut full_time = on_cell;
-        full_time.extend(alp.capacity.iter().flatten().chain(&floors).map(slack));
-        let sol = lp.solve(Some(&full_time)).map_err(solver_err)?;
+        let full_time = &mut level.start;
+        full_time.truncate(input.jobs.len());
+        let slacks = alp.capacity.iter().flatten().chain(&level.floor_rows);
+        full_time.extend(slacks.map(|&row| BasisEntry::Slack(row)));
+        let sol = lp.solve(Some(full_time)).map_err(solver_err)?;
         stats.absorb(&sol.stats);
         Ok((alp.extract(input, &sol), stats))
     }
@@ -205,6 +198,7 @@ pub(crate) mod tests {
     use gavel_core::{
         ClusterSpec, Combo, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
     };
+    use gavel_solver::Cmp;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -286,7 +280,7 @@ pub(crate) mod tests {
         }
 
         /// Per job `throughput(m, alloc) / c_m`.
-        fn normalized(&self, alloc: &Allocation) -> Vec<f64> {
+        pub fn normalized(&self, alloc: &Allocation) -> Vec<f64> {
             let input = self.input();
             let normalizers = MaxMinFairness::normalizers(&input, &check_input(&input).unwrap());
             (self.jobs.iter().zip(normalizers))
@@ -322,7 +316,7 @@ pub(crate) mod tests {
 
     /// The policy's body without the refine pass, or (`refine`) as the
     /// policy runs it.
-    fn max_level(input: &PolicyInput<'_>, refine: bool) -> (Allocation, SolveStats) {
+    pub(crate) fn max_level(input: &PolicyInput<'_>, refine: bool) -> (Allocation, SolveStats) {
         let c = |singles: &SingletonRows| MaxMinFairness::normalizers(input, singles);
         MaxMinFairness::max_level(input, c, refine).unwrap()
     }
@@ -362,7 +356,7 @@ pub(crate) mod tests {
 
     /// 96 random inputs: up to 27 jobs on 2–4 types, with and without
     /// quirks and pair rows.
-    fn random_cases() -> impl Iterator<Item = (usize, Setup)> {
+    pub(crate) fn random_cases() -> impl Iterator<Item = (usize, Setup)> {
         let mut rng = StdRng::seed_from_u64(0x1a5);
         (0..96).map(move |case| {
             let n: usize = rng.gen_range(1..28);

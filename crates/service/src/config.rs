@@ -3,14 +3,13 @@
 use gavel_core::ClusterSpec;
 use gavel_workloads::PairOptions;
 
-/// When the policy's allocation is recomputed (§3: "Gavel can recompute its
-/// policy either when a reset event occurs ... or at periodic intervals").
+/// When the policy's allocation is recomputed: on reset events (§3: "Gavel
+/// can recompute its policy either when a reset event occurs ... or at
+/// periodic intervals"), at most once every `n` rounds if throttled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecomputeCadence {
     /// On job arrivals and completions only (the default).
     OnReset,
-    /// Every `n` rounds, plus reset events.
-    EveryNRounds(u32),
     /// On reset events, but at most once every `n` rounds — batches the
     /// completion bursts of static traces so expensive policies
     /// (hierarchical water filling) are not re-solved per completion.

@@ -695,10 +695,6 @@ impl<'p> SchedulerService<'p> {
         // events (§3).
         self.drain_due_events(self.now, false);
         let cfg = &self.config;
-        let cadence_hit = match cfg.recompute {
-            RecomputeCadence::EveryNRounds(n) => (self.rounds as u32).is_multiple_of(n.max(1)),
-            _ => false,
-        };
         // ThrottledResets: suppress reset-triggered recomputes until the
         // throttle window has passed (the pending reset fires then).
         let throttle_ok = match cfg.recompute {
@@ -707,7 +703,7 @@ impl<'p> SchedulerService<'p> {
             }
             _ => true,
         };
-        let due = cadence_hit || (self.need_recompute && throttle_ok);
+        let due = self.need_recompute && throttle_ok;
         let current = match self.current.take() {
             Some(current) if !due => current,
             _ => {

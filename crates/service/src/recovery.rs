@@ -217,29 +217,20 @@ pub fn recover<'p>(
     checkpoint_bytes: Option<&[u8]>,
     wal_bytes: &[u8],
 ) -> Result<(SchedulerService<'p>, RecoveryReport), RecoveryError> {
-    let (svc, _, report) =
-        recover_logged(policy, config, service, checkpoint_bytes, wal_bytes, false)?;
+    let (svc, _, report) = recover_logged(policy, config, service, checkpoint_bytes, wal_bytes)?;
     Ok((svc, report))
 }
 
-/// [`recover`], also returning — if `keep_image` — the next checkpoint
-/// image of every entry the recovered service consumed: the checkpoint's
-/// log text as it was saved, then one line per WAL entry.
+/// [`recover`], also returning the next checkpoint image of every entry
+/// the recovered service consumed: the checkpoint's log text as it was
+/// saved, then one line per WAL entry.
 fn recover_logged<'p>(
     policy: &'p dyn Policy,
     config: &SimConfig,
     service: &ServiceConfig,
     checkpoint_bytes: Option<&[u8]>,
     wal_bytes: &[u8],
-    keep_image: bool,
-) -> Result<
-    (
-        SchedulerService<'p>,
-        Option<CheckpointImage>,
-        RecoveryReport,
-    ),
-    RecoveryError,
-> {
+) -> Result<(SchedulerService<'p>, CheckpointImage, RecoveryReport), RecoveryError> {
     let mut report = RecoveryReport::default();
     let mut prefix_text = None;
     let mut svc = SchedulerService::new(config.clone(), service.clone(), policy);
@@ -276,8 +267,7 @@ fn recover_logged<'p>(
         }
         prefix_text = Some(text);
     }
-    let mut image =
-        keep_image.then(|| CheckpointImage::new(&prefix_text.unwrap_or_else(log_header)));
+    let mut image = CheckpointImage::new(&prefix_text.unwrap_or_else(log_header));
 
     let scan = scan_wal(wal_bytes)?;
     report.torn = scan.torn;
@@ -303,7 +293,7 @@ fn recover_logged<'p>(
         Some(entry.map(|entry| (record.seq, entry)))
     });
     (report.wal_commands_applied, report.wal_rejections_applied) =
-        apply_entries(&mut svc, entries, image.as_mut())?;
+        apply_entries(&mut svc, entries, Some(&mut image))?;
     Ok((svc, image, report))
 }
 
@@ -377,10 +367,10 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         checkpoint_every: usize,
     ) -> Result<(Self, RecoveryReport), RecoveryError> {
         let (svc, image, report) =
-            recover_logged(policy, &config, &service, checkpoint_bytes, wal_bytes, true)?;
+            recover_logged(policy, &config, &service, checkpoint_bytes, wal_bytes)?;
         let mut durable = DurableService {
             svc,
-            image: image.expect("recovery kept the image"),
+            image,
             wal: Wal::with_seq(sink, report.next_seq)?,
             store,
             config_fp: config_fingerprint(policy.name(), &config, &service),

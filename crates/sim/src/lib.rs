@@ -58,8 +58,8 @@
 //!   from the oracle, or — Figure 14, `SimConfig::with_estimated_pairs` —
 //!   from the §6 estimator, which profiles every arriving job and refines
 //!   online),
-//! - **allocation recomputation cadence** (reset events and/or every N
-//!   rounds),
+//! - **allocation recomputation cadence** (on reset events, at most once
+//!   every N rounds if throttled),
 //! - **worker failures** (Poisson failures with fixed repair times, both
 //!   treated as reset events that take effect when they are due, also
 //!   while the cluster is idle).

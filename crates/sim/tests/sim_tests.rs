@@ -8,7 +8,7 @@ use gavel_service::{
     DurableService, MemoryCheckpointStore, MemorySink, SchedulerService, ServiceConfig,
     SubmissionLog,
 };
-use gavel_sim::{compile_trace, RecomputeCadence, SimConfig, SimResult};
+use gavel_sim::{compile_trace, SimConfig, SimResult};
 use gavel_workloads::{
     cluster_twelve, generate, GpuKind, JobConfig, ModelFamily, Oracle, TraceConfig, TraceJob,
 };
@@ -265,22 +265,6 @@ fn gandiva_runs_to_completion() {
     let result = run(&GandivaPolicy::new(5), &trace, &cfg);
     assert_eq!(result.unfinished_fraction(), 0.0);
     assert_eq!(result.policy_failures, 0);
-}
-
-#[test]
-fn recompute_cadence_changes_solve_count() {
-    let oracle = Oracle::new();
-    let trace = generate(&TraceConfig::continuous_single(2.0, 20, 37), &oracle);
-    let mut cfg = SimConfig::new(small_cluster());
-    let on_reset = run(&MaxMinFairness::new(), &trace, &cfg);
-    cfg.recompute = RecomputeCadence::EveryNRounds(1);
-    let every_round = run(&MaxMinFairness::new(), &trace, &cfg);
-    assert!(
-        every_round.recomputations > on_reset.recomputations,
-        "every-round {} vs on-reset {}",
-        every_round.recomputations,
-        on_reset.recomputations
-    );
 }
 
 #[test]
