@@ -376,10 +376,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// The pivot path over [`random_cases`], pinned: the summed stats of
-    /// both max-level solves per case (solve 1 alone, then with the
-    /// refine) and an FNV-style hash of every allocation value's bits. A
-    /// change that only makes the same pivots cheaper moves neither.
+    /// The pivot path over [`random_cases`], pinned by its line in the
+    /// repository's golden file: an FNV-style hash of every allocation
+    /// value's bits and the summed stats of both max-level solves per
+    /// case (solve 1 alone, then with the refine). A change that only
+    /// makes the same pivots cheaper moves neither.
     #[test]
     fn pivot_path_on_random_inputs_is_pinned() {
         let mut total = SolveStats::default();
@@ -395,18 +396,23 @@ pub(crate) mod tests {
                 }
             }
         }
-        let pinned = SolveStats {
-            pivots_phase1: 0,
-            pivots_phase2: 820,
-            dual_pivots: 1704,
-            bound_flips: 0,
-            warm_hits: 288,
-            warm_falls_back: 0,
-            dense_fallbacks: 0,
-            parallel_probes: 0,
-        };
-        assert_eq!(total, pinned);
-        assert_eq!(hash, 0xc766_0122_4d8d_b7cc, "allocation bits");
+        let actual = format!(
+            "policies/max_min_random_cases alloc_bits={hash:#018x} pivots_phase1={} \
+             pivots_phase2={} dual_pivots={} warm_hits={} warm_falls_back={}",
+            total.pivots_phase1,
+            total.pivots_phase2,
+            total.dual_pivots,
+            total.warm_hits,
+            total.warm_falls_back
+        );
+        let golden = include_str!("../../../tests/golden/decisions.txt");
+        let name = actual.split(' ').next();
+        let pinned = golden.lines().find(|l| l.split(' ').next() == name);
+        assert_eq!(
+            pinned,
+            Some(actual.as_str()),
+            "copy the actual line into tests/golden/decisions.txt if the change is meant"
+        );
     }
 
     #[test]

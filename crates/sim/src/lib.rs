@@ -29,10 +29,11 @@
 //! Trace-only semantics (idle fast-forward between arrivals, round
 //! quantization of the wake-up, the simulation cap) are part of the
 //! service's submit/advance handling;
-//! `tests/pinned_regression.rs` pins fixed-seed results for 11 configs
+//! the repository's golden file (`tests/golden/decisions.txt`, checked by
+//! the facade's `tests/golden.rs`) pins fixed-seed results for 10 configs
 //! (estimated pairs, failures, physical jitter, throttled recomputes
-//! included) and additionally asserts log replay reproduces each pinned
-//! run.
+//! included), and that test also asserts log replay reproduces each
+//! pinned run.
 //!
 //! The per-round machinery the service core composes is documented where
 //! it lives: the incremental policy-input snapshots (oracle- and

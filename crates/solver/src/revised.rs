@@ -429,8 +429,44 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    /// The identity start basis: each row's slack or artificial column.
-    /// Its factorization cannot fail on a well-formed instance; if it
+    /// A solver at `basis`, factorized as `fac`, with `x_B` solved from
+    /// it and no pivots spent. `in_basis` is refilled from `basis`
+    /// whatever it holds, so a caller's scratch marks can be handed in.
+    fn new(
+        inst: &'a Instance,
+        basis: Vec<usize>,
+        fac: Basis,
+        mut in_basis: Vec<bool>,
+        completed: bool,
+        iter_limit: usize,
+    ) -> Solver<'a> {
+        in_basis.clear();
+        in_basis.resize(inst.ntot, false);
+        for &c in &basis {
+            in_basis[c] = true;
+        }
+        let mut solver = Solver {
+            inst,
+            iter_limit,
+            basis,
+            in_basis,
+            fac,
+            completed,
+            x_b: vec![0.0; inst.m],
+            y: vec![0.0; inst.m],
+            rho: vec![0.0; inst.m],
+            w: vec![0.0; inst.m],
+            stats: SolveStats::default(),
+            bland: false,
+            degenerate_run: 0,
+        };
+        solver.recompute_xb();
+        solver
+    }
+
+    /// The identity start basis: each row's slack or artificial column,
+    /// every factor a unit column, so `x_B` is `b` bit for bit. Its
+    /// factorization cannot fail on a well-formed instance; if it
     /// does, the solve reports [`SolverError::Numerical`].
     fn cold(inst: &'a Instance) -> Result<Solver<'a>, SolverError> {
         let basis = inst.init_basis.clone();
@@ -438,25 +474,8 @@ impl<'a> Solver<'a> {
             Basis::factorize(&inst.a, &basis, PIVOT_TOL).ok_or_else(|| SolverError::Numerical {
                 context: "identity start basis is singular".into(),
             })?;
-        let mut in_basis = vec![false; inst.ntot];
-        for &c in &basis {
-            in_basis[c] = true;
-        }
-        Ok(Solver {
-            inst,
-            iter_limit: auto_limit(inst),
-            x_b: inst.b.clone(),
-            basis,
-            in_basis,
-            fac,
-            completed: false,
-            y: vec![0.0; inst.m],
-            rho: vec![0.0; inst.m],
-            w: vec![0.0; inst.m],
-            stats: SolveStats::default(),
-            bland: false,
-            degenerate_run: 0,
-        })
+        let limit = auto_limit(inst);
+        Ok(Solver::new(inst, basis, fac, Vec::new(), false, limit))
     }
 
     /// Builds a solver from a warm-start basis: at most one column per row,
@@ -471,41 +490,20 @@ impl<'a> Solver<'a> {
         if hint.len() > inst.m {
             return None;
         }
-        let mut in_basis = vec![false; inst.ntot];
+        let mut named = vec![false; inst.ntot];
         for &c in hint {
-            if c >= inst.ntot || in_basis[c] {
+            if c >= inst.ntot || named[c] {
                 return None; // Out of range or repeated column.
             }
-            in_basis[c] = true;
+            named[c] = true;
         }
         let mut basis = Vec::with_capacity(inst.m);
         basis.extend_from_slice(hint);
         basis.resize(inst.m, NO_COLUMN);
         let logical = |row| inst.logical(row);
         let (fac, added) = Basis::complete(&inst.a, &mut basis, logical, PIVOT_TOL);
-        if added > 0 {
-            in_basis.fill(false);
-            for &c in &basis {
-                in_basis[c] = true;
-            }
-        }
-        let mut solver = Solver {
-            inst,
-            iter_limit: auto_limit(inst) / WARM_SHARE,
-            basis,
-            in_basis,
-            fac,
-            completed: added > 0,
-            x_b: vec![0.0; inst.m],
-            y: vec![0.0; inst.m],
-            rho: vec![0.0; inst.m],
-            w: vec![0.0; inst.m],
-            stats: SolveStats::default(),
-            bland: false,
-            degenerate_run: 0,
-        };
-        solver.recompute_xb();
-        Some(solver)
+        let limit = auto_limit(inst) / WARM_SHARE;
+        Some(Solver::new(inst, basis, fac, named, added > 0, limit))
     }
 
     /// Upper bound of a column: none, except that in phase 2 artificial
