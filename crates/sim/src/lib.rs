@@ -30,7 +30,7 @@
 //! quantization of the wake-up, the simulation cap) are part of the
 //! service's submit/advance handling;
 //! the repository's golden file (`tests/golden/decisions.txt`, checked by
-//! the facade's `tests/golden.rs`) pins fixed-seed results for 10 configs
+//! the facade's `tests/pinned_regression.rs`) pins fixed-seed results for 10 configs
 //! (estimated pairs, failures, physical jitter, throttled recomputes
 //! included), and that test also asserts log replay reproduces each
 //! pinned run.

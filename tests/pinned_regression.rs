@@ -1,26 +1,25 @@
 //! "Nothing moved", as one committed file: `tests/golden/decisions.txt`
 //! holds one line per case, its name, then its decision columns, then its
-//! work columns, each as `key=value`.
+//! work columns, each as `key=value`. Each test here computes its cases'
+//! lines and compares them with the committed lines of the same names.
 //!
 //! - `sim/*`: fixed-seed whole runs across round mode, space sharing,
 //!   physical fidelity, failures, throttled cadences, hierarchical water
-//!   filling, the makespan policy and estimator-bridged runs. Decisions:
-//!   [`SimResult::digest`], makespan bits, rounds, recomputations and
-//!   average-JCT bits. Work: the snapshot cache's, the round mechanism's
-//!   and the service's counters. Each run is also recorded beside a
-//!   submission log and replayed after a serialize/parse round trip, and
-//!   the replay must equal the live run in all of these.
+//!   filling, the makespan policy and estimator-bridged runs, one test
+//!   each. Decisions: [`SimResult::digest`], makespan bits, rounds,
+//!   recomputations and average-JCT bits. Work: the snapshot cache's, the
+//!   round mechanism's and the service's counters. Each run is also
+//!   recorded beside a submission log and replayed after a serialize/parse
+//!   round trip, and the replay must equal the live run in all of these.
 //! - `fig12/*`: Figure 12's LAS and hierarchical solves, with and without
 //!   pair rows, at 32 and 64 jobs, built as `gavel-exp fig12_scalability`
 //!   builds them. Their columns are the solver's counters.
 //! - `policies/*`: lines a unit test of that crate checks against this
-//!   file (max-min's pivot path over `las.rs`'s random inputs); this test
-//!   carries them over unread.
+//!   file (max-min's pivot path over `las.rs`'s random inputs).
 //!
-//! On a mismatch the test prints the lines that differ and writes the
-//! whole actual file next to the test binary's scratch files; a change
-//! that is meant to move a decision or a counter copies it over the
-//! committed one and says why.
+//! On a mismatch a test prints the committed and the actual line of each
+//! case that moved; a change that is meant to move a decision or a
+//! counter copies the actual lines into the committed file and says why.
 
 use gavel::core::{ClusterSpec, Policy, PolicyInput, PolicyJob};
 use gavel::policies::{EntityPolicy, Hierarchical, MaxMinFairness, MinMakespan};
@@ -103,76 +102,149 @@ fn sim_line(name: &str, policy: &dyn Policy, trace: TraceConfig, cfg: SimConfig)
     line(&live)
 }
 
-fn sim_lines() -> Vec<String> {
-    let las = MaxMinFairness::new();
-    let continuous = TraceConfig::continuous_single;
-    let mut ideal = SimConfig::new(small_cluster());
-    ideal.ideal_execution = true;
-    let mut throttled = SimConfig::new(small_cluster());
-    throttled.recompute = RecomputeCadence::ThrottledResets(3);
-    let mut estimated_failures = SimConfig::new(cluster_twelve())
+/// Asserts each line equals the committed line of the same name.
+fn check(lines: &[String]) {
+    let mut moved = String::new();
+    for line in lines {
+        let name = line.split(' ').next();
+        let pinned = COMMITTED.lines().find(|l| l.split(' ').next() == name);
+        if pinned != Some(line.as_str()) {
+            let pinned = pinned.unwrap_or("(no committed line)");
+            moved += &format!("- {pinned}\n+ {line}\n");
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "decisions or work moved:\n{moved}copy the + lines into \
+         tests/golden/decisions.txt if the change is meant to move them"
+    );
+}
+
+fn continuous(rate: f64, jobs: usize, seed: u64) -> TraceConfig {
+    TraceConfig::continuous_single(rate, jobs, seed)
+}
+
+#[test]
+fn round_mode_plain() {
+    let cfg = SimConfig::new(small_cluster());
+    let trace = continuous(1.2, 30, 5);
+    check(&[sim_line(
+        "round_mode_plain",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn round_mode_space_sharing() {
+    let cfg = SimConfig::new(cluster_twelve()).with_space_sharing();
+    let trace = continuous(2.0, 40, 17);
+    check(&[sim_line(
+        "round_mode_space_sharing",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn round_mode_physical_fidelity() {
+    let cfg = SimConfig::new(cluster_twelve()).with_physical_fidelity(3);
+    let trace = continuous(1.5, 30, 13);
+    check(&[sim_line(
+        "round_mode_physical_fidelity",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn round_mode_worker_failures() {
+    let cfg = SimConfig::new(cluster_twelve()).with_failures(7200.0, 3600.0);
+    let trace = continuous(1.0, 25, 41);
+    check(&[sim_line(
+        "round_mode_worker_failures",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn ideal_fluid_mode() {
+    let mut cfg = SimConfig::new(small_cluster());
+    cfg.ideal_execution = true;
+    let trace = continuous(1.5, 20, 7);
+    check(&[sim_line(
+        "ideal_fluid_mode",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn throttled_reset_cadence() {
+    let mut cfg = SimConfig::new(small_cluster());
+    cfg.recompute = RecomputeCadence::ThrottledResets(3);
+    let trace = continuous(2.0, 25, 37);
+    check(&[sim_line(
+        "throttled_reset_cadence",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn hierarchical_water_filling() {
+    let cfg = SimConfig::new(cluster_twelve());
+    let trace = continuous(1.0, 24, 11);
+    let policy = Hierarchical::single_level();
+    check(&[sim_line("hierarchical_water_filling", &policy, trace, cfg)]);
+}
+
+#[test]
+fn makespan_policy_static_trace() {
+    let cfg = SimConfig::new(cluster_twelve());
+    let trace = TraceConfig::static_single(30, 23);
+    check(&[sim_line(
+        "makespan_policy_static_trace",
+        &MinMakespan::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn estimated_with_worker_failures() {
+    let mut cfg = SimConfig::new(cluster_twelve())
         .with_estimated_pairs()
         .with_failures(14_400.0, 3600.0);
-    estimated_failures.seed = 5;
-    let mut estimated_throttled = SimConfig::new(cluster_twelve()).with_estimated_pairs();
-    estimated_throttled.recompute = RecomputeCadence::ThrottledResets(4);
-    vec![
-        sim_line(
-            "round_mode_plain",
-            &las,
-            continuous(1.2, 30, 5),
-            SimConfig::new(small_cluster()),
-        ),
-        sim_line(
-            "round_mode_space_sharing",
-            &las,
-            continuous(2.0, 40, 17),
-            SimConfig::new(cluster_twelve()).with_space_sharing(),
-        ),
-        sim_line(
-            "round_mode_physical_fidelity",
-            &las,
-            continuous(1.5, 30, 13),
-            SimConfig::new(cluster_twelve()).with_physical_fidelity(3),
-        ),
-        sim_line(
-            "round_mode_worker_failures",
-            &las,
-            continuous(1.0, 25, 41),
-            SimConfig::new(cluster_twelve()).with_failures(7200.0, 3600.0),
-        ),
-        sim_line("ideal_fluid_mode", &las, continuous(1.5, 20, 7), ideal),
-        sim_line(
-            "throttled_reset_cadence",
-            &las,
-            continuous(2.0, 25, 37),
-            throttled,
-        ),
-        sim_line(
-            "hierarchical_water_filling",
-            &Hierarchical::single_level(),
-            continuous(1.0, 24, 11),
-            SimConfig::new(cluster_twelve()),
-        ),
-        sim_line(
-            "makespan_policy_static_trace",
-            &MinMakespan::new(),
-            TraceConfig::static_single(30, 23),
-            SimConfig::new(cluster_twelve()),
-        ),
-        sim_line(
-            "estimated_with_worker_failures",
-            &las,
-            continuous(1.8, 30, 53),
-            estimated_failures,
-        ),
-        sim_line(
-            "estimated_with_throttled_recomputes",
-            &las,
-            continuous(2.2, 30, 59),
-            estimated_throttled,
-        ),
-    ]
+    cfg.seed = 5;
+    let trace = continuous(1.8, 30, 53);
+    check(&[sim_line(
+        "estimated_with_worker_failures",
+        &MaxMinFairness::new(),
+        trace,
+        cfg,
+    )]);
+}
+
+#[test]
+fn estimated_with_throttled_recomputes() {
+    let mut cfg = SimConfig::new(cluster_twelve()).with_estimated_pairs();
+    cfg.recompute = RecomputeCadence::ThrottledResets(4);
+    let trace = continuous(2.2, 30, 59);
+    let policy = MaxMinFairness::new();
+    check(&[sim_line(
+        "estimated_with_throttled_recomputes",
+        &policy,
+        trace,
+        cfg,
+    )]);
 }
 
 fn solve_line(name: &str, s: &SolveStats) -> String {
@@ -230,27 +302,11 @@ fn fig12_lines(n: usize) -> Vec<String> {
 }
 
 #[test]
-fn decisions_match_the_golden_file() {
-    let mut lines = sim_lines();
-    lines.extend(fig12_lines(32));
-    lines.extend(fig12_lines(64));
-    let checked_elsewhere = COMMITTED.lines().filter(|l| l.starts_with("policies/"));
-    lines.extend(checked_elsewhere.map(String::from));
-    let actual = lines.join("\n") + "\n";
-    if actual != COMMITTED {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("decisions.txt");
-        std::fs::write(&path, &actual).expect("write the actual file");
-        let only = |a: &str, b: &str, sign: char| {
-            (a.lines().filter(|l| !b.lines().any(|m| m == *l)))
-                .map(|l| format!("{sign} {l}\n"))
-                .collect::<String>()
-        };
-        panic!(
-            "decisions or work moved:\n{}{}the whole actual file is {}; copy it over \
-             tests/golden/decisions.txt if the change is meant to move them",
-            only(COMMITTED, &actual, '-'),
-            only(&actual, COMMITTED, '+'),
-            path.display()
-        );
-    }
+fn fig12_solves_at_32_jobs() {
+    check(&fig12_lines(32));
+}
+
+#[test]
+fn fig12_solves_at_64_jobs() {
+    check(&fig12_lines(64));
 }
