@@ -401,6 +401,10 @@ impl Policy for Hierarchical {
         }
     }
 
+    fn wants_space_sharing(&self) -> bool {
+        true
+    }
+
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
         self.compute_allocation_with_stats(input)
             .map(|(alloc, _stats)| alloc)

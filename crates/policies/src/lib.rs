@@ -30,8 +30,9 @@
 //! served run, `SimConfig::pairs`) makes the same optimization allocate
 //! over job combinations. `Policy::wants_space_sharing` only names the
 //! policies that can use pair rows — [`MaxMinFairness`], [`FifoHet`],
-//! [`MinMakespan`] (the three the paper evaluates with space sharing) and
-//! [`GandivaPolicy`] — so the service scores pairs for no other.
+//! [`MinMakespan`], [`Hierarchical`] (the four the paper evaluates with
+//! space sharing) and [`GandivaPolicy`] — so the service scores pairs for
+//! no other.
 
 pub mod allox;
 pub mod common;

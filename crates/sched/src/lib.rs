@@ -61,8 +61,9 @@
 //!
 //! Only resolving sizes the scratch, and nothing hashes: a job is its
 //! slot in the allocation's [`ComboSet`](gavel_core::ComboSet). A steady
-//! round allocates one heap block, the returned [`RoundPlan`]'s
-//! vector: an assignment's worker slots are a [`Workers`] range of the
+//! round allocates only the returned [`RoundPlan`]'s vector (the
+//! facade's golden `alloc/steady_round/*` lines pin its heap blocks): an
+//! assignment's worker slots are a [`Workers`] range of the
 //! placement's slot list, which the next round reuses
 //! ([`RoundScheduler::worker_slots`]). [`MechanismStats`] counts the work,
 //! keys computed included.

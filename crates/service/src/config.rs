@@ -52,8 +52,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// Allocation recomputation cadence.
     pub recompute: RecomputeCadence,
-    /// The one space-sharing switch: `Some` gives a policy that can use
-    /// pair rows (`Policy::wants_space_sharing`) pair rows pruned by these
+    /// The one space-sharing switch: `Some` gives every policy that can
+    /// use pair rows (`Policy::wants_space_sharing`: max-min fairness,
+    /// FIFO, makespan, hierarchical and Gandiva) pair rows pruned by these
     /// options, `None` (the default) gives every policy singleton rows
     /// only.
     pub pairs: Option<PairOptions>,

@@ -233,7 +233,32 @@ pub struct SchedulerService<'p> {
 
 impl<'p> SchedulerService<'p> {
     /// Creates a service with an empty job table at time zero.
+    ///
+    /// Panics if `round_seconds` or a failure model's `mtbf_seconds` is
+    /// not positive and finite, or its `downtime_seconds` is negative or
+    /// not finite: with a round of no length, or a failure due at every
+    /// instant, the clock never reaches an `AdvanceTo` target. Like a
+    /// cluster without workers, that is a configuration bug worth failing
+    /// loudly on.
     pub fn new(config: SimConfig, service: ServiceConfig, policy: &'p dyn Policy) -> Self {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        assert!(
+            positive(config.round_seconds),
+            "round_seconds must be positive and finite, not {}",
+            config.round_seconds
+        );
+        if let Some(fc) = config.failures {
+            assert!(
+                positive(fc.mtbf_seconds),
+                "mtbf_seconds must be positive and finite, not {}",
+                fc.mtbf_seconds
+            );
+            assert!(
+                fc.downtime_seconds.is_finite() && fc.downtime_seconds >= 0.0,
+                "downtime_seconds must be non-negative and finite, not {}",
+                fc.downtime_seconds
+            );
+        }
         let fluid = config.ideal_execution;
         let oracle = Oracle::new();
         // Pair rows only for a policy that reads them. The estimator only

@@ -1,7 +1,8 @@
 //! Service-level tests: admission caps and per-entity books, command
 //! rejection paths, query counters, failure/repair injection, the
 //! submission-log text round trip, replay of an interactive session,
-//! the round a failed policy solve is planned from, and the phase table.
+//! the round a failed policy solve is planned from, the phase table, and
+//! the configs refused at construction.
 
 use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{
@@ -725,4 +726,30 @@ fn the_phase_table_counts_every_phase_it_clocks() {
     let recompute_s = p.seconds(Phase::Snapshot) + p.seconds(Phase::Policy);
     assert_eq!(r.policy_solve_seconds, recompute_s);
     assert_eq!(p.to_string().lines().count(), Phase::ALL.len());
+}
+
+/// A service whose clock could never reach an `AdvanceTo` target.
+fn hanging(cfg: SimConfig) {
+    let policy = MaxMinFairness::new();
+    let _svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+}
+
+#[test]
+#[should_panic(expected = "round_seconds")]
+fn a_round_of_no_length_is_refused() {
+    let mut cfg = SimConfig::new(small_cluster());
+    cfg.round_seconds = 0.0;
+    hanging(cfg);
+}
+
+#[test]
+#[should_panic(expected = "mtbf_seconds")]
+fn a_failure_at_every_instant_is_refused() {
+    hanging(SimConfig::new(small_cluster()).with_failures(0.0, 3600.0));
+}
+
+#[test]
+#[should_panic(expected = "downtime_seconds")]
+fn a_non_finite_downtime_is_refused() {
+    hanging(SimConfig::new(small_cluster()).with_failures(7200.0, f64::NAN));
 }

@@ -53,6 +53,7 @@ fn every_policy_survives_a_mixed_trace() {
         (Box::new(GandivaPolicy::new(1)), true, false),
         (Box::new(IsolatedSplit::new()), false, false),
         (Box::new(Hierarchical::single_level()), false, false),
+        (Box::new(Hierarchical::single_level()), true, false),
         (Box::new(Allox::new()), false, true),
     ];
     for (policy, space_sharing, needs_single) in &policies {

@@ -12,8 +12,19 @@
 //!   recorded beside a submission log and replayed after a serialize/parse
 //!   round trip, and the replay must equal the live run in all of these.
 //! - `fig12/*`: Figure 12's LAS and hierarchical solves, with and without
-//!   pair rows, at 32 and 64 jobs, built as `gavel-exp fig12_scalability`
-//!   builds them. Their columns are the solver's counters.
+//!   pair rows, at 32, 64, 128 and 256 jobs, built as `gavel-exp
+//!   fig12_scalability` builds them. Their columns are the solver's
+//!   counters.
+//! - `alloc/*`: heap blocks, counted on the measuring thread by this
+//!   binary's counting allocator, at two sizes each, so a budget that
+//!   does not grow with its input reads as two lines with equal values:
+//!   a space-sharing snapshot cycle (churn, `snapshot`,
+//!   `Allocation::zeros`), `DurableService::checkpoint_now`, max-min's
+//!   dual-repaired refine solve and a steady round of the planner. Each
+//!   column is the most any measured repetition took; work columns
+//!   follow (dual pivots, assignments per round). Run them in release
+//!   too, the profile the benchmark measures:
+//!   `cargo test --release --test pinned_regression alloc_`.
 //! - `policies/*`: lines a unit test of that crate checks against this
 //!   file (max-min's pivot path over `las.rs`'s random inputs).
 //!
@@ -21,15 +32,26 @@
 //! case that moved; a change that is meant to move a decision or a
 //! counter copies the actual lines into the committed file and says why.
 
-use gavel::core::{ClusterSpec, Policy, PolicyInput, PolicyJob};
+use gavel::core::{
+    Allocation, ClusterSpec, Combo, ComboSet, JobId, Policy, PolicyInput, PolicyJob,
+};
 use gavel::policies::{EntityPolicy, Hierarchical, MaxMinFairness, MinMakespan};
-use gavel::service::{replay, SchedulerService, ServiceConfig, SubmissionLog};
+use gavel::sched::RoundScheduler;
+use gavel::service::{
+    replay, Command, DurableService, MemoryCheckpointStore, MemorySink, SchedulerService,
+    ServiceConfig, SnapshotCache, SubmissionLog,
+};
 use gavel::sim::{compile_trace, RecomputeCadence, SimConfig, SimResult};
-use gavel::solver::SolveStats;
+use gavel::solver::{
+    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
+};
 use gavel::workloads::{
     build_singleton_tensor, build_tensor_with_pairs, cluster_scaled, cluster_twelve, generate,
-    JobSpec, Oracle, PairOptions, TraceConfig,
+    JobConfig, JobSpec, ModelFamily, Oracle, PairOptions, TraceConfig, TraceJob,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
 
 const COMMITTED: &str = include_str!("golden/decisions.txt");
 
@@ -309,4 +331,351 @@ fn fig12_solves_at_32_jobs() {
 #[test]
 fn fig12_solves_at_64_jobs() {
     check(&fig12_lines(64));
+}
+
+#[test]
+fn fig12_solves_at_128_jobs() {
+    check(&fig12_lines(128));
+}
+
+#[test]
+fn fig12_solves_at_256_jobs() {
+    check(&fig12_lines(256));
+}
+
+thread_local! {
+    /// Calls on this thread that obtained or grew a heap block (`alloc`,
+    /// `alloc_zeroed`, `realloc`). Const-initialized and without a
+    /// destructor, so reading it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one block for the calling thread (none once its thread-locals
+/// are gone, during thread exit). Per thread, so tests running beside a
+/// measurement are not charged to it.
+fn tally() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; the counter touches no
+// memory the allocator hands out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread (its result is dropped outside
+/// the count).
+fn count<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    drop(out);
+    made
+}
+
+/// A space-sharing [`SnapshotCache`] over `n` single-worker jobs, warmed
+/// through `n` cycles of churn (a completion and an arrival of a resident
+/// configuration) so its slabs and scratch reach their high-water marks,
+/// then measured over 64 more: the blocks of the churn, of `snapshot`
+/// and of the `Allocation::zeros` a policy builds on its combo set.
+fn snapshot_line(n: usize) -> String {
+    let oracle = Oracle::new();
+    let mut cache = SnapshotCache::new(true, Some(PairOptions::default()));
+    // The production path's count: the flat differential oracle, which
+    // debug builds turn on, allocates per candidate.
+    cache.set_crosscheck(false);
+    let all = JobConfig::all();
+    let mut next_id = 0u64;
+    let mut arrival = || {
+        let id = JobId(next_id);
+        next_id += 1;
+        let config = all[(id.0 as usize * 7 + 3) % all.len()];
+        let spec = JobSpec {
+            id,
+            config,
+            scale_factor: 1,
+        };
+        (spec, PolicyJob::simple(id, 1_000.0))
+    };
+    for _ in 0..n {
+        let (s, job) = arrival();
+        cache.admit(&oracle, s, job);
+    }
+    let mut victim = 0usize;
+    let mut worst = [0; 3];
+    for cycle in 0..n + 64 {
+        victim = (victim + 17) % cache.len();
+        let (s, job) = arrival();
+        let churn = count(|| {
+            cache.remove(victim);
+            cache.admit(&oracle, s, job);
+        });
+        let mut snapshot = None;
+        let assemble = count(|| snapshot = Some(cache.snapshot(&oracle)));
+        let (combos, tensor) = snapshot.expect("just taken");
+        assert_eq!(tensor.num_rows(), combos.len(), "one tensor row per combo");
+        assert!(combos.len() > n, "no pair rows at {n} jobs");
+        let zeros = count(|| Allocation::zeros(combos, tensor.num_types()));
+        if cycle >= n {
+            for (w, made) in worst.iter_mut().zip([churn, assemble, zeros]) {
+                *w = (*w).max(made);
+            }
+        }
+    }
+    let [churn, snapshot, zeros] = worst;
+    format!(
+        "alloc/snapshot/{n} churn_blocks={churn} snapshot_blocks={snapshot} zeros_blocks={zeros}"
+    )
+}
+
+#[test]
+fn alloc_snapshot_cycle() {
+    check(&[snapshot_line(100), snapshot_line(400)]);
+}
+
+/// The blocks of one `checkpoint_now`, on in-memory storage, after
+/// `history` commands (submits, clock advances, refused cancels and
+/// queries) and one checkpoint that sizes what the next ones reuse.
+fn checkpoint_line(history: usize) -> String {
+    let policy = MaxMinFairness::new();
+    let mut durable = DurableService::new(
+        &policy,
+        SimConfig::new(small_cluster()),
+        ServiceConfig::default(),
+        MemorySink::new(),
+        MemoryCheckpointStore::new(),
+        0,
+    )
+    .expect("in-memory storage");
+    for i in 0..history as u64 {
+        let cmd = match i % 4 {
+            0 if i < 40 => Command::Submit {
+                job: TraceJob {
+                    id: JobId(i),
+                    config: JobConfig::new(ModelFamily::ResNet50, 64),
+                    arrival_time: 0.0,
+                    scale_factor: 1,
+                    total_steps: 1e12,
+                    duration_seconds: 3600.0,
+                    weight: 1.0,
+                    slo_factor: None,
+                    entity: Some(i as usize % 3),
+                },
+            },
+            1 => Command::AdvanceTo {
+                seconds: 360.0 * i as f64,
+            },
+            2 => Command::Cancel {
+                job: JobId(1 << 40),
+            },
+            _ => Command::QueryAllocation,
+        };
+        let _verdict = durable.apply(&cmd).expect("in-memory storage");
+    }
+    durable.checkpoint_now().expect("in-memory storage");
+    let blocks = count(|| durable.checkpoint_now().expect("in-memory storage"));
+    format!("alloc/checkpoint/{history} blocks={blocks}")
+}
+
+#[test]
+fn alloc_checkpoint() {
+    check(&[checkpoint_line(200), checkpoint_line(2_000)]);
+}
+
+/// Accelerator types of the refine solve, and each one's speed relative
+/// to the first.
+const SPEEDUP: [f64; 3] = [1.0, 2.1, 3.4];
+
+/// Blocks and stats of max-min fairness's refine pass at `n` jobs: budget,
+/// capacity and floor rows, solved for max `t` from the origin, then
+/// patched in place and re-solved from the structural basis "everyone
+/// full-time on their best cell", which the dual simplex repairs; hinted
+/// whole or (`short`) without one capacity slack, which the solver puts
+/// back when it completes the hint.
+fn refine_solve(n: usize, short: bool) -> (usize, SolveStats) {
+    // Job `m`'s throughput on type `j`: the type's speed-up, scaled per job
+    // and bent per type so best cells differ between jobs.
+    let tput = |m: usize, j: usize| {
+        let bend = ((m * 7 + j * 5) % 11) as f64 / 10.0;
+        SPEEDUP[j] * (0.5 + ((m * 37) % 17) as f64 / 16.0) * (0.6 + bend)
+    };
+    let workers = (n / 4).max(1) as f64;
+    let mut lp = LpProblem::new(Sense::Maximize);
+    let x: Vec<Vec<VarId>> = (0..n)
+        .map(|m| {
+            let cell = |j| lp.add_var(&format!("x_{m}_{j}"), 0.0, f64::INFINITY, 0.0);
+            (0..SPEEDUP.len()).map(cell).collect()
+        })
+        .collect();
+    let t = lp.add_var("t", 0.0, f64::INFINITY, 1.0);
+    let budget: Vec<ConstraintId> = (x.iter())
+        .map(|row| {
+            lp.add_constraint(
+                &row.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+                Cmp::Le,
+                1.0,
+            )
+        })
+        .collect();
+    let capacity: Vec<ConstraintId> = (0..SPEEDUP.len())
+        .map(|j| {
+            let terms: Vec<_> = x.iter().map(|row| (row[j], 1.0)).collect();
+            lp.add_constraint(&terms, Cmp::Le, workers)
+        })
+        .collect();
+    // `c_m`: the job's throughput under an equal share of every type.
+    let share = workers / n as f64;
+    let c: Vec<f64> = (0..n)
+        .map(|m| (0..SPEEDUP.len()).map(|j| share * tput(m, j)).sum())
+        .collect();
+    let mut floors = Vec::with_capacity(n);
+    let mut best = Vec::with_capacity(n);
+    for (m, row) in x.iter().enumerate() {
+        let mut terms: Vec<(VarId, f64)> = (row.iter().enumerate())
+            .map(|(j, &v)| (v, tput(m, j)))
+            .collect();
+        terms.push((t, -c[m]));
+        floors.push(lp.add_constraint(&terms, Cmp::Ge, 0.0));
+        let fastest = (0..SPEEDUP.len()).max_by(|&a, &b| tput(m, a).total_cmp(&tput(m, b)));
+        best.push(BasisEntry::Var(row[fastest.unwrap_or(0)]));
+    }
+    let mut prep = PreparedLp::new(lp).expect("well-formed LP");
+
+    let slack = |row: &ConstraintId| BasisEntry::Slack(*row);
+    let mut origin: Vec<BasisEntry> = budget.iter().chain(&capacity).map(slack).collect();
+    origin.extend_from_slice(&best);
+    let sol = prep.solve(Some(&origin)).expect("max t solves");
+    prep.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
+    prep.set_objective_coeff(t, 0.0);
+    for (m, row) in x.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            prep.set_objective_coeff(v, tput(m, j) / c[m]);
+        }
+    }
+    let mut full_time = best;
+    full_time.extend(capacity.iter().chain(&floors).map(slack));
+    if short {
+        full_time.retain(|&entry| entry != slack(&capacity[0]));
+    }
+    let mut outcome = None;
+    let blocks = count(|| outcome = Some(prep.solve(Some(&full_time))));
+    let stats = outcome.expect("counted").expect("refine solves").stats;
+    (blocks, stats)
+}
+
+#[test]
+fn alloc_refine_solve() {
+    let [small, large] = [32, 128].map(|n| {
+        let whole = refine_solve(n, false);
+        assert_eq!(
+            refine_solve(n, true),
+            whole,
+            "a hint one column short costs what the whole hint costs"
+        );
+        assert!(
+            whole.1.warm_hits == 1 && whole.1.pivots_phase1 == 0,
+            "{:?}",
+            whole.1
+        );
+        whole
+    });
+    assert!(
+        small.1.dual_pivots > 0 && large.1.dual_pivots > 2 * small.1.dual_pivots,
+        "the dual path must carry the refine solve"
+    );
+    check(&[(32, small), (128, large)].map(|(n, (blocks, stats))| {
+        format!(
+            "alloc/refine_solve/{n} blocks={blocks} dual_pivots={}",
+            stats.dual_pivots
+        )
+    }));
+}
+
+/// The most blocks any of 32 steady rounds (`plan_round_cached` and
+/// `record`, after 8 warm-up rounds) took, and the assignments per round,
+/// over `n` jobs of mixed worker counts, singletons and pairs, on a
+/// three-type cluster of 4-slot servers with a worker for every two jobs
+/// of each type.
+fn steady_rounds(n: usize) -> (usize, usize) {
+    let workers = n / 2;
+    let cluster = ClusterSpec::new(&[
+        ("v100", workers, 4, 0.0),
+        ("p100", workers, 4, 0.0),
+        ("k80", workers, 4, 0.0),
+    ]);
+    let jobs: Vec<JobId> = (0..n as u64).map(JobId).collect();
+    let sf: HashMap<JobId, u32> = (jobs.iter())
+        .map(|&j| (j, [1, 1, 1, 2, 4][j.0 as usize % 5]))
+        .collect();
+    let mut combos: Vec<Combo> = jobs.iter().map(|&j| Combo::single(j)).collect();
+    // Pairs among the single-worker jobs.
+    combos.extend((0..n / 5).map(|k| Combo::pair(jobs[5 * k], jobs[5 * k + 1])));
+    let values = (0..combos.len())
+        .map(|row| {
+            (0..3)
+                .map(|j| match (row * 7 + j * 3) % 5 {
+                    0 => 0.0,
+                    k => k as f64 * 0.11,
+                })
+                .collect()
+        })
+        .collect();
+    let alloc = Allocation::new(ComboSet::new(combos), values);
+    let mut sched = RoundScheduler::new(cluster);
+    let round = |sched: &mut RoundScheduler| {
+        let plan = sched.plan_round_cached(&alloc, 1, &sf, None);
+        sched.record(&plan, 360.0);
+        plan
+    };
+    for _ in 0..8 {
+        round(&mut sched);
+    }
+    let (mut blocks, mut assignments) = (0, 0);
+    for _ in 0..32 {
+        let mut plan = None;
+        blocks = blocks.max(count(|| plan = Some(round(&mut sched))));
+        assignments += plan.expect("counted").assignments.len();
+    }
+    (blocks, assignments / 32)
+}
+
+#[test]
+fn alloc_steady_round() {
+    let [small, large] = [100, 400].map(steady_rounds);
+    assert!(
+        small.1 > 10 && large.1 > 3 * small.1,
+        "rounds must place many combos"
+    );
+    check(
+        &[(100, small), (400, large)].map(|(n, (blocks, assignments))| {
+            format!("alloc/steady_round/{n} blocks={blocks} assignments={assignments}")
+        }),
+    );
 }
