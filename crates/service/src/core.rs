@@ -17,8 +17,27 @@
 //!   as continuous rates and time advances to the next event — the
 //!   advance horizon, a fluid completion, or the simulation cap.
 //!
-//! The service keeps no history of the commands it consumed; a layer
-//! that needs one records it beside the service ([`crate::command`]). The
+//! The service keeps each fact once, in one of three parts:
+//!
+//! - `ServiceState`, what the run has decided: the clock, the round and
+//!   recompute counts, the active jobs with their progress and cost, the
+//!   ids seen, the outcomes, the pending cluster events, both RNGs, the
+//!   downed workers per type, the allocation in force and the entity
+//!   books. [`SchedulerService::state_fingerprint`] reads it alone;
+//! - lookups derived from it (the job index, each allocation row's member
+//!   positions, the workers up per type), beside the [`SnapshotCache`]
+//!   and the [`RoundScheduler`];
+//! - one `Tally` of what the run counted (commands, queries, busy
+//!   worker-seconds, cost, failed solves, unplaceable jobs, wall clock
+//!   per [`Phase`]), which [`SchedulerService::into_result`] turns into
+//!   the [`SimResult`].
+//!
+//! Two facts of the run still live outside the state: the estimator's
+//! refined pair estimates, in the snapshot cache, and the time each job
+//! received under the allocation in force, in the round scheduler.
+//!
+//! The service keeps no history of the commands it consumed; a layer that
+//! needs one records it beside the service ([`crate::command`]). The
 //! service is deterministic in (config, policy, ordered command stream),
 //! so [`crate::replay`] of that record reproduces the run bit-exactly. Job
 //! ownership is tracked in per-entity books with an optional active-job
@@ -43,8 +62,7 @@ use gavel_sched::{RoundPlan, RoundScheduler, ScaleFactors, WorkerSlot};
 use gavel_workloads::{GpuKind, JobSpec, Oracle, TraceJob};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
 /// Service-level knobs, on top of the simulation [`SimConfig`].
@@ -58,6 +76,7 @@ pub struct ServiceConfig {
 }
 
 /// An admitted, unfinished job.
+#[derive(Debug)]
 struct ActiveJob {
     trace: TraceJob,
     steps_done: f64,
@@ -81,7 +100,7 @@ struct RowPositions {
 }
 
 /// Asynchronous cluster events (reset events in §3's sense).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ClusterEvent {
     /// A worker fails; the payload is irrelevant (the victim is sampled at
     /// processing time, weighted by type populations).
@@ -90,59 +109,35 @@ enum ClusterEvent {
     Repair(usize),
 }
 
-#[derive(Debug, Clone, Copy)]
-struct QueuedEvent {
-    time: f64,
-    seq: u64,
-    event: ClusterEvent,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Event times are finite (command validation refuses non-finite
-        // times and failure arithmetic stays finite); `total_cmp` keeps
-        // the ordering total without a panicking unwrap.
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Min-heap of pending cluster events.
-#[derive(Default)]
+/// Pending cluster events, keyed by their time's bits and then the order
+/// they were queued in. Every event time is finite and non-negative,
+/// where the bits order as the times do.
+#[derive(Debug, Default, PartialEq)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<QueuedEvent>>,
+    pending: BTreeMap<(u64, u64), ClusterEvent>,
     seq: u64,
 }
 
 impl EventQueue {
     fn push(&mut self, time: f64, event: ClusterEvent) {
+        debug_assert!(time.is_finite() && time.is_sign_positive(), "{time}");
         self.seq += 1;
-        self.heap.push(Reverse(QueuedEvent {
-            time,
-            seq: self.seq,
-            event,
-        }));
+        self.pending.insert((time.to_bits(), self.seq), event);
     }
 
-    /// Pops the earliest event due at or before `now`.
-    fn pop_due(&mut self, now: f64) -> Option<QueuedEvent> {
-        if self.heap.peek().is_some_and(|Reverse(e)| e.time <= now) {
-            self.heap.pop().map(|Reverse(e)| e)
-        } else {
-            None
-        }
+    /// Pops the earliest event due at or before `now`, with its time.
+    fn pop_due(&mut self, now: f64) -> Option<(f64, ClusterEvent)> {
+        let first = self.pending.first_entry()?;
+        let time = f64::from_bits(first.key().0);
+        (time <= now).then(|| (time, first.remove()))
+    }
+
+    /// Drops the earliest pending repair of type `accel`.
+    fn cancel_repair(&mut self, accel: usize) {
+        let repair = ClusterEvent::Repair(accel);
+        let key = (self.pending.iter()).find_map(|(&key, &e)| (e == repair).then_some(key));
+        let cancelled = key.and_then(|key| self.pending.remove(&key));
+        debug_assert!(cancelled.is_some(), "a downed worker has its repair queued");
     }
 }
 
@@ -161,7 +156,7 @@ impl ScaleFactors for ActiveScaleFactors<'_> {
 }
 
 /// Per-entity job book.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct EntityBook {
     /// Jobs currently active (admitted, not completed/cancelled).
     active: usize,
@@ -180,6 +175,48 @@ pub struct AllocationView {
     pub rates: Vec<(JobId, f64)>,
 }
 
+/// What the run has decided, each fact once: the ground truth a replay or
+/// a recovery reproduces.
+pub(crate) struct ServiceState {
+    now: f64,
+    rounds: usize,
+    recomputations: usize,
+    active: Vec<ActiveJob>,
+    /// Every id ever submitted (ids are never reused).
+    seen_ids: HashSet<JobId>,
+    outcomes: Vec<JobOutcome>,
+    events: EventQueue,
+    jitter_rng: StdRng,
+    failure_rng: StdRng,
+    /// Downed workers per type, each with its `Repair` pending.
+    down: Vec<usize>,
+    /// The allocation in force, with the tensor it was solved on.
+    current: Option<(ThroughputTensor, Allocation)>,
+    need_recompute: bool,
+    last_recompute_round: u32,
+    books: BTreeMap<Option<u32>, EntityBook>,
+}
+
+/// What the run counted: read back by no decision, and turned into the
+/// [`SimResult`] by [`SchedulerService::into_result`].
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Commands accepted, failed, and of those, the ones whose payload
+    /// failed validation. A cap rejection is counted in its entity's book.
+    accepted: usize,
+    rejected: usize,
+    invalid: usize,
+    queries_served: usize,
+    queries_since_recompute: usize,
+    max_queries_between_recomputes: usize,
+    busy_worker_seconds: f64,
+    total_cost: f64,
+    policy_failures: PolicyFailures,
+    never_placeable: usize,
+    /// Wall clock per phase; the durability layer adds its own phases.
+    pub(crate) phases: PhaseTimes,
+}
+
 /// The long-running scheduler service. One instance per session; consumed
 /// by [`SchedulerService::into_result`].
 pub struct SchedulerService<'p> {
@@ -187,48 +224,18 @@ pub struct SchedulerService<'p> {
     service: ServiceConfig,
     oracle: Oracle,
     policy: &'p dyn Policy,
-    active: Vec<ActiveJob>,
-    /// Job → position in `active`, maintained across swap-removes.
+    state: ServiceState,
+    /// Job → position in `state.active`, maintained across swap-removes.
     index: HashMap<JobId, usize>,
-    /// Every id ever submitted (ids are never reused).
-    seen_ids: HashSet<JobId>,
-    outcomes: Vec<JobOutcome>,
-    cache: SnapshotCache,
-    sched: RoundScheduler,
-    events: EventQueue,
-    jitter_rng: StdRng,
-    failure_rng: StdRng,
-    /// Downed workers per type.
-    down: Vec<usize>,
-    down_total: usize,
-    now: f64,
-    rounds: usize,
-    recomputations: usize,
-    policy_failures: PolicyFailures,
-    never_placeable: usize,
-    /// Wall clock per phase; the durability layer adds its own phases.
-    pub(crate) phases: PhaseTimes,
-    busy_worker_seconds: f64,
-    total_cost: f64,
-    need_recompute: bool,
-    last_recompute_round: u32,
-    current: Option<(ThroughputTensor, Allocation)>,
-    /// Per row of the current allocation; cleared by a recompute.
+    /// Per row of the allocation in force; cleared by a recompute.
     row_positions: Vec<RowPositions>,
-    /// Bumped whenever a removal moves jobs within `active`.
+    /// Bumped whenever a removal moves jobs within `state.active`.
     positions_epoch: u64,
     /// Workers up per type, refreshed each round a worker is down.
     available: Vec<usize>,
-    /// Commands accepted so far.
-    accepted: usize,
-    /// Commands that failed, and of those, the ones whose payload failed
-    /// validation. A cap rejection is counted in its entity's book.
-    rejected: usize,
-    invalid: usize,
-    books: BTreeMap<Option<u32>, EntityBook>,
-    queries_served: usize,
-    queries_since_recompute: usize,
-    max_queries_between_recomputes: usize,
+    cache: SnapshotCache,
+    sched: RoundScheduler,
+    pub(crate) tally: Tally,
 }
 
 impl<'p> SchedulerService<'p> {
@@ -280,43 +287,35 @@ impl<'p> SchedulerService<'p> {
             let u: f64 = failure_rng.gen_range(f64::EPSILON..1.0);
             events.push(-u.ln() * fc.mtbf_seconds, ClusterEvent::Failure);
         }
+        let state = ServiceState {
+            now: 0.0,
+            rounds: 0,
+            recomputations: 0,
+            active: Vec::new(),
+            seen_ids: HashSet::new(),
+            outcomes: Vec::new(),
+            events,
+            jitter_rng: StdRng::seed_from_u64(config.seed.wrapping_mul(0x9e37_79b9)),
+            failure_rng,
+            down: vec![0; config.cluster.num_types()],
+            current: None,
+            need_recompute: true,
+            last_recompute_round: 0,
+            books: BTreeMap::new(),
+        };
         SchedulerService {
             sched: RoundScheduler::new(config.cluster.clone()),
-            jitter_rng: StdRng::seed_from_u64(config.seed.wrapping_mul(0x9e37_79b9)),
-            down: vec![0; config.cluster.num_types()],
             config,
             service,
             oracle,
             policy,
-            active: Vec::new(),
+            state,
             index: HashMap::new(),
-            seen_ids: HashSet::new(),
-            outcomes: Vec::new(),
-            cache,
-            events,
-            failure_rng,
-            down_total: 0,
-            now: 0.0,
-            rounds: 0,
-            recomputations: 0,
-            policy_failures: PolicyFailures::default(),
-            never_placeable: 0,
-            phases: PhaseTimes::default(),
-            busy_worker_seconds: 0.0,
-            total_cost: 0.0,
-            need_recompute: true,
-            last_recompute_round: 0,
-            current: None,
             row_positions: Vec::new(),
             positions_epoch: 1,
             available: Vec::new(),
-            accepted: 0,
-            rejected: 0,
-            invalid: 0,
-            books: BTreeMap::new(),
-            queries_served: 0,
-            queries_since_recompute: 0,
-            max_queries_between_recomputes: 0,
+            cache,
+            tally: Tally::default(),
         }
     }
 
@@ -336,7 +335,8 @@ impl<'p> SchedulerService<'p> {
                     Ok(())
                 }
                 Command::QueryAllocation => {
-                    self.do_query();
+                    self.tally.queries_served += 1;
+                    self.tally.queries_since_recompute += 1;
                     Ok(())
                 }
                 Command::InjectFailure => self.do_inject_failure().map_err(ServiceError::from),
@@ -346,7 +346,7 @@ impl<'p> SchedulerService<'p> {
             },
         };
         match &result {
-            Ok(()) => self.accepted += 1,
+            Ok(()) => self.tally.accepted += 1,
             Err(err) => self.record_failure(Failure::new(cmd, err)),
         }
         result
@@ -354,22 +354,22 @@ impl<'p> SchedulerService<'p> {
 
     /// Current service time, seconds.
     pub fn now(&self) -> f64 {
-        self.now
+        self.state.now
     }
 
     /// Number of active (admitted, unfinished) jobs.
     pub fn num_active(&self) -> usize {
-        self.active.len()
+        self.state.active.len()
     }
 
     /// Tallies a failed command: live, or replayed from its `reject`
     /// entry (the failed command itself is never re-applied).
     pub(crate) fn record_failure(&mut self, failure: Failure) {
-        self.rejected += 1;
+        self.tally.rejected += 1;
         match failure.rejection {
-            None => self.invalid += 1,
+            None => self.tally.invalid += 1,
             Some(Rejection::EntityCapExceeded) => {
-                let book = self.books.entry(failure.entity).or_default();
+                let book = self.state.books.entry(failure.entity).or_default();
                 book.counters.cap_rejected += 1;
             }
             Some(_) => {}
@@ -380,38 +380,44 @@ impl<'p> SchedulerService<'p> {
     /// command; a served query is [`Command::QueryAllocation`] through
     /// [`SchedulerService::apply`], followed by this view.
     pub fn allocation_view(&self) -> AllocationView {
-        let rates = match &self.current {
-            Some((tensor, alloc)) => self
-                .active
-                .iter()
+        let active = self.state.active.iter();
+        let rates = match &self.state.current {
+            Some((tensor, alloc)) => active
                 .map(|a| (a.trace.id, alloc.effective_throughput(tensor, a.trace.id)))
                 .collect(),
-            None => self.active.iter().map(|a| (a.trace.id, 0.0)).collect(),
+            None => active.map(|a| (a.trace.id, 0.0)).collect(),
         };
         AllocationView {
-            seconds: self.now,
+            seconds: self.state.now,
             rates,
         }
     }
 
-    /// Folds the full scheduling state into one value: the clock, cluster
-    /// health, per-job progress/cost bits, and every outcome so far. Two
-    /// services with equal fingerprints took bit-identical trajectories.
+    /// Folds part of the scheduling state into one value: the clock, the
+    /// round and recompute counts, the downed workers (their sum, then per
+    /// type), each active job's id, progress and cost, and each outcome's
+    /// id, completion and cost. It folds neither RNG, no pending cluster
+    /// event, not the allocation in force, not the round scheduler's
+    /// received time and not the estimator's refined estimates, so equal
+    /// fingerprints sample a trajectory rather than prove it.
+    /// `live_replayed_and_resumed_runs_end_in_equal_states`, in
+    /// `recovery.rs`, compares whole states field by field.
     pub fn state_fingerprint(&self) -> u64 {
+        let s = &self.state;
         let mut h = 0u64;
-        h = mix(h, self.now.to_bits());
-        h = mix(h, self.rounds as u64);
-        h = mix(h, self.recomputations as u64);
-        h = mix(h, self.down_total as u64);
-        for &d in &self.down {
+        h = mix(h, s.now.to_bits());
+        h = mix(h, s.rounds as u64);
+        h = mix(h, s.recomputations as u64);
+        h = mix(h, s.down.iter().sum::<usize>() as u64);
+        for &d in &s.down {
             h = mix(h, d as u64);
         }
-        for job in &self.active {
+        for job in &s.active {
             h = mix(h, job.trace.id.0);
             h = mix(h, job.steps_done.to_bits());
             h = mix(h, job.cost.to_bits());
         }
-        for o in &self.outcomes {
+        for o in &s.outcomes {
             h = mix(h, o.id.0);
             h = mix(h, o.completion.map_or(u64::MAX, f64::to_bits));
             h = mix(h, o.cost.to_bits());
@@ -420,51 +426,49 @@ impl<'p> SchedulerService<'p> {
     }
 
     fn do_submit(&mut self, job: &TraceJob) -> Result<(), Rejection> {
-        if self.seen_ids.contains(&job.id) {
+        let state = &mut self.state;
+        if state.seen_ids.contains(&job.id) {
             return Err(Rejection::DuplicateJob);
         }
         let entity = job.entity.map(|e| e as u32);
-        if let Some(cap) = self.service.max_active_per_entity {
-            let book = self.books.entry(entity).or_default();
-            if book.active >= cap {
-                return Err(Rejection::EntityCapExceeded);
-            }
+        let book = state.books.entry(entity).or_default();
+        if (self.service.max_active_per_entity).is_some_and(|cap| book.active >= cap) {
+            return Err(Rejection::EntityCapExceeded);
         }
-        self.seen_ids.insert(job.id);
-        let book = self.books.entry(entity).or_default();
         book.counters.submitted += 1;
+        state.seen_ids.insert(job.id);
         // An arrival at an idle cluster fast-forwards the clock to it
         // (round-quantized under round stepping) before admission; a job
         // arriving past the time cap never starts.
-        if self.now >= self.config.max_seconds {
-            self.outcomes.push(unstarted_outcome(job));
+        if state.now >= self.config.max_seconds {
+            state.outcomes.push(unstarted_outcome(job));
             return Ok(());
         }
-        if self.active.is_empty() && job.arrival_time > self.now + 1e-9 {
+        if state.active.is_empty() && job.arrival_time > state.now + 1e-9 {
             let target = if self.config.ideal_execution {
                 job.arrival_time
             } else {
                 let round = self.config.round_seconds;
                 let k = (job.arrival_time / round).ceil().max(0.0);
-                (k * round).max(self.now + round)
+                (k * round).max(state.now + round)
             };
             // Failures and repairs due inside the gap take effect at their
             // own times, not at the next busy round.
             self.drain_due_events(target, true);
-            self.now = target;
-            if self.now >= self.config.max_seconds {
-                self.outcomes.push(unstarted_outcome(job));
+            self.state.now = target;
+            if target >= self.config.max_seconds {
+                self.state.outcomes.push(unstarted_outcome(job));
                 return Ok(());
             }
         }
         if !self.placeable(job.scale_factor) {
-            self.never_placeable += 1;
-            self.outcomes.push(unstarted_outcome(job));
+            self.tally.never_placeable += 1;
+            self.state.outcomes.push(unstarted_outcome(job));
             return Ok(());
         }
         self.admit(job.clone());
-        self.books.entry(entity).or_default().active += 1;
-        self.need_recompute = true;
+        self.state.books.entry(entity).or_default().active += 1;
+        self.state.need_recompute = true;
         Ok(())
     }
 
@@ -472,7 +476,7 @@ impl<'p> SchedulerService<'p> {
         if !self.index.contains_key(&id) {
             return Err(Rejection::UnknownJob);
         }
-        self.remove_active(id, Some(self.now));
+        self.remove_active(id, Some(self.state.now));
         Ok(())
     }
 
@@ -485,18 +489,12 @@ impl<'p> SchedulerService<'p> {
     }
 
     fn do_advance(&mut self, target: f64) {
-        loop {
-            if self.now >= self.config.max_seconds {
-                break;
-            }
-            if self.active.is_empty() {
-                // Idle: the clock only moves again at the next submission
-                // (which fast-forwards) or a later advance while busy.
-                break;
-            }
-            if self.now + 1e-9 >= target {
-                break;
-            }
+        // Idle, the clock only moves again at the next submission (which
+        // fast-forwards) or a later advance while busy.
+        while self.state.now < self.config.max_seconds
+            && !self.state.active.is_empty()
+            && self.state.now + 1e-9 < target
+        {
             if self.config.ideal_execution {
                 self.step_fluid(target);
             } else {
@@ -505,32 +503,27 @@ impl<'p> SchedulerService<'p> {
         }
     }
 
-    fn do_query(&mut self) {
-        self.queries_served += 1;
-        self.queries_since_recompute += 1;
-    }
-
     fn do_inject_failure(&mut self) -> Result<(), Rejection> {
-        let Some(fc) = self.config.failures else {
-            return Err(Rejection::NoFailureModel);
-        };
-        if self.config.ideal_execution {
-            return Err(Rejection::NoFailureModel);
+        match self.config.failures {
+            Some(fc) if !self.config.ideal_execution => {
+                self.fail_random_worker(self.state.now, fc);
+                self.state.need_recompute = true;
+                Ok(())
+            }
+            _ => Err(Rejection::NoFailureModel),
         }
-        self.fail_random_worker(self.now, fc);
-        self.need_recompute = true;
-        Ok(())
     }
 
     fn do_inject_repair(&mut self, accel: usize) -> Result<(), Rejection> {
-        if accel >= self.down.len() || self.down[accel] == 0 {
+        let state = &mut self.state;
+        if state.down.get(accel).is_none_or(|&d| d == 0) {
             return Err(Rejection::NothingToRepair);
         }
-        // The worker's originally scheduled repair event becomes a no-op
-        // (saturating decrement against an already-healthy type).
-        self.down[accel] -= 1;
-        self.down_total -= 1;
-        self.need_recompute = true;
+        // The worker is back now: its scheduled repair is dropped, so no
+        // later failure of the type is repaired early.
+        state.down[accel] -= 1;
+        state.events.cancel_repair(accel);
+        state.need_recompute = true;
         Ok(())
     }
 
@@ -544,7 +537,7 @@ impl<'p> SchedulerService<'p> {
     }
 
     fn admit(&mut self, trace: TraceJob) {
-        let n = self.active.len() + 1;
+        let n = self.state.active.len() + 1;
         let x_iso = refs::x_isolated(&self.config.cluster, n, trace.scale_factor);
         let mut iso_tput = 0.0;
         for (j, &share) in x_iso.iter().enumerate() {
@@ -577,8 +570,8 @@ impl<'p> SchedulerService<'p> {
             entity: trace.entity,
         };
         self.cache.admit(&self.oracle, spec, pjob);
-        self.index.insert(trace.id, self.active.len());
-        self.active.push(ActiveJob {
+        self.index.insert(trace.id, n - 1);
+        self.state.active.push(ActiveJob {
             contention_at_arrival: n,
             isolated_duration,
             steps_done: 0.0,
@@ -593,16 +586,16 @@ impl<'p> SchedulerService<'p> {
     /// outcome (completed at `completion`, or cancelled), and marks the
     /// reset event.
     fn remove_active(&mut self, id: JobId, completion: Option<f64>) {
+        let state = &mut self.state;
         let idx = self.index[&id];
-        let job = self.active.swap_remove(idx);
+        let job = state.active.swap_remove(idx);
         self.positions_epoch += 1;
         self.cache.remove(idx);
         self.index.remove(&id);
-        if idx < self.active.len() {
-            self.index.insert(self.active[idx].trace.id, idx);
+        if let Some(moved) = state.active.get(idx) {
+            self.index.insert(moved.trace.id, idx);
         }
-        let book = self
-            .books
+        let book = (state.books)
             .entry(job.trace.entity.map(|e| e as u32))
             .or_default();
         book.active = book.active.saturating_sub(1);
@@ -611,9 +604,9 @@ impl<'p> SchedulerService<'p> {
         } else {
             book.counters.cancelled += 1;
         }
-        self.outcomes.push(make_outcome(&job, completion));
+        state.outcomes.push(make_outcome(&job, completion));
         self.sched.forget_job(id);
-        self.need_recompute = true;
+        state.need_recompute = true;
     }
 
     /// Shared recompute: snapshots the policy input and solves the policy
@@ -622,16 +615,15 @@ impl<'p> SchedulerService<'p> {
     /// the new `recomputations`.
     fn recompute(&mut self) -> (ThroughputTensor, Allocation) {
         let t0 = Instant::now();
-        let cfg = &self.config;
+        let (cfg, state, tally) = (&self.config, &mut self.state, &mut self.tally);
         let (combos, tensor) = self.cache.snapshot(&self.oracle);
-        let now = self.now;
-        let active = &self.active;
-        for (pj, a) in self.cache.policy_jobs_mut().iter_mut().zip(active) {
+        let now = state.now;
+        for (pj, a) in self.cache.policy_jobs_mut().iter_mut().zip(&state.active) {
             pj.steps_remaining = (a.trace.total_steps - a.steps_done).max(1.0);
             pj.time_elapsed = (now - a.trace.arrival_time).max(0.0);
             pj.slo_seconds_remaining = a.trace.slo_deadline().map(|d| (d - now).max(1.0));
         }
-        let t1 = self.phases.lap(Phase::Snapshot, t0);
+        let t1 = tally.phases.lap(Phase::Snapshot, t0);
         let input = PolicyInput {
             jobs: self.cache.policy_jobs(),
             combos: &combos,
@@ -642,24 +634,23 @@ impl<'p> SchedulerService<'p> {
         // on the way is counted.
         let fallback: &dyn Policy = &IsolatedSplit::new();
         let (jobs, rows) = (input.jobs.len(), combos.len());
+        let failures = &mut tally.policy_failures;
         let alloc = [self.policy, fallback]
             .into_iter()
             .find_map(|policy| {
                 let solved = policy.compute_allocation(&input);
                 solved
-                    .map_err(|e| (self.policy_failures).record(&e, self.recomputations, jobs, rows))
+                    .map_err(|e| failures.record(&e, state.recomputations, jobs, rows))
                     .ok()
             })
             .unwrap_or_else(|| Allocation::zeros(combos, cfg.cluster.num_types()));
-        self.phases.lap(Phase::Policy, t1);
-        self.recomputations += 1;
+        tally.phases.lap(Phase::Policy, t1);
+        state.recomputations += 1;
         self.row_positions.clear();
         self.row_positions.resize(rows, RowPositions::default());
-        self.need_recompute = false;
-        self.max_queries_between_recomputes = self
-            .max_queries_between_recomputes
-            .max(self.queries_since_recompute);
-        self.queries_since_recompute = 0;
+        state.need_recompute = false;
+        tally.max_queries_between_recomputes = (tally.max_queries_between_recomputes)
+            .max(std::mem::take(&mut tally.queries_since_recompute));
         (tensor, alloc)
     }
 
@@ -667,8 +658,8 @@ impl<'p> SchedulerService<'p> {
     /// scheduling its repair `downtime_seconds` later.
     fn fail_random_worker(&mut self, at: f64, fc: FailureConfig) {
         let cluster = &self.config.cluster;
-        let total = cluster.total_workers();
-        let mut pick = self.failure_rng.gen_range(0..total);
+        let state = &mut self.state;
+        let mut pick = state.failure_rng.gen_range(0..cluster.total_workers());
         let mut failed_type = 0;
         for j in cluster.types() {
             let w = cluster.num_workers(j);
@@ -678,10 +669,8 @@ impl<'p> SchedulerService<'p> {
             }
             pick -= w;
         }
-        self.down[failed_type] += 1;
-        self.down_total += 1;
-        self.events
-            .push(at + fc.downtime_seconds, ClusterEvent::Repair(failed_type));
+        state.down[failed_type] += 1;
+        (state.events).push(at + fc.downtime_seconds, ClusterEvent::Repair(failed_type));
     }
 
     /// Drains every cluster event due at or before `horizon`. A busy
@@ -694,21 +683,21 @@ impl<'p> SchedulerService<'p> {
         let Some(fc) = self.config.failures else {
             return;
         };
-        while let Some(ev) = self.events.pop_due(horizon) {
-            let at = if at_event_times { ev.time } else { horizon };
-            match ev.event {
+        while let Some((time, event)) = self.state.events.pop_due(horizon) {
+            let at = if at_event_times { time } else { horizon };
+            match event {
                 ClusterEvent::Failure => {
                     self.fail_random_worker(at, fc);
-                    let u: f64 = self.failure_rng.gen_range(f64::EPSILON..1.0);
-                    self.events
-                        .push(ev.time - u.ln() * fc.mtbf_seconds, ClusterEvent::Failure);
+                    let u: f64 = self.state.failure_rng.gen_range(f64::EPSILON..1.0);
+                    (self.state.events)
+                        .push(time - u.ln() * fc.mtbf_seconds, ClusterEvent::Failure);
                 }
                 ClusterEvent::Repair(j) => {
-                    self.down[j] = self.down[j].saturating_sub(1);
-                    self.down_total = self.down_total.saturating_sub(1);
+                    debug_assert!(self.state.down[j] > 0, "a repair of type {j}, none down");
+                    self.state.down[j] -= 1;
                 }
             }
-            self.need_recompute = true;
+            self.state.need_recompute = true;
         }
     }
 
@@ -718,43 +707,42 @@ impl<'p> SchedulerService<'p> {
 
         // Drain due cluster events — failures and repairs are reset
         // events (§3).
-        self.drain_due_events(self.now, false);
-        let cfg = &self.config;
+        self.drain_due_events(self.state.now, false);
+        let state = &mut self.state;
         // ThrottledResets: suppress reset-triggered recomputes until the
         // throttle window has passed (the pending reset fires then).
-        let throttle_ok = match cfg.recompute {
+        let throttle_ok = match self.config.recompute {
             RecomputeCadence::ThrottledResets(n) => {
-                self.rounds as u32 >= self.last_recompute_round.saturating_add(n.max(1))
+                state.rounds as u32 >= state.last_recompute_round.saturating_add(n.max(1))
             }
             _ => true,
         };
-        let due = self.need_recompute && throttle_ok;
-        let current = match self.current.take() {
+        let due = state.need_recompute && throttle_ok;
+        let current = match state.current.take() {
             Some(current) if !due => current,
             _ => {
-                self.last_recompute_round = self.rounds as u32;
+                state.last_recompute_round = state.rounds as u32;
                 self.recompute()
             }
         };
-        let cluster = &self.config.cluster;
-        let available = (self.down_total != 0).then(|| {
+        let (cluster, down) = (&self.config.cluster, &self.state.down);
+        let available = down.iter().any(|&d| d > 0).then(|| {
             self.available.clear();
             self.available.extend(
                 cluster
                     .types()
-                    .map(|j| cluster.num_workers(j).saturating_sub(self.down[j.0])),
+                    .map(|j| cluster.num_workers(j).saturating_sub(down[j.0])),
             );
             &self.available[..]
         });
         let sf = ActiveScaleFactors {
-            active: &self.active,
+            active: &self.state.active,
             index: &self.index,
         };
         let t0 = Instant::now();
-        let plan =
-            self.sched
-                .plan_round_cached(&current.1, self.recomputations as u64, &sf, available);
-        let t1 = self.phases.lap(Phase::Plan, t0);
+        let generation = self.state.recomputations as u64;
+        let plan = (self.sched).plan_round_cached(&current.1, generation, &sf, available);
+        let t1 = self.tally.phases.lap(Phase::Plan, t0);
         if let Some(av) = available {
             debug_assert!(
                 plan_fits_capacity(&plan, av),
@@ -764,22 +752,22 @@ impl<'p> SchedulerService<'p> {
 
         let completed = self.execute_round(&plan);
         self.sched.record(&plan, round);
-        let t2 = self.phases.lap(Phase::Execute, t1);
+        let t2 = self.tally.phases.lap(Phase::Execute, t1);
         if !completed.is_empty() {
             for (id, completion) in completed {
                 self.remove_active(id, Some(completion));
             }
-            self.phases.lap(Phase::Completion, t2);
+            self.tally.phases.lap(Phase::Completion, t2);
         }
-        self.current = Some(current);
-        self.now += round;
-        self.rounds += 1;
+        self.state.current = Some(current);
+        self.state.now += round;
+        self.state.rounds += 1;
     }
 
     /// Executes one round of `plan` against the oracle. Returns
     /// completions as `(job, time)`.
     fn execute_round(&mut self, plan: &RoundPlan) -> Vec<(JobId, f64)> {
-        let cfg = &self.config;
+        let (cfg, state) = (&self.config, &mut self.state);
         let round = cfg.round_seconds;
         let mut completions = Vec::new();
 
@@ -803,15 +791,15 @@ impl<'p> SchedulerService<'p> {
             // Per-member true throughputs.
             let mut tputs = [0.0; 2];
             if let [pa, pb] = *positions {
-                let a = &self.active[pa];
-                let b = &self.active[pb];
+                let a = &state.active[pa];
+                let b = &state.active[pb];
                 if let Some(pair) = self.oracle.colocated(a.trace.config, b.trace.config, gpu) {
                     tputs = pair.into();
                 }
                 let (a, b) = ((a.trace.id, a.trace.config), (b.trace.id, b.trace.config));
                 self.cache.observe(&self.oracle, a, b, gpu);
             } else {
-                let a = &self.active[positions[0]];
+                let a = &state.active[positions[0]];
                 tputs[0] = self.oracle.throughput(
                     a.trace.config,
                     gpu,
@@ -823,31 +811,31 @@ impl<'p> SchedulerService<'p> {
             let workers = self.sched.worker_slots(assignment);
             let mut latest_offset = 0.0f64;
             for (&i, &tput_raw) in positions.iter().zip(&tputs) {
-                let job = &mut self.active[i];
+                let job = &mut state.active[i];
                 let mut tput = tput_raw;
                 let mut overhead = 0.0;
                 if cfg.physical {
                     if tput > 0.0 {
                         let noise =
-                            1.0 + PHYSICAL_JITTER * (self.jitter_rng.gen::<f64>() * 2.0 - 1.0);
+                            1.0 + PHYSICAL_JITTER * (state.jitter_rng.gen::<f64>() * 2.0 - 1.0);
                         tput *= noise.max(0.1);
                     }
                     // Preemption overhead unless the job ran last round
                     // on these same workers.
-                    let kept = job.last_ran == self.rounds && job.prev_workers == workers;
+                    let kept = job.last_ran == state.rounds && job.prev_workers == workers;
                     if !kept {
                         job.prev_workers.clear();
                         job.prev_workers.extend_from_slice(workers);
                         overhead = CHECKPOINT_SECONDS.min(round);
                     }
-                    job.last_ran = self.rounds + 1;
+                    job.last_ran = state.rounds + 1;
                 }
                 let effective = round - overhead;
                 let remaining = (job.trace.total_steps - job.steps_done).max(0.0);
                 if tput > 1e-12 && remaining / tput <= effective {
                     job.steps_done = job.trace.total_steps;
                     let offset = overhead + remaining / tput;
-                    completions.push((job.trace.id, self.now + offset));
+                    completions.push((job.trace.id, state.now + offset));
                     latest_offset = latest_offset.max(offset);
                 } else {
                     job.steps_done += tput * effective.max(0.0);
@@ -864,11 +852,11 @@ impl<'p> SchedulerService<'p> {
             };
             let price = cfg.cluster.price_per_hour(assignment.accel);
             let cost = assignment.workers.len() as f64 * price * busy / 3600.0;
-            self.total_cost += cost;
-            self.busy_worker_seconds += assignment.workers.len() as f64 * busy;
+            self.tally.total_cost += cost;
+            self.tally.busy_worker_seconds += assignment.workers.len() as f64 * busy;
             let share = cost / positions.len() as f64;
             for &i in positions {
-                self.active[i].cost += share;
+                state.active[i].cost += share;
             }
         }
         completions
@@ -879,19 +867,17 @@ impl<'p> SchedulerService<'p> {
     fn step_fluid(&mut self, horizon: f64) {
         let current = self.recompute();
         let (tensor, alloc) = &current;
-        let cfg = &self.config;
+        let (cfg, state) = (&self.config, &mut self.state);
 
         // Per-job fluid rates.
-        let rates: Vec<f64> = self
-            .active
-            .iter()
+        let rates: Vec<f64> = (state.active.iter())
             .map(|a| alloc.effective_throughput(tensor, a.trace.id))
             .collect();
 
         // Next event horizon: completion, the advance target, or the cap.
-        let mut dt = cfg.max_seconds - self.now;
-        dt = dt.min(horizon - self.now);
-        for (a, &r) in self.active.iter().zip(&rates) {
+        let mut dt = cfg.max_seconds - state.now;
+        dt = dt.min(horizon - state.now);
+        for (a, &r) in state.active.iter().zip(&rates) {
             if r > 1e-12 {
                 let remaining = (a.trace.total_steps - a.steps_done).max(0.0);
                 dt = dt.min(remaining / r);
@@ -913,7 +899,7 @@ impl<'p> SchedulerService<'p> {
         for (k, combo) in combos.combos().iter().enumerate() {
             let members = &combos.members(k)[..combo.jobs().count()];
             let active = members.iter().filter_map(|&slot| positions[slot]);
-            let sf = (active.clone().map(|i| self.active[i].trace.scale_factor))
+            let sf = (active.clone().map(|i| state.active[i].trace.scale_factor))
                 .max()
                 .unwrap_or(1) as f64;
             let mut combo_cost = 0.0;
@@ -928,24 +914,23 @@ impl<'p> SchedulerService<'p> {
             }
             if combo_cost > 0.0 {
                 for i in active {
-                    self.active[i].cost += combo_cost / members.len() as f64;
+                    state.active[i].cost += combo_cost / members.len() as f64;
                 }
             }
         }
-        self.busy_worker_seconds += used_worker_seconds;
-        self.total_cost += step_cost;
-        for (a, &r) in self.active.iter_mut().zip(&rates) {
+        self.tally.busy_worker_seconds += used_worker_seconds;
+        self.tally.total_cost += step_cost;
+        for (a, &r) in state.active.iter_mut().zip(&rates) {
             a.steps_done += r * dt;
         }
-        self.now += dt;
-        self.current = Some(current);
+        state.now += dt;
+        state.current = Some(current);
 
         // Completions.
         let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].steps_done >= self.active[i].trace.total_steps - 1e-6 {
-                let id = self.active[i].trace.id;
-                self.remove_active(id, Some(self.now));
+        while let Some(job) = self.state.active.get(i) {
+            if job.steps_done >= job.trace.total_steps - 1e-6 {
+                self.remove_active(job.trace.id, Some(self.state.now));
             } else {
                 i += 1;
             }
@@ -953,64 +938,62 @@ impl<'p> SchedulerService<'p> {
     }
 
     /// Finalizes the run: unfinished jobs become capped outcomes and the
-    /// aggregate [`SimResult`] is assembled.
-    pub fn into_result(mut self) -> SimResult {
+    /// state and tally become the aggregate [`SimResult`].
+    pub fn into_result(self) -> SimResult {
+        let SchedulerService {
+            config,
+            state,
+            cache,
+            sched,
+            tally,
+            ..
+        } = self;
+        let mut jobs = state.outcomes;
         // Unfinished jobs at the cap.
-        for job in &self.active {
-            self.outcomes.push(make_outcome(job, None));
-        }
-        self.outcomes
-            .sort_by(|a, b| (a.arrival.total_cmp(&b.arrival)).then(a.id.cmp(&b.id)));
+        jobs.extend(state.active.iter().map(|job| make_outcome(job, None)));
+        jobs.sort_by(|a, b| (a.arrival.total_cmp(&b.arrival)).then(a.id.cmp(&b.id)));
 
         // Makespan: the last completion. Under round stepping, anything
         // unfinished at the cap pushes the makespan to the cap time.
-        let unfinished = self.outcomes.iter().any(|o| o.completion.is_none());
-        let makespan = if !self.config.ideal_execution && unfinished {
-            self.now
+        let unfinished = jobs.iter().any(|o| o.completion.is_none());
+        let makespan = if !config.ideal_execution && unfinished {
+            state.now
         } else {
-            self.outcomes
-                .iter()
+            jobs.iter()
                 .filter_map(|o| o.completion)
                 .fold(0.0f64, f64::max)
         };
 
-        let service_stats = self.assemble_service_stats();
-        let denom = self.config.cluster.total_workers() as f64 * self.now.max(1e-9);
+        let counters = || state.books.iter().map(|(&e, book)| (e, book.counters));
+        let denom = config.cluster.total_workers() as f64 * state.now.max(1e-9);
         SimResult {
-            snapshot_stats: self.cache.stats(),
-            mechanism_stats: self.sched.stats(),
-            service_stats,
-            jobs: self.outcomes,
+            snapshot_stats: cache.stats(),
+            mechanism_stats: sched.stats(),
+            service_stats: ServiceStats {
+                commands_accepted: tally.accepted,
+                commands_rejected: tally.rejected,
+                invalid_commands: tally.invalid,
+                admission_cap_rejections: counters().map(|(_, c)| c.cap_rejected).sum(),
+                queries_served: tally.queries_served,
+                max_queries_between_recomputes: (tally.max_queries_between_recomputes)
+                    .max(tally.queries_since_recompute),
+                per_entity: counters().map(|(e, c)| (e.map(EntityId), c)).collect(),
+            },
+            jobs,
             makespan,
-            total_cost: self.total_cost,
-            utilization: (self.busy_worker_seconds / denom).min(1.0),
-            rounds: self.rounds,
-            recomputations: self.recomputations,
-            policy_solve_seconds: self.phases.seconds(Phase::Snapshot)
-                + self.phases.seconds(Phase::Policy),
-            policy_failures: self.policy_failures.total(),
-            policy_failure_kinds: self.policy_failures,
-            never_placeable: self.never_placeable,
-            phases: self.phases,
-        }
-    }
-
-    fn assemble_service_stats(&self) -> ServiceStats {
-        let counters = || self.books.iter().map(|(&e, book)| (e, book.counters));
-        ServiceStats {
-            commands_accepted: self.accepted,
-            commands_rejected: self.rejected,
-            invalid_commands: self.invalid,
-            admission_cap_rejections: counters().map(|(_, c)| c.cap_rejected).sum(),
-            queries_served: self.queries_served,
-            max_queries_between_recomputes: self
-                .max_queries_between_recomputes
-                .max(self.queries_since_recompute),
-            per_entity: counters().map(|(e, c)| (e.map(EntityId), c)).collect(),
+            total_cost: tally.total_cost,
+            utilization: (tally.busy_worker_seconds / denom).min(1.0),
+            rounds: state.rounds,
+            recomputations: state.recomputations,
+            policy_solve_seconds: tally.phases.seconds(Phase::Snapshot)
+                + tally.phases.seconds(Phase::Policy),
+            policy_failures: tally.policy_failures.total(),
+            policy_failure_kinds: tally.policy_failures,
+            never_placeable: tally.never_placeable,
+            phases: tally.phases,
         }
     }
 }
-
 /// One step of the fingerprint folds: [`SchedulerService::state_fingerprint`]
 /// and [`crate::SimResult::digest`].
 pub(crate) fn mix(acc: u64, x: u64) -> u64 {
@@ -1103,7 +1086,7 @@ fn make_outcome(job: &ActiveJob, completion: Option<f64>) -> JobOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gavel_core::{ClusterSpec, Combo, ComboSet};
     use gavel_workloads::{JobConfig, ModelFamily};
@@ -1144,7 +1127,8 @@ mod tests {
         })
         .unwrap();
         svc.recompute();
-        let tput = Oracle::new().throughput(svc.active[0].trace.config, GpuKind::V100, 1, true);
+        let tput =
+            Oracle::new().throughput(svc.state.active[0].trace.config, GpuKind::V100, 1, true);
         let jobs = [JobId(0), JobId(1)];
         let alloc = Allocation::new(ComboSet::singletons(&jobs), vec![vec![1.0], vec![0.0]]);
         let sf: HashMap<JobId, u32> = jobs.iter().map(|&j| (j, 1)).collect();
@@ -1163,7 +1147,7 @@ mod tests {
         let mut steps = 0.0;
         for (round, (up, slot, trained)) in script.into_iter().enumerate() {
             // The jitter factor this round draws, if the job runs.
-            let mut rng = svc.jitter_rng.clone();
+            let mut rng = svc.state.jitter_rng.clone();
             let plan = svc.sched.plan_round_cached(&alloc, 1, &sf, Some(&[up]));
             let slots: Vec<usize> = (plan.assignments.iter())
                 .flat_map(|a| svc.sched.worker_slots(a).iter().map(|w| w.slot))
@@ -1174,8 +1158,8 @@ mod tests {
                 let noise = 1.0 + PHYSICAL_JITTER * (rng.gen::<f64>() * 2.0 - 1.0);
                 steps += tput * noise.max(0.1) * trained;
             }
-            assert_eq!(svc.active[0].steps_done, steps, "round {round}");
-            svc.rounds += 1;
+            assert_eq!(svc.state.active[0].steps_done, steps, "round {round}");
+            svc.state.rounds += 1;
         }
     }
 
@@ -1199,19 +1183,19 @@ mod tests {
         let mut stale_rounds = 0;
         while svc.num_active() > 0 {
             svc.step_round();
-            let Some((_, alloc)) = &svc.current else {
+            let Some((_, alloc)) = &svc.state.current else {
                 panic!("a round leaves its allocation installed");
             };
             let departed = |c: &Combo| c.jobs().any(|id| !svc.index.contains_key(&id));
-            if svc.active.is_empty() || !alloc.combos().combos().iter().any(departed) {
+            if svc.state.active.is_empty() || !alloc.combos().combos().iter().any(departed) {
                 continue;
             }
             stale_rounds += 1;
             let sf = ActiveScaleFactors {
-                active: &svc.active,
+                active: &svc.state.active,
                 index: &svc.index,
             };
-            let gen = svc.recomputations as u64;
+            let gen = svc.state.recomputations as u64;
             let plan = svc.sched.plan_round_cached(alloc, gen, &sf, None);
             assert!(!plan.assignments.is_empty());
             for a in &plan.assignments {
@@ -1219,9 +1203,12 @@ mod tests {
             }
         }
         assert!(stale_rounds > 0, "no round planned an outdated allocation");
-        assert!(svc.outcomes.iter().all(|o| o.completion.is_some()));
+        assert!(svc.state.outcomes.iter().all(|o| o.completion.is_some()));
         let stats = svc.sched.stats();
-        assert!(stats.resolutions > svc.recomputations as u64, "{stats:?}");
+        assert!(
+            stats.resolutions > svc.state.recomputations as u64,
+            "{stats:?}"
+        );
     }
 
     /// Failures and repairs due inside an idle gap take effect at their
@@ -1254,23 +1241,132 @@ mod tests {
         let now = svc.now();
         assert_eq!(now, 36_000.0);
 
-        let pending: Vec<QueuedEvent> = svc.events.heap.iter().map(|e| e.0).collect();
-        assert!(pending.iter().all(|e| e.time > now), "{pending:?}");
+        let pending = &svc.state.events.pending;
+        assert!(
+            pending.keys().all(|&(due, _)| f64::from_bits(due) > now),
+            "{pending:?}"
+        );
         let repairs: Vec<f64> = (pending.iter())
-            .filter(|e| matches!(e.event, ClusterEvent::Repair(_)))
-            .map(|e| e.time)
+            .filter(|(_, e)| matches!(e, ClusterEvent::Repair(_)))
+            .map(|(&(due, _), _)| f64::from_bits(due))
             .collect();
-        assert_eq!(svc.down_total, repairs.len());
+        let down: usize = svc.state.down.iter().sum();
+        assert_eq!(down, repairs.len());
         assert!(
             repairs.iter().all(|&due| due <= now + 3600.0),
             "{repairs:?}"
         );
         // Every failure queues its repair and the next failure.
-        let failures = (svc.events.seq as usize - 1) / 2;
+        let failures = (svc.state.events.seq as usize - 1) / 2;
         assert!(failures >= 10, "{failures} failures in the gap");
+        assert!(down <= failures / 3, "repairs piled up: {repairs:?}");
+    }
+
+    /// Asserts two services hold equal states, field by field: floats to
+    /// the bit, the RNGs by their next draws from clones.
+    pub(crate) fn assert_same_state(a: &SchedulerService, b: &SchedulerService) {
+        let ServiceState {
+            now,
+            rounds,
+            recomputations,
+            active,
+            seen_ids,
+            outcomes,
+            events,
+            jitter_rng,
+            failure_rng,
+            down,
+            current,
+            need_recompute,
+            last_recompute_round,
+            books,
+        } = &a.state;
+        let b = &b.state;
+        let draws = |rng: &StdRng| {
+            let mut rng = rng.clone();
+            [(); 4].map(|_| rng.gen::<f64>().to_bits())
+        };
+        assert_eq!(now.to_bits(), b.now.to_bits(), "now");
+        assert_eq!((rounds, recomputations), (&b.rounds, &b.recomputations));
+        // Debug prints each float in its shortest round-tripping form.
+        assert_eq!(format!("{active:?}"), format!("{:?}", b.active), "active");
+        assert_eq!(seen_ids, &b.seen_ids, "seen ids");
+        assert_eq!(format!("{outcomes:?}"), format!("{:?}", b.outcomes));
+        assert_eq!(events, &b.events, "pending cluster events");
+        assert_eq!(draws(jitter_rng), draws(&b.jitter_rng), "jitter draws");
+        assert_eq!(draws(failure_rng), draws(&b.failure_rng), "failure draws");
+        assert_eq!(down, &b.down, "downed workers");
+        assert_eq!(format!("{current:?}"), format!("{:?}", b.current));
+        assert_eq!(need_recompute, &b.need_recompute, "pending recompute");
+        assert_eq!(last_recompute_round, &b.last_recompute_round);
+        assert_eq!(books, &b.books, "entity books");
+    }
+
+    /// A round keeps within the workers that are up after injected
+    /// repairs: on two one-worker types, one fails and is repaired by hand,
+    /// then the other fails (the first again too, until repaired by hand),
+    /// and the first failure's repair time passing brings no second worker
+    /// up.
+    #[test]
+    fn an_injected_repair_keeps_the_other_type_down() {
+        let cluster = ClusterSpec::new(&[("v100", 1, 1, 1.0), ("k80", 1, 1, 1.0)]);
+        let cfg = SimConfig::new(cluster).with_failures(1.0e15, 3600.0);
+        let policy = IsolatedSplit::new();
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        for id in 0..2 {
+            let job = job(id, 0.0, 1.0e6);
+            svc.apply(&Command::Submit { job }).unwrap();
+        }
+        svc.apply(&Command::InjectFailure).unwrap();
+        let failed = svc.state.down.iter().position(|&d| d > 0).unwrap();
+        svc.apply(&Command::InjectRepair { accel: failed }).unwrap();
+        svc.apply(&Command::AdvanceTo { seconds: 1800.0 }).unwrap();
+        while svc.state.down[1 - failed] == 0 {
+            svc.apply(&Command::InjectFailure).unwrap();
+        }
+        // Failures that hit the first type again are repaired by hand too.
+        while svc.state.down[failed] > 0 {
+            svc.apply(&Command::InjectRepair { accel: failed }).unwrap();
+        }
+        svc.apply(&Command::AdvanceTo { seconds: 3700.0 }).unwrap();
+        let before = svc.tally.busy_worker_seconds;
+        svc.step_round();
+        let busy = svc.tally.busy_worker_seconds - before;
+        let up: usize = svc
+            .state
+            .down
+            .iter()
+            .map(|&d| 1usize.saturating_sub(d))
+            .sum();
         assert!(
-            svc.down_total <= failures / 3,
-            "repairs piled up: {repairs:?}"
+            busy <= up as f64 * 360.0,
+            "{busy} busy worker-seconds in one round with {up} worker(s) up"
         );
+    }
+
+    /// An injected repair drops the repair its failure had queued: one
+    /// V100 failed at 0 s, repaired by hand and failed again at 1800 s is
+    /// down until that second failure's repair at 5400 s.
+    #[test]
+    fn an_injected_repair_cancels_its_failures_repair() {
+        let cluster = ClusterSpec::new(&[("v100", 1, 1, 1.0)]);
+        let cfg = SimConfig::new(cluster).with_failures(1.0e15, 3600.0);
+        let policy = IsolatedSplit::new();
+        let mut svc = SchedulerService::new(cfg, ServiceConfig::default(), &policy);
+        svc.apply(&Command::Submit {
+            job: job(0, 0.0, 1.0e6),
+        })
+        .unwrap();
+        svc.apply(&Command::InjectFailure).unwrap();
+        svc.apply(&Command::InjectRepair { accel: 0 }).unwrap();
+        svc.apply(&Command::AdvanceTo { seconds: 1800.0 }).unwrap();
+        svc.apply(&Command::InjectFailure).unwrap();
+        let down: Vec<(f64, usize)> = [3960.0, 5760.0]
+            .map(|seconds| {
+                svc.apply(&Command::AdvanceTo { seconds }).unwrap();
+                (svc.now(), svc.state.down[0])
+            })
+            .into();
+        assert_eq!(down, [(3960.0, 1), (5760.0, 0)]);
     }
 }

@@ -3,11 +3,17 @@
 //! Gavel's real deployment is a long-running scheduler fielding online
 //! job submissions, not a batch trace replayer. This crate extracts the
 //! simulator's admit/recompute/advance/complete engine behind a service
-//! boundary: [`SchedulerService`] holds the scheduling state (job table,
-//! [`SnapshotCache`] — which owns the [`EstimatorBridge`] when pair
-//! throughputs are estimated — round scheduler, failure clock) and is
-//! driven entirely by an externally-fed [`Command`] stream, every command
-//! through its one entry point, [`SchedulerService::apply`]:
+//! boundary. [`SchedulerService`] keeps each fact once: a state of what
+//! the run has decided (clock, job table, outcomes, pending failures and
+//! repairs, downed workers, RNGs, the allocation in force, entity books),
+//! lookups derived from it beside the [`SnapshotCache`] — which owns the
+//! [`EstimatorBridge`] when pair throughputs are estimated — and the round
+//! scheduler, and one tally of what the run counted, which becomes the
+//! [`SimResult`]. Two facts of the run live outside the state: the
+//! estimator's refined estimates, in the cache, and the time each job
+//! received under the allocation in force, in the round scheduler. The
+//! service is driven entirely by an externally-fed [`Command`] stream,
+//! every command through its one entry point, [`SchedulerService::apply`]:
 //!
 //! - [`Command::Submit`] — admit a job, owned by an optional *entity*
 //!   (user/org). Per-entity job books track active counts;

@@ -394,7 +394,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
             .image
             .push_line(|out| Entry::new(cmd, &outcome).write_line(out));
         self.wal.append(line)?;
-        self.svc.phases.lap(Phase::WalAppend, t0);
+        self.svc.tally.phases.lap(Phase::WalAppend, t0);
         self.since_checkpoint += 1;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
             self.checkpoint_now()?;
@@ -420,7 +420,7 @@ impl<'p, S: LogSink, C: CheckpointStore> DurableService<'p, S, C> {
         self.wal.compact()?;
         self.wal.sync()?;
         self.since_checkpoint = 0;
-        self.svc.phases.lap(Phase::Checkpoint, t0);
+        self.svc.tally.phases.lap(Phase::Checkpoint, t0);
         Ok(())
     }
 
@@ -512,6 +512,7 @@ pub fn run_until_crash(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::tests::assert_same_state;
     use crate::wal::{KillSpec, MemorySink};
     use gavel_core::{ClusterSpec, JobId};
     use gavel_policies::MaxMinFairness;
@@ -791,5 +792,84 @@ mod tests {
         let (svc2, _) =
             recover(&policy, &cfg, &svc_cfg, ckpt_bytes.as_deref(), &wal_bytes).unwrap();
         assert_eq!(svc2.state_fingerprint(), reference);
+    }
+
+    /// A live durable run with failures, injected repairs and cancels, its
+    /// replay, and the same run crashed, recovered and resumed end in equal
+    /// states, field by field: more than the state fingerprint samples.
+    #[test]
+    fn live_replayed_and_resumed_runs_end_in_equal_states() {
+        let policy = MaxMinFairness::new();
+        let cfg = SimConfig::new(small_cluster()).with_failures(3000.0, 1800.0);
+        let svc_cfg = ServiceConfig::default();
+        let repairs = || (0..3).map(|accel| Command::InjectRepair { accel });
+        let mut commands = vec![
+            Command::Submit { job: job(0, 0.0) },
+            Command::Submit { job: job(1, 100.0) },
+            Command::Submit { job: job(2, 200.0) },
+            Command::InjectFailure,
+        ];
+        commands.extend(repairs());
+        commands.extend([
+            Command::AdvanceTo { seconds: 2000.0 },
+            Command::InjectFailure,
+            Command::Cancel { job: JobId(1) },
+            Command::QueryAllocation,
+            Command::AdvanceTo { seconds: 9000.0 },
+            Command::Submit {
+                job: job(3, 30_000.0),
+            },
+            Command::InjectFailure,
+        ]);
+        commands.extend(repairs());
+        commands.push(Command::AdvanceTo { seconds: 31_000.0 });
+
+        let store = MemoryCheckpointStore::new();
+        let mut live = DurableService::new(
+            &policy,
+            cfg.clone(),
+            svc_cfg.clone(),
+            MemorySink::new(),
+            store,
+            3,
+        )
+        .unwrap();
+        let (mut log, mut repaired) = (SubmissionLog::default(), 0);
+        for cmd in &commands {
+            let outcome = live.apply(cmd).unwrap();
+            repaired += usize::from(matches!(cmd, Command::InjectRepair { .. }) && outcome.is_ok());
+            log.record(cmd, &outcome);
+        }
+        assert!(repaired >= 2, "{repaired} injected repairs accepted");
+        assert_eq!(live.service().num_active(), 1);
+
+        let mut replayed = SchedulerService::new(cfg.clone(), svc_cfg.clone(), &policy);
+        apply_entries(&mut replayed, (0..).zip(log.entries()).map(Ok), None).unwrap();
+        assert_same_state(live.service(), &replayed);
+
+        let plan = FaultPlan {
+            kill: Some(KillSpec {
+                after_appends: 10,
+                keep_permille: 300,
+            }),
+            ..FaultPlan::default()
+        };
+        let outcome = run_until_crash(&policy, &cfg, &svc_cfg, &commands, plan, 3).unwrap();
+        assert!(outcome.crashed && outcome.checkpoint_bytes.is_some());
+        let (mut resumed, _) = DurableService::resume(
+            &policy,
+            cfg.clone(),
+            svc_cfg.clone(),
+            outcome.checkpoint_bytes.as_deref(),
+            &outcome.wal_bytes,
+            MemorySink::new(),
+            MemoryCheckpointStore::new(),
+            3,
+        )
+        .unwrap();
+        for cmd in &commands[outcome.processed..] {
+            let _verdict = resumed.apply(cmd).unwrap();
+        }
+        assert_same_state(live.service(), resumed.service());
     }
 }

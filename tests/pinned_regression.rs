@@ -20,7 +20,8 @@
 //!   does not grow with its input reads as two lines with equal values:
 //!   a space-sharing snapshot cycle (churn, `snapshot`,
 //!   `Allocation::zeros`), `DurableService::checkpoint_now`, max-min's
-//!   dual-repaired refine solve and a steady round of the planner. Each
+//!   dual-repaired refine solve, a steady round of the planner and the
+//!   construction of a service and of a durable service. Each
 //!   column is the most any measured repetition took; work columns
 //!   follow (dual pivots, assignments per round). Run them in release
 //!   too, the profile the benchmark measures:
@@ -678,4 +679,23 @@ fn alloc_steady_round() {
             format!("alloc/steady_round/{n} blocks={blocks} assignments={assignments}")
         }),
     );
+}
+
+/// The blocks of `SchedulerService::new` under a failure model, and of
+/// `DurableService::new` on in-memory storage, over a cluster of `n`
+/// workers of each type: what a run pays before its first command.
+fn service_new_line(n: usize) -> String {
+    let config = || SimConfig::new(cluster_scaled(n)).with_failures(7200.0, 3600.0);
+    let policy = MaxMinFairness::new();
+    let (cfg, svc_cfg) = (config(), ServiceConfig::default());
+    let service = count(|| SchedulerService::new(cfg, svc_cfg, &policy));
+    let (cfg, svc_cfg) = (config(), ServiceConfig::default());
+    let (sink, store) = (MemorySink::new(), MemoryCheckpointStore::new());
+    let durable = count(|| DurableService::new(&policy, cfg, svc_cfg, sink, store, 0));
+    format!("alloc/service_new/{n} service_blocks={service} durable_blocks={durable}")
+}
+
+#[test]
+fn alloc_service_new() {
+    check(&[service_new_line(4), service_new_line(64)]);
 }
