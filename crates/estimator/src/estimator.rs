@@ -21,10 +21,9 @@ const REFINE_ALPHA: f64 = 0.5;
 #[derive(Debug, Clone)]
 pub struct ThroughputEstimator {
     reference: Vec<Vec<f64>>,
-    /// Per-tracked-job estimated colocation rows (indexed by caller key).
-    estimates: HashMap<u64, Vec<f64>>,
-    /// Which reference each tracked job mapped to.
-    matched: HashMap<u64, usize>,
+    /// Per tracked job (by caller key): the reference it matched and its
+    /// estimated colocation row.
+    estimates: HashMap<u64, (usize, Vec<f64>)>,
     /// Keys registered or refined since the last [`Self::take_dirty`].
     dirty: Vec<u64>,
 }
@@ -45,7 +44,6 @@ impl ThroughputEstimator {
         ThroughputEstimator {
             reference,
             estimates: HashMap::new(),
-            matched: HashMap::new(),
             dirty: Vec::new(),
         }
     }
@@ -99,20 +97,15 @@ impl ThroughputEstimator {
                 row[j] = *v;
             }
         }
-        self.estimates.insert(key, row);
-        self.matched.insert(key, matched);
+        self.estimates.insert(key, (matched, row));
         self.dirty.push(key);
         matched
     }
 
-    /// The current estimated colocation row for `key`, if registered.
-    pub fn estimate(&self, key: u64) -> Option<&[f64]> {
-        self.estimates.get(&key).map(|v| v.as_slice())
-    }
-
-    /// The reference index `key` was matched to, if registered.
-    pub fn matched_reference(&self, key: u64) -> Option<usize> {
-        self.matched.get(&key).copied()
+    /// The reference index `key` was matched to and its current estimated
+    /// colocation row, if registered.
+    pub fn estimate(&self, key: u64) -> Option<(usize, &[f64])> {
+        (self.estimates.get(&key)).map(|(matched, row)| (*matched, row.as_slice()))
     }
 
     /// Feeds an online measurement: the job's observed normalized
@@ -121,7 +114,7 @@ impl ThroughputEstimator {
     /// A no-op for unregistered keys — it neither creates state nor lists
     /// the key as dirty, so cached derivations stay valid.
     pub fn refine(&mut self, key: u64, j: usize, measured: f64) {
-        if let Some(row) = self.estimates.get_mut(&key) {
+        if let Some((_, row)) = self.estimates.get_mut(&key) {
             row[j] = (1.0 - REFINE_ALPHA) * row[j] + REFINE_ALPHA * measured;
             self.dirty.push(key);
         }
@@ -130,7 +123,6 @@ impl ThroughputEstimator {
     /// Removes a completed job's state.
     pub fn forget(&mut self, key: u64) {
         self.estimates.remove(&key);
-        self.matched.remove(&key);
     }
 
     /// Hands over the keys registered or refined since the last call, in
@@ -168,7 +160,7 @@ mod tests {
         // A job profiled against references 0 and 1 with heavy-like values.
         let matched = est.register_job(42, &[Some(0.74), Some(0.56), None]);
         assert_eq!(matched, 2, "heavy contention profile should match row 2");
-        let row = est.estimate(42).unwrap();
+        let (_, row) = est.estimate(42).unwrap();
         // Profiled entries preserved, the rest from the matched reference.
         assert!((row[0] - 0.74).abs() < 1e-9);
         assert!((row[1] - 0.56).abs() < 1e-9);
@@ -197,7 +189,7 @@ mod tests {
         for _ in 0..10 {
             est.refine(7, 2, 0.6);
         }
-        let row = est.estimate(7).unwrap();
+        let (_, row) = est.estimate(7).unwrap();
         assert!((row[2] - 0.6).abs() < 0.01, "refined to {}", row[2]);
     }
 
@@ -207,7 +199,6 @@ mod tests {
         est.register_job(9, &[Some(0.9), None, None]);
         est.forget(9);
         assert!(est.estimate(9).is_none());
-        assert!(est.matched_reference(9).is_none());
     }
 
     #[test]
@@ -261,7 +252,7 @@ mod tests {
                 .collect();
             let key = 100 + class as u64;
             est.register_job(key, &noisy);
-            let got = est.estimate(key).unwrap();
+            let (_, got) = est.estimate(key).unwrap();
             for (g, t) in got.iter().zip(true_row) {
                 assert!(
                     (g - t).abs() / t < 0.25,

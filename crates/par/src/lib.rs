@@ -2,8 +2,8 @@
 //!
 //! The build image has no rayon; this crate is the one place the
 //! workspace spawns worker threads, and only the experiment sweeps
-//! (`gavel-experiments`, which re-exports it) use it: no policy solve runs
-//! in parallel. It depends on nothing.
+//! (`gavel-experiments`) run on it; the benchmark only sets its width. No
+//! policy solve runs in parallel. It depends on nothing.
 //!
 //! # Determinism contract
 //!

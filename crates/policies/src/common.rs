@@ -9,7 +9,9 @@
 //! place: `AllocLp::level_lp`.
 
 use gavel_core::{AccelIdx, Allocation, JobId, PolicyError, PolicyInput, CAPACITY_TOLERANCE};
-use gavel_solver::{BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, VarId};
+use gavel_solver::{
+    BasisEntry, Cmp, ConstraintId, LpProblem, PreparedLp, Sense, SolveStats, VarId,
+};
 
 /// The common allocation-variable block of a policy LP.
 pub(crate) struct AllocLp {
@@ -284,6 +286,38 @@ pub(crate) fn check_input(input: &PolicyInput<'_>) -> Result<SingletonRows, Poli
     Ok(SingletonRows(rows))
 }
 
+/// What a policy answers for an input that lists no jobs: nothing
+/// allocated, and no solver work behind it.
+pub(crate) trait NoJobs {
+    fn no_jobs(input: &PolicyInput<'_>) -> Self;
+}
+
+impl NoJobs for Allocation {
+    fn no_jobs(input: &PolicyInput<'_>) -> Self {
+        Allocation::zeros(input.combos.clone(), input.cluster.num_types())
+    }
+}
+
+impl NoJobs for (Allocation, SolveStats) {
+    fn no_jobs(input: &PolicyInput<'_>) -> Self {
+        (Allocation::no_jobs(input), SolveStats::default())
+    }
+}
+
+/// Checks `input` ([`check_input`]) and hands its singleton rows to
+/// `solve`, unless it lists no jobs: every policy answers that input the
+/// same way, with [`NoJobs::no_jobs`].
+pub(crate) fn with_jobs<T: NoJobs>(
+    input: &PolicyInput<'_>,
+    solve: impl FnOnce(SingletonRows) -> Result<T, PolicyError>,
+) -> Result<T, PolicyError> {
+    let singles = check_input(input)?;
+    if input.jobs.is_empty() {
+        return Ok(T::no_jobs(input));
+    }
+    solve(singles)
+}
+
 /// Scalar max-min water-filling over per-job time shares, used by the
 /// heterogeneity-agnostic baselines: maximize `min_m share_m / w_m` subject
 /// to `sum_m share_m * sf_m <= capacity` and `share_m <= 1`.
@@ -372,7 +406,7 @@ pub(crate) fn spread(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gavel_core::{
         ClusterSpec, Combo, ComboSet, PairThroughput, Policy, PolicyJob, ThroughputTensor,
@@ -525,8 +559,9 @@ mod tests {
             });
             assert_eq!(hinted, unhinted, "probe {probes} at M = {makespan}");
             probes += 1;
-            unhinted.is_ok()
-        });
+            Ok::<_, std::convert::Infallible>(unhinted.ok())
+        })
+        .unwrap();
         assert!(probes > 4, "the bisection ended after {probes} probes");
     }
 
@@ -548,7 +583,7 @@ mod tests {
         alloc
     }
 
-    fn bits(alloc: &Allocation) -> Vec<Vec<u64>> {
+    pub(crate) fn bits(alloc: &Allocation) -> Vec<Vec<u64>> {
         (0..alloc.combos().len())
             .map(|k| alloc.row(k).iter().map(|x| x.to_bits()).collect())
             .collect()

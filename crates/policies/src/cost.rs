@@ -17,7 +17,7 @@
 //! With space sharing the instance cost is counted once per combo row, not
 //! once per job, matching the paper's double-counting caveat.
 
-use crate::common::{check_input, solver_err, AllocLp, SingletonRows};
+use crate::common::{check_input, solver_err, with_jobs, AllocLp, SingletonRows};
 use gavel_core::{refs, AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{solve_fractional, Cmp, FractionalObjective, Sense, SolverError, VarId};
 
@@ -129,28 +129,23 @@ impl Policy for MinCostSlo {
 }
 
 fn solve_cost(input: &PolicyInput<'_>, with_slos: bool) -> Result<Allocation, PolicyError> {
-    let singles = check_input(input)?;
-    if input.jobs.is_empty() {
-        return Ok(Allocation::zeros(
-            input.combos.clone(),
-            input.cluster.num_types(),
-        ));
-    }
-    // Retry with successively halved progress floors if the combination of
-    // floors is infeasible (more jobs than the cluster can float at once).
-    // When every job has an SLO, no job gets a progress floor, so there is
-    // nothing to halve: the one LP is solved once.
-    let floored = !with_slos || input.jobs.iter().any(|j| j.slo_seconds_remaining.is_none());
-    if floored {
-        let mut floor = MIN_PROGRESS;
-        for _ in 0..6 {
-            match solve_cost_once(input, &singles, with_slos, floor) {
-                Err(PolicyError::NoFeasibleAllocation(_)) if floor > 1e-4 => floor *= 0.5,
-                other => return other,
+    with_jobs(input, |singles| {
+        // Retry with successively halved progress floors if the combination of
+        // floors is infeasible (more jobs than the cluster can float at once).
+        // When every job has an SLO, no job gets a progress floor, so there is
+        // nothing to halve: the one LP is solved once.
+        let floored = !with_slos || input.jobs.iter().any(|j| j.slo_seconds_remaining.is_none());
+        if floored {
+            let mut floor = MIN_PROGRESS;
+            for _ in 0..6 {
+                match solve_cost_once(input, &singles, with_slos, floor) {
+                    Err(PolicyError::NoFeasibleAllocation(_)) if floor > 1e-4 => floor *= 0.5,
+                    other => return other,
+                }
             }
         }
-    }
-    solve_cost_once(input, &singles, with_slos, 0.0)
+        solve_cost_once(input, &singles, with_slos, 0.0)
+    })
 }
 
 fn solve_cost_once(

@@ -11,7 +11,7 @@
 //! rows the same LP space-shares. The agnostic baseline packs jobs onto
 //! workers in arrival order without regard to type.
 
-use crate::common::{check_input, AllocLp};
+use crate::common::{check_input, with_jobs, AllocLp};
 use gavel_core::{refs, AccelIdx, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::Sense;
 
@@ -36,32 +36,27 @@ impl Policy for FifoHet {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        let singles = check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        // Rank jobs by arrival: earliest gets the largest multiplier M - m.
-        let mut order: Vec<usize> = (0..input.jobs.len()).collect();
-        order.sort_by_key(|&m| input.jobs[m].arrival_seq);
-        let big_m = input.jobs.len() as f64;
+        with_jobs(input, |singles| {
+            // Rank jobs by arrival: earliest gets the largest multiplier M - m.
+            let mut order: Vec<usize> = (0..input.jobs.len()).collect();
+            order.sort_by_key(|&m| input.jobs[m].arrival_seq);
+            let big_m = input.jobs.len() as f64;
 
-        let mut mult = vec![0.0; input.jobs.len()];
-        for (rank, &m) in order.iter().enumerate() {
-            let fastest = refs::x_fastest(input.tensor, singles.row(m));
-            if fastest <= 0.0 {
-                return Err(PolicyError::NoFeasibleAllocation(format!(
-                    "{} cannot run anywhere",
-                    input.jobs[m].id
-                )));
+            let mut mult = vec![0.0; input.jobs.len()];
+            for (rank, &m) in order.iter().enumerate() {
+                let fastest = refs::x_fastest(input.tensor, singles.row(m));
+                if fastest <= 0.0 {
+                    return Err(PolicyError::NoFeasibleAllocation(format!(
+                        "{} cannot run anywhere",
+                        input.jobs[m].id
+                    )));
+                }
+                mult[m] = (big_m - rank as f64) / fastest;
             }
-            mult[m] = (big_m - rank as f64) / fastest;
-        }
-        let alp = AllocLp::new(input, Sense::Maximize);
-        let objective = alp.throughput_sum_terms(input, |m, coeff| coeff * mult[m]);
-        alp.maximize(input, &objective)
+            let alp = AllocLp::new(input, Sense::Maximize);
+            let objective = alp.throughput_sum_terms(input, |m, coeff| coeff * mult[m]);
+            alp.maximize(input, &objective)
+        })
     }
 }
 
@@ -136,43 +131,38 @@ impl Policy for ShortestJobFirst {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        let singles = check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        let fastest: Vec<f64> = (0..input.jobs.len())
-            .map(|m| refs::x_fastest(input.tensor, singles.row(m)).max(1e-12))
-            .collect();
-        // The shortest job by ideal duration (steps / fastest throughput).
-        let shortest = input
-            .jobs
-            .iter()
-            .enumerate()
-            .min_by(|(ma, a), (mb, b)| {
-                let da = a.steps_remaining / fastest[*ma];
-                let db = b.steps_remaining / fastest[*mb];
-                // `total_cmp` so a NaN duration (zero-throughput job with
-                // NaN steps upstream) degrades to a stable order instead
-                // of panicking mid-comparison.
-                da.total_cmp(&db).then(ma.cmp(mb))
-            })
-            .map(|(m, _)| m)
-            // An empty job list returned the empty allocation above.
-            .expect("non-empty jobs");
+        with_jobs(input, |singles| {
+            let fastest: Vec<f64> = (0..input.jobs.len())
+                .map(|m| refs::x_fastest(input.tensor, singles.row(m)).max(1e-12))
+                .collect();
+            // The shortest job by ideal duration (steps / fastest throughput).
+            let shortest = input
+                .jobs
+                .iter()
+                .enumerate()
+                .min_by(|(ma, a), (mb, b)| {
+                    let da = a.steps_remaining / fastest[*ma];
+                    let db = b.steps_remaining / fastest[*mb];
+                    // `total_cmp` so a NaN duration (zero-throughput job with
+                    // NaN steps upstream) degrades to a stable order instead
+                    // of panicking mid-comparison.
+                    da.total_cmp(&db).then(ma.cmp(mb))
+                })
+                .map(|(m, _)| m)
+                // An empty job list returned the empty allocation above.
+                .expect("non-empty jobs");
 
-        let alp = AllocLp::new(input, Sense::Maximize);
-        // Tiny secondary terms pack the remaining jobs without disturbing
-        // the primary objective.
-        let objective = alp.throughput_sum_terms(input, |m, coeff| {
-            if m == shortest {
-                coeff
-            } else {
-                1e-6 * coeff / fastest[m]
-            }
-        });
-        alp.maximize(input, &objective)
+            let alp = AllocLp::new(input, Sense::Maximize);
+            // Tiny secondary terms pack the remaining jobs without disturbing
+            // the primary objective.
+            let objective = alp.throughput_sum_terms(input, |m, coeff| {
+                if m == shortest {
+                    coeff
+                } else {
+                    1e-6 * coeff / fastest[m]
+                }
+            });
+            alp.maximize(input, &objective)
+        })
     }
 }

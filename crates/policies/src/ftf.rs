@@ -13,7 +13,7 @@
 //! linear, so the optimum is found by bisection over LP feasibility
 //! problems (the paper's sequence-of-LPs technique).
 
-use crate::common::{check_input, solver_err, spread, AllocLp, SingletonRows};
+use crate::common::{solver_err, spread, with_jobs, AllocLp, SingletonRows};
 use gavel_core::{refs, Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{bisect_min, Cmp, Sense, SolverError};
 
@@ -55,6 +55,27 @@ impl FinishTimeFairness {
         FinishTimeFairness
     }
 
+    /// The smallest `rho` the bisection proves every job can meet, with
+    /// the allocation its probe solved there.
+    fn min_rho(
+        &self,
+        input: &PolicyInput<'_>,
+        singles: &SingletonRows,
+    ) -> Result<(f64, Allocation), PolicyError> {
+        let denoms = isolated_denominators(input, singles)?;
+        // `X_isolated` is a valid allocation (on each type the jobs use
+        // `Σ_m s_m · W_j / (n · s_m) = W_j` workers) and meets rho = 1 for
+        // every job, by the definition of `D_m`.
+        let hi = HEADROOM;
+        // No job finishes before the time it has already spent.
+        let spent = (input.jobs.iter().zip(&denoms)).map(|(job, d)| job.time_elapsed / d);
+        let lo = (spent.fold(f64::INFINITY, f64::min) * 0.99).max(1e-9);
+        bisect_min(lo, hi, RHO_TOLERANCE, 80, |rho| {
+            self.probe(input, &denoms, rho)
+        })?
+        .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))
+    }
+
     /// An allocation under which every job meets `rho`, or `None` when the
     /// LP proves there is none. Any other solver failure is an error, not
     /// a verdict.
@@ -88,52 +109,8 @@ impl Policy for FinishTimeFairness {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        let singles = check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        let denoms = isolated_denominators(input, &singles)?;
-        // `X_isolated` is a valid allocation (on each type the jobs use
-        // `Σ_m s_m · W_j / (n · s_m) = W_j` workers) and meets rho = 1 for
-        // every job, by the definition of `D_m`.
-        let hi = HEADROOM;
-        // No job finishes before the time it has already spent.
-        let spent = (input.jobs.iter().zip(&denoms)).map(|(job, d)| job.time_elapsed / d);
-        let lo = (spent.fold(f64::INFINITY, f64::min) * 0.99).max(1e-9);
-
-        bisect_rho(lo, hi, |rho| self.probe(input, &denoms, rho))
+        with_jobs(input, |singles| Ok(self.min_rho(input, &singles)?.1))
     }
-}
-
-/// Bisects for the smallest `rho` in `[lo, hi]` that `probe` can meet and
-/// returns the allocation meeting it. The first probe that fails for a
-/// reason other than infeasibility ends the search: its answers stop
-/// steering the bisection and the error is returned.
-fn bisect_rho(
-    lo: f64,
-    hi: f64,
-    mut probe: impl FnMut(f64) -> Result<Option<Allocation>, PolicyError>,
-) -> Result<Allocation, PolicyError> {
-    let mut failure = None;
-    let best = bisect_min(lo, hi, RHO_TOLERANCE, 80, |rho| {
-        failure.is_none()
-            && match probe(rho) {
-                Ok(alloc) => alloc.is_some(),
-                Err(e) => {
-                    failure = Some(e);
-                    false
-                }
-            }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-    let best =
-        best.ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
-    probe(best)?.ok_or_else(|| solver_err(SolverError::Infeasible))
 }
 
 /// Heterogeneity-agnostic finish-time fairness baseline: jobs receive time
@@ -155,82 +132,82 @@ impl Policy for FtfAgnostic {
     }
 
     fn compute_allocation(&self, input: &PolicyInput<'_>) -> Result<Allocation, PolicyError> {
-        let singles = check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok(Allocation::zeros(
-                input.combos.clone(),
-                input.cluster.num_types(),
-            ));
-        }
-        let denoms = isolated_denominators(input, &singles)?;
-        let capacity = input.cluster.total_workers() as f64;
-        // Under the uniform-spread restriction a share s gives throughput
-        // s * norm_m.
-        let norms = singles.equal_share_throughputs(input);
-        // The equal split, one share for every job that the cluster's
-        // workers hold, is a valid allocation: the upper end is the
-        // largest rho it gives a job.
-        let demand: f64 = (input.jobs.iter())
-            .map(|j| j.scale_factor.max(1) as f64)
-            .sum();
-        let equal = (capacity / demand).min(1.0);
-        let worst = (input.jobs.iter().zip(&denoms).zip(&norms))
-            .map(|((job, d), norm)| (job.time_elapsed + job.steps_remaining / (equal * norm)) / d)
-            .fold(0.0, f64::max);
-        let hi = worst * HEADROOM;
+        with_jobs(input, |singles| {
+            let denoms = isolated_denominators(input, &singles)?;
+            let capacity = input.cluster.total_workers() as f64;
+            // Under the uniform-spread restriction a share s gives throughput
+            // s * norm_m.
+            let norms = singles.equal_share_throughputs(input);
+            // The equal split, one share for every job that the cluster's
+            // workers hold, is a valid allocation: the upper end is the
+            // largest rho it gives a job.
+            let demand: f64 = (input.jobs.iter())
+                .map(|j| j.scale_factor.max(1) as f64)
+                .sum();
+            let equal = (capacity / demand).min(1.0);
+            let worst = (input.jobs.iter().zip(&denoms).zip(&norms))
+                .map(|((job, d), norm)| {
+                    (job.time_elapsed + job.steps_remaining / (equal * norm)) / d
+                })
+                .fold(0.0, f64::max);
+            let hi = worst * HEADROOM;
 
-        // Required share per job at a given rho.
-        let required = |rho: f64| -> Option<Vec<f64>> {
-            let mut shares = Vec::with_capacity(input.jobs.len());
-            for (m, job) in input.jobs.iter().enumerate() {
-                let budget = rho * denoms[m] - job.time_elapsed;
-                if budget <= 0.0 {
-                    return None;
+            // Required share per job at a given rho.
+            let required = |rho: f64| -> Option<Vec<f64>> {
+                let mut shares = Vec::with_capacity(input.jobs.len());
+                for (m, job) in input.jobs.iter().enumerate() {
+                    let budget = rho * denoms[m] - job.time_elapsed;
+                    if budget <= 0.0 {
+                        return None;
+                    }
+                    let s = job.steps_remaining / (budget * norms[m]);
+                    if s > 1.0 + 1e-9 {
+                        return None;
+                    }
+                    shares.push(s.min(1.0));
                 }
-                let s = job.steps_remaining / (budget * norms[m]);
-                if s > 1.0 + 1e-9 {
-                    return None;
+                let used: f64 = shares
+                    .iter()
+                    .zip(input.jobs)
+                    .map(|(s, j)| s * j.scale_factor.max(1) as f64)
+                    .sum();
+                if used <= capacity + 1e-9 {
+                    Some(shares)
+                } else {
+                    None
                 }
-                shares.push(s.min(1.0));
-            }
+            };
+
+            let probe = |rho| Ok::<_, PolicyError>(required(rho));
+            let (_, mut shares) = bisect_min(1e-9, hi, RHO_TOLERANCE, 80, probe)?
+                .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
+
+            // Lift: scale all shares up proportionally into leftover capacity.
             let used: f64 = shares
                 .iter()
                 .zip(input.jobs)
                 .map(|(s, j)| s * j.scale_factor.max(1) as f64)
                 .sum();
-            if used <= capacity + 1e-9 {
-                Some(shares)
-            } else {
-                None
+            if used > 1e-12 {
+                let kappa = (capacity / used).max(1.0);
+                for s in &mut shares {
+                    *s = (*s * kappa).min(1.0);
+                }
             }
-        };
-
-        let best = bisect_min(1e-9, hi, RHO_TOLERANCE, 80, |rho| required(rho).is_some())
-            .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
-        let mut shares =
-            required(best).ok_or_else(|| PolicyError::Solver(Box::new(SolverError::Infeasible)))?;
-
-        // Lift: scale all shares up proportionally into leftover capacity.
-        let used: f64 = shares
-            .iter()
-            .zip(input.jobs)
-            .map(|(s, j)| s * j.scale_factor.max(1) as f64)
-            .sum();
-        if used > 1e-12 {
-            let kappa = (capacity / used).max(1.0);
-            for s in &mut shares {
-                *s = (*s * kappa).min(1.0);
-            }
-        }
-        Ok(spread(input, singles.units(input, &shares)))
+            Ok(spread(input, singles.units(input, &shares)))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{check_input, tests::bits};
     use gavel_core::{ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor};
 
+    /// A failed probe is an error, and `min_rho` hands it on: `bisect_min`
+    /// returns the first probe error without probing again (its own tests
+    /// show it).
     #[test]
     fn a_failed_probe_is_an_error_not_an_infeasible_rho() {
         let jobs = [PolicyJob::simple(JobId(0), 1000.0)];
@@ -248,37 +225,13 @@ mod tests {
         // whether rho is feasible.
         let probed = FinishTimeFairness::new().probe(&input, &[1e-320], 1.0);
         assert!(matches!(probed, Err(PolicyError::Solver(_))), "{probed:?}");
-
-        // Feasible from 0.4 up, but the probe at the first midpoint hits
-        // the iteration limit. Read as "infeasible" that would push the
-        // answer up to 0.75 and beyond; instead the search stops there.
-        let alloc = Allocation::zeros(combos.clone(), 1);
-        let mut probes = Vec::new();
-        let result = bisect_rho(0.0, 1.0, |rho| {
-            probes.push(rho);
-            if rho == 0.5 {
-                Err(solver_err(SolverError::IterationLimit { pivots: 7 }))
-            } else {
-                Ok((rho >= 0.4).then(|| alloc.clone()))
-            }
-        });
-        assert_eq!(probes, [1.0, 0.0, 0.5]);
-        match result {
-            Err(PolicyError::Solver(e)) => assert_eq!(
-                e.downcast_ref(),
-                Some(&SolverError::IterationLimit { pivots: 7 })
-            ),
-            other => panic!("the probe failure was swallowed: {other:?}"),
-        }
     }
 
     /// Figure 12's inputs (the static trace at seed 5 on a cluster of
-    /// n/3 servers per type), fresh or with elapsed times of (i mod 7) ×
-    /// 600 s: the policy's rho is within the tolerance of a reference from
-    /// a fine bisection of the same probe, and the probe just below the
-    /// reference is infeasible.
-    #[test]
-    fn rho_is_within_tolerance_of_its_optimum() {
+    /// n/3 servers per type) at 32, 128 and 256 jobs, fresh or with elapsed
+    /// times of (i mod 7) × 600 s, each handed to `check` with its label
+    /// and its jobs' denominators `D_m`.
+    fn fig12_inputs(mut check: impl FnMut(&str, &PolicyInput<'_>, &[f64])) {
         use gavel_workloads::{
             build_singleton_tensor, cluster_scaled, generate, JobSpec, Oracle, TraceConfig,
         };
@@ -307,25 +260,50 @@ mod tests {
                     tensor: &tensor,
                     cluster: &cluster,
                 };
-                let policy = FinishTimeFairness::new();
-                let singles = check_input(&input).unwrap();
-                let denoms = isolated_denominators(&input, &singles).unwrap();
-                let feasible = |rho| policy.probe(&input, &denoms, rho).unwrap().is_some();
-                let optimum = bisect_min(0.0, HEADROOM, 1e-9, 200, feasible).unwrap();
-
-                let alloc = policy.compute_allocation(&input).unwrap();
-                let rho = (jobs.iter().zip(&denoms))
-                    .map(|(j, d)| {
-                        let tput = alloc.effective_throughput(&tensor, j.id);
-                        (j.time_elapsed + j.steps_remaining / tput) / d
-                    })
-                    .fold(0.0, f64::max);
-                assert!(
-                    rho <= optimum + RHO_TOLERANCE,
-                    "n={n}, elapsed {elapsed}: rho {rho} vs optimum {optimum}"
-                );
-                assert!(!feasible(optimum - 1e-6), "n={n}, elapsed {elapsed}");
+                let denoms = isolated_denominators(&input, &check_input(&input).unwrap()).unwrap();
+                check(&format!("n={n}, elapsed {elapsed}"), &input, &denoms);
             }
         }
+    }
+
+    /// On Figure 12's inputs the policy's rho is within the tolerance of a
+    /// reference from a fine bisection of the same probe, and the probe
+    /// just below the reference is infeasible.
+    #[test]
+    fn rho_is_within_tolerance_of_its_optimum() {
+        let policy = FinishTimeFairness::new();
+        fig12_inputs(|what, input, denoms| {
+            let probe = |rho| policy.probe(input, denoms, rho);
+            let (optimum, _) = bisect_min(0.0, HEADROOM, 1e-9, 200, probe)
+                .unwrap()
+                .unwrap();
+
+            let alloc = policy.compute_allocation(input).unwrap();
+            let rho = (input.jobs.iter().zip(denoms))
+                .map(|(j, d)| {
+                    let tput = alloc.effective_throughput(input.tensor, j.id);
+                    (j.time_elapsed + j.steps_remaining / tput) / d
+                })
+                .fold(0.0, f64::max);
+            assert!(
+                rho <= optimum + RHO_TOLERANCE,
+                "{what}: rho {rho} vs optimum {optimum}"
+            );
+            assert!(probe(optimum - 1e-6).unwrap().is_none(), "{what}");
+        });
+    }
+
+    /// On Figure 12's inputs the allocation the policy returns is, bit for
+    /// bit, a fresh `LpProblem::solve` of its probe LP at the rho its
+    /// bisection returns: the witness of that rho's one probe stands in
+    /// for the second solve the policy no longer makes.
+    #[test]
+    fn the_allocation_is_the_probe_lp_solved_at_the_returned_rho() {
+        let policy = FinishTimeFairness::new();
+        fig12_inputs(|what, input, denoms| {
+            let (rho, alloc) = (policy.min_rho(input, &check_input(input).unwrap())).unwrap();
+            let fresh = policy.probe(input, denoms, rho).unwrap().unwrap();
+            assert_eq!(bits(&alloc), bits(&fresh), "{what}: rho {rho}");
+        });
     }
 }

@@ -61,7 +61,7 @@
 //! branch-and-bound, and an exhaustive per-job LP as oracles for every
 //! round's dual verdicts.
 
-use crate::common::{check_input, solver_err, AllocLp, LevelLp, SingletonRows};
+use crate::common::{solver_err, with_jobs, AllocLp, LevelLp, SingletonRows};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{BasisEntry, ConstraintId, LpSolution, Sense, SolveStats, VarId};
 
@@ -121,39 +121,36 @@ impl Hierarchical {
         &self,
         input: &PolicyInput<'_>,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
-        if input.jobs.is_empty() {
-            return Ok((
-                Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
-                SolveStats::default(),
-            ));
-        }
-        let mut wf = self.build_waterfill(input)?;
+        with_jobs(input, |singles| {
+            let mut wf = self.build_waterfill(input, singles)?;
 
-        let mut last = None;
-        loop {
-            let active = wf.active_jobs();
-            if active.is_empty() {
-                break;
+            let mut last = None;
+            loop {
+                let active = wf.active_jobs();
+                if active.is_empty() {
+                    break;
+                }
+                last = Some(wf.raise_floors(&active)?);
+                let bottlenecked = wf.bottlenecked(&active);
+                wf.retire(&active, bottlenecked);
             }
-            last = Some(wf.raise_floors(&active)?);
-            let bottlenecked = wf.bottlenecked(&active);
-            wf.retire(&active, bottlenecked);
-        }
 
-        // The last round's optimum is the allocation.
-        let sol = last.ok_or_else(|| {
-            PolicyError::NoFeasibleAllocation("water filling produced no allocation".into())
-        })?;
-        Ok((wf.alp.extract(input, &sol), wf.stats))
+            // The last round's optimum is the allocation.
+            let sol = last.ok_or_else(|| {
+                PolicyError::NoFeasibleAllocation("water filling produced no allocation".into())
+            })?;
+            Ok((wf.alp.extract(input, &sol), wf.stats))
+        })
     }
 
-    /// Validates the input, resolves entities and initial weights and
-    /// builds the per-solve water-filling state (floors at zero).
+    /// Resolves entities and initial weights and builds the per-solve
+    /// water-filling state (floors at zero) over the checked input's
+    /// singleton rows.
     fn build_waterfill<'i, 'a>(
         &self,
         input: &'i PolicyInput<'a>,
+        singles: SingletonRows,
     ) -> Result<WaterFill<'i, 'a>, PolicyError> {
-        let singles = check_input(input)?;
         let n = input.jobs.len();
         // Resolve entities: jobs without one become singleton entities
         // weighted by their own job weight (single-level mode).
@@ -418,6 +415,7 @@ impl Policy for Hierarchical {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::check_input;
     use crate::milp::tests::solve_milp;
     use gavel_core::{
         AccelIdx, ClusterSpec, ComboSet, JobId, PairThroughput, PolicyJob, ThroughputTensor,
@@ -552,7 +550,9 @@ mod tests {
         input: &'i PolicyInput<'a>,
         mut pick: impl FnMut(&WaterFill<'_, '_>, &[usize]) -> Vec<usize>,
     ) -> (WaterFill<'i, 'a>, usize) {
-        let mut wf = policy.build_waterfill(input).unwrap();
+        let mut wf = policy
+            .build_waterfill(input, check_input(input).unwrap())
+            .unwrap();
         let mut rounds = 0;
         loop {
             let active = wf.active_jobs();
@@ -667,7 +667,9 @@ mod tests {
             let (alloc, _) = max_level(&input, false);
             let level = (setup.normalized(&alloc).into_iter()).fold(f64::INFINITY, f64::min);
             let policy = Hierarchical::single_level();
-            let mut wf = policy.build_waterfill(&input).unwrap();
+            let mut wf = policy
+                .build_waterfill(&input, check_input(&input).unwrap())
+                .unwrap();
             let active = wf.active_jobs();
             assert_eq!(active.len(), input.jobs.len(), "case {case}");
             let t_star = wf.raise_floors(&active).unwrap().value(wf.round.t);
@@ -781,7 +783,9 @@ mod tests {
         let policy = Hierarchical::new(vec![1.0; 4], EntityPolicy::Fairness);
         let (alloc, _) = policy.compute_allocation_with_stats(&input).unwrap();
 
-        let mut wf = policy.build_waterfill(&input).unwrap();
+        let mut wf = policy
+            .build_waterfill(&input, check_input(&input).unwrap())
+            .unwrap();
         let (mut rounds, mut last) = (0, None);
         loop {
             let active = wf.active_jobs();

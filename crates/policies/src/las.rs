@@ -49,7 +49,9 @@
 //! [`PreparedLp::solve`](gavel_solver::PreparedLp::solve)); an unusable
 //! one costs a cold start, never a wrong answer.
 
-use crate::common::{check_input, solver_err, spread, waterfill_shares, AllocLp, SingletonRows};
+use crate::common::{
+    check_input, solver_err, spread, waterfill_shares, with_jobs, AllocLp, SingletonRows,
+};
 use gavel_core::{Allocation, Policy, PolicyError, PolicyInput};
 use gavel_solver::{BasisEntry, Sense, SolveStats};
 
@@ -97,58 +99,53 @@ impl MaxMinFairness {
         c: impl FnOnce(&SingletonRows) -> Vec<f64>,
         refine: bool,
     ) -> Result<(Allocation, SolveStats), PolicyError> {
-        let singles = check_input(input)?;
-        if input.jobs.is_empty() {
-            return Ok((
-                Allocation::zeros(input.combos.clone(), input.cluster.num_types()),
-                SolveStats::default(),
-            ));
-        }
-        let normalizers = c(&singles);
-        let zero = (input.jobs.iter().zip(&normalizers)).find(|(_, &c)| c.is_nan() || c <= 0.0);
-        if let Some((job, _)) = zero {
-            return Err(PolicyError::NoFeasibleAllocation(format!(
-                "{} has zero normalized throughput",
-                job.id
-            )));
-        }
-        let mut alp = AllocLp::new(input, Sense::Maximize);
-        let tputs: Vec<_> = (input.jobs.iter())
-            .map(|job| alp.throughput_terms(input, job.id))
-            .collect();
-        let rows = (tputs.iter().zip(&normalizers)).map(|(terms, &c)| (terms.as_slice(), c));
-        let mut level = alp.level_lp(input, &singles, rows)?;
-        let (lp, t) = (&mut level.lp, level.t);
-
-        // Max t from the origin: validity rows on their slacks, floor rows
-        // on their jobs' best cells.
-        let sol = lp.solve(Some(&level.start)).map_err(solver_err)?;
-        let mut stats = sol.stats;
-        if !refine {
-            return Ok((alp.extract(input, &sol), stats));
-        }
-
-        // Second pass: keep everyone at least at the max-min level
-        // (slightly relaxed for numerical robustness), then maximize the
-        // sum of normalized throughputs so non-bottlenecked jobs use
-        // leftover capacity (single water-filling step). From "everyone
-        // full-time on their best cell": budget rows on the cells (the
-        // origin's first entry per job), the others on their slacks.
-        lp.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
-        lp.set_objective_coeff(t, 0.0);
-        for (terms, &c) in tputs.iter().zip(&normalizers) {
-            for &(v, coeff) in terms {
-                let sum = lp.problem().objective_coeff(v) + coeff / c;
-                lp.set_objective_coeff(v, sum);
+        with_jobs(input, |singles| {
+            let normalizers = c(&singles);
+            let zero = (input.jobs.iter().zip(&normalizers)).find(|(_, &c)| c.is_nan() || c <= 0.0);
+            if let Some((job, _)) = zero {
+                return Err(PolicyError::NoFeasibleAllocation(format!(
+                    "{} has zero normalized throughput",
+                    job.id
+                )));
             }
-        }
-        let full_time = &mut level.start;
-        full_time.truncate(input.jobs.len());
-        let slacks = alp.capacity.iter().flatten().chain(&level.floor_rows);
-        full_time.extend(slacks.map(|&row| BasisEntry::Slack(row)));
-        let sol = lp.solve(Some(full_time)).map_err(solver_err)?;
-        stats.absorb(&sol.stats);
-        Ok((alp.extract(input, &sol), stats))
+            let mut alp = AllocLp::new(input, Sense::Maximize);
+            let tputs: Vec<_> = (input.jobs.iter())
+                .map(|job| alp.throughput_terms(input, job.id))
+                .collect();
+            let rows = (tputs.iter().zip(&normalizers)).map(|(terms, &c)| (terms.as_slice(), c));
+            let mut level = alp.level_lp(input, &singles, rows)?;
+            let (lp, t) = (&mut level.lp, level.t);
+
+            // Max t from the origin: validity rows on their slacks, floor rows
+            // on their jobs' best cells.
+            let sol = lp.solve(Some(&level.start)).map_err(solver_err)?;
+            let mut stats = sol.stats;
+            if !refine {
+                return Ok((alp.extract(input, &sol), stats));
+            }
+
+            // Second pass: keep everyone at least at the max-min level
+            // (slightly relaxed for numerical robustness), then maximize the
+            // sum of normalized throughputs so non-bottlenecked jobs use
+            // leftover capacity (single water-filling step). From "everyone
+            // full-time on their best cell": budget rows on the cells (the
+            // origin's first entry per job), the others on their slacks.
+            lp.set_bounds(t, sol.value(t) * (1.0 - 1e-7), f64::INFINITY);
+            lp.set_objective_coeff(t, 0.0);
+            for (terms, &c) in tputs.iter().zip(&normalizers) {
+                for &(v, coeff) in terms {
+                    let sum = lp.problem().objective_coeff(v) + coeff / c;
+                    lp.set_objective_coeff(v, sum);
+                }
+            }
+            let full_time = &mut level.start;
+            full_time.truncate(input.jobs.len());
+            let slacks = alp.capacity.iter().flatten().chain(&level.floor_rows);
+            full_time.extend(slacks.map(|&row| BasisEntry::Slack(row)));
+            let sol = lp.solve(Some(full_time)).map_err(solver_err)?;
+            stats.absorb(&sol.stats);
+            Ok((alp.extract(input, &sol), stats))
+        })
     }
 }
 

@@ -84,10 +84,9 @@ impl EstimatorBridge {
         if oracle.memory_gb(a.1) + oracle.memory_gb(b.1) > gpu.memory_gb() {
             return None;
         }
-        let class_a = self.estimator.matched_reference(a.0 .0)?;
-        let class_b = self.estimator.matched_reference(b.0 .0)?;
-        let norm_a = self.estimator.estimate(a.0 .0)?[class_b];
-        let norm_b = self.estimator.estimate(b.0 .0)?[class_a];
+        let (class_a, row_a) = self.estimator.estimate(a.0 .0)?;
+        let (class_b, row_b) = self.estimator.estimate(b.0 .0)?;
+        let (norm_a, norm_b) = (row_a[class_b], row_b[class_a]);
         let iso_a = oracle.isolated(a.1, gpu);
         let iso_b = oracle.isolated(b.1, gpu);
         if iso_a <= 0.0 || iso_b <= 0.0 {
@@ -108,7 +107,7 @@ impl EstimatorBridge {
         b: (JobId, JobConfig),
         gpu: GpuKind,
     ) {
-        let matched = |id: JobId| self.estimator.matched_reference(id.0);
+        let matched = |id: JobId| self.estimator.estimate(id.0).map(|(class, _)| class);
         let (Some(class_a), Some(class_b)) = (matched(a.0), matched(b.0)) else {
             return;
         };

@@ -24,7 +24,7 @@
 //!   an optional warm-start hint, and re-solved by patching costs,
 //!   right-hand sides, bounds or one column.
 //! - [`bisect`] — a bisection driver for sequence-of-LP policies
-//!   (finish-time fairness).
+//!   (finish-time fairness) that returns its last feasible probe's witness.
 //!
 //! # Solver architecture: one lowering, dense vs revised
 //!

@@ -91,17 +91,26 @@ fn moderate_scale_solution_is_feasible_and_symmetric() {
 fn makespan_bisection_on_lp_feasibility() {
     // Two job classes on one worker type: steps (100, 300), rate 1.
     // Optimal makespan = total work = 400 (shares 0.25 / 0.75).
-    let feasible = |m: f64| -> bool {
+    let probe = |m: f64| {
         let mut lp = LpProblem::new(Sense::Maximize);
         let a = lp.add_var("a", 0.0, 1.0, 0.0);
         let b = lp.add_var("b", 0.0, 1.0, 0.0);
         lp.add_constraint(&[(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
         lp.add_constraint(&[(a, 1.0)], Cmp::Ge, 100.0 / m);
         lp.add_constraint(&[(b, 1.0)], Cmp::Ge, 300.0 / m);
-        !matches!(lp.solve(), Err(SolverError::Infeasible))
+        match lp.solve() {
+            Ok(sol) => Ok(Some([sol.value(a), sol.value(b)])),
+            Err(SolverError::Infeasible) => Ok(None),
+            Err(e) => Err(e),
+        }
     };
-    let best = bisect_min(1.0, 10_000.0, 1e-3, 100, feasible).unwrap();
+    let (best, shares) = bisect_min(1.0, 10_000.0, 1e-3, 100, probe)
+        .unwrap()
+        .unwrap();
     assert!((best - 400.0).abs() < 1.0, "makespan {best}");
+    // The witness is the feasible point at `best`: it meets both floors.
+    assert!(shares[0] >= 100.0 / best - 1e-9 && shares[1] >= 300.0 / best - 1e-9);
+    assert!(shares[0] + shares[1] <= 1.0 + 1e-9, "{shares:?}");
 }
 
 #[test]
