@@ -63,14 +63,16 @@ impl FinishTimeFairness {
         singles: &SingletonRows,
     ) -> Result<(f64, Allocation), PolicyError> {
         let denoms = isolated_denominators(input, singles)?;
+        // No job finishes sooner than alone on its fastest cell.
+        let alone = (input.jobs.iter().enumerate()).map(|(m, job)| {
+            let fastest = refs::x_fastest(input.tensor, singles.row(m));
+            (job.time_elapsed + job.steps_remaining / fastest) / denoms[m]
+        });
+        let lo = alone.fold(0.0, f64::max);
         // `X_isolated` is a valid allocation (on each type the jobs use
         // `Σ_m s_m · W_j / (n · s_m) = W_j` workers) and meets rho = 1 for
         // every job, by the definition of `D_m`.
-        let hi = HEADROOM;
-        // No job finishes before the time it has already spent.
-        let spent = (input.jobs.iter().zip(&denoms)).map(|(job, d)| job.time_elapsed / d);
-        let lo = (spent.fold(f64::INFINITY, f64::min) * 0.99).max(1e-9);
-        bisect_min(lo, hi, RHO_TOLERANCE, 80, |rho| {
+        bisect_min(lo, HEADROOM, RHO_TOLERANCE, 80, |rho| {
             self.probe(input, &denoms, rho)
         })?
         .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))
@@ -140,17 +142,20 @@ impl Policy for FtfAgnostic {
             let norms = singles.equal_share_throughputs(input);
             // The equal split, one share for every job that the cluster's
             // workers hold, is a valid allocation: the upper end is the
-            // largest rho it gives a job.
+            // largest rho it gives a job. No share is above 1: the lower
+            // end is the largest rho a whole share gives a job.
             let demand: f64 = (input.jobs.iter())
                 .map(|j| j.scale_factor.max(1) as f64)
                 .sum();
             let equal = (capacity / demand).min(1.0);
-            let worst = (input.jobs.iter().zip(&denoms).zip(&norms))
-                .map(|((job, d), norm)| {
-                    (job.time_elapsed + job.steps_remaining / (equal * norm)) / d
-                })
-                .fold(0.0, f64::max);
-            let hi = worst * HEADROOM;
+            let worst = |share: f64| {
+                (input.jobs.iter().zip(&denoms).zip(&norms))
+                    .map(|((job, d), norm)| {
+                        (job.time_elapsed + job.steps_remaining / (share * norm)) / d
+                    })
+                    .fold(0.0, f64::max)
+            };
+            let (lo, hi) = (worst(1.0), worst(equal) * HEADROOM);
 
             // Required share per job at a given rho.
             let required = |rho: f64| -> Option<Vec<f64>> {
@@ -179,7 +184,7 @@ impl Policy for FtfAgnostic {
             };
 
             let probe = |rho| Ok::<_, PolicyError>(required(rho));
-            let (_, mut shares) = bisect_min(1e-9, hi, RHO_TOLERANCE, 80, probe)?
+            let (_, mut shares) = bisect_min(lo, hi, RHO_TOLERANCE, 80, probe)?
                 .ok_or_else(|| PolicyError::NoFeasibleAllocation("no rho is feasible".into()))?;
 
             // Lift: scale all shares up proportionally into leftover capacity.

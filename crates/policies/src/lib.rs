@@ -12,8 +12,8 @@
 //! | [`MinMakespan`] | Makespan | single LP (the max-min LP with `t = 1/M`) |
 //! | [`FinishTimeFairness`] | Finish Time Fairness | bisection over LP feasibility |
 //! | [`MaxTotalThroughput`] | (cost baseline) | single LP |
-//! | [`MinCost`] | Minimize cost | linear-fractional program |
-//! | [`MinCostSlo`] | Minimize cost w/ SLOs | linear-fractional program |
+//! | [`MinCost`] | Minimize cost | linear-fractional program (+ level LP when floors do not fit) |
+//! | [`MinCostSlo`] | Minimize cost w/ SLOs | linear-fractional program (+ level LPs when floors do not fit) |
 //! | [`Hierarchical`] | Hierarchical | water filling (round-LP duals) |
 //!
 //! Heterogeneity-agnostic baselines: [`AgnosticLas`] (Tiresias-style),

@@ -7,7 +7,7 @@
 use gavel_core::{Allocation, JobId, Policy, PolicyError, PolicyInput};
 use gavel_policies::{
     EntityPolicy, FifoHet, FinishTimeFairness, Hierarchical, IsolatedSplit, MaxMinFairness,
-    MinMakespan,
+    MinCostSlo, MinMakespan,
 };
 use gavel_service::EntityCounters;
 use gavel_service::{
@@ -253,6 +253,33 @@ fn non_positive_job_parameters_fail_no_policy() {
             }
         }
     }
+}
+
+/// Three ResNet-50 jobs due at 1.2× their ideal duration on two V100s
+/// need 2.5 V100s: their SLO floors do not fit together, from the first
+/// recompute to the last. The floors relax together, so no recompute
+/// fails and the session drains.
+#[test]
+fn slo_floors_that_do_not_fit_fail_no_recompute() {
+    let config = JobConfig::new(ModelFamily::ResNet50, 64);
+    let rate = Oracle::new().isolated(config, GpuKind::V100);
+    let cluster = gavel_core::ClusterSpec::new(&[("v100", 2, 2, GpuKind::V100.price_per_hour())]);
+    let policy = MinCostSlo::new();
+    let mut svc = SchedulerService::new(SimConfig::new(cluster), ServiceConfig::default(), &policy);
+    for id in 0..3 {
+        let job = TraceJob {
+            config,
+            slo_factor: Some(1.2),
+            ..mk_job(id, 0.0, 3600.0 * rate, None)
+        };
+        svc.apply(&submit(job)).unwrap();
+    }
+    svc.apply(&Command::AdvanceTo { seconds: f64::MAX })
+        .unwrap();
+    assert_eq!(svc.num_active(), 0, "the session drains");
+    let r = svc.into_result();
+    assert_eq!(r.policy_failures, 0, "{:?}", r.policy_failure_kinds);
+    assert!(r.jobs.iter().all(|j| j.completion.is_some()));
 }
 
 #[test]
